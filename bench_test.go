@@ -3,13 +3,16 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/baseline/rowdb"
 	"repro/internal/baseline/sparklike"
 	"repro/internal/bench"
 	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/flights"
 	"repro/internal/sketch"
 	"repro/internal/spreadsheet"
@@ -488,6 +491,116 @@ func BenchmarkKernelParallelAgg(b *testing.B) {
 				}
 			}
 			reportRows(b, rows)
+		})
+	}
+}
+
+// --- Selection kernels: row path vs typed path, interleaved -------------
+//
+// The two benchmarks below time the retained row-at-a-time reference
+// and the typed selection path alternately inside one process (the
+// ROADMAP's A/B rule: host speed drifts, so the two sides must share
+// the same minutes) and report both rates.
+
+var (
+	kernelFlightsOnce sync.Once
+	kernelFlightsTbl  *table.Table
+)
+
+// kernelFlights is one 1M-row flights partition: the columns, value
+// distributions, ties and missing cells the end-to-end benchmark's
+// filter and table ops run over.
+func kernelFlights() *table.Table {
+	kernelFlightsOnce.Do(func() { kernelFlightsTbl = flights.Gen("kfl", 1000000, 3, flights.CoreColumns) })
+	return kernelFlightsTbl
+}
+
+// interleave runs ref and typed alternately b.N times each and reports
+// their separate rates over rows rows.
+func interleave(b *testing.B, rows int, ref, typed func() error) {
+	b.Helper()
+	var refT, typedT time.Duration
+	for i := 0; i < b.N; i++ {
+		for side, f := range []func() error{ref, typed} {
+			start := time.Now()
+			if err := f(); err != nil {
+				b.Fatal(err)
+			}
+			if side == 0 {
+				refT += time.Since(start)
+			} else {
+				typedT += time.Since(start)
+			}
+		}
+	}
+	mrows := float64(rows) * float64(b.N) / 1e6
+	b.ReportMetric(mrows/refT.Seconds(), "row_Mrows/s")
+	b.ReportMetric(mrows/typedT.Seconds(), "typed_Mrows/s")
+	b.ReportMetric(refT.Seconds()/typedT.Seconds(), "speedup")
+}
+
+// BenchmarkKernelFilter compares Table.Filter over the bound row
+// evaluator (what engine.FilterOp ran before) with FilterOp.Apply's
+// batch-compiled predicate.
+func BenchmarkKernelFilter(b *testing.B) {
+	t := kernelFlights()
+	for _, tc := range []struct{ name, src string }{
+		{"int-vs-int", "FlightNum > 4000"},
+		{"int-vs-double", "FlightNum > 4000.5"},
+		{"string-eq", `Carrier == "WN"`},
+		{"and", "DepDelay > 10 && Distance < 1000"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := expr.Bind(tc.src, t)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pred := func(row int) bool { v := c.Fn(row); return !v.Missing && v.I != 0 }
+			op := engine.FilterOp{Predicate: tc.src}
+			var want, got int
+			interleave(b, t.NumRows(),
+				func() error { want = t.Filter("ref", pred).NumRows(); return nil },
+				func() error {
+					out, err := op.Apply(t, "typed")
+					if err == nil {
+						got = out.NumRows()
+					}
+					return err
+				})
+			if got != want {
+				b.Fatalf("typed filter kept %d rows, row filter %d", got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelNextK compares NextKSketch.Summarize (one boxed row per
+// member row) with the pruned accumulator, on the three table-page
+// shapes of the end-to-end benchmark.
+func BenchmarkKernelNextK(b *testing.B) {
+	t := kernelFlights()
+	for _, tc := range []struct {
+		name string
+		sk   *sketch.NextKSketch
+	}{
+		{"double-lead", &sketch.NextKSketch{Order: table.Asc("DepDelay"), Extra: []string{"Carrier", "Origin"}, K: 20}},
+		{"five-columns", &sketch.NextKSketch{Order: table.Asc("DepDelay").Then("ArrDelay", true).Then("Distance", false).
+			Then("CRSDepTime", true).Then("FlightNum", true), K: 20}},
+		{"string-lead", &sketch.NextKSketch{Order: table.Asc("Origin"), Extra: []string{"Dest", "Carrier"}, K: 20}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var want, got sketch.Result
+			interleave(b, t.NumRows(),
+				func() (err error) { want, err = tc.sk.Summarize(t); return err },
+				func() error {
+					acc := tc.sk.NewAccumulator()
+					err := acc.Add(t)
+					got = acc.Result()
+					return err
+				})
+			if !reflect.DeepEqual(got, want) {
+				b.Fatal("accumulator result differs from Summarize")
+			}
 		})
 	}
 }

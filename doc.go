@@ -24,8 +24,8 @@
 // partitions into fixed row-range chunks. Aggregation is parallel all
 // the way up: a pool of leaf workers drains the chunk queue, each
 // folding its chunks into a reusable mutable Accumulator
-// (sketch.AccumulatorSketch — histogram, hist2d, range, distinct, and
-// heavy hitters ship one) or a private Merge fold, and the per-worker
+// (sketch.AccumulatorSketch — histogram, hist2d, range, distinct, heavy
+// hitters and next-K ship one) or a private Merge fold, and the per-worker
 // states combine in a pairwise merge tree, so no chunk result ever
 // crosses a shared lock. Progressive partials merge snapshots of every
 // worker's state and reach the callback serialized on a dedicated
@@ -38,6 +38,17 @@
 // row-at-a-time reference path — including randomized sketches under a
 // fixed seed, via per-chunk seeds derived from (seed, chunk start).
 // Kernel before/after numbers: BENCH_kernels.json.
+//
+// Row selection has one kernel too: table.ConstCompare tests a stored
+// column's typed slice against a constant and writes bitmap words.
+// Expression filters (internal/expr batch-compiles the predicate to
+// vector nodes with that primitive at the leaves), the zoom range
+// filter (the same compiler, handed a two-comparison tree) and the
+// table view's next-K sketch (which uses it to discard, unboxed, every
+// row that cannot enter its K-row window) all sit on it, and each is
+// tested row-for-row — next-K result-for-result — against the retained
+// row-at-a-time path. BenchmarkKernelFilter and BenchmarkKernelNextK in
+// bench_test.go time both paths interleaved.
 //
 // Leaf column data is evictable soft state served by a memory-mapped
 // column store (internal/colstore; paper §3.5, §5.5, §5.7): the HVC2

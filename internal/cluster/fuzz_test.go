@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"hash/crc32"
 	"io"
 	"testing"
@@ -128,6 +129,15 @@ func FuzzFrame(f *testing.F) {
 			Spans: []obs.Span{{Name: "worker.sketch", Start: 1000, Dur: 2000, Note: "n"}}},
 	))
 	f.Add(craftedTraceFrame())
+	// Scroll cursors shorter than their sort order: comparing a row to
+	// one indexes past it, so the decoder must reject the request.
+	shortFrom := table.Row{table.IntValue(1)}
+	f.Add(frameBytes(f,
+		&Envelope{ReqID: 9, Kind: MsgSketch, DatasetID: "d",
+			Sketch: &sketch.NextKSketch{Order: table.Asc("a").Then("b", false), K: 5, From: shortFrom}},
+		&Envelope{ReqID: 10, Kind: MsgSketch, DatasetID: "d",
+			Sketch: &sketch.FindTextSketch{Col: "a", Pattern: "x", Order: table.Asc("a").Then("b", true), From: shortFrom}},
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc := newFrameConn(struct {
 			io.Reader
@@ -143,4 +153,23 @@ func FuzzFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestShortCursorFrameRejected: a sketch request whose scroll cursor is
+// shorter than its sort order never reaches a worker's scan — the frame
+// decoder reports it as corrupt.
+func TestShortCursorFrameRejected(t *testing.T) {
+	for _, sk := range []sketch.Sketch{
+		&sketch.NextKSketch{Order: table.Asc("a").Then("b", false), K: 5, From: table.Row{table.IntValue(1)}},
+		&sketch.FindTextSketch{Col: "a", Pattern: "x", Order: table.Asc("a").Then("b", true), From: table.Row{table.IntValue(1)}},
+	} {
+		data := frameBytes(t, &Envelope{ReqID: 1, Kind: MsgSketch, DatasetID: "d", Sketch: sk})
+		fc := newFrameConn(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(data), io.Discard})
+		if _, err := fc.recv(); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%T with a short cursor: recv err = %v, want wire.ErrCorrupt", sk, err)
+		}
+	}
 }

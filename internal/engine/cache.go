@@ -75,12 +75,18 @@ func KeyAt(datasetID string, gen uint64, sk sketch.Sketch) (string, bool) {
 }
 
 // Get returns the cached result for key, if any.
-func (c *Cache) Get(key string) (sketch.Result, bool) {
+func (c *Cache) Get(key string) (sketch.Result, bool) { return c.lookup(key, true) }
+
+// lookup is Get; countMiss false leaves the miss counter alone, for a
+// probe whose miss is followed by the counted lookup of the real run.
+func (c *Cache) lookup(key string, countMiss bool) (sketch.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses.Inc()
+		if countMiss {
+			c.misses.Inc()
+		}
 		return nil, false
 	}
 	c.order.MoveToFront(el)

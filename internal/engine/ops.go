@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/gob"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/expr"
@@ -33,13 +34,14 @@ type FilterOp struct {
 	Predicate string
 }
 
-// Apply implements MapOp.
+// Apply implements MapOp: the predicate is batch-compiled per partition
+// (microseconds against the scan) and evaluated a vector at a time.
 func (op FilterOp) Apply(t *table.Table, newPartID string) (*table.Table, error) {
-	pred, err := expr.Predicate(op.Predicate, t)
+	keep, err := expr.Select(op.Predicate, t)
 	if err != nil {
 		return nil, err
 	}
-	return t.Filter(newPartID, pred), nil
+	return t.WithMembership(newPartID, keep), nil
 }
 
 // Describe implements MapOp.
@@ -86,7 +88,10 @@ type FilterRangeOp struct {
 	Min, Max float64
 }
 
-// Apply implements MapOp.
+// Apply implements MapOp. The range is the predicate
+// "Col >= Min && Col <= Max" handed to the expression compiler as an
+// already-built tree (the bounds never pass through text), so zoom and
+// expression filters share one evaluation path.
 func (op FilterRangeOp) Apply(t *table.Table, newPartID string) (*table.Table, error) {
 	col, err := t.Column(op.Col)
 	if err != nil {
@@ -95,13 +100,19 @@ func (op FilterRangeOp) Apply(t *table.Table, newPartID string) (*table.Table, e
 	if !col.Kind().Numeric() {
 		return nil, fmt.Errorf("engine: range filter over %v column %q", col.Kind(), op.Col)
 	}
-	return t.Filter(newPartID, func(row int) bool {
-		if col.Missing(row) {
-			return false
-		}
-		v := col.Double(row)
-		return v >= op.Min && v <= op.Max
-	}), nil
+	if math.IsNaN(op.Min) || math.IsNaN(op.Max) {
+		// No value lies in a range with a NaN bound, whereas the
+		// expression language orders NaN equal to everything.
+		return t.WithMembership(newPartID, table.NewSparseMembership(nil, t.Members().Max())), nil
+	}
+	bound := func(cmp string, v float64) expr.Node {
+		return &expr.BinaryNode{Op: cmp, L: &expr.ColumnNode{Name: op.Col}, R: &expr.NumberNode{F: v}}
+	}
+	keep, err := expr.SelectNode(&expr.BinaryNode{Op: "&&", L: bound(">=", op.Min), R: bound("<=", op.Max)}, t)
+	if err != nil {
+		return nil, err
+	}
+	return t.WithMembership(newPartID, keep), nil
 }
 
 // Describe implements MapOp.

@@ -251,18 +251,40 @@ func (r *Root) DropAll() {
 	r.mu.Unlock()
 }
 
+// cacheHit is the computation cache's hit path: on a hit it annotates
+// the query's trace and delivers the result as the one completion
+// partial. countMiss is false for probes (see Cached).
+func (r *Root) cacheHit(ctx context.Context, key string, cacheable bool, onPartial PartialFunc, countMiss bool) (sketch.Result, bool) {
+	if !cacheable {
+		return nil, false
+	}
+	res, ok := r.cache.lookup(key, countMiss)
+	if !ok {
+		return nil, false
+	}
+	obs.TraceFrom(ctx).Annotate("engine.cache_hit", "")
+	emit(onPartial, Partial{Result: res, Done: 1, Total: 1})
+	return res, true
+}
+
+// Cached answers sk over datasetID from the computation cache alone:
+// exactly RunSketch's hit path, and on a miss nothing at all — not even
+// a counted miss, which the RunSketch that follows will record. The
+// serving layer probes it before a query joins a batching window or a
+// shared flight, so a repeated view never waits for either.
+func (r *Root) Cached(ctx context.Context, datasetID string, sk sketch.Sketch, onPartial PartialFunc) (sketch.Result, bool) {
+	key, cacheable := KeyAt(datasetID, r.DatasetGeneration(datasetID), sk)
+	return r.cacheHit(ctx, key, cacheable, onPartial, false)
+}
+
 // RunSketch executes a sketch over a dataset with computation caching
 // and missing-dataset recovery. Partial results stream to onPartial.
 func (r *Root) RunSketch(ctx context.Context, datasetID string, sk sketch.Sketch, onPartial PartialFunc) (sketch.Result, error) {
 	tr := obs.TraceFrom(ctx)
 	gen := r.DatasetGeneration(datasetID)
 	key, cacheable := KeyAt(datasetID, gen, sk)
-	if cacheable {
-		if res, ok := r.cache.Get(key); ok {
-			tr.Annotate("engine.cache_hit", "")
-			emit(onPartial, Partial{Result: res, Done: 1, Total: 1})
-			return res, nil
-		}
+	if res, ok := r.cacheHit(ctx, key, cacheable, onPartial, true); ok {
+		return res, nil
 	}
 	ds, err := r.Get(datasetID)
 	if err != nil {

@@ -3,6 +3,8 @@ package expr
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/table"
 )
 
 // Node is an expression AST node.
@@ -22,6 +24,15 @@ type NumberNode struct {
 
 // String implements Node.
 func (n *NumberNode) String() string { return n.Text }
+
+// Value returns the literal as a constant Value: KindInt for integer
+// literals, KindDouble otherwise.
+func (n *NumberNode) Value() table.Value {
+	if n.IsInt {
+		return table.IntValue(n.I)
+	}
+	return table.DoubleValue(n.F)
+}
 
 // StringNode is a string literal.
 type StringNode struct{ S string }

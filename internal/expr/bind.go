@@ -11,31 +11,45 @@ import (
 // plus its inferred result kind. It satisfies the contract of
 // table.NewComputedColumn, which is how derived columns are materialized
 // lazily and recomputed after cache eviction (paper §5.6).
+//
+// A Compiled is also the bound tree the batch compiler walks: every
+// subexpression keeps its AST node, its bound operands and the column a
+// reference resolved to, so batch compilation needs no second name or
+// kind resolution and any subtree's Fn is at hand as its row fallback.
 type Compiled struct {
 	Kind table.Kind
 	Fn   func(row int) table.Value
+
+	node Node
+	args []*Compiled  // bound operands, in AST order
+	col  table.Column // the column a ColumnNode resolved to
 }
 
-// Bind parses and compiles src against a table.
+// Bind parses, constant-folds and binds src against a table.
 func Bind(src string, t *table.Table) (*Compiled, error) {
 	node, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return BindNode(node, t)
+	return BindNode(Fold(node), t)
 }
 
-// BindNode compiles an AST against a table, resolving column references
+// BindNode binds an AST against a table, resolving column references
 // and checking kinds.
 func BindNode(node Node, t *table.Table) (*Compiled, error) {
+	c, err := bindNode(node, t)
+	if err != nil {
+		return nil, err
+	}
+	c.node = node
+	return c, nil
+}
+
+func bindNode(node Node, t *table.Table) (*Compiled, error) {
 	switch n := node.(type) {
 	case *NumberNode:
-		if n.IsInt {
-			v := table.IntValue(n.I)
-			return &Compiled{Kind: table.KindInt, Fn: func(int) table.Value { return v }}, nil
-		}
-		v := table.DoubleValue(n.F)
-		return &Compiled{Kind: table.KindDouble, Fn: func(int) table.Value { return v }}, nil
+		v := n.Value()
+		return &Compiled{Kind: v.Kind, Fn: func(int) table.Value { return v }}, nil
 
 	case *StringNode:
 		v := table.StringValue(n.S)
@@ -46,7 +60,7 @@ func BindNode(node Node, t *table.Table) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Compiled{Kind: col.Kind(), Fn: col.Value}, nil
+		return &Compiled{Kind: col.Kind(), Fn: col.Value, col: col}, nil
 
 	case *UnaryNode:
 		x, err := BindNode(n.X, t)
@@ -62,7 +76,7 @@ func BindNode(node Node, t *table.Table) (*Compiled, error) {
 			if kind == table.KindDate {
 				kind = table.KindInt
 			}
-			return &Compiled{Kind: kind, Fn: func(row int) table.Value {
+			return &Compiled{Kind: kind, args: []*Compiled{x}, Fn: func(row int) table.Value {
 				v := x.Fn(row)
 				if v.Missing {
 					return table.MissingValue(kind)
@@ -73,7 +87,7 @@ func BindNode(node Node, t *table.Table) (*Compiled, error) {
 				return table.IntValue(-v.I)
 			}}, nil
 		case "!":
-			return &Compiled{Kind: table.KindInt, Fn: func(row int) table.Value {
+			return &Compiled{Kind: table.KindInt, args: []*Compiled{x}, Fn: func(row int) table.Value {
 				v := x.Fn(row)
 				if v.Missing {
 					return table.MissingValue(table.KindInt)
@@ -85,7 +99,20 @@ func BindNode(node Node, t *table.Table) (*Compiled, error) {
 		}
 
 	case *BinaryNode:
-		return bindBinary(n, t)
+		l, err := BindNode(n.L, t)
+		if err != nil {
+			return nil, err
+		}
+		r, err := BindNode(n.R, t)
+		if err != nil {
+			return nil, err
+		}
+		c, err := bindBinary(n.Op, l, r)
+		if err != nil {
+			return nil, err
+		}
+		c.args = []*Compiled{l, r}
+		return c, nil
 
 	case *CallNode:
 		spec := builtins[n.Func]
@@ -100,7 +127,7 @@ func BindNode(node Node, t *table.Table) (*Compiled, error) {
 			kinds[i] = c.Kind
 		}
 		kind := spec.kind(kinds)
-		return &Compiled{Kind: kind, Fn: func(row int) table.Value {
+		return &Compiled{Kind: kind, args: args, Fn: func(row int) table.Value {
 			vals := make([]table.Value, len(args))
 			for i, a := range args {
 				vals[i] = a.Fn(row)
@@ -116,19 +143,11 @@ func BindNode(node Node, t *table.Table) (*Compiled, error) {
 	}
 }
 
-func bindBinary(n *BinaryNode, t *table.Table) (*Compiled, error) {
-	l, err := BindNode(n.L, t)
-	if err != nil {
-		return nil, err
-	}
-	r, err := BindNode(n.R, t)
-	if err != nil {
-		return nil, err
-	}
+func bindBinary(op string, l, r *Compiled) (*Compiled, error) {
 	bothNumeric := l.Kind.Numeric() && r.Kind.Numeric()
 	bothString := l.Kind == table.KindString && r.Kind == table.KindString
 
-	switch n.Op {
+	switch op {
 	case "+":
 		if bothString {
 			return &Compiled{Kind: table.KindString, Fn: func(row int) table.Value {
@@ -142,13 +161,12 @@ func bindBinary(n *BinaryNode, t *table.Table) (*Compiled, error) {
 		fallthrough
 	case "-", "*":
 		if !bothNumeric {
-			return nil, fmt.Errorf("expr: %s over %v and %v", n.Op, l.Kind, r.Kind)
+			return nil, fmt.Errorf("expr: %s over %v and %v", op, l.Kind, r.Kind)
 		}
 		kind := table.KindInt
 		if l.Kind == table.KindDouble || r.Kind == table.KindDouble {
 			kind = table.KindDouble
 		}
-		op := n.Op
 		return &Compiled{Kind: kind, Fn: func(row int) table.Value {
 			a, b := l.Fn(row), r.Fn(row)
 			if a.Missing || b.Missing {
@@ -206,14 +224,17 @@ func bindBinary(n *BinaryNode, t *table.Table) (*Compiled, error) {
 			if kind == table.KindDouble {
 				return table.DoubleValue(math.Mod(a.Double(), b.Double()))
 			}
+			if b.I == 0 {
+				// A double divisor under an int-kinded call (if, coalesce).
+				return table.MissingValue(kind)
+			}
 			return table.IntValue(a.I % b.I)
 		}}, nil
 
 	case "==", "!=", "<", "<=", ">", ">=":
 		if !bothNumeric && !bothString {
-			return nil, fmt.Errorf("expr: %s over %v and %v", n.Op, l.Kind, r.Kind)
+			return nil, fmt.Errorf("expr: %s over %v and %v", op, l.Kind, r.Kind)
 		}
-		op := n.Op
 		return &Compiled{Kind: table.KindInt, Fn: func(row int) table.Value {
 			a, b := l.Fn(row), r.Fn(row)
 			if a.Missing || b.Missing {
@@ -263,19 +284,8 @@ func bindBinary(n *BinaryNode, t *table.Table) (*Compiled, error) {
 		}}, nil
 
 	default:
-		return nil, fmt.Errorf("expr: unknown operator %q", n.Op)
+		return nil, fmt.Errorf("expr: unknown operator %q", op)
 	}
-}
-
-// Predicate binds src as a row filter: the compiled expression evaluated
-// with missing treated as false (filters drop rows the predicate cannot
-// decide).
-func Predicate(src string, t *table.Table) (func(row int) bool, error) {
-	c, err := Bind(src, t)
-	if err != nil {
-		return nil, err
-	}
-	return func(row int) bool { return truthy(c.Fn(row)) }, nil
 }
 
 // DeriveColumn binds src and wraps it as a computed column over the

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -275,12 +276,21 @@ func TestBindErrors(t *testing.T) {
 	}
 }
 
+// predicate is the row-at-a-time form of a filter — the bound
+// expression evaluated per row with missing treated as false. It is the
+// oracle the batch compiler is tested against.
+func predicate(t testing.TB, src string, tbl *table.Table) func(row int) bool {
+	t.Helper()
+	c, err := Bind(src, tbl)
+	if err != nil {
+		t.Fatalf("Bind(%q): %v", src, err)
+	}
+	return func(row int) bool { return truthy(c.Fn(row)) }
+}
+
 func TestPredicateAndDerive(t *testing.T) {
 	tbl := exprTestTable(t)
-	pred, err := Predicate("a > 0", tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := predicate(t, "a > 0", tbl)
 	// Rows 0 and 3 have a > 0; row 2 has missing a (excluded).
 	want := map[int]bool{0: true, 1: false, 2: false, 3: true}
 	for row, w := range want {
@@ -291,6 +301,13 @@ func TestPredicateAndDerive(t *testing.T) {
 	filtered := tbl.Filter("f", pred)
 	if filtered.NumRows() != 2 {
 		t.Errorf("filtered rows = %d, want 2", filtered.NumRows())
+	}
+	sel, err := Select("a > 0", tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sel, filtered.Members()) {
+		t.Errorf("Select = %#v, want %#v", sel, filtered.Members())
 	}
 
 	col, err := DeriveColumn("a * 2 + 1", tbl)
@@ -341,15 +358,12 @@ func TestASTString(t *testing.T) {
 func TestTruthiness(t *testing.T) {
 	tbl := exprTestTable(t)
 	// Empty string is falsy; non-empty truthy.
-	pred, err := Predicate("s", tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := predicate(t, "s", tbl)
 	if !pred(0) || pred(2) || pred(3) {
 		t.Error("string truthiness wrong")
 	}
 	// Zero double is falsy.
-	pred2, _ := Predicate("b", tbl)
+	pred2 := predicate(t, "b", tbl)
 	if pred2(1) || !pred2(2) {
 		t.Error("numeric truthiness wrong")
 	}

@@ -1,0 +1,75 @@
+package expr
+
+import (
+	"strconv"
+
+	"repro/internal/table"
+)
+
+// Fold rewrites every column-free subexpression that evaluates to a
+// present number or string into the literal it denotes, so "lat > -8"
+// reaches the binder as a column compared to the constant -8 rather
+// than to the operation Unary(-, 8). Evaluation is the row evaluator's
+// own (expressions are pure, so evaluating early changes nothing);
+// subtrees that fail to bind, or evaluate to missing or to a date, are
+// left for the binder to report or evaluate per row.
+func Fold(node Node) Node {
+	switch n := node.(type) {
+	case *UnaryNode:
+		return foldConst(&UnaryNode{Op: n.Op, X: Fold(n.X)})
+	case *BinaryNode:
+		return foldConst(&BinaryNode{Op: n.Op, L: Fold(n.L), R: Fold(n.R)})
+	case *CallNode:
+		args := make([]Node, len(n.Args))
+		for i, a := range n.Args {
+			args[i] = Fold(a)
+		}
+		return foldConst(&CallNode{Func: n.Func, Args: args})
+	default:
+		return node
+	}
+}
+
+func isLiteral(n Node) bool {
+	switch n.(type) {
+	case *NumberNode, *StringNode:
+		return true
+	}
+	return false
+}
+
+// foldConst evaluates n when all of its (already folded) operands are
+// literals.
+func foldConst(n Node) Node {
+	var operands []Node
+	switch n := n.(type) {
+	case *UnaryNode:
+		operands = []Node{n.X}
+	case *BinaryNode:
+		operands = []Node{n.L, n.R}
+	case *CallNode:
+		operands = n.Args
+	}
+	for _, o := range operands {
+		if !isLiteral(o) {
+			return n
+		}
+	}
+	// No operand references a column, so binding needs no table.
+	c, err := BindNode(n, nil)
+	if err != nil {
+		return n
+	}
+	switch v := c.Fn(0); {
+	case v.Missing:
+		return n
+	case v.Kind == table.KindInt:
+		return &NumberNode{IsInt: true, I: v.I, F: float64(v.I), Text: strconv.FormatInt(v.I, 10)}
+	case v.Kind == table.KindDouble:
+		return &NumberNode{F: v.D, Text: strconv.FormatFloat(v.D, 'g', -1, 64)}
+	case v.Kind == table.KindString:
+		return &StringNode{S: v.S}
+	default:
+		return n
+	}
+}

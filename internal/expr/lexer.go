@@ -15,6 +15,55 @@
 // Booleans are represented as int 0/1 (the Value type has no bool kind);
 // any non-zero number is truthy. Missing values propagate through
 // operators and functions, except isMissing and coalesce.
+//
+// # Pipeline
+//
+// An expression goes through four stages, each its own file:
+//
+//   - Parse (parser.go): source → AST. Purely syntactic, except that
+//     builtin names and arities are checked.
+//   - Fold (fold.go): column-free subtrees that evaluate to a present
+//     number or string become literals, so "lat > -8" is a column
+//     against the constant -8, not against Unary(-, 8). Folding runs the
+//     row evaluator itself, so it cannot change a result.
+//   - Bind (bind.go): AST + table → Compiled, a tree of per-row closures
+//     over boxed table.Values with names resolved and kinds checked. It
+//     is the semantics of the language: DeriveColumn wraps it as a lazy
+//     table.ComputedColumn, and every batch result is tested against it.
+//   - Batch-compile (batch.go, filters only): Compiled → vector nodes
+//     evaluated over batches of up to table.SelectBatch rows, producing
+//     selection bitmap words that table.Select turns into the derived
+//     Membership. Select and SelectNode run the whole pipeline.
+//
+// # Vector nodes and missing values
+//
+// Numeric nodes carry an int64 vector (int and date kinds) or a float64
+// vector (doubles) plus missing words; conditions carry two disjoint
+// word sets, T (true) and M (missing) — false is neither. The rules are
+// the row evaluator's, three-valued but not SQL's:
+//
+//   - arithmetic, negation and comparisons are missing where an operand
+//     is; / and % are also missing where the divisor is zero;
+//   - comparisons follow table.Value.Compare: one int kind on both sides
+//     compares as int64, anything else numeric as float64;
+//   - !x is missing where x is;
+//   - a && b is false where a is false; elsewhere it is missing where
+//     either side is, else b. (So missing && false is missing.)
+//   - a || b is true where a is true; elsewhere missing where either
+//     side is, else b.
+//   - a filter keeps the rows where the predicate is true, dropping
+//     false and missing alike.
+//
+// A stored column compared with a literal compiles to the typed
+// primitive table.ConstCompare (string literals become a code threshold
+// in the column's sorted dictionary). Literals, stored int/date/double
+// columns, + - * / %, unary minus, the six comparisons, ! && || over
+// those have vector forms. Everything else — builtin calls, computed
+// (DeriveOp) columns, string-valued operators and string comparisons
+// other than column-against-literal — falls back to the Bind closures,
+// run once per batch row inside the vector node of the nearest
+// enclosing operator (see vectorizable in batch.go for why it is that
+// operator and not the call itself), so one predicate can mix both.
 package expr
 
 import (

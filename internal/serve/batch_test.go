@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/sketch"
 	"repro/internal/table"
 )
@@ -376,5 +377,73 @@ func TestBatchWindowZeroIsTodaysBehavior(t *testing.T) {
 	}
 	if st := s.Stats(); st.BatchesFormed != 0 || st.BatchMembers != 0 || st.ScansSaved != 0 {
 		t.Errorf("batch telemetry moved with batching disabled: %+v", st)
+	}
+}
+
+// TestCacheHitSkipsBatchWindow: a verbatim repeat of a finished query
+// is answered from the engine's computation cache before the scheduler
+// does any waiting — well inside a 50 ms window, with exactly one more
+// cache hit, no extra miss, no admission, and no serve.batch_window
+// span on its trace.
+func TestCacheHitSkipsBatchWindow(t *testing.T) {
+	parts, info := table.GenPartitions("ch", 11, 1200, 3)
+	root := engine.NewRoot(func(id, _ string) (engine.IDataSet, error) {
+		return engine.NewLocal(id, parts, engine.Config{AggregationWindow: -1}), nil
+	})
+	if _, err := root.Load("d", "mem"); err != nil {
+		t.Fatal(err)
+	}
+	const window = 50 * time.Millisecond
+	s := New(root, Config{MaxInFlight: 2, Deadline: -1, BatchWindow: window})
+	sk := &sketch.HistogramSketch{Col: "gd", Buckets: sketch.NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 9)}
+
+	first, err := s.RunSketch(context.Background(), "d", sk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := root.Cache().Stats()
+	admitted0 := s.Stats().Admitted
+
+	tr := obs.NewTrace("repeat")
+	var partials []engine.Partial
+	start := time.Now()
+	again, err := s.RunSketch(obs.WithTrace(context.Background(), tr), "d", sk, func(p engine.Partial) { partials = append(partials, p) })
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Error("cached repeat differs from the first run")
+	}
+	if elapsed >= window/2 {
+		t.Errorf("cached repeat took %v; it waited out the %v batch window", elapsed, window)
+	}
+	if hits, misses := root.Cache().Stats(); hits != hits0+1 || misses != misses0 {
+		t.Errorf("cache hits/misses moved %d/%d, want +1/+0", hits-hits0, misses-misses0)
+	}
+	if got := s.Stats().Admitted; got != admitted0 {
+		t.Errorf("cached repeat was admitted for execution (%d -> %d)", admitted0, got)
+	}
+	if len(partials) != 1 || partials[0].Done != 1 || partials[0].Total != 1 {
+		t.Errorf("cached repeat partials = %+v, want one Done=1/Total=1", partials)
+	}
+	var sawHit bool
+	for _, sp := range tr.Spans() {
+		if sp.Name == "serve.batch_window" {
+			t.Error("cached repeat recorded a serve.batch_window span")
+		}
+		sawHit = sawHit || sp.Name == "engine.cache_hit"
+	}
+	if !sawHit {
+		t.Error("cached repeat carries no engine.cache_hit annotation")
+	}
+
+	// A miss is counted once — by the run, not again by the probe.
+	other := &sketch.RangeSketch{Col: "gi"}
+	if _, err := s.RunSketch(context.Background(), "d", other, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := root.Cache().Stats(); misses != misses0+1 {
+		t.Errorf("one uncached query counted %d misses, want 1", misses-misses0)
 	}
 }

@@ -11,6 +11,9 @@
 //     down to chunk tasks (the mid-chunk cancellation probe,
 //     table.Table.WithCancel) and cluster RPCs (MsgCancel), so an
 //     abandoned browser tab stops burning cores;
+//   - cache first: a query whose result already sits in the engine's
+//     computation cache (CacheProber) is answered before any of the
+//     waiting below — it takes no admission slot and sits out no window;
 //   - in-flight dedup: identical (dataset, sketch) queries join one
 //     running execution via single-flight and share its partial stream —
 //     the computation cache (paper §5.4) extended to running queries,
@@ -51,6 +54,14 @@ import (
 // itself does too (schedulers nest, though one layer is the norm).
 type Runner interface {
 	RunSketch(ctx context.Context, datasetID string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error)
+}
+
+// CacheProber is an optional Runner extension (*engine.Root provides
+// it): answer a query from the computation cache alone, reporting false
+// — and doing nothing — on a miss. The Scheduler probes it before any
+// waiting, so a cache hit never sits out a batching window.
+type CacheProber interface {
+	Cached(ctx context.Context, datasetID string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, bool)
 }
 
 // Defaults for Config fields left zero.
@@ -144,6 +155,10 @@ type Scheduler struct {
 	// query started before an ingest seal never shares its execution or
 	// result with one started after.
 	gens engine.GenerationProvider
+	// cache, when the runner can answer from its computation cache
+	// without running (CacheProber), is consulted before dedup and
+	// batching.
+	cache CacheProber
 
 	inflight  atomic.Int64
 	queued    atomic.Int64
@@ -183,6 +198,9 @@ func New(run Runner, cfg Config) *Scheduler {
 	}
 	if gp, ok := run.(engine.GenerationProvider); ok {
 		s.gens = gp
+	}
+	if cp, ok := run.(CacheProber); ok {
+		s.cache = cp
 	}
 	return s
 }
@@ -249,6 +267,13 @@ func (s *Scheduler) RunSketch(ctx context.Context, datasetID string, sk sketch.S
 	key, sharable := engine.Key(qualified, sk)
 	if !sharable {
 		return s.classify(s.execute(ctx, datasetID, sk, onPartial))
+	}
+	// Lookup, then dedup, then batch, then scan: a result already in the
+	// computation cache costs no admission slot and no window wait.
+	if s.cache != nil {
+		if res, ok := s.cache.Cached(ctx, datasetID, sk, onPartial); ok {
+			return res, nil
+		}
 	}
 	// WholePartition sketches change the leaf chunk geometry for every
 	// member of a batch, which would break the bit-identity contract, so

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"repro/internal/table"
 	"repro/internal/wire"
 )
 
@@ -185,8 +186,10 @@ func (s *NextKSketch) DecodeWire(b []byte) ([]byte, error) {
 		return b, err
 	}
 	s.K = int(k)
-	s.From, b, err = consumeRow(b)
-	return b, err
+	if s.From, b, err = consumeRow(b); err != nil {
+		return b, err
+	}
+	return b, wireCursor(s.Order, s.From)
 }
 
 // AppendWire implements WireSketch.
@@ -223,8 +226,19 @@ func (s *FindTextSketch) DecodeWire(b []byte) ([]byte, error) {
 	if s.Extra, b, err = wire.ConsumeStrings(b); err != nil {
 		return b, err
 	}
-	s.From, b, err = consumeRow(b)
-	return b, err
+	if s.From, b, err = consumeRow(b); err != nil {
+		return b, err
+	}
+	return b, wireCursor(s.Order, s.From)
+}
+
+// wireCursor rejects a decoded From cursor its order cannot index (see
+// checkCursor) as corrupt wire data, before any worker scans with it.
+func wireCursor(order table.RecordOrder, from table.Row) error {
+	if err := checkCursor(order, from); err != nil {
+		return wire.Corruptf("%v", err)
+	}
+	return nil
 }
 
 // AppendWire implements WireSketch.

@@ -113,20 +113,12 @@ func (s *FindTextSketch) Summarize(t *table.Table) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]int, 0, len(s.Order)+len(s.Extra))
-	for _, o := range s.Order {
-		i := t.Schema().ColumnIndex(o.Column)
-		if i < 0 {
-			return nil, fmt.Errorf("sketch: find: no column %q", o.Column)
-		}
-		cols = append(cols, i)
+	if err := checkCursor(s.Order, s.From); err != nil {
+		return nil, err
 	}
-	for _, name := range s.Extra {
-		i := t.Schema().ColumnIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("sketch: find: no column %q", name)
-		}
-		cols = append(cols, i)
+	cols, err := rowColumns("find", t.Schema(), s.Order, s.Extra)
+	if err != nil {
+		return nil, err
 	}
 	keyCmp := s.Order.RowComparator()
 	cmp := (&NextKSketch{Order: s.Order}).rowCmp()
@@ -138,7 +130,7 @@ func (s *FindTextSketch) Summarize(t *table.Table) (Result, error) {
 			return true
 		}
 		r := t.GetRowCols(row, cols)
-		if s.From != nil && keyCmp(r[:nOrder], s.From) <= 0 {
+		if len(s.From) > 0 && keyCmp(r[:nOrder], s.From) <= 0 {
 			out.MatchesBefore++
 			return true
 		}

@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/table"
@@ -68,58 +70,239 @@ func (s *NextKSketch) rowCmp() func(a, b table.Row) int {
 	}
 }
 
-// Summarize implements Sketch.
-func (s *NextKSketch) Summarize(t *table.Table) (Result, error) {
-	cols := make([]int, 0, len(s.Order)+len(s.Extra))
-	for _, o := range s.Order {
-		i := t.Schema().ColumnIndex(o.Column)
-		if i < 0 {
-			return nil, fmt.Errorf("sketch: nextk: no column %q", o.Column)
-		}
-		cols = append(cols, i)
-	}
-	for _, name := range s.Extra {
-		i := t.Schema().ColumnIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("sketch: nextk: no column %q", name)
-		}
-		cols = append(cols, i)
-	}
-	keyCmp := s.Order.RowComparator()
-	cmp := s.rowCmp()
-	out := s.Zero().(*NextKList)
-	nOrder := len(s.Order)
+// ErrCursorLength reports a From cursor that does not give one value
+// per order column.
+var ErrCursorLength = errors.New("sketch: start row must have one value per order column")
 
+// checkCursor validates a From cursor against its order: empty (start
+// at the beginning) or exactly one value per order column. Anything
+// else would index past the cursor when rows are compared to it.
+func checkCursor(order table.RecordOrder, from table.Row) error {
+	if len(from) != 0 && len(from) != len(order) {
+		return fmt.Errorf("%w: got %d for order %s", ErrCursorLength, len(from), order)
+	}
+	return nil
+}
+
+// rowColumns resolves the [order..., extra...] row layout against a
+// schema.
+func rowColumns(what string, schema *table.Schema, order table.RecordOrder, extra []string) ([]int, error) {
+	cols := make([]int, 0, len(order)+len(extra))
+	for _, name := range append(order.Columns(), extra...) {
+		i := schema.ColumnIndex(name)
+		if i < 0 {
+			return nil, fmt.Errorf("sketch: %s: no column %q", what, name)
+		}
+		cols = append(cols, i)
+	}
+	return cols, nil
+}
+
+// nextKWindow is the bounded ordered set both scan forms fold rows
+// into: the exact, boxed insert.
+type nextKWindow struct {
+	sk     *NextKSketch
+	out    *NextKList
+	keyCmp func(a, b table.Row) int
+	cmp    func(a, b table.Row) int
+}
+
+func (s *NextKSketch) newWindow() nextKWindow {
+	return nextKWindow{sk: s, out: s.Zero().(*NextKList), keyCmp: s.Order.RowComparator(), cmp: s.rowCmp()}
+}
+
+// offer folds one materialized member row (already counted in Total)
+// into the window.
+func (w *nextKWindow) offer(r table.Row) {
+	s, out := w.sk, w.out
+	if len(s.From) > 0 && w.keyCmp(r[:len(s.Order)], s.From) <= 0 {
+		out.Before++
+		return
+	}
+	// Find insertion point in the bounded sorted list.
+	i := sort.Search(len(out.Rows), func(i int) bool { return w.cmp(out.Rows[i], r) >= 0 })
+	if i < len(out.Rows) && w.cmp(out.Rows[i], r) == 0 {
+		out.Counts[i]++
+		return
+	}
+	if i >= s.K {
+		return // beyond the window
+	}
+	out.Rows = append(out.Rows, nil)
+	copy(out.Rows[i+1:], out.Rows[i:])
+	out.Rows[i] = r
+	out.Counts = append(out.Counts, 0)
+	copy(out.Counts[i+1:], out.Counts[i:])
+	out.Counts[i] = 1
+	if len(out.Rows) > s.K {
+		out.Rows = out.Rows[:s.K]
+		out.Counts = out.Counts[:s.K]
+	}
+}
+
+// Summarize implements Sketch: the reference scan, one boxed row at a
+// time. The engine runs the accumulator below; the two agree exactly.
+func (s *NextKSketch) Summarize(t *table.Table) (Result, error) {
+	if err := checkCursor(s.Order, s.From); err != nil {
+		return nil, err
+	}
+	cols, err := rowColumns("nextk", t.Schema(), s.Order, s.Extra)
+	if err != nil {
+		return nil, err
+	}
+	w := s.newWindow()
 	t.Members().Iterate(func(row int) bool {
-		out.Total++
-		r := t.GetRowCols(row, cols)
-		if s.From != nil && keyCmp(r[:nOrder], s.From) <= 0 {
-			out.Before++
-			return true
-		}
-		// Find insertion point in the bounded sorted list.
-		i := sort.Search(len(out.Rows), func(i int) bool { return cmp(out.Rows[i], r) >= 0 })
-		if i < len(out.Rows) && cmp(out.Rows[i], r) == 0 {
-			out.Counts[i]++
-			return true
-		}
-		if i >= s.K {
-			return true // beyond the window
-		}
-		out.Rows = append(out.Rows, nil)
-		copy(out.Rows[i+1:], out.Rows[i:])
-		out.Rows[i] = r
-		out.Counts = append(out.Counts, 0)
-		copy(out.Counts[i+1:], out.Counts[i:])
-		out.Counts[i] = 1
-		if len(out.Rows) > s.K {
-			out.Rows = out.Rows[:s.K]
-			out.Counts = out.Counts[:s.K]
-		}
+		w.out.Total++
+		w.offer(t.GetRowCols(row, cols))
 		return true
 	})
-	return out, nil
+	return w.out, nil
 }
+
+// nextKAccumulator is the pruned scan. Almost every row of a large
+// table loses: once the window holds K rows, a row whose leading order
+// value sorts strictly after the K-th row's can neither enter the
+// window nor match a row in it, and (with a From cursor) a row whose
+// leading value sorts strictly before the cursor's is simply counted in
+// Before. Both tests are one typed compare of the leading column
+// against a constant (table.ConstCompare — a code threshold in each
+// partition's own dictionary for string keys) over a whole batch, so
+// only the survivors — rows while the window is filling, rows inside
+// the window's key range, and ties on the leading key — are boxed and
+// take the exact insert. The K-th key is read once per batch; a key
+// that tightens mid-batch only means a few extra survivors, so the
+// result is exactly Summarize+Merge's.
+type nextKAccumulator struct {
+	nextKWindow
+	cand, sel, miss []uint64 // per-batch bit scratch
+}
+
+// NewAccumulator implements AccumulatorSketch.
+func (s *NextKSketch) NewAccumulator() Accumulator {
+	return &nextKAccumulator{
+		nextKWindow: s.newWindow(),
+		cand:        make([]uint64, kernelBatch/64),
+		sel:         make([]uint64, kernelBatch/64),
+		miss:        make([]uint64, kernelBatch/64),
+	}
+}
+
+// Add implements Accumulator.
+func (a *nextKAccumulator) Add(t *table.Table) error {
+	s := a.sk
+	if err := checkCursor(s.Order, s.From); err != nil {
+		return err
+	}
+	cols, err := rowColumns("nextk", t.Schema(), s.Order, s.Extra)
+	if err != nil {
+		return err
+	}
+	var lead table.Column // nil: nothing to prune on
+	if len(s.Order) > 0 {
+		lead = t.ColumnAt(cols[0])
+	}
+	scanBatches(t.Members(),
+		func(start, end int) {
+			a.prune(lead, start, end, nil)
+			forEachBit(a.cand[:(end-start+63)>>6], func(k int) { a.offer(t.GetRowCols(start+k, cols)) })
+		},
+		func(rows []int32) {
+			a.prune(lead, 0, len(rows), rows)
+			forEachBit(a.cand[:(len(rows)+63)>>6], func(k int) { a.offer(t.GetRowCols(int(rows[k]), cols)) })
+		})
+	return nil
+}
+
+// prune counts one batch — the span [start, end), or the gathered rows
+// — into Total and Before and leaves in a.cand the rows that must take
+// the exact insert.
+func (a *nextKAccumulator) prune(lead table.Column, start, end int, rows []int32) {
+	s, out := a.sk, a.out
+	n := end - start
+	out.Total += int64(n)
+	cand := a.cand[:(n+63)>>6]
+	for w := range cand {
+		cand[w] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		cand[len(cand)-1] = 1<<(uint(n)&63) - 1
+	}
+	if lead == nil {
+		return
+	}
+	// Ascending, "not after the K-th key" is <= and "before the cursor"
+	// is <; a descending lead flips both.
+	notAfter, before := table.CmpLE, table.CmpLT
+	if !s.Order[0].Ascending {
+		notAfter, before = table.CmpGE, table.CmpGT
+	}
+	if s.K > 0 && len(out.Rows) == s.K && a.leadSelect(lead, notAfter, out.Rows[s.K-1][0], start, end, rows) {
+		for w := range cand {
+			cand[w] &= a.sel[w]
+		}
+	}
+	if len(s.From) > 0 && a.leadSelect(lead, before, s.From[0], start, end, rows) {
+		for w := range cand {
+			out.Before += int64(bits.OnesCount64(a.sel[w]))
+			cand[w] &^= a.sel[w]
+		}
+	}
+}
+
+// leadSelect writes to a.sel the batch rows whose leading value v
+// satisfies "v op key" in sort-value order, where a missing value sorts
+// below every present one. It reports false when the column cannot be
+// compared in bulk (a computed column, or a key of another type), in
+// which case the caller prunes nothing.
+func (a *nextKAccumulator) leadSelect(lead table.Column, op table.CmpOp, key table.Value, start, end int, rows []int32) bool {
+	cc, ok := table.NewConstCompare(lead, op, key)
+	if !ok {
+		return false
+	}
+	if rows == nil {
+		cc.SelectSpan(start, end, a.sel)
+	} else {
+		cc.SelectRows(rows, a.sel)
+	}
+	// The primitive never selects a missing row; the sort order places
+	// them first, so they satisfy op exactly when "missing op key" does.
+	missingVsKey := -1
+	if key.Missing {
+		missingVsKey = 0
+	}
+	if mask := cc.Missing(); mask != nil && op.Holds(missingVsKey) {
+		if rows == nil {
+			table.SpanBits(mask, start, end, a.miss)
+		} else {
+			table.GatherBits(mask, rows, a.miss)
+		}
+		for w := range a.sel[:(end-start+63)>>6] {
+			a.sel[w] |= a.miss[w]
+		}
+	}
+	return true
+}
+
+// forEachBit calls f with the position of every set bit, ascending.
+func forEachBit(words []uint64, f func(k int)) {
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			f(w<<6 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// Snapshot implements Accumulator. Rows are immutable once inserted, so
+// copying the two slices isolates the snapshot.
+func (a *nextKAccumulator) Snapshot() Result {
+	out := *a.out
+	out.Rows = append([]table.Row(nil), a.out.Rows...)
+	out.Counts = append([]int64(nil), a.out.Counts...)
+	return &out
+}
+
+// Result implements Accumulator.
+func (a *nextKAccumulator) Result() Result { return a.out }
 
 // Merge implements Sketch: a sorted-list merge with duplicate
 // aggregation, truncated to K.

@@ -1,10 +1,14 @@
 package sketch
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/table"
+	"repro/internal/wire"
 )
 
 // referenceNextK computes the expected NextKList by brute force: sort
@@ -169,5 +173,202 @@ func TestNextKMissingValuesSortFirst(t *testing.T) {
 	l := res.(*NextKList)
 	if !l.Rows[0][0].Missing || l.Counts[0] != 2 {
 		t.Errorf("missing rows should lead ascending order with count 2: %+v", l)
+	}
+}
+
+// nextKCases are the sketch shapes of the accumulator's test matrix
+// over a table.GenPartitions table: ascending and descending, one- and
+// five-column orders, every lead kind (int, double, date, string, and
+// the computed column the primitive cannot prune on), cursors that are
+// present in the data (so they tie), absent, mixed int/double, missing,
+// and a window larger than the table has distinct rows.
+func nextKCases(parts []*table.Table, info table.GenInfo) []*NextKSketch {
+	five := table.Asc("gi").Then("gs", false).Then("gd", true).Then("gt", false).Then("gc", true)
+	midInt := info.IntLo + (info.IntHi-info.IntLo)/2
+	midStr := info.DictValues[len(info.DictValues)/2]
+	cases := []*NextKSketch{
+		{Order: table.Asc("gi"), Extra: []string{"gs"}, K: 20},
+		{Order: table.Desc("gi"), K: 20},
+		{Order: table.Asc("gd"), Extra: []string{"gs", "gi"}, K: 7},
+		{Order: table.Desc("gd"), K: 7},
+		{Order: table.Asc("gs"), Extra: []string{"gd"}, K: 15},
+		{Order: table.Desc("gs"), Extra: []string{"gi"}, K: 15},
+		{Order: table.Asc("gt"), K: 5},
+		{Order: table.Asc("gc"), Extra: []string{"gi"}, K: 9},
+		{Order: five, K: 25},
+		{Order: five.Reversed(), K: 25},
+		{Order: table.Asc("gs").Then("gi", true), K: 100000}, // K beyond the distinct rows
+		{Order: table.Asc("gi"), K: 0},
+		{Order: nil, Extra: []string{"gs"}, K: 4},
+		// Cursors.
+		{Order: table.Asc("gi"), Extra: []string{"gs"}, K: 20, From: table.Row{table.IntValue(midInt)}},
+		{Order: table.Desc("gi"), K: 20, From: table.Row{table.IntValue(midInt)}},
+		{Order: table.Asc("gi"), K: 20, From: table.Row{table.DoubleValue(float64(midInt))}},        // int column, double cursor that ties
+		{Order: table.Desc("gi"), K: 20, From: table.Row{table.DoubleValue(float64(midInt) + 0.5)}}, // and one that falls between
+		{Order: table.Asc("gd"), K: 8, From: table.Row{table.IntValue(int64(info.DoubleLo) + 1)}},   // double column, int cursor
+		{Order: table.Asc("gs"), Extra: []string{"gi"}, K: 10, From: table.Row{table.StringValue(midStr)}},
+		{Order: table.Desc("gs"), K: 10, From: table.Row{table.StringValue(midStr + "x")}}, // absent from every dictionary
+		{Order: table.Asc("gi"), K: 10, From: table.Row{table.MissingValue(table.KindInt)}},
+		{Order: table.Desc("gd"), K: 10, From: table.Row{table.MissingValue(table.KindDouble)}},
+		{Order: table.Asc("gi").Then("gs", true), K: 12, From: table.Row{table.IntValue(midInt), table.StringValue(midStr)}},
+	}
+	// A multi-column cursor taken from the data: the last row of the
+	// first page, so the second page starts mid-tie on the lead.
+	first := &NextKSketch{Order: five, K: 3}
+	var page Result = first.Zero()
+	for _, p := range parts {
+		r, err := first.Summarize(p)
+		if err != nil {
+			panic(err)
+		}
+		if page, err = first.Merge(page, r); err != nil {
+			panic(err)
+		}
+	}
+	if rows := page.(*NextKList).Rows; len(rows) > 0 {
+		cases = append(cases, &NextKSketch{Order: five, K: 25, From: rows[len(rows)-1][:len(five)]})
+	}
+	return cases
+}
+
+// foldAccumulators deals chunks round-robin to p accumulators — the
+// engine's static assignment — and combines them with the merge tree.
+func foldAccumulators(t *testing.T, sk AccumulatorSketch, chunks []*table.Table, p int) Result {
+	t.Helper()
+	accs := make([]Accumulator, p)
+	for i := range accs {
+		accs[i] = sk.NewAccumulator()
+	}
+	for i, c := range chunks {
+		if err := accs[i%p].Add(c); err != nil {
+			t.Fatalf("%s: Add(%s): %v", sk.Name(), c.ID(), err)
+		}
+	}
+	results := make([]Result, p)
+	for i, a := range accs {
+		results[i] = a.Result()
+	}
+	out, err := MergeTree(sk, results...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestNextKAccumulatorMatchesReference is the pruned scan's
+// differential oracle: for every case × table × chunking × worker count
+// the accumulator result must DeepEqual Summarize per chunk plus the
+// sequential Merge.
+func TestNextKAccumulatorMatchesReference(t *testing.T) {
+	type tcase struct {
+		name  string
+		parts []*table.Table
+		info  table.GenInfo
+	}
+	var tables []tcase
+	// Seeds between them draw every membership shape, missing in every
+	// column, int spans from 3 values (everything ties) to 2^40, and
+	// dictionaries from 1 to 5000 strings.
+	for seed := uint64(1); seed <= 8; seed++ {
+		parts, info := table.GenPartitions(fmt.Sprintf("nk%d", seed), seed, 2500, 3)
+		tables = append(tables, tcase{fmt.Sprintf("gen%d", seed), parts, info})
+	}
+	for _, tc := range tables {
+		for _, sk := range nextKCases(tc.parts, tc.info) {
+			for _, nChunks := range []int{1, 4} {
+				var chunks []*table.Table
+				for _, p := range tc.parts {
+					chunks = append(chunks, chunkViews(p, nChunks)...)
+				}
+				want, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 1; p <= 3; p++ {
+					got := foldAccumulators(t, sk, chunks, p)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s chunks=%d workers=%d: accumulator differs from Summarize+Merge\n got %+v\nwant %+v",
+							tc.name, sk.Name(), nChunks, p, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNextKAccumulatorDuplicateHeavy covers leads with a handful of
+// distinct keys over every membership shape of eqTables, including the
+// stored-with-missing and computed variants of each column.
+func TestNextKAccumulatorDuplicateHeavy(t *testing.T) {
+	for _, tc := range eqTables(5000) {
+		for _, sk := range []*NextKSketch{
+			{Order: table.Asc("s"), K: 3},
+			{Order: table.Desc("sm"), Extra: []string{"im"}, K: 6},
+			{Order: table.Asc("sm").Then("dm", false), K: 30},
+			{Order: table.Asc("cs").Then("i", true), K: 30},
+			{Order: table.Desc("im").Then("s", true), Extra: []string{"d"}, K: 40, From: table.Row{table.IntValue(500), table.StringValue("cat")}},
+			{Order: table.Asc("sm"), Extra: []string{"i"}, K: 40, From: table.Row{table.StringValue("bee")}},
+		} {
+			chunks := chunkViews(tc.t, 3)
+			want, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 1; p <= 3; p++ {
+				if got := foldAccumulators(t, sk, chunks, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s workers=%d: accumulator differs\n got %+v\nwant %+v", tc.name, sk.Name(), p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNextKAccumulatorPrunes checks that the pruned scan really skips
+// the boxed path: on a large table with distinct leads almost no row is
+// materialized.
+func TestNextKAccumulatorPrunes(t *testing.T) {
+	tbl := genTable("prune", 200000, 9)
+	sk := &NextKSketch{Order: table.Asc("x"), Extra: []string{"cat"}, K: 20}
+	acc := sk.NewAccumulator()
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := acc.Add(tbl); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The reference path allocates one Row per member row.
+	if allocs > 20000 {
+		t.Errorf("pruned scan made %.0f allocations over 200000 rows; pruning is not taking effect", allocs)
+	}
+}
+
+func TestCursorLengthRejected(t *testing.T) {
+	tbl := genTable("cur", 100, 3)
+	order := table.Asc("x").Then("id", true)
+	short := table.Row{table.DoubleValue(1)}
+	long := table.Row{table.DoubleValue(1), table.IntValue(2), table.IntValue(3)}
+	for _, from := range []table.Row{short, long} {
+		nk := &NextKSketch{Order: order, K: 5, From: from}
+		if _, err := nk.Summarize(tbl); !errors.Is(err, ErrCursorLength) {
+			t.Errorf("nextk Summarize with %d-value cursor: err = %v, want ErrCursorLength", len(from), err)
+		}
+		if err := nk.NewAccumulator().Add(tbl); !errors.Is(err, ErrCursorLength) {
+			t.Errorf("nextk Add with %d-value cursor: err = %v, want ErrCursorLength", len(from), err)
+		}
+		ft := &FindTextSketch{Col: "cat", Pattern: "a", Kind: MatchSubstring, Order: order, From: from}
+		if _, err := ft.Summarize(tbl); !errors.Is(err, ErrCursorLength) {
+			t.Errorf("find Summarize with %d-value cursor: err = %v, want ErrCursorLength", len(from), err)
+		}
+		for _, sk := range []WireSketch{nk, ft} {
+			fresh := reflect.New(reflect.TypeOf(sk).Elem()).Interface().(WireSketch)
+			if _, err := fresh.DecodeWire(sk.AppendWire(nil)); !errors.Is(err, wire.ErrCorrupt) {
+				t.Errorf("%T DecodeWire with %d-value cursor: err = %v, want wire.ErrCorrupt", sk, len(from), err)
+			}
+		}
+	}
+	// An empty, non-nil cursor is no cursor.
+	nk := &NextKSketch{Order: order, K: 5, From: table.Row{}}
+	res, err := nk.Summarize(tbl)
+	if err != nil || res.(*NextKList).Before != 0 {
+		t.Errorf("empty cursor: Before = %v, err = %v", res, err)
 	}
 }

@@ -44,6 +44,13 @@
 // cached across chunks sharing a column. For deterministic sketches the
 // accumulated summary equals Summarize+Merge exactly; Misra–Gries may
 // differ within its error bound, exactly as merge orders may.
+//
+// Accumulator sketches: histogram (exact, sampled, CDF), hist2d, range,
+// distinct count, heavy hitters (Misra–Gries), the MultiSketch
+// composite, and next-K — whose accumulator is not a cheaper fold of
+// the same work but a pruned scan: a typed compare of the leading order
+// column against the window's K-th key rejects almost every row before
+// it is boxed (nextk.go).
 package sketch
 
 import "repro/internal/table"
