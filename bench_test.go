@@ -463,7 +463,7 @@ func BenchmarkKernelShardedScan(b *testing.B) {
 }
 
 // BenchmarkKernelParallelAgg measures the engine-level aggregation
-// overhaul end to end: per-worker accumulators draining the chunk queue
+// overhaul end to end: per-run accumulators claimed off the run cursor
 // and combining in a pairwise merge tree, across the three summary
 // shapes that stress it differently (dense tallies, a 2-D count matrix,
 // and the code-keyed Misra–Gries state).

@@ -22,14 +22,16 @@
 // batches, columns expose typed backing storage, sketches run
 // kind-specialized batch kernels, and the engine shards oversized
 // partitions into fixed row-range chunks. Aggregation is parallel all
-// the way up: a pool of leaf workers drains the chunk queue, each
-// folding its chunks into a reusable mutable Accumulator
-// (sketch.AccumulatorSketch — histogram, hist2d, range, distinct, heavy
-// hitters and next-K ship one) or a private Merge fold, and the per-worker
-// states combine in a pairwise merge tree, so no chunk result ever
-// crosses a shared lock. Progressive partials merge snapshots of every
-// worker's state and reach the callback serialized on a dedicated
-// emission lock, never blocking the fold path. Heavy
+// the way up: consecutive chunks of a partition form a run, every run
+// folds into its own mutable Accumulator (sketch.AccumulatorOf —
+// histogram, hist2d, distinct, heavy hitters and next-K ship a native
+// one, the rest fold Summarize+Merge), and finished runs combine
+// in a fixed pairwise merge tree (sketch.TreeFold). Runs and tree are a
+// function of the data layout and ChunkRows alone; the leaf workers
+// only claim whole runs off a shared cursor, so thread count and
+// scheduling never show in a result. Progressive partials merge the
+// tree's finished nodes with snapshots of the runs in progress and
+// reach the callback serialized on a dedicated emission lock. Heavy
 // hitters count dictionary columns by int32 code (dense array or
 // code-keyed map) and materialize Values only at result time;
 // equi-width buckets index by a precomputed reciprocal whenever the
@@ -97,9 +99,10 @@
 // tables over every column kind, missing mask, dictionary size, and
 // membership shape (table.GenPartitions), then pushes every shipped
 // sketch through three execution topologies — reference
-// Summarize+sequential merge, the parallel accumulator engine (pinned
-// reproducible by engine.Config.StaticAssignment), and the real TCP
-// cluster path — and asserts agreement under per-sketch oracle
+// Summarize+sequential merge, the parallel accumulator engine (re-run
+// at pool widths 1, 2, 3 and 8 on the production engine.Config: every
+// run must return the same bits), and the real TCP cluster path — and
+// asserts agreement under per-sketch oracle
 // contracts (sketch.RegisterOracle: exact for deterministic sketches,
 // documented error bounds for Misra–Gries and sampling sketches). A
 // transport seam (cluster.Transport / cluster.FaultScript) then drives

@@ -446,7 +446,11 @@ func TestLegacyGobConnInterop(t *testing.T) {
 // replay of an in-flight request instead of starting a second partial
 // stream under the same request ID.
 func TestRequestReplayDeduped(t *testing.T) {
-	w := NewWorker(storage.NewLoader(engine.Config{}, 0))
+	// The dataset parks the first request until released, so the replay
+	// provably arrives while it is in flight (a scan of a small table
+	// could finish first, and a replay after completion is a new request).
+	ds := newBlockingDataSet("d")
+	w := NewWorker(func(id, source string) (engine.IDataSet, error) { return ds, nil })
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -458,11 +462,26 @@ func TestRequestReplayDeduped(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := newFrameConn(conn)
-	if err := fc.send(&Envelope{ReqID: 1, Kind: MsgLoad, DatasetID: "d", Source: "flights:rows=3000,parts=2"}); err != nil {
+	if err := fc.send(&Envelope{ReqID: 1, Kind: MsgLoad, DatasetID: "d", Source: "any:"}); err != nil {
 		t.Fatal(err)
 	}
 	if env, err := fc.recv(); err != nil || env.Kind != MsgOK {
 		t.Fatalf("load: %v %v", env, err)
+	}
+	// ping round-trips a request the worker reads after everything sent
+	// before it; any frame for another request would arrive first.
+	ping := func(id uint64) {
+		t.Helper()
+		if err := fc.send(&Envelope{ReqID: id, Kind: MsgPing}); err != nil {
+			t.Fatal(err)
+		}
+		env, err := fc.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.ReqID != id || env.Kind != MsgOK {
+			t.Fatalf("replayed request produced extra traffic: %+v", env)
+		}
 	}
 	// Send the same sketch request twice, byte for byte.
 	req := &Envelope{ReqID: 2, Kind: MsgSketch, DatasetID: "d",
@@ -473,27 +492,12 @@ func TestRequestReplayDeduped(t *testing.T) {
 	if err := fc.send(req); err != nil {
 		t.Fatal(err)
 	}
-	finals := 0
-	for finals == 0 {
-		env, err := fc.recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env.Kind == MsgFinal {
-			finals++
-		}
+	ping(3) // the worker has read both copies; the first is still parked
+	close(ds.release)
+	if env, err := fc.recv(); err != nil || env.ReqID != 2 || env.Kind != MsgFinal {
+		t.Fatalf("final: %+v %v", env, err)
 	}
 	// A deduped replay produces exactly one final; a second stream
-	// would send another within the connection's ordered stream. Probe
-	// with a ping: any further frame for req 2 would arrive first.
-	if err := fc.send(&Envelope{ReqID: 3, Kind: MsgPing}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := fc.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.ReqID != 3 || env.Kind != MsgOK {
-		t.Fatalf("replayed request produced extra traffic: %+v", env)
-	}
+	// would send another within the connection's ordered stream.
+	ping(4)
 }

@@ -261,12 +261,17 @@ func (w *Worker) serveConn(conn net.Conn) {
 		w.active.Add(1)
 		w.inFlight.Add(1)
 		go func(env *Envelope) {
+			// settle drops the request from ActiveRequests before the
+			// terminal reply is written, so a peer holding its reply never
+			// sees it still counted; active.Done stays behind the send,
+			// which Drain must wait for.
+			settle := sync.OnceFunc(func() { w.inFlight.Add(-1) })
 			defer func() {
 				mu.Lock()
 				delete(cancels, env.ReqID)
 				mu.Unlock()
 				cancel()
-				w.inFlight.Add(-1)
+				settle()
 				w.active.Done()
 			}()
 			// A panic while serving one request (a buggy sketch summarize,
@@ -278,25 +283,32 @@ func (w *Worker) serveConn(conn net.Conn) {
 				if pe := engine.CapturePanic(recover()); pe != nil {
 					w.logf("cluster worker: request %d: %v\n%s", env.ReqID, pe, pe.Stack)
 					reply := &Envelope{Kind: MsgError, ReqID: env.ReqID, Err: pe.Error()}
+					settle()
 					if err := fc.send(reply); err != nil {
 						w.logf("cluster worker: send: %v", err)
 					}
 				}
 			}()
-			w.handle(ctx, fc, env)
+			w.handle(ctx, fc, env, settle)
 		}(env)
 	}
 }
 
-func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope) {
+// handle executes one request. Every path ends in exactly one terminal
+// reply (finish); settle runs just before it is written.
+func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope, settle func()) {
 	reply := func(out *Envelope) {
 		out.ReqID = env.ReqID
 		if err := fc.send(out); err != nil {
 			w.logf("cluster worker: send: %v", err)
 		}
 	}
+	finish := func(out *Envelope) {
+		settle()
+		reply(out)
+	}
 	fail := func(err error) {
-		reply(&Envelope{
+		finish(&Envelope{
 			Kind:       MsgError,
 			Err:        err.Error(),
 			ErrMissing: errors.Is(err, engine.ErrMissingDataset),
@@ -305,7 +317,7 @@ func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope) {
 
 	switch env.Kind {
 	case MsgPing:
-		reply(&Envelope{Kind: MsgOK})
+		finish(&Envelope{Kind: MsgOK})
 
 	case MsgLoad:
 		ds, err := w.loader(env.DatasetID, env.Source)
@@ -316,7 +328,7 @@ func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope) {
 		w.mu.Lock()
 		w.datasets[env.DatasetID] = ds // idempotent: replay overwrites
 		w.mu.Unlock()
-		reply(&Envelope{Kind: MsgOK, NumLeaves: ds.NumLeaves()})
+		finish(&Envelope{Kind: MsgOK, NumLeaves: ds.NumLeaves()})
 
 	case MsgMap:
 		parent, err := w.get(env.DatasetID)
@@ -332,7 +344,7 @@ func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope) {
 		w.mu.Lock()
 		w.datasets[env.NewID] = ds
 		w.mu.Unlock()
-		reply(&Envelope{Kind: MsgOK, NumLeaves: ds.NumLeaves()})
+		finish(&Envelope{Kind: MsgOK, NumLeaves: ds.NumLeaves()})
 
 	case MsgSketch:
 		ds, err := w.get(env.DatasetID)
@@ -365,7 +377,7 @@ func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope) {
 			fail(err)
 			return
 		}
-		reply(&Envelope{
+		finish(&Envelope{
 			Kind: MsgFinal, Result: res, Done: ds.NumLeaves(), Total: ds.NumLeaves(),
 			TraceID: env.TraceID, Spans: tr.Spans(),
 		})
@@ -374,7 +386,7 @@ func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope) {
 		w.mu.Lock()
 		delete(w.datasets, env.DatasetID)
 		w.mu.Unlock()
-		reply(&Envelope{Kind: MsgOK})
+		finish(&Envelope{Kind: MsgOK})
 
 	default:
 		fail(fmt.Errorf("cluster: unknown request kind %d", env.Kind))

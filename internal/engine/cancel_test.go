@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sketch"
 	"repro/internal/table"
@@ -70,19 +71,24 @@ func TestLocalCancellationMidChunk(t *testing.T) {
 }
 
 // panicSketch panics while summarizing partition ID target (every
-// partition when target is empty).
+// partition when target is empty) — or, with inMerge set, summarizes
+// fine and panics when two non-empty summaries merge.
 type panicSketch struct {
-	target string
+	target  string
+	inMerge bool
 }
 
 func (s *panicSketch) Name() string        { return "panic(" + s.target + ")" }
 func (s *panicSketch) Zero() sketch.Result { return int64(0) }
 func (s *panicSketch) Merge(a, b sketch.Result) (sketch.Result, error) {
+	if s.inMerge && a.(int64) != 0 && b.(int64) != 0 {
+		panic("injected panic in Merge")
+	}
 	return a.(int64) + b.(int64), nil
 }
 
 func (s *panicSketch) Summarize(t *table.Table) (sketch.Result, error) {
-	if s.target == "" || t.ID() == s.target {
+	if !s.inMerge && (s.target == "" || t.ID() == s.target) {
 		panic(fmt.Sprintf("injected panic on %s", t.ID()))
 	}
 	return int64(1), nil
@@ -91,23 +97,37 @@ func (s *panicSketch) Summarize(t *table.Table) (sketch.Result, error) {
 // TestLocalPanicIsolated pins panic isolation at the leaf pool: a
 // panicking sketch fails its own query with *PanicError — it does not
 // crash the test process — and the dataset remains usable afterwards.
+// The panic may fire inside a chunk fold or inside the merge that
+// retires a run, with partial emission contending for the same locks:
+// neither may leave a lock held.
 func TestLocalPanicIsolated(t *testing.T) {
 	parts := genParts("pk", 8, 200, 12)
-	ds := NewLocal("pk", parts, Config{Parallelism: 4, AggregationWindow: -1})
+	for _, tc := range []struct {
+		name   string
+		sk     *panicSketch
+		window time.Duration
+	}{
+		{"summarize", &panicSketch{target: "pk-p3"}, -1},
+		{"summarize+partials", &panicSketch{target: "pk-p3"}, time.Nanosecond},
+		{"merge+partials", &panicSketch{inMerge: true}, time.Nanosecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := NewLocal("pk", parts, Config{Parallelism: 4, AggregationWindow: tc.window})
+			_, err := ds.Sketch(context.Background(), tc.sk, func(Partial) {})
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *PanicError", err)
+			}
+			if pe.Value == nil || len(pe.Stack) == 0 {
+				t.Error("PanicError missing value or stack")
+			}
 
-	_, err := ds.Sketch(context.Background(), &panicSketch{target: "pk-p3"}, nil)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if pe.Value == nil || len(pe.Stack) == 0 {
-		t.Error("PanicError missing value or stack")
-	}
-
-	// The pool survives: the next query runs normally.
-	res, err := ds.Sketch(context.Background(), histSketch(), nil)
-	if err != nil || res == nil {
-		t.Fatalf("query after panic: res=%v err=%v", res, err)
+			// The pool survives: the next query runs normally.
+			res, err := ds.Sketch(context.Background(), histSketch(), nil)
+			if err != nil || res == nil {
+				t.Fatalf("query after panic: res=%v err=%v", res, err)
+			}
+		})
 	}
 }
 

@@ -64,7 +64,9 @@ type IDataSet interface {
 const DefaultAggregationWindow = 100 * time.Millisecond
 
 // Config tunes the engine. The zero value means: parallelism =
-// GOMAXPROCS, aggregation window = DefaultAggregationWindow.
+// GOMAXPROCS, aggregation window = DefaultAggregationWindow. Results are
+// a function of (data, sketch, ChunkRows): Parallelism and
+// AggregationWindow change only how fast they arrive.
 type Config struct {
 	// Parallelism bounds the leaf thread pool per LocalDataSet
 	// (0 = GOMAXPROCS).
@@ -76,19 +78,11 @@ type Config struct {
 	// scan task: partitions larger than this are sharded into
 	// fixed-range chunks scanned concurrently and folded with the
 	// sketch's own Merge (0 = DefaultChunkRows, negative disables
-	// sharding). Chunk boundaries and per-chunk sampling seeds depend
-	// only on this value, so results are replay-deterministic.
+	// sharding). Chunk boundaries, per-chunk sampling seeds, the chunks
+	// each accumulator folds and the merge tree depend only on this
+	// value and the data layout, so it is the one field that can change
+	// a result's bits.
 	ChunkRows int
-	// StaticAssignment pins each leaf-scan task to a worker by stride
-	// (worker w folds tasks w, w+N, w+2N, …) instead of letting workers
-	// race on a shared queue. Chunk-to-accumulator assignment — and with
-	// it the result of merge-order-sensitive sketches like Misra–Gries —
-	// then depends only on the configuration, never on scheduling, so a
-	// run is exactly reproducible. The differential-oracle harness
-	// (internal/testkit) uses this to assert run-to-run determinism;
-	// production keeps the racing queue, whose dynamic balancing is
-	// faster under skewed chunk costs.
-	StaticAssignment bool
 }
 
 // DefaultChunkRows is the default leaf-scan chunk size: large enough

@@ -133,8 +133,8 @@ func TestLocalThrottleWindow(t *testing.T) {
 
 // TestSlowPartialConsumerDoesNotStallScan: while a slow onPartial is
 // running, further emissions are dropped (TryLock) instead of queueing
-// every worker behind the consumer. Before the per-worker accumulator
-// rework, the callback ran under the shared merge mutex and a slow
+// every worker behind the consumer. Before the accumulator rework, the
+// callback ran under the shared merge mutex and a slow
 // consumer serialized the whole scan behind itself — here ~48 windows
 // of 30 ms each.
 func TestSlowPartialConsumerDoesNotStallScan(t *testing.T) {

@@ -27,60 +27,65 @@ var partialsEmitted obs.Counter
 // obs registration.
 func PartialsCounter() *obs.Counter { return &partialsEmitted }
 
+// runChunks is the most consecutive chunk tasks of one partition that
+// fold into one accumulator (a run). A constant, never a function of
+// the thread count: the set of accumulators decides result bits.
+// Smaller runs spread one large partition over more threads, larger
+// ones pay per-accumulator column setup (O(dictionary)) less often; 4
+// was the knee of both in interleaved runs (CHANGES.md, PR 21).
+const runChunks = 4
+
 // LocalDataSet holds a dataset's micropartitions on this machine and
 // summarizes them with a bounded thread pool (paper §5.3: "to
 // parallelize execution within a server, each server runs multiple leaf
 // nodes: there is a thread pool that serves leafs with work to do").
 //
-// Partitions are held one of two ways: eagerly, as in-memory tables
-// (NewLocal), or lazily, behind a LeafSource (NewLocalSource) that
-// materializes a partition's columns only while a scan task reads them
-// — the column store's budgeted buffer pool plugs in there. Both forms
-// produce identical scan geometry and bit-identical results.
+// Partitions always sit behind a LeafSource: the column store's budgeted
+// buffer pool (NewLocalSource), which materializes a partition's columns
+// only while a scan reads them, or a trivial in-memory one (NewLocal).
+// The scan plan is built from the source's LeafMeta alone, so both forms
+// share one geometry and return bit-identical results.
 type LocalDataSet struct {
 	id     string
-	parts  []*table.Table // eager partitions; nil when src is set
-	src    LeafSource     // lazy partition supplier; nil when eager
-	leaves []LeafMeta     // cached src.Leaves()
+	src    LeafSource
+	leaves []LeafMeta // cached src.Leaves()
 	cfg    Config
 }
 
-// NewLocal wraps partitions as a local dataset.
+// NewLocal wraps in-memory partitions as a local dataset.
 func NewLocal(id string, parts []*table.Table, cfg Config) *LocalDataSet {
-	return &LocalDataSet{id: id, parts: parts, cfg: cfg}
+	return NewLocalSource(id, tableSource(parts), cfg)
+}
+
+// tableSource serves resident tables through the LeafSource contract:
+// nothing to pin, nothing to project.
+type tableSource []*table.Table
+
+func (s tableSource) Leaves() []LeafMeta {
+	out := make([]LeafMeta, len(s))
+	for i, p := range s {
+		max := p.Members().Max()
+		out[i] = LeafMeta{ID: p.ID(), Hi: max, Bound: max, Rows: p.NumRows()}
+	}
+	return out
+}
+
+func (s tableSource) Acquire(i int, _ []string) (*table.Table, func(), error) {
+	return s[i], func() {}, nil
 }
 
 // ID implements IDataSet.
 func (d *LocalDataSet) ID() string { return d.id }
 
-// numParts returns the partition count for either form.
-func (d *LocalDataSet) numParts() int {
-	if d.src != nil {
-		return len(d.leaves)
-	}
-	return len(d.parts)
-}
-
 // NumLeaves implements IDataSet.
-func (d *LocalDataSet) NumLeaves() int { return d.numParts() }
+func (d *LocalDataSet) NumLeaves() int { return len(d.leaves) }
 
-// Partitions returns the underlying partition tables of an eager
-// dataset; a lazy dataset returns nil (its partitions materialize per
-// scan task).
-func (d *LocalDataSet) Partitions() []*table.Table { return d.parts }
-
-// TotalRows returns the number of member rows across partitions. For a
-// lazy dataset this reads metadata only.
+// TotalRows returns the number of member rows across partitions, from
+// metadata only.
 func (d *LocalDataSet) TotalRows() int64 {
 	var n int64
-	if d.src != nil {
-		for _, m := range d.leaves {
-			n += int64(m.Hi - m.Lo)
-		}
-		return n
-	}
-	for _, p := range d.parts {
-		n += int64(p.NumRows())
+	for _, m := range d.leaves {
+		n += int64(m.rows())
 	}
 	return n
 }
@@ -93,260 +98,165 @@ func (d *LocalDataSet) parallelism() int {
 	return p
 }
 
-// leafTask is one unit of leaf-scan work: a whole partition, or one
-// fixed physical-row-range chunk of a partition when the partition
-// exceeds Config.ChunkRows. Eager tasks carry the prepared table; lazy
-// tasks carry only the chunk geometry and resolve the table through
-// the LeafSource when a worker picks them up.
+// leafTask is one unit of leaf-scan work: a whole partition (lo < 0), or
+// the fixed physical row range [lo, hi) of a partition that exceeds
+// Config.ChunkRows.
 type leafTask struct {
-	part int          // partition index, for per-partition progress accounting
-	t    *table.Table // eager: ready to scan; lazy: nil
-	lo   int          // lazy chunk start; -1 = whole partition
-	hi   int          // lazy chunk end (exclusive)
+	part, lo, hi int
 }
 
-// leafTasks shards the partitions into scan tasks for sk. Chunk tables
-// get the stable ID "<partition>#<start row>", so per-chunk sampling
-// seeds derive from (seed, chunk start) via sketch.PartitionSeed and
-// replaying the same configuration reproduces identical samples (paper
-// §5.8). Sketches that implement sketch.WholePartition are never
-// chunked, and neither are partitions whose member count (not just
-// physical bound) fits one chunk — a heavily filtered partition over a
-// large physical space is one cheap scan, not many empty ones. Chunks
-// whose row range holds no members at all (a popcount over the
-// membership bitset range, via Restrict) are dropped before dispatch,
-// so a clustered filter over a large physical space does not enqueue
-// no-op tasks; chunk IDs still derive from the physical start row, so
-// skipping never shifts another chunk's sampling seed.
-func (d *LocalDataSet) leafTasks(sk sketch.Sketch) []leafTask {
-	if d.src != nil {
-		return d.lazyLeafTasks(sk)
-	}
+// plan shards the partitions into scan tasks for sk and groups them
+// into runs: run r is tasks[runs[r]:runs[r+1]], at most runChunks
+// consecutive tasks of one partition. Both are a pure function of the
+// partition metadata, ChunkRows and whether sk demands whole partitions
+// — never of the thread count or of what is resident.
+//
+// A chunk's table gets the stable ID "<partition>#<start row>", so
+// per-chunk sampling seeds derive from (seed, chunk start) via
+// sketch.PartitionSeed and replaying the same configuration reproduces
+// identical samples (paper §5.8). Sketches that implement
+// sketch.WholePartition are never chunked, and neither are partitions
+// whose member count (not just physical bound) fits one chunk — a
+// heavily filtered partition over a large physical space is one cheap
+// scan, not many empty ones; an empty partition still gets its one
+// task. Chunks outside the member interval [Lo, Hi) are dropped here;
+// chunks inside it that turn out to hold no member (a clustered filter)
+// are skipped when their run folds. Neither shifts another chunk's ID.
+func (d *LocalDataSet) plan(sk sketch.Sketch) (tasks []leafTask, runs []int) {
 	chunk := d.cfg.chunkRows()
 	_, whole := sk.(sketch.WholePartition)
-	tasks := make([]leafTask, 0, len(d.parts))
-	for pi, p := range d.parts {
-		max := p.Members().Max()
-		if whole || max <= chunk || p.NumRows() <= chunk {
-			tasks = append(tasks, leafTask{part: pi, t: p, lo: -1})
-			continue
-		}
-		for lo := 0; lo < max; lo += chunk {
-			hi := lo + chunk
-			if hi > max {
-				hi = max
-			}
-			m := table.Restrict(p.Members(), lo, hi)
-			if m.Size() == 0 {
-				continue
-			}
-			id := p.ID() + "#" + strconv.Itoa(lo)
-			tasks = append(tasks, leafTask{part: pi, t: p.WithMembership(id, m), lo: lo, hi: hi})
-		}
-	}
-	return tasks
-}
-
-// lazyLeafTasks plans scan tasks from partition metadata alone,
-// mirroring the eager plan exactly: same chunk boundaries, same
-// memberless-chunk skipping (a leaf's members are the contiguous range
-// [Lo, Hi), so the popcount is interval arithmetic), and the same
-// chunk IDs — geometry is a pure function of the configuration, never
-// of what happens to be resident.
-func (d *LocalDataSet) lazyLeafTasks(sk sketch.Sketch) []leafTask {
-	chunk := d.cfg.chunkRows()
-	_, whole := sk.(sketch.WholePartition)
-	tasks := make([]leafTask, 0, len(d.leaves))
 	for pi, m := range d.leaves {
-		// An empty partition still gets its whole-partition task (via
-		// Hi-Lo <= chunk), exactly like the eager planner: identical
-		// task lists keep static worker assignment — and with it
-		// merge-order-sensitive results — bit-identical across the
-		// eager and lazy forms.
-		if whole || m.Bound <= chunk || m.Hi-m.Lo <= chunk {
+		first := len(tasks)
+		if whole || m.Bound <= chunk || m.rows() <= chunk {
 			tasks = append(tasks, leafTask{part: pi, lo: -1})
-			continue
-		}
-		for lo := 0; lo < m.Bound; lo += chunk {
-			hi := lo + chunk
-			if hi > m.Bound {
-				hi = m.Bound
+		} else {
+			for lo := 0; lo < m.Bound; lo += chunk {
+				hi := min(lo+chunk, m.Bound)
+				if hi > m.Lo && lo < m.Hi {
+					tasks = append(tasks, leafTask{part: pi, lo: lo, hi: hi})
+				}
 			}
-			if hi <= m.Lo || lo >= m.Hi {
-				continue // chunk holds no member rows
-			}
-			tasks = append(tasks, leafTask{part: pi, lo: lo, hi: hi})
+		}
+		for ; first < len(tasks); first += runChunks {
+			runs = append(runs, first)
 		}
 	}
-	return tasks
+	return tasks, append(runs, len(tasks))
 }
 
-// taskTable resolves a task to its scan table. Eager tasks are ready;
-// lazy tasks acquire the partition (pinning its columns) and restrict
-// it to the task's chunk with the same derived ID the eager path uses.
-// release is non-nil only for lazy tasks and must be called once the
-// fold is done.
-func (d *LocalDataSet) taskTable(tk leafTask, cols []string) (*table.Table, func(), error) {
-	if tk.t != nil {
-		return tk.t, nil, nil
+// chunkTable restricts an acquired partition to a task's row range,
+// under the chunk's derived ID; nil when the range holds no member row.
+func chunkTable(t *table.Table, tk leafTask) *table.Table {
+	if tk.lo < 0 {
+		return t
 	}
-	t, release, err := d.src.Acquire(tk.part, cols)
-	if err != nil {
-		return nil, nil, err
+	m := table.Restrict(t.Members(), tk.lo, tk.hi)
+	if m.Size() == 0 {
+		return nil
 	}
-	if tk.lo >= 0 {
-		id := t.ID() + "#" + strconv.Itoa(tk.lo)
-		t = t.WithMembership(id, table.Restrict(t.Members(), tk.lo, tk.hi))
-	}
-	return t, release, nil
+	return t.WithMembership(t.ID()+"#"+strconv.Itoa(tk.lo), m)
 }
 
-// leafWorker is one thread of the leaf pool: it drains the task queue
-// into its own accumulator (or, for sketches without one, a private
-// Merge fold), so workers never contend on a shared summary. mu
-// serializes the worker's folding with snapshots taken by the partial
-// emitter.
-type leafWorker struct {
-	mu   sync.Mutex
-	acc  sketch.Accumulator // non-nil when the sketch provides one
-	fold sketch.Result      // Merge-fold state otherwise
-}
-
-func newLeafWorker(sk sketch.Sketch) *leafWorker {
-	if as, ok := sk.(sketch.AccumulatorSketch); ok {
-		return &leafWorker{acc: as.NewAccumulator()}
-	}
-	return &leafWorker{fold: sk.Zero()}
-}
-
-// add folds one task's table into the worker's state.
-func (w *leafWorker) add(sk sketch.Sketch, t *table.Table) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.acc != nil {
-		return w.acc.Add(t)
-	}
-	r, err := sk.Summarize(t)
-	if err != nil {
-		return err
-	}
-	merged, err := sk.Merge(w.fold, r)
-	if err != nil {
-		return err
-	}
-	w.fold = merged
-	return nil
-}
-
-// snapshot returns an immutable view of everything folded so far.
-func (w *leafWorker) snapshot() sketch.Result {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.acc != nil {
-		return w.acc.Snapshot()
-	}
-	return w.fold
-}
-
-// result returns the worker's final summary; the worker must be idle.
-func (w *leafWorker) result() sketch.Result {
-	if w.acc != nil {
-		return w.acc.Result()
-	}
-	return w.fold
-}
-
-// mergeSnapshots combines every worker's current snapshot into one
-// summary with a pairwise merge tree.
-func mergeSnapshots(sk sketch.Sketch, workers []*leafWorker) (sketch.Result, error) {
-	snaps := make([]sketch.Result, len(workers))
-	for i, w := range workers {
-		snaps[i] = w.snapshot()
-	}
-	return sketch.MergeTree(sk, snaps...)
-}
-
-// Sketch implements IDataSet. Each partition is scanned as one or more
-// fixed-range chunk tasks (see leafTasks). A pool of workers drains the
-// task queue; every worker folds the chunks it pulls into its own
-// accumulator (sketch.AccumulatorSketch) or private Merge fold, so no
-// chunk result ever crosses a shared lock, and the per-worker states
-// combine in a pairwise merge tree once the queue is empty. Partial
-// results are emitted at most once per aggregation window: the emitting
-// worker merges a snapshot of every worker's state and invokes
-// onPartial holding only the emission lock, never a fold or progress
-// lock — a slow partial consumer costs dropped partials, never a
-// stalled scan. Done counts fully folded partitions. Cancellation stops
-// workers from pulling not-yet-started tasks, and a probe threaded into
-// each task's table (WithCancel) stops the running chunk scan itself
-// within ~64Ki rows; a panic in sketch code is recovered into the
-// query's error instead of crashing the pool's process.
+// Sketch implements IDataSet. The plan (see plan) cuts the partitions
+// into chunk tasks and the tasks into runs. Every run folds, in chunk
+// order, into its own accumulator, and finished runs combine through a
+// sketch.TreeFold indexed by run — so the set of accumulators, what each
+// one folds, and the shape and operand order of every merge are
+// functions of (partition metadata, sketch, ChunkRows) alone. Threads
+// only decide *when* a run folds: each worker claims the next whole run
+// off a shared cursor, acquires its partition once, folds it and hands
+// the result to the tree, so load balancing is dynamic and invisible in
+// the result — including for merge-order-sensitive sketches such as
+// Misra–Gries. (A worker's next accumulator may be the sketch.Successor
+// of its last one; that contract allows skipping work, never changing
+// the merged result.)
+//
+// Partial results are emitted at most once per aggregation window: the
+// emitting worker merges the tree's finished nodes with a snapshot of
+// every run in progress and invokes onPartial holding only the emission
+// lock — a slow partial consumer costs dropped partials, never a stalled
+// scan. Which runs a partial covers depends on timing; the completion
+// partial is the returned result. Done counts fully folded partitions.
+// Cancellation stops workers from starting further chunks, and a probe
+// threaded into each chunk's table (WithCancel) stops the running chunk
+// scan itself within ~64Ki rows; a panic in sketch code is recovered
+// into the query's error instead of crashing the pool's process.
 func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial PartialFunc) (sketch.Result, error) {
-	total := d.numParts()
+	total := len(d.leaves)
 	cols := sketch.SketchColumns(sk)
 	if total == 0 {
 		z := sk.Zero()
 		emit(onPartial, Partial{Result: z, Done: 0, Total: 0})
 		return z, nil
 	}
-	tasks := d.leafTasks(sk)
-	pending := make([]int, total) // unfolded tasks per partition
-	for _, tk := range tasks {
-		pending[tk.part]++
-	}
+	tasks, runs := d.plan(sk)
+	nRuns := len(runs) - 1
+	nw := min(d.parallelism(), nRuns)
+
+	// mu guards the scan's shared state. foldMu orders folding against
+	// partial emission: workers hold it shared to add a chunk and to
+	// retire a run (result into the tree plus progress, as one step), the
+	// emitter exclusively to collect — so a partial never sees a
+	// half-added chunk, nor a run both in the tree and live, or neither.
 	var (
-		progMu   sync.Mutex
-		done     int // fully folded partitions
+		mu       sync.Mutex
+		foldMu   sync.RWMutex
+		tree     = sketch.NewTreeFold(sk, nRuns)
+		live     = make([]sketch.Accumulator, nw) // each worker's run in progress
+		pending  = make([]int, total)             // unfinished runs per partition
+		retired  int                              // runs handed to the tree
+		done     int                              // fully folded partitions
 		firstErr error
 	)
-	for _, n := range pending {
-		if n == 0 { // partition with no member rows in any chunk
-			done++
+	for r := 0; r < nRuns; r++ {
+		pending[tasks[runs[r]].part]++
+	}
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
 		}
-	}
-
-	nw := d.parallelism()
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	workers := make([]*leafWorker, nw)
-	for i := range workers {
-		workers[i] = newLeafWorker(sk)
+		mu.Unlock()
 	}
 	th := newThrottle(d.cfg.window())
 
-	// Partial emission: the worker that wins the throttle reads the
-	// progress counter, snapshots every worker, and invokes onPartial
-	// holding only emitMu — never a worker's fold lock or the progress
-	// lock. emitMu serializes emissions so Done stays monotone; window
-	// emissions take it with TryLock, so while a slow consumer is still
-	// inside onPartial later emissions are dropped (the next window
-	// re-emits a fresher snapshot) instead of queueing workers behind the
-	// callback. Only the completion emit after wg.Wait takes it blocking:
-	// dropped windows are superseded by the final Done==Total partial,
-	// never by silence. Progress is read after winning emitMu and workers fold
-	// before they update progress, so each emitted summary covers at
-	// least the chunks its Done count claims.
+	// emitMu serializes emissions so Done stays monotone; window emissions
+	// take it with TryLock, so while a slow consumer is still inside
+	// onPartial later emissions are dropped (the next window re-emits a
+	// fresher snapshot) instead of queueing workers behind the callback.
+	// Only the completion emit after wg.Wait takes it blocking: dropped
+	// windows are superseded by the final Done==Total partial, never by
+	// silence.
 	var emitMu sync.Mutex
-	emitPartial := func() {
-		if !emitMu.TryLock() {
+	// collect cuts a consistent (summaries, progress) pair for a partial;
+	// ok is false once the scan failed or finished (the completion emit
+	// below delivers the one Done==Total partial).
+	collect := func() (parts []sketch.Result, dn int, ok bool) {
+		foldMu.Lock()
+		defer foldMu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr != nil || done == total {
+			return nil, 0, false
+		}
+		parts = tree.Pending()
+		for _, acc := range live {
+			if acc != nil {
+				parts = append(parts, acc.Snapshot())
+			}
+		}
+		return parts, done, true
+	}
+	maybeEmit := func() {
+		if onPartial == nil || !th.allow(false) || !emitMu.TryLock() {
 			return
 		}
 		defer emitMu.Unlock()
-		progMu.Lock()
-		dn, bad := done, firstErr != nil
-		progMu.Unlock()
-		// Once every partition has folded, the unconditional final emit
-		// below delivers the one Done==Total partial (built from the
-		// returned result, not a snapshot); suppressing it here keeps
-		// the old contract of exactly one completion partial.
-		if bad || dn == total {
+		parts, dn, ok := collect()
+		if !ok {
 			return
 		}
-		snap, err := mergeSnapshots(sk, workers)
+		snap, err := sketch.MergeTree(sk, parts...)
 		if err != nil {
 			return // partial emission is best-effort
 		}
@@ -354,24 +264,105 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 		onPartial(Partial{Result: snap, Done: dn, Total: total})
 	}
 
-	// cancelProbe is threaded into every task table (table.WithCancel) so
+	// cancelProbe is threaded into every chunk table (table.WithCancel) so
 	// kernels stop mid-chunk, not just between chunks — whole-partition
 	// sketches and unchunked configurations would otherwise keep burning
 	// cores long after the query was abandoned. A probed scan may
 	// truncate silently; that is safe because a fired probe implies
-	// ctx.Err() != nil, and the fold below is discarded whenever the
-	// context is cancelled.
+	// ctx.Err() != nil, and the fold is discarded whenever the context is
+	// cancelled.
 	cancelProbe := func() bool { return ctx.Err() != nil }
 
 	tr := obs.TraceFrom(ctx)
 	leafSp := tr.StartSpan("scan.leaf")
+	leafNote := "chunks=" + strconv.Itoa(len(tasks)) + " runs=" + strconv.Itoa(nRuns) + " workers=" + strconv.Itoa(nw)
+	// The locked steps are closures so a panicking sketch unwinds through
+	// their deferred unlocks before the worker's recover reports it.
+	add := func(acc sketch.Accumulator, ct *table.Table) error {
+		foldMu.RLock()
+		defer foldMu.RUnlock()
+		return acc.Add(ct.WithCancel(cancelProbe))
+	}
+	retire := func(wi, r, part int, acc sketch.Accumulator) error {
+		foldMu.RLock()
+		defer foldMu.RUnlock()
+		res := acc.Result() // may mutate acc: not while a partial snapshots it
+		mu.Lock()
+		defer mu.Unlock()
+		live[wi] = nil
+		retired++
+		// The scan proper ends when the last run retires; what remains
+		// is the merge chain from that run up to the root (earlier
+		// merges overlapped the scan).
+		var mergeSp obs.SpanHandle
+		if retired == nRuns {
+			leafSp.EndNote(leafNote)
+			mergeSp = tr.StartSpan("merge.tree")
+		}
+		err := tree.Put(r, res)
+		mergeSp.End()
+		if pending[part]--; pending[part] == 0 {
+			done++
+		}
+		return err
+	}
+	// foldRun folds run r on worker wi, whose last retired accumulator
+	// was prev, retires it into the tree and returns its accumulator. The
+	// partition stays pinned for the whole run, so every chunk of a run
+	// sees the same column objects and the resident working set is
+	// bounded by the worker pool, not the dataset.
+	foldRun := func(wi, r int, prev sketch.Accumulator) (sketch.Accumulator, error) {
+		first, end := runs[r], runs[r+1]
+		part := tasks[first].part
+		t, release, err := d.src.Acquire(part, cols)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		acc := sketch.AccumulatorAfter(sk, prev)
+		mu.Lock()
+		live[wi] = acc
+		mu.Unlock()
+		for i := first; i < end; i++ {
+			ct := chunkTable(t, tasks[i])
+			if ct == nil {
+				continue
+			}
+			// Sampled chunk spans: on a traced query, one chunk in
+			// chunkSampleEvery records its fold so the trace shows
+			// per-chunk cost without span-budget blowup. tr is nil on
+			// untraced queries, so this is one modulo on the hot path.
+			traceChunk := tr != nil && i%chunkSampleEvery == 0
+			var chunkSp obs.SpanHandle
+			if traceChunk {
+				chunkSp = tr.StartSpan("scan.chunk")
+			}
+			err := add(acc, ct)
+			if traceChunk {
+				chunkSp.EndNote("chunk=" + strconv.Itoa(i))
+			}
+			if err != nil {
+				return nil, err
+			}
+			if err := ctx.Err(); err != nil {
+				// The probe may have truncated this chunk mid-stream;
+				// never fold on, retire or emit from it.
+				return nil, err
+			}
+			if i < end-1 {
+				maybeEmit()
+			}
+		}
+		return acc, retire(wi, r, part, acc)
+	}
+
 	var (
 		cursor atomic.Int64
 		wg     sync.WaitGroup
 	)
-	for wi, w := range workers {
+	for wi := 0; wi < nw; wi++ {
 		wg.Add(1)
-		go func(wi int, w *leafWorker) {
+		go func(wi int) {
 			defer wg.Done()
 			// A panicking sketch fails this query only: the recovered
 			// panic becomes the scan's first error, the other workers
@@ -379,106 +370,47 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 			// possibly a long-lived server — keeps running.
 			defer func() {
 				if pe := CapturePanic(recover()); pe != nil {
-					progMu.Lock()
-					if firstErr == nil {
-						firstErr = pe
-					}
-					progMu.Unlock()
+					fail(pe)
 				}
 			}()
-			// Dynamic scheduling pulls from the shared cursor; static
-			// assignment (Config.StaticAssignment) walks a fixed stride
-			// so the chunk-to-worker mapping is a pure function of the
-			// configuration.
-			next := func() int { return int(cursor.Add(1)) - 1 }
-			if d.cfg.StaticAssignment {
-				i := wi - nw
-				next = func() int { i += nw; return i }
-			}
+			var prev sketch.Accumulator // this worker's last retired run
 			for {
-				// Cancellation removes enqueued work (paper §5.3);
-				// running chunks finish. The context is checked before
-				// every pull so a cancelled query never claims new work.
+				// Cancellation removes enqueued work (paper §5.3): the
+				// context is checked before every claim so a cancelled
+				// query never starts another run.
 				if ctx.Err() != nil {
 					return
 				}
-				progMu.Lock()
+				mu.Lock()
 				stop := firstErr != nil
-				progMu.Unlock()
+				mu.Unlock()
 				if stop {
 					return
 				}
-				i := next()
-				if i >= len(tasks) {
+				r := int(cursor.Add(1)) - 1
+				if r >= nRuns {
 					return
 				}
-				tk := tasks[i]
-				// Sampled chunk spans: on a traced query, one chunk in
-				// chunkSampleEvery records its fold so the trace shows
-				// per-chunk cost without span-budget blowup. tr is nil on
-				// untraced queries, so this is one modulo on the hot path.
-				traceChunk := tr != nil && i%chunkSampleEvery == 0
-				var chunkSp obs.SpanHandle
-				if traceChunk {
-					chunkSp = tr.StartSpan("scan.chunk")
-				}
-				t, release, err := d.taskTable(tk, cols)
-				if err == nil {
-					err = w.add(sk, t.WithCancel(cancelProbe))
-					// Unpin as soon as the fold lands: the resident
-					// working set is bounded by the worker pool, not the
-					// dataset.
-					if release != nil {
-						release()
-					}
-				}
-				if traceChunk {
-					chunkSp.EndNote("chunk=" + strconv.Itoa(i))
-				}
-				if err == nil && ctx.Err() != nil {
-					// The probe may have truncated this chunk's scan
-					// mid-stream; never mark it done or emit from it —
-					// the cancelled query's fold is discarded wholesale.
+				var err error
+				if prev, err = foldRun(wi, r, prev); err != nil {
+					fail(err)
 					return
 				}
-				if err != nil {
-					progMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					progMu.Unlock()
-					return
-				}
-				progMu.Lock()
-				pending[tk.part]--
-				if pending[tk.part] == 0 {
-					done++
-				}
-				progMu.Unlock()
-				if onPartial != nil && th.allow(false) {
-					emitPartial()
-				}
+				maybeEmit()
 			}
-		}(wi, w)
+		}(wi)
 	}
 	wg.Wait()
-	leafSp.EndNote("chunks=" + strconv.Itoa(len(tasks)) + " workers=" + strconv.Itoa(nw))
+	if retired < nRuns { // failed or cancelled
+		leafSp.EndNote(leafNote)
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	results := make([]sketch.Result, len(workers))
-	for i, w := range workers {
-		results[i] = w.result()
-	}
-	mergeSp := tr.StartSpan("merge.tree")
-	final, err := sketch.MergeTree(sk, results...)
-	mergeSp.End()
-	if err != nil {
-		return nil, err
-	}
+	final := tree.Result()
 	// The completion partial blocks on emitMu rather than TryLock: if a
 	// worker's trailing window emission is still inside a slow consumer's
 	// onPartial, the final Done==Total delivery waits for it instead of
@@ -497,12 +429,12 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 
 // Map implements IDataSet: partitions transform independently and in
 // parallel, with stable derived partition IDs so that replay rebuilds
-// identical state. A lazy dataset acquires each partition for the
-// duration of its transform; the derived dataset is eager (its tables
-// are fresh soft state sharing the source's column storage, which the
-// column store keeps readable even after eviction).
+// identical state. Each partition is acquired for the duration of its
+// transform; the derived tables are fresh soft state sharing the
+// source's column storage, which the column store keeps readable even
+// after eviction.
 func (d *LocalDataSet) Map(op MapOp, newID string) (IDataSet, error) {
-	out := make([]*table.Table, d.numParts())
+	out := make([]*table.Table, len(d.leaves))
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -515,23 +447,11 @@ func (d *LocalDataSet) Map(op MapOp, newID string) (IDataSet, error) {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			src := d.parts
-			var (
-				p       *table.Table
-				release func()
-				err     error
-			)
-			if d.src != nil {
-				p, release, err = d.src.Acquire(i, nil)
-			} else {
-				p = src[i]
-			}
+			p, release, err := d.src.Acquire(i, nil)
 			var t *table.Table
 			if err == nil {
 				t, err = op.Apply(p, DerivePartID(newID, i))
-				if release != nil {
-					release()
-				}
+				release()
 			}
 			mu.Lock()
 			defer mu.Unlock()
@@ -546,7 +466,7 @@ func (d *LocalDataSet) Map(op MapOp, newID string) (IDataSet, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return &LocalDataSet{id: newID, parts: out, cfg: d.cfg}, nil
+	return NewLocal(newID, out, d.cfg), nil
 }
 
 func emit(f PartialFunc, p Partial) {

@@ -136,34 +136,93 @@ func TestShardedPartialAccounting(t *testing.T) {
 	}
 }
 
+// foldedTables resolves a dataset's plan to the chunk tables its runs
+// fold, in task order: each task's partition restricted by chunkTable,
+// memberless chunks dropped, exactly as Sketch does.
+func foldedTables(t *testing.T, ds *LocalDataSet, sk sketch.Sketch) (tasks []leafTask, folded []*table.Table) {
+	t.Helper()
+	tasks, _ = ds.plan(sk)
+	for _, tk := range tasks {
+		p, release, err := ds.src.Acquire(tk.part, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := chunkTable(p, tk); ct != nil {
+			folded = append(folded, ct)
+		}
+		release()
+	}
+	return tasks, folded
+}
+
 // TestLeafTaskChunkIDs pins the chunk ID scheme ("<partition>#<start>")
 // that per-chunk sampling seeds derive from.
 func TestLeafTaskChunkIDs(t *testing.T) {
 	parts := genParts("ct", 1, 2500, 3)
 	ds := NewLocal("ct", parts, Config{ChunkRows: 1000})
-	tasks := ds.leafTasks(histSketch())
-	if len(tasks) != 3 {
-		t.Fatalf("got %d tasks, want 3", len(tasks))
+	tasks, folded := foldedTables(t, ds, histSketch())
+	if len(tasks) != 3 || len(folded) != 3 {
+		t.Fatalf("got %d tasks folding %d tables, want 3", len(tasks), len(folded))
 	}
 	wantIDs := []string{"ct-p0#0", "ct-p0#1000", "ct-p0#2000"}
 	var rows int
 	for i, tk := range tasks {
-		if tk.t.ID() != wantIDs[i] {
-			t.Errorf("task %d ID = %q, want %q", i, tk.t.ID(), wantIDs[i])
+		if folded[i].ID() != wantIDs[i] {
+			t.Errorf("task %d ID = %q, want %q", i, folded[i].ID(), wantIDs[i])
 		}
 		if tk.part != 0 {
 			t.Errorf("task %d part = %d, want 0", i, tk.part)
 		}
-		rows += tk.t.NumRows()
+		rows += folded[i].NumRows()
 	}
 	if rows != 2500 {
 		t.Errorf("chunks cover %d rows, want 2500", rows)
 	}
 	// Sharding disabled: one task per partition, original table.
 	off := NewLocal("ct", parts, Config{ChunkRows: -1})
-	if tasks := off.leafTasks(histSketch()); len(tasks) != 1 || tasks[0].t != parts[0] {
+	if tasks, folded := foldedTables(t, off, histSketch()); len(tasks) != 1 || folded[0] != parts[0] {
 		t.Errorf("ChunkRows<0 should disable sharding, got %d tasks", len(tasks))
 	}
+}
+
+// TestPlanRunsAlignToPartitions pins the run geometry: runs tile the
+// task list in order, hold at most runChunks tasks, never cross a
+// partition boundary, and do not depend on Parallelism; chunks outside
+// a leaf's member interval are dropped at plan time.
+func TestPlanRunsAlignToPartitions(t *testing.T) {
+	parts := genParts("rg", 3, 100*(2*runChunks+1), 11) // 2*runChunks+1 chunks each
+	for _, par := range []int{1, 2, 7} {
+		ds := NewLocal("rg", parts, Config{ChunkRows: 100, Parallelism: par})
+		tasks, runs := ds.plan(histSketch())
+		if len(tasks) != 3*(2*runChunks+1) || len(runs)-1 != 3*3 {
+			t.Fatalf("parallelism %d: %d tasks in %d runs, want %d in 9", par, len(tasks), len(runs)-1, 3*(2*runChunks+1))
+		}
+		if runs[0] != 0 || runs[len(runs)-1] != len(tasks) {
+			t.Fatalf("runs %v do not tile %d tasks", runs, len(tasks))
+		}
+		for r := 0; r+1 < len(runs); r++ {
+			n := runs[r+1] - runs[r]
+			if n < 1 || n > runChunks {
+				t.Errorf("run %d holds %d tasks, want 1..%d", r, n, runChunks)
+			}
+			if tasks[runs[r]].part != tasks[runs[r+1]-1].part {
+				t.Errorf("run %d crosses a partition boundary", r)
+			}
+		}
+	}
+	src := metaSource{{ID: "m", Lo: 250, Hi: 600, Bound: 1000}}
+	tasks, runs := NewLocalSource("m", src, Config{ChunkRows: 100}).plan(histSketch())
+	if len(tasks) != 4 || tasks[0].lo != 200 || tasks[3].hi != 600 || len(runs) != 2 {
+		t.Errorf("interval [250,600) of 1000 planned as %+v runs %v, want chunks 200..600 in one run", tasks, runs)
+	}
+}
+
+// metaSource is a LeafSource with geometry only, for planner tests.
+type metaSource []LeafMeta
+
+func (s metaSource) Leaves() []LeafMeta { return s }
+func (s metaSource) Acquire(int, []string) (*table.Table, func(), error) {
+	return nil, nil, ErrMissingDataset
 }
 
 // TestWholePartitionSketchNotChunked checks that per-partition sketches
@@ -186,25 +245,25 @@ func TestWholePartitionSketchNotChunked(t *testing.T) {
 }
 
 // TestLeafTasksSkipEmptyChunks checks that chunk ranges holding no
-// member rows (popcount over the membership bitset range) are dropped
-// before dispatch, without changing the summary: a clustered filter
-// over a large physical space dispatches only the occupied ranges.
+// member rows (popcount over the membership bitset range) are never
+// folded, without changing the summary: a clustered filter over a large
+// physical space scans only the occupied ranges.
 func TestLeafTasksSkipEmptyChunks(t *testing.T) {
 	parts := genParts("ec", 1, 10000, 13)
 	// Members cluster in [0, 1000) ∪ [9000, 10000): 2000 of 10000
 	// physical rows, a dense bitmap membership.
 	f := parts[0].Filter("ec-f", func(row int) bool { return row < 1000 || row >= 9000 })
 	ds := NewLocal("ec", []*table.Table{f}, Config{AggregationWindow: -1, ChunkRows: 500})
-	tasks := ds.leafTasks(histSketch())
-	if len(tasks) != 4 {
-		t.Errorf("got %d tasks, want 4 (only occupied 500-row ranges)", len(tasks))
+	_, folded := foldedTables(t, ds, histSketch())
+	if len(folded) != 4 {
+		t.Errorf("got %d folded chunks, want 4 (only occupied 500-row ranges)", len(folded))
 	}
 	var members int
-	for _, tk := range tasks {
-		members += tk.t.NumRows()
+	for _, ct := range folded {
+		members += ct.NumRows()
 	}
 	if members != 2000 {
-		t.Errorf("tasks cover %d member rows, want 2000", members)
+		t.Errorf("chunks cover %d member rows, want 2000", members)
 	}
 	whole := NewLocal("ec", []*table.Table{f}, Config{AggregationWindow: -1, ChunkRows: -1})
 	want, err := whole.Sketch(context.Background(), histSketch(), nil)
@@ -221,9 +280,8 @@ func TestLeafTasksSkipEmptyChunks(t *testing.T) {
 }
 
 // TestShardedHeavyHittersGuarantee runs Misra–Gries through the chunked
-// engine path (per-worker accumulators, merge tree) and checks the
-// frequency guarantee against exact counts. Counter values may vary
-// with the dynamic chunk-to-worker assignment; the guarantee may not.
+// engine path (per-run accumulators, merge tree) and checks the
+// frequency guarantee against exact counts.
 func TestShardedHeavyHittersGuarantee(t *testing.T) {
 	const rows = 12000
 	const k = 8
@@ -284,12 +342,12 @@ func TestSparsePartitionNotChunked(t *testing.T) {
 	parts := genParts("sp", 1, 5000, 7)
 	filtered := parts[0].Filter("sp-p0/f", func(row int) bool { return row%100 == 0 })
 	ds := NewLocal("sp", []*table.Table{filtered}, Config{ChunkRows: 500})
-	if tasks := ds.leafTasks(histSketch()); len(tasks) != 1 {
+	if tasks, _ := ds.plan(histSketch()); len(tasks) != 1 {
 		t.Errorf("sparse partition (50 members, 5000 physical) split into %d tasks, want 1", len(tasks))
 	}
 	// A dense partition over the same physical space still shards.
 	ds2 := NewLocal("sp2", parts, Config{ChunkRows: 500})
-	if tasks := ds2.leafTasks(histSketch()); len(tasks) != 10 {
+	if tasks, _ := ds2.plan(histSketch()); len(tasks) != 10 {
 		t.Errorf("dense partition split into %d tasks, want 10", len(tasks))
 	}
 }

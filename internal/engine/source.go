@@ -17,14 +17,25 @@ type LeafMeta struct {
 	// contiguous range [Lo, Hi). A whole-file partition has Lo=0,
 	// Hi=Bound=rows.
 	Lo, Hi, Bound int
+	// Rows is the member-row count of a partition whose membership is
+	// not the whole range [Lo, Hi) (a filtered in-memory table); 0 means
+	// dense, Hi-Lo rows.
+	Rows int
+}
+
+func (m LeafMeta) rows() int {
+	if m.Rows > 0 {
+		return m.Rows
+	}
+	return m.Hi - m.Lo
 }
 
 // LeafSource supplies leaf partitions on demand. It is how the column
 // store's lazy, budgeted buffer pool plugs into the engine: a
-// LocalDataSet built over a LeafSource (NewLocalSource) acquires a
-// partition's columns only while a scan task actually reads them, and
-// releases them as soon as the task folds, so the resident working set
-// is bounded by the thread pool width — not the dataset size.
+// LocalDataSet acquires a partition's columns only while a run of its
+// chunks actually folds, and releases them as soon as the run is done,
+// so the resident working set is bounded by the thread pool width — not
+// the dataset size.
 //
 // Contract:
 //
@@ -54,12 +65,12 @@ type LeafSource interface {
 	Acquire(i int, cols []string) (t *table.Table, release func(), err error)
 }
 
-// NewLocalSource builds a LocalDataSet whose partitions are served
-// lazily by src: scan tasks acquire only the columns the sketch
-// declares (sketch.ColumnUser), hold them only while folding, and the
-// chunked scan geometry — chunk boundaries, chunk IDs, per-chunk
-// sampling seeds — is identical to an eager NewLocal over the same
-// partition tables, so results are bit-identical between the two.
+// NewLocalSource builds a LocalDataSet whose partitions are served by
+// src: scans acquire only the columns the sketch declares
+// (sketch.ColumnUser) and hold them only while folding. The scan
+// geometry — chunk boundaries, chunk IDs, per-chunk sampling seeds, runs
+// — comes from src.Leaves() alone, so it equals NewLocal's over the same
+// partition tables and results are bit-identical between the two.
 func NewLocalSource(id string, src LeafSource, cfg Config) *LocalDataSet {
 	return &LocalDataSet{id: id, src: src, leaves: src.Leaves(), cfg: cfg}
 }

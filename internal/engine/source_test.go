@@ -3,13 +3,18 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sketch"
 	"repro/internal/table"
+	"repro/internal/testkit/seedtest"
 )
 
 // memSource serves dense in-memory tables through the LeafSource
@@ -111,7 +116,7 @@ func sourceParts(t *testing.T, n, rows int) []*table.Table {
 func TestLazySourceMatchesEager(t *testing.T) {
 	parts := sourceParts(t, 4, 3000)
 	for _, chunk := range []int{-1, 700} {
-		cfg := Config{Parallelism: 3, AggregationWindow: -1, ChunkRows: chunk, StaticAssignment: true}
+		cfg := Config{Parallelism: 3, AggregationWindow: -1, ChunkRows: chunk}
 		src := newMemSource(parts)
 		lazy := NewLocalSource("l", src, cfg)
 		eager := NewLocal("l", parts, cfg)
@@ -208,5 +213,73 @@ func TestLazySourceMap(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("derived lazy %+v != eager %+v", got, want)
+	}
+}
+
+// jitterSource perturbs scheduling: every Acquire pseudo-randomly
+// returns at once, yields, or sleeps, so which worker claims which run —
+// and in which order runs retire — differs from scan to scan.
+type jitterSource struct {
+	LeafSource
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func (s *jitterSource) Acquire(i int, cols []string) (*table.Table, func(), error) {
+	s.mu.Lock()
+	n := s.rng.IntN(6)
+	s.mu.Unlock()
+	switch {
+	case n < 2:
+		runtime.Gosched()
+	case n < 4:
+		time.Sleep(time.Duration(n) * 50 * time.Microsecond)
+	}
+	return s.LeafSource.Acquire(i, cols)
+}
+
+// TestResultIndependentOfScheduling is the determinism invariant on the
+// production configuration: Misra–Gries — whose counters depend on which
+// chunks share an accumulator and on merge order — and next-K — whose
+// accumulators hand a pruning bound to whichever run the worker claims
+// next — return the same bits, and the same completion partial, however
+// the workers interleave.
+func TestResultIndependentOfScheduling(t *testing.T) {
+	schema := table.NewSchema(table.ColumnDesc{Name: "v", Kind: table.KindInt})
+	rng := rand.New(rand.NewPCG(seedtest.Seed(t), 21))
+	parts := make([]*table.Table, 5)
+	for p := range parts {
+		b := table.NewBuilder(schema, 4000)
+		for i := 0; i < 4000; i++ {
+			v := rng.Int64N(300)
+			if rng.IntN(3) == 0 {
+				v = rng.Int64N(6) // a few heavy values over a long tail
+			}
+			b.AppendRow(table.Row{table.IntValue(v)})
+		}
+		parts[p] = b.Freeze(fmt.Sprintf("js-p%d", p))
+	}
+	src := &jitterSource{LeafSource: newMemSource(parts), rng: rand.New(rand.NewPCG(1, 2))}
+	for _, sk := range []sketch.Sketch{
+		&sketch.MisraGriesSketch{Col: "v", K: 8},
+		&sketch.NextKSketch{Order: table.Desc("v"), K: 12},
+	} {
+		var want sketch.Result
+		for run := 0; run < 50; run++ {
+			cfg := Config{Parallelism: 1 + run%5, AggregationWindow: time.Nanosecond, ChunkRows: 150}
+			var last Partial
+			got, err := NewLocalSource("js", src, cfg).Sketch(context.Background(), sk, func(p Partial) { last = p })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last.Done != len(parts) || !reflect.DeepEqual(last.Result, got) {
+				t.Fatalf("%s run %d: completion partial (done %d) differs from the result", sk.Name(), run, last.Done)
+			}
+			if run == 0 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s run %d (parallelism %d): result depends on scheduling\n got %+v\nwant %+v", sk.Name(), run, cfg.Parallelism, got, want)
+			}
+		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 //	engine.replay_retry  annotation: dataset rebuilt mid-query and retried
 //	scan.leaf            one leaf pool drain (all chunks, all workers)
 //	scan.chunk           one sampled chunk fold (1 in chunkSampleEvery)
-//	merge.tree           final pairwise merge of worker summaries
+//	merge.tree           merge chain from the last run to the tree root
 //	wire.call            one root→worker sketch RPC (note: worker addr)
 //	worker.sketch        worker-side execution (shipped back, stitched)
 //	replica.failover     annotation: range re-dispatched after a failure

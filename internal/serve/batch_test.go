@@ -40,7 +40,7 @@ func (r *dsRunner) count() int64 {
 func batchFixture(t testing.TB, k int) (*dsRunner, []sketch.Sketch, []sketch.Result) {
 	t.Helper()
 	parts, info := table.GenPartitions("bt", 11, 1200, 3)
-	ds := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: -1, ChunkRows: 256, StaticAssignment: true})
+	ds := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: -1, ChunkRows: 256})
 	sks := make([]sketch.Sketch, k)
 	want := make([]sketch.Result, k)
 	for i := range sks {
@@ -103,7 +103,7 @@ func TestBatchCoalescesDistinctQueries(t *testing.T) {
 // the final partial equal to its returned result.
 func TestBatchDemuxesPartials(t *testing.T) {
 	parts, info := table.GenPartitions("bp", 13, 1500, 3)
-	ds := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: time.Nanosecond, ChunkRows: 128, StaticAssignment: true})
+	ds := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: time.Nanosecond, ChunkRows: 128})
 	run := &dsRunner{ds: ds}
 	hist := &sketch.HistogramSketch{Col: "gd", Buckets: sketch.NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 6)}
 	rng := &sketch.RangeSketch{Col: "gi"}

@@ -199,7 +199,7 @@ func batchBenchData(b *testing.B) *engine.LocalDataSet {
 		tabs[p] = table.New(fmt.Sprintf("big-p%d", p), schema,
 			[]table.Column{table.NewDoubleColumn(vals, nil)}, table.FullMembership(n))
 	}
-	return engine.NewLocal("big", tabs, engine.Config{AggregationWindow: -1, ChunkRows: 1 << 17, StaticAssignment: true})
+	return engine.NewLocal("big", tabs, engine.Config{AggregationWindow: -1, ChunkRows: 1 << 17})
 }
 
 // batchBenchSketches builds K distinct cacheable queries (different

@@ -3,8 +3,8 @@ package sketch
 import "repro/internal/table"
 
 // This file implements the Accumulator fast path (see sketch.go) for
-// the hot sketches: histogram (exact, sampled, CDF), hist2d, range,
-// distinct, and heavy hitters. Each accumulator owns one mutable
+// the hot sketches: histogram (exact, sampled, CDF), hist2d, distinct,
+// and heavy hitters. Each accumulator owns one mutable
 // summary that many chunk scans fold into, and caches per-column scan
 // state (batch indexers, dictionary hash tables, code counters) so
 // chunked partitions — whose chunks share column storage — pay the
@@ -136,41 +136,6 @@ func (a *hist2dAccumulator) Snapshot() Result {
 
 // Result implements Accumulator.
 func (a *hist2dAccumulator) Result() Result { return a.h }
-
-// rangeAccumulator folds chunk extrema with the exact DataRange merge.
-// The per-chunk summary is O(1), so there is no mutable scan state to
-// carry; the accumulator exists so range queries ride the same engine
-// path as the other sketches.
-type rangeAccumulator struct {
-	sk  *RangeSketch
-	out *DataRange
-}
-
-// NewAccumulator implements AccumulatorSketch.
-func (s *RangeSketch) NewAccumulator() Accumulator {
-	return &rangeAccumulator{sk: s, out: s.Zero().(*DataRange)}
-}
-
-// Add implements Accumulator.
-func (a *rangeAccumulator) Add(t *table.Table) error {
-	r, err := a.sk.Summarize(t)
-	if err != nil {
-		return err
-	}
-	merged, err := a.sk.Merge(a.out, r)
-	if err != nil {
-		return err
-	}
-	a.out = merged.(*DataRange)
-	return nil
-}
-
-// Snapshot implements Accumulator. Add replaces out with a fresh value
-// rather than mutating it, so the current value is already immutable.
-func (a *rangeAccumulator) Snapshot() Result { return a.out }
-
-// Result implements Accumulator.
-func (a *rangeAccumulator) Result() Result { return a.out }
 
 // distinctAccumulator streams chunks into one mutable HLL. Register max
 // is associative and commutative, so streaming equals merging per-chunk

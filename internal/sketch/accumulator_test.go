@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/table"
@@ -32,9 +33,9 @@ func chunkViews(tbl *table.Table, n int) []*table.Table {
 }
 
 // accumulate folds the chunks through the sketch's accumulator.
-func accumulate(t *testing.T, sk AccumulatorSketch, chunks []*table.Table) Result {
+func accumulate(t *testing.T, sk Sketch, chunks []*table.Table) Result {
 	t.Helper()
-	acc := sk.NewAccumulator()
+	acc := AccumulatorOf(sk)
 	for _, c := range chunks {
 		if err := acc.Add(c); err != nil {
 			t.Fatalf("%s: Add(%s): %v", sk.Name(), c.ID(), err)
@@ -49,7 +50,7 @@ func accumulate(t *testing.T, sk AccumulatorSketch, chunks []*table.Table) Resul
 // column kinds, and missing masks.
 func TestAccumulatorMatchesSummarizeMerge(t *testing.T) {
 	for _, tc := range eqTables(4000) {
-		sketches := []AccumulatorSketch{
+		sketches := []Sketch{
 			&HistogramSketch{Col: "im", Buckets: intSpec()},
 			&HistogramSketch{Col: "sm", Buckets: stringSpec()},
 			&HistogramSketch{Col: "cs", Buckets: exactStringSpec()},
@@ -85,7 +86,7 @@ func TestAccumulatorMatchesSummarizeMerge(t *testing.T) {
 func TestAccumulatorSnapshotIsolation(t *testing.T) {
 	tc := eqTables(4000)[0]
 	chunks := chunkViews(tc.t, 4)
-	sketches := []AccumulatorSketch{
+	sketches := []Sketch{
 		&HistogramSketch{Col: "i", Buckets: intSpec()},
 		&Histogram2DSketch{XCol: "i", YCol: "d", X: intSpec(), Y: doubleSpec()},
 		&RangeSketch{Col: "d"},
@@ -93,7 +94,7 @@ func TestAccumulatorSnapshotIsolation(t *testing.T) {
 		&MisraGriesSketch{Col: "s", K: 4},
 	}
 	for _, sk := range sketches {
-		acc := sk.NewAccumulator()
+		acc := AccumulatorOf(sk)
 		if err := acc.Add(chunks[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -311,6 +312,59 @@ func TestMGAccumulatorFlushAcrossColumns(t *testing.T) {
 	for _, want := range []string{"v0", "v1"} {
 		if _, ok := hh.Counters[table.StringValue(want)]; !ok {
 			t.Errorf("heavy value %q lost across column flushes", want)
+		}
+	}
+}
+
+// shapeSketch records merge structure: its summaries are strings and
+// Merge parenthesizes its operands in order, so two folds agree only if
+// they merged the same operands in the same order in the same shape.
+type shapeSketch struct{}
+
+func (shapeSketch) Name() string { return "shape" }
+func (shapeSketch) Zero() Result { return "" }
+func (shapeSketch) Summarize(t *table.Table) (Result, error) {
+	return t.ID(), nil
+}
+func (shapeSketch) Merge(a, b Result) (Result, error) {
+	return "(" + a.(string) + " " + b.(string) + ")", nil
+}
+
+// TestTreeFoldShapeIgnoresArrivalOrder pins the contract determinism
+// rests on: whatever order the inputs arrive in, TreeFold merges the
+// same neighbors, left operand first, and its pending nodes always cover
+// exactly the inputs supplied.
+func TestTreeFoldShapeIgnoresArrivalOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	for n := 0; n <= 13; n++ {
+		in := make([]Result, n)
+		for i := range in {
+			in[i] = fmt.Sprint(i)
+		}
+		want, err := MergeTree(shapeSketch{}, in...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 5 && want != "(((0 1) (2 3)) 4)" {
+			t.Fatalf("n=5: tree shape %q", want)
+		}
+		for trial := 0; trial < 20; trial++ {
+			f := NewTreeFold(shapeSketch{}, n)
+			for k, i := range rng.Perm(n) {
+				if err := f.Put(i, in[i]); err != nil {
+					t.Fatal(err)
+				}
+				covered := 0
+				for _, p := range f.Pending() {
+					covered += len(strings.Fields(strings.NewReplacer("(", "", ")", "").Replace(p.(string))))
+				}
+				if covered != k+1 {
+					t.Fatalf("n=%d: pending nodes cover %d inputs after %d puts", n, covered, k+1)
+				}
+			}
+			if got := f.Result(); got != want {
+				t.Fatalf("n=%d: arrival order changed the tree: %q, want %q", n, got, want)
+			}
 		}
 	}
 }

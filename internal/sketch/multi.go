@@ -20,8 +20,8 @@ import (
 //
 // Bit-identity contract: for any member that does not implement
 // WholePartition, the engine's task geometry (chunk boundaries, chunk
-// table IDs, static worker assignment, merge-tree shape) is independent
-// of the sketch being run — so each member's slot of the batched result
+// table IDs, runs, merge-tree shape) is independent of the sketch being
+// run — so each member's slot of the batched result
 // is bit-for-bit the result of running that member alone under the same
 // configuration. Per-chunk sampling seeds derive from the chunk table
 // ID (PartitionSeed), which batching does not change, so sampled
@@ -180,79 +180,55 @@ func (s *MultiSketch) Columns() []string {
 }
 
 // NewAccumulator implements AccumulatorSketch: one sub-state per member
-// (the member's own accumulator where it has one, a Summarize+Merge
-// fold otherwise), all fed from the same chunk table — the batched leaf
+// (AccumulatorOf), all fed from the same chunk table — the batched leaf
 // scan pays one column acquire and one memory pass per chunk for N
 // answers.
 func (s *MultiSketch) NewAccumulator() Accumulator {
-	members := make([]memberAcc, len(s.Sketches))
+	members := make([]Accumulator, len(s.Sketches))
 	for i, m := range s.Sketches {
-		if as, ok := m.(AccumulatorSketch); ok {
-			members[i] = memberAcc{sk: m, acc: as.NewAccumulator()}
-		} else {
-			members[i] = memberAcc{sk: m, fold: m.Zero()}
-		}
+		members[i] = AccumulatorOf(m)
 	}
 	return &multiAccumulator{ms: s, members: members}
 }
 
-// memberAcc is one member's fold state inside a multiAccumulator.
-type memberAcc struct {
-	sk   Sketch
-	acc  Accumulator // non-nil when the member has a fast-path fold
-	fold Result      // Merge-fold state otherwise
-}
-
 type multiAccumulator struct {
 	ms      *MultiSketch
-	members []memberAcc
+	members []Accumulator // index-aligned with ms.Sketches
+}
+
+// Next implements Successor member-wise.
+func (a *multiAccumulator) Next() Accumulator {
+	members := make([]Accumulator, len(a.members))
+	for i, m := range a.members {
+		members[i] = AccumulatorAfter(a.ms.Sketches[i], m)
+	}
+	return &multiAccumulator{ms: a.ms, members: members}
 }
 
 func (a *multiAccumulator) Add(t *table.Table) error {
-	for i := range a.members {
+	for i, m := range a.members {
 		if a.ms.mask.Disabled(i) {
 			continue
 		}
-		m := &a.members[i]
-		if m.acc != nil {
-			if err := m.acc.Add(t); err != nil {
-				return fmt.Errorf("member %d (%s): %w", i, m.sk.Name(), err)
-			}
-			continue
+		if err := m.Add(t); err != nil {
+			return fmt.Errorf("member %d (%s): %w", i, a.ms.Sketches[i].Name(), err)
 		}
-		r, err := m.sk.Summarize(t)
-		if err != nil {
-			return fmt.Errorf("member %d (%s): %w", i, m.sk.Name(), err)
-		}
-		merged, err := m.sk.Merge(m.fold, r)
-		if err != nil {
-			return fmt.Errorf("member %d (%s): %w", i, m.sk.Name(), err)
-		}
-		m.fold = merged
 	}
 	return nil
 }
 
 func (a *multiAccumulator) Snapshot() Result {
 	members := make([]Result, len(a.members))
-	for i := range a.members {
-		if a.members[i].acc != nil {
-			members[i] = a.members[i].acc.Snapshot()
-		} else {
-			members[i] = a.members[i].fold
-		}
+	for i, m := range a.members {
+		members[i] = m.Snapshot()
 	}
 	return &MultiResult{Members: members}
 }
 
 func (a *multiAccumulator) Result() Result {
 	members := make([]Result, len(a.members))
-	for i := range a.members {
-		if a.members[i].acc != nil {
-			members[i] = a.members[i].acc.Result()
-		} else {
-			members[i] = a.members[i].fold
-		}
+	for i, m := range a.members {
+		members[i] = m.Result()
 	}
 	return &MultiResult{Members: members}
 }

@@ -165,7 +165,7 @@ func TestMultiSketchMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloAcc := rng.NewAccumulator()
+	soloAcc := AccumulatorOf(rng)
 	for _, p := range parts {
 		if err := soloAcc.Add(p); err != nil {
 			t.Fatal(err)

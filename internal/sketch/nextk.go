@@ -175,6 +175,10 @@ func (s *NextKSketch) Summarize(t *table.Table) (Result, error) {
 type nextKAccumulator struct {
 	nextKWindow
 	cand, sel, miss []uint64 // per-batch bit scratch
+	// bound is the K-th leading key of an earlier run of the scan (see
+	// Next); it prunes like this window's own K-th key would.
+	bound    table.Value
+	hasBound bool
 }
 
 // NewAccumulator implements AccumulatorSketch.
@@ -185,6 +189,26 @@ func (s *NextKSketch) NewAccumulator() Accumulator {
 		sel:         make([]uint64, kernelBatch/64),
 		miss:        make([]uint64, kernelBatch/64),
 	}
+}
+
+// kth returns the tightest key known to close the window: the K-th
+// row's once this window is full (it passed bound), else bound.
+func (a *nextKAccumulator) kth() (table.Value, bool) {
+	if k := a.sk.K; k > 0 && len(a.out.Rows) == k {
+		return a.out.Rows[k-1][0], true
+	}
+	return a.bound, a.hasBound
+}
+
+// Next implements Successor. A fresh window admits K·ln(n/K) rows
+// before its K-th key gets tight; the successor starts from this one's.
+// Rows it drops sort strictly after K distinct rows already handed to
+// the scan's merge, so they can neither reach the merged window nor tie
+// with a row in it.
+func (a *nextKAccumulator) Next() Accumulator {
+	n := &nextKAccumulator{nextKWindow: a.sk.newWindow(), cand: a.cand, sel: a.sel, miss: a.miss}
+	n.bound, n.hasBound = a.kth()
+	return n
 }
 
 // Add implements Accumulator.
@@ -236,7 +260,7 @@ func (a *nextKAccumulator) prune(lead table.Column, start, end int, rows []int32
 	if !s.Order[0].Ascending {
 		notAfter, before = table.CmpGE, table.CmpGT
 	}
-	if s.K > 0 && len(out.Rows) == s.K && a.leadSelect(lead, notAfter, out.Rows[s.K-1][0], start, end, rows) {
+	if key, ok := a.kth(); ok && a.leadSelect(lead, notAfter, key, start, end, rows) {
 		for w := range cand {
 			cand[w] &= a.sel[w]
 		}

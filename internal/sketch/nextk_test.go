@@ -231,22 +231,30 @@ func nextKCases(parts []*table.Table, info table.GenInfo) []*NextKSketch {
 	return cases
 }
 
-// foldAccumulators deals chunks round-robin to p accumulators — the
-// engine's static assignment — and combines them with the merge tree.
-func foldAccumulators(t *testing.T, sk AccumulatorSketch, chunks []*table.Table, p int) Result {
+// foldAccumulators deals chunks round-robin to p workers and combines
+// their results with the merge tree. With chain set a worker retires its
+// accumulator after every chunk and folds the next chunk into the
+// successor (AccumulatorAfter), as the engine's workers do between runs.
+func foldAccumulators(t *testing.T, sk AccumulatorSketch, chunks []*table.Table, p int, chain bool) Result {
 	t.Helper()
 	accs := make([]Accumulator, p)
-	for i := range accs {
-		accs[i] = sk.NewAccumulator()
-	}
+	var results []Result
 	for i, c := range chunks {
-		if err := accs[i%p].Add(c); err != nil {
+		w := i % p
+		if accs[w] != nil && chain {
+			results = append(results, accs[w].Result())
+		}
+		if accs[w] == nil || chain {
+			accs[w] = AccumulatorAfter(sk, accs[w])
+		}
+		if err := accs[w].Add(c); err != nil {
 			t.Fatalf("%s: Add(%s): %v", sk.Name(), c.ID(), err)
 		}
 	}
-	results := make([]Result, p)
-	for i, a := range accs {
-		results[i] = a.Result()
+	for _, a := range accs {
+		if a != nil {
+			results = append(results, a.Result())
+		}
 	}
 	out, err := MergeTree(sk, results...)
 	if err != nil {
@@ -285,10 +293,12 @@ func TestNextKAccumulatorMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for p := 1; p <= 3; p++ {
-					got := foldAccumulators(t, sk, chunks, p)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s chunks=%d workers=%d: accumulator differs from Summarize+Merge\n got %+v\nwant %+v",
-							tc.name, sk.Name(), nChunks, p, got, want)
+					for _, chain := range []bool{false, true} {
+						got := foldAccumulators(t, sk, chunks, p, chain)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s/%s chunks=%d workers=%d chain=%v: accumulator differs from Summarize+Merge\n got %+v\nwant %+v",
+								tc.name, sk.Name(), nChunks, p, chain, got, want)
+						}
 					}
 				}
 			}
@@ -315,8 +325,10 @@ func TestNextKAccumulatorDuplicateHeavy(t *testing.T) {
 				t.Fatal(err)
 			}
 			for p := 1; p <= 3; p++ {
-				if got := foldAccumulators(t, sk, chunks, p); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s workers=%d: accumulator differs\n got %+v\nwant %+v", tc.name, sk.Name(), p, got, want)
+				for _, chain := range []bool{false, true} {
+					if got := foldAccumulators(t, sk, chunks, p, chain); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s workers=%d chain=%v: accumulator differs\n got %+v\nwant %+v", tc.name, sk.Name(), p, chain, got, want)
+					}
 				}
 			}
 		}
@@ -338,6 +350,20 @@ func TestNextKAccumulatorPrunes(t *testing.T) {
 	// The reference path allocates one Row per member row.
 	if allocs > 20000 {
 		t.Errorf("pruned scan made %.0f allocations over 200000 rows; pruning is not taking effect", allocs)
+	}
+	// A successor inherits the K-th key, so over the same rows it skips
+	// the K·ln(n/K) admissions a cold window pays to find it.
+	addTo := func(mk func() Accumulator) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := mk().Add(tbl); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	cold := addTo(sk.NewAccumulator)
+	warm := addTo(func() Accumulator { return AccumulatorAfter(sk, acc) })
+	if warm > cold/2 {
+		t.Errorf("successor made %.0f allocations, cold accumulator %.0f; the inherited bound is not pruning", warm, cold)
 	}
 }
 

@@ -10,8 +10,11 @@
 // dataset size. The engine (internal/engine) runs Summarize on every
 // partition in parallel and folds results up an execution tree with
 // Merge; because Merge is associative and commutative with Zero as
-// identity, partial results can be propagated in any order, which is
-// what enables progressive visualization (paper §5.3).
+// identity — exactly for most sketches, within the error contract for
+// Misra–Gries and float folds — partial results can be propagated in
+// any order, which is what enables progressive visualization (paper
+// §5.3). Final results are additionally bit-reproducible because the
+// engine fixes the merge shape and operand order (see TreeFold).
 //
 // Randomized sketches take an explicit Seed and derive per-partition
 // seeds from the partition's table ID, so re-running a sketch on the
@@ -35,9 +38,9 @@
 //
 // # Accumulators
 //
-// The hot sketches additionally implement AccumulatorSketch: a leaf
-// worker folds many chunks into one reusable mutable state (Add)
-// instead of allocating a Result per chunk and paying Merge each time,
+// The hot sketches additionally implement AccumulatorSketch: the engine
+// folds a run of chunks into one mutable state (Add) instead of
+// allocating a Result per chunk and paying Merge each time,
 // snapshots it for progressive partials (Snapshot), and surrenders it
 // at the end (Result). Per-column scan state — batch indexers,
 // dictionary hash tables, the code-keyed Misra–Gries counters — is
@@ -45,12 +48,14 @@
 // accumulated summary equals Summarize+Merge exactly; Misra–Gries may
 // differ within its error bound, exactly as merge orders may.
 //
-// Accumulator sketches: histogram (exact, sampled, CDF), hist2d, range,
+// Accumulator sketches: histogram (exact, sampled, CDF), hist2d,
 // distinct count, heavy hitters (Misra–Gries), the MultiSketch
 // composite, and next-K — whose accumulator is not a cheaper fold of
 // the same work but a pruned scan: a typed compare of the leading order
 // column against the window's K-th key rejects almost every row before
-// it is boxed (nextk.go).
+// it is boxed (nextk.go), and whose K-th key carries over to the
+// worker's next run (Successor). Every other sketch folds through the
+// Summarize+Merge adapter (AccumulatorOf).
 package sketch
 
 import "repro/internal/table"
@@ -92,23 +97,23 @@ type Sketch interface {
 	Merge(a, b Result) (Result, error)
 }
 
-// Accumulator is a reusable mutable fold state for one leaf worker: the
-// worker feeds it many partitions or chunks with Add instead of
-// allocating a fresh Result per chunk and paying Merge each time. For
+// Accumulator is a mutable fold state for one run of chunks: the engine
+// feeds it the run's chunks in order with Add instead of allocating a
+// fresh Result per chunk and paying Merge each time. For
 // deterministic sketches the accumulated summary must be exactly the
 // summary Summarize+Merge would produce over the same chunks;
 // approximation sketches (Misra–Gries) may differ within their error
 // bound, exactly as different merge orders may.
 //
 // Accumulators are not safe for concurrent use; the engine gives each
-// worker its own and serializes Add/Snapshot with a per-worker lock.
+// run its own and never snapshots one while a chunk is being added.
 type Accumulator interface {
 	// Add folds the member rows of one partition or chunk into the
 	// accumulator.
 	Add(t *table.Table) error
 	// Snapshot returns an immutable Result reflecting every Add so far;
-	// the accumulator remains usable. The engine merges snapshots from
-	// all workers into each progressive partial result.
+	// the accumulator remains usable. The engine merges snapshots of the
+	// runs in progress into each progressive partial result.
 	Snapshot() Result
 	// Result returns the final accumulated summary. It may share the
 	// accumulator's internal state: the accumulator must not be used
@@ -209,29 +214,141 @@ func Extend(sk Sketch, running Result, t *table.Table) (Result, error) {
 	return sk.Merge(running, s)
 }
 
-// MergeTree folds a list of results with a pairwise merge tree:
-// neighbors merge level by level until one summary remains. Because
-// Merge is associative and commutative this equals the sequential fold;
-// the engine uses it to combine per-worker accumulator results, and for
-// n inputs it needs only ⌈log₂ n⌉ dependent merges.
-func MergeTree(sk Sketch, results ...Result) (Result, error) {
-	if len(results) == 0 {
-		return sk.Zero(), nil
+// Successor is an optional Accumulator extension for scan state worth
+// more than one run — a pruning bound, say. The engine gives a worker's
+// next run the successor of the accumulator it just retired. It starts
+// from the empty summary and may use what the receiver learned only to
+// skip work: the scan's merged result must not change by a bit,
+// whichever runs happen to follow one another.
+type Successor interface {
+	Next() Accumulator
+}
+
+// AccumulatorAfter returns the fold state for the run a worker folds
+// after retiring prev (nil for its first): prev's successor if it has
+// one, else AccumulatorOf(sk).
+func AccumulatorAfter(sk Sketch, prev Accumulator) Accumulator {
+	if s, ok := prev.(Successor); ok {
+		return s.Next()
 	}
-	work := append([]Result(nil), results...)
-	for len(work) > 1 {
-		next := work[:0]
-		for i := 0; i+1 < len(work); i += 2 {
-			m, err := sk.Merge(work[i], work[i+1])
-			if err != nil {
-				return nil, err
+	return AccumulatorOf(sk)
+}
+
+// AccumulatorOf returns sk's fold state for one run of chunks: its native
+// accumulator when sk is an AccumulatorSketch, otherwise an adapter that
+// folds Summarize results into a running Merge from Zero.
+func AccumulatorOf(sk Sketch) Accumulator {
+	if as, ok := sk.(AccumulatorSketch); ok {
+		return as.NewAccumulator()
+	}
+	return &foldAccumulator{sk: sk, r: sk.Zero()}
+}
+
+// foldAccumulator is the Summarize+Merge reference fold behind the
+// Accumulator interface. Merge never mutates its arguments, so the
+// running result is already an immutable snapshot.
+type foldAccumulator struct {
+	sk Sketch
+	r  Result
+}
+
+func (a *foldAccumulator) Add(t *table.Table) error {
+	r, err := Extend(a.sk, a.r, t)
+	if err != nil {
+		return err
+	}
+	a.r = r
+	return nil
+}
+
+func (a *foldAccumulator) Snapshot() Result { return a.r }
+func (a *foldAccumulator) Result() Result   { return a.r }
+
+// TreeFold combines n indexed results with a fixed pairwise merge tree:
+// at every level neighbors (2j, 2j+1) merge, left operand first, and an
+// odd last node moves up unmerged. The shape is a pure function of n and
+// every Merge takes its operands in index order, so the root's bits
+// depend on the inputs and their indices only — not on arrival order.
+// That, not associativity, is what result determinism rests on: Merge is
+// associative only up to the sketch's error contract (Misra–Gries
+// counters and float sums differ bit-for-bit between merge orders).
+//
+// A node merges as soon as both children are final, so the summaries
+// held at once are bounded by the subtrees in progress, not by n. Not
+// safe for concurrent use.
+type TreeFold struct {
+	sk     Sketch
+	levels [][]Result // levels[l][j]: final but not yet merged upward, else nil
+}
+
+// NewTreeFold returns the merge tree for n inputs.
+func NewTreeFold(sk Sketch, n int) *TreeFold {
+	f := &TreeFold{sk: sk}
+	for ; n > 1; n = (n + 1) / 2 {
+		f.levels = append(f.levels, make([]Result, n))
+	}
+	f.levels = append(f.levels, make([]Result, 1))
+	return f
+}
+
+// Put supplies input i; each index must be supplied exactly once.
+func (f *TreeFold) Put(i int, r Result) error {
+	for _, row := range f.levels {
+		if sib := i ^ 1; sib < len(row) {
+			other := row[sib]
+			if other == nil {
+				row[i] = r
+				return nil
 			}
-			next = append(next, m)
+			row[sib] = nil
+			if sib < i {
+				r, other = other, r
+			}
+			m, err := f.sk.Merge(r, other)
+			if err != nil {
+				return err
+			}
+			r = m
 		}
-		if len(work)%2 == 1 {
-			next = append(next, work[len(work)-1])
-		}
-		work = next
+		i /= 2
 	}
-	return work[0], nil
+	f.levels[len(f.levels)-1][0] = r
+	return nil
+}
+
+// Pending returns the final-but-unmerged nodes, lowest level first;
+// together they cover exactly the inputs supplied so far. The engine
+// folds them into progressive partials.
+func (f *TreeFold) Pending() []Result {
+	var out []Result
+	for _, row := range f.levels {
+		for _, r := range row {
+			if r != nil {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// Result returns the root once every input has been supplied (Zero for a
+// tree of no inputs).
+func (f *TreeFold) Result() Result {
+	if r := f.levels[len(f.levels)-1][0]; r != nil {
+		return r
+	}
+	return f.sk.Zero()
+}
+
+// MergeTree folds results through the TreeFold of len(results) inputs,
+// supplied in index order; for n inputs it needs ⌈log₂ n⌉ dependent
+// merges.
+func MergeTree(sk Sketch, results ...Result) (Result, error) {
+	f := NewTreeFold(sk, len(results))
+	for i, r := range results {
+		if err := f.Put(i, r); err != nil {
+			return nil, err
+		}
+	}
+	return f.Result(), nil
 }

@@ -32,7 +32,6 @@ func RunBatched(seed uint64) error {
 		Parallelism:       3,
 		AggregationWindow: -1,
 		ChunkRows:         p.chunk,
-		StaticAssignment:  true,
 	}
 	local := engine.NewLocal(datasetID, tables, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

@@ -34,7 +34,6 @@ func RunFaults(seed uint64) error {
 		Parallelism:       2,
 		AggregationWindow: time.Millisecond,
 		ChunkRows:         200,
-		StaticAssignment:  true,
 	}
 	src := genSource(prefix, seed, rows, parts, 2)
 

@@ -101,7 +101,6 @@ func runIngestPrefixIdentity(seed uint64) error {
 		Parallelism:       3,
 		AggregationWindow: -1,
 		ChunkRows:         p.chunk,
-		StaticAssignment:  true,
 	}
 
 	// The serving stack: store -> root (loader + generation) ->
@@ -353,7 +352,7 @@ func checkIngestRecovery(img *ingest.MemFS, dir string, k int, ackOps []int,
 	if err != nil {
 		return err
 	}
-	cfg := engine.Config{Parallelism: 2, AggregationWindow: -1, StaticAssignment: true}
+	cfg := engine.Config{Parallelism: 2, AggregationWindow: -1}
 	ds := engine.NewLocal(datasetID, loaded, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), runTimeout)
 	defer cancel()

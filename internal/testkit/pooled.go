@@ -46,7 +46,6 @@ func RunPooled(seed uint64) error {
 		Parallelism:       3,
 		AggregationWindow: -1,
 		ChunkRows:         p.chunk,
-		StaticAssignment:  true,
 	}
 
 	dir, err := os.MkdirTemp("", "hvpool")
@@ -144,6 +143,13 @@ func RunPooled(seed uint64) error {
 					sk.Name(), pooledRes, again)
 			}
 		}
+	}
+
+	err = checkThreadInvariance(ctx, seed, info, p.rows/p.parts, func(cfg engine.Config) *engine.LocalDataSet {
+		return engine.NewLocalSource(datasetID, src, cfg)
+	})
+	if err != nil {
+		return fmt.Errorf("pooled topology: %w", err)
 	}
 
 	s := pool.Stats()

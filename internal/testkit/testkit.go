@@ -12,9 +12,10 @@
 //  1. reference — Summarize per partition, sequential MergeAll fold:
 //     the semantics a vizketch author writes down;
 //  2. parallel engine — engine.LocalDataSet with chunked leaf tasks,
-//     per-worker accumulators, and the pairwise merge tree, pinned by
-//     Config.StaticAssignment so the run is exactly reproducible (it
-//     also runs twice and must be bit-identical to itself);
+//     per-run accumulators, and the pairwise merge tree, on the
+//     production engine.Config; it runs again at pool widths 1, 2, 3
+//     and 8 (checkThreadInvariance; RunPooled repeats that over the
+//     column store) and must be bit-identical to itself every time;
 //  3. cluster — the same partitions regenerated on real worker
 //     processes behind TCP (the "testgen" scheme), queried through
 //     engine.Root over cluster.Connect.
@@ -183,7 +184,6 @@ func Run(seed uint64) error {
 		Parallelism:       3,
 		AggregationWindow: -1,
 		ChunkRows:         chunk,
-		StaticAssignment:  true,
 	}
 	local := engine.NewLocal(datasetID, tables, cfg)
 
@@ -207,6 +207,39 @@ func Run(seed uint64) error {
 	if err := checkPartialStream(ctx, seed, tables, info, chunk); err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
+	err = checkThreadInvariance(ctx, seed, info, rows/parts, func(cfg engine.Config) *engine.LocalDataSet {
+		return engine.NewLocal(datasetID, tables, cfg)
+	})
+	if err != nil {
+		return fmt.Errorf("seed %d: %w", seed, err)
+	}
+	return nil
+}
+
+// checkThreadInvariance asserts that a result is a function of (data,
+// sketch, ChunkRows) only: every harness sketch must return identical
+// bits at every pool width, on a geometry whose partitions (about rows
+// rows each) split into several runs of chunks. Run applies it to the
+// in-memory dataset form, RunPooled to the column-store one.
+func checkThreadInvariance(ctx context.Context, seed uint64, info table.GenInfo, rows int,
+	open func(engine.Config) *engine.LocalDataSet) error {
+	cfg := engine.Config{AggregationWindow: -1, ChunkRows: rows/11 + 1}
+	for _, sk := range instances(seed, info) {
+		var want sketch.Result
+		for _, par := range []int{1, 2, 3, 8} {
+			cfg.Parallelism = par
+			got, err := open(cfg).Sketch(ctx, sk, nil)
+			if err != nil {
+				return fmt.Errorf("%s: parallelism %d: %w", sk.Name(), par, err)
+			}
+			if par == 1 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("%s: parallelism %d differs from parallelism 1\n got %+v\nwant %+v",
+					sk.Name(), par, got, want)
+			}
+		}
+	}
 	return nil
 }
 
@@ -224,16 +257,6 @@ func runOne(ctx context.Context, sk sketch.Sketch, tables []*table.Table, local 
 	eng, err := local.Sketch(ctx, sk, nil)
 	if err != nil {
 		return fmt.Errorf("parallel engine: %w", err)
-	}
-	// Static assignment makes the parallel topology a pure function of
-	// the configuration: a second run must be bit-identical, even for
-	// merge-order-sensitive sketches.
-	eng2, err := local.Sketch(ctx, sk, nil)
-	if err != nil {
-		return fmt.Errorf("parallel engine rerun: %w", err)
-	}
-	if !reflect.DeepEqual(eng, eng2) {
-		return fmt.Errorf("parallel engine not deterministic under static assignment:\n first %+v\nsecond %+v", eng, eng2)
 	}
 	clu, err := root.RunSketch(ctx, datasetID, sk, nil)
 	if err != nil {
@@ -308,7 +331,6 @@ func checkPartialStream(ctx context.Context, seed uint64, tables []*table.Table,
 		Parallelism:       3,
 		AggregationWindow: 1, // emit at every window boundary
 		ChunkRows:         chunk/2 + 1,
-		StaticAssignment:  true,
 	}
 	ds := engine.NewLocal(datasetID, tables, cfg)
 	sk := &sketch.HistogramSketch{
