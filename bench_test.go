@@ -605,6 +605,61 @@ func BenchmarkKernelNextK(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelHistCrossover is where sketch.HistogramExactAboveRate is
+// read off: the exact histogram kernel and the sampled one run alternately
+// over the same 1M-row column at sampling rates 1/64 … 1, and the rate at
+// which the sampled scan stops being the cheaper one is reported as
+// crossover_rate (0 when it never is; its cost is linear in the rate, so
+// the crossing is interpolated linearly between the bracketing rates).
+func BenchmarkKernelHistCrossover(b *testing.B) {
+	const rows = 1000000
+	plain, missing := kernelTable("khx", rows, false), kernelTable("khx-m", rows, true)
+	rates := []float64{1.0 / 64, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1}
+	for _, tc := range []struct {
+		name string
+		t    *table.Table
+		col  string
+		spec sketch.BucketSpec
+	}{
+		{"int", plain, "i", sketch.NumericBuckets(table.KindInt, 0, 1000000, 50)},
+		{"double-missing", missing, "d", sketch.NumericBuckets(table.KindDouble, 0, 3000, 50)},
+		{"dictionary", plain, "s", sketch.StringBucketsFromBounds([]string{"val-00", "val-16", "val-32", "val-48"}, false)},
+		{"int-bitmap", plain.Filter("khx-f", func(row int) bool { return row%3 != 0 }), "i", sketch.NumericBuckets(table.KindInt, 0, 1000000, 50)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			scan := func(sk sketch.Sketch) time.Duration {
+				start := time.Now()
+				if _, err := sk.Summarize(tc.t); err != nil {
+					b.Fatal(err)
+				}
+				return time.Since(start)
+			}
+			var exactT time.Duration
+			sampledT := make([]time.Duration, len(rates))
+			for i := 0; i < b.N; i++ {
+				for r, rate := range rates {
+					exactT += scan(&sketch.HistogramSketch{Col: tc.col, Buckets: tc.spec})
+					sampledT[r] += scan(&sketch.SampledHistogramSketch{Col: tc.col, Buckets: tc.spec, Rate: rate, Seed: uint64(i + 1)})
+				}
+			}
+			// The exact side ran once per rate; compare per-scan means.
+			exactScan := exactT.Seconds() / float64(len(rates)*b.N)
+			cross, prevRate, prevGap := 0.0, 0.0, -exactScan
+			for r, rate := range rates {
+				scan := sampledT[r].Seconds() / float64(b.N)
+				b.ReportMetric(scan*1e3, fmt.Sprintf("sampled_ms@%g", rate))
+				gap := scan - exactScan
+				if cross == 0 && gap >= 0 {
+					cross = prevRate + (rate-prevRate)*(-prevGap)/(gap-prevGap)
+				}
+				prevRate, prevGap = rate, gap
+			}
+			b.ReportMetric(exactScan*1e3, "exact_ms")
+			b.ReportMetric(cross, "crossover_rate")
+		})
+	}
+}
+
 // BenchmarkFig11Case replays the case-study scripts (Figure 11 machine
 // time).
 func BenchmarkFig11Case(b *testing.B) {

@@ -20,6 +20,11 @@
 //	/api/status                                       cache, pool, wire, cluster + scheduler stats
 //	/api/svg/histogram?view=fl&col=DepDelay           rendered SVG
 //
+// Without exact=1 a histogram samples at a display-derived rate, or
+// scans every row where that is cheaper (sketch.HistogramRate); the
+// response's "rate" says which ran. exact=1 answers — bars and CDF alike
+// — are cached, so repeating the request costs no scan.
+//
 // # Overload safety
 //
 // Every query runs through the serving-layer scheduler (internal/serve)
@@ -43,9 +48,10 @@
 // geometry, per-chunk sampling seeds, and merge order. A dashboard
 // opening eight charts over one table costs one scan, not eight.
 // Abandoning one batched query masks its member out of the remaining
-// scan without disturbing the others. /api/status reports the batching
-// telemetry: batches_formed, batch_members (total members across
-// batches), and scans_saved (members minus batches).
+// scan without disturbing the others; every member that finished is
+// cached under its own key, as if it had run alone. /api/status reports
+// the batching telemetry: batches_formed, batch_members (total members
+// across batches), and scans_saved (members minus batches).
 //
 // The error contract handlers return:
 //

@@ -52,6 +52,13 @@
 // row-at-a-time path. BenchmarkKernelFilter and BenchmarkKernelNextK in
 // bench_test.go time both paths interleaved.
 //
+// A default histogram or CDF samples only where that is the cheaper scan
+// (sketch.HistogramExactAboveRate holds the measured crossover and the
+// reason). When distinct queries share one leaf pass (sketch.MultiSketch
+// behind the scheduler's batching window), the engine root stores each
+// member's result in the computation cache under the member's own key
+// once the pass finishes.
+//
 // Leaf column data is evictable soft state served by a memory-mapped
 // column store (internal/colstore; paper §3.5, §5.5, §5.7): the HVC2
 // file layout stores fixed-width payloads raw, little-endian, and

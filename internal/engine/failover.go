@@ -192,7 +192,7 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 				latest[g] = p.Result
 				dones[g] = p.Done
 			}
-			if th.allow(false) {
+			if th.allow() {
 				if merged, done, err := remerge(); err == nil {
 					onPartial(Partial{Result: merged, Done: done, Total: total})
 				}

@@ -248,7 +248,7 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 		return parts, done, true
 	}
 	maybeEmit := func() {
-		if onPartial == nil || !th.allow(false) || !emitMu.TryLock() {
+		if onPartial == nil || !th.allow() || !emitMu.TryLock() {
 			return
 		}
 		defer emitMu.Unlock()
@@ -476,8 +476,8 @@ func emit(f PartialFunc, p Partial) {
 	}
 }
 
-// throttle rate-limits partial emission to one per window; the final
-// update always passes (paper §5.3's 0.1 s batching).
+// throttle rate-limits partial emission to one per window (paper §5.3's
+// 0.1 s batching). Completion updates do not go through it.
 type throttle struct {
 	mu       sync.Mutex
 	last     time.Time
@@ -489,10 +489,7 @@ func newThrottle(window time.Duration) *throttle {
 	return &throttle{window: window, disabled: window < 0}
 }
 
-func (t *throttle) allow(final bool) bool {
-	if final {
-		return true
-	}
+func (t *throttle) allow() bool {
 	if t.disabled {
 		return false
 	}

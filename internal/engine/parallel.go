@@ -98,7 +98,7 @@ func (d *ParallelDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartia
 					defer mu.Unlock()
 					latest[i] = p.Result
 					dones[i] = p.Done
-					if th.allow(false) {
+					if th.allow() {
 						if merged, done, err := remerge(); err == nil {
 							onPartial(Partial{Result: merged, Done: done, Total: total})
 						}

@@ -307,8 +307,37 @@ func (r *Root) RunSketch(ctx context.Context, datasetID string, sk sketch.Sketch
 	// A generation advance mid-query may have replayed the dataset
 	// against a newer live set than the key says; cache only when the
 	// generation the key names is still current.
-	if cacheable && r.DatasetGeneration(datasetID) == gen {
-		r.cache.Put(key, res)
+	if r.DatasetGeneration(datasetID) == gen {
+		if cacheable {
+			r.cache.Put(key, res)
+		}
+		r.publishMembers(datasetID, gen, sk, res)
 	}
 	return res, nil
+}
+
+// publishMembers is the cache put of a scan-sharing pass: a MultiSketch
+// is not cacheable itself (its member set is an accident of arrival
+// timing), but each member's slot of the result is bit-for-bit what that
+// member returns alone, so it goes in under the key the member would
+// have had alone and the next repeat of any of them is a hit. A member
+// disabled in the pass's MemberMask stopped folding chunks when it was
+// abandoned; its slot is a partial sum and is never published.
+func (r *Root) publishMembers(datasetID string, gen uint64, sk sketch.Sketch, res sketch.Result) {
+	multi, ok := sk.(*sketch.MultiSketch)
+	if !ok {
+		return
+	}
+	mr, ok := res.(*sketch.MultiResult)
+	if !ok || len(mr.Members) != len(multi.Sketches) {
+		return
+	}
+	for i, m := range multi.Sketches {
+		if multi.Disabled(i) {
+			continue
+		}
+		if key, cacheable := KeyAt(datasetID, gen, m); cacheable {
+			r.cache.Put(key, mr.Members[i])
+		}
+	}
 }

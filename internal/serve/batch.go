@@ -19,13 +19,10 @@ import (
 // chunk. Each member's partials and final result are demuxed out of the
 // composite, so a subscriber cannot tell (by the bits it receives)
 // whether its query ran solo or batched: the batch shares the solo
-// path's chunk geometry, per-chunk sampling seeds, and merge order.
-//
-// Tradeoff: MultiSketch is deliberately not Cacheable, so batched
-// members bypass the root's computation cache. Batching targets the
-// concurrent-dashboard load where every query is fresh; a recurring
-// single query still takes the solo path's cache when the window is
-// off, and the cache's keys stay per-member either way.
+// path's chunk geometry, per-chunk sampling seeds, and merge order. Nor
+// can the cache: when the pass finishes the engine root stores each
+// member's result under the member's own key (masked members excepted),
+// so a repeat of any of them is a hit whichever way it first ran.
 
 // pendingBatch collects flights on one dataset while its window is
 // open. Guarded by Scheduler.mu.

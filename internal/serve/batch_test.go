@@ -447,3 +447,172 @@ func TestCacheHitSkipsBatchWindow(t *testing.T) {
 		t.Errorf("one uncached query counted %d misses, want 1", misses-misses0)
 	}
 }
+
+// gatedDataSet holds every Sketch call at a gate (when one is armed), so
+// a test can act between the engine root reading the dataset's
+// generation and the scan that follows.
+type gatedDataSet struct {
+	engine.IDataSet
+	entered chan struct{} // one token per Sketch call, never blocks
+	gate    chan struct{} // nil: pass straight through
+}
+
+func (g *gatedDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	if g.gate != nil {
+		<-g.gate
+	}
+	return g.IDataSet.Sketch(ctx, sk, onPartial)
+}
+
+// publishFixture is an engine root over one gated in-memory dataset "d",
+// three distinct cacheable sketches, and their solo results.
+func publishFixture(t *testing.T, gated bool) (*engine.Root, *gatedDataSet, []sketch.Sketch, []sketch.Result) {
+	t.Helper()
+	parts, info := table.GenPartitions("pb", 17, 1500, 3)
+	local := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: -1, ChunkRows: 256})
+	ds := &gatedDataSet{IDataSet: local, entered: make(chan struct{}, 8)}
+	if gated {
+		ds.gate = make(chan struct{})
+	}
+	root := engine.NewRoot(func(string, string) (engine.IDataSet, error) { return ds, nil })
+	if _, err := root.Load("d", "mem"); err != nil {
+		t.Fatal(err)
+	}
+	sks := []sketch.Sketch{
+		&sketch.HistogramSketch{Col: "gd", Buckets: sketch.NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 7)},
+		&sketch.RangeSketch{Col: "gi"},
+		&sketch.MisraGriesSketch{Col: "gs", K: 6},
+	}
+	want := make([]sketch.Result, len(sks))
+	for i, sk := range sks {
+		var err error
+		if want[i], err = local.Sketch(context.Background(), sk, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root, ds, sks, want
+}
+
+// runAll submits every sketch concurrently — member 0 under ctx0, the
+// rest under the background context — and returns the slots the results
+// land in; wait on wg before reading them.
+func runAll(s *Scheduler, ctx0 context.Context, sks []sketch.Sketch) (got []sketch.Result, errs []error, wg *sync.WaitGroup) {
+	got, errs, wg = make([]sketch.Result, len(sks)), make([]error, len(sks)), &sync.WaitGroup{}
+	for i := range sks {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx := context.Background()
+			if i == 0 {
+				ctx = ctx0
+			}
+			got[i], errs[i] = s.RunSketch(ctx, "d", sks[i], nil)
+		}(i)
+	}
+	return got, errs, wg
+}
+
+// TestBatchPublishesMembers: distinct cacheable queries that shared one
+// pass are each in the computation cache afterwards, under their own
+// keys, holding the bits of a solo run — so every one of them repeats as
+// a hit with no new execution.
+func TestBatchPublishesMembers(t *testing.T) {
+	root, _, sks, want := publishFixture(t, false)
+	s := New(root, Config{MaxInFlight: 4, Deadline: -1, BatchWindow: 50 * time.Millisecond})
+	got, errs, wg := runAll(s, context.Background(), sks)
+	wg.Wait()
+	for i := range sks {
+		if errs[i] != nil {
+			t.Fatalf("member %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("member %d (%s): batched result differs from solo run", i, sks[i].Name())
+		}
+	}
+	if st := s.Stats(); st.Execs != 1 || st.BatchesFormed != 1 || st.BatchMembers != int64(len(sks)) {
+		t.Fatalf("first sight: %d execs, %d batches of %d members; want one pass for all %d", st.Execs, st.BatchesFormed, st.BatchMembers, len(sks))
+	}
+	hits0, misses0 := root.Cache().Stats()
+	for i, sk := range sks {
+		again, err := s.RunSketch(context.Background(), "d", sk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, want[i]) {
+			t.Errorf("member %d (%s): cached repeat differs from solo run", i, sk.Name())
+		}
+	}
+	hits1, misses1 := root.Cache().Stats()
+	if hits1-hits0 != int64(len(sks)) || misses1 != misses0 {
+		t.Errorf("repeats: %d hits, %d misses, want %d and 0", hits1-hits0, misses1-misses0, len(sks))
+	}
+	if st := s.Stats(); st.Execs != 1 {
+		t.Errorf("repeats executed %d more times", st.Execs-1)
+	}
+}
+
+// TestBatchMaskedMemberNotPublished: a member abandoned while the pass
+// runs is masked out of the remaining chunks, so its slot is a partial
+// sum — it must not reach the cache, while its siblings do.
+func TestBatchMaskedMemberNotPublished(t *testing.T) {
+	root, ds, sks, want := publishFixture(t, true)
+	s := New(root, Config{MaxInFlight: 4, Deadline: -1, BatchWindow: 50 * time.Millisecond})
+	ctx0, cancel0 := context.WithCancel(context.Background())
+	defer cancel0()
+	got, errs, wg := runAll(s, ctx0, sks)
+	<-ds.entered // the pass is inside the root, past its generation read
+	cancel0()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		n := len(s.flights)
+		s.mu.Unlock()
+		if n == len(sks)-1 {
+			break // member 0 detached: its mask bit is set
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cancelled member never detached")
+		}
+	}
+	close(ds.gate)
+	wg.Wait()
+	if !errors.Is(errs[0], context.Canceled) {
+		t.Errorf("abandoned member err = %v, want context.Canceled", errs[0])
+	}
+	if _, ok := root.Cached(context.Background(), "d", sks[0], nil); ok {
+		t.Error("masked member's partial fold was published to the cache")
+	}
+	for i := 1; i < len(sks); i++ {
+		if errs[i] != nil || !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("surviving member %d: err %v, result equal to solo: %v", i, errs[i], reflect.DeepEqual(got[i], want[i]))
+		}
+		if res, ok := root.Cached(context.Background(), "d", sks[i], nil); !ok || !reflect.DeepEqual(res, want[i]) {
+			t.Errorf("surviving member %d (%s) not published (cached=%v)", i, sks[i].Name(), ok)
+		}
+	}
+}
+
+// TestBatchPublishIsGenerationGuarded: when the dataset's generation
+// moves while a shared pass is running, its members computed against a
+// live set the keys no longer name — nothing is published, exactly as a
+// solo run skips its put.
+func TestBatchPublishIsGenerationGuarded(t *testing.T) {
+	root, ds, sks, want := publishFixture(t, true)
+	s := New(root, Config{MaxInFlight: 4, Deadline: -1, BatchWindow: 50 * time.Millisecond})
+	got, errs, wg := runAll(s, context.Background(), sks)
+	<-ds.entered
+	root.Advance("d") // an ingest seal lands mid-pass
+	close(ds.gate)
+	wg.Wait()
+	for i := range sks {
+		if errs[i] != nil || !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("member %d: err %v, result equal to solo: %v", i, errs[i], reflect.DeepEqual(got[i], want[i]))
+		}
+	}
+	if n := root.Cache().Len(); n != 0 {
+		t.Errorf("%d results published across a generation bump, want 0", n)
+	}
+}

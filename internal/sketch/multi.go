@@ -30,8 +30,9 @@ import (
 //
 // MultiSketch is deliberately not Cacheable: the member set of a batch
 // is an accident of arrival timing, so a combined cache entry would
-// almost never be hit again — members are cached (and deduplicated)
-// individually by the layers that own them.
+// almost never be hit again — members are deduplicated individually by
+// the serving layer, and cached individually by the engine root once the
+// shared pass finishes (engine.Root.RunSketch).
 type MultiSketch struct {
 	Sketches []Sketch
 
@@ -99,6 +100,11 @@ func (m *MemberMask) Disabled(i int) bool {
 // SetMask installs the (local-only) member skip mask; see the mask
 // field's comment for its semantics.
 func (s *MultiSketch) SetMask(m *MemberMask) { s.mask = m }
+
+// Disabled reports whether member i has been disabled in the installed
+// mask. Disabling is permanent, so once the run is over a false answer
+// means the member folded every chunk.
+func (s *MultiSketch) Disabled(i int) bool { return s.mask.Disabled(i) }
 
 // Name implements Sketch.
 func (s *MultiSketch) Name() string {

@@ -13,6 +13,18 @@ import "math"
 // that "in practice, we have found that using CV² samples for constant C
 // works well". We use that practical calibration with C chosen so the
 // empirical 1-pixel error bound holds in the accuracy tests.
+//
+// The planner does not always sample: the histogram and CDF sites take
+// their rate from HistogramRate, which scans every row from
+// HistogramExactAboveRate up.
+//
+// "Every row" has two spellings among the sketch configurations, kept
+// because the Rate field is part of each sketch's name and wire form:
+// Rate ≥ 1 in all of them, and also Rate ≤ 0 in CDFSketch,
+// Histogram2DSketch, TrellisSketch and PCASketch — whereas a
+// SampledHistogramSketch or SampleHeavyHittersSketch with Rate ≤ 0
+// samples nothing. Rate and HistogramRate only return values in (0, 1],
+// which all of them read the same way.
 
 // sampleC is the practical constant C in the CV² calibration.
 const sampleC = 4.0
@@ -71,6 +83,31 @@ func Rate(target, n int) float64 {
 		return 1
 	}
 	return float64(target) / float64(n)
+}
+
+// HistogramExactAboveRate is the sampling rate at and above which the
+// sampled 1-D histogram kernel stops being cheaper than the exact one.
+// The sample sizes above are display-derived, so on a table not much
+// larger than the target the rate is a large fraction of 1, and a sample
+// (a log draw, a closure call, a gather) costs several streamed rows.
+// BenchmarkKernelHistCrossover (bench_test.go) runs the two kernels
+// interleaved at rates 1/64 … 1 over 1M rows and reports where they
+// cross; the constant sits just above the largest crossing it printed for
+// an int column, a double column with missing values, a dictionary column
+// and an int column behind a bitmap membership. It is a property of those
+// two kernels, not a tuning knob — re-read it when either changes — and
+// says nothing about the 2-D, trellis, PCA or sample-heavy-hitters
+// kernels, whose every-row paths cost more: their sites keep Rate.
+const HistogramExactAboveRate = 0.2
+
+// HistogramRate is Rate for SampledHistogramSketch and CDFSketch: the
+// same target/n below HistogramExactAboveRate, 1 — which both run on the
+// exact kernel — from there up.
+func HistogramRate(target, n int) float64 {
+	if r := Rate(target, n); r < HistogramExactAboveRate {
+		return r
+	}
+	return 1
 }
 
 func logInvDelta(delta float64) float64 {

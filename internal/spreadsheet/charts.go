@@ -86,7 +86,26 @@ func (v *View) Histogram(ctx context.Context, col string, opts ChartOptions) (*H
 		return nil, err
 	}
 	out := &HistogramView{Col: col, Buckets: spec, Range: rng}
-	n := v.NumRows()
+	// Exact names the deterministic streaming histogram for bars and CDF
+	// alike: no seed in the name, so repeats dedup and are served from the
+	// computation cache. Otherwise the seeded sampled sketches run at the
+	// planner's rate, which is 1 — the same exact kernel — wherever
+	// sampling would not be the cheaper scan (sketch.HistogramRate).
+	n := int(v.NumRows())
+	var hist sketch.Sketch = &sketch.HistogramSketch{Col: col, Buckets: spec}
+	if !opts.Exact {
+		rate := sketch.HistogramRate(sketch.HistogramSampleSize(spec.Count, opts.Height, DefaultDelta), n)
+		hist = &sketch.SampledHistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: v.sheet.nextSeed()}
+	}
+	var cdf sketch.Sketch
+	if opts.WithCDF && spec.Kind.Numeric() {
+		cdfSpec := sketch.NumericBuckets(spec.Kind, spec.Min, spec.Max, opts.Width)
+		cdf = &sketch.HistogramSketch{Col: col, Buckets: cdfSpec}
+		if !opts.Exact {
+			rate := sketch.HistogramRate(sketch.CDFSampleSize(opts.Height, DefaultDelta), n)
+			cdf = &sketch.CDFSketch{Col: col, Buckets: cdfSpec, Rate: rate, Seed: v.sheet.nextSeed()}
+		}
+	}
 
 	type result struct {
 		res sketch.Result
@@ -96,25 +115,13 @@ func (v *View) Histogram(ctx context.Context, col string, opts ChartOptions) (*H
 	jobs := 1
 	results := make(chan result, 2)
 	go func() {
-		var sk sketch.Sketch
-		if opts.Exact {
-			sk = &sketch.HistogramSketch{Col: col, Buckets: spec}
-		} else {
-			rate := sketch.Rate(sketch.HistogramSampleSize(spec.Count, opts.Height, DefaultDelta), int(n))
-			sk = &sketch.SampledHistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: v.sheet.nextSeed()}
-		}
-		res, err := v.sheet.run.RunSketch(ctx, v.id, sk, opts.OnPartial)
+		res, err := v.sheet.run.RunSketch(ctx, v.id, hist, opts.OnPartial)
 		results <- result{res: res, err: err}
 	}()
-	if opts.WithCDF && spec.Kind.Numeric() {
+	if cdf != nil {
 		jobs++
 		go func() {
-			cdfSpec := sketch.NumericBuckets(spec.Kind, spec.Min, spec.Max, opts.Width)
-			rate := sketch.Rate(sketch.CDFSampleSize(opts.Height, DefaultDelta), int(n))
-			if opts.Exact {
-				rate = 0
-			}
-			res, err := v.sheet.run.RunSketch(ctx, v.id, &sketch.CDFSketch{Col: col, Buckets: cdfSpec, Rate: rate, Seed: v.sheet.nextSeed()}, nil)
+			res, err := v.sheet.run.RunSketch(ctx, v.id, cdf, nil)
 			results <- result{res: res, err: err, cdf: true}
 		}()
 	}

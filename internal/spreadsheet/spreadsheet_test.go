@@ -5,7 +5,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -148,46 +150,154 @@ func TestFindFlow(t *testing.T) {
 	}
 }
 
+// recordingRunner runs on the root and keeps every sketch it was handed.
+type recordingRunner struct {
+	root *engine.Root
+	mu   sync.Mutex
+	seen []sketch.Sketch
+}
+
+func (r *recordingRunner) RunSketch(ctx context.Context, id string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error) {
+	r.mu.Lock()
+	r.seen = append(r.seen, sk)
+	r.mu.Unlock()
+	return r.root.RunSketch(ctx, id, sk, onPartial)
+}
+
+// TestHistogramTwoPhase holds the planner to its rule on both sides of
+// the crossover: the seeded sketches always run, at target/rows below
+// sketch.HistogramExactAboveRate — the rate, seeds and therefore bits
+// they always had — and at 1 from there up, where the answer is the
+// deterministic streaming histogram's.
 func TestHistogramTwoPhase(t *testing.T) {
-	s, v := testSheet(t, 30000)
+	const width = 120
+	for _, tc := range []struct {
+		name                string
+		rows, height, bars  int
+		histExact, cdfExact bool
+	}{
+		{"small table", 30000, 30, 40, true, true},
+		{"default geometry", 30000, DefaultHeight, DefaultBars, true, true},
+		{"just past the crossover", 90000, 30, 40, true, false},    // 18421 bar samples ≥ 0.2·90k > 16579 CDF samples
+		{"just below the crossover", 100000, 30, 40, false, false}, // 18421 < 0.2·100k
+		{"bar floor binds", 100000, 30, 50, true, false},           // 100·bars·ln(1/δ) = 23026 ≥ 0.2·100k
+		{"large table", 200000, 40, 20, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+			rec := &recordingRunner{root: root}
+			v, err := NewWithRunner(root, rec).Load(ctx, "fl", "flights:rows="+itoa(tc.rows)+",parts=4,seed=11")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.seen = nil
+			opts := ChartOptions{Bars: tc.bars, Height: tc.height, Width: width, WithCDF: true}
+			hv, err := v.Histogram(ctx, "DepDelay", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hv.Hist == nil || hv.CDF == nil || hv.Range == nil {
+				t.Fatal("incomplete histogram view")
+			}
+			if len(hv.Hist.Counts) != tc.bars || len(hv.CDF.Counts) != width {
+				t.Errorf("%d bars, %d CDF pixels", len(hv.Hist.Counts), len(hv.CDF.Counts))
+			}
+			if hv.Hist.OutOfRange != 0 {
+				t.Errorf("range-prepared histogram saw %d out-of-range rows", hv.Hist.OutOfRange)
+			}
+
+			// What the planner must have named: the seeds are the sheet's
+			// first and second, the sampled rates target/rows — the parent
+			// tree's formulas, spelled out so a change to either shows here.
+			cdfSpec := sketch.NumericBuckets(hv.Buckets.Kind, hv.Buckets.Min, hv.Buckets.Max, width)
+			histRate, cdfRate := 1.0, 1.0
+			if !tc.histExact {
+				histRate = float64(sketch.HistogramSampleSize(tc.bars, tc.height, DefaultDelta)) / float64(tc.rows)
+			}
+			if !tc.cdfExact {
+				cdfRate = float64(sketch.CDFSampleSize(tc.height, DefaultDelta)) / float64(tc.rows)
+			}
+			seed1 := uint64(0x9e3779b97f4a7c15)
+			wantHist := &sketch.SampledHistogramSketch{Col: "DepDelay", Buckets: hv.Buckets, Rate: histRate, Seed: seed1}
+			wantCDF := &sketch.CDFSketch{Col: "DepDelay", Buckets: cdfSpec, Rate: cdfRate, Seed: 2 * seed1}
+			planned := map[string]bool{}
+			for _, sk := range rec.seen {
+				planned[sk.Name()] = true
+			}
+			ds, err := root.Get("fl")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				got    *sketch.Histogram
+				want   sketch.Sketch
+				exact  bool
+				direct sketch.Sketch // what an exact plan must equal
+			}{
+				{hv.Hist, wantHist, tc.histExact, &sketch.HistogramSketch{Col: "DepDelay", Buckets: hv.Buckets}},
+				{hv.CDF, wantCDF, tc.cdfExact, &sketch.HistogramSketch{Col: "DepDelay", Buckets: cdfSpec}},
+			} {
+				if !planned[c.want.Name()] {
+					t.Errorf("planner did not run %s; ran %v", c.want.Name(), planned)
+				}
+				if (c.got.SampleRate == 1) != c.exact {
+					t.Errorf("%s: SampleRate %g, exact planned %v", c.want.Name(), c.got.SampleRate, c.exact)
+				}
+				if !c.exact {
+					c.direct = c.want
+				}
+				direct, err := ds.Sketch(ctx, c.direct, nil) // below the cache
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(c.got, direct) {
+					t.Errorf("planned result differs from a direct run of %s", c.direct.Name())
+				}
+			}
+			// The preparation range is cached: a second histogram reuses it.
+			hits0, _ := root.Cache().Stats()
+			if _, err := v.Histogram(ctx, "DepDelay", ChartOptions{Bars: 20}); err != nil {
+				t.Fatal(err)
+			}
+			if hits1, _ := root.Cache().Stats(); hits1 <= hits0 {
+				t.Error("second histogram did not hit the range cache")
+			}
+		})
+	}
+}
+
+// TestHistogramExactOption: Exact overrides the planner on a table large
+// enough to sample, and names the seedless streaming histogram for the
+// bars and for the CDF, so a repeat is three cache hits — range, bars,
+// CDF — and no scan.
+func TestHistogramExactOption(t *testing.T) {
+	s, v := testSheet(t, 200000)
 	ctx := context.Background()
-	// Height 30 px gives a sample target below 30k rows, so sampling
-	// engages (the target is display-derived, not data-derived).
-	hv, err := v.Histogram(ctx, "DepDelay", ChartOptions{Bars: 40, Height: 30, WithCDF: true})
+	opts := ChartOptions{Bars: 10, Height: 40, Exact: true, WithCDF: true}
+	ev, err := v.Histogram(ctx, "DepDelay", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hv.Hist == nil || hv.CDF == nil || hv.Range == nil {
-		t.Fatal("incomplete histogram view")
+	for _, h := range []*sketch.Histogram{ev.Hist, ev.CDF} {
+		if h.SampleRate != 1 || h.TotalCount()+h.Missing != 200000 {
+			t.Errorf("exact histogram: rate %g, %d rows accounted", h.SampleRate, h.TotalCount()+h.Missing)
+		}
 	}
-	if len(hv.Hist.Counts) != 40 {
-		t.Errorf("bars = %d", len(hv.Hist.Counts))
-	}
-	if hv.Hist.SampleRate >= 1 {
-		t.Error("histogram should sample: display-derived target < 30k rows")
-	}
-	if hv.Hist.OutOfRange != 0 {
-		t.Errorf("range-prepared histogram saw %d out-of-range rows", hv.Hist.OutOfRange)
-	}
-	// The preparation range is cached: a second histogram reuses it.
-	hits0, _ := s.Root().Cache().Stats()
-	if _, err := v.Histogram(ctx, "DepDelay", ChartOptions{Bars: 20}); err != nil {
-		t.Fatal(err)
-	}
-	hits1, _ := s.Root().Cache().Stats()
-	if hits1 <= hits0 {
-		t.Error("second histogram did not hit the range cache")
-	}
-	// Exact mode.
-	ev, err := v.Histogram(ctx, "DepDelay", ChartOptions{Bars: 10, Exact: true})
+	hits0, misses0 := s.Root().Cache().Stats()
+	again, err := v.Histogram(ctx, "DepDelay", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Hist.SampleRate != 1 {
-		t.Error("exact histogram sampled")
+	hits1, misses1 := s.Root().Cache().Stats()
+	if hits1-hits0 != 3 || misses1 != misses0 {
+		t.Errorf("exact repeat: %d hits, %d misses, want 3 and 0", hits1-hits0, misses1-misses0)
 	}
-	if got := ev.Hist.TotalCount() + ev.Hist.Missing; got != 30000 {
-		t.Errorf("exact histogram accounts %d rows", got)
+	if !reflect.DeepEqual(again, ev) {
+		t.Error("cached repeat differs")
+	}
+	if sampled, err := v.Histogram(ctx, "DepDelay", ChartOptions{Bars: 10, Height: 40}); err != nil || sampled.Hist.SampleRate >= 1 {
+		t.Errorf("200k rows at 40 px should sample (rate %v, err %v)", sampled.Hist.SampleRate, err)
 	}
 }
 

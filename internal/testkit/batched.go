@@ -127,9 +127,11 @@ func membersIdentical(got sketch.Result, want []sketch.Result, members []sketch.
 }
 
 // gatedRunner counts underlying scans and optionally holds them at a
-// gate, so tests can act while a batch is provably mid-execution.
+// gate, so tests can act while a batch is provably mid-execution. It
+// runs them on an engine root, so a finished shared pass publishes its
+// members to that root's computation cache.
 type gatedRunner struct {
-	ds      *engine.LocalDataSet
+	root    *engine.Root
 	calls   atomic.Int64
 	started chan struct{} // buffered; signalled once per execution
 	gate    chan struct{} // nil = run immediately
@@ -150,7 +152,7 @@ func (r *gatedRunner) RunSketch(ctx context.Context, _ string, sk sketch.Sketch,
 			return nil, ctx.Err()
 		}
 	}
-	return r.ds.Sketch(ctx, sk, onPartial)
+	return r.root.RunSketch(ctx, datasetID, sk, onPartial)
 }
 
 // runSchedulerBatched drives distinct cacheable queries concurrently
@@ -185,7 +187,11 @@ func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table
 		}
 	}
 
-	run := &gatedRunner{ds: local, started: make(chan struct{}, 1), gate: make(chan struct{})}
+	root := engine.NewRoot(func(string, string) (engine.IDataSet, error) { return local, nil })
+	if _, err := root.Load(datasetID, "mem"); err != nil {
+		return err
+	}
+	run := &gatedRunner{root: root, started: make(chan struct{}, 1), gate: make(chan struct{})}
 	sched := serve.New(run, serve.Config{MaxInFlight: 4, Deadline: -1, BatchWindow: 500 * time.Millisecond})
 
 	cancelCtx, cancelMember := context.WithCancel(ctx)
@@ -230,12 +236,23 @@ func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table
 	if !errors.Is(errs[0], context.Canceled) {
 		return fmt.Errorf("cancelled member returned %v, want context.Canceled", errs[0])
 	}
+	// The pass also published its members to the computation cache: the
+	// survivors with the bits of their solo runs, the masked member —
+	// whose fold stopped when it was abandoned — not at all.
+	if _, ok := root.Cached(ctx, datasetID, members[0], nil); ok {
+		return fmt.Errorf("member 0 (%s) was masked mid-batch but its result was cached", members[0].Name())
+	}
 	for i := 1; i < size; i++ {
 		if errs[i] != nil {
 			return fmt.Errorf("member %d (%s): %w", i, members[i].Name(), errs[i])
 		}
 		if !reflect.DeepEqual(results[i], soloEng[i]) {
 			return fmt.Errorf("member %d (%s): scheduler-batched result differs from solo engine run", i, members[i].Name())
+		}
+		if pub, ok := root.Cached(ctx, datasetID, members[i], nil); !ok {
+			return fmt.Errorf("member %d (%s): finished in a batch but was not published to the cache", i, members[i].Name())
+		} else if !reflect.DeepEqual(pub, soloEng[i]) {
+			return fmt.Errorf("member %d (%s): published result differs from solo engine run", i, members[i].Name())
 		}
 		if err := logs[i].verify(len(tables), results[i], true); err != nil {
 			return fmt.Errorf("member %d (%s) partial stream: %w", i, members[i].Name(), err)
