@@ -3,7 +3,10 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -312,9 +315,7 @@ func kernelMembers(t *table.Table, shape string) *table.Table {
 	for i := 0; i < max; i += 101 {
 		rows = append(rows, int32(i))
 	}
-	return table.New(t.ID()+"-sparse", t.Schema(), []table.Column{
-		t.MustColumn("i"), t.MustColumn("d"), t.MustColumn("s"),
-	}, table.NewSparseMembership(rows, max))
+	return t.WithMembership(t.ID()+"-sparse", table.NewSparseMembership(rows, max))
 }
 
 func reportRows(b *testing.B, rows int) {
@@ -377,22 +378,66 @@ func BenchmarkKernelHistSampled(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelHeavyHitters measures Misra–Gries over a dictionary
-// string column.
+// hhTable builds a one-column table "s" of rows strings drawn from a
+// dictionary of dict values: uniformly when zipf is 0, else
+// Zipf(zipf)-distributed by inverse CDF.
+func hhTable(id string, rows, dict int, zipf float64) *table.Table {
+	cdf := make([]float64, dict)
+	var sum float64
+	for i := range cdf {
+		w := 1.0
+		if zipf > 0 {
+			w = 1 / math.Pow(float64(i+1), zipf)
+		}
+		sum += w
+		cdf[i] = sum
+	}
+	names := make([]string, dict)
+	for i := range names {
+		names[i] = fmt.Sprintf("val-%04d", i)
+	}
+	strs := make([]string, rows)
+	rng := rand.New(rand.NewPCG(12345, uint64(dict)))
+	for i := range strs {
+		strs[i] = names[min(sort.SearchFloat64s(cdf, rng.Float64()*sum), dict-1)]
+	}
+	schema := table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString})
+	return table.New(id, schema, []table.Column{table.NewStringColumn(strs, nil)}, table.FullMembership(rows))
+}
+
+// BenchmarkKernelHeavyHitters measures Misra–Gries over dictionary string
+// columns on both sides of sketch's dense-tally bound (4096 codes): a
+// dictionary smaller than K, the flights airports (340 codes, Zipf 1.08 —
+// the regime the benchmark ledger pays for, where K counters hold about
+// half the rows), the largest tallied dictionary, and one past the bound,
+// which streams through the code-keyed map.
 func BenchmarkKernelHeavyHitters(b *testing.B) {
 	const rows = 1000000
-	t := kernelTable("khh", rows, false)
-	for _, shape := range []string{"full", "sparse"} {
-		tt := kernelMembers(t, shape)
-		sk := &sketch.MisraGriesSketch{Col: "s", K: 16}
-		b.Run(shape, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sk.Summarize(tt); err != nil {
-					b.Fatal(err)
-				}
+	for _, d := range []struct {
+		name string
+		dict int
+		zipf float64
+	}{
+		{"dict=16", 16, 0},
+		{"dict=340zipf", 340, 1.08},
+		{"dict=4096", 4096, 0},
+		{"dict=5000map", 5000, 0},
+	} {
+		t := hhTable("khh-"+d.name, rows, d.dict, d.zipf)
+		for _, k := range []int{10, 64} {
+			for _, shape := range []string{"full", "sparse"} {
+				tt := kernelMembers(t, shape)
+				sk := &sketch.MisraGriesSketch{Col: "s", K: k}
+				b.Run(fmt.Sprintf("%s/k=%d/%s", d.name, k, shape), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := sk.Summarize(tt); err != nil {
+							b.Fatal(err)
+						}
+					}
+					reportRows(b, tt.NumRows())
+				})
 			}
-			reportRows(b, tt.NumRows())
-		})
+		}
 	}
 }
 

@@ -58,7 +58,7 @@
 //	429 Too Many Requests   shed at admission (Retry-After is set)
 //	503 Service Unavailable deadline expired while queued (Retry-After is set)
 //	504 Gateway Timeout     deadline expired while executing
-//	413 Content Too Large   requested page exceeds the result-row budget
+//	413 Content Too Large   requested page or heavy-hitters k exceeds the result-row budget
 //	500 Internal Server Error  recovered panic (that query only)
 //	404 Not Found           view evicted by the derived-view cap (-max-views)
 //	400 Bad Request         semantic errors: unknown view, bad column, bad expr
@@ -140,7 +140,7 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing queries (0 = 2×GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", serve.DefaultQueueDepth, "queries allowed to wait for a slot before shedding (negative = no queue)")
 	queryDeadline := flag.Duration("query-deadline", serve.DefaultDeadline, "server-side query deadline (negative = none)")
-	maxResultRows := flag.Int("max-result-rows", serve.DefaultMaxResultRows, "per-query result-row budget for tabular pages (negative = unlimited)")
+	maxResultRows := flag.Int("max-result-rows", serve.DefaultMaxResultRows, "per-query result-row budget for table pages and heavy-hitters k (negative = unlimited)")
 	batchWindow := flag.Duration("batch-window", serve.DefaultBatchWindow, "scan-batching window: concurrent cacheable queries on one dataset within it share a single leaf pass (0 = disabled)")
 	maxViews := flag.Int("max-views", DefaultMaxViews, "derived views kept before LRU eviction (0 = unlimited)")
 	slowQuery := flag.Duration("slow-query", time.Second, "log one structured line per query slower than this (0 = disabled)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -207,6 +208,34 @@ func TestFilterAndHeavyHittersEndpoints(t *testing.T) {
 	}
 	if len(items) != 1 || items[0]["value"] != "UA" {
 		t.Errorf("items = %v", items)
+	}
+}
+
+// TestHeavyHittersKBudget: k goes from the URL to per-run counter state,
+// so one past the result-row budget is a 413 before any scan — it used
+// to size a map per run and take the process down with it — and the
+// server answers the next query.
+func TestHeavyHittersKBudget(t *testing.T) {
+	s := testServer(t)
+	get(t, s.handleLoad, "/api/load?name=fl&source=flights:rows=10000,parts=2,seed=3")
+	for _, q := range []string{
+		"view=fl&col=DepDelay&k=2000000000",
+		"view=fl&col=Origin&k=2000000000",
+		"view=fl&col=Origin&k=2000000000&sampled=1",
+		fmt.Sprintf("view=fl&col=Origin&k=%d", serve.DefaultMaxResultRows+1),
+	} {
+		if rec, _ := get(t, s.handleHeavyHitters, "/api/heavyhitters?"+q); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %s", q, rec.Code, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.handleHeavyHitters(rec, httptest.NewRequest("GET", "/api/heavyhitters?view=fl&col=Origin&k=10", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query after the rejected ones: %d %s", rec.Code, rec.Body.String())
+	}
+	var items []map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &items); err != nil || len(items) == 0 {
+		t.Errorf("items = %v (err %v), want a non-empty answer", items, err)
 	}
 }
 

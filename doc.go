@@ -32,8 +32,9 @@
 // scheduling never show in a result. Progressive partials merge the
 // tree's finished nodes with snapshots of the runs in progress and
 // reach the callback serialized on a dedicated emission lock. Heavy
-// hitters count dictionary columns by int32 code (dense array or
-// code-keyed map) and materialize Values only at result time;
+// hitters count dictionary columns by int32 code — an exact dense tally
+// pruned once per run up to 4096 codes, a code-keyed Misra–Gries stream
+// above — and materialize Values only at result time;
 // equi-width buckets index by a precomputed reciprocal whenever the
 // multiplication form is verified against the division form at every
 // bucket boundary. Batch scans are bit-identical to the retained

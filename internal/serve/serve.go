@@ -90,8 +90,8 @@ type Config struct {
 	// disables the default deadline.
 	Deadline time.Duration
 	// MaxResultRows bounds the row count a single query may request
-	// (e.g. a nextk table page's K). 0 means DefaultMaxResultRows; < 0
-	// disables the budget.
+	// (a nextk table page's K, a heavy-hitters K). 0 means
+	// DefaultMaxResultRows; < 0 disables the budget.
 	MaxResultRows int
 	// RetryAfter is the hint written on 429/503 responses. 0 means
 	// DefaultRetryAfter.
@@ -306,8 +306,20 @@ func (s *Scheduler) checkBudget(sk sketch.Sketch) error {
 	if max <= 0 {
 		return nil
 	}
-	if nk, ok := sk.(*sketch.NextKSketch); ok && nk.K > max {
-		return fmt.Errorf("%w: table page of %d rows exceeds the %d-row limit", ErrResultBudget, nk.K, max)
+	// A heavy-hitters K is a page size too: the answer lists up to K rows
+	// and every partial summary carries up to K counters.
+	var k int
+	var what string
+	switch q := sk.(type) {
+	case *sketch.NextKSketch:
+		k, what = q.K, "table page"
+	case *sketch.MisraGriesSketch:
+		k, what = q.K, "heavy-hitters k"
+	case *sketch.SampleHeavyHittersSketch:
+		k, what = q.K, "heavy-hitters k"
+	}
+	if k > max {
+		return fmt.Errorf("%w: %s of %d rows exceeds the %d-row limit", ErrResultBudget, what, k, max)
 	}
 	return nil
 }

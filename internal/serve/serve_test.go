@@ -316,8 +316,9 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestResultBudget pins resource governance: an oversized table page is
-// rejected up front with ErrResultBudget (413), without executing.
+// TestResultBudget pins resource governance: an oversized table page or
+// heavy-hitters K is rejected up front with ErrResultBudget (413),
+// without executing.
 func TestResultBudget(t *testing.T) {
 	run := &fakeRunner{fn: func(context.Context, string, sketch.Sketch, engine.PartialFunc) (sketch.Result, error) {
 		return int64(1), nil
@@ -335,6 +336,23 @@ func TestResultBudget(t *testing.T) {
 	}
 	if _, err := s.RunSketch(context.Background(), "d", uncacheableSketch(100), nil); err != nil {
 		t.Errorf("at-budget query rejected: %v", err)
+	}
+	// A heavy-hitters K is a result size too: it bounds the counters of
+	// every partial summary and the rows of the answer.
+	for _, sk := range []sketch.Sketch{
+		&sketch.MisraGriesSketch{Col: "x", K: 101},
+		&sketch.SampleHeavyHittersSketch{Col: "x", K: 101, Rate: 0.5, Seed: 1},
+	} {
+		calls := run.calls.Load()
+		if _, err := s.RunSketch(context.Background(), "d", sk, nil); !errors.Is(err, ErrResultBudget) {
+			t.Errorf("%s: err = %v, want ErrResultBudget", sk.Name(), err)
+		}
+		if run.calls.Load() != calls {
+			t.Errorf("%s: budget-rejected query executed anyway", sk.Name())
+		}
+	}
+	if _, err := s.RunSketch(context.Background(), "d", &sketch.MisraGriesSketch{Col: "x", K: 100}, nil); err != nil {
+		t.Errorf("at-budget heavy hitters rejected: %v", err)
 	}
 }
 

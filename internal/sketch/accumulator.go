@@ -176,20 +176,21 @@ func (a *distinctAccumulator) Snapshot() Result {
 func (a *distinctAccumulator) Result() Result { return a.out }
 
 // mgAccumulator folds chunks into one mutable Misra–Gries state. For
-// stored columns it continues the keyed stream across chunks sharing
-// one column (chunks of a partition share storage) — code-keyed for
-// dictionary strings, int64-keyed for ints/dates/doubles — and flushes
-// the counters into the value-keyed merged state with the
-// mergeable-summaries rule only when the column changes. Like any
-// Misra–Gries merge order, the result is exact to Summarize+Merge only
-// within the N/(K+1) error bound.
+// stored columns it keeps one keyed state live across chunks sharing a
+// column (chunks of a partition share storage) — mgCodes for dictionary
+// strings, which tallies small dictionaries exactly and streams large
+// ones; mgTyped, an int64-keyed stream, for ints/dates/doubles — and
+// flushes it into the value-keyed merged state with Merge only when the
+// column changes, so a tallied column is pruned once per run, not once
+// per chunk. Like any Misra–Gries merge order, the result is exact to
+// Summarize+Merge only within the N/(K+1) error bound.
 type mgAccumulator struct {
 	sk    *MisraGriesSketch
 	k     int
 	state *HeavyHitters
-	col   table.Column // column of the live keyed stream, nil when none
-	codes *mgCodes     // live stream for dictionary columns...
-	typed *mgTyped     // ...or for stored numeric columns
+	col   table.Column // column of the live keyed state, nil when none
+	codes *mgCodes     // live tally or stream of a dictionary column...
+	typed *mgTyped     // ...or live stream of a stored numeric column
 }
 
 // NewAccumulator implements AccumulatorSketch.
@@ -201,7 +202,7 @@ func (s *MisraGriesSketch) NewAccumulator() Accumulator {
 	return &mgAccumulator{sk: s, k: k, state: s.Zero().(*HeavyHitters)}
 }
 
-// live converts the live keyed stream (if any) to a summary.
+// live converts the live keyed state (if any) to a summary.
 func (a *mgAccumulator) live() *HeavyHitters {
 	switch {
 	case a.codes != nil:
@@ -213,7 +214,7 @@ func (a *mgAccumulator) live() *HeavyHitters {
 	}
 }
 
-// flush merges the live keyed stream into the value-keyed state.
+// flush merges the live keyed state into the value-keyed state.
 func (a *mgAccumulator) flush() error {
 	r := a.live()
 	if r == nil {
@@ -249,7 +250,7 @@ func (a *mgAccumulator) Add(t *table.Table) error {
 			if err := a.flush(); err != nil {
 				return err
 			}
-			a.col, a.typed = col, newMGTyped(a.k, col.Kind())
+			a.col, a.typed = col, newMGTyped(a.k, col)
 		}
 		a.typed.scan(t.Members(), col)
 		return nil
@@ -270,8 +271,8 @@ func (a *mgAccumulator) Add(t *table.Table) error {
 }
 
 // Snapshot implements Accumulator. Merge never mutates its arguments,
-// so combining the flushed state with a conversion of the live keyed
-// stream leaves both usable.
+// and converting the live keyed state reads it without pruning it in
+// place, so combining the two leaves both usable.
 func (a *mgAccumulator) Snapshot() Result {
 	r := a.live()
 	if r == nil {

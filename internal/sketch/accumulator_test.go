@@ -101,8 +101,8 @@ func TestAccumulatorSnapshotIsolation(t *testing.T) {
 		snap := acc.Snapshot()
 		// The reference value of the snapshot: the first chunk's summary
 		// folded from Zero. This holds for the Misra–Gries accumulator
-		// too: with a single in-order chunk the code-keyed stream is
-		// exactly the Summarize scan.
+		// too: over one chunk its live tally is exactly the Summarize
+		// scan, and Merge against Zero prunes nothing further.
 		r, err := sk.Summarize(chunks[0])
 		if err != nil {
 			t.Fatal(err)
@@ -242,8 +242,9 @@ func TestMisraGriesMergeTreeGuarantee(t *testing.T) {
 }
 
 // TestMGAccumulatorContinuesStream: chunks of one partition share their
-// column, so the accumulator continues a single code-keyed stream and
-// the result is bit-identical to the unchunked Summarize.
+// column, so the accumulator keeps one code-keyed state across them —
+// here a small dictionary's tally — and the result is bit-identical to
+// the unchunked Summarize.
 func TestMGAccumulatorContinuesStream(t *testing.T) {
 	tbl := genSkewedStrings("mgc", 20000, 0.4, 0.2, 61)
 	sk := &MisraGriesSketch{Col: "s", K: 10}

@@ -26,10 +26,13 @@ type eqCase struct {
 // double, string, computed int, computed string), with and without
 // missing values (incl. a non-nil all-clear mask), crossed with every
 // membership shape (full, range, bitmap, sparse, restricted views).
+// Column "sl" is a skewed string column whose dictionary outgrows
+// mgDenseDictMax once rows reaches about 15000.
 func eqTables(rows int) []eqCase {
 	ints := make([]int64, rows)
 	doubles := make([]float64, rows)
 	strs := make([]string, rows)
+	large := make([]string, rows)
 	words := []string{"ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen", "ibis", "jay"}
 	for i := 0; i < rows; i++ {
 		x := uint64(i+1) * 0x9e3779b97f4a7c15
@@ -37,6 +40,10 @@ func eqTables(rows int) []eqCase {
 		ints[i] = int64(x % 1000)
 		doubles[i] = float64(x%100000) / 100.0
 		strs[i] = words[x%uint64(len(words))]
+		large[i] = strs[i]
+		if (x>>8)%4 != 0 {
+			large[i] = fmt.Sprintf("w%d", (x>>20)%6000)
+		}
 	}
 	miss := table.NewBitset(rows)
 	for i := 0; i < rows; i += 13 {
@@ -54,6 +61,7 @@ func eqTables(rows int) []eqCase {
 		table.ColumnDesc{Name: "ie", Kind: table.KindInt},
 		table.ColumnDesc{Name: "ci", Kind: table.KindInt},
 		table.ColumnDesc{Name: "cs", Kind: table.KindString},
+		table.ColumnDesc{Name: "sl", Kind: table.KindString},
 	)
 	cols := []table.Column{
 		table.NewIntColumn(table.KindInt, ints, nil),
@@ -72,6 +80,7 @@ func eqTables(rows int) []eqCase {
 		table.NewComputedColumn(table.KindString, rows, func(i int) table.Value {
 			return table.StringValue(strs[i])
 		}),
+		table.NewStringColumn(large, miss),
 	}
 
 	bits := table.NewBitset(rows)
@@ -272,7 +281,9 @@ func TestBatchHist2DEquivalence(t *testing.T) {
 	}
 }
 
-// refMisraGries is the row-at-a-time reference Misra–Gries scan.
+// refMisraGries is the row-at-a-time reference Misra–Gries stream. It
+// is the reference for every column that streams: computed columns,
+// stored numeric columns and dictionaries above mgDenseDictMax.
 func refMisraGries(t *table.Table, col string, k int) *HeavyHitters {
 	c := t.MustColumn(col)
 	if k < 1 {
@@ -302,10 +313,45 @@ func refMisraGries(t *table.Table, col string, k int) *HeavyHitters {
 	return out
 }
 
+// refMisraGriesTally is the reference for dictionary columns of at most
+// mgDenseDictMax codes: exact counts by table.Value, reduced by the
+// sketch's own Merge against Zero.
+func refMisraGriesTally(t *testing.T, tbl *table.Table, col string, k int) *HeavyHitters {
+	t.Helper()
+	c := tbl.MustColumn(col)
+	exact := &HeavyHitters{K: k, Counters: map[table.Value]int64{}}
+	tbl.Members().Iterate(func(row int) bool {
+		exact.ScannedRows++
+		exact.Counters[c.Value(row)]++
+		return true
+	})
+	sk := &MisraGriesSketch{Col: col, K: k}
+	want, err := sk.Merge(exact, sk.Zero())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want.(*HeavyHitters)
+}
+
+// TestBatchMisraGriesEquivalence pins each column to its path's
+// reference, across every membership shape: small dictionaries to the
+// pruned exact tally, everything else to the stream, bit for bit.
 func TestBatchMisraGriesEquivalence(t *testing.T) {
-	for _, tc := range eqTables(4000) {
-		for _, col := range []string{"s", "sm", "cs", "im", "dm"} {
-			for _, k := range []int{4, 64} {
+	for _, tc := range eqTables(20000) {
+		if n := tc.t.MustColumn("sl").(*table.StringColumn).DictSize(); n <= mgDenseDictMax {
+			t.Fatalf("column sl has %d codes; the map path needs more than %d", n, mgDenseDictMax)
+		}
+		for _, k := range []int{4, 64} {
+			for _, col := range []string{"s", "sm"} {
+				got, err := (&MisraGriesSketch{Col: col, K: k}).Summarize(tc.t)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := refMisraGriesTally(t, tc.t, col, k); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s k=%d: tallied Misra-Gries differs from Merge(exact counts, Zero)\n got %+v\nwant %+v", tc.name, col, k, got, want)
+				}
+			}
+			for _, col := range []string{"cs", "im", "dm", "sl"} {
 				sk := &MisraGriesSketch{Col: col, K: k}
 				got, err := sk.Summarize(tc.t)
 				if err != nil {
@@ -313,7 +359,14 @@ func TestBatchMisraGriesEquivalence(t *testing.T) {
 				}
 				want := refMisraGries(tc.t, col, k)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s k=%d: batch Misra-Gries differs from reference", tc.name, col, k)
+					t.Errorf("%s/%s k=%d: streamed Misra-Gries differs from the row-at-a-time reference", tc.name, col, k)
+				}
+				// Stored columns continue one stream across a run's chunks.
+				if col == "cs" {
+					continue
+				}
+				if got := accumulate(t, sk, chunkViews(tc.t, 5)); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s k=%d: chunked stream differs from the row-at-a-time reference", tc.name, col, k)
 				}
 			}
 		}

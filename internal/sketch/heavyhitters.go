@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/table"
@@ -86,17 +87,20 @@ func (s *MisraGriesSketch) Zero() Result {
 	return &HeavyHitters{K: s.K, Counters: map[table.Value]int64{}}
 }
 
-// Summarize implements Sketch. The decrement step pairs each decrement
-// with a prior increment, so the scan is amortized O(rows). Dictionary
-// string columns run the code-keyed update (see mgCodes): counting by
-// int32 code instead of by table.Value removes the value hashing and
-// materialization that dominated the scan, and codes convert to Values
-// only once, at result time. Stored int, date, and double columns run
-// the analogous typed-key update (see mgTyped) over their backing
-// slices. Both keyings are in bijection with values within one column
-// and the update rule is step-for-step the value-keyed one, so the
-// result is identical to the row-at-a-time reference path; only
-// computed columns still stream table.Value map keys.
+// Summarize implements Sketch. Which rule runs depends on the column.
+// A dictionary string column of at most mgDenseDictMax codes is tallied,
+// not streamed: mgCodes counts every code exactly and reduces once with
+// mgExcess, the prune Merge applies, so the summary is Merge(exact
+// counts, Zero) — a function of the multiset of member values, not their
+// order. Every other column streams the Misra–Gries update rule in
+// Iterate order, bit-identical to the row-at-a-time reference scan:
+// larger dictionaries keyed by code (mgCodes), stored int, date and
+// double columns keyed by value bits (mgTyped), computed columns by
+// table.Value. The decrement step pairs each decrement with a prior
+// increment, so the stream is amortized O(rows). Either way the summary
+// holds at most K counters, each a lower bound short by at most
+// rows/(K+1) — the invariant Merge needs — and no allocation is sized
+// by K alone: K arrives off the wire on workers.
 func (s *MisraGriesSketch) Summarize(t *table.Table) (Result, error) {
 	col, err := t.Column(s.Col)
 	if err != nil {
@@ -112,11 +116,11 @@ func (s *MisraGriesSketch) Summarize(t *table.Table) (Result, error) {
 		g.scan(t.Members(), c)
 		return g.result(s.K, c.Dict()), nil
 	case *table.IntColumn, *table.DoubleColumn:
-		g := newMGTyped(k, col.Kind())
+		g := newMGTyped(k, col)
 		g.scan(t.Members(), col)
 		return g.result(s.K), nil
 	}
-	out := &HeavyHitters{K: s.K, Counters: make(map[table.Value]int64, k+1)}
+	out := &HeavyHitters{K: s.K, Counters: make(map[table.Value]int64, min(k, col.Len())+1)}
 	scanValues(t.Members(), col, func(vals []table.Value) {
 		out.ScannedRows += int64(len(vals))
 		mgUpdateValues(out.Counters, k, vals)
@@ -148,21 +152,23 @@ func mgUpdateValues(counters map[table.Value]int64, k int, vals []table.Value) {
 }
 
 // mgDenseDictMax bounds the dictionary size for the dense code-keyed
-// Misra–Gries state; larger dictionaries use an int32-keyed map so
-// memory stays O(K), not O(dictionary).
+// tally; larger dictionaries stream into an int32-keyed map so memory
+// stays O(K), not O(dictionary).
 const mgDenseDictMax = 1 << 12
 
-// mgCodes is Misra–Gries keyed by dictionary code. Missing rows count
-// under the reserved code missCode. The update rule is step-for-step
-// the value-keyed reference scan (refMisraGries in batch_test.go), so
-// after the code→Value conversion at result time the summary is
-// bit-identical to that path.
+// mgCodes is the Misra–Gries state of one dictionary column, keyed by
+// code. Missing rows count under the reserved code missCode. Up to
+// mgDenseDictMax codes it is an exact tally — dense[code]++ per row, no
+// data-dependent branch — and result prunes it once to K counters with
+// the rule Merge uses (mgExcess). Above that it streams the update rule
+// step for step with the value-keyed reference scan (refMisraGries in
+// batch_test.go), so after the code→Value conversion at result time the
+// summary is bit-identical to that path.
 type mgCodes struct {
 	k        int
 	missCode int32
-	dense    []int64         // small dicts: counts indexed by code, missCode last
-	active   []int32         // dense path: codes with a positive count
-	m        map[int32]int64 // large dicts: code-keyed counters, missCode = -1
+	dense    []int64         // small dicts: exact counts indexed by code, missCode last
+	m        map[int32]int64 // large dicts: code-keyed stream counters, missCode = -1
 	rows     int64
 }
 
@@ -170,38 +176,17 @@ func newMGCodes(k, dictSize int) *mgCodes {
 	g := &mgCodes{k: k, missCode: int32(dictSize)}
 	if dictSize <= mgDenseDictMax {
 		g.dense = make([]int64, dictSize+1)
-		g.active = make([]int32, 0, k)
 	} else {
 		g.missCode = -1
-		g.m = make(map[int32]int64, k+1)
+		g.m = make(map[int32]int64, min(k, dictSize)+1)
 	}
 	return g
 }
 
-// add inserts one occurrence of code: increment if counted, insert if a
-// counter is free, otherwise decrement every counter and drop zeros.
-// The scan loops inline the dense-increment hot case and call add only
-// for the rare insert/decrement transitions.
-func (g *mgCodes) add(code int32) {
-	if g.dense != nil {
-		if c := g.dense[code]; c > 0 {
-			g.dense[code] = c + 1
-			return
-		}
-		if len(g.active) < g.k {
-			g.dense[code] = 1
-			g.active = append(g.active, code)
-			return
-		}
-		w := g.active[:0]
-		for _, a := range g.active {
-			if g.dense[a]--; g.dense[a] > 0 {
-				w = append(w, a)
-			}
-		}
-		g.active = w
-		return
-	}
+// stream is the Misra–Gries update rule: increment if counted, insert
+// if a counter is free, otherwise decrement every counter and drop
+// zeros.
+func (g *mgCodes) stream(code int32) {
 	if c, ok := g.m[code]; ok {
 		g.m[code] = c + 1
 		return
@@ -219,51 +204,43 @@ func (g *mgCodes) add(code int32) {
 	}
 }
 
-// scan feeds every member row's code to the update rule in Iterate
-// order, translating missing rows to missCode.
+// scan counts every member row's code, missing rows under missCode,
+// in Iterate order: into the tally, or through stream. The tally of a
+// span without missing rows is the hot loop and stands alone.
 func (g *mgCodes) scan(m table.Membership, sc *table.StringColumn) {
-	codes, miss := sc.Codes(), sc.MissingMask()
-	dense := g.dense
+	codes, miss, dense := sc.Codes(), sc.MissingMask(), g.dense
 	scanBatches(m,
 		func(a, b int) {
 			g.rows += int64(b - a)
-			if miss == nil && dense != nil {
+			if dense != nil && miss == nil {
 				for _, code := range codes[a:b] {
-					if c := dense[code]; c > 0 {
-						dense[code] = c + 1
-					} else {
-						g.add(code)
-					}
+					dense[code]++
 				}
 				return
 			}
 			for k, code := range codes[a:b] {
-				if miss != nil && miss.Get(a+k) {
+				if miss.Get(a + k) {
 					code = g.missCode
 				}
 				if dense != nil {
-					if c := dense[code]; c > 0 {
-						dense[code] = c + 1
-						continue
-					}
+					dense[code]++
+				} else {
+					g.stream(code)
 				}
-				g.add(code)
 			}
 		},
 		func(rows []int32) {
 			g.rows += int64(len(rows))
 			for _, r := range rows {
 				code := codes[r]
-				if miss != nil && miss.Get(int(r)) {
+				if miss.Get(int(r)) {
 					code = g.missCode
 				}
 				if dense != nil {
-					if c := dense[code]; c > 0 {
-						dense[code] = c + 1
-						continue
-					}
+					dense[code]++
+				} else {
+					g.stream(code)
 				}
-				g.add(code)
 			}
 		})
 }
@@ -295,8 +272,8 @@ type mgTyped struct {
 	rows int64
 }
 
-func newMGTyped(k int, kind table.Kind) *mgTyped {
-	return &mgTyped{k: k, kind: kind, m: make(map[mgKey]int64, k+1)}
+func newMGTyped(k int, col table.Column) *mgTyped {
+	return &mgTyped{k: k, kind: col.Kind(), m: make(map[mgKey]int64, min(k, col.Len())+1)}
 }
 
 // add runs the update rule for one occurrence of key: increment if
@@ -404,31 +381,54 @@ func (g *mgTyped) value(key mgKey) table.Value {
 	}
 }
 
-// result converts the code-keyed counters to the value-keyed summary.
+// result converts the code-keyed state to the value-keyed summary. The
+// dense tally keeps what Merge would keep of the exact counts: every
+// count above the (k+1)-th largest, less that count.
 func (g *mgCodes) result(K int, dict []string) *HeavyHitters {
-	out := &HeavyHitters{K: K, Counters: make(map[table.Value]int64, g.k), ScannedRows: g.rows}
+	out := &HeavyHitters{K: K, Counters: map[table.Value]int64{}, ScannedRows: g.rows}
 	valueOf := func(code int32) table.Value {
 		if code == g.missCode {
 			return table.MissingValue(table.KindString)
 		}
 		return table.Value{Kind: table.KindString, S: dict[code]}
 	}
-	if g.dense != nil {
-		for _, code := range g.active {
-			out.Counters[valueOf(code)] = g.dense[code]
+	if g.dense == nil {
+		for code, c := range g.m {
+			out.Counters[valueOf(code)] = c
 		}
 		return out
 	}
-	for code, c := range g.m {
-		out.Counters[valueOf(code)] = c
+	positive := make([]int64, 0, len(g.dense))
+	for _, c := range g.dense {
+		if c > 0 {
+			positive = append(positive, c)
+		}
+	}
+	sub := mgExcess(positive, g.k)
+	for code, c := range g.dense {
+		if c > sub {
+			out.Counters[valueOf(int32(code))] = c - sub
+		}
 	}
 	return out
 }
 
-// Merge implements Sketch: add counters pointwise; if more than K
-// survive, subtract the (K+1)-th largest count from all and drop
-// non-positive entries (the mergeable-summaries rule, which preserves
-// the N/(K+1) error bound).
+// mgExcess is the prune of the mergeable-summaries rule (Agarwal et
+// al.): when more than k counters are positive, the (k+1)-th largest
+// count comes off every counter and only positive remainders stay,
+// which leaves at most k counters and costs each at most that count —
+// itself at most rows/(k+1). It returns the count to subtract, 0 when
+// nothing needs pruning, and sorts counts in place.
+func mgExcess(counts []int64, k int) int64 {
+	if k <= 0 || len(counts) <= k {
+		return 0
+	}
+	slices.Sort(counts)
+	return counts[len(counts)-1-k]
+}
+
+// Merge implements Sketch: add counters pointwise, then prune with
+// mgExcess, which preserves the N/(K+1) error bound.
 func (s *MisraGriesSketch) Merge(a, b Result) (Result, error) {
 	ha, hb, err := heavyArgs(a, b)
 	if err != nil {
@@ -445,15 +445,13 @@ func (s *MisraGriesSketch) Merge(a, b Result) (Result, error) {
 	for v, c := range hb.Counters {
 		out.Counters[v] += c
 	}
-	if len(out.Counters) > s.K && s.K > 0 {
-		counts := make([]int64, 0, len(out.Counters))
-		for _, c := range out.Counters {
-			counts = append(counts, c)
-		}
-		sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
-		sub := counts[s.K]
+	counts := make([]int64, 0, len(out.Counters))
+	for _, c := range out.Counters {
+		counts = append(counts, c)
+	}
+	if sub := mgExcess(counts, s.K); sub > 0 {
 		for v, c := range out.Counters {
-			if c-sub <= 0 {
+			if c <= sub {
 				delete(out.Counters, v)
 			} else {
 				out.Counters[v] = c - sub

@@ -1,10 +1,17 @@
 package sketch
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/table"
+	"repro/internal/testkit/seedtest"
 )
 
 // genSkewedStrings builds a table of one string column where value "v0"
@@ -216,5 +223,255 @@ func TestHeavyHittersIntColumn(t *testing.T) {
 	hits := res.(*HeavyHitters).Hitters()
 	if len(hits) != 3 {
 		t.Errorf("hitters = %+v, want 3 values", hits)
+	}
+}
+
+// mgStrings is one string column's worth of rows: vals[i] is row i's
+// value unless miss[i].
+type mgStrings struct {
+	vals []string
+	miss []bool
+}
+
+// zipfStrings draws n rows from dict values with Zipf(s) frequencies,
+// about one row in 37 missing.
+func zipfStrings(rng *rand.Rand, n, dict int, s float64) mgStrings {
+	cdf := make([]float64, dict)
+	var sum float64
+	for i := range cdf {
+		sum += 1 / math.Pow(float64(i+1), s)
+		cdf[i] = sum
+	}
+	out := mgStrings{vals: make([]string, n), miss: make([]bool, n)}
+	for i := range out.vals {
+		out.vals[i] = fmt.Sprintf("z%03d", min(sort.SearchFloat64s(cdf, rng.Float64()*sum), dict-1))
+		out.miss[i] = rng.IntN(37) == 0
+	}
+	return out
+}
+
+// embed places the rows of r, in order, at the sorted positions pos of
+// a total-row column "s" whose other rows hold junk values the
+// membership must keep out of the summary.
+func (r mgStrings) embed(id string, total int, pos []int32, members table.Membership) *table.Table {
+	vals := make([]string, total)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("junk%d", i%7)
+	}
+	miss := table.NewBitset(total)
+	for i, p := range pos {
+		vals[p] = r.vals[i]
+		if r.miss[i] {
+			miss.Set(int(p))
+		}
+	}
+	schema := table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString})
+	return table.New(id, schema, []table.Column{table.NewStringColumn(vals, miss)}, members)
+}
+
+// full is the plain table of r: every row a member, in order.
+func (r mgStrings) full(id string) *table.Table {
+	identity := make([]int32, len(r.vals))
+	for i := range identity {
+		identity[i] = int32(i)
+	}
+	return r.embed(id, len(r.vals), identity, table.FullMembership(len(r.vals)))
+}
+
+// TestMisraGriesTallyOrderFree is the property the tallied path is
+// built on: over a small dictionary the summary is a function of the
+// multiset of member values. The same rows reversed (which renumbers
+// the dictionary), selected out of a larger column by a range, bitmap
+// or sparse membership, or fed to the accumulator in chunks cut at
+// arbitrary rows all give the bits of Merge(exact counts, Zero); and a
+// Snapshot in mid-run is the summary of the prefix and leaves the final
+// Result alone.
+func TestMisraGriesTallyOrderFree(t *testing.T) {
+	rng, _ := seedtest.Rand(t)
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.IntN(6000)
+		rows := zipfStrings(rng, n, 1+rng.IntN(400), 0.5+rng.Float64())
+		k := 1 + rng.IntN(40)
+		sk := &MisraGriesSketch{Col: "s", K: k}
+
+		base := rows.full("base")
+		want := refMisraGriesTally(t, base, "s", k)
+		if len(want.Counters) > k {
+			t.Fatalf("trial %d: reference holds %d > K=%d counters", trial, len(want.Counters), k)
+		}
+
+		reversed := mgStrings{vals: slices.Clone(rows.vals), miss: slices.Clone(rows.miss)}
+		slices.Reverse(reversed.vals)
+		slices.Reverse(reversed.miss)
+
+		// Scatter the rows over a column three times as long.
+		total := 3 * n
+		pos := make([]int32, 0, n)
+		bits := table.NewBitset(total)
+		for _, p := range rng.Perm(total)[:n] {
+			pos = append(pos, int32(p))
+			bits.Set(p)
+		}
+		slices.Sort(pos)
+		shifted := make([]int32, n)
+		for i := range shifted {
+			shifted[i] = int32(n + i)
+		}
+
+		variants := []*table.Table{
+			base,
+			reversed.full("reversed"),
+			rows.embed("range", total, shifted, table.NewRangeMembership(n, 2*n, total)),
+			rows.embed("bitmap", total, pos, table.NewBitmapMembership(bits)),
+			rows.embed("sparse", total, pos, table.NewSparseMembership(pos, total)),
+		}
+		for _, v := range variants {
+			got, err := sk.Summarize(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (n=%d k=%d): %s summary differs from Merge(exact counts, Zero)\n got %+v\nwant %+v", trial, n, k, v.ID(), got, want)
+			}
+
+			// Add×chunks then Result ≡ one Summarize, wherever the cuts
+			// fall; the snapshot after the first chunk is that chunk's
+			// summary.
+			max := v.Members().Max()
+			cuts := []int{0, max}
+			for i := rng.IntN(6); i > 0; i-- {
+				cuts = append(cuts, rng.IntN(max+1))
+			}
+			slices.Sort(cuts)
+			acc := sk.NewAccumulator()
+			for i := 1; i < len(cuts); i++ {
+				chunk := v.Slice(fmt.Sprintf("%s#%d", v.ID(), i), cuts[i-1], cuts[i])
+				if err := acc.Add(chunk); err != nil {
+					t.Fatal(err)
+				}
+				if i > 1 {
+					continue
+				}
+				first, err := sk.Summarize(chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap := acc.Snapshot(); !reflect.DeepEqual(snap, first) {
+					t.Fatalf("trial %d: %s snapshot after one chunk differs from its summary\n got %+v\nwant %+v", trial, v.ID(), snap, first)
+				}
+			}
+			if got := acc.Result(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (n=%d k=%d): %s cut at %v differs from one Summarize\n got %+v\nwant %+v", trial, n, k, v.ID(), cuts, got, want)
+			}
+		}
+	}
+}
+
+// TestMisraGriesTallyAccuracy asserts what counting before pruning
+// buys on the distribution the benchmark queries (340 airports,
+// Zipf 1.08, K = 10, where ten counters hold about half the rows):
+// every counter is short of the truth by at most the table's (K+1)-th
+// largest exact count — far inside N/(K+1) — and the decision rule
+// lists at least the hitters the stream rule's answer lists.
+func TestMisraGriesTallyAccuracy(t *testing.T) {
+	const n, dict, k = 200000, 340, 10
+	rows := zipfStrings(rand.New(rand.NewPCG(7, 8)), n, dict, 1.08)
+	tbl := rows.full("zipf")
+
+	truth := map[table.Value]int64{}
+	col := tbl.MustColumn("s")
+	for i := 0; i < n; i++ {
+		truth[col.Value(i)]++
+	}
+	exact := make([]int64, 0, len(truth))
+	for _, c := range truth {
+		exact = append(exact, c)
+	}
+	slices.Sort(exact)
+	excess := exact[len(exact)-1-k]
+	if excess > n/(k+1) {
+		t.Fatalf("(K+1)-th largest count %d exceeds N/(K+1) = %d", excess, n/(k+1))
+	}
+
+	res, err := (&MisraGriesSketch{Col: "s", K: k}).Summarize(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.(*HeavyHitters)
+	if len(got.Counters) == 0 || len(got.Counters) > k {
+		t.Fatalf("%d counters, want 1..%d", len(got.Counters), k)
+	}
+	for v, c := range got.Counters {
+		if c > truth[v] || truth[v]-c > excess {
+			t.Errorf("counter for %v = %d, truth %d: not a lower bound within the (K+1)-th count %d", v, c, truth[v], excess)
+		}
+	}
+	stream := refMisraGries(tbl, "s", k)
+	if g, s := len(got.Hitters()), len(stream.Hitters()); g < s {
+		t.Errorf("tally lists %d hitters, the stream rule %d", g, s)
+	}
+	t.Logf("(K+1)-th count %d of N/(K+1) %d; hitters: tally %d, stream %d", excess, n/(k+1), len(got.Hitters()), len(stream.Hitters()))
+}
+
+// TestMisraGriesHugeKAllocation: workers decode K off the wire with no
+// scheduler in front to bound it, so nothing on the scan path may be
+// sized by K alone. A sketch decoded with K = 2^40 summarises a 10-row
+// table — every column path, Summarize and accumulator — inside a fixed
+// allocation budget, and the sample-size formula does not overflow.
+func TestMisraGriesHugeKAllocation(t *testing.T) {
+	const hugeK = 1 << 40
+	schema := table.NewSchema(
+		table.ColumnDesc{Name: "s", Kind: table.KindString},
+		table.ColumnDesc{Name: "i", Kind: table.KindInt},
+		table.ColumnDesc{Name: "d", Kind: table.KindDouble},
+		table.ColumnDesc{Name: "c", Kind: table.KindInt},
+	)
+	strs := []string{"a", "b", "a", "c", "a", "b", "d", "a", "e", "a"}
+	ints := make([]int64, len(strs))
+	doubles := make([]float64, len(strs))
+	for i := range strs {
+		ints[i], doubles[i] = int64(i%3), float64(i%4)
+	}
+	tbl := table.New("tiny", schema, []table.Column{
+		table.NewStringColumn(strs, nil),
+		table.NewIntColumn(table.KindInt, ints, nil),
+		table.NewDoubleColumn(doubles, nil),
+		table.NewComputedColumn(table.KindInt, len(strs), func(i int) table.Value { return table.IntValue(int64(i % 2)) }),
+	}, table.FullMembership(len(strs)))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, col := range []string{"s", "i", "d", "c"} {
+		wireBytes, ok := AppendSketchWire(nil, &MisraGriesSketch{Col: col, K: hugeK})
+		if !ok {
+			t.Fatal("MisraGriesSketch has no wire codec")
+		}
+		sk, _, err := DecodeSketchWire(wireBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sk.Summarize(tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := accumulate(t, sk, chunkViews(tbl, 3)); !reflect.DeepEqual(got, res) {
+			t.Errorf("%s: accumulator %+v differs from Summarize %+v", col, got, res)
+		}
+		hh := res.(*HeavyHitters)
+		if hh.ScannedRows != int64(len(strs)) || len(hh.Counters) == 0 || len(hh.Counters) > len(strs) {
+			t.Errorf("%s: summary %+v", col, hh)
+		}
+	}
+	newMGCodes(hugeK, mgDenseDictMax+1) // the code-keyed stream's map
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("K = 2^40 over a 10-row table allocated %d bytes, budget 1 MiB", got)
+	}
+
+	if n := HeavyHittersSampleSize(hugeK, 0.01); n <= hugeK {
+		t.Errorf("HeavyHittersSampleSize(2^40) = %d, want more than K", n)
+	}
+	if n := HeavyHittersSampleSize(math.MaxInt, 0.01); n != math.MaxInt {
+		t.Errorf("HeavyHittersSampleSize(MaxInt) = %d, want it clamped to MaxInt", n)
 	}
 }

@@ -29,7 +29,12 @@ import (
 //     documented statistical error bound against exact ground truth
 //     instead. Misra–Gries is deterministic but merge-order-sensitive
 //     within its structural N/(K+1) bound, which Check enforces
-//     directly. Floating-point fold sketches (moments, PCA) are exact
+//     directly. Both of its leaf rules feed that bound: a small
+//     dictionary column is tallied exactly and pruned with Merge's own
+//     rule, so a leaf is Merge(exact counts, Zero) whatever the row
+//     order; every other column streams and loses at most rows/(K+1)
+//     per counter. What still shows in the bits is the merge tree's
+//     shape. Floating-point fold sketches (moments, PCA) are exact
 //     up to addition reassociation and get a relative-epsilon compare.
 //
 //   - Peer compares two topologies that share scan geometry (the same

@@ -73,7 +73,12 @@ func HeavyHittersSampleSize(k int, delta float64) int {
 	if k < 1 {
 		k = 1
 	}
-	return int(math.Ceil(float64(k*k) * math.Log(float64(k)/delta)))
+	// Squared in floating point and clamped, since k comes off a URL.
+	n := math.Ceil(float64(k) * float64(k) * math.Log(float64(k)/delta))
+	if n >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(n)
 }
 
 // Rate converts a target sample size into a per-row sampling rate for a

@@ -33,8 +33,11 @@
 // loop. Batch scans visit exactly the rows the row-at-a-time path
 // visits, in the same order, so results (including sampled sketches
 // under a fixed seed) are bit-identical to the reference path, which
-// remains in the tree as the ComputedColumn fallback. Benchmarks:
-// BenchmarkKernel* in bench_test.go; recorded in BENCH_kernels.json.
+// remains in the tree as the ComputedColumn fallback. The one kernel
+// that is not a transcription of its row-at-a-time rule is Misra–Gries
+// over a small dictionary, which tallies instead of streaming (see
+// MisraGriesSketch.Summarize). Benchmarks: BenchmarkKernel* in
+// bench_test.go; recorded in BENCH_kernels.json.
 //
 // # Accumulators
 //
@@ -43,10 +46,16 @@
 // allocating a Result per chunk and paying Merge each time,
 // snapshots it for progressive partials (Snapshot), and surrenders it
 // at the end (Result). Per-column scan state — batch indexers,
-// dictionary hash tables, the code-keyed Misra–Gries counters — is
+// dictionary hash tables, the Misra–Gries state of a column — is
 // cached across chunks sharing a column. For deterministic sketches the
-// accumulated summary equals Summarize+Merge exactly; Misra–Gries may
-// differ within its error bound, exactly as merge orders may.
+// accumulated summary equals Summarize+Merge exactly. Misra–Gries keeps
+// one state per (run, column): for a dictionary column of at most
+// mgDenseDictMax codes the exact count of every code, pruned to K
+// counters once, at Result, by the rule Merge applies (mgExcess) —
+// which is what keeps it a Misra–Gries summary; for every other column
+// the stream, continued from chunk to chunk. Both differ from
+// Summarize+Merge per chunk within the error bound only, exactly as
+// merge orders do.
 //
 // Accumulator sketches: histogram (exact, sampled, CDF), hist2d,
 // distinct count, heavy hitters (Misra–Gries), the MultiSketch
