@@ -342,6 +342,41 @@ func BenchmarkKernelHistExact(b *testing.B) {
 			})
 		}
 	}
+	// The legs above are the best case — a round range, where
+	// NumericBuckets verifies the reciprocal form (FastIndex), and no
+	// missing cells. A chart's histogram has neither: see flightsBuckets.
+	fl := kernelFlights()
+	for _, col := range []string{"DepDelay", "Distance"} {
+		b.Run("flights/"+col, func(b *testing.B) {
+			sk := &sketch.HistogramSketch{Col: col, Buckets: flightsBuckets(b, fl, col, 50)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.Summarize(fl); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRows(b, fl.NumRows())
+		})
+	}
+}
+
+// flightsBuckets is col's bucket geometry over the flights partition as
+// a chart derives it — the range from a RangeSketch over the data — and
+// logs what that costs the kernel: data-derived ranges rarely verify for
+// the reciprocal bucket form, and four of the five columns the
+// end-to-end benchmark's heat maps read carry a missing mask (cancelled
+// flights), so this, not the round-range legs, is the path the ledger's
+// hist and heat-map rows pay for.
+func flightsBuckets(b *testing.B, t *table.Table, col string, count int) sketch.BucketSpec {
+	b.Helper()
+	res, err := (&sketch.RangeSketch{Col: col}).Summarize(t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := res.(*sketch.DataRange)
+	spec := sketch.NumericBuckets(r.Kind, r.Min, r.Max, count)
+	b.Logf("%s: [%g, %g] in %d buckets, %d of %d rows missing, FastIndex=%v", col, r.Min, r.Max, count, r.Missing, r.Total(), spec.FastIndex)
+	return spec
 }
 
 // BenchmarkKernelHistMissing measures the missing-mask overhead on the
@@ -459,6 +494,22 @@ func BenchmarkKernelHist2D(b *testing.B) {
 				}
 			}
 			reportRows(b, tt.NumRows())
+		})
+	}
+	// The heat map the end-to-end benchmark draws: 600×200 px in 3 px
+	// cells over data-derived ranges, both columns masked (flightsBuckets).
+	fl := kernelFlights()
+	for _, p := range [][2]string{{"DepDelay", "ArrDelay"}, {"Distance", "AirTime"}} {
+		b.Run("flights/"+p[0]+"-"+p[1], func(b *testing.B) {
+			sk := &sketch.Histogram2DSketch{XCol: p[0], YCol: p[1],
+				X: flightsBuckets(b, fl, p[0], 200), Y: flightsBuckets(b, fl, p[1], 66)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.Summarize(fl); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRows(b, fl.NumRows())
 		})
 	}
 }

@@ -39,14 +39,22 @@
 //
 // # Scan batching
 //
-// Distinct cacheable queries that arrive on the same dataset within the
-// -batch-window (default 1ms; 0 disables) coalesce into one composite
-// leaf pass (sketch.MultiSketch): the table's chunks are walked once
-// and every member sketch folds from the shared stream, with each
-// subscriber's partials and final result demuxed back out — bit-identical
-// to a solo run, because the batch shares the solo path's chunk
-// geometry, per-chunk sampling seeds, and merge order. A dashboard
-// opening eight charts over one table costs one scan, not eight.
+// A cacheable query is admitted by one rule: the computation cache is
+// looked up first (a hit takes no slot and waits for nothing), then an
+// identical query already in flight is joined, and only then is it
+// batched and scanned. On an idle dataset it starts at once. Behind a
+// busy one — another such query on the same dataset waiting or scanning —
+// it waits up to -batch-window (default 1ms; 0 never waits) for
+// companions, and those gathered coalesce into one composite leaf pass
+// (sketch.MultiSketch): the table's chunks are walked once and every
+// member sketch folds from the shared stream, with each subscriber's
+// partials and final result demuxed back out — bit-identical to a solo
+// run, because the batch shares the solo path's chunk geometry,
+// per-chunk sampling seeds, and merge order. A chart that needs several
+// sketches (bars and CDF; the axis ranges of a heat map) sends them as
+// one group, which is such a pass from the start. A dashboard opening
+// eight charts over one idle table costs two scans, not eight: the first
+// chart starts at once and the other seven share one pass behind it.
 // Abandoning one batched query masks its member out of the remaining
 // scan without disturbing the others; every member that finished is
 // cached under its own key, as if it had run alone. /api/status reports
@@ -141,7 +149,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", serve.DefaultQueueDepth, "queries allowed to wait for a slot before shedding (negative = no queue)")
 	queryDeadline := flag.Duration("query-deadline", serve.DefaultDeadline, "server-side query deadline (negative = none)")
 	maxResultRows := flag.Int("max-result-rows", serve.DefaultMaxResultRows, "per-query result-row budget for table pages and heavy-hitters k (negative = unlimited)")
-	batchWindow := flag.Duration("batch-window", serve.DefaultBatchWindow, "scan-batching window: concurrent cacheable queries on one dataset within it share a single leaf pass (0 = disabled)")
+	batchWindow := flag.Duration("batch-window", serve.DefaultBatchWindow, "longest a cacheable query waits behind a busy dataset for others to share its leaf pass with; a query on an idle dataset never waits (0 = never wait)")
 	maxViews := flag.Int("max-views", DefaultMaxViews, "derived views kept before LRU eviction (0 = unlimited)")
 	slowQuery := flag.Duration("slow-query", time.Second, "log one structured line per query slower than this (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "debug listen address serving /debug/pprof and /metrics (empty = disabled)")

@@ -55,10 +55,15 @@
 //
 // A default histogram or CDF samples only where that is the cheaper scan
 // (sketch.HistogramExactAboveRate holds the measured crossover and the
-// reason). When distinct queries share one leaf pass (sketch.MultiSketch
-// behind the scheduler's batching window), the engine root stores each
-// member's result in the computation cache under the member's own key
-// once the pass finishes.
+// reason). The serving layer (internal/serve) admits every cacheable
+// query by one rule — lookup, dedup, batch, scan: it waits for
+// companions only behind a dataset that is already busy, and a chart's
+// sketches (bars and CDF, a heat map's axis ranges) go down as one
+// sketch.MultiSketch, a batch that arrives formed. However queries came
+// to share a leaf pass, the engine root stores each member's result in
+// the computation cache under the member's own key once the pass
+// finishes, answers a MultiSketch whose members are all cached from
+// there, and counts a miss for each member that was not.
 //
 // Leaf column data is evictable soft state served by a memory-mapped
 // column store (internal/colstore; paper §3.5, §5.5, §5.7): the HVC2

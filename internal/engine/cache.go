@@ -75,23 +75,47 @@ func KeyAt(datasetID string, gen uint64, sk sketch.Sketch) (string, bool) {
 }
 
 // Get returns the cached result for key, if any.
-func (c *Cache) Get(key string) (sketch.Result, bool) { return c.lookup(key, true) }
+func (c *Cache) Get(key string) (sketch.Result, bool) {
+	res, ok := c.lookupAll([]string{key}, true)
+	if !ok {
+		return nil, false
+	}
+	return res[0], true
+}
 
-// lookup is Get; countMiss false leaves the miss counter alone, for a
-// probe whose miss is followed by the counted lookup of the real run.
-func (c *Cache) lookup(key string, countMiss bool) (sketch.Result, bool) {
+// lookupAll looks a group of keys up as a unit, for an answer that is
+// only useful whole (one sketch, or every member of a scan-sharing
+// pass): when every key is present each counts a hit; otherwise no
+// entry is touched and, when countMiss is set, each absent key counts a
+// miss — the present ones were not used, so they count nothing.
+// countMiss false is for a probe whose miss is followed by the counted
+// lookup of the real run. An empty key (a member that is not cacheable)
+// is absent and uncounted.
+func (c *Cache) lookupAll(keys []string, countMiss bool) ([]sketch.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	var absent, uncacheable int64
+	for _, key := range keys {
+		if key == "" {
+			uncacheable++
+		} else if _, ok := c.entries[key]; !ok {
+			absent++
+		}
+	}
+	if absent+uncacheable > 0 {
 		if countMiss {
-			c.misses.Inc()
+			c.misses.Add(absent)
 		}
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	c.hits.Inc()
-	return el.Value.(*cacheEntry).res, true
+	out := make([]sketch.Result, len(keys))
+	for i, key := range keys {
+		el := c.entries[key]
+		c.order.MoveToFront(el)
+		out[i] = el.Value.(*cacheEntry).res
+	}
+	c.hits.Add(int64(len(keys)))
+	return out, true
 }
 
 // Put stores a result, evicting the least-recently-used entry when full.

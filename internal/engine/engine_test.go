@@ -448,6 +448,69 @@ func TestRootComputationCache(t *testing.T) {
 	}
 }
 
+// TestRootCachesGroupByMember: a MultiSketch has no cache entry of its
+// own. A pass publishes each member under the member's key and costs
+// each member that was absent one miss; the group is answered from the
+// cache exactly when every member is there, one hit each; a probe counts
+// hits but never a miss; and an uncacheable member keeps the group out
+// of the cache without hiding its neighbours' misses.
+func TestRootCachesGroupByMember(t *testing.T) {
+	l := &testLoader{}
+	root := NewRoot(l.load)
+	if _, err := root.Load("base", "gen"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rng, cnt := &sketch.RangeSketch{Col: "x"}, &sketch.DistinctCountSketch{Col: "x"}
+	group, err := sketch.NewMultiSketch(rng, cnt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := func() [2]int64 { h, m := root.Cache().Stats(); return [2]int64{h, m} }
+
+	if _, ok := root.Cached(ctx, "base", group, nil); ok || stats() != [2]int64{0, 0} {
+		t.Fatalf("probe of an empty cache: hit %v, stats %v", ok, stats())
+	}
+	solo, err := root.RunSketch(ctx, "base", rng, nil)
+	if err != nil || stats() != [2]int64{0, 1} {
+		t.Fatalf("solo run: err %v, stats %v, want one miss", err, stats())
+	}
+	first, err := root.RunSketch(ctx, "base", group, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats() != [2]int64{0, 2} {
+		t.Errorf("pass with one member cached: stats %v, want no hit (the entry was not used) and one more miss", stats())
+	}
+	if !reflect.DeepEqual(first.(*sketch.MultiResult).Members[0], solo) {
+		t.Error("member's slot differs from its solo run")
+	}
+	var partials []Partial
+	again, err := root.RunSketch(ctx, "base", group, func(p Partial) { partials = append(partials, p) })
+	if err != nil || !reflect.DeepEqual(again, first) {
+		t.Errorf("cached group: err %v, equal to the pass: %v", err, reflect.DeepEqual(again, first))
+	}
+	if stats() != [2]int64{2, 2} || len(partials) != 1 || partials[0].Done != 1 {
+		t.Errorf("cached group: stats %v, partials %+v; want one hit per member and one completion partial", stats(), partials)
+	}
+	if res, ok := root.Cached(ctx, "base", cnt, nil); !ok || !reflect.DeepEqual(res, first.(*sketch.MultiResult).Members[1]) {
+		t.Error("a member that ran in the pass is not cached under its own key")
+	}
+	mixed, err := sketch.NewMultiSketch(&sketch.RangeSketch{Col: "g"}, &sketch.QuantileSketch{Order: table.Asc("x"), SampleSize: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stats()
+	for i := 0; i < 2; i++ {
+		if _, err := root.RunSketch(ctx, "base", mixed, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := stats(); got != [2]int64{before[0], before[1] + 1} {
+		t.Errorf("group with a randomized member, run twice: stats %v -> %v, want one miss (the first pass) and no hit", before, got)
+	}
+}
+
 func TestRootReplayAfterDrop(t *testing.T) {
 	l := &testLoader{}
 	root := NewRoot(l.load)

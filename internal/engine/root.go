@@ -253,16 +253,28 @@ func (r *Root) DropAll() {
 
 // cacheHit is the computation cache's hit path: on a hit it annotates
 // the query's trace and delivers the result as the one completion
-// partial. countMiss is false for probes (see Cached).
-func (r *Root) cacheHit(ctx context.Context, key string, cacheable bool, onPartial PartialFunc, countMiss bool) (sketch.Result, bool) {
-	if !cacheable {
-		return nil, false
+// partial. A MultiSketch has no key of its own, but each slot of its
+// result is what its member returns alone, so it is a hit exactly when
+// every member is — one annotation and one counted hit per member — and
+// a miss costs each absent member one counted miss. countMiss is false
+// for probes (see Cached).
+func (r *Root) cacheHit(ctx context.Context, datasetID string, gen uint64, sk sketch.Sketch, onPartial PartialFunc, countMiss bool) (sketch.Result, bool) {
+	members, grouped := sketch.MembersOf(sk)
+	keys := make([]string, len(members))
+	for i, m := range members {
+		keys[i], _ = KeyAt(datasetID, gen, m)
 	}
-	res, ok := r.cache.lookup(key, countMiss)
+	hits, ok := r.cache.lookupAll(keys, countMiss)
 	if !ok {
 		return nil, false
 	}
-	obs.TraceFrom(ctx).Annotate("engine.cache_hit", "")
+	for range hits {
+		obs.TraceFrom(ctx).Annotate("engine.cache_hit", "")
+	}
+	res := hits[0]
+	if grouped {
+		res = &sketch.MultiResult{Members: hits}
+	}
 	emit(onPartial, Partial{Result: res, Done: 1, Total: 1})
 	return res, true
 }
@@ -273,8 +285,7 @@ func (r *Root) cacheHit(ctx context.Context, key string, cacheable bool, onParti
 // serving layer probes it before a query joins a batching window or a
 // shared flight, so a repeated view never waits for either.
 func (r *Root) Cached(ctx context.Context, datasetID string, sk sketch.Sketch, onPartial PartialFunc) (sketch.Result, bool) {
-	key, cacheable := KeyAt(datasetID, r.DatasetGeneration(datasetID), sk)
-	return r.cacheHit(ctx, key, cacheable, onPartial, false)
+	return r.cacheHit(ctx, datasetID, r.DatasetGeneration(datasetID), sk, onPartial, false)
 }
 
 // RunSketch executes a sketch over a dataset with computation caching
@@ -283,7 +294,7 @@ func (r *Root) RunSketch(ctx context.Context, datasetID string, sk sketch.Sketch
 	tr := obs.TraceFrom(ctx)
 	gen := r.DatasetGeneration(datasetID)
 	key, cacheable := KeyAt(datasetID, gen, sk)
-	if res, ok := r.cacheHit(ctx, key, cacheable, onPartial, true); ok {
+	if res, ok := r.cacheHit(ctx, datasetID, gen, sk, onPartial, true); ok {
 		return res, nil
 	}
 	ds, err := r.Get(datasetID)

@@ -10,29 +10,27 @@ import (
 	"repro/internal/sketch"
 )
 
-// Scan batching. A cacheable query that cannot dedup-join an identical
-// in-flight execution registers its flight and waits: the first such
-// arrival on a dataset opens a Config.BatchWindow timer, and when it
-// fires every flight gathered on that dataset runs as one
-// sketch.MultiSketch — a single admission slot, a single leaf pass over
-// the table with the member sketches' column unions acquired once per
-// chunk. Each member's partials and final result are demuxed out of the
-// composite, so a subscriber cannot tell (by the bits it receives)
-// whether its query ran solo or batched: the batch shares the solo
-// path's chunk geometry, per-chunk sampling seeds, and merge order. Nor
-// can the cache: when the pass finishes the engine root stores each
-// member's result under the member's own key (masked members excepted),
-// so a repeat of any of them is a hit whichever way it first ran.
+// Scan batching: the last two clauses of RunSketch's admission rule.
+//
+// A dataset is busy while any flight is registered on the same
+// generation of it, gathering or scanning (Scheduler.busy, kept by
+// newFlight and retire). A new flight on an idle dataset launches at
+// once — a wait would buy latency and no company. Behind a busy one it
+// gathers: the first such flight opens a Config.BatchWindow timer, and
+// when it fires all that gathered launch together. So K simultaneous
+// arrivals on an idle dataset cost two scans: the first starts at once,
+// the other K−1 share a pass behind it. A group (a MultiSketch submitted
+// as one query) launches at once too: it arrived formed.
+//
+// Flights launched together run as one sketch.MultiSketch — one slot,
+// one leaf pass, the members' column union acquired once per chunk — and
+// cannot tell by the bits they receive: the pass shares the solo path's
+// chunk geometry, per-chunk sampling seeds and merge order. Nor can the
+// cache: the engine root stores each unmasked member under its own key.
 
-// pendingBatch collects flights on one dataset while its window is
-// open. Guarded by Scheduler.mu.
-type pendingBatch struct {
-	flights  []*flight
-	sketches []sketch.Sketch
-}
-
-// batchExec is one formed batch: the MultiSketch execution shared by
-// its member flights. members/mask/live are fixed at formation; live is
+// batchExec is one launched pass: the execution shared by its member
+// flights — their MultiSketch, or the lone member's own sketch. members
+// and mask (nil for a lone member) are fixed at launch; live is
 // decremented under Scheduler.mu as members are abandoned.
 type batchExec struct {
 	ctx     context.Context
@@ -42,163 +40,139 @@ type batchExec struct {
 	live    int
 }
 
-// joinBatch subscribes a cacheable query to its dataset's open batching
-// window, dedup-joining an existing flight for the same key when one is
-// already registered (pending or executing). batchID is the
-// generation-qualified dataset identity the window gathers under — two
-// queries may share a scan only when they scan the same live set;
-// datasetID is the bare ID the execution runs against.
-func (s *Scheduler) joinBatch(tr *obs.Trace, key, batchID, datasetID string, sk sketch.Sketch, onPartial engine.PartialFunc) (*flight, *subscriber) {
+// gather parks fresh flights in their dataset's batching window, opening
+// it if they are the first there. batchID is the generation-qualified
+// dataset the window gathers under — queries share a scan only over the
+// same live set; datasetID is the bare ID it runs against. Caller holds
+// s.mu.
+func (s *Scheduler) gather(batchID, datasetID string, fresh []*flight) {
+	for _, fl := range fresh {
+		fl.bwin = fl.tr.StartSpan("serve.batch_window")
+		if _, open := s.batches[batchID]; !open {
+			time.AfterFunc(s.cfg.BatchWindow, func() { s.formBatch(batchID, datasetID) })
+		}
+		s.batches[batchID] = append(s.batches[batchID], fl)
+	}
+}
+
+// formBatch closes a window. A flight whose result reached the cache
+// while it gathered — published by the pass it waited behind — is
+// answered from there; the rest are launched together.
+func (s *Scheduler) formBatch(batchID, datasetID string) {
+	s.mu.Lock()
+	gathered := s.batches[batchID]
+	delete(s.batches, batchID)
+	s.mu.Unlock()
+	var missed []*flight
+	for _, fl := range gathered {
+		fl.bwin.EndNote(fmt.Sprintf("members=%d", len(gathered)))
+		if s.cache != nil {
+			pass := &batchExec{members: []*flight{fl}}
+			if res, ok := s.cache.Cached(obs.WithTrace(context.Background(), fl.tr), datasetID, fl.sk, pass.fanout(s)); ok {
+				s.mu.Lock()
+				s.finish(fl, res, nil)
+				s.mu.Unlock()
+				continue
+			}
+		}
+		missed = append(missed, fl)
+	}
+	s.launch(datasetID, missed)
+}
+
+// launch starts one pass over the flights still wanted: a lone flight's
+// sketch as itself — exactly a solo execution — or their MultiSketch.
+func (s *Scheduler) launch(datasetID string, flights []*flight) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if fl := s.flights[key]; fl != nil {
-		s.dedups.Add(1)
-		tr.Annotate("serve.dedup_join", "")
-		return fl, fl.subscribe(onPartial)
-	}
-	fl := s.newFlight(key)
-	if tr != nil {
-		fl.tr = tr
-		fl.ctx = obs.WithTrace(fl.ctx, tr)
-		fl.bwin = tr.StartSpan("serve.batch_window")
-	}
-	sub := fl.subscribe(onPartial)
-	b := s.batches[batchID]
-	if b == nil {
-		b = &pendingBatch{}
-		s.batches[batchID] = b
-		time.AfterFunc(s.cfg.BatchWindow, func() { s.formBatch(batchID, datasetID, b) })
-	}
-	b.flights = append(b.flights, fl)
-	b.sketches = append(b.sketches, sk)
-	return fl, sub
-}
-
-// formBatch closes a window and launches the gathered flights: solo
-// when one remains, as a MultiSketch otherwise.
-func (s *Scheduler) formBatch(batchID, datasetID string, b *pendingBatch) {
-	s.mu.Lock()
-	if s.batches[batchID] == b {
-		delete(s.batches, batchID)
-	}
-	// A flight abandoned before formation was already unregistered and
-	// cancelled by wait (its batch field was still nil); drop it here so
-	// the scan does not pay for a query nobody is waiting on.
-	var (
-		alive []*flight
-		sks   []sketch.Sketch
-	)
-	for i, fl := range b.flights {
-		if len(fl.subs) > 0 {
-			alive = append(alive, fl)
-			sks = append(sks, b.sketches[i])
+	be := &batchExec{}
+	var sks []sketch.Sketch
+	var tr *obs.Trace // the first traced member's: one scan, one owner
+	for _, fl := range flights {
+		// Abandoned before launch, and retired by wait: not scanned for.
+		if len(fl.subs) == 0 {
+			continue
+		}
+		fl.batch, fl.memberIdx = be, len(be.members)
+		be.members = append(be.members, fl)
+		sks = append(sks, fl.sk)
+		if tr == nil {
+			tr = fl.tr
 		}
 	}
-	for _, fl := range alive {
-		fl.bwin.EndNote(fmt.Sprintf("members=%d", len(alive)))
-	}
-	switch len(alive) {
-	case 0:
-		s.mu.Unlock()
-		return
-	case 1:
-		// A batch of one is exactly a solo single-flight execution.
-		s.mu.Unlock()
-		go s.runFlight(alive[0], datasetID, sks[0])
+	if be.live = len(be.members); be.live == 0 {
 		return
 	}
-	multi, err := sketch.NewMultiSketch(sks...)
-	if err != nil {
-		// Cannot compose (should be unreachable: WholePartition and
-		// nested multis never reach joinBatch) — fail every member with
-		// the composition error rather than wedging their waiters.
-		for _, fl := range alive {
-			fl.err = fmt.Errorf("serve: batch formation: %w", err)
-			fl.finished = true
-			if !fl.removed {
-				delete(s.flights, fl.key)
-				fl.removed = true
+	pass := sks[0]
+	if be.live > 1 {
+		multi, err := sketch.NewMultiSketch(sks...)
+		if err != nil {
+			// Unreachable (WholePartition sketches never gather, multis are
+			// taken apart on arrival): fail rather than wedge the waiters.
+			for _, fl := range be.members {
+				s.finish(fl, nil, fmt.Errorf("serve: batch formation: %w", err))
 			}
-			close(fl.done)
-			fl.cancel()
+			return
 		}
-		s.mu.Unlock()
-		return
+		be.mask = sketch.NewMemberMask(be.live)
+		multi.SetMask(be.mask)
+		s.countBatch(be.live)
+		pass = multi
 	}
-	mask := sketch.NewMemberMask(len(alive))
-	multi.SetMask(mask)
-	bctx, bcancel := context.WithCancel(context.Background())
+	be.ctx, be.cancel = context.WithCancel(obs.WithTrace(context.Background(), tr))
 	if s.cfg.Deadline > 0 {
-		bctx, bcancel = context.WithTimeout(context.Background(), s.cfg.Deadline)
+		be.ctx, be.cancel = context.WithTimeout(be.ctx, s.cfg.Deadline)
 	}
-	// The composite execution records its spans into the first traced
-	// member's trace (one scan, one owner); the rest keep their
-	// batch_window span as the record of having ridden along.
-	for _, fl := range alive {
-		if fl.tr != nil {
-			bctx = obs.WithTrace(bctx, fl.tr)
-			break
-		}
-	}
-	be := &batchExec{ctx: bctx, cancel: bcancel, members: alive, mask: mask, live: len(alive)}
-	for i, fl := range alive {
-		fl.batch = be
-		fl.memberIdx = i
-	}
-	s.batchesFormed.Add(1)
-	s.batchMembers.Add(int64(len(alive)))
-	s.scansSaved.Add(int64(len(alive) - 1))
-	s.mu.Unlock()
-	go s.runBatch(be, datasetID, multi)
+	go s.runBatch(be, datasetID, pass)
 }
 
-// runBatch executes the composite query under one admission slot and
-// demuxes the outcome to every member flight.
-func (s *Scheduler) runBatch(be *batchExec, datasetID string, multi *sketch.MultiSketch) {
+// runBatch executes the pass under one admission slot and hands every
+// member flight its slot of the outcome.
+func (s *Scheduler) runBatch(be *batchExec, datasetID string, pass sketch.Sketch) {
 	defer be.cancel()
-	res, err := s.execute(be.ctx, datasetID, multi, be.fanout(s))
-	mr, ok := res.(*sketch.MultiResult)
-	if err == nil && (!ok || len(mr.Members) != len(be.members)) {
+	res, err := s.execute(be.ctx, datasetID, pass, be.fanout(s))
+	slots := be.slots(res)
+	if err == nil && slots == nil {
 		err = fmt.Errorf("serve: batch execution returned %T for %d members", res, len(be.members))
 	}
-	s.mu.Lock()
-	for i, fl := range be.members {
-		if err != nil {
-			fl.err = err
-		} else {
-			fl.res = mr.Members[i]
-		}
-		fl.finished = true
-		if !fl.removed {
-			delete(s.flights, fl.key)
-			fl.removed = true
-		}
+	if err != nil {
+		slots = make([]sketch.Result, len(be.members))
 	}
-	s.mu.Unlock()
-	for _, fl := range be.members {
-		close(fl.done)
-		fl.cancel()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, fl := range be.members {
+		s.finish(fl, slots[i], err)
 	}
 }
 
-// fanout builds the batch's partial callback: each composite partial is
-// split member-wise and delivered to that member's subscribers, so a
-// subscriber's stream carries only its own sketch's summaries.
+// slots splits a pass's summary member-wise (nil when it does not have
+// the pass's shape): a lone member's is its own.
+func (be *batchExec) slots(res sketch.Result) []sketch.Result {
+	if len(be.members) == 1 {
+		return []sketch.Result{res}
+	}
+	if mr, ok := res.(*sketch.MultiResult); ok && len(mr.Members) == len(be.members) {
+		return mr.Members
+	}
+	return nil
+}
+
+// fanout builds the pass's partial callback: each partial is split
+// member-wise and delivered to that member's current subscribers, whose
+// streams so carry only their own sketch's summaries. Partials are
+// cumulative: one who joined late starts at the current prefix.
 func (be *batchExec) fanout(s *Scheduler) engine.PartialFunc {
 	type delivery struct {
 		sub *subscriber
 		p   engine.Partial
 	}
 	return func(p engine.Partial) {
-		mr, ok := p.Result.(*sketch.MultiResult)
-		if !ok || len(mr.Members) != len(be.members) {
-			return
-		}
 		var out []delivery
+		slots := be.slots(p.Result)
 		s.mu.Lock()
-		for i, fl := range be.members {
-			for _, sub := range fl.subs {
-				out = append(out, delivery{sub, engine.Partial{Result: mr.Members[i], Done: p.Done, Total: p.Total}})
+		for i, fl := range be.members[:len(slots)] {
+			for sub := range fl.subs {
+				out = append(out, delivery{sub, engine.Partial{Result: slots[i], Done: p.Done, Total: p.Total}})
 			}
 		}
 		s.mu.Unlock()

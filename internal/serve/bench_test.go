@@ -179,15 +179,15 @@ func BenchmarkServeOverloadShed(b *testing.B) {
 // enough that the leaf pass dominates scheduling noise.
 const batchBenchRows = 10_000_000
 
-// batchBenchData builds one 10M-row, 8-partition double-column table
-// and a LocalDataSet over it.
-func batchBenchData(b *testing.B) *engine.LocalDataSet {
+// batchBenchData builds one 8-partition double-column table of the given
+// size and a LocalDataSet over it.
+func batchBenchData(b *testing.B, rows int) *engine.LocalDataSet {
 	b.Helper()
 	const parts = 8
 	schema := table.NewSchema(table.ColumnDesc{Name: "v", Kind: table.KindDouble})
 	tabs := make([]*table.Table, parts)
 	for p := 0; p < parts; p++ {
-		n := batchBenchRows / parts
+		n := rows / parts
 		vals := make([]float64, n)
 		x := uint64(p)*0x9e3779b97f4a7c15 + 1
 		for i := range vals {
@@ -212,15 +212,20 @@ func batchBenchSketches(k int) []sketch.Sketch {
 	return sks
 }
 
-// BenchmarkServeBatch is the tentpole A/B for BENCH_serving.json: K=8
+// BenchmarkServeBatch is the batching A/B for BENCH_serving.json: K=8
 // concurrent distinct histogram queries over one 10M-row table, through
 // a scheduler with the batching window open vs closed, interleaved in
-// one process. scans/round is the leaf-pass count per burst — batched
-// it collapses toward 1, unbatched it is K — and the batched results
-// are verified bit-identical to solo runs before timing starts.
+// one process. scans/round is the leaf-pass count per burst: unbatched
+// it is K; batched it is 2, not 1 — the first arrival finds the dataset
+// idle and starts at once, and the other K−1 gather behind it into one
+// pass (a timer opened by the first arrival made it 1, at the price of
+// every lone query sleeping the window out). The lone leg is that
+// price's absence: one query at a time under a 50 ms window must cost a
+// scan, not a scan plus the window. The batched results are verified
+// bit-identical to solo runs before timing starts.
 func BenchmarkServeBatch(b *testing.B) {
 	const k = 8
-	ds := batchBenchData(b)
+	ds := batchBenchData(b, batchBenchRows)
 	sks := batchBenchSketches(k)
 
 	// Correctness gate ahead of the timed legs: one generously-windowed
@@ -273,6 +278,21 @@ func BenchmarkServeBatch(b *testing.B) {
 		}
 		wg.Wait()
 	}
+	b.Run("lone", func(b *testing.B) {
+		// A table a tenth the size: the scan is a few ms, so a query that
+		// sat the 50 ms window out is unmistakable.
+		const window = 50 * time.Millisecond
+		s := New(&dsRunner{ds: batchBenchData(b, batchBenchRows/10)}, Config{MaxInFlight: 2, Deadline: -1, BatchWindow: window})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.RunSketch(context.Background(), "big", sks[i%k], nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if perOp := b.Elapsed() / time.Duration(b.N); perOp > window/4 {
+			b.Fatalf("a lone query took %v under a %v window: it waited", perOp, window)
+		}
+	})
 	for _, leg := range []struct {
 		name   string
 		window time.Duration
@@ -285,7 +305,11 @@ func BenchmarkServeBatch(b *testing.B) {
 				burst(b, s)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(run.count())/float64(b.N), "scans/round")
+			scans := float64(run.count()) / float64(b.N)
+			b.ReportMetric(scans, "scans/round")
+			if leg.window > 0 && scans > 2 {
+				b.Fatalf("batched burst of %d took %.1f leaf passes, want ≤ 2", k, scans)
+			}
 		})
 	}
 }
@@ -302,7 +326,7 @@ func deepEqualResult(a, b sketch.Result) bool { return reflect.DeepEqual(a, b) }
 // histogram so the per-query trace cost is measured against real work;
 // acceptance is overhead below host noise.
 func BenchmarkServeTrace(b *testing.B) {
-	ds := batchBenchData(b)
+	ds := batchBenchData(b, batchBenchRows)
 	sk := &sketch.HistogramSketch{Col: "v", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 32)}
 	tracer := obs.NewTracer(obs.DefaultTraceRing, 0, nil)
 	for _, leg := range []struct {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,22 +82,20 @@ func TestGenerationSplitsDedup(t *testing.T) {
 
 // TestGenerationSplitsBatchWindow pins the same contract for scan
 // batching: queries on different generations of one dataset must not
-// coalesce into one leaf pass.
+// coalesce into one leaf pass — and a scan in flight on the old
+// generation does not make the new one busy.
 func TestGenerationSplitsBatchWindow(t *testing.T) {
+	started := make(chan struct{}, 2)
+	gate := make(chan struct{})
 	run := &genRunner{}
 	run.fn = func(ctx context.Context, _ string, sk sketch.Sketch, _ engine.PartialFunc) (sketch.Result, error) {
-		if ms, ok := sk.(*sketch.MultiSketch); ok {
-			res := ms.Zero().(*sketch.MultiResult)
-			for i := range res.Members {
-				res.Members[i] = int64(i)
-			}
-			return res, nil
+		if strings.Contains(sk.Name(), "held") {
+			started <- struct{}{}
+			<-gate
 		}
 		return int64(0), nil
 	}
-	// The window is generous so both windows are reliably open at once
-	// when the test inspects them.
-	s := New(run, Config{MaxInFlight: 4, Deadline: -1, BatchWindow: 500 * time.Millisecond})
+	s := New(run, Config{MaxInFlight: 4, Deadline: -1, BatchWindow: time.Hour})
 
 	var wg sync.WaitGroup
 	runOne := func(sk sketch.Sketch) {
@@ -108,33 +107,33 @@ func TestGenerationSplitsBatchWindow(t *testing.T) {
 			}
 		}()
 	}
-	// Two distinct cacheable sketches at generation 0 open a window...
+	// A scan in flight at generation 0, and a query gathering behind it...
+	runOne(&sketch.DistinctCountSketch{Col: "held 0"})
+	<-started
 	runOne(cacheableSketch())
-	for i := 0; i < 1000; i++ {
-		s.mu.Lock()
-		n := len(s.batches)
-		s.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// ...then the generation advances and a third query arrives: it must
-	// open its own window keyed by the new generation.
+	old := engine.QualifyDataset("d", 0)
+	waitFor(t, s, "the generation-0 window", func() bool { return len(s.batches[old]) == 1 })
+	// ...then the generation advances. The first arrival on the new
+	// generation finds it idle and starts at once; the one behind it
+	// opens a window of its own, keyed by the new generation.
 	run.gen.Add(1)
+	runOne(&sketch.DistinctCountSketch{Col: "held 1"})
+	<-started
 	runOne(&sketch.DistinctCountSketch{Col: "x"})
-	n := 0
-	for i := 0; i < 1000; i++ {
-		s.mu.Lock()
-		n = len(s.batches)
-		s.mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	now := engine.QualifyDataset("d", 1)
+	waitFor(t, s, "the generation-1 window", func() bool { return len(s.batches[now]) == 1 })
+	s.mu.Lock()
+	windows, busyOld, busyNow := len(s.batches), s.busy[old], s.busy[now]
+	s.mu.Unlock()
+	if windows != 2 || busyOld != 2 || busyNow != 2 {
+		t.Fatalf("%d open windows, busy %d/%d; want 2 windows with 2 flights on each generation", windows, busyOld, busyNow)
 	}
-	if n != 2 {
-		t.Fatalf("open batch windows = %d, want 2 (one per generation)", n)
-	}
+	s.formBatch(old, "d")
+	s.formBatch(now, "d")
+	close(gate)
 	wg.Wait()
+	if got := run.calls.Load(); got != 4 {
+		t.Errorf("underlying executions = %d, want 4 (no pass shared across generations)", got)
+	}
+	drained(t, s)
 }

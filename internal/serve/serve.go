@@ -11,22 +11,24 @@
 //     down to chunk tasks (the mid-chunk cancellation probe,
 //     table.Table.WithCancel) and cluster RPCs (MsgCancel), so an
 //     abandoned browser tab stops burning cores;
-//   - cache first: a query whose result already sits in the engine's
-//     computation cache (CacheProber) is answered before any of the
-//     waiting below — it takes no admission slot and sits out no window;
-//   - in-flight dedup: identical (dataset, sketch) queries join one
-//     running execution via single-flight and share its partial stream —
-//     the computation cache (paper §5.4) extended to running queries,
-//     sound because summaries are pure functions of (dataset, sketch)
-//     under Hillview's determinism contract;
-//   - scan batching: distinct cacheable queries arriving on the same
-//     dataset within Config.BatchWindow coalesce into one
-//     sketch.MultiSketch execution — one leaf pass over the data feeds
-//     every member, whose results are demuxed so each subscriber sees
-//     exactly its own sketch's partials and final result, bit-identical
-//     to a solo run (the batch shares the solo chunk geometry, seeds,
-//     and merge order). A member whose subscribers all leave is masked
-//     out of the remaining scan without disturbing its siblings;
+//   - one admission rule for every cacheable query — lookup, dedup,
+//     batch, scan. A result already in the engine's computation cache
+//     (CacheProber) is answered at once: no slot, no wait. Else an
+//     identical (dataset, sketch) query already registered shares its
+//     execution and partial stream — the computation cache (paper §5.4)
+//     extended to running queries, sound because summaries are pure
+//     functions of (dataset, sketch). Else, behind a busy dataset —
+//     another such query on the same generation of it gathering or
+//     scanning — it waits up to Config.BatchWindow for companions; on an
+//     idle one there is nobody to wait for and it starts at once. Queries
+//     that start together run as one sketch.MultiSketch: one leaf pass
+//     feeds every member and each subscriber sees exactly its own
+//     sketch's partials and result, bit-identical to a solo run (same
+//     chunk geometry, seeds, merge order); a member whose subscribers all
+//     leave is masked out of the rest of the scan. A query that is itself
+//     a MultiSketch — one chart's sketches — is a batch that arrives
+//     formed: its members pass the same clauses one by one and those left
+//     run together at once, since waiting could only add strangers;
 //   - panic isolation and resource governance: a panic anywhere under a
 //     query becomes that query's 500, counted in Stats, and per-query
 //     result-row budgets bound table-page responses before they execute.
@@ -96,11 +98,10 @@ type Config struct {
 	// RetryAfter is the hint written on 429/503 responses. 0 means
 	// DefaultRetryAfter.
 	RetryAfter time.Duration
-	// BatchWindow is the scan-batching window: a cacheable query that
-	// cannot join an identical in-flight execution waits up to this long
-	// for other cacheable queries on the same dataset, and the group runs
-	// as one sketch.MultiSketch leaf pass. 0 (the zero value) disables
-	// batching — every query executes exactly as without this feature.
+	// BatchWindow is the longest a cacheable query waits behind a busy
+	// dataset for other cacheable queries on it; those gathered run as one
+	// sketch.MultiSketch leaf pass. A query arriving on an idle dataset
+	// never waits. 0 (the zero value) turns windowed gathering off.
 	BatchWindow time.Duration
 }
 
@@ -180,8 +181,9 @@ type Scheduler struct {
 	latency obs.Histogram
 
 	mu      sync.Mutex
-	flights map[string]*flight
-	batches map[string]*pendingBatch // per datasetID, while a window is open
+	flights map[string]*flight   // registered shared executions, by key
+	busy    map[string]int       // registered flights per qualified dataset
+	batches map[string][]*flight // flights gathering per qualified dataset, while its window is open
 }
 
 // New builds a scheduler over run. When run reports dataset generations
@@ -194,24 +196,12 @@ func New(run Runner, cfg Config) *Scheduler {
 		cfg:     cfg,
 		slots:   make(chan struct{}, cfg.MaxInFlight),
 		flights: make(map[string]*flight),
-		batches: make(map[string]*pendingBatch),
+		busy:    make(map[string]int),
+		batches: make(map[string][]*flight),
 	}
-	if gp, ok := run.(engine.GenerationProvider); ok {
-		s.gens = gp
-	}
-	if cp, ok := run.(CacheProber); ok {
-		s.cache = cp
-	}
+	s.gens, _ = run.(engine.GenerationProvider)
+	s.cache, _ = run.(CacheProber)
 	return s
-}
-
-// generation resolves a dataset's current generation (0 when the runner
-// does not track them).
-func (s *Scheduler) generation(datasetID string) uint64 {
-	if s.gens == nil {
-		return 0
-	}
-	return s.gens.DatasetGeneration(datasetID)
 }
 
 // Config returns the scheduler's effective (defaulted) configuration.
@@ -240,51 +230,131 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// RunSketch implements Runner: it runs sk over datasetID under
-// admission control, the default deadline, and single-flight dedup.
+// RunSketch implements Runner: it runs sk over datasetID under the
+// default deadline and the admission rule of the package comment.
 // Errors are the typed scheduler contract (ErrShed, ErrQueueTimeout,
 // ErrResultBudget, context errors, *engine.PanicError) plus whatever
 // the underlying runner returns; HTTPStatus maps them to status codes.
+// A *sketch.MultiSketch gets a *sketch.MultiResult back, and partials of
+// that shape (a slot is nil before its member's first summary).
 func (s *Scheduler) RunSketch(ctx context.Context, datasetID string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error) {
 	defer s.latency.ObserveSince(time.Now())
 	tr := obs.TraceFrom(ctx)
 	tr.SetQuery(datasetID, sk.Name())
-	if err := s.checkBudget(sk); err != nil {
-		return nil, err
+	members, grouped := sketch.MembersOf(sk)
+	// Only deterministic (cacheable) sketches may share an execution:
+	// the cache key identifies the result, so every subscriber is owed
+	// the same bits (a randomized sketch's explicit seed is part of its
+	// key). Growing datasets add their generation to the identity: a
+	// result is a pure function of (dataset contents, sketch), and the
+	// generation stands in for the contents.
+	qualified, sharable := datasetID, true
+	if s.gens != nil {
+		qualified = engine.QualifyDataset(datasetID, s.gens.DatasetGeneration(datasetID))
+	}
+	for _, m := range members {
+		if err := s.checkBudget(m); err != nil {
+			return nil, err
+		}
+		_, ok := engine.Key(qualified, m)
+		sharable = sharable && ok
 	}
 	ctx, cancel := s.withDeadline(ctx)
 	defer cancel()
-
-	// Only deterministic (cacheable) sketches may share an execution:
-	// the cache key identifies the result, so every subscriber is owed
-	// the same bits. Randomized sketches carry explicit seeds — equal
-	// seeds make them cacheable too; distinct seeds mean distinct
-	// queries, which is exactly what the key captures. Growing datasets
-	// add their generation to the identity: a result is a pure function
-	// of (dataset contents, sketch), and the generation stands in for
-	// the contents.
-	qualified := engine.QualifyDataset(datasetID, s.generation(datasetID))
-	key, sharable := engine.Key(qualified, sk)
 	if !sharable {
+		if grouped {
+			s.countBatch(len(members))
+		}
 		return s.classify(s.execute(ctx, datasetID, sk, onPartial))
 	}
-	// Lookup, then dedup, then batch, then scan: a result already in the
-	// computation cache costs no admission slot and no window wait.
-	if s.cache != nil {
-		if res, ok := s.cache.Cached(ctx, datasetID, sk, onPartial); ok {
-			return res, nil
+	// Lookup: a member already in the computation cache is answered.
+	got := make([]sketch.Result, len(members))
+	var miss []int
+	for i, m := range members {
+		if s.cache != nil {
+			if res, ok := s.cache.Cached(ctx, datasetID, m, nil); ok {
+				got[i] = res
+				continue
+			}
+		}
+		miss = append(miss, i)
+	}
+	// A group's partials: every member records its latest summary; the
+	// last, last to hear of each round of their pass, hands the round on.
+	var pmu sync.Mutex // guards cur
+	cur := append([]sketch.Result(nil), got...)
+	partialOf := func(i int) engine.PartialFunc {
+		if !grouped || onPartial == nil {
+			return onPartial
+		}
+		last := i == miss[len(miss)-1]
+		return func(p engine.Partial) {
+			pmu.Lock()
+			if cur[i] = p.Result; last {
+				p.Result = &sketch.MultiResult{Members: append([]sketch.Result(nil), cur...)}
+			}
+			pmu.Unlock()
+			if last {
+				onPartial(p)
+			}
 		}
 	}
-	// WholePartition sketches change the leaf chunk geometry for every
-	// member of a batch, which would break the bit-identity contract, so
-	// they keep the plain single-flight path. Batches gather per
-	// qualified dataset: members must all scan the same live set.
-	if _, whole := sk.(sketch.WholePartition); s.cfg.BatchWindow > 0 && !whole {
-		fl, sub := s.joinBatch(tr, key, qualified, datasetID, sk, onPartial)
-		return s.classify(fl.wait(ctx, s, sub))
+	// Dedup, then batch: a member joins the flight registered under its
+	// key or registers its own, and new flights gather behind a busy
+	// dataset or start at once. A group never gathers, nor does a
+	// WholePartition sketch: it would change the leaf chunk geometry for
+	// every member of a batch and break the bit-identity contract.
+	_, whole := sk.(sketch.WholePartition)
+	fls := make([]*flight, len(miss))
+	subs := make([]*subscriber, len(miss))
+	var fresh []*flight
+	s.mu.Lock()
+	gather := s.cfg.BatchWindow > 0 && !grouped && !whole && s.busy[qualified] > 0
+	for n, i := range miss {
+		key, _ := engine.Key(qualified, members[i])
+		if fls[n] = s.flights[key]; fls[n] == nil {
+			fls[n] = s.newFlight(key, qualified, members[i], tr)
+			fresh = append(fresh, fls[n])
+		} else {
+			s.dedups.Add(1)
+			tr.Annotate("serve.dedup_join", "")
+		}
+		subs[n] = &subscriber{onPartial: partialOf(i)}
+		fls[n].subs[subs[n]] = true
 	}
-	fl, sub := s.joinFlight(tr, key, datasetID, sk, onPartial)
-	return s.classify(fl.wait(ctx, s, sub))
+	if gather {
+		s.gather(qualified, datasetID, fresh)
+	}
+	s.mu.Unlock()
+	if !gather && len(fresh) > 0 {
+		s.launch(datasetID, fresh)
+	}
+	// Scan: collect what the flights deliver.
+	var err error
+	for n, i := range miss {
+		res, werr := fls[n].wait(ctx, s, subs[n])
+		if got[i] = res; werr != nil && err == nil {
+			err = werr
+		}
+	}
+	if err != nil {
+		return s.classify(nil, err)
+	}
+	var out sketch.Result = &sketch.MultiResult{Members: got}
+	if !grouped {
+		out = got[0]
+	}
+	if len(miss) == 0 && onPartial != nil {
+		onPartial(engine.Partial{Result: out, Done: 1, Total: 1})
+	}
+	return out, nil
+}
+
+// countBatch records one pass shared by n members.
+func (s *Scheduler) countBatch(n int) {
+	s.batchesFormed.Add(1)
+	s.batchMembers.Add(int64(n))
+	s.scansSaved.Add(int64(n - 1))
 }
 
 // classify tallies per-query outcome counters and passes err through.
@@ -398,34 +468,29 @@ func (s *Scheduler) admit(ctx context.Context) error {
 	}
 }
 
-// flight is one shared execution of a cacheable (dataset, sketch) pair.
-// All bookkeeping is under Scheduler.mu; the execution itself runs on
-// its own goroutine with a detached, server-deadlined context so no
-// single subscriber's disconnect kills it — only all of them leaving
-// does.
+// flight is one cacheable (dataset, sketch) pair being computed, shared
+// by every query that asked for it. All bookkeeping is under
+// Scheduler.mu; the scan runs in a pass (batchExec) under a detached,
+// server-deadlined context, so no single subscriber's disconnect kills
+// it — only all of them leaving does.
 type flight struct {
 	key      string
-	ctx      context.Context
-	cancel   context.CancelFunc
+	dataset  string // generation-qualified: what busy and batches count under
+	sk       sketch.Sketch
 	done     chan struct{}
 	res      sketch.Result
 	err      error
-	subs     map[int]*subscriber
-	nextSub  int
+	subs     map[*subscriber]bool
 	finished bool
 	removed  bool
 
-	// Batched flights: set at batch formation. The flight is member
-	// memberIdx of batch's MultiSketch; its ctx/cancel are unused (the
-	// batch owns the execution context) and abandonment masks the member
-	// instead of cancelling (see wait).
+	// Set at launch: the flight is member memberIdx of pass batch.
 	batch     *batchExec
 	memberIdx int
 
-	// Tracing: the creating query's trace (nil when untraced) rides the
-	// flight so the shared execution's spans land somewhere; joiners only
-	// get a dedup annotation. bwin is the open serve.batch_window span of
-	// a flight waiting in a batching window (zero when untraced or solo).
+	// The creating query's trace (nil when untraced) rides the flight so
+	// the pass's spans land somewhere; joiners only get an annotation.
+	// bwin is the open serve.batch_window span of a gathering flight.
 	tr   *obs.Trace
 	bwin obs.SpanHandle
 }
@@ -434,7 +499,6 @@ type flight struct {
 // callback: after the subscriber's wait returns, its callback is never
 // invoked again (the HTTP handler behind it is gone).
 type subscriber struct {
-	token     int
 	mu        sync.Mutex
 	gone      bool
 	onPartial engine.PartialFunc
@@ -448,88 +512,39 @@ func (sub *subscriber) deliver(p engine.Partial) {
 	}
 }
 
-// newFlight builds a registered flight for key with a detached,
-// server-deadlined context. Caller holds s.mu.
-func (s *Scheduler) newFlight(key string) *flight {
-	fctx, fcancel := context.WithCancel(context.Background())
-	if s.cfg.Deadline > 0 {
-		fctx, fcancel = context.WithTimeout(context.Background(), s.cfg.Deadline)
-	}
-	fl := &flight{key: key, ctx: fctx, cancel: fcancel, done: make(chan struct{}), subs: make(map[int]*subscriber)}
+// newFlight registers the flight of sk under key. Caller holds s.mu.
+func (s *Scheduler) newFlight(key, dataset string, sk sketch.Sketch, tr *obs.Trace) *flight {
+	fl := &flight{key: key, dataset: dataset, sk: sk, tr: tr, done: make(chan struct{}), subs: make(map[*subscriber]bool)}
 	s.flights[key] = fl
+	s.busy[dataset]++
 	return fl
 }
 
-// subscribe attaches a new subscriber to fl. Caller holds s.mu.
-func (fl *flight) subscribe(onPartial engine.PartialFunc) *subscriber {
-	sub := &subscriber{token: fl.nextSub, onPartial: onPartial}
-	fl.nextSub++
-	fl.subs[sub.token] = sub
-	return sub
+// retire unregisters fl, finished or abandoned, and with it its share of
+// the dataset's busy count — the one place either is released. Caller
+// holds s.mu.
+func (s *Scheduler) retire(fl *flight) {
+	if fl.removed {
+		return
+	}
+	fl.removed = true
+	delete(s.flights, fl.key)
+	if s.busy[fl.dataset]--; s.busy[fl.dataset] == 0 {
+		delete(s.busy, fl.dataset)
+	}
 }
 
-// joinFlight subscribes to the running flight for key, creating (and
-// launching) it if absent. The creator's trace is injected into the
-// flight's detached context so the shared execution records its spans
-// there; joiners get a serve.dedup_join annotation instead.
-func (s *Scheduler) joinFlight(tr *obs.Trace, key, datasetID string, sk sketch.Sketch, onPartial engine.PartialFunc) (*flight, *subscriber) {
-	s.mu.Lock()
-	fl := s.flights[key]
-	created := fl == nil
-	if created {
-		fl = s.newFlight(key)
-		if tr != nil {
-			fl.tr = tr
-			fl.ctx = obs.WithTrace(fl.ctx, tr)
-		}
-	} else {
-		s.dedups.Add(1)
-		tr.Annotate("serve.dedup_join", "")
-	}
-	sub := fl.subscribe(onPartial)
-	s.mu.Unlock()
-	if created {
-		go s.runFlight(fl, datasetID, sk)
-	}
-	return fl, sub
-}
-
-// runFlight executes the shared query and publishes its outcome.
-func (s *Scheduler) runFlight(fl *flight, datasetID string, sk sketch.Sketch) {
-	defer fl.cancel()
-	res, err := s.execute(fl.ctx, datasetID, sk, fl.fanout(s))
-	s.mu.Lock()
-	fl.res, fl.err = res, err
-	fl.finished = true
-	if !fl.removed {
-		delete(s.flights, fl.key)
-		fl.removed = true
-	}
-	s.mu.Unlock()
+// finish publishes fl's outcome and wakes its subscribers. Caller holds
+// s.mu.
+func (s *Scheduler) finish(fl *flight, res sketch.Result, err error) {
+	fl.res, fl.err, fl.finished = res, err, true
+	s.retire(fl)
 	close(fl.done)
-}
-
-// fanout builds the flight's partial callback: each partial is
-// delivered to every current subscriber. Partials are cumulative
-// snapshots, so a subscriber that joined late simply starts at the
-// stream's current prefix.
-func (fl *flight) fanout(s *Scheduler) engine.PartialFunc {
-	return func(p engine.Partial) {
-		s.mu.Lock()
-		subs := make([]*subscriber, 0, len(fl.subs))
-		for _, sub := range fl.subs {
-			subs = append(subs, sub)
-		}
-		s.mu.Unlock()
-		for _, sub := range subs {
-			sub.deliver(p)
-		}
-	}
 }
 
 // wait blocks until the flight finishes or the subscriber's own context
 // ends, then detaches. When the last subscriber detaches from an
-// unfinished flight, the flight is cancelled and unregistered — later
+// unfinished flight, the flight is abandoned and unregistered — later
 // identical queries start fresh rather than joining a dying execution.
 func (fl *flight) wait(ctx context.Context, s *Scheduler, sub *subscriber) (sketch.Result, error) {
 	var (
@@ -546,25 +561,18 @@ func (fl *flight) wait(ctx context.Context, s *Scheduler, sub *subscriber) (sket
 	sub.gone = true
 	sub.mu.Unlock()
 	s.mu.Lock()
-	delete(fl.subs, sub.token)
+	delete(fl.subs, sub)
 	if len(fl.subs) == 0 && !fl.finished {
-		if !fl.removed {
-			delete(s.flights, fl.key)
-			fl.removed = true
-		}
-		if fl.batch != nil {
-			// Abandoning one batch member must not kill its siblings:
-			// mask the member out of the remaining scan and cancel the
-			// batch only when every member is gone. (A flight abandoned
-			// before batch formation has batch == nil; formBatch drops
-			// subscriber-less flights instead.)
-			fl.batch.mask.Disable(fl.memberIdx)
-			fl.batch.live--
-			if fl.batch.live == 0 {
-				fl.batch.cancel()
+		s.retire(fl)
+		if be := fl.batch; be != nil {
+			// Abandoning one member of a pass must not kill its siblings:
+			// mask it out of the remaining scan, cancel the pass only when
+			// every member is gone. (Before launch there is no pass yet;
+			// launch drops subscriber-less flights.)
+			be.mask.Disable(fl.memberIdx)
+			if be.live--; be.live == 0 {
+				be.cancel()
 			}
-		} else {
-			fl.cancel()
 		}
 	}
 	s.mu.Unlock()

@@ -71,6 +71,16 @@ func NewMultiSketch(members ...Sketch) (*MultiSketch, error) {
 	return &MultiSketch{Sketches: members}, nil
 }
 
+// MembersOf returns the sketches a query is made of — a MultiSketch's
+// members, or sk alone — and whether it was a MultiSketch: the layers
+// that cache and deduplicate do so member by member.
+func MembersOf(sk Sketch) (members []Sketch, grouped bool) {
+	if multi, ok := sk.(*MultiSketch); ok {
+		return multi.Sketches, true
+	}
+	return []Sketch{sk}, false
+}
+
 // MemberMask is a shared, concurrency-safe set of disabled member
 // indices. The serving layer hands one mask to a batch; disabling a
 // member makes every local accumulator skip it from the next chunk on.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/sketch"
+	"repro/internal/table"
 )
 
 // HistogramView is the fully prepared result of a histogram request:
@@ -28,7 +29,7 @@ type ChartOptions struct {
 	Bars          int
 	// Exact disables sampling (the streaming histogram of App. B.1).
 	Exact bool
-	// WithCDF also computes the CDF summary (concurrently).
+	// WithCDF also computes the CDF summary (in the bars' pass).
 	WithCDF bool
 	// OnPartial receives progressive updates of the main summary.
 	OnPartial engine.PartialFunc
@@ -46,45 +47,93 @@ func (o *ChartOptions) fill() {
 	}
 }
 
-// prepareBuckets is the preparation phase (paper §5.3): it computes the
-// data-wide parameters a chart needs — numeric range or string bucket
-// boundaries — through cacheable sketches.
-func (v *View) prepareBuckets(ctx context.Context, col string, bars int) (sketch.BucketSpec, *sketch.DataRange, error) {
-	kind, err := v.kindOf(ctx, col)
-	if err != nil {
-		return sketch.BucketSpec{}, nil, err
+// runGroup runs the sketches one gesture needs as one query: a lone
+// sketch as itself, several as a sketch.MultiSketch — to the serving
+// layer a batch that has already formed, so they share a leaf pass.
+// Results come back index-aligned; onFirst gets the partials of sks[0].
+func (v *View) runGroup(ctx context.Context, sks []sketch.Sketch, onFirst engine.PartialFunc) ([]sketch.Result, error) {
+	if len(sks) == 1 {
+		res, err := v.sheet.run.RunSketch(ctx, v.id, sks[0], onFirst)
+		return []sketch.Result{res}, err
 	}
-	if kind.Numeric() {
-		res, err := v.sheet.run.RunSketch(ctx, v.id, &sketch.RangeSketch{Col: col}, nil)
+	multi, err := sketch.NewMultiSketch(sks...)
+	if err != nil {
+		return nil, err
+	}
+	var onPartial engine.PartialFunc
+	if onFirst != nil {
+		onPartial = func(p engine.Partial) {
+			if mr, ok := p.Result.(*sketch.MultiResult); ok && len(mr.Members) > 0 && mr.Members[0] != nil {
+				onFirst(engine.Partial{Result: mr.Members[0], Done: p.Done, Total: p.Total})
+			}
+		}
+	}
+	res, err := v.sheet.run.RunSketch(ctx, v.id, multi, onPartial)
+	if err != nil {
+		return nil, err
+	}
+	return res.(*sketch.MultiResult).Members, nil
+}
+
+// prepared is one column's share of the preparation phase: the data-wide
+// summary its bucket geometry derives from, at any resolution.
+type prepared struct {
+	kind table.Kind
+	res  sketch.Result // *sketch.DataRange (numeric) or *sketch.BottomKSet (string)
+}
+
+// prepare is the preparation phase (paper §5.3): it computes the
+// data-wide parameters a chart's axes need — numeric range or string
+// bucket boundaries — through cacheable sketches, all axes in one group.
+func (v *View) prepare(ctx context.Context, cols ...string) ([]prepared, error) {
+	out := make([]prepared, len(cols))
+	sks := make([]sketch.Sketch, len(cols))
+	for i, col := range cols {
+		kind, err := v.kindOf(ctx, col)
 		if err != nil {
-			return sketch.BucketSpec{}, nil, err
+			return nil, err
 		}
-		r := res.(*sketch.DataRange)
-		if r.Present == 0 {
-			return sketch.NumericBuckets(kind, 0, 1, 1), r, nil
+		out[i].kind = kind
+		if kind.Numeric() {
+			sks[i] = &sketch.RangeSketch{Col: col}
+		} else {
+			// Strings: buckets from bottom-k distinct sampling (App. B.1).
+			sks[i] = &sketch.DistinctBottomKSketch{Col: col, K: 500}
 		}
-		return sketch.NumericBuckets(kind, r.Min, r.Max, bars), r, nil
 	}
-	// String column: equi-width buckets from bottom-k distinct sampling
-	// (App. B.1).
-	res, err := v.sheet.run.RunSketch(ctx, v.id, &sketch.DistinctBottomKSketch{Col: col, K: 500}, nil)
+	res, err := v.runGroup(ctx, sks, nil)
 	if err != nil {
-		return sketch.BucketSpec{}, nil, err
+		return nil, err
 	}
-	set := res.(*sketch.BottomKSet)
-	return set.Buckets(bars), &sketch.DataRange{Kind: kind, Present: set.PresentRows}, nil
+	for i := range out {
+		out[i].res = res[i]
+	}
+	return out, nil
+}
+
+// buckets derives the axis geometry at the given resolution.
+func (p prepared) buckets(bars int) (sketch.BucketSpec, *sketch.DataRange) {
+	if r, ok := p.res.(*sketch.DataRange); ok {
+		if r.Present == 0 {
+			return sketch.NumericBuckets(p.kind, 0, 1, 1), r
+		}
+		return sketch.NumericBuckets(p.kind, r.Min, r.Max, bars), r
+	}
+	set := p.res.(*sketch.BottomKSet)
+	return set.Buckets(bars), &sketch.DataRange{Kind: p.kind, Present: set.PresentRows}
 }
 
 // Histogram runs the two-phase histogram request. Sampled rendering
 // derives its rate from the display geometry and total row count; the
-// CDF (when requested) runs concurrently with its own rate, like the
+// CDF (when requested) shares the bars' pass with its own rate, like the
 // "histogram & cdf" operations of Figure 4.
 func (v *View) Histogram(ctx context.Context, col string, opts ChartOptions) (*HistogramView, error) {
 	opts.fill()
-	spec, rng, err := v.prepareBuckets(ctx, col, opts.Bars)
+	axes, err := v.prepare(ctx, col)
 	if err != nil {
 		return nil, err
 	}
+	spec, rng := axes[0].buckets(opts.Bars)
 	out := &HistogramView{Col: col, Buckets: spec, Range: rng}
 	// Exact names the deterministic streaming histogram for bars and CDF
 	// alike: no seed in the name, so repeats dedup and are served from the
@@ -92,49 +141,27 @@ func (v *View) Histogram(ctx context.Context, col string, opts ChartOptions) (*H
 	// planner's rate, which is 1 — the same exact kernel — wherever
 	// sampling would not be the cheaper scan (sketch.HistogramRate).
 	n := int(v.NumRows())
-	var hist sketch.Sketch = &sketch.HistogramSketch{Col: col, Buckets: spec}
+	sks := []sketch.Sketch{&sketch.HistogramSketch{Col: col, Buckets: spec}}
 	if !opts.Exact {
 		rate := sketch.HistogramRate(sketch.HistogramSampleSize(spec.Count, opts.Height, DefaultDelta), n)
-		hist = &sketch.SampledHistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: v.sheet.nextSeed()}
+		sks[0] = &sketch.SampledHistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: v.sheet.nextSeed()}
 	}
-	var cdf sketch.Sketch
 	if opts.WithCDF && spec.Kind.Numeric() {
 		cdfSpec := sketch.NumericBuckets(spec.Kind, spec.Min, spec.Max, opts.Width)
-		cdf = &sketch.HistogramSketch{Col: col, Buckets: cdfSpec}
+		var cdf sketch.Sketch = &sketch.HistogramSketch{Col: col, Buckets: cdfSpec}
 		if !opts.Exact {
 			rate := sketch.HistogramRate(sketch.CDFSampleSize(opts.Height, DefaultDelta), n)
 			cdf = &sketch.CDFSketch{Col: col, Buckets: cdfSpec, Rate: rate, Seed: v.sheet.nextSeed()}
 		}
+		sks = append(sks, cdf)
 	}
-
-	type result struct {
-		res sketch.Result
-		err error
-		cdf bool
+	res, err := v.runGroup(ctx, sks, opts.OnPartial)
+	if err != nil {
+		return nil, err
 	}
-	jobs := 1
-	results := make(chan result, 2)
-	go func() {
-		res, err := v.sheet.run.RunSketch(ctx, v.id, hist, opts.OnPartial)
-		results <- result{res: res, err: err}
-	}()
-	if cdf != nil {
-		jobs++
-		go func() {
-			res, err := v.sheet.run.RunSketch(ctx, v.id, cdf, nil)
-			results <- result{res: res, err: err, cdf: true}
-		}()
-	}
-	for i := 0; i < jobs; i++ {
-		r := <-results
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.cdf {
-			out.CDF = r.res.(*sketch.Histogram)
-		} else {
-			out.Hist = r.res.(*sketch.Histogram)
-		}
+	out.Hist = res[0].(*sketch.Histogram)
+	if len(res) > 1 {
+		out.CDF = res[1].(*sketch.Histogram)
 	}
 	return out, nil
 }
@@ -151,14 +178,12 @@ type Histogram2DView struct {
 // Normalized mode disables sampling (App. B.1).
 func (v *View) StackedHistogram(ctx context.Context, xcol, ycol string, normalized bool, opts ChartOptions) (*Histogram2DView, error) {
 	opts.fill()
-	xspec, _, err := v.prepareBuckets(ctx, xcol, opts.Bars)
+	axes, err := v.prepare(ctx, xcol, ycol)
 	if err != nil {
 		return nil, err
 	}
-	yspec, _, err := v.prepareBuckets(ctx, ycol, DefaultColors)
-	if err != nil {
-		return nil, err
-	}
+	xspec, _ := axes[0].buckets(opts.Bars)
+	yspec, _ := axes[1].buckets(DefaultColors)
 	var sk *sketch.Histogram2DSketch
 	if normalized {
 		sk = sketch.NewNormalizedStackedSketch(xcol, ycol, xspec, yspec)
@@ -177,16 +202,12 @@ func (v *View) StackedHistogram(ctx context.Context, xcol, ycol string, normaliz
 // both axes, density to one color shade of accuracy (§4.3).
 func (v *View) Heatmap(ctx context.Context, xcol, ycol string, opts ChartOptions) (*Histogram2DView, error) {
 	opts.fill()
-	bx := opts.Width / HeatmapCell
-	by := opts.Height / HeatmapCell
-	xspec, _, err := v.prepareBuckets(ctx, xcol, bx)
+	axes, err := v.prepare(ctx, xcol, ycol)
 	if err != nil {
 		return nil, err
 	}
-	yspec, _, err := v.prepareBuckets(ctx, ycol, by)
-	if err != nil {
-		return nil, err
-	}
+	xspec, _ := axes[0].buckets(opts.Width / HeatmapCell)
+	yspec, _ := axes[1].buckets(opts.Height / HeatmapCell)
 	rate := sketch.Rate(sketch.HeatmapSampleSize(xspec.Count, yspec.Count, DefaultColors, DefaultDelta), int(v.NumRows()))
 	sk := sketch.NewHeatmapSketch(xcol, ycol, xspec, yspec, rate, v.sheet.nextSeed())
 	res, err := v.sheet.run.RunSketch(ctx, v.id, sk, opts.OnPartial)
@@ -210,10 +231,11 @@ func (v *View) Trellis(ctx context.Context, groupCol, xcol, ycol string, groups 
 	if groups <= 0 {
 		groups = 4
 	}
-	gspec, _, err := v.prepareBuckets(ctx, groupCol, groups)
+	axes, err := v.prepare(ctx, groupCol, xcol, ycol)
 	if err != nil {
 		return nil, err
 	}
+	gspec, _ := axes[0].buckets(groups)
 	// Each plot gets a fraction of the rendering area.
 	cols := int(math.Ceil(math.Sqrt(float64(gspec.Count))))
 	if cols < 1 {
@@ -231,14 +253,8 @@ func (v *View) Trellis(ctx context.Context, groupCol, xcol, ycol string, groups 
 	if by < 1 {
 		by = 1
 	}
-	xspec, _, err := v.prepareBuckets(ctx, xcol, bx)
-	if err != nil {
-		return nil, err
-	}
-	yspec, _, err := v.prepareBuckets(ctx, ycol, by)
-	if err != nil {
-		return nil, err
-	}
+	xspec, _ := axes[1].buckets(bx)
+	yspec, _ := axes[2].buckets(by)
 	rate := sketch.Rate(sketch.HeatmapSampleSize(xspec.Count*gspec.Count, yspec.Count, DefaultColors, DefaultDelta), int(v.NumRows()))
 	sk := &sketch.TrellisSketch{GroupCol: groupCol, XCol: xcol, YCol: ycol, Group: gspec, X: xspec, Y: yspec, Rate: rate, Seed: v.sheet.nextSeed()}
 	res, err := v.sheet.run.RunSketch(ctx, v.id, sk, opts.OnPartial)

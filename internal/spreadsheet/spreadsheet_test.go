@@ -150,16 +150,21 @@ func TestFindFlow(t *testing.T) {
 	}
 }
 
-// recordingRunner runs on the root and keeps every sketch it was handed.
+// recordingRunner runs on the root and keeps every sketch it was handed
+// — the members of a group, not the MultiSketch that carried them — and
+// how many queries they arrived as.
 type recordingRunner struct {
-	root *engine.Root
-	mu   sync.Mutex
-	seen []sketch.Sketch
+	root    *engine.Root
+	mu      sync.Mutex
+	seen    []sketch.Sketch
+	queries int
 }
 
 func (r *recordingRunner) RunSketch(ctx context.Context, id string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error) {
 	r.mu.Lock()
-	r.seen = append(r.seen, sk)
+	r.queries++
+	members, _ := sketch.MembersOf(sk)
+	r.seen = append(r.seen, members...)
 	r.mu.Unlock()
 	return r.root.RunSketch(ctx, id, sk, onPartial)
 }
@@ -191,11 +196,21 @@ func TestHistogramTwoPhase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec.seen = nil
-			opts := ChartOptions{Bars: tc.bars, Height: tc.height, Width: width, WithCDF: true}
+			rec.seen, rec.queries = nil, 0
+			var lastPartial sketch.Result
+			opts := ChartOptions{Bars: tc.bars, Height: tc.height, Width: width, WithCDF: true,
+				OnPartial: func(p engine.Partial) { lastPartial = p.Result }}
 			hv, err := v.Histogram(ctx, "DepDelay", opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The gesture is two queries: the range, then bars and CDF as
+			// one group, whose partials reach the caller as the bars'.
+			if rec.queries != 2 {
+				t.Errorf("histogram + CDF went down as %d queries, want 2", rec.queries)
+			}
+			if !reflect.DeepEqual(lastPartial, sketch.Result(hv.Hist)) {
+				t.Errorf("last partial is %T, want the bars' final summary", lastPartial)
 			}
 			if hv.Hist == nil || hv.CDF == nil || hv.Range == nil {
 				t.Fatal("incomplete histogram view")
@@ -298,6 +313,60 @@ func TestHistogramExactOption(t *testing.T) {
 	}
 	if sampled, err := v.Histogram(ctx, "DepDelay", ChartOptions{Bars: 10, Height: 40}); err != nil || sampled.Hist.SampleRate >= 1 {
 		t.Errorf("200k rows at 40 px should sample (rate %v, err %v)", sampled.Hist.SampleRate, err)
+	}
+}
+
+// TestChartPreparesAxesTogether: the preparation of a two- or three-axis
+// chart is one query — a group of the axes' range / bottom-k sketches, so
+// a first-touch heat map is one pass over two columns, not two passes —
+// and a repeat finds every one of them in the cache.
+func TestChartPreparesAxesTogether(t *testing.T) {
+	ctx := context.Background()
+	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+	rec := &recordingRunner{root: root}
+	v, err := NewWithRunner(root, rec).Load(ctx, "fl", "flights:rows=20000,parts=4,seed=11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		axes []string
+		draw func() error
+	}{
+		{"heatmap", []string{"range(DepDelay)", "range(Distance)"}, func() error {
+			_, err := v.Heatmap(ctx, "DepDelay", "Distance", ChartOptions{})
+			return err
+		}},
+		{"trellis", []string{"Carrier", "range(ArrDelay)", "range(AirTime)"}, func() error {
+			_, err := v.Trellis(ctx, "Carrier", "ArrDelay", "AirTime", 4, ChartOptions{})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec.seen, rec.queries = nil, 0
+			_, misses0 := root.Cache().Stats()
+			if err := tc.draw(); err != nil {
+				t.Fatal(err)
+			}
+			if rec.queries != 2 || len(rec.seen) != len(tc.axes)+1 {
+				t.Fatalf("first touch: %d queries carrying %d sketches, want 2 (preparation, rendering) carrying %d", rec.queries, len(rec.seen), len(tc.axes)+1)
+			}
+			for i, want := range tc.axes {
+				if got := rec.seen[i].Name(); !strings.Contains(got, want) {
+					t.Errorf("preparation member %d is %s, want %s", i, got, want)
+				}
+			}
+			if _, misses := root.Cache().Stats(); misses-misses0 != int64(len(tc.axes)) {
+				t.Errorf("first touch counted %d misses, want one per axis (%d)", misses-misses0, len(tc.axes))
+			}
+			hits0, misses0 := root.Cache().Stats()
+			if err := tc.draw(); err != nil {
+				t.Fatal(err)
+			}
+			if hits, misses := root.Cache().Stats(); hits-hits0 != int64(len(tc.axes)) || misses != misses0 {
+				t.Errorf("repeat: %d hits, %d misses, want %d and 0", hits-hits0, misses-misses0, len(tc.axes))
+			}
+		})
 	}
 }
 

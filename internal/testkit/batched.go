@@ -20,11 +20,12 @@ import (
 // pairs and triples from the harness sketch set, wraps each group in a
 // sketch.MultiSketch, and demands every member's result be bit-identical
 // to its solo run — through the reference fold, the parallel engine,
-// and the serve.Scheduler's batched flight path (including a member
-// cancelled mid-batch). Bit-identity, not oracle tolerance: a batch
-// shares the solo path's chunk geometry, seeds, and merge order, so
-// even merge-order-bounded sketches (Misra–Gries) and seeded sampled
-// sketches must match exactly.
+// and the serve.Scheduler both ways it shares a pass: queries gathered
+// behind a busy dataset (including a member cancelled mid-batch) and a
+// group submitted as one MultiSketch. Bit-identity, not oracle
+// tolerance: a batch shares the solo path's chunk geometry, seeds, and
+// merge order, so even merge-order-bounded sketches (Misra–Gries) and
+// seeded sampled sketches must match exactly.
 func RunBatched(seed uint64) error {
 	p := genParams(seed)
 	tables, info := table.GenPartitions(p.prefix, seed, p.rows, p.parts)
@@ -100,8 +101,9 @@ func RunBatched(seed uint64) error {
 		}
 	}
 
-	// Topology 3: the scheduler's batching window over distinct
-	// cacheable queries, plus mid-batch cancellation of one member.
+	// Topology 3: the scheduler — distinct cacheable queries gathered
+	// behind a busy dataset, with mid-batch cancellation of one member,
+	// then the same queries submitted as one group.
 	if err := runSchedulerBatched(ctx, seed, tables, local, eligible); err != nil {
 		return fmt.Errorf("seed %d scheduler: %w", seed, err)
 	}
@@ -155,9 +157,9 @@ func (r *gatedRunner) RunSketch(ctx context.Context, _ string, sk sketch.Sketch,
 	return r.root.RunSketch(ctx, datasetID, sk, onPartial)
 }
 
-// runSchedulerBatched drives distinct cacheable queries concurrently
-// through a Scheduler with an open batching window and checks each
-// subscriber's stream and result against its solo engine run.
+// runSchedulerBatched drives distinct cacheable queries through a
+// Scheduler the two ways it shares a pass and checks each subscriber's
+// stream and result against its solo engine run.
 func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table, local *engine.LocalDataSet, eligible []sketch.Sketch) error {
 	// Distinct cacheable sketches only: identical keys dedup-join into
 	// one member, which is covered by the serve package's own tests.
@@ -169,9 +171,13 @@ func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table
 			cacheable = append(cacheable, sk)
 		}
 	}
-	if len(cacheable) < 3 {
+	if len(cacheable) < 4 {
 		return fmt.Errorf("only %d distinct cacheable sketches; harness set too thin", len(cacheable))
 	}
+	// The last one is the blocker: in flight, it is what makes the
+	// dataset busy, so the members behind it gather instead of starting.
+	blocker := cacheable[len(cacheable)-1]
+	cacheable = cacheable[:len(cacheable)-1]
 	size := 3
 	if len(cacheable) < 5 {
 		size = len(cacheable)
@@ -187,19 +193,43 @@ func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table
 		}
 	}
 
-	root := engine.NewRoot(func(string, string) (engine.IDataSet, error) { return local, nil })
-	if _, err := root.Load(datasetID, "mem"); err != nil {
+	newStack := func() (*engine.Root, *gatedRunner, *serve.Scheduler, error) {
+		root := engine.NewRoot(func(string, string) (engine.IDataSet, error) { return local, nil })
+		if _, err := root.Load(datasetID, "mem"); err != nil {
+			return nil, nil, nil, err
+		}
+		// started holds a token for every execution the schedule can see.
+		run := &gatedRunner{root: root, started: make(chan struct{}, size+2), gate: make(chan struct{})}
+		return root, run, serve.New(run, serve.Config{MaxInFlight: 4, Deadline: -1, BatchWindow: 500 * time.Millisecond}), nil
+	}
+	root, run, sched, err := newStack()
+	if err != nil {
 		return err
 	}
-	run := &gatedRunner{root: root, started: make(chan struct{}, 1), gate: make(chan struct{})}
-	sched := serve.New(run, serve.Config{MaxInFlight: 4, Deadline: -1, BatchWindow: 500 * time.Millisecond})
+	awaitStart := func(what string) error {
+		select {
+		case <-run.started:
+			return nil
+		case <-ctx.Done():
+			return fmt.Errorf("%s never started executing", what)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var blockerErr error
+	go func() {
+		defer wg.Done()
+		_, blockerErr = sched.RunSketch(ctx, datasetID, blocker, nil)
+	}()
+	if err := awaitStart("blocker"); err != nil {
+		return err
+	}
 
 	cancelCtx, cancelMember := context.WithCancel(ctx)
 	defer cancelMember()
 	results := make([]sketch.Result, size)
 	errs := make([]error, size)
 	logs := make([]*partialLog, size)
-	var wg sync.WaitGroup
 	memberDone := make(chan struct{})
 	for i, m := range members {
 		logs[i] = &partialLog{}
@@ -215,12 +245,10 @@ func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table
 		}(i, m)
 	}
 
-	// The gate holds the scan; once it signals started, the window has
-	// closed and the batch (or a straggler's solo flight) is executing.
-	select {
-	case <-run.started:
-	case <-ctx.Done():
-		return fmt.Errorf("batch never started executing")
+	// The gate holds every scan; the next one to signal started is the
+	// batch (or a straggler's own flight): the window has closed.
+	if err := awaitStart("batch"); err != nil {
+		return err
 	}
 	// Cancel member 0 mid-batch, and wait for it to detach before
 	// releasing the gate so the cancellation provably happened mid-scan.
@@ -233,6 +261,9 @@ func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table
 	close(run.gate)
 	wg.Wait()
 
+	if blockerErr != nil {
+		return fmt.Errorf("blocker %s: %w", blocker.Name(), blockerErr)
+	}
 	if !errors.Is(errs[0], context.Canceled) {
 		return fmt.Errorf("cancelled member returned %v, want context.Canceled", errs[0])
 	}
@@ -264,6 +295,38 @@ func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table
 	}
 	if st.BatchMembers < 2 {
 		return fmt.Errorf("batch too small: %d members recorded", st.BatchMembers)
+	}
+
+	// The same members as one group, on a fresh stack (nothing cached):
+	// one query, one pass at once — the window is never waited out — and
+	// one stream of composite partials ending in the composite result.
+	root, run, sched, err = newStack()
+	if err != nil {
+		return err
+	}
+	close(run.gate)
+	group, err := sketch.NewMultiSketch(members...)
+	if err != nil {
+		return err
+	}
+	glog := &partialLog{}
+	res, err := sched.RunSketch(ctx, datasetID, group, glog.add)
+	if err != nil {
+		return fmt.Errorf("grouped submission: %w", err)
+	}
+	if err := membersIdentical(res, soloEng, members); err != nil {
+		return fmt.Errorf("grouped submission vs solo engine: %w", err)
+	}
+	if err := glog.verify(len(tables), res, true); err != nil {
+		return fmt.Errorf("grouped submission partial stream: %w", err)
+	}
+	for i, m := range members {
+		if pub, ok := root.Cached(ctx, datasetID, m, nil); !ok || !reflect.DeepEqual(pub, soloEng[i]) {
+			return fmt.Errorf("member %d (%s): ran in a group but its solo result is not in the cache (cached=%v)", i, m.Name(), ok)
+		}
+	}
+	if st := sched.Stats(); run.calls.Load() != 1 || st.BatchMembers != int64(size) {
+		return fmt.Errorf("grouped submission: %d scans, %d batch members, want 1 and %d", run.calls.Load(), st.BatchMembers, size)
 	}
 	return nil
 }
