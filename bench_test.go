@@ -342,9 +342,8 @@ func BenchmarkKernelHistExact(b *testing.B) {
 			})
 		}
 	}
-	// The legs above are the best case — a round range, where
-	// NumericBuckets verifies the reciprocal form (FastIndex), and no
-	// missing cells. A chart's histogram has neither: see flightsBuckets.
+	// The legs above are the best case — a round range and no missing
+	// cells. A chart's histogram has neither: see flightsBuckets.
 	fl := kernelFlights()
 	for _, col := range []string{"DepDelay", "Distance"} {
 		b.Run("flights/"+col, func(b *testing.B) {
@@ -362,11 +361,10 @@ func BenchmarkKernelHistExact(b *testing.B) {
 
 // flightsBuckets is col's bucket geometry over the flights partition as
 // a chart derives it — the range from a RangeSketch over the data — and
-// logs what that costs the kernel: data-derived ranges rarely verify for
-// the reciprocal bucket form, and four of the five columns the
-// end-to-end benchmark's heat maps read carry a missing mask (cancelled
-// flights), so this, not the round-range legs, is the path the ledger's
-// hist and heat-map rows pay for.
+// logs it: data-derived ranges are not round, and four of the five
+// columns the end-to-end benchmark's heat maps read carry a missing mask
+// (cancelled flights), so this, not the round-range legs, is the path
+// the ledger's hist and heat-map rows pay for.
 func flightsBuckets(b *testing.B, t *table.Table, col string, count int) sketch.BucketSpec {
 	b.Helper()
 	res, err := (&sketch.RangeSketch{Col: col}).Summarize(t)
@@ -375,7 +373,7 @@ func flightsBuckets(b *testing.B, t *table.Table, col string, count int) sketch.
 	}
 	r := res.(*sketch.DataRange)
 	spec := sketch.NumericBuckets(r.Kind, r.Min, r.Max, count)
-	b.Logf("%s: [%g, %g] in %d buckets, %d of %d rows missing, FastIndex=%v", col, r.Min, r.Max, count, r.Missing, r.Total(), spec.FastIndex)
+	b.Logf("%s: [%g, %g] in %d buckets, %d of %d rows missing", col, r.Min, r.Max, count, r.Missing, r.Total())
 	return spec
 }
 

@@ -1,10 +1,8 @@
 // Command hillview-gen materializes the synthetic flights dataset as
 // data files for the storage layer: CSV, JSON lines, or the columnar
-// .hvc format — "hvc" for the varint v1 layout, "hvc2" for the
-// mmap-native aligned layout the column store serves zero-copy (both
-// use the .hvc extension; readers dispatch on the magic). Use it to
-// prepare shards for worker machines or cold-start benchmarks
-// (Figure 6).
+// format "hvc2" — the mmap-native HVC2 layout the column store serves
+// zero-copy, written with the .hvc extension. Use it to prepare shards
+// for worker machines or cold-start benchmarks (Figure 6).
 //
 // Usage:
 //
@@ -18,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/colstore"
 	"repro/internal/flights"
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -28,7 +27,7 @@ func main() {
 	parts := flag.Int("parts", 8, "number of files (shards)")
 	cols := flag.Int("cols", flights.CoreColumns, "schema width (padding columns beyond the core 20)")
 	seed := flag.Uint64("seed", 1, "generator seed")
-	format := flag.String("format", "hvc2", "output format: csv, jsonl, hvc (v1), or hvc2 (mmap-native)")
+	format := flag.String("format", "hvc2", "output format: csv, jsonl, or hvc2 (columnar, .hvc files)")
 	out := flag.String("out", "data", "output directory")
 	flag.Parse()
 
@@ -41,17 +40,15 @@ func main() {
 			return storage.WriteCSV(path, t)
 		case "jsonl":
 			return storage.WriteJSONL(path, t)
-		case "hvc":
-			return storage.WriteHVC(path, t)
 		case "hvc2":
-			return storage.WriteHVC2(path, t)
+			return colstore.WriteHVC2(path, t)
 		default:
 			return fmt.Errorf("unknown format %q", *format)
 		}
 	}
 	ext := *format
 	if ext == "hvc2" {
-		ext = "hvc" // both versions share the extension; readers sniff the magic
+		ext = "hvc"
 	}
 	partsList := flights.GenPartitions("flights", *rows, *parts, *seed, *cols)
 	total := 0

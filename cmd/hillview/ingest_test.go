@@ -35,10 +35,10 @@ func testIngestServer(t *testing.T, segmentRows int) *server {
 		},
 	})
 	t.Cleanup(func() { st.Close() })
-	loader := st.WrapLoader(storage.NewLoaderWith(cfg, storage.LoaderOpts{}), cfg)
+	loader := st.WrapLoader(storage.NewLoader(cfg, 0), cfg)
 	root = engine.NewRoot(loader)
 	s := newServer(root, serve.Config{Deadline: -1}, 0)
-	s.attachEnv(nil, nil, nil)
+	s.attachEnv(nil, nil)
 	s.attachIngest(st, im)
 	return s
 }
@@ -316,10 +316,10 @@ func TestShutdownSealsOpenSegments(t *testing.T) {
 	st := ingest.NewStore("root", ingest.StoreConfig{FS: fs, SegmentRows: -1})
 	var root *engine.Root
 	_ = root
-	loader := st.WrapLoader(storage.NewLoaderWith(cfg, storage.LoaderOpts{}), cfg)
+	loader := st.WrapLoader(storage.NewLoader(cfg, 0), cfg)
 	root = engine.NewRoot(loader)
 	s := newServer(root, serve.Config{Deadline: -1}, 0)
-	s.attachEnv(nil, nil, nil)
+	s.attachEnv(nil, nil)
 	s.attachIngest(st, &ingest.Metrics{})
 
 	post(t, s.handleIngest, "/api/ingest?op=create&name=ev&schema=v:int", "")

@@ -17,7 +17,7 @@
 //	/api/heatmap?view=fl&x=DepDelay&y=ArrDelay        heat map summary
 //	/api/heavyhitters?view=fl&col=Origin&k=20         heavy hitters
 //	/api/filter?view=fl&name=ua&expr=Carrier=="UA"    derive a view
-//	/api/status                                       cache, pool, wire, cluster + scheduler stats
+//	/api/status                                       cache, column pool, wire, cluster + scheduler stats
 //	/api/svg/histogram?view=fl&col=DepDelay           rendered SVG
 //
 // Without exact=1 a histogram samples at a display-derived rate, or
@@ -114,12 +114,11 @@ import (
 const DefaultMaxViews = 64
 
 type server struct {
-	sheet  *spreadsheet.Sheet
-	sched  *serve.Scheduler
-	pool   *colstore.Pool     // nil in cluster mode (pools live on workers)
-	dcache *storage.DataCache // nil in cluster mode
-	clu    *cluster.Cluster   // nil in in-process mode
-	views  *viewRegistry
+	sheet *spreadsheet.Sheet
+	sched *serve.Scheduler
+	pool  *colstore.Pool   // nil in cluster mode (pools live on workers)
+	clu   *cluster.Cluster // nil in in-process mode
+	views *viewRegistry
 
 	// Streaming ingestion (nil unless -ingest-dir): the store owns the
 	// crash-safe datasets, ingestM their shared telemetry. draining flips
@@ -162,7 +161,6 @@ func main() {
 	var (
 		loader engine.Loader
 		pool   *colstore.Pool
-		dcache *storage.DataCache
 		clu    *cluster.Cluster
 		st     *ingest.Store
 		im     *ingest.Metrics
@@ -178,8 +176,7 @@ func main() {
 			budgetBytes = b
 		}
 		pool = colstore.NewPool(budgetBytes)
-		dcache = storage.NewDataCache(0)
-		loader = storage.NewLoaderWith(cfg, storage.LoaderOpts{MicroRows: *micro, Pool: pool, Cache: dcache})
+		loader = storage.NewPooledLoader(cfg, *micro, pool)
 		log.Printf("hillview: in-process engine (pool budget %d bytes)", budgetBytes)
 		if *ingestDir != "" {
 			// Sealing a partition advances the dataset's engine generation:
@@ -224,7 +221,7 @@ func main() {
 		MaxResultRows: *maxResultRows,
 		BatchWindow:   *batchWindow,
 	}, *maxViews)
-	s.attachEnv(pool, dcache, clu)
+	s.attachEnv(pool, clu)
 	if st != nil {
 		s.attachIngest(st, im)
 		names, err := s.openIngestDatasets()
@@ -298,7 +295,7 @@ func (s *server) handler() http.Handler {
 // every vizketch the sheet runs goes through admission control. All
 // environment-independent telemetry registers with the obs registry
 // here; attachEnv adds the groups whose subsystems depend on the
-// deployment mode (column pool, data cache, cluster, wire).
+// deployment mode (column pool, cluster, wire).
 func newServer(root *engine.Root, cfg serve.Config, maxViews int) *server {
 	sched := serve.New(root, cfg)
 	s := &server{
@@ -356,17 +353,10 @@ func newServer(root *engine.Root, cfg serve.Config, maxViews int) *server {
 }
 
 // attachEnv installs the deployment-dependent subsystems and registers
-// their telemetry: the in-process column pool and data cache, or the
-// cluster's wire and health counters. Any of the three may be nil.
-func (s *server) attachEnv(pool *colstore.Pool, dcache *storage.DataCache, clu *cluster.Cluster) {
-	s.pool, s.dcache, s.clu = pool, dcache, clu
-	if dcache != nil {
-		g := s.reg.Group("data_cache", "dataCache")
-		g.CounterFunc("hits", "raw-data cache hits", func() int64 { h, _, _ := dcache.Stats(); return h })
-		g.CounterFunc("misses", "raw-data cache misses", func() int64 { _, m, _ := dcache.Stats(); return m })
-		g.CounterFunc("purged", "raw-data cache purges", func() int64 { _, _, p := dcache.Stats(); return p })
-		g.GaugeFunc("columns", "raw-data cache resident columns", func() int64 { return int64(dcache.Len()) })
-	}
+// their telemetry: the in-process column pool, or the cluster's wire
+// and health counters. Either may be nil.
+func (s *server) attachEnv(pool *colstore.Pool, clu *cluster.Cluster) {
+	s.pool, s.clu = pool, clu
 	if pool != nil {
 		g := s.reg.Group("column_pool", "columnPool")
 		g.GaugeFunc("resident_bytes", "column pool resident bytes", func() int64 { return pool.Stats().Resident })
@@ -563,11 +553,11 @@ func (vr *viewRegistry) counts() (loaded, derived, evicted int) {
 // --- Handlers ---
 
 // handleStatus reports the soft-state caches: the computation cache
-// (engine.Cache), the raw-data cache (storage.DataCache), and — in
-// in-process mode — the column pool's resident/budget/eviction
-// counters. In cluster mode it adds per-connection wire counters and
-// the replication/failover telemetry (worker health, retry and
-// speculation counts) from cluster.Stats. The "serve" section is the
+// (engine.Cache) and — in in-process mode — the column pool, the one
+// raw-data cache (resident/budget/hit/eviction counters). In cluster
+// mode it adds per-connection wire counters and the replication/
+// failover telemetry (worker health, retry and speculation counts)
+// from cluster.Stats. The "serve" section is the
 // scheduler: admission gauges and the shed/deadline/panic/dedup
 // counters of the overload contract.
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -597,12 +587,6 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.ingest != nil {
 		out["ingest"] = s.ingestStatus()
-	}
-	if s.dcache != nil {
-		dh, dm, dp := s.dcache.Stats()
-		out["dataCache"] = map[string]any{
-			"hits": dh, "misses": dm, "purged": dp, "columns": s.dcache.Len(),
-		}
 	}
 	if s.pool != nil {
 		ps := s.pool.Stats()

@@ -26,11 +26,9 @@ func testServerViews(t *testing.T, maxViews int) *server {
 	t.Helper()
 	flights.Register()
 	pool := colstore.NewPool(0)
-	dcache := storage.NewDataCache(0)
-	loader := storage.NewLoaderWith(engine.Config{AggregationWindow: -1},
-		storage.LoaderOpts{Pool: pool, Cache: dcache})
+	loader := storage.NewPooledLoader(engine.Config{AggregationWindow: -1}, 0, pool)
 	s := newServer(engine.NewRoot(loader), serve.Config{Deadline: -1}, maxViews)
-	s.attachEnv(pool, dcache, nil)
+	s.attachEnv(pool, nil)
 	return s
 }
 
@@ -93,7 +91,8 @@ func TestLoadMetaTableEndpoints(t *testing.T) {
 }
 
 // TestStatusEndpoint checks the soft-state stats surface: computation
-// cache, data cache, and column pool all report.
+// cache and column pool report, and the retired raw-data cache section
+// stays gone.
 func TestStatusEndpoint(t *testing.T) {
 	s := testServer(t)
 	get(t, s.handleLoad, "/api/load?name=fl&source=flights:rows=2000,parts=2,seed=1")
@@ -102,10 +101,13 @@ func TestStatusEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status: %d %s", rec.Code, rec.Body.String())
 	}
-	for _, key := range []string{"computationCache", "dataCache", "columnPool", "replays"} {
+	for _, key := range []string{"computationCache", "columnPool", "replays"} {
 		if _, ok := body[key]; !ok {
 			t.Errorf("status missing %q: %v", key, body)
 		}
+	}
+	if _, ok := body["dataCache"]; ok {
+		t.Errorf("status still reports a dataCache section: %v", body)
 	}
 	cc := body["computationCache"].(map[string]any)
 	if cc["hits"].(float64)+cc["misses"].(float64) == 0 {
@@ -131,7 +133,7 @@ func TestStatusEndpointClusterWire(t *testing.T) {
 	}
 	defer clu.Close()
 	s := newServer(engine.NewRoot(clu.Loader()), serve.Config{Deadline: -1}, 0)
-	s.attachEnv(nil, nil, clu)
+	s.attachEnv(nil, clu)
 	if rec, _ := get(t, s.handleLoad, "/api/load?name=fl&source=flights:rows=2000,parts=2,seed=1"); rec.Code != http.StatusOK {
 		t.Fatalf("load: %d %s", rec.Code, rec.Body.String())
 	}

@@ -37,7 +37,7 @@ func clusterServer(t *testing.T, n, replication int) *server {
 	}
 	t.Cleanup(func() { clu.Close() })
 	s := newServer(engine.NewRoot(clu.Loader()), serve.Config{Deadline: -1}, 0)
-	s.attachEnv(nil, nil, clu)
+	s.attachEnv(nil, clu)
 	return s
 }
 
@@ -116,7 +116,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hillview_views_loaded",
 		"hillview_traces_started_total",
 		"hillview_column_pool_resident_bytes",
-		"hillview_data_cache_hits_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -34,12 +34,11 @@
 // reach the callback serialized on a dedicated emission lock. Heavy
 // hitters count dictionary columns by int32 code — an exact dense tally
 // pruned once per run up to 4096 codes, a code-keyed Misra–Gries stream
-// above — and materialize Values only at result time;
-// equi-width buckets index by a precomputed reciprocal whenever the
-// multiplication form is verified against the division form at every
-// bucket boundary. Batch scans are bit-identical to the retained
-// row-at-a-time reference path — including randomized sketches under a
-// fixed seed, via per-chunk seeds derived from (seed, chunk start).
+// above — and materialize Values only at result time; equi-width
+// buckets index by the division form on every path. Batch scans are
+// bit-identical to the retained row-at-a-time reference path —
+// including randomized sketches under a fixed seed, via per-chunk
+// seeds derived from (seed, chunk start).
 // Kernel before/after numbers: BENCH_kernels.json.
 //
 // Row selection has one kernel too: table.ConstCompare tests a stored
@@ -80,9 +79,12 @@
 // sketch under a budget of ~25% of the data and demands bit-identical
 // results to the fully-heap-loaded path. The engine reaches the store
 // through engine.LeafSource (lazy partitions, acquired per chunk task,
-// restricted to the columns a sketch declares via sketch.ColumnUser);
-// legacy HVC1 files keep working through the decode path and gained a
-// CRC32-C footer of their own.
+// restricted to the columns a sketch declares via sketch.ColumnUser).
+// HVC2 is the one columnar format and the pool the one raw-data cache,
+// organized by (source, column) as the paper's data cache is: where no
+// pool serves a file, colstore.ReadHVC2File copies its blocks onto the
+// heap, and a file in any other format (HVC1 included) is refused with
+// colstore.ErrNotHVC2.
 //
 // Datasets grow while users watch (internal/ingest): writers append
 // row batches into an open segment that seals into an immutable HVC2

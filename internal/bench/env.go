@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/baseline/sparklike"
 	"repro/internal/cluster"
+	"repro/internal/colstore"
 	"repro/internal/engine"
 	"repro/internal/flights"
 	"repro/internal/spreadsheet"
@@ -176,7 +177,7 @@ func GenScale(p Params, scale int) []*table.Table {
 	return parts
 }
 
-// WriteColdShards materializes a scale's data as .hvc files, one
+// WriteColdShards materializes a scale's data as HVC2 files, one
 // directory per worker, and returns the source template
 // "dir:<base>/shard-{worker}" for cold loading (Figure 6).
 func WriteColdShards(p Params, scale int, dir string) (string, error) {
@@ -189,7 +190,7 @@ func WriteColdShards(p Params, scale int, dir string) (string, error) {
 		parts := flights.GenPartitions(fmt.Sprintf("cold-%dx-w%d", scale, w),
 			rowsPerWorker, p.PartsPerWorker, p.Seed*100+uint64(w), flights.CoreColumns)
 		for i, t := range parts {
-			if err := storage.WriteHVC(filepath.Join(shardDir, fmt.Sprintf("part-%03d.hvc", i)), t); err != nil {
+			if err := colstore.WriteHVC2(filepath.Join(shardDir, fmt.Sprintf("part-%03d.hvc", i)), t); err != nil {
 				return "", err
 			}
 		}

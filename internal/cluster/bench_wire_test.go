@@ -13,17 +13,17 @@ import (
 	"repro/internal/table"
 )
 
-// BenchmarkWire* is the interleaved A/B battery of the binary wire
-// codec against the seed's stateful gob stream (reachable here through
-// the legacy codec mode; in production gob remains only as the
-// per-frame fallback envelope). Recorded in BENCH_wire.json.
+// BenchmarkWire* measures the binary wire codec, interleaved with the
+// per-frame gob fallback envelope it replaced on the shipped types.
+// BENCH_wire.json holds the historical A/B that also carried the seed's
+// stateful gob stream, a codec mode that no longer exists.
 //
 //	go test -run xxx -bench BenchmarkWire -benchmem ./internal/cluster/
 
 // gobOnlyResult wraps a shipped result in a type without a binary
-// codec, forcing the frame onto the MsgGobEnvelope fallback — the
-// third A/B leg: stateless per-frame gob, what a naive "make every
-// frame self-contained" fix would have cost.
+// codec, forcing the frame onto the MsgGobEnvelope fallback: stateless
+// per-frame gob, what a naive "make every frame self-contained" fix
+// would have cost.
 type gobOnlyResult struct{ R sketch.Result }
 
 func init() { gob.Register(&gobOnlyResult{}) }
@@ -98,15 +98,11 @@ func benchTrellis() *sketch.Trellis {
 	return tr
 }
 
-// benchCodec runs env through one encode+decode round trip per op on
-// the chosen codec, reporting the frame's own bytes.
-func benchCodec(b *testing.B, legacy bool, env *Envelope) {
+// benchCodec runs env through one encode+decode round trip per op,
+// reporting the frame's own bytes.
+func benchCodec(b *testing.B, env *Envelope) {
 	var buf bytes.Buffer
-	newConn := newFrameConn
-	if legacy {
-		newConn = newLegacyGobFrameConn
-	}
-	fc := newConn(&buf)
+	fc := newFrameConn(&buf)
 	// Measure the frame size once for SetBytes.
 	if err := fc.send(env); err != nil {
 		b.Fatal(err)
@@ -146,9 +142,8 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	for _, tc := range cases {
 		env := &Envelope{ReqID: 1, Kind: MsgFinal, Result: tc.result, Done: 4, Total: 4}
 		envFallback := &Envelope{ReqID: 1, Kind: MsgFinal, Result: &gobOnlyResult{R: tc.result}, Done: 4, Total: 4}
-		b.Run(tc.name+"/binary", func(b *testing.B) { benchCodec(b, false, env) })
-		b.Run(tc.name+"/gob", func(b *testing.B) { benchCodec(b, true, env) })
-		b.Run(tc.name+"/gobframe", func(b *testing.B) { benchCodec(b, false, envFallback) })
+		b.Run(tc.name+"/binary", func(b *testing.B) { benchCodec(b, env) })
+		b.Run(tc.name+"/gobframe", func(b *testing.B) { benchCodec(b, envFallback) })
 	}
 }
 
@@ -186,10 +181,10 @@ func addCounts(r sketch.Result, tick int64) sketch.Result {
 
 // benchPartialStream alternates two successive snapshots through one
 // request's partial stream, so binary frames after warmup are real
-// deltas (per-bucket increments of a progress tick) and gob frames are
-// what the seed sent: the whole summary again. wirebytes/op is the
-// steady-state frame size.
-func benchPartialStream(b *testing.B, legacy, fallback bool, base sketch.Result) {
+// deltas (per-bucket increments of a progress tick) and fallback frames
+// carry the whole summary again. wirebytes/op is the steady-state frame
+// size.
+func benchPartialStream(b *testing.B, fallback bool, base sketch.Result) {
 	next := addCounts(base, 4096)
 	wrap := func(r sketch.Result) sketch.Result {
 		if fallback {
@@ -202,11 +197,7 @@ func benchPartialStream(b *testing.B, legacy, fallback bool, base sketch.Result)
 		{ReqID: 7, Kind: MsgPartial, Result: wrap(next), Done: 2, Total: 4},
 	}
 	var buf bytes.Buffer
-	newConn := newFrameConn
-	if legacy {
-		newConn = newLegacyGobFrameConn
-	}
-	fc := newConn(&buf)
+	fc := newFrameConn(&buf)
 	// Warm up: the first frame of a stream is always full.
 	var steady int
 	for i := 0; i < 4; i++ {
@@ -237,10 +228,10 @@ func benchPartialStream(b *testing.B, legacy, fallback bool, base sketch.Result)
 
 // BenchmarkWirePartialStream is the acceptance metric: a request's
 // partial stream, one partial frame per op against a warm delta chain
-// (binary) versus the stateful gob stream (the seed's behavior — every
-// partial re-ships the whole summary). allocs/op is allocations per
-// partial frame, encode plus decode; wirebytes/op shows the delta
-// shrinkage (heavy hitters has no delta form and ships full frames).
+// (binary) versus the per-frame gob fallback (every partial re-ships the
+// whole summary). allocs/op is allocations per partial frame, encode
+// plus decode; wirebytes/op shows the delta shrinkage (heavy hitters has
+// no delta form and ships full frames).
 func BenchmarkWirePartialStream(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -251,19 +242,16 @@ func BenchmarkWirePartialStream(b *testing.B) {
 		{"heavyhitters", benchHeavyHitters()},
 	}
 	for _, tc := range cases {
-		b.Run(tc.name+"/binary", func(b *testing.B) { benchPartialStream(b, false, false, tc.result) })
-		b.Run(tc.name+"/gob", func(b *testing.B) { benchPartialStream(b, true, false, tc.result) })
-		b.Run(tc.name+"/gobframe", func(b *testing.B) { benchPartialStream(b, false, true, tc.result) })
+		b.Run(tc.name+"/binary", func(b *testing.B) { benchPartialStream(b, false, tc.result) })
+		b.Run(tc.name+"/gobframe", func(b *testing.B) { benchPartialStream(b, true, tc.result) })
 	}
 }
 
-// BenchmarkWireSketchTCP is the end-to-end A/B: a full sketch round
+// BenchmarkWireSketchTCP is the end-to-end leg: a full sketch round
 // trip — request, partial stream, final — through a real worker over
-// TCP, under each codec.
+// TCP.
 func BenchmarkWireSketchTCP(b *testing.B) {
-	run := func(b *testing.B, legacy bool) {
-		legacyGobDefault.Store(legacy)
-		defer legacyGobDefault.Store(false)
+	b.Run("binary", func(b *testing.B) {
 		w := NewWorker(storage.NewLoader(engine.Config{AggregationWindow: 1}, 0))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
@@ -290,7 +278,5 @@ func BenchmarkWireSketchTCP(b *testing.B) {
 		b.StopTimer()
 		st := cl.WireStats()
 		b.ReportMetric(float64(st.BytesIn)/float64(b.N), "wirebytes/op")
-	}
-	b.Run("binary", func(b *testing.B) { run(b, false) })
-	b.Run("gob", func(b *testing.B) { run(b, true) })
+	})
 }

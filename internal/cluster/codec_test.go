@@ -419,29 +419,6 @@ func TestWireStatsCounting(t *testing.T) {
 	}
 }
 
-// TestLegacyGobConnInterop sanity-checks the benchmark-only legacy gob
-// codec against itself (it exists for interleaved A/B runs).
-func TestLegacyGobConnInterop(t *testing.T) {
-	var buf bytes.Buffer
-	a := newLegacyGobFrameConn(&buf)
-	b := newLegacyGobFrameConn(&buf)
-	hist := &sketch.Histogram{Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 4), Counts: []int64{1, 2, 3, 4}, SampleRate: 1}
-	for i := 0; i < 3; i++ {
-		if err := a.send(&Envelope{ReqID: uint64(i), Kind: MsgPartial, Result: hist, Done: i, Total: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		env, err := b.recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(env.Result, hist) {
-			t.Fatalf("legacy gob diverged at frame %d", i)
-		}
-	}
-}
-
 // TestRequestReplayDeduped verifies the worker drops a byte-identical
 // replay of an in-flight request instead of starting a second partial
 // stream under the same request ID.

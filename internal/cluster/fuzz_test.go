@@ -32,8 +32,6 @@ func appendCraftedHistogram() []byte {
 	b = wire.AppendUvarint(b, 0)            // bounds: nil
 	b = append(b, 0)                        // exactValues
 	b = append(b, 8)                        // count varint (4)
-	b = append(b, make([]byte, 8)...)       // scale
-	b = append(b, 0)                        // fastIndex
 	return wire.AppendUvarint(b, (1<<40)+1) // Counts: 2^40 elements declared
 }
 

@@ -51,7 +51,11 @@ const (
 	// whenever an envelope carries a sketch, map op, or result type
 	// with no registered binary codec, so third-party types keep
 	// working over the wire at gob speed while every shipped type takes
-	// the typed path.
+	// the typed path. In-tree users: the spreadsheet's save vizketch
+	// (saveSketch / SaveResult, View.SaveCSV in cluster mode) and the
+	// overload battery's testkit.overloadPanicSketch. (A codec-less
+	// member of a MultiSketch rides gob too, but as a per-member blob
+	// inside the typed frame — see sketch.MultiSketch.AppendWire.)
 	MsgGobEnvelope
 )
 
@@ -215,51 +219,15 @@ type frameConn struct {
 	// Reader state: single reader per connection, no lock.
 	readBuf []byte
 	seqIn   map[uint64]*partialState // recv-side delta chains
-
-	// legacyGob switches the connection to the seed's stateful
-	// per-connection gob stream. It exists only for interleaved A/B
-	// benchmarks (BenchmarkWire*) and is never set in production: the
-	// binary codec is the default and gob is otherwise reachable only
-	// through the per-frame fallback envelope.
-	legacyGob bool
-	encBuf    bytes.Buffer
-	enc       *gob.Encoder
-	decBuf    bytes.Buffer
-	dec       *gob.Decoder
 }
 
-// legacyGobDefault forces every new connection onto the seed gob codec.
-// It exists only so the interleaved A/B benchmarks (BenchmarkWire*) can
-// drive the full worker/client path through both codecs; production
-// never sets it.
-var legacyGobDefault atomic.Bool
-
 func newFrameConn(rw io.ReadWriter) *frameConn {
-	if legacyGobDefault.Load() {
-		return newLegacyGobFrameConn(rw)
-	}
 	c := &frameConn{
 		rw:     rw,
 		seqOut: make(map[uint64]*partialState),
 		seqIn:  make(map[uint64]*partialState),
 	}
 	c.deadliner, _ = rw.(interface{ SetReadDeadline(time.Time) error })
-	return c
-}
-
-// newLegacyGobFrameConn builds a connection speaking the seed protocol:
-// gob envelopes over a persistent per-connection encoder/decoder pair.
-// Benchmark-only; see frameConn.legacyGob.
-func newLegacyGobFrameConn(rw io.ReadWriter) *frameConn {
-	c := &frameConn{
-		rw:        rw,
-		seqOut:    make(map[uint64]*partialState),
-		seqIn:     make(map[uint64]*partialState),
-		legacyGob: true,
-	}
-	c.deadliner, _ = rw.(interface{ SetReadDeadline(time.Time) error })
-	c.enc = gob.NewEncoder(&c.encBuf)
-	c.dec = gob.NewDecoder(&c.decBuf)
 	return c
 }
 
@@ -283,9 +251,6 @@ func needsGobFallback(env *Envelope) bool {
 func (c *frameConn) send(env *Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.legacyGob {
-		return c.sendLegacyLocked(env)
-	}
 	start := time.Now()
 	fb := frameBufPool.Get().(*frameBuf)
 	buf := append(fb.b[:0], 0, 0, 0, 0) // outer length placeholder
@@ -496,30 +461,6 @@ func (c *frameConn) appendResultLocked(buf []byte, headerAt int, env *Envelope) 
 	return out, nil
 }
 
-// sendLegacyLocked is the seed path: gob over a persistent encoder. It
-// carries the same encode-time accounting as the binary path so the
-// interleaved A/B benchmarks compare codecs, not instrumentation.
-func (c *frameConn) sendLegacyLocked(env *Envelope) error {
-	start := time.Now()
-	c.encBuf.Reset()
-	if err := c.enc.Encode(env); err != nil {
-		return fmt.Errorf("cluster: encode: %w", err)
-	}
-	c.encodeNS.Add(time.Since(start).Nanoseconds())
-	payload := c.encBuf.Bytes()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := c.rw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: %w: %v", errWriteFailed, err)
-	}
-	if _, err := c.rw.Write(payload); err != nil {
-		return fmt.Errorf("cluster: %w: %v", errWriteFailed, err)
-	}
-	c.out.Add(int64(len(payload)) + 4)
-	c.framesOut.Add(1)
-	return nil
-}
-
 // appendGobEnvelope writes the fallback frame: header plus the whole
 // envelope through a fresh (stateless) gob encoder.
 func appendGobEnvelope(buf []byte, env *Envelope) ([]byte, error) {
@@ -574,19 +515,16 @@ func (c *frameConn) recv() (*Envelope, error) {
 	}
 	c.in.Add(int64(n) + 4)
 	c.framesIn.Add(1)
-	if !c.legacyGob {
-		if len(payload) < frameCRCLen {
-			return nil, fmt.Errorf("cluster: frame of %d bytes is shorter than its checksum", len(payload))
-		}
-		body := payload[:len(payload)-frameCRCLen]
-		want := binary.BigEndian.Uint32(payload[len(payload)-frameCRCLen:])
-		if got := crc32.Checksum(body, crcTable); got != want {
-			return nil, fmt.Errorf("cluster: frame checksum mismatch (spliced or corrupt stream): got %08x want %08x", got, want)
-		}
-		payload = body
+	if len(payload) < frameCRCLen {
+		return nil, fmt.Errorf("cluster: frame of %d bytes is shorter than its checksum", len(payload))
+	}
+	body := payload[:len(payload)-frameCRCLen]
+	want := binary.BigEndian.Uint32(payload[len(payload)-frameCRCLen:])
+	if got := crc32.Checksum(body, crcTable); got != want {
+		return nil, fmt.Errorf("cluster: frame checksum mismatch (spliced or corrupt stream): got %08x want %08x", got, want)
 	}
 	start := time.Now()
-	env, err := c.decodeFrame(payload)
+	env, err := c.decodeFrame(body)
 	c.decodeNS.Add(time.Since(start).Nanoseconds())
 	if cap(c.readBuf) > maxRetainedBuf {
 		// Decoded values never alias the read buffer, so a one-off giant
@@ -624,14 +562,6 @@ func (c *frameConn) watchdogErr(err error) error {
 
 // decodeFrame parses one frame payload.
 func (c *frameConn) decodeFrame(payload []byte) (*Envelope, error) {
-	if c.legacyGob {
-		c.decBuf.Write(payload)
-		var env Envelope
-		if err := c.dec.Decode(&env); err != nil {
-			return nil, fmt.Errorf("cluster: decode: %w", err)
-		}
-		return &env, nil
-	}
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("cluster: decode: frame of %d bytes is shorter than a header", len(payload))
 	}

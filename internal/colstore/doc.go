@@ -7,8 +7,8 @@
 //
 // The package has two halves:
 //
-//   - The HVC2 format (format.go): a v2 layout of the repository's
-//     columnar file format in which every fixed-width payload —
+//   - The HVC2 format (format.go): the repository's one columnar file
+//     format, in which every fixed-width payload —
 //     int64/date values, float64 values, int32 dictionary codes, and
 //     missing bitmaps — is stored raw, little-endian, and 64-byte
 //     aligned, so a memory-mapped block reinterprets directly as
@@ -25,10 +25,9 @@
 //     Eviction of a mapped column releases its OS pages (madvise
 //     MADV_DONTNEED) but keeps the mapping itself valid, so a stale
 //     reference held by a derived table remains correct — the pages
-//     simply fault back in from the immutable file. Eviction of a
-//     heap-decoded column just drops the pool's reference. Either way
-//     a reloaded column is bit-identical, which is what lets eviction
-//     compose with the engine's soft-state replay story.
+//     simply fault back in from the immutable file, so a reloaded
+//     column is bit-identical — which is what lets eviction compose
+//     with the engine's soft-state replay story.
 //
 // Materialized columns are the ordinary concrete column types of
 // package table (IntColumn, DoubleColumn, StringColumn) whose backing
@@ -36,9 +35,9 @@
 // iteration, typed bulk access, batch accumulators — runs unmodified
 // on mapped data with no per-scan allocation for fixed-width kinds.
 //
-// The pool itself is format-agnostic: Acquire takes a loader callback,
-// so the storage layer serves HVC2 files through File (mmap) and
-// legacy HVC1 files through its own per-column decode path, both under
-// one budget. Wiring into the engine happens in package storage
-// (PooledSource implements engine.LeafSource).
+// Pool.Acquire takes a loader callback; the storage layer's loader is
+// File.Column, so every pooled column is a mapped HVC2 column. Wiring
+// into the engine happens in package storage (PooledSource implements
+// engine.LeafSource); where no pool exists, ReadHVC2File copies the
+// requested blocks onto the heap instead.
 package colstore

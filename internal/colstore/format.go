@@ -14,13 +14,13 @@ import (
 	"repro/internal/table"
 )
 
-// HVC2 is the mmap-native second version of the repository's columnar
-// file format. Like HVC1 it stores independently addressable column
-// blocks behind a schema header; unlike HVC1 every fixed-width payload
-// is raw little-endian and 64-byte aligned so a mapped block
-// reinterprets directly as a typed slice, and every block carries a
-// CRC32-C so a truncated or corrupted column surfaces as an error, not
-// as silently wrong data.
+// HVC2 is the repository's columnar file format, mmap-native. It stores
+// independently addressable column blocks behind a schema header; every
+// fixed-width payload is raw little-endian and 64-byte aligned so a
+// mapped block reinterprets directly as a typed slice, and every block
+// carries a CRC32-C so a truncated or corrupted column surfaces as an
+// error, not as silently wrong data. (Its varint predecessor, HVC1, is
+// no longer read: such a file fails with ErrNotHVC2.)
 //
 // Layout (integers little-endian; uvarint is Go's encoding/binary):
 //
@@ -63,8 +63,9 @@ const (
 // crcTable is CRC32-C (Castagnoli), hardware-accelerated on amd64/arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrNotHVC2 reports that a file is not in the v2 format (the storage
-// layer falls back to the HVC1 decode path).
+// ErrNotHVC2 reports that a file does not begin with an HVC2 header —
+// a leftover HVC1 file, or not a column file at all. Nothing reads
+// such a file; OpenFile and ReadHVC2File wrap it with the path.
 var ErrNotHVC2 = errors.New("colstore: not an HVC2 file")
 
 func pad64(n int64) int64 { return (n + blockAlign - 1) &^ (blockAlign - 1) }
@@ -210,12 +211,14 @@ func planString(t *table.Table, col table.Column, rows int, p *colPlan) error {
 	if sc, ok := col.(*table.StringColumn); ok {
 		// Gather member codes, find which dictionary entries occur, and
 		// remap to the dense subset; a subset of a sorted dictionary is
-		// still sorted. Missing rows keep canonical code 0.
+		// still sorted. Missing rows get canonical code 0 (their stored
+		// code may index nothing: an all-missing column has an empty
+		// dictionary).
 		used := make([]bool, sc.DictSize())
 		scCodes := sc.Codes()
 		t.Members().Iterate(func(row int) bool {
 			if col.Missing(row) {
-				codes = append(codes, 0)
+				codes = append(codes, -1)
 			} else {
 				code := scCodes[row]
 				used[code] = true
@@ -231,10 +234,10 @@ func planString(t *table.Table, col table.Column, rows int, p *colPlan) error {
 			}
 		}
 		for i, code := range codes {
-			if used[code] {
-				codes[i] = remap[code]
+			if code < 0 {
+				codes[i] = 0
 			} else {
-				codes[i] = 0 // missing placeholder
+				codes[i] = remap[code]
 			}
 		}
 	} else {
@@ -637,11 +640,6 @@ func ReadHVC2Bytes(data []byte, id string, cols []string) (*table.Table, error) 
 	return table.New(id, table.NewSchema(outDesc...), outCols, table.FullMembership(h.rows)), nil
 }
 
-// IsHVC2Magic reports whether data starts with the v2 magic.
-func IsHVC2Magic(data []byte) bool {
-	return len(data) >= 4 && string(data[:4]) == magicV2
-}
-
 // ReadHVC2File eagerly loads the requested columns (nil = all) of an
 // HVC2 file onto the heap. The file is mapped only transiently: just
 // the requested blocks are paged in (directory-guided, CRC-validated)
@@ -663,7 +661,7 @@ func ReadHVC2File(path, id string, cols []string) (*table.Table, error) {
 	for k, ci := range want {
 		col, _, _, err := f.Column(ci)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		heap, err := heapColumn(col)
 		if err != nil {
@@ -713,7 +711,7 @@ type File struct {
 }
 
 // OpenFile maps an HVC2 file. A file with a different magic returns
-// ErrNotHVC2 (wrapped), letting callers fall back to the v1 path.
+// ErrNotHVC2, wrapped with the path.
 func OpenFile(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -827,33 +825,4 @@ func (f *File) Close() error {
 		f.f = nil
 	}
 	return err
-}
-
-// ColumnBytes estimates the resident size of a heap-decoded column, so
-// non-mapped formats account against the same pool budget.
-func ColumnBytes(col table.Column) int64 {
-	var n int64
-	switch c := col.(type) {
-	case *table.IntColumn:
-		n = 8 * int64(c.Len())
-		if m := c.MissingMask(); m != nil {
-			n += 8 * int64(len(m.Words))
-		}
-	case *table.DoubleColumn:
-		n = 8 * int64(c.Len())
-		if m := c.MissingMask(); m != nil {
-			n += 8 * int64(len(m.Words))
-		}
-	case *table.StringColumn:
-		n = 4 * int64(c.Len())
-		for _, s := range c.Dict() {
-			n += int64(len(s)) + 16
-		}
-		if m := c.MissingMask(); m != nil {
-			n += 8 * int64(len(m.Words))
-		}
-	default:
-		n = 64 // computed columns store no data
-	}
-	return n
 }

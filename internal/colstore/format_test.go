@@ -2,9 +2,11 @@ package colstore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/table"
@@ -165,6 +167,23 @@ func TestHVC2ComputedAndAllMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRows(t, src, got)
+
+	// A stored dictionary column missing in every row has an empty
+	// dictionary, so its rows' codes index nothing.
+	b := table.NewBuilder(table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString}), n)
+	for i := 0; i < n; i++ {
+		b.AppendRow(table.Row{table.MissingValue(table.KindString)})
+	}
+	stored := b.Freeze("stored")
+	buf.Reset()
+	if err := WriteHVC2To(&buf, stored); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadHVC2Bytes(buf.Bytes(), "stored", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRows(t, stored, got)
 }
 
 func TestHVC2EmptyTables(t *testing.T) {
@@ -321,19 +340,21 @@ func TestHVC2ZeroColumnRowBound(t *testing.T) {
 	}
 }
 
-// TestHVC2NotV2 pins the sentinel for version dispatch.
+// TestHVC2NotV2 pins the sentinel every non-HVC2 input fails with: a
+// file or image with another magic (HVC1 included) is ErrNotHVC2, and
+// file errors name the path.
 func TestHVC2NotV2(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.hvc")
 	if err := os.WriteFile(path, []byte("HVC1junkjunkjunkjunk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path); err == nil {
-		t.Fatal("OpenFile accepted a v1 file")
+	if _, err := OpenFile(path); !errors.Is(err, ErrNotHVC2) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("OpenFile of a v1 file: %v, want ErrNotHVC2 naming %s", err, path)
 	}
-	if IsHVC2Magic([]byte("HVC1xxxx")) {
-		t.Fatal("IsHVC2Magic accepted v1 magic")
+	if _, err := ReadHVC2File(path, "v1", nil); !errors.Is(err, ErrNotHVC2) {
+		t.Fatalf("ReadHVC2File of a v1 file: %v, want ErrNotHVC2", err)
 	}
-	if !IsHVC2Magic([]byte(magicV2 + "xxxx")) {
-		t.Fatal("IsHVC2Magic rejected v2 magic")
+	if _, err := ReadHVC2Bytes([]byte("HVC1xxxxxxxxxxxxxxxx"), "v1", nil); !errors.Is(err, ErrNotHVC2) {
+		t.Fatalf("ReadHVC2Bytes of v1 magic: %v, want ErrNotHVC2", err)
 	}
 }

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -31,28 +30,14 @@ type BucketSpec struct {
 	ExactValues bool
 	// Count is the number of buckets.
 	Count int
-	// Scale is the precomputed reciprocal Count/(Max-Min) used by the
-	// division-free bucket form floor((v-Min)*Scale). FastIndex records
-	// that NumericBuckets verified the reciprocal form against the
-	// division form at every bucket boundary; when it is false the
-	// kernels keep the division form, which is the semantic contract.
-	// Both fields are exported only so the spec survives gob encoding.
-	Scale     float64
-	FastIndex bool
 }
 
-// NumericBuckets returns equi-width numeric bucket geometry. It
-// precomputes the reciprocal-multiplication index form and verifies it
-// against the division form at every bucket boundary (see
-// verifyFastIndex); specs whose geometry defeats the verification fall
-// back to per-row division.
+// NumericBuckets returns equi-width numeric bucket geometry.
 func NumericBuckets(kind table.Kind, min, max float64, count int) BucketSpec {
 	if count < 1 {
 		count = 1
 	}
-	s := BucketSpec{Kind: kind, Min: min, Max: max, Count: count}
-	s.Scale, s.FastIndex = verifyFastIndex(min, max, count)
-	return s
+	return BucketSpec{Kind: kind, Min: min, Max: max, Count: count}
 }
 
 // StringBucketsFromBounds returns string bucket geometry with the given
@@ -66,9 +51,11 @@ func (s BucketSpec) NumBuckets() int { return s.Count }
 
 // IndexValue maps a numeric value to its bucket, or -1 when outside the
 // range (NaN is outside every range). Max maps into the last bucket so
-// data-derived ranges lose no rows. The contract is the division form
-// Count*(v-Min)/(Max-Min); when NumericBuckets verified the reciprocal
-// form equivalent, the divide is replaced with a multiply.
+// data-derived ranges lose no rows. The bucket is the division form
+// Count*(v-Min)/(Max-Min); the batch kernels (numericIndex) compute the
+// same expression. An infinite bound (a column holding ±Inf, or a
+// crafted spec) can make that quotient NaN; it lands in the last bucket
+// too, never in a platform-defined integer conversion.
 func (s BucketSpec) IndexValue(v float64) int {
 	if s.Count <= 0 || !(v >= s.Min) || v > s.Max {
 		return -1
@@ -76,86 +63,12 @@ func (s BucketSpec) IndexValue(v float64) int {
 	if s.Max == s.Min {
 		return 0
 	}
-	var i int
-	if s.FastIndex {
-		i = int((v - s.Min) * s.Scale)
-	} else {
-		i = int(float64(s.Count) * (v - s.Min) / (s.Max - s.Min))
+	countF := float64(s.Count)
+	x := countF * (v - s.Min) / (s.Max - s.Min)
+	if !(x < countF) {
+		return s.Count - 1
 	}
-	if i >= s.Count {
-		i = s.Count - 1
-	}
-	return i
-}
-
-// verifyFastIndex decides whether the reciprocal-multiplication bucket
-// form floor((v-min)*scale), scale = count/(max-min), may replace the
-// division form floor(count*(v-min)/(max-min)) — the IndexValue
-// contract — without ever misplacing a row. Both forms are monotone
-// nondecreasing in v (IEEE-754 rounding and floor preserve order), so
-// they agree on all of [min, max] iff they agree at both endpoints and,
-// for every j in [1, count), at the j-th boundary — the smallest float
-// where the division form first reaches j — and at the float
-// immediately below it. The check locates each boundary exactly with an
-// ulp walk around the rounded algebraic boundary (always within a few
-// ulps of the true transition) and compares the two forms there. Any
-// disagreement, or a geometry the walk cannot pin down (non-finite
-// width, overflowing scale, boundaries drifting past the walk budget),
-// rejects the fast form and the kernels keep the division.
-func verifyFastIndex(min, max float64, count int) (float64, bool) {
-	if count <= 0 || count > 1<<20 || !(max > min) {
-		return 0, false
-	}
-	width := max - min
-	scale := float64(count) / width
-	if math.IsInf(width, 0) || math.IsInf(scale, 0) || !(scale > 0) {
-		return 0, false
-	}
-	countF := float64(count)
-	clamp := func(i int) int {
-		if i >= count {
-			return count - 1
-		}
-		return i
-	}
-	div := func(v float64) int { return clamp(int(countF * (v - min) / width)) }
-	fast := func(v float64) int { return clamp(int((v - min) * scale)) }
-	if fast(min) != div(min) || fast(max) != div(max) {
-		return 0, false
-	}
-	const maxWalk = 1 << 10
-	for j := 1; j < count; j++ {
-		b := min + float64(j)*width/countF
-		if b < min {
-			b = min
-		}
-		if b > max {
-			b = max
-		}
-		steps := 0
-		for div(b) >= j && b > min {
-			b = math.Nextafter(b, math.Inf(-1))
-			if steps++; steps > maxWalk {
-				return 0, false
-			}
-		}
-		for div(b) < j {
-			if b >= max {
-				return 0, false
-			}
-			b = math.Nextafter(b, math.Inf(1))
-			if steps++; steps > 2*maxWalk {
-				return 0, false
-			}
-		}
-		if fast(b) != div(b) {
-			return 0, false
-		}
-		if p := math.Nextafter(b, math.Inf(-1)); p >= min && fast(p) != div(p) {
-			return 0, false
-		}
-	}
-	return scale, true
+	return int(x)
 }
 
 // IndexString maps a string to its bucket, or -1 when it sorts before
@@ -242,24 +155,19 @@ type BatchIndexer interface {
 // fields hoisted into locals.
 type numericIndex struct {
 	min, max, countF float64
-	scale            float64
 	count            int32
-	fast             bool
 }
 
 func newNumericIndex(s BucketSpec) numericIndex {
-	return numericIndex{
-		min: s.Min, max: s.Max,
-		countF: float64(s.Count), count: int32(s.Count),
-		scale: s.Scale, fast: s.FastIndex,
-	}
+	return numericIndex{min: s.Min, max: s.Max, countF: float64(s.Count), count: int32(s.Count)}
 }
 
-// index is IndexValue with the spec fields in registers. The inverted
-// first comparison rejects NaN along with below-range values: without
-// it a NaN row would reach the int conversion, whose result is
-// platform-defined and lands outside the tally array in the fused
-// count kernels.
+// index is IndexValue with the spec fields in registers. Both
+// comparisons are inverted so NaN fails them: the first rejects NaN rows
+// along with below-range values, the last sends a NaN quotient (infinite
+// bounds) to the last bucket. Either NaN would otherwise reach the int
+// conversion, whose result is platform-defined and lands outside the
+// tally array in the fused count kernels.
 func (p numericIndex) index(v float64) int32 {
 	if p.count <= 0 || !(v >= p.min) || v > p.max {
 		return -1
@@ -267,16 +175,11 @@ func (p numericIndex) index(v float64) int32 {
 	if p.max == p.min {
 		return 0
 	}
-	var i int32
-	if p.fast {
-		i = int32((v - p.min) * p.scale)
-	} else {
-		i = int32(p.countF * (v - p.min) / (p.max - p.min))
+	x := p.countF * (v - p.min) / (p.max - p.min)
+	if !(x < p.countF) {
+		return p.count - 1
 	}
-	if i >= p.count {
-		i = p.count - 1
-	}
-	return i
+	return int32(x)
 }
 
 // intBatchIndexer buckets an IntColumn through its backing slice.

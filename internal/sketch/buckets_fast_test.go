@@ -25,14 +25,20 @@ func divisionIndex(s BucketSpec, v float64) int {
 	return i
 }
 
-// checkSpecAgainstDivision compares IndexValue with the division form on
-// every bucket boundary, the ±4-ulp neighborhood of each, the endpoints,
-// and a swarm of random in-range values.
-func checkSpecAgainstDivision(t *testing.T, s BucketSpec, rng *rand.Rand) {
+// checkRowAndBatchForms compares the row form (IndexValue), the batch
+// form (numericIndex.index) and the division contract on every bucket
+// boundary, the ±4-ulp neighborhood of each, the endpoints, and a swarm
+// of random in-range values.
+func checkRowAndBatchForms(t *testing.T, s BucketSpec, rng *rand.Rand) {
 	t.Helper()
+	batch := newNumericIndex(s)
 	probe := func(v float64) {
-		if got, want := s.IndexValue(v), divisionIndex(s, v); got != want {
-			t.Fatalf("spec %s (fast=%v): IndexValue(%g) = %d, division form = %d", s, s.FastIndex, v, got, want)
+		row, want := s.IndexValue(v), divisionIndex(s, v)
+		if row != want {
+			t.Fatalf("spec %s: IndexValue(%g) = %d, division form = %d", s, v, row, want)
+		}
+		if got := int(batch.index(v)); got != row {
+			t.Fatalf("spec %s: batch index(%g) = %d, IndexValue = %d", s, v, got, row)
 		}
 	}
 	w := (s.Max - s.Min) / float64(s.Count)
@@ -56,12 +62,13 @@ func checkSpecAgainstDivision(t *testing.T, s BucketSpec, rng *rand.Rand) {
 	}
 }
 
-// TestFastIndexMatchesDivision is the property test for the reciprocal
-// bucket form: for fixed and random geometries, NumericBuckets either
-// verifies a fast form that agrees with the division form everywhere we
-// can probe (boundaries, ±ulp neighbors, random values) or falls back
-// to division outright.
-func TestFastIndexMatchesDivision(t *testing.T) {
+// TestBatchIndexMatchesIndexValue is the boundary sweep of the bucket
+// arithmetic: for fixed and random geometries the batch kernels'
+// index and the row form IndexValue agree with the division contract
+// at every bucket boundary and its ulp neighbors — so a fused count
+// kernel and the row-at-a-time reference can never bucket a row
+// differently.
+func TestBatchIndexMatchesIndexValue(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 18))
 	specs := []BucketSpec{
 		NumericBuckets(table.KindInt, 0, 1000000, 50),
@@ -71,6 +78,7 @@ func TestFastIndexMatchesDivision(t *testing.T) {
 		NumericBuckets(table.KindDouble, -1e12, 1e12, 7),
 		NumericBuckets(table.KindDouble, 0, 0.1, 1000),
 		NumericBuckets(table.KindDouble, 5e-324, 1e-300, 13), // denormal edge
+		NumericBuckets(table.KindDouble, 0, 100, 10),
 	}
 	for i := 0; i < 60; i++ {
 		min := (rng.Float64() - 0.5) * math.Pow(10, rng.Float64()*16-8)
@@ -80,17 +88,56 @@ func TestFastIndexMatchesDivision(t *testing.T) {
 		}
 		specs = append(specs, NumericBuckets(table.KindDouble, min, min+width, 1+rng.IntN(2000)))
 	}
-	fastCount := 0
 	for _, s := range specs {
-		if s.FastIndex {
-			fastCount++
+		checkRowAndBatchForms(t, s, rng)
+	}
+	// The degenerate single-point range maps everything to bucket 0.
+	p := NumericBuckets(table.KindDouble, 5, 5, 4)
+	if p.IndexValue(5) != 0 || p.IndexValue(4.9) != -1 || newNumericIndex(p).index(5) != 0 {
+		t.Error("single-point range misroutes")
+	}
+}
+
+// TestIndexValueInfiniteBounds: a data-derived range over a column
+// holding ±Inf (or a spec decoded from a crafted frame) has an infinite
+// width, so the division quotient can be NaN. Every in-range value must
+// still land in a bucket, identically on the row and batch paths, and a
+// histogram over such a column must count every row instead of
+// panicking on a negative tally index.
+func TestIndexValueInfiniteBounds(t *testing.T) {
+	inf := math.Inf(1)
+	for _, s := range []BucketSpec{
+		NumericBuckets(table.KindDouble, 1, inf, 4),
+		NumericBuckets(table.KindDouble, -inf, inf, 4),
+		NumericBuckets(table.KindDouble, -inf, 0, 4),
+		NumericBuckets(table.KindDouble, -math.MaxFloat64, math.MaxFloat64, 10),
+	} {
+		batch := newNumericIndex(s)
+		for _, v := range []float64{s.Min, s.Max, 0, 1, 2, -1, math.MaxFloat64, -math.MaxFloat64} {
+			row := s.IndexValue(v)
+			if got := int(batch.index(v)); got != row {
+				t.Errorf("spec %s: batch index(%g) = %d, IndexValue = %d", s, v, got, row)
+			}
+			if in := v >= s.Min && v <= s.Max; in && (row < 0 || row >= s.Count) {
+				t.Errorf("spec %s: in-range %g indexed to %d", s, v, row)
+			}
 		}
-		checkSpecAgainstDivision(t, s, rng)
 	}
-	if fastCount == 0 {
-		t.Fatal("no spec took the fast path; the property test is vacuous")
+	vals := []float64{1, 2, inf}
+	tbl := table.New("inf",
+		table.NewSchema(table.ColumnDesc{Name: "d", Kind: table.KindDouble}),
+		[]table.Column{table.NewDoubleColumn(vals, nil)}, table.FullMembership(len(vals)))
+	sk := &HistogramSketch{Col: "d", Buckets: NumericBuckets(table.KindDouble, 1, inf, 4)}
+	res, err := sk.Summarize(tbl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d/%d specs verified for the reciprocal form", fastCount, len(specs))
+	if h := res.(*Histogram); h.TotalCount() != 3 || h.OutOfRange != 0 {
+		t.Errorf("rows miscounted over an infinite range: %+v", h)
+	}
+	if want := refHistogram(tbl, "d", sk.Buckets, 1, 0); !reflect.DeepEqual(res, want) {
+		t.Errorf("batch and reference paths differ over an infinite range")
+	}
 }
 
 // TestIndexValueNaN: NaN compares false against both bounds, so it must
@@ -99,12 +146,14 @@ func TestFastIndexMatchesDivision(t *testing.T) {
 // the fused count kernels.
 func TestIndexValueNaN(t *testing.T) {
 	for _, s := range []BucketSpec{
-		NumericBuckets(table.KindDouble, 0, 100, 10),          // fast form
-		{Kind: table.KindDouble, Min: 0, Max: 100, Count: 10}, // division form
-		NumericBuckets(table.KindDouble, 5, 5, 4),             // degenerate
+		NumericBuckets(table.KindDouble, 0, 100, 10),
+		NumericBuckets(table.KindDouble, 5, 5, 4), // degenerate
 	} {
 		if got := s.IndexValue(math.NaN()); got != -1 {
 			t.Errorf("spec %s: IndexValue(NaN) = %d, want -1", s, got)
+		}
+		if got := newNumericIndex(s).index(math.NaN()); got != -1 {
+			t.Errorf("spec %s: batch index(NaN) = %d, want -1", s, got)
 		}
 	}
 	// End to end: a double column holding NaN rows must histogram them
@@ -126,36 +175,5 @@ func TestIndexValueNaN(t *testing.T) {
 	want := refHistogram(tbl, "d", sk.Buckets, 1, 0)
 	if !reflect.DeepEqual(res, want) {
 		t.Errorf("NaN handling differs between batch and reference paths")
-	}
-}
-
-// TestFastIndexFallback pins the geometries that must reject the
-// reciprocal form, and that rejected specs still honor the division
-// contract.
-func TestFastIndexFallback(t *testing.T) {
-	if s := NumericBuckets(table.KindDouble, -math.MaxFloat64, math.MaxFloat64, 10); s.FastIndex {
-		t.Error("overflowing width must fall back to division")
-	}
-	if _, ok := verifyFastIndex(0, 1, 1<<21); ok {
-		t.Error("oversized bucket count must fall back")
-	}
-	if _, ok := verifyFastIndex(math.NaN(), 1, 5); ok {
-		t.Error("NaN bound must fall back")
-	}
-	if _, ok := verifyFastIndex(3, 3, 5); ok {
-		t.Error("empty range must fall back")
-	}
-	if _, ok := verifyFastIndex(0, math.Inf(1), 5); ok {
-		t.Error("infinite bound must fall back")
-	}
-	// A literal spec (no verification ran) keeps the division form.
-	s := BucketSpec{Kind: table.KindDouble, Min: 0, Max: 100, Count: 10}
-	rng := rand.New(rand.NewPCG(7, 8))
-	checkSpecAgainstDivision(t, s, rng)
-	// The degenerate single-point range maps everything to bucket 0
-	// regardless of path.
-	p := NumericBuckets(table.KindDouble, 5, 5, 4)
-	if p.IndexValue(5) != 0 || p.IndexValue(4.9) != -1 {
-		t.Error("single-point range misroutes")
 	}
 }

@@ -367,9 +367,7 @@ func appendBucketSpec(b []byte, s BucketSpec) []byte {
 	b = wire.AppendF64(b, s.Max)
 	b = wire.AppendStrings(b, s.Bounds)
 	b = wire.AppendBool(b, s.ExactValues)
-	b = wire.AppendVarint(b, int64(s.Count))
-	b = wire.AppendF64(b, s.Scale)
-	return wire.AppendBool(b, s.FastIndex)
+	return wire.AppendVarint(b, int64(s.Count))
 }
 
 func consumeBucketSpec(b []byte) (BucketSpec, []byte, error) {
@@ -396,12 +394,6 @@ func consumeBucketSpec(b []byte) (BucketSpec, []byte, error) {
 		return s, b, err
 	}
 	s.Count = int(count)
-	if s.Scale, rest, err = wire.ConsumeF64(rest); err != nil {
-		return s, b, err
-	}
-	if s.FastIndex, rest, err = wire.ConsumeBool(rest); err != nil {
-		return s, b, err
-	}
 	return s, rest, nil
 }
 

@@ -39,9 +39,12 @@ func WireSketches() []Sketch {
 // (paper §5.5: a vizketch needs "a serializable type for the summary").
 // Registering here, in the package both sides import, guarantees the
 // root and the workers agree on the wire names. Since the binary codec
-// became the transport default, gob carries only the fallback envelope
-// (cluster.MsgGobEnvelope) — these registrations keep that path and
-// third-party sketches working.
+// became the transport default, gob carries only types without a codec:
+// whole envelopes (cluster.MsgGobEnvelope — in-tree, the spreadsheet's
+// save vizketch and the overload battery's panicking sketch) and
+// codec-less MultiSketch members (MultiSketch.AppendWire). A shipped
+// summary can appear inside either — a MultiResult beside a codec-less
+// member's result, say — so every shipped type stays registered.
 func init() {
 	// Summaries.
 	gob.Register(&Histogram{})

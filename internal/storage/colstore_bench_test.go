@@ -10,23 +10,16 @@ import (
 	"repro/internal/table"
 )
 
-// The cold/warm scan A/B of the column store: the same two fixed-width
-// columns (int64 + float64, no missing) scanned through
-//
-//	V1Heap  — the pre-colstore pipeline: HVC1 varint/IEEE blocks,
-//	          allocated and decoded onto the heap (every cold scan paid
-//	          this before the mmap store existed);
-//	V2Mapped — the HVC2 pipeline: file mapped, block CRC-validated,
-//	          payload reinterpreted in place.
-//
-// "Cold" includes materialization each pass (decode vs map+CRC);
-// "warm" scans already materialized columns, where both forms are the
-// same typed-slice loop. Interleave runs of both legs when recording
-// (BENCH_colstore.json): host throughput drifts between sessions.
+// The cold/warm scan benchmark of the column store: the same two
+// fixed-width columns (int64 + float64, no missing) of an HVC2 file,
+// mapped, block CRC-validated and reinterpreted in place. "Cold"
+// includes that materialization each pass; "warm" scans already
+// materialized columns. (BENCH_colstore.json holds the historical A/B
+// against the HVC1 heap decoder, which no longer exists.)
 
 var (
 	colBenchDir   string
-	colBenchFiles = map[string]string{}
+	colBenchFiles = map[int]string{}
 )
 
 func TestMain(m *testing.M) {
@@ -55,12 +48,10 @@ func colBenchTable(n int) *table.Table {
 	}, table.FullMembership(n))
 }
 
-// colBenchFile writes (once per process) the bench table at n rows in
-// the given version.
-func colBenchFile(b *testing.B, n int, version string) string {
+// colBenchFile writes (once per process) the bench table at n rows.
+func colBenchFile(b *testing.B, n int) string {
 	b.Helper()
-	key := fmt.Sprintf("%s-%d", version, n)
-	if path, ok := colBenchFiles[key]; ok {
+	if path, ok := colBenchFiles[n]; ok {
 		return path
 	}
 	if colBenchDir == "" {
@@ -70,18 +61,11 @@ func colBenchFile(b *testing.B, n int, version string) string {
 		}
 		colBenchDir = dir
 	}
-	t := colBenchTable(n)
-	path := filepath.Join(colBenchDir, key+".hvc")
-	var err error
-	if version == "v1" {
-		err = WriteHVC(path, t)
-	} else {
-		err = WriteHVC2(path, t)
-	}
-	if err != nil {
+	path := filepath.Join(colBenchDir, fmt.Sprintf("bench-%d.hvc", n))
+	if err := colstore.WriteHVC2(path, colBenchTable(n)); err != nil {
 		b.Fatal(err)
 	}
-	colBenchFiles[key] = path
+	colBenchFiles[n] = path
 	return path
 }
 
@@ -101,43 +85,10 @@ func scanBenchCols(ic, dc table.Column) (int64, float64) {
 
 var colBenchSizes = []int{1_000_000, 10_000_000}
 
-func BenchmarkColstoreScanV1HeapCold(b *testing.B) {
-	for _, n := range colBenchSizes {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			path := colBenchFile(b, n, "v1")
-			b.SetBytes(int64(16 * n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t, err := ReadHVC(path, "b")
-				if err != nil {
-					b.Fatal(err)
-				}
-				scanBenchCols(t.ColumnAt(0), t.ColumnAt(1))
-			}
-		})
-	}
-}
-
-func BenchmarkColstoreScanV1HeapWarm(b *testing.B) {
-	for _, n := range colBenchSizes {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			t, err := ReadHVC(colBenchFile(b, n, "v1"), "b")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(16 * n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scanBenchCols(t.ColumnAt(0), t.ColumnAt(1))
-			}
-		})
-	}
-}
-
 func BenchmarkColstoreScanV2MappedCold(b *testing.B) {
 	for _, n := range colBenchSizes {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			path := colBenchFile(b, n, "v2")
+			path := colBenchFile(b, n)
 			b.SetBytes(int64(16 * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -163,7 +114,7 @@ func BenchmarkColstoreScanV2MappedCold(b *testing.B) {
 func BenchmarkColstoreScanV2MappedWarm(b *testing.B) {
 	for _, n := range colBenchSizes {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			f, err := colstore.OpenFile(colBenchFile(b, n, "v2"))
+			f, err := colstore.OpenFile(colBenchFile(b, n))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,24 +2,17 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/colstore"
 	"repro/internal/table"
 )
 
-// hvcBytes encodes a table through the real writer, producing
+// hvc2Bytes encodes a table through the HVC2 writer, producing
 // well-formed seed input for the fuzzer.
-func hvcBytes(t testing.TB, tbl *table.Table) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteHVCTo(&buf, tbl); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// hvc2Bytes encodes a table through the v2 writer.
 func hvc2Bytes(t testing.TB, tbl *table.Table) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -55,38 +48,42 @@ func fuzzSeedTable(t testing.TB, rows int) *table.Table {
 	return b.Freeze("fuzz-seed")
 }
 
-// FuzzHVC feeds arbitrary bytes to the HVC columnar reader. The
-// contract: ReadHVCBytes either returns a well-formed table or an
-// error — never a panic, and never an allocation driven by a declared
-// count the input size cannot back. Decoded tables must be safely
-// traversable.
+// FuzzHVC feeds arbitrary bytes to the HVC2 reader. The contract:
+// colstore.ReadHVC2Bytes either returns a well-formed table or an error
+// — never a panic, and never an allocation driven by a declared count
+// the input size cannot back. Decoded tables must be safely traversable.
+// Input without the HVC2 magic — the HVC1 seeds among it — must be
+// refused with colstore.ErrNotHVC2.
 func FuzzHVC(f *testing.F) {
+	v1, err := os.ReadFile(legacyV1)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("HVC1"))
 	f.Add([]byte("HVC1\x01\x00\x00\x00")) // truncated after numCols
-	f.Add(hvcBytes(f, fuzzSeedTable(f, 17)))
-	f.Add(hvcBytes(f, fuzzSeedTable(f, 1)))
-	// A filtered view exercises the membership-flattening writer.
-	filtered := fuzzSeedTable(f, 29).Filter("fuzz-filtered", func(row int) bool { return row%2 == 0 })
-	f.Add(hvcBytes(f, filtered))
-	// v2 seeds: the dispatch sends "HVC2"-magic input through the
-	// aligned/CRC reader, which must satisfy the same contract.
+	f.Add(v1)
+	f.Add(v1[:len(v1)-(4+4*4)]) // v1 without its CRC footer
 	f.Add([]byte("HVC2"))
 	f.Add([]byte("HVC2\x01\x00\x00\x00")) // truncated after numCols
 	f.Add(hvc2Bytes(f, fuzzSeedTable(f, 17)))
 	f.Add(hvc2Bytes(f, fuzzSeedTable(f, 1)))
+	// A filtered view exercises the membership-flattening writer.
+	filtered := fuzzSeedTable(f, 29).Filter("fuzz-filtered", func(row int) bool { return row%2 == 0 })
 	f.Add(hvc2Bytes(f, filtered))
 	// Mixed-version confusion: v1 payload behind v2 magic and vice
 	// versa — both must error cleanly, never panic.
-	v1 := hvcBytes(f, fuzzSeedTable(f, 9))
 	v2 := hvc2Bytes(f, fuzzSeedTable(f, 9))
 	f.Add(append([]byte("HVC2"), v1[4:]...))
 	f.Add(append([]byte("HVC1"), v2[4:]...))
-	// A footer-stripped v1 file (legacy layout) must keep decoding.
-	foot := 4 + 4*fuzzSeedTable(f, 9).Schema().NumColumns()
-	f.Add(v1[:len(v1)-foot])
+	// Degenerate shapes: no columns, and a column missing in every row.
+	f.Add(hvc2Bytes(f, table.NewBuilder(table.NewSchema(), 0).Freeze("empty")))
+	f.Add(hvc2Bytes(f, fuzzSeedTable(f, 4).Filter("fuzz-none", func(int) bool { return false })))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tbl, err := ReadHVCBytes(data, "fuzz")
+		tbl, err := colstore.ReadHVC2Bytes(data, "fuzz", nil)
+		if !bytes.HasPrefix(data, []byte("HVC2")) && !errors.Is(err, colstore.ErrNotHVC2) {
+			t.Fatalf("input without the HVC2 magic: err = %v, want ErrNotHVC2", err)
+		}
 		if err != nil {
 			return // malformed input must surface as an error
 		}
@@ -105,16 +102,26 @@ func FuzzHVC(f *testing.F) {
 }
 
 // TestHVCZeroColumnRoundTrip pins writer/reader symmetry for the
-// degenerate zero-column table: what WriteHVCTo produces, ReadHVCBytes
-// accepts.
+// degenerate zero-column table: HVC2 accepts it, as bytes and as a
+// file through ReadHVC.
 func TestHVCZeroColumnRoundTrip(t *testing.T) {
 	empty := table.NewBuilder(table.NewSchema(), 0).Freeze("empty")
-	data := hvcBytes(t, empty)
-	got, err := ReadHVCBytes(data, "empty")
+	got, err := colstore.ReadHVC2Bytes(hvc2Bytes(t, empty), "empty", nil)
 	if err != nil {
 		t.Fatalf("zero-column round-trip: %v", err)
 	}
 	if got.Schema().NumColumns() != 0 || got.NumRows() != 0 {
 		t.Fatalf("round-trip gave %d cols, %d rows", got.Schema().NumColumns(), got.NumRows())
+	}
+	path := filepath.Join(t.TempDir(), "empty.hvc")
+	if err := colstore.WriteHVC2(path, empty); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadHVC(path, "empty")
+	if err != nil {
+		t.Fatalf("zero-column file: %v", err)
+	}
+	if got.Schema().NumColumns() != 0 || got.NumRows() != 0 {
+		t.Fatalf("file round-trip gave %d cols, %d rows", got.Schema().NumColumns(), got.NumRows())
 	}
 }

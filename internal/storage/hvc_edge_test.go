@@ -1,34 +1,32 @@
 package storage
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/colstore"
+	"repro/internal/engine"
 	"repro/internal/table"
 )
 
-// TestHVCTruncatedFile verifies corrupted files fail cleanly instead of
-// panicking or returning garbage.
+// TestHVCTruncatedFile verifies truncated files fail cleanly instead of
+// panicking or returning garbage: every cut lands in the header, the
+// directory, or a block whose extent or CRC no longer checks out.
 func TestHVCTruncatedFile(t *testing.T) {
 	dir := t.TempDir()
 	orig := sampleTable(t, "tr", 500)
 	path := filepath.Join(dir, "data.hvc")
-	if err := WriteHVC(path, orig); err != nil {
+	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The file ends with the CRC footer ("HVCc" + one crc32 per
-	// column); every cut into the data region must be detected.
-	schema, _, err := ReadHVCSchema(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataEnd := len(blob) - (4 + 4*schema.NumColumns())
-	for _, cut := range []int{3, 10, dataEnd / 2, dataEnd - 5} {
+	for _, cut := range []int{0, 3, 10, len(blob) / 2, len(blob) - 5, len(blob) - 1} {
 		bad := filepath.Join(dir, "bad.hvc")
 		if err := os.WriteFile(bad, blob[:cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -37,43 +35,88 @@ func TestHVCTruncatedFile(t *testing.T) {
 			t.Errorf("truncation at %d bytes not detected", cut)
 		}
 	}
-	// Truncating only the footer leaves every data block intact: the
-	// file reads (as a pre-footer v1 file would), just unvalidated.
-	bad := filepath.Join(dir, "nofoot.hvc")
-	if err := os.WriteFile(bad, blob[:len(blob)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadHVC(bad, "nofoot"); err != nil {
-		t.Errorf("footer-only truncation should still read: %v", err)
-	}
 }
 
-// TestHVCFooterDetectsCorruption flips a payload byte in a footered v1
-// file: the previously silent corruption must now fail the read.
+// TestHVCFooterDetectsCorruption verifies a flipped byte inside the last
+// column block — just before its CRC32-C trailer — is refused by the
+// eager read path rather than decoded as silently wrong data.
 func TestHVCFooterDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	orig := sampleTable(t, "crc", 400)
 	path := filepath.Join(dir, "data.hvc")
-	if err := WriteHVC(path, orig); err != nil {
+	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema, _, err := ReadHVCSchema(path)
+	if _, err := ReadHVC(path, "clean"); err != nil {
+		t.Fatalf("clean file: %v", err)
+	}
+	bad := append([]byte(nil), blob...)
+	bad[len(bad)-10] ^= 0x20 // inside the last column block
+	badPath := filepath.Join(dir, "bad.hvc")
+	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadHVC(badPath, "bad"); err == nil {
+		t.Error("corrupted block decoded without error despite its CRC")
+	}
+}
+
+// legacyV1 is an HVC1 file written by the last writer that produced the
+// format (fuzzSeedTable(9), with its CRC footer). It is kept only as
+// input that must be refused.
+const legacyV1 = "testdata/legacy-v1.hvc"
+
+// TestHVC1FileRejected: a leftover HVC1 file is a typed error naming
+// the file on every load path — pooled or eager, one file or a
+// directory, all-HVC or mixed with CSV — never a panic and never a
+// silent fallback.
+func TestHVC1FileRejected(t *testing.T) {
+	blob, err := os.ReadFile(legacyV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dataEnd := len(blob) - (4 + 4*schema.NumColumns())
-	bad := append([]byte(nil), blob...)
-	bad[dataEnd-10] ^= 0x20 // inside the last column block
-	if _, err := ReadHVCBytes(bad, "bad"); err == nil {
-		t.Error("corrupted block decoded without error despite CRC footer")
+	if string(blob[:4]) != "HVC1" {
+		t.Fatalf("%s does not start with the HVC1 magic", legacyV1)
 	}
-	// The same corruption with the footer stripped decodes (legacy,
-	// unvalidated) or errors — but must never panic.
-	_, _ = ReadHVCBytes(bad[:dataEnd], "legacy")
+	hvcDir := t.TempDir()
+	path := filepath.Join(hvcDir, "old.hvc")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mixedDir := t.TempDir()
+	if err := WriteCSV(filepath.Join(mixedDir, "a.csv"), sampleTable(t, "a", 10)); err != nil {
+		t.Fatal(err)
+	}
+	mixedPath := filepath.Join(mixedDir, "old.hvc")
+	if err := os.WriteFile(mixedPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{AggregationWindow: -1}
+	loaders := map[string]engine.Loader{
+		"pooled": NewPooledLoader(cfg, 0, colstore.NewPool(0)),
+		"eager":  NewLoader(cfg, 0),
+	}
+	for name, load := range loaders {
+		for _, tc := range []struct{ source, names string }{
+			{"file:" + path, path},
+			{"dir:" + hvcDir, path},
+			{path, path},
+			{"dir:" + mixedDir, mixedPath},
+		} {
+			_, err := load("ds", tc.source)
+			if !errors.Is(err, colstore.ErrNotHVC2) {
+				t.Errorf("%s loader, %s: err = %v, want ErrNotHVC2", name, tc.source, err)
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.names) {
+				t.Errorf("%s loader, %s: error %q does not name %s", name, tc.source, err, tc.names)
+			}
+		}
+	}
 }
 
 // TestHVCComputedColumns verifies lazily computed columns (the pattern
@@ -90,7 +133,7 @@ func TestHVCComputedColumns(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pad.hvc")
-	if err := WriteHVC(path, orig); err != nil {
+	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadHVC(path, "pad")
@@ -122,7 +165,7 @@ func TestHVCAllMissingColumn(t *testing.T) {
 	orig := b.Freeze("allmiss")
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.hvc")
-	if err := WriteHVC(path, orig); err != nil {
+	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadHVC(path, "allmiss")

@@ -61,35 +61,25 @@ func RegisterScheme(name string, loader SchemeLoader) {
 // LoadFile reads a single data file, dispatching on extension
 // (.csv, .jsonl, .hvc).
 func LoadFile(path, id string) (*table.Table, error) {
-	return loadFileCached(path, id, nil)
-}
-
-// loadFileCached is LoadFile with an optional DataCache: column reads
-// of .hvc files (either version) go through the cache, so a reload of
-// a source — e.g. redo-log replay after soft-state loss — reuses every
-// column still resident.
-func loadFileCached(path, id string, cache *DataCache) (*table.Table, error) {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".csv":
 		return ReadCSV(path, id, nil)
 	case ".jsonl", ".json":
 		return ReadJSONL(path, id, nil)
 	case ".hvc":
-		if cache != nil {
-			schema, _, err := ReadHVCSchema(path)
-			if err != nil {
-				return nil, err
-			}
-			names := make([]string, schema.NumColumns())
-			for i, cd := range schema.Columns {
-				names[i] = cd.Name
-			}
-			return CachedHVCColumns(cache, path, id, names)
-		}
 		return ReadHVC(path, id)
 	default:
 		return nil, fmt.Errorf("storage: unknown file format %q", path)
 	}
+}
+
+// ReadHVC loads a whole HVC2 file onto the heap as a table with the
+// given ID: the eager path for .hvc files no pool serves, and the heap
+// reference the pooled path is tested against. Any other content — a
+// leftover HVC1 file included — fails with an error that wraps
+// colstore.ErrNotHVC2 and names the path.
+func ReadHVC(path, id string) (*table.Table, error) {
+	return colstore.ReadHVC2File(path, id, nil)
 }
 
 // LoadSource resolves a source spec into micropartitions:
@@ -99,16 +89,12 @@ func loadFileCached(path, id string, cache *DataCache) (*table.Table, error) {
 //	<scheme>:<rest>  a registered custom scheme
 //	<path>        bare paths behave like file: or dir: by stat
 func LoadSource(source, id string, microRows int) ([]*table.Table, error) {
-	return loadSource(source, id, microRows, nil)
-}
-
-func loadSource(source, id string, microRows int, cache *DataCache) ([]*table.Table, error) {
 	if scheme, rest, ok := strings.Cut(source, ":"); ok {
 		switch scheme {
 		case "file":
-			return loadFileParts(rest, id, microRows, cache)
+			return loadFileParts(rest, id, microRows)
 		case "dir":
-			return loadDirParts(rest, id, microRows, cache)
+			return loadDirParts(rest, id, microRows)
 		default:
 			schemesMu.RLock()
 			loader := schemes[scheme]
@@ -124,20 +110,20 @@ func loadSource(source, id string, microRows int, cache *DataCache) ([]*table.Ta
 		return nil, err
 	}
 	if info.IsDir() {
-		return loadDirParts(source, id, microRows, cache)
+		return loadDirParts(source, id, microRows)
 	}
-	return loadFileParts(source, id, microRows, cache)
+	return loadFileParts(source, id, microRows)
 }
 
-func loadFileParts(path, id string, microRows int, cache *DataCache) ([]*table.Table, error) {
-	t, err := loadFileCached(path, id, cache)
+func loadFileParts(path, id string, microRows int) ([]*table.Table, error) {
+	t, err := LoadFile(path, id)
 	if err != nil {
 		return nil, err
 	}
 	return SplitRows(t, microRows), nil
 }
 
-func loadDirParts(dir, id string, microRows int, cache *DataCache) ([]*table.Table, error) {
+func loadDirParts(dir, id string, microRows int) ([]*table.Table, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -158,7 +144,7 @@ func loadDirParts(dir, id string, microRows int, cache *DataCache) ([]*table.Tab
 	sort.Strings(files)
 	var parts []*table.Table
 	for _, name := range files {
-		t, err := loadFileCached(filepath.Join(dir, name), id+"/"+name, cache)
+		t, err := LoadFile(filepath.Join(dir, name), id+"/"+name)
 		if err != nil {
 			return nil, err
 		}
@@ -168,42 +154,31 @@ func loadDirParts(dir, id string, microRows int, cache *DataCache) ([]*table.Tab
 }
 
 // NewLoader adapts LoadSource into an engine.Loader with the given
-// engine configuration and micropartition size.
+// engine configuration and micropartition size. Every source loads
+// eagerly onto the heap.
 func NewLoader(cfg engine.Config, microRows int) engine.Loader {
-	return NewLoaderWith(cfg, LoaderOpts{MicroRows: microRows})
+	return NewPooledLoader(cfg, microRows, nil)
 }
 
-// LoaderOpts tunes NewLoaderWith beyond the engine configuration.
-type LoaderOpts struct {
-	// MicroRows is the micropartition size (0 = DefaultMicroRows).
-	MicroRows int
-	// Pool, when set, serves all-HVC sources through the memory-mapped
-	// column store as lazy, budgeted leaf sources (see PooledSource).
-	Pool *colstore.Pool
-	// Cache, when set, routes eager .hvc column reads through the data
-	// cache, so reloads (redo-log replay) reuse resident columns.
-	Cache *DataCache
-}
-
-// NewLoaderWith builds an engine.Loader with optional column-store and
-// data-cache integration. HVC sources prefer the pooled path, sharing
-// mapped file handles across loads (so redo-log replays of one source
-// reuse one mapping); every other source — CSV, JSONL, registered
-// schemes, mixed directories — loads eagerly (through Cache when
-// configured).
-func NewLoaderWith(cfg engine.Config, o LoaderOpts) engine.Loader {
+// NewPooledLoader builds an engine.Loader that serves all-HVC sources
+// through pool as lazy, budgeted leaf sources (PooledSource), sharing
+// mapped file handles across loads so redo-log replays of one source
+// reuse one mapping. Every other source — CSV, JSONL, registered
+// schemes, mixed directories — loads eagerly, as does everything when
+// pool is nil.
+func NewPooledLoader(cfg engine.Config, microRows int, pool *colstore.Pool) engine.Loader {
 	handles := &fileCache{}
 	return func(id, source string) (engine.IDataSet, error) {
-		if o.Pool != nil {
+		if pool != nil {
 			if specs, ok := hvcSourceSpecs(source, id); ok {
-				src, err := newPooledSource(o.Pool, specs, o.MicroRows, handles)
+				src, err := newPooledSource(pool, specs, microRows, handles)
 				if err != nil {
 					return nil, err
 				}
 				return engine.NewLocalSource(id, src, cfg), nil
 			}
 		}
-		parts, err := loadSource(source, id, o.MicroRows, o.Cache)
+		parts, err := LoadSource(source, id, microRows)
 		if err != nil {
 			return nil, err
 		}

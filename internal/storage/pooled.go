@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"log"
 	"math"
 	"os"
@@ -19,14 +17,13 @@ import (
 )
 
 // This file wires the column store's budgeted buffer pool into the
-// engine: PooledSource serves the micropartitions of a set of HVC
+// engine: PooledSource serves the micropartitions of a set of HVC2
 // files as an engine.LeafSource, so column data is materialized only
-// while a scan task reads it (HVC2 files zero-copy from the mapping,
-// legacy HVC1 files heap-decoded per column) and evicted under the
-// pool budget between touches. Partition IDs and split geometry mirror
-// the eager loader exactly (LoadSource + SplitRows), which makes the
-// pooled and heap-loaded paths bit-identical — the property the
-// testkit differential harness asserts.
+// while a scan task reads it (zero-copy from the mapping) and evicted
+// under the pool budget between touches. Partition IDs and split
+// geometry mirror the eager loader exactly (LoadSource + SplitRows),
+// which makes the pooled and heap-loaded paths bit-identical — the
+// property the testkit differential harness asserts.
 
 // PoolBudgetEnv is the environment variable the default pool budget
 // comes from; CI sets it small to force eviction churn.
@@ -82,7 +79,7 @@ func ParseByteSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// PooledFileSpec names one HVC file and the table ID its whole-file
+// PooledFileSpec names one HVC2 file and the table ID its whole-file
 // partition carries (split partitions append "#k", like SplitRows).
 type PooledFileSpec struct {
 	Path string
@@ -117,19 +114,12 @@ func (c *fileCache) open(path string) (*colstore.File, error) {
 	return f, nil
 }
 
-// pooledFile is one open backing file. v2 is non-nil for HVC2 files
-// (served from the mapping; owned reports whether this source must
-// close it — cache-shared handles belong to the loader); v1 files
-// decode per column on demand, with weak identity caching so a column
-// re-decoded after eviction is the same object while any scan still
-// holds it.
+// pooledFile is one open backing file, served from its mapping. owned
+// reports whether this source must close it — cache-shared handles
+// belong to the loader.
 type pooledFile struct {
-	path   string
-	v2     *colstore.File
-	owned  bool
-	schema *table.Schema
-	rows   int
-	v1cols colstore.WeakColumns
+	*colstore.File
+	owned bool
 }
 
 // pooledLeaf is one micropartition: a row range of a backing file.
@@ -140,7 +130,7 @@ type pooledLeaf struct {
 	whole  bool // covers the entire file: full membership
 }
 
-// PooledSource implements engine.LeafSource over HVC files through a
+// PooledSource implements engine.LeafSource over HVC2 files through a
 // colstore.Pool. All column data is soft state: acquired lazily,
 // pinned per scan task, evicted under the pool budget, and reloaded
 // bit-identically from the immutable files.
@@ -154,10 +144,11 @@ type PooledSource struct {
 	closeErr  error
 }
 
-// NewPooledSource opens the given files (either HVC version) and plans
-// micropartitions of at most microRows rows, mirroring SplitRows. The
-// source owns its mapped handles; Close them when done. Loaders built
-// by NewLoaderWith share handles across loads through a fileCache
+// NewPooledSource opens the given HVC2 files and plans micropartitions
+// of at most microRows rows, mirroring SplitRows. A file in any other
+// format fails with an error wrapping colstore.ErrNotHVC2. The source
+// owns its mapped handles; Close them when done. Loaders built by
+// NewPooledLoader share handles across loads through a fileCache
 // instead (see newPooledSource).
 func NewPooledSource(pool *colstore.Pool, specs []PooledFileSpec, microRows int) (*PooledSource, error) {
 	return newPooledSource(pool, specs, microRows, nil)
@@ -177,34 +168,23 @@ func newPooledSource(pool *colstore.Pool, specs []PooledFileSpec, microRows int,
 	}
 	s := &PooledSource{pool: pool}
 	for _, spec := range specs {
-		pf := &pooledFile{path: spec.Path}
-		v2, owned, err := open(spec.Path)
-		switch {
-		case err == nil:
-			pf.v2, pf.owned = v2, owned
-			pf.schema, pf.rows = v2.Schema(), v2.Rows()
-		case errors.Is(err, colstore.ErrNotHVC2):
-			schema, rows, err := ReadHVCSchema(spec.Path)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			pf.schema, pf.rows = schema, rows
-		default:
+		f, owned, err := open(spec.Path)
+		if err != nil {
 			s.Close()
 			return nil, err
 		}
 		fi := len(s.files)
-		s.files = append(s.files, pf)
-		if pf.rows <= microRows {
-			s.leaves = append(s.leaves, pooledLeaf{file: fi, id: spec.ID, lo: 0, hi: pf.rows, whole: true})
+		s.files = append(s.files, &pooledFile{File: f, owned: owned})
+		rows := f.Rows()
+		if rows <= microRows {
+			s.leaves = append(s.leaves, pooledLeaf{file: fi, id: spec.ID, lo: 0, hi: rows, whole: true})
 			continue
 		}
 		k := 0
-		for lo := 0; lo < pf.rows; lo += microRows {
+		for lo := 0; lo < rows; lo += microRows {
 			hi := lo + microRows
-			if hi > pf.rows {
-				hi = pf.rows
+			if hi > rows {
+				hi = rows
 			}
 			id := fmt.Sprintf("%s#%d", spec.ID, k)
 			s.leaves = append(s.leaves, pooledLeaf{file: fi, id: id, lo: lo, hi: hi})
@@ -213,7 +193,7 @@ func newPooledSource(pool *colstore.Pool, specs []PooledFileSpec, microRows int,
 	}
 	s.metas = make([]engine.LeafMeta, len(s.leaves))
 	for i, l := range s.leaves {
-		s.metas[i] = engine.LeafMeta{ID: l.id, Lo: l.lo, Hi: l.hi, Bound: s.files[l.file].rows}
+		s.metas[i] = engine.LeafMeta{ID: l.id, Lo: l.lo, Hi: l.hi, Bound: s.files[l.file].Rows()}
 	}
 	return s, nil
 }
@@ -226,7 +206,7 @@ func (s *PooledSource) Leaves() []engine.LeafMeta { return s.metas }
 func (s *PooledSource) TotalBytes() int64 {
 	var n int64
 	for _, f := range s.files {
-		if info, err := os.Stat(f.path); err == nil {
+		if info, err := os.Stat(f.Path()); err == nil {
 			n += info.Size()
 		}
 	}
@@ -241,10 +221,11 @@ func (s *PooledSource) TotalBytes() int64 {
 func (s *PooledSource) Acquire(i int, cols []string) (*table.Table, func(), error) {
 	l := s.leaves[i]
 	f := s.files[l.file]
+	schema := f.Schema()
 
-	want := make([]int, 0, f.schema.NumColumns())
+	want := make([]int, 0, schema.NumColumns())
 	if cols == nil {
-		for ci := 0; ci < f.schema.NumColumns(); ci++ {
+		for ci := 0; ci < schema.NumColumns(); ci++ {
 			want = append(want, ci)
 		}
 	} else {
@@ -254,7 +235,7 @@ func (s *PooledSource) Acquire(i int, cols []string) (*table.Table, func(), erro
 		for _, c := range cols {
 			req[c] = true
 		}
-		for ci, cd := range f.schema.Columns {
+		for ci, cd := range schema.Columns {
 			if req[cd.Name] {
 				want = append(want, ci)
 			}
@@ -270,15 +251,11 @@ func (s *PooledSource) Acquire(i int, cols []string) (*table.Table, func(), erro
 		}
 	}
 	for k, ci := range want {
-		cd := f.schema.Columns[ci]
-		col, rel, err := s.pool.Acquire(colstore.ColKey{Source: f.path, Column: cd.Name}, s.columnLoader(f, ci))
+		cd := schema.Columns[ci]
+		load := func() (table.Column, int64, func(), error) { return f.Column(ci) }
+		col, rel, err := s.pool.Acquire(colstore.ColKey{Source: f.Path(), Column: cd.Name}, load)
 		if err != nil {
 			release()
-			if errors.Is(err, fs.ErrNotExist) {
-				// The immutable backing file vanished: the dataset is
-				// gone, not just cold — let the root replay the redo log.
-				return nil, nil, fmt.Errorf("%w: %s (%v)", engine.ErrMissingDataset, f.path, err)
-			}
 			return nil, nil, err
 		}
 		outCols[k] = col
@@ -288,32 +265,13 @@ func (s *PooledSource) Acquire(i int, cols []string) (*table.Table, func(), erro
 
 	var members table.Membership
 	if l.whole {
-		members = table.FullMembership(f.rows)
+		members = table.FullMembership(f.Rows())
 	} else {
-		members = table.NewRangeMembership(l.lo, l.hi, f.rows)
+		members = table.NewRangeMembership(l.lo, l.hi, f.Rows())
 	}
 	var once sync.Once
 	return table.New(l.id, table.NewSchema(outDesc...), outCols, members),
 		func() { once.Do(release) }, nil
-}
-
-// columnLoader builds the pool loader for one column of one file.
-func (s *PooledSource) columnLoader(f *pooledFile, ci int) colstore.Loader {
-	name := f.schema.Columns[ci].Name
-	return func() (table.Column, int64, func(), error) {
-		if f.v2 != nil {
-			return f.v2.Column(ci)
-		}
-		// Legacy v1: decode just this column block onto the heap.
-		return f.v1cols.Load(ci, func() (table.Column, int64, func(), error) {
-			t, err := ReadHVCColumns(f.path, "colstore-load", []string{name})
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			col := t.MustColumn(name)
-			return col, colstore.ColumnBytes(col), nil, nil
-		})
-	}
 }
 
 // Pool returns the backing pool (stats, eviction).
@@ -325,8 +283,8 @@ func (s *PooledSource) Pool() *colstore.Pool { return s.pool }
 func (s *PooledSource) Close() error {
 	s.closeOnce.Do(func() {
 		for _, f := range s.files {
-			if f.v2 != nil && f.owned {
-				if err := f.v2.Close(); err != nil && s.closeErr == nil {
+			if f.owned {
+				if err := f.Close(); err != nil && s.closeErr == nil {
 					s.closeErr = err
 				}
 			}
@@ -336,7 +294,7 @@ func (s *PooledSource) Close() error {
 }
 
 // hvcSourceSpecs resolves a source spec into pooled file specs when —
-// and only when — every data file it names is an HVC file. IDs and
+// and only when — every data file it names is an .hvc file. IDs and
 // scheme semantics mirror the eager loader (LoadFile/loadDirParts)
 // exactly: a source the eager loader would reject — file: naming a
 // directory, dir: naming a file — is declined here too, so configuring
@@ -393,11 +351,4 @@ func hvcSourceSpecs(source, id string) ([]PooledFileSpec, bool) {
 		specs[i] = PooledFileSpec{Path: filepath.Join(path, name), ID: id + "/" + name}
 	}
 	return specs, true
-}
-
-// NewPooledLoader adapts LoadSource into an engine.Loader that serves
-// HVC sources through the pool (lazy, mapped, budgeted) and everything
-// else through the eager loader. A nil pool is fully eager.
-func NewPooledLoader(cfg engine.Config, microRows int, pool *colstore.Pool) engine.Loader {
-	return NewLoaderWith(cfg, LoaderOpts{MicroRows: microRows, Pool: pool})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -34,14 +35,13 @@ func writeShards(t *testing.T, n, rows int, write func(string, *table.Table) err
 // the storage level: the pooled (lazy, mapped, budgeted) loader and
 // the eager heap loader produce bit-identical sketch results over the
 // same files — same partition IDs, same split geometry, same values —
-// for both format versions, with the budget far below the data size.
+// with the budget far below the data size.
 func TestPooledLoaderMatchesEagerLoader(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		write func(string, *table.Table) error
 	}{
-		{"hvc2", WriteHVC2},
-		{"hvc1", WriteHVC},
+		{"hvc2", colstore.WriteHVC2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeShards(t, 3, 2000, tc.write)
@@ -101,7 +101,7 @@ func TestPooledLoaderMatchesEagerLoader(t *testing.T) {
 // TestPooledSourceColumnLaziness checks a sketch over one column
 // materializes only that column.
 func TestPooledSourceColumnLaziness(t *testing.T) {
-	dir := writeShards(t, 2, 500, WriteHVC2)
+	dir := writeShards(t, 2, 500, colstore.WriteHVC2)
 	pool := colstore.NewPool(0)
 	loader := NewPooledLoader(engine.Config{AggregationWindow: -1}, 0, pool)
 	ds, err := loader("ds", "dir:"+dir)
@@ -118,32 +118,35 @@ func TestPooledSourceColumnLaziness(t *testing.T) {
 	}
 }
 
-// TestPooledSourceMissingFile checks that a vanished backing file
-// surfaces as ErrMissingDataset (the root's replay signal).
+// TestPooledSourceMissingFile: a source is a snapshot of its files.
+// Unlinking a backing file after the source opened it changes nothing —
+// the mapping keeps serving the same bytes, including columns first
+// touched after the unlink — while opening a vanished path fails with
+// fs.ErrNotExist.
 func TestPooledSourceMissingFile(t *testing.T) {
-	dir := writeShards(t, 1, 300, WriteHVC2)
-	pool := colstore.NewPool(0)
+	dir := writeShards(t, 1, 300, colstore.WriteHVC2)
 	path := filepath.Join(dir, "part-00.hvc")
+	want, err := ReadHVC(path, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := colstore.NewPool(0)
 	src, err := NewPooledSource(pool, []PooledFileSpec{{Path: path, ID: "p"}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	// v1 files decode from the path on demand; v2 keeps the fd open, so
-	// simulate loss for v1 semantics with a fresh v1 source.
-	v1dir := writeShards(t, 1, 300, WriteHVC)
-	v1path := filepath.Join(v1dir, "part-00.hvc")
-	v1src, err := NewPooledSource(pool, []PooledFileSpec{{Path: v1path, ID: "p1"}}, 0)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	got, release, err := src.Acquire(0, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("acquire after unlink: %v", err)
 	}
-	defer v1src.Close()
-	if err := os.Remove(v1path); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = v1src.Acquire(0, []string{"id"})
-	if !errors.Is(err, engine.ErrMissingDataset) {
-		t.Fatalf("got %v, want ErrMissingDataset", err)
+	tablesEqual(t, want, got)
+	release()
+	if _, err := NewPooledSource(pool, []PooledFileSpec{{Path: path, ID: "p"}}, 0); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("opening a vanished file: %v, want fs.ErrNotExist", err)
 	}
 }
 

@@ -1,17 +1,17 @@
 // Package storage is Hillview's data layer (paper §2, §5.4): readers
-// for common formats (CSV, JSON lines) and a columnar binary format
-// (.hvc) with per-column random access, a column-organized data cache
-// with TTL purging, and shard scanning that turns directories of files
-// into micropartitioned datasets.
+// for common formats (CSV, JSON lines), the columnar binary format
+// (.hvc), and shard scanning that turns directories of files into
+// micropartitioned datasets.
 //
-// HVC files come in two versions behind one extension: the varint v1
-// layout (now with a CRC32-C footer) decoded onto the heap, and the
-// mmap-native v2 layout owned by package colstore, served zero-copy.
-// NewLoaderWith wires both into the engine — HVC sources become lazy,
-// budgeted leaf sources behind a colstore.Pool (PooledSource), so
-// column data loads on first touch, stays only while scanned, and a
-// worker's dataset size is bounded by its disks, not its RAM;
-// everything else loads eagerly, optionally through the DataCache.
+// An .hvc file is an HVC2 file, the mmap-native layout owned by package
+// colstore; there is no other version. Column bytes reach a scan one
+// way: NewPooledLoader serves all-.hvc sources as lazy, budgeted leaf
+// sources behind a colstore.Pool (PooledSource) — the paper's data
+// cache organized by (source, column) — so column data maps in on
+// first touch, stays resident only while the budget allows, and a
+// worker's dataset size is bounded by its disks, not its RAM. Where no
+// pool serves a file (NewLoader, .hvc files in a directory mixed with
+// CSV or JSON) ReadHVC copies it onto the heap.
 //
 // The layer honors the two storage contracts of the paper: data is
 // horizontally partitioned into roughly equal shards readable in

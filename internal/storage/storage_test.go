@@ -1,13 +1,14 @@
 package storage
 
 import (
-	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/table"
 )
 
@@ -146,7 +147,7 @@ func TestHVCRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	orig := sampleTable(t, "hvc", 333)
 	path := filepath.Join(dir, "data.hvc")
-	if err := WriteHVC(path, orig); err != nil {
+	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadHVC(path, "hvc")
@@ -154,13 +155,8 @@ func TestHVCRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesEqual(t, orig, got)
-
-	schema, rows, err := ReadHVCSchema(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !schema.Equal(orig.Schema()) || rows != 333 {
-		t.Errorf("schema/rows = %v/%d", schema, rows)
+	if got.ID() != "hvc" || got.NumRows() != 333 {
+		t.Errorf("id/rows = %q/%d", got.ID(), got.NumRows())
 	}
 }
 
@@ -168,10 +164,10 @@ func TestHVCColumnAccess(t *testing.T) {
 	dir := t.TempDir()
 	orig := sampleTable(t, "hvcc", 200)
 	path := filepath.Join(dir, "data.hvc")
-	if err := WriteHVC(path, orig); err != nil {
+	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadHVCColumns(path, "hvcc", []string{"city", "id"})
+	got, err := colstore.ReadHVC2File(path, "hvcc", []string{"city", "id"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +179,7 @@ func TestHVCColumnAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesEqual(t, proj, got)
-	if _, err := ReadHVCColumns(path, "x", []string{"nope"}); err == nil {
+	if _, err := colstore.ReadHVC2File(path, "x", []string{"nope"}); err == nil {
 		t.Error("unknown column should fail")
 	}
 }
@@ -194,7 +190,7 @@ func TestHVCFilteredViewFlattens(t *testing.T) {
 	id := orig.MustColumn("id")
 	filtered := orig.Filter("f", func(row int) bool { return id.Int(row)%2 == 0 })
 	path := filepath.Join(dir, "f.hvc")
-	if err := WriteHVC(path, filtered); err != nil {
+	if err := colstore.WriteHVC2(path, filtered); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadHVC(path, "f")
@@ -215,8 +211,12 @@ func TestHVCFilteredViewFlattens(t *testing.T) {
 }
 
 func TestHVCBadMagic(t *testing.T) {
-	if _, err := readHVCHeader(bytes.NewReader([]byte("JUNKJUNKJUNK")), 12); err == nil {
-		t.Error("bad magic should fail")
+	path := filepath.Join(t.TempDir(), "junk.hvc")
+	if err := os.WriteFile(path, []byte("JUNKJUNKJUNK"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadHVC(path, "junk"); !errors.Is(err, colstore.ErrNotHVC2) {
+		t.Errorf("bad magic: %v, want ErrNotHVC2", err)
 	}
 }
 
@@ -261,7 +261,7 @@ func TestLoadSourceDir(t *testing.T) {
 	if err := WriteCSV(filepath.Join(dir, "a.csv"), a); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteHVC(filepath.Join(dir, "b.hvc"), bt); err != nil {
+	if err := colstore.WriteHVC2(filepath.Join(dir, "b.hvc"), bt); err != nil {
 		t.Fatal(err)
 	}
 	// Also drop a file the loader must ignore.
@@ -295,80 +295,6 @@ func TestLoadSourceDir(t *testing.T) {
 	}
 	if _, err := LoadSource("dir:"+t.TempDir(), "x", 0); err == nil {
 		t.Error("empty dir should fail")
-	}
-}
-
-func TestDataCacheTTL(t *testing.T) {
-	c := NewDataCache(time.Hour)
-	clock := time.Date(2026, 6, 10, 0, 0, 0, 0, time.UTC)
-	c.SetClock(func() time.Time { return clock })
-
-	col := table.NewIntColumn(table.KindInt, []int64{1, 2, 3}, nil)
-	c.PutColumn("src", "a", col)
-	if _, ok := c.GetColumn("src", "a"); !ok {
-		t.Fatal("column should be cached")
-	}
-	if _, ok := c.GetColumn("src", "b"); ok {
-		t.Fatal("unexpected hit")
-	}
-	// Advance 30 minutes; entry is refreshed by the Get above at t0.
-	clock = clock.Add(30 * time.Minute)
-	if n := c.Purge(); n != 0 {
-		t.Errorf("purged %d entries before TTL", n)
-	}
-	// Advance past the TTL without touching the entry.
-	clock = clock.Add(2 * time.Hour)
-	if n := c.Purge(); n != 1 {
-		t.Errorf("purged %d entries, want 1", n)
-	}
-	if _, ok := c.GetColumn("src", "a"); ok {
-		t.Error("entry should be gone after purge")
-	}
-	hits, misses, purged := c.Stats()
-	if hits != 1 || misses != 2 || purged != 1 {
-		t.Errorf("stats = %d/%d/%d, want 1/2/1", hits, misses, purged)
-	}
-}
-
-func TestCachedHVCColumns(t *testing.T) {
-	dir := t.TempDir()
-	orig := sampleTable(t, "chc", 150)
-	path := filepath.Join(dir, "data.hvc")
-	if err := WriteHVC(path, orig); err != nil {
-		t.Fatal(err)
-	}
-	c := NewDataCache(time.Hour)
-	// First read: miss, loads from disk.
-	t1, err := CachedHVCColumns(c, path, "chc", []string{"id", "city"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache holds %d columns, want 2", c.Len())
-	}
-	// Second read: pure hit, same column objects.
-	t2, err := CachedHVCColumns(c, path, "chc", []string{"id", "city"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1.MustColumn("id") != t2.MustColumn("id") {
-		t.Error("cache did not reuse column storage")
-	}
-	// Overlapping read: one hit, one disk column.
-	t3, err := CachedHVCColumns(c, path, "chc", []string{"city", "price"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 3 {
-		t.Errorf("cache holds %d columns, want 3", c.Len())
-	}
-	if t3.MustColumn("city") != t1.MustColumn("city") {
-		t.Error("overlapping column not reused")
-	}
-	// Invalidate drops the source's columns.
-	c.Invalidate(path)
-	if c.Len() != 0 {
-		t.Errorf("invalidate left %d columns", c.Len())
 	}
 }
 

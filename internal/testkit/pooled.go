@@ -62,7 +62,7 @@ func RunPooled(seed uint64) error {
 	var totalBytes int64
 	for i, t := range tables {
 		path := filepath.Join(dir, fmt.Sprintf("p%03d.hvc", i))
-		if err := storage.WriteHVC2(path, t); err != nil {
+		if err := colstore.WriteHVC2(path, t); err != nil {
 			return fmt.Errorf("writing %s: %w", path, err)
 		}
 		info, err := os.Stat(path)
