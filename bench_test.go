@@ -668,21 +668,75 @@ func BenchmarkKernelFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelNextK compares NextKSketch.Summarize (one boxed row per
-// member row) with the pruned accumulator, on the three table-page
-// shapes of the end-to-end benchmark.
+var (
+	kernelMsgOnce sync.Once
+	kernelMsgTbl  *table.Table
+)
+
+// kernelMsg is a 1M-row table shaped like the end-to-end benchmark's
+// ingest events: msg is Zipf over 200 values, so a page sorted by it
+// leads with one dominant value, and lat is uniform.
+func kernelMsg() *table.Table {
+	kernelMsgOnce.Do(func() {
+		const rows = 1000000
+		names := make([]string, 200)
+		for i := range names {
+			names[i] = fmt.Sprintf("m%d", i)
+		}
+		r := rand.New(rand.NewPCG(13, 14))
+		z := rand.NewZipf(r, 1.3, 1, uint64(len(names)-1))
+		bld := table.NewBuilder(table.NewSchema(
+			table.ColumnDesc{Name: "msg", Kind: table.KindString},
+			table.ColumnDesc{Name: "lat", Kind: table.KindDouble}), rows)
+		for i := 0; i < rows; i++ {
+			bld.AppendRow(table.Row{table.StringValue(names[z.Uint64()]), table.DoubleValue(r.Float64()*180 - 90)})
+		}
+		kernelMsgTbl = bld.Freeze("kmsg")
+	})
+	return kernelMsgTbl
+}
+
+// nextKRuns folds parts the way a leaf's single worker does: one
+// accumulator per partition run, each the successor of the one before,
+// merged by the run-index tree.
+func nextKRuns(sk *sketch.NextKSketch, parts []*table.Table) (sketch.Result, error) {
+	results := make([]sketch.Result, len(parts))
+	var acc sketch.Accumulator
+	for i, p := range parts {
+		acc = sketch.AccumulatorAfter(sk, acc)
+		if err := acc.Add(p); err != nil {
+			return nil, err
+		}
+		results[i] = acc.Result()
+	}
+	return sketch.MergeTree(sk, results...)
+}
+
+// BenchmarkKernelNextK times the pruned next-K accumulator on the table
+// pages of the end-to-end benchmark (the three sort specs of scan_inproc
+// over flights, and ingest_query's "+msg" over a Zipf string lead) in
+// two shapes. "table" folds the 1M rows in one accumulator and
+// interleaves NextKSketch.Summarize (one boxed row per member row) with
+// it; its allocs/op counts both sides. "runs8" folds them as 8
+// successor-chained partition runs, as the engine folds the
+// benchmark's 8-file dataset, and times the typed scan alone, so its
+// allocs/op is the rows it boxed into the window.
 func BenchmarkKernelNextK(b *testing.B) {
-	t := kernelFlights()
+	fl, msg := kernelFlights(), kernelMsg()
 	for _, tc := range []struct {
 		name string
+		t    *table.Table
 		sk   *sketch.NextKSketch
 	}{
-		{"double-lead", &sketch.NextKSketch{Order: table.Asc("DepDelay"), Extra: []string{"Carrier", "Origin"}, K: 20}},
-		{"five-columns", &sketch.NextKSketch{Order: table.Asc("DepDelay").Then("ArrDelay", true).Then("Distance", false).
+		{"double-lead", fl, &sketch.NextKSketch{Order: table.Asc("DepDelay"), Extra: []string{"Carrier", "Origin"}, K: 20}},
+		{"five-columns", fl, &sketch.NextKSketch{Order: table.Asc("DepDelay").Then("ArrDelay", true).Then("Distance", false).
 			Then("CRSDepTime", true).Then("FlightNum", true), K: 20}},
-		{"string-lead", &sketch.NextKSketch{Order: table.Asc("Origin"), Extra: []string{"Dest", "Carrier"}, K: 20}},
+		{"string-lead", fl, &sketch.NextKSketch{Order: table.Asc("Origin"), Extra: []string{"Dest", "Carrier"}, K: 20}},
+		{"msg-lead", msg, &sketch.NextKSketch{Order: table.Asc("msg"), Extra: []string{"lat"}, K: 20}},
 	} {
-		b.Run(tc.name, func(b *testing.B) {
+		t := tc.t
+		b.Run(tc.name+"/table", func(b *testing.B) {
+			b.ReportAllocs()
 			var want, got sketch.Result
 			interleave(b, t.NumRows(),
 				func() (err error) { want, err = tc.sk.Summarize(t); return err },
@@ -694,6 +748,33 @@ func BenchmarkKernelNextK(b *testing.B) {
 				})
 			if !reflect.DeepEqual(got, want) {
 				b.Fatal("accumulator result differs from Summarize")
+			}
+		})
+		b.Run(tc.name+"/runs8", func(b *testing.B) {
+			parts := make([]*table.Table, 8)
+			per := t.NumRows() / len(parts)
+			for i := range parts {
+				parts[i] = t.Slice(fmt.Sprintf("%s#%d", t.ID(), i*per), i*per, (i+1)*per)
+			}
+			want := tc.sk.Zero()
+			var err error
+			for _, p := range parts {
+				if want, err = sketch.Extend(tc.sk, want, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var got sketch.Result
+			for i := 0; i < b.N; i++ {
+				if got, err = nextKRuns(tc.sk, parts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(t.NumRows())*float64(b.N)/1e6/b.Elapsed().Seconds(), "typed_Mrows/s")
+			if !reflect.DeepEqual(got, want) {
+				b.Fatal("chained accumulators differ from Summarize+Merge")
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 // Command hillview-bench regenerates the paper's evaluation artifacts
 // (§7): every table and figure has an experiment id. Absolute numbers
 // differ from the paper's 8-server testbed — the shapes (who wins, by
-// what factor, how curves scale) are the reproduction targets recorded
-// in EXPERIMENTS.md.
+// what factor, how curves scale) are the reproduction targets; writing
+// down what they measure here is open item 17 of ROADMAP.md.
 //
 // Usage:
 //

@@ -131,8 +131,9 @@
 // seeds, and every randomized test logs its seed on failure
 // (internal/testkit/seedtest).
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate each evaluation artifact at test scale;
-// cmd/hillview-bench runs them at configurable scale.
+// See README.md to build, test and run it. The subsystem sections of
+// ROADMAP.md are the tour of the system, and its open item 17 is the
+// record of paper-versus-measured results still to be written. The
+// benchmarks in bench_test.go regenerate each evaluation artifact at
+// test scale; cmd/hillview-bench runs them at configurable scale.
 package repro

@@ -15,11 +15,12 @@ import (
 	"repro/internal/table"
 )
 
-// The ablations quantify the engine's design choices (DESIGN.md §5):
-// the partial-result aggregation window (§5.3's 0.1 s), the
-// micropartition size (§5.3's 10–20 M rows), and the
-// sampling-versus-streaming crossover that motivates vizketches in the
-// first place.
+// The ablations quantify the engine's design choices (paper §5; the
+// ones this engine made are in ROADMAP.md's "Scan geometry and the
+// sampling planner" section): the partial-result aggregation window
+// (§5.3's 0.1 s), the micropartition size (§5.3's 10–20 M rows), and
+// the sampling-versus-streaming crossover that motivates vizketches in
+// the first place.
 
 // WindowPoint measures one aggregation-window setting.
 type WindowPoint struct {

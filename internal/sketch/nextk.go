@@ -112,7 +112,7 @@ func (s *NextKSketch) newWindow() nextKWindow {
 }
 
 // offer folds one materialized member row (already counted in Total)
-// into the window.
+// into the window. r may be a scratch row: the window keeps a copy.
 func (w *nextKWindow) offer(r table.Row) {
 	s, out := w.sk, w.out
 	if len(s.From) > 0 && w.keyCmp(r[:len(s.Order)], s.From) <= 0 {
@@ -130,7 +130,7 @@ func (w *nextKWindow) offer(r table.Row) {
 	}
 	out.Rows = append(out.Rows, nil)
 	copy(out.Rows[i+1:], out.Rows[i:])
-	out.Rows[i] = r
+	out.Rows[i] = r.Clone()
 	out.Counts = append(out.Counts, 0)
 	copy(out.Counts[i+1:], out.Counts[i:])
 	out.Counts[i] = 1
@@ -160,54 +160,77 @@ func (s *NextKSketch) Summarize(t *table.Table) (Result, error) {
 }
 
 // nextKAccumulator is the pruned scan. Almost every row of a large
-// table loses: once the window holds K rows, a row whose leading order
-// value sorts strictly after the K-th row's can neither enter the
-// window nor match a row in it, and (with a From cursor) a row whose
-// leading value sorts strictly before the cursor's is simply counted in
-// Before. Both tests are one typed compare of the leading column
-// against a constant (table.ConstCompare — a code threshold in each
-// partition's own dictionary for string keys) over a whole batch, so
-// only the survivors — rows while the window is filling, rows inside
-// the window's key range, and ties on the leading key — are boxed and
-// take the exact insert. The K-th key is read once per batch; a key
-// that tightens mid-batch only means a few extra survivors, so the
-// result is exactly Summarize+Merge's.
+// table loses: once the window holds K rows, a row whose key sorts
+// strictly after the K-th row's can neither enter the window nor match a
+// row in it, and (with a From cursor) a row whose order key sorts at or
+// before the cursor is simply counted in Before. The key is the whole one
+// rowCmp sorts by — the order columns in their directions, then the
+// extra columns ascending — and both tests are typed compares against it,
+// level by level (keySelect), with no row boxed. So only the survivors —
+// rows while the window is filling, rows at or before its K-th row, and
+// rows a level could not compare in bulk — are boxed and take the exact
+// insert. The K-th row is read once per batch; one that tightens
+// mid-batch only means a few extra survivors, so the result is exactly
+// Summarize+Merge's. Like that insert, this relies on the order being
+// total on the data: NaN, which Value.Compare orders equal to
+// everything, must not sit in a tie beside a number.
 type nextKAccumulator struct {
 	nextKWindow
-	cand, sel, miss []uint64 // per-batch bit scratch
-	// bound is the K-th leading key of an earlier run of the scan (see
-	// Next); it prunes like this window's own K-th key would.
-	bound    table.Value
-	hasBound bool
+	*nextKScratch
+	// bound is the K-th row of an earlier run of the scan (see Next); it
+	// prunes like this window's own K-th row would.
+	bound table.Row
+	slice int // rows the next cold step admits; 0 once warm (see coldSlice)
+}
+
+// nextKScratch is the per-batch state of a worker's chain of
+// accumulators, which never fold concurrently.
+type nextKScratch struct {
+	asc                           []bool         // per key level: the order's directions, then ascending
+	cols                          []table.Column // the row layout's columns in the table being added
+	row                           table.Row      // the row being offered
+	cand, le, open, sel, eq, miss []uint64
+	pos, phys                     []int32 // the batch rows still tied with a key
 }
 
 // NewAccumulator implements AccumulatorSketch.
 func (s *NextKSketch) NewAccumulator() Accumulator {
+	asc := make([]bool, len(s.Order)+len(s.Extra))
+	for i := range asc {
+		asc[i] = i >= len(s.Order) || s.Order[i].Ascending
+	}
+	words := func() []uint64 { return make([]uint64, kernelBatch/64) }
 	return &nextKAccumulator{
 		nextKWindow: s.newWindow(),
-		cand:        make([]uint64, kernelBatch/64),
-		sel:         make([]uint64, kernelBatch/64),
-		miss:        make([]uint64, kernelBatch/64),
+		slice:       coldSlice,
+		nextKScratch: &nextKScratch{
+			asc:  asc,
+			row:  make(table.Row, len(asc)),
+			cand: words(), le: words(), open: words(), sel: words(), eq: words(), miss: words(),
+			pos: make([]int32, 0, kernelBatch), phys: make([]int32, 0, kernelBatch),
+		},
 	}
 }
 
-// kth returns the tightest key known to close the window: the K-th
-// row's once this window is full (it passed bound), else bound.
-func (a *nextKAccumulator) kth() (table.Value, bool) {
+// kth returns the tightest row known to close the window: the K-th
+// row once this window is full (it passed bound), else bound.
+func (a *nextKAccumulator) kth() (table.Row, bool) {
 	if k := a.sk.K; k > 0 && len(a.out.Rows) == k {
-		return a.out.Rows[k-1][0], true
+		return a.out.Rows[k-1], true
 	}
-	return a.bound, a.hasBound
+	return a.bound, a.bound != nil
 }
 
 // Next implements Successor. A fresh window admits K·ln(n/K) rows
-// before its K-th key gets tight; the successor starts from this one's.
+// before its K-th row gets tight; the successor starts from this one's.
 // Rows it drops sort strictly after K distinct rows already handed to
 // the scan's merge, so they can neither reach the merged window nor tie
 // with a row in it.
 func (a *nextKAccumulator) Next() Accumulator {
-	n := &nextKAccumulator{nextKWindow: a.sk.newWindow(), cand: a.cand, sel: a.sel, miss: a.miss}
-	n.bound, n.hasBound = a.kth()
+	n := &nextKAccumulator{nextKWindow: a.sk.newWindow(), nextKScratch: a.nextKScratch}
+	if n.bound, _ = a.kth(); n.bound == nil {
+		n.slice = coldSlice
+	}
 	return n
 }
 
@@ -221,90 +244,198 @@ func (a *nextKAccumulator) Add(t *table.Table) error {
 	if err != nil {
 		return err
 	}
-	var lead table.Column // nil: nothing to prune on
-	if len(s.Order) > 0 {
-		lead = t.ColumnAt(cols[0])
+	a.cols = a.cols[:0]
+	for _, c := range cols {
+		a.cols = append(a.cols, t.ColumnAt(c))
 	}
 	scanBatches(t.Members(),
-		func(start, end int) {
-			a.prune(lead, start, end, nil)
-			forEachBit(a.cand[:(end-start+63)>>6], func(k int) { a.offer(t.GetRowCols(start+k, cols)) })
-		},
-		func(rows []int32) {
-			a.prune(lead, 0, len(rows), rows)
-			forEachBit(a.cand[:(len(rows)+63)>>6], func(k int) { a.offer(t.GetRowCols(int(rows[k]), cols)) })
-		})
+		func(start, end int) { a.fold(keyBatch{start: start, n: end - start}) },
+		func(rows []int32) { a.fold(keyBatch{n: len(rows), rows: rows}) })
 	return nil
 }
 
-// prune counts one batch — the span [start, end), or the gathered rows
-// — into Total and Before and leaves in a.cand the rows that must take
-// the exact insert.
-func (a *nextKAccumulator) prune(lead table.Column, start, end int, rows []int32) {
+// coldSlice is how many rows a window that starts with no bound admits
+// first: it then holds K rows, and with them a key to prune on, after
+// about K admissions rather than a whole batch. Each later slice is
+// twice the one before, up to a whole batch, so while the key tightens
+// each slice lets about 2K rows through.
+const coldSlice = 64
+
+// keyBatch is the unit the pruned scan compares: the physical rows
+// [start, start+n), or the gathered rows (n = len(rows)).
+type keyBatch struct {
+	start, n int
+	rows     []int32
+}
+
+// row returns the physical row of the batch's k-th row.
+func (b keyBatch) row(k int) int {
+	if b.rows != nil {
+		return int(b.rows[k])
+	}
+	return b.start + k
+}
+
+// slice returns the batch's rows [lo, hi).
+func (b keyBatch) slice(lo, hi int) keyBatch {
+	if b.rows != nil {
+		return keyBatch{n: hi - lo, rows: b.rows[lo:hi]}
+	}
+	return keyBatch{start: b.start + lo, n: hi - lo}
+}
+
+// fold prunes one batch and offers its survivors, a.slice rows at a time
+// while the window is cold.
+func (a *nextKAccumulator) fold(b keyBatch) {
+	for lo := 0; lo < b.n; {
+		hi := b.n
+		if a.slice > 0 {
+			hi = min(lo+a.slice, b.n)
+			if a.slice *= 2; a.slice >= kernelBatch {
+				a.slice = 0
+			}
+		}
+		part := b.slice(lo, hi)
+		a.prune(part)
+		forEachBit(a.cand[:wordsFor(part.n)], func(k int) {
+			for c, col := range a.cols {
+				a.row[c] = col.Value(part.row(k))
+			}
+			a.offer(a.row)
+		})
+		lo = hi
+	}
+}
+
+// prune counts one batch into Total and Before and leaves in a.cand the
+// rows that must take the exact insert.
+func (a *nextKAccumulator) prune(b keyBatch) {
 	s, out := a.sk, a.out
-	n := end - start
-	out.Total += int64(n)
-	cand := a.cand[:(n+63)>>6]
-	for w := range cand {
-		cand[w] = ^uint64(0)
-	}
-	if n&63 != 0 {
-		cand[len(cand)-1] = 1<<(uint(n)&63) - 1
-	}
-	if lead == nil {
-		return
-	}
-	// Ascending, "not after the K-th key" is <= and "before the cursor"
-	// is <; a descending lead flips both.
-	notAfter, before := table.CmpLE, table.CmpLT
-	if !s.Order[0].Ascending {
-		notAfter, before = table.CmpGE, table.CmpGT
-	}
-	if key, ok := a.kth(); ok && a.leadSelect(lead, notAfter, key, start, end, rows) {
+	out.Total += int64(b.n)
+	cand := a.cand[:wordsFor(b.n)]
+	fillOnes(cand, b.n)
+	if len(s.From) > 0 {
+		// Rows proven at or before the cursor are counted, not boxed.
+		a.keySelect(b, s.From)
 		for w := range cand {
-			cand[w] &= a.sel[w]
+			before := a.le[w] &^ a.open[w]
+			out.Before += int64(bits.OnesCount64(before))
+			cand[w] &^= before
 		}
 	}
-	if len(s.From) > 0 && a.leadSelect(lead, before, s.From[0], start, end, rows) {
+	if key, ok := a.kth(); ok && len(key) > 0 {
+		a.keySelect(b, key)
 		for w := range cand {
-			out.Before += int64(bits.OnesCount64(a.sel[w]))
-			cand[w] &^= a.sel[w]
+			cand[w] &= a.le[w]
 		}
 	}
 }
 
-// leadSelect writes to a.sel the batch rows whose leading value v
-// satisfies "v op key" in sort-value order, where a missing value sorts
+// keySelect writes to a.le the batch rows that sort at or before key on
+// its len(key) ≥ 1 levels of the row layout, in rowCmp's directions, and
+// to a.open those of them left undecided. Level 0 is one typed compare
+// over the whole batch; every later level compares only the rows still
+// tied with key, gathered, and the walk stops once none is. The first
+// level that cannot be compared in bulk (a computed column, a key of
+// another kind) leaves its tied rows in a.le and a.open, so a pruned row
+// is always one proven to sort after key.
+func (a *nextKAccumulator) keySelect(b keyBatch, key table.Row) {
+	le, open := a.le[:wordsFor(b.n)], a.open[:wordsFor(b.n)]
+	clear(open)
+	if !a.selectLevel(0, a.notAfter(0), key[0], b, le) {
+		fillOnes(le, b.n)
+		copy(open, le)
+		return
+	}
+	if len(key) == 1 {
+		return
+	}
+	pos, phys := a.pos[:0], a.phys[:0]
+	forEachBit(le, func(k int) {
+		pos = append(pos, int32(k))
+		phys = append(phys, int32(b.row(k)))
+	})
+	// Rows in the list tie key on every level before lvl and sort at or
+	// before it on lvl (which level 0's compare already established).
+	for lvl := 0; lvl < len(key) && len(pos) > 0; lvl++ {
+		tied := keyBatch{n: len(phys), rows: phys}
+		if lvl > 0 && !a.selectLevel(lvl, a.notAfter(lvl), key[lvl], tied, a.sel) {
+			for _, k := range pos {
+				open[k>>6] |= 1 << (uint(k) & 63)
+			}
+			break
+		}
+		last := lvl == len(key)-1
+		if !last {
+			a.selectLevel(lvl, table.CmpEQ, key[lvl], tied, a.eq)
+		}
+		n := 0
+		for j, k := range pos {
+			switch {
+			case lvl > 0 && a.sel[j>>6]>>(uint(j)&63)&1 == 0:
+				le[k>>6] &^= 1 << (uint(k) & 63) // after key
+			case !last && a.eq[j>>6]>>(uint(j)&63)&1 != 0:
+				pos[n], phys[n] = k, phys[j] // still tied
+				n++
+			}
+		}
+		pos, phys = pos[:n], phys[:n]
+	}
+}
+
+// notAfter is the operator selecting values that sort at or before a
+// key value on level lvl.
+func (a *nextKAccumulator) notAfter(lvl int) table.CmpOp {
+	if a.asc[lvl] {
+		return table.CmpLE
+	}
+	return table.CmpGE
+}
+
+// selectLevel writes to out the rows of b whose value v on level lvl
+// satisfies "v op c" in sort-value order, where a missing value sorts
 // below every present one. It reports false when the column cannot be
-// compared in bulk (a computed column, or a key of another type), in
-// which case the caller prunes nothing.
-func (a *nextKAccumulator) leadSelect(lead table.Column, op table.CmpOp, key table.Value, start, end int, rows []int32) bool {
-	cc, ok := table.NewConstCompare(lead, op, key)
+// compared in bulk (a computed column, or a c of another kind).
+func (a *nextKAccumulator) selectLevel(lvl int, op table.CmpOp, c table.Value, b keyBatch, out []uint64) bool {
+	cc, ok := table.NewConstCompare(a.cols[lvl], op, c)
 	if !ok {
 		return false
 	}
-	if rows == nil {
-		cc.SelectSpan(start, end, a.sel)
+	if b.rows == nil {
+		cc.SelectSpan(b.start, b.start+b.n, out)
 	} else {
-		cc.SelectRows(rows, a.sel)
+		cc.SelectRows(b.rows, out)
 	}
 	// The primitive never selects a missing row; the sort order places
-	// them first, so they satisfy op exactly when "missing op key" does.
-	missingVsKey := -1
-	if key.Missing {
-		missingVsKey = 0
+	// them first, so they satisfy op exactly when "missing op c" does.
+	missingVsC := -1
+	if c.Missing {
+		missingVsC = 0
 	}
-	if mask := cc.Missing(); mask != nil && op.Holds(missingVsKey) {
-		if rows == nil {
-			table.SpanBits(mask, start, end, a.miss)
+	if mask := cc.Missing(); mask != nil && op.Holds(missingVsC) {
+		if b.rows == nil {
+			table.SpanBits(mask, b.start, b.start+b.n, a.miss)
 		} else {
-			table.GatherBits(mask, rows, a.miss)
+			table.GatherBits(mask, b.rows, a.miss)
 		}
-		for w := range a.sel[:(end-start+63)>>6] {
-			a.sel[w] |= a.miss[w]
+		for w := range out[:wordsFor(b.n)] {
+			out[w] |= a.miss[w]
 		}
 	}
 	return true
+}
+
+// wordsFor returns the number of bitmap words covering n rows.
+func wordsFor(n int) int { return (n + 63) >> 6 }
+
+// fillOnes sets the first n bits of words and clears the rest.
+func fillOnes(words []uint64, n int) {
+	for w := range words {
+		words[w] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		words[len(words)-1] = 1<<(uint(n)&63) - 1
+	}
 }
 
 // forEachBit calls f with the position of every set bit, ascending.

@@ -3,6 +3,8 @@ package sketch
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"sort"
 	"testing"
@@ -211,22 +213,34 @@ func nextKCases(parts []*table.Table, info table.GenInfo) []*NextKSketch {
 		{Order: table.Asc("gi"), K: 10, From: table.Row{table.MissingValue(table.KindInt)}},
 		{Order: table.Desc("gd"), K: 10, From: table.Row{table.MissingValue(table.KindDouble)}},
 		{Order: table.Asc("gi").Then("gs", true), K: 12, From: table.Row{table.IntValue(midInt), table.StringValue(midStr)}},
+		// Ties: a lead whose K-th key is missing where gi is often
+		// missing, and a string tie-break whose dictionary differs
+		// from partition to partition; a descending level after an
+		// ascending tie; a computed column in tie-break position.
+		{Order: table.Asc("gi"), Extra: []string{"gs", "gt"}, K: 20},
+		{Order: table.Asc("gs").Then("gi", false), Extra: []string{"gd"}, K: 20},
+		{Order: table.Asc("gi").Then("gc", true), Extra: []string{"gs"}, K: 20},
 	}
-	// A multi-column cursor taken from the data: the last row of the
-	// first page, so the second page starts mid-tie on the lead.
-	first := &NextKSketch{Order: five, K: 3}
-	var page Result = first.Zero()
-	for _, p := range parts {
-		r, err := first.Summarize(p)
-		if err != nil {
-			panic(err)
+	// Multi-column cursors taken from the data: the last row of a first
+	// page, so the second page starts mid-tie on the lead — on the order
+	// columns alone, and on the whole row with the extra columns folded
+	// into the order, as View.NextPage pages.
+	folded := table.Asc("gi").Then("gs", true).Then("gt", true)
+	for _, order := range []table.RecordOrder{five, folded} {
+		first := &NextKSketch{Order: order, K: 3}
+		var page Result = first.Zero()
+		for _, p := range parts {
+			r, err := first.Summarize(p)
+			if err != nil {
+				panic(err)
+			}
+			if page, err = first.Merge(page, r); err != nil {
+				panic(err)
+			}
 		}
-		if page, err = first.Merge(page, r); err != nil {
-			panic(err)
+		if rows := page.(*NextKList).Rows; len(rows) > 0 {
+			cases = append(cases, &NextKSketch{Order: order, K: 25, From: rows[len(rows)-1][:len(order)]})
 		}
-	}
-	if rows := page.(*NextKList).Rows; len(rows) > 0 {
-		cases = append(cases, &NextKSketch{Order: five, K: 25, From: rows[len(rows)-1][:len(five)]})
 	}
 	return cases
 }
@@ -306,33 +320,210 @@ func TestNextKAccumulatorMatchesReference(t *testing.T) {
 	}
 }
 
+// tieTable is a tie-heavy table over membership m. "l3" holds three
+// values and is missing on 2% of rows; "lm" is missing on 60%; "dom" is
+// "m0" on 70% of rows and one of 200 strings on the rest (ingest_query's
+// "+msg" lead); "nan" is NaN on every row where l3 is 0 and one of five
+// values elsewhere, so NaN only ever ties NaN; "w" is nearly distinct
+// and "cw" is w as a computed column.
+func tieTable(id string, m table.Membership) *table.Table {
+	n := m.Max()
+	l3, w := make([]int64, n), make([]int64, n)
+	lm, nan := make([]float64, n), make([]float64, n)
+	dom := make([]string, n)
+	l3miss, lmmiss := table.NewBitset(n), table.NewBitset(n)
+	for i := 0; i < n; i++ {
+		x := uint64(i+7) * 0x9e3779b97f4a7c15
+		x ^= x >> 29
+		l3[i], w[i] = int64(x%3), int64(x>>40%100000)
+		if x>>8%50 == 0 {
+			l3miss.Set(i)
+		}
+		lm[i] = float64(x >> 12 % 1000)
+		if x>>20%5 < 3 {
+			lmmiss.Set(i)
+		}
+		nan[i] = float64(x>>24%5) - 2
+		if l3[i] == 0 && !l3miss.Get(i) {
+			nan[i] = math.NaN()
+		}
+		dom[i] = "m0"
+		if x>>32%10 >= 7 {
+			dom[i] = fmt.Sprintf("m%d", x>>36%200)
+		}
+	}
+	schema := table.NewSchema(
+		table.ColumnDesc{Name: "l3", Kind: table.KindInt},
+		table.ColumnDesc{Name: "lm", Kind: table.KindDouble},
+		table.ColumnDesc{Name: "dom", Kind: table.KindString},
+		table.ColumnDesc{Name: "nan", Kind: table.KindDouble},
+		table.ColumnDesc{Name: "w", Kind: table.KindInt},
+		table.ColumnDesc{Name: "cw", Kind: table.KindInt},
+	)
+	return table.New(id, schema, []table.Column{
+		table.NewIntColumn(table.KindInt, l3, l3miss),
+		table.NewDoubleColumn(lm, lmmiss),
+		table.NewStringColumn(dom, nil),
+		table.NewDoubleColumn(nan, nil),
+		table.NewIntColumn(table.KindInt, w, nil),
+		table.NewComputedColumn(table.KindInt, n, func(i int) table.Value { return table.IntValue(w[i]) }),
+	}, m)
+}
+
+// nextKFromSpec decodes a fuzzed next-K shape over the GenPartitions
+// columns: spec[0] picks 1-5 order levels, each following byte one
+// level (bits 0-6 the column, bit 7 descending), and up to three more
+// bytes the extra columns.
+func nextKFromSpec(spec []byte, k uint8) *NextKSketch {
+	cols := []string{"gi", "gd", "gs", "gt", "gc"}
+	col := func(b byte) string { return cols[int(b&0x7f)%len(cols)] }
+	sk := &NextKSketch{K: int(k % 64)}
+	levels := 1
+	if len(spec) > 0 {
+		levels += int(spec[0] % 5)
+		spec = spec[1:]
+	}
+	for i := 0; i < levels; i++ {
+		var b byte
+		if i < len(spec) {
+			b = spec[i]
+		}
+		sk.Order = sk.Order.Then(col(b), b&0x80 == 0)
+	}
+	for _, b := range spec[min(levels, len(spec)):][:min(3, max(0, len(spec)-levels))] {
+		sk.Extra = append(sk.Extra, col(b))
+	}
+	return sk
+}
+
+// FuzzNextKPrune holds the pruned scan to the reference on fuzzed
+// shapes: a GenPartitions table from seed, an order of 1-5 levels and
+// extra columns from spec, K, and a cursor that is the order key of
+// member row cursor-1 (none when cursor is 0). Successor-chained
+// accumulators at 1-3 workers must DeepEqual Summarize+Merge. The
+// checked-in corpus holds the tie shapes: a K-th key that is missing, a
+// dominant lead, a descending level after a tie, string tie-breaks whose
+// dictionaries differ by partition, a computed tie-break and cursors
+// inside a tie run.
+func FuzzNextKPrune(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, spec []byte, k uint8, cursor uint16) {
+		parts, info := table.GenPartitions("fz", seed, 400, 3)
+		sk := nextKFromSpec(spec, k)
+		if n := int(cursor); n > 0 && info.MemberRows > 0 {
+			n = (n - 1) % int(info.MemberRows)
+			for _, p := range parts {
+				if m := p.NumRows(); n >= m {
+					n -= m
+					continue
+				}
+				cols, err := rowColumns("fuzz", p.Schema(), sk.Order, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Members().Iterate(func(row int) bool {
+					if n == 0 {
+						sk.From = p.GetRowCols(row, cols)
+					}
+					n--
+					return n >= 0
+				})
+				break
+			}
+		}
+		var chunks []*table.Table
+		for _, p := range parts {
+			chunks = append(chunks, chunkViews(p, 2)...)
+		}
+		want, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 1; p <= 3; p++ {
+			if got := foldAccumulators(t, sk, chunks, p, true); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: accumulator differs\n got %+v\nwant %+v", sk.Name(), p, got, want)
+			}
+		}
+	})
+}
+
 // TestNextKAccumulatorDuplicateHeavy covers leads with a handful of
 // distinct keys over every membership shape of eqTables, including the
-// stored-with-missing and computed variants of each column.
+// stored-with-missing and computed variants of each column, and the
+// tie shapes of tieTable over the same memberships.
 func TestNextKAccumulatorDuplicateHeavy(t *testing.T) {
 	for _, tc := range eqTables(5000) {
-		for _, sk := range []*NextKSketch{
-			{Order: table.Asc("s"), K: 3},
-			{Order: table.Desc("sm"), Extra: []string{"im"}, K: 6},
-			{Order: table.Asc("sm").Then("dm", false), K: 30},
-			{Order: table.Asc("cs").Then("i", true), K: 30},
-			{Order: table.Desc("im").Then("s", true), Extra: []string{"d"}, K: 40, From: table.Row{table.IntValue(500), table.StringValue("cat")}},
-			{Order: table.Asc("sm"), Extra: []string{"i"}, K: 40, From: table.Row{table.StringValue("bee")}},
+		ties := tieTable("ties-"+tc.name, tc.t.Members())
+		for _, c := range []struct {
+			t  *table.Table
+			sk *NextKSketch
+		}{
+			{tc.t, &NextKSketch{Order: table.Asc("s"), K: 3}},
+			{tc.t, &NextKSketch{Order: table.Desc("sm"), Extra: []string{"im"}, K: 6}},
+			{tc.t, &NextKSketch{Order: table.Asc("sm").Then("dm", false), K: 30}},
+			{tc.t, &NextKSketch{Order: table.Asc("cs").Then("i", true), K: 30}},
+			{tc.t, &NextKSketch{Order: table.Desc("im").Then("s", true), Extra: []string{"d"}, K: 40, From: table.Row{table.IntValue(500), table.StringValue("cat")}}},
+			{tc.t, &NextKSketch{Order: table.Asc("sm"), Extra: []string{"i"}, K: 40, From: table.Row{table.StringValue("bee")}}},
+			// The K-th key is missing.
+			{tc.t, &NextKSketch{Order: table.Asc("im"), Extra: []string{"s", "d"}, K: 20}},
+			{ties, &NextKSketch{Order: table.Asc("lm"), Extra: []string{"dom", "w"}, K: 20}},
+			// One dominant lead value.
+			{ties, &NextKSketch{Order: table.Asc("dom"), Extra: []string{"w"}, K: 20}},
+			// NaN ties NaN in a tie-break column, in the order and in the
+			// extra columns.
+			{ties, &NextKSketch{Order: table.Asc("l3").Then("nan", true), Extra: []string{"w"}, K: 30,
+				From: table.Row{table.MissingValue(table.KindInt), table.DoubleValue(1e9)}}},
+			{ties, &NextKSketch{Order: table.Desc("l3"), Extra: []string{"nan", "w"}, K: 30, From: table.Row{table.IntValue(1)}}},
+			// A descending level after an ascending tie.
+			{ties, &NextKSketch{Order: table.Asc("dom").Then("w", false), K: 20}},
+			{ties, &NextKSketch{Order: table.Asc("l3").Then("dom", true).Then("w", false), K: 25}},
+			// A computed column in tie-break position: the rows still
+			// tied there take the exact insert.
+			{ties, &NextKSketch{Order: table.Asc("l3").Then("cw", true), Extra: []string{"dom"}, K: 20}},
+			{ties, &NextKSketch{Order: table.Desc("dom"), Extra: []string{"cw", "w"}, K: 20}},
+			// A cursor inside a tie run.
+			{ties, &NextKSketch{Order: table.Asc("dom").Then("w", true), K: 20, From: table.Row{table.StringValue("m0"), table.IntValue(50000)}}},
+			{ties, &NextKSketch{Order: table.Asc("l3").Then("cw", true), Extra: []string{"w"}, K: 20, From: table.Row{table.IntValue(1), table.IntValue(50000)}}},
 		} {
-			chunks := chunkViews(tc.t, 3)
+			sk := c.sk
+			chunks := chunkViews(c.t, 3)
 			want, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for p := 1; p <= 3; p++ {
 				for _, chain := range []bool{false, true} {
-					if got := foldAccumulators(t, sk, chunks, p, chain); !reflect.DeepEqual(got, want) {
+					if got := foldAccumulators(t, sk, chunks, p, chain); !equalNaN(got, want) {
 						t.Fatalf("%s/%s workers=%d chain=%v: accumulator differs\n got %+v\nwant %+v", tc.name, sk.Name(), p, chain, got, want)
 					}
 				}
 			}
 		}
 	}
+}
+
+// equalNaN is reflect.DeepEqual over next-K lists, except that a NaN
+// equals a NaN (DeepEqual compares floats with ==, so it never does).
+func equalNaN(a, b Result) bool {
+	la, lb := *a.(*NextKList), *b.(*NextKList)
+	if len(la.Rows) != len(lb.Rows) {
+		return false
+	}
+	for i := range la.Rows {
+		if len(la.Rows[i]) != len(lb.Rows[i]) {
+			return false
+		}
+		for j, va := range la.Rows[i] {
+			vb := lb.Rows[i][j]
+			if math.IsNaN(va.D) && math.IsNaN(vb.D) {
+				va.D, vb.D = 0, 0
+			}
+			if va != vb {
+				return false
+			}
+		}
+	}
+	la.Rows, lb.Rows = nil, nil
+	return reflect.DeepEqual(la, lb)
 }
 
 // TestNextKAccumulatorPrunes checks that the pruned scan really skips
@@ -364,6 +555,44 @@ func TestNextKAccumulatorPrunes(t *testing.T) {
 	warm := addTo(func() Accumulator { return AccumulatorAfter(sk, acc) })
 	if warm > cold/2 {
 		t.Errorf("successor made %.0f allocations, cold accumulator %.0f; the inherited bound is not pruning", warm, cold)
+	}
+
+	// Tied leads: a double missing on 2% of rows, so the K-th key is
+	// missing (+DepDelay over flights), and a 3-valued int. The rows
+	// tied with the K-th row on the lead are compared typed on the
+	// tie-break; only the few that enter the window are copied.
+	const n = 200000
+	m2, l3, x := make([]float64, n), make([]int64, n), make([]float64, n)
+	miss := table.NewBitset(n)
+	rng := rand.New(rand.NewPCG(9, 10))
+	tied := map[string]int{}
+	for i := 0; i < n; i++ {
+		m2[i], l3[i], x[i] = rng.Float64(), rng.Int64N(3), rng.Float64()
+		if rng.IntN(50) == 0 {
+			miss.Set(i)
+			tied["m2"]++
+		}
+		if l3[i] == 0 {
+			tied["l3"]++
+		}
+	}
+	ties := table.New("prune-ties", table.NewSchema(
+		table.ColumnDesc{Name: "m2", Kind: table.KindDouble},
+		table.ColumnDesc{Name: "l3", Kind: table.KindInt},
+		table.ColumnDesc{Name: "x", Kind: table.KindDouble},
+	), []table.Column{table.NewDoubleColumn(m2, miss), table.NewIntColumn(table.KindInt, l3, nil), table.NewDoubleColumn(x, nil)},
+		table.FullMembership(n))
+	for _, lead := range []string{"m2", "l3"} {
+		sk := &NextKSketch{Order: table.Asc(lead), Extra: []string{"x"}, K: 20}
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := sk.NewAccumulator().Add(ties); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(tied[lead])/10 {
+			t.Errorf("%s: %.0f allocations over %d rows tied on the lead; ties are being boxed", sk.Name(), allocs, tied[lead])
+		}
+		t.Logf("%s: %.0f allocations, %d rows tied on the lead", sk.Name(), allocs, tied[lead])
 	}
 }
 

@@ -60,11 +60,12 @@
 // Accumulator sketches: histogram (exact, sampled, CDF), hist2d,
 // distinct count, heavy hitters (Misra–Gries), the MultiSketch
 // composite, and next-K — whose accumulator is not a cheaper fold of
-// the same work but a pruned scan: a typed compare of the leading order
-// column against the window's K-th key rejects almost every row before
-// it is boxed (nextk.go), and whose K-th key carries over to the
-// worker's next run (Successor). Every other sketch folds through the
-// Summarize+Merge adapter (AccumulatorOf).
+// the same work but a pruned scan: typed compares of the whole sort key
+// against the window's K-th row, level by level and only over the rows
+// still tied, reject almost every row before it is boxed (nextk.go), and
+// the K-th row carries over to the worker's next run (Successor). Every
+// other sketch folds through the Summarize+Merge adapter
+// (AccumulatorOf).
 package sketch
 
 import "repro/internal/table"

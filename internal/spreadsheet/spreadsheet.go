@@ -219,13 +219,31 @@ func (v *View) TableView(ctx context.Context, order table.RecordOrder, extra []s
 	return res.(*sketch.NextKList), nil
 }
 
+// pageOrder is the whole key a page's rows are sorted by: order, then
+// the extra columns ascending (next-K's tie-break). A cursor page runs on
+// it with no extra columns, so its rows keep their layout and its cursor
+// is a whole row: rows that tie the cursor on order alone are neither
+// skipped nor shown twice.
+func pageOrder(order table.RecordOrder, extra []string) table.RecordOrder {
+	out := append(table.RecordOrder{}, order...)
+	for _, c := range extra {
+		out = append(out, table.ColumnSortOrder{Column: c, Ascending: true})
+	}
+	return out
+}
+
 // NextPage pages forward from the last row of the previous page.
 func (v *View) NextPage(ctx context.Context, order table.RecordOrder, extra []string, prev *sketch.NextKList) (*sketch.NextKList, error) {
 	if prev == nil || len(prev.Rows) == 0 {
 		return v.TableView(ctx, order, extra, DefaultRows, nil, nil)
 	}
-	last := prev.Rows[len(prev.Rows)-1]
-	return v.TableView(ctx, order, extra, prev.K, last[:len(order)].Clone(), nil)
+	page, err := v.TableView(ctx, pageOrder(order, extra), nil, prev.K, prev.Rows[len(prev.Rows)-1].Clone(), nil)
+	if err != nil {
+		return nil, err
+	}
+	out := *page
+	out.Order = order
+	return &out, nil
 }
 
 // PrevPage pages backward: it is a forward page in the reversed order
@@ -235,8 +253,7 @@ func (v *View) PrevPage(ctx context.Context, order table.RecordOrder, extra []st
 	if cur == nil || len(cur.Rows) == 0 {
 		return v.TableView(ctx, order, extra, DefaultRows, nil, nil)
 	}
-	first := cur.Rows[0]
-	rev, err := v.TableView(ctx, order.Reversed(), extra, cur.K, first[:len(order)].Clone(), nil)
+	rev, err := v.TableView(ctx, pageOrder(order, extra).Reversed(), nil, cur.K, cur.Rows[0].Clone(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -100,6 +100,83 @@ func TestTabularPagingRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPagingVisitsEveryRowOnce pages through tie-heavy orders — a lead
+// that is missing on cancelled flights, a 3-valued lead under a filter,
+// a descending string lead — forward to the end and back to the start.
+// Each direction must show every row exactly once, with Before counting
+// the rows of the pages behind it, and paging back from a page must
+// return the page before it.
+func TestPagingVisitsEveryRowOnce(t *testing.T) {
+	_, v := testSheet(t, 3000)
+	ctx := context.Background()
+	q1, err := v.FilterExpr(ctx, "Month <= 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		view  *View
+		order table.RecordOrder
+		extra []string
+	}{
+		{"missing-lead", v, table.Asc("DepDelay"), []string{"Carrier", "Origin"}},
+		{"three-valued-lead", q1, table.Asc("Month"), []string{"Carrier", "Origin"}},
+		{"three-valued-desc", q1, table.Desc("Month").Then("Carrier", true), []string{"DayOfWeek"}},
+		{"string-lead", v, table.Desc("Carrier"), []string{"Dest"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.view.NumRows()
+			keyCmp := pageOrder(tc.order, tc.extra).RowComparator()
+			checkPage := func(p *sketch.NextKList, before int64) {
+				t.Helper()
+				if p.Before != before || p.Total != n {
+					t.Fatalf("Before/Total = %d/%d, want %d/%d", p.Before, p.Total, before, n)
+				}
+				for i := 1; i < len(p.Rows); i++ {
+					if keyCmp(p.Rows[i-1], p.Rows[i]) >= 0 {
+						t.Fatalf("page rows out of order: %v then %v", p.Rows[i-1], p.Rows[i])
+					}
+				}
+			}
+			var pages []*sketch.NextKList
+			var seen int64
+			p, err := tc.view.TableView(ctx, tc.order, tc.extra, 25, nil, nil)
+			for ; err == nil && len(p.Rows) > 0; p, err = tc.view.NextPage(ctx, tc.order, tc.extra, p) {
+				checkPage(p, seen)
+				if len(pages) > 0 {
+					last := pages[len(pages)-1]
+					if keyCmp(last.Rows[len(last.Rows)-1], p.Rows[0]) >= 0 {
+						t.Fatal("a page does not start after the page before it")
+					}
+				}
+				seen += sumCounts(p)
+				pages = append(pages, p)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen != n {
+				t.Fatalf("paging forward showed %d of %d rows", seen, n)
+			}
+			seen = 0
+			p = pages[len(pages)-1]
+			for i := len(pages) - 1; len(p.Rows) > 0; i-- {
+				seen += sumCounts(p)
+				checkPage(p, n-seen)
+				if i >= 0 && !reflect.DeepEqual(p, pages[i]) {
+					t.Fatalf("paging back to page %d:\n got %+v\nwant %+v", i, p, pages[i])
+				}
+				if p, err = tc.view.PrevPage(ctx, tc.order, tc.extra, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if seen != n {
+				t.Fatalf("paging backward showed %d of %d rows", seen, n)
+			}
+		})
+	}
+}
+
 func TestScroll(t *testing.T) {
 	_, v := testSheet(t, 4000)
 	ctx := context.Background()
