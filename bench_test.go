@@ -539,32 +539,20 @@ func BenchmarkKernelDistinct(b *testing.B) {
 	reportRows(b, rows)
 }
 
-// BenchmarkKernelShardedScan measures the engine-level sharded leaf
-// scan: one 10M-row partition summarized as concurrent fixed-range
-// chunks merged with the sketch's own Merge.
-func BenchmarkKernelShardedScan(b *testing.B) {
-	const rows = 10000000
-	t := kernelTable("kss", rows, false)
-	spec := sketch.NumericBuckets(table.KindInt, 0, 1000000, 50)
-	sk := &sketch.HistogramSketch{Col: "i", Buckets: spec}
-	ds := engine.NewLocal("kss", []*table.Table{t}, engine.Config{AggregationWindow: -1})
-	for i := 0; i < b.N; i++ {
-		if _, err := ds.Sketch(context.Background(), sk, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportRows(b, rows)
-}
-
-// BenchmarkKernelParallelAgg measures the engine-level aggregation
-// overhaul end to end: per-run accumulators claimed off the run cursor
-// and combining in a pairwise merge tree, across the three summary
-// shapes that stress it differently (dense tallies, a 2-D count matrix,
-// and the code-keyed Misra–Gries state).
+// BenchmarkKernelParallelAgg measures the engine-level aggregation end
+// to end: 10M rows in 40 micropartitions of 250k (the default -micro),
+// one accumulator per partition claimed off the partition cursor,
+// combining in a pairwise merge tree, across the three summary shapes
+// that stress it differently (dense tallies, a 2-D count matrix, and
+// the code-keyed Misra–Gries state).
 func BenchmarkKernelParallelAgg(b *testing.B) {
-	const rows = 10000000
+	const rows, micro = 10000000, 250000
 	t := kernelTable("kpa", rows, false)
-	ds := engine.NewLocal("kpa", []*table.Table{t}, engine.Config{AggregationWindow: -1})
+	parts := make([]*table.Table, rows/micro)
+	for i := range parts {
+		parts[i] = table.SliceRows(t, fmt.Sprintf("kpa#%d", i), i*micro, (i+1)*micro)
+	}
+	ds := engine.NewLocal("kpa", parts, engine.Config{AggregationWindow: -1})
 	sketches := []struct {
 		name string
 		sk   sketch.Sketch
@@ -697,8 +685,8 @@ func kernelMsg() *table.Table {
 }
 
 // nextKRuns folds parts the way a leaf's single worker does: one
-// accumulator per partition run, each the successor of the one before,
-// merged by the run-index tree.
+// accumulator per partition, each the successor of the one before,
+// merged by the partition-index tree.
 func nextKRuns(sk *sketch.NextKSketch, parts []*table.Table) (sketch.Result, error) {
 	results := make([]sketch.Result, len(parts))
 	var acc sketch.Accumulator
@@ -718,7 +706,7 @@ func nextKRuns(sk *sketch.NextKSketch, parts []*table.Table) (sketch.Result, err
 // two shapes. "table" folds the 1M rows in one accumulator and
 // interleaves NextKSketch.Summarize (one boxed row per member row) with
 // it; its allocs/op counts both sides. "runs8" folds them as 8
-// successor-chained partition runs, as the engine folds the
+// successor-chained partitions, as the engine folds the
 // benchmark's 8-file dataset, and times the typed scan alone, so its
 // allocs/op is the rows it boxed into the window.
 func BenchmarkKernelNextK(b *testing.B) {
@@ -754,7 +742,7 @@ func BenchmarkKernelNextK(b *testing.B) {
 			parts := make([]*table.Table, 8)
 			per := t.NumRows() / len(parts)
 			for i := range parts {
-				parts[i] = t.Slice(fmt.Sprintf("%s#%d", t.ID(), i*per), i*per, (i+1)*per)
+				parts[i] = table.SliceRows(t, fmt.Sprintf("%s#%d", t.ID(), i*per), i*per, (i+1)*per)
 			}
 			want := tc.sk.Zero()
 			var err error

@@ -120,6 +120,8 @@ func main() {
 		}
 		bench.PrintWindowAblation(os.Stdout, wp)
 		fmt.Println()
+		// Each point's partitions are its scan units: the 2M-row point is
+		// one micropartition on one thread.
 		mp, err := bench.RunAblateMicroParts(2000000, []int{10000, 50000, 250000, 1000000, 2000000}, *seed)
 		if err != nil {
 			return err

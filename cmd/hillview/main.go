@@ -46,11 +46,11 @@
 // busy one — another such query on the same dataset waiting or scanning —
 // it waits up to -batch-window (default 1ms; 0 never waits) for
 // companions, and those gathered coalesce into one composite leaf pass
-// (sketch.MultiSketch): the table's chunks are walked once and every
-// member sketch folds from the shared stream, with each subscriber's
-// partials and final result demuxed back out — bit-identical to a solo
-// run, because the batch shares the solo path's chunk geometry,
-// per-chunk sampling seeds, and merge order. A chart that needs several
+// (sketch.MultiSketch): the table's micropartitions are walked once and
+// every member sketch folds from the shared stream, with each
+// subscriber's partials and final result demuxed back out —
+// bit-identical to a solo run, because the batch shares the solo path's
+// partitions, per-partition sampling seeds, and merge order. A chart that needs several
 // sketches (bars and CDF; the axis ranges of a heat map) sends them as
 // one group, which is such a pass from the start. A dashboard opening
 // eight charts over one idle table costs two scans, not eight: the first

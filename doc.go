@@ -19,26 +19,25 @@
 //
 // Leaf scans are vectorized end to end ("as fast as the hardware
 // allows", paper §6): memberships iterate in spans or bulk-decoded row
-// batches, columns expose typed backing storage, sketches run
-// kind-specialized batch kernels, and the engine shards oversized
-// partitions into fixed row-range chunks. Aggregation is parallel all
-// the way up: consecutive chunks of a partition form a run, every run
-// folds into its own mutable Accumulator (sketch.AccumulatorOf —
-// histogram, hist2d, distinct, heavy hitters and next-K ship a native
-// one, the rest fold Summarize+Merge), and finished runs combine
-// in a fixed pairwise merge tree (sketch.TreeFold). Runs and tree are a
-// function of the data layout and ChunkRows alone; the leaf workers
-// only claim whole runs off a shared cursor, so thread count and
-// scheduling never show in a result. Progressive partials merge the
-// tree's finished nodes with snapshots of the runs in progress and
-// reach the callback serialized on a dedicated emission lock. Heavy
-// hitters count dictionary columns by int32 code — an exact dense tally
-// pruned once per run up to 4096 codes, a code-keyed Misra–Gries stream
-// above — and materialize Values only at result time; equi-width
-// buckets index by the division form on every path. Batch scans are
-// bit-identical to the retained row-at-a-time reference path —
-// including randomized sketches under a fixed seed, via per-chunk
-// seeds derived from (seed, chunk start).
+// batches, columns expose typed backing storage, and sketches run
+// kind-specialized batch kernels. The micropartition (-micro, 250k rows
+// by default) is the one scan unit (paper §5.3's leaf): every partition
+// folds whole, on one thread, into its own mutable Accumulator
+// (sketch.AccumulatorOf — histogram, hist2d, distinct, heavy hitters
+// and next-K ship a native one, the rest fold Summarize+Merge), and
+// partition summaries combine in a fixed pairwise merge tree
+// (sketch.TreeFold) by partition index. A result is a function of the
+// partition list and the sketch alone; the leaf workers only claim
+// whole partitions off a shared cursor, so thread count and scheduling
+// never show in a result. Progressive partials merge the tree's
+// finished nodes and reach the callback serialized on a dedicated
+// emission lock. Heavy hitters count dictionary columns by int32 code —
+// an exact dense tally pruned once per partition up to 4096 codes, a
+// code-keyed Misra–Gries stream above — and materialize Values only at
+// result time; equi-width buckets index by the division form on every
+// path. Batch scans are bit-identical to the retained row-at-a-time
+// reference path — including randomized sketches under a fixed seed,
+// via per-partition seeds derived from (seed, partition ID).
 // Kernel before/after numbers: BENCH_kernels.json.
 //
 // Row selection has one kernel too: table.ConstCompare tests a stored
@@ -78,7 +77,7 @@
 // correctly — the testkit pooled differential runs every shipped
 // sketch under a budget of ~25% of the data and demands bit-identical
 // results to the fully-heap-loaded path. The engine reaches the store
-// through engine.LeafSource (lazy partitions, acquired per chunk task,
+// through engine.LeafSource (lazy partitions, acquired once per scan,
 // restricted to the columns a sketch declares via sketch.ColumnUser).
 // HVC2 is the one columnar format and the pool the one raw-data cache,
 // organized by (source, column) as the paper's data cache is: where no

@@ -91,7 +91,8 @@ type MicroPartPoint struct {
 // RunAblateMicroParts sweeps the micropartition size over a fixed
 // dataset on the local engine: too coarse starves the thread pool; too
 // fine pays per-partition overhead (§5.3 picks 10–20 M rows at server
-// scale).
+// scale). The micropartition is the engine's one scan unit, so a point
+// of size ≥ totalRows is one partition folded on one thread.
 func RunAblateMicroParts(totalRows int, sizes []int, seed uint64) ([]MicroPartPoint, error) {
 	var out []MicroPartPoint
 	spec := sketch.NumericBuckets(table.KindDouble, 0, 3000, 25)

@@ -11,48 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/sketch"
 )
-
-// RemoteDataSet is the root-side stub for a dataset living on a worker.
-// It implements engine.IDataSet, so remote datasets compose with local
-// ones under ParallelDataSet aggregation nodes — the execution tree of
-// Figure 1. Like every dataset reference, it is soft: the worker may
-// have lost the data, in which case calls return ErrMissingDataset and
-// the root replays. The replicated cluster path (Cluster.Loader) does
-// not use it — it remains the single-connection building block.
-type RemoteDataSet struct {
-	client *Client
-	id     string
-	leaves int
-}
-
-// NewRemote wraps a worker-side dataset.
-func NewRemote(client *Client, id string, leaves int) *RemoteDataSet {
-	return &RemoteDataSet{client: client, id: id, leaves: leaves}
-}
-
-// ID implements engine.IDataSet.
-func (d *RemoteDataSet) ID() string { return d.id }
-
-// NumLeaves implements engine.IDataSet.
-func (d *RemoteDataSet) NumLeaves() int { return d.leaves }
-
-// Sketch implements engine.IDataSet.
-func (d *RemoteDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error) {
-	return d.client.Sketch(ctx, d.id, sk, onPartial)
-}
-
-// Map implements engine.IDataSet.
-func (d *RemoteDataSet) Map(op engine.MapOp, newID string) (engine.IDataSet, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	leaves, err := d.client.MapOp(ctx, d.id, newID, op)
-	if err != nil {
-		return nil, err
-	}
-	return &RemoteDataSet{client: d.client, id: newID, leaves: leaves}, nil
-}
 
 // Cluster is the root's view of a set of workers: a replica map from
 // partition groups to the workers serving them, per-worker health

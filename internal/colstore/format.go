@@ -706,7 +706,7 @@ type File struct {
 
 	// cols keeps weak references to materialized columns so that
 	// re-materializing after a pool eviction returns the identical
-	// object while any scan still holds it (see WeakColumns).
+	// object while anything still holds it (see WeakColumns).
 	cols WeakColumns
 }
 
@@ -765,7 +765,7 @@ func (f *File) Mapped() bool { return mmapSupported }
 // remain — the pages fault back in from the immutable file, so a stale
 // reference reads bit-identical data, just colder. While any holder
 // keeps the column alive, repeated calls return the identical object
-// (weak caching), so identity-keyed scan state survives evictions.
+// (weak caching), so a reload skips materializing it again.
 func (f *File) Column(ci int) (col table.Column, size int64, evict func(), err error) {
 	if ci < 0 || ci >= f.hdr.schema.NumColumns() {
 		return nil, 0, nil, fmt.Errorf("colstore: %s: no column %d", f.path, ci)

@@ -8,16 +8,15 @@ import (
 )
 
 // WeakColumns caches materialized columns by slot under weak pointers:
-// as long as any holder — a pinned pool entry, a scan accumulator's
-// keyed stream, a derived table — keeps a column reachable,
-// re-materializing the slot returns the identical object. That makes
-// column identity stable across pool evictions, which identity-keyed
-// scan state relies on: the Misra–Gries accumulator continues its
-// keyed stream across consecutive chunks only while the column pointer
-// is unchanged, so identity stability is what keeps pooled scans
-// bit-identical to fully-resident scans under any eviction schedule.
-// Once the last holder drops a column, the GC reclaims it and the next
-// load builds a fresh — bit-identical — one.
+// as long as any holder — a pinned pool entry, a scan in flight, a
+// derived table that captured the column — keeps it reachable,
+// re-materializing the slot after a pool eviction returns the identical
+// object. A reload then costs nothing: a string column's dictionary is
+// not decoded, nor its codes validated (a pass over every row), again,
+// and the heap never holds two copies of one column. Under a pool budget
+// smaller than the data that is most reloads (derived views hold every
+// column of their parent). Once the last holder drops a column, the GC
+// reclaims it and the next load builds a fresh — bit-identical — one.
 type WeakColumns struct {
 	mu    sync.Mutex // guards the slot map only
 	slots map[int]*weakSlot

@@ -13,9 +13,10 @@ import (
 )
 
 // rowHookSketch is a test sketch that visits member rows one at a time,
-// counting them into visited and invoking hook per row. WholePartition
-// keeps the engine from chunking it, so the only thing that can stop
-// its scan early is the mid-chunk cancellation probe.
+// counting them into visited and invoking hook per row. Over one
+// partition the engine has no point between scan units to stop at, so
+// the only thing that can stop its scan early is the mid-scan
+// cancellation probe.
 type rowHookSketch struct {
 	visited *atomic.Int64
 	hook    func(visited int64)
@@ -23,7 +24,6 @@ type rowHookSketch struct {
 
 func (s *rowHookSketch) Name() string        { return "rowhook" }
 func (s *rowHookSketch) Zero() sketch.Result { return int64(0) }
-func (s *rowHookSketch) WholePartition()     {}
 func (s *rowHookSketch) Merge(a, b sketch.Result) (sketch.Result, error) {
 	return a.(int64) + b.(int64), nil
 }
@@ -41,10 +41,10 @@ func (s *rowHookSketch) Summarize(t *table.Table) (sketch.Result, error) {
 	return n, nil
 }
 
-// TestLocalCancellationMidChunk pins the mid-chunk seam: a
-// whole-partition scan (one task — no between-task cancellation points)
-// stops within one probe polling interval of the context being
-// cancelled, instead of burning through the rest of the partition.
+// TestLocalCancellationMidChunk pins the mid-scan seam: a partition
+// scan (one task — no between-task cancellation points) stops within
+// one probe polling interval of the context being cancelled, instead of
+// burning through the rest of the partition.
 func TestLocalCancellationMidChunk(t *testing.T) {
 	const rows = 400000
 	const cancelAt = 100000
@@ -97,9 +97,9 @@ func (s *panicSketch) Summarize(t *table.Table) (sketch.Result, error) {
 // TestLocalPanicIsolated pins panic isolation at the leaf pool: a
 // panicking sketch fails its own query with *PanicError — it does not
 // crash the test process — and the dataset remains usable afterwards.
-// The panic may fire inside a chunk fold or inside the merge that
-// retires a run, with partial emission contending for the same locks:
-// neither may leave a lock held.
+// The panic may fire inside a partition fold or inside the merge that
+// retires one, with partial emission contending for the same lock:
+// neither may leave it held.
 func TestLocalPanicIsolated(t *testing.T) {
 	parts := genParts("pk", 8, 200, 12)
 	for _, tc := range []struct {
@@ -136,7 +136,7 @@ func TestLocalPanicIsolated(t *testing.T) {
 func TestParallelPanicIsolated(t *testing.T) {
 	a := NewLocal("pa", genParts("pa", 2, 100, 13), Config{AggregationWindow: -1})
 	b := NewLocal("pb", genParts("pb", 2, 100, 14), Config{AggregationWindow: -1})
-	tree := NewParallel("tree", []IDataSet{a, b}, Config{AggregationWindow: -1})
+	tree := newFanOut(Config{AggregationWindow: -1}, localReplica{a}, localReplica{b})
 
 	_, err := tree.Sketch(context.Background(), &panicSketch{target: "pb-p1"}, nil)
 	var pe *PanicError

@@ -5,16 +5,17 @@
 // aggregation window, cancellation, a computation cache, and soft-state
 // memory management with redo-log replay for fault tolerance.
 //
-// The three dataset node types mirror Figure 1 of the paper:
+// The two dataset node kinds mirror Figure 1 of the paper:
 //
 //   - LocalDataSet — a leaf group: micropartitions on this machine,
-//     summarized in parallel by a thread pool.
-//   - ParallelDataSet — an aggregation node over child datasets
-//     (local or remote), merging their streams of partial results.
-//   - RemoteDataSet (package cluster) — a stub for a dataset living on
-//     a worker process, reached over the wire.
+//     summarized in parallel by a thread pool, one micropartition per
+//     scan.
+//   - An aggregation node over partition ranges, each served by
+//     interchangeable replicas (SketchReplicated; package cluster backs
+//     the replicas with worker connections), merging their streams of
+//     partial results.
 //
-// All three implement IDataSet, so trees compose to any shape.
+// Both present the IDataSet contract to the root.
 package engine
 
 import (
@@ -65,8 +66,8 @@ const DefaultAggregationWindow = 100 * time.Millisecond
 
 // Config tunes the engine. The zero value means: parallelism =
 // GOMAXPROCS, aggregation window = DefaultAggregationWindow. Results are
-// a function of (data, sketch, ChunkRows): Parallelism and
-// AggregationWindow change only how fast they arrive.
+// a function of (partition list, sketch) alone: neither field changes a
+// result's bits, only how fast it arrives.
 type Config struct {
 	// Parallelism bounds the leaf thread pool per LocalDataSet
 	// (0 = GOMAXPROCS).
@@ -74,36 +75,11 @@ type Config struct {
 	// AggregationWindow throttles partial emission; negative disables
 	// partials entirely, 0 means the default.
 	AggregationWindow time.Duration
-	// ChunkRows bounds the physical row range summarized by one leaf
-	// scan task: partitions larger than this are sharded into
-	// fixed-range chunks scanned concurrently and folded with the
-	// sketch's own Merge (0 = DefaultChunkRows, negative disables
-	// sharding). Chunk boundaries, per-chunk sampling seeds, the chunks
-	// each accumulator folds and the merge tree depend only on this
-	// value and the data layout, so it is the one field that can change
-	// a result's bits.
-	ChunkRows int
 }
-
-// DefaultChunkRows is the default leaf-scan chunk size: large enough
-// that per-chunk setup is noise, small enough that one oversized
-// partition still spreads across the thread pool.
-const DefaultChunkRows = 1 << 18
 
 func (c Config) window() time.Duration {
 	if c.AggregationWindow == 0 {
 		return DefaultAggregationWindow
 	}
 	return c.AggregationWindow
-}
-
-func (c Config) chunkRows() int {
-	switch {
-	case c.ChunkRows < 0:
-		return int(^uint(0) >> 1) // sharding disabled
-	case c.ChunkRows == 0:
-		return DefaultChunkRows
-	default:
-		return c.ChunkRows
-	}
 }

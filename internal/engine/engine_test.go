@@ -228,6 +228,51 @@ func TestLocalCancellation(t *testing.T) {
 	}
 }
 
+// localReplica serves one partition range from a dataset: the adapter
+// that lets SketchReplicated, the engine's aggregation node, fan out
+// over local datasets the way package cluster fans out over workers.
+type localReplica struct{ IDataSet }
+
+func (r localReplica) Name() string  { return r.ID() }
+func (r localReplica) Healthy() bool { return true }
+
+// treeNode is a Replica that knows how many partitions it serves.
+type treeNode interface {
+	Replica
+	NumLeaves() int
+}
+
+// fanOut is an aggregation node over children, each a single-replica
+// range, folded by SketchReplicated with no failover. It is itself a
+// treeNode, so trees nest.
+type fanOut struct {
+	children []treeNode
+	cfg      Config
+}
+
+func newFanOut(cfg Config, children ...treeNode) *fanOut {
+	return &fanOut{children: children, cfg: cfg}
+}
+
+func (f *fanOut) Name() string  { return "fanout" }
+func (f *fanOut) Healthy() bool { return true }
+
+func (f *fanOut) NumLeaves() int {
+	n := 0
+	for _, c := range f.children {
+		n += c.NumLeaves()
+	}
+	return n
+}
+
+func (f *fanOut) Sketch(ctx context.Context, sk sketch.Sketch, onPartial PartialFunc) (sketch.Result, error) {
+	groups := make([]ReplicaGroup, len(f.children))
+	for i, c := range f.children {
+		groups[i] = group(i, len(f.children), c.NumLeaves(), c)
+	}
+	return SketchReplicated(ctx, sk, onPartial, groups, f.cfg, FailoverOptions{})
+}
+
 func TestParallelTreeEqualsFlat(t *testing.T) {
 	parts := genParts("pt", 12, 1000, 5)
 	flat := NewLocal("flat", parts, Config{AggregationWindow: -1})
@@ -236,8 +281,8 @@ func TestParallelTreeEqualsFlat(t *testing.T) {
 	l1 := NewLocal("l1", parts[0:4], Config{AggregationWindow: -1})
 	l2 := NewLocal("l2", parts[4:8], Config{AggregationWindow: -1})
 	l3 := NewLocal("l3", parts[8:12], Config{AggregationWindow: -1})
-	inner := NewParallel("inner", []IDataSet{l2, l3}, Config{AggregationWindow: -1})
-	tree := NewParallel("tree", []IDataSet{l1, inner}, Config{AggregationWindow: -1})
+	inner := newFanOut(Config{AggregationWindow: -1}, localReplica{l2}, localReplica{l3})
+	tree := newFanOut(Config{AggregationWindow: -1}, localReplica{l1}, inner)
 
 	if tree.NumLeaves() != 12 {
 		t.Fatalf("NumLeaves = %d", tree.NumLeaves())
@@ -259,7 +304,7 @@ func TestParallelPartials(t *testing.T) {
 	parts := genParts("pp", 8, 3000, 6)
 	l1 := NewLocal("l1", parts[:4], Config{AggregationWindow: time.Nanosecond})
 	l2 := NewLocal("l2", parts[4:], Config{AggregationWindow: time.Nanosecond})
-	tree := NewParallel("tree", []IDataSet{l1, l2}, Config{AggregationWindow: time.Nanosecond})
+	tree := newFanOut(Config{AggregationWindow: time.Nanosecond}, localReplica{l1}, localReplica{l2})
 	var partials []Partial
 	var mu sync.Mutex
 	final, err := tree.Sketch(context.Background(), histSketch(), func(p Partial) {
@@ -353,7 +398,7 @@ func TestSketchErrorPropagates(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for unknown column")
 	}
-	tree := NewParallel("tr", []IDataSet{ds}, Config{AggregationWindow: -1})
+	tree := newFanOut(Config{AggregationWindow: -1}, localReplica{ds})
 	if _, err := tree.Sketch(context.Background(), &sketch.RangeSketch{Col: "nope"}, nil); err == nil {
 		t.Fatal("tree should propagate child errors")
 	}

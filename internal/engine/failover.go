@@ -88,8 +88,8 @@ type FailoverEvent struct {
 }
 
 // FailoverOptions tunes SketchReplicated. The zero value retries
-// nothing and never speculates — byte-for-byte the plain parallel
-// fan-out.
+// nothing and never speculates: the plain parallel fan-out, one attempt
+// per range.
 type FailoverOptions struct {
 	// Retryable reports whether an attempt error is worth re-dispatching
 	// to another replica (transport failures: yes; deterministic sketch
@@ -110,11 +110,13 @@ type FailoverOptions struct {
 	OnEvent func(FailoverEvent)
 }
 
-// SketchReplicated fans sk out over the partition ranges in groups,
-// each attempt served by one of the range's replicas, and folds the
-// per-range streams exactly like ParallelDataSet folds per-child
-// streams: latest summary per range, re-merged in range order on every
-// throttled update. Results are deduplicated by range — no matter how
+// SketchReplicated is the engine's aggregation node (paper §5.3: "nodes
+// periodically propagate partially merged results of the vizketch
+// without waiting for all children to respond"). It fans sk out over
+// the partition ranges in groups, each attempt served by one of the
+// range's replicas, and folds the per-range streams — each cumulative
+// for its range — by keeping the latest summary per range and
+// re-merging in range order on every throttled update. Results are deduplicated by range — no matter how
 // many attempts a range needed (failover, speculation, duplicated
 // partials), exactly one summary per range enters the fold, so the
 // result is bit-identical to the fault-free run.
@@ -154,9 +156,9 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 		}
 	}
 
-	// remerge folds the latest per-range summaries in range order —
-	// the same fold ParallelDataSet uses, so the two topologies agree
-	// bit-for-bit. Callers hold mu.
+	// remerge folds the latest per-range summaries in range order, so
+	// the result does not depend on which range finished first. Callers
+	// hold mu.
 	remerge := func() (sketch.Result, int, error) {
 		acc := sk.Zero()
 		done := 0

@@ -319,20 +319,44 @@ func TestFailoverDeadlineMidStuckAttempt(t *testing.T) {
 	}
 }
 
+// concatSketch is merge-order sensitive: results are strings and Merge
+// concatenates, so a fold's result spells the order it merged in.
+type concatSketch struct{}
+
+func (concatSketch) Name() string        { return "concat" }
+func (concatSketch) Zero() sketch.Result { return "" }
+func (concatSketch) Summarize(t *table.Table) (sketch.Result, error) {
+	return t.ID(), nil
+}
+func (concatSketch) Merge(a, b sketch.Result) (sketch.Result, error) {
+	return a.(string) + b.(string), nil
+}
+
+// TestFailoverMatchesParallelFoldOrder: the parallel fan-out folds the
+// per-range summaries in range order, whatever order they arrive in —
+// here exactly the reverse.
 func TestFailoverMatchesParallelFoldOrder(t *testing.T) {
-	// The replicated fold must be bit-identical to ParallelDataSet's:
-	// same group count, same per-group results, same fold order. Use a
-	// merge-order-sensitive encoding (string concatenation).
-	groups := []ReplicaGroup{}
-	for g := 0; g < 4; g++ {
-		groups = append(groups, group(g, 4, 1, ok(fmt.Sprintf("w%d", g), 1<<g)))
+	const n = 4
+	finished := make([]chan struct{}, n+1)
+	for g := range finished {
+		finished[g] = make(chan struct{})
 	}
-	res, err := SketchReplicated(context.Background(), sumSketch{}, nil, groups,
+	close(finished[n])
+	var groups []ReplicaGroup
+	for g := 0; g < n; g++ {
+		groups = append(groups, group(g, n, 1, &fakeReplica{name: fmt.Sprintf("w%d", g), healthy: true,
+			run: func(context.Context, PartialFunc) (sketch.Result, error) {
+				<-finished[g+1] // range g+1 answers first
+				defer close(finished[g])
+				return fmt.Sprint(g), nil
+			}}))
+	}
+	res, err := SketchReplicated(context.Background(), concatSketch{}, nil, groups,
 		Config{AggregationWindow: -1}, FailoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.(int) != 15 {
-		t.Fatalf("result = %v, want 15", res)
+	if res.(string) != "0123" {
+		t.Fatalf("result = %q, want %q (range order)", res, "0123")
 	}
 }

@@ -13,9 +13,10 @@ import (
 	"repro/internal/table"
 )
 
-// chunkSampleEvery is the scan.chunk span sampling rate: one chunk in
-// this many gets a span on a traced query, enough to show per-chunk
-// cost without letting a million-chunk scan flood the span budget.
+// chunkSampleEvery is the scan.chunk span sampling rate: one partition
+// fold in this many gets a span on a traced query, enough to show
+// per-partition cost without letting a many-partition scan flood the
+// span budget.
 const chunkSampleEvery = 16
 
 // partialsEmitted counts partial-result deliveries engine-wide (solo
@@ -27,24 +28,18 @@ var partialsEmitted obs.Counter
 // obs registration.
 func PartialsCounter() *obs.Counter { return &partialsEmitted }
 
-// runChunks is the most consecutive chunk tasks of one partition that
-// fold into one accumulator (a run). A constant, never a function of
-// the thread count: the set of accumulators decides result bits.
-// Smaller runs spread one large partition over more threads, larger
-// ones pay per-accumulator column setup (O(dictionary)) less often; 4
-// was the knee of both in interleaved runs (CHANGES.md, PR 21).
-const runChunks = 4
-
 // LocalDataSet holds a dataset's micropartitions on this machine and
 // summarizes them with a bounded thread pool (paper §5.3: "to
 // parallelize execution within a server, each server runs multiple leaf
 // nodes: there is a thread pool that serves leafs with work to do").
 //
-// Partitions always sit behind a LeafSource: the column store's budgeted
-// buffer pool (NewLocalSource), which materializes a partition's columns
-// only while a scan reads them, or a trivial in-memory one (NewLocal).
-// The scan plan is built from the source's LeafMeta alone, so both forms
-// share one geometry and return bit-identical results.
+// The leaf is the micropartition: each partition the source lists is
+// one scan unit, folded whole on one thread. Partitions always sit
+// behind a LeafSource: the column store's budgeted buffer pool
+// (NewLocalSource), which materializes a partition's columns only while
+// a scan reads them, or a trivial in-memory one (NewLocal). Both forms
+// list the same partitions under the same IDs and return bit-identical
+// results.
 type LocalDataSet struct {
 	id     string
 	src    LeafSource
@@ -98,89 +93,28 @@ func (d *LocalDataSet) parallelism() int {
 	return p
 }
 
-// leafTask is one unit of leaf-scan work: a whole partition (lo < 0), or
-// the fixed physical row range [lo, hi) of a partition that exceeds
-// Config.ChunkRows.
-type leafTask struct {
-	part, lo, hi int
-}
-
-// plan shards the partitions into scan tasks for sk and groups them
-// into runs: run r is tasks[runs[r]:runs[r+1]], at most runChunks
-// consecutive tasks of one partition. Both are a pure function of the
-// partition metadata, ChunkRows and whether sk demands whole partitions
-// — never of the thread count or of what is resident.
-//
-// A chunk's table gets the stable ID "<partition>#<start row>", so
-// per-chunk sampling seeds derive from (seed, chunk start) via
-// sketch.PartitionSeed and replaying the same configuration reproduces
-// identical samples (paper §5.8). Sketches that implement
-// sketch.WholePartition are never chunked, and neither are partitions
-// whose member count (not just physical bound) fits one chunk — a
-// heavily filtered partition over a large physical space is one cheap
-// scan, not many empty ones; an empty partition still gets its one
-// task. Chunks outside the member interval [Lo, Hi) are dropped here;
-// chunks inside it that turn out to hold no member (a clustered filter)
-// are skipped when their run folds. Neither shifts another chunk's ID.
-func (d *LocalDataSet) plan(sk sketch.Sketch) (tasks []leafTask, runs []int) {
-	chunk := d.cfg.chunkRows()
-	_, whole := sk.(sketch.WholePartition)
-	for pi, m := range d.leaves {
-		first := len(tasks)
-		if whole || m.Bound <= chunk || m.rows() <= chunk {
-			tasks = append(tasks, leafTask{part: pi, lo: -1})
-		} else {
-			for lo := 0; lo < m.Bound; lo += chunk {
-				hi := min(lo+chunk, m.Bound)
-				if hi > m.Lo && lo < m.Hi {
-					tasks = append(tasks, leafTask{part: pi, lo: lo, hi: hi})
-				}
-			}
-		}
-		for ; first < len(tasks); first += runChunks {
-			runs = append(runs, first)
-		}
-	}
-	return tasks, append(runs, len(tasks))
-}
-
-// chunkTable restricts an acquired partition to a task's row range,
-// under the chunk's derived ID; nil when the range holds no member row.
-func chunkTable(t *table.Table, tk leafTask) *table.Table {
-	if tk.lo < 0 {
-		return t
-	}
-	m := table.Restrict(t.Members(), tk.lo, tk.hi)
-	if m.Size() == 0 {
-		return nil
-	}
-	return t.WithMembership(t.ID()+"#"+strconv.Itoa(tk.lo), m)
-}
-
-// Sketch implements IDataSet. The plan (see plan) cuts the partitions
-// into chunk tasks and the tasks into runs. Every run folds, in chunk
-// order, into its own accumulator, and finished runs combine through a
-// sketch.TreeFold indexed by run — so the set of accumulators, what each
-// one folds, and the shape and operand order of every merge are
-// functions of (partition metadata, sketch, ChunkRows) alone. Threads
-// only decide *when* a run folds: each worker claims the next whole run
-// off a shared cursor, acquires its partition once, folds it and hands
-// the result to the tree, so load balancing is dynamic and invisible in
-// the result — including for merge-order-sensitive sketches such as
+// Sketch implements IDataSet. Each partition is one scan unit: one
+// Acquire, one accumulator, one Add, and its summary enters a
+// sketch.TreeFold at its partition index — so the set of accumulators,
+// what each one folds, and the shape and operand order of every merge
+// are functions of (partition list, sketch) alone. Threads only decide
+// *when* a partition folds: each worker claims the next partition off a
+// shared cursor, so load balancing is dynamic and invisible in the
+// result — including for merge-order-sensitive sketches such as
 // Misra–Gries. (A worker's next accumulator may be the sketch.Successor
 // of its last one; that contract allows skipping work, never changing
 // the merged result.)
 //
 // Partial results are emitted at most once per aggregation window: the
-// emitting worker merges the tree's finished nodes with a snapshot of
-// every run in progress and invokes onPartial holding only the emission
-// lock — a slow partial consumer costs dropped partials, never a stalled
-// scan. Which runs a partial covers depends on timing; the completion
-// partial is the returned result. Done counts fully folded partitions.
-// Cancellation stops workers from starting further chunks, and a probe
-// threaded into each chunk's table (WithCancel) stops the running chunk
-// scan itself within ~64Ki rows; a panic in sketch code is recovered
-// into the query's error instead of crashing the pool's process.
+// emitting worker merges the tree's finished nodes and invokes
+// onPartial holding only the emission lock — a slow partial consumer
+// costs dropped partials, never a stalled scan. Which partitions a
+// partial covers depends on timing; the completion partial is the
+// returned result. Done counts folded partitions. Cancellation stops
+// workers from starting further partitions, and a probe threaded into
+// each partition's table (WithCancel) stops the running scan itself
+// within ~64Ki rows; a panic in sketch code is recovered into the
+// query's error instead of crashing the pool's process.
 func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial PartialFunc) (sketch.Result, error) {
 	total := len(d.leaves)
 	cols := sketch.SketchColumns(sk)
@@ -189,28 +123,17 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 		emit(onPartial, Partial{Result: z, Done: 0, Total: 0})
 		return z, nil
 	}
-	tasks, runs := d.plan(sk)
-	nRuns := len(runs) - 1
-	nw := min(d.parallelism(), nRuns)
+	nw := min(d.parallelism(), total)
 
-	// mu guards the scan's shared state. foldMu orders folding against
-	// partial emission: workers hold it shared to add a chunk and to
-	// retire a run (result into the tree plus progress, as one step), the
-	// emitter exclusively to collect — so a partial never sees a
-	// half-added chunk, nor a run both in the tree and live, or neither.
+	// mu guards the scan's shared state. A partition's summary enters the
+	// tree and the progress count as one step, so a partial never sees
+	// one without the other.
 	var (
 		mu       sync.Mutex
-		foldMu   sync.RWMutex
-		tree     = sketch.NewTreeFold(sk, nRuns)
-		live     = make([]sketch.Accumulator, nw) // each worker's run in progress
-		pending  = make([]int, total)             // unfinished runs per partition
-		retired  int                              // runs handed to the tree
-		done     int                              // fully folded partitions
+		tree     = sketch.NewTreeFold(sk, total)
+		done     int // partitions handed to the tree
 		firstErr error
 	)
-	for r := 0; r < nRuns; r++ {
-		pending[tasks[runs[r]].part]++
-	}
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -223,39 +146,26 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 	// emitMu serializes emissions so Done stays monotone; window emissions
 	// take it with TryLock, so while a slow consumer is still inside
 	// onPartial later emissions are dropped (the next window re-emits a
-	// fresher snapshot) instead of queueing workers behind the callback.
+	// fresher partial) instead of queueing workers behind the callback.
 	// Only the completion emit after wg.Wait takes it blocking: dropped
 	// windows are superseded by the final Done==Total partial, never by
 	// silence.
 	var emitMu sync.Mutex
-	// collect cuts a consistent (summaries, progress) pair for a partial;
-	// ok is false once the scan failed or finished (the completion emit
-	// below delivers the one Done==Total partial).
-	collect := func() (parts []sketch.Result, dn int, ok bool) {
-		foldMu.Lock()
-		defer foldMu.Unlock()
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || done == total {
-			return nil, 0, false
-		}
-		parts = tree.Pending()
-		for _, acc := range live {
-			if acc != nil {
-				parts = append(parts, acc.Snapshot())
-			}
-		}
-		return parts, done, true
-	}
 	maybeEmit := func() {
 		if onPartial == nil || !th.allow() || !emitMu.TryLock() {
 			return
 		}
 		defer emitMu.Unlock()
-		parts, dn, ok := collect()
-		if !ok {
+		// Cut a consistent (summaries, progress) pair; nothing to send
+		// once the scan failed or finished (the completion emit below
+		// delivers the one Done==Total partial).
+		mu.Lock()
+		if firstErr != nil || done == total {
+			mu.Unlock()
 			return
 		}
+		parts, dn := tree.Pending(), done
+		mu.Unlock()
 		snap, err := sketch.MergeTree(sk, parts...)
 		if err != nil {
 			return // partial emission is best-effort
@@ -264,105 +174,77 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 		onPartial(Partial{Result: snap, Done: dn, Total: total})
 	}
 
-	// cancelProbe is threaded into every chunk table (table.WithCancel) so
-	// kernels stop mid-chunk, not just between chunks — whole-partition
-	// sketches and unchunked configurations would otherwise keep burning
-	// cores long after the query was abandoned. A probed scan may
-	// truncate silently; that is safe because a fired probe implies
-	// ctx.Err() != nil, and the fold is discarded whenever the context is
-	// cancelled.
+	// cancelProbe is threaded into every partition table (table.WithCancel)
+	// so kernels stop mid-scan, not just between partitions — a large
+	// partition would otherwise keep burning a core long after the query
+	// was abandoned. A probed scan may truncate silently; that is safe
+	// because a fired probe implies ctx.Err() != nil, and the fold is
+	// discarded whenever the context is cancelled.
 	cancelProbe := func() bool { return ctx.Err() != nil }
 
 	tr := obs.TraceFrom(ctx)
 	leafSp := tr.StartSpan("scan.leaf")
-	leafNote := "chunks=" + strconv.Itoa(len(tasks)) + " runs=" + strconv.Itoa(nRuns) + " workers=" + strconv.Itoa(nw)
-	// The locked steps are closures so a panicking sketch unwinds through
-	// their deferred unlocks before the worker's recover reports it.
-	add := func(acc sketch.Accumulator, ct *table.Table) error {
-		foldMu.RLock()
-		defer foldMu.RUnlock()
-		return acc.Add(ct.WithCancel(cancelProbe))
-	}
-	retire := func(wi, r, part int, acc sketch.Accumulator) error {
-		foldMu.RLock()
-		defer foldMu.RUnlock()
-		res := acc.Result() // may mutate acc: not while a partial snapshots it
+	leafNote := "partitions=" + strconv.Itoa(total) + " workers=" + strconv.Itoa(nw)
+	// retire hands partition p's summary to the tree. The scan proper ends
+	// when the last partition retires; what remains is the merge chain
+	// from it up to the root (earlier merges overlapped the scan). A
+	// closure, so a panicking Merge unwinds through the deferred unlock
+	// before the worker's recover reports it.
+	retire := func(p int, res sketch.Result) error {
 		mu.Lock()
 		defer mu.Unlock()
-		live[wi] = nil
-		retired++
-		// The scan proper ends when the last run retires; what remains
-		// is the merge chain from that run up to the root (earlier
-		// merges overlapped the scan).
+		done++
 		var mergeSp obs.SpanHandle
-		if retired == nRuns {
+		if done == total {
 			leafSp.EndNote(leafNote)
 			mergeSp = tr.StartSpan("merge.tree")
 		}
-		err := tree.Put(r, res)
+		err := tree.Put(p, res)
 		mergeSp.End()
-		if pending[part]--; pending[part] == 0 {
-			done++
-		}
 		return err
 	}
-	// foldRun folds run r on worker wi, whose last retired accumulator
-	// was prev, retires it into the tree and returns its accumulator. The
-	// partition stays pinned for the whole run, so every chunk of a run
-	// sees the same column objects and the resident working set is
-	// bounded by the worker pool, not the dataset.
-	foldRun := func(wi, r int, prev sketch.Accumulator) (sketch.Accumulator, error) {
-		first, end := runs[r], runs[r+1]
-		part := tasks[first].part
-		t, release, err := d.src.Acquire(part, cols)
+	// fold scans partition p on a worker whose last accumulator was prev,
+	// retires its summary and returns its accumulator. The partition is
+	// pinned only while it folds, so the resident working set is bounded
+	// by the worker pool, not the dataset.
+	fold := func(p int, prev sketch.Accumulator) (sketch.Accumulator, error) {
+		t, release, err := d.src.Acquire(p, cols)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
 		acc := sketch.AccumulatorAfter(sk, prev)
-		mu.Lock()
-		live[wi] = acc
-		mu.Unlock()
-		for i := first; i < end; i++ {
-			ct := chunkTable(t, tasks[i])
-			if ct == nil {
-				continue
-			}
-			// Sampled chunk spans: on a traced query, one chunk in
-			// chunkSampleEvery records its fold so the trace shows
-			// per-chunk cost without span-budget blowup. tr is nil on
-			// untraced queries, so this is one modulo on the hot path.
-			traceChunk := tr != nil && i%chunkSampleEvery == 0
-			var chunkSp obs.SpanHandle
-			if traceChunk {
-				chunkSp = tr.StartSpan("scan.chunk")
-			}
-			err := add(acc, ct)
-			if traceChunk {
-				chunkSp.EndNote("chunk=" + strconv.Itoa(i))
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := ctx.Err(); err != nil {
-				// The probe may have truncated this chunk mid-stream;
-				// never fold on, retire or emit from it.
-				return nil, err
-			}
-			if i < end-1 {
-				maybeEmit()
-			}
+		// Sampled spans: on a traced query, one partition in
+		// chunkSampleEvery records its fold so the trace shows
+		// per-partition cost without span-budget blowup. tr is nil on
+		// untraced queries, so this is one modulo per partition.
+		traced := tr != nil && p%chunkSampleEvery == 0
+		var sp obs.SpanHandle
+		if traced {
+			sp = tr.StartSpan("scan.chunk")
 		}
-		return acc, retire(wi, r, part, acc)
+		err = acc.Add(t.WithCancel(cancelProbe))
+		if traced {
+			sp.EndNote("partition=" + strconv.Itoa(p))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			// The probe may have truncated this scan mid-stream; never
+			// retire or emit from it.
+			return nil, err
+		}
+		return acc, retire(p, acc.Result())
 	}
 
 	var (
 		cursor atomic.Int64
 		wg     sync.WaitGroup
 	)
-	for wi := 0; wi < nw; wi++ {
+	for range nw {
 		wg.Add(1)
-		go func(wi int) {
+		go func() {
 			defer wg.Done()
 			// A panicking sketch fails this query only: the recovered
 			// panic becomes the scan's first error, the other workers
@@ -373,11 +255,11 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 					fail(pe)
 				}
 			}()
-			var prev sketch.Accumulator // this worker's last retired run
+			var prev sketch.Accumulator // this worker's last folded partition
 			for {
 				// Cancellation removes enqueued work (paper §5.3): the
 				// context is checked before every claim so a cancelled
-				// query never starts another run.
+				// query never starts another partition.
 				if ctx.Err() != nil {
 					return
 				}
@@ -387,21 +269,21 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 				if stop {
 					return
 				}
-				r := int(cursor.Add(1)) - 1
-				if r >= nRuns {
+				p := int(cursor.Add(1)) - 1
+				if p >= total {
 					return
 				}
 				var err error
-				if prev, err = foldRun(wi, r, prev); err != nil {
+				if prev, err = fold(p, prev); err != nil {
 					fail(err)
 					return
 				}
 				maybeEmit()
 			}
-		}(wi)
+		}()
 	}
 	wg.Wait()
-	if retired < nRuns { // failed or cancelled
+	if done < total { // failed or cancelled
 		leafSp.EndNote(leafNote)
 	}
 	if firstErr != nil {

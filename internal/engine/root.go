@@ -332,7 +332,7 @@ func (r *Root) RunSketch(ctx context.Context, datasetID string, sk sketch.Sketch
 // timing), but each member's slot of the result is bit-for-bit what that
 // member returns alone, so it goes in under the key the member would
 // have had alone and the next repeat of any of them is a hit. A member
-// disabled in the pass's MemberMask stopped folding chunks when it was
+// disabled in the pass's MemberMask stopped folding partitions when it was
 // abandoned; its slot is a partial sum and is never published.
 func (r *Root) publishMembers(datasetID string, gen uint64, sk sketch.Sketch, res sketch.Result) {
 	multi, ok := sk.(*sketch.MultiSketch)

@@ -91,13 +91,14 @@ func TestFilterOpsMatchRowFilter(t *testing.T) {
 }
 
 // TestNextKParallelismInvariant runs the table view's sketch through
-// the production leaf pool — dynamic chunk assignment, chunked
-// partitions — at several worker counts: the pruned accumulator must
-// return exactly the reference Summarize+Merge answer whichever chunks
-// each worker happens to fold.
+// the production leaf pool — dynamic partition assignment, successor
+// bounds carried from partition to partition — at several worker
+// counts: the pruned accumulator must return exactly the reference
+// Summarize+Merge answer whichever partitions each worker happens to
+// fold.
 func TestNextKParallelismInvariant(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		parts, info := table.GenPartitions(fmt.Sprintf("nkp%d", seed), seed, 4000, 4)
+		parts, info := table.GenPartitions(fmt.Sprintf("nkp%d", seed), seed, 500, 32)
 		mid := table.IntValue(info.IntLo + (info.IntHi-info.IntLo)/2)
 		for _, sk := range []*sketch.NextKSketch{
 			{Order: table.Asc("gi"), Extra: []string{"gs"}, K: 20},
@@ -119,7 +120,7 @@ func TestNextKParallelismInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 2, 3} {
-				ds := NewLocal("nkp", parts, Config{Parallelism: par, AggregationWindow: -1, ChunkRows: 512})
+				ds := NewLocal("nkp", parts, Config{Parallelism: par, AggregationWindow: -1})
 				got, err := ds.Sketch(context.Background(), sk, nil)
 				if err != nil {
 					t.Fatal(err)

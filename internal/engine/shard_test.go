@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/sketch"
@@ -11,30 +13,32 @@ import (
 	"repro/internal/testkit/seedtest"
 )
 
-// shardParts builds partitions whose physical row counts exceed the test
-// chunk size, including filtered (bitmap/sparse membership) partitions.
-// Data derives from the test's seedtest seed: deterministic by default,
-// explorable via HILLVIEW_TEST_SEED, and logged on failure so any CI
-// failure replays locally. Assertions in these tests are structural
-// (task counts, ID schemes, equivalences), so they hold for every seed.
-func shardParts(t *testing.T) []*table.Table {
-	parts := genParts("sh", 3, 10000, seedtest.Seed(t))
-	// A dense filtered partition (bitmap membership) and a sparse one.
-	dense := parts[1].Filter("sh-p1/f", func(row int) bool {
-		return parts[1].MustColumn("x").Double(row) < 80
-	})
-	sparse := parts[2].Filter("sh-p2/f", func(row int) bool {
-		return row%40 == 0
-	})
-	return []*table.Table{parts[0], dense, sparse}
+// shardParts cuts one 12000-row table into 24 partitions of 500 rows and
+// returns them (sharded) beside the uncut table (whole), each also
+// filtered dense (bitmap membership) and sparse. Data derives from the
+// test's seedtest seed: deterministic by default, explorable via
+// HILLVIEW_TEST_SEED, and logged on failure so any CI failure replays
+// locally. Assertions in these tests are structural (equivalences,
+// counts), so they hold for every seed.
+func shardParts(t *testing.T) (sharded, whole []*table.Table) {
+	base := genParts("sh", 1, 12000, seedtest.Seed(t))[0]
+	dense := func(tb *table.Table) func(int) bool {
+		return func(row int) bool { return tb.MustColumn("x").Double(row) < 80 }
+	}
+	sparse := func(row int) bool { return row%40 == 0 }
+	whole = []*table.Table{base, base.Filter("sh/d", dense(base)), base.Filter("sh/s", sparse)}
+	for lo := 0; lo < base.NumRows(); lo += 500 {
+		s := table.SliceRows(base, fmt.Sprintf("sh#%d", lo), lo, lo+500)
+		sharded = append(sharded, s, s.Filter(s.ID()+"/d", dense(s)), s.Filter(s.ID()+"/s", sparse))
+	}
+	return sharded, whole
 }
 
-// TestShardedScanMatchesUnsharded proves that chunked leaf scans fold to
-// the identical result for exact sketches, across membership shapes.
+// TestShardedScanMatchesUnsharded proves that cutting the same rows into
+// many partitions folds to the identical result for exact sketches,
+// across membership shapes.
 func TestShardedScanMatchesUnsharded(t *testing.T) {
-	parts := shardParts(t)
-	whole := NewLocal("w", parts, Config{AggregationWindow: -1, ChunkRows: -1})
-	sharded := NewLocal("w", parts, Config{AggregationWindow: -1, ChunkRows: 512})
+	sharded, whole := shardParts(t)
 	sketches := []sketch.Sketch{
 		histSketch(),
 		&sketch.RangeSketch{Col: "x"},
@@ -47,11 +51,11 @@ func TestShardedScanMatchesUnsharded(t *testing.T) {
 		},
 	}
 	for _, sk := range sketches {
-		want, err := whole.Sketch(context.Background(), sk, nil)
+		want, err := NewLocal("w", whole, Config{AggregationWindow: -1}).Sketch(context.Background(), sk, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sharded.Sketch(context.Background(), sk, nil)
+		got, err := NewLocal("s", sharded, Config{AggregationWindow: -1}).Sketch(context.Background(), sk, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,47 +66,52 @@ func TestShardedScanMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedSampledDeterminism proves that randomized sketches stay
-// replay-deterministic under sharding: per-chunk seeds derive from
-// (seed, chunk start), so the same configuration reproduces the same
-// result, and the total sample size stays consistent with the rate.
+// replay-deterministic over many partitions: per-partition seeds derive
+// from (seed, partition ID), so the same partitions reproduce the same
+// result at any pool width, and the total sample size stays consistent
+// with the rate.
 func TestShardedSampledDeterminism(t *testing.T) {
-	parts := shardParts(t)
-	ds := NewLocal("sd", parts, Config{AggregationWindow: -1, ChunkRows: 777})
+	parts, _ := shardParts(t)
 	sk := &sketch.SampledHistogramSketch{
 		Col:     "x",
 		Buckets: sketch.NumericBuckets(table.KindDouble, 0, 100, 10),
 		Rate:    0.2,
 		Seed:    42,
 	}
-	a, err := ds.Sketch(context.Background(), sk, nil)
-	if err != nil {
-		t.Fatal(err)
+	var want sketch.Result
+	for _, par := range []int{1, 8, 1} {
+		got, err := NewLocal("sd", parts, Config{Parallelism: par, AggregationWindow: -1}).Sketch(context.Background(), sk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: sampled sketch not deterministic across runs", par)
+		}
 	}
-	b, err := ds.Sketch(context.Background(), sk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("sharded sampled sketch not deterministic across runs")
-	}
-	ha := a.(*sketch.Histogram)
 	var members int64
 	for _, p := range parts {
 		members += int64(p.NumRows())
 	}
-	if ha.SampledRows < int64(float64(members)*0.15) || ha.SampledRows > int64(float64(members)*0.25) {
-		t.Errorf("sampled %d of %d member rows, want ~20%%", ha.SampledRows, members)
+	if n := want.(*sketch.Histogram).SampledRows; n < int64(float64(members)*0.15) || n > int64(float64(members)*0.25) {
+		t.Errorf("sampled %d of %d member rows, want ~20%%", n, members)
 	}
 }
 
-// TestShardedPartialAccounting checks that Done counts fully merged
-// partitions (not chunks) and reaches Total exactly at the end.
+// TestShardedPartialAccounting checks that Done counts folded
+// partitions and reaches Total exactly once, at the end.
 func TestShardedPartialAccounting(t *testing.T) {
-	parts := shardParts(t)
-	ds := NewLocal("pa", parts, Config{AggregationWindow: 1, ChunkRows: 512})
-	var partials []Partial
+	parts, _ := shardParts(t)
+	ds := NewLocal("pa", parts, Config{AggregationWindow: 1})
+	var (
+		mu       sync.Mutex
+		partials []Partial
+	)
 	final, err := ds.Sketch(context.Background(), histSketch(), func(p Partial) {
+		mu.Lock()
 		partials = append(partials, p)
+		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,154 +145,224 @@ func TestShardedPartialAccounting(t *testing.T) {
 	}
 }
 
-// foldedTables resolves a dataset's plan to the chunk tables its runs
-// fold, in task order: each task's partition restricted by chunkTable,
-// memberless chunks dropped, exactly as Sketch does.
-func foldedTables(t *testing.T, ds *LocalDataSet, sk sketch.Sketch) (tasks []leafTask, folded []*table.Table) {
-	t.Helper()
-	tasks, _ = ds.plan(sk)
-	for _, tk := range tasks {
-		p, release, err := ds.src.Acquire(tk.part, nil)
+// countingSketch is an exact row count whose accumulators record what
+// the engine hands them: how many it builds and the ID of every table
+// added.
+type countingSketch struct {
+	mu   sync.Mutex
+	accs int
+	adds []string
+}
+
+func (s *countingSketch) Name() string        { return "count" }
+func (s *countingSketch) Zero() sketch.Result { return int64(0) }
+func (s *countingSketch) Summarize(t *table.Table) (sketch.Result, error) {
+	return int64(t.NumRows()), nil
+}
+func (s *countingSketch) Merge(a, b sketch.Result) (sketch.Result, error) {
+	return a.(int64) + b.(int64), nil
+}
+
+func (s *countingSketch) NewAccumulator() sketch.Accumulator {
+	s.mu.Lock()
+	s.accs++
+	s.mu.Unlock()
+	return &countingAcc{sk: s}
+}
+
+type countingAcc struct {
+	sk *countingSketch
+	n  int64
+}
+
+func (a *countingAcc) Add(t *table.Table) error {
+	a.sk.mu.Lock()
+	a.sk.adds = append(a.sk.adds, t.ID())
+	a.sk.mu.Unlock()
+	a.n += int64(t.NumRows())
+	return nil
+}
+
+func (a *countingAcc) Result() sketch.Result { return a.n }
+
+// TestOneAccumulatorPerPartition pins the scan geometry: the partition
+// the source lists is the only scan unit, whatever its size and the
+// pool width. Each gets exactly one accumulator and one Add of the
+// partition itself, under its own ID, and the result is the merge tree
+// of the per-partition summaries in partition order — so sketches equal
+// Summarize+Merge bit for bit, and MetaSketch counts partitions.
+func TestOneAccumulatorPerPartition(t *testing.T) {
+	const big = 2100000
+	vals := make([]int64, big)
+	for i := range vals {
+		vals[i] = int64(i*7919) % 1000
+	}
+	backing := table.New("acc", table.NewSchema(table.ColumnDesc{Name: "v", Kind: table.KindInt}),
+		[]table.Column{table.NewIntColumn(table.KindInt, vals, nil)}, table.FullMembership(big))
+	var parts []*table.Table
+	var ids []string
+	for i, n := range []int{0, 10, 300000, big} {
+		parts = append(parts, table.SliceRows(backing, fmt.Sprintf("acc-p%d", i), 0, n))
+		ids = append(ids, parts[i].ID())
+	}
+	for _, par := range []int{1, 2, 8} {
+		sk := &countingSketch{}
+		res, err := NewLocal("acc", parts, Config{Parallelism: par, AggregationWindow: -1}).Sketch(context.Background(), sk, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ct := chunkTable(p, tk); ct != nil {
-			folded = append(folded, ct)
+		slices.Sort(sk.adds)
+		if sk.accs != len(parts) || !slices.Equal(sk.adds, ids) || res.(int64) != 300010+big {
+			t.Errorf("parallelism %d: %d accumulators added %v counting %v rows, want %d adding %v counting %d",
+				par, sk.accs, sk.adds, res, len(parts), ids, 300010+big)
 		}
-		release()
 	}
-	return tasks, folded
+	for _, sk := range []sketch.Sketch{
+		&sketch.HistogramSketch{Col: "v", Buckets: sketch.NumericBuckets(table.KindInt, 0, 1000, 16)},
+		&sketch.RangeSketch{Col: "v"},
+		&sketch.DistinctCountSketch{Col: "v"},
+		&sketch.MisraGriesSketch{Col: "v", K: 8},
+		&sketch.MetaSketch{},
+	} {
+		sums := make([]sketch.Result, len(parts))
+		for i, p := range parts {
+			var err error
+			if sums[i], err = sk.Summarize(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := sketch.MergeTree(sk, sums...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2, 8} {
+			got, err := NewLocal("acc", parts, Config{Parallelism: par, AggregationWindow: -1}).Sketch(context.Background(), sk, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s parallelism %d: engine differs from the per-partition merge tree\n got %+v\nwant %+v", sk.Name(), par, got, want)
+			}
+		}
+	}
+	meta, err := NewLocal("acc", parts, Config{AggregationWindow: -1}).Sketch(context.Background(), &sketch.MetaSketch{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := meta.(*sketch.TableMeta); m.Leaves != len(parts) || m.Rows != 300010+big {
+		t.Errorf("MetaSketch counts %d leaves and %d rows, want %d and %d", m.Leaves, m.Rows, len(parts), 300010+big)
+	}
 }
 
-// TestLeafTaskChunkIDs pins the chunk ID scheme ("<partition>#<start>")
-// that per-chunk sampling seeds derive from.
+// TestLeafTaskChunkIDs pins the ID a scan unit folds under, which
+// per-unit sampling seeds derive from: the partition's own ID, never a
+// "<partition>#<start>" range of it. A sampled sketch over the engine
+// therefore equals Summarize on the partition itself.
 func TestLeafTaskChunkIDs(t *testing.T) {
 	parts := genParts("ct", 1, 2500, 3)
-	ds := NewLocal("ct", parts, Config{ChunkRows: 1000})
-	tasks, folded := foldedTables(t, ds, histSketch())
-	if len(tasks) != 3 || len(folded) != 3 {
-		t.Fatalf("got %d tasks folding %d tables, want 3", len(tasks), len(folded))
-	}
-	wantIDs := []string{"ct-p0#0", "ct-p0#1000", "ct-p0#2000"}
-	var rows int
-	for i, tk := range tasks {
-		if folded[i].ID() != wantIDs[i] {
-			t.Errorf("task %d ID = %q, want %q", i, folded[i].ID(), wantIDs[i])
+	for _, par := range []int{1, 4} {
+		sk := &countingSketch{}
+		res, err := NewLocal("ct", parts, Config{Parallelism: par, AggregationWindow: -1}).Sketch(context.Background(), sk, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if tk.part != 0 {
-			t.Errorf("task %d part = %d, want 0", i, tk.part)
-		}
-		rows += folded[i].NumRows()
-	}
-	if rows != 2500 {
-		t.Errorf("chunks cover %d rows, want 2500", rows)
-	}
-	// Sharding disabled: one task per partition, original table.
-	off := NewLocal("ct", parts, Config{ChunkRows: -1})
-	if tasks, folded := foldedTables(t, off, histSketch()); len(tasks) != 1 || folded[0] != parts[0] {
-		t.Errorf("ChunkRows<0 should disable sharding, got %d tasks", len(tasks))
-	}
-}
-
-// TestPlanRunsAlignToPartitions pins the run geometry: runs tile the
-// task list in order, hold at most runChunks tasks, never cross a
-// partition boundary, and do not depend on Parallelism; chunks outside
-// a leaf's member interval are dropped at plan time.
-func TestPlanRunsAlignToPartitions(t *testing.T) {
-	parts := genParts("rg", 3, 100*(2*runChunks+1), 11) // 2*runChunks+1 chunks each
-	for _, par := range []int{1, 2, 7} {
-		ds := NewLocal("rg", parts, Config{ChunkRows: 100, Parallelism: par})
-		tasks, runs := ds.plan(histSketch())
-		if len(tasks) != 3*(2*runChunks+1) || len(runs)-1 != 3*3 {
-			t.Fatalf("parallelism %d: %d tasks in %d runs, want %d in 9", par, len(tasks), len(runs)-1, 3*(2*runChunks+1))
-		}
-		if runs[0] != 0 || runs[len(runs)-1] != len(tasks) {
-			t.Fatalf("runs %v do not tile %d tasks", runs, len(tasks))
-		}
-		for r := 0; r+1 < len(runs); r++ {
-			n := runs[r+1] - runs[r]
-			if n < 1 || n > runChunks {
-				t.Errorf("run %d holds %d tasks, want 1..%d", r, n, runChunks)
-			}
-			if tasks[runs[r]].part != tasks[runs[r+1]-1].part {
-				t.Errorf("run %d crosses a partition boundary", r)
-			}
+		if sk.accs != 1 || !slices.Equal(sk.adds, []string{"ct-p0"}) || res.(int64) != 2500 {
+			t.Errorf("parallelism %d: %d accumulators added %v counting %v rows, want 1 adding [ct-p0] counting 2500",
+				par, sk.accs, sk.adds, res)
 		}
 	}
-	src := metaSource{{ID: "m", Lo: 250, Hi: 600, Bound: 1000}}
-	tasks, runs := NewLocalSource("m", src, Config{ChunkRows: 100}).plan(histSketch())
-	if len(tasks) != 4 || tasks[0].lo != 200 || tasks[3].hi != 600 || len(runs) != 2 {
-		t.Errorf("interval [250,600) of 1000 planned as %+v runs %v, want chunks 200..600 in one run", tasks, runs)
+	sampled := &sketch.SampledHistogramSketch{
+		Col:     "x",
+		Buckets: sketch.NumericBuckets(table.KindDouble, 0, 100, 10),
+		Rate:    0.3,
+		Seed:    9,
 	}
-}
-
-// metaSource is a LeafSource with geometry only, for planner tests.
-type metaSource []LeafMeta
-
-func (s metaSource) Leaves() []LeafMeta { return s }
-func (s metaSource) Acquire(int, []string) (*table.Table, func(), error) {
-	return nil, nil, ErrMissingDataset
-}
-
-// TestWholePartitionSketchNotChunked checks that per-partition sketches
-// (sketch.WholePartition) bypass chunking: MetaSketch.Leaves must count
-// partitions, never chunks.
-func TestWholePartitionSketchNotChunked(t *testing.T) {
-	parts := genParts("wp", 2, 3000, 5)
-	ds := NewLocal("wp", parts, Config{AggregationWindow: -1, ChunkRows: 500})
-	r, err := ds.Sketch(context.Background(), &sketch.MetaSketch{}, nil)
+	want, err := sampled.Summarize(parts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := r.(*sketch.TableMeta)
-	if meta.Leaves != 2 {
-		t.Errorf("MetaSketch Leaves = %d under chunking, want 2", meta.Leaves)
-	}
-	if meta.Rows != 6000 {
-		t.Errorf("MetaSketch Rows = %d, want 6000", meta.Rows)
-	}
-}
-
-// TestLeafTasksSkipEmptyChunks checks that chunk ranges holding no
-// member rows (popcount over the membership bitset range) are never
-// folded, without changing the summary: a clustered filter over a large
-// physical space scans only the occupied ranges.
-func TestLeafTasksSkipEmptyChunks(t *testing.T) {
-	parts := genParts("ec", 1, 10000, 13)
-	// Members cluster in [0, 1000) ∪ [9000, 10000): 2000 of 10000
-	// physical rows, a dense bitmap membership.
-	f := parts[0].Filter("ec-f", func(row int) bool { return row < 1000 || row >= 9000 })
-	ds := NewLocal("ec", []*table.Table{f}, Config{AggregationWindow: -1, ChunkRows: 500})
-	_, folded := foldedTables(t, ds, histSketch())
-	if len(folded) != 4 {
-		t.Errorf("got %d folded chunks, want 4 (only occupied 500-row ranges)", len(folded))
-	}
-	var members int
-	for _, ct := range folded {
-		members += ct.NumRows()
-	}
-	if members != 2000 {
-		t.Errorf("chunks cover %d member rows, want 2000", members)
-	}
-	whole := NewLocal("ec", []*table.Table{f}, Config{AggregationWindow: -1, ChunkRows: -1})
-	want, err := whole.Sketch(context.Background(), histSketch(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ds.Sketch(context.Background(), histSketch(), nil)
+	got, err := NewLocal("ct", parts, Config{AggregationWindow: -1}).Sketch(context.Background(), sampled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("skipping empty chunks changed the summary")
+		t.Errorf("sampled scan is not seeded by the partition ID\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestShardedHeavyHittersGuarantee runs Misra–Gries through the chunked
-// engine path (per-run accumulators, merge tree) and checks the
-// frequency guarantee against exact counts.
+// TestPlanRunsAlignToPartitions pins the unit geometry against the
+// source: each partition Leaves lists is acquired once and released
+// once, and folded by one accumulator, at any Parallelism — including a
+// partition whose members fill only [250, 600) of a 1000-row space.
+func TestPlanRunsAlignToPartitions(t *testing.T) {
+	parts := genParts("rg", 3, 900, 11)
+	base := genParts("rg-b", 1, 1000, 11)[0]
+	parts = append(parts, base.Filter("rg-f", func(row int) bool { return row >= 250 && row < 600 }))
+	var ids []string
+	for _, p := range parts {
+		ids = append(ids, p.ID())
+	}
+	slices.Sort(ids)
+	for _, par := range []int{1, 2, 7} {
+		src := newMemSource(parts)
+		sk := &countingSketch{}
+		res, err := NewLocalSource("rg", src, Config{Parallelism: par, AggregationWindow: -1}).Sketch(context.Background(), sk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(sk.adds)
+		if src.acquires != len(parts) || src.releases != len(parts) {
+			t.Errorf("parallelism %d: %d acquires and %d releases, want %d each", par, src.acquires, src.releases, len(parts))
+		}
+		if sk.accs != len(parts) || !slices.Equal(sk.adds, ids) || res.(int64) != 3*900+350 {
+			t.Errorf("parallelism %d: %d accumulators added %v counting %v rows, want %d adding %v counting %d",
+				par, sk.accs, sk.adds, res, len(parts), ids, 3*900+350)
+		}
+	}
+}
+
+// TestWholePartitionSketchNotChunked checks that MetaSketch.Leaves
+// counts the partitions the source lists, whatever the pool width.
+func TestWholePartitionSketchNotChunked(t *testing.T) {
+	parts := genParts("wp", 2, 3000, 5)
+	for _, par := range []int{1, 8} {
+		r, err := NewLocal("wp", parts, Config{Parallelism: par, AggregationWindow: -1}).Sketch(context.Background(), &sketch.MetaSketch{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := r.(*sketch.TableMeta)
+		if meta.Leaves != 2 {
+			t.Errorf("parallelism %d: MetaSketch Leaves = %d, want 2", par, meta.Leaves)
+		}
+		if meta.Rows != 6000 {
+			t.Errorf("parallelism %d: MetaSketch Rows = %d, want 6000", par, meta.Rows)
+		}
+	}
+}
+
+// TestSparsePartitionNotChunked checks that a heavily filtered partition
+// over a large physical space is one scan: one accumulator, given one
+// Add of the partition itself with all of its members.
+func TestSparsePartitionNotChunked(t *testing.T) {
+	parts := genParts("sp", 1, 5000, 7)
+	filtered := parts[0].Filter("sp-p0/f", func(row int) bool { return row%100 == 0 })
+	sk := &countingSketch{}
+	res, err := NewLocal("sp", []*table.Table{filtered}, Config{AggregationWindow: -1}).Sketch(context.Background(), sk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sk.accs != 1 || !slices.Equal(sk.adds, []string{"sp-p0/f"}) || res.(int64) != 50 {
+		t.Errorf("sparse partition (50 members, 5000 physical) folded by %d accumulators adding %v, counting %v rows",
+			sk.accs, sk.adds, res)
+	}
+}
+
+// TestShardedHeavyHittersGuarantee runs Misra–Gries through the engine
+// over many partitions (per-partition accumulators, merge tree) and
+// checks the frequency guarantee against exact counts.
 func TestShardedHeavyHittersGuarantee(t *testing.T) {
 	const rows = 12000
+	const nparts = 12
 	const k = 8
 	vals := make([]string, 26)
 	for i := range vals {
@@ -292,9 +371,9 @@ func TestShardedHeavyHittersGuarantee(t *testing.T) {
 	schema := table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString})
 	truth := map[string]int64{}
 	var parts []*table.Table
-	for p := 0; p < 3; p++ {
-		b := table.NewBuilder(schema, rows/3)
-		for i := 0; i < rows/3; i++ {
+	for p := 0; p < nparts; p++ {
+		b := table.NewBuilder(schema, rows/nparts)
+		for i := 0; i < rows/nparts; i++ {
 			var v string
 			switch {
 			case i%10 < 4:
@@ -309,7 +388,7 @@ func TestShardedHeavyHittersGuarantee(t *testing.T) {
 		}
 		parts = append(parts, b.Freeze(fmt.Sprintf("hh-p%d", p)))
 	}
-	ds := NewLocal("hh", parts, Config{AggregationWindow: -1, ChunkRows: 512})
+	ds := NewLocal("hh", parts, Config{AggregationWindow: -1})
 	res, err := ds.Sketch(context.Background(), &sketch.MisraGriesSketch{Col: "s", K: k}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -332,22 +411,5 @@ func TestShardedHeavyHittersGuarantee(t *testing.T) {
 		if _, ok := hh.Counters[table.StringValue(want)]; !ok {
 			t.Errorf("heavy value %q lost in the sharded scan", want)
 		}
-	}
-}
-
-// TestSparsePartitionNotChunked checks that chunking keys off the
-// member count, not the physical bound: a heavily filtered partition is
-// one cheap scan, not dozens of near-empty ones.
-func TestSparsePartitionNotChunked(t *testing.T) {
-	parts := genParts("sp", 1, 5000, 7)
-	filtered := parts[0].Filter("sp-p0/f", func(row int) bool { return row%100 == 0 })
-	ds := NewLocal("sp", []*table.Table{filtered}, Config{ChunkRows: 500})
-	if tasks, _ := ds.plan(histSketch()); len(tasks) != 1 {
-		t.Errorf("sparse partition (50 members, 5000 physical) split into %d tasks, want 1", len(tasks))
-	}
-	// A dense partition over the same physical space still shards.
-	ds2 := NewLocal("sp2", parts, Config{ChunkRows: 500})
-	if tasks, _ := ds2.plan(histSketch()); len(tasks) != 10 {
-		t.Errorf("dense partition split into %d tasks, want 10", len(tasks))
 	}
 }

@@ -4,9 +4,9 @@ import "repro/internal/table"
 
 // LeafMeta describes one leaf partition of a LeafSource without
 // materializing any column data: its stable ID and physical geometry.
-// The engine builds its chunked scan plan — including the chunk IDs
-// that per-chunk sampling seeds derive from — from metadata alone, so
-// planning a sketch over a cold dataset reads headers, not data.
+// The engine plans a scan — one task per partition — and accounts rows
+// from metadata alone, so planning a sketch over a cold dataset reads
+// headers, not data.
 type LeafMeta struct {
 	// ID is the partition's stable identifier (same contract as
 	// Table.ID: unique per logical partition, stable across reloads).
@@ -32,10 +32,10 @@ func (m LeafMeta) rows() int {
 
 // LeafSource supplies leaf partitions on demand. It is how the column
 // store's lazy, budgeted buffer pool plugs into the engine: a
-// LocalDataSet acquires a partition's columns only while a run of its
-// chunks actually folds, and releases them as soon as the run is done,
-// so the resident working set is bounded by the thread pool width — not
-// the dataset size.
+// LocalDataSet acquires a partition's columns only while the partition
+// actually folds, and releases them as soon as it is done, so the
+// resident working set is bounded by the thread pool width — not the
+// dataset size.
 //
 // Contract:
 //
@@ -67,10 +67,11 @@ type LeafSource interface {
 
 // NewLocalSource builds a LocalDataSet whose partitions are served by
 // src: scans acquire only the columns the sketch declares
-// (sketch.ColumnUser) and hold them only while folding. The scan
-// geometry — chunk boundaries, chunk IDs, per-chunk sampling seeds, runs
-// — comes from src.Leaves() alone, so it equals NewLocal's over the same
-// partition tables and results are bit-identical between the two.
+// (sketch.ColumnUser) and hold them only while folding. The scan units
+// are the partitions src.Leaves() lists, under their own IDs (which seed
+// per-partition sampling), so a source scans exactly as NewLocal over
+// the same partition tables and results are bit-identical between the
+// two.
 func NewLocalSource(id string, src LeafSource, cfg Config) *LocalDataSet {
 	return &LocalDataSet{id: id, src: src, leaves: src.Leaves(), cfg: cfg}
 }

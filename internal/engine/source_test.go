@@ -111,12 +111,12 @@ func sourceParts(t *testing.T, n, rows int) []*table.Table {
 
 // TestLazySourceMatchesEager pins the core contract: a lazy dataset
 // over a LeafSource produces bit-identical results to an eager dataset
-// over the same partition tables, chunked or not, with pins fully
+// over the same partition tables, at every pool width, with pins fully
 // released and the working set bounded by the worker pool.
 func TestLazySourceMatchesEager(t *testing.T) {
-	parts := sourceParts(t, 4, 3000)
-	for _, chunk := range []int{-1, 700} {
-		cfg := Config{Parallelism: 3, AggregationWindow: -1, ChunkRows: chunk}
+	parts := sourceParts(t, 8, 1500)
+	for _, par := range []int{1, 3} {
+		cfg := Config{Parallelism: par, AggregationWindow: -1}
 		src := newMemSource(parts)
 		lazy := NewLocalSource("l", src, cfg)
 		eager := NewLocal("l", parts, cfg)
@@ -131,29 +131,30 @@ func TestLazySourceMatchesEager(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("chunk=%d: lazy %+v != eager %+v", chunk, got, want)
+			t.Fatalf("parallelism %d: lazy %+v != eager %+v", par, got, want)
 		}
 		src.mu.Lock()
 		acq, rel, req := src.acquires, src.releases, src.requested
 		src.mu.Unlock()
 		if acq == 0 || acq != rel {
-			t.Fatalf("chunk=%d: %d acquires, %d releases", chunk, acq, rel)
+			t.Fatalf("parallelism %d: %d acquires, %d releases", par, acq, rel)
 		}
 		if !req["v"] || req["s"] {
-			t.Fatalf("chunk=%d: requested columns %v, want exactly {v}", chunk, req)
+			t.Fatalf("parallelism %d: requested columns %v, want exactly {v}", par, req)
 		}
 		if max := atomic.LoadInt32(&src.maxLive); max > int32(cfg.Parallelism) {
-			t.Fatalf("chunk=%d: %d partitions pinned at once, parallelism %d", chunk, max, cfg.Parallelism)
+			t.Fatalf("parallelism %d: %d partitions pinned at once", par, max)
 		}
 	}
 }
 
 // TestLazySourceTotalsAndMeta checks metadata-only accessors and the
-// whole-partition (MetaSketch) path, which must see the full schema.
+// MetaSketch path, which declares no columns and must see the full
+// schema.
 func TestLazySourceTotalsAndMeta(t *testing.T) {
 	parts := sourceParts(t, 3, 500)
 	src := newMemSource(parts)
-	lazy := NewLocalSource("l", src, Config{AggregationWindow: -1, ChunkRows: 100})
+	lazy := NewLocalSource("l", src, Config{AggregationWindow: -1})
 	if lazy.NumLeaves() != 3 || lazy.TotalRows() != 1500 {
 		t.Fatalf("leaves %d rows %d", lazy.NumLeaves(), lazy.TotalRows())
 	}
@@ -217,8 +218,9 @@ func TestLazySourceMap(t *testing.T) {
 }
 
 // jitterSource perturbs scheduling: every Acquire pseudo-randomly
-// returns at once, yields, or sleeps, so which worker claims which run —
-// and in which order runs retire — differs from scan to scan.
+// returns at once, yields, or sleeps, so which worker claims which
+// partition — and in which order partitions retire — differs from scan
+// to scan.
 type jitterSource struct {
 	LeafSource
 	mu  sync.Mutex
@@ -239,18 +241,17 @@ func (s *jitterSource) Acquire(i int, cols []string) (*table.Table, func(), erro
 }
 
 // TestResultIndependentOfScheduling is the determinism invariant on the
-// production configuration: Misra–Gries — whose counters depend on which
-// chunks share an accumulator and on merge order — and next-K — whose
-// accumulators hand a pruning bound to whichever run the worker claims
-// next — return the same bits, and the same completion partial, however
-// the workers interleave.
+// production configuration: Misra–Gries — whose counters depend on merge
+// order — and next-K — whose accumulators hand a pruning bound to
+// whichever partition the worker claims next — return the same bits,
+// and the same completion partial, however the workers interleave.
 func TestResultIndependentOfScheduling(t *testing.T) {
 	schema := table.NewSchema(table.ColumnDesc{Name: "v", Kind: table.KindInt})
 	rng := rand.New(rand.NewPCG(seedtest.Seed(t), 21))
-	parts := make([]*table.Table, 5)
+	parts := make([]*table.Table, 40)
 	for p := range parts {
-		b := table.NewBuilder(schema, 4000)
-		for i := 0; i < 4000; i++ {
+		b := table.NewBuilder(schema, 500)
+		for i := 0; i < 500; i++ {
 			v := rng.Int64N(300)
 			if rng.IntN(3) == 0 {
 				v = rng.Int64N(6) // a few heavy values over a long tail
@@ -266,7 +267,7 @@ func TestResultIndependentOfScheduling(t *testing.T) {
 	} {
 		var want sketch.Result
 		for run := 0; run < 50; run++ {
-			cfg := Config{Parallelism: 1 + run%5, AggregationWindow: time.Nanosecond, ChunkRows: 150}
+			cfg := Config{Parallelism: 1 + run%5, AggregationWindow: time.Nanosecond}
 			var last Partial
 			got, err := NewLocalSource("js", src, cfg).Sketch(context.Background(), sk, func(p Partial) { last = p })
 			if err != nil {

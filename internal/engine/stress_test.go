@@ -85,12 +85,12 @@ func TestConcurrentQueriesAndDrops(t *testing.T) {
 }
 
 // TestCancelParallelTree cancels a query running over an aggregation
-// tree and verifies both children observe the cancellation.
+// node and verifies the cancellation surfaces.
 func TestCancelParallelTree(t *testing.T) {
 	parts := genParts("cp", 32, 50000, seedtest.Seed(t))
 	l1 := NewLocal("l1", parts[:16], Config{Parallelism: 1, AggregationWindow: time.Nanosecond})
 	l2 := NewLocal("l2", parts[16:], Config{Parallelism: 1, AggregationWindow: time.Nanosecond})
-	tree := NewParallel("tree", []IDataSet{l1, l2}, Config{AggregationWindow: time.Nanosecond})
+	tree := newFanOut(Config{AggregationWindow: time.Nanosecond}, localReplica{l1}, localReplica{l2})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Cancel from inside the first partial: a goroutine woken by it can
@@ -98,31 +98,6 @@ func TestCancelParallelTree(t *testing.T) {
 	_, err := tree.Sketch(ctx, histSketch(), func(Partial) { cancel() })
 	if err == nil {
 		t.Fatal("cancelled tree returned no error")
-	}
-}
-
-// TestMapErrorInParallelTree verifies error propagation from any child.
-func TestMapErrorInParallelTree(t *testing.T) {
-	parts := genParts("me", 4, 100, seedtest.Seed(t))
-	l1 := NewLocal("l1", parts[:2], Config{AggregationWindow: -1})
-	l2 := NewLocal("l2", parts[2:], Config{AggregationWindow: -1})
-	tree := NewParallel("t", []IDataSet{l1, l2}, Config{AggregationWindow: -1})
-	if _, err := tree.Map(FilterOp{Predicate: "bogus("}, "bad"); err == nil {
-		t.Fatal("map error swallowed by tree")
-	}
-	derived, err := tree.Map(DeriveOp{Col: "x2", Expr: "x * 3"}, "ok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derived.NumLeaves() != 4 {
-		t.Errorf("leaves = %d", derived.NumLeaves())
-	}
-	res, err := derived.Sketch(context.Background(), &sketch.RangeSketch{Col: "x2"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.(*sketch.DataRange).Max <= 0 {
-		t.Error("derived column empty through tree map")
 	}
 }
 

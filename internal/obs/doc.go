@@ -31,9 +31,9 @@
 //	serve.dedup_join     annotation: joined an identical in-flight query
 //	engine.cache_hit     annotation: served from the computation cache
 //	engine.replay_retry  annotation: redo-log replay before retrying
-//	scan.leaf            one leaf pass over all chunks (note chunks= runs= workers=)
-//	scan.chunk           a single chunk task, 1-in-16 sampled
-//	merge.tree           the merge chain after the last run (earlier merges overlap the scan)
+//	scan.leaf            one leaf pass over all partitions (note partitions= workers=)
+//	scan.chunk           a single partition fold, 1-in-16 sampled
+//	merge.tree           the merge chain after the last partition (earlier merges overlap the scan)
 //	wire.call            root-side RPC to one worker (note = worker addr)
 //	worker.sketch        worker-side execution, shipped back and stitched
 //	replica.*            failover / speculate / spec_win / group_lost events

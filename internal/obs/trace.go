@@ -21,9 +21,9 @@ import (
 //	serve.dedup_join     annotation: joined an identical in-flight query
 //	engine.cache_hit     annotation: served from the computation cache
 //	engine.replay_retry  annotation: dataset rebuilt mid-query and retried
-//	scan.leaf            one leaf pool drain (all chunks, all workers)
-//	scan.chunk           one sampled chunk fold (1 in chunkSampleEvery)
-//	merge.tree           merge chain from the last run to the tree root
+//	scan.leaf            one leaf pool drain (all partitions, all workers)
+//	scan.chunk           one sampled partition fold (1 in chunkSampleEvery)
+//	merge.tree           merge chain from the last partition to the tree root
 //	wire.call            one root→worker sketch RPC (note: worker addr)
 //	worker.sketch        worker-side execution (shipped back, stitched)
 //	replica.failover     annotation: range re-dispatched after a failure

@@ -23,10 +23,11 @@ import (
 // as one query) launches at once too: it arrived formed.
 //
 // Flights launched together run as one sketch.MultiSketch — one slot,
-// one leaf pass, the members' column union acquired once per chunk — and
-// cannot tell by the bits they receive: the pass shares the solo path's
-// chunk geometry, per-chunk sampling seeds and merge order. Nor can the
-// cache: the engine root stores each unmasked member under its own key.
+// one leaf pass, the members' column union acquired once per partition —
+// and cannot tell by the bits they receive: the pass shares the solo
+// path's partitions, per-partition sampling seeds and merge order. Nor
+// can the cache: the engine root stores each unmasked member under its
+// own key.
 
 // batchExec is one launched pass: the execution shared by its member
 // flights — their MultiSketch, or the lone member's own sketch. members
@@ -107,8 +108,9 @@ func (s *Scheduler) launch(datasetID string, flights []*flight) {
 	if be.live > 1 {
 		multi, err := sketch.NewMultiSketch(sks...)
 		if err != nil {
-			// Unreachable (WholePartition sketches never gather, multis are
-			// taken apart on arrival): fail rather than wedge the waiters.
+			// Unreachable (only non-nil, non-multi sketches gather; multis
+			// are taken apart on arrival): fail rather than wedge the
+			// waiters.
 			for _, fl := range be.members {
 				s.finish(fl, nil, fmt.Errorf("serve: batch formation: %w", err))
 			}

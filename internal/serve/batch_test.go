@@ -40,8 +40,8 @@ func (r *dsRunner) count() int64 {
 // sketches over it and their solo ground-truth results.
 func batchFixture(t testing.TB, k int) (*dsRunner, []sketch.Sketch, []sketch.Result) {
 	t.Helper()
-	parts, info := table.GenPartitions("bt", 11, 1200, 3)
-	ds := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: -1, ChunkRows: 256})
+	parts, info := table.GenPartitions("bt", 11, 300, 12)
+	ds := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: -1})
 	sks := make([]sketch.Sketch, k)
 	want := make([]sketch.Result, k)
 	for i := range sks {
@@ -324,12 +324,95 @@ func TestSimultaneousArrivalsCostTwoScans(t *testing.T) {
 	drained(t, s)
 }
 
+// TestColumnlessSketchLaunchesAlone: a MetaSketch declares no columns,
+// so a batch holding it would acquire every column of every partition.
+// Behind a busy dataset, with a window open, it launches at once on its
+// own pass, and the queries gathered there share one pass over only
+// their own columns.
+func TestColumnlessSketchLaunchesAlone(t *testing.T) {
+	const k = 3
+	run, sks, want := batchFixture(t, k)
+	var (
+		mu     sync.Mutex
+		passes []sketch.Sketch
+	)
+	spy := &fakeRunner{fn: func(ctx context.Context, d string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error) {
+		mu.Lock()
+		passes = append(passes, sk)
+		mu.Unlock()
+		return run.RunSketch(ctx, d, sk, onPartial)
+	}}
+	blk := newBlocker(spy)
+	s := New(blk, Config{MaxInFlight: k + 2, Deadline: -1, BatchWindow: time.Hour})
+	release := blk.hold(t, s)
+
+	got := make([]sketch.Result, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = s.RunSketch(context.Background(), "d", sks[i], nil)
+		}(i)
+	}
+	waitFor(t, s, "the window to fill", func() bool { return len(s.batches["d"]) == k })
+	// The window is an hour long and still open: only a launch of its own
+	// lets the MetaSketch return.
+	var (
+		res  sketch.Result
+		err  error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		res, err = s.RunSketch(context.Background(), "d", &sketch.MetaSketch{}, nil)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the MetaSketch waited in the window behind the busy dataset")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.(*sketch.TableMeta); m.Leaves != run.ds.NumLeaves() || m.Schema == nil {
+		t.Errorf("MetaSketch = %d leaves (schema %v), want %d", m.Leaves, m.Schema, run.ds.NumLeaves())
+	}
+	closeWindow(t, s, "d", k)
+	wg.Wait()
+	release()
+	for i := 0; i < k; i++ {
+		if errs[i] != nil || !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("member %d: err %v, result equal to solo: %v", i, errs[i], reflect.DeepEqual(got[i], want[i]))
+		}
+	}
+	if len(passes) != 2 {
+		t.Fatalf("%d passes, want 2 (the MetaSketch alone, then the batch): %v", len(passes), passes)
+	}
+	if _, ok := passes[0].(*sketch.MetaSketch); !ok {
+		t.Errorf("first pass is %s, want the MetaSketch on its own", passes[0].Name())
+	}
+	multi, ok := passes[1].(*sketch.MultiSketch)
+	if !ok || len(multi.Sketches) != k {
+		t.Fatalf("second pass is %s, want the %d gathered queries as one MultiSketch", passes[1].Name(), k)
+	}
+	var union []string
+	for _, m := range sks {
+		union = append(union, sketch.SketchColumns(m)...)
+	}
+	if cols := sketch.SketchColumns(multi); cols == nil || len(cols) > len(union) {
+		t.Errorf("batch acquires columns %v, want a subset of its members' %v", cols, union)
+	}
+	drained(t, s)
+}
+
 // TestBatchDemuxesPartials: each batch subscriber's partial stream must
 // carry only its own sketch's summary type, with monotone progress and
 // the final partial equal to its returned result.
 func TestBatchDemuxesPartials(t *testing.T) {
-	parts, info := table.GenPartitions("bp", 13, 1500, 3)
-	ds := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: time.Nanosecond, ChunkRows: 128})
+	parts, info := table.GenPartitions("bp", 13, 128, 36)
+	ds := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: time.Nanosecond})
 	run := &dsRunner{ds: ds}
 	hist := &sketch.HistogramSketch{Col: "gd", Buckets: sketch.NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 6)}
 	rng := &sketch.RangeSketch{Col: "gi"}
@@ -690,8 +773,8 @@ func (g *gatedDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial e
 // three distinct cacheable sketches, and their solo results.
 func publishFixture(t *testing.T, gated bool) (*engine.Root, *gatedDataSet, []sketch.Sketch, []sketch.Result) {
 	t.Helper()
-	parts, info := table.GenPartitions("pb", 17, 1500, 3)
-	local := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: -1, ChunkRows: 256})
+	parts, info := table.GenPartitions("pb", 17, 256, 18)
+	local := engine.NewLocal("d", parts, engine.Config{Parallelism: 2, AggregationWindow: -1})
 	ds := &gatedDataSet{IDataSet: local, entered: make(chan struct{}, 8)}
 	if gated {
 		ds.gate = make(chan struct{})
@@ -854,7 +937,7 @@ func TestGroupPartialHit(t *testing.T) {
 }
 
 // TestBatchMaskedMemberNotPublished: a member abandoned while the pass
-// runs is masked out of the remaining chunks, so its slot is a partial
+// runs is masked out of the remaining partitions, so its slot is a partial
 // sum — it must not reach the cache, while its siblings do.
 func TestBatchMaskedMemberNotPublished(t *testing.T) {
 	root, ds, sks, want := publishFixture(t, true)

@@ -179,11 +179,11 @@ func BenchmarkServeOverloadShed(b *testing.B) {
 // enough that the leaf pass dominates scheduling noise.
 const batchBenchRows = 10_000_000
 
-// batchBenchData builds one 8-partition double-column table of the given
-// size and a LocalDataSet over it.
+// batchBenchData builds one 40-partition double-column table of the
+// given size and a LocalDataSet over it.
 func batchBenchData(b *testing.B, rows int) *engine.LocalDataSet {
 	b.Helper()
-	const parts = 8
+	const parts = 40
 	schema := table.NewSchema(table.ColumnDesc{Name: "v", Kind: table.KindDouble})
 	tabs := make([]*table.Table, parts)
 	for p := 0; p < parts; p++ {
@@ -199,7 +199,7 @@ func batchBenchData(b *testing.B, rows int) *engine.LocalDataSet {
 		tabs[p] = table.New(fmt.Sprintf("big-p%d", p), schema,
 			[]table.Column{table.NewDoubleColumn(vals, nil)}, table.FullMembership(n))
 	}
-	return engine.NewLocal("big", tabs, engine.Config{AggregationWindow: -1, ChunkRows: 1 << 17})
+	return engine.NewLocal("big", tabs, engine.Config{AggregationWindow: -1})
 }
 
 // batchBenchSketches builds K distinct cacheable queries (different

@@ -8,7 +8,7 @@
 //     the process OOMs;
 //   - deadlines: queries without their own deadline get the server
 //     default, which propagates through engine.Sketch/SketchReplicated
-//     down to chunk tasks (the mid-chunk cancellation probe,
+//     down to partition scans (the mid-scan cancellation probe,
 //     table.Table.WithCancel) and cluster RPCs (MsgCancel), so an
 //     abandoned browser tab stops burning cores;
 //   - one admission rule for every cacheable query — lookup, dedup,
@@ -24,7 +24,7 @@
 //     that start together run as one sketch.MultiSketch: one leaf pass
 //     feeds every member and each subscriber sees exactly its own
 //     sketch's partials and result, bit-identical to a solo run (same
-//     chunk geometry, seeds, merge order); a member whose subscribers all
+//     partitions, seeds, merge order); a member whose subscribers all
 //     leave is masked out of the rest of the scan. A query that is itself
 //     a MultiSketch — one chart's sketches — is a batch that arrives
 //     formed: its members pass the same clauses one by one and those left
@@ -301,15 +301,15 @@ func (s *Scheduler) RunSketch(ctx context.Context, datasetID string, sk sketch.S
 	}
 	// Dedup, then batch: a member joins the flight registered under its
 	// key or registers its own, and new flights gather behind a busy
-	// dataset or start at once. A group never gathers, nor does a
-	// WholePartition sketch: it would change the leaf chunk geometry for
-	// every member of a batch and break the bit-identity contract.
-	_, whole := sk.(sketch.WholePartition)
+	// dataset or start at once. A group never gathers, nor does a sketch
+	// that declares no columns (MetaSketch): a batch acquires its
+	// members' column union, so it would widen the pass to every column.
+	columnless := sketch.SketchColumns(sk) == nil
 	fls := make([]*flight, len(miss))
 	subs := make([]*subscriber, len(miss))
 	var fresh []*flight
 	s.mu.Lock()
-	gather := s.cfg.BatchWindow > 0 && !grouped && !whole && s.busy[qualified] > 0
+	gather := s.cfg.BatchWindow > 0 && !grouped && !columnless && s.busy[qualified] > 0
 	for n, i := range miss {
 		key, _ := engine.Key(qualified, members[i])
 		if fls[n] = s.flights[key]; fls[n] == nil {

@@ -4,13 +4,12 @@ import "repro/internal/table"
 
 // This file implements the Accumulator fast path (see sketch.go) for
 // the hot sketches: histogram (exact, sampled, CDF), hist2d, distinct,
-// and heavy hitters. Each accumulator owns one mutable
-// summary that many chunk scans fold into, and caches per-column scan
-// state (batch indexers, dictionary hash tables, code counters) so
-// chunked partitions — whose chunks share column storage — pay the
-// per-column setup once instead of once per chunk.
+// and heavy hitters. Each accumulator owns one mutable summary that
+// every Add folds into, and caches per-column scan state (batch
+// indexers, dictionary hash tables, code counters) so tables sharing
+// column storage pay the per-column setup once instead of once per Add.
 
-// histAccumulator folds chunks into one mutable Histogram. It serves
+// histAccumulator folds tables into one mutable Histogram. It serves
 // the exact, sampled, and CDF histogram sketches, which differ only in
 // how the rate selects the scan.
 type histAccumulator struct {
@@ -76,17 +75,10 @@ func (a *histAccumulator) Add(t *table.Table) error {
 	return nil
 }
 
-// Snapshot implements Accumulator.
-func (a *histAccumulator) Snapshot() Result {
-	out := *a.h
-	out.Counts = append([]int64(nil), a.h.Counts...)
-	return &out
-}
-
 // Result implements Accumulator.
 func (a *histAccumulator) Result() Result { return a.h }
 
-// hist2dAccumulator folds chunks into one mutable Histogram2D with both
+// hist2dAccumulator folds tables into one mutable Histogram2D with both
 // axis indexers cached per column pair.
 type hist2dAccumulator struct {
 	sk           *Histogram2DSketch
@@ -126,20 +118,12 @@ func (a *hist2dAccumulator) Add(t *table.Table) error {
 	return nil
 }
 
-// Snapshot implements Accumulator.
-func (a *hist2dAccumulator) Snapshot() Result {
-	out := *a.h
-	out.Counts = append([]int64(nil), a.h.Counts...)
-	out.YOther = append([]int64(nil), a.h.YOther...)
-	return &out
-}
-
 // Result implements Accumulator.
 func (a *hist2dAccumulator) Result() Result { return a.h }
 
-// distinctAccumulator streams chunks into one mutable HLL. Register max
-// is associative and commutative, so streaming equals merging per-chunk
-// HLLs exactly — without the per-chunk register allocation — and the
+// distinctAccumulator streams tables into one mutable HLL. Register max
+// is associative and commutative, so streaming equals merging per-table
+// HLLs exactly — without the per-table register allocation — and the
 // dictionary hash table is cached per column.
 type distinctAccumulator struct {
 	sk      *DistinctCountSketch
@@ -167,23 +151,18 @@ func (a *distinctAccumulator) Add(t *table.Table) error {
 	return nil
 }
 
-// Snapshot implements Accumulator.
-func (a *distinctAccumulator) Snapshot() Result {
-	return &HLL{Precision: a.out.Precision, Registers: append([]byte(nil), a.out.Registers...)}
-}
-
 // Result implements Accumulator.
 func (a *distinctAccumulator) Result() Result { return a.out }
 
-// mgAccumulator folds chunks into one mutable Misra–Gries state. For
-// stored columns it keeps one keyed state live across chunks sharing a
-// column (chunks of a partition share storage) — mgCodes for dictionary
-// strings, which tallies small dictionaries exactly and streams large
-// ones; mgTyped, an int64-keyed stream, for ints/dates/doubles — and
-// flushes it into the value-keyed merged state with Merge only when the
-// column changes, so a tallied column is pruned once per run, not once
-// per chunk. Like any Misra–Gries merge order, the result is exact to
-// Summarize+Merge only within the N/(K+1) error bound.
+// mgAccumulator folds tables into one mutable Misra–Gries state. For
+// stored columns it keeps one keyed state live across Adds sharing a
+// column — mgCodes for dictionary strings, which tallies small
+// dictionaries exactly and streams large ones; mgTyped, an int64-keyed
+// stream, for ints/dates/doubles — and flushes it into the value-keyed
+// merged state with Merge only when the column changes, so a tallied
+// column is pruned once, not once per Add. Over one table the result is
+// Summarize's; over several, like any Misra–Gries merge order, it is
+// exact to Summarize+Merge only within the N/(K+1) error bound.
 type mgAccumulator struct {
 	sk    *MisraGriesSketch
 	k     int
@@ -268,21 +247,6 @@ func (a *mgAccumulator) Add(t *table.Table) error {
 	}
 	a.state = merged.(*HeavyHitters)
 	return nil
-}
-
-// Snapshot implements Accumulator. Merge never mutates its arguments,
-// and converting the live keyed state reads it without pruning it in
-// place, so combining the two leaves both usable.
-func (a *mgAccumulator) Snapshot() Result {
-	r := a.live()
-	if r == nil {
-		return a.state
-	}
-	merged, err := a.sk.Merge(a.state, r)
-	if err != nil {
-		return a.state
-	}
-	return merged
 }
 
 // Result implements Accumulator.

@@ -99,8 +99,8 @@ func eqTables(rows int) []eqCase {
 		"range":      table.NewRangeMembership(rows/7, rows-rows/9, rows),
 		"bitmap":     table.NewBitmapMembership(bits),
 		"sparse":     table.NewSparseMembership(sparse, rows),
-		"bitmap/cut": table.Restrict(table.NewBitmapMembership(bits), 61, rows-130),
-		"sparse/cut": table.Restrict(table.NewSparseMembership(sparse, rows), 100, rows-100),
+		"bitmap/cut": rowWindow(table.NewBitmapMembership(bits), 61, rows-130),
+		"sparse/cut": rowWindow(table.NewSparseMembership(sparse, rows), 100, rows-100),
 	}
 	var cases []eqCase
 	for name, m := range shapes {
@@ -361,7 +361,7 @@ func TestBatchMisraGriesEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s k=%d: streamed Misra-Gries differs from the row-at-a-time reference", tc.name, col, k)
 				}
-				// Stored columns continue one stream across a run's chunks.
+				// Stored columns continue one stream across an accumulator's Adds.
 				if col == "cs" {
 					continue
 				}

@@ -115,7 +115,7 @@ func dictHashes(c *table.StringColumn) []uint64 {
 
 // scanInto streams t's member rows into out. dictHashes carries the
 // precomputed dictionary hashes for stored string columns (computed by
-// the caller so accumulators can reuse them across chunks sharing one
+// the caller so accumulators can reuse them across tables sharing one
 // column); it is ignored for other column kinds.
 func (s *DistinctCountSketch) scanInto(out *HLL, t *table.Table, col table.Column, dictHashes []uint64) {
 	switch c := col.(type) {

@@ -141,7 +141,7 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 
 // scanInto streams t's member rows (or their deterministic sample) into
 // h through the two batch bucket kernels. Extracted from Summarize so
-// accumulators can fold many chunks into one mutable summary with
+// accumulators can fold many tables into one mutable summary with
 // cached indexers.
 func (s *Histogram2DSketch) scanInto(h *Histogram2D, t *table.Table, xIdx, yIdx BatchIndexer) {
 	xb := make([]int32, kernelBatch)

@@ -17,7 +17,9 @@ type TableMeta struct {
 }
 
 // MetaSketch reports schema and size. It is deterministic and cheap
-// (O(1) per partition), and cached by the engine.
+// (O(1) per partition), and cached by the engine. Leaves counts one per
+// Summarize call, which the engine makes once per partition. It reads
+// the schema, not cell data, so it declares no columns (ColumnUser).
 type MetaSketch struct{}
 
 // Name implements Sketch.
@@ -28,10 +30,6 @@ func (s *MetaSketch) CacheKey() string { return s.Name() }
 
 // Zero implements Sketch.
 func (s *MetaSketch) Zero() Result { return &TableMeta{} }
-
-// WholePartition implements sketch.WholePartition: Leaves counts one
-// per Summarize call, so chunked scans would over-count.
-func (s *MetaSketch) WholePartition() {}
 
 // Summarize implements Sketch.
 func (s *MetaSketch) Summarize(t *table.Table) (Result, error) {

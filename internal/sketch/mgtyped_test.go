@@ -88,7 +88,7 @@ func TestTypedMisraGriesAccumulatorContinues(t *testing.T) {
 		m := tbl.Members()
 		for lo := 0; lo < m.Max(); lo += 500 {
 			hi := min(lo+500, m.Max())
-			chunk := tbl.WithMembership(tbl.ID(), table.Restrict(m, lo, hi))
+			chunk := tbl.WithMembership(tbl.ID(), rowWindow(m, lo, hi))
 			if err := acc.Add(chunk); err != nil {
 				t.Fatal(err)
 			}

@@ -13,20 +13,18 @@ import (
 
 // MultiSketch is the scan-batching composite: it wraps N member
 // sketches so one leaf pass over a table feeds all N. The engine sees a
-// single sketch whose accumulator folds every chunk into every member's
-// own accumulator, whose declared columns are the union of the members'
-// columns (acquired once per chunk), and whose summaries are
-// member-wise vectors demultiplexed by the serving layer.
+// single sketch whose accumulator folds every partition into every
+// member's own accumulator, whose declared columns are the union of the
+// members' columns (acquired once per partition), and whose summaries
+// are member-wise vectors demultiplexed by the serving layer.
 //
-// Bit-identity contract: for any member that does not implement
-// WholePartition, the engine's task geometry (chunk boundaries, chunk
-// table IDs, runs, merge-tree shape) is independent of the sketch being
-// run — so each member's slot of the batched result
-// is bit-for-bit the result of running that member alone under the same
-// configuration. Per-chunk sampling seeds derive from the chunk table
-// ID (PartitionSeed), which batching does not change, so sampled
-// members stay deterministic too. WholePartition members would change
-// the geometry for everyone and are therefore rejected.
+// Bit-identity contract: the engine's scan geometry (one task per
+// partition, under the partition's ID, and the merge-tree shape) does
+// not depend on the sketch being run — so each member's slot of the
+// batched result is bit-for-bit the result of running that member alone
+// over the same partitions. Per-partition sampling seeds derive from the
+// partition table ID (PartitionSeed), which batching does not change, so
+// sampled members stay deterministic too.
 //
 // MultiSketch is deliberately not Cacheable: the member set of a batch
 // is an accident of arrival timing, so a combined cache entry would
@@ -51,8 +49,7 @@ type MultiResult struct {
 }
 
 // NewMultiSketch validates and builds a batch over members: at least
-// one member, no WholePartition members (they would change every
-// member's scan geometry and break bit-identity), and no nesting.
+// one member, none nil, and no nesting.
 func NewMultiSketch(members ...Sketch) (*MultiSketch, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("sketch: MultiSketch needs at least one member")
@@ -60,9 +57,6 @@ func NewMultiSketch(members ...Sketch) (*MultiSketch, error) {
 	for i, m := range members {
 		if m == nil {
 			return nil, fmt.Errorf("sketch: MultiSketch member %d is nil", i)
-		}
-		if _, ok := m.(WholePartition); ok {
-			return nil, fmt.Errorf("sketch: MultiSketch member %d (%s) demands whole partitions; batching it would change the scan geometry of every member", i, m.Name())
 		}
 		if _, ok := m.(*MultiSketch); ok {
 			return nil, fmt.Errorf("sketch: MultiSketch member %d is itself a MultiSketch", i)
@@ -83,7 +77,8 @@ func MembersOf(sk Sketch) (members []Sketch, grouped bool) {
 
 // MemberMask is a shared, concurrency-safe set of disabled member
 // indices. The serving layer hands one mask to a batch; disabling a
-// member makes every local accumulator skip it from the next chunk on.
+// member makes every local accumulator skip it from the next partition
+// on.
 type MemberMask struct {
 	off []atomic.Bool
 }
@@ -113,7 +108,7 @@ func (s *MultiSketch) SetMask(m *MemberMask) { s.mask = m }
 
 // Disabled reports whether member i has been disabled in the installed
 // mask. Disabling is permanent, so once the run is over a false answer
-// means the member folded every chunk.
+// means the member folded every partition.
 func (s *MultiSketch) Disabled(i int) bool { return s.mask.Disabled(i) }
 
 // Name implements Sketch.
@@ -196,9 +191,9 @@ func (s *MultiSketch) Columns() []string {
 }
 
 // NewAccumulator implements AccumulatorSketch: one sub-state per member
-// (AccumulatorOf), all fed from the same chunk table — the batched leaf
-// scan pays one column acquire and one memory pass per chunk for N
-// answers.
+// (AccumulatorOf), all fed from the same partition table — the batched
+// leaf scan pays one column acquire and one memory pass per partition
+// for N answers.
 func (s *MultiSketch) NewAccumulator() Accumulator {
 	members := make([]Accumulator, len(s.Sketches))
 	for i, m := range s.Sketches {
@@ -231,14 +226,6 @@ func (a *multiAccumulator) Add(t *table.Table) error {
 		}
 	}
 	return nil
-}
-
-func (a *multiAccumulator) Snapshot() Result {
-	members := make([]Result, len(a.members))
-	for i, m := range a.members {
-		members[i] = m.Snapshot()
-	}
-	return &MultiResult{Members: members}
 }
 
 func (a *multiAccumulator) Result() Result {
@@ -310,9 +297,6 @@ func (s *MultiSketch) DecodeWire(b []byte) ([]byte, error) {
 		}
 		if _, ok := m.(*MultiSketch); ok {
 			return b, wire.Corruptf("nested MultiSketch")
-		}
-		if _, ok := m.(WholePartition); ok {
-			return b, wire.Corruptf("MultiSketch member %d demands whole partitions", i)
 		}
 		members = append(members, m)
 	}

@@ -15,13 +15,14 @@ func multiTestParts(t *testing.T) ([]*table.Table, table.GenInfo) {
 }
 
 // TestMultiSketchValidation pins the constructor contract: no empty
-// batches, no WholePartition members, no nesting.
+// batches, no nil members, no nesting — and nothing else: a MetaSketch,
+// which counts Summarize calls, is a member like any other.
 func TestMultiSketchValidation(t *testing.T) {
 	if _, err := NewMultiSketch(); err == nil {
 		t.Error("empty member list accepted")
 	}
-	if _, err := NewMultiSketch(&MetaSketch{}); err == nil {
-		t.Error("WholePartition member accepted")
+	if _, err := NewMultiSketch(&MetaSketch{}, &RangeSketch{Col: "gd"}); err != nil {
+		t.Errorf("MetaSketch member rejected: %v", err)
 	}
 	inner, err := NewMultiSketch(&RangeSketch{Col: "gd"})
 	if err != nil {
@@ -114,7 +115,6 @@ func TestMultiSketchMemberIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := acc.Snapshot().(*MultiResult)
 	final := acc.Result().(*MultiResult)
 	for i, m := range members {
 		var want Result
@@ -132,14 +132,11 @@ func TestMultiSketchMemberIdentity(t *testing.T) {
 		if !reflect.DeepEqual(final.Members[i], want) {
 			t.Errorf("member %d (%s): batched accumulator differs from solo", i, m.Name())
 		}
-		if !reflect.DeepEqual(snap.Members[i], want) {
-			t.Errorf("member %d (%s): snapshot differs from final state", i, m.Name())
-		}
 	}
 }
 
 // TestMultiSketchMask pins per-member cancellation: a disabled member
-// stops folding new chunks while the others continue unaffected.
+// stops folding new partitions while the others continue unaffected.
 func TestMultiSketchMask(t *testing.T) {
 	parts, info := multiTestParts(t)
 	hist := &HistogramSketch{Col: "gd", Buckets: NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 5)}

@@ -177,7 +177,7 @@ func (s *NextKSketch) Summarize(t *table.Table) (Result, error) {
 type nextKAccumulator struct {
 	nextKWindow
 	*nextKScratch
-	// bound is the K-th row of an earlier run of the scan (see Next); it
+	// bound is the K-th row of an earlier partition of the scan (see Next); it
 	// prunes like this window's own K-th row would.
 	bound table.Row
 	slice int // rows the next cold step admits; 0 once warm (see coldSlice)
@@ -445,15 +445,6 @@ func forEachBit(words []uint64, f func(k int)) {
 			f(w<<6 + bits.TrailingZeros64(word))
 		}
 	}
-}
-
-// Snapshot implements Accumulator. Rows are immutable once inserted, so
-// copying the two slices isolates the snapshot.
-func (a *nextKAccumulator) Snapshot() Result {
-	out := *a.out
-	out.Rows = append([]table.Row(nil), a.out.Rows...)
-	out.Counts = append([]int64(nil), a.out.Counts...)
-	return &out
 }
 
 // Result implements Accumulator.

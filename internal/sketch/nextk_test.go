@@ -248,7 +248,7 @@ func nextKCases(parts []*table.Table, info table.GenInfo) []*NextKSketch {
 // foldAccumulators deals chunks round-robin to p workers and combines
 // their results with the merge tree. With chain set a worker retires its
 // accumulator after every chunk and folds the next chunk into the
-// successor (AccumulatorAfter), as the engine's workers do between runs.
+// successor (AccumulatorAfter), as the engine's workers do between partitions.
 func foldAccumulators(t *testing.T, sk AccumulatorSketch, chunks []*table.Table, p int, chain bool) Result {
 	t.Helper()
 	accs := make([]Accumulator, p)

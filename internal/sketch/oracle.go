@@ -24,8 +24,9 @@ import (
 //     approximation sketches). For deterministic sketches this is
 //     reflect.DeepEqual: mergeability (paper §4.1) promises the exact
 //     same summary from every merge order. Sampling sketches re-seed
-//     per scan unit, so a chunked topology draws a different (equally
-//     valid) sample than the reference; their Check verifies the
+//     per partition, so a topology that cuts the rows into other
+//     partitions (another micropartition size, say) draws a different
+//     (equally valid) sample than the reference; their Check verifies the
 //     documented statistical error bound against exact ground truth
 //     instead. Misra–Gries is deterministic but merge-order-sensitive
 //     within its structural N/(K+1) bound, which Check enforces
@@ -38,9 +39,9 @@ import (
 //     up to addition reassociation and get a relative-epsilon compare.
 //
 //   - Peer compares two topologies that share scan geometry (the same
-//     ChunkRows over the same partition IDs — e.g. the local parallel
-//     engine vs the cluster path). Per-chunk sampling seeds derive only
-//     from (query seed, chunk table ID), so even randomized sketches
+//     partitions under the same IDs — e.g. the local parallel engine vs
+//     the cluster path). Per-partition sampling seeds derive only from
+//     (query seed, partition table ID), so even randomized sketches
 //     must agree bit-for-bit across same-geometry topologies; PeerExact
 //     records that. Only Misra–Gries (worker partitioning changes merge
 //     order) and the float-fold sketches (reassociation) are exempt and

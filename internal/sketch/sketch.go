@@ -42,20 +42,20 @@
 // # Accumulators
 //
 // The hot sketches additionally implement AccumulatorSketch: the engine
-// folds a run of chunks into one mutable state (Add) instead of
-// allocating a Result per chunk and paying Merge each time,
-// snapshots it for progressive partials (Snapshot), and surrenders it
-// at the end (Result). Per-column scan state — batch indexers,
-// dictionary hash tables, the Misra–Gries state of a column — is
-// cached across chunks sharing a column. For deterministic sketches the
-// accumulated summary equals Summarize+Merge exactly. Misra–Gries keeps
-// one state per (run, column): for a dictionary column of at most
-// mgDenseDictMax codes the exact count of every code, pruned to K
+// folds a partition into one mutable state (Add) instead of allocating
+// a Result and paying Merge for it, and surrenders the state at the end
+// (Result). An accumulator accepts any number of Adds — the engine gives
+// it one partition, a caller may feed it many — and caches per-column
+// scan state (batch indexers, dictionary hash tables, the Misra–Gries
+// state of a column) across Adds sharing a column. For deterministic
+// sketches the accumulated summary equals Summarize+Merge exactly.
+// Misra–Gries keeps one state per column: for a dictionary column of at
+// most mgDenseDictMax codes the exact count of every code, pruned to K
 // counters once, at Result, by the rule Merge applies (mgExcess) —
 // which is what keeps it a Misra–Gries summary; for every other column
-// the stream, continued from chunk to chunk. Both differ from
-// Summarize+Merge per chunk within the error bound only, exactly as
-// merge orders do.
+// the stream. Over one partition either equals Summarize; over several
+// they differ from Summarize+Merge within the error bound only, exactly
+// as merge orders do.
 //
 // Accumulator sketches: histogram (exact, sampled, CDF), hist2d,
 // distinct count, heavy hitters (Misra–Gries), the MultiSketch
@@ -63,24 +63,12 @@
 // the same work but a pruned scan: typed compares of the whole sort key
 // against the window's K-th row, level by level and only over the rows
 // still tied, reject almost every row before it is boxed (nextk.go), and
-// the K-th row carries over to the worker's next run (Successor). Every
-// other sketch folds through the Summarize+Merge adapter
+// the K-th row carries over to the worker's next partition (Successor).
+// Every other sketch folds through the Summarize+Merge adapter
 // (AccumulatorOf).
 package sketch
 
 import "repro/internal/table"
-
-// WholePartition is an optional Sketch extension. The engine may shard
-// one partition's scan into row-range chunks and summarize each chunk
-// independently (engine.Config.ChunkRows); that is transparent to any
-// sketch whose summary depends only on the multiset of scanned rows.
-// Sketches whose summaries count or otherwise depend on the partitions
-// themselves implement WholePartition to demand exactly one Summarize
-// call per partition.
-type WholePartition interface {
-	// WholePartition is a marker; it is never called.
-	WholePartition()
-}
 
 // Result is a mergeable summary value. Concrete result types are plain
 // exported-field structs registered with encoding/gob (see wire.go) so
@@ -107,24 +95,19 @@ type Sketch interface {
 	Merge(a, b Result) (Result, error)
 }
 
-// Accumulator is a mutable fold state for one run of chunks: the engine
-// feeds it the run's chunks in order with Add instead of allocating a
-// fresh Result per chunk and paying Merge each time. For
-// deterministic sketches the accumulated summary must be exactly the
-// summary Summarize+Merge would produce over the same chunks;
-// approximation sketches (Misra–Gries) may differ within their error
-// bound, exactly as different merge orders may.
+// Accumulator is a mutable fold state: Add folds tables into it in
+// order instead of allocating a fresh Result per table and paying Merge
+// each time. The engine gives every partition its own accumulator and
+// one Add; other callers may Add many tables. For deterministic
+// sketches the accumulated summary must be exactly the summary
+// Summarize+Merge would produce over the same tables; approximation
+// sketches (Misra–Gries) may differ within their error bound, exactly as
+// different merge orders may.
 //
-// Accumulators are not safe for concurrent use; the engine gives each
-// run its own and never snapshots one while a chunk is being added.
+// Accumulators are not safe for concurrent use.
 type Accumulator interface {
-	// Add folds the member rows of one partition or chunk into the
-	// accumulator.
+	// Add folds the member rows of one table into the accumulator.
 	Add(t *table.Table) error
-	// Snapshot returns an immutable Result reflecting every Add so far;
-	// the accumulator remains usable. The engine merges snapshots of the
-	// runs in progress into each progressive partial result.
-	Snapshot() Result
 	// Result returns the final accumulated summary. It may share the
 	// accumulator's internal state: the accumulator must not be used
 	// after Result is called.
@@ -225,18 +208,18 @@ func Extend(sk Sketch, running Result, t *table.Table) (Result, error) {
 }
 
 // Successor is an optional Accumulator extension for scan state worth
-// more than one run — a pruning bound, say. The engine gives a worker's
-// next run the successor of the accumulator it just retired. It starts
-// from the empty summary and may use what the receiver learned only to
-// skip work: the scan's merged result must not change by a bit,
-// whichever runs happen to follow one another.
+// more than one partition — a pruning bound, say. The engine gives a
+// worker's next partition the successor of the accumulator it just
+// retired. It starts from the empty summary and may use what the
+// receiver learned only to skip work: the scan's merged result must not
+// change by a bit, whichever partitions happen to follow one another.
 type Successor interface {
 	Next() Accumulator
 }
 
-// AccumulatorAfter returns the fold state for the run a worker folds
-// after retiring prev (nil for its first): prev's successor if it has
-// one, else AccumulatorOf(sk).
+// AccumulatorAfter returns the fold state for the partition a worker
+// folds after retiring prev (nil for its first): prev's successor if it
+// has one, else AccumulatorOf(sk).
 func AccumulatorAfter(sk Sketch, prev Accumulator) Accumulator {
 	if s, ok := prev.(Successor); ok {
 		return s.Next()
@@ -244,7 +227,7 @@ func AccumulatorAfter(sk Sketch, prev Accumulator) Accumulator {
 	return AccumulatorOf(sk)
 }
 
-// AccumulatorOf returns sk's fold state for one run of chunks: its native
+// AccumulatorOf returns sk's fold state: its native
 // accumulator when sk is an AccumulatorSketch, otherwise an adapter that
 // folds Summarize results into a running Merge from Zero.
 func AccumulatorOf(sk Sketch) Accumulator {
@@ -255,8 +238,7 @@ func AccumulatorOf(sk Sketch) Accumulator {
 }
 
 // foldAccumulator is the Summarize+Merge reference fold behind the
-// Accumulator interface. Merge never mutates its arguments, so the
-// running result is already an immutable snapshot.
+// Accumulator interface.
 type foldAccumulator struct {
 	sk Sketch
 	r  Result
@@ -271,8 +253,7 @@ func (a *foldAccumulator) Add(t *table.Table) error {
 	return nil
 }
 
-func (a *foldAccumulator) Snapshot() Result { return a.r }
-func (a *foldAccumulator) Result() Result   { return a.r }
+func (a *foldAccumulator) Result() Result { return a.r }
 
 // TreeFold combines n indexed results with a fixed pairwise merge tree:
 // at every level neighbors (2j, 2j+1) merge, left operand first, and an

@@ -2,12 +2,14 @@ package table
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // testMemberships returns one membership per representation (plus
-// Restrict views of each), all over the same 1000-row physical space
-// and with deterministic contents.
+// views of each restricted to a physical row window, sharing its
+// storage), all over the same 1000-row physical space and with
+// deterministic contents.
 func testMemberships() map[string]Membership {
 	const n = 1000
 	bits := NewBitset(n)
@@ -30,12 +32,17 @@ func testMemberships() map[string]Membership {
 		"bitmap": NewBitmapMembership(bits),
 		"sparse": NewSparseMembership(sparse, n),
 	}
-	ms["full/restricted"] = Restrict(ms["full"], 250, 750)
-	ms["range/restricted"] = Restrict(ms["range"], 300, 400)
-	ms["bitmap/restricted"] = Restrict(ms["bitmap"], 63, 641)
-	ms["sparse/restricted"] = Restrict(ms["sparse"], 100, 900)
-	ms["bitmap/empty-slice"] = Restrict(ms["bitmap"], 500, 500)
+	ms["full/restricted"] = NewRangeMembership(250, 750, n)
+	ms["range/restricted"] = NewRangeMembership(300, 400, n)
+	ms["bitmap/restricted"] = bitmapWindow(bits, 63, 641)
+	ms["sparse/restricted"] = NewSparseMembership(sparse[6:53], n) // rows 105..887
+	ms["bitmap/empty-slice"] = bitmapWindow(bits, 500, 500)
 	return ms
+}
+
+// bitmapWindow is the bitmap membership of the set bits within [lo, hi).
+func bitmapWindow(bits *Bitset, lo, hi int) *BitmapMembership {
+	return &BitmapMembership{bits: bits, lo: lo, hi: hi, size: bits.CountRange(lo, hi)}
 }
 
 func collectSpans(m Membership) []int {
@@ -157,40 +164,13 @@ func TestFillBatchFromCursor(t *testing.T) {
 
 // TestRestrict checks that Restrict preserves Max and keeps exactly the
 // member rows inside the range, for every representation.
-func TestRestrict(t *testing.T) {
-	for name, m := range testMemberships() {
-		lo, hi := 100, 700
-		r := Restrict(m, lo, hi)
-		if r.Max() != m.Max() {
-			t.Errorf("%s: Restrict changed Max %d -> %d", name, m.Max(), r.Max())
-		}
-		var want []int
-		for _, row := range collect(m) {
-			if row >= lo && row < hi {
-				want = append(want, row)
-			}
-		}
-		got := collect(r)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Restrict(%d,%d) = %d rows, want %d", name, lo, hi, len(got), len(want))
-		}
-		if r.Size() != len(want) {
-			t.Errorf("%s: Restrict Size = %d, want %d", name, r.Size(), len(want))
-		}
-		for _, row := range []int{0, lo - 1, lo, (lo + hi) / 2, hi - 1, hi, 999} {
-			want := m.Contains(row) && row >= lo && row < hi
-			if r.Contains(row) != want {
-				t.Errorf("%s: Restrict Contains(%d) = %v, want %v", name, row, r.Contains(row), want)
-			}
-		}
-	}
-}
-
 // TestRestrictedSampleWithinBounds checks that sampling a restricted
 // membership stays in bounds and is deterministic in the seed.
 func TestRestrictedSampleWithinBounds(t *testing.T) {
-	for name, m := range testMemberships() {
-		r := Restrict(m, 200, 600)
+	for name, r := range testMemberships() {
+		if !strings.Contains(name, "/") {
+			continue
+		}
 		var a, b []int
 		r.Sample(0.3, 7, func(i int) bool { a = append(a, i); return true })
 		r.Sample(0.3, 7, func(i int) bool { b = append(b, i); return true })
@@ -202,27 +182,6 @@ func TestRestrictedSampleWithinBounds(t *testing.T) {
 				t.Errorf("%s: sampled non-member row %d", name, i)
 			}
 		}
-	}
-}
-
-// TestSliceTable checks the generic Table.Slice over a filtered table.
-func TestSliceTable(t *testing.T) {
-	vals := make([]int64, 100)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	schema := NewSchema(ColumnDesc{Name: "v", Kind: KindInt})
-	tab := New("t", schema, []Column{NewIntColumn(KindInt, vals, nil)}, FullMembership(100))
-	filtered := tab.Filter("t/f", func(row int) bool { return row%3 == 0 })
-	sliced := filtered.Slice("t/f#30", 30, 60)
-	var got []int
-	sliced.Members().Iterate(func(i int) bool { got = append(got, i); return true })
-	want := []int{30, 33, 36, 39, 42, 45, 48, 51, 54, 57}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Slice rows = %v, want %v", got, want)
-	}
-	if sliced.Members().Max() != 100 {
-		t.Errorf("Slice Max = %d, want 100", sliced.Members().Max())
 	}
 }
 

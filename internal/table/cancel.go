@@ -1,12 +1,11 @@
 package table
 
 // This file is the leaf-scan cancellation seam. The engine checks its
-// context between chunk tasks, but a single task can still be a long
-// scan: whole-partition sketches are never chunked, and chunking can be
-// disabled outright. WithCancel threads a cancellation probe into the
-// one substrate every scan path shares — the membership — so span,
-// gather, row-at-a-time, and sampled scans all poll the probe about
-// every cancelPollRows rows and stop mid-chunk when it fires.
+// context between partitions, but one partition can still be a long
+// scan. WithCancel threads a cancellation probe into the one substrate
+// every scan path shares — the membership — so span, gather,
+// row-at-a-time, and sampled scans all poll the probe about every
+// cancelPollRows rows and stop mid-scan when it fires.
 //
 // An aborted scan truncates silently: the kernel completes with partial
 // tallies and no error. That is safe only because the engine discards
@@ -90,7 +89,7 @@ func (m cancelMembership) Sample(rate float64, seed uint64, yield func(i int) bo
 }
 
 // WithCancel returns a view of t whose scans poll probe and stop
-// mid-chunk once it returns true. The view shares all storage with t;
+// mid-scan once it returns true. The view shares all storage with t;
 // a nil probe returns t unchanged. Results computed from the view
 // after the probe fires are truncated — callers must treat the whole
 // computation as cancelled (see Cancelled).

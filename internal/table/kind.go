@@ -18,9 +18,7 @@
 // Sketch kernels combine the two to scan columns with no per-row
 // interface dispatch. The contract: batch forms visit exactly the rows
 // Iterate visits, in the same increasing order, deterministically; see
-// the Membership interface comment for the details, and Restrict for
-// how the engine shards one membership into independent row-range
-// chunks without copying.
+// the Membership interface comment for the details.
 package table
 
 import "fmt"

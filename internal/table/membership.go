@@ -158,9 +158,7 @@ func fillSequential(buf []int32, from, lo, hi int) (int, int) {
 }
 
 // BitmapMembership is the dense representation: one bit per physical row,
-// optionally restricted to a physical row range [lo, hi) so that the
-// engine can shard one bitmap scan into independent chunks without
-// copying bits (Restrict).
+// with member rows the set bits within [lo, hi).
 type BitmapMembership struct {
 	bits   *Bitset
 	lo, hi int // member rows are the set bits within [lo, hi)
@@ -378,57 +376,6 @@ func (m *SparseMembership) Sample(rate float64, seed uint64, yield func(i int) b
 		if !yield(int(m.rows[i])) {
 			return
 		}
-	}
-}
-
-// Restrict returns the membership of m's member rows within the physical
-// row range [lo, hi), sharing m's underlying storage (no bit or index
-// copying for the built-in representations). Max() is preserved, so a
-// restricted membership is still a valid membership of the same table.
-// The engine uses Restrict to shard one partition's scan into
-// independently summarized chunks (paper §5.3's leaf parallelism applied
-// within a micropartition).
-func Restrict(m Membership, lo, hi int) Membership {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > m.Max() {
-		hi = m.Max()
-	}
-	if hi < lo {
-		hi = lo
-	}
-	switch mm := m.(type) {
-	case fullMembership:
-		return RangeMembership{Lo: lo, Hi: hi, Bound: mm.n}
-	case RangeMembership:
-		l, h := max(lo, mm.Lo), min(hi, mm.Hi)
-		if h < l {
-			h = l
-		}
-		return RangeMembership{Lo: l, Hi: h, Bound: mm.Bound}
-	case *BitmapMembership:
-		l, h := max(lo, mm.lo), min(hi, mm.hi)
-		if h < l {
-			h = l
-		}
-		return &BitmapMembership{bits: mm.bits, lo: l, hi: h, size: mm.bits.CountRange(l, h)}
-	case *SparseMembership:
-		a, b := mm.search(lo), mm.search(hi)
-		return &SparseMembership{rows: mm.rows[a:b], max: mm.max}
-	default:
-		// Unknown representation: collect the member rows in range.
-		var rows []int32
-		m.Iterate(func(i int) bool {
-			if i >= hi {
-				return false
-			}
-			if i >= lo {
-				rows = append(rows, int32(i))
-			}
-			return true
-		})
-		return NewSparseMembership(rows, m.Max())
 	}
 }
 

@@ -67,11 +67,3 @@ func SliceRows(t *Table, id string, lo, hi int) *Table {
 	}
 	return New(id, t.Schema(), t.cols, NewRangeMembership(lo, hi, t.Members().Max()))
 }
-
-// Slice returns a view of t restricted to the member rows within the
-// physical range [lo, hi), with the given ID. Unlike SliceRows it works
-// over any membership representation (see Restrict); all column storage
-// is shared.
-func (t *Table) Slice(id string, lo, hi int) *Table {
-	return t.WithMembership(id, Restrict(t.members, lo, hi))
-}

@@ -92,7 +92,7 @@ func selMemberships(n int) map[string]Membership {
 		"range-empty":      NewRangeMembership(5, 5, n),
 		"bitmap":           bm,
 		"bitmap-clustered": NewBitmapMembership(clustered),
-		"bitmap-restrict":  Restrict(bm, 70, n-130),
+		"bitmap-restrict":  bitmapWindow(dense, 70, n-130),
 		"bitmap-empty":     NewBitmapMembership(NewBitset(n)),
 		"sparse":           NewSparseMembership(sparse, n),
 		"sparse-dense":     NewSparseMembership(denseList, n),

@@ -23,43 +23,39 @@ import (
 // and the serve.Scheduler both ways it shares a pass: queries gathered
 // behind a busy dataset (including a member cancelled mid-batch) and a
 // group submitted as one MultiSketch. Bit-identity, not oracle
-// tolerance: a batch shares the solo path's chunk geometry, seeds, and
+// tolerance: a batch shares the solo path's partitions, seeds, and
 // merge order, so even merge-order-bounded sketches (Misra–Gries) and
-// seeded sampled sketches must match exactly.
+// seeded sampled sketches must match exactly. One group always carries
+// a MetaSketch, whose Leaves counts partitions: a batch must not change
+// what one scan unit is.
 func RunBatched(seed uint64) error {
 	p := genParams(seed)
 	tables, info := table.GenPartitions(p.prefix, seed, p.rows, p.parts)
-	cfg := engine.Config{
-		Parallelism:       3,
-		AggregationWindow: -1,
-		ChunkRows:         p.chunk,
-	}
+	cfg := engine.Config{Parallelism: 3, AggregationWindow: -1}
 	local := engine.NewLocal(datasetID, tables, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	ctx = tracedContext(ctx)
 
-	// Batch-eligible members: WholePartition sketches change the chunk
-	// geometry (and the scheduler excludes them), and multis don't nest.
+	// Batch-eligible members: every instance but the multis, which don't
+	// nest.
 	var eligible []sketch.Sketch
 	for _, sk := range instances(seed, info) {
-		if _, whole := sk.(sketch.WholePartition); whole {
-			continue
+		if _, isMulti := sk.(*sketch.MultiSketch); !isMulti {
+			eligible = append(eligible, sk)
 		}
-		if _, isMulti := sk.(*sketch.MultiSketch); isMulti {
-			continue
-		}
-		eligible = append(eligible, sk)
 	}
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
 
-	// Rotating pairs and triples off the shuffled deck.
+	// Rotating pairs and triples off the shuffled deck, plus a MetaSketch
+	// beside the deck's first two.
 	var groups [][]sketch.Sketch
 	for i, size := 0, 2; i+size <= len(eligible) && len(groups) < 6; size = 5 - size {
 		groups = append(groups, eligible[i:i+size])
 		i += size
 	}
+	groups = append(groups, []sketch.Sketch{eligible[0], &sketch.MetaSketch{}, eligible[1]})
 
 	solo := func(sk sketch.Sketch) (ref, eng sketch.Result, err error) {
 		if ref, err = reference(sk, tables); err != nil {
@@ -91,13 +87,21 @@ func RunBatched(seed uint64) error {
 		if err := membersIdentical(mref, refs, members); err != nil {
 			return fmt.Errorf("group %d: batched reference vs solo reference: %w", gi, err)
 		}
-		// Topology 2: the parallel engine, chunked accumulator path.
+		// Topology 2: the parallel engine, one accumulator per partition.
 		meng, err := local.Sketch(ctx, multi, nil)
 		if err != nil {
 			return fmt.Errorf("group %d: batched engine: %w", gi, err)
 		}
 		if err := membersIdentical(meng, engs, members); err != nil {
 			return fmt.Errorf("group %d: batched engine vs solo engine: %w", gi, err)
+		}
+		for i, m := range members {
+			if _, ok := m.(*sketch.MetaSketch); !ok {
+				continue
+			}
+			if n := meng.(*sketch.MultiResult).Members[i].(*sketch.TableMeta).Leaves; n != len(tables) {
+				return fmt.Errorf("group %d: batched MetaSketch counts %d leaves over %d partitions", gi, n, len(tables))
+			}
 		}
 	}
 
@@ -161,11 +165,16 @@ func (r *gatedRunner) RunSketch(ctx context.Context, _ string, sk sketch.Sketch,
 // Scheduler the two ways it shares a pass and checks each subscriber's
 // stream and result against its solo engine run.
 func runSchedulerBatched(ctx context.Context, seed uint64, tables []*table.Table, local *engine.LocalDataSet, eligible []sketch.Sketch) error {
-	// Distinct cacheable sketches only: identical keys dedup-join into
-	// one member, which is covered by the serve package's own tests.
+	// Distinct cacheable sketches that declare their columns only:
+	// identical keys dedup-join into one member, and a columnless sketch
+	// (MetaSketch) never gathers; the serve package's own tests cover
+	// both.
 	seen := map[string]bool{}
 	var cacheable []sketch.Sketch
 	for _, sk := range eligible {
+		if sketch.SketchColumns(sk) == nil {
+			continue
+		}
 		if key, ok := engine.Key(datasetID, sk); ok && !seen[key] {
 			seen[key] = true
 			cacheable = append(cacheable, sk)

@@ -40,15 +40,14 @@ import (
 //     recovery after an explicit reconnect.
 func RunFailover(seed uint64) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0xa4093822299f31d0))
-	rows := 600 + int(rng.Uint64()%1200)
-	parts := 4
+	// Twelve small partitions, six per group: each worker's scan folds
+	// several and streams partials between them, so faults land
+	// mid-stream.
+	rows := 150 + int(rng.Uint64()%300)
+	parts := 12
 	prefix := fmt.Sprintf("tkha%d", seed)
 	tables, info := table.GenPartitions(prefix, seed, rows, parts)
-	cfg := engine.Config{
-		Parallelism:       2,
-		AggregationWindow: time.Millisecond,
-		ChunkRows:         200,
-	}
+	cfg := engine.Config{Parallelism: 2, AggregationWindow: time.Millisecond}
 	src := genSource(prefix, seed, rows, parts, 2)
 	sks := instances(seed, info)
 

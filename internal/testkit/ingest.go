@@ -97,11 +97,7 @@ func runIngestPrefixIdentity(seed uint64) error {
 		return err
 	}
 	sks := ingestSketches(info)
-	cfg := engine.Config{
-		Parallelism:       3,
-		AggregationWindow: -1,
-		ChunkRows:         p.chunk,
-	}
+	cfg := engine.Config{Parallelism: 3, AggregationWindow: -1}
 
 	// The serving stack: store -> root (loader + generation) ->
 	// scheduler. The seal hook advances the dataset's generation exactly

@@ -89,11 +89,7 @@ func cleanOverloadError(err error) bool {
 // RunOverload executes the overload battery for one seed.
 func RunOverload(seed uint64) error {
 	p := genParams(seed)
-	cfg := engine.Config{
-		Parallelism:       3,
-		AggregationWindow: -1,
-		ChunkRows:         p.chunk,
-	}
+	cfg := engine.Config{Parallelism: 3, AggregationWindow: -1}
 	// Shared 2-replica cluster: 4 workers in 2 groups of 2.
 	h, err := startClusterOpts(4, cfg, nil, nil, cluster.Options{Replication: 2})
 	if err != nil {

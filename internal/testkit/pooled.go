@@ -29,7 +29,7 @@ import (
 // Contracts enforced for every harness sketch instance:
 //
 //   - pooled ≡ heap bit-for-bit (reflect.DeepEqual): same files, same
-//     partition IDs, same scan geometry, so even sampled and
+//     partition IDs, same partitions, so even sampled and
 //     merge-order-sensitive sketches must agree exactly — lazy
 //     materialization, mapping, and eviction are invisible.
 //   - pooled satisfies the sketch's oracle contract against the
@@ -42,11 +42,7 @@ import (
 func RunPooled(seed uint64) error {
 	p := genParams(seed)
 	tables, info := table.GenPartitions(p.prefix, seed, p.rows, p.parts)
-	cfg := engine.Config{
-		Parallelism:       3,
-		AggregationWindow: -1,
-		ChunkRows:         p.chunk,
-	}
+	cfg := engine.Config{Parallelism: 3, AggregationWindow: -1}
 
 	dir, err := os.MkdirTemp("", "hvpool")
 	if err != nil {
@@ -55,9 +51,8 @@ func RunPooled(seed uint64) error {
 	defer os.RemoveAll(dir)
 
 	// Materialize each generated partition as one HVC2 file keeping its
-	// partition ID, so per-partition sampling seeds match the heap
-	// topology (chunk geometry over the flattened rows is then identical
-	// by construction).
+	// partition ID, so the pooled topology scans the heap topology's
+	// partitions and per-partition sampling seeds match.
 	specs := make([]storage.PooledFileSpec, len(tables))
 	var totalBytes int64
 	for i, t := range tables {
@@ -145,7 +140,7 @@ func RunPooled(seed uint64) error {
 		}
 	}
 
-	err = checkThreadInvariance(ctx, seed, info, p.rows/p.parts, func(cfg engine.Config) *engine.LocalDataSet {
+	err = checkThreadInvariance(ctx, seed, info, func(cfg engine.Config) *engine.LocalDataSet {
 		return engine.NewLocalSource(datasetID, src, cfg)
 	})
 	if err != nil {

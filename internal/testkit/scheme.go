@@ -22,7 +22,7 @@ import (
 // shards one generated table across a cluster exactly like a real
 // partitioned load, with partition IDs unchanged. This is what makes
 // the local and distributed topologies bit-comparable: same tables,
-// same IDs, same chunk geometry — only the execution topology differs.
+// same IDs, same partitions — only the execution topology differs.
 func init() {
 	storage.RegisterScheme("testgen", func(rest, id string, _ int) ([]*table.Table, error) {
 		spec := map[string]string{}

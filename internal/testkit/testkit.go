@@ -11,11 +11,11 @@
 //
 //  1. reference — Summarize per partition, sequential MergeAll fold:
 //     the semantics a vizketch author writes down;
-//  2. parallel engine — engine.LocalDataSet with chunked leaf tasks,
-//     per-run accumulators, and the pairwise merge tree, on the
-//     production engine.Config; it runs again at pool widths 1, 2, 3
-//     and 8 (checkThreadInvariance; RunPooled repeats that over the
-//     column store) and must be bit-identical to itself every time;
+//  2. parallel engine — engine.LocalDataSet with one accumulator per
+//     partition and the pairwise merge tree, on the production
+//     engine.Config; it runs again at pool widths 1, 2, 3 and 8
+//     (checkThreadInvariance; RunPooled repeats that over the column
+//     store) and must be bit-identical to itself every time;
 //  3. cluster — the same partitions regenerated on real worker
 //     processes behind TCP (the "testgen" scheme), queried through
 //     engine.Root over cluster.Connect.
@@ -157,19 +157,21 @@ func reference(sk sketch.Sketch, parts []*table.Table) (sketch.Result, error) {
 }
 
 // runParams are the size knobs one harness run derives from its seed.
-// The derivation is shared by every topology driver (Run, RunFaults,
-// RunPooled) so one seed always names one generated dataset.
+// The derivation is shared by every topology driver (Run, RunPooled,
+// RunBatched, RunOverload, RunIngest) so one seed always names one
+// generated dataset. Partitions are the engine's only scan unit, so the
+// many folds, merge-tree levels and partials the batteries need come
+// from many small partitions: 8-16 of about rows rows each.
 type runParams struct {
-	rows, parts, chunk int
-	prefix             string
+	rows, parts int
+	prefix      string
 }
 
 func genParams(seed uint64) runParams {
 	rng := rand.New(rand.NewPCG(seed, seed^0x243f6a8885a308d3))
 	return runParams{
-		rows:   700 + int(rng.Uint64()%1800),
-		parts:  3 + int(rng.Uint64()%3),
-		chunk:  120 + int(rng.Uint64()%600),
+		rows:   200 + int(rng.Uint64()%600),
+		parts:  8 + int(rng.Uint64()%9),
 		prefix: fmt.Sprintf("tk%d", seed),
 	}
 }
@@ -178,13 +180,9 @@ func genParams(seed uint64) runParams {
 // wire-registered sketch, three topologies, per-sketch contracts.
 func Run(seed uint64) error {
 	p := genParams(seed)
-	rows, parts, chunk, prefix := p.rows, p.parts, p.chunk, p.prefix
+	rows, parts, prefix := p.rows, p.parts, p.prefix
 	tables, info := table.GenPartitions(prefix, seed, rows, parts)
-	cfg := engine.Config{
-		Parallelism:       3,
-		AggregationWindow: -1,
-		ChunkRows:         chunk,
-	}
+	cfg := engine.Config{Parallelism: 3, AggregationWindow: -1}
 	local := engine.NewLocal(datasetID, tables, cfg)
 
 	h, err := startCluster(2, cfg, nil, nil)
@@ -204,10 +202,10 @@ func Run(seed uint64) error {
 			return fmt.Errorf("seed %d: %s: %w", seed, sk.Name(), err)
 		}
 	}
-	if err := checkPartialStream(ctx, seed, tables, info, chunk); err != nil {
+	if err := checkPartialStream(ctx, tables, info); err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
-	err = checkThreadInvariance(ctx, seed, info, rows/parts, func(cfg engine.Config) *engine.LocalDataSet {
+	err = checkThreadInvariance(ctx, seed, info, func(cfg engine.Config) *engine.LocalDataSet {
 		return engine.NewLocal(datasetID, tables, cfg)
 	})
 	if err != nil {
@@ -216,14 +214,14 @@ func Run(seed uint64) error {
 	return nil
 }
 
-// checkThreadInvariance asserts that a result is a function of (data,
-// sketch, ChunkRows) only: every harness sketch must return identical
-// bits at every pool width, on a geometry whose partitions (about rows
-// rows each) split into several runs of chunks. Run applies it to the
+// checkThreadInvariance asserts that a result is a function of
+// (partition list, sketch) only: every harness sketch must return
+// identical bits at every pool width over the run's partitions, more of
+// them than the widest pool has workers. Run applies it to the
 // in-memory dataset form, RunPooled to the column-store one.
-func checkThreadInvariance(ctx context.Context, seed uint64, info table.GenInfo, rows int,
+func checkThreadInvariance(ctx context.Context, seed uint64, info table.GenInfo,
 	open func(engine.Config) *engine.LocalDataSet) error {
-	cfg := engine.Config{AggregationWindow: -1, ChunkRows: rows/11 + 1}
+	cfg := engine.Config{AggregationWindow: -1}
 	for _, sk := range instances(seed, info) {
 		var want sketch.Result
 		for _, par := range []int{1, 2, 3, 8} {
@@ -326,11 +324,10 @@ func (l *partialLog) verify(total int, final sketch.Result, strictCompletion boo
 
 // checkPartialStream runs one throttled sketch and applies the
 // progressive-stream contract to the local topology.
-func checkPartialStream(ctx context.Context, seed uint64, tables []*table.Table, info table.GenInfo, chunk int) error {
+func checkPartialStream(ctx context.Context, tables []*table.Table, info table.GenInfo) error {
 	cfg := engine.Config{
 		Parallelism:       3,
 		AggregationWindow: 1, // emit at every window boundary
-		ChunkRows:         chunk/2 + 1,
 	}
 	ds := engine.NewLocal(datasetID, tables, cfg)
 	sk := &sketch.HistogramSketch{
