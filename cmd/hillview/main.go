@@ -69,7 +69,8 @@
 //	413 Content Too Large   requested page or heavy-hitters k exceeds the result-row budget
 //	500 Internal Server Error  recovered panic (that query only)
 //	404 Not Found           view evicted by the derived-view cap (-max-views)
-//	400 Bad Request         semantic errors: unknown view, bad column, bad expr
+//	400 Bad Request         semantic errors: unknown view, bad column, bad expr,
+//	                        more histogram bars than wire.MaxElems
 //
 // Derived views (filters, zooms) are soft state: at most -max-views of
 // them are kept, evicted least-recently-used; an evicted view's dataset

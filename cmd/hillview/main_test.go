@@ -14,6 +14,7 @@ import (
 	"repro/internal/flights"
 	"repro/internal/serve"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 func testServer(t *testing.T) *server {
@@ -185,6 +186,23 @@ func TestHistogramEndpointStreamsNDJSON(t *testing.T) {
 	}
 	if final["cdf"] == nil {
 		t.Error("cdf missing")
+	}
+}
+
+// TestHistogramBarsLimit: bars becomes a bucket count, which a worker
+// decodes only up to wire.MaxElems, so more bars than that is a
+// plain-text 400 before any scan — and the server answers the next query.
+func TestHistogramBarsLimit(t *testing.T) {
+	s := testServer(t)
+	get(t, s.handleLoad, "/api/load?name=fl&source=flights:rows=2000,parts=2,seed=1")
+	for _, bars := range []int{wire.MaxElems + 1, 1 << 40} {
+		rec, _ := get(t, s.handleHistogram, fmt.Sprintf("/api/histogram?view=fl&col=Distance&exact=1&bars=%d", bars))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too many bars") {
+			t.Errorf("bars=%d: status %d, want 400: %s", bars, rec.Code, rec.Body.String())
+		}
+	}
+	if rec, _ := get(t, s.handleHistogram, "/api/histogram?view=fl&col=Distance&exact=1&bars=10"); rec.Code != http.StatusOK {
+		t.Fatalf("query after the rejected ones: %d %s", rec.Code, rec.Body.String())
 	}
 }
 

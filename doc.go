@@ -22,9 +22,9 @@
 // batches, columns expose typed backing storage, and sketches run
 // kind-specialized batch kernels. The micropartition (-micro, 250k rows
 // by default) is the one scan unit (paper §5.3's leaf): every partition
-// folds whole, on one thread, into its own mutable Accumulator
-// (sketch.AccumulatorOf — histogram, hist2d, distinct, heavy hitters
-// and next-K ship a native one, the rest fold Summarize+Merge), and
+// folds whole, on one thread, into its own Accumulator
+// (sketch.AccumulatorOf — one Add, which is the sketch's Summarize for
+// all but next-K, whose pruned scan is its own accumulator), and
 // partition summaries combine in a fixed pairwise merge tree
 // (sketch.TreeFold) by partition index. A result is a function of the
 // partition list and the sketch alone; the leaf workers only claim

@@ -136,6 +136,12 @@ func FuzzFrame(f *testing.F) {
 		&Envelope{ReqID: 10, Kind: MsgSketch, DatasetID: "d",
 			Sketch: &sketch.FindTextSketch{Col: "a", Pattern: "x", Order: table.Asc("a").Then("b", true), From: shortFrom}},
 	))
+	// Bucket geometry a worker's Zero could not allocate: a negative
+	// count, a count past wire.MaxElems, and 2-D and trellis grids of
+	// more than wire.MaxElems cells.
+	for i, sk := range oversizedBucketSketches() {
+		f.Add(frameBytes(f, &Envelope{ReqID: uint64(11 + i), Kind: MsgSketch, DatasetID: "d", Sketch: sk}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc := newFrameConn(struct {
 			io.Reader
@@ -153,6 +159,19 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
+// oversizedBucketSketches are sketch requests whose bucket geometry
+// would make a worker's Zero panic (a negative count) or exhaust memory
+// (a count, or a grid of cells, past wire.MaxElems).
+func oversizedBucketSketches() []sketch.Sketch {
+	spec := func(n int) sketch.BucketSpec { return sketch.BucketSpec{Kind: table.KindDouble, Max: 1, Count: n} }
+	return []sketch.Sketch{
+		&sketch.HistogramSketch{Col: "x", Buckets: spec(-1)},
+		&sketch.HistogramSketch{Col: "x", Buckets: spec(1 << 40)},
+		&sketch.Histogram2DSketch{XCol: "x", YCol: "y", X: spec(1 << 12), Y: spec(1 << 12)},
+		&sketch.TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(1 << 8), X: spec(1 << 8), Y: spec(1 << 8)},
+	}
+}
+
 // TestShortCursorFrameRejected: a sketch request whose scroll cursor is
 // shorter than its sort order never reaches a worker's scan — the frame
 // decoder reports it as corrupt.
@@ -161,13 +180,36 @@ func TestShortCursorFrameRejected(t *testing.T) {
 		&sketch.NextKSketch{Order: table.Asc("a").Then("b", false), K: 5, From: table.Row{table.IntValue(1)}},
 		&sketch.FindTextSketch{Col: "a", Pattern: "x", Order: table.Asc("a").Then("b", true), From: table.Row{table.IntValue(1)}},
 	} {
-		data := frameBytes(t, &Envelope{ReqID: 1, Kind: MsgSketch, DatasetID: "d", Sketch: sk})
-		fc := newFrameConn(struct {
-			io.Reader
-			io.Writer
-		}{bytes.NewReader(data), io.Discard})
-		if _, err := fc.recv(); !errors.Is(err, wire.ErrCorrupt) {
+		if err := recvSketchFrame(t, sk); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%T with a short cursor: recv err = %v, want wire.ErrCorrupt", sk, err)
 		}
 	}
+}
+
+// TestOversizedBucketFrameRejected: bucket geometry a worker could not
+// allocate never reaches its Zero — the frame decoder reports it as
+// corrupt — while the largest grid that fits still decodes.
+func TestOversizedBucketFrameRejected(t *testing.T) {
+	for _, sk := range oversizedBucketSketches() {
+		if err := recvSketchFrame(t, sk); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: recv err = %v, want wire.ErrCorrupt", sk.Name(), err)
+		}
+	}
+	fits := sketch.BucketSpec{Kind: table.KindDouble, Max: 1, Count: 1 << 11}
+	if err := recvSketchFrame(t, &sketch.Histogram2DSketch{XCol: "x", YCol: "y", X: fits, Y: fits}); err != nil {
+		t.Errorf("a %d-cell grid: recv err = %v", wire.MaxElems, err)
+	}
+}
+
+// recvSketchFrame sends a sketch request through the frame codec and
+// returns the receiving side's error.
+func recvSketchFrame(t *testing.T, sk sketch.Sketch) error {
+	t.Helper()
+	data := frameBytes(t, &Envelope{ReqID: 1, Kind: MsgSketch, DatasetID: "d", Sketch: sk})
+	fc := newFrameConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(data), io.Discard})
+	_, err := fc.recv()
+	return err
 }

@@ -50,43 +50,6 @@ func accumulate(t *testing.T, sk Sketch, chunks []*table.Table) Result {
 	return acc.Result()
 }
 
-// TestAccumulatorMatchesSummarizeMerge proves the Accumulator fast path
-// exactly equivalent to Summarize-per-chunk plus sequential Merge for
-// every deterministic accumulator sketch, across membership shapes,
-// column kinds, and missing masks.
-func TestAccumulatorMatchesSummarizeMerge(t *testing.T) {
-	for _, tc := range eqTables(4000) {
-		sketches := []Sketch{
-			&HistogramSketch{Col: "im", Buckets: intSpec()},
-			&HistogramSketch{Col: "sm", Buckets: stringSpec()},
-			&HistogramSketch{Col: "cs", Buckets: exactStringSpec()},
-			&SampledHistogramSketch{Col: "dm", Buckets: doubleSpec(), Rate: 0.3, Seed: 7},
-			&SampledHistogramSketch{Col: "d", Buckets: doubleSpec(), Rate: 1.5, Seed: 8},
-			&CDFSketch{Col: "i", Buckets: intSpec(), Rate: 0.4, Seed: 9},
-			&CDFSketch{Col: "i", Buckets: intSpec()}, // rate 0: exact
-			&Histogram2DSketch{XCol: "im", YCol: "sm", X: intSpec(), Y: stringSpec()},
-			&Histogram2DSketch{XCol: "i", YCol: "d", X: intSpec(), Y: doubleSpec(), Rate: 0.5, Seed: 3},
-			&RangeSketch{Col: "dm"},
-			&RangeSketch{Col: "sm"},
-			&RangeSketch{Col: "ci"},
-			&DistinctCountSketch{Col: "sm"},
-			&DistinctCountSketch{Col: "i"},
-		}
-		chunks := chunkViews(tc.t, 5)
-		for _, sk := range sketches {
-			want, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, sk.Name(), err)
-			}
-			got := accumulate(t, sk, chunks)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: accumulator differs from Summarize+Merge\n got %+v\nwant %+v",
-					tc.name, sk.Name(), got, want)
-			}
-		}
-	}
-}
-
 // TestMergeTreeMatchesSequentialFold proves the engine's pairwise merge
 // tree equal to the sequential MergeAll fold over shuffled chunk orders
 // for every shipped deterministic sketch (the Misra–Gries bound version
@@ -202,27 +165,29 @@ func TestMisraGriesMergeTreeGuarantee(t *testing.T) {
 	}
 }
 
-// TestMGAccumulatorContinuesStream: chunks of one partition share their
-// column, so the accumulator keeps one code-keyed state across them —
-// here a small dictionary's tally — and the result is bit-identical to
-// the unchunked Summarize.
+// TestMGAccumulatorContinuesStream: the engine gives an accumulator one
+// Add of a whole partition, and for Misra–Gries that Add is Summarize,
+// bit for bit, on every column path and membership shape — the tallied
+// small dictionaries (s, sm), the streamed large one (sl), the typed
+// numeric keys (im, dm) and the computed-column fallback (cs).
 func TestMGAccumulatorContinuesStream(t *testing.T) {
-	tbl := genSkewedStrings("mgc", 20000, 0.4, 0.2, 61)
-	sk := &MisraGriesSketch{Col: "s", K: 10}
-	want, err := sk.Summarize(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := accumulate(t, sk, chunkViews(tbl, 7))
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("chunked accumulator differs from whole-table scan\n got %+v\nwant %+v", got, want)
+	for _, tc := range eqTables(20000) {
+		for _, col := range []string{"s", "sm", "sl", "im", "dm", "cs"} {
+			sk := &MisraGriesSketch{Col: col, K: 10}
+			want, err := sk.Summarize(tc.t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := accumulate(t, sk, []*table.Table{tc.t}); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: one Add differs from Summarize\n got %+v\nwant %+v", tc.name, col, got, want)
+			}
+		}
 	}
 }
 
 // TestMGAccumulatorFlushAcrossColumns feeds one accumulator chunks of
 // partitions with different dictionaries plus a computed (non-dict)
-// column, exercising the flush-and-merge path, and re-checks the
-// Misra–Gries guarantee over the combined data.
+// column and re-checks the Misra–Gries guarantee over the combined data.
 func TestMGAccumulatorFlushAcrossColumns(t *testing.T) {
 	const k = 10
 	a := genSkewedStrings("mgfa", 15000, 0.4, 0.2, 62)
@@ -249,7 +214,7 @@ func TestMGAccumulatorFlushAcrossColumns(t *testing.T) {
 	}
 
 	sk := &MisraGriesSketch{Col: "s", K: k}
-	acc := sk.NewAccumulator()
+	acc := AccumulatorOf(sk)
 	for _, tbl := range []*table.Table{a, comp, b} {
 		for _, c := range chunkViews(tbl, 3) {
 			if err := acc.Add(c); err != nil {

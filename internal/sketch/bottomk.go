@@ -133,6 +133,9 @@ func (s *DistinctBottomKSketch) Summarize(t *table.Table) (Result, error) {
 		candidates = candidates[:k]
 		out.AllValues = false
 	}
+	if len(candidates) == 0 {
+		return out, nil // nil lists, like Zero and Merge
+	}
 	out.Hashes = make([]uint64, len(candidates))
 	out.Values = make([]string, len(candidates))
 	for i, c := range candidates {

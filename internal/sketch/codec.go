@@ -393,8 +393,27 @@ func consumeBucketSpec(b []byte) (BucketSpec, []byte, error) {
 	if count, rest, err = wire.ConsumeVarint(rest); err != nil {
 		return s, b, err
 	}
+	// Zero allocates Count counters: a negative count would panic there
+	// and a huge one is an out-of-memory no recover catches.
+	if count < 0 || count > wire.MaxElems {
+		return s, b, wire.Corruptf("bucket count %d outside [0, %d]", count, wire.MaxElems)
+	}
 	s.Count = int(count)
 	return s, rest, nil
+}
+
+// checkCells rejects decoded bucket geometry whose grid — the product of
+// the axes' bucket counts, each at least 1, which bounds what Zero
+// allocates — exceeds wire.MaxElems cells.
+func checkCells(axes ...BucketSpec) error {
+	cells := 1
+	for _, a := range axes {
+		cells *= max(a.Count, 1) // each count ≤ MaxElems: no overflow
+		if cells > wire.MaxElems {
+			return wire.Corruptf("bucket grid of more than %d cells", wire.MaxElems)
+		}
+	}
+	return nil
 }
 
 func appendSchema(b []byte, s *table.Schema) []byte {

@@ -117,6 +117,9 @@ func (s *Histogram2DSketch) DecodeWire(b []byte) ([]byte, error) {
 	if s.Y, b, err = consumeBucketSpec(b); err != nil {
 		return b, err
 	}
+	if err = checkCells(s.X, s.Y); err != nil {
+		return b, err
+	}
 	if s.Rate, b, err = wire.ConsumeF64(b); err != nil {
 		return b, err
 	}
@@ -155,6 +158,9 @@ func (s *TrellisSketch) DecodeWire(b []byte) ([]byte, error) {
 		return b, err
 	}
 	if s.Y, b, err = consumeBucketSpec(b); err != nil {
+		return b, err
+	}
+	if err = checkCells(s.Group, s.X, s.Y); err != nil {
 		return b, err
 	}
 	if s.Rate, b, err = wire.ConsumeF64(b); err != nil {

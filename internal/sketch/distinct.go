@@ -95,32 +95,12 @@ func (s *DistinctCountSketch) Summarize(t *table.Table) (Result, error) {
 		return nil, err
 	}
 	out := s.Zero().(*HLL)
-	var hashes []uint64
-	if sc, ok := col.(*table.StringColumn); ok {
-		hashes = dictHashes(sc)
-	}
-	s.scanInto(out, t, col, hashes)
-	return out, nil
-}
-
-// dictHashes hashes each distinct dictionary value once, so rows insert
-// a precomputed hash.
-func dictHashes(c *table.StringColumn) []uint64 {
-	hashes := make([]uint64, c.DictSize())
-	for i, v := range c.Dict() {
-		hashes[i] = hashString(v)
-	}
-	return hashes
-}
-
-// scanInto streams t's member rows into out. dictHashes carries the
-// precomputed dictionary hashes for stored string columns (computed by
-// the caller so accumulators can reuse them across tables sharing one
-// column); it is ignored for other column kinds.
-func (s *DistinctCountSketch) scanInto(out *HLL, t *table.Table, col table.Column, dictHashes []uint64) {
 	switch c := col.(type) {
 	case *table.StringColumn:
-		hashes := dictHashes
+		hashes := make([]uint64, c.DictSize())
+		for i, v := range c.Dict() {
+			hashes[i] = hashString(v)
+		}
 		codes, miss := c.Codes(), c.MissingMask()
 		scanBatches(t.Members(),
 			func(a, b int) {
@@ -224,6 +204,7 @@ func (s *DistinctCountSketch) scanInto(out *HLL, t *table.Table, col table.Colum
 			return true
 		})
 	}
+	return out, nil
 }
 
 // Merge implements Sketch.

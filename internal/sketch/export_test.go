@@ -1,0 +1,7 @@
+package sketch
+
+// Exported to the external property tests.
+var (
+	ChunkViews = chunkViews
+	Accumulate = accumulate
+)

@@ -135,15 +135,6 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 		return nil, err
 	}
 	h := s.Zero().(*Histogram2D)
-	s.scanInto(h, t, xIdx, yIdx)
-	return h, nil
-}
-
-// scanInto streams t's member rows (or their deterministic sample) into
-// h through the two batch bucket kernels. Extracted from Summarize so
-// accumulators can fold many tables into one mutable summary with
-// cached indexers.
-func (s *Histogram2DSketch) scanInto(h *Histogram2D, t *table.Table, xIdx, yIdx BatchIndexer) {
 	xb := make([]int32, kernelBatch)
 	yb := make([]int32, kernelBatch)
 	yCount := int32(h.Y.Count)
@@ -181,6 +172,7 @@ func (s *Histogram2DSketch) scanInto(h *Histogram2D, t *table.Table, xIdx, yIdx 
 			tally(len(rows))
 		})
 	}
+	return h, nil
 }
 
 // Merge implements Sketch.

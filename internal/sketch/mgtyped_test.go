@@ -75,29 +75,3 @@ func TestTypedMisraGriesBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestTypedMisraGriesAccumulatorContinues checks that the accumulator
-// keeps one typed stream across chunks sharing a column — the chunked
-// result must equal the whole-partition stream, not a merge of
-// per-chunk summaries.
-func TestTypedMisraGriesAccumulatorContinues(t *testing.T) {
-	tbl := mgTypedTable(6000)
-	for _, col := range []string{"i", "d", "t"} {
-		sk := &MisraGriesSketch{Col: col, K: 4}
-		acc := sk.NewAccumulator()
-		m := tbl.Members()
-		for lo := 0; lo < m.Max(); lo += 500 {
-			hi := min(lo+500, m.Max())
-			chunk := tbl.WithMembership(tbl.ID(), rowWindow(m, lo, hi))
-			if err := acc.Add(chunk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := acc.Result()
-		want := refMisraGries(tbl, col, 4)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: chunked typed stream differs from whole-partition reference\n got %+v\nwant %+v",
-				col, got, want)
-		}
-	}
-}

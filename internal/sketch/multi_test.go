@@ -108,7 +108,7 @@ func TestMultiSketchMemberIdentity(t *testing.T) {
 	}
 
 	// Accumulator path: one multiAccumulator fed every partition equals
-	// each member's own accumulator (or fold) fed the same partitions.
+	// each member's own accumulator fed the same partitions.
 	acc := ms.NewAccumulator()
 	for _, p := range parts {
 		if err := acc.Add(p); err != nil {
@@ -117,19 +117,13 @@ func TestMultiSketchMemberIdentity(t *testing.T) {
 	}
 	final := acc.Result().(*MultiResult)
 	for i, m := range members {
-		var want Result
-		if as, ok := m.(AccumulatorSketch); ok {
-			solo := as.NewAccumulator()
-			for _, p := range parts {
-				if err := solo.Add(p); err != nil {
-					t.Fatal(err)
-				}
+		solo := AccumulatorOf(m)
+		for _, p := range parts {
+			if err := solo.Add(p); err != nil {
+				t.Fatal(err)
 			}
-			want = solo.Result()
-		} else {
-			want = fold(m)
 		}
-		if !reflect.DeepEqual(final.Members[i], want) {
+		if !reflect.DeepEqual(final.Members[i], solo.Result()) {
 			t.Errorf("member %d (%s): batched accumulator differs from solo", i, m.Name())
 		}
 	}

@@ -114,8 +114,10 @@ func (s *QuantileSketch) Summarize(t *table.Table) (Result, error) {
 		}
 		return true
 	})
-	out.Items = []SampleItem(h)
-	sort.Slice(out.Items, func(i, j int) bool { return out.Items[i].Hash < out.Items[j].Hash })
+	if len(h) > 0 { // else nil Items, like Zero and Merge
+		out.Items = []SampleItem(h)
+		sort.Slice(out.Items, func(i, j int) bool { return out.Items[i].Hash < out.Items[j].Hash })
+	}
 	return out, nil
 }
 

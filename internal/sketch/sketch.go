@@ -41,31 +41,17 @@
 //
 // # Accumulators
 //
-// The hot sketches additionally implement AccumulatorSketch: the engine
-// folds a partition into one mutable state (Add) instead of allocating
-// a Result and paying Merge for it, and surrenders the state at the end
-// (Result). An accumulator accepts any number of Adds — the engine gives
-// it one partition, a caller may feed it many — and caches per-column
-// scan state (batch indexers, dictionary hash tables, the Misra–Gries
-// state of a column) across Adds sharing a column. For deterministic
-// sketches the accumulated summary equals Summarize+Merge exactly.
-// Misra–Gries keeps one state per column: for a dictionary column of at
-// most mgDenseDictMax codes the exact count of every code, pruned to K
-// counters once, at Result, by the rule Merge applies (mgExcess) —
-// which is what keeps it a Misra–Gries summary; for every other column
-// the stream. Over one partition either equals Summarize; over several
-// they differ from Summarize+Merge within the error bound only, exactly
-// as merge orders do.
-//
-// Accumulator sketches: histogram (exact, sampled, CDF), hist2d,
-// distinct count, heavy hitters (Misra–Gries), the MultiSketch
-// composite, and next-K — whose accumulator is not a cheaper fold of
-// the same work but a pruned scan: typed compares of the whole sort key
-// against the window's K-th row, level by level and only over the rows
-// still tied, reject almost every row before it is boxed (nextk.go), and
-// the K-th row carries over to the worker's next partition (Successor).
-// Every other sketch folds through the Summarize+Merge adapter
-// (AccumulatorOf).
+// The engine folds every partition through an Accumulator (AccumulatorOf):
+// one Add of the whole partition, then Result. Every sketch but two gets
+// the adapter, whose first Add is Summarize itself and whose later Adds
+// Merge — so a partition is summarized one way, by Summarize. Only
+// next-K and the MultiSketch composite implement AccumulatorSketch.
+// Next-K's accumulator is not the same work but a pruned scan: typed
+// compares of the whole sort key against the window's K-th row, level by
+// level and only over the rows still tied, reject almost every row
+// before it is boxed (nextk.go), and the K-th row carries over to the
+// worker's next partition (Successor). MultiSketch feeds one partition
+// to every member's accumulator and carries their successors.
 package sketch
 
 import "repro/internal/table"
@@ -95,14 +81,11 @@ type Sketch interface {
 	Merge(a, b Result) (Result, error)
 }
 
-// Accumulator is a mutable fold state: Add folds tables into it in
-// order instead of allocating a fresh Result per table and paying Merge
-// each time. The engine gives every partition its own accumulator and
-// one Add; other callers may Add many tables. For deterministic
-// sketches the accumulated summary must be exactly the summary
-// Summarize+Merge would produce over the same tables; approximation
-// sketches (Misra–Gries) may differ within their error bound, exactly as
-// different merge orders may.
+// Accumulator is a fold state: Add folds tables into it in order. The
+// engine gives every partition its own accumulator and one Add; other
+// callers may Add many tables. The accumulated summary must be exactly
+// the left fold of Summarize results with Merge over the same tables,
+// and one Add must yield Summarize's summary.
 //
 // Accumulators are not safe for concurrent use.
 type Accumulator interface {
@@ -114,9 +97,10 @@ type Accumulator interface {
 	Result() Result
 }
 
-// AccumulatorSketch is an optional Sketch extension for sketches with a
-// mutable fast-path fold. The engine uses it when present; Summarize
-// and Merge remain the reference semantics (and the wire path).
+// AccumulatorSketch is an optional Sketch extension for sketches whose
+// fold is a different algorithm (next-K's pruned scan) or a composition
+// (MultiSketch). The engine uses it when present; Summarize and Merge
+// remain the reference semantics (and the wire path).
 type AccumulatorSketch interface {
 	Sketch
 	// NewAccumulator returns a fresh accumulator equivalent to Zero.
@@ -228,24 +212,29 @@ func AccumulatorAfter(sk Sketch, prev Accumulator) Accumulator {
 }
 
 // AccumulatorOf returns sk's fold state: its native
-// accumulator when sk is an AccumulatorSketch, otherwise an adapter that
-// folds Summarize results into a running Merge from Zero.
+// accumulator when sk is an AccumulatorSketch, otherwise the
+// Summarize+Merge adapter.
 func AccumulatorOf(sk Sketch) Accumulator {
 	if as, ok := sk.(AccumulatorSketch); ok {
 		return as.NewAccumulator()
 	}
-	return &foldAccumulator{sk: sk, r: sk.Zero()}
+	return &foldAccumulator{sk: sk}
 }
 
 // foldAccumulator is the Summarize+Merge reference fold behind the
-// Accumulator interface.
+// Accumulator interface. The first Add keeps Summarize's result as is —
+// no Merge with Zero, which for a hist2d would allocate two more count
+// matrices per partition — and later Adds merge into it.
 type foldAccumulator struct {
 	sk Sketch
-	r  Result
+	r  Result // nil until the first Add
 }
 
 func (a *foldAccumulator) Add(t *table.Table) error {
-	r, err := Extend(a.sk, a.r, t)
+	r, err := a.sk.Summarize(t)
+	if err == nil && a.r != nil {
+		r, err = a.sk.Merge(a.r, r)
+	}
 	if err != nil {
 		return err
 	}
@@ -253,7 +242,13 @@ func (a *foldAccumulator) Add(t *table.Table) error {
 	return nil
 }
 
-func (a *foldAccumulator) Result() Result { return a.r }
+// Result returns the fold, or Zero when nothing was added.
+func (a *foldAccumulator) Result() Result {
+	if a.r == nil {
+		return a.sk.Zero()
+	}
+	return a.r
+}
 
 // TreeFold combines n indexed results with a fixed pairwise merge tree:
 // at every level neighbors (2j, 2j+1) merge, left operand first, and an

@@ -2,12 +2,14 @@ package spreadsheet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/engine"
 	"repro/internal/sketch"
 	"repro/internal/table"
+	"repro/internal/wire"
 )
 
 // HistogramView is the fully prepared result of a histogram request:
@@ -35,7 +37,15 @@ type ChartOptions struct {
 	OnPartial engine.PartialFunc
 }
 
-func (o *ChartOptions) fill() {
+// ErrTooManyBars reports a chart asking for more bars than a worker
+// decodes in one bucket axis (wire.MaxElems): the root must not build a
+// sketch its workers reject as corrupt. It is a 400 at the HTTP surface.
+var ErrTooManyBars = errors.New("spreadsheet: too many bars")
+
+func (o *ChartOptions) fill() error {
+	if o.Bars > wire.MaxElems {
+		return fmt.Errorf("%w: %d exceeds the %d-bucket limit", ErrTooManyBars, o.Bars, wire.MaxElems)
+	}
 	if o.Width <= 0 {
 		o.Width = DefaultWidth
 	}
@@ -45,6 +55,7 @@ func (o *ChartOptions) fill() {
 	if o.Bars <= 0 {
 		o.Bars = DefaultBars
 	}
+	return nil
 }
 
 // runGroup runs the sketches one gesture needs as one query: a lone
@@ -128,7 +139,9 @@ func (p prepared) buckets(bars int) (sketch.BucketSpec, *sketch.DataRange) {
 // CDF (when requested) shares the bars' pass with its own rate, like the
 // "histogram & cdf" operations of Figure 4.
 func (v *View) Histogram(ctx context.Context, col string, opts ChartOptions) (*HistogramView, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	axes, err := v.prepare(ctx, col)
 	if err != nil {
 		return nil, err
@@ -177,7 +190,9 @@ type Histogram2DView struct {
 // bar resolution, Y buckets capped at the distinguishable color count.
 // Normalized mode disables sampling (App. B.1).
 func (v *View) StackedHistogram(ctx context.Context, xcol, ycol string, normalized bool, opts ChartOptions) (*Histogram2DView, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	axes, err := v.prepare(ctx, xcol, ycol)
 	if err != nil {
 		return nil, err
@@ -201,7 +216,9 @@ func (v *View) StackedHistogram(ctx context.Context, xcol, ycol string, normaliz
 // Heatmap runs the two-phase heat map: bins of HeatmapCell pixels on
 // both axes, density to one color shade of accuracy (§4.3).
 func (v *View) Heatmap(ctx context.Context, xcol, ycol string, opts ChartOptions) (*Histogram2DView, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	axes, err := v.prepare(ctx, xcol, ycol)
 	if err != nil {
 		return nil, err
@@ -227,7 +244,9 @@ type TrellisView struct {
 // App. B.1): k groups rendered in a grid, each plot proportionally
 // smaller, all computed in one pass.
 func (v *View) Trellis(ctx context.Context, groupCol, xcol, ycol string, groups int, opts ChartOptions) (*TrellisView, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	if groups <= 0 {
 		groups = 4
 	}

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// testMemberships returns one membership per representation (plus
-// views of each restricted to a physical row window, sharing its
-// storage), all over the same 1000-row physical space and with
-// deterministic contents.
+// testMemberships returns one membership per representation (plus one
+// of each restricted to a physical row window), all over the same
+// 1000-row physical space and with deterministic contents.
 func testMemberships() map[string]Membership {
 	const n = 1000
 	bits := NewBitset(n)
@@ -40,9 +39,16 @@ func testMemberships() map[string]Membership {
 	return ms
 }
 
-// bitmapWindow is the bitmap membership of the set bits within [lo, hi).
+// bitmapWindow is the bitmap membership of the set bits within [lo, hi):
+// a copy of bits masked to the window, whose edges may fall mid-word.
 func bitmapWindow(bits *Bitset, lo, hi int) *BitmapMembership {
-	return &BitmapMembership{bits: bits, lo: lo, hi: hi, size: bits.CountRange(lo, hi)}
+	masked := NewBitset(bits.Len())
+	for i := lo; i < hi; i++ {
+		if bits.Get(i) {
+			masked.Set(i)
+		}
+	}
+	return NewBitmapMembership(masked)
 }
 
 func collectSpans(m Membership) []int {
@@ -162,8 +168,6 @@ func TestFillBatchFromCursor(t *testing.T) {
 	}
 }
 
-// TestRestrict checks that Restrict preserves Max and keeps exactly the
-// member rows inside the range, for every representation.
 // TestRestrictedSampleWithinBounds checks that sampling a restricted
 // membership stays in bounds and is deterministic in the seed.
 func TestRestrictedSampleWithinBounds(t *testing.T) {
@@ -210,24 +214,5 @@ func TestBitsetNextClear(t *testing.T) {
 	}
 	if got := b2.NextClear(65); got != 70 {
 		t.Errorf("NextClear(65) on all-set = %d, want 70", got)
-	}
-}
-
-func TestBitsetCountRange(t *testing.T) {
-	b := NewBitset(300)
-	for i := 0; i < 300; i += 7 {
-		b.Set(i)
-	}
-	for _, c := range [][2]int{{0, 300}, {0, 0}, {1, 1}, {0, 1}, {6, 8}, {63, 65}, {64, 128}, {100, 250}, {-5, 1000}} {
-		lo, hi := c[0], c[1]
-		want := 0
-		for i := max(lo, 0); i < min(hi, 300); i++ {
-			if b.Get(i) {
-				want++
-			}
-		}
-		if got := b.CountRange(lo, hi); got != want {
-			t.Errorf("CountRange(%d,%d) = %d, want %d", lo, hi, got, want)
-		}
 	}
 }

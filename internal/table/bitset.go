@@ -105,33 +105,6 @@ func (b *Bitset) NextClear(i int) int {
 	return b.N
 }
 
-// CountRange returns the number of set bits in [lo, hi).
-func (b *Bitset) CountRange(lo, hi int) int {
-	if b == nil {
-		return 0
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.N {
-		hi = b.N
-	}
-	if lo >= hi {
-		return 0
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if loW == hiW {
-		return bits.OnesCount64(b.Words[loW] & loMask & hiMask)
-	}
-	n := bits.OnesCount64(b.Words[loW]&loMask) + bits.OnesCount64(b.Words[hiW]&hiMask)
-	for wi := loW + 1; wi < hiW; wi++ {
-		n += bits.OnesCount64(b.Words[wi])
-	}
-	return n
-}
-
 // NextSet returns the index of the first set bit at or after i, or -1 if
 // none exists.
 func (b *Bitset) NextSet(i int) int {

@@ -158,16 +158,16 @@ func fillSequential(buf []int32, from, lo, hi int) (int, int) {
 }
 
 // BitmapMembership is the dense representation: one bit per physical row,
-// with member rows the set bits within [lo, hi).
+// the member rows being the set bits. A Bitset never has bits set at or
+// past its length (Set refuses them), so every word is read whole.
 type BitmapMembership struct {
-	bits   *Bitset
-	lo, hi int // member rows are the set bits within [lo, hi)
-	size   int
+	bits *Bitset
+	size int
 }
 
 // NewBitmapMembership wraps a bitset as a membership set.
 func NewBitmapMembership(bits *Bitset) *BitmapMembership {
-	return &BitmapMembership{bits: bits, lo: 0, hi: bits.Len(), size: bits.Count()}
+	return &BitmapMembership{bits: bits, size: bits.Count()}
 }
 
 // Size implements Membership.
@@ -177,25 +177,11 @@ func (m *BitmapMembership) Size() int { return m.size }
 func (m *BitmapMembership) Max() int { return m.bits.Len() }
 
 // Contains implements Membership.
-func (m *BitmapMembership) Contains(i int) bool {
-	return i >= m.lo && i < m.hi && m.bits.Get(i)
-}
+func (m *BitmapMembership) Contains(i int) bool { return m.bits.Get(i) }
 
-// iterateWords visits each bitmap word overlapping [lo, hi), with bits
-// outside the range masked off; zero words are skipped.
+// iterateWords visits each non-zero bitmap word.
 func (m *BitmapMembership) iterateWords(yield func(wi int, w uint64) bool) {
-	if m.lo >= m.hi {
-		return
-	}
-	loW, hiW := m.lo>>6, (m.hi-1)>>6
-	for wi := loW; wi <= hiW; wi++ {
-		w := m.bits.Words[wi]
-		if wi == loW {
-			w &= ^uint64(0) << (uint(m.lo) & 63)
-		}
-		if wi == hiW {
-			w &= ^uint64(0) >> (63 - uint(m.hi-1)&63)
-		}
+	for wi, w := range m.bits.Words {
 		if w != 0 && !yield(wi, w) {
 			return
 		}
@@ -219,13 +205,9 @@ func (m *BitmapMembership) Iterate(yield func(i int) bool) {
 // IterateSpans implements Membership by alternating NextSet/NextClear,
 // which walk whole words of the bitmap.
 func (m *BitmapMembership) IterateSpans(yield func(start, end int) bool) {
-	i := m.bits.NextSet(m.lo)
-	for i >= 0 && i < m.hi {
+	for i := m.bits.NextSet(0); i >= 0; {
 		end := m.bits.NextClear(i)
-		if end > m.hi {
-			end = m.hi
-		}
-		if !yield(i, end) || end >= m.hi {
+		if !yield(i, end) {
 			return
 		}
 		i = m.bits.NextSet(end)
@@ -234,19 +216,18 @@ func (m *BitmapMembership) IterateSpans(yield func(start, end int) bool) {
 
 // FillBatch implements Membership by decoding set bits word at a time.
 func (m *BitmapMembership) FillBatch(buf []int32, from int) (int, int) {
-	if from < m.lo {
-		from = m.lo
+	max := m.bits.Len()
+	if from < 0 {
+		from = 0
 	}
-	if from >= m.hi || len(buf) == 0 {
-		return 0, m.hi
+	if from >= max || len(buf) == 0 {
+		return 0, max
 	}
-	wi, hiW := from>>6, (m.hi-1)>>6
-	w := m.bits.Words[wi] & (^uint64(0) << (uint(from) & 63))
+	words := m.bits.Words
+	wi := from >> 6
+	w := words[wi] & (^uint64(0) << (uint(from) & 63))
 	n := 0
 	for {
-		if wi == hiW {
-			w &= ^uint64(0) >> (63 - uint(m.hi-1)&63)
-		}
 		base := wi << 6
 		for w != 0 {
 			tz := bits.TrailingZeros64(w)
@@ -258,10 +239,10 @@ func (m *BitmapMembership) FillBatch(buf []int32, from int) (int, int) {
 			}
 		}
 		wi++
-		if wi > hiW {
-			return n, m.hi
+		if wi == len(words) {
+			return n, max
 		}
-		w = m.bits.Words[wi]
+		w = words[wi]
 	}
 }
 

@@ -363,7 +363,7 @@ func Select(parent Membership, sel Selector) Membership {
 	case RangeMembership:
 		lo, hi = m.Lo, m.Hi
 	case *BitmapMembership:
-		lo, hi, parentWords = m.lo, m.hi, m.bits.Words
+		hi, parentWords = m.bits.Len(), m.bits.Words
 	default:
 		return selectGather(parent, sel)
 	}
@@ -447,7 +447,7 @@ func selectGather(parent Membership, sel Selector) Membership {
 func selectionMembership(sel *Bitset) Membership {
 	n, max := sel.Count(), sel.Len()
 	if n*32 >= max && max > 0 {
-		return &BitmapMembership{bits: sel, lo: 0, hi: max, size: n}
+		return &BitmapMembership{bits: sel, size: n}
 	}
 	var kept []int32
 	if n > 0 {

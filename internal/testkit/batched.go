@@ -40,7 +40,7 @@ func RunBatched(seed uint64) error {
 	// Batch-eligible members: every instance but the multis, which don't
 	// nest.
 	var eligible []sketch.Sketch
-	for _, sk := range instances(seed, info) {
+	for _, sk := range Instances(seed, info) {
 		if _, isMulti := sk.(*sketch.MultiSketch); !isMulti {
 			eligible = append(eligible, sk)
 		}

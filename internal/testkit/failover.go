@@ -49,7 +49,7 @@ func RunFailover(seed uint64) error {
 	tables, info := table.GenPartitions(prefix, seed, rows, parts)
 	cfg := engine.Config{Parallelism: 2, AggregationWindow: time.Millisecond}
 	src := genSource(prefix, seed, rows, parts, 2)
-	sks := instances(seed, info)
+	sks := Instances(seed, info)
 
 	// The expectation is the fault-free replicated run itself, anchored
 	// against the reference topology so a systematically wrong cluster

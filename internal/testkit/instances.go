@@ -5,15 +5,15 @@ import (
 	"repro/internal/table"
 )
 
-// instances builds the sketch set one oracle run drives: at least one
+// Instances builds the sketch set one oracle run drives: at least one
 // instance of every type in sketch.WireSketches() (the coverage test
 // enforces this), over every generated column — stored int, double,
 // string (dictionary), date, and the computed column — with both exact
 // and sampled modes where the sketch has them. Parameters derive from
 // the run seed and the generated value domains, so bucket geometry and
 // sampling rates vary across seeds without ever leaving the data's
-// range.
-func instances(seed uint64, info table.GenInfo) []sketch.Sketch {
+// range. The sketch package's property tests run over it too.
+func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 	dLo, dHi := info.DoubleLo, info.DoubleHi
 	dBuckets := func(n int) sketch.BucketSpec {
 		return sketch.NumericBuckets(table.KindDouble, dLo, dHi, n)
@@ -74,9 +74,9 @@ func instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 		&sketch.NextKSketch{Order: table.Asc("gd"), K: 15, From: table.Row{table.DoubleValue(mid)}},
 
 		// Scan batching: a MultiSketch whose members span the interesting
-		// merge semantics — an exact accumulator sketch, a
-		// merge-order-bounded one (Misra–Gries), a seeded sampled one, and
-		// a Merge-fold-only preparation sketch. Its oracle delegates to
+		// merge semantics — an exact sketch, a merge-order-bounded one
+		// (Misra–Gries), a seeded sampled one, and a preparation sketch
+		// that reads the schema. Its oracle delegates to
 		// each member's own contract, so the batched composite rides every
 		// topology and wire path of the harness.
 		mustMulti(

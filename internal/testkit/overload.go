@@ -101,7 +101,7 @@ func RunOverload(seed uint64) error {
 	}
 
 	_, info := table.GenPartitions(p.prefix, seed, p.rows, p.parts)
-	set := instances(seed, info)
+	set := Instances(seed, info)
 
 	// Phase 0 — unloaded baselines: each instance once, no scheduler, no
 	// concurrency. Scheduling never shows in a result, so the loaded runs

@@ -100,7 +100,7 @@ func RunPooled(seed uint64) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	ctx = tracedContext(ctx)
-	for i, sk := range instances(seed, info) {
+	for i, sk := range Instances(seed, info) {
 		o, ok := sketch.OracleFor(sk)
 		if !ok {
 			return fmt.Errorf("%s: no oracle registered", sk.Name())

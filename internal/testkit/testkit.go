@@ -197,7 +197,7 @@ func Run(seed uint64) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	ctx = tracedContext(ctx)
-	for _, sk := range instances(seed, info) {
+	for _, sk := range Instances(seed, info) {
 		if err := runOne(ctx, sk, tables, local, h.root); err != nil {
 			return fmt.Errorf("seed %d: %s: %w", seed, sk.Name(), err)
 		}
@@ -222,7 +222,7 @@ func Run(seed uint64) error {
 func checkThreadInvariance(ctx context.Context, seed uint64, info table.GenInfo,
 	open func(engine.Config) *engine.LocalDataSet) error {
 	cfg := engine.Config{AggregationWindow: -1}
-	for _, sk := range instances(seed, info) {
+	for _, sk := range Instances(seed, info) {
 		var want sketch.Result
 		for _, par := range []int{1, 2, 3, 8} {
 			cfg.Parallelism = par

@@ -141,7 +141,7 @@ func TestPooledTinyBudget(t *testing.T) {
 func TestOracleCoversWireSketches(t *testing.T) {
 	_, info := table.GenPartitions("cov", 1, 64, 1)
 	have := map[reflect.Type]int{}
-	for _, sk := range instances(1, info) {
+	for _, sk := range Instances(1, info) {
 		have[reflect.TypeOf(sk)]++
 	}
 	for _, proto := range sketch.WireSketches() {
