@@ -32,7 +32,9 @@ import (
 
 	"repro/internal/ingest"
 	"repro/internal/sketch"
+	"repro/internal/spreadsheet"
 	"repro/internal/table"
+	"repro/internal/wire"
 )
 
 // attachIngest installs the ingest store and registers its telemetry
@@ -349,6 +351,11 @@ func standingSketch(q map[string][]string, d *ingest.Dataset) (sketch.Sketch, er
 		bars, _ := strconv.Atoi(get("bars"))
 		if bars <= 0 {
 			bars = 20
+		}
+		// Register sizes the query's tallies from bars under the dataset
+		// lock: bound it as /api/histogram does, before anything allocates.
+		if bars > wire.MaxElems {
+			return nil, fmt.Errorf("%w: %d exceeds the %d-bucket limit", spreadsheet.ErrTooManyBars, bars, wire.MaxElems)
 		}
 		if !cd.Kind.Numeric() {
 			return nil, fmt.Errorf("column %q is not numeric", col)

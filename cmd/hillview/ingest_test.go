@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/serve"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // testIngestServer builds an in-process server with streaming ingestion
@@ -262,6 +264,14 @@ func TestStandingEndpoints(t *testing.T) {
 		t.Fatalf("after seal 2: sum=%v upTo=%v", sum, upTo)
 	}
 
+	// A bucket count past wire.MaxElems is a 400 before Register sizes
+	// any tallies; the registrations after it still answer.
+	for _, bars := range []int{wire.MaxElems + 1, 1 << 40} {
+		url := fmt.Sprintf("/api/standing?op=register&name=ev&sketch=hist&col=v&lo=0&hi=10&bars=%d", bars)
+		if rec, _ := post(t, s.handleStanding, url, ""); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too many bars") {
+			t.Errorf("bars=%d: status %d, want 400: %s", bars, rec.Code, rec.Body.String())
+		}
+	}
 	// distinct and range register too; unknown sketch and column do not.
 	if rec, _ := post(t, s.handleStanding, "/api/standing?op=register&name=ev&sketch=distinct&col=v", ""); rec.Code != http.StatusOK {
 		t.Errorf("distinct register: %d", rec.Code)

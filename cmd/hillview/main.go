@@ -70,7 +70,7 @@
 //	500 Internal Server Error  recovered panic (that query only)
 //	404 Not Found           view evicted by the derived-view cap (-max-views)
 //	400 Bad Request         semantic errors: unknown view, bad column, bad expr,
-//	                        more histogram bars than wire.MaxElems
+//	                        more histogram or standing-query bars than wire.MaxElems
 //
 // Derived views (filters, zooms) are soft state: at most -max-views of
 // them are kept, evicted least-recently-used; an evicted view's dataset
@@ -391,8 +391,6 @@ func (s *server) attachEnv(pool *colstore.Pool, clu *cluster.Cluster) {
 		g.GaugeFunc("replication", "replicas per group", func() int64 { return int64(clu.Stats().Replication) })
 		g.GaugeFunc("workers", "known workers", func() int64 { return int64(len(clu.Stats().Workers)) })
 		g.CounterFunc("retries", "failover retries", func() int64 { return clu.Stats().Retries })
-		g.CounterFunc("spec_launches", "speculative re-executions launched", func() int64 { return clu.Stats().SpecLaunches })
-		g.CounterFunc("spec_wins", "speculative attempts that won", func() int64 { return clu.Stats().SpecWins })
 		g.CounterFunc("groups_lost", "queries that lost a whole replica group", func() int64 { return clu.Stats().GroupsLost })
 		g.CounterFunc("reconnects", "worker reconnects", func() int64 { return clu.Stats().Reconnects })
 	}
@@ -557,8 +555,8 @@ func (vr *viewRegistry) counts() (loaded, derived, evicted int) {
 // (engine.Cache) and — in in-process mode — the column pool, the one
 // raw-data cache (resident/budget/hit/eviction counters). In cluster
 // mode it adds per-connection wire counters and the replication/
-// failover telemetry (worker health, retry and speculation counts)
-// from cluster.Stats. The "serve" section is the
+// failover telemetry (worker health, retry, group-loss and reconnect
+// counts) from cluster.Stats. The "serve" section is the
 // scheduler: admission gauges and the shed/deadline/panic/dedup
 // counters of the overload contract.
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -622,8 +620,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		out["cluster"] = map[string]any{
 			"groups": cs.Groups, "replication": cs.Replication,
 			"workers": workers,
-			"retries": cs.Retries, "specLaunches": cs.SpecLaunches,
-			"specWins": cs.SpecWins, "groupsLost": cs.GroupsLost,
+			"retries": cs.Retries, "groupsLost": cs.GroupsLost,
 			"reconnects": cs.Reconnects,
 		}
 	}

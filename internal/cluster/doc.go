@@ -100,34 +100,34 @@
 // hard "not a pure function of its spec" error rather than serve from
 // diverged replicas.
 //
-// Datasets are materialized lazily per worker with a generation
-// counter: a reconnected or rebalanced worker starts at a new
-// generation, and the first query that touches it replays the dataset's
-// lineage (Load, then the MapOp chain) before sketching. AddWorker,
-// RemoveWorker, and Rebalance reshape the map at runtime; moves bump
-// generations so stale state is never consulted.
+// The replica map is fixed by ConnectOptions for the cluster's
+// lifetime: a worker is restarted or reconnected, never added, removed
+// or moved to another group. Datasets are materialized lazily per
+// worker with a generation counter that only a reconnect bumps: a
+// reconnected worker starts at a new generation, and the first query
+// that touches it replays the dataset's lineage (Load, then the MapOp
+// chain) before sketching, so stale state is never consulted.
 //
-// # Failover, speculation, and dedup
+// # Failover and dedup
 //
 // Queries run through engine.SketchReplicated: each group's leaf range
-// is dispatched to one replica (healthy first); a retryable failure —
-// ErrWorkerLost (connection dead, checksum mismatch, watchdogged frame
-// stall) or engine.ErrMissingDataset (worker restarted) — re-dispatches
-// the range on the next surviving replica. Ranges whose latency exceeds
-// a quantile of completed peers get a speculative duplicate on another
-// replica; first result wins. Because summaries are mergeable and
-// replicas bit-identical, retries and duplicates are deduplicated at
-// merge time by partition range — a group's result is folded exactly
-// once, in range order, so the answer under failover is bit-identical
-// to the fault-free run (the flipped chaos contract:
+// is dispatched to one replica at a time (healthy first); a retryable
+// failure — ErrWorkerLost (connection dead, checksum mismatch,
+// watchdogged frame stall) or engine.ErrMissingDataset (worker
+// restarted) — re-dispatches the range on the next surviving replica.
+// Because summaries are mergeable and replicas bit-identical, retries
+// are deduplicated at merge time by partition range — a group's result
+// is folded exactly once, in range order, so the answer under failover
+// is bit-identical to the fault-free run (the flipped chaos contract:
 // testkit.RunFailover asserts exactly this). When every replica of a
 // group is gone the query fails promptly with a clean error — never a
 // hang, never a partial answer presented as total.
 //
-// A background monitor (Options.HealthInterval) pings workers,
-// trips a consecutive-failure circuit breaker (Options.FailureThreshold),
-// and redials dead workers with capped exponential backoff; recovered
-// workers rejoin their group at a fresh generation. Failover telemetry
-// — per-worker health plus retry/speculation/loss/reconnect counters —
-// is surfaced by Cluster.Stats and /api/status.
+// A background monitor (Options.HealthInterval) pings workers, marks a
+// worker down after three consecutive transport failures (at once when
+// its connection is dead), and redials dead workers with capped
+// exponential backoff; recovered workers rejoin their group at a fresh
+// generation. Failover telemetry — per-worker health plus
+// retry/loss/reconnect counters — is surfaced by Cluster.Stats and
+// /api/status.
 package cluster

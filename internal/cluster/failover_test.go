@@ -212,63 +212,6 @@ func TestHealthMonitorRevivesCrashedWorker(t *testing.T) {
 	}
 }
 
-func TestAddRemoveRebalanceWorkers(t *testing.T) {
-	c, _, addrs := startWorkersOpts(t, 4, nil, Options{Replication: 2})
-	ds := loadOnly(t, c, failoverSrc)
-	want := sketchOn(t, ds)
-
-	// Remove one replica of group 0; its partner still serves it.
-	if err := c.RemoveWorker(addrs[2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveWorker(addrs[2]); err == nil {
-		t.Error("removing an unknown worker should fail")
-	}
-	if got := sketchOn(t, ds); !reflect.DeepEqual(got, want) {
-		t.Error("result differs after RemoveWorker")
-	}
-
-	// A fresh worker joins; it must land in the under-replicated group
-	// and serve queries after lazily loading the group's shard.
-	cfg := engine.Config{AggregationWindow: time.Millisecond}
-	w := NewWorker(storage.NewLoader(cfg, 0))
-	addr, err := w.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	if err := c.AddWorker(addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddWorker(addr); err == nil {
-		t.Error("adding a duplicate worker should fail")
-	}
-	st := c.Stats()
-	groups := map[int]int{}
-	for _, wh := range st.Workers {
-		groups[wh.Group]++
-	}
-	if groups[0] != 2 || groups[1] != 2 {
-		t.Fatalf("join not balanced: %v", groups)
-	}
-
-	// Drain group 1 entirely, then Rebalance: a group-0 worker moves
-	// over, reloads group 1's shard via its bumped generation, and the
-	// answer stays bit-identical.
-	if err := c.RemoveWorker(addrs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveWorker(addrs[3]); err != nil {
-		t.Fatal(err)
-	}
-	if moved := c.Rebalance(); moved != 1 {
-		t.Fatalf("Rebalance moved %d workers, want 1", moved)
-	}
-	if got := sketchOn(t, ds); !reflect.DeepEqual(got, want) {
-		t.Error("result differs after Rebalance")
-	}
-}
-
 func TestDialRetrySucceedsAfterDelayedListen(t *testing.T) {
 	// Reserve a port, release it, and only start the worker there after
 	// a delay: Connect's dial retry must ride out the gap.
@@ -336,51 +279,4 @@ func TestFrameWatchdogUnsticksTruncatedFrame(t *testing.T) {
 		t.Fatalf("idle connection tripped the watchdog: %v", err)
 	case <-time.After(300 * time.Millisecond):
 	}
-}
-
-func TestSpeculativeRetryBeatsStraggler(t *testing.T) {
-	// One replica of the single group is wrapped in a delay-everything
-	// script; its partner is clean. With speculation on, the query must
-	// finish fast (the clean replica's answer) and count a spec launch.
-	cfg := engine.Config{AggregationWindow: time.Millisecond}
-	addrs := make([]string, 2)
-	for i := range addrs {
-		w := NewWorker(storage.NewLoader(cfg, 0))
-		addr, err := w.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.Close() })
-		addrs[i] = addr
-	}
-	tr := AddrFaultTransport{Scripts: map[string]FaultScript{
-		addrs[0]: {Seed: 3, DelayProb: 1, MaxDelay: 400 * time.Millisecond},
-	}}
-	c, err := ConnectOptions(tr, addrs, cfg, Options{
-		Replication:  2,
-		SpecFactor:   3,
-		SpecMinDelay: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	want := fleetBaselineSingleGroup(t)
-	got := loadAndSketch(t, c, failoverSrc)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("speculative result differs from fault-free run")
-	}
-	st := c.Stats()
-	if st.SpecLaunches == 0 {
-		t.Errorf("no speculation launched: %+v", st)
-	}
-}
-
-// fleetBaselineSingleGroup is the fault-free answer for a single-group
-// (R=2, two-worker) topology.
-func fleetBaselineSingleGroup(t *testing.T) sketch.Result {
-	t.Helper()
-	c, _, _ := startWorkersOpts(t, 2, nil, Options{Replication: 2})
-	return loadAndSketch(t, c, failoverSrc)
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // Options tunes cluster replication and health tracking. The zero value
-// is the pre-replication behavior: one replica per partition group, no
-// background monitor, no speculation — plus a dial-retry budget so
-// Connect survives slow worker startup.
+// is one replica per partition group and no background monitor, plus a
+// dial-retry budget so Connect survives slow worker startup.
 type Options struct {
 	// Replication is the number of workers per partition group (R-way).
 	// Workers are assigned round-robin: worker i serves group i mod
@@ -27,35 +26,24 @@ type Options struct {
 	// exponential backoff). 0 disables the monitor; down workers are
 	// then revived only by explicit ReconnectWorker calls.
 	HealthInterval time.Duration
-	// FailureThreshold is the circuit breaker: this many consecutive
-	// transport failures mark a worker down (0 = 3). A dead connection
-	// trips it immediately regardless of the count.
-	FailureThreshold int
-	// DialRetryBudget bounds transient-dial retries in Connect,
-	// AddWorker, and reconnects (0 = 3s, negative = single attempt).
+	// DialRetryBudget bounds transient-dial retries in Connect and
+	// reconnects (0 = 3s, negative = single attempt).
 	DialRetryBudget time.Duration
 	// FrameTimeout is the mid-frame read watchdog on root-side
 	// connections (0 = 10s, negative = disabled).
 	FrameTimeout time.Duration
-	// SpecFactor and SpecMinDelay tune speculative re-execution of
-	// straggling partition groups (see engine.FailoverOptions).
-	// SpecFactor 0 disables speculation.
-	SpecFactor   float64
-	SpecMinDelay time.Duration
 }
+
+// failureThreshold is the circuit breaker: this many consecutive
+// transport failures mark a worker down. A dead connection trips it
+// immediately regardless of the count.
+const failureThreshold = 3
 
 func (o Options) replication() int {
 	if o.Replication < 1 {
 		return 1
 	}
 	return o.Replication
-}
-
-func (o Options) failureThreshold() int {
-	if o.FailureThreshold <= 0 {
-		return 3
-	}
-	return o.FailureThreshold
 }
 
 func (o Options) dialBudget() time.Duration {
@@ -69,17 +57,17 @@ func (o Options) dialBudget() time.Duration {
 	}
 }
 
-// slot is the root's health record for one worker: its current
-// connection, liveness state, and the generation counter that
-// invalidates per-worker dataset materializations whenever the
-// connection (or the worker's group assignment) changes.
+// slot is the root's health record for one worker: its partition group
+// (fixed at Connect), its current connection, liveness state, and the
+// generation counter that invalidates per-worker dataset
+// materializations whenever the connection changes.
 type slot struct {
-	addr string
+	addr  string
+	group int
 
 	mu          sync.Mutex
-	group       int
 	cl          *Client
-	gen         uint64 // bumped on (re)connect and group moves
+	gen         uint64 // bumped on reconnect
 	down        bool
 	consecFails int
 	reconnects  int64
@@ -87,12 +75,6 @@ type slot struct {
 	backoff     time.Duration
 	nextRedial  time.Time
 	probing     bool // a monitor probe/redial is in flight
-}
-
-func (s *slot) groupNow() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.group
 }
 
 // liveClient returns the slot's usable connection and its generation,
@@ -133,7 +115,7 @@ func (c *Cluster) noteOutcome(s *slot, err error) {
 	defer s.mu.Unlock()
 	s.consecFails++
 	dead := s.cl == nil || s.cl.Dead()
-	if !s.down && (dead || s.consecFails >= c.opts.failureThreshold()) {
+	if !s.down && (dead || s.consecFails >= failureThreshold) {
 		s.down = true
 		if s.cl != nil {
 			s.cl.Close()
@@ -173,20 +155,12 @@ func (c *Cluster) ReconnectWorker(addr string) error {
 }
 
 func (c *Cluster) slotByAddr(addr string) *slot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, s := range c.slots {
 		if s.addr == addr {
 			return s
 		}
 	}
 	return nil
-}
-
-func (c *Cluster) snapshotSlots() []*slot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*slot(nil), c.slots...)
 }
 
 // monitor is the background health loop: ping live workers, redial down
@@ -206,7 +180,7 @@ func (c *Cluster) monitor(interval time.Duration) {
 }
 
 func (c *Cluster) healthTick(interval time.Duration) {
-	for _, s := range c.snapshotSlots() {
+	for _, s := range c.slots {
 		s.mu.Lock()
 		if s.probing {
 			s.mu.Unlock()
@@ -256,106 +230,6 @@ func (c *Cluster) healthTick(interval time.Duration) {
 	}
 }
 
-// AddWorker dials a new worker and assigns it to the partition group
-// with the fewest replicas. Existing datasets materialize on it lazily,
-// the first time a query routes to it.
-func (c *Cluster) AddWorker(addr string) error {
-	conn, err := dialRetry(c.tr, addr, c.opts.dialBudget())
-	if err != nil {
-		return fmt.Errorf("cluster: connecting %s: %w", addr, err)
-	}
-	cl := newClientConn(conn, addr, c.opts.FrameTimeout)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range c.slots {
-		if s.addr == addr {
-			cl.Close()
-			return fmt.Errorf("cluster: worker %s already connected", addr)
-		}
-	}
-	counts := make([]int, c.nGroups)
-	for _, s := range c.slots {
-		counts[s.groupNow()]++
-	}
-	g := 0
-	for i, n := range counts {
-		if n < counts[g] {
-			g = i
-		}
-	}
-	c.slots = append(c.slots, &slot{addr: addr, group: g, cl: cl, gen: 1})
-	return nil
-}
-
-// RemoveWorker disconnects a worker and removes it from the replica
-// map. Queries in flight on it fail over to its group's survivors.
-func (c *Cluster) RemoveWorker(addr string) error {
-	c.mu.Lock()
-	var s *slot
-	for i, cand := range c.slots {
-		if cand.addr == addr {
-			s = cand
-			c.slots = append(c.slots[:i], c.slots[i+1:]...)
-			break
-		}
-	}
-	c.mu.Unlock()
-	if s == nil {
-		return fmt.Errorf("cluster: no worker %s", addr)
-	}
-	s.mu.Lock()
-	s.down = true
-	if s.cl != nil {
-		s.cl.Close()
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// Rebalance evens replica counts across partition groups after joins
-// and leaves, moving workers from over- to under-replicated groups. A
-// moved worker's generation is bumped, so it reloads its new group's
-// shard lazily (loads are pure functions of the spec — no data moves
-// through the root). Returns the number of workers moved.
-func (c *Cluster) Rebalance() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	moved := 0
-	for {
-		counts := make([]int, c.nGroups)
-		for _, s := range c.slots {
-			counts[s.groupNow()]++
-		}
-		gmax, gmin := 0, 0
-		for g, n := range counts {
-			if n > counts[gmax] {
-				gmax = g
-			}
-			if n < counts[gmin] {
-				gmin = g
-			}
-		}
-		if counts[gmax]-counts[gmin] <= 1 {
-			return moved
-		}
-		// Move the most recently added worker of the crowded group: the
-		// earliest workers stay primaries, keeping fault-free assignment
-		// stable.
-		for i := len(c.slots) - 1; i >= 0; i-- {
-			s := c.slots[i]
-			s.mu.Lock()
-			if s.group == gmax {
-				s.group = gmin
-				s.gen++
-				s.mu.Unlock()
-				moved++
-				break
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
 // WorkerHealth is one worker's health snapshot in Stats.
 type WorkerHealth struct {
 	Addr                string
@@ -375,29 +249,24 @@ type Stats struct {
 	Workers     []WorkerHealth
 
 	// Retries counts partition ranges re-dispatched after a replica
-	// failure; SpecLaunches/SpecWins count speculative re-executions of
-	// stragglers and how many delivered first; GroupsLost counts ranges
-	// whose every replica failed (each one a cleanly-errored query);
-	// Reconnects counts successful worker redials.
-	Retries      int64
-	SpecLaunches int64
-	SpecWins     int64
-	GroupsLost   int64
-	Reconnects   int64
+	// failure; GroupsLost counts ranges whose every replica failed (each
+	// one a cleanly-errored query); Reconnects counts successful worker
+	// redials.
+	Retries    int64
+	GroupsLost int64
+	Reconnects int64
 }
 
 // Stats returns a snapshot of per-worker health and failover counters.
 func (c *Cluster) Stats() Stats {
 	st := Stats{
-		Groups:       c.nGroups,
-		Replication:  c.opts.replication(),
-		Retries:      c.retries.Load(),
-		SpecLaunches: c.specLaunches.Load(),
-		SpecWins:     c.specWins.Load(),
-		GroupsLost:   c.groupsLost.Load(),
-		Reconnects:   c.reconnects.Load(),
+		Groups:      c.nGroups,
+		Replication: c.opts.replication(),
+		Retries:     c.retries.Load(),
+		GroupsLost:  c.groupsLost.Load(),
+		Reconnects:  c.reconnects.Load(),
 	}
-	for _, s := range c.snapshotSlots() {
+	for _, s := range c.slots {
 		s.mu.Lock()
 		state := "up"
 		if s.down || s.cl == nil || s.cl.Dead() {
@@ -422,10 +291,6 @@ func (c *Cluster) recordEvent(e engine.FailoverEvent) {
 	switch e.Kind {
 	case engine.EventFailover:
 		c.retries.Add(1)
-	case engine.EventSpeculate:
-		c.specLaunches.Add(1)
-	case engine.EventSpecWin:
-		c.specWins.Add(1)
 	case engine.EventGroupLost:
 		c.groupsLost.Add(1)
 	}

@@ -22,22 +22,19 @@ type Cluster struct {
 	opts Options
 	tr   Transport
 
-	mu    sync.Mutex
-	slots []*slot
-	// nGroups is the number of partition groups, fixed at Connect:
-	// group counts are baked into source specs and partition IDs, so
-	// changing the group count would change results. Workers may come
-	// and go; groups do not.
+	// slots and nGroups are fixed at Connect: worker i serves partition
+	// group i mod nGroups for the cluster's lifetime. Group counts are
+	// baked into source specs and partition IDs, so changing them would
+	// change results.
+	slots   []*slot
 	nGroups int
 
 	stopMonitor chan struct{}
 	monitorWG   sync.WaitGroup
 
-	retries      atomic.Int64
-	specLaunches atomic.Int64
-	specWins     atomic.Int64
-	groupsLost   atomic.Int64
-	reconnects   atomic.Int64
+	retries    atomic.Int64
+	groupsLost atomic.Int64
+	reconnects atomic.Int64
 }
 
 // Connect dials every worker address over TCP with default Options
@@ -110,7 +107,7 @@ func ConnectOptions(tr Transport, addrs []string, cfg engine.Config, opts Option
 // client, so wire counters remain visible).
 func (c *Cluster) Clients() []*Client {
 	var out []*Client
-	for _, s := range c.snapshotSlots() {
+	for _, s := range c.slots {
 		s.mu.Lock()
 		if s.cl != nil {
 			out = append(out, s.cl)
@@ -127,7 +124,7 @@ func (c *Cluster) Close() {
 		c.monitorWG.Wait()
 		c.stopMonitor = nil
 	}
-	for _, s := range c.snapshotSlots() {
+	for _, s := range c.slots {
 		s.mu.Lock()
 		if s.cl != nil {
 			s.cl.Close()
@@ -194,17 +191,15 @@ func (c *Cluster) Loader() engine.Loader {
 	}
 }
 
-// failoverOptions maps cluster Options onto the engine's failover
-// knobs. Retryable failures are exactly the ones that say nothing about
-// the data: lost connections and missing (evicted) datasets — another
-// replica regenerates the identical bits.
+// failoverOptions is the cluster's failover policy. Retryable failures
+// are exactly the ones that say nothing about the data: lost connections
+// and missing (evicted) datasets — another replica regenerates the
+// identical bits.
 func (c *Cluster) failoverOptions() engine.FailoverOptions {
 	return engine.FailoverOptions{
 		Retryable: func(err error) bool {
 			return errors.Is(err, ErrWorkerLost) || errors.Is(err, engine.ErrMissingDataset)
 		},
-		SpecFactor:   c.opts.SpecFactor,
-		SpecMinDelay: c.opts.SpecMinDelay,
-		OnEvent:      c.recordEvent,
+		OnEvent: c.recordEvent,
 	}
 }

@@ -21,9 +21,9 @@ import (
 //
 // Materialization is lazy and per-worker: each (dataset, worker) pair
 // tracks the worker generation it last loaded at. When a worker
-// reconnects (wiping its soft state) or moves to a new group, its
-// generation bumps and the next query re-materializes the lineage —
-// load for root datasets, parent-then-map for derived ones — on demand.
+// reconnects (wiping its soft state), its generation bumps and the next
+// query re-materializes the lineage — load for root datasets,
+// parent-then-map for derived ones — on demand.
 type dataset struct {
 	c      *Cluster
 	id     string
@@ -70,7 +70,6 @@ func (d *dataset) ensure(ctx context.Context, s *slot, cl *Client, gen uint64) e
 	if st.gen == gen {
 		return nil
 	}
-	group := s.groupNow()
 	var leaves int
 	if d.parent != nil {
 		if err := d.parent.ensure(ctx, s, cl, gen); err != nil {
@@ -82,13 +81,13 @@ func (d *dataset) ensure(ctx context.Context, s *slot, cl *Client, gen uint64) e
 		}
 		leaves = n
 	} else {
-		n, err := cl.Load(ctx, d.id, ExpandSource(d.source, group))
+		n, err := cl.Load(ctx, d.id, ExpandSource(d.source, s.group))
 		if err != nil {
 			return err
 		}
 		leaves = n
 	}
-	if err := d.checkLeaves(group, leaves, s.addr); err != nil {
+	if err := d.checkLeaves(s.group, leaves, s.addr); err != nil {
 		return err
 	}
 	st.gen = gen
@@ -130,14 +129,12 @@ func (d *dataset) invalidate(s *slot) {
 // parallel. Worker losses are tolerated as long as every group keeps at
 // least one materialized replica; leaf-count mismatches are not.
 func (d *dataset) materialize(ctx context.Context) error {
-	slots := d.c.snapshotSlots()
+	slots := d.c.slots
 	errs := make([]error, len(slots))
 	okGroups := make([]bool, d.c.nGroups)
-	groups := make([]int, len(slots))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i, s := range slots {
-		groups[i] = s.groupNow()
 		wg.Add(1)
 		go func(i int, s *slot) {
 			defer wg.Done()
@@ -151,7 +148,7 @@ func (d *dataset) materialize(ctx context.Context) error {
 				return
 			}
 			mu.Lock()
-			okGroups[groups[i]] = true
+			okGroups[s.group] = true
 			mu.Unlock()
 		}(i, s)
 	}
@@ -163,16 +160,13 @@ func (d *dataset) materialize(ctx context.Context) error {
 			return err
 		}
 	}
-	for g := 0; g < d.c.nGroups; g++ {
-		if okGroups[g] {
-			continue
+	// Every group has a worker (worker i serves group i mod nGroups), so
+	// a group with no materialized replica has a failed one to report;
+	// slots are in worker order, so the lowest such group is reported.
+	for i, err := range errs {
+		if g := slots[i].group; err != nil && !okGroups[g] {
+			return fmt.Errorf("cluster: dataset %s: no replica of group %d available: %w", d.id, g, err)
 		}
-		for i, err := range errs {
-			if err != nil && groups[i] == g {
-				return fmt.Errorf("cluster: dataset %s: no replica of group %d available: %w", d.id, g, err)
-			}
-		}
-		return fmt.Errorf("cluster: dataset %s: no worker assigned to group %d", d.id, g)
 	}
 	return nil
 }
@@ -198,8 +192,8 @@ func (d *dataset) leavesFor(g int) int {
 }
 
 // Sketch implements engine.IDataSet: a replicated fan-out over the
-// partition groups, with failover, optional speculation, and per-group
-// dedup (see engine.SketchReplicated).
+// partition groups, with failover and per-group dedup (see
+// engine.SketchReplicated).
 func (d *dataset) Sketch(ctx context.Context, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error) {
 	return engine.SketchReplicated(ctx, sk, onPartial, d.replicaGroups(), d.c.cfg, d.c.failoverOptions())
 }
@@ -218,29 +212,19 @@ func (d *dataset) Map(op engine.MapOp, newID string) (engine.IDataSet, error) {
 	return child, nil
 }
 
-// replicaGroups snapshots the cluster's replica map as engine replica
-// groups for one sketch run. The Replicas functions re-snapshot at call
-// time, so an attempt launched after a reconnect sees the fresh client.
+// replicaGroups presents the cluster's replica map as engine replica
+// groups for one sketch run. A replicaRef reads its worker's connection
+// when an attempt starts, so an attempt after a reconnect uses the fresh
+// client.
 func (d *dataset) replicaGroups() []engine.ReplicaGroup {
 	groups := make([]engine.ReplicaGroup, d.c.nGroups)
-	for g := 0; g < d.c.nGroups; g++ {
-		g := g
-		groups[g] = engine.ReplicaGroup{
-			Range:    engine.PartitionRange{Group: g, Of: d.c.nGroups, Leaves: d.leavesFor(g)},
-			Replicas: func() []engine.Replica { return d.replicasOf(g) },
-		}
+	for g := range groups {
+		groups[g].Range = engine.PartitionRange{Group: g, Of: d.c.nGroups, Leaves: d.leavesFor(g)}
+	}
+	for _, s := range d.c.slots {
+		groups[s.group].Replicas = append(groups[s.group].Replicas, &replicaRef{c: d.c, s: s, d: d})
 	}
 	return groups
-}
-
-func (d *dataset) replicasOf(g int) []engine.Replica {
-	var out []engine.Replica
-	for _, s := range d.c.snapshotSlots() {
-		if s.groupNow() == g {
-			out = append(out, &replicaRef{c: d.c, s: s, d: d})
-		}
-	}
-	return out
 }
 
 // replicaRef adapts one (worker, dataset) pair to engine.Replica. Down

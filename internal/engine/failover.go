@@ -3,31 +3,29 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sketch"
 )
 
-// This file is the engine half of replica-aware fault tolerance: a
-// sketch fan-out over partition ranges, each served by a set of
+// This file is the engine half of replica-aware fault tolerance (paper
+// §5.7): a sketch fan-out over partition ranges, each served by a set of
 // interchangeable replicas. The sketch algebra makes this transparent —
 // summaries are mergeable and partials cumulative, so the root can
-// substitute one replica's summary for another's (or keep the first of
-// two speculative answers) with no coordination, as long as results are
-// deduplicated by partition range at merge time. Package cluster
-// supplies replicas backed by worker connections; the machinery lives
-// here because it reuses the engine's throttle/emit aggregation
-// contract and so engine-level tests can drive it with fake replicas.
+// substitute one replica's summary for another's with no coordination,
+// as long as results are deduplicated by partition range at merge time.
+// Package cluster supplies replicas backed by worker connections; the
+// machinery lives here because it reuses the engine's throttle/emit
+// aggregation contract and so engine-level tests can drive it with fake
+// replicas.
 
 // PartitionRange addresses the slice of a partitioned dataset that one
 // replica group is responsible for: the partitions whose index ≡ Group
-// (mod Of). A failed or straggling sketch attempt is retried at this
-// granularity — the whole range moves to another replica, never a
-// partial split, so the merge tree keeps its shape and merge-order-
-// sensitive sketches stay bit-reproducible.
+// (mod Of). A failed sketch attempt is retried at this granularity — the
+// whole range moves to another replica, never a partial split, so the
+// merge tree keeps its shape and merge-order-sensitive sketches stay
+// bit-reproducible.
 type PartitionRange struct {
 	Group  int // residue class selecting this range's partitions
 	Of     int // number of ranges the dataset is split into
@@ -54,11 +52,10 @@ type Replica interface {
 }
 
 // ReplicaGroup is one partition range plus the replicas that can serve
-// it. Replicas is a function so membership may change between queries
-// (workers joining, leaving, reconnecting) without rebuilding datasets.
+// it.
 type ReplicaGroup struct {
 	Range    PartitionRange
-	Replicas func() []Replica
+	Replicas []Replica
 }
 
 // FailoverEventKind discriminates failover telemetry events.
@@ -68,12 +65,6 @@ const (
 	// EventFailover: an attempt failed with a retryable error and the
 	// range was re-dispatched to the named replica.
 	EventFailover FailoverEventKind = iota + 1
-	// EventSpeculate: a straggling range was speculatively re-executed
-	// on the named replica while the original attempt kept running.
-	EventSpeculate
-	// EventSpecWin: a speculative attempt delivered the range's result
-	// first.
-	EventSpecWin
 	// EventGroupLost: every replica of the range failed; the query
 	// fails with a clean error.
 	EventGroupLost
@@ -83,29 +74,18 @@ const (
 type FailoverEvent struct {
 	Kind    FailoverEventKind
 	Range   PartitionRange
-	Replica string // the replica launched (failover/speculate) or won (spec win)
-	Err     error  // the triggering failure, when there is one
+	Replica string // the replica the range was re-dispatched to (failover)
+	Err     error  // the triggering failure
 }
 
 // FailoverOptions tunes SketchReplicated. The zero value retries
-// nothing and never speculates: the plain parallel fan-out, one attempt
-// per range.
+// nothing: the plain parallel fan-out, one attempt per range.
 type FailoverOptions struct {
 	// Retryable reports whether an attempt error is worth re-dispatching
 	// to another replica (transport failures: yes; deterministic sketch
 	// errors: no — every replica would compute the same failure). nil
 	// means nothing is retryable.
 	Retryable func(error) bool
-	// SpecFactor enables speculative re-execution: once at least half
-	// the groups have completed, a group still running after
-	// SpecFactor × (median completed-group latency) is re-dispatched to
-	// its next untried replica. 0 disables speculation.
-	SpecFactor float64
-	// SpecMinDelay floors the straggler threshold, so tiny queries do
-	// not speculate on scheduler noise. For a single-group dataset
-	// (which has no peer latencies to compare against) it is the
-	// absolute threshold.
-	SpecMinDelay time.Duration
 	// OnEvent, when set, receives failover telemetry.
 	OnEvent func(FailoverEvent)
 }
@@ -116,10 +96,10 @@ type FailoverOptions struct {
 // the partition ranges in groups, each attempt served by one of the
 // range's replicas, and folds the per-range streams — each cumulative
 // for its range — by keeping the latest summary per range and
-// re-merging in range order on every throttled update. Results are deduplicated by range — no matter how
-// many attempts a range needed (failover, speculation, duplicated
-// partials), exactly one summary per range enters the fold, so the
-// result is bit-identical to the fault-free run.
+// re-merging in range order on every throttled update. Results are
+// deduplicated by range — no matter how many attempts a range needed,
+// exactly one summary per range enters the fold, so the result is
+// bit-identical to the fault-free run.
 func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFunc,
 	groups []ReplicaGroup, cfg Config, opts FailoverOptions) (sketch.Result, error) {
 	n := len(groups)
@@ -136,7 +116,6 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 		total += g.Range.Leaves
 	}
 	th := newThrottle(cfg.window())
-	tracker := newLatencyTracker()
 	tr := obs.TraceFrom(ctx)
 	event := func(kind FailoverEventKind, rng PartitionRange, replica string, err error) {
 		if opts.OnEvent != nil {
@@ -144,12 +123,7 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 		}
 		if tr != nil {
 			name := "replica.failover"
-			switch kind {
-			case EventSpeculate:
-				name = "replica.speculate"
-			case EventSpecWin:
-				name = "replica.spec_win"
-			case EventGroupLost:
+			if kind == EventGroupLost {
 				name = "replica.group_lost"
 			}
 			tr.Annotate(name, rng.String()+" "+replica)
@@ -176,11 +150,12 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 		return acc, done, nil
 	}
 
-	// attemptCb builds the partial callback for one attempt on range g.
-	// Competing attempts (failover racing a cancelled loser, speculation)
-	// may interleave, so only updates that advance the range's progress
-	// are kept — the dedup that makes re-execution invisible.
-	attemptCb := func(g int) PartialFunc {
+	// rangeCb builds the partial callback for range g. An attempt that
+	// takes the range over after a failover starts again at its first
+	// partition, so only updates that advance the range's progress are
+	// kept — the dedup that keeps the merged stream from moving
+	// backwards.
+	rangeCb := func(g int) PartialFunc {
 		if onPartial == nil {
 			return nil
 		}
@@ -202,120 +177,58 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 		}
 	}
 
+	// runGroup tries the range's replicas one at a time, healthy ones
+	// first, until one answers. Each attempt runs on its own goroutine so
+	// the dispatcher observes ctx.Done itself: an attempt that ignores
+	// cancellation cannot hold the query past its deadline.
 	runGroup := func(g int) (sketch.Result, error) {
 		grp := groups[g]
-		replicas := orderReplicas(grp.Replicas())
+		replicas := orderReplicas(grp.Replicas)
 		if len(replicas) == 0 {
 			return nil, fmt.Errorf("engine: %v: no replicas", grp.Range)
 		}
-		// Losing attempts are cancelled as soon as the range has a result.
-		gctx, gcancel := context.WithCancel(ctx)
-		defer gcancel()
 		type outcome struct {
-			res  sketch.Result
-			err  error
-			name string
-			spec bool
+			res sketch.Result
+			err error
 		}
-		results := make(chan outcome, len(replicas))
-		next, inflight := 0, 0
-		launch := func(spec bool) string {
-			r := replicas[next]
-			next++
-			inflight++
-			cb := attemptCb(g)
+		cb := rangeCb(g)
+		var lastErr error
+		for i, r := range replicas {
+			if i > 0 {
+				event(EventFailover, grp.Range, r.Name(), lastErr)
+			}
+			results := make(chan outcome, 1)
 			go func() {
-				var (
-					res sketch.Result
-					err error
-				)
+				var out outcome
 				// A panicking attempt is an outcome, not a crash: it fails
 				// this query (panics are not Retryable) and leaves the
 				// other ranges and the process intact.
-				func() {
-					defer func() {
-						if pe := CapturePanic(recover()); pe != nil {
-							err = pe
-						}
-					}()
-					res, err = r.Sketch(gctx, sk, cb)
-				}()
-				results <- outcome{res: res, err: err, name: r.Name(), spec: spec}
-			}()
-			return r.Name()
-		}
-		launch(false)
-		start := time.Now()
-		var lastErr error
-		for inflight > 0 {
-			var (
-				specTimer *time.Timer
-				specC     <-chan time.Time
-				wake      <-chan struct{}
-			)
-			if opts.SpecFactor > 0 && next < len(replicas) {
-				if d, ok := tracker.threshold(opts, n); ok {
-					wait := d - time.Since(start)
-					if wait <= 0 {
-						event(EventSpeculate, grp.Range, launch(true), nil)
-						continue
+				defer func() {
+					if pe := CapturePanic(recover()); pe != nil {
+						out.err = pe
 					}
-					specTimer = time.NewTimer(wait)
-					specC = specTimer.C
-				} else {
-					// No threshold yet; re-evaluate when a peer completes.
-					wake = tracker.changed()
-				}
-			}
-			var (
-				out      outcome
-				gotOut   bool
-				specFire bool
-				cancel   bool
-			)
+					results <- out
+				}()
+				out.res, out.err = r.Sketch(ctx, sk, cb)
+			}()
+			var out outcome
 			select {
 			case out = <-results:
-				gotOut = true
-			case <-specC:
-				specFire = true
-			case <-wake:
 			case <-ctx.Done():
-				cancel = true
-			}
-			if specTimer != nil {
-				specTimer.Stop()
-			}
-			switch {
-			case cancel:
 				return nil, ctx.Err()
-			case specFire:
-				event(EventSpeculate, grp.Range, launch(true), nil)
-				continue
-			case !gotOut:
-				continue // a peer completed; recompute the threshold
 			}
-			inflight--
 			if out.err == nil {
-				tracker.record(time.Since(start))
-				if out.spec {
-					event(EventSpecWin, grp.Range, out.name, nil)
-				}
 				return out.res, nil
 			}
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			lastErr = out.err
 			if opts.Retryable == nil || !opts.Retryable(out.err) {
 				// Deterministic failure: every replica computes the same
 				// bits, so it would fail the same way. Surface it now.
 				return nil, out.err
 			}
-			if next < len(replicas) {
-				event(EventFailover, grp.Range, launch(false), out.err)
-			}
-			// Replicas exhausted: drain whatever is still in flight — a
-			// speculative attempt may yet succeed.
+			lastErr = out.err
 		}
 		event(EventGroupLost, grp.Range, "", lastErr)
 		return nil, fmt.Errorf("engine: %v: all %d replicas failed: %w", grp.Range, len(replicas), lastErr)
@@ -373,57 +286,4 @@ func orderReplicas(rs []Replica) []Replica {
 		}
 	}
 	return out
-}
-
-// latencyTracker collects completed-range latencies for the straggler
-// threshold and wakes waiting groups when a new sample arrives.
-type latencyTracker struct {
-	mu   sync.Mutex
-	durs []time.Duration
-	ch   chan struct{}
-}
-
-func newLatencyTracker() *latencyTracker {
-	return &latencyTracker{ch: make(chan struct{})}
-}
-
-func (t *latencyTracker) record(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.durs = append(t.durs, d)
-	close(t.ch)
-	t.ch = make(chan struct{})
-}
-
-// changed returns a channel closed at the next record.
-func (t *latencyTracker) changed() <-chan struct{} {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ch
-}
-
-// threshold returns the straggler threshold once enough peers (half the
-// groups) have completed: SpecFactor × median completed latency,
-// floored by SpecMinDelay. A single-group dataset has no peers, so
-// SpecMinDelay alone is its threshold.
-func (t *latencyTracker) threshold(opts FailoverOptions, nGroups int) (time.Duration, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	need := nGroups / 2
-	if need < 1 {
-		need = 1
-	}
-	if len(t.durs) < need {
-		if nGroups == 1 && opts.SpecMinDelay > 0 {
-			return opts.SpecMinDelay, true
-		}
-		return 0, false
-	}
-	durs := append([]time.Duration(nil), t.durs...)
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	d := time.Duration(float64(durs[len(durs)/2]) * opts.SpecFactor)
-	if d < opts.SpecMinDelay {
-		d = opts.SpecMinDelay
-	}
-	return d, true
 }

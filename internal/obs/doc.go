@@ -36,7 +36,7 @@
 //	merge.tree           the merge chain after the last partition (earlier merges overlap the scan)
 //	wire.call            root-side RPC to one worker (note = worker addr)
 //	worker.sketch        worker-side execution, shipped back and stitched
-//	replica.*            failover / speculate / spec_win / group_lost events
+//	replica.*            failover / group_lost events
 //
 // All Trace methods are nil-safe: an untraced query pays one nil check
 // per instrumentation point. Spans are bounded per trace (the drop

@@ -27,8 +27,6 @@ import (
 //	wire.call            one root→worker sketch RPC (note: worker addr)
 //	worker.sketch        worker-side execution (shipped back, stitched)
 //	replica.failover     annotation: range re-dispatched after a failure
-//	replica.speculate    annotation: straggling range re-executed
-//	replica.spec_win     annotation: the speculative attempt won
 //	replica.group_lost   annotation: every replica of a range failed
 //
 // maxSpansPerTrace bounds a trace's span list; past it spans are

@@ -76,9 +76,9 @@ func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	http.Error(w, err.Error(), code)
 }
 
-// WriteError writes err per the scheduler's configured Retry-After.
+// WriteError writes err with the DefaultRetryAfter hint.
 func (s *Scheduler) WriteError(w http.ResponseWriter, err error) {
-	WriteError(w, err, s.cfg.RetryAfter)
+	WriteError(w, err, DefaultRetryAfter)
 }
 
 // recoverWriter tracks whether the wrapped handler has started the

@@ -66,12 +66,15 @@ type CacheProber interface {
 	Cached(ctx context.Context, datasetID string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, bool)
 }
 
+// DefaultRetryAfter is the Retry-After hint the Scheduler writes on
+// 429/503 responses.
+const DefaultRetryAfter = time.Second
+
 // Defaults for Config fields left zero.
 const (
 	DefaultQueueDepth    = 64
 	DefaultDeadline      = 30 * time.Second
 	DefaultMaxResultRows = 100000
-	DefaultRetryAfter    = time.Second
 	// DefaultBatchWindow is the batching window the hillview binary
 	// passes by default; the Config zero value keeps batching off.
 	DefaultBatchWindow = time.Millisecond
@@ -95,9 +98,6 @@ type Config struct {
 	// (a nextk table page's K, a heavy-hitters K). 0 means
 	// DefaultMaxResultRows; < 0 disables the budget.
 	MaxResultRows int
-	// RetryAfter is the hint written on 429/503 responses. 0 means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 	// BatchWindow is the longest a cacheable query waits behind a busy
 	// dataset for other cacheable queries on it; those gathered run as one
 	// sketch.MultiSketch leaf pass. A query arriving on an idle dataset
@@ -120,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxResultRows == 0 {
 		c.MaxResultRows = DefaultMaxResultRows
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
 	}
 	return c
 }

@@ -19,9 +19,11 @@ import (
 // battery (RunFaults) accepts "a surfaced error or a correct result",
 // a replicated cluster with at least one surviving replica per
 // partition group must return the bit-identical fault-free answer —
-// crashes, cuts, truncations, and stragglers are absorbed, not
-// reported. Only total loss of a group (the R=1 schedule) may error,
-// and then it must do so cleanly within the hang-detector budget.
+// crashes, cuts and truncations are absorbed, not reported. Only total
+// loss of a group (the R=1 schedule) may error, and then it must do so
+// cleanly within the hang-detector budget. A slow but live replica is
+// not a failover: the range waits for it, and RunFaults' delay
+// schedules pin that a delay never changes an answer.
 //
 // Schedules, all on 4 workers × 2 groups unless noted:
 //
@@ -32,9 +34,6 @@ import (
 //     the script, so the cut repeats across revivals;
 //   - mid-frame truncation with a short read watchdog: the stalled
 //     stream must be diagnosed within the watchdog and failed over;
-//   - crash + straggler: one group's primary delays every frame while
-//     a worker of the other group crashes; speculation must duplicate
-//     the straggling range and the battery must record spec launches;
 //   - R=1 total loss: no replicas, victim crashes mid-stream — a clean
 //     error (or a raced-ahead correct result), then full bit-identical
 //     recovery after an explicit reconnect.
@@ -120,9 +119,6 @@ func RunFailover(seed uint64) error {
 				},
 				cluster.Options{Replication: 2, HealthInterval: 15 * time.Millisecond, FrameTimeout: 250 * time.Millisecond},
 				nil)
-		}},
-		{"crash + straggler speculation", 4 * runTimeout, func() error {
-			return failoverSpeculation(seed, cfg, src, sks, want, parts)
 		}},
 		// The R=1 schedule keeps the tight budget: promptness of the
 		// clean error is the property under test.
@@ -232,56 +228,6 @@ func failoverIdentical(cfg engine.Config, src string, sks []sketch.Sketch, want 
 		if err := log.verify(total, got, false); err != nil {
 			return fmt.Errorf("%s: %w", sk.Name(), err)
 		}
-	}
-	return nil
-}
-
-// failoverSpeculation delays every frame of one group's primary while
-// crashing a worker of the other group: failover covers the crash,
-// speculative re-execution covers the straggler, and every answer must
-// still be bit-identical. The schedule fails if speculation never
-// launched — the knob must demonstrably engage.
-func failoverSpeculation(seed uint64, cfg engine.Config, src string, sks []sketch.Sketch, want []sketch.Result, total int) error {
-	h, err := startClusterOpts(4, cfg,
-		func(addrs []string) cluster.Transport {
-			return cluster.AddrFaultTransport{Scripts: map[string]cluster.FaultScript{
-				addrs[0]: {Seed: seed ^ 0x5c, DelayProb: 1, MaxDelay: 120 * time.Millisecond},
-			}}
-		},
-		nil,
-		cluster.Options{
-			Replication:    2,
-			HealthInterval: 15 * time.Millisecond,
-			SpecFactor:     3,
-			SpecMinDelay:   30 * time.Millisecond,
-		})
-	if err != nil {
-		return err
-	}
-	defer h.close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*runTimeout)
-	defer cancel()
-	ctx = tracedContext(ctx)
-	if _, err := h.root.Load(datasetID, src); err != nil {
-		return fmt.Errorf("load: %w", err)
-	}
-	crashed := false
-	for i, sk := range sks {
-		got, err := h.root.RunSketch(ctx, datasetID, sk, func(engine.Partial) {
-			if !crashed {
-				crashed = true
-				h.workers[1].Crash()
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("%s: fault was not absorbed: %w", sk.Name(), err)
-		}
-		if !reflect.DeepEqual(got, want[i]) {
-			return fmt.Errorf("%s: result differs from fault-free run", sk.Name())
-		}
-	}
-	if st := h.cluster.Stats(); st.SpecLaunches == 0 {
-		return fmt.Errorf("straggling primary never triggered speculation: %+v", st)
 	}
 	return nil
 }
