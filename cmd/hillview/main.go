@@ -651,7 +651,7 @@ func (s *server) httpError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	s.sched.WriteError(w, err)
+	serve.WriteError(w, err)
 }
 
 func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {

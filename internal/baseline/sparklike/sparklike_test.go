@@ -1,12 +1,18 @@
 package sparklike
 
 import (
+	"encoding/gob"
 	"testing"
 
 	"repro/internal/flights"
 	"repro/internal/sketch"
 	"repro/internal/table"
 )
+
+// TestRowSerializationOverhead collects a Hillview summary through the
+// baseline's gob serializer, so the summary type must be registered
+// here: package sketch has no gob registrations.
+func init() { gob.Register(&sketch.Histogram{}) }
 
 func TestMapPartitionsHistogram(t *testing.T) {
 	eng := New(4)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -13,20 +12,10 @@ import (
 	"repro/internal/table"
 )
 
-// BenchmarkWire* measures the binary wire codec, interleaved with the
-// per-frame gob fallback envelope it replaced on the shipped types.
-// BENCH_wire.json holds the historical A/B that also carried the seed's
-// stateful gob stream, a codec mode that no longer exists.
+// BenchmarkWire* measures the binary wire codec. BENCH_wire.json holds
+// the historical A/B against the gob encodings it replaced.
 //
 //	go test -run xxx -bench BenchmarkWire -benchmem ./internal/cluster/
-
-// gobOnlyResult wraps a shipped result in a type without a binary
-// codec, forcing the frame onto the MsgGobEnvelope fallback: stateless
-// per-frame gob, what a naive "make every frame self-contained" fix
-// would have cost.
-type gobOnlyResult struct{ R sketch.Result }
-
-func init() { gob.Register(&gobOnlyResult{}) }
 
 // benchResults builds representative summaries at display-plausible
 // sizes (paper §4.2: summary size follows the rendering, not the data).
@@ -125,7 +114,7 @@ func benchCodec(b *testing.B, env *Envelope) {
 	}
 }
 
-// BenchmarkWireEncodeDecode is the per-result-type A/B: one full frame
+// BenchmarkWireEncodeDecode is the per-result-type cost: one full frame
 // encoded and decoded per op. These are final-style frames (the delta
 // path has its own benchmark below).
 func BenchmarkWireEncodeDecode(b *testing.B) {
@@ -141,9 +130,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	}
 	for _, tc := range cases {
 		env := &Envelope{ReqID: 1, Kind: MsgFinal, Result: tc.result, Done: 4, Total: 4}
-		envFallback := &Envelope{ReqID: 1, Kind: MsgFinal, Result: &gobOnlyResult{R: tc.result}, Done: 4, Total: 4}
 		b.Run(tc.name+"/binary", func(b *testing.B) { benchCodec(b, env) })
-		b.Run(tc.name+"/gobframe", func(b *testing.B) { benchCodec(b, envFallback) })
 	}
 }
 
@@ -180,21 +167,13 @@ func addCounts(r sketch.Result, tick int64) sketch.Result {
 }
 
 // benchPartialStream alternates two successive snapshots through one
-// request's partial stream, so binary frames after warmup are real
-// deltas (per-bucket increments of a progress tick) and fallback frames
-// carry the whole summary again. wirebytes/op is the steady-state frame
-// size.
-func benchPartialStream(b *testing.B, fallback bool, base sketch.Result) {
-	next := addCounts(base, 4096)
-	wrap := func(r sketch.Result) sketch.Result {
-		if fallback {
-			return &gobOnlyResult{R: r}
-		}
-		return r
-	}
+// request's partial stream, so frames after warmup are real deltas
+// (per-bucket increments of a progress tick) where the result type has
+// a delta form. wirebytes/op is the steady-state frame size.
+func benchPartialStream(b *testing.B, base sketch.Result) {
 	envs := [2]*Envelope{
-		{ReqID: 7, Kind: MsgPartial, Result: wrap(base), Done: 1, Total: 4},
-		{ReqID: 7, Kind: MsgPartial, Result: wrap(next), Done: 2, Total: 4},
+		{ReqID: 7, Kind: MsgPartial, Result: base, Done: 1, Total: 4},
+		{ReqID: 7, Kind: MsgPartial, Result: addCounts(base, 4096), Done: 2, Total: 4},
 	}
 	var buf bytes.Buffer
 	fc := newFrameConn(&buf)
@@ -226,12 +205,10 @@ func benchPartialStream(b *testing.B, fallback bool, base sketch.Result) {
 	b.ReportMetric(float64(steady), "wirebytes/op")
 }
 
-// BenchmarkWirePartialStream is the acceptance metric: a request's
-// partial stream, one partial frame per op against a warm delta chain
-// (binary) versus the per-frame gob fallback (every partial re-ships the
-// whole summary). allocs/op is allocations per partial frame, encode
-// plus decode; wirebytes/op shows the delta shrinkage (heavy hitters has
-// no delta form and ships full frames).
+// BenchmarkWirePartialStream is a request's partial stream, one partial
+// frame per op against a warm delta chain. allocs/op is allocations per
+// partial frame, encode plus decode; wirebytes/op shows the delta
+// shrinkage (heavy hitters has no delta form and ships full frames).
 func BenchmarkWirePartialStream(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -242,8 +219,7 @@ func BenchmarkWirePartialStream(b *testing.B) {
 		{"heavyhitters", benchHeavyHitters()},
 	}
 	for _, tc := range cases {
-		b.Run(tc.name+"/binary", func(b *testing.B) { benchPartialStream(b, false, tc.result) })
-		b.Run(tc.name+"/gobframe", func(b *testing.B) { benchPartialStream(b, true, tc.result) })
+		b.Run(tc.name+"/binary", func(b *testing.B) { benchPartialStream(b, tc.result) })
 	}
 }
 

@@ -106,8 +106,8 @@ func TestWorkerLoadAndSketch(t *testing.T) {
 	if c.BytesReceived() == 0 {
 		t.Error("no bytes accounted")
 	}
-	// Summaries are small: a 20-bucket histogram (plus partials and gob
-	// type info) must be a few KB, nothing like the 20000-row data.
+	// Summaries are small: a 20-bucket histogram (plus partials) must be
+	// a few KB, nothing like the 20000-row data.
 	if got := c.BytesReceived(); got > 64*1024 {
 		t.Errorf("root received %d bytes for a tiny summary", got)
 	}

@@ -4,19 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/sketch"
 	"repro/internal/storage"
 	"repro/internal/table"
+	"repro/internal/wire"
 )
 
 // pipeConns builds a connected frameConn pair over an in-memory buffer
@@ -310,76 +313,135 @@ func TestVersionSkewRejected(t *testing.T) {
 	}
 }
 
-// thirdPartySketch is a sketch type with gob registration but no binary
-// codec — the third-party extension case the fallback envelope exists
-// for. It wraps a histogram and perturbs nothing.
-type thirdPartySketch struct {
-	Inner *sketch.HistogramSketch
-}
+// codecLessSketch is a sketch type with no wire codec: a histogram
+// under another name.
+type codecLessSketch struct{ *sketch.HistogramSketch }
 
-// thirdPartyResult is its result type, equally unknown to the codec.
-type thirdPartyResult struct {
-	Inner *sketch.Histogram
-}
-
-func (s *thirdPartySketch) Name() string { return "thirdparty(" + s.Inner.Name() + ")" }
-func (s *thirdPartySketch) Zero() sketch.Result {
-	return &thirdPartyResult{Inner: s.Inner.Zero().(*sketch.Histogram)}
-}
-func (s *thirdPartySketch) Summarize(t *table.Table) (sketch.Result, error) {
-	r, err := s.Inner.Summarize(t)
-	if err != nil {
-		return nil, err
-	}
-	return &thirdPartyResult{Inner: r.(*sketch.Histogram)}, nil
-}
-func (s *thirdPartySketch) Merge(a, b sketch.Result) (sketch.Result, error) {
-	ra, ok1 := a.(*thirdPartyResult)
-	rb, ok2 := b.(*thirdPartyResult)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("thirdparty merge got %T and %T", a, b)
-	}
-	m, err := s.Inner.Merge(ra.Inner, rb.Inner)
-	if err != nil {
-		return nil, err
-	}
-	return &thirdPartyResult{Inner: m.(*sketch.Histogram)}, nil
-}
-
-// TestGobFallbackEnvelope runs a codec-less third-party sketch through
-// a real worker over TCP: the request and its results must ride
-// MsgGobEnvelope frames transparently.
-func TestGobFallbackEnvelope(t *testing.T) {
-	gob.Register(&thirdPartySketch{})
-	gob.Register(&thirdPartyResult{})
+// startTCPWorker serves one worker on loopback with dataset "d" loaded
+// through a client dialed over tr.
+func startTCPWorker(t *testing.T, tr Transport) (*Client, string) {
+	t.Helper()
 	w := NewWorker(storage.NewLoader(engine.Config{}, 0))
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	cl, err := Dial(addr)
+	t.Cleanup(func() { w.Close() })
+	cl, err := DialTransport(tr, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	ctx := context.Background()
-	if _, err := cl.Load(ctx, "d", "flights:rows=4000,parts=3"); err != nil {
+	t.Cleanup(func() { cl.Close() })
+	if _, err := cl.Load(context.Background(), "d", "flights:rows=4000,parts=3"); err != nil {
 		t.Fatal(err)
 	}
-	inner := &sketch.HistogramSketch{Col: "DepDelay", Buckets: sketch.NumericBuckets(table.KindDouble, -60, 600, 16)}
-	tp := &thirdPartySketch{Inner: inner}
-	partials := 0
-	got, err := cl.Sketch(ctx, "d", tp, func(p engine.Partial) { partials++ })
-	if err != nil {
-		t.Fatalf("third-party sketch over the wire: %v", err)
+	return cl, addr
+}
+
+var codecTestHistogram = &sketch.HistogramSketch{Col: "DepDelay", Buckets: sketch.NumericBuckets(table.KindDouble, -60, 600, 16)}
+
+// TestCodecLessSketchIsEncodeError: a sketch without a wire codec fails
+// at the root with an encode error naming its type, before anything is
+// written, and the connection keeps serving.
+func TestCodecLessSketchIsEncodeError(t *testing.T) {
+	cl, _ := startTCPWorker(t, TCPTransport{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sent := cl.WireStats().FramesOut
+	_, err := cl.Sketch(ctx, "d", &codecLessSketch{codecTestHistogram}, nil)
+	if err == nil || !strings.Contains(err.Error(), "*cluster.codecLessSketch has no wire codec") {
+		t.Fatalf("codec-less sketch: err = %v, want an encode error naming the type", err)
 	}
-	want, err := cl.Sketch(ctx, "d", inner, nil)
+	if errors.Is(err, ErrWorkerLost) || ctx.Err() != nil {
+		t.Fatalf("encode error marked the worker lost or ran out the deadline: %v", err)
+	}
+	if got := cl.WireStats().FramesOut; got != sent {
+		t.Errorf("a frame was written for the codec-less sketch (%d → %d)", sent, got)
+	}
+	if _, err := cl.Sketch(ctx, "d", codecTestHistogram, nil); err != nil {
+		t.Fatalf("next histogram on the same client: %v", err)
+	}
+}
+
+// tagRewriteTransport is TCP whose next MsgSketch frame, once armed,
+// carries an unregistered sketch tag under a valid checksum: a request
+// body the worker cannot decode on a stream still in sync.
+type tagRewriteTransport struct{ armed *atomic.Bool }
+
+const unregisteredSketchTag = 200
+
+func (tr tagRewriteTransport) Dial(addr string) (net.Conn, error) {
+	c, err := TCPTransport{}.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &tagRewriteConn{Conn: c, armed: tr.armed}, nil
+}
+
+type tagRewriteConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+// Write rewrites one whole frame (frameConn.send writes one per call):
+// length, magic, version, kind, flags, reqID, datasetID, sketch tag.
+func (c *tagRewriteConn) Write(p []byte) (int, error) {
+	if p[6] != byte(MsgSketch) || !c.armed.CompareAndSwap(true, false) {
+		return c.Conn.Write(p)
+	}
+	frame := append([]byte(nil), p...)
+	_, rest, err := wire.ConsumeUvarint(frame[8:])
+	if err == nil {
+		_, rest, err = wire.ConsumeString(rest)
+	}
+	if err != nil {
+		return 0, err
+	}
+	rest[0] = unregisteredSketchTag
+	reseal(frame)
+	return c.Conn.Write(frame)
+}
+
+// TestUndecodableRequestFailsAlone: a request whose body the worker
+// cannot decode is answered with an error naming the tag, and the same
+// connection then answers a histogram — on a bare client, and through a
+// Cluster, where the error is a plain query error that loses no group
+// and costs no reconnect.
+func TestUndecodableRequestFailsAlone(t *testing.T) {
+	armed := new(atomic.Bool)
+	tr := tagRewriteTransport{armed: armed}
+	cl, addr := startTCPWorker(t, tr)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	wantErr := fmt.Sprintf("unknown sketch tag %d", unregisteredSketchTag)
+
+	armed.Store(true)
+	_, err := cl.Sketch(ctx, "d", codecTestHistogram, nil)
+	if err == nil || !strings.Contains(err.Error(), wantErr) || errors.Is(err, ErrWorkerLost) {
+		t.Fatalf("undecodable request: err = %v, want a worker error containing %q", err, wantErr)
+	}
+	if _, err := cl.Sketch(ctx, "d", codecTestHistogram, nil); err != nil {
+		t.Fatalf("next histogram on the same client: %v", err)
+	}
+
+	c, err := ConnectOptions(tr, []string{addr}, engine.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.(*thirdPartyResult).Inner, want) {
-		t.Fatalf("fallback result diverged from typed result:\n fallback %+v\n typed    %+v", got.(*thirdPartyResult).Inner, want)
+	defer c.Close()
+	root := engine.NewRoot(c.Loader())
+	if _, err := root.Load("fl", "flights:rows=4000,parts=3"); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	if _, err := root.RunSketch(ctx, "fl", codecTestHistogram, nil); err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Fatalf("undecodable query through the cluster: err = %v, want %q", err, wantErr)
+	}
+	if _, err := root.RunSketch(ctx, "fl", codecTestHistogram, nil); err != nil {
+		t.Fatalf("next histogram through the cluster: %v", err)
+	}
+	if st := c.Stats(); st.GroupsLost != 0 || st.Reconnects != 0 {
+		t.Errorf("a bad request body cost the cluster: groupsLost=%d reconnects=%d", st.GroupsLost, st.Reconnects)
 	}
 }
 

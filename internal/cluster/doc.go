@@ -48,11 +48,13 @@
 //	MsgPartial   uvarint done, total, seq, resultTag, result body
 //	MsgFinal     uvarint done, total, 0,   resultTag, result body
 //	MsgError     err string                              (flagErrMissing in flags)
-//	MsgGobEnvelope  gob(Envelope) with a fresh encoder   (fallback, see below)
 //
-// Per-type tags are registered in sketch (RegisterResultCodec /
-// RegisterSketchCodec) and engine (the MapOp switch); tag spaces are
-// independent, tag 0 is reserved, and tags are append-only wire format.
+// Kind 11 is retired and decodes as an unknown kind. Per-type tags are
+// registered in sketch (RegisterResultCodec / RegisterSketchCodec; the
+// tag tables in sketch/codec.go list every tag, including those that
+// storage and tests register) and engine (the MapOp switch); tag spaces
+// are independent, tag 0 is reserved, and tags are append-only wire
+// format.
 //
 // # Delta partials
 //
@@ -70,19 +72,26 @@
 // base is a clean decode error, and finals are always full snapshots
 // that retire the chain. MsgCancel remains out-of-band and stateless.
 //
-// # Gob fallback
+// # One codec
 //
-// An envelope whose sketch, map op, or result type has no registered
-// binary codec is sent as MsgGobEnvelope: the whole Envelope through a
-// fresh gob encoder, one per frame, so the fallback is as stateless as
-// the typed path. Third-party sketches therefore keep working over the
-// wire — registering gob types (as before) is sufficient; registering a
-// binary codec is the fast path. The registration contract for a new
-// sketch: add the prototype to sketch.wireSketches, implement
-// WireSketch on the sketch and WireResult on its summary, register both
-// under fresh tags, and add an oracle + testkit instance — the codec
-// coverage test (sketch.TestWireCodecCoverage) and the oracle coverage
-// test each fail a sketch that skips its half.
+// A type without a codec does not cross the wire; a body that does not
+// decode fails its request. An envelope whose sketch, map op or result
+// has no registered codec (a MultiSketch or MultiResult with such a
+// member included) is an encode error at the sender before anything is
+// written, so the request fails without touching the connection. On the
+// worker, a request frame that passes the length, checksum, magic,
+// version and kind checks but whose body does not decode — an unknown
+// tag, a corrupt member, trailing bytes — is answered with MsgError for
+// its request ID, and the connection keeps serving: the checksum proves
+// the stream is in sync. Framing errors drop the connection, and so
+// does any decode error on the root's side.
+//
+// The registration contract for a new sketch: add the prototype to
+// sketch.wireSketches, implement WireSketch on the sketch and
+// WireResult on its summary, register both under fresh tags, and add an
+// oracle + testkit instance — the codec coverage test
+// (sketch.TestWireCodecCoverage) and the oracle coverage test each fail
+// a sketch that skips its half.
 //
 // # Replica map
 //

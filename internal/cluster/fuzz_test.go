@@ -3,10 +3,10 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -14,15 +14,6 @@ import (
 	"repro/internal/table"
 	"repro/internal/wire"
 )
-
-// unregisteredOp has gob registration but no binary codec, forcing a
-// MsgGobEnvelope frame into the corpus.
-type unregisteredOp struct{ X int }
-
-func (unregisteredOp) Apply(t *table.Table, id string) (*table.Table, error) { return t, nil }
-func (unregisteredOp) Describe() string                                      { return "unregistered" }
-
-func init() { gob.Register(unregisteredOp{}) }
 
 // appendCraftedHistogram builds a histogram body whose Counts length
 // prefix claims 2^40 elements over no payload.
@@ -113,8 +104,14 @@ func FuzzFrame(f *testing.F) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(crafted)))
 	f.Add(append(hdr[:], crafted...))
-	// A gob fallback envelope.
-	f.Add(frameBytes(f, &Envelope{ReqID: 7, Kind: MsgMap, DatasetID: "d", NewID: "e", Op: unregisteredOp{}}))
+	// A sealed frame of the retired kind 11, which must be rejected.
+	retired := frameBytes(f, &Envelope{ReqID: 7, Kind: MsgPing})
+	retired[6] = 11
+	reseal(retired)
+	if _, err := recvBytes(retired); err == nil || !strings.Contains(err.Error(), "unknown frame kind 11") {
+		f.Fatalf("kind-11 frame: err = %v, want unknown frame kind", err)
+	}
+	f.Add(retired)
 	// Traced frames: a request carrying just the trace ID and a final
 	// carrying a stitched span list, so the flagTrace tail parser is in
 	// the corpus; plus the crafted tail claiming 2^40 spans over no
@@ -205,11 +202,15 @@ func TestOversizedBucketFrameRejected(t *testing.T) {
 // returns the receiving side's error.
 func recvSketchFrame(t *testing.T, sk sketch.Sketch) error {
 	t.Helper()
-	data := frameBytes(t, &Envelope{ReqID: 1, Kind: MsgSketch, DatasetID: "d", Sketch: sk})
+	_, err := recvBytes(frameBytes(t, &Envelope{ReqID: 1, Kind: MsgSketch, DatasetID: "d", Sketch: sk}))
+	return err
+}
+
+// recvBytes decodes the first frame of data.
+func recvBytes(data []byte) (*Envelope, error) {
 	fc := newFrameConn(struct {
 		io.Reader
 		io.Writer
 	}{bytes.NewReader(data), io.Discard})
-	_, err := fc.recv()
-	return err
+	return fc.recv()
 }

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -46,22 +44,14 @@ const (
 	MsgFinal
 	// MsgError reports request failure.
 	MsgError
-	// MsgGobEnvelope is the fallback frame: a whole Envelope encoded
-	// with a fresh (stateless) gob encoder. The transport emits it
-	// whenever an envelope carries a sketch, map op, or result type
-	// with no registered binary codec, so third-party types keep
-	// working over the wire at gob speed while every shipped type takes
-	// the typed path. In-tree users: the spreadsheet's save vizketch
-	// (saveSketch / SaveResult, View.SaveCSV in cluster mode) and the
-	// overload battery's testkit.overloadPanicSketch. (A codec-less
-	// member of a MultiSketch rides gob too, but as a per-member blob
-	// inside the typed frame — see sketch.MultiSketch.AppendWire.)
-	MsgGobEnvelope
+	// Kind 11 is retired: it decodes as an unknown kind, and a new kind
+	// takes the next free number.
 )
 
 // Envelope is the single frame type; fields are populated per Kind.
-// One struct keeps the protocol easy to evolve and gives the gob
-// fallback a single self-describing payload.
+// One struct keeps the protocol easy to evolve. Its sketch, map op and
+// result travel through their registered binary codecs: a type without
+// one does not cross the wire.
 type Envelope struct {
 	ReqID uint64
 	Kind  MsgKind
@@ -70,8 +60,8 @@ type Envelope struct {
 	DatasetID string
 	Source    string        // MsgLoad
 	NewID     string        // MsgMap
-	Op        engine.MapOp  // MsgMap (concrete types registered in engine)
-	Sketch    sketch.Sketch // MsgSketch (concrete types registered in sketch)
+	Op        engine.MapOp  // MsgMap (engine.AppendOpWire)
+	Sketch    sketch.Sketch // MsgSketch (sketch.RegisterSketchCodec)
 	// NoPartials suppresses MsgPartial streaming for sketches whose
 	// caller only wants the final summary (preparation-phase sketches,
 	// scroll-bar quantiles): progressive updates exist for renderable
@@ -196,10 +186,9 @@ type partialState struct {
 // frameConn frames envelopes with a uint32 big-endian length prefix and
 // counts bytes, frames, and codec nanoseconds in each direction.
 // Writers are serialized; there is a single reader goroutine per
-// connection. Encoding is the stateless binary codec above; envelopes
-// carrying types without a registered codec fall back to MsgGobEnvelope
-// frames (a fresh gob encoder per frame, so even the fallback is
-// stateless).
+// connection. Encoding is the stateless binary codec above; an envelope
+// carrying a type without a registered codec fails to encode before
+// anything is written.
 type frameConn struct {
 	rw      io.ReadWriter
 	in, out atomic.Int64
@@ -229,21 +218,6 @@ func newFrameConn(rw io.ReadWriter) *frameConn {
 	}
 	c.deadliner, _ = rw.(interface{ SetReadDeadline(time.Time) error })
 	return c
-}
-
-// needsGobFallback reports whether any payload of env lacks a binary
-// codec, forcing the whole envelope onto the gob fallback frame.
-func needsGobFallback(env *Envelope) bool {
-	if env.Sketch != nil && !sketch.SketchHasCodec(env.Sketch) {
-		return true
-	}
-	if env.Op != nil && !engine.OpHasCodec(env.Op) {
-		return true
-	}
-	if env.Result != nil && !sketch.ResultHasCodec(env.Result) {
-		return true
-	}
-	return false
 }
 
 // send encodes env as one self-contained length-prefixed frame and
@@ -284,11 +258,6 @@ func (c *frameConn) send(env *Envelope) error {
 // appendFrameLocked appends the frame payload (header + body) for env;
 // callers hold wmu (the partial delta chain lives under it).
 func (c *frameConn) appendFrameLocked(buf []byte, env *Envelope) ([]byte, error) {
-	if needsGobFallback(env) {
-		// Kept out of line: taking &buf here would heap-allocate the
-		// slice header on every call, gob branch taken or not.
-		return appendGobEnvelope(buf, env)
-	}
 	flags := byte(0)
 	if env.NoPartials {
 		flags |= flagNoPartials
@@ -313,13 +282,13 @@ func (c *frameConn) appendFrameLocked(buf []byte, env *Envelope) ([]byte, error)
 		buf = wire.AppendString(buf, env.NewID)
 		var ok bool
 		if buf, ok = engine.AppendOpWire(buf, env.Op); !ok {
-			return buf, fmt.Errorf("cluster: encode: op %T lost its codec", env.Op)
+			return buf, fmt.Errorf("cluster: encode: op %T has no wire codec", env.Op)
 		}
 	case MsgSketch:
 		buf = wire.AppendString(buf, env.DatasetID)
 		var ok bool
 		if buf, ok = sketch.AppendSketchWire(buf, env.Sketch); !ok {
-			return buf, fmt.Errorf("cluster: encode: sketch %T lost its codec", env.Sketch)
+			return buf, fmt.Errorf("cluster: encode: sketch %T has no wire codec", env.Sketch)
 		}
 	case MsgCancel, MsgPing, MsgDrop:
 		if env.Kind == MsgDrop {
@@ -428,7 +397,7 @@ func (c *frameConn) appendResultLocked(buf []byte, headerAt int, env *Envelope) 
 		if out, ok := sketch.AppendResultWire(buf, env.Result); ok {
 			return out, nil
 		}
-		return buf, fmt.Errorf("cluster: encode: result %T lost its codec", env.Result)
+		return buf, fmt.Errorf("cluster: encode: result %T has no wire codec", env.Result)
 	}
 	if env.Result == nil {
 		// Tag 0: a result-less partial. It must not advance the delta
@@ -455,31 +424,10 @@ func (c *frameConn) appendResultLocked(buf []byte, headerAt int, env *Envelope) 
 	}
 	out, ok := sketch.AppendResultWire(buf, env.Result)
 	if !ok {
-		return buf, fmt.Errorf("cluster: encode: result %T lost its codec", env.Result)
+		return buf, fmt.Errorf("cluster: encode: result %T has no wire codec", env.Result)
 	}
 	st.last = env.Result
 	return out, nil
-}
-
-// appendGobEnvelope writes the fallback frame: header plus the whole
-// envelope through a fresh (stateless) gob encoder.
-func appendGobEnvelope(buf []byte, env *Envelope) ([]byte, error) {
-	buf = append(buf, frameMagic, frameVersion, byte(MsgGobEnvelope), 0)
-	buf = wire.AppendUvarint(buf, env.ReqID)
-	w := sliceWriter{buf: &buf}
-	if err := gob.NewEncoder(w).Encode(env); err != nil {
-		return buf, fmt.Errorf("cluster: encode: %w", err)
-	}
-	return buf, nil
-}
-
-// sliceWriter lets a fresh gob encoder append straight into the pooled
-// frame buffer.
-type sliceWriter struct{ buf *[]byte }
-
-func (w sliceWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
 }
 
 // recv reads one frame and decodes it. Every frame is self-contained,
@@ -581,12 +529,6 @@ func (c *frameConn) decodeFrame(payload []byte) (*Envelope, error) {
 	env.NoPartials = flags&flagNoPartials != 0
 	env.ErrMissing = flags&flagErrMissing != 0
 	switch kind {
-	case MsgGobEnvelope:
-		var inner Envelope
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&inner); err != nil {
-			return nil, fmt.Errorf("cluster: decode: fallback envelope: %w", err)
-		}
-		return &inner, nil
 	case MsgLoad:
 		if env.DatasetID, b, err = wire.ConsumeString(b); err == nil {
 			env.Source, b, err = wire.ConsumeString(b)
@@ -624,19 +566,31 @@ func (c *frameConn) decodeFrame(payload []byte) (*Envelope, error) {
 		// reject every traced frame.
 		b, err = consumeTraceSection(env, b)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: decode: %w", err)
+	if err == nil && len(b) != 0 {
+		// A well-formed frame is consumed exactly; leftover bytes must
+		// surface as corruption, never as a structurally plausible
+		// envelope with garbage values.
+		err = wire.Corruptf("%d trailing bytes", len(b))
 	}
-	if len(b) != 0 {
-		// A well-formed frame is consumed exactly; leftover bytes mean a
-		// desynchronized or spliced stream (e.g. a truncated frame whose
-		// outer length swallowed part of the next one) whose field parse
-		// happened to succeed — corruption must surface, never a
-		// structurally plausible envelope with garbage values.
-		return nil, fmt.Errorf("cluster: decode: %w", wire.Corruptf("%d trailing bytes after %v frame", len(b), kind))
+	if err != nil {
+		return nil, &bodyError{reqID: reqID, err: fmt.Errorf("cluster: decode: kind %d request %d: %w", kind, reqID, err)}
 	}
 	return env, nil
 }
+
+// bodyError is a frame that passed every framing check (length,
+// checksum, magic, version, known kind) but whose body does not decode:
+// an unknown sketch, result or op tag, a corrupt member, trailing
+// bytes. The checksum proves the stream is still in sync, so a worker
+// answers the request with an error and keeps reading; the root, which
+// cannot tell whose partial went bad, still drops the connection.
+type bodyError struct {
+	reqID uint64
+	err   error
+}
+
+func (e *bodyError) Error() string { return e.err.Error() }
+func (e *bodyError) Unwrap() error { return e.err }
 
 // decodeResult parses the body of a partial or final frame and runs the
 // receive side of the delta chain (see partialState). It returns the

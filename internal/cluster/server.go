@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -222,8 +223,21 @@ func (w *Worker) serveConn(conn net.Conn) {
 	)
 	for {
 		env, err := fc.recv()
+		var bad *bodyError
+		if errors.As(err, &bad) {
+			// One request the worker cannot decode fails alone; the
+			// checksum held, so the next frame starts where this one ended.
+			w.logf("cluster worker: failing request from %s: %v", conn.RemoteAddr(), bad)
+			if err := fc.send(&Envelope{Kind: MsgError, ReqID: bad.reqID, Err: bad.Error()}); err != nil {
+				w.logf("cluster worker: send: %v", err)
+			}
+			continue
+		}
 		if err != nil {
-			return // connection closed
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				w.logf("cluster worker: dropping connection from %s: %v", conn.RemoteAddr(), err)
+			}
+			return
 		}
 		if env.Kind == MsgCancel {
 			mu.Lock()

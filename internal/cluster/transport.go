@@ -12,8 +12,8 @@ import (
 
 // Transport is the seam between the cluster protocol and the network:
 // the root dials workers through one, so tests can interpose a
-// fault-injecting wrapper around the very same net.Conn, framing, and
-// gob machinery production uses (the chaos-harness requirement of
+// fault-injecting wrapper around the very same net.Conn and framing
+// production uses (the chaos-harness requirement of
 // internal/testkit). Production code never notices it exists —
 // Dial/Connect default to TCPTransport.
 type Transport interface {

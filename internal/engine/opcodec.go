@@ -6,10 +6,9 @@ import (
 
 // Binary wire codec for the shipped map operations (the request-side
 // MsgMap payload). Ops are tiny value structs, so the codec is a plain
-// switch; an op type absent here (a third-party MapOp) rides the gob
-// fallback envelope at the frame layer. Tags are wire format: append,
-// never renumber. Decoded ops are returned in the same value form gob
-// produced, so worker-side behavior is unchanged.
+// switch; an op type absent here does not cross the wire. Tags are wire
+// format: append, never renumber. Decoded ops are returned in value
+// form whichever form was sent.
 const (
 	opTagFilter      = 1
 	opTagDerive      = 2
@@ -17,17 +16,8 @@ const (
 	opTagFilterRange = 4
 )
 
-// OpHasCodec reports whether op has a binary wire codec.
-func OpHasCodec(op MapOp) bool {
-	switch op.(type) {
-	case FilterOp, *FilterOp, DeriveOp, *DeriveOp, ProjectOp, *ProjectOp, FilterRangeOp, *FilterRangeOp:
-		return true
-	}
-	return false
-}
-
-// AppendOpWire appends tag+body for a shipped op; ok=false tells the
-// transport to fall back to gob.
+// AppendOpWire appends tag+body for a shipped op; ok=false (b
+// unchanged) means op has no codec and cannot cross the wire.
 func AppendOpWire(b []byte, op MapOp) ([]byte, bool) {
 	switch o := op.(type) {
 	case *FilterOp:

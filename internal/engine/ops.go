@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
 	"strconv"
@@ -118,11 +117,4 @@ func (op FilterRangeOp) Apply(t *table.Table, newPartID string) (*table.Table, e
 // Describe implements MapOp.
 func (op FilterRangeOp) Describe() string {
 	return fmt.Sprintf("filter-range(%s in [%g,%g])", op.Col, op.Min, op.Max)
-}
-
-func init() {
-	gob.Register(FilterOp{})
-	gob.Register(DeriveOp{})
-	gob.Register(ProjectOp{})
-	gob.Register(FilterRangeOp{})
 }

@@ -61,24 +61,16 @@ func HTTPStatus(err error) int {
 	}
 }
 
-// WriteError writes err as its mapped HTTP response, attaching a
-// Retry-After hint to the overload statuses (429/503). A 499 client
-// disconnect is still "written" for uniformity; the socket is gone.
-func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
+// WriteError writes err as its mapped HTTP response, attaching the
+// DefaultRetryAfter hint to the overload statuses (429/503). A 499
+// client disconnect is still "written" for uniformity; the socket is
+// gone.
+func WriteError(w http.ResponseWriter, err error) {
 	code := HTTPStatus(err)
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		secs := int((retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.Itoa(int(DefaultRetryAfter/time.Second)))
 	}
 	http.Error(w, err.Error(), code)
-}
-
-// WriteError writes err with the DefaultRetryAfter hint.
-func (s *Scheduler) WriteError(w http.ResponseWriter, err error) {
-	WriteError(w, err, DefaultRetryAfter)
 }
 
 // recoverWriter tracks whether the wrapped handler has started the
@@ -112,10 +104,10 @@ func (rw *recoverWriter) Flush() {
 // bug, a malformed-parameter crash — becomes a 500 for that request,
 // counted in the scheduler's panic stats, instead of an aborted
 // connection (net/http's default) or a dead process. The 500 goes
-// through the scheduler's WriteError (the one typed-error path every
-// handler response takes) and only when the handler has not already
-// written: a panic after the response started must not stomp a second
-// status line onto a stream the client is half-way through.
+// through WriteError (the one typed-error path every handler response
+// takes) and only when the handler has not already written: a panic
+// after the response started must not stomp a second status line onto
+// a stream the client is half-way through.
 func (s *Scheduler) Recovered(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rw := &recoverWriter{ResponseWriter: w}
@@ -123,7 +115,7 @@ func (s *Scheduler) Recovered(h http.HandlerFunc) http.HandlerFunc {
 			if pe := engine.CapturePanic(recover()); pe != nil {
 				s.panics.Add(1)
 				if !rw.wrote {
-					s.WriteError(rw, pe)
+					WriteError(rw, pe)
 				}
 			}
 		}()

@@ -66,7 +66,7 @@ type CacheProber interface {
 	Cached(ctx context.Context, datasetID string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, bool)
 }
 
-// DefaultRetryAfter is the Retry-After hint the Scheduler writes on
+// DefaultRetryAfter is the Retry-After hint WriteError attaches to
 // 429/503 responses.
 const DefaultRetryAfter = time.Second
 

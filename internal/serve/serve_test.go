@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -431,15 +432,15 @@ func TestHTTPStatusContract(t *testing.T) {
 // TestWriteErrorRetryAfter: overload statuses carry a Retry-After hint.
 func TestWriteErrorRetryAfter(t *testing.T) {
 	rec := httptest.NewRecorder()
-	WriteError(rec, ErrShed, 2*time.Second)
+	WriteError(rec, ErrShed)
 	if rec.Code != 429 {
 		t.Fatalf("code = %d", rec.Code)
 	}
-	if got := rec.Header().Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", got)
+	if got, want := rec.Header().Get("Retry-After"), strconv.Itoa(int(DefaultRetryAfter/time.Second)); got != want {
+		t.Errorf("Retry-After = %q, want %q", got, want)
 	}
 	rec = httptest.NewRecorder()
-	WriteError(rec, errors.New("bad column"), time.Second)
+	WriteError(rec, errors.New("bad column"))
 	if got := rec.Header().Get("Retry-After"); got != "" {
 		t.Errorf("Retry-After on 400 = %q, want unset", got)
 	}

@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -319,58 +317,6 @@ func TestJacobiEigenKnownMatrix(t *testing.T) {
 	for _, v := range vals {
 		if math.Abs(v-1) > 1e-12 {
 			t.Errorf("identity eigenvalues = %v", vals)
-		}
-	}
-}
-
-// TestGobRoundTrip ensures every summary type survives the wire format,
-// including the map-keyed HeavyHitters summary.
-func TestGobRoundTrip(t *testing.T) {
-	tbl := genTable("gob", 500, 69)
-	sketches := []Sketch{
-		&HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 5)},
-		&Histogram2DSketch{XCol: "x", YCol: "cat", X: NumericBuckets(table.KindDouble, 0, 100, 4), Y: StringBucketsFromDistinct([]string{"alpha", "beta"}, 4), Rate: 1},
-		&TrellisSketch{GroupCol: "cat", XCol: "x", YCol: "cat", Group: StringBucketsFromDistinct([]string{"alpha", "beta"}, 4), X: NumericBuckets(table.KindDouble, 0, 100, 3), Y: StringBucketsFromDistinct([]string{"alpha"}, 4), Rate: 1},
-		&NextKSketch{Order: table.Asc("x"), Extra: []string{"cat"}, K: 5},
-		&FindTextSketch{Col: "cat", Pattern: "alpha", Kind: MatchExact, Order: table.Asc("id")},
-		&QuantileSketch{Order: table.Asc("x"), SampleSize: 20, Seed: 1},
-		&MisraGriesSketch{Col: "cat", K: 4},
-		&SampleHeavyHittersSketch{Col: "cat", K: 4, Rate: 0.5, Seed: 2},
-		&RangeSketch{Col: "x"},
-		&MomentsSketch{Col: "x", K: 2},
-		&DistinctCountSketch{Col: "cat"},
-		&DistinctBottomKSketch{Col: "cat", K: 10},
-		&PCASketch{Cols: []string{"x"}, Rate: 1},
-	}
-	for _, sk := range sketches {
-		res, err := sk.Summarize(tbl)
-		if err != nil {
-			t.Fatalf("%s: %v", sk.Name(), err)
-		}
-		// Sketch itself round-trips (as interface value).
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&sk); err != nil {
-			t.Fatalf("%s: encode sketch: %v", sk.Name(), err)
-		}
-		var sk2 Sketch
-		if err := gob.NewDecoder(&buf).Decode(&sk2); err != nil {
-			t.Fatalf("%s: decode sketch: %v", sk.Name(), err)
-		}
-		if sk2.Name() != sk.Name() {
-			t.Errorf("sketch name changed over wire: %q vs %q", sk2.Name(), sk.Name())
-		}
-		// Summary round-trips (as interface value).
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(&res); err != nil {
-			t.Fatalf("%s: encode result: %v", sk.Name(), err)
-		}
-		var res2 Result
-		if err := gob.NewDecoder(&buf).Decode(&res2); err != nil {
-			t.Fatalf("%s: decode result: %v", sk.Name(), err)
-		}
-		// Round-tripped result must still merge with the original.
-		if _, err := sk.Merge(res, res2); err != nil {
-			t.Errorf("%s: merge after round trip: %v", sk.Name(), err)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // both numeric bucketing (equi-width intervals over [Min, Max]) and
 // string bucketing (lexicographic ranges with explicit left boundaries,
 // paper App. B.1 "equi-width buckets for string data"). One concrete
-// type keeps summaries gob-serializable.
+// type gives every summary that carries it one wire encoding.
 type BucketSpec struct {
 	// Kind selects the bucketing mode: any numeric kind uses Min/Max,
 	// KindString uses Bounds.

@@ -9,9 +9,8 @@ import (
 
 // This file is the registry half of the binary wire codec: the cluster
 // transport encodes every result and sketch crossing the wire through a
-// hand-rolled, stateless, per-type codec instead of reflection-driven
-// gob (gob remains only as the fallback envelope for third-party types;
-// see internal/cluster). The codec contract:
+// hand-rolled, stateless, per-type codec, and a type without one does
+// not cross the wire (see internal/cluster). The codec contract:
 //
 //   - AppendWire appends the value's binary form to b and returns the
 //     extended slice. It never retains b.
@@ -26,11 +25,11 @@ import (
 //     lossiness would read as an engine bug.
 //
 // Registering a codec: implement WireResult on the result type and
-// WireSketch on the sketch type, pick an unused tag, and call
-// RegisterResultCodec / RegisterSketchCodec from init (wire.go keeps
-// the shipped list). TestWireSketchCodecCoverage fails any sketch in
-// WireSketches() whose sketch type or result type lacks a codec,
-// mirroring the oracle coverage rule.
+// WireSketch on the sketch type, pick an unused tag from the tables
+// below, and call RegisterResultCodec / RegisterSketchCodec from init
+// (wire.go keeps the shipped list). TestWireSketchCodecCoverage fails
+// any sketch in WireSketches() whose sketch type or result type lacks a
+// codec, mirroring the oracle coverage rule.
 
 // WireResult is a Result with a hand-rolled binary codec.
 type WireResult interface {
@@ -64,8 +63,8 @@ type DeltaWireResult interface {
 	DecodeDeltaWire(prev Result, b []byte) ([]byte, error)
 }
 
-// Result codec tags. Tag 0 is reserved for the gob fallback at the
-// frame layer; tags are wire format and must never be renumbered.
+// Result codec tags. Tag 0 is reserved (the frame layer uses it for "no
+// result"); tags are wire format and must never be renumbered.
 const (
 	tagHistogram    = 1
 	tagHistogram2D  = 2
@@ -81,6 +80,9 @@ const (
 	tagCoMoments    = 12
 	tagTableMeta    = 13
 	tagMultiResult  = 14
+	// TagSaveResult is storage.SaveResult, registered by package
+	// storage, which the worker links.
+	TagSaveResult = 15
 )
 
 // Sketch codec tags (a separate tag space from results).
@@ -102,6 +104,11 @@ const (
 	tagPCASketch              = 15
 	tagMetaSketch             = 16
 	tagMultiSketch            = 17
+	// TagSaveSketch is storage.SaveSketch (see TagSaveResult).
+	TagSaveSketch = 18
+	// TagTestSketch is for sketches that exist only in tests (testkit's
+	// panicking overload sketch); no binary registers it.
+	TagTestSketch = 255
 )
 
 var (
@@ -138,26 +145,20 @@ func RegisterSketchCodec(tag byte, newFn func() WireSketch) {
 	sketchTags[t] = tag
 }
 
-// ResultHasCodec reports whether r's concrete type has a registered
-// binary codec.
-func ResultHasCodec(r Result) bool {
-	_, ok := resultTags[reflect.TypeOf(r)]
-	return ok
-}
-
-// SketchHasCodec reports whether sk's concrete type has a registered
-// binary codec.
-func SketchHasCodec(sk Sketch) bool {
-	_, ok := sketchTags[reflect.TypeOf(sk)]
-	return ok
-}
-
 // AppendResultWire appends tag+body for a codec-registered result;
-// ok=false (b unchanged) tells the transport to fall back to gob.
+// ok=false (b unchanged) means r, or a member of a MultiResult, has no
+// codec and cannot cross the wire.
 func AppendResultWire(b []byte, r Result) ([]byte, bool) {
 	tag, ok := resultTags[reflect.TypeOf(r)]
 	if !ok {
 		return b, false
+	}
+	if multi, isMulti := r.(*MultiResult); isMulti {
+		for _, m := range multi.Members {
+			if _, ok := resultTags[reflect.TypeOf(m)]; !ok {
+				return b, false
+			}
+		}
 	}
 	b = append(b, tag)
 	return r.(WireResult).AppendWire(b), true
@@ -224,11 +225,19 @@ func DecodeResultDeltaWire(b []byte, prev Result) (Result, []byte, error) {
 }
 
 // AppendSketchWire appends tag+body for a codec-registered sketch;
-// ok=false tells the transport to fall back to gob.
+// ok=false (b unchanged) means sk, or a member of a MultiSketch, has no
+// codec and cannot cross the wire.
 func AppendSketchWire(b []byte, sk Sketch) ([]byte, bool) {
 	tag, ok := sketchTags[reflect.TypeOf(sk)]
 	if !ok {
 		return b, false
+	}
+	if multi, isMulti := sk.(*MultiSketch); isMulti {
+		for _, m := range multi.Sketches {
+			if _, ok := sketchTags[reflect.TypeOf(m)]; !ok {
+				return b, false
+			}
+		}
 	}
 	b = append(b, tag)
 	return sk.(WireSketch).AppendWire(b), true

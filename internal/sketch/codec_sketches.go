@@ -7,7 +7,7 @@ import (
 
 // Binary codecs for the request side of the wire: every shipped sketch
 // type's configuration fields. These travel root→worker in MsgSketch
-// frames; a sketch type absent here rides the gob fallback envelope.
+// frames; a sketch type absent here does not cross the wire.
 
 func init() {
 	RegisterSketchCodec(tagHistogramSketch, func() WireSketch { return &HistogramSketch{} })

@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"math/rand/v2"
 	"reflect"
@@ -16,14 +14,14 @@ import (
 // TestWireCodecCoverage mirrors the oracle coverage rule: every sketch
 // shipped in wireSketches must have a binary codec for itself and for
 // its summary type. A sketch added without codecs fails here, not in
-// production where it would silently ride the slow gob fallback.
+// production where it could not cross the wire.
 func TestWireCodecCoverage(t *testing.T) {
 	for _, sk := range WireSketches() {
-		if !SketchHasCodec(sk) {
+		if _, ok := AppendSketchWire(nil, sk); !ok {
 			t.Errorf("%T has no registered sketch codec (RegisterSketchCodec)", sk)
 		}
 		z := sk.Zero()
-		if !ResultHasCodec(z) {
+		if _, ok := AppendResultWire(nil, z); !ok {
 			t.Errorf("%T result %T has no registered result codec (RegisterResultCodec)", sk, z)
 		}
 	}
@@ -156,45 +154,6 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, have) {
 			t.Fatalf("%T: decoded sketch computed a different summary", sk)
-		}
-	}
-}
-
-// TestGobVsBinaryEquivalence decodes the same summary through gob and
-// through the binary codec and demands identical values: the two wire
-// paths (typed frames and the fallback envelope) must be
-// indistinguishable to the merging root.
-func TestGobVsBinaryEquivalence(t *testing.T) {
-	parts, info := table.GenPartitions("codecgob", 11, 800, 2)
-	for _, sk := range testInstances(11, info) {
-		r, err := sk.Summarize(parts[1])
-		if err != nil {
-			t.Fatalf("%s: %v", sk.Name(), err)
-		}
-		binGot := resultRoundTrip(t, r)
-
-		var buf bytes.Buffer
-		wrapped := struct{ R Result }{r}
-		if err := gob.NewEncoder(&buf).Encode(&wrapped); err != nil {
-			t.Fatalf("%s: gob encode: %v", sk.Name(), err)
-		}
-		var back struct{ R Result }
-		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-			t.Fatalf("%s: gob decode: %v", sk.Name(), err)
-		}
-		// gob drops zero-valued fields (e.g. a nil-vs-empty slice or a
-		// zero count) rather than round-tripping them exactly; compare
-		// where gob is faithful and otherwise only require the binary
-		// codec to be at least as faithful (bit-exact to the original).
-		if !reflect.DeepEqual(binGot, r) {
-			t.Fatalf("%s: binary codec lost information", sk.Name())
-		}
-		if !reflect.DeepEqual(back.R, r) {
-			t.Logf("%s: gob round trip not DeepEqual (known gob zero-field behavior); binary is exact", sk.Name())
-			continue
-		}
-		if !reflect.DeepEqual(back.R, binGot) {
-			t.Fatalf("%s: gob and binary decodes diverge:\n  gob %+v\n  bin %+v", sk.Name(), back.R, binGot)
 		}
 	}
 }

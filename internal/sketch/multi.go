@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -36,9 +34,9 @@ type MultiSketch struct {
 
 	// mask optionally disables members mid-run (per-member cancellation
 	// in a batch). Local-only serving-layer state: it is not part of the
-	// sketch's configuration, never serializes (codec and gob both skip
-	// it), and is nil after a wire transfer — remote workers keep feeding
-	// every member, and cancellation there only stops result delivery.
+	// sketch's configuration, never serializes (the codec skips it), and
+	// is nil after a wire transfer — remote workers keep feeding every
+	// member, and cancellation there only stops result delivery.
 	mask *MemberMask
 }
 
@@ -238,22 +236,17 @@ func (a *multiAccumulator) Result() Result {
 
 // --- wire codec ----------------------------------------------------------
 //
-// Members nest inside the MultiSketch frame: each slot is a has-codec
-// bool followed by either the member's registered tag+body or a gob
-// blob (the same fallback the frame layer uses for third-party types).
-// Nested multis are rejected at decode, which both mirrors the
-// NewMultiSketch contract and bounds decoder recursion on crafted
-// frames.
+// Members nest inside the MultiSketch frame: each slot is a bool, always
+// true, followed by the member's registered tag+body. A false slot is
+// corrupt; AppendSketchWire and AppendResultWire refuse a multi with a
+// codec-less member before anything is written. Nested multis are
+// rejected at decode, which both mirrors the NewMultiSketch contract and
+// bounds decoder recursion on crafted frames.
 
 func (s *MultiSketch) AppendWire(b []byte) []byte {
 	b = wire.AppendLen(b, len(s.Sketches), s.Sketches == nil)
 	for _, m := range s.Sketches {
-		if out, ok := AppendSketchWire(wire.AppendBool(b, true), m); ok {
-			b = out
-			continue
-		}
-		b = wire.AppendBool(b, false)
-		b = wire.AppendBytes(b, gobSketchBlob(m))
+		b, _ = AppendSketchWire(wire.AppendBool(b, true), m)
 	}
 	return b
 }
@@ -269,34 +262,15 @@ func (s *MultiSketch) DecodeWire(b []byte) ([]byte, error) {
 	}
 	members := make([]Sketch, 0, wire.PreallocLen(n))
 	for i := 0; i < n; i++ {
-		var hasCodec bool
-		hasCodec, rest, err = wire.ConsumeBool(rest)
-		if err != nil {
+		if rest, err = consumeMemberSlot(rest, i); err != nil {
 			return b, err
 		}
-		var m Sketch
-		if hasCodec {
-			if len(rest) > 0 && rest[0] == tagMultiSketch {
-				return b, wire.Corruptf("nested MultiSketch")
-			}
-			m, rest, err = DecodeSketchWire(rest)
-			if err != nil {
-				return b, err
-			}
-		} else {
-			var blob []byte
-			blob, rest, err = wire.ConsumeBytes(rest)
-			if err != nil {
-				return b, err
-			}
-			var wrapped struct{ S Sketch }
-			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&wrapped); err != nil {
-				return b, wire.Corruptf("MultiSketch member %d gob: %v", i, err)
-			}
-			m = wrapped.S
-		}
-		if _, ok := m.(*MultiSketch); ok {
+		if len(rest) > 0 && rest[0] == tagMultiSketch {
 			return b, wire.Corruptf("nested MultiSketch")
+		}
+		var m Sketch
+		if m, rest, err = DecodeSketchWire(rest); err != nil {
+			return b, err
 		}
 		members = append(members, m)
 	}
@@ -307,12 +281,7 @@ func (s *MultiSketch) DecodeWire(b []byte) ([]byte, error) {
 func (r *MultiResult) AppendWire(b []byte) []byte {
 	b = wire.AppendLen(b, len(r.Members), r.Members == nil)
 	for _, m := range r.Members {
-		if out, ok := AppendResultWire(wire.AppendBool(b, true), m); ok {
-			b = out
-			continue
-		}
-		b = wire.AppendBool(b, false)
-		b = wire.AppendBytes(b, gobResultBlob(m))
+		b, _ = AppendResultWire(wire.AppendBool(b, true), m)
 	}
 	return b
 }
@@ -328,34 +297,15 @@ func (r *MultiResult) DecodeWire(b []byte) ([]byte, error) {
 	}
 	members := make([]Result, 0, wire.PreallocLen(n))
 	for i := 0; i < n; i++ {
-		var hasCodec bool
-		hasCodec, rest, err = wire.ConsumeBool(rest)
-		if err != nil {
+		if rest, err = consumeMemberSlot(rest, i); err != nil {
 			return b, err
 		}
-		var m Result
-		if hasCodec {
-			if len(rest) > 0 && rest[0] == tagMultiResult {
-				return b, wire.Corruptf("nested MultiResult")
-			}
-			m, rest, err = DecodeResultWire(rest)
-			if err != nil {
-				return b, err
-			}
-		} else {
-			var blob []byte
-			blob, rest, err = wire.ConsumeBytes(rest)
-			if err != nil {
-				return b, err
-			}
-			var wrapped struct{ R Result }
-			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&wrapped); err != nil {
-				return b, wire.Corruptf("MultiResult member %d gob: %v", i, err)
-			}
-			m = wrapped.R
-		}
-		if _, ok := m.(*MultiResult); ok {
+		if len(rest) > 0 && rest[0] == tagMultiResult {
 			return b, wire.Corruptf("nested MultiResult")
+		}
+		var m Result
+		if m, rest, err = DecodeResultWire(rest); err != nil {
+			return b, err
 		}
 		members = append(members, m)
 	}
@@ -363,28 +313,13 @@ func (r *MultiResult) DecodeWire(b []byte) ([]byte, error) {
 	return rest, nil
 }
 
-// gobSketchBlob / gobResultBlob encode a codec-less nested member
-// through gob, wrapped in a concrete struct so the interface value
-// inside resolves through the gob type registry. Encode errors are
-// programmer errors — the member's concrete type was never
-// gob-registered — and panic with the offending type; registry-codec
-// members never take this path.
-func gobSketchBlob(m Sketch) []byte {
-	var buf bytes.Buffer
-	wrapped := struct{ S Sketch }{m}
-	if err := gob.NewEncoder(&buf).Encode(&wrapped); err != nil {
-		panic(fmt.Sprintf("sketch: MultiSketch member not gob-registered: %v", err))
+// consumeMemberSlot consumes member i's leading bool, which must be true.
+func consumeMemberSlot(b []byte, i int) ([]byte, error) {
+	present, rest, err := wire.ConsumeBool(b)
+	if err == nil && !present {
+		err = wire.Corruptf("member %d slot is not marked present", i)
 	}
-	return buf.Bytes()
-}
-
-func gobResultBlob(m Result) []byte {
-	var buf bytes.Buffer
-	wrapped := struct{ R Result }{m}
-	if err := gob.NewEncoder(&buf).Encode(&wrapped); err != nil {
-		panic(fmt.Sprintf("sketch: MultiResult member not gob-registered: %v", err))
-	}
-	return buf.Bytes()
+	return rest, err
 }
 
 // --- oracle --------------------------------------------------------------

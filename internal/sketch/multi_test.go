@@ -1,11 +1,13 @@
 package sketch
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/table"
+	"repro/internal/wire"
 )
 
 func multiTestParts(t *testing.T) ([]*table.Table, table.GenInfo) {
@@ -196,5 +198,41 @@ func TestMultiSketchCodecRejectsNesting(t *testing.T) {
 			!strings.Contains(err.Error(), "nested") {
 			t.Errorf("nested MultiResult decode: %v, want nested-rejection error", err)
 		}
+	}
+}
+
+// TestMultiCodecRefusesCodecLessMember: a batch with a member that has
+// no wire codec does not encode (the transport reports an encode error
+// before writing), and a member slot whose leading bool is false is
+// corrupt.
+func TestMultiCodecRefusesCodecLessMember(t *testing.T) {
+	ms := mustMulti(&RangeSketch{Col: "gd"}, undeclaredSketch{})
+	if b, ok := AppendSketchWire([]byte{7}, ms); ok || len(b) != 1 {
+		t.Errorf("MultiSketch with a codec-less member encoded: ok=%v, %d bytes", ok, len(b))
+	}
+	mr := &MultiResult{Members: []Result{&DataRange{}, int64(0)}}
+	if b, ok := AppendResultWire([]byte{7}, mr); ok || len(b) != 1 {
+		t.Errorf("MultiResult with a codec-less member encoded: ok=%v, %d bytes", ok, len(b))
+	}
+
+	b, ok := AppendSketchWire(nil, mustMulti(&RangeSketch{Col: "gd"}))
+	if !ok {
+		t.Fatal("MultiSketch has no codec")
+	}
+	// tag, AppendLen(1), then member 0's slot bool.
+	if b[2] != 1 {
+		t.Fatalf("member slot bool = %d, want 1", b[2])
+	}
+	b[2] = 0
+	if _, _, err := DecodeSketchWire(b); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("false member slot: err = %v, want wire.ErrCorrupt", err)
+	}
+	rb, ok := AppendResultWire(nil, &MultiResult{Members: []Result{&DataRange{}}})
+	if !ok {
+		t.Fatal("MultiResult has no codec")
+	}
+	rb[2] = 0
+	if _, _, err := DecodeResultWire(rb); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("false result member slot: err = %v, want wire.ErrCorrupt", err)
 	}
 }

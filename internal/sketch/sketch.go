@@ -57,8 +57,8 @@ package sketch
 import "repro/internal/table"
 
 // Result is a mergeable summary value. Concrete result types are plain
-// exported-field structs registered with encoding/gob (see wire.go) so
-// they can cross the cluster RPC boundary. Results are immutable once
+// exported-field structs with a registered binary codec (see codec.go)
+// so they can cross the cluster RPC boundary. Results are immutable once
 // returned: Merge must not modify its arguments.
 type Result any
 

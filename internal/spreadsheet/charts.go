@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/sketch"
+	"repro/internal/storage"
 	"repro/internal/table"
 	"repro/internal/wire"
 )
@@ -369,8 +372,19 @@ func (v *View) ProjectPCA(ctx context.Context, p *PCAResult, k int) (*View, erro
 }
 
 // SaveCSV writes the view through the save vizketch path (§5.4): each
-// partition's rows are written by the storage layer. On a single
-// machine this is a direct export of member rows.
+// partition's rows are written, one CSV file per partition under path,
+// by the storage layer of the process that holds the partition.
 func (v *View) SaveCSV(ctx context.Context, path string) error {
-	return saveCSV(ctx, v, path)
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		return err
+	}
+	res, err := v.sheet.root.RunSketch(ctx, v.id, &storage.SaveSketch{Dir: path}, nil)
+	if err != nil {
+		return err
+	}
+	sr := res.(*storage.SaveResult)
+	if len(sr.Errors) > 0 {
+		return fmt.Errorf("spreadsheet: save: %s", strings.Join(sr.Errors, "; "))
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/flights"
 	"repro/internal/sketch"
@@ -603,6 +604,45 @@ func TestPCAFlow(t *testing.T) {
 
 func TestSaveCSV(t *testing.T) {
 	_, v := testSheet(t, 1000)
+	checkSaveCSV(t, v, 4)
+}
+
+// TestSaveCSVOverTCPCluster runs the save vizketch on the workers' side
+// of the wire: two replicas of one partition group on loopback write one
+// file per partition between them, and the same cluster answers the
+// next query. (Two groups would write colliding files here: partition
+// IDs repeat across groups, and both groups share this host's disk.)
+func TestSaveCSVOverTCPCluster(t *testing.T) {
+	cfg := engine.Config{AggregationWindow: -1}
+	addrs := make([]string, 2)
+	for i := range addrs {
+		w := cluster.NewWorker(storage.NewLoader(cfg, 0))
+		addr, err := w.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		addrs[i] = addr
+	}
+	clu, err := cluster.ConnectOptions(nil, addrs, cfg, cluster.Options{Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(clu.Close)
+	v, err := New(engine.NewRoot(clu.Loader())).Load(context.Background(), "fl", "flights:rows=2000,parts=4,seed=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSaveCSV(t, v, 4)
+	if _, err := v.HeavyHitters(context.Background(), "Origin", 10, false); err != nil {
+		t.Fatalf("query after save: %v", err)
+	}
+}
+
+// checkSaveCSV saves a filtered copy of v and checks that it wrote one
+// file per partition and that the files reload to the view's rows.
+func checkSaveCSV(t *testing.T, v *View, partitions int) {
+	t.Helper()
 	ua, err := v.FilterExpr(context.Background(), `Carrier == "UA"`)
 	if err != nil {
 		t.Fatal(err)
@@ -615,8 +655,8 @@ func TestSaveCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatal("no files written")
+	if len(entries) != partitions {
+		t.Fatalf("wrote %d files, want one per partition (%d)", len(entries), partitions)
 	}
 	// Files reload to the same number of rows.
 	var total int
@@ -651,7 +691,7 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := s.Load(context.Background(), "x", "nosuch:source"); err == nil {
 		t.Error("bad source should fail")
 	}
-	if !strings.Contains((&saveSketch{Dir: "/x"}).Name(), "save") {
+	if !strings.Contains((&storage.SaveSketch{Dir: "/x"}).Name(), "save") {
 		t.Error("save sketch name")
 	}
 }

@@ -13,7 +13,7 @@ type ColumnDesc struct {
 
 // Schema is an ordered list of column descriptions. Schemas are
 // immutable; Append and Project return new schemas. All fields are
-// exported so schemas serialize with encoding/gob and encoding/json.
+// exported so schemas serialize with encoding/json.
 type Schema struct {
 	Columns []ColumnDesc
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Value is a single cell value in a self-describing, gob-friendly form.
+// Value is a single cell value in a self-describing form.
 // It is used where rows must leave their column storage: next-K results,
 // find-text results, RPC payloads, and the expression evaluator.
 //

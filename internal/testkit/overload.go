@@ -2,7 +2,6 @@ package testkit
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sketch"
 	"repro/internal/table"
+	"repro/internal/wire"
 )
 
 // The overload battery (RunOverload) is the serving-layer counterpart
@@ -41,24 +41,32 @@ import (
 // overloadPanicSketch panics while summarizing any partition — on the
 // cluster topology that panic happens inside a worker process, whose
 // per-request recovery must turn it into an error reply for this query
-// alone.
+// alone. It crosses the wire under the test-only sketch tag; its Zero is
+// a shipped result, and Summarize never returns one of its own.
 type overloadPanicSketch struct{ Marker int }
 
 func (s *overloadPanicSketch) Name() string        { return "overload-panic" }
-func (s *overloadPanicSketch) Zero() sketch.Result { return int64(0) }
-func (s *overloadPanicSketch) Merge(a, b sketch.Result) (sketch.Result, error) {
-	return a.(int64) + b.(int64), nil
-}
+func (s *overloadPanicSketch) Zero() sketch.Result { return &sketch.Moments{} }
+
+// Merge implements sketch.Sketch: every summary is Zero's.
+func (s *overloadPanicSketch) Merge(a, b sketch.Result) (sketch.Result, error) { return a, nil }
 
 func (s *overloadPanicSketch) Summarize(t *table.Table) (sketch.Result, error) {
 	panic(fmt.Sprintf("injected overload panic on %s", t.ID()))
 }
 
+func (s *overloadPanicSketch) AppendWire(b []byte) []byte {
+	return wire.AppendVarint(b, int64(s.Marker))
+}
+
+func (s *overloadPanicSketch) DecodeWire(b []byte) ([]byte, error) {
+	m, rest, err := wire.ConsumeVarint(b)
+	s.Marker = int(m)
+	return rest, err
+}
+
 func init() {
-	// The panic sketch is not in the binary codec registry, so it ships
-	// through the gob fallback envelope; both ends of the in-process
-	// cluster share this registration.
-	gob.Register(&overloadPanicSketch{})
+	sketch.RegisterSketchCodec(sketch.TagTestSketch, func() sketch.WireSketch { return &overloadPanicSketch{} })
 }
 
 // countingRunner counts executions reaching the engine — the dedup
