@@ -115,8 +115,8 @@ func benchCodec(b *testing.B, env *Envelope) {
 }
 
 // BenchmarkWireEncodeDecode is the per-result-type cost: one full frame
-// encoded and decoded per op. These are final-style frames (the delta
-// path has its own benchmark below).
+// encoded and decoded per op. A partial frame is the same full frame
+// under another kind.
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -131,95 +131,6 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	for _, tc := range cases {
 		env := &Envelope{ReqID: 1, Kind: MsgFinal, Result: tc.result, Done: 4, Total: 4}
 		b.Run(tc.name+"/binary", func(b *testing.B) { benchCodec(b, env) })
-	}
-}
-
-// addCounts returns a copy of r with per-bucket increments of tick's
-// magnitude — the shape of one progress tick's worth of scanning.
-func addCounts(r sketch.Result, tick int64) sketch.Result {
-	switch h := r.(type) {
-	case *sketch.Histogram:
-		out := *h
-		out.Counts = append([]int64(nil), h.Counts...)
-		for i := range out.Counts {
-			out.Counts[i] += tick + int64(i%7)*tick/4
-		}
-		out.SampledRows += tick * int64(len(out.Counts))
-		return &out
-	case *sketch.Histogram2D:
-		out := *h
-		out.Counts = append([]int64(nil), h.Counts...)
-		for i := range out.Counts {
-			out.Counts[i] += tick + int64(i%5)
-		}
-		out.SampledRows += tick * int64(len(out.Counts))
-		return &out
-	case *sketch.HeavyHitters:
-		out := *h
-		out.Counters = make(map[table.Value]int64, len(h.Counters))
-		for k, v := range h.Counters {
-			out.Counters[k] = v + tick
-		}
-		out.ScannedRows += tick * int64(len(out.Counters))
-		return &out
-	}
-	return r
-}
-
-// benchPartialStream alternates two successive snapshots through one
-// request's partial stream, so frames after warmup are real deltas
-// (per-bucket increments of a progress tick) where the result type has
-// a delta form. wirebytes/op is the steady-state frame size.
-func benchPartialStream(b *testing.B, base sketch.Result) {
-	envs := [2]*Envelope{
-		{ReqID: 7, Kind: MsgPartial, Result: base, Done: 1, Total: 4},
-		{ReqID: 7, Kind: MsgPartial, Result: addCounts(base, 4096), Done: 2, Total: 4},
-	}
-	var buf bytes.Buffer
-	fc := newFrameConn(&buf)
-	// Warm up: the first frame of a stream is always full.
-	var steady int
-	for i := 0; i < 4; i++ {
-		before := buf.Len()
-		if err := fc.send(envs[i%2]); err != nil {
-			b.Fatal(err)
-		}
-		steady = buf.Len() - before
-		if _, err := fc.recv(); err != nil {
-			b.Fatal(err)
-		}
-		buf.Reset()
-	}
-	b.SetBytes(int64(steady))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fc.send(envs[i%2]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := fc.recv(); err != nil {
-			b.Fatal(err)
-		}
-		buf.Reset()
-	}
-	b.ReportMetric(float64(steady), "wirebytes/op")
-}
-
-// BenchmarkWirePartialStream is a request's partial stream, one partial
-// frame per op against a warm delta chain. allocs/op is allocations per
-// partial frame, encode plus decode; wirebytes/op shows the delta
-// shrinkage (heavy hitters has no delta form and ships full frames).
-func BenchmarkWirePartialStream(b *testing.B) {
-	cases := []struct {
-		name   string
-		result sketch.Result
-	}{
-		{"histogram", benchHistogram()},
-		{"hist2d", benchHist2D()},
-		{"heavyhitters", benchHeavyHitters()},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name+"/binary", func(b *testing.B) { benchPartialStream(b, tc.result) })
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,7 +88,7 @@ func TestFrameEncodeZeroAllocs(t *testing.T) {
 		Counts:  make([]int64, 64), SampleRate: 1,
 	}
 	env := &Envelope{ReqID: 42, Kind: MsgPartial, Result: hist, Done: 1, Total: 2}
-	// Warm up the buffer pool and the request's delta chain.
+	// Warm up the buffer pool.
 	for i := 0; i < 8; i++ {
 		if err := fc.send(env); err != nil {
 			t.Fatal(err)
@@ -102,136 +103,103 @@ func TestFrameEncodeZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDeltaPartialStream drives a partial stream through the wire and
-// checks (1) the receiver reconstructs every cumulative snapshot
-// bit-exactly, (2) frames after the first actually are deltas, and (3)
-// byte-level duplication of any frame leaves the stream correct.
-func TestDeltaPartialStream(t *testing.T) {
-	snaps := make([]*sketch.Histogram, 6)
-	for i := range snaps {
-		counts := make([]int64, 32)
-		for j := 0; j <= i*5; j++ {
-			counts[j%32] = int64(i*100 + j)
-		}
-		snaps[i] = &sketch.Histogram{
-			Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 32),
-			Counts:  counts, Missing: int64(i), SampleRate: 1, SampledRows: int64(i * 50),
-		}
-	}
-	var raw bytes.Buffer
-	sender := newFrameConn(&raw)
-	var sizes []int
-	for i, s := range snaps {
-		before := raw.Len()
-		if err := sender.send(&Envelope{ReqID: 9, Kind: MsgPartial, Result: s, Done: i, Total: len(snaps)}); err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, raw.Len()-before)
-	}
-	for i, sz := range sizes[1:] {
-		if sz >= sizes[0]/2 {
-			t.Errorf("partial %d: delta frame %dB not < half the full frame %dB", i+1, sz, sizes[0])
-		}
-	}
+// teeTransport is TCP that copies every byte the root reads into in,
+// so a test can decode the worker→root frame stream afterwards.
+type teeTransport struct{ in *lockedBuffer }
 
-	// Replay the byte stream with every frame doubled: the seq chain
-	// must absorb the duplicates and still deliver correct snapshots.
-	frames := splitFrames(t, raw.Bytes())
-	var doubled bytes.Buffer
-	for _, f := range frames {
-		doubled.Write(f)
-		doubled.Write(f)
-	}
-	recvr := newFrameConn(&doubled)
-	for i := 0; i < len(snaps)*2; i++ {
-		env, err := recvr.recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		want := snaps[i/2]
-		if !reflect.DeepEqual(env.Result, want) {
-			t.Fatalf("frame %d: snapshot diverged under duplication:\n want %+v\n got  %+v", i, want, env.Result)
-		}
-	}
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
 
-// splitFrames cuts a frame stream at its length prefixes.
-func splitFrames(t *testing.T, b []byte) [][]byte {
-	t.Helper()
-	var out [][]byte
-	for len(b) > 0 {
-		if len(b) < 4 {
-			t.Fatal("trailing garbage in frame stream")
-		}
-		n := int(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]))
-		out = append(out, b[:4+n])
-		b = b[4+n:]
-	}
-	return out
+func (b *lockedBuffer) write(p []byte) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.buf.Write(p)
 }
 
-// TestDeltaChainRetired asserts the per-request delta state is freed on
-// MsgFinal and MsgError on both sides of the wire — a cancelled query
-// (the normal Hillview interaction, ending in MsgError) must not leak
-// its last snapshot — and that a result-less partial neither advances
-// nor corrupts the chain.
-func TestDeltaChainRetired(t *testing.T) {
-	var buf bytes.Buffer
-	tx := newFrameConn(&buf)
-	rx := newFrameConn(&buf)
-	h := &sketch.Histogram{Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 4), Counts: []int64{1, 2, 3, 4}, SampleRate: 1}
-	h2 := &sketch.Histogram{Buckets: h.Buckets, Counts: []int64{2, 2, 3, 9}, SampleRate: 1}
-	pump := func(env *Envelope) *Envelope {
-		t.Helper()
-		if err := tx.send(env); err != nil {
-			t.Fatal(err)
-		}
-		got, err := rx.recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	// Request 1: partial, nil-result partial, delta partial, then final.
-	pump(&Envelope{ReqID: 1, Kind: MsgPartial, Result: h, Done: 1, Total: 2})
-	pump(&Envelope{ReqID: 1, Kind: MsgPartial, Done: 1, Total: 2}) // result-less
-	if got := pump(&Envelope{ReqID: 1, Kind: MsgPartial, Result: h2, Done: 2, Total: 2}); !reflect.DeepEqual(got.Result, h2) {
-		t.Fatalf("delta after result-less partial diverged: %+v", got.Result)
-	}
-	pump(&Envelope{ReqID: 1, Kind: MsgFinal, Result: h2, Done: 2, Total: 2})
-	// Request 2: partial then error (a cancel ack).
-	pump(&Envelope{ReqID: 2, Kind: MsgPartial, Result: h, Done: 1, Total: 2})
-	pump(&Envelope{ReqID: 2, Kind: MsgError, Err: "canceled"})
-	if n := len(tx.seqOut); n != 0 {
-		t.Fatalf("sender leaks %d delta chains after final/error", n)
-	}
-	if n := len(rx.seqIn); n != 0 {
-		t.Fatalf("receiver leaks %d delta chains after final/error", n)
-	}
+func (b *lockedBuffer) bytes() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return bytes.Clone(b.buf.Bytes())
 }
 
-// TestDeltaWithoutBaseErrors decodes a delta frame with no preceding
-// full partial: the decoder must surface a clean error, never apply the
-// delta to nothing or panic.
-func TestDeltaWithoutBaseErrors(t *testing.T) {
-	var raw bytes.Buffer
-	sender := newFrameConn(&raw)
-	h := &sketch.Histogram{Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 8), Counts: make([]int64, 8), SampleRate: 1}
-	h2 := &sketch.Histogram{Buckets: h.Buckets, Counts: append([]int64(nil), h.Counts...), SampleRate: 1}
-	h2.Counts[3] = 7
-	for i, r := range []sketch.Result{h, h2} {
-		if err := sender.send(&Envelope{ReqID: 4, Kind: MsgPartial, Result: r, Done: i, Total: 2}); err != nil {
-			t.Fatal(err)
-		}
+func (tr teeTransport) Dial(addr string) (net.Conn, error) {
+	c, err := TCPTransport{}.Dial(addr)
+	if err != nil {
+		return nil, err
 	}
-	frames := splitFrames(t, raw.Bytes())
-	recvr := newFrameConn(struct {
+	return &teeConn{Conn: c, in: tr.in}, nil
+}
+
+type teeConn struct {
+	net.Conn
+	in *lockedBuffer
+}
+
+func (c *teeConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.in.write(p[:n])
+	return n, err
+}
+
+// TestWorkerSendsCompleteResultOnce: a worker streams window partials
+// of a histogram and then exactly one MsgFinal; the complete result
+// (Done == Total) travels in the final only.
+func TestWorkerSendsCompleteResultOnce(t *testing.T) {
+	// Parallelism 1 folds one partition at a time, so the first window
+	// partial is cut after one of the three partitions.
+	w := NewWorker(storage.NewLoader(engine.Config{Parallelism: 1}, 0))
+	addr, err := w.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	in := new(lockedBuffer)
+	cl, err := DialTransport(teeTransport{in: in}, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	if _, err := cl.Load(ctx, "d", "flights:rows=4000,parts=3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Sketch(ctx, "d", codecTestHistogram, func(engine.Partial) {}); err != nil {
+		t.Fatal(err)
+	}
+	// The final has been read, so every frame of the request is in in.
+	rx := newFrameConn(struct {
 		io.Reader
 		io.Writer
-	}{bytes.NewReader(frames[1]), io.Discard}) // delta only, no base
-	_, err := recvr.recv()
-	if err == nil || !strings.Contains(err.Error(), "without a base") {
-		t.Fatalf("delta without base: want clean error, got %v", err)
+	}{bytes.NewReader(in.bytes()), io.Discard})
+	var partials, finals int
+	for {
+		env, err := rx.recv()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch env.Kind {
+		case MsgPartial:
+			if finals > 0 {
+				t.Fatalf("partial after the final: %+v", env)
+			}
+			if env.Done == env.Total {
+				t.Fatalf("worker sent a completion partial (done %d of %d)", env.Done, env.Total)
+			}
+			partials++
+		case MsgFinal:
+			if env.Done != env.Total || env.Total != 3 {
+				t.Fatalf("final at done %d of %d, want 3 of 3", env.Done, env.Total)
+			}
+			finals++
+		}
+	}
+	if partials < 1 || finals != 1 {
+		t.Fatalf("got %d partials and %d finals, want at least 1 and exactly 1", partials, finals)
 	}
 }
 
@@ -308,8 +276,9 @@ func TestVersionSkewRejected(t *testing.T) {
 		io.Reader
 		io.Writer
 	}{bytes.NewReader(b), io.Discard})
-	if _, err := recvr.recv(); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version skew: want version error, got %v", err)
+	want := fmt.Sprintf("unsupported frame version %d; this build speaks %d", frameVersion+1, frameVersion)
+	if _, err := recvr.recv(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("version skew: err = %v, want %q", err, want)
 	}
 }
 

@@ -18,9 +18,10 @@
 // Every frame is a 4-byte big-endian payload length followed by the
 // payload:
 //
-//	magic (0x48 'H') | version (0x01) | kind | flags | uvarint reqID | body | crc32c
+//	magic (0x48 'H') | version (0x02) | kind | flags | uvarint reqID | body | crc32c
 //
-// The codec is stateless: frames are self-contained, encoded by
+// The codec is stateless: frames are self-contained, and neither end of
+// a connection keeps per-request codec state. Frames are encoded by
 // hand-rolled per-type codecs (no reflection) with little-endian
 // fixed-width words for counter/float arrays and uvarints for lengths
 // (package wire). Any frame decodes in isolation, so byte-level frame
@@ -45,8 +46,8 @@
 //	MsgPing      —
 //	MsgDrop      datasetID
 //	MsgOK        uvarint numLeaves
-//	MsgPartial   uvarint done, total, seq, resultTag, result body
-//	MsgFinal     uvarint done, total, 0,   resultTag, result body
+//	MsgPartial   uvarint done, total, resultTag, result body
+//	MsgFinal     uvarint done, total, resultTag, result body
 //	MsgError     err string                              (flagErrMissing in flags)
 //
 // Kind 11 is retired and decodes as an unknown kind. Per-type tags are
@@ -56,21 +57,14 @@
 // are independent, tag 0 is reserved, and tags are append-only wire
 // format.
 //
-// # Delta partials
+// # Partials
 //
-// Partial results are cumulative snapshots, so consecutive partials of
-// one request differ only by the rows scanned in between. For
-// monotone-counter results implementing sketch.DeltaWireResult
-// (histogram, hist2d, trellis) a MsgPartial after the first carries
-// flagDelta and ships only per-bucket increments as zigzag varints; the
-// receiving frameConn reconstructs the full snapshot against the
-// request's previous partial before anything above the transport sees
-// it. Sequence numbers (uvarint seq, starting at 1 per request) keep
-// sender and receiver chains aligned: a replayed frame with seq ≤ the
-// last seen is answered with the already-reconstructed snapshot
-// (idempotent under duplication), a delta with no base or a skipped
-// base is a clean decode error, and finals are always full snapshots
-// that retire the chain. MsgCancel remains out-of-band and stateless.
+// A partial is a full cumulative snapshot of its request, cut at the
+// aggregation-window rate (engine.Config.AggregationWindow) while
+// partitions remain; a worker never sends one with done == total. The
+// final is the only frame that carries a request's complete result. A
+// duplicated or dropped partial is harmless: the root keeps a range's
+// latest snapshot only while its done does not move backwards.
 //
 // # One codec
 //

@@ -26,6 +26,12 @@ func appendCraftedHistogram() []byte {
 	return wire.AppendUvarint(b, (1<<40)+1) // Counts: 2^40 elements declared
 }
 
+// sealFrame appends payload's CRC-32C and prefixes the outer length.
+func sealFrame(payload []byte) []byte {
+	payload = binary.BigEndian.AppendUint32(payload, crc32.Checksum(payload, crcTable))
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
 // frameBytes encodes envelopes through the real frame writer, producing
 // well-formed seed input for the fuzzer.
 func frameBytes(t testing.TB, envs ...*Envelope) []byte {
@@ -75,19 +81,24 @@ func FuzzFrame(f *testing.F) {
 			ReqID: uint64(10 + i), Kind: MsgFinal, Result: sk.Zero(), Done: 1, Total: 1,
 		}))
 	}
-	// A full-then-delta partial pair, the delta alone (no base — must
-	// error cleanly), and a truncated delta.
-	h1 := &sketch.Histogram{Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 6), Counts: []int64{1, 0, 2, 0, 0, 3}, SampleRate: 1, SampledRows: 6}
-	h2 := &sketch.Histogram{Buckets: h1.Buckets, Counts: []int64{2, 1, 2, 0, 4, 3}, SampleRate: 1, SampledRows: 12}
-	pair := frameBytes(f,
-		&Envelope{ReqID: 5, Kind: MsgPartial, Result: h1, Done: 1, Total: 2},
-		&Envelope{ReqID: 5, Kind: MsgPartial, Result: h2, Done: 2, Total: 2},
-	)
-	f.Add(pair)
-	firstLen := 4 + int(binary.BigEndian.Uint32(pair[:4]))
-	f.Add(pair[firstLen:])                                       // delta without a base
-	f.Add(pair[:firstLen+(len(pair)-firstLen)/2])                // truncated delta frame
-	f.Add(append(append([]byte{}, pair...), pair[:firstLen]...)) // full, delta, duplicated full
+	// Partials are full frames: one twice over (byte-level duplication
+	// must decode both copies), one cut mid-body, and a result-less one
+	// (tag 0).
+	h := &sketch.Histogram{Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 6), Counts: []int64{2, 1, 2, 0, 4, 3}, SampleRate: 1, SampledRows: 12}
+	partial := frameBytes(f, &Envelope{ReqID: 5, Kind: MsgPartial, Result: h, Done: 1, Total: 2})
+	f.Add(append(append([]byte{}, partial...), partial...))
+	f.Add(partial[:len(partial)/2])
+	f.Add(frameBytes(f, &Envelope{ReqID: 5, Kind: MsgPartial, Done: 1, Total: 2}))
+	// A version-0x01 partial with the retired delta flag (bit 0) and the
+	// seq uvarint that version put after done and total: a peer
+	// speaking version 0x01 must fail the version check, not misparse.
+	v1 := []byte{frameMagic, 0x01, byte(MsgPartial), 1 << 0, 5, 2, 2, 2}
+	v1, _ = sketch.AppendResultWire(v1, h)
+	v1 = sealFrame(v1)
+	if _, err := recvBytes(v1); err == nil || !strings.Contains(err.Error(), "unsupported frame version 1; this build speaks 2") {
+		f.Fatalf("version-0x01 delta partial: err = %v, want a version error", err)
+	}
+	f.Add(v1)
 	// Version-byte skew: tomorrow's frame version must be rejected, not
 	// misparsed.
 	skew := frameBytes(f, &Envelope{ReqID: 6, Kind: MsgPing})
@@ -96,14 +107,15 @@ func FuzzFrame(f *testing.F) {
 	f.Add(skew)
 	// Crafted inner length: a histogram declaring 2^40 counters over a
 	// ten-byte body (the OOM probe). Sealed with a valid CRC so the
-	// inner length validation — not the checksum — is what it probes.
-	crafted := []byte{frameMagic, frameVersion, byte(MsgFinal), 0, 7, 1, 1, 0}
-	crafted = append(crafted, 1) // result tag: histogram
-	crafted = append(crafted, appendCraftedHistogram()...)
-	crafted = binary.BigEndian.AppendUint32(crafted, crc32.Checksum(crafted, crcTable))
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(crafted)))
-	f.Add(append(hdr[:], crafted...))
+	// inner length validation — not the checksum or the trailing-bytes
+	// check — is what it probes.
+	crafted := []byte{frameMagic, frameVersion, byte(MsgFinal), 0, 7, 1, 1} // reqID 7, done 1, total 1
+	crafted = append(crafted, 1)                                            // result tag: histogram
+	crafted = sealFrame(append(crafted, appendCraftedHistogram()...))
+	if _, err := recvBytes(crafted); !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(err.Error(), "elements exceeds") {
+		f.Fatalf("crafted 2^40-counter final: err = %v, want the inner length check", err)
+	}
+	f.Add(crafted)
 	// A sealed frame of the retired kind 11, which must be rejected.
 	retired := frameBytes(f, &Envelope{ReqID: 7, Kind: MsgPing})
 	retired[6] = 11

@@ -88,15 +88,15 @@ type Envelope struct {
 
 // Binary frame layout (after the 4-byte big-endian outer length):
 //
-//	magic (0x48) | version (0x01) | kind | flags | uvarint reqID | body | crc32c
+//	magic (0x48) | version (0x02) | kind | flags | uvarint reqID | body | crc32c
 //
-// Every frame is self-contained: no state spans frames, so any frame
-// decodes in isolation and byte-level duplication or reordering of
-// whole frames can never corrupt the decoder (the property the seed's
-// stateful per-connection gob stream lacked). The one deliberate
-// exception is flagDelta partials, which reference the previous partial
-// of the same request by sequence number and degrade to a clean error —
-// never a wrong result — when the base is missing.
+// Every frame is self-contained: no state spans frames, and neither end
+// of a connection keeps per-request codec state, so any frame decodes
+// in isolation and byte-level duplication or reordering of whole frames
+// can never corrupt the decoder (the property the seed's stateful
+// per-connection gob stream lacked). A partial is a full cumulative
+// snapshot; the final is the one frame carrying a request's complete
+// result.
 //
 // The trailing CRC-32C covers everything between the outer length and
 // itself. It exists for stream desynchronization, not for TCP bit rot:
@@ -113,7 +113,7 @@ type Envelope struct {
 // the range on another replica instead of folding a corrupt summary.
 const (
 	frameMagic   = 0x48 // 'H'
-	frameVersion = 0x01
+	frameVersion = 0x02
 	frameCRCLen  = 4
 )
 
@@ -121,11 +121,9 @@ const (
 // amd64/arm64), shared by every connection.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Frame flag bits.
+// Frame flag bits. Bit 0 is retired: version 0x01 used it for delta
+// partials.
 const (
-	// flagDelta marks a MsgPartial whose result payload is a delta
-	// against the request's previous partial (see appendResultLocked).
-	flagDelta byte = 1 << 0
 	// flagNoPartials carries Envelope.NoPartials on MsgSketch.
 	flagNoPartials byte = 1 << 1
 	// flagErrMissing carries Envelope.ErrMissing on MsgError.
@@ -170,19 +168,6 @@ var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
 
 type frameBuf struct{ b []byte }
 
-// partialState tracks the delta chain of one request's partial stream
-// on one side of the wire: the last full snapshot and its sequence
-// number. The sender writes deltas against its last sent partial; the
-// receiver reconstructs against its last received one. Sequence numbers
-// keep the two in lockstep: a duplicated frame (seq ≤ last seen) is
-// answered with the already-reconstructed snapshot instead of being
-// re-applied, which is what makes delta partials idempotent under
-// byte-level frame duplication.
-type partialState struct {
-	seq  uint64
-	last sketch.Result
-}
-
 // frameConn frames envelopes with a uint32 big-endian length prefix and
 // counts bytes, frames, and codec nanoseconds in each direction.
 // Writers are serialized; there is a single reader goroutine per
@@ -202,33 +187,26 @@ type frameConn struct {
 	framesIn, framesOut atomic.Int64
 	encodeNS, decodeNS  atomic.Int64
 
-	wmu    sync.Mutex
-	seqOut map[uint64]*partialState // send-side delta chains, under wmu
+	wmu sync.Mutex
 
 	// Reader state: single reader per connection, no lock.
 	readBuf []byte
-	seqIn   map[uint64]*partialState // recv-side delta chains
 }
 
 func newFrameConn(rw io.ReadWriter) *frameConn {
-	c := &frameConn{
-		rw:     rw,
-		seqOut: make(map[uint64]*partialState),
-		seqIn:  make(map[uint64]*partialState),
-	}
+	c := &frameConn{rw: rw}
 	c.deadliner, _ = rw.(interface{ SetReadDeadline(time.Time) error })
 	return c
 }
 
 // send encodes env as one self-contained length-prefixed frame and
-// writes it with a single Write call.
+// writes it with a single Write call. Encoding needs no connection
+// state, so only the write is serialized.
 func (c *frameConn) send(env *Envelope) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	start := time.Now()
 	fb := frameBufPool.Get().(*frameBuf)
 	buf := append(fb.b[:0], 0, 0, 0, 0) // outer length placeholder
-	buf, err := c.appendFrameLocked(buf, env)
+	buf, err := appendFrame(buf, env)
 	if err != nil {
 		if cap(buf) <= maxRetainedBuf {
 			fb.b = buf
@@ -242,7 +220,9 @@ func (c *frameConn) send(env *Envelope) error {
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
 	c.encodeNS.Add(time.Since(start).Nanoseconds())
+	c.wmu.Lock()
 	_, werr := c.rw.Write(buf)
+	c.wmu.Unlock()
 	if cap(buf) <= maxRetainedBuf {
 		fb.b = buf
 		frameBufPool.Put(fb)
@@ -255,9 +235,8 @@ func (c *frameConn) send(env *Envelope) error {
 	return nil
 }
 
-// appendFrameLocked appends the frame payload (header + body) for env;
-// callers hold wmu (the partial delta chain lives under it).
-func (c *frameConn) appendFrameLocked(buf []byte, env *Envelope) ([]byte, error) {
+// appendFrame appends the frame payload (header + body) for env.
+func appendFrame(buf []byte, env *Envelope) ([]byte, error) {
 	flags := byte(0)
 	if env.NoPartials {
 		flags |= flagNoPartials
@@ -269,10 +248,8 @@ func (c *frameConn) appendFrameLocked(buf []byte, env *Envelope) ([]byte, error)
 	if traced {
 		flags |= flagTrace
 	}
-	headerAt := len(buf)
 	buf = append(buf, frameMagic, frameVersion, byte(env.Kind), flags)
 	buf = wire.AppendUvarint(buf, env.ReqID)
-	var err error
 	switch env.Kind {
 	case MsgLoad:
 		buf = wire.AppendString(buf, env.DatasetID)
@@ -299,15 +276,15 @@ func (c *frameConn) appendFrameLocked(buf []byte, env *Envelope) ([]byte, error)
 	case MsgPartial, MsgFinal:
 		buf = wire.AppendUvarint(buf, uint64(env.Done))
 		buf = wire.AppendUvarint(buf, uint64(env.Total))
-		buf, err = c.appendResultLocked(buf, headerAt, env)
-		if err != nil {
-			return buf, err
+		if env.Result == nil {
+			buf = append(buf, 0) // tag 0: no result
+			break
+		}
+		var ok bool
+		if buf, ok = sketch.AppendResultWire(buf, env.Result); !ok {
+			return buf, fmt.Errorf("cluster: encode: result %T has no wire codec", env.Result)
 		}
 	case MsgError:
-		// An error ends the request's partial stream just as a final
-		// does; retire its delta chain or every cancelled query (the
-		// normal Hillview interaction) leaks its last snapshot.
-		delete(c.seqOut, env.ReqID)
 		buf = wire.AppendString(buf, env.Err)
 	default:
 		return buf, fmt.Errorf("cluster: encode: unknown kind %d", env.Kind)
@@ -382,54 +359,6 @@ func consumeTraceSection(env *Envelope, b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// appendResultLocked writes the seq + result payload of a partial or
-// final frame, maintaining the request's delta chain. A MsgPartial
-// whose result type supports deltas and whose request already sent a
-// compatible partial ships only the increments (flagDelta); the final
-// is always a full snapshot and retires the chain.
-func (c *frameConn) appendResultLocked(buf []byte, headerAt int, env *Envelope) ([]byte, error) {
-	if env.Kind == MsgFinal {
-		delete(c.seqOut, env.ReqID)
-		buf = wire.AppendUvarint(buf, 0) // finals carry no sequence
-		if env.Result == nil {
-			return append(buf, 0), nil // tag 0: no result
-		}
-		if out, ok := sketch.AppendResultWire(buf, env.Result); ok {
-			return out, nil
-		}
-		return buf, fmt.Errorf("cluster: encode: result %T has no wire codec", env.Result)
-	}
-	if env.Result == nil {
-		// Tag 0: a result-less partial. It must not advance the delta
-		// chain — the receiving tag-0 branch leaves its chain untouched,
-		// and a sender-only seq bump would make the next real delta look
-		// like it skipped a base.
-		buf = wire.AppendUvarint(buf, 0)
-		return append(buf, 0), nil
-	}
-	st := c.seqOut[env.ReqID]
-	if st == nil {
-		st = &partialState{}
-		c.seqOut[env.ReqID] = st
-	}
-	st.seq++
-	buf = wire.AppendUvarint(buf, st.seq)
-	if st.last != nil {
-		if out, ok := sketch.AppendResultDeltaWire(buf, env.Result, st.last); ok {
-			buf = out
-			buf[headerAt+3] |= flagDelta
-			st.last = env.Result
-			return buf, nil
-		}
-	}
-	out, ok := sketch.AppendResultWire(buf, env.Result)
-	if !ok {
-		return buf, fmt.Errorf("cluster: encode: result %T has no wire codec", env.Result)
-	}
-	st.last = env.Result
-	return out, nil
-}
-
 // recv reads one frame and decodes it. Every frame is self-contained,
 // so a frame decodes (or fails cleanly) regardless of what preceded it.
 //
@@ -472,7 +401,7 @@ func (c *frameConn) recv() (*Envelope, error) {
 		return nil, fmt.Errorf("cluster: frame checksum mismatch (spliced or corrupt stream): got %08x want %08x", got, want)
 	}
 	start := time.Now()
-	env, err := c.decodeFrame(body)
+	env, err := decodeFrame(body)
 	c.decodeNS.Add(time.Since(start).Nanoseconds())
 	if cap(c.readBuf) > maxRetainedBuf {
 		// Decoded values never alias the read buffer, so a one-off giant
@@ -509,7 +438,7 @@ func (c *frameConn) watchdogErr(err error) error {
 }
 
 // decodeFrame parses one frame payload.
-func (c *frameConn) decodeFrame(payload []byte) (*Envelope, error) {
+func decodeFrame(payload []byte) (*Envelope, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("cluster: decode: frame of %d bytes is shorter than a header", len(payload))
 	}
@@ -517,7 +446,7 @@ func (c *frameConn) decodeFrame(payload []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("cluster: decode: bad magic 0x%02x", payload[0])
 	}
 	if payload[1] != frameVersion {
-		return nil, fmt.Errorf("cluster: decode: unsupported frame version %d", payload[1])
+		return nil, fmt.Errorf("cluster: decode: unsupported frame version %d; this build speaks %d", payload[1], frameVersion)
 	}
 	kind := MsgKind(payload[2])
 	flags := payload[3]
@@ -551,11 +480,8 @@ func (c *frameConn) decodeFrame(payload []byte) (*Envelope, error) {
 		v, b, err = wire.ConsumeUvarint(b)
 		env.NumLeaves = int(v)
 	case MsgPartial, MsgFinal:
-		b, err = c.decodeResult(env, flags, b)
+		b, err = decodeResult(env, b)
 	case MsgError:
-		// Mirror of the send side: an error retires the request's
-		// receive-side delta chain.
-		delete(c.seqIn, reqID)
 		env.Err, b, err = wire.ConsumeString(b)
 	default:
 		return nil, fmt.Errorf("cluster: decode: unknown frame kind %d", kind)
@@ -592,13 +518,9 @@ type bodyError struct {
 func (e *bodyError) Error() string { return e.err.Error() }
 func (e *bodyError) Unwrap() error { return e.err }
 
-// decodeResult parses the body of a partial or final frame and runs the
-// receive side of the delta chain (see partialState). It returns the
-// unconsumed remainder; paths that deliberately skip the body (replayed
-// duplicates, whose payload was already reconstructed) report it fully
-// consumed so the caller's trailing-bytes check only fires on frames
-// the decoder actually parsed.
-func (c *frameConn) decodeResult(env *Envelope, flags byte, b []byte) ([]byte, error) {
+// decodeResult parses the body of a partial or final frame: progress,
+// then a result tag and body (tag 0: no result).
+func decodeResult(env *Envelope, b []byte) ([]byte, error) {
 	done, b, err := wire.ConsumeUvarint(b)
 	if err != nil {
 		return b, err
@@ -607,67 +529,12 @@ func (c *frameConn) decodeResult(env *Envelope, flags byte, b []byte) ([]byte, e
 	if err != nil {
 		return b, err
 	}
-	seq, b, err := wire.ConsumeUvarint(b)
-	if err != nil {
-		return b, err
-	}
 	env.Done, env.Total = int(done), int(total)
-	if len(b) > 0 && b[0] == 0 && flags&flagDelta == 0 {
-		// Tag 0: a result-less frame; the delta chain is untouched.
-		if env.Kind == MsgFinal {
-			delete(c.seqIn, env.ReqID)
-		}
+	if len(b) > 0 && b[0] == 0 {
 		return b[1:], nil
 	}
-	if env.Kind == MsgFinal {
-		delete(c.seqIn, env.ReqID)
-		if flags&flagDelta != 0 {
-			return b, wire.Corruptf("delta flag on a final frame")
-		}
-		env.Result, b, err = sketch.DecodeResultWire(b)
-		return b, err
-	}
-	st := c.seqIn[env.ReqID]
-	if flags&flagDelta != 0 {
-		switch {
-		case st == nil || st.last == nil:
-			return b, wire.Corruptf("delta partial without a base (req %d seq %d)", env.ReqID, seq)
-		case seq <= st.seq:
-			// A replayed frame (byte-level duplication): the snapshot it
-			// would reconstruct is already reconstructed. Deliver that and
-			// leave the chain untouched — re-applying the delta would
-			// double-count. The body is not re-parsed.
-			env.Result = st.last
-			return nil, nil
-		case seq != st.seq+1:
-			return b, wire.Corruptf("delta partial skips bases (req %d seq %d after %d)", env.ReqID, seq, st.seq)
-		}
-		cur, rest, err := sketch.DecodeResultDeltaWire(b, st.last)
-		if err != nil {
-			return b, err
-		}
-		st.seq, st.last = seq, cur
-		env.Result = cur
-		return rest, nil
-	}
-	if st != nil && seq <= st.seq {
-		// Duplicated full partial: the chain has moved past it; hand the
-		// consumer the freshest snapshot instead of rewinding the base.
-		// The body is not re-parsed.
-		env.Result = st.last
-		return nil, nil
-	}
-	r, rest, err := sketch.DecodeResultWire(b)
-	if err != nil {
-		return b, err
-	}
-	if st == nil {
-		st = &partialState{}
-		c.seqIn[env.ReqID] = st
-	}
-	st.seq, st.last = seq, r
-	env.Result = r
-	return rest, nil
+	env.Result, b, err = sketch.DecodeResultWire(b)
+	return b, err
 }
 
 // BytesIn returns bytes received on this connection.

@@ -74,12 +74,12 @@ func (w *Worker) SetConnWrapper(f func(net.Conn) net.Conn) {
 // SetDuplicatePartials makes the worker re-send each streamed partial
 // result with the given probability (deterministic in seed) — the
 // duplicated-partial fault of the chaos harness, modeling a retrying
-// emission layer. The duplicate is re-framed (it gets its own sequence
-// number, so under delta encoding it is a zero delta); the protocol
-// tolerates it because partials are cumulative snapshots: the root may
-// apply any partial any number of times. Byte-identical frame replay is
-// the harsher, transport-level cousin — FaultScript.DupFrameProb —
-// which the stateless codec also absorbs.
+// emission layer. The duplicate is a second full frame of the same
+// snapshot; the protocol tolerates it because partials are cumulative:
+// the root keeps a range's snapshot only while its Done does not move
+// backwards, so applying any partial any number of times is idempotent.
+// Byte-identical frame replay is the harsher, transport-level cousin —
+// FaultScript.DupFrameProb — which the stateless codec also absorbs.
 func (w *Worker) SetDuplicatePartials(prob float64, seed uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -378,6 +378,9 @@ func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope, settl
 		var onPartial engine.PartialFunc
 		if !env.NoPartials {
 			onPartial = func(p engine.Partial) {
+				if p.Done == p.Total {
+					return // the complete result: MsgFinal carries it
+				}
 				reply(&Envelope{Kind: MsgPartial, Result: p.Result, Done: p.Done, Total: p.Total})
 				if w.dupPartial() {
 					reply(&Envelope{Kind: MsgPartial, Result: p.Result, Done: p.Done, Total: p.Total})

@@ -150,11 +150,29 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 		return acc, done, nil
 	}
 
-	// rangeCb builds the partial callback for range g. An attempt that
-	// takes the range over after a failover starts again at its first
-	// partition, so only updates that advance the range's progress are
-	// kept — the dedup that keeps the merged stream from moving
-	// backwards.
+	// update records range g's summary after done of its partitions and
+	// emits a throttled merged partial. An attempt that takes the range
+	// over after a failover starts again at its first partition, so only
+	// updates that do not move the range's progress backwards are kept —
+	// the dedup that keeps the merged stream from moving backwards and
+	// makes a duplicated partial harmless. A range's final goes through
+	// here too: a range whose only update is its final must still show
+	// in the stream before the slowest range finishes. The complete
+	// merge is left to the completion emit below. Callers hold mu.
+	update := func(g int, res sketch.Result, done int) {
+		if settled[g] {
+			return
+		}
+		if done >= dones[g] {
+			latest[g] = res
+			dones[g] = done
+		}
+		if onPartial != nil && th.allow() {
+			if merged, sum, err := remerge(); err == nil && sum < total {
+				onPartial(Partial{Result: merged, Done: sum, Total: total})
+			}
+		}
+	}
 	rangeCb := func(g int) PartialFunc {
 		if onPartial == nil {
 			return nil
@@ -162,18 +180,7 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 		return func(p Partial) {
 			mu.Lock()
 			defer mu.Unlock()
-			if settled[g] {
-				return
-			}
-			if p.Done >= dones[g] {
-				latest[g] = p.Result
-				dones[g] = p.Done
-			}
-			if th.allow() {
-				if merged, done, err := remerge(); err == nil {
-					onPartial(Partial{Result: merged, Done: done, Total: total})
-				}
-			}
+			update(g, p.Result, p.Done)
 		}
 	}
 
@@ -245,8 +252,7 @@ func SketchReplicated(ctx context.Context, sk sketch.Sketch, onPartial PartialFu
 				errs[g] = err
 				return
 			}
-			latest[g] = res
-			dones[g] = groups[g].Range.Leaves
+			update(g, res, groups[g].Range.Leaves)
 			settled[g] = true
 		}(g)
 	}

@@ -317,3 +317,47 @@ func TestFailoverMatchesParallelFoldOrder(t *testing.T) {
 		t.Fatalf("result = %q, want %q (range order)", res, "0123")
 	}
 }
+
+// TestFinishedRangeJoinsPartialStream: a range whose replica answers
+// with its final alone, no partials, shows in the root's partial stream
+// while another range is still running.
+func TestFinishedRangeJoinsPartialStream(t *testing.T) {
+	release := make(chan struct{})
+	slow := &fakeReplica{name: "slow", healthy: true, run: func(ctx context.Context, _ PartialFunc) (sketch.Result, error) {
+		select {
+		case <-release:
+			return 5, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}}
+	groups := []ReplicaGroup{group(0, 2, 1, ok("fast", 7)), group(1, 2, 3, slow)}
+	partials := make(chan Partial, 1) // keeps the first; later ones drop
+	type outcome struct {
+		res sketch.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := SketchReplicated(context.Background(), sumSketch{}, func(p Partial) {
+			select {
+			case partials <- p:
+			default:
+			}
+		}, groups, Config{}, FailoverOptions{})
+		done <- outcome{res, err}
+	}()
+	select {
+	case p := <-partials:
+		if p.Done != 1 || p.Total != 4 || p.Result.(int) != 7 {
+			t.Errorf("first partial = %+v, want the fast range's 7 at done 1 of 4", p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("no partial before the slow range finished")
+	}
+	close(release)
+	out := <-done
+	if out.err != nil || out.res.(int) != 12 {
+		t.Fatalf("result = %v, %v; want 12", out.res, out.err)
+	}
+}

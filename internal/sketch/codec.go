@@ -10,7 +10,9 @@ import (
 // This file is the registry half of the binary wire codec: the cluster
 // transport encodes every result and sketch crossing the wire through a
 // hand-rolled, stateless, per-type codec, and a type without one does
-// not cross the wire (see internal/cluster). The codec contract:
+// not cross the wire (see internal/cluster). Each type has one wire
+// form: a partial result crosses whole, exactly like a final, and
+// decodes without reference to any earlier frame. The codec contract:
 //
 //   - AppendWire appends the value's binary form to b and returns the
 //     extended slice. It never retains b.
@@ -43,24 +45,6 @@ type WireSketch interface {
 	Sketch
 	AppendWire(b []byte) []byte
 	DecodeWire(b []byte) ([]byte, error)
-}
-
-// DeltaWireResult is an optional WireResult extension for cumulative
-// monotone-counter results: successive partial snapshots of one request
-// differ only by recently-scanned rows, so a partial can ship just the
-// per-bucket increments (zigzag varints: near-zero deltas cost one byte
-// instead of eight) and be reconstructed against the previous partial
-// on the receiving side.
-type DeltaWireResult interface {
-	WireResult
-	// AppendDeltaWire appends the receiver-minus-prev delta body to b.
-	// ok is false when prev is not a compatible base (different type or
-	// geometry); the caller must then send a full frame.
-	AppendDeltaWire(prev Result, b []byte) ([]byte, bool)
-	// DecodeDeltaWire parses a delta body from b into the receiver and
-	// adds prev, leaving the receiver equal to the cumulative snapshot.
-	// prev is never mutated (the consumer may still hold it).
-	DecodeDeltaWire(prev Result, b []byte) ([]byte, error)
 }
 
 // Result codec tags. Tag 0 is reserved (the frame layer uses it for "no
@@ -180,48 +164,6 @@ func DecodeResultWire(b []byte) (Result, []byte, error) {
 		return nil, b, err
 	}
 	return r, rest, nil
-}
-
-// AppendResultDeltaWire appends tag+delta-body for r relative to prev.
-// ok=false means no codec, no delta support, or an incompatible base —
-// the caller sends a full frame instead.
-func AppendResultDeltaWire(b []byte, r, prev Result) ([]byte, bool) {
-	tag, ok := resultTags[reflect.TypeOf(r)]
-	if !ok {
-		return b, false
-	}
-	d, ok := r.(DeltaWireResult)
-	if !ok {
-		return b, false
-	}
-	withTag := append(b, tag)
-	out, ok := d.AppendDeltaWire(prev, withTag)
-	if !ok {
-		return b, false
-	}
-	return out, true
-}
-
-// DecodeResultDeltaWire decodes a tag+delta-body payload against the
-// previous cumulative result, returning the reconstructed snapshot.
-func DecodeResultDeltaWire(b []byte, prev Result) (Result, []byte, error) {
-	tag, rest, err := wire.ConsumeByte(b)
-	if err != nil {
-		return nil, b, err
-	}
-	newFn := resultCodecs[tag]
-	if newFn == nil {
-		return nil, b, wire.Corruptf("unknown result tag %d", tag)
-	}
-	d, ok := newFn().(DeltaWireResult)
-	if !ok {
-		return nil, b, wire.Corruptf("result tag %d does not support deltas", tag)
-	}
-	rest, err = d.DecodeDeltaWire(prev, rest)
-	if err != nil {
-		return nil, b, err
-	}
-	return d, rest, nil
 }
 
 // AppendSketchWire appends tag+body for a codec-registered sketch;

@@ -158,74 +158,6 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaCodecRoundTrip drives the delta codec the way a partial
-// stream does: a sequence of growing snapshots, each encoded as a delta
-// against its predecessor and reconstructed, demanding the bit-exact
-// cumulative summary at every step.
-func TestDeltaCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(42, 99))
-	parts, info := table.GenPartitions("codecdelta", 13, 1200, 4)
-	sketches := []Sketch{
-		&HistogramSketch{Col: "gd", Buckets: NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 12)},
-		&Histogram2DSketch{XCol: "gd", YCol: "gi", X: NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 5), Y: NumericBuckets(table.KindInt, float64(info.IntLo), float64(info.IntHi), 6)},
-		&TrellisSketch{GroupCol: "gs", XCol: "gd", YCol: "gi",
-			Group: StringBucketsFromDistinct(info.DictValues, 3),
-			X:     NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 4),
-			Y:     NumericBuckets(table.KindInt, float64(info.IntLo), float64(info.IntHi), 5), Rate: 1},
-	}
-	for _, sk := range sketches {
-		// Build the cumulative snapshot sequence a partial stream emits.
-		snaps := []Result{}
-		acc := sk.Zero()
-		for _, p := range parts {
-			r, err := sk.Summarize(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if acc, err = sk.Merge(acc, r); err != nil {
-				t.Fatal(err)
-			}
-			snaps = append(snaps, acc)
-		}
-		prevSent, prevRecv := snaps[0], resultRoundTrip(t, snaps[0])
-		for _, cur := range snaps[1:] {
-			b, ok := AppendResultDeltaWire(nil, cur, prevSent)
-			if !ok {
-				t.Fatalf("%s: delta refused between compatible snapshots", sk.Name())
-			}
-			full, _ := AppendResultWire(nil, cur)
-			if len(b) >= len(full) {
-				t.Errorf("%s: delta frame (%dB) not smaller than full frame (%dB)", sk.Name(), len(b), len(full))
-			}
-			got, rest, err := DecodeResultDeltaWire(b, prevRecv)
-			if err != nil {
-				t.Fatalf("%s: delta decode: %v", sk.Name(), err)
-			}
-			if len(rest) != 0 {
-				t.Fatalf("%s: %d trailing bytes", sk.Name(), len(rest))
-			}
-			if !reflect.DeepEqual(got, cur) {
-				t.Fatalf("%s: delta reconstruction diverged:\n  want %+v\n  got  %+v", sk.Name(), cur, got)
-			}
-			prevSent, prevRecv = cur, got
-		}
-		// Geometry mismatch must refuse the delta, not corrupt.
-		other := sk.Zero()
-		switch o := other.(type) {
-		case *Histogram:
-			o.Counts = o.Counts[:len(o.Counts)-1]
-		case *Histogram2D:
-			o.Counts = o.Counts[:len(o.Counts)-1]
-		case *Trellis:
-			o.Plots = o.Plots[:len(o.Plots)-1]
-		}
-		if _, ok := AppendResultDeltaWire(nil, snaps[len(snaps)-1], other); ok {
-			t.Fatalf("%s: delta accepted a mismatched base", sk.Name())
-		}
-		_ = rng
-	}
-}
-
 // TestDecodeCorruptPayloads feeds truncations and bit flips of valid
 // result payloads to the decoder: every outcome must be a value or a
 // clean error — never a panic — and truncations must error.

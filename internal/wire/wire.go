@@ -3,7 +3,8 @@
 // counter and float arrays (the colstore raw-layout convention, so a
 // summary's hot arrays encode with one bounds check per element and
 // decode with one length check per array), uvarints for lengths and
-// small counters, and zigzag varints for signed deltas.
+// small counters, and zigzag varints for signed integers (sketch
+// parameters such as K, heavy-hitter counters).
 //
 // Every Consume* function is hardened against crafted input: a length
 // prefix is validated against the bytes actually remaining *before* any
@@ -90,7 +91,7 @@ func ConsumeUvarint(b []byte) (uint64, []byte, error) {
 }
 
 // AppendVarint appends v zigzag-encoded (small magnitudes of either
-// sign stay small — the delta-partial encoding).
+// sign stay small).
 func AppendVarint(b []byte, v int64) []byte {
 	return binary.AppendVarint(b, v)
 }
@@ -151,9 +152,6 @@ func ConsumeBool(b []byte) (bool, []byte, error) {
 	}
 	return b[0] != 0, b[1:], nil
 }
-
-// AppendByte appends one raw byte.
-func AppendByte(b []byte, v byte) []byte { return append(b, v) }
 
 // ConsumeByte decodes one raw byte.
 func ConsumeByte(b []byte) (byte, []byte, error) {
@@ -332,35 +330,6 @@ func ConsumeStrings(b []byte) ([]string, []byte, error) {
 			return nil, b, err
 		}
 		out = append(out, s)
-	}
-	return out, rest, nil
-}
-
-// AppendVarints appends an int64 slice in zigzag varints — the
-// delta-partial form, where near-zero per-bucket deltas take one byte
-// instead of eight.
-func AppendVarints(b []byte, vs []int64) []byte {
-	b = AppendLen(b, len(vs), vs == nil)
-	for _, v := range vs {
-		b = AppendVarint(b, v)
-	}
-	return b
-}
-
-// ConsumeVarints decodes a zigzag varint slice.
-func ConsumeVarints(b []byte) ([]int64, []byte, error) {
-	n, isNil, rest, err := consumeLen(b, 1)
-	if err != nil || isNil {
-		return nil, rest, err
-	}
-	out := make([]int64, 0, PreallocLen(n))
-	for i := 0; i < n; i++ {
-		var v int64
-		v, rest, err = ConsumeVarint(rest)
-		if err != nil {
-			return nil, b, err
-		}
-		out = append(out, v)
 	}
 	return out, rest, nil
 }
