@@ -373,7 +373,7 @@ func flightsBuckets(b *testing.B, t *table.Table, col string, count int) sketch.
 	}
 	r := res.(*sketch.DataRange)
 	spec := sketch.NumericBuckets(r.Kind, r.Min, r.Max, count)
-	b.Logf("%s: [%g, %g] in %d buckets, %d of %d rows missing", col, r.Min, r.Max, count, r.Missing, r.Total())
+	b.Logf("%s: [%g, %g] in %d buckets, %d of %d rows missing", col, r.Min, r.Max, count, r.Missing, r.Present+r.Missing)
 	return spec
 }
 

@@ -1,7 +1,8 @@
 // Flights: an analyst session over the synthetic airline dataset,
 // answering questions in the style of the paper's case study (Fig 10):
 // which carrier is most delayed, how do delays distribute, what do
-// delay × distance look like together, and which airports dominate.
+// delay × distance look like together and per carrier, and which
+// airports dominate.
 //
 //	go run ./examples/flights [-rows 500000]
 package main
@@ -82,6 +83,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(render.HeatmapASCII(hm.Result))
+
+	// Q: is that shape the same for every carrier? (trellis: one heat
+	// map per group, all from one pass)
+	fmt.Println("— delay × distance heat maps by carrier (trellis) —")
+	tv, err := view.Trellis(ctx, "Carrier", "Distance", "DepDelay", 4, spreadsheet.ChartOptions{Width: 180, Height: 60})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, plot := range tv.Result.Plots {
+		fmt.Printf("%s:\n%s\n", tv.Result.Group.LabelOf(i), render.HeatmapASCII(plot))
+	}
 
 	// Q: derive a new column with the expression language.
 	fmt.Println("— derived column: schedule slack (ArrDelay - DepDelay) —")

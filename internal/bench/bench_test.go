@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline/sparklike"
 	"repro/internal/engine"
 	"repro/internal/spreadsheet"
 	"repro/internal/storage"
@@ -42,7 +43,7 @@ func TestOpsRunOnHillview(t *testing.T) {
 
 func TestOpsRunOnSpark(t *testing.T) {
 	p := tinyParams()
-	eng := newSparkEngine(p)
+	eng := sparklike.New(p.Workers * p.WorkerParallelism)
 	parts := GenScale(p, 1)
 	for _, op := range Ops {
 		senv := NewSparkEnv(eng, parts)

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baseline/sparklike"
 	"repro/internal/cluster"
 	"repro/internal/colstore"
 	"repro/internal/engine"
@@ -147,12 +146,6 @@ func (e *HVEnv) DropData(scale int) {
 	e.mu.Lock()
 	e.views = make(map[string]*spreadsheet.View)
 	e.mu.Unlock()
-}
-
-// newSparkEngine builds the baseline engine with the deployment's
-// total parallelism (the paper optimized Spark "to our best ability").
-func newSparkEngine(p Params) *sparklike.Engine {
-	return sparklike.New(p.Workers * p.WorkerParallelism)
 }
 
 // workerSeed reproduces the seed a worker derives from the

@@ -50,18 +50,11 @@ func Dial(addr string) (*Client, error) {
 // DialTransport connects to a worker through an explicit transport
 // (tests inject FaultTransport here; production uses Dial).
 func DialTransport(tr Transport, addr string) (*Client, error) {
-	return dialTransportTimeout(tr, addr, 0)
-}
-
-// dialTransportTimeout is DialTransport with an explicit mid-frame read
-// watchdog (0 = defaultFrameTimeout); the cluster health layer dials
-// through it so failover tests can shrink the watchdog.
-func dialTransportTimeout(tr Transport, addr string, frameTimeout time.Duration) (*Client, error) {
 	conn, err := tr.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return newClientConn(conn, addr, frameTimeout), nil
+	return newClientConn(conn, addr, 0), nil
 }
 
 // newClientConn wraps an established connection in a Client (frame
@@ -82,15 +75,9 @@ func newClientConn(conn net.Conn, addr string, frameTimeout time.Duration) *Clie
 	return c
 }
 
-// Addr returns the worker address.
-func (c *Client) Addr() string { return c.addr }
-
 // BytesReceived returns bytes this root has received from the worker —
 // the quantity plotted in Figure 5 (bottom).
 func (c *Client) BytesReceived() int64 { return c.fc.BytesIn() }
-
-// BytesSent returns bytes sent to the worker.
-func (c *Client) BytesSent() int64 { return c.fc.BytesOut() }
 
 // WireStats returns this connection's transport counters: bytes and
 // frames in each direction and cumulative encode/decode nanoseconds.

@@ -66,8 +66,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if out.Sketch.Name() != in.Sketch.Name() {
 		t.Errorf("sketch lost: %q", out.Sketch.Name())
 	}
-	if fc.BytesIn() == 0 || fc.BytesOut() == 0 || fc.BytesIn() != fc.BytesOut() {
-		t.Errorf("byte accounting: in=%d out=%d", fc.BytesIn(), fc.BytesOut())
+	if fc.BytesIn() == 0 || fc.stats().BytesOut == 0 || fc.BytesIn() != fc.stats().BytesOut {
+		t.Errorf("byte accounting: in=%d out=%d", fc.BytesIn(), fc.stats().BytesOut)
 	}
 }
 

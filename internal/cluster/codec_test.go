@@ -333,56 +333,80 @@ func TestCodecLessSketchIsEncodeError(t *testing.T) {
 }
 
 // tagRewriteTransport is TCP whose next MsgSketch frame, once armed,
-// carries an unregistered sketch tag under a valid checksum: a request
-// body the worker cannot decode on a stream still in sync.
-type tagRewriteTransport struct{ armed *atomic.Bool }
+// carries sketch tag tag under a valid checksum: a request body the
+// worker cannot decode on a stream still in sync.
+type tagRewriteTransport struct {
+	armed *atomic.Bool
+	tag   byte
+}
 
-const unregisteredSketchTag = 200
+const (
+	unregisteredSketchTag = 200
+	// retiredSketchTag was the PCA sketch's; it is never reused.
+	retiredSketchTag = 15
+)
 
 func (tr tagRewriteTransport) Dial(addr string) (net.Conn, error) {
 	c, err := TCPTransport{}.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &tagRewriteConn{Conn: c, armed: tr.armed}, nil
+	return &tagRewriteConn{Conn: c, armed: tr.armed, tag: tr.tag}, nil
 }
 
 type tagRewriteConn struct {
 	net.Conn
 	armed *atomic.Bool
+	tag   byte
 }
 
-// Write rewrites one whole frame (frameConn.send writes one per call):
-// length, magic, version, kind, flags, reqID, datasetID, sketch tag.
+// Write rewrites one whole frame (frameConn.send writes one per call).
 func (c *tagRewriteConn) Write(p []byte) (int, error) {
 	if p[6] != byte(MsgSketch) || !c.armed.CompareAndSwap(true, false) {
 		return c.Conn.Write(p)
 	}
 	frame := append([]byte(nil), p...)
+	if err := setSketchTag(frame, c.tag); err != nil {
+		return 0, err
+	}
+	return c.Conn.Write(frame)
+}
+
+// setSketchTag overwrites the sketch tag of one sealed MsgSketch frame
+// (length, magic, version, kind, flags, reqID, datasetID, sketch tag)
+// and reseals it.
+func setSketchTag(frame []byte, tag byte) error {
 	_, rest, err := wire.ConsumeUvarint(frame[8:])
 	if err == nil {
 		_, rest, err = wire.ConsumeString(rest)
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
-	rest[0] = unregisteredSketchTag
+	rest[0] = tag
 	reseal(frame)
-	return c.Conn.Write(frame)
+	return nil
 }
 
 // TestUndecodableRequestFailsAlone: a request whose body the worker
-// cannot decode is answered with an error naming the tag, and the same
+// cannot decode — a sketch tag never registered, or the retired PCA
+// tag — is answered with an error naming the tag, and the same
 // connection then answers a histogram — on a bare client, and through a
 // Cluster, where the error is a plain query error that loses no group
 // and costs no reconnect.
 func TestUndecodableRequestFailsAlone(t *testing.T) {
+	for _, tag := range []byte{unregisteredSketchTag, retiredSketchTag} {
+		t.Run(fmt.Sprintf("tag=%d", tag), func(t *testing.T) { checkUndecodableRequestFailsAlone(t, tag) })
+	}
+}
+
+func checkUndecodableRequestFailsAlone(t *testing.T, tag byte) {
 	armed := new(atomic.Bool)
-	tr := tagRewriteTransport{armed: armed}
+	tr := tagRewriteTransport{armed: armed, tag: tag}
 	cl, addr := startTCPWorker(t, tr)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	wantErr := fmt.Sprintf("unknown sketch tag %d", unregisteredSketchTag)
+	wantErr := fmt.Sprintf("unknown sketch tag %d", tag)
 
 	armed.Store(true)
 	_, err := cl.Sketch(ctx, "d", codecTestHistogram, nil)
@@ -445,8 +469,8 @@ func TestWireStatsCounting(t *testing.T) {
 	if st.EncodeNS <= 0 || st.DecodeNS <= 0 {
 		t.Fatalf("codec time not accounted: %+v", st)
 	}
-	if st.BytesIn != cl.BytesReceived() || st.BytesOut != cl.BytesSent() {
-		t.Fatalf("byte counters disagree with legacy accessors: %+v", st)
+	if st.BytesIn != cl.BytesReceived() {
+		t.Fatalf("byte counters disagree with BytesReceived: %+v", st)
 	}
 }
 

@@ -80,6 +80,9 @@ func FuzzFrame(f *testing.F) {
 		f.Add(frameBytes(f, &Envelope{
 			ReqID: uint64(10 + i), Kind: MsgFinal, Result: sk.Zero(), Done: 1, Total: 1,
 		}))
+		if _, ok := sk.(*sketch.DistinctBottomKSketch); ok {
+			f.Add(retiredSketchTagFrame(f))
+		}
 	}
 	// Partials are full frames: one twice over (byte-level duplication
 	// must decode both copies), one cut mid-body, and a result-less one
@@ -166,6 +169,21 @@ func FuzzFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// retiredSketchTagFrame is a sealed sketch request carrying the retired
+// PCA sketch tag, in the corpus slot the PCA sketch's final held: a
+// decoder must reject it as an unknown tag, never reach a codec.
+func retiredSketchTagFrame(f *testing.F) []byte {
+	frame := frameBytes(f, &Envelope{ReqID: 1, Kind: MsgSketch, DatasetID: "d",
+		Sketch: &sketch.HistogramSketch{Col: "x", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 4)}})
+	if err := setSketchTag(frame, retiredSketchTag); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := recvBytes(frame); err == nil || !strings.Contains(err.Error(), "unknown sketch tag 15") {
+		f.Fatalf("retired sketch tag 15: err = %v, want an unknown-tag error", err)
+	}
+	return frame
 }
 
 // oversizedBucketSketches are sketch requests whose bucket geometry

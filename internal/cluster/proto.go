@@ -540,9 +540,6 @@ func decodeResult(env *Envelope, b []byte) ([]byte, error) {
 // BytesIn returns bytes received on this connection.
 func (c *frameConn) BytesIn() int64 { return c.in.Load() }
 
-// BytesOut returns bytes sent on this connection.
-func (c *frameConn) BytesOut() int64 { return c.out.Load() }
-
 // WireStats is one connection's transport counters: bytes and frames in
 // each direction plus cumulative encode/decode time, the observability
 // hook behind /api/status (and the bandwidth measurements of the

@@ -43,13 +43,6 @@ func Connect(addrs []string, cfg engine.Config) (*Cluster, error) {
 	return ConnectOptions(nil, addrs, cfg, Options{})
 }
 
-// ConnectTransport dials every worker address through an explicit
-// transport; the chaos harness passes FaultTransport here to drive the
-// whole distributed path through scripted network faults.
-func ConnectTransport(tr Transport, addrs []string, cfg engine.Config) (*Cluster, error) {
-	return ConnectOptions(tr, addrs, cfg, Options{})
-}
-
 // ConnectOptions dials every worker address (nil transport = TCP) and
 // assigns worker i to partition group i mod (len(addrs)/R), giving each
 // group R replicas. Dials run in parallel and retry transient failures
@@ -139,15 +132,6 @@ func (c *Cluster) BytesReceived() int64 {
 	var n int64
 	for _, cl := range c.Clients() {
 		n += cl.BytesReceived()
-	}
-	return n
-}
-
-// BytesSent sums bytes the root has sent to all workers.
-func (c *Cluster) BytesSent() int64 {
-	var n int64
-	for _, cl := range c.Clients() {
-		n += cl.BytesSent()
 	}
 	return n
 }

@@ -171,9 +171,6 @@ func (d *dataset) materialize(ctx context.Context) error {
 	return nil
 }
 
-// ID implements engine.IDataSet.
-func (d *dataset) ID() string { return d.id }
-
 // NumLeaves implements engine.IDataSet.
 func (d *dataset) NumLeaves() int {
 	d.mu.Lock()

@@ -164,8 +164,8 @@ func TestTraceEndToEndWorkerStitch(t *testing.T) {
 	if call == nil {
 		t.Fatalf("no wire.call span in %+v", spans)
 	}
-	if call.Note != cl.Addr() {
-		t.Errorf("wire.call note = %q, want worker addr %q", call.Note, cl.Addr())
+	if addr := cl.WireStats().Addr; call.Note != addr {
+		t.Errorf("wire.call note = %q, want worker addr %q", call.Note, addr)
 	}
 	if worker == nil {
 		t.Fatalf("no stitched worker.sketch span in %+v", spans)

@@ -164,11 +164,11 @@ func TestFaultTransportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(clean.Close)
-	faulty, err := ConnectTransport(FaultTransport{Script: FaultScript{
+	faulty, err := ConnectOptions(FaultTransport{Script: FaultScript{
 		Seed:      11,
 		DelayProb: 0.2, MaxDelay: time.Millisecond,
 		StallProb: 0.2, Stall: time.Millisecond,
-	}}, []string{addr}, cfg)
+	}}, []string{addr}, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -755,10 +755,6 @@ func (f *File) Schema() *table.Schema { return f.hdr.schema }
 // Rows returns the number of stored rows.
 func (f *File) Rows() int { return f.hdr.rows }
 
-// Mapped reports whether the file is served by a real memory mapping
-// (false on platforms without one, where the image lives on the heap).
-func (f *File) Mapped() bool { return mmapSupported }
-
 // Column materializes column ci: CRC-validated on first touch, then
 // reinterpreted in place. The returned evict function releases the
 // column's OS pages; it is safe to call while references to the column
@@ -797,15 +793,6 @@ func (f *File) Column(ci int) (col table.Column, size int64, evict func(), err e
 		d := f.hdr.dir[ci]
 		return col, size, func() { releasePages(m, d.off, d.off+d.len) }, nil
 	})
-}
-
-// ColumnByName is Column keyed by schema name.
-func (f *File) ColumnByName(name string) (table.Column, int64, func(), error) {
-	ci := f.hdr.schema.ColumnIndex(name)
-	if ci < 0 {
-		return nil, 0, nil, fmt.Errorf("colstore: %s: no column %q", f.path, name)
-	}
-	return f.Column(ci)
 }
 
 // Close unmaps and closes the file. Columns materialized from it must

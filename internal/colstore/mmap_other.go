@@ -7,8 +7,6 @@ import (
 	"os"
 )
 
-const mmapSupported = false
-
 // mmapFile falls back to reading the whole file into the heap on
 // platforms without a wired mmap: every View over the image is still
 // correct, and zero-copy within the process still holds, but the image

@@ -7,11 +7,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether this build serves files by memory
-// mapping; when false, File falls back to reading the file into the
-// heap (correct, not zero-copy-from-disk).
-const mmapSupported = true
-
 // mmapFile maps the whole file read-only and shared: the mapping is
 // backed by the page cache, so unread columns cost address space, not
 // memory, and released pages fault back in from the immutable file.

@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 
 	"repro/internal/table"
@@ -67,17 +66,6 @@ func NewPool(budget int64) *Pool {
 		budget = 0
 	}
 	return &Pool{budget: budget, cols: make(map[ColKey]*entry), lru: list.New()}
-}
-
-// SetBudget replaces the budget and evicts down to it.
-func (p *Pool) SetBudget(budget int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if budget < 0 {
-		budget = 0
-	}
-	p.budget = budget
-	p.evictLocked()
 }
 
 // Loader materializes one column, returning the column, its resident
@@ -236,10 +224,4 @@ func (p *Pool) Stats() PoolStats {
 		}
 	}
 	return s
-}
-
-// String renders the stats snapshot for logs.
-func (s PoolStats) String() string {
-	return fmt.Sprintf("pool{resident=%d/%d cols=%d pinned=%d hits=%d misses=%d evictions=%d}",
-		s.Resident, s.Budget, s.Columns, s.Pinned, s.Hits, s.Misses, s.Evictions)
 }

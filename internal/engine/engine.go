@@ -45,8 +45,6 @@ type PartialFunc func(Partial)
 // all references soft: a dataset may vanish at any time, in which case
 // operations return ErrMissingDataset and the root replays the redo log.
 type IDataSet interface {
-	// ID returns the dataset's stable identifier.
-	ID() string
 	// NumLeaves returns the number of leaf partitions under this node.
 	NumLeaves() int
 	// Sketch runs sk over every partition, streaming monotone partial

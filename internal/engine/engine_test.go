@@ -233,7 +233,7 @@ func TestLocalCancellation(t *testing.T) {
 // over local datasets the way package cluster fans out over workers.
 type localReplica struct{ IDataSet }
 
-func (r localReplica) Name() string  { return r.ID() }
+func (r localReplica) Name() string  { return r.IDataSet.(*LocalDataSet).id }
 func (r localReplica) Healthy() bool { return true }
 
 // treeNode is a Replica that knows how many partitions it serves.
@@ -490,6 +490,45 @@ func TestRootComputationCache(t *testing.T) {
 	hits2, _ := root.Cache().Stats()
 	if hits2 != 1 {
 		t.Errorf("randomized sketch hit the cache: hits = %d", hits2)
+	}
+}
+
+// TestRootCacheKeysBucketGeometry: string histograms whose geometry
+// differs only in ExactValues, or in where a "|" sits inside a bound,
+// count different rows, so the second must not be answered from the
+// first's cache entry.
+func TestRootCacheKeysBucketGeometry(t *testing.T) {
+	schema := table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString})
+	b := table.NewBuilder(schema, 5)
+	for _, v := range []string{"a", "b", "c", "a|b", "b|c"} {
+		b.AppendRow(table.Row{table.StringValue(v)})
+	}
+	part := b.Freeze("abc")
+	load := func(id, _ string) (IDataSet, error) {
+		return NewLocal(id, []*table.Table{part}, Config{AggregationWindow: -1}), nil
+	}
+	root := NewRoot(load)
+	if _, err := root.Load("abc", "mem"); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]sketch.BucketSpec{
+		{sketch.StringBucketsFromBounds([]string{"a", "c"}, true), sketch.StringBucketsFromBounds([]string{"a", "c"}, false)},
+		{sketch.StringBucketsFromBounds([]string{"a|b", "c"}, false), sketch.StringBucketsFromBounds([]string{"a", "b|c"}, false)},
+	} {
+		for _, spec := range pair {
+			sk := &sketch.HistogramSketch{Col: "s", Buckets: spec}
+			got, err := root.RunSketch(context.Background(), "abc", sk, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := sk.Summarize(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, fresh) {
+				t.Errorf("%v: root answered %v, a fresh scan %v", spec, got.(*sketch.Histogram).Counts, fresh.(*sketch.Histogram).Counts)
+			}
+		}
 	}
 }
 

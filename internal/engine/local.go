@@ -60,7 +60,7 @@ func (s tableSource) Leaves() []LeafMeta {
 	out := make([]LeafMeta, len(s))
 	for i, p := range s {
 		max := p.Members().Max()
-		out[i] = LeafMeta{ID: p.ID(), Hi: max, Bound: max, Rows: p.NumRows()}
+		out[i] = LeafMeta{ID: p.ID(), Hi: max, Bound: max}
 	}
 	return out
 }
@@ -69,21 +69,8 @@ func (s tableSource) Acquire(i int, _ []string) (*table.Table, func(), error) {
 	return s[i], func() {}, nil
 }
 
-// ID implements IDataSet.
-func (d *LocalDataSet) ID() string { return d.id }
-
 // NumLeaves implements IDataSet.
 func (d *LocalDataSet) NumLeaves() int { return len(d.leaves) }
-
-// TotalRows returns the number of member rows across partitions, from
-// metadata only.
-func (d *LocalDataSet) TotalRows() int64 {
-	var n int64
-	for _, m := range d.leaves {
-		n += int64(m.rows())
-	}
-	return n
-}
 
 func (d *LocalDataSet) parallelism() int {
 	p := d.cfg.Parallelism

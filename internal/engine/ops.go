@@ -17,8 +17,6 @@ type MapOp interface {
 	// Apply transforms one partition. newPartID is the stable identity
 	// of the derived partition (deterministic in parent ID and op).
 	Apply(t *table.Table, newPartID string) (*table.Table, error)
-	// Describe renders the op for logs and diagnostics.
-	Describe() string
 }
 
 // DerivePartID gives the stable partition ID for partition i of a
@@ -43,9 +41,6 @@ func (op FilterOp) Apply(t *table.Table, newPartID string) (*table.Table, error)
 	return t.WithMembership(newPartID, keep), nil
 }
 
-// Describe implements MapOp.
-func (op FilterOp) Describe() string { return fmt.Sprintf("filter(%s)", op.Predicate) }
-
 // DeriveOp appends a computed column (§5.6 "User-defined maps"). The
 // column is a lazy ComputedColumn: values are produced on access and
 // recomputed after eviction, never stored.
@@ -63,9 +58,6 @@ func (op DeriveOp) Apply(t *table.Table, newPartID string) (*table.Table, error)
 	return t.WithColumn(newPartID, op.Col, col)
 }
 
-// Describe implements MapOp.
-func (op DeriveOp) Describe() string { return fmt.Sprintf("derive(%s=%s)", op.Col, op.Expr) }
-
 // ProjectOp restricts the schema to the named columns.
 type ProjectOp struct {
 	Cols []string
@@ -75,9 +67,6 @@ type ProjectOp struct {
 func (op ProjectOp) Apply(t *table.Table, newPartID string) (*table.Table, error) {
 	return t.Project(newPartID, op.Cols)
 }
-
-// Describe implements MapOp.
-func (op ProjectOp) Describe() string { return fmt.Sprintf("project(%v)", op.Cols) }
 
 // FilterRangeOp keeps rows whose numeric column lies in [Min, Max] —
 // the zoom-into-chart operation (§5.6), expressed directly rather than
@@ -112,9 +101,4 @@ func (op FilterRangeOp) Apply(t *table.Table, newPartID string) (*table.Table, e
 		return nil, err
 	}
 	return t.WithMembership(newPartID, keep), nil
-}
-
-// Describe implements MapOp.
-func (op FilterRangeOp) Describe() string {
-	return fmt.Sprintf("filter-range(%s in [%g,%g])", op.Col, op.Min, op.Max)
 }

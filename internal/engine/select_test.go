@@ -82,7 +82,7 @@ func TestFilterOpsMatchRowFilter(t *testing.T) {
 					return v >= op.Min && v <= op.Max
 				})
 				if !reflect.DeepEqual(got.Members(), want.Members()) {
-					t.Fatalf("%s: %s: got %T of %d rows, want %T of %d", p.ID(), op.Describe(),
+					t.Fatalf("%s: %+v: got %T of %d rows, want %T of %d", p.ID(), op,
 						got.Members(), got.NumRows(), want.Members(), want.NumRows())
 				}
 			}

@@ -4,9 +4,9 @@ import "repro/internal/table"
 
 // LeafMeta describes one leaf partition of a LeafSource without
 // materializing any column data: its stable ID and physical geometry.
-// The engine plans a scan — one task per partition — and accounts rows
-// from metadata alone, so planning a sketch over a cold dataset reads
-// headers, not data.
+// The engine plans a scan — one task per partition — from metadata
+// alone, so planning a sketch over a cold dataset reads headers, not
+// data.
 type LeafMeta struct {
 	// ID is the partition's stable identifier (same contract as
 	// Table.ID: unique per logical partition, stable across reloads).
@@ -17,17 +17,6 @@ type LeafMeta struct {
 	// contiguous range [Lo, Hi). A whole-file partition has Lo=0,
 	// Hi=Bound=rows.
 	Lo, Hi, Bound int
-	// Rows is the member-row count of a partition whose membership is
-	// not the whole range [Lo, Hi) (a filtered in-memory table); 0 means
-	// dense, Hi-Lo rows.
-	Rows int
-}
-
-func (m LeafMeta) rows() int {
-	if m.Rows > 0 {
-		return m.Rows
-	}
-	return m.Hi - m.Lo
 }
 
 // LeafSource supplies leaf partitions on demand. It is how the column

@@ -224,25 +224,6 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	return d, nil
 }
 
-// OpenOrCreate opens an existing dataset or creates a fresh one. When
-// the dataset exists, schema (if non-nil) must match the recovered one.
-func OpenOrCreate(dir string, schema *table.Schema, cfg Config) (*Dataset, error) {
-	d, err := Open(dir, cfg)
-	if errors.Is(err, ErrNoDataset) {
-		if schema == nil {
-			return nil, err
-		}
-		return Create(dir, schema, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if schema != nil && !schemasEqual(schema, d.schema) {
-		return nil, fmt.Errorf("ingest: schema mismatch for existing dataset %s", dir)
-	}
-	return d, nil
-}
-
 func newDataset(dir string, schema *table.Schema, cfg Config) *Dataset {
 	return &Dataset{
 		dir:    dir,
@@ -322,9 +303,6 @@ func writeFileAtomic(fsys FS, tmp, final string, fn func(File) error) error {
 	}
 	return fsys.SyncDir(dirOf(final))
 }
-
-// Dir returns the dataset directory.
-func (d *Dataset) Dir() string { return d.dir }
 
 // Name returns the dataset name (the directory base name), the prefix
 // of every partition table ID.

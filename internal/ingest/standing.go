@@ -84,18 +84,6 @@ func (d *Dataset) Register(sk sketch.Sketch) (*StandingQuery, error) {
 	return q, nil
 }
 
-// Unregister removes a standing query; its last result stays readable.
-func (d *Dataset) Unregister(q *StandingQuery) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, s := range d.standing {
-		if s == q {
-			d.standing = append(d.standing[:i], d.standing[i+1:]...)
-			return
-		}
-	}
-}
-
 // Standing lists the registered standing queries.
 func (d *Dataset) Standing() []StandingStatus {
 	d.mu.Lock()

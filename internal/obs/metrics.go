@@ -28,9 +28,6 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // Gauge is an atomic instantaneous value. The zero value is ready.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adjusts the gauge by n (use for up/down tracking).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
@@ -175,13 +172,6 @@ func (g *Group) Counter(name, help string) *Counter {
 	c := &Counter{}
 	g.CounterFunc(name, help, c.Load)
 	return c
-}
-
-// Gauge registers and returns an owned gauge.
-func (g *Group) Gauge(name, help string) *Gauge {
-	v := &Gauge{}
-	g.GaugeFunc(name, help, v.Load)
-	return v
 }
 
 // CounterFunc registers a counter whose value is read from fn — the

@@ -102,8 +102,7 @@ func TestPrometheusRendering(t *testing.T) {
 	g := r.Group("serve", "serve")
 	c := g.Counter("admitted", "queries admitted")
 	c.Add(5)
-	ga := g.Gauge("in_flight", "queries executing")
-	ga.Set(2)
+	g.GaugeFunc("in_flight", "queries executing", func() int64 { return 2 })
 	h := g.Histogram("query_latency", "end-to-end query latency")
 	for _, v := range []int64{1000, 2000, 1 << 20, 1 << 21} {
 		h.Observe(v)

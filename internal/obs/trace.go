@@ -91,14 +91,6 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Since returns the offset from the trace start (0 on nil).
-func (t *Trace) Since() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 // SpanHandle is an open span; End (or EndNote) records it. The zero
 // value — returned by StartSpan on a nil trace — is a no-op.
 type SpanHandle struct {

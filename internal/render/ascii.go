@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/sketch"
-	"repro/internal/table"
 )
 
 // asciiShades maps density levels to characters, light to dark.
@@ -57,29 +56,6 @@ func HeatmapASCII(h2 *sketch.Histogram2D) string {
 		for xi := 0; xi < h2.X.Count; xi++ {
 			level := ShadeOf(h2.At(xi, yi), max)
 			sb.WriteByte(asciiShades[level*(len(asciiShades)-1)/Shades])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// CDFASCII renders a CDF as a sparkline-style curve.
-func CDFASCII(h *sketch.Histogram, height int) string {
-	vals := h.CDF()
-	if len(vals) == 0 || height < 1 {
-		return "(empty)\n"
-	}
-	var sb strings.Builder
-	for line := height; line >= 1; line-- {
-		lo := float64(line-1) / float64(height)
-		for _, v := range vals {
-			if v >= lo && v < float64(line)/float64(height) {
-				sb.WriteByte('*')
-			} else if v >= float64(line)/float64(height) {
-				sb.WriteByte('.')
-			} else {
-				sb.WriteByte(' ')
-			}
 		}
 		sb.WriteByte('\n')
 	}
@@ -155,12 +131,4 @@ func sqrtOrZero(v float64) float64 {
 		return 0
 	}
 	return math.Sqrt(v)
-}
-
-// ValueOrEmpty formats a possibly-nil row cell.
-func ValueOrEmpty(r table.Row, i int) string {
-	if r == nil || i >= len(r) {
-		return ""
-	}
-	return r[i].String()
 }

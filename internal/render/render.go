@@ -65,11 +65,6 @@ func (b *svgBuilder) rect(x, y, w, h int, fill string) {
 	b.sb.WriteByte('\n')
 }
 
-func (b *svgBuilder) line(x1, y1, x2, y2 int, stroke string) {
-	fmt.Fprintf(&b.sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s"/>`, x1, y1, x2, y2, stroke)
-	b.sb.WriteByte('\n')
-}
-
 func (b *svgBuilder) polyline(pts []point, stroke string) {
 	b.sb.WriteString(`<polyline fill="none" stroke="` + stroke + `" points="`)
 	for i, p := range pts {
@@ -93,19 +88,6 @@ type point struct{ x, y int }
 
 func escape(s string) string {
 	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace(s)
-}
-
-// blues is a 21-level sequential color ramp (index 0 = background).
-func blues(level int) string {
-	if level <= 0 {
-		return "#f7fbff"
-	}
-	// Interpolate from light (#deebf7) to dark (#08306b).
-	t := float64(level) / Shades
-	r := int(0xde + t*(0x08-0xde))
-	g := int(0xeb + t*(0x30-0xeb))
-	bl := int(0xf7 + t*(0x6b-0xf7))
-	return fmt.Sprintf("#%02x%02x%02x", r, g, bl)
 }
 
 // HistogramSVG renders a histogram (with optional CDF overlay) at
@@ -136,153 +118,4 @@ func HistogramSVG(hv *sketch.Histogram, cdf *sketch.Histogram, w, h int) string 
 	}
 	b.text(2, 10, fmt.Sprintf("%s  max=%d missing=%d", hv.Buckets.LabelOf(0), hv.MaxCount(), hv.Missing))
 	return b.String()
-}
-
-// StackedSVG renders a stacked histogram; normalized scales every bar
-// to full height.
-func StackedSVG(h2 *sketch.Histogram2D, w, h int, normalized bool) string {
-	b := newSVG(w, h)
-	nx := h2.X.Count
-	if nx == 0 {
-		return b.String()
-	}
-	maxTotal := h2.MaxXTotal()
-	if maxTotal == 0 {
-		return b.String()
-	}
-	barW := w / nx
-	if barW < 1 {
-		barW = 1
-	}
-	for xi := 0; xi < nx; xi++ {
-		total := h2.XTotal(xi)
-		if total == 0 {
-			continue
-		}
-		scale := float64(h-2) / float64(maxTotal)
-		if normalized {
-			scale = float64(h-2) / float64(total)
-		}
-		y := h
-		for yi := 0; yi < h2.Y.Count; yi++ {
-			seg := int(math.Round(float64(h2.At(xi, yi)) * scale))
-			if seg == 0 {
-				continue
-			}
-			y -= seg
-			b.rect(xi*barW, y, barW-1, seg, blues(1+yi*(Shades-1)/maxInt(1, h2.Y.Count-1)))
-		}
-		if other := int(math.Round(float64(h2.YOther[xi]) * scale)); other > 0 {
-			y -= other
-			b.rect(xi*barW, y, barW-1, other, "#bdbdbd")
-		}
-	}
-	return b.String()
-}
-
-// HeatmapSVG renders a heat map with cell-size pixels per bin.
-func HeatmapSVG(h2 *sketch.Histogram2D, cell int) string {
-	if cell < 1 {
-		cell = 3
-	}
-	w, h := h2.X.Count*cell, h2.Y.Count*cell
-	b := newSVG(w, h)
-	max := h2.MaxCell()
-	for xi := 0; xi < h2.X.Count; xi++ {
-		for yi := 0; yi < h2.Y.Count; yi++ {
-			if c := h2.At(xi, yi); c > 0 {
-				// y axis points up.
-				b.rect(xi*cell, h-(yi+1)*cell, cell, cell, blues(ShadeOf(c, max)))
-			}
-		}
-	}
-	return b.String()
-}
-
-// TrellisHistogramsSVG renders a Histogram2D as an array of 1-D
-// histograms, one per Y bucket — the "trellis plots: arrays of the
-// other plots" of paper Fig 2. The summary is the same one a stacked
-// histogram uses; only the rendering differs, so switching between the
-// two visualizations costs no recomputation.
-func TrellisHistogramsSVG(h2 *sketch.Histogram2D, w, h int) string {
-	k := h2.Y.Count
-	if k == 0 {
-		return newSVG(1, 1).String()
-	}
-	cols := int(math.Ceil(math.Sqrt(float64(k))))
-	rows := (k + cols - 1) / cols
-	pw := w / cols
-	ph := h / rows
-	if pw < 8 {
-		pw = 8
-	}
-	if ph < 20 {
-		ph = 20
-	}
-	b := newSVG(cols*pw, rows*ph)
-	for yi := 0; yi < k; yi++ {
-		ox := (yi % cols) * pw
-		oy := (yi / cols) * ph
-		// Per-plot max for bar scaling.
-		var max int64
-		for xi := 0; xi < h2.X.Count; xi++ {
-			if c := h2.At(xi, yi); c > max {
-				max = c
-			}
-		}
-		barW := (pw - 2) / h2.X.Count
-		if barW < 1 {
-			barW = 1
-		}
-		for xi := 0; xi < h2.X.Count; xi++ {
-			if max == 0 {
-				break
-			}
-			bh := int(math.Round(float64(h2.At(xi, yi)) / float64(max) * float64(ph-16)))
-			if bh > 0 {
-				b.rect(ox+xi*barW, oy+ph-bh, barW, bh, "#4292c6")
-			}
-		}
-		b.text(ox+1, oy+10, h2.Y.LabelOf(yi))
-		b.line(ox, oy+ph, ox+pw-2, oy+ph, "#888888")
-	}
-	return b.String()
-}
-
-// TrellisSVG renders a grid of heat maps.
-func TrellisSVG(tr *sketch.Trellis, cell int) string {
-	if cell < 1 {
-		cell = 2
-	}
-	k := len(tr.Plots)
-	if k == 0 {
-		return newSVG(1, 1).String()
-	}
-	cols := int(math.Ceil(math.Sqrt(float64(k))))
-	rows := (k + cols - 1) / cols
-	pw := tr.Plots[0].X.Count * cell
-	ph := tr.Plots[0].Y.Count * cell
-	b := newSVG(cols*(pw+8), rows*(ph+16))
-	for i, plot := range tr.Plots {
-		ox := (i % cols) * (pw + 8)
-		oy := (i / cols) * (ph + 16)
-		max := plot.MaxCell()
-		for xi := 0; xi < plot.X.Count; xi++ {
-			for yi := 0; yi < plot.Y.Count; yi++ {
-				if c := plot.At(xi, yi); c > 0 {
-					b.rect(ox+xi*cell, oy+14+(plot.Y.Count-1-yi)*cell, cell, cell, blues(ShadeOf(c, max)))
-				}
-			}
-		}
-		b.text(ox, oy+10, tr.Group.LabelOf(i))
-		b.line(ox, oy+14+ph, ox+pw, oy+14+ph, "#888888")
-	}
-	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

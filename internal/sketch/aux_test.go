@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 
 	"repro/internal/table"
@@ -15,8 +14,8 @@ func TestRangeSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res.(*DataRange)
-	if r.Total() != 5000 {
-		t.Fatalf("Total = %d", r.Total())
+	if r.Present+r.Missing != 5000 {
+		t.Fatalf("Present+Missing = %d", r.Present+r.Missing)
 	}
 	if r.Min < 0 || r.Max >= 100 || r.Min >= r.Max {
 		t.Errorf("range [%g, %g] implausible", r.Min, r.Max)
@@ -224,99 +223,4 @@ func TestBottomKLargeCardinality(t *testing.T) {
 		}
 	}
 	checkExactMergeability(t, sk, tbl, 6)
-}
-
-func TestPCASketch(t *testing.T) {
-	// Two correlated columns plus one independent: x2 = 2*x1 + noise.
-	schema := table.NewSchema(
-		table.ColumnDesc{Name: "a", Kind: table.KindDouble},
-		table.ColumnDesc{Name: "b", Kind: table.KindDouble},
-		table.ColumnDesc{Name: "c", Kind: table.KindDouble},
-	)
-	rng := rand.New(rand.NewPCG(66, 67))
-	const n = 20000
-	b := table.NewBuilder(schema, n)
-	for i := 0; i < n; i++ {
-		x := rng.NormFloat64()
-		b.AppendRow(table.Row{
-			table.DoubleValue(x),
-			table.DoubleValue(2*x + 0.01*rng.NormFloat64()),
-			table.DoubleValue(rng.NormFloat64()),
-		})
-	}
-	tbl := b.Freeze("pca")
-	sk := &PCASketch{Cols: []string{"a", "b", "c"}, Rate: 1}
-	res, err := sk.Summarize(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := res.(*CoMoments)
-	corr := cm.Correlation()
-	if math.Abs(corr[0][1]-1) > 0.01 {
-		t.Errorf("corr(a,b) = %v, want ≈1", corr[0][1])
-	}
-	if math.Abs(corr[0][2]) > 0.05 {
-		t.Errorf("corr(a,c) = %v, want ≈0", corr[0][2])
-	}
-	vals, vecs := cm.PCA(3)
-	// First component captures the correlated pair: eigenvalue ≈ 2.
-	if math.Abs(vals[0]-2) > 0.1 {
-		t.Errorf("top eigenvalue = %v, want ≈2", vals[0])
-	}
-	// Its loading on c should be near zero.
-	if math.Abs(vecs[0][2]) > 0.1 {
-		t.Errorf("top component loads on independent column: %v", vecs[0])
-	}
-	// Mergeability (tolerance; float sums).
-	parts := summarizeParts(t, sk, splitTable(tbl, 4))
-	merged, err := MergeAll(sk, parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := merged.(*CoMoments)
-	if mc.N != cm.N {
-		t.Errorf("merged N = %d, want %d", mc.N, cm.N)
-	}
-	mcorr := mc.Correlation()
-	for i := range corr {
-		for j := range corr[i] {
-			if math.Abs(mcorr[i][j]-corr[i][j]) > 1e-6 {
-				t.Errorf("merged corr[%d][%d] differs", i, j)
-			}
-		}
-	}
-	// Sampled variant still close.
-	sampled := &PCASketch{Cols: []string{"a", "b", "c"}, Rate: 0.1, Seed: 3}
-	res, err = sampled.Summarize(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scorr := res.(*CoMoments).Correlation()
-	if math.Abs(scorr[0][1]-1) > 0.05 {
-		t.Errorf("sampled corr(a,b) = %v", scorr[0][1])
-	}
-	// Errors.
-	tbl2 := genTable("pcae", 10, 68)
-	if _, err := (&PCASketch{Cols: []string{"cat"}, Rate: 1}).Summarize(tbl2); err == nil {
-		t.Error("PCA over string column should error")
-	}
-}
-
-func TestJacobiEigenKnownMatrix(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 3 and 1 with vectors (1,1)/√2, (1,-1)/√2.
-	vals, vecs := JacobiEigen([][]float64{{2, 1}, {1, 2}})
-	if math.Abs(vals[0]-3) > 1e-9 || math.Abs(vals[1]-1) > 1e-9 {
-		t.Fatalf("eigenvalues = %v", vals)
-	}
-	v := vecs[0]
-	if math.Abs(math.Abs(v[0])-math.Sqrt2/2) > 1e-6 || math.Abs(v[0]-v[1]) > 1e-6 {
-		t.Errorf("top eigenvector = %v", v)
-	}
-	// Identity matrix: all eigenvalues 1.
-	vals, _ = JacobiEigen([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
-	for _, v := range vals {
-		if math.Abs(v-1) > 1e-12 {
-			t.Errorf("identity eigenvalues = %v", vals)
-		}
-	}
 }

@@ -3,7 +3,7 @@ package sketch
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/table"
 )
@@ -490,12 +490,33 @@ func (s BucketSpec) LabelOf(i int) string {
 	return fmt.Sprintf("[%.4g, %.4g)", s.Min+float64(i)*w, s.Min+float64(i+1)*w)
 }
 
-// String renders the geometry for sketch names and cache keys.
+// String renders the geometry for sketch names and cache keys. It is a
+// cache key, so it names every field that changes an answer: the kind,
+// the exact-values flag, and each bound quoted (so no bound can forge a
+// separator).
 func (s BucketSpec) String() string {
-	if s.Kind == table.KindString {
-		return fmt.Sprintf("str[%d:%s]", s.Count, strings.Join(s.Bounds, "|"))
+	size := 32
+	for _, v := range s.Bounds {
+		size += len(v) + 3
 	}
-	return fmt.Sprintf("num[%d:%g,%g]", s.Count, s.Min, s.Max)
+	b := append(make([]byte, 0, size), s.Kind.String()...)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(s.Count), 10)
+	if s.Kind != table.KindString {
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, s.Min, 'g', -1, 64)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, s.Max, 'g', -1, 64)
+		return string(append(b, ']'))
+	}
+	b = append(b, " exact="...)
+	b = strconv.AppendBool(b, s.ExactValues)
+	sep := byte(':')
+	for _, v := range s.Bounds {
+		b = strconv.AppendQuote(append(b, sep), v)
+		sep = ','
+	}
+	return string(append(b, ']'))
 }
 
 // maxStringBuckets caps string histogram bars (paper App. B.1: "the

@@ -27,9 +27,10 @@ import (
 //     lossiness would read as an engine bug.
 //
 // Registering a codec: implement WireResult on the result type and
-// WireSketch on the sketch type, pick an unused tag from the tables
-// below, and call RegisterResultCodec / RegisterSketchCodec from init
-// (wire.go keeps the shipped list). TestWireSketchCodecCoverage fails
+// WireSketch on the sketch type, pick a tag from the tables below that
+// no type has used (a retired tag stays retired), and call
+// RegisterResultCodec / RegisterSketchCodec from init (wire.go keeps
+// the shipped list). TestWireSketchCodecCoverage fails
 // any sketch in WireSketches() whose sketch type or result type lacks a
 // codec, mirroring the oracle coverage rule.
 
@@ -61,9 +62,9 @@ const (
 	tagMoments      = 9
 	tagHLL          = 10
 	tagBottomKSet   = 11
-	tagCoMoments    = 12
-	tagTableMeta    = 13
-	tagMultiResult  = 14
+	// 12 was the PCA co-moments result; retired, never reused.
+	tagTableMeta   = 13
+	tagMultiResult = 14
 	// TagSaveResult is storage.SaveResult, registered by package
 	// storage, which the worker links.
 	TagSaveResult = 15
@@ -85,9 +86,9 @@ const (
 	tagMomentsSketch          = 12
 	tagDistinctCountSketch    = 13
 	tagDistinctBottomKSketch  = 14
-	tagPCASketch              = 15
-	tagMetaSketch             = 16
-	tagMultiSketch            = 17
+	// 15 was the PCA sketch; retired, never reused.
+	tagMetaSketch  = 16
+	tagMultiSketch = 17
 	// TagSaveSketch is storage.SaveSketch (see TagSaveResult).
 	TagSaveSketch = 18
 	// TagTestSketch is for sketches that exist only in tests (testkit's

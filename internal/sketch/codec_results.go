@@ -24,7 +24,6 @@ func init() {
 	RegisterResultCodec(tagMoments, func() WireResult { return &Moments{} })
 	RegisterResultCodec(tagHLL, func() WireResult { return &HLL{} })
 	RegisterResultCodec(tagBottomKSet, func() WireResult { return &BottomKSet{} })
-	RegisterResultCodec(tagCoMoments, func() WireResult { return &CoMoments{} })
 	RegisterResultCodec(tagTableMeta, func() WireResult { return &TableMeta{} })
 }
 
@@ -408,38 +407,6 @@ func (s *BottomKSet) DecodeWire(b []byte) ([]byte, error) {
 		return b, err
 	}
 	s.PresentRows, b, err = wire.ConsumeI64(b)
-	return b, err
-}
-
-// AppendWire implements WireResult.
-func (c *CoMoments) AppendWire(b []byte) []byte {
-	b = wire.AppendStrings(b, c.Cols)
-	b = wire.AppendI64(b, c.N)
-	b = wire.AppendF64s(b, c.Sums)
-	b = wire.AppendF64s(b, c.Prods)
-	b = wire.AppendI64(b, c.SampledRows)
-	return wire.AppendF64(b, c.SampleRate)
-}
-
-// DecodeWire implements WireResult.
-func (c *CoMoments) DecodeWire(b []byte) ([]byte, error) {
-	var err error
-	if c.Cols, b, err = wire.ConsumeStrings(b); err != nil {
-		return b, err
-	}
-	if c.N, b, err = wire.ConsumeI64(b); err != nil {
-		return b, err
-	}
-	if c.Sums, b, err = wire.ConsumeF64s(b); err != nil {
-		return b, err
-	}
-	if c.Prods, b, err = wire.ConsumeF64s(b); err != nil {
-		return b, err
-	}
-	if c.SampledRows, b, err = wire.ConsumeI64(b); err != nil {
-		return b, err
-	}
-	c.SampleRate, b, err = wire.ConsumeF64(b)
 	return b, err
 }
 

@@ -24,7 +24,6 @@ func init() {
 	RegisterSketchCodec(tagMomentsSketch, func() WireSketch { return &MomentsSketch{} })
 	RegisterSketchCodec(tagDistinctCountSketch, func() WireSketch { return &DistinctCountSketch{} })
 	RegisterSketchCodec(tagDistinctBottomKSketch, func() WireSketch { return &DistinctBottomKSketch{} })
-	RegisterSketchCodec(tagPCASketch, func() WireSketch { return &PCASketch{} })
 	RegisterSketchCodec(tagMetaSketch, func() WireSketch { return &MetaSketch{} })
 }
 
@@ -378,26 +377,6 @@ func (s *DistinctBottomKSketch) DecodeWire(b []byte) ([]byte, error) {
 	var k int64
 	k, b, err = wire.ConsumeVarint(b)
 	s.K = int(k)
-	return b, err
-}
-
-// AppendWire implements WireSketch.
-func (s *PCASketch) AppendWire(b []byte) []byte {
-	b = wire.AppendStrings(b, s.Cols)
-	b = wire.AppendF64(b, s.Rate)
-	return wire.AppendU64(b, s.Seed)
-}
-
-// DecodeWire implements WireSketch.
-func (s *PCASketch) DecodeWire(b []byte) ([]byte, error) {
-	var err error
-	if s.Cols, b, err = wire.ConsumeStrings(b); err != nil {
-		return b, err
-	}
-	if s.Rate, b, err = wire.ConsumeF64(b); err != nil {
-		return b, err
-	}
-	s.Seed, b, err = wire.ConsumeU64(b)
 	return b, err
 }
 

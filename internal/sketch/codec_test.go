@@ -75,7 +75,6 @@ func testInstances(seed uint64, info table.GenInfo) []Sketch {
 		&MomentsSketch{Col: "gd", K: 3},
 		&DistinctCountSketch{Col: "gs"},
 		&DistinctBottomKSketch{Col: "gs", K: 16},
-		&PCASketch{Cols: []string{"gd", "gi"}, Rate: 1},
 		&MetaSketch{},
 		mustMulti(
 			&HistogramSketch{Col: "gi", Buckets: iB},

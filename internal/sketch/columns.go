@@ -48,9 +48,6 @@ func (s *DistinctCountSketch) Columns() []string { return []string{s.Col} }
 func (s *DistinctBottomKSketch) Columns() []string { return []string{s.Col} }
 
 // Columns implements ColumnUser.
-func (s *PCASketch) Columns() []string { return append([]string(nil), s.Cols...) }
-
-// Columns implements ColumnUser.
 func (s *NextKSketch) Columns() []string { return orderCols(s.Order, s.Extra) }
 
 // Columns implements ColumnUser.

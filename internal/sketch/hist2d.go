@@ -47,41 +47,6 @@ func (h *Histogram2D) MaxCell() int64 {
 	return m
 }
 
-// MaxXTotal returns the largest X bucket total (stacked bar scaling).
-func (h *Histogram2D) MaxXTotal() int64 {
-	var m int64
-	for xi := 0; xi < h.X.Count; xi++ {
-		if t := h.XTotal(xi); t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// Transpose returns the summary with the axes swapped — the "swap axes"
-// interaction of paper §3.4, computed from the existing summary rather
-// than by re-querying (another instance of compute-what-you-display:
-// the information is already on screen). Rows whose Y value was missing
-// cannot move to the new Y axis and are folded into XMissing.
-func (h *Histogram2D) Transpose() *Histogram2D {
-	out := &Histogram2D{
-		X:           h.Y,
-		Y:           h.X,
-		Counts:      make([]int64, len(h.Counts)),
-		YOther:      make([]int64, h.Y.Count),
-		XMissing:    h.XMissing,
-		SampleRate:  h.SampleRate,
-		SampledRows: h.SampledRows,
-	}
-	for xi := 0; xi < h.X.Count; xi++ {
-		for yi := 0; yi < h.Y.Count; yi++ {
-			out.Counts[yi*out.Y.Count+xi] = h.At(xi, yi)
-		}
-		out.XMissing += h.YOther[xi]
-	}
-	return out
-}
-
 // Histogram2DSketch counts rows over a two-dimensional bucket grid. A
 // Rate of 0 (or ≥1) scans every member row — required by the normalized
 // stacked histogram (paper App. B.1: a small X bin normalized to a full

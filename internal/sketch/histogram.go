@@ -8,7 +8,8 @@ import (
 
 // Histogram is the summary produced by histogram and CDF vizketches: one
 // count per bucket plus missing/out-of-range tallies. When SampleRate < 1
-// the counts are sample counts; EstimatedCount scales them back. Its size
+// the counts are sample counts (divide by SampleRate to estimate the
+// population's). Its size
 // is O(buckets) — independent of the data (paper §4.2).
 type Histogram struct {
 	Buckets    BucketSpec
@@ -20,14 +21,6 @@ type Histogram struct {
 	SampleRate float64
 	// SampledRows is the number of rows actually inspected.
 	SampledRows int64
-}
-
-// EstimatedCount returns the estimated population count of bucket i.
-func (h *Histogram) EstimatedCount(i int) float64 {
-	if h.SampleRate <= 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / h.SampleRate
 }
 
 // MaxCount returns the largest bucket count (sample scale).

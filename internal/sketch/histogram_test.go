@@ -318,17 +318,6 @@ func TestSuperLinearSampling(t *testing.T) {
 	}
 }
 
-func TestHistogramEstimatedCount(t *testing.T) {
-	h := &Histogram{Counts: []int64{10, 20}, SampleRate: 0.1}
-	if got := h.EstimatedCount(1); got != 200 {
-		t.Errorf("EstimatedCount = %v, want 200", got)
-	}
-	empty := &Histogram{Counts: []int64{1}, SampleRate: 0}
-	if got := empty.EstimatedCount(0); got != 0 {
-		t.Errorf("zero-rate EstimatedCount = %v", got)
-	}
-}
-
 func TestSampleSizeFormulas(t *testing.T) {
 	if HistogramSampleSize(50, 100, 0.01) <= 0 ||
 		CDFSampleSize(100, 0.01) <= 0 ||

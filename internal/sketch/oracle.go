@@ -35,8 +35,8 @@ import (
 //     rule, so a leaf is Merge(exact counts, Zero) whatever the row
 //     order; every other column streams and loses at most rows/(K+1)
 //     per counter. What still shows in the bits is the merge tree's
-//     shape. Floating-point fold sketches (moments, PCA) are exact
-//     up to addition reassociation and get a relative-epsilon compare.
+//     shape. The floating-point fold sketch (moments) is exact up to
+//     addition reassociation and gets a relative-epsilon compare.
 //
 //   - Peer compares two topologies that share scan geometry (the same
 //     partitions under the same IDs — e.g. the local parallel engine vs
@@ -122,7 +122,6 @@ func init() {
 
 	RegisterOracle(&MisraGriesSketch{}, Oracle{Check: checkMisraGries, Peer: peerMisraGries})
 	RegisterOracle(&MomentsSketch{}, Oracle{Check: checkMoments, Peer: checkMoments4})
-	RegisterOracle(&PCASketch{}, Oracle{Check: checkPCA, Peer: checkPCA4})
 }
 
 // ---- ground-truth helpers -------------------------------------------------
@@ -465,49 +464,4 @@ func checkMoments(sk Sketch, parts []*table.Table, ref, got Result) error {
 
 func checkMoments4(sk Sketch, parts []*table.Table, a, b Result) error {
 	return checkMoments(sk, parts, a, b)
-}
-
-func checkPCA(sk Sketch, parts []*table.Table, ref, got Result) error {
-	s := sk.(*PCASketch)
-	rc, gc := ref.(*CoMoments), got.(*CoMoments)
-	if s.Rate > 0 && s.Rate < 1 {
-		// Sampled runs draw different rows per topology; verify the
-		// sampling model and that the correlation structure is sane.
-		var total int64
-		for _, t := range parts {
-			total += int64(t.NumRows())
-		}
-		if err := checkBinomial("SampledRows", gc.SampledRows, total, s.Rate); err != nil {
-			return err
-		}
-		if gc.N > gc.SampledRows {
-			return fmt.Errorf("N = %d exceeds SampledRows = %d", gc.N, gc.SampledRows)
-		}
-		for i, row := range gc.Correlation() {
-			for j, v := range row {
-				if math.IsNaN(v) || v < -1.0000001 || v > 1.0000001 {
-					return fmt.Errorf("correlation[%d][%d] = %v out of [-1, 1]", i, j, v)
-				}
-			}
-		}
-		return nil
-	}
-	if gc.N != rc.N || gc.SampledRows != rc.SampledRows {
-		return fmt.Errorf("N/SampledRows = %d/%d, want %d/%d", gc.N, gc.SampledRows, rc.N, rc.SampledRows)
-	}
-	for i := range rc.Sums {
-		if err := floatClose(fmt.Sprintf("sum %d", i), rc.Sums[i], gc.Sums[i]); err != nil {
-			return err
-		}
-	}
-	for i := range rc.Prods {
-		if err := floatClose(fmt.Sprintf("prod %d", i), rc.Prods[i], gc.Prods[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func checkPCA4(sk Sketch, parts []*table.Table, a, b Result) error {
-	return checkPCA(sk, parts, a, b)
 }

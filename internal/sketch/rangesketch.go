@@ -23,9 +23,6 @@ type DataRange struct {
 	Present, Missing int64
 }
 
-// Total returns the number of member rows inspected.
-func (r *DataRange) Total() int64 { return r.Present + r.Missing }
-
 // RangeSketch computes a DataRange for one column.
 type RangeSketch struct {
 	Col string

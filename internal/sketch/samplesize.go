@@ -21,7 +21,7 @@ import "math"
 // "Every row" has two spellings among the sketch configurations, kept
 // because the Rate field is part of each sketch's name and wire form:
 // Rate ≥ 1 in all of them, and also Rate ≤ 0 in CDFSketch,
-// Histogram2DSketch, TrellisSketch and PCASketch — whereas a
+// Histogram2DSketch and TrellisSketch — whereas a
 // SampledHistogramSketch or SampleHeavyHittersSketch with Rate ≤ 0
 // samples nothing. Rate and HistogramRate only return values in (0, 1],
 // which all of them read the same way.
@@ -101,7 +101,7 @@ func Rate(target, n int) float64 {
 // an int column, a double column with missing values, a dictionary column
 // and an int column behind a bitmap membership. It is a property of those
 // two kernels, not a tuning knob — re-read it when either changes — and
-// says nothing about the 2-D, trellis, PCA or sample-heavy-hitters
+// says nothing about the 2-D, trellis or sample-heavy-hitters
 // kernels, whose every-row paths cost more: their sites keep Rate.
 const HistogramExactAboveRate = 0.2
 

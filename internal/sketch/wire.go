@@ -22,7 +22,6 @@ var wireSketches = []Sketch{
 	&MomentsSketch{},
 	&DistinctCountSketch{},
 	&DistinctBottomKSketch{},
-	&PCASketch{},
 	&MetaSketch{},
 	&MultiSketch{},
 }

@@ -325,52 +325,6 @@ func (v *View) ColumnSummary(ctx context.Context, col string) (*sketch.Moments, 
 	return res.(*sketch.Moments), nil
 }
 
-// PCAResult holds principal components over a column set.
-type PCAResult struct {
-	Cols        []string
-	Eigenvalues []float64
-	Components  [][]float64
-	Moments     *sketch.CoMoments
-}
-
-// PCA computes the top-k principal components of the correlation
-// matrix over numeric columns, by a sampling sketch (App. B.3).
-func (v *View) PCA(ctx context.Context, cols []string, k int) (*PCAResult, error) {
-	rate := sketch.Rate(100000, int(v.NumRows()))
-	res, err := v.sheet.run.RunSketch(ctx, v.id, &sketch.PCASketch{Cols: cols, Rate: rate, Seed: v.sheet.nextSeed()}, nil)
-	if err != nil {
-		return nil, err
-	}
-	cm := res.(*sketch.CoMoments)
-	vals, vecs := cm.PCA(k)
-	return &PCAResult{Cols: cols, Eigenvalues: vals, Components: vecs, Moments: cm}, nil
-}
-
-// ProjectPCA derives new columns PC0..PC(k-1) holding the projection of
-// the rows onto the top components, built as expression columns so the
-// engine can recompute them on demand.
-func (v *View) ProjectPCA(ctx context.Context, p *PCAResult, k int) (*View, error) {
-	if k > len(p.Components) {
-		k = len(p.Components)
-	}
-	cur := v
-	for c := 0; c < k; c++ {
-		expr := ""
-		for i, col := range p.Cols {
-			if i > 0 {
-				expr += " + "
-			}
-			expr += fmt.Sprintf("%s * %v", col, p.Components[c][i])
-		}
-		next, err := cur.DeriveColumn(ctx, fmt.Sprintf("PC%d", c), expr)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
 // SaveCSV writes the view through the save vizketch path (§5.4): each
 // partition's rows are written, one CSV file per partition under path,
 // by the storage layer of the process that holds the partition.

@@ -2,7 +2,7 @@
 // with multi-column sorting, paging, scroll-bar quantiles, free-text
 // search, charts with two-phase execution (preparation computes ranges
 // and sampling rates, rendering runs the vizketch), filtering and zoom,
-// derived columns, heavy hitters, and PCA (paper §3, §5.3).
+// derived columns, trellis plots and heavy hitters (paper §3, §5.3).
 //
 // Every operation maps to one or more vizketches executed through the
 // engine root (paper §7.3: vizketches "are the sole way to access data

@@ -576,32 +576,6 @@ func TestAnalyses(t *testing.T) {
 	}
 }
 
-func TestPCAFlow(t *testing.T) {
-	_, v := testSheet(t, 10000)
-	ctx := context.Background()
-	// DepDelay and ArrDelay are correlated by construction.
-	p, err := v.PCA(ctx, []string{"DepDelay", "ArrDelay", "Distance"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Eigenvalues) != 2 || p.Eigenvalues[0] < p.Eigenvalues[1] {
-		t.Fatalf("eigenvalues = %v", p.Eigenvalues)
-	}
-	if p.Eigenvalues[0] < 1.5 {
-		t.Errorf("top eigenvalue %v should capture the delay correlation", p.Eigenvalues[0])
-	}
-	proj, err := v.ProjectPCA(context.Background(), p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.Schema().ColumnIndex("PC0") < 0 || proj.Schema().ColumnIndex("PC1") < 0 {
-		t.Error("projected columns missing")
-	}
-	if _, err := proj.ColumnSummary(ctx, "PC0"); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSaveCSV(t *testing.T) {
 	_, v := testSheet(t, 1000)
 	checkSaveCSV(t, v, 4)
@@ -680,9 +654,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if _, err := v.FilterExpr(context.Background(), "syntax("); err == nil {
 		t.Error("bad filter should fail")
-	}
-	if _, err := v.PCA(ctx, []string{"Carrier"}, 1); err == nil {
-		t.Error("PCA over strings should fail")
 	}
 	if _, err := v.Zoom(context.Background(), "Carrier", 0, 1); err == nil {
 		t.Error("zoom on string column should fail")

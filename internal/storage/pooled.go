@@ -201,18 +201,6 @@ func newPooledSource(pool *colstore.Pool, specs []PooledFileSpec, microRows int,
 // Leaves implements engine.LeafSource.
 func (s *PooledSource) Leaves() []engine.LeafMeta { return s.metas }
 
-// TotalBytes returns the summed size of the backing files (the
-// denominator of a budget-as-fraction-of-data configuration).
-func (s *PooledSource) TotalBytes() int64 {
-	var n int64
-	for _, f := range s.files {
-		if info, err := os.Stat(f.Path()); err == nil {
-			n += info.Size()
-		}
-	}
-	return n
-}
-
 // Acquire implements engine.LeafSource: it materializes the requested
 // columns through the pool (pinning them until release) and assembles
 // the partition view. Split partitions share whole-file columns, so a

@@ -185,13 +185,6 @@ func (b *Builder) AppendRow(row Row) {
 	b.rows++
 }
 
-// Append adds one value to column i; callers using Append directly must
-// keep all columns the same length before Freeze.
-func (b *Builder) Append(i int, v Value) { b.builders[i].Append(v) }
-
-// Len returns the number of complete rows appended.
-func (b *Builder) Len() int { return b.rows }
-
 // Freeze returns the immutable table with full membership and the given
 // identifier. The builder must not be used afterwards.
 func (b *Builder) Freeze(id string) *Table {

@@ -31,8 +31,6 @@ type Column interface {
 	Str(i int) string
 	// Value returns row i as a self-describing Value.
 	Value(i int) Value
-	// Compare orders rows i and j; missing sorts first.
-	Compare(i, j int) int
 }
 
 // hasAnyMissing reports whether the mask marks at least one row missing;
@@ -82,15 +80,6 @@ func (c *IntColumn) Value(i int) Value {
 		return MissingValue(c.kind)
 	}
 	return Value{Kind: c.kind, I: c.vals[i]}
-}
-
-// Compare implements Column.
-func (c *IntColumn) Compare(i, j int) int {
-	mi, mj := c.Missing(i), c.Missing(j)
-	if mi || mj {
-		return cmpMissing(mi, mj)
-	}
-	return cmpInt(c.vals[i], c.vals[j])
 }
 
 // Ints returns the backing value slice (missing rows hold zero). Callers
@@ -146,15 +135,6 @@ func (c *DoubleColumn) Value(i int) Value {
 	return Value{Kind: KindDouble, D: c.vals[i]}
 }
 
-// Compare implements Column.
-func (c *DoubleColumn) Compare(i, j int) int {
-	mi, mj := c.Missing(i), c.Missing(j)
-	if mi || mj {
-		return cmpMissing(mi, mj)
-	}
-	return cmpFloat(c.vals[i], c.vals[j])
-}
-
 // Doubles returns the backing value slice (missing rows hold zero).
 // Callers must not modify it.
 func (c *DoubleColumn) Doubles() []float64 { return c.vals }
@@ -172,8 +152,7 @@ func (c *DoubleColumn) HasMissing() bool { return c.hasMissing }
 
 // StringColumn stores dictionary-encoded strings (paper §6: "String
 // columns use dictionary encoding for compression"). The dictionary is
-// sorted, so code order equals lexicographic order and Compare is an
-// integer comparison.
+// sorted, so code order equals lexicographic order.
 type StringColumn struct {
 	dict       []string // sorted, unique
 	codes      []int32  // index into dict; value for missing rows is 0
@@ -244,16 +223,6 @@ func (c *StringColumn) Value(i int) Value {
 	return Value{Kind: KindString, S: c.dict[c.codes[i]]}
 }
 
-// Compare implements Column. Because the dictionary is sorted, code
-// comparison is string comparison.
-func (c *StringColumn) Compare(i, j int) int {
-	mi, mj := c.Missing(i), c.Missing(j)
-	if mi || mj {
-		return cmpMissing(mi, mj)
-	}
-	return int(c.codes[i]) - int(c.codes[j])
-}
-
 // Code returns the dictionary code of row i (valid for non-missing rows).
 func (c *StringColumn) Code(i int) int32 { return c.codes[i] }
 
@@ -269,25 +238,11 @@ func (c *StringColumn) MissingMask() *Bitset {
 	return c.missing
 }
 
-// HasMissing reports whether any row is missing.
-func (c *StringColumn) HasMissing() bool { return c.hasMissing }
-
 // Dict returns the sorted dictionary. Callers must not modify it.
 func (c *StringColumn) Dict() []string { return c.dict }
 
 // DictSize returns the number of distinct non-missing values.
 func (c *StringColumn) DictSize() int { return len(c.dict) }
-
-func cmpMissing(mi, mj bool) int {
-	switch {
-	case mi && mj:
-		return 0
-	case mi:
-		return -1
-	default:
-		return 1
-	}
-}
 
 // ComputedColumn adapts a per-row function into a Column. It backs
 // user-defined map columns (paper §5.6): values are computed on access
@@ -326,6 +281,3 @@ func (c *ComputedColumn) Str(i int) string { return c.fn(i).String() }
 
 // Value implements Column.
 func (c *ComputedColumn) Value(i int) Value { return c.fn(i) }
-
-// Compare implements Column.
-func (c *ComputedColumn) Compare(i, j int) int { return c.fn(i).Compare(c.fn(j)) }

@@ -1,7 +1,6 @@
 package table
 
 import (
-	"fmt"
 	"strings"
 )
 
@@ -58,36 +57,6 @@ func (o RecordOrder) String() string {
 		parts[i] = sign + c.Column
 	}
 	return strings.Join(parts, ",")
-}
-
-// Comparator resolves the order against a table and returns a function
-// comparing two physical rows. Missing values sort first within each
-// component (before reversal for descending components).
-func (o RecordOrder) Comparator(t *Table) (func(i, j int) int, error) {
-	cols := make([]Column, len(o))
-	for k, c := range o {
-		col, err := t.Column(c.Column)
-		if err != nil {
-			return nil, fmt.Errorf("sort order: %w", err)
-		}
-		cols[k] = col
-	}
-	asc := make([]bool, len(o))
-	for k, c := range o {
-		asc[k] = c.Ascending
-	}
-	return func(i, j int) int {
-		for k, col := range cols {
-			cmp := col.Compare(i, j)
-			if cmp != 0 {
-				if !asc[k] {
-					return -cmp
-				}
-				return cmp
-			}
-		}
-		return 0
-	}, nil
 }
 
 // RowComparator returns a comparator over materialized Rows laid out as

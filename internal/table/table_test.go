@@ -68,9 +68,9 @@ func TestStringColumnDictionarySorted(t *testing.T) {
 			t.Fatalf("dict = %v, want %v", dict, want)
 		}
 	}
-	// Code comparison must equal string comparison.
-	if city.Compare(0, 3) <= 0 { // oslo vs kyiv
-		t.Error("oslo should compare greater than kyiv")
+	// Code order must equal string order.
+	if city.Code(0) <= city.Code(3) { // oslo vs kyiv
+		t.Error("oslo should have a greater code than kyiv")
 	}
 	if city.Str(1) != "lima" {
 		t.Errorf("city[1] = %q, want lima", city.Str(1))
@@ -158,26 +158,6 @@ func TestGetRow(t *testing.T) {
 	}
 	if row[2].S != "kyiv" {
 		t.Errorf("row[2] = %v, want kyiv", row[2])
-	}
-}
-
-func TestRecordOrderComparator(t *testing.T) {
-	tbl := buildTestTable(t)
-	order := Asc("city").Then("id", false)
-	cmp, err := order.Comparator(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row 3 (kyiv) before row 1 (lima).
-	if cmp(3, 1) >= 0 {
-		t.Error("kyiv should sort before lima")
-	}
-	// Rows 0 and 2 are both oslo; descending id puts 2 first.
-	if cmp(2, 0) >= 0 {
-		t.Error("within oslo, higher id should come first (descending)")
-	}
-	if _, err := Asc("nope").Comparator(tbl); err == nil {
-		t.Error("unknown sort column should fail")
 	}
 }
 

@@ -127,21 +127,6 @@ func cmpFloat(a, b float64) int {
 // Row is a materialized row: one Value per column of some schema.
 type Row []Value
 
-// CompareRows orders rows lexicographically over the given column
-// positions and directions. Both rows must have the same layout.
-func CompareRows(a, b Row, cols []int, asc []bool) int {
-	for i, c := range cols {
-		cmp := a[c].Compare(b[c])
-		if cmp != 0 {
-			if !asc[i] {
-				return -cmp
-			}
-			return cmp
-		}
-	}
-	return 0
-}
-
 // Equal reports whether two rows hold identical values in every column.
 func (r Row) Equal(o Row) bool {
 	if len(r) != len(o) {

@@ -66,8 +66,6 @@ func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 		&sketch.DistinctCountSketch{Col: "gs"},
 		&sketch.DistinctCountSketch{Col: "gi"},
 		&sketch.DistinctBottomKSketch{Col: "gs", K: 16},
-		&sketch.PCASketch{Cols: []string{"gd", "gi"}, Rate: 1},
-		&sketch.PCASketch{Cols: []string{"gd", "gc"}, Rate: 0.5, Seed: seed ^ 7},
 		&sketch.MetaSketch{},
 
 		// Another NextK anchored past the numeric midpoint.

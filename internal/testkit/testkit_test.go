@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"reflect"
@@ -152,6 +153,51 @@ func TestOracleCoversWireSketches(t *testing.T) {
 		if have[typ] == 0 {
 			t.Errorf("%v: wire-registered but no harness instance runs it", typ)
 		}
+	}
+}
+
+// TestEqualCacheKeysMeanEqualSketches: a cache key stands for a
+// sketch's whole configuration, so two cacheable sketches with equal
+// CacheKey must encode to the same wire bytes. Besides every harness
+// instance, it tries histogram geometries that differ only in
+// ExactValues, only in Kind, or in where a "|" sits inside a bound.
+func TestEqualCacheKeysMeanEqualSketches(t *testing.T) {
+	var sks []sketch.Sketch
+	for seed := uint64(1); seed <= 3; seed++ {
+		_, info := table.GenPartitions("key", seed, 64, 1)
+		sks = append(sks, Instances(seed, info)...)
+	}
+	otherKind := map[table.Kind]table.Kind{table.KindInt: table.KindDouble, table.KindDouble: table.KindDate, table.KindDate: table.KindInt}
+	for _, sk := range append([]sketch.Sketch(nil), sks...) {
+		h, ok := sk.(*sketch.HistogramSketch)
+		if !ok {
+			continue
+		}
+		v := *h
+		if h.Buckets.Kind == table.KindString {
+			v.Buckets.ExactValues = !v.Buckets.ExactValues
+		} else {
+			v.Buckets.Kind = otherKind[v.Buckets.Kind]
+		}
+		sks = append(sks, &v)
+	}
+	for _, bounds := range [][]string{{"a|b", "c"}, {"a", "b|c"}} {
+		sks = append(sks, &sketch.HistogramSketch{Col: "gs", Buckets: sketch.StringBucketsFromBounds(bounds, false)})
+	}
+	byKey := map[string][]byte{}
+	for _, sk := range sks {
+		c, ok := sk.(sketch.Cacheable)
+		if !ok {
+			continue
+		}
+		enc, ok := sketch.AppendSketchWire(nil, sk)
+		if !ok {
+			t.Fatalf("%T has no wire codec", sk)
+		}
+		if prev, seen := byKey[c.CacheKey()]; seen && !bytes.Equal(prev, enc) {
+			t.Errorf("CacheKey %q names two different %T configurations", c.CacheKey(), sk)
+		}
+		byKey[c.CacheKey()] = enc
 	}
 }
 
