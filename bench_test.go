@@ -486,6 +486,7 @@ func BenchmarkKernelHist2D(b *testing.B) {
 			Y: sketch.NumericBuckets(table.KindDouble, 0, 3000, 20),
 		}
 		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sk.Summarize(tt); err != nil {
 					b.Fatal(err)
@@ -496,20 +497,54 @@ func BenchmarkKernelHist2D(b *testing.B) {
 	}
 	// The heat map the end-to-end benchmark draws: 600×200 px in 3 px
 	// cells over data-derived ranges, both columns masked (flightsBuckets).
+	// The flights-unmasked leg scans the same stored cells of the first
+	// pair with the masks dropped, so the gap between the two is what the
+	// missing-row patch costs.
 	fl := kernelFlights()
-	for _, p := range [][2]string{{"DepDelay", "ArrDelay"}, {"Distance", "AirTime"}} {
-		b.Run("flights/"+p[0]+"-"+p[1], func(b *testing.B) {
-			sk := &sketch.Histogram2DSketch{XCol: p[0], YCol: p[1],
-				X: flightsBuckets(b, fl, p[0], 200), Y: flightsBuckets(b, fl, p[1], 66)}
+	legs := []struct {
+		name string
+		t    *table.Table
+		x, y string
+	}{
+		{"flights", fl, "DepDelay", "ArrDelay"},
+		{"flights", fl, "Distance", "AirTime"},
+		{"flights-unmasked", unmaskedColumns(b, fl, "DepDelay", "ArrDelay"), "DepDelay", "ArrDelay"},
+	}
+	for _, leg := range legs {
+		b.Run(leg.name+"/"+leg.x+"-"+leg.y, func(b *testing.B) {
+			b.ReportAllocs()
+			sk := &sketch.Histogram2DSketch{XCol: leg.x, YCol: leg.y,
+				X: flightsBuckets(b, leg.t, leg.x, 200), Y: flightsBuckets(b, leg.t, leg.y, 66)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sk.Summarize(fl); err != nil {
+				if _, err := sk.Summarize(leg.t); err != nil {
 					b.Fatal(err)
 				}
 			}
-			reportRows(b, fl.NumRows())
+			reportRows(b, leg.t.NumRows())
 		})
 	}
+}
+
+// unmaskedColumns returns a table of the named numeric columns of t with
+// their missing masks dropped: the same stored cells, none of them
+// missing.
+func unmaskedColumns(b *testing.B, t *table.Table, names ...string) *table.Table {
+	b.Helper()
+	descs := make([]table.ColumnDesc, len(names))
+	cols := make([]table.Column, len(names))
+	for i, name := range names {
+		switch c := t.MustColumn(name).(type) {
+		case *table.IntColumn:
+			cols[i] = table.NewIntColumn(c.Kind(), c.Ints(), nil)
+		case *table.DoubleColumn:
+			cols[i] = table.NewDoubleColumn(c.Doubles(), nil)
+		default:
+			b.Fatalf("column %s is a %T, not a stored numeric column", name, c)
+		}
+		descs[i] = table.ColumnDesc{Name: name, Kind: cols[i].Kind()}
+	}
+	return table.New(t.ID()+"-unmasked", table.NewSchema(descs...), cols, t.Members())
 }
 
 // BenchmarkKernelRange measures the min/max scan kernel.

@@ -87,18 +87,18 @@ func sampleBatches(m table.Membership, rate float64, seed uint64, rowsf func(row
 	}
 }
 
-// bucketTally accumulates batch bucket codes into a tally array laid out
-// as [missing, outOfRange, bucket 0, bucket 1, ...], so the inner loop
-// is a branch-free gather-increment (codes are in [-2, buckets)).
-func bucketTally(tallies []int64, codes []int32) {
-	for _, b := range codes {
-		tallies[b+2]++
+// bucketTally accumulates a batch of BatchIndexer slots into a tally
+// array laid out as [missing, outOfRange, bucket 0, bucket 1, ...], so
+// the inner loop is a branch-free gather-increment.
+func bucketTally(tallies []int64, slots []int32) {
+	for _, s := range slots {
+		tallies[s]++
 	}
 }
 
 // histogramScan runs the full (exact) scan of a histogram over members,
 // filling h from bi. Kernels that implement bucketCounter tally in one
-// fused pass; others index into a code buffer first.
+// fused pass; others index into a slot buffer first.
 func histogramScan(m table.Membership, bi BatchIndexer, h *Histogram) {
 	tallies := make([]int64, len(h.Counts)+2)
 	var n int64

@@ -27,7 +27,11 @@ type eqCase struct {
 // missing values (incl. a non-nil all-clear mask), crossed with every
 // membership shape (full, range, bitmap, sparse, restricted views).
 // Column "sl" is a skewed string column whose dictionary outgrows
-// mgDenseDictMax once rows reaches about 15000.
+// mgDenseDictMax once rows reaches about 15000. The batch kernels read
+// a masked column unmasked and then patch the missing rows, so three
+// columns put hostile cells under a mask with runs of whole words:
+// "dx" stores NaN and ±Inf and "ix" MaxInt64 and MinInt64 in its missing
+// rows, and "se" is missing everywhere, with an empty dictionary.
 func eqTables(rows int) []eqCase {
 	ints := make([]int64, rows)
 	doubles := make([]float64, rows)
@@ -50,6 +54,19 @@ func eqTables(rows int) []eqCase {
 		miss.Set(i)
 	}
 	emptyMiss := table.NewBitset(rows) // non-nil, no bits set
+	runs := table.NewBitset(rows)
+	all := table.NewBitset(rows)
+	hostileD := append([]float64(nil), doubles...)
+	hostileI := append([]int64(nil), ints...)
+	for i := 0; i < rows; i++ {
+		all.Set(i)
+		if i%7 != 0 && (i/200)%5 != 0 {
+			continue
+		}
+		runs.Set(i)
+		hostileD[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+		hostileI[i] = []int64{math.MaxInt64, math.MinInt64}[i%2]
+	}
 
 	schema := table.NewSchema(
 		table.ColumnDesc{Name: "i", Kind: table.KindInt},
@@ -62,6 +79,9 @@ func eqTables(rows int) []eqCase {
 		table.ColumnDesc{Name: "ci", Kind: table.KindInt},
 		table.ColumnDesc{Name: "cs", Kind: table.KindString},
 		table.ColumnDesc{Name: "sl", Kind: table.KindString},
+		table.ColumnDesc{Name: "dx", Kind: table.KindDouble},
+		table.ColumnDesc{Name: "ix", Kind: table.KindInt},
+		table.ColumnDesc{Name: "se", Kind: table.KindString},
 	)
 	cols := []table.Column{
 		table.NewIntColumn(table.KindInt, ints, nil),
@@ -81,6 +101,9 @@ func eqTables(rows int) []eqCase {
 			return table.StringValue(strs[i])
 		}),
 		table.NewStringColumn(large, miss),
+		table.NewDoubleColumn(hostileD, runs),
+		table.NewIntColumn(table.KindInt, hostileI, runs),
+		table.NewStringColumn(strs, all),
 	}
 
 	bits := table.NewBitset(rows)
@@ -148,20 +171,36 @@ func exactStringSpec() BucketSpec {
 	return StringBucketsFromBounds([]string{"ant", "cat", "elk", "hen", "jay"}, true)
 }
 
+// eqAxis is one bucketed column under test.
+type eqAxis struct {
+	col  string
+	spec BucketSpec
+}
+
+// eqAxes lists every typed axis of eqTables — stored and computed,
+// masked and not, the hostile masked columns and the all-missing one —
+// each with the bucket geometry of its kind, plus an exact-value string
+// axis and a zero-bucket string axis (empty Bounds).
+func eqAxes() []eqAxis {
+	return []eqAxis{
+		{"i", intSpec()}, {"d", doubleSpec()}, {"s", stringSpec()},
+		{"im", intSpec()}, {"dm", doubleSpec()}, {"sm", stringSpec()},
+		{"ie", intSpec()}, {"ci", intSpec()}, {"cs", stringSpec()},
+		{"dx", doubleSpec()}, {"ix", intSpec()}, {"se", stringSpec()},
+		{"sm", exactStringSpec()},
+		{"s", StringBucketsFromBounds(nil, false)},
+	}
+}
+
 func TestBatchHistogramEquivalence(t *testing.T) {
 	for _, tc := range eqTables(5000) {
-		specs := []struct {
-			col  string
-			spec BucketSpec
-		}{
-			{"i", intSpec()}, {"im", intSpec()}, {"ie", intSpec()}, {"ci", intSpec()},
-			{"d", doubleSpec()}, {"dm", doubleSpec()},
-			{"s", stringSpec()}, {"sm", stringSpec()}, {"cs", stringSpec()},
-			{"s", exactStringSpec()}, {"sm", exactStringSpec()},
+		specs := append(eqAxes(),
+			eqAxis{"s", exactStringSpec()},
+			eqAxis{"se", exactStringSpec()},
 			// Degenerate specs: out-of-range-only and single-point range.
-			{"i", NumericBuckets(table.KindInt, 2000, 3000, 5)},
-			{"i", NumericBuckets(table.KindInt, 500, 500, 4)},
-		}
+			eqAxis{"i", NumericBuckets(table.KindInt, 2000, 3000, 5)},
+			eqAxis{"i", NumericBuckets(table.KindInt, 500, 500, 4)},
+		)
 		for _, sc := range specs {
 			name := fmt.Sprintf("%s/%s/%s", tc.name, sc.col, sc.spec)
 			sk := &HistogramSketch{Col: sc.col, Buckets: sc.spec}
@@ -256,25 +295,26 @@ func refHistogram2D(t *table.Table, sk *Histogram2DSketch) *Histogram2D {
 	return h
 }
 
+// TestBatchHist2DEquivalence runs the 2-D kernel over every ordered
+// pair of eqAxes, exact and sampled, on every membership shape.
 func TestBatchHist2DEquivalence(t *testing.T) {
+	axes := eqAxes()
 	for _, tc := range eqTables(4000) {
 		for _, rate := range []float64{0, 0.3} {
-			for _, cols := range [][2]string{{"im", "d"}, {"i", "sm"}, {"ci", "cs"}} {
-				sk := &Histogram2DSketch{
-					XCol: cols[0], YCol: cols[1],
-					X: intSpec(), Y: doubleSpec(),
-					Rate: rate, Seed: 11,
-				}
-				if cols[1] == "sm" || cols[1] == "cs" {
-					sk.Y = stringSpec()
-				}
-				got, err := sk.Summarize(tc.t)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := refHistogram2D(tc.t, sk)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %v rate=%g: hist2d batch differs from reference", tc.name, cols, rate)
+			for _, x := range axes {
+				for _, y := range axes {
+					sk := &Histogram2DSketch{
+						XCol: x.col, YCol: y.col,
+						X: x.spec, Y: y.spec,
+						Rate: rate, Seed: 11,
+					}
+					got, err := sk.Summarize(tc.t)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := refHistogram2D(tc.t, sk); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s×%s rate=%g: hist2d batch differs from reference", tc.name, x.col, y.col, rate)
+					}
 				}
 			}
 		}
@@ -481,18 +521,12 @@ func TestBatchDistinctEquivalence(t *testing.T) {
 }
 
 // TestBatchIndexerMatchesIndexer pins the kernel to the scalar Indexer
-// row by row, spec by spec, including span vs gathered access.
+// row by row, axis by axis, including span vs gathered access: every
+// slot is the Indexer code plus two.
 func TestBatchIndexerMatchesIndexer(t *testing.T) {
 	cases := eqTables(2000)
 	tc := cases[0]
-	for _, sc := range []struct {
-		col  string
-		spec BucketSpec
-	}{
-		{"i", intSpec()}, {"im", intSpec()}, {"ci", intSpec()},
-		{"d", doubleSpec()}, {"dm", doubleSpec()},
-		{"s", stringSpec()}, {"sm", exactStringSpec()}, {"cs", stringSpec()},
-	} {
+	for _, sc := range eqAxes() {
 		col := tc.t.MustColumn(sc.col)
 		idx, err := sc.spec.Indexer(col)
 		if err != nil {
@@ -512,12 +546,12 @@ func TestBatchIndexerMatchesIndexer(t *testing.T) {
 		rowsOut := make([]int32, n)
 		bi.IndexRows(rows, rowsOut)
 		for i := 0; i < n; i++ {
-			want := int32(idx(i))
+			want := int32(idx(i) + 2)
 			if spanOut[i] != want {
-				t.Fatalf("%s/%s: IndexSpan row %d = %d, Indexer = %d", sc.col, sc.spec, i, spanOut[i], want)
+				t.Fatalf("%s/%s: IndexSpan row %d = %d, Indexer+2 = %d", sc.col, sc.spec, i, spanOut[i], want)
 			}
 			if rowsOut[i] != want {
-				t.Fatalf("%s/%s: IndexRows row %d = %d, Indexer = %d", sc.col, sc.spec, i, rowsOut[i], want)
+				t.Fatalf("%s/%s: IndexRows row %d = %d, Indexer+2 = %d", sc.col, sc.spec, i, rowsOut[i], want)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -119,34 +120,40 @@ func (s BucketSpec) Indexer(col table.Column) (func(row int) int, error) {
 				return s.IndexString(col.Str(row))
 			}, nil
 		}
-		// Dictionary fast path: precompute code -> bucket.
-		codeBucket := s.codeBucketTable(sc)
+		// Dictionary fast path: precompute code -> slot.
+		codeSlot := s.codeSlotTable(sc)
 		return func(row int) int {
 			if sc.Missing(row) {
 				return -2
 			}
-			return int(codeBucket[sc.Code(row)])
+			return int(codeSlot[sc.Code(row)]) - 2
 		}, nil
 	default:
 		return nil, fmt.Errorf("sketch: bucket spec kind %v unsupported", s.Kind)
 	}
 }
 
-// BatchIndexer maps many rows to bucket indexes at once. IndexSpan
-// covers a contiguous physical row range; IndexRows a gathered index
-// list. Bucket codes follow the Indexer convention: -2 for missing rows,
-// -1 for out-of-range values, otherwise the bucket number.
+// BatchIndexer maps many rows to tally slots at once. IndexSpan covers
+// a contiguous physical row range; IndexRows a gathered index list. A
+// slot is the Indexer code plus two: 0 for a missing row, 1 for an
+// out-of-range value, bucket+2 otherwise — the layout of a tally array
+// [missing, outOfRange, bucket 0, ...], so a slot is a tally index.
 //
-// Implementations are specialized per column representation — direct
-// slice access to int64/float64 values or dictionary codes, with the
-// missing-bitset nil check hoisted out of the loop — so the inner loops
-// run with no per-row closure or interface call. ComputedColumn falls
-// back to the row-at-a-time Indexer.
+// Implementations are specialized per column representation and read
+// int64/float64 values or dictionary codes straight from the backing
+// slice, so the inner loops run with no per-row closure or interface
+// call. A span is read unmasked: every row is indexed from the value
+// stored under it, then only the set bits of the missing mask in the
+// span are visited (eachMissing) and their slots rewritten. This relies
+// on every stored cell being safe to index, missing rows included: any
+// float64 (NaN, ±Inf) or int64 maps to a slot in range, and every
+// dictionary code indexes the code→slot table (table.NewDictColumn).
+// ComputedColumn falls back to the row-at-a-time Indexer.
 type BatchIndexer interface {
-	// IndexSpan fills out[k] with the bucket of row start+k for every
+	// IndexSpan fills out[k] with the slot of row start+k for every
 	// k in [0, end-start). len(out) must be at least end-start.
 	IndexSpan(start, end int, out []int32)
-	// IndexRows fills out[k] with the bucket of rows[k]. len(out) must
+	// IndexRows fills out[k] with the slot of rows[k]. len(out) must
 	// be at least len(rows).
 	IndexRows(rows []int32, out []int32)
 }
@@ -162,24 +169,46 @@ func newNumericIndex(s BucketSpec) numericIndex {
 	return numericIndex{min: s.Min, max: s.Max, countF: float64(s.Count), count: int32(s.Count)}
 }
 
-// index is IndexValue with the spec fields in registers. Both
+// slot is IndexValue plus two, with the spec fields in registers. Both
 // comparisons are inverted so NaN fails them: the first rejects NaN rows
 // along with below-range values, the last sends a NaN quotient (infinite
 // bounds) to the last bucket. Either NaN would otherwise reach the int
 // conversion, whose result is platform-defined and lands outside the
-// tally array in the fused count kernels.
-func (p numericIndex) index(v float64) int32 {
+// tally array. Every float64 therefore maps into [1, count+2).
+func (p numericIndex) slot(v float64) int32 {
 	if p.count <= 0 || !(v >= p.min) || v > p.max {
-		return -1
+		return 1
 	}
 	if p.max == p.min {
-		return 0
+		return 2
 	}
 	x := p.countF * (v - p.min) / (p.max - p.min)
 	if !(x < p.countF) {
-		return p.count - 1
+		return p.count + 1
 	}
-	return int32(x)
+	return int32(x) + 2
+}
+
+// eachMissing calls visit(k) for every row start+k in [start, end) that
+// miss marks missing, reading the mask a word at a time. A nil mask has
+// no missing rows.
+func eachMissing(miss *table.Bitset, start, end int, visit func(k int)) {
+	if miss == nil {
+		return
+	}
+	for wi := start >> 6; wi<<6 < end; wi++ {
+		w := miss.Words[wi]
+		base := wi << 6
+		if base < start {
+			w &= ^uint64(0) << uint(start-base)
+		}
+		if end-base < 64 {
+			w &= 1<<uint(end-base) - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			visit(base + bits.TrailingZeros64(w) - start)
+		}
+	}
 }
 
 // intBatchIndexer buckets an IntColumn through its backing slice.
@@ -190,35 +219,26 @@ type intBatchIndexer struct {
 }
 
 func (x *intBatchIndexer) IndexSpan(start, end int, out []int32) {
-	vals := x.vals[start:end]
+	vals, p := x.vals[start:end], x.p
 	out = out[:len(vals)]
-	if x.miss == nil {
-		for k, v := range vals {
-			out[k] = x.p.index(float64(v))
-		}
-		return
-	}
 	for k, v := range vals {
-		if x.miss.Get(start + k) {
-			out[k] = -2
-		} else {
-			out[k] = x.p.index(float64(v))
-		}
+		out[k] = p.slot(float64(v))
 	}
+	eachMissing(x.miss, start, end, func(k int) { out[k] = 0 })
 }
 
 func (x *intBatchIndexer) IndexRows(rows []int32, out []int32) {
 	if x.miss == nil {
 		for k, r := range rows {
-			out[k] = x.p.index(float64(x.vals[r]))
+			out[k] = x.p.slot(float64(x.vals[r]))
 		}
 		return
 	}
 	for k, r := range rows {
 		if x.miss.Get(int(r)) {
-			out[k] = -2
+			out[k] = 0
 		} else {
-			out[k] = x.p.index(float64(x.vals[r]))
+			out[k] = x.p.slot(float64(x.vals[r]))
 		}
 	}
 }
@@ -231,111 +251,88 @@ type doubleBatchIndexer struct {
 }
 
 func (x *doubleBatchIndexer) IndexSpan(start, end int, out []int32) {
-	vals := x.vals[start:end]
+	vals, p := x.vals[start:end], x.p
 	out = out[:len(vals)]
-	if x.miss == nil {
-		for k, v := range vals {
-			out[k] = x.p.index(v)
-		}
-		return
-	}
 	for k, v := range vals {
-		if x.miss.Get(start + k) {
-			out[k] = -2
-		} else {
-			out[k] = x.p.index(v)
-		}
+		out[k] = p.slot(v)
 	}
+	eachMissing(x.miss, start, end, func(k int) { out[k] = 0 })
 }
 
 func (x *doubleBatchIndexer) IndexRows(rows []int32, out []int32) {
 	if x.miss == nil {
 		for k, r := range rows {
-			out[k] = x.p.index(x.vals[r])
+			out[k] = x.p.slot(x.vals[r])
 		}
 		return
 	}
 	for k, r := range rows {
 		if x.miss.Get(int(r)) {
-			out[k] = -2
+			out[k] = 0
 		} else {
-			out[k] = x.p.index(x.vals[r])
+			out[k] = x.p.slot(x.vals[r])
 		}
 	}
 }
 
 // stringBatchIndexer buckets a StringColumn through its dictionary codes
-// and a precomputed code→bucket table.
+// and a precomputed code→slot table.
 type stringBatchIndexer struct {
-	codes      []int32
-	codeBucket []int32
-	miss       *table.Bitset
+	codes    []int32
+	codeSlot []int32
+	miss     *table.Bitset
 }
 
 func (x *stringBatchIndexer) IndexSpan(start, end int, out []int32) {
 	codes := x.codes[start:end]
 	out = out[:len(codes)]
-	if x.miss == nil {
-		for k, c := range codes {
-			out[k] = x.codeBucket[c]
-		}
-		return
-	}
 	for k, c := range codes {
-		if x.miss.Get(start + k) {
-			out[k] = -2
-		} else {
-			out[k] = x.codeBucket[c]
-		}
+		out[k] = x.codeSlot[c]
 	}
+	eachMissing(x.miss, start, end, func(k int) { out[k] = 0 })
 }
 
 func (x *stringBatchIndexer) IndexRows(rows []int32, out []int32) {
 	if x.miss == nil {
 		for k, r := range rows {
-			out[k] = x.codeBucket[x.codes[r]]
+			out[k] = x.codeSlot[x.codes[r]]
 		}
 		return
 	}
 	for k, r := range rows {
 		if x.miss.Get(int(r)) {
-			out[k] = -2
+			out[k] = 0
 		} else {
-			out[k] = x.codeBucket[x.codes[r]]
+			out[k] = x.codeSlot[x.codes[r]]
 		}
 	}
 }
 
-// bucketCounter is an optional BatchIndexer extension that fuses bucket
-// indexing with histogram tallying, skipping the intermediate bucket
-// code buffer. tallies is laid out [missing, outOfRange, bucket 0, ...]
-// (see bucketTally); kernels add one to tallies[bucket+2] per row.
+// bucketCounter is an optional BatchIndexer extension that fuses slot
+// indexing with histogram tallying, skipping the intermediate slot
+// buffer: kernels add one to tallies[slot] per row (see bucketTally).
+// A span is tallied unmasked and then patched: each missing row moves
+// its count from the slot of its stored value to slot 0.
 type bucketCounter interface {
 	CountSpan(start, end int, tallies []int64)
 	CountRows(rows []int32, tallies []int64)
 }
 
 func (x *intBatchIndexer) CountSpan(start, end int, tallies []int64) {
-	vals := x.vals[start:end]
-	if x.miss == nil {
-		for _, v := range vals {
-			tallies[x.p.index(float64(v))+2]++
-		}
-		return
+	vals, p := x.vals[start:end], x.p
+	for _, v := range vals {
+		tallies[p.slot(float64(v))]++
 	}
-	for k, v := range vals {
-		if x.miss.Get(start + k) {
-			tallies[0]++
-		} else {
-			tallies[x.p.index(float64(v))+2]++
-		}
-	}
+	eachMissing(x.miss, start, end, func(k int) {
+		tallies[p.slot(float64(vals[k]))]--
+		tallies[0]++
+	})
 }
 
 func (x *intBatchIndexer) CountRows(rows []int32, tallies []int64) {
 	if x.miss == nil {
 		for _, r := range rows {
-			tallies[x.p.index(float64(x.vals[r]))+2]++
+			tallies[x.p.slot(float64(x.vals[r]))]++
 		}
 		return
 	}
@@ -343,32 +340,26 @@ func (x *intBatchIndexer) CountRows(rows []int32, tallies []int64) {
 		if x.miss.Get(int(r)) {
 			tallies[0]++
 		} else {
-			tallies[x.p.index(float64(x.vals[r]))+2]++
+			tallies[x.p.slot(float64(x.vals[r]))]++
 		}
 	}
 }
 
 func (x *doubleBatchIndexer) CountSpan(start, end int, tallies []int64) {
-	vals := x.vals[start:end]
-	if x.miss == nil {
-		for _, v := range vals {
-			tallies[x.p.index(v)+2]++
-		}
-		return
+	vals, p := x.vals[start:end], x.p
+	for _, v := range vals {
+		tallies[p.slot(v)]++
 	}
-	for k, v := range vals {
-		if x.miss.Get(start + k) {
-			tallies[0]++
-		} else {
-			tallies[x.p.index(v)+2]++
-		}
-	}
+	eachMissing(x.miss, start, end, func(k int) {
+		tallies[p.slot(vals[k])]--
+		tallies[0]++
+	})
 }
 
 func (x *doubleBatchIndexer) CountRows(rows []int32, tallies []int64) {
 	if x.miss == nil {
 		for _, r := range rows {
-			tallies[x.p.index(x.vals[r])+2]++
+			tallies[x.p.slot(x.vals[r])]++
 		}
 		return
 	}
@@ -376,32 +367,26 @@ func (x *doubleBatchIndexer) CountRows(rows []int32, tallies []int64) {
 		if x.miss.Get(int(r)) {
 			tallies[0]++
 		} else {
-			tallies[x.p.index(x.vals[r])+2]++
+			tallies[x.p.slot(x.vals[r])]++
 		}
 	}
 }
 
 func (x *stringBatchIndexer) CountSpan(start, end int, tallies []int64) {
 	codes := x.codes[start:end]
-	if x.miss == nil {
-		for _, c := range codes {
-			tallies[x.codeBucket[c]+2]++
-		}
-		return
+	for _, c := range codes {
+		tallies[x.codeSlot[c]]++
 	}
-	for k, c := range codes {
-		if x.miss.Get(start + k) {
-			tallies[0]++
-		} else {
-			tallies[x.codeBucket[c]+2]++
-		}
-	}
+	eachMissing(x.miss, start, end, func(k int) {
+		tallies[x.codeSlot[codes[k]]]--
+		tallies[0]++
+	})
 }
 
 func (x *stringBatchIndexer) CountRows(rows []int32, tallies []int64) {
 	if x.miss == nil {
 		for _, r := range rows {
-			tallies[x.codeBucket[x.codes[r]]+2]++
+			tallies[x.codeSlot[x.codes[r]]]++
 		}
 		return
 	}
@@ -409,7 +394,7 @@ func (x *stringBatchIndexer) CountRows(rows []int32, tallies []int64) {
 		if x.miss.Get(int(r)) {
 			tallies[0]++
 		} else {
-			tallies[x.codeBucket[x.codes[r]]+2]++
+			tallies[x.codeSlot[x.codes[r]]]++
 		}
 	}
 }
@@ -422,30 +407,33 @@ type scalarBatchIndexer struct {
 
 func (x *scalarBatchIndexer) IndexSpan(start, end int, out []int32) {
 	for k := 0; k < end-start; k++ {
-		out[k] = int32(x.idx(start + k))
+		out[k] = int32(x.idx(start+k) + 2)
 	}
 }
 
 func (x *scalarBatchIndexer) IndexRows(rows []int32, out []int32) {
 	for k, r := range rows {
-		out[k] = int32(x.idx(int(r)))
+		out[k] = int32(x.idx(int(r)) + 2)
 	}
 }
 
-// codeBucketTable precomputes the code → bucket mapping for a dictionary
-// column (one IndexString per distinct value, as Indexer does).
-func (s BucketSpec) codeBucketTable(sc *table.StringColumn) []int32 {
+// codeSlotTable precomputes the code → slot mapping for a dictionary
+// column (one IndexString per distinct value). An empty dictionary
+// belongs to a column whose every row is missing and holds code 0
+// (table.NewDictColumn); the table gets one entry, the missing slot, so
+// the unmasked pass can read it.
+func (s BucketSpec) codeSlotTable(sc *table.StringColumn) []int32 {
 	dict := sc.Dict()
-	codeBucket := make([]int32, len(dict))
+	codeSlot := make([]int32, max(len(dict), 1))
 	for c, v := range dict {
-		codeBucket[c] = int32(s.IndexString(v))
+		codeSlot[c] = int32(s.IndexString(v) + 2)
 	}
-	return codeBucket
+	return codeSlot
 }
 
-// BatchIndexer returns the batch bucket kernel bound to a column. It
-// computes exactly what Indexer computes row by row, amortizing dispatch
-// over whole batches.
+// BatchIndexer returns the batch slot kernel bound to a column. It
+// computes exactly what Indexer computes row by row, plus two,
+// amortizing dispatch over whole batches.
 func (s BucketSpec) BatchIndexer(col table.Column) (BatchIndexer, error) {
 	switch {
 	case s.Kind.Numeric():
@@ -460,7 +448,7 @@ func (s BucketSpec) BatchIndexer(col table.Column) (BatchIndexer, error) {
 		}
 	case s.Kind == table.KindString:
 		if sc, ok := col.(*table.StringColumn); ok {
-			return &stringBatchIndexer{codes: sc.Codes(), codeBucket: s.codeBucketTable(sc), miss: sc.MissingMask()}, nil
+			return &stringBatchIndexer{codes: sc.Codes(), codeSlot: s.codeSlotTable(sc), miss: sc.MissingMask()}, nil
 		}
 	default:
 		return nil, fmt.Errorf("sketch: bucket spec kind %v unsupported", s.Kind)

@@ -26,7 +26,7 @@ func divisionIndex(s BucketSpec, v float64) int {
 }
 
 // checkRowAndBatchForms compares the row form (IndexValue), the batch
-// form (numericIndex.index) and the division contract on every bucket
+// form (numericIndex.slot, less two) and the division contract on every bucket
 // boundary, the ±4-ulp neighborhood of each, the endpoints, and a swarm
 // of random in-range values.
 func checkRowAndBatchForms(t *testing.T, s BucketSpec, rng *rand.Rand) {
@@ -37,8 +37,8 @@ func checkRowAndBatchForms(t *testing.T, s BucketSpec, rng *rand.Rand) {
 		if row != want {
 			t.Fatalf("spec %s: IndexValue(%g) = %d, division form = %d", s, v, row, want)
 		}
-		if got := int(batch.index(v)); got != row {
-			t.Fatalf("spec %s: batch index(%g) = %d, IndexValue = %d", s, v, got, row)
+		if got := int(batch.slot(v)) - 2; got != row {
+			t.Fatalf("spec %s: batch slot(%g)-2 = %d, IndexValue = %d", s, v, got, row)
 		}
 	}
 	w := (s.Max - s.Min) / float64(s.Count)
@@ -64,7 +64,7 @@ func checkRowAndBatchForms(t *testing.T, s BucketSpec, rng *rand.Rand) {
 
 // TestBatchIndexMatchesIndexValue is the boundary sweep of the bucket
 // arithmetic: for fixed and random geometries the batch kernels'
-// index and the row form IndexValue agree with the division contract
+// slot and the row form IndexValue agree with the division contract
 // at every bucket boundary and its ulp neighbors — so a fused count
 // kernel and the row-at-a-time reference can never bucket a row
 // differently.
@@ -93,7 +93,7 @@ func TestBatchIndexMatchesIndexValue(t *testing.T) {
 	}
 	// The degenerate single-point range maps everything to bucket 0.
 	p := NumericBuckets(table.KindDouble, 5, 5, 4)
-	if p.IndexValue(5) != 0 || p.IndexValue(4.9) != -1 || newNumericIndex(p).index(5) != 0 {
+	if p.IndexValue(5) != 0 || p.IndexValue(4.9) != -1 || newNumericIndex(p).slot(5) != 2 {
 		t.Error("single-point range misroutes")
 	}
 }
@@ -115,8 +115,8 @@ func TestIndexValueInfiniteBounds(t *testing.T) {
 		batch := newNumericIndex(s)
 		for _, v := range []float64{s.Min, s.Max, 0, 1, 2, -1, math.MaxFloat64, -math.MaxFloat64} {
 			row := s.IndexValue(v)
-			if got := int(batch.index(v)); got != row {
-				t.Errorf("spec %s: batch index(%g) = %d, IndexValue = %d", s, v, got, row)
+			if got := int(batch.slot(v)) - 2; got != row {
+				t.Errorf("spec %s: batch slot(%g)-2 = %d, IndexValue = %d", s, v, got, row)
 			}
 			if in := v >= s.Min && v <= s.Max; in && (row < 0 || row >= s.Count) {
 				t.Errorf("spec %s: in-range %g indexed to %d", s, v, row)
@@ -152,8 +152,8 @@ func TestIndexValueNaN(t *testing.T) {
 		if got := s.IndexValue(math.NaN()); got != -1 {
 			t.Errorf("spec %s: IndexValue(NaN) = %d, want -1", s, got)
 		}
-		if got := newNumericIndex(s).index(math.NaN()); got != -1 {
-			t.Errorf("spec %s: batch index(NaN) = %d, want -1", s, got)
+		if got := newNumericIndex(s).slot(math.NaN()); got != 1 {
+			t.Errorf("spec %s: batch slot(NaN) = %d, want 1 (out of range)", s, got)
 		}
 	}
 	// End to end: a double column holding NaN rows must histogram them

@@ -1,6 +1,10 @@
 package sketch
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
+
 	"repro/internal/table"
 	"repro/internal/wire"
 )
@@ -255,14 +259,33 @@ func (s *SampleSet) DecodeWire(b []byte) ([]byte, error) {
 	return b, err
 }
 
-// AppendWire implements WireResult. Map iteration order is random; the
-// decoded map is identical as a map, which is what DeepEqual compares.
+// AppendWire implements WireResult. The counters go out sorted by their
+// encoded value bytes (then count), not in map order, so equal results
+// encode to equal frames. The order is on bytes, not Value.Compare,
+// which is not an order when NaN is among the values.
 func (h *HeavyHitters) AppendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(h.K))
 	b = wire.AppendLen(b, len(h.Counters), h.Counters == nil)
+	type counter struct {
+		value []byte
+		count int64
+	}
+	counters := make([]counter, 0, len(h.Counters))
+	var values []byte
 	for v, c := range h.Counters {
-		b = appendValue(b, v)
-		b = wire.AppendVarint(b, c)
+		n := len(values)
+		values = appendValue(values, v)
+		counters = append(counters, counter{values[n:len(values):len(values)], c})
+	}
+	slices.SortFunc(counters, func(x, y counter) int {
+		if c := bytes.Compare(x.value, y.value); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.count, y.count)
+	})
+	for _, c := range counters {
+		b = append(b, c.value...)
+		b = wire.AppendVarint(b, c.count)
 	}
 	b = wire.AppendI64(b, h.ScannedRows)
 	return wire.AppendBool(b, h.Sampled)

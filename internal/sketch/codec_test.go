@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -45,7 +47,47 @@ func resultRoundTrip(t *testing.T, r Result) Result {
 	if !reflect.DeepEqual(r, got) {
 		t.Fatalf("%T round trip diverged:\n  sent %+v\n  got  %+v", r, r, got)
 	}
+	if again, _ := AppendResultWire(nil, got); !bytes.Equal(again, b) {
+		t.Fatalf("%T: the decoded result re-encodes to different bytes", r)
+	}
 	return got
+}
+
+// TestHeavyHittersWireDeterministic: equal heavy-hitter results encode
+// to equal bytes whatever order their counters were inserted in,
+// including two NaN counters, which are distinct map keys that
+// Value.Compare cannot order.
+func TestHeavyHittersWireDeterministic(t *testing.T) {
+	values := []table.Value{
+		table.StringValue("b"), table.StringValue("a"), table.StringValue(""),
+		table.IntValue(-3), table.IntValue(40), table.DoubleValue(2.5),
+		table.DoubleValue(math.Inf(-1)), table.MissingValue(table.KindString),
+		table.MissingValue(table.KindDouble),
+	}
+	nan := table.DoubleValue(math.NaN())
+	build := func(order []int) *HeavyHitters {
+		h := &HeavyHitters{K: 16, Counters: map[table.Value]int64{}, ScannedRows: 1000}
+		for _, i := range order {
+			if i >= len(values) {
+				h.Counters[nan] = int64(i) // each NaN insert is a new key
+				continue
+			}
+			h.Counters[values[i]] = int64(10 + i)
+		}
+		return h
+	}
+	order := make([]int, len(values)+2)
+	for i := range order {
+		order[i] = i
+	}
+	want, _ := AppendResultWire(nil, build(order))
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 50; trial++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if got, _ := AppendResultWire(nil, build(order)); !bytes.Equal(got, want) {
+			t.Fatalf("insertion order %v encodes to different bytes", order)
+		}
+	}
 }
 
 // testInstances builds one parameterized instance of every wire sketch

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/table"
 )
@@ -66,22 +67,33 @@ func (s *Histogram2DSketch) Name() string {
 
 // Zero implements Sketch.
 func (s *Histogram2DSketch) Zero() Result {
-	rate := s.Rate
-	if rate <= 0 || rate > 1 {
-		rate = 1
-	}
 	return &Histogram2D{
 		X:          s.X,
 		Y:          s.Y,
 		Counts:     make([]int64, s.X.NumBuckets()*s.Y.NumBuckets()),
 		YOther:     make([]int64, s.X.NumBuckets()),
-		SampleRate: rate,
+		SampleRate: s.sampleRate(),
 	}
 }
 
-// Summarize implements Sketch. Both axes are bucket-indexed with batch
-// kernels over the same row batches, then combined into the count matrix
-// in one pass per batch.
+// sampleRate is Rate with 0 and rates above 1 read as a full scan.
+func (s *Histogram2DSketch) sampleRate() float64 {
+	if s.Rate <= 0 || s.Rate > 1 {
+		return 1
+	}
+	return s.Rate
+}
+
+// slotBuffers recycles the pair of slot buffers a 2-D scan indexes its
+// two axes into, so a partition allocates only its count matrix.
+var slotBuffers = sync.Pool{New: func() any { return new([2][kernelBatch]int32) }}
+
+// Summarize implements Sketch. Both axes are mapped to tally slots
+// (BatchIndexer) over the same row batches, and every row adds one to
+// cell (x slot, y slot) of a flat (Bx+2)·(By+2) matrix, with no branch
+// on missing or out-of-range values. The matrix is then compacted in
+// place into the result: slot rows 0 and 1 of X sum into XMissing, slot
+// columns 0 and 1 of Y into YOther, and the rest is Counts.
 func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 	xcol, err := t.Column(s.XCol)
 	if err != nil {
@@ -99,26 +111,24 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := s.Zero().(*Histogram2D)
-	xb := make([]int32, kernelBatch)
-	yb := make([]int32, kernelBatch)
-	yCount := int32(h.Y.Count)
-	tally := func(n int) {
-		h.SampledRows += int64(n)
-		for k := 0; k < n; k++ {
-			xv := xb[k]
-			if xv < 0 {
-				h.XMissing++
-				continue
-			}
-			if yv := yb[k]; yv >= 0 {
-				h.Counts[xv*yCount+yv]++
-			} else {
-				h.YOther[xv]++
-			}
+	nx, ny := s.X.NumBuckets(), s.Y.NumBuckets()
+	w := ny + 2 // the Y slots of one X slot
+	stride := int32(w)
+	cells := make([]int64, (nx+2)*w)
+	bufs := slotBuffers.Get().(*[2][kernelBatch]int32)
+	defer slotBuffers.Put(bufs)
+	xb, yb := bufs[0][:], bufs[1][:]
+	var n int64
+	tally := func(k int) {
+		n += int64(k)
+		xs := xb[:k]
+		ys := yb[:len(xs)]
+		for i, x := range xs {
+			cells[x*stride+ys[i]]++
 		}
 	}
-	if h.SampleRate >= 1 {
+	rate := s.sampleRate()
+	if rate >= 1 {
 		scanBatches(t.Members(),
 			func(a, b int) {
 				xIdx.IndexSpan(a, b, xb[:b-a])
@@ -131,11 +141,29 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 				tally(len(rows))
 			})
 	} else {
-		sampleBatches(t.Members(), h.SampleRate, PartitionSeed(s.Seed, t.ID()), func(rows []int32) {
+		sampleBatches(t.Members(), rate, PartitionSeed(s.Seed, t.ID()), func(rows []int32) {
 			xIdx.IndexRows(rows, xb[:len(rows)])
 			yIdx.IndexRows(rows, yb[:len(rows)])
 			tally(len(rows))
 		})
+	}
+	h := &Histogram2D{
+		X:           s.X,
+		Y:           s.Y,
+		Counts:      cells[: nx*ny : nx*ny],
+		YOther:      make([]int64, nx),
+		SampleRate:  rate,
+		SampledRows: n,
+	}
+	for _, c := range cells[:2*w] {
+		h.XMissing += c
+	}
+	// Row xi of Counts lands below the slot row it is read from, and
+	// after every row read before it, so one forward pass is safe.
+	for xi := range nx {
+		row := cells[(xi+2)*w : (xi+3)*w]
+		h.YOther[xi] = row[0] + row[1]
+		copy(h.Counts[xi*ny:(xi+1)*ny], row[2:])
 	}
 	return h, nil
 }

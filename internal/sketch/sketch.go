@@ -29,8 +29,14 @@
 // batch-iteration contract in package table) feed kind-specialized
 // inner loops — BucketSpec.BatchIndexer for bucket assignment, typed
 // extrema/hash loops, batch value materialization — that read column
-// storage directly with the missing-bitset nil check hoisted out of the
-// loop. Batch scans visit exactly the rows the row-at-a-time path
+// storage directly. The bucket kernels map a row to a tally slot (0
+// missing, 1 out of range, bucket+2), so a histogram tallies
+// tallies[slot]++ and a 2-D histogram cells[x·(By+2)+y]++ with no
+// branch. They read a span of a masked column unmasked and then visit
+// only the set bits of its missing words to patch those rows; that is
+// sound because every stored cell indexes safely, missing rows included
+// (any float64 or int64 maps to a slot, and every dictionary code is in
+// range). Batch scans visit exactly the rows the row-at-a-time path
 // visits, in the same order, so results (including sampled sketches
 // under a fixed seed) are bit-identical to the reference path, which
 // remains in the tree as the ComputedColumn fallback. The one kernel

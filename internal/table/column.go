@@ -166,9 +166,11 @@ type StringColumn struct {
 // it to reconstruct string columns from a stored dictionary section
 // without re-encoding; because dict and codes come from external data,
 // the sort invariant is validated here and a violation is an error, not
-// a panic. Callers are responsible for validating that every
-// non-missing code is within range. The slices are adopted, not copied,
-// so codes may alias memory-mapped storage.
+// a panic. Callers are responsible for validating that every code is
+// within range, missing rows included: scan kernels read a code before
+// they consult the mask. An empty dictionary means every row is missing
+// and every code is 0. The slices are adopted, not copied, so codes may
+// alias memory-mapped storage.
 func NewDictColumn(dict []string, codes []int32, missing *Bitset) (*StringColumn, error) {
 	for i := 1; i < len(dict); i++ {
 		if dict[i-1] >= dict[i] {
