@@ -344,8 +344,11 @@ func BenchmarkKernelHistExact(b *testing.B) {
 	}
 	// The legs above are the best case — a round range and no missing
 	// cells. A chart's histogram has neither: see flightsBuckets.
+	// FlightNum, DepTime and Month are int columns whose ranges span few
+	// integers, so they bucket through a value→slot table like the
+	// dictionaries Carrier and Origin; DepDelay and Distance divide per row.
 	fl := kernelFlights()
-	for _, col := range []string{"DepDelay", "Distance"} {
+	for _, col := range []string{"DepDelay", "Distance", "FlightNum", "DepTime", "Month", "Carrier", "Origin"} {
 		b.Run("flights/"+col, func(b *testing.B) {
 			sk := &sketch.HistogramSketch{Col: col, Buckets: flightsBuckets(b, fl, col, 50)}
 			b.ResetTimer()
@@ -364,9 +367,17 @@ func BenchmarkKernelHistExact(b *testing.B) {
 // logs it: data-derived ranges are not round, and four of the five
 // columns the end-to-end benchmark's heat maps read carry a missing mask
 // (cancelled flights), so this, not the round-range legs, is the path
-// the ledger's hist and heat-map rows pay for.
+// the ledger's hist and heat-map rows pay for. A string column gets at
+// most count buckets over its sorted dictionary.
 func flightsBuckets(b *testing.B, t *table.Table, col string, count int) sketch.BucketSpec {
 	b.Helper()
+	if sc, ok := t.MustColumn(col).(*table.StringColumn); ok {
+		dict := append([]string(nil), sc.Dict()...)
+		sort.Strings(dict)
+		spec := sketch.StringBucketsFromDistinct(dict, count)
+		b.Logf("%s: %d distinct values in %d buckets", col, len(dict), spec.Count)
+		return spec
+	}
 	res, err := (&sketch.RangeSketch{Col: col}).Summarize(t)
 	if err != nil {
 		b.Fatal(err)
@@ -496,7 +507,8 @@ func BenchmarkKernelHist2D(b *testing.B) {
 		})
 	}
 	// The heat map the end-to-end benchmark draws: 600×200 px in 3 px
-	// cells over data-derived ranges, both columns masked (flightsBuckets).
+	// cells over data-derived ranges (flightsBuckets), over the column
+	// pairs it rotates through.
 	// The flights-unmasked leg scans the same stored cells of the first
 	// pair with the masks dropped, so the gap between the two is what the
 	// missing-row patch costs.
@@ -508,6 +520,9 @@ func BenchmarkKernelHist2D(b *testing.B) {
 	}{
 		{"flights", fl, "DepDelay", "ArrDelay"},
 		{"flights", fl, "Distance", "AirTime"},
+		// Both axes through slot tables, then one table and one divide.
+		{"flights", fl, "FlightNum", "DepTime"},
+		{"flights", fl, "CRSDepTime", "DepDelay"},
 		{"flights-unmasked", unmaskedColumns(b, fl, "DepDelay", "ArrDelay"), "DepDelay", "ArrDelay"},
 	}
 	for _, leg := range legs {

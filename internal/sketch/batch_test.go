@@ -31,7 +31,9 @@ type eqCase struct {
 // a masked column unmasked and then patch the missing rows, so three
 // columns put hostile cells under a mask with runs of whole words:
 // "dx" stores NaN and ±Inf and "ix" MaxInt64 and MinInt64 in its missing
-// rows, and "se" is missing everywhere, with an empty dictionary.
+// rows, and "se" is missing everywhere, with an empty dictionary. The
+// small-span int columns (intSpans) and "ib"/"ibm", whose values sit on
+// both sides of ±2⁵³, exercise the int slot tables.
 func eqTables(rows int) []eqCase {
 	ints := make([]int64, rows)
 	doubles := make([]float64, rows)
@@ -58,7 +60,12 @@ func eqTables(rows int) []eqCase {
 	all := table.NewBitset(rows)
 	hostileD := append([]float64(nil), doubles...)
 	hostileI := append([]int64(nil), ints...)
+	big := make([]int64, rows)
 	for i := 0; i < rows; i++ {
+		// 2⁵³ ± 12 and -2⁵³ ± 12: past ±2⁵³ neighbouring ints round to
+		// one float64, so an int outside a slot table can land inside its
+		// bucket range.
+		big[i] = int64(i%25-12) + []int64{1 << 53, -1 << 53}[i/25%2]
 		all.Set(i)
 		if i%7 != 0 && (i/200)%5 != 0 {
 			continue
@@ -68,21 +75,23 @@ func eqTables(rows int) []eqCase {
 		hostileI[i] = []int64{math.MaxInt64, math.MinInt64}[i%2]
 	}
 
-	schema := table.NewSchema(
-		table.ColumnDesc{Name: "i", Kind: table.KindInt},
-		table.ColumnDesc{Name: "d", Kind: table.KindDouble},
-		table.ColumnDesc{Name: "s", Kind: table.KindString},
-		table.ColumnDesc{Name: "im", Kind: table.KindInt},
-		table.ColumnDesc{Name: "dm", Kind: table.KindDouble},
-		table.ColumnDesc{Name: "sm", Kind: table.KindString},
-		table.ColumnDesc{Name: "ie", Kind: table.KindInt},
-		table.ColumnDesc{Name: "ci", Kind: table.KindInt},
-		table.ColumnDesc{Name: "cs", Kind: table.KindString},
-		table.ColumnDesc{Name: "sl", Kind: table.KindString},
-		table.ColumnDesc{Name: "dx", Kind: table.KindDouble},
-		table.ColumnDesc{Name: "ix", Kind: table.KindInt},
-		table.ColumnDesc{Name: "se", Kind: table.KindString},
-	)
+	descs := []table.ColumnDesc{
+		{Name: "i", Kind: table.KindInt},
+		{Name: "d", Kind: table.KindDouble},
+		{Name: "s", Kind: table.KindString},
+		{Name: "im", Kind: table.KindInt},
+		{Name: "dm", Kind: table.KindDouble},
+		{Name: "sm", Kind: table.KindString},
+		{Name: "ie", Kind: table.KindInt},
+		{Name: "ci", Kind: table.KindInt},
+		{Name: "cs", Kind: table.KindString},
+		{Name: "sl", Kind: table.KindString},
+		{Name: "dx", Kind: table.KindDouble},
+		{Name: "ix", Kind: table.KindInt},
+		{Name: "se", Kind: table.KindString},
+		{Name: "ib", Kind: table.KindInt},
+		{Name: "ibm", Kind: table.KindInt},
+	}
 	cols := []table.Column{
 		table.NewIntColumn(table.KindInt, ints, nil),
 		table.NewDoubleColumn(doubles, nil),
@@ -104,7 +113,32 @@ func eqTables(rows int) []eqCase {
 		table.NewDoubleColumn(hostileD, runs),
 		table.NewIntColumn(table.KindInt, hostileI, runs),
 		table.NewStringColumn(strs, all),
+		table.NewIntColumn(table.KindInt, big, nil),
+		table.NewIntColumn(table.KindInt, big, runs),
 	}
+	// Each small-span column holds lo + x mod span, unmasked as "t<span>"
+	// and under the runs mask as "t<span>m", which stores values just
+	// outside the table and the int64 extremes in its missing rows.
+	for _, c := range intSpans {
+		vals := make([]int64, rows)
+		masked := make([]int64, rows)
+		outside := []int64{c.lo - 1, c.lo + c.span, math.MaxInt64, math.MinInt64}
+		for i := range vals {
+			x := uint64(i+7) * 0xd1342543de82ef95
+			vals[i] = c.lo + int64((x^x>>29)%uint64(c.span))
+			masked[i] = vals[i]
+			if runs.Get(i) {
+				masked[i] = outside[i%len(outside)]
+			}
+		}
+		descs = append(descs,
+			table.ColumnDesc{Name: c.name, Kind: table.KindInt},
+			table.ColumnDesc{Name: c.name + "m", Kind: table.KindInt})
+		cols = append(cols,
+			table.NewIntColumn(table.KindInt, vals, nil),
+			table.NewIntColumn(table.KindInt, masked, runs))
+	}
+	schema := table.NewSchema(descs...)
 
 	bits := table.NewBitset(rows)
 	for i := 0; i < rows; i++ {
@@ -160,6 +194,47 @@ func refHistogram(t *table.Table, col string, spec BucketSpec, rate float64, see
 	return h
 }
 
+// intSpans are the small-span int columns of eqTables: one bucket range
+// of 1, 2, 12 and 7999 integers (the Cancelled, Month and FlightNum
+// shapes) and the widest range that gets a slot table and the next one
+// up. A span only takes the table on a table of at least span rows.
+var intSpans = []struct {
+	name     string
+	lo, span int64
+	count    int
+}{
+	{"t1", 7, 1, 4},
+	{"t2", 0, 2, 2},
+	{"t12", 1, 12, 50},
+	{"t7999", 1, 7999, 50},
+	{"tmax", -intTableMax / 2, intTableMax, 37},
+	{"tmax1", -3, intTableMax + 1, 37},
+}
+
+// eqIntAxes are the int axes of the slot tables: each small-span column,
+// masked and not, over its own range; specs narrower than the data with
+// fractional bounds, which leave values outside the table in range of
+// the column; and specs with a bound at ±2⁵³ (a table) or past it (the
+// divide) over "ib"/"ibm".
+func eqIntAxes() []eqAxis {
+	var axes []eqAxis
+	for _, c := range intSpans {
+		spec := NumericBuckets(table.KindInt, float64(c.lo), float64(c.lo+c.span-1), c.count)
+		axes = append(axes, eqAxis{c.name, spec}, eqAxis{c.name + "m", spec})
+	}
+	const p53 = 1 << 53
+	return append(axes,
+		eqAxis{"t12", NumericBuckets(table.KindInt, 3.5, 9.25, 4)},
+		eqAxis{"t12m", NumericBuckets(table.KindInt, 3.5, 9.25, 4)},
+		eqAxis{"t7999m", NumericBuckets(table.KindInt, 100.3, 4000.7, 9)},
+		eqAxis{"tmaxm", NumericBuckets(table.KindInt, -1000.5, 20000.25, 13)},
+		eqAxis{"ib", NumericBuckets(table.KindInt, p53-10, p53, 5)},
+		eqAxis{"ibm", NumericBuckets(table.KindInt, -p53, -p53+10, 5)},
+		eqAxis{"ib", NumericBuckets(table.KindInt, p53-10, p53+4, 5)},
+		eqAxis{"ibm", NumericBuckets(table.KindInt, -p53-4, -p53+10, 5)},
+	)
+}
+
 func intSpec() BucketSpec    { return NumericBuckets(table.KindInt, 0, 1000, 37) }
 func doubleSpec() BucketSpec { return NumericBuckets(table.KindDouble, 50, 900, 23) }
 
@@ -180,7 +255,8 @@ type eqAxis struct {
 // eqAxes lists every typed axis of eqTables — stored and computed,
 // masked and not, the hostile masked columns and the all-missing one —
 // each with the bucket geometry of its kind, plus an exact-value string
-// axis and a zero-bucket string axis (empty Bounds).
+// axis and a zero-bucket string axis (empty Bounds). The int slot-table
+// axes are separate (eqIntAxes).
 func eqAxes() []eqAxis {
 	return []eqAxis{
 		{"i", intSpec()}, {"d", doubleSpec()}, {"s", stringSpec()},
@@ -192,26 +268,44 @@ func eqAxes() []eqAxis {
 	}
 }
 
+// TestBatchHistogramEquivalence holds the exact and the sampled
+// histogram to the reference on every axis and membership shape, and the
+// int slot-table axes also on a table of intTableMax+2 rows, where every
+// span up to intTableMax takes the table.
 func TestBatchHistogramEquivalence(t *testing.T) {
-	for _, tc := range eqTables(5000) {
-		specs := append(eqAxes(),
-			eqAxis{"s", exactStringSpec()},
-			eqAxis{"se", exactStringSpec()},
-			// Degenerate specs: out-of-range-only and single-point range.
-			eqAxis{"i", NumericBuckets(table.KindInt, 2000, 3000, 5)},
-			eqAxis{"i", NumericBuckets(table.KindInt, 500, 500, 4)},
-		)
-		for _, sc := range specs {
-			name := fmt.Sprintf("%s/%s/%s", tc.name, sc.col, sc.spec)
-			sk := &HistogramSketch{Col: sc.col, Buckets: sc.spec}
+	specs := append(eqAxes(),
+		eqAxis{"s", exactStringSpec()},
+		eqAxis{"se", exactStringSpec()},
+		// Degenerate specs: out-of-range-only and single-point range.
+		eqAxis{"i", NumericBuckets(table.KindInt, 2000, 3000, 5)},
+		eqAxis{"i", NumericBuckets(table.KindInt, 500, 500, 4)},
+	)
+	specs = append(specs, eqIntAxes()...)
+	check := func(tc eqCase, sc eqAxis) {
+		for _, rate := range []float64{1, 0.3} {
+			name := fmt.Sprintf("%s/%s/%s/rate=%g", tc.name, sc.col, sc.spec, rate)
+			var sk Sketch = &HistogramSketch{Col: sc.col, Buckets: sc.spec}
+			if rate < 1 {
+				sk = &SampledHistogramSketch{Col: sc.col, Buckets: sc.spec, Rate: rate, Seed: 7}
+			}
 			got, err := sk.Summarize(tc.t)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want := refHistogram(tc.t, sc.col, sc.spec, 1, 0)
+			want := refHistogram(tc.t, sc.col, sc.spec, rate, 7)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: batch histogram differs from reference\n got %+v\nwant %+v", name, got, want)
 			}
+		}
+	}
+	for _, tc := range eqTables(5000) {
+		for _, sc := range specs {
+			check(tc, sc)
+		}
+	}
+	for _, tc := range eqTables(intTableMax + 2) {
+		for _, sc := range eqIntAxes() {
+			check(tc, sc)
 		}
 	}
 }
@@ -296,28 +390,56 @@ func refHistogram2D(t *table.Table, sk *Histogram2DSketch) *Histogram2D {
 }
 
 // TestBatchHist2DEquivalence runs the 2-D kernel over every ordered
-// pair of eqAxes, exact and sampled, on every membership shape.
+// pair of eqAxes, exact and sampled, on every membership shape, and
+// over each int slot-table axis paired both ways with a double, a
+// string, a masked int slot-table and a hostile int axis. On a table of
+// intTableMax+2 rows the wide-span int axes, where the table applies
+// only there, pair with a masked int slot-table axis.
 func TestBatchHist2DEquivalence(t *testing.T) {
 	axes := eqAxes()
-	for _, tc := range eqTables(4000) {
+	intAxes := eqIntAxes()
+	var pairs [][2]eqAxis
+	for _, x := range axes {
+		for _, y := range axes {
+			pairs = append(pairs, [2]eqAxis{x, y})
+		}
+	}
+	t12m := eqAxis{"t12m", NumericBuckets(table.KindInt, 1, 12, 50)}
+	partners := []eqAxis{{"dm", doubleSpec()}, {"sm", stringSpec()}, t12m, {"ix", intSpec()}}
+	wideCols := map[string]bool{"t7999": true, "t7999m": true, "tmax": true, "tmaxm": true, "tmax1": true, "tmax1m": true}
+	var wide [][2]eqAxis
+	for _, a := range intAxes {
+		for _, b := range partners {
+			pairs = append(pairs, [2]eqAxis{a, b}, [2]eqAxis{b, a})
+		}
+		if wideCols[a.col] {
+			wide = append(wide, [2]eqAxis{a, t12m}, [2]eqAxis{t12m, a})
+		}
+	}
+	check := func(tc eqCase, pairs [][2]eqAxis) {
 		for _, rate := range []float64{0, 0.3} {
-			for _, x := range axes {
-				for _, y := range axes {
-					sk := &Histogram2DSketch{
-						XCol: x.col, YCol: y.col,
-						X: x.spec, Y: y.spec,
-						Rate: rate, Seed: 11,
-					}
-					got, err := sk.Summarize(tc.t)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := refHistogram2D(tc.t, sk); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s %s×%s rate=%g: hist2d batch differs from reference", tc.name, x.col, y.col, rate)
-					}
+			for _, p := range pairs {
+				x, y := p[0], p[1]
+				sk := &Histogram2DSketch{
+					XCol: x.col, YCol: y.col,
+					X: x.spec, Y: y.spec,
+					Rate: rate, Seed: 11,
+				}
+				got, err := sk.Summarize(tc.t)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := refHistogram2D(tc.t, sk); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s %s×%s %s rate=%g: hist2d batch differs from reference", tc.name, x.col, x.spec, y.col, y.spec, rate)
 				}
 			}
 		}
+	}
+	for _, tc := range eqTables(4000) {
+		check(tc, pairs)
+	}
+	for _, tc := range eqTables(intTableMax + 2) {
+		check(tc, wide)
 	}
 }
 
@@ -521,12 +643,14 @@ func TestBatchDistinctEquivalence(t *testing.T) {
 }
 
 // TestBatchIndexerMatchesIndexer pins the kernel to the scalar Indexer
-// row by row, axis by axis, including span vs gathered access: every
-// slot is the Indexer code plus two.
+// row by row, axis by axis: every slot is the Indexer code plus two. On
+// every membership shape, IndexSpan runs over each member span and
+// IndexRows over the gathered member rows, and the fused CountSpan and
+// CountRows over the same batches must tally what the Indexer tallies.
+// The int slot-table axes run at a size where every span up to
+// intTableMax takes the table.
 func TestBatchIndexerMatchesIndexer(t *testing.T) {
-	cases := eqTables(2000)
-	tc := cases[0]
-	for _, sc := range eqAxes() {
+	check := func(tc eqCase, sc eqAxis) {
 		col := tc.t.MustColumn(sc.col)
 		idx, err := sc.spec.Indexer(col)
 		if err != nil {
@@ -536,23 +660,104 @@ func TestBatchIndexerMatchesIndexer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := col.Len()
-		spanOut := make([]int32, n)
-		bi.IndexSpan(0, n, spanOut)
-		rows := make([]int32, n)
-		for i := range rows {
-			rows[i] = int32(i)
+		bc, fused := bi.(bucketCounter)
+		name := fmt.Sprintf("%s/%s/%s", tc.name, sc.col, sc.spec)
+		m := tc.t.Members()
+		want := make([]int64, sc.spec.NumBuckets()+2)
+		out := make([]int32, kernelBatch)
+		var spanTally, rowsTally []int64
+		if fused {
+			spanTally = make([]int64, len(want))
+			rowsTally = make([]int64, len(want))
 		}
-		rowsOut := make([]int32, n)
-		bi.IndexRows(rows, rowsOut)
-		for i := 0; i < n; i++ {
-			want := int32(idx(i) + 2)
-			if spanOut[i] != want {
-				t.Fatalf("%s/%s: IndexSpan row %d = %d, Indexer+2 = %d", sc.col, sc.spec, i, spanOut[i], want)
+		m.IterateSpans(func(start, end int) bool {
+			for a := start; a < end; a += kernelBatch {
+				b := min(a+kernelBatch, end)
+				bi.IndexSpan(a, b, out[:b-a])
+				for k, got := range out[:b-a] {
+					w := idx(a+k) + 2
+					if got != int32(w) {
+						t.Fatalf("%s: IndexSpan row %d = %d, Indexer+2 = %d", name, a+k, got, w)
+					}
+					want[w]++
+				}
+				if fused {
+					bc.CountSpan(a, b, spanTally)
+				}
 			}
-			if rowsOut[i] != want {
-				t.Fatalf("%s/%s: IndexRows row %d = %d, Indexer+2 = %d", sc.col, sc.spec, i, rowsOut[i], want)
+			return true
+		})
+		rows := make([]int32, kernelBatch)
+		for from := 0; ; {
+			n, next := m.FillBatch(rows, from)
+			if n == 0 {
+				break
 			}
+			bi.IndexRows(rows[:n], out[:n])
+			for k, r := range rows[:n] {
+				if w := int32(idx(int(r)) + 2); out[k] != w {
+					t.Fatalf("%s: IndexRows row %d = %d, Indexer+2 = %d", name, r, out[k], w)
+				}
+			}
+			if fused {
+				bc.CountRows(rows[:n], rowsTally)
+			}
+			from = next
+		}
+		if fused && (!reflect.DeepEqual(spanTally, want) || !reflect.DeepEqual(rowsTally, want)) {
+			t.Fatalf("%s: CountSpan %v, CountRows %v, Indexer tallies %v", name, spanTally, rowsTally, want)
+		}
+	}
+	for _, tc := range eqTables(2000) {
+		for _, sc := range append(eqAxes(), eqIntAxes()...) {
+			check(tc, sc)
+		}
+	}
+	for _, tc := range eqTables(intTableMax + 2) {
+		for _, sc := range eqIntAxes() {
+			check(tc, sc)
+		}
+	}
+}
+
+// TestIntSlotTableApplies pins which int axes get a slot table, so a
+// regression to the divide cannot hide behind equal answers: a range of
+// 1 to intTableMax integers, no wider than the column, with both bounds
+// within ±2⁵³ and a positive count.
+func TestIntSlotTableApplies(t *testing.T) {
+	const p53 = 1 << 53
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		min, max float64
+		count    int
+		n        int
+		table    bool
+	}{
+		{7, 7, 4, 1, true},
+		{0, 1, 2, 10, true},
+		{1, 12, 50, 12, true},
+		{0.5, 12.5, 50, 12, true},
+		{1, 7999, 50, 1 << 20, true},
+		{0, intTableMax - 1, 50, intTableMax, true},
+		{0, intTableMax, 50, 1 << 20, false},
+		{1, 12, 50, 11, false},
+		{p53 - 10, p53, 5, 100, true},
+		{-p53, -p53 + 10, 5, 100, true},
+		{p53 - 10, p53 + 2, 5, 100, false},
+		{-p53 - 2, -p53 + 10, 5, 100, false},
+		{0.2, 0.8, 3, 100, false},
+		{5, 1, 3, 100, false},
+		{1, 12, 0, 100, false},
+		{nan, 12, 3, 100, false},
+		{1, inf, 3, 100, false},
+	} {
+		spec := BucketSpec{Kind: table.KindInt, Min: c.min, Max: c.max, Count: c.count}
+		bi, err := spec.BatchIndexer(table.NewIntColumn(table.KindInt, make([]int64, c.n), nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := bi.(*tableBatchIndexer[int64]); ok != c.table {
+			t.Errorf("spec %s over %d rows: slot table %v, want %v", spec, c.n, ok, c.table)
 		}
 	}
 }

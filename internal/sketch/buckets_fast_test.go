@@ -1,10 +1,12 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/table"
 )
@@ -175,5 +177,82 @@ func TestIndexValueNaN(t *testing.T) {
 	want := refHistogram(tbl, "d", sk.Buckets, 1, 0)
 	if !reflect.DeepEqual(res, want) {
 		t.Errorf("NaN handling differs between batch and reference paths")
+	}
+}
+
+// FuzzIntSlotTable: for any int64 v and any int spec, the slot the
+// table kernels give v — through IndexSpan, IndexRows, CountSpan and
+// CountRows — is IndexValue(float64(v))+2, whether v is in the table,
+// outside it, or rounds into the bucket range from past ±2⁵³. Specs that
+// get no table check the divide kernel instead. The checked-in corpus
+// holds the int64 extremes, ±2⁵³±1 beside bounds at ±2⁵³, Min == Max
+// and fractional bounds.
+func FuzzIntSlotTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v int64, lo, hi float64, count int16) {
+		spec := BucketSpec{Kind: table.KindInt, Min: lo, Max: hi, Count: int(count)}
+		want := int32(spec.IndexValue(float64(v)) + 2)
+		p := newNumericIndex(spec)
+		var bi BatchIndexer = &intBatchIndexer{vals: []int64{v}, p: p}
+		if tabLo, tab, ok := spec.intSlotTable(p, intTableMax); ok {
+			bi = &tableBatchIndexer[int64]{vals: []int64{v}, tab: tab, lo: tabLo, p: p}
+		}
+		span, rows := []int32{-1}, []int32{-1}
+		bi.IndexSpan(0, 1, span)
+		bi.IndexRows([]int32{0}, rows)
+		spanT := make([]int64, max(int(count), 0)+2)
+		rowsT := make([]int64, len(spanT))
+		bc := bi.(bucketCounter)
+		bc.CountSpan(0, 1, spanT)
+		bc.CountRows([]int32{0}, rowsT)
+		if span[0] != want || rows[0] != want || spanT[want] != 1 || rowsT[want] != 1 {
+			t.Fatalf("%T %s: v=%d: IndexSpan %d, IndexRows %d, CountSpan %v, CountRows %v; IndexValue+2 = %d",
+				bi, spec, v, span[0], rows[0], spanT, rowsT, want)
+		}
+	})
+}
+
+// BenchmarkKernelIntDomain is where intTableMax is read off: an exact
+// histogram over 1M uniform int rows in [0, span), 50 buckets, run
+// alternately through a slot table (built inside the timed scan, as
+// BatchIndexer builds one per partition) and through the per-row divide,
+// for spans 12 … 2²⁰. The table side ignores intTableMax, so the sweep
+// shows where the two lines cross.
+func BenchmarkKernelIntDomain(b *testing.B) {
+	const rows = 1 << 20
+	vals := make([]int64, rows)
+	for _, span := range []int64{12, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20} {
+		x := uint64(span)
+		for i := range vals {
+			x += 0x9e3779b97f4a7c15
+			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			vals[i] = int64((z ^ z>>27) % uint64(span))
+		}
+		spec := NumericBuckets(table.KindInt, 0, float64(span-1), 50)
+		m := table.FullMembership(rows)
+		b.Run(fmt.Sprintf("span=%d", span), func(b *testing.B) {
+			scan := func(useTable bool) time.Duration {
+				start := time.Now()
+				p := newNumericIndex(spec)
+				var bi BatchIndexer = &intBatchIndexer{vals: vals, p: p}
+				if useTable {
+					tab := make([]int32, span)
+					for i := range tab {
+						tab[i] = p.slot(float64(i))
+					}
+					bi = &tableBatchIndexer[int64]{vals: vals, tab: tab, p: p}
+				}
+				histogramScan(m, bi, &Histogram{Counts: make([]int64, spec.Count)})
+				return time.Since(start)
+			}
+			var tableT, divideT time.Duration
+			for i := 0; i < b.N; i++ {
+				tableT += scan(true)
+				divideT += scan(false)
+			}
+			mrows := float64(rows) * float64(b.N) / 1e6
+			b.ReportMetric(mrows/tableT.Seconds(), "table_Mrows/s")
+			b.ReportMetric(mrows/divideT.Seconds(), "divide_Mrows/s")
+			b.ReportMetric(divideT.Seconds()/tableT.Seconds(), "speedup")
+		})
 	}
 }

@@ -68,7 +68,10 @@ func (s *QuantileSketch) Name() string {
 }
 
 // Zero implements Sketch.
-func (s *QuantileSketch) Zero() Result { return &SampleSet{K: s.SampleSize} }
+func (s *QuantileSketch) Zero() Result { return &SampleSet{K: s.k()} }
+
+// k is the sample bound every result carries: SampleSize, at least 1.
+func (s *QuantileSketch) k() int { return max(s.SampleSize, 1) }
 
 // maxHashHeap is a max-heap of SampleItems by Hash, holding the current
 // bottom-k candidates with the largest (evictable) on top.
@@ -97,10 +100,7 @@ func (s *QuantileSketch) Summarize(t *table.Table) (Result, error) {
 		}
 		cols = append(cols, i)
 	}
-	k := s.SampleSize
-	if k < 1 {
-		k = 1
-	}
+	k := s.k()
 	h := make(maxHashHeap, 0, k)
 	out := &SampleSet{K: k}
 	t.Members().Iterate(func(row int) bool {
@@ -129,10 +129,7 @@ func (s *QuantileSketch) Merge(a, b Result) (Result, error) {
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("sketch: quantile merge got %T and %T", a, b)
 	}
-	k := s.SampleSize
-	if k < 1 {
-		k = 1
-	}
+	k := s.k()
 	out := &SampleSet{K: k, Total: sa.Total + sb.Total}
 	i, j := 0, 0
 	for len(out.Items) < k && (i < len(sa.Items) || j < len(sb.Items)) {

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -221,5 +222,30 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 	if _, err := (&QuantileSketch{Order: table.Asc("zzz"), SampleSize: 5}).Summarize(tbl); err == nil {
 		t.Error("unknown column should error")
+	}
+}
+
+// TestQuantileZeroClampsK: Zero, Summarize of an empty table and
+// Merge(Zero, Zero) are the same summary, K clamped to 1, whatever a
+// non-positive SampleSize says.
+func TestQuantileZeroClampsK(t *testing.T) {
+	empty := genTable("qz", 0, 47)
+	for _, n := range []int{0, -3} {
+		sk := &QuantileSketch{Order: table.Asc("x"), SampleSize: n, Seed: 1}
+		zero := sk.Zero()
+		summ, err := sk.Summarize(empty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := sk.Merge(sk.Zero(), sk.Zero())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &SampleSet{K: 1}
+		for name, got := range map[string]Result{"Zero": zero, "Summarize(empty)": summ, "Merge(Zero, Zero)": merged} {
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("SampleSize %d: %s = %+v, want %+v", n, name, got, want)
+			}
+		}
 	}
 }

@@ -65,8 +65,9 @@ func ingestSketches(info table.GenInfo) map[string]sketch.Sketch {
 			Buckets: sketch.NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 16)},
 		"hist-gi": &sketch.HistogramSketch{Col: "gi",
 			Buckets: sketch.NumericBuckets(table.KindInt, float64(info.IntLo), float64(info.IntHi), 8)},
-		"distinct-gs": &sketch.DistinctCountSketch{Col: "gs"},
-		"range-gd":    &sketch.RangeSketch{Col: "gd"},
+		"hist-gi-zoom": &sketch.HistogramSketch{Col: "gi", Buckets: intZoom(info)},
+		"distinct-gs":  &sketch.DistinctCountSketch{Col: "gs"},
+		"range-gd":     &sketch.RangeSketch{Col: "gd"},
 	}
 }
 

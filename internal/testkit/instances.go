@@ -19,6 +19,7 @@ func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 		return sketch.NumericBuckets(table.KindDouble, dLo, dHi, n)
 	}
 	iBuckets := sketch.NumericBuckets(table.KindInt, float64(info.IntLo), float64(info.IntHi), 9)
+	iZoom := intZoom(info)
 	tBuckets := sketch.NumericBuckets(table.KindDate, float64(info.DateLo), float64(info.DateHi), 7)
 	sBuckets := sketch.StringBucketsFromDistinct(info.DictValues, 12)
 	groupBuckets := sketch.StringBucketsFromDistinct(info.DictValues, 3)
@@ -31,6 +32,7 @@ func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 		&sketch.HistogramSketch{Col: "gt", Buckets: tBuckets},
 		&sketch.HistogramSketch{Col: "gs", Buckets: sBuckets},
 		&sketch.HistogramSketch{Col: "gc", Buckets: sketch.NumericBuckets(table.KindDouble, -48.5, 48.5, 11)},
+		&sketch.HistogramSketch{Col: "gi", Buckets: iZoom},
 
 		// Sampled histogram family: identical across same-geometry
 		// topologies, statistically bounded against exact ground truth.
@@ -39,6 +41,7 @@ func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 		&sketch.CDFSketch{Col: "gi", Buckets: iBuckets, Rate: 0.5, Seed: seed ^ 2},     // sampled mode
 		&sketch.Histogram2DSketch{XCol: "gd", YCol: "gs", X: dBuckets(6), Y: sBuckets}, // exact
 		&sketch.Histogram2DSketch{XCol: "gi", YCol: "gd", X: iBuckets, Y: dBuckets(5), Rate: 0.5, Seed: seed ^ 3},
+		&sketch.Histogram2DSketch{XCol: "gs", YCol: "gi", X: sBuckets, Y: iZoom},
 		&sketch.TrellisSketch{GroupCol: "gs", XCol: "gd", YCol: "gi", Group: groupBuckets, X: dBuckets(4), Y: iBuckets, Rate: 1},
 		&sketch.TrellisSketch{GroupCol: "gs", XCol: "gd", YCol: "gt", Group: groupBuckets, X: dBuckets(3), Y: tBuckets, Rate: 0.6, Seed: seed ^ 4},
 
@@ -84,6 +87,16 @@ func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 			&sketch.RangeSketch{Col: "gt"},
 		),
 	}
+}
+
+// intZoom is the geometry a zoom into the int column produces: a
+// fractional sub-range of [IntLo, IntHi]. Over the small int domains its
+// integers get a slot table (sketch.BucketSpec.BatchIndexer) and the
+// stored values outside it, masked or not, take the bucket arithmetic;
+// over the 2⁴⁰ domain it divides.
+func intZoom(info table.GenInfo) sketch.BucketSpec {
+	cut := float64((info.IntHi-info.IntLo)/8) + 0.5
+	return sketch.NumericBuckets(table.KindInt, float64(info.IntLo)+cut, float64(info.IntHi)-cut, 6)
 }
 
 // mustMulti builds a MultiSketch instance or panics; harness instances
