@@ -420,6 +420,23 @@ func BenchmarkKernelHistSampled(b *testing.B) {
 			reportRows(b, tt.NumRows())
 		})
 	}
+	// The flights legs sample the columns of BenchmarkKernelHistExact's
+	// flights legs, so every column kind buckets gathered rows
+	// (CountRows): Distance divides, DepTime and Month index a slot
+	// table, Carrier and Origin their dictionary codes.
+	fl := kernelFlights()
+	for _, col := range []string{"Distance", "DepTime", "Month", "Carrier", "Origin"} {
+		b.Run("flights/"+col, func(b *testing.B) {
+			sk := &sketch.SampledHistogramSketch{Col: col, Buckets: flightsBuckets(b, fl, col, 50), Rate: 0.1, Seed: 42}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.Summarize(fl); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRows(b, fl.NumRows())
+		})
+	}
 }
 
 // hhTable builds a one-column table "s" of rows strings drawn from a

@@ -197,7 +197,9 @@ func refHistogram(t *table.Table, col string, spec BucketSpec, rate float64, see
 // intSpans are the small-span int columns of eqTables: one bucket range
 // of 1, 2, 12 and 7999 integers (the Cancelled, Month and FlightNum
 // shapes) and the widest range that gets a slot table and the next one
-// up. A span only takes the table on a table of at least span rows.
+// up. A span only takes the table on a table of at least
+// intTableRowsPerValue·span rows; on intTableRows rows every span up to
+// intTableMax does.
 var intSpans = []struct {
 	name     string
 	lo, span int64
@@ -210,6 +212,10 @@ var intSpans = []struct {
 	{"tmax", -intTableMax / 2, intTableMax, 37},
 	{"tmax1", -3, intTableMax + 1, 37},
 }
+
+// intTableRows is the smallest table on which every span of intSpans up
+// to intTableMax takes the slot table.
+const intTableRows = intTableRowsPerValue*intTableMax + 2
 
 // eqIntAxes are the int axes of the slot tables: each small-span column,
 // masked and not, over its own range; specs narrower than the data with
@@ -270,7 +276,7 @@ func eqAxes() []eqAxis {
 
 // TestBatchHistogramEquivalence holds the exact and the sampled
 // histogram to the reference on every axis and membership shape, and the
-// int slot-table axes also on a table of intTableMax+2 rows, where every
+// int slot-table axes also on a table of intTableRows rows, where every
 // span up to intTableMax takes the table.
 func TestBatchHistogramEquivalence(t *testing.T) {
 	specs := append(eqAxes(),
@@ -303,7 +309,7 @@ func TestBatchHistogramEquivalence(t *testing.T) {
 			check(tc, sc)
 		}
 	}
-	for _, tc := range eqTables(intTableMax + 2) {
+	for _, tc := range eqTables(intTableRows) {
 		for _, sc := range eqIntAxes() {
 			check(tc, sc)
 		}
@@ -393,7 +399,7 @@ func refHistogram2D(t *table.Table, sk *Histogram2DSketch) *Histogram2D {
 // pair of eqAxes, exact and sampled, on every membership shape, and
 // over each int slot-table axis paired both ways with a double, a
 // string, a masked int slot-table and a hostile int axis. On a table of
-// intTableMax+2 rows the wide-span int axes, where the table applies
+// intTableRows rows the wide-span int axes, where the table applies
 // only there, pair with a masked int slot-table axis.
 func TestBatchHist2DEquivalence(t *testing.T) {
 	axes := eqAxes()
@@ -438,7 +444,7 @@ func TestBatchHist2DEquivalence(t *testing.T) {
 	for _, tc := range eqTables(4000) {
 		check(tc, pairs)
 	}
-	for _, tc := range eqTables(intTableMax + 2) {
+	for _, tc := range eqTables(intTableRows) {
 		check(tc, wide)
 	}
 }
@@ -713,7 +719,7 @@ func TestBatchIndexerMatchesIndexer(t *testing.T) {
 			check(tc, sc)
 		}
 	}
-	for _, tc := range eqTables(intTableMax + 2) {
+	for _, tc := range eqTables(intTableRows) {
 		for _, sc := range eqIntAxes() {
 			check(tc, sc)
 		}
@@ -722,8 +728,8 @@ func TestBatchIndexerMatchesIndexer(t *testing.T) {
 
 // TestIntSlotTableApplies pins which int axes get a slot table, so a
 // regression to the divide cannot hide behind equal answers: a range of
-// 1 to intTableMax integers, no wider than the column, with both bounds
-// within ±2⁵³ and a positive count.
+// 1 to intTableMax integers, with intTableRowsPerValue rows of the column
+// per integer, both bounds within ±2⁵³ and a positive count.
 func TestIntSlotTableApplies(t *testing.T) {
 	const p53 = 1 << 53
 	nan, inf := math.NaN(), math.Inf(1)
@@ -733,14 +739,15 @@ func TestIntSlotTableApplies(t *testing.T) {
 		n        int
 		table    bool
 	}{
-		{7, 7, 4, 1, true},
+		{7, 7, 4, 4, true},
+		{7, 7, 4, 3, false},
 		{0, 1, 2, 10, true},
-		{1, 12, 50, 12, true},
-		{0.5, 12.5, 50, 12, true},
+		{1, 12, 50, 48, true},
+		{0.5, 12.5, 50, 48, true},
 		{1, 7999, 50, 1 << 20, true},
-		{0, intTableMax - 1, 50, intTableMax, true},
+		{0, intTableMax - 1, 50, intTableRowsPerValue * intTableMax, true},
 		{0, intTableMax, 50, 1 << 20, false},
-		{1, 12, 50, 11, false},
+		{1, 12, 50, 47, false},
 		{p53 - 10, p53, 5, 100, true},
 		{-p53, -p53 + 10, 5, 100, true},
 		{p53 - 10, p53 + 2, 5, 100, false},
@@ -756,7 +763,7 @@ func TestIntSlotTableApplies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := bi.(*tableBatchIndexer[int64]); ok != c.table {
+		if _, ok := bi.(*intTableBatchIndexer); ok != c.table {
 			t.Errorf("spec %s over %d rows: slot table %v, want %v", spec, c.n, ok, c.table)
 		}
 	}

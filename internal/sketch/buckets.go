@@ -146,7 +146,7 @@ func (s BucketSpec) Indexer(col table.Column) (func(row int) int, error) {
 // int64/float64 values or dictionary codes straight from the backing
 // slice, so the inner loops run with no per-row closure or interface
 // call. Dictionary codes, and int columns whose bucket range spans few
-// integers, map to slots through a value→slot table (tableBatchIndexer);
+// integers, map to slots through a value→slot table;
 // doubles and wide int ranges do the bucket arithmetic per row. A span
 // is read unmasked: every row is indexed from the value stored under it,
 // then only the set bits of the missing mask in the span are visited
@@ -196,7 +196,7 @@ func (p numericIndex) slot(v float64) int32 {
 }
 
 // slotInt is slot for an int value outside a slot table
-// (tableBatchIndexer). It stays out of line: with its arithmetic inlined
+// (intTableBatchIndexer). It stays out of line: with its arithmetic inlined
 // on the cold branch the table loops measured 5-25 % slower.
 //
 //go:noinline
@@ -288,37 +288,74 @@ func (x *doubleBatchIndexer) IndexRows(rows []int32, out []int32) {
 	}
 }
 
-// tableBatchIndexer buckets stored values through a value→slot table:
-// a value v in [lo, lo+len(tab)) has slot tab[v-lo], one load per row
-// instead of the bucket arithmetic. Dictionary codes are the lo = 0 case
-// whose every value is in the table (codeSlotTable); an int column over a
-// small bucket range is the other (intSlotTable). Every entry is computed
-// by the rule the row path applies to that value, so the two agree by
-// construction.
+// stringBatchIndexer buckets a StringColumn through its dictionary codes
+// and a precomputed code→slot table.
+type stringBatchIndexer struct {
+	codes    []int32
+	codeSlot []int32
+	miss     *table.Bitset
+}
+
+func (x *stringBatchIndexer) IndexSpan(start, end int, out []int32) {
+	codes := x.codes[start:end]
+	out = out[:len(codes)]
+	for k, c := range codes {
+		out[k] = x.codeSlot[c]
+	}
+	eachMissing(x.miss, start, end, func(k int) { out[k] = 0 })
+}
+
+func (x *stringBatchIndexer) IndexRows(rows []int32, out []int32) {
+	if x.miss == nil {
+		for k, r := range rows {
+			out[k] = x.codeSlot[x.codes[r]]
+		}
+		return
+	}
+	for k, r := range rows {
+		if x.miss.Get(int(r)) {
+			out[k] = 0
+		} else {
+			out[k] = x.codeSlot[x.codes[r]]
+		}
+	}
+}
+
+// intTableBatchIndexer buckets an IntColumn over a small bucket range
+// through a value→slot table, as stringBatchIndexer does dictionary
+// codes: a value v in [lo, lo+len(tab)) has slot tab[v-lo], one load per
+// row instead of the bucket arithmetic. Every entry is computed by the
+// rule the row path applies to that value (intSlotTable), so the two
+// agree by construction. It is a type of its own rather than one generic
+// table kernel shared with dictionary codes: the shared form read the
+// string legs of BenchmarkKernelHistExact at 760-880 Mrows/s against
+// 790-930 for stringBatchIndexer, and dictionary codes never leave
+// their table, so they need none of the bounds test below.
 //
 // The kernel loops test the table bound themselves and leave the inner
 // loop for a value outside the table, which numericIndex.slotInt buckets
 // out of line before the loop resumes. A call inside the inner loop, even
 // on a branch never taken, makes the compiler spill the loop state on
-// every row (≈0.6× on dictionary columns).
-type tableBatchIndexer[T int32 | int64] struct {
-	vals []T
+// every row (≈0.6×). Gathered rows of an unmasked column run a loop with
+// no mask test, as the other kernels do.
+type intTableBatchIndexer struct {
+	vals []int64
 	miss *table.Bitset
 	tab  []int32
-	lo   T
+	lo   int64
 	p    numericIndex // bucket arithmetic for values outside tab
 }
 
 // slot is the slot of one value: one unsigned compare, which also
 // rejects a v-lo that wrapped around, then a load.
-func (x *tableBatchIndexer[T]) slot(v T) int32 {
+func (x *intTableBatchIndexer) slot(v int64) int32 {
 	if i := uint64(v - x.lo); i < uint64(len(x.tab)) {
 		return x.tab[i]
 	}
-	return x.p.slotInt(int64(v))
+	return x.p.slotInt(v)
 }
 
-func (x *tableBatchIndexer[T]) IndexSpan(start, end int, out []int32) {
+func (x *intTableBatchIndexer) IndexSpan(start, end int, out []int32) {
 	vals, tab, lo := x.vals[start:end], x.tab, x.lo
 	out = out[:len(vals)]
 	for k := 0; k < len(vals); k++ {
@@ -330,30 +367,40 @@ func (x *tableBatchIndexer[T]) IndexSpan(start, end int, out []int32) {
 			out[k] = tab[i]
 		}
 		if k < len(vals) {
-			out[k] = x.p.slotInt(int64(vals[k]))
+			out[k] = x.p.slotInt(vals[k])
 		}
 	}
 	eachMissing(x.miss, start, end, func(k int) { out[k] = 0 })
 }
 
-func (x *tableBatchIndexer[T]) IndexRows(rows []int32, out []int32) {
+func (x *intTableBatchIndexer) IndexRows(rows []int32, out []int32) {
 	vals, tab, lo, miss := x.vals, x.tab, x.lo, x.miss
 	out = out[:len(rows)]
 	for k := 0; k < len(rows); k++ {
-		for ; k < len(rows); k++ {
-			r := rows[k]
-			if miss != nil && miss.Get(int(r)) {
-				out[k] = 0
-				continue
+		if miss == nil {
+			for ; k < len(rows); k++ {
+				i := uint64(vals[rows[k]] - lo)
+				if i >= uint64(len(tab)) {
+					break
+				}
+				out[k] = tab[i]
 			}
-			i := uint64(vals[r] - lo)
-			if i >= uint64(len(tab)) {
-				break
+		} else {
+			for ; k < len(rows); k++ {
+				r := rows[k]
+				if miss.Get(int(r)) {
+					out[k] = 0
+					continue
+				}
+				i := uint64(vals[r] - lo)
+				if i >= uint64(len(tab)) {
+					break
+				}
+				out[k] = tab[i]
 			}
-			out[k] = tab[i]
 		}
 		if k < len(rows) {
-			out[k] = x.p.slotInt(int64(vals[rows[k]]))
+			out[k] = x.p.slotInt(vals[rows[k]])
 		}
 	}
 }
@@ -422,7 +469,34 @@ func (x *doubleBatchIndexer) CountRows(rows []int32, tallies []int64) {
 	}
 }
 
-func (x *tableBatchIndexer[T]) CountSpan(start, end int, tallies []int64) {
+func (x *stringBatchIndexer) CountSpan(start, end int, tallies []int64) {
+	codes := x.codes[start:end]
+	for _, c := range codes {
+		tallies[x.codeSlot[c]]++
+	}
+	eachMissing(x.miss, start, end, func(k int) {
+		tallies[x.codeSlot[codes[k]]]--
+		tallies[0]++
+	})
+}
+
+func (x *stringBatchIndexer) CountRows(rows []int32, tallies []int64) {
+	if x.miss == nil {
+		for _, r := range rows {
+			tallies[x.codeSlot[x.codes[r]]]++
+		}
+		return
+	}
+	for _, r := range rows {
+		if x.miss.Get(int(r)) {
+			tallies[0]++
+		} else {
+			tallies[x.codeSlot[x.codes[r]]]++
+		}
+	}
+}
+
+func (x *intTableBatchIndexer) CountSpan(start, end int, tallies []int64) {
 	vals, tab, lo := x.vals[start:end], x.tab, x.lo
 	for k := 0; k < len(vals); k++ {
 		for ; k < len(vals); k++ {
@@ -433,7 +507,7 @@ func (x *tableBatchIndexer[T]) CountSpan(start, end int, tallies []int64) {
 			tallies[tab[i]]++
 		}
 		if k < len(vals) {
-			tallies[x.p.slotInt(int64(vals[k]))]++
+			tallies[x.p.slotInt(vals[k])]++
 		}
 	}
 	eachMissing(x.miss, start, end, func(k int) {
@@ -442,23 +516,33 @@ func (x *tableBatchIndexer[T]) CountSpan(start, end int, tallies []int64) {
 	})
 }
 
-func (x *tableBatchIndexer[T]) CountRows(rows []int32, tallies []int64) {
+func (x *intTableBatchIndexer) CountRows(rows []int32, tallies []int64) {
 	vals, tab, lo, miss := x.vals, x.tab, x.lo, x.miss
 	for k := 0; k < len(rows); k++ {
-		for ; k < len(rows); k++ {
-			r := rows[k]
-			if miss != nil && miss.Get(int(r)) {
-				tallies[0]++
-				continue
+		if miss == nil {
+			for ; k < len(rows); k++ {
+				i := uint64(vals[rows[k]] - lo)
+				if i >= uint64(len(tab)) {
+					break
+				}
+				tallies[tab[i]]++
 			}
-			i := uint64(vals[r] - lo)
-			if i >= uint64(len(tab)) {
-				break
+		} else {
+			for ; k < len(rows); k++ {
+				r := rows[k]
+				if miss.Get(int(r)) {
+					tallies[0]++
+					continue
+				}
+				i := uint64(vals[r] - lo)
+				if i >= uint64(len(tab)) {
+					break
+				}
+				tallies[tab[i]]++
 			}
-			tallies[tab[i]]++
 		}
 		if k < len(rows) {
-			tallies[x.p.slotInt(int64(vals[rows[k]]))]++
+			tallies[x.p.slotInt(vals[rows[k]])]++
 		}
 	}
 }
@@ -497,21 +581,31 @@ func (s BucketSpec) codeSlotTable(sc *table.StringColumn) []int32 {
 }
 
 // intTableMax is the widest integer bucket range that gets a slot table.
-// It is read off BenchmarkKernelIntDomain (1M uniform rows, 50 buckets,
-// table built per scan vs per-row divide, interleaved) on a 2-vCPU Intel
-// Xeon cloud host (2 MiB L2 per core): the table is 1.6-2.3× up to 2¹²
-// values, 1.3× at 2¹⁶ (256 KiB of slots), 1.15× at 2¹⁷, and the two lines
-// cross at 2¹⁸; past it the table loses up to 3×.
+// It is read off BenchmarkKernelIntDomain at 2²⁰ rows (uniform values,
+// 50 buckets, table built per scan vs per-row divide, interleaved) on a
+// 2-vCPU Intel Xeon cloud host (2 MiB L2 per core): the table is
+// 1.9-3.4× up to 2¹² values, 1.3-1.5× at 2¹⁶ (256 KiB of slots),
+// 1.1-1.2× at 2¹⁷, and the two lines cross at 2¹⁸; past it the table
+// loses up to 4×.
 const intTableMax = 1 << 16
+
+// intTableRowsPerValue is how many rows a column needs per table entry:
+// building the table costs one divide per entry, so a table as long as
+// the column loses. It is read off the same benchmark and host at 4000
+// rows (an ingest batch) and 125000 (a flights partition): at span/rows
+// = 1/8 the table is 1.5-1.7×, at 1/4 1.2-1.3×, the lines cross near
+// 1/2 (0.9-1.0×), and at 1 the table runs at 0.6-0.7×.
+const intTableRowsPerValue = 4
 
 // intSlotTable gives an int column of n stored values the dictionary
 // path when the integers in [Min, Max] are few: it returns lo =
 // ceil(Min) and tab[i] = slot(lo+i) for every integer up to floor(Max),
 // or ok false when the range is empty, wider than intTableMax or than
-// the column, or not exactly representable (|bound| > 2⁵³), where the
-// per-row divide is cheaper or the table would not be exact. Values
-// outside the table keep the arithmetic (tableBatchIndexer): past ±2⁵³
-// an int outside [ceil(Min), floor(Max)] can still round into the range.
+// n/intTableRowsPerValue, or not exactly representable (|bound| > 2⁵³),
+// where the per-row divide is cheaper or the table would not be exact.
+// Values outside the table keep the arithmetic (intTableBatchIndexer):
+// past ±2⁵³ an int outside [ceil(Min), floor(Max)] can still round into
+// the range.
 func (s BucketSpec) intSlotTable(p numericIndex, n int) (lo int64, tab []int32, ok bool) {
 	const exact = 1 << 53
 	if s.Count <= 0 || !(s.Min <= s.Max) || !(s.Min >= -exact) || !(s.Max <= exact) {
@@ -519,7 +613,7 @@ func (s BucketSpec) intSlotTable(p numericIndex, n int) (lo int64, tab []int32, 
 	}
 	lo = int64(math.Ceil(s.Min))
 	span := int64(math.Floor(s.Max)) - lo + 1
-	if span < 1 || span > intTableMax || span > int64(n) {
+	if span < 1 || span > intTableMax || span*intTableRowsPerValue > int64(n) {
 		return 0, nil, false
 	}
 	tab = make([]int32, span)
@@ -544,7 +638,7 @@ func (s BucketSpec) BatchIndexer(col table.Column) (BatchIndexer, error) {
 		switch c := col.(type) {
 		case *table.IntColumn:
 			if lo, tab, ok := s.intSlotTable(p, len(c.Ints())); ok {
-				return &tableBatchIndexer[int64]{vals: c.Ints(), miss: c.MissingMask(), tab: tab, lo: lo, p: p}, nil
+				return &intTableBatchIndexer{vals: c.Ints(), miss: c.MissingMask(), tab: tab, lo: lo, p: p}, nil
 			}
 			return &intBatchIndexer{vals: c.Ints(), miss: c.MissingMask(), p: p}, nil
 		case *table.DoubleColumn:
@@ -552,7 +646,7 @@ func (s BucketSpec) BatchIndexer(col table.Column) (BatchIndexer, error) {
 		}
 	case s.Kind == table.KindString:
 		if sc, ok := col.(*table.StringColumn); ok {
-			return &tableBatchIndexer[int32]{vals: sc.Codes(), miss: sc.MissingMask(), tab: s.codeSlotTable(sc)}, nil
+			return &stringBatchIndexer{codes: sc.Codes(), codeSlot: s.codeSlotTable(sc), miss: sc.MissingMask()}, nil
 		}
 	default:
 		return nil, fmt.Errorf("sketch: bucket spec kind %v unsupported", s.Kind)

@@ -193,8 +193,8 @@ func FuzzIntSlotTable(f *testing.F) {
 		want := int32(spec.IndexValue(float64(v)) + 2)
 		p := newNumericIndex(spec)
 		var bi BatchIndexer = &intBatchIndexer{vals: []int64{v}, p: p}
-		if tabLo, tab, ok := spec.intSlotTable(p, intTableMax); ok {
-			bi = &tableBatchIndexer[int64]{vals: []int64{v}, tab: tab, lo: tabLo, p: p}
+		if tabLo, tab, ok := spec.intSlotTable(p, intTableRowsPerValue*intTableMax); ok {
+			bi = &intTableBatchIndexer{vals: []int64{v}, tab: tab, lo: tabLo, p: p}
 		}
 		span, rows := []int32{-1}, []int32{-1}
 		bi.IndexSpan(0, 1, span)
@@ -211,48 +211,57 @@ func FuzzIntSlotTable(f *testing.F) {
 	})
 }
 
-// BenchmarkKernelIntDomain is where intTableMax is read off: an exact
-// histogram over 1M uniform int rows in [0, span), 50 buckets, run
+// BenchmarkKernelIntDomain is where the slot-table gate is read off: an
+// exact histogram over uniform int rows in [0, span), 50 buckets, run
 // alternately through a slot table (built inside the timed scan, as
-// BatchIndexer builds one per partition) and through the per-row divide,
-// for spans 12 … 2²⁰. The table side ignores intTableMax, so the sweep
-// shows where the two lines cross.
+// BatchIndexer builds one per partition and axis) and through the
+// per-row divide. At 2²⁰ rows the span sweeps 12 … 2²⁰, where
+// intTableMax is read off; at 4000 rows (an ingest batch) and 125000
+// rows (a flights partition) it sweeps span/rows from 1/32 to 1, where
+// the table's build cost meets its savings and intTableRowsPerValue is
+// read off. The table side ignores both limits, so each sweep shows
+// where the two lines cross.
 func BenchmarkKernelIntDomain(b *testing.B) {
-	const rows = 1 << 20
-	vals := make([]int64, rows)
-	for _, span := range []int64{12, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20} {
-		x := uint64(span)
-		for i := range vals {
-			x += 0x9e3779b97f4a7c15
-			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
-			vals[i] = int64((z ^ z>>27) % uint64(span))
-		}
-		spec := NumericBuckets(table.KindInt, 0, float64(span-1), 50)
+	sweep := func(rows int, spans []int64) {
+		vals := make([]int64, rows)
 		m := table.FullMembership(rows)
-		b.Run(fmt.Sprintf("span=%d", span), func(b *testing.B) {
-			scan := func(useTable bool) time.Duration {
-				start := time.Now()
-				p := newNumericIndex(spec)
-				var bi BatchIndexer = &intBatchIndexer{vals: vals, p: p}
-				if useTable {
-					tab := make([]int32, span)
-					for i := range tab {
-						tab[i] = p.slot(float64(i))
+		for _, span := range spans {
+			x := uint64(span)
+			for i := range vals {
+				x += 0x9e3779b97f4a7c15
+				z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+				vals[i] = int64((z ^ z>>27) % uint64(span))
+			}
+			spec := NumericBuckets(table.KindInt, 0, float64(span-1), 50)
+			b.Run(fmt.Sprintf("rows=%d/span=%d", rows, span), func(b *testing.B) {
+				scan := func(useTable bool) time.Duration {
+					start := time.Now()
+					p := newNumericIndex(spec)
+					var bi BatchIndexer = &intBatchIndexer{vals: vals, p: p}
+					if useTable {
+						tab := make([]int32, span)
+						for i := range tab {
+							tab[i] = p.slot(float64(i))
+						}
+						bi = &intTableBatchIndexer{vals: vals, tab: tab, p: p}
 					}
-					bi = &tableBatchIndexer[int64]{vals: vals, tab: tab, p: p}
+					histogramScan(m, bi, &Histogram{Counts: make([]int64, spec.Count)})
+					return time.Since(start)
 				}
-				histogramScan(m, bi, &Histogram{Counts: make([]int64, spec.Count)})
-				return time.Since(start)
-			}
-			var tableT, divideT time.Duration
-			for i := 0; i < b.N; i++ {
-				tableT += scan(true)
-				divideT += scan(false)
-			}
-			mrows := float64(rows) * float64(b.N) / 1e6
-			b.ReportMetric(mrows/tableT.Seconds(), "table_Mrows/s")
-			b.ReportMetric(mrows/divideT.Seconds(), "divide_Mrows/s")
-			b.ReportMetric(divideT.Seconds()/tableT.Seconds(), "speedup")
-		})
+				var tableT, divideT time.Duration
+				for i := 0; i < b.N; i++ {
+					tableT += scan(true)
+					divideT += scan(false)
+				}
+				mrows := float64(rows) * float64(b.N) / 1e6
+				b.ReportMetric(mrows/tableT.Seconds(), "table_Mrows/s")
+				b.ReportMetric(mrows/divideT.Seconds(), "divide_Mrows/s")
+				b.ReportMetric(divideT.Seconds()/tableT.Seconds(), "speedup")
+			})
+		}
+	}
+	sweep(1<<20, []int64{12, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20})
+	for _, rows := range []int64{4000, 125000} {
+		sweep(int(rows), []int64{rows / 32, rows / 16, rows / 8, rows / 4, rows / 2, rows})
 	}
 }

@@ -33,14 +33,15 @@
 // missing, 1 out of range, bucket+2), so a histogram tallies
 // tallies[slot]++ and a 2-D histogram cells[x·(By+2)+y]++ with no
 // branch. Dictionary columns, and int columns whose bucket range spans
-// at most intTableMax integers (months, flight numbers, clock times),
-// find the slot in a value→slot table built per partition from the
-// same bucket rule, so a row costs one load; doubles and wide int
-// ranges (dates in epoch milliseconds) keep the per-row divide. They read a span of a masked column unmasked and then visit
-// only the set bits of its missing words to patch those rows; that is
-// sound because every stored cell indexes safely, missing rows included
-// (any float64 or int64 maps to a slot, and every dictionary code is in
-// range). Batch scans visit exactly the rows the row-at-a-time path
+// at most intTableMax integers and few enough for the partition
+// (months, flight numbers, clock times), find the slot in a value→slot
+// table built per partition from the same bucket rule, so a row costs
+// one load; doubles and wide int ranges (dates in epoch milliseconds)
+// keep the per-row divide. The bucket kernels read a span of a masked
+// column unmasked and then visit only the set bits of its missing words
+// to patch those rows; that is sound because every stored cell indexes
+// safely, missing rows included (any float64 or int64 maps to a slot,
+// and every dictionary code is in range). Batch scans visit exactly the rows the row-at-a-time path
 // visits, in the same order, so results (including sampled sketches
 // under a fixed seed) are bit-identical to the reference path, which
 // remains in the tree as the ComputedColumn fallback. The one kernel
