@@ -117,8 +117,9 @@
 // at pool widths 1, 2, 3 and 8 on the production engine.Config: every
 // run must return the same bits), and the real TCP cluster path — and
 // asserts agreement under per-sketch oracle
-// contracts (sketch.RegisterOracle: exact for deterministic sketches,
-// documented error bounds for Misra–Gries and sampling sketches). A
+// contracts (testkit's contract switch: exact for deterministic
+// sketches, documented error bounds for Misra–Gries and sampling
+// sketches). A
 // transport seam (cluster.Transport / cluster.FaultScript) then drives
 // the distributed path through scripted frame delays, mid-frame
 // stalls, duplicated partials, connection cuts, and worker crash

@@ -42,21 +42,6 @@ type Client struct {
 	done chan struct{}
 }
 
-// Dial connects to a worker over TCP.
-func Dial(addr string) (*Client, error) {
-	return DialTransport(TCPTransport{}, addr)
-}
-
-// DialTransport connects to a worker through an explicit transport
-// (tests inject FaultTransport here; production uses Dial).
-func DialTransport(tr Transport, addr string) (*Client, error) {
-	conn, err := tr.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return newClientConn(conn, addr, 0), nil
-}
-
 // newClientConn wraps an established connection in a Client (frame
 // timeout 0 = defaultFrameTimeout, negative = disabled).
 func newClientConn(conn net.Conn, addr string, frameTimeout time.Duration) *Client {
@@ -275,11 +260,6 @@ func (c *Client) MapOp(ctx context.Context, datasetID, newID string, op engine.M
 		return true, nil
 	})
 	return leaves, err
-}
-
-// Drop evicts a worker-side dataset.
-func (c *Client) Drop(ctx context.Context, datasetID string) error {
-	return c.call(ctx, &Envelope{Kind: MsgDrop, DatasetID: datasetID}, func(*Envelope) (bool, error) { return true, nil })
 }
 
 // Sketch runs a sketch on the worker's dataset, forwarding streamed

@@ -113,7 +113,7 @@ func TestWorkerLoadAndSketch(t *testing.T) {
 	}
 }
 
-func TestWorkerMapAndDrop(t *testing.T) {
+func TestWorkerMap(t *testing.T) {
 	c, w := startWorkers(t, 1)
 	cl := c.Clients()[0]
 	ctx := context.Background()
@@ -137,15 +137,6 @@ func TestWorkerMapAndDrop(t *testing.T) {
 	}
 	if w[0].NumDatasets() != 2 {
 		t.Errorf("worker datasets = %d", w[0].NumDatasets())
-	}
-	if err := cl.Drop(ctx, "ua"); err != nil {
-		t.Fatal(err)
-	}
-	if w[0].NumDatasets() != 1 {
-		t.Errorf("after drop: %d", w[0].NumDatasets())
-	}
-	if _, err := cl.Sketch(ctx, "ua", &sketch.RangeSketch{Col: "Distance"}, nil); !errors.Is(err, engine.ErrMissingDataset) {
-		t.Errorf("dropped dataset error = %v", err)
 	}
 }
 

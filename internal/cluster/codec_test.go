@@ -48,7 +48,6 @@ func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 		{ReqID: 6, Kind: MsgMap, DatasetID: "d", NewID: "d4", Op: engine.FilterRangeOp{Col: "x", Min: -1.5, Max: 2.5}},
 		{ReqID: 7, Kind: MsgMap, DatasetID: "d", NewID: "d5", Op: engine.DeriveOp{Col: "y", Expr: "x*2"}},
 		{ReqID: 8, Kind: MsgSketch, DatasetID: "d", Sketch: &sketch.MisraGriesSketch{Col: "c", K: 7}, NoPartials: true},
-		{ReqID: 9, Kind: MsgDrop, DatasetID: "d"},
 		{ReqID: 10, Kind: MsgOK, NumLeaves: 12},
 		{ReqID: 11, Kind: MsgPartial, Result: hist, Done: 1, Total: 3},
 		{ReqID: 11, Kind: MsgFinal, Result: hist, Done: 3, Total: 3},

@@ -44,18 +44,17 @@
 //	MsgSketch    datasetID, sketchTag, sketch body       (sketch.AppendSketchWire)
 //	MsgCancel    —
 //	MsgPing      —
-//	MsgDrop      datasetID
 //	MsgOK        uvarint numLeaves
 //	MsgPartial   uvarint done, total, resultTag, result body
 //	MsgFinal     uvarint done, total, resultTag, result body
 //	MsgError     err string                              (flagErrMissing in flags)
 //
-// Kind 11 is retired and decodes as an unknown kind. Per-type tags are
-// registered in sketch (RegisterResultCodec / RegisterSketchCodec; the
-// tag tables in sketch/codec.go list every tag, including those that
-// storage and tests register) and engine (the MapOp switch); tag spaces
-// are independent, tag 0 is reserved, and tags are append-only wire
-// format.
+// Kinds 5 and 11 are retired and decode as unknown kinds. Per-type
+// tags are registered in sketch (RegisterResultCodec /
+// RegisterSketchCodec; the tag tables in sketch/codec.go list every
+// tag, including those that storage and tests register) and engine (the
+// MapOp switch); tag spaces are independent, tag 0 is reserved, and
+// tags are append-only wire format.
 //
 // # Partials
 //
@@ -82,10 +81,10 @@
 //
 // The registration contract for a new sketch: add the prototype to
 // sketch.wireSketches, implement WireSketch on the sketch and
-// WireResult on its summary, register both under fresh tags, and add an
-// oracle + testkit instance — the codec coverage test
-// (sketch.TestWireCodecCoverage) and the oracle coverage test each fail
-// a sketch that skips its half.
+// WireResult on its summary, register both under fresh tags, and add a
+// case to testkit's oracle contract switch and a testkit instance — the
+// codec coverage test (sketch.TestWireCodecCoverage) and the oracle
+// coverage test each fail a sketch that skips its half.
 //
 // # Replica map
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"strings"
@@ -119,14 +120,24 @@ func FuzzFrame(f *testing.F) {
 		f.Fatalf("crafted 2^40-counter final: err = %v, want the inner length check", err)
 	}
 	f.Add(crafted)
-	// A sealed frame of the retired kind 11, which must be rejected.
-	retired := frameBytes(f, &Envelope{ReqID: 7, Kind: MsgPing})
-	retired[6] = 11
-	reseal(retired)
-	if _, err := recvBytes(retired); err == nil || !strings.Contains(err.Error(), "unknown frame kind 11") {
-		f.Fatalf("kind-11 frame: err = %v, want unknown frame kind", err)
+	// Sealed frames of the retired kinds, which must be rejected: kind
+	// 11 with an empty body, and kind 5 with the dataset-ID string body
+	// it carried (an error frame's string body, relabelled).
+	for _, r := range []struct {
+		kind byte
+		env  *Envelope
+	}{
+		{11, &Envelope{ReqID: 7, Kind: MsgPing}},
+		{5, &Envelope{ReqID: 9, Kind: MsgError, Err: "d"}},
+	} {
+		retired := frameBytes(f, r.env)
+		retired[6] = r.kind
+		reseal(retired)
+		if _, err := recvBytes(retired); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown frame kind %d", r.kind)) {
+			f.Fatalf("kind-%d frame: err = %v, want unknown frame kind", r.kind, err)
+		}
+		f.Add(retired)
 	}
-	f.Add(retired)
 	// Traced frames: a request carrying just the trace ID and a final
 	// carrying a stitched span list, so the flagTrace tail parser is in
 	// the corpus; plus the crafted tail claiming 2^40 spans over no

@@ -17,35 +17,34 @@ import (
 	"repro/internal/wire"
 )
 
-// MsgKind discriminates protocol messages.
+// MsgKind discriminates protocol messages. The numbers are wire
+// format: each kind keeps its byte.
 type MsgKind uint8
 
 const (
 	// MsgLoad asks the worker to load (or reload) a dataset from a
 	// storage source.
-	MsgLoad MsgKind = iota + 1
+	MsgLoad MsgKind = 1
 	// MsgMap derives a new dataset from an existing one.
-	MsgMap
+	MsgMap MsgKind = 2
 	// MsgSketch runs a sketch, streaming MsgPartial frames and ending
 	// with MsgFinal.
-	MsgSketch
+	MsgSketch MsgKind = 3
 	// MsgCancel aborts an in-flight request (high priority: handled by
 	// the connection reader, not queued behind work).
-	MsgCancel
-	// MsgDrop discards a worker-side dataset (soft-state eviction).
-	MsgDrop
+	MsgCancel MsgKind = 4
 	// MsgPing checks liveness.
-	MsgPing
-	// MsgOK acknowledges Load/Map/Drop/Ping.
-	MsgOK
+	MsgPing MsgKind = 6
+	// MsgOK acknowledges Load/Map/Ping.
+	MsgOK MsgKind = 7
 	// MsgPartial carries one partial result of a running sketch.
-	MsgPartial
+	MsgPartial MsgKind = 8
 	// MsgFinal carries the final result of a sketch.
-	MsgFinal
+	MsgFinal MsgKind = 9
 	// MsgError reports request failure.
-	MsgError
-	// Kind 11 is retired: it decodes as an unknown kind, and a new kind
-	// takes the next free number.
+	MsgError MsgKind = 10
+	// Kinds 5 and 11 are retired: they decode as unknown kinds, and a
+	// new kind takes the next free number, 12.
 )
 
 // Envelope is the single frame type; fields are populated per Kind.
@@ -267,10 +266,7 @@ func appendFrame(buf []byte, env *Envelope) ([]byte, error) {
 		if buf, ok = sketch.AppendSketchWire(buf, env.Sketch); !ok {
 			return buf, fmt.Errorf("cluster: encode: sketch %T has no wire codec", env.Sketch)
 		}
-	case MsgCancel, MsgPing, MsgDrop:
-		if env.Kind == MsgDrop {
-			buf = wire.AppendString(buf, env.DatasetID)
-		}
+	case MsgCancel, MsgPing:
 	case MsgOK:
 		buf = wire.AppendUvarint(buf, uint64(env.NumLeaves))
 	case MsgPartial, MsgFinal:
@@ -473,8 +469,6 @@ func decodeFrame(payload []byte) (*Envelope, error) {
 			env.Sketch, b, err = sketch.DecodeSketchWire(b)
 		}
 	case MsgCancel, MsgPing:
-	case MsgDrop:
-		env.DatasetID, b, err = wire.ConsumeString(b)
 	case MsgOK:
 		var v uint64
 		v, b, err = wire.ConsumeUvarint(b)

@@ -399,12 +399,6 @@ func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope, settl
 			TraceID: env.TraceID, Spans: tr.Spans(),
 		})
 
-	case MsgDrop:
-		w.mu.Lock()
-		delete(w.datasets, env.DatasetID)
-		w.mu.Unlock()
-		finish(&Envelope{Kind: MsgOK})
-
 	default:
 		fail(fmt.Errorf("cluster: unknown request kind %d", env.Kind))
 	}

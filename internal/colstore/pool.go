@@ -186,26 +186,6 @@ func (p *Pool) EvictAll() int {
 	return n
 }
 
-// Invalidate drops every unpinned column of one source (e.g. after the
-// file is replaced) and reports whether any pinned column survived.
-func (p *Pool) Invalidate(source string) (pinnedLeft bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for el := p.lru.Back(); el != nil; {
-		e := el.Value.(*entry)
-		prev := el.Prev()
-		if e.key.Source == source {
-			if e.pins == 0 {
-				p.dropLocked(e)
-			} else {
-				pinnedLeft = true
-			}
-		}
-		el = prev
-	}
-	return pinnedLeft
-}
-
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()

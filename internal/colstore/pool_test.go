@@ -257,3 +257,57 @@ func TestPoolMappedFileChurn(t *testing.T) {
 		t.Fatalf("no evictions under budget=1: %v", s)
 	}
 }
+
+// TestPoolMappedFileReopenBitIdentical evicts a real mapped file's
+// columns: their pages are unmapped, the budget frees, the file closes,
+// and the file reopened at the same path (same source key) reloads the
+// same values.
+func TestPoolMappedFileReopenBitIdentical(t *testing.T) {
+	path := writeTemp(t, testTable(t, 500))
+	f, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(0)
+	acquireAll := func(f *File) map[string][]table.Value {
+		vals := map[string][]table.Value{}
+		for ci := 0; ci < f.Schema().NumColumns(); ci++ {
+			name := f.Schema().Columns[ci].Name
+			col, release, err := p.Acquire(ColKey{f.Path(), name}, func() (table.Column, int64, func(), error) {
+				return f.Column(ci)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := make([]table.Value, col.Len())
+			for i := range vs {
+				vs[i] = col.Value(i)
+			}
+			vals[name] = vs
+			release()
+		}
+		return vals
+	}
+	before := acquireAll(f)
+	if s := p.Stats(); s.Resident == 0 {
+		t.Fatalf("mapped columns not charged: %v", s)
+	}
+	if n := p.EvictAll(); n != f.Schema().NumColumns() {
+		t.Fatalf("EvictAll dropped %d columns, want %d", n, f.Schema().NumColumns())
+	}
+	if s := p.Stats(); s.Resident != 0 || s.Columns != 0 {
+		t.Fatalf("mapped pages still charged after eviction: %v", s)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("close after eviction: %v", err)
+	}
+
+	f2, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	if after := acquireAll(f2); !reflect.DeepEqual(before, after) {
+		t.Fatal("reopened file's columns differ from the evicted ones")
+	}
+}

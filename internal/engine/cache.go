@@ -74,15 +74,6 @@ func KeyAt(datasetID string, gen uint64, sk sketch.Sketch) (string, bool) {
 	return Key(QualifyDataset(datasetID, gen), sk)
 }
 
-// Get returns the cached result for key, if any.
-func (c *Cache) Get(key string) (sketch.Result, bool) {
-	res, ok := c.lookupAll([]string{key}, true)
-	if !ok {
-		return nil, false
-	}
-	return res[0], true
-}
-
 // lookupAll looks a group of keys up as a unit, for an answer that is
 // only useful whole (one sketch, or every member of a scan-sharing
 // pass): when every key is present each counts a hit; otherwise no

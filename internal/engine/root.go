@@ -110,13 +110,6 @@ func (r *Root) Replays() int64 { return r.replays.Load() }
 // ReplayCounter exposes the replay counter for obs registration.
 func (r *Root) ReplayCounter() *obs.Counter { return &r.replays }
 
-// Log returns a copy of the redo log.
-func (r *Root) Log() []Op {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Op(nil), r.log...)
-}
-
 // Load reads a dataset from storage and logs the operation.
 func (r *Root) Load(id, source string) (IDataSet, error) {
 	r.mu.Lock()

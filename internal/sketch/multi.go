@@ -322,63 +322,7 @@ func consumeMemberSlot(b []byte, i int) ([]byte, error) {
 	return rest, err
 }
 
-// --- oracle --------------------------------------------------------------
-
-// checkMultiOracle applies each member's own oracle contract to its
-// slot of the batched result.
-func checkMultiOracle(sk Sketch, parts []*table.Table, ref, got Result) error {
-	ms := sk.(*MultiSketch)
-	mref, ok := ref.(*MultiResult)
-	if !ok {
-		return fmt.Errorf("reference result is %T, want *MultiResult", ref)
-	}
-	mgot, ok := got.(*MultiResult)
-	if !ok {
-		return fmt.Errorf("result is %T, want *MultiResult", got)
-	}
-	if len(mref.Members) != len(ms.Sketches) || len(mgot.Members) != len(ms.Sketches) {
-		return fmt.Errorf("member counts %d/%d, want %d", len(mref.Members), len(mgot.Members), len(ms.Sketches))
-	}
-	for i, m := range ms.Sketches {
-		o, ok := OracleFor(m)
-		if !ok {
-			return fmt.Errorf("member %d (%s): no oracle", i, m.Name())
-		}
-		if err := o.CheckResult(m, parts, mref.Members[i], mgot.Members[i]); err != nil {
-			return fmt.Errorf("member %d (%s): %w", i, m.Name(), err)
-		}
-	}
-	return nil
-}
-
-// peerMultiOracle applies each member's same-geometry contract.
-func peerMultiOracle(sk Sketch, parts []*table.Table, a, b Result) error {
-	ms := sk.(*MultiSketch)
-	ma, ok := a.(*MultiResult)
-	if !ok {
-		return fmt.Errorf("peer result is %T, want *MultiResult", a)
-	}
-	mb, ok := b.(*MultiResult)
-	if !ok {
-		return fmt.Errorf("peer result is %T, want *MultiResult", b)
-	}
-	if len(ma.Members) != len(ms.Sketches) || len(mb.Members) != len(ms.Sketches) {
-		return fmt.Errorf("member counts %d/%d, want %d", len(ma.Members), len(mb.Members), len(ms.Sketches))
-	}
-	for i, m := range ms.Sketches {
-		o, ok := OracleFor(m)
-		if !ok {
-			return fmt.Errorf("member %d (%s): no oracle", i, m.Name())
-		}
-		if err := o.CheckPeer(m, parts, ma.Members[i], mb.Members[i]); err != nil {
-			return fmt.Errorf("member %d (%s): %w", i, m.Name(), err)
-		}
-	}
-	return nil
-}
-
 func init() {
 	RegisterSketchCodec(tagMultiSketch, func() WireSketch { return &MultiSketch{} })
 	RegisterResultCodec(tagMultiResult, func() WireResult { return &MultiResult{} })
-	RegisterOracle(&MultiSketch{}, Oracle{Check: checkMultiOracle, Peer: peerMultiOracle})
 }

@@ -34,14 +34,6 @@ func (b *Bitset) Set(i int) {
 	b.Words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Clear clears bit i. It panics if i is out of range.
-func (b *Bitset) Clear(i int) {
-	if i < 0 || i >= b.N {
-		panic("table: bitset index out of range")
-	}
-	b.Words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
 // Count returns the number of set bits.
 func (b *Bitset) Count() int {
 	if b == nil {

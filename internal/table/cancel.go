@@ -104,10 +104,3 @@ func (t *Table) WithCancel(probe func() bool) *Table {
 		members: cancelMembership{Membership: t.members, probe: probe},
 	}
 }
-
-// Cancelled reports whether t carries a cancellation probe that has
-// fired, i.e. whether scans over t may have been truncated.
-func (t *Table) Cancelled() bool {
-	cm, ok := t.members.(cancelMembership)
-	return ok && cm.probe()
-}

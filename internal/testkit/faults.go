@@ -191,8 +191,7 @@ func nonDestructive(seed uint64, cfg engine.Config, src string, tables []*table.
 		if err != nil {
 			return fmt.Errorf("%s: %w", sk.Name(), err)
 		}
-		o, _ := sketch.OracleFor(sk)
-		if err := o.CheckPeer(sk, tables, want[i], got); err != nil {
+		if err := checkPeer(sk, tables, want[i], got); err != nil {
 			return fmt.Errorf("%s: faulted result diverged: %w", sk.Name(), err)
 		}
 		if err := log.verify(total, got, false); err != nil {
@@ -225,8 +224,7 @@ func destructiveCut(seed uint64, cfg engine.Config, src string, tables []*table.
 	if err != nil {
 		return nil // surfaced error
 	}
-	o, _ := sketch.OracleFor(probe)
-	if err := o.CheckPeer(probe, tables, want, got); err != nil {
+	if err := checkPeer(probe, tables, want, got); err != nil {
 		return fmt.Errorf("survived the cut with a wrong result: %w", err)
 	}
 	return nil
@@ -260,8 +258,7 @@ func destructiveTruncate(seed uint64, cfg engine.Config, src string, tables []*t
 	if err != nil {
 		return nil // surfaced error
 	}
-	o, _ := sketch.OracleFor(probe)
-	if err := o.CheckPeer(probe, tables, want, got); err != nil {
+	if err := checkPeer(probe, tables, want, got); err != nil {
 		return fmt.Errorf("survived truncation with a wrong result: %w", err)
 	}
 	return nil
@@ -289,8 +286,7 @@ func workerCrash(seed uint64, cfg engine.Config, src string, tables []*table.Tab
 		once.Do(func() { h.workers[victim].Crash() })
 	})
 	if err == nil {
-		o, _ := sketch.OracleFor(probe)
-		if cerr := o.CheckPeer(probe, tables, want, got); cerr != nil {
+		if cerr := checkPeer(probe, tables, want, got); cerr != nil {
 			return fmt.Errorf("crash raced a completion but the result is wrong: %w", cerr)
 		}
 	}
@@ -303,8 +299,7 @@ func workerCrash(seed uint64, cfg engine.Config, src string, tables []*table.Tab
 	// rerun actually crosses the wire instead of the result cache.
 	h.root.Cache().InvalidateDataset(datasetID)
 	if got2, err2 := h.root.RunSketch(ctx, datasetID, probe, nil); err2 == nil {
-		o, _ := sketch.OracleFor(probe)
-		if cerr := o.CheckPeer(probe, tables, want, got2); cerr != nil {
+		if cerr := checkPeer(probe, tables, want, got2); cerr != nil {
 			return fmt.Errorf("post-crash rerun returned a wrong result: %w", cerr)
 		}
 	}

@@ -1,35 +1,35 @@
-package sketch
+package testkit
 
 import (
 	"fmt"
 	"math"
 	"reflect"
 
+	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
-// This file is the differential-oracle registry: for every shipped
+// This file holds the differential-oracle contracts: for every shipped
 // sketch type it records how results computed by different execution
 // topologies — the reference Summarize + sequential MergeAll fold, the
 // parallel accumulator engine, and the distributed cluster path — are
-// allowed to relate. The testkit harness (internal/testkit) drives all
-// topologies over generated tables and applies these contracts; its
-// coverage test fails if a sketch appears in wireSketches without an
-// oracle.
+// allowed to relate. The batteries drive all topologies over generated
+// tables and apply these contracts; TestOracleCoversWireSketches fails
+// if a sketch in sketch.WireSketches() has no contract here.
 //
 // The per-sketch contract has two halves:
 //
-//   - Check compares a topology's result against the reference result
+//   - check compares a topology's result against the reference result
 //     and the source partitions (which supply ground truth for
 //     approximation sketches). For deterministic sketches this is
 //     reflect.DeepEqual: mergeability (paper §4.1) promises the exact
 //     same summary from every merge order. Sampling sketches re-seed
 //     per partition, so a topology that cuts the rows into other
 //     partitions (another micropartition size, say) draws a different
-//     (equally valid) sample than the reference; their Check verifies the
-//     documented statistical error bound against exact ground truth
+//     (equally valid) sample than the reference; their check verifies
+//     the documented statistical error bound against exact ground truth
 //     instead. Misra–Gries is deterministic but merge-order-sensitive
-//     within its structural N/(K+1) bound, which Check enforces
+//     within its structural N/(K+1) bound, which its check enforces
 //     directly. Both of its leaf rules feed that bound: a small
 //     dictionary column is tallied exactly and pruned with Merge's own
 //     rule, so a leaf is Merge(exact counts, Zero) whatever the row
@@ -38,90 +38,105 @@ import (
 //     shape. The floating-point fold sketch (moments) is exact up to
 //     addition reassociation and gets a relative-epsilon compare.
 //
-//   - Peer compares two topologies that share scan geometry (the same
+//   - peer compares two topologies that share scan geometry (the same
 //     partitions under the same IDs — e.g. the local parallel engine vs
 //     the cluster path). Per-partition sampling seeds derive only from
 //     (query seed, partition table ID), so even randomized sketches
-//     must agree bit-for-bit across same-geometry topologies; PeerExact
-//     records that. Only Misra–Gries (worker partitioning changes merge
-//     order) and the float-fold sketches (reassociation) are exempt and
-//     provide a bound-based Peer.
+//     must agree bit-for-bit across same-geometry topologies. Only
+//     Misra–Gries (worker partitioning changes merge order) and the
+//     float-fold sketch (reassociation) are exempt and get a bound-based
+//     peer.
 //
-// To register a new sketch with the oracle: add the prototype to
-// wireSketches, call RegisterOracle in init below with Exact/Check/Peer
-// matching the sketch's merge semantics, and add at least one harness
-// instance in internal/testkit so the contract actually runs.
+// To give a new sketch a contract: add its prototype to the sketch
+// package's wireSketches, add a case to contract below matching the
+// sketch's merge semantics, and add at least one instance to Instances
+// so the contract actually runs.
 
-// Oracle is the cross-topology result contract of one sketch type.
-type Oracle struct {
-	// Check validates got — computed by any topology — against the
-	// reference result ref and the source partitions. nil means exact:
-	// reflect.DeepEqual(ref, got).
-	Check func(sk Sketch, parts []*table.Table, ref, got Result) error
-	// PeerExact demands reflect.DeepEqual between results of two
-	// topologies sharing scan geometry.
-	PeerExact bool
-	// Peer validates two same-geometry results when PeerExact is false.
-	Peer func(sk Sketch, parts []*table.Table, a, b Result) error
-}
+// contractFunc relates two results of sk over parts: a topology's result
+// to the reference one (check), or two same-geometry results (peer).
+type contractFunc func(sk sketch.Sketch, parts []*table.Table, a, b sketch.Result) error
 
-var oracles = map[reflect.Type]Oracle{}
-
-// RegisterOracle installs the oracle for proto's concrete type.
-func RegisterOracle(proto Sketch, o Oracle) {
-	oracles[reflect.TypeOf(proto)] = o
-}
-
-// OracleFor returns the oracle of sk's concrete type.
-func OracleFor(sk Sketch) (Oracle, bool) {
-	o, ok := oracles[reflect.TypeOf(sk)]
-	return o, ok
-}
-
-// CheckResult applies the oracle's reference contract.
-func (o Oracle) CheckResult(sk Sketch, parts []*table.Table, ref, got Result) error {
-	if o.Check == nil {
-		return exactEqual(ref, got)
+// contract returns the check and peer halves of sk's contract, or an
+// error for a sketch type it does not know.
+func contract(sk sketch.Sketch) (check, peer contractFunc, err error) {
+	switch sk.(type) {
+	case *sketch.HistogramSketch, *sketch.NextKSketch, *sketch.FindTextSketch, *sketch.RangeSketch,
+		*sketch.DistinctCountSketch, *sketch.DistinctBottomKSketch, *sketch.MetaSketch:
+		return exact, exact, nil
+	case *sketch.Histogram2DSketch:
+		return checkHist2D, exact, nil
+	case *sketch.TrellisSketch:
+		return checkTrellis, exact, nil
+	case *sketch.SampledHistogramSketch:
+		return checkSampledHist, exact, nil
+	case *sketch.CDFSketch:
+		return checkCDF, exact, nil
+	case *sketch.QuantileSketch:
+		return checkQuantile, exact, nil
+	case *sketch.SampleHeavyHittersSketch:
+		return checkSampleHH, exact, nil
+	case *sketch.MisraGriesSketch:
+		return checkMisraGries, peerMisraGries, nil
+	case *sketch.MomentsSketch:
+		return checkMoments, checkMoments, nil
+	case *sketch.MultiSketch:
+		return memberWise(checkResult), memberWise(checkPeer), nil
 	}
-	return o.Check(sk, parts, ref, got)
+	return nil, nil, fmt.Errorf("no oracle contract for %T", sk)
 }
 
-// CheckPeer applies the oracle's same-geometry contract.
-func (o Oracle) CheckPeer(sk Sketch, parts []*table.Table, a, b Result) error {
-	if o.PeerExact || o.Peer == nil {
-		return exactEqual(a, b)
+// checkResult holds got, computed by any topology, to sk's reference
+// contract against ref.
+func checkResult(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
+	check, _, err := contract(sk)
+	if err != nil {
+		return err
 	}
-	return o.Peer(sk, parts, a, b)
+	return check(sk, parts, ref, got)
 }
 
-func exactEqual(want, got Result) error {
+// checkPeer holds two results of topologies that share scan geometry to
+// sk's same-geometry contract.
+func checkPeer(sk sketch.Sketch, parts []*table.Table, a, b sketch.Result) error {
+	_, peer, err := contract(sk)
+	if err != nil {
+		return err
+	}
+	return peer(sk, parts, a, b)
+}
+
+// exact is the contract of deterministic, integer-merged sketches.
+func exact(_ sketch.Sketch, _ []*table.Table, want, got sketch.Result) error {
 	if !reflect.DeepEqual(want, got) {
 		return fmt.Errorf("results differ\n want %+v\n  got %+v", want, got)
 	}
 	return nil
 }
 
-// exact is the oracle of deterministic, integer-merged sketches.
-var exact = Oracle{PeerExact: true}
-
-func init() {
-	RegisterOracle(&HistogramSketch{}, exact)
-	RegisterOracle(&Histogram2DSketch{}, Oracle{Check: checkHist2D, PeerExact: true})
-	RegisterOracle(&TrellisSketch{}, Oracle{Check: checkTrellis, PeerExact: true})
-	RegisterOracle(&NextKSketch{}, exact)
-	RegisterOracle(&FindTextSketch{}, exact)
-	RegisterOracle(&RangeSketch{}, exact)
-	RegisterOracle(&DistinctCountSketch{}, exact)
-	RegisterOracle(&DistinctBottomKSketch{}, exact)
-	RegisterOracle(&MetaSketch{}, exact)
-
-	RegisterOracle(&SampledHistogramSketch{}, Oracle{Check: checkSampledHist, PeerExact: true})
-	RegisterOracle(&CDFSketch{}, Oracle{Check: checkCDF, PeerExact: true})
-	RegisterOracle(&QuantileSketch{}, Oracle{Check: checkQuantile, PeerExact: true})
-	RegisterOracle(&SampleHeavyHittersSketch{}, Oracle{Check: checkSampleHH, PeerExact: true})
-
-	RegisterOracle(&MisraGriesSketch{}, Oracle{Check: checkMisraGries, Peer: peerMisraGries})
-	RegisterOracle(&MomentsSketch{}, Oracle{Check: checkMoments, Peer: checkMoments4})
+// memberWise lifts a member contract (checkResult or checkPeer) to a
+// MultiSketch: each member's slot of the batched results is held to
+// that member's own contract.
+func memberWise(member contractFunc) contractFunc {
+	return func(sk sketch.Sketch, parts []*table.Table, a, b sketch.Result) error {
+		ms := sk.(*sketch.MultiSketch)
+		ma, ok := a.(*sketch.MultiResult)
+		if !ok {
+			return fmt.Errorf("result is %T, want *MultiResult", a)
+		}
+		mb, ok := b.(*sketch.MultiResult)
+		if !ok {
+			return fmt.Errorf("result is %T, want *MultiResult", b)
+		}
+		if len(ma.Members) != len(ms.Sketches) || len(mb.Members) != len(ms.Sketches) {
+			return fmt.Errorf("member counts %d/%d, want %d", len(ma.Members), len(mb.Members), len(ms.Sketches))
+		}
+		for i, m := range ms.Sketches {
+			if err := member(m, parts, ma.Members[i], mb.Members[i]); err != nil {
+				return fmt.Errorf("member %d (%s): %w", i, m.Name(), err)
+			}
+		}
+		return nil
+	}
 }
 
 // ---- ground-truth helpers -------------------------------------------------
@@ -167,7 +182,7 @@ func checkBinomial(what string, got, n int64, rate float64) error {
 // checkSampledHistogram verifies a rate-sampled Histogram against the
 // exact truth histogram: every tally is an independent per-row Binomial
 // draw, so each must sit within binomialSlack of rate×truth.
-func checkSampledHistogram(truth, got *Histogram, rate float64) error {
+func checkSampledHistogram(truth, got *sketch.Histogram, rate float64) error {
 	if len(got.Counts) != len(truth.Counts) {
 		return fmt.Errorf("bucket count %d, want %d", len(got.Counts), len(truth.Counts))
 	}
@@ -191,48 +206,33 @@ func checkSampledHistogram(truth, got *Histogram, rate float64) error {
 	return nil
 }
 
-func checkSampledHist(sk Sketch, parts []*table.Table, ref, got Result) error {
-	s := sk.(*SampledHistogramSketch)
+func checkSampledHist(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
+	s := sk.(*sketch.SampledHistogramSketch)
 	if s.Rate >= 1 {
-		return exactEqual(ref, got)
+		return exact(sk, parts, ref, got)
 	}
-	truth, err := exactOver(&HistogramSketch{Col: s.Col, Buckets: s.Buckets}, parts)
+	truth, err := reference(&sketch.HistogramSketch{Col: s.Col, Buckets: s.Buckets}, parts)
 	if err != nil {
 		return err
 	}
-	return checkSampledHistogram(truth.(*Histogram), got.(*Histogram), s.Rate)
+	return checkSampledHistogram(truth.(*sketch.Histogram), got.(*sketch.Histogram), s.Rate)
 }
 
-func checkCDF(sk Sketch, parts []*table.Table, ref, got Result) error {
-	s := sk.(*CDFSketch)
+func checkCDF(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
+	s := sk.(*sketch.CDFSketch)
 	if s.Rate <= 0 || s.Rate >= 1 {
-		return exactEqual(ref, got)
+		return exact(sk, parts, ref, got)
 	}
-	truth, err := exactOver(&CDFSketch{Col: s.Col, Buckets: s.Buckets}, parts)
+	truth, err := reference(&sketch.CDFSketch{Col: s.Col, Buckets: s.Buckets}, parts)
 	if err != nil {
 		return err
 	}
-	return checkSampledHistogram(truth.(*Histogram), got.(*Histogram), s.Rate)
-}
-
-// exactOver computes the reference result of sk over parts.
-func exactOver(sk Sketch, parts []*table.Table) (Result, error) {
-	acc := sk.Zero()
-	for _, t := range parts {
-		r, err := sk.Summarize(t)
-		if err != nil {
-			return nil, err
-		}
-		if acc, err = sk.Merge(acc, r); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
+	return checkSampledHistogram(truth.(*sketch.Histogram), got.(*sketch.Histogram), s.Rate)
 }
 
 // checkSampled2D verifies a rate-sampled Histogram2D cell-by-cell
 // against the exact truth grid.
-func checkSampled2D(truth, got *Histogram2D, rate float64) error {
+func checkSampled2D(truth, got *sketch.Histogram2D, rate float64) error {
 	if len(got.Counts) != len(truth.Counts) || len(got.YOther) != len(truth.YOther) {
 		return fmt.Errorf("grid shape %d/%d, want %d/%d", len(got.Counts), len(got.YOther), len(truth.Counts), len(truth.YOther))
 	}
@@ -255,30 +255,30 @@ func checkSampled2D(truth, got *Histogram2D, rate float64) error {
 	return nil
 }
 
-func checkHist2D(sk Sketch, parts []*table.Table, ref, got Result) error {
-	s := sk.(*Histogram2DSketch)
+func checkHist2D(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
+	s := sk.(*sketch.Histogram2DSketch)
 	if s.Rate <= 0 || s.Rate >= 1 {
-		return exactEqual(ref, got)
+		return exact(sk, parts, ref, got)
 	}
-	truth, err := exactOver(&Histogram2DSketch{XCol: s.XCol, YCol: s.YCol, X: s.X, Y: s.Y}, parts)
+	truth, err := reference(&sketch.Histogram2DSketch{XCol: s.XCol, YCol: s.YCol, X: s.X, Y: s.Y}, parts)
 	if err != nil {
 		return err
 	}
-	return checkSampled2D(truth.(*Histogram2D), got.(*Histogram2D), s.Rate)
+	return checkSampled2D(truth.(*sketch.Histogram2D), got.(*sketch.Histogram2D), s.Rate)
 }
 
-func checkTrellis(sk Sketch, parts []*table.Table, ref, got Result) error {
-	s := sk.(*TrellisSketch)
+func checkTrellis(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
+	s := sk.(*sketch.TrellisSketch)
 	if s.Rate <= 0 || s.Rate >= 1 {
-		return exactEqual(ref, got)
+		return exact(sk, parts, ref, got)
 	}
 	exactSk := *s
 	exactSk.Rate = 1
-	truth, err := exactOver(&exactSk, parts)
+	truth, err := reference(&exactSk, parts)
 	if err != nil {
 		return err
 	}
-	tt, gt := truth.(*Trellis), got.(*Trellis)
+	tt, gt := truth.(*sketch.Trellis), got.(*sketch.Trellis)
 	if len(gt.Plots) != len(tt.Plots) {
 		return fmt.Errorf("trellis has %d plots, want %d", len(gt.Plots), len(tt.Plots))
 	}
@@ -299,9 +299,9 @@ func checkTrellis(sk Sketch, parts []*table.Table, ref, got Result) error {
 // sample: the scan visited every member row, the sample is full (or the
 // data ran out), and every sampled row is a real row of the data. The
 // drawn rows themselves are seed- and geometry-dependent by design.
-func checkQuantile(sk Sketch, parts []*table.Table, ref, got Result) error {
-	s := sk.(*QuantileSketch)
-	rs, gs := ref.(*SampleSet), got.(*SampleSet)
+func checkQuantile(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
+	s := sk.(*sketch.QuantileSketch)
+	rs, gs := ref.(*sketch.SampleSet), got.(*sketch.SampleSet)
 	if gs.Total != rs.Total {
 		return fmt.Errorf("Total = %d, want %d", gs.Total, rs.Total)
 	}
@@ -340,16 +340,16 @@ func checkQuantile(sk Sketch, parts []*table.Table, ref, got Result) error {
 // checkSampleHH verifies the sampling heavy-hitters contract: sample
 // counts are per-row Binomial draws of the exact per-value counts, and
 // only real values are counted.
-func checkSampleHH(sk Sketch, parts []*table.Table, ref, got Result) error {
-	s := sk.(*SampleHeavyHittersSketch)
+func checkSampleHH(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
+	s := sk.(*sketch.SampleHeavyHittersSketch)
 	if s.Rate >= 1 {
-		return exactEqual(ref, got)
+		return exact(sk, parts, ref, got)
 	}
 	truth, total, err := columnCounts(parts, s.Col)
 	if err != nil {
 		return err
 	}
-	h := got.(*HeavyHitters)
+	h := got.(*sketch.HeavyHitters)
 	if !h.Sampled {
 		return fmt.Errorf("result not marked Sampled")
 	}
@@ -378,8 +378,8 @@ func checkSampleHH(sk Sketch, parts []*table.Table, ref, got Result) error {
 // a lower bound on the exact count, short by at most N/(K+1); and any
 // value more frequent than that error bound is present. ref is unused —
 // the bound is stated against exact ground truth.
-func checkMisraGries(sk Sketch, parts []*table.Table, _, got Result) error {
-	s := sk.(*MisraGriesSketch)
+func checkMisraGries(sk sketch.Sketch, parts []*table.Table, _, got sketch.Result) error {
+	s := sk.(*sketch.MisraGriesSketch)
 	k := s.K
 	if k < 1 {
 		k = 1
@@ -388,7 +388,7 @@ func checkMisraGries(sk Sketch, parts []*table.Table, _, got Result) error {
 	if err != nil {
 		return err
 	}
-	h := got.(*HeavyHitters)
+	h := got.(*sketch.HeavyHitters)
 	if h.ScannedRows != total {
 		return fmt.Errorf("ScannedRows = %d, want %d", h.ScannedRows, total)
 	}
@@ -421,7 +421,7 @@ func checkMisraGries(sk Sketch, parts []*table.Table, _, got Result) error {
 // peerMisraGries: two topologies distribute partitions differently, so
 // counters may differ; both must independently satisfy the structural
 // bound against ground truth.
-func peerMisraGries(sk Sketch, parts []*table.Table, a, b Result) error {
+func peerMisraGries(sk sketch.Sketch, parts []*table.Table, a, b sketch.Result) error {
 	if err := checkMisraGries(sk, parts, nil, a); err != nil {
 		return err
 	}
@@ -443,8 +443,8 @@ func floatClose(what string, a, b float64) error {
 	return fmt.Errorf("%s: %v vs %v beyond reassociation tolerance", what, a, b)
 }
 
-func checkMoments(sk Sketch, parts []*table.Table, ref, got Result) error {
-	rm, gm := ref.(*Moments), got.(*Moments)
+func checkMoments(_ sketch.Sketch, _ []*table.Table, ref, got sketch.Result) error {
+	rm, gm := ref.(*sketch.Moments), got.(*sketch.Moments)
 	if gm.Count != rm.Count || gm.Missing != rm.Missing {
 		return fmt.Errorf("Count/Missing = %d/%d, want %d/%d", gm.Count, gm.Missing, rm.Count, rm.Missing)
 	}
@@ -460,8 +460,4 @@ func checkMoments(sk Sketch, parts []*table.Table, ref, got Result) error {
 		}
 	}
 	return nil
-}
-
-func checkMoments4(sk Sketch, parts []*table.Table, a, b Result) error {
-	return checkMoments(sk, parts, a, b)
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/engine"
-	"repro/internal/sketch"
 	"repro/internal/storage"
 	"repro/internal/table"
 )
@@ -101,10 +100,6 @@ func RunPooled(seed uint64) error {
 	defer cancel()
 	ctx = tracedContext(ctx)
 	for i, sk := range Instances(seed, info) {
-		o, ok := sketch.OracleFor(sk)
-		if !ok {
-			return fmt.Errorf("%s: no oracle registered", sk.Name())
-		}
 		ref, err := reference(sk, tables)
 		if err != nil {
 			return fmt.Errorf("%s: reference: %w", sk.Name(), err)
@@ -121,7 +116,7 @@ func RunPooled(seed uint64) error {
 			return fmt.Errorf("%s: pooled result differs from heap-loaded result\n heap   %+v\n pooled %+v",
 				sk.Name(), heapRes, pooledRes)
 		}
-		if err := o.CheckResult(sk, tables, ref, pooledRes); err != nil {
+		if err := checkResult(sk, tables, ref, pooledRes); err != nil {
 			return fmt.Errorf("%s: pooled vs reference: %w", sk.Name(), err)
 		}
 		// Eviction transparency: drop everything unpinned between

@@ -20,11 +20,11 @@
 //     processes behind TCP (the "testgen" scheme), queried through
 //     engine.Root over cluster.Connect.
 //
-// Results must agree under the per-sketch oracle contract registered in
-// package sketch (exact for deterministic sketches, documented error
-// bounds for Misra–Gries and sampling sketches, reassociation tolerance
-// for float folds); topologies 2 and 3 share scan geometry and must
-// additionally agree bit-for-bit wherever the contract says PeerExact.
+// Results must agree under the per-sketch oracle contract of oracle.go
+// (exact for deterministic sketches, documented error bounds for
+// Misra–Gries and sampling sketches, reassociation tolerance for float
+// folds); topologies 2 and 3 share scan geometry and must additionally
+// agree bit-for-bit wherever the contract's peer half is exact.
 //
 // # Fault battery
 //
@@ -244,10 +244,6 @@ func checkThreadInvariance(ctx context.Context, seed uint64, info table.GenInfo,
 // runOne pushes one sketch instance through the three topologies and
 // applies its oracle.
 func runOne(ctx context.Context, sk sketch.Sketch, tables []*table.Table, local *engine.LocalDataSet, root *engine.Root) error {
-	o, ok := sketch.OracleFor(sk)
-	if !ok {
-		return fmt.Errorf("no oracle registered for %T", sk)
-	}
 	ref, err := reference(sk, tables)
 	if err != nil {
 		return fmt.Errorf("reference: %w", err)
@@ -260,13 +256,13 @@ func runOne(ctx context.Context, sk sketch.Sketch, tables []*table.Table, local 
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	if err := o.CheckResult(sk, tables, ref, eng); err != nil {
+	if err := checkResult(sk, tables, ref, eng); err != nil {
 		return fmt.Errorf("parallel engine vs reference: %w", err)
 	}
-	if err := o.CheckResult(sk, tables, ref, clu); err != nil {
+	if err := checkResult(sk, tables, ref, clu); err != nil {
 		return fmt.Errorf("cluster vs reference: %w", err)
 	}
-	if err := o.CheckPeer(sk, tables, eng, clu); err != nil {
+	if err := checkPeer(sk, tables, eng, clu); err != nil {
 		return fmt.Errorf("cluster vs parallel engine: %w", err)
 	}
 	return nil

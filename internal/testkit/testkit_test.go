@@ -147,8 +147,8 @@ func TestOracleCoversWireSketches(t *testing.T) {
 	}
 	for _, proto := range sketch.WireSketches() {
 		typ := reflect.TypeOf(proto)
-		if _, ok := sketch.OracleFor(proto); !ok {
-			t.Errorf("%v: wire-registered but no oracle contract", typ)
+		if _, _, err := contract(proto); err != nil {
+			t.Errorf("%v: wire-registered but %v", typ, err)
 		}
 		if have[typ] == 0 {
 			t.Errorf("%v: wire-registered but no harness instance runs it", typ)

@@ -5,12 +5,11 @@
 // Reachability is the linker's own: every program is built with
 // inlining off (so an inlined helper does not read as unreached) and
 // with -ldflags=-dumpdep, which prints one "from -> to" line for each
-// symbol the linker keeps. Codec and oracle tables construct a
-// prototype of every wire type they register, which keeps all of them
-// alive, so one rule overrides the linker there: a type a registry
-// builds counts as reached only when a reached function other than a
-// registry builds one too. Its methods are otherwise reached from
-// nothing.
+// symbol the linker keeps. The codec tables construct a prototype of
+// every wire type they register, which keeps all of them alive, so one
+// rule overrides the linker there: a type a registry builds counts as
+// reached only when a reached function other than a registry builds one
+// too. Its methods are otherwise reached from nothing.
 //
 // Test scaffolding that lives in non-test files is declared once, in
 // scaffold below, and reported apart. Every other function reached from
