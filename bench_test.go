@@ -150,7 +150,7 @@ func BenchmarkMicro(b *testing.B) {
 	b.Run("sampling", func(b *testing.B) {
 		rate := sketch.Rate(sketch.HistogramSampleSize(25, 100, 0.01), rows)
 		for i := 0; i < b.N; i++ {
-			sk := &sketch.SampledHistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: uint64(i)}
+			sk := &sketch.HistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: uint64(i)}
 			if _, err := sk.Summarize(t); err != nil {
 				b.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func BenchmarkFig7Leaves(b *testing.B) {
 		b.Run(fmt.Sprintf("sampled/leaves=%d", leaves), func(b *testing.B) {
 			rate := sketch.Rate(sketch.HistogramSampleSize(25, 100, 0.01), rowsPerLeaf*leaves)
 			for i := 0; i < b.N; i++ {
-				sk := &sketch.SampledHistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: uint64(i)}
+				sk := &sketch.HistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: uint64(i)}
 				if _, err := ds.Sketch(context.Background(), sk, nil); err != nil {
 					b.Fatal(err)
 				}
@@ -244,7 +244,7 @@ func BenchmarkFig8Servers(b *testing.B) {
 		b.Run(fmt.Sprintf("sampled/servers=%d", servers), func(b *testing.B) {
 			rate := sketch.Rate(sketch.HistogramSampleSize(25, 100, 0.01), 100000*servers)
 			for i := 0; i < b.N; i++ {
-				sk := &sketch.SampledHistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: uint64(i)}
+				sk := &sketch.HistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: uint64(i)}
 				if _, err := env.Sheet.Root().RunSketch(context.Background(), name, sk, nil); err != nil {
 					b.Fatal(err)
 				}
@@ -410,7 +410,7 @@ func BenchmarkKernelHistSampled(b *testing.B) {
 	spec := sketch.NumericBuckets(table.KindDouble, 0, 3000, 50)
 	for _, shape := range []string{"full", "sparse"} {
 		tt := kernelMembers(t, shape)
-		sk := &sketch.SampledHistogramSketch{Col: "d", Buckets: spec, Rate: 0.01, Seed: 42}
+		sk := &sketch.HistogramSketch{Col: "d", Buckets: spec, Rate: 0.01, Seed: 42}
 		b.Run(shape, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sk.Summarize(tt); err != nil {
@@ -427,7 +427,7 @@ func BenchmarkKernelHistSampled(b *testing.B) {
 	fl := kernelFlights()
 	for _, col := range []string{"Distance", "DepTime", "Month", "Carrier", "Origin"} {
 		b.Run("flights/"+col, func(b *testing.B) {
-			sk := &sketch.SampledHistogramSketch{Col: col, Buckets: flightsBuckets(b, fl, col, 50), Rate: 0.1, Seed: 42}
+			sk := &sketch.HistogramSketch{Col: col, Buckets: flightsBuckets(b, fl, col, 50), Rate: 0.1, Seed: 42}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sk.Summarize(fl); err != nil {
@@ -869,7 +869,7 @@ func BenchmarkKernelHistCrossover(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r, rate := range rates {
 					exactT += scan(&sketch.HistogramSketch{Col: tc.col, Buckets: tc.spec})
-					sampledT[r] += scan(&sketch.SampledHistogramSketch{Col: tc.col, Buckets: tc.spec, Rate: rate, Seed: uint64(i + 1)})
+					sampledT[r] += scan(&sketch.HistogramSketch{Col: tc.col, Buckets: tc.spec, Rate: rate, Seed: uint64(i + 1)})
 				}
 			}
 			// The exact side ran once per rate; compare per-scan means.

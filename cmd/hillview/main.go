@@ -55,8 +55,8 @@
 // one group, which is such a pass from the start. A dashboard opening
 // eight charts over one idle table costs two scans, not eight: the first
 // chart starts at once and the other seven share one pass behind it.
-// Abandoning one batched query masks its member out of the remaining
-// scan without disturbing the others; every member that finished is
+// Abandoning one batched query does not disturb the others: its member
+// still folds with the pass, and every member, abandoned or not, is
 // cached under its own key, as if it had run alone. /api/status reports
 // the batching telemetry: batches_formed, batch_members (total members
 // across batches), and scans_saved (members minus batches).

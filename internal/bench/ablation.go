@@ -109,7 +109,7 @@ func RunAblateMicroParts(totalRows int, sizes []int, seed uint64) ([]MicroPartPo
 			return nil, err
 		}
 		rate := sketch.Rate(sketch.HistogramSampleSize(25, 100, 0.01), totalRows)
-		sampled := &sketch.SampledHistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: seed}
+		sampled := &sketch.HistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: seed}
 		sampledMS, err := medianMS(func() error {
 			_, err := ds.Sketch(context.Background(), sampled, nil)
 			return err
@@ -171,7 +171,7 @@ func RunAblateCrossover(sizes []int, seed uint64) ([]CrossoverPoint, error) {
 			return nil, err
 		}
 		rate := sketch.Rate(sketch.HistogramSampleSize(25, 100, 0.01), rows)
-		sampled := &sketch.SampledHistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: seed}
+		sampled := &sketch.HistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: seed}
 		sampledMS, err := medianMS(func() error {
 			_, err := sampled.Summarize(t)
 			return err

@@ -247,7 +247,7 @@ func RunMicro(rows int, seed uint64) (*MicroResult, error) {
 
 	rate := sketch.Rate(sketch.HistogramSampleSize(25, 100, 0.01), rows)
 	start = time.Now()
-	if _, err := (&sketch.SampledHistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: seed}).Summarize(t); err != nil {
+	if _, err := (&sketch.HistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: seed}).Summarize(t); err != nil {
 		return nil, err
 	}
 	out.Sampling = ms(time.Since(start))
@@ -342,7 +342,7 @@ func RunFig7(rowsPerLeaf int, leafCounts []int, seed uint64) ([]ScalePoint, erro
 			return nil, err
 		}
 		rate := sketch.Rate(sketch.HistogramSampleSize(25, 100, 0.01), totalRows)
-		sampled := &sketch.SampledHistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: seed}
+		sampled := &sketch.HistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: seed}
 		sampledMS, err := medianMS(func() error {
 			_, err := ds.Sketch(context.Background(), sampled, nil)
 			return err
@@ -395,7 +395,7 @@ func RunFig8(p Params, rowsPerLeaf, leavesPerServer int, serverCounts []int) ([]
 		sampledMS, err := medianMS(func() error {
 			// A fresh seed each repetition: caching a deterministic
 			// result would turn the measurement into a cache probe.
-			sampled := &sketch.SampledHistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: q.Seed + uint64(time.Now().UnixNano())}
+			sampled := &sketch.HistogramSketch{Col: "Distance", Buckets: spec, Rate: rate, Seed: q.Seed + uint64(time.Now().UnixNano())}
 			_, err := env.Sheet.Root().RunSketch(context.Background(), name, sampled, nil)
 			return err
 		})

@@ -184,7 +184,7 @@ func (e *SparkEnv) rangeOf(col string) (*sketch.DataRange, error) {
 
 // bucketCounts ships per-partition (bucket, count) rows.
 func (e *SparkEnv) bucketCounts(col string, spec sketch.BucketSpec, rate float64) error {
-	sk := &sketch.SampledHistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: e.nextSeed()}
+	sk := &sketch.HistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: e.nextSeed()}
 	parts, err := e.RDD.MapPartitions(func(t *table.Table) (any, error) {
 		res, err := sk.Summarize(t)
 		if err != nil {

@@ -54,7 +54,12 @@
 // RegisterSketchCodec; the tag tables in sketch/codec.go list every
 // tag, including those that storage and tests register) and engine (the
 // MapOp switch); tag spaces are independent, tag 0 is reserved, and
-// tags are append-only wire format.
+// tags are append-only wire format. Sketch tags 2, 3 (the sampled and
+// CDF histograms, now tag 1's Rate and Seed) and 15 are retired: a
+// request carrying one gets MsgError "unknown sketch tag N". A sketch
+// body is the sketch's whole configuration — a MultiSketch is its
+// members and nothing else — so a worker computes exactly what the root
+// would locally.
 //
 // # Partials
 //

@@ -82,8 +82,13 @@ func FuzzFrame(f *testing.F) {
 			ReqID: uint64(10 + i), Kind: MsgFinal, Result: sk.Zero(), Done: 1, Total: 1,
 		}))
 		if _, ok := sk.(*sketch.DistinctBottomKSketch); ok {
-			f.Add(retiredSketchTagFrame(f))
+			f.Add(retiredSketchTagFrame(f, retiredSketchTag, &sketch.HistogramSketch{Col: "x", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 4)}))
 		}
+	}
+	// Tags 2 and 3, the retired sampled and CDF histograms, over the
+	// body they carried — tag 1's now.
+	for _, tag := range []byte{2, 3} {
+		f.Add(retiredSketchTagFrame(f, tag, &sketch.HistogramSketch{Col: "x", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 4), Rate: 0.5, Seed: 7}))
 	}
 	// Partials are full frames: one twice over (byte-level duplication
 	// must decode both copies), one cut mid-body, and a result-less one
@@ -182,17 +187,16 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// retiredSketchTagFrame is a sealed sketch request carrying the retired
-// PCA sketch tag, in the corpus slot the PCA sketch's final held: a
-// decoder must reject it as an unknown tag, never reach a codec.
-func retiredSketchTagFrame(f *testing.F) []byte {
-	frame := frameBytes(f, &Envelope{ReqID: 1, Kind: MsgSketch, DatasetID: "d",
-		Sketch: &sketch.HistogramSketch{Col: "x", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1, 4)}})
-	if err := setSketchTag(frame, retiredSketchTag); err != nil {
+// retiredSketchTagFrame is a sealed request for sk with its sketch tag
+// relabelled to a retired one: a decoder must reject it as an unknown
+// tag, never reach a codec.
+func retiredSketchTagFrame(f *testing.F, tag byte, sk sketch.Sketch) []byte {
+	frame := frameBytes(f, &Envelope{ReqID: 1, Kind: MsgSketch, DatasetID: "d", Sketch: sk})
+	if err := setSketchTag(frame, tag); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := recvBytes(frame); err == nil || !strings.Contains(err.Error(), "unknown sketch tag 15") {
-		f.Fatalf("retired sketch tag 15: err = %v, want an unknown-tag error", err)
+	if _, err := recvBytes(frame); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown sketch tag %d", tag)) {
+		f.Fatalf("retired sketch tag %d: err = %v, want an unknown-tag error", tag, err)
 	}
 	return frame
 }

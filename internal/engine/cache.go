@@ -46,13 +46,19 @@ func NewCache(max int) *Cache {
 }
 
 // Key builds the cache key for a sketch on a dataset; ok is false when
-// the sketch is not cacheable (randomized or data-dependent sketches).
+// the sketch is not cacheable (randomized or data-dependent sketches):
+// it is not a sketch.Cacheable, or its CacheKey is empty (a seeded
+// histogram).
 func Key(datasetID string, sk sketch.Sketch) (string, bool) {
 	c, ok := sk.(sketch.Cacheable)
 	if !ok {
 		return "", false
 	}
-	return datasetID + "|" + c.CacheKey(), true
+	key := c.CacheKey()
+	if key == "" {
+		return "", false
+	}
+	return datasetID + "|" + key, true
 }
 
 // QualifyDataset renders the generation-qualified dataset identity used

@@ -720,11 +720,25 @@ func TestCacheInvalidateDataset(t *testing.T) {
 	}
 }
 
+// TestKeyCacheable: a sketch is keyed when it is Cacheable with a
+// non-empty CacheKey. A seedless histogram is keyed, a seeded one — the
+// planner's fresh sample — is not, at any Rate.
 func TestKeyCacheable(t *testing.T) {
-	if _, ok := Key("d", &sketch.RangeSketch{Col: "x"}); !ok {
-		t.Error("RangeSketch should be cacheable")
-	}
-	if _, ok := Key("d", &sketch.QuantileSketch{Order: table.Asc("x")}); ok {
-		t.Error("QuantileSketch must not be cacheable")
+	spec := sketch.NumericBuckets(table.KindDouble, 0, 1, 4)
+	for _, c := range []struct {
+		sk    sketch.Sketch
+		keyed bool
+	}{
+		{&sketch.RangeSketch{Col: "x"}, true},
+		{&sketch.QuantileSketch{Order: table.Asc("x")}, false},
+		{&sketch.HistogramSketch{Col: "x", Buckets: spec}, true},
+		{&sketch.HistogramSketch{Col: "x", Buckets: spec, Rate: 0.3}, true},
+		{&sketch.HistogramSketch{Col: "x", Buckets: spec, Seed: 7}, false},
+		{&sketch.HistogramSketch{Col: "x", Buckets: spec, Rate: 0.3, Seed: 7}, false},
+		{&sketch.HistogramSketch{Col: "x", Buckets: spec, Rate: 1, Seed: 7}, false},
+	} {
+		if key, ok := Key("d", c.sk); ok != c.keyed || ok && key != "d|"+c.sk.Name() {
+			t.Errorf("%s: key %q, keyed %v, want keyed %v", c.sk.Name(), key, ok, c.keyed)
+		}
 	}
 }

@@ -324,9 +324,9 @@ func (r *Root) RunSketch(ctx context.Context, datasetID string, sk sketch.Sketch
 // is not cacheable itself (its member set is an accident of arrival
 // timing), but each member's slot of the result is bit-for-bit what that
 // member returns alone, so it goes in under the key the member would
-// have had alone and the next repeat of any of them is a hit. A member
-// disabled in the pass's MemberMask stopped folding partitions when it was
-// abandoned; its slot is a partial sum and is never published.
+// have had alone and the next repeat of any of them is a hit. Every
+// member folds every partition — one abandoned by its caller too — so
+// every slot is whole.
 func (r *Root) publishMembers(datasetID string, gen uint64, sk sketch.Sketch, res sketch.Result) {
 	multi, ok := sk.(*sketch.MultiSketch)
 	if !ok {
@@ -337,9 +337,6 @@ func (r *Root) publishMembers(datasetID string, gen uint64, sk sketch.Sketch, re
 		return
 	}
 	for i, m := range multi.Sketches {
-		if multi.Disabled(i) {
-			continue
-		}
 		if key, cacheable := KeyAt(datasetID, gen, m); cacheable {
 			r.cache.Put(key, mr.Members[i])
 		}

@@ -43,7 +43,7 @@ func TestShardedScanMatchesUnsharded(t *testing.T) {
 		histSketch(),
 		&sketch.RangeSketch{Col: "x"},
 		&sketch.DistinctCountSketch{Col: "g"},
-		&sketch.CDFSketch{Col: "x", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 100, 40)},
+		&sketch.HistogramSketch{Col: "x", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 100, 40)},
 		&sketch.Histogram2DSketch{
 			XCol: "x", YCol: "g",
 			X: sketch.NumericBuckets(table.KindDouble, 0, 100, 10),
@@ -72,7 +72,7 @@ func TestShardedScanMatchesUnsharded(t *testing.T) {
 // with the rate.
 func TestShardedSampledDeterminism(t *testing.T) {
 	parts, _ := shardParts(t)
-	sk := &sketch.SampledHistogramSketch{
+	sk := &sketch.HistogramSketch{
 		Col:     "x",
 		Buckets: sketch.NumericBuckets(table.KindDouble, 0, 100, 10),
 		Rate:    0.2,
@@ -271,7 +271,7 @@ func TestLeafTaskChunkIDs(t *testing.T) {
 				par, sk.accs, sk.adds, res)
 		}
 	}
-	sampled := &sketch.SampledHistogramSketch{
+	sampled := &sketch.HistogramSketch{
 		Col:     "x",
 		Buckets: sketch.NumericBuckets(table.KindDouble, 0, 100, 10),
 		Rate:    0.3,

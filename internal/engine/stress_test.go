@@ -110,7 +110,7 @@ func TestDeterministicReplayOfSampledSketch(t *testing.T) {
 	if _, err := root.Load("base", "gen"); err != nil {
 		t.Fatal(err)
 	}
-	sk := &sketch.SampledHistogramSketch{
+	sk := &sketch.HistogramSketch{
 		Col:     "x",
 		Buckets: sketch.NumericBuckets(table.KindDouble, 0, 100, 16),
 		Rate:    0.2,

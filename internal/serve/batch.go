@@ -26,18 +26,20 @@ import (
 // one leaf pass, the members' column union acquired once per partition —
 // and cannot tell by the bits they receive: the pass shares the solo
 // path's partitions, per-partition sampling seeds and merge order. Nor
-// can the cache: the engine root stores each unmasked member under its
-// own key.
+// can the cache: the engine root stores each member under its own key.
+// A member abandoned mid-pass still folds every partition — the pass is
+// one scan either way — so its slot is whole and is cached like the
+// rest, exactly as on the cluster path, where workers always fed every
+// member.
 
 // batchExec is one launched pass: the execution shared by its member
 // flights — their MultiSketch, or the lone member's own sketch. members
-// and mask (nil for a lone member) are fixed at launch; live is
-// decremented under Scheduler.mu as members are abandoned.
+// is fixed at launch; live is decremented under Scheduler.mu as members
+// are abandoned.
 type batchExec struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
 	members []*flight
-	mask    *sketch.MemberMask
 	live    int
 }
 
@@ -94,7 +96,7 @@ func (s *Scheduler) launch(datasetID string, flights []*flight) {
 		if len(fl.subs) == 0 {
 			continue
 		}
-		fl.batch, fl.memberIdx = be, len(be.members)
+		fl.batch = be
 		be.members = append(be.members, fl)
 		sks = append(sks, fl.sk)
 		if tr == nil {
@@ -116,8 +118,6 @@ func (s *Scheduler) launch(datasetID string, flights []*flight) {
 			}
 			return
 		}
-		be.mask = sketch.NewMemberMask(be.live)
-		multi.SetMask(be.mask)
 		s.countBatch(be.live)
 		pass = multi
 	}

@@ -51,7 +51,7 @@ var benchSeed atomic.Uint64
 // benchSketch builds a per-call unique query (distinct seed → distinct
 // cache key) so every op pays for a real scan.
 func benchSketch() sketch.Sketch {
-	return &sketch.SampledHistogramSketch{
+	return &sketch.HistogramSketch{
 		Col:     "Distance",
 		Buckets: sketch.NumericBuckets(table.KindDouble, 0, 3000, 50),
 		Rate:    0.5,

@@ -25,10 +25,12 @@
 //     feeds every member and each subscriber sees exactly its own
 //     sketch's partials and result, bit-identical to a solo run (same
 //     partitions, seeds, merge order); a member whose subscribers all
-//     leave is masked out of the rest of the scan. A query that is itself
-//     a MultiSketch — one chart's sketches — is a batch that arrives
-//     formed: its members pass the same clauses one by one and those left
-//     run together at once, since waiting could only add strangers;
+//     leave still finishes with the pass and is cached whole, and the
+//     pass is cancelled only when every member has left. A query that is
+//     itself a MultiSketch — one chart's sketches — is a batch that
+//     arrives formed: its members pass the same clauses one by one and
+//     those left run together at once, since waiting could only add
+//     strangers;
 //   - panic isolation and resource governance: a panic anywhere under a
 //     query becomes that query's 500, counted in Stats, and per-query
 //     result-row budgets bound table-page responses before they execute.
@@ -481,9 +483,8 @@ type flight struct {
 	finished bool
 	removed  bool
 
-	// Set at launch: the flight is member memberIdx of pass batch.
-	batch     *batchExec
-	memberIdx int
+	// Set at launch: the pass the flight is a member of.
+	batch *batchExec
 
 	// The creating query's trace (nil when untraced) rides the flight so
 	// the pass's spans land somewhere; joiners only get an annotation.
@@ -563,10 +564,9 @@ func (fl *flight) wait(ctx context.Context, s *Scheduler, sub *subscriber) (sket
 		s.retire(fl)
 		if be := fl.batch; be != nil {
 			// Abandoning one member of a pass must not kill its siblings:
-			// mask it out of the remaining scan, cancel the pass only when
-			// every member is gone. (Before launch there is no pass yet;
-			// launch drops subscriber-less flights.)
-			be.mask.Disable(fl.memberIdx)
+			// the pass is cancelled only when every member is gone. (Before
+			// launch there is no pass yet; launch drops subscriber-less
+			// flights.)
 			if be.live--; be.live == 0 {
 				be.cancel()
 			}

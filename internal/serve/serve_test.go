@@ -250,30 +250,42 @@ func TestSingleFlightDedup(t *testing.T) {
 }
 
 // TestUncacheableNeverDeduped: sketches without a cache key must each
-// execute (their results may legitimately differ).
+// execute (their results may legitimately differ) — a seeded histogram
+// among them, at any Rate.
 func TestUncacheableNeverDeduped(t *testing.T) {
-	block := make(chan struct{})
-	started := make(chan struct{}, 2)
-	run := &fakeRunner{fn: func(context.Context, string, sketch.Sketch, engine.PartialFunc) (sketch.Result, error) {
-		started <- struct{}{}
-		<-block
-		return int64(1), nil
-	}}
-	s := New(run, Config{MaxInFlight: 2, Deadline: -1})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.RunSketch(context.Background(), "d", uncacheableSketch(1), nil)
-		}()
-	}
-	<-started
-	<-started // both executing concurrently → no dedup happened
-	close(block)
-	wg.Wait()
-	if got := run.calls.Load(); got != 2 {
-		t.Errorf("underlying executions = %d, want 2", got)
+	spec := sketch.NumericBuckets(table.KindDouble, 0, 100, 4)
+	for _, sk := range []sketch.Sketch{
+		uncacheableSketch(1),
+		&sketch.HistogramSketch{Col: "x", Buckets: spec, Seed: 7},
+		&sketch.HistogramSketch{Col: "x", Buckets: spec, Rate: 0.3, Seed: 7},
+		&sketch.HistogramSketch{Col: "x", Buckets: spec, Rate: 1, Seed: 7},
+	} {
+		block := make(chan struct{})
+		started := make(chan struct{}, 2)
+		run := &fakeRunner{fn: func(context.Context, string, sketch.Sketch, engine.PartialFunc) (sketch.Result, error) {
+			started <- struct{}{}
+			<-block
+			return int64(1), nil
+		}}
+		s := New(run, Config{MaxInFlight: 2, Deadline: -1})
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.RunSketch(context.Background(), "d", sk, nil)
+			}()
+		}
+		<-started
+		<-started // both executing concurrently → no dedup happened
+		close(block)
+		wg.Wait()
+		if got := run.calls.Load(); got != 2 {
+			t.Errorf("%s: underlying executions = %d, want 2", sk.Name(), got)
+		}
+		if st := s.Stats(); st.DedupJoins != 0 {
+			t.Errorf("%s: %d dedup joins, want 0", sk.Name(), st.DedupJoins)
+		}
 	}
 }
 

@@ -60,8 +60,8 @@ func TestMergeTreeMatchesSequentialFold(t *testing.T) {
 	catSpec := StringBucketsFromBounds([]string{"beta", "epsilon", "gamma"}, false)
 	sketches := []Sketch{
 		&HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 13)},
-		&SampledHistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 13), Rate: 0.4, Seed: 5},
-		&CDFSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 40), Rate: 0.3, Seed: 6},
+		&HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 13), Rate: 0.4, Seed: 5},
+		&HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 40), Rate: 0.3, Seed: 6},
 		&Histogram2DSketch{XCol: "x", YCol: "cat", X: NumericBuckets(table.KindDouble, 0, 100, 10), Y: catSpec},
 		&RangeSketch{Col: "x"},
 		&RangeSketch{Col: "cat"},

@@ -134,13 +134,9 @@ func histogramScan(m table.Membership, bi BatchIndexer, h *Histogram) {
 	}
 }
 
-// histogramSampleScan runs the sampled scan of a histogram over members.
-// rate >= 1 degenerates to the exact scan, which visits the same rows.
+// histogramSampleScan runs the sampled scan of a histogram over members,
+// at a rate in (0, 1).
 func histogramSampleScan(m table.Membership, bi BatchIndexer, h *Histogram, rate float64, seed uint64) {
-	if rate >= 1 {
-		histogramScan(m, bi, h)
-		return
-	}
 	tallies := make([]int64, len(h.Counts)+2)
 	var n int64
 	if bc, ok := bi.(bucketCounter); ok {

@@ -292,7 +292,7 @@ func TestBatchHistogramEquivalence(t *testing.T) {
 			name := fmt.Sprintf("%s/%s/%s/rate=%g", tc.name, sc.col, sc.spec, rate)
 			var sk Sketch = &HistogramSketch{Col: sc.col, Buckets: sc.spec}
 			if rate < 1 {
-				sk = &SampledHistogramSketch{Col: sc.col, Buckets: sc.spec, Rate: rate, Seed: 7}
+				sk = &HistogramSketch{Col: sc.col, Buckets: sc.spec, Rate: rate, Seed: 7}
 			}
 			got, err := sk.Summarize(tc.t)
 			if err != nil {
@@ -320,12 +320,12 @@ func TestBatchSampledHistogramEquivalence(t *testing.T) {
 	for _, tc := range eqTables(5000) {
 		for _, rate := range []float64{0.02, 0.25, 0.8, 1.0, 1.5} {
 			for _, seed := range []uint64{1, 99} {
-				sk := &SampledHistogramSketch{Col: "dm", Buckets: doubleSpec(), Rate: rate, Seed: seed}
+				sk := &HistogramSketch{Col: "dm", Buckets: doubleSpec(), Rate: rate, Seed: seed}
 				got, err := sk.Summarize(tc.t)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := refHistogram(tc.t, "dm", doubleSpec(), rate, seed)
+				want := refHistogram(tc.t, "dm", doubleSpec(), min(rate, 1), seed)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s rate=%g seed=%d: sampled batch differs from reference", tc.name, rate, seed)
 				}
@@ -342,10 +342,13 @@ func TestBatchSampledHistogramEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchCDFEquivalence: the histogram behind a CDF plot has one
+// bucket per horizontal pixel, exact (Rate 0) or sampled.
 func TestBatchCDFEquivalence(t *testing.T) {
+	pixels := NumericBuckets(table.KindInt, 0, 1000, 200)
 	for _, tc := range eqTables(3000) {
 		for _, rate := range []float64{0, 0.3} {
-			sk := &CDFSketch{Col: "im", Buckets: intSpec(), Rate: rate, Seed: 5}
+			sk := &HistogramSketch{Col: "im", Buckets: pixels, Rate: rate, Seed: 5}
 			got, err := sk.Summarize(tc.t)
 			if err != nil {
 				t.Fatal(err)
@@ -354,7 +357,7 @@ func TestBatchCDFEquivalence(t *testing.T) {
 			if r <= 0 {
 				r = 1
 			}
-			want := refHistogram(tc.t, "im", intSpec(), r, 5)
+			want := refHistogram(tc.t, "im", pixels, r, 5)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s rate=%g: CDF batch differs from reference", tc.name, rate)
 			}

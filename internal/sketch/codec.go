@@ -72,20 +72,22 @@ const (
 
 // Sketch codec tags (a separate tag space from results).
 const (
-	tagHistogramSketch        = 1
-	tagSampledHistogramSketch = 2
-	tagCDFSketch              = 3
-	tagHistogram2DSketch      = 4
-	tagTrellisSketch          = 5
-	tagNextKSketch            = 6
-	tagFindTextSketch         = 7
-	tagQuantileSketch         = 8
-	tagMisraGriesSketch       = 9
-	tagSampleHHSketch         = 10
-	tagRangeSketch            = 11
-	tagMomentsSketch          = 12
-	tagDistinctCountSketch    = 13
-	tagDistinctBottomKSketch  = 14
+	// Tag 1's body is Col, Buckets, Rate, Seed: bars and CDF, exact and
+	// sampled, are one type.
+	tagHistogramSketch = 1
+	// 2 and 3 were the sampled-histogram and CDF sketches; retired,
+	// never reused.
+	tagHistogram2DSketch     = 4
+	tagTrellisSketch         = 5
+	tagNextKSketch           = 6
+	tagFindTextSketch        = 7
+	tagQuantileSketch        = 8
+	tagMisraGriesSketch      = 9
+	tagSampleHHSketch        = 10
+	tagRangeSketch           = 11
+	tagMomentsSketch         = 12
+	tagDistinctCountSketch   = 13
+	tagDistinctBottomKSketch = 14
 	// 15 was the PCA sketch; retired, never reused.
 	tagMetaSketch  = 16
 	tagMultiSketch = 17

@@ -11,8 +11,6 @@ import (
 
 func init() {
 	RegisterSketchCodec(tagHistogramSketch, func() WireSketch { return &HistogramSketch{} })
-	RegisterSketchCodec(tagSampledHistogramSketch, func() WireSketch { return &SampledHistogramSketch{} })
-	RegisterSketchCodec(tagCDFSketch, func() WireSketch { return &CDFSketch{} })
 	RegisterSketchCodec(tagHistogram2DSketch, func() WireSketch { return &Histogram2DSketch{} })
 	RegisterSketchCodec(tagTrellisSketch, func() WireSketch { return &TrellisSketch{} })
 	RegisterSketchCodec(tagNextKSketch, func() WireSketch { return &NextKSketch{} })
@@ -30,53 +28,13 @@ func init() {
 // AppendWire implements WireSketch.
 func (s *HistogramSketch) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, s.Col)
-	return appendBucketSpec(b, s.Buckets)
+	b = appendBucketSpec(b, s.Buckets)
+	b = wire.AppendF64(b, s.Rate)
+	return wire.AppendU64(b, s.Seed)
 }
 
 // DecodeWire implements WireSketch.
 func (s *HistogramSketch) DecodeWire(b []byte) ([]byte, error) {
-	var err error
-	if s.Col, b, err = wire.ConsumeString(b); err != nil {
-		return b, err
-	}
-	s.Buckets, b, err = consumeBucketSpec(b)
-	return b, err
-}
-
-// AppendWire implements WireSketch.
-func (s *SampledHistogramSketch) AppendWire(b []byte) []byte {
-	b = wire.AppendString(b, s.Col)
-	b = appendBucketSpec(b, s.Buckets)
-	b = wire.AppendF64(b, s.Rate)
-	return wire.AppendU64(b, s.Seed)
-}
-
-// DecodeWire implements WireSketch.
-func (s *SampledHistogramSketch) DecodeWire(b []byte) ([]byte, error) {
-	var err error
-	if s.Col, b, err = wire.ConsumeString(b); err != nil {
-		return b, err
-	}
-	if s.Buckets, b, err = consumeBucketSpec(b); err != nil {
-		return b, err
-	}
-	if s.Rate, b, err = wire.ConsumeF64(b); err != nil {
-		return b, err
-	}
-	s.Seed, b, err = wire.ConsumeU64(b)
-	return b, err
-}
-
-// AppendWire implements WireSketch.
-func (s *CDFSketch) AppendWire(b []byte) []byte {
-	b = wire.AppendString(b, s.Col)
-	b = appendBucketSpec(b, s.Buckets)
-	b = wire.AppendF64(b, s.Rate)
-	return wire.AppendU64(b, s.Seed)
-}
-
-// DecodeWire implements WireSketch.
-func (s *CDFSketch) DecodeWire(b []byte) ([]byte, error) {
 	var err error
 	if s.Col, b, err = wire.ConsumeString(b); err != nil {
 		return b, err

@@ -101,8 +101,8 @@ func testInstances(seed uint64, info table.GenInfo) []Sketch {
 	gB := StringBucketsFromDistinct(info.DictValues, 3)
 	return []Sketch{
 		&HistogramSketch{Col: "gd", Buckets: dB(13)},
-		&SampledHistogramSketch{Col: "gd", Buckets: dB(10), Rate: 0.4, Seed: seed ^ 1},
-		&CDFSketch{Col: "gi", Buckets: iB, Rate: 0.5, Seed: seed ^ 2},
+		&HistogramSketch{Col: "gd", Buckets: dB(10), Rate: 0.4, Seed: seed ^ 1},
+		&HistogramSketch{Col: "gi", Buckets: iB, Rate: 0.5, Seed: seed ^ 2},
 		&Histogram2DSketch{XCol: "gd", YCol: "gs", X: dB(6), Y: sB},
 		&TrellisSketch{GroupCol: "gs", XCol: "gd", YCol: "gi", Group: gB, X: dB(4), Y: iB, Rate: 0.6, Seed: seed ^ 3},
 		&NextKSketch{Order: table.Asc("gd").Then("gi", false), Extra: []string{"gs"}, K: 25},
@@ -121,7 +121,7 @@ func testInstances(seed uint64, info table.GenInfo) []Sketch {
 		mustMulti(
 			&HistogramSketch{Col: "gi", Buckets: iB},
 			&MisraGriesSketch{Col: "gs", K: 7},
-			&SampledHistogramSketch{Col: "gd", Buckets: dB(8), Rate: 0.5, Seed: seed ^ 8},
+			&HistogramSketch{Col: "gd", Buckets: dB(8), Rate: 0.5, Seed: seed ^ 8},
 			&RangeSketch{Col: "gt"},
 		),
 	}

@@ -18,12 +18,6 @@ func orderCols(order table.RecordOrder, extra []string, more ...string) []string
 func (s *HistogramSketch) Columns() []string { return []string{s.Col} }
 
 // Columns implements ColumnUser.
-func (s *SampledHistogramSketch) Columns() []string { return []string{s.Col} }
-
-// Columns implements ColumnUser.
-func (s *CDFSketch) Columns() []string { return []string{s.Col} }
-
-// Columns implements ColumnUser.
 func (s *Histogram2DSketch) Columns() []string { return []string{s.XCol, s.YCol} }
 
 // Columns implements ColumnUser.

@@ -49,10 +49,11 @@ func (h *Histogram2D) MaxCell() int64 {
 }
 
 // Histogram2DSketch counts rows over a two-dimensional bucket grid. A
-// Rate of 0 (or ≥1) scans every member row — required by the normalized
-// stacked histogram (paper App. B.1: a small X bin normalized to a full
-// bar would amplify sampling error) and by log-scale heat maps; other
-// uses sample (paper §4.3, heat map target n = O(c²Bx²By²·log(1/δ))).
+// Rate outside (0, 1) scans every member row (sampleRate) — required by
+// the normalized stacked histogram (paper App. B.1: a small X bin
+// normalized to a full bar would amplify sampling error) and by
+// log-scale heat maps; other uses sample (paper §4.3, heat map target
+// n = O(c²Bx²By²·log(1/δ))).
 type Histogram2DSketch struct {
 	XCol, YCol string
 	X, Y       BucketSpec
@@ -72,16 +73,8 @@ func (s *Histogram2DSketch) Zero() Result {
 		Y:          s.Y,
 		Counts:     make([]int64, s.X.NumBuckets()*s.Y.NumBuckets()),
 		YOther:     make([]int64, s.X.NumBuckets()),
-		SampleRate: s.sampleRate(),
+		SampleRate: sampleRate(s.Rate),
 	}
-}
-
-// sampleRate is Rate with 0 and rates above 1 read as a full scan.
-func (s *Histogram2DSketch) sampleRate() float64 {
-	if s.Rate <= 0 || s.Rate > 1 {
-		return 1
-	}
-	return s.Rate
 }
 
 // slotBuffers recycles the pair of slot buffers a 2-D scan indexes its
@@ -127,7 +120,7 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 			cells[x*stride+ys[i]]++
 		}
 	}
-	rate := s.sampleRate()
+	rate := sampleRate(s.Rate)
 	if rate >= 1 {
 		scanBatches(t.Members(),
 			func(a, b int) {

@@ -59,30 +59,58 @@ func (h *Histogram) CDF() []float64 {
 	return out
 }
 
-// HistogramSketch computes an exact (streaming) histogram: every member
-// row is scanned and counted (paper App. B.1 "Histogram (streaming)",
-// for "users [who] want to get the results precise to the last digit").
+// HistogramSketch computes the histogram behind bar charts and CDF
+// plots: a CDF is a histogram with one bucket per horizontal pixel,
+// rendered as its prefix sum (paper App. B.1). A Rate in (0, 1) samples
+// member rows uniformly at that rate, chosen by the planner from the
+// display resolution (paper §4.3) and drawn deterministically in (Seed,
+// partition ID); any other Rate scans and counts every member row
+// (App. B.1 "Histogram (streaming)", for "users [who] want to get the
+// results precise to the last digit").
 type HistogramSketch struct {
 	Col     string
 	Buckets BucketSpec
+	// Rate is the per-row inclusion probability, identical at every leaf
+	// (the planner's targetSize / N); read by sampleRate.
+	Rate float64
+	// Seed drives the sampling; recorded in the redo log for replay.
+	Seed uint64
 }
 
-// Name implements Sketch.
+// SampledHistogramSketch is HistogramSketch under the name the
+// benchmark harness (benchmark/seam.go) still uses.
+type SampledHistogramSketch = HistogramSketch
+
+// Name implements Sketch. The zero Rate and Seed of the exact
+// histogram charts send are left out.
 func (s *HistogramSketch) Name() string {
-	return fmt.Sprintf("histogram(%s,%s)", s.Col, s.Buckets)
+	if s.Rate == 0 && s.Seed == 0 {
+		return fmt.Sprintf("histogram(%s,%s)", s.Col, s.Buckets)
+	}
+	return fmt.Sprintf("histogram(%s,%s,r=%g,seed=%d)", s.Col, s.Buckets, s.Rate, s.Seed)
 }
 
-// CacheKey implements Cacheable: the streaming histogram is
-// deterministic.
-func (s *HistogramSketch) CacheKey() string { return s.Name() }
+// CacheKey implements Cacheable. A seedless histogram is a pure function
+// of its configuration and the data, so repeats are served from the
+// computation cache. A seeded one is the planner's fresh sample of one
+// request: its key is empty, which engine.Key reads as not cacheable.
+func (s *HistogramSketch) CacheKey() string {
+	if s.Seed != 0 {
+		return ""
+	}
+	return s.Name()
+}
 
 // Zero implements Sketch.
 func (s *HistogramSketch) Zero() Result {
-	return &Histogram{Buckets: s.Buckets, Counts: make([]int64, s.Buckets.NumBuckets()), SampleRate: 1}
+	return &Histogram{Buckets: s.Buckets, Counts: make([]int64, s.Buckets.NumBuckets()), SampleRate: sampleRate(s.Rate)}
 }
 
 // Summarize implements Sketch via the batch kernels: spans of the
-// membership are bucket-indexed and tallied kernelBatch rows at a time.
+// membership, or the deterministic sample rows gathered into batches,
+// are bucket-indexed and tallied kernelBatch rows at a time — so a
+// sample is identical to sampling row at a time with the same (Seed,
+// partition) pair.
 func (s *HistogramSketch) Summarize(t *table.Table) (Result, error) {
 	col, err := t.Column(s.Col)
 	if err != nil {
@@ -93,63 +121,16 @@ func (s *HistogramSketch) Summarize(t *table.Table) (Result, error) {
 		return nil, err
 	}
 	h := s.Zero().(*Histogram)
-	histogramScan(t.Members(), bi, h)
+	if h.SampleRate < 1 {
+		histogramSampleScan(t.Members(), bi, h, h.SampleRate, PartitionSeed(s.Seed, t.ID()))
+	} else {
+		histogramScan(t.Members(), bi, h)
+	}
 	return h, nil
 }
 
 // Merge implements Sketch.
 func (s *HistogramSketch) Merge(a, b Result) (Result, error) {
-	return mergeHistograms(a, b)
-}
-
-// SampledHistogramSketch computes an approximate histogram by uniform
-// row sampling at a fixed rate chosen by the planner from the display
-// resolution (paper §4.3). Per-partition sampling is deterministic in
-// (Seed, partition ID).
-type SampledHistogramSketch struct {
-	Col     string
-	Buckets BucketSpec
-	// Rate is the per-row inclusion probability, identical at every leaf
-	// (computed by the planner as targetSize / N).
-	Rate float64
-	// Seed drives the sampling; recorded in the redo log for replay.
-	Seed uint64
-}
-
-// Name implements Sketch.
-func (s *SampledHistogramSketch) Name() string {
-	return fmt.Sprintf("sampled-histogram(%s,%s,r=%g,seed=%d)", s.Col, s.Buckets, s.Rate, s.Seed)
-}
-
-// Zero implements Sketch.
-func (s *SampledHistogramSketch) Zero() Result {
-	return &Histogram{Buckets: s.Buckets, Counts: make([]int64, s.Buckets.NumBuckets()), SampleRate: s.Rate}
-}
-
-// Summarize implements Sketch. The deterministic sample rows are
-// gathered into batches and bucket-indexed by the same kernels as the
-// exact scan, so the result is identical to sampling row at a time with
-// the same (Seed, partition) pair.
-func (s *SampledHistogramSketch) Summarize(t *table.Table) (Result, error) {
-	col, err := t.Column(s.Col)
-	if err != nil {
-		return nil, err
-	}
-	bi, err := s.Buckets.BatchIndexer(col)
-	if err != nil {
-		return nil, err
-	}
-	h := s.Zero().(*Histogram)
-	histogramSampleScan(t.Members(), bi, h, s.Rate, PartitionSeed(s.Seed, t.ID()))
-	return h, nil
-}
-
-// Merge implements Sketch.
-func (s *SampledHistogramSketch) Merge(a, b Result) (Result, error) {
-	return mergeHistograms(a, b)
-}
-
-func mergeHistograms(a, b Result) (Result, error) {
 	ha, ok1 := a.(*Histogram)
 	hb, ok2 := b.(*Histogram)
 	if !ok1 || !ok2 {
@@ -170,44 +151,4 @@ func mergeHistograms(a, b Result) (Result, error) {
 		out.Counts[i] = ha.Counts[i] + hb.Counts[i]
 	}
 	return out, nil
-}
-
-// CDFSketch computes the summary behind a CDF plot: a fine-grained
-// histogram with one bucket per horizontal pixel, sampled at the
-// CDF rate (paper App. B.1). Rendering takes the prefix-sum of the
-// result. A zero Rate means exact computation.
-type CDFSketch struct {
-	Col     string
-	Buckets BucketSpec // Count = horizontal pixels
-	Rate    float64
-	Seed    uint64
-}
-
-// Name implements Sketch.
-func (s *CDFSketch) Name() string {
-	return fmt.Sprintf("cdf(%s,%s,r=%g,seed=%d)", s.Col, s.Buckets, s.Rate, s.Seed)
-}
-
-// Zero implements Sketch.
-func (s *CDFSketch) Zero() Result {
-	rate := s.Rate
-	if rate <= 0 {
-		rate = 1
-	}
-	return &Histogram{Buckets: s.Buckets, Counts: make([]int64, s.Buckets.NumBuckets()), SampleRate: rate}
-}
-
-// Summarize implements Sketch.
-func (s *CDFSketch) Summarize(t *table.Table) (Result, error) {
-	inner := &SampledHistogramSketch{Col: s.Col, Buckets: s.Buckets, Rate: s.Rate, Seed: s.Seed}
-	if s.Rate <= 0 {
-		es := &HistogramSketch{Col: s.Col, Buckets: s.Buckets}
-		return es.Summarize(t)
-	}
-	return inner.Summarize(t)
-}
-
-// Merge implements Sketch.
-func (s *CDFSketch) Merge(a, b Result) (Result, error) {
-	return mergeHistograms(a, b)
 }

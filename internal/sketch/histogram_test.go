@@ -109,14 +109,14 @@ func TestHistogramExactMergeability(t *testing.T) {
 
 func TestHistogramMergeInvariance(t *testing.T) {
 	tbl := genTable("h3", 3000, 3)
-	sk := &SampledHistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 10), Rate: 0.3, Seed: 11}
+	sk := &HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 10), Rate: 0.3, Seed: 11}
 	parts := summarizeParts(t, sk, splitTable(tbl, 5))
 	checkMergeInvariance(t, sk, parts)
 }
 
 func TestSampledHistogramDeterminism(t *testing.T) {
 	tbl := genTable("h4", 20000, 4)
-	sk := &SampledHistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 10), Rate: 0.1, Seed: 5}
+	sk := &HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 10), Rate: 0.1, Seed: 5}
 	a, err := sk.Summarize(tbl)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestSampledHistogramDeterminism(t *testing.T) {
 		}
 	}
 	// A different seed must give a different sample (overwhelmingly).
-	sk2 := &SampledHistogramSketch{Col: "x", Buckets: sk.Buckets, Rate: 0.1, Seed: 6}
+	sk2 := &HistogramSketch{Col: "x", Buckets: sk.Buckets, Rate: 0.1, Seed: 6}
 	c, _ := sk2.Summarize(tbl)
 	hc := c.(*Histogram)
 	same := true
@@ -169,7 +169,7 @@ func TestHistogramOnePixelAccuracy(t *testing.T) {
 	failures := 0
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
-		sk := &SampledHistogramSketch{Col: "x", Buckets: spec, Rate: rate, Seed: uint64(trial)}
+		sk := &HistogramSketch{Col: "x", Buckets: spec, Rate: rate, Seed: uint64(trial)}
 		res, err := sk.Summarize(tbl)
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +220,7 @@ func TestHistogramStringColumn(t *testing.T) {
 func TestCDFSketch(t *testing.T) {
 	tbl := genTable("cdf", 50000, 12)
 	spec := NumericBuckets(table.KindDouble, 0, 100, 200) // 200 horizontal pixels
-	sk := &CDFSketch{Col: "x", Buckets: spec, Rate: Rate(CDFSampleSize(100, 0.01), 50000), Seed: 3}
+	sk := &HistogramSketch{Col: "x", Buckets: spec, Rate: Rate(CDFSampleSize(100, 0.01), 50000), Seed: 3}
 	res, err := sk.Summarize(tbl)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestCDFSketch(t *testing.T) {
 		t.Errorf("cdf midpoint = %v, want ≈0.5", mid)
 	}
 	// Exact mode (Rate 0).
-	ex := &CDFSketch{Col: "x", Buckets: spec}
+	ex := &HistogramSketch{Col: "x", Buckets: spec}
 	res2, err := ex.Summarize(tbl)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestCDFHalfPixelAccuracy(t *testing.T) {
 	const vPix = 100
 	tbl := genTable("cdfacc", rows, 13)
 	spec := NumericBuckets(table.KindDouble, 0, 100, 100)
-	exact, err := (&CDFSketch{Col: "x", Buckets: spec}).Summarize(tbl)
+	exact, err := (&HistogramSketch{Col: "x", Buckets: spec}).Summarize(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCDFHalfPixelAccuracy(t *testing.T) {
 	failures := 0
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
-		sk := &CDFSketch{Col: "x", Buckets: spec, Rate: rate, Seed: uint64(100 + trial)}
+		sk := &HistogramSketch{Col: "x", Buckets: spec, Rate: rate, Seed: uint64(100 + trial)}
 		res, err := sk.Summarize(tbl)
 		if err != nil {
 			t.Fatal(err)
@@ -405,7 +405,7 @@ func BenchmarkHistogramSampled1M(b *testing.B) {
 	rate := Rate(HistogramSampleSize(25, 100, 0.01), 1000000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk := &SampledHistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 25), Rate: rate, Seed: uint64(i)}
+		sk := &HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 25), Rate: rate, Seed: uint64(i)}
 		if _, err := sk.Summarize(tbl); err != nil {
 			b.Fatal(err)
 		}

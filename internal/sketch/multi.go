@@ -3,7 +3,6 @@ package sketch
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/table"
 	"repro/internal/wire"
@@ -31,13 +30,6 @@ import (
 // shared pass finishes (engine.Root.RunSketch).
 type MultiSketch struct {
 	Sketches []Sketch
-
-	// mask optionally disables members mid-run (per-member cancellation
-	// in a batch). Local-only serving-layer state: it is not part of the
-	// sketch's configuration, never serializes (the codec skips it), and
-	// is nil after a wire transfer — remote workers keep feeding every
-	// member, and cancellation there only stops result delivery.
-	mask *MemberMask
 }
 
 // MultiResult is the member-wise result vector of a MultiSketch;
@@ -73,42 +65,6 @@ func MembersOf(sk Sketch) (members []Sketch, grouped bool) {
 	return []Sketch{sk}, false
 }
 
-// MemberMask is a shared, concurrency-safe set of disabled member
-// indices. The serving layer hands one mask to a batch; disabling a
-// member makes every local accumulator skip it from the next partition
-// on.
-type MemberMask struct {
-	off []atomic.Bool
-}
-
-// NewMemberMask returns a mask for n members, all enabled.
-func NewMemberMask(n int) *MemberMask {
-	return &MemberMask{off: make([]atomic.Bool, n)}
-}
-
-// Disable marks member i disabled; it is safe to call concurrently with
-// a running scan.
-func (m *MemberMask) Disable(i int) {
-	if m != nil && i >= 0 && i < len(m.off) {
-		m.off[i].Store(true)
-	}
-}
-
-// Disabled reports whether member i is disabled; a nil mask disables
-// nothing.
-func (m *MemberMask) Disabled(i int) bool {
-	return m != nil && i >= 0 && i < len(m.off) && m.off[i].Load()
-}
-
-// SetMask installs the (local-only) member skip mask; see the mask
-// field's comment for its semantics.
-func (s *MultiSketch) SetMask(m *MemberMask) { s.mask = m }
-
-// Disabled reports whether member i has been disabled in the installed
-// mask. Disabling is permanent, so once the run is over a false answer
-// means the member folded every partition.
-func (s *MultiSketch) Disabled(i int) bool { return s.mask.Disabled(i) }
-
 // Name implements Sketch.
 func (s *MultiSketch) Name() string {
 	names := make([]string, len(s.Sketches))
@@ -127,15 +83,11 @@ func (s *MultiSketch) Zero() Result {
 	return &MultiResult{Members: members}
 }
 
-// Summarize implements Sketch: each enabled member summarizes the same
-// partition; a disabled member contributes its Zero.
+// Summarize implements Sketch: each member summarizes the same
+// partition.
 func (s *MultiSketch) Summarize(t *table.Table) (Result, error) {
 	members := make([]Result, len(s.Sketches))
 	for i, m := range s.Sketches {
-		if s.mask.Disabled(i) {
-			members[i] = m.Zero()
-			continue
-		}
 		r, err := m.Summarize(t)
 		if err != nil {
 			return nil, fmt.Errorf("member %d (%s): %w", i, m.Name(), err)
@@ -216,9 +168,6 @@ func (a *multiAccumulator) Next() Accumulator {
 
 func (a *multiAccumulator) Add(t *table.Table) error {
 	for i, m := range a.members {
-		if a.ms.mask.Disabled(i) {
-			continue
-		}
 		if err := m.Add(t); err != nil {
 			return fmt.Errorf("member %d (%s): %w", i, a.ms.Sketches[i].Name(), err)
 		}

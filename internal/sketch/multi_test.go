@@ -83,7 +83,7 @@ func TestMultiSketchMemberIdentity(t *testing.T) {
 	members := []Sketch{
 		&HistogramSketch{Col: "gd", Buckets: NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 9)},
 		&RangeSketch{Col: "gi"},
-		&SampledHistogramSketch{Col: "gd", Buckets: NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 6), Rate: 0.5, Seed: 17},
+		&HistogramSketch{Col: "gd", Buckets: NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 6), Rate: 0.5, Seed: 17},
 		&DistinctCountSketch{Col: "gs"},
 	}
 	ms := mustMulti(members...)
@@ -128,47 +128,6 @@ func TestMultiSketchMemberIdentity(t *testing.T) {
 		if !reflect.DeepEqual(final.Members[i], solo.Result()) {
 			t.Errorf("member %d (%s): batched accumulator differs from solo", i, m.Name())
 		}
-	}
-}
-
-// TestMultiSketchMask pins per-member cancellation: a disabled member
-// stops folding new partitions while the others continue unaffected.
-func TestMultiSketchMask(t *testing.T) {
-	parts, info := multiTestParts(t)
-	hist := &HistogramSketch{Col: "gd", Buckets: NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 5)}
-	rng := &RangeSketch{Col: "gi"}
-	ms := mustMulti(hist, rng)
-	mask := NewMemberMask(2)
-	ms.SetMask(mask)
-
-	acc := ms.NewAccumulator()
-	if err := acc.Add(parts[0]); err != nil {
-		t.Fatal(err)
-	}
-	mask.Disable(0)
-	for _, p := range parts[1:] {
-		if err := acc.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := acc.Result().(*MultiResult)
-
-	// Member 0 saw only the first partition; member 1 saw everything.
-	want0, err := hist.Summarize(parts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloAcc := AccumulatorOf(rng)
-	for _, p := range parts {
-		if err := soloAcc.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(got.Members[0], want0) {
-		t.Errorf("disabled member kept folding: %+v", got.Members[0])
-	}
-	if !reflect.DeepEqual(got.Members[1], soloAcc.Result()) {
-		t.Errorf("enabled member affected by sibling's mask")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // SampleHeavyHittersSketch finds heavy hitters by uniform sampling
 // (paper §4.3): sample ~n = K²·log(K/δ) rows and keep values occurring
 // at least 3n/4K times. "This method is particularly efficient if K is
-// small."
+// small." A Rate outside (0, 1) counts every member row (sampleRate).
 type SampleHeavyHittersSketch struct {
 	Col  string
 	K    int
@@ -34,7 +34,7 @@ func (s *SampleHeavyHittersSketch) Summarize(t *table.Table) (Result, error) {
 		return nil, err
 	}
 	out := &HeavyHitters{K: s.K, Counters: map[table.Value]int64{}, Sampled: true}
-	sampleValues(t.Members(), col, s.Rate, PartitionSeed(s.Seed, t.ID()), func(vals []table.Value) {
+	sampleValues(t.Members(), col, sampleRate(s.Rate), PartitionSeed(s.Seed, t.ID()), func(vals []table.Value) {
 		out.ScannedRows += int64(len(vals))
 		for _, v := range vals {
 			out.Counters[v]++

@@ -17,14 +17,6 @@ import "math"
 // The planner does not always sample: the histogram and CDF sites take
 // their rate from HistogramRate, which scans every row from
 // HistogramExactAboveRate up.
-//
-// "Every row" has two spellings among the sketch configurations, kept
-// because the Rate field is part of each sketch's name and wire form:
-// Rate ≥ 1 in all of them, and also Rate ≤ 0 in CDFSketch,
-// Histogram2DSketch and TrellisSketch — whereas a
-// SampledHistogramSketch or SampleHeavyHittersSketch with Rate ≤ 0
-// samples nothing. Rate and HistogramRate only return values in (0, 1],
-// which all of them read the same way.
 
 // sampleC is the practical constant C in the CV² calibration.
 const sampleC = 4.0
@@ -90,6 +82,17 @@ func Rate(target, n int) float64 {
 	return float64(target) / float64(n)
 }
 
+// sampleRate is how every sampling sketch reads its Rate field: a rate
+// in (0, 1) samples each member row with that probability, and any other
+// value — 0, negative, 1 or more, NaN off a crafted frame — scans every
+// row. It is also the SampleRate the sketch's result reports.
+func sampleRate(rate float64) float64 {
+	if rate > 0 && rate < 1 {
+		return rate
+	}
+	return 1
+}
+
 // HistogramExactAboveRate is the sampling rate at and above which the
 // sampled 1-D histogram kernel stops being cheaper than the exact one.
 // The sample sizes above are display-derived, so on a table not much
@@ -105,9 +108,9 @@ func Rate(target, n int) float64 {
 // kernels, whose every-row paths cost more: their sites keep Rate.
 const HistogramExactAboveRate = 0.2
 
-// HistogramRate is Rate for SampledHistogramSketch and CDFSketch: the
-// same target/n below HistogramExactAboveRate, 1 — which both run on the
-// exact kernel — from there up.
+// HistogramRate is Rate for HistogramSketch, bars and CDF alike: the
+// same target/n below HistogramExactAboveRate, 1 — the exact kernel —
+// from there up.
 func HistogramRate(target, n int) float64 {
 	if r := Rate(target, n); r < HistogramExactAboveRate {
 		return r

@@ -21,6 +21,13 @@
 // same partition is bit-identical. This is the determinism requirement
 // of the fault-tolerance design (paper §5.8).
 //
+// A sketch is its configuration: exported fields and nothing else, all
+// of them on the wire, so a worker runs exactly the sketch the root
+// built. Exact and sampled modes of a vizketch are one type whose Rate
+// picks the mode (sampleRate: a rate in (0, 1) samples, any other value
+// scans every row) — the histogram behind bars and CDF plots, the 2-D
+// histogram, the trellis.
+//
 // # Batch kernels
 //
 // The hot sketches (histograms, CDF, hist2d, heavy hitters, range,
@@ -74,8 +81,9 @@ import "repro/internal/table"
 type Result any
 
 // Sketch is a mergeable summarization method. Implementations are plain
-// data (exported configuration fields only) so they serialize to remote
-// workers, and their methods are pure: no shared state, no goroutines —
+// data, with no exception: exported configuration fields only, every one
+// serialized to remote workers. Their methods are pure: no shared state,
+// no goroutines —
 // the engine owns concurrency (paper §5.5: vizketch authors "do not have
 // to worry about concurrency, communication, or fault-tolerance").
 type Sketch interface {
@@ -169,7 +177,9 @@ func SketchColumns(sk Sketch) []string {
 type Cacheable interface {
 	Sketch
 	// CacheKey returns the cache key; sketches with equal CacheKey on
-	// the same dataset always produce equal results.
+	// the same dataset always produce equal results. An empty key marks
+	// a configuration of the type that is not cacheable (a seeded
+	// histogram).
 	CacheKey() string
 }
 

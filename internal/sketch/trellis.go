@@ -39,10 +39,7 @@ func (s *TrellisSketch) Name() string {
 
 // Zero implements Sketch.
 func (s *TrellisSketch) Zero() Result {
-	rate := s.Rate
-	if rate <= 0 || rate > 1 {
-		rate = 1
-	}
+	rate := sampleRate(s.Rate)
 	plots := make([]*Histogram2D, s.Group.NumBuckets())
 	for i := range plots {
 		plots[i] = &Histogram2D{

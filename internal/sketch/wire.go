@@ -9,8 +9,6 @@ package sketch
 // registered wire codec (codec.go).
 var wireSketches = []Sketch{
 	&HistogramSketch{},
-	&SampledHistogramSketch{},
-	&CDFSketch{},
 	&Histogram2DSketch{},
 	&TrellisSketch{},
 	&NextKSketch{},

@@ -151,25 +151,22 @@ func (v *View) Histogram(ctx context.Context, col string, opts ChartOptions) (*H
 	}
 	spec, rng := axes[0].buckets(opts.Bars)
 	out := &HistogramView{Col: col, Buckets: spec, Range: rng}
-	// Exact names the deterministic streaming histogram for bars and CDF
-	// alike: no seed in the name, so repeats dedup and are served from the
-	// computation cache. Otherwise the seeded sampled sketches run at the
+	// Bars and CDF are one sketch type. Exact leaves Rate and Seed zero:
+	// the deterministic full scan, so repeats dedup and are served from
+	// the computation cache. Otherwise each is seeded and runs at the
 	// planner's rate, which is 1 — the same exact kernel — wherever
 	// sampling would not be the cheaper scan (sketch.HistogramRate).
 	n := int(v.NumRows())
-	sks := []sketch.Sketch{&sketch.HistogramSketch{Col: col, Buckets: spec}}
-	if !opts.Exact {
-		rate := sketch.HistogramRate(sketch.HistogramSampleSize(spec.Count, opts.Height, DefaultDelta), n)
-		sks[0] = &sketch.SampledHistogramSketch{Col: col, Buckets: spec, Rate: rate, Seed: v.sheet.nextSeed()}
+	histogram := func(spec sketch.BucketSpec, target int) sketch.Sketch {
+		if opts.Exact {
+			return &sketch.HistogramSketch{Col: col, Buckets: spec}
+		}
+		return &sketch.HistogramSketch{Col: col, Buckets: spec, Rate: sketch.HistogramRate(target, n), Seed: v.sheet.nextSeed()}
 	}
+	sks := []sketch.Sketch{histogram(spec, sketch.HistogramSampleSize(spec.Count, opts.Height, DefaultDelta))}
 	if opts.WithCDF && spec.Kind.Numeric() {
 		cdfSpec := sketch.NumericBuckets(spec.Kind, spec.Min, spec.Max, opts.Width)
-		var cdf sketch.Sketch = &sketch.HistogramSketch{Col: col, Buckets: cdfSpec}
-		if !opts.Exact {
-			rate := sketch.HistogramRate(sketch.CDFSampleSize(opts.Height, DefaultDelta), n)
-			cdf = &sketch.CDFSketch{Col: col, Buckets: cdfSpec, Rate: rate, Seed: v.sheet.nextSeed()}
-		}
-		sks = append(sks, cdf)
+		sks = append(sks, histogram(cdfSpec, sketch.CDFSampleSize(opts.Height, DefaultDelta)))
 	}
 	res, err := v.runGroup(ctx, sks, opts.OnPartial)
 	if err != nil {

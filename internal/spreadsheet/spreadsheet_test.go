@@ -312,8 +312,8 @@ func TestHistogramTwoPhase(t *testing.T) {
 				cdfRate = float64(sketch.CDFSampleSize(tc.height, DefaultDelta)) / float64(tc.rows)
 			}
 			seed1 := uint64(0x9e3779b97f4a7c15)
-			wantHist := &sketch.SampledHistogramSketch{Col: "DepDelay", Buckets: hv.Buckets, Rate: histRate, Seed: seed1}
-			wantCDF := &sketch.CDFSketch{Col: "DepDelay", Buckets: cdfSpec, Rate: cdfRate, Seed: 2 * seed1}
+			wantHist := &sketch.HistogramSketch{Col: "DepDelay", Buckets: hv.Buckets, Rate: histRate, Seed: seed1}
+			wantCDF := &sketch.HistogramSketch{Col: "DepDelay", Buckets: cdfSpec, Rate: cdfRate, Seed: 2 * seed1}
 			planned := map[string]bool{}
 			for _, sk := range rec.seen {
 				planned[sk.Name()] = true

@@ -66,7 +66,7 @@ func TestPooledLoaderMatchesEagerLoader(t *testing.T) {
 
 			sketches := []sketch.Sketch{
 				&sketch.HistogramSketch{Col: "price", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1000, 10)},
-				&sketch.SampledHistogramSketch{Col: "price", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1000, 10), Rate: 0.5, Seed: 7},
+				&sketch.HistogramSketch{Col: "price", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 1000, 10), Rate: 0.5, Seed: 7},
 				&sketch.MisraGriesSketch{Col: "city", K: 5},
 				&sketch.RangeSketch{Col: "id"},
 				&sketch.MetaSketch{},

@@ -57,7 +57,7 @@ type Membership interface {
 	FillBatch(buf []int32, from int) (n, next int)
 	// Sample visits a uniform subset of member rows (each included with
 	// probability rate, independently) in increasing order until yield
-	// returns false. rate >= 1 visits every member row.
+	// returns false. rate >= 1 or NaN visits every member row.
 	Sample(rate float64, seed uint64, yield func(i int) bool)
 }
 
@@ -69,8 +69,10 @@ type geomSkipper struct {
 	all     bool
 }
 
+// newGeomSkipper reads a NaN rate as every element, and a rate at or
+// below 0 as none.
 func newGeomSkipper(rate float64, seed uint64) *geomSkipper {
-	if rate >= 1 {
+	if !(rate < 1) {
 		return &geomSkipper{all: true}
 	}
 	if rate < 0 {
@@ -94,7 +96,7 @@ func (g *geomSkipper) next() int {
 		u = g.rng.Float64()
 	}
 	skip := math.Log(u) / g.logOneM
-	if skip >= math.MaxInt32 {
+	if !(skip < math.MaxInt32) {
 		return math.MaxInt32
 	}
 	return int(skip)

@@ -173,6 +173,11 @@ func TestSampleRateOneVisitsAll(t *testing.T) {
 	if got := sampleStats(t, m, 2.0, 1); got != 1000 {
 		t.Errorf("rate 2.0 visited %d rows, want 1000", got)
 	}
+	// NaN (a rate off a crafted frame) must never reach the skipper's int
+	// conversion, which once yielded a negative index.
+	if got := sampleStats(t, m, math.NaN(), 1); got != 1000 {
+		t.Errorf("rate NaN visited %d rows, want 1000", got)
+	}
 }
 
 func TestSampleRateZero(t *testing.T) {

@@ -41,7 +41,7 @@ func RunFaults(seed uint64) error {
 	local := engine.NewLocal(datasetID, tables, cfg)
 	probes := []sketch.Sketch{
 		&sketch.HistogramSketch{Col: "gd", Buckets: sketch.NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 10)},
-		&sketch.SampledHistogramSketch{Col: "gd", Buckets: sketch.NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 7), Rate: 0.4, Seed: seed ^ 9},
+		&sketch.HistogramSketch{Col: "gd", Buckets: sketch.NumericBuckets(table.KindDouble, info.DoubleLo, info.DoubleHi, 7), Rate: 0.4, Seed: seed ^ 9},
 		&sketch.MisraGriesSketch{Col: "gs", K: 6},
 	}
 	want := make([]sketch.Result, len(probes))

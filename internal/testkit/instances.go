@@ -34,11 +34,12 @@ func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 		&sketch.HistogramSketch{Col: "gc", Buckets: sketch.NumericBuckets(table.KindDouble, -48.5, 48.5, 11)},
 		&sketch.HistogramSketch{Col: "gi", Buckets: iZoom},
 
-		// Sampled histogram family: identical across same-geometry
-		// topologies, statistically bounded against exact ground truth.
-		&sketch.SampledHistogramSketch{Col: "gd", Buckets: dBuckets(10), Rate: 0.4, Seed: seed ^ 1},
-		&sketch.CDFSketch{Col: "gd", Buckets: dBuckets(50)},                            // exact mode
-		&sketch.CDFSketch{Col: "gi", Buckets: iBuckets, Rate: 0.5, Seed: seed ^ 2},     // sampled mode
+		// Sampled histograms, and pixel-wide ones behind a CDF, exact and
+		// sampled: identical across same-geometry topologies,
+		// statistically bounded against exact ground truth.
+		&sketch.HistogramSketch{Col: "gd", Buckets: dBuckets(10), Rate: 0.4, Seed: seed ^ 1},
+		&sketch.HistogramSketch{Col: "gd", Buckets: dBuckets(50)},
+		&sketch.HistogramSketch{Col: "gi", Buckets: iBuckets, Rate: 0.5, Seed: seed ^ 2},
 		&sketch.Histogram2DSketch{XCol: "gd", YCol: "gs", X: dBuckets(6), Y: sBuckets}, // exact
 		&sketch.Histogram2DSketch{XCol: "gi", YCol: "gd", X: iBuckets, Y: dBuckets(5), Rate: 0.5, Seed: seed ^ 3},
 		&sketch.Histogram2DSketch{XCol: "gs", YCol: "gi", X: sBuckets, Y: iZoom},
@@ -83,7 +84,7 @@ func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 		mustMulti(
 			&sketch.HistogramSketch{Col: "gi", Buckets: iBuckets},
 			&sketch.MisraGriesSketch{Col: "gs", K: 7},
-			&sketch.SampledHistogramSketch{Col: "gd", Buckets: dBuckets(8), Rate: 0.5, Seed: seed ^ 8},
+			&sketch.HistogramSketch{Col: "gd", Buckets: dBuckets(8), Rate: 0.5, Seed: seed ^ 8},
 			&sketch.RangeSketch{Col: "gt"},
 		),
 	}

@@ -60,17 +60,15 @@ type contractFunc func(sk sketch.Sketch, parts []*table.Table, a, b sketch.Resul
 // error for a sketch type it does not know.
 func contract(sk sketch.Sketch) (check, peer contractFunc, err error) {
 	switch sk.(type) {
-	case *sketch.HistogramSketch, *sketch.NextKSketch, *sketch.FindTextSketch, *sketch.RangeSketch,
+	case *sketch.NextKSketch, *sketch.FindTextSketch, *sketch.RangeSketch,
 		*sketch.DistinctCountSketch, *sketch.DistinctBottomKSketch, *sketch.MetaSketch:
 		return exact, exact, nil
 	case *sketch.Histogram2DSketch:
 		return checkHist2D, exact, nil
 	case *sketch.TrellisSketch:
 		return checkTrellis, exact, nil
-	case *sketch.SampledHistogramSketch:
-		return checkSampledHist, exact, nil
-	case *sketch.CDFSketch:
-		return checkCDF, exact, nil
+	case *sketch.HistogramSketch:
+		return checkHist, exact, nil
 	case *sketch.QuantileSketch:
 		return checkQuantile, exact, nil
 	case *sketch.SampleHeavyHittersSketch:
@@ -177,57 +175,44 @@ func checkBinomial(what string, got, n int64, rate float64) error {
 	return nil
 }
 
-// ---- sampled histogram family ---------------------------------------------
+// ---- histogram -----------------------------------------------------------
 
-// checkSampledHistogram verifies a rate-sampled Histogram against the
-// exact truth histogram: every tally is an independent per-row Binomial
-// draw, so each must sit within binomialSlack of rate×truth.
-func checkSampledHistogram(truth, got *sketch.Histogram, rate float64) error {
-	if len(got.Counts) != len(truth.Counts) {
-		return fmt.Errorf("bucket count %d, want %d", len(got.Counts), len(truth.Counts))
+// checkHist holds a full scan to the reference bits, and a histogram
+// sampled at a rate in (0, 1) to the exact truth histogram: every tally
+// is an independent per-row Binomial draw, so each must sit within
+// binomialSlack of rate×truth.
+func checkHist(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
+	s := sk.(*sketch.HistogramSketch)
+	rate := s.Rate
+	if !(rate > 0 && rate < 1) {
+		return exact(sk, parts, ref, got)
 	}
-	if got.SampleRate != rate {
-		return fmt.Errorf("SampleRate = %g, want %g", got.SampleRate, rate)
-	}
-	if err := checkBinomial("SampledRows", got.SampledRows, truth.SampledRows, rate); err != nil {
+	full, err := reference(&sketch.HistogramSketch{Col: s.Col, Buckets: s.Buckets}, parts)
+	if err != nil {
 		return err
 	}
-	if err := checkBinomial("Missing", got.Missing, truth.Missing, rate); err != nil {
+	truth, h := full.(*sketch.Histogram), got.(*sketch.Histogram)
+	if len(h.Counts) != len(truth.Counts) {
+		return fmt.Errorf("bucket count %d, want %d", len(h.Counts), len(truth.Counts))
+	}
+	if h.SampleRate != rate {
+		return fmt.Errorf("SampleRate = %g, want %g", h.SampleRate, rate)
+	}
+	if err := checkBinomial("SampledRows", h.SampledRows, truth.SampledRows, rate); err != nil {
 		return err
 	}
-	if err := checkBinomial("OutOfRange", got.OutOfRange, truth.OutOfRange, rate); err != nil {
+	if err := checkBinomial("Missing", h.Missing, truth.Missing, rate); err != nil {
+		return err
+	}
+	if err := checkBinomial("OutOfRange", h.OutOfRange, truth.OutOfRange, rate); err != nil {
 		return err
 	}
 	for i := range truth.Counts {
-		if err := checkBinomial(fmt.Sprintf("bucket %d", i), got.Counts[i], truth.Counts[i], rate); err != nil {
+		if err := checkBinomial(fmt.Sprintf("bucket %d", i), h.Counts[i], truth.Counts[i], rate); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func checkSampledHist(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
-	s := sk.(*sketch.SampledHistogramSketch)
-	if s.Rate >= 1 {
-		return exact(sk, parts, ref, got)
-	}
-	truth, err := reference(&sketch.HistogramSketch{Col: s.Col, Buckets: s.Buckets}, parts)
-	if err != nil {
-		return err
-	}
-	return checkSampledHistogram(truth.(*sketch.Histogram), got.(*sketch.Histogram), s.Rate)
-}
-
-func checkCDF(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Result) error {
-	s := sk.(*sketch.CDFSketch)
-	if s.Rate <= 0 || s.Rate >= 1 {
-		return exact(sk, parts, ref, got)
-	}
-	truth, err := reference(&sketch.CDFSketch{Col: s.Col, Buckets: s.Buckets}, parts)
-	if err != nil {
-		return err
-	}
-	return checkSampledHistogram(truth.(*sketch.Histogram), got.(*sketch.Histogram), s.Rate)
 }
 
 // checkSampled2D verifies a rate-sampled Histogram2D cell-by-cell

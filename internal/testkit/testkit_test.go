@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sketch"
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -186,7 +187,7 @@ func TestEqualCacheKeysMeanEqualSketches(t *testing.T) {
 	}
 	byKey := map[string][]byte{}
 	for _, sk := range sks {
-		c, ok := sk.(sketch.Cacheable)
+		key, ok := engine.Key("d", sk)
 		if !ok {
 			continue
 		}
@@ -194,10 +195,10 @@ func TestEqualCacheKeysMeanEqualSketches(t *testing.T) {
 		if !ok {
 			t.Fatalf("%T has no wire codec", sk)
 		}
-		if prev, seen := byKey[c.CacheKey()]; seen && !bytes.Equal(prev, enc) {
-			t.Errorf("CacheKey %q names two different %T configurations", c.CacheKey(), sk)
+		if prev, seen := byKey[key]; seen && !bytes.Equal(prev, enc) {
+			t.Errorf("cache key %q names two different %T configurations", key, sk)
 		}
-		byKey[c.CacheKey()] = enc
+		byKey[key] = enc
 	}
 }
 
