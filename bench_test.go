@@ -752,13 +752,15 @@ func kernelMsg() *table.Table {
 }
 
 // nextKRuns folds parts the way a leaf's single worker does: one
-// accumulator per partition, each the successor of the one before,
-// merged by the partition-index tree.
+// accumulator per partition, each the Next of the one before, merged by
+// the partition-index tree.
 func nextKRuns(sk *sketch.NextKSketch, parts []*table.Table) (sketch.Result, error) {
 	results := make([]sketch.Result, len(parts))
-	var acc sketch.Accumulator
+	acc := sk.NewAccumulator()
 	for i, p := range parts {
-		acc = sketch.AccumulatorAfter(sk, acc)
+		if i > 0 {
+			acc = acc.Next()
+		}
 		if err := acc.Add(p); err != nil {
 			return nil, err
 		}
@@ -767,15 +769,12 @@ func nextKRuns(sk *sketch.NextKSketch, parts []*table.Table) (sketch.Result, err
 	return sketch.MergeTree(sk, results...)
 }
 
-// BenchmarkKernelNextK times the pruned next-K accumulator on the table
-// pages of the end-to-end benchmark (the three sort specs of scan_inproc
-// over flights, and ingest_query's "+msg" over a Zipf string lead) in
-// two shapes. "table" folds the 1M rows in one accumulator and
-// interleaves NextKSketch.Summarize (one boxed row per member row) with
-// it; its allocs/op counts both sides. "runs8" folds them as 8
-// successor-chained partitions, as the engine folds the
-// benchmark's 8-file dataset, and times the typed scan alone, so its
-// allocs/op is the rows it boxed into the window.
+// BenchmarkKernelNextK times the pruned next-K scan on the table pages
+// of the end-to-end benchmark (the three sort specs of scan_inproc over
+// flights, and ingest_query's "+msg" over a Zipf string lead) in two
+// shapes. "table" summarizes the 1M rows in one cold scan. "runs8" folds
+// them as 8 Next-chained partitions, as the engine folds the benchmark's
+// 8-file dataset. allocs/op is the rows each boxed into the window.
 func BenchmarkKernelNextK(b *testing.B) {
 	fl, msg := kernelFlights(), kernelMsg()
 	for _, tc := range []struct {
@@ -792,18 +791,12 @@ func BenchmarkKernelNextK(b *testing.B) {
 		t := tc.t
 		b.Run(tc.name+"/table", func(b *testing.B) {
 			b.ReportAllocs()
-			var want, got sketch.Result
-			interleave(b, t.NumRows(),
-				func() (err error) { want, err = tc.sk.Summarize(t); return err },
-				func() error {
-					acc := tc.sk.NewAccumulator()
-					err := acc.Add(t)
-					got = acc.Result()
-					return err
-				})
-			if !reflect.DeepEqual(got, want) {
-				b.Fatal("accumulator result differs from Summarize")
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.sk.Summarize(t); err != nil {
+					b.Fatal(err)
+				}
 			}
+			b.ReportMetric(float64(t.NumRows())*float64(b.N)/1e6/b.Elapsed().Seconds(), "typed_Mrows/s")
 		})
 		b.Run(tc.name+"/runs8", func(b *testing.B) {
 			parts := make([]*table.Table, 8)
@@ -812,15 +805,21 @@ func BenchmarkKernelNextK(b *testing.B) {
 				parts[i] = table.SliceRows(t, fmt.Sprintf("%s#%d", t.ID(), i*per), i*per, (i+1)*per)
 			}
 			want := tc.sk.Zero()
-			var err error
 			for _, p := range parts {
-				if want, err = sketch.Extend(tc.sk, want, p); err != nil {
+				s, err := tc.sk.Summarize(p)
+				if err == nil {
+					want, err = tc.sk.Merge(want, s)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var got sketch.Result
+			var (
+				got sketch.Result
+				err error
+			)
 			for i := 0; i < b.N; i++ {
 				if got, err = nextKRuns(tc.sk, parts); err != nil {
 					b.Fatal(err)

@@ -22,14 +22,13 @@
 // batches, columns expose typed backing storage, and sketches run
 // kind-specialized batch kernels. The micropartition (-micro, 250k rows
 // by default) is the one scan unit (paper §5.3's leaf): every partition
-// folds whole, on one thread, into its own Accumulator
-// (sketch.AccumulatorOf — one Add, which is the sketch's Summarize for
-// all but next-K, whose pruned scan is its own accumulator), and
-// partition summaries combine in a fixed pairwise merge tree
-// (sketch.TreeFold) by partition index. A result is a function of the
-// partition list and the sketch alone; the leaf workers only claim
-// whole partitions off a shared cursor, so thread count and scheduling
-// never show in a result. Progressive partials merge the tree's
+// is summarized whole, on one thread, by the sketch's Summarize (next-K
+// alone chains its pruned scan's accumulators through a worker's
+// partitions, sketch.Accumulator.Next), and partition summaries combine
+// in a fixed pairwise merge tree (sketch.TreeFold) by partition index.
+// A result is a function of the partition list and the sketch alone;
+// the leaf workers only claim whole partitions off a shared cursor, so
+// thread count and scheduling never show in a result. Progressive partials merge the tree's
 // finished nodes and reach the callback serialized on a dedicated
 // emission lock. Heavy hitters count dictionary columns by int32 code —
 // an exact dense tally pruned once per partition up to 4096 codes, a
@@ -47,9 +46,10 @@
 // filter (the same compiler, handed a two-comparison tree) and the
 // table view's next-K sketch (which uses it to discard, unboxed, every
 // row that cannot enter its K-row window) all sit on it, and each is
-// tested row-for-row — next-K result-for-result — against the retained
-// row-at-a-time path. BenchmarkKernelFilter and BenchmarkKernelNextK in
-// bench_test.go time both paths interleaved.
+// tested against a row-at-a-time path: the filters row for row, next-K
+// result for result against a boxed scan its tests keep.
+// BenchmarkKernelFilter in bench_test.go times both filter paths
+// interleaved; BenchmarkKernelNextK times the pruned scan.
 //
 // A default histogram or CDF samples only where that is the cheaper scan
 // (sketch.HistogramExactAboveRate holds the measured crossover and the

@@ -44,7 +44,6 @@ func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 		{ReqID: 2, Kind: MsgCancel},
 		{ReqID: 3, Kind: MsgLoad, DatasetID: "d", Source: "flights:rows=10"},
 		{ReqID: 4, Kind: MsgMap, DatasetID: "d", NewID: "d2", Op: engine.FilterOp{Predicate: `x > 1`}},
-		{ReqID: 5, Kind: MsgMap, DatasetID: "d", NewID: "d3", Op: engine.ProjectOp{Cols: []string{"a", "b"}}},
 		{ReqID: 6, Kind: MsgMap, DatasetID: "d", NewID: "d4", Op: engine.FilterRangeOp{Col: "x", Min: -1.5, Max: 2.5}},
 		{ReqID: 7, Kind: MsgMap, DatasetID: "d", NewID: "d5", Op: engine.DeriveOp{Col: "y", Expr: "x*2"}},
 		{ReqID: 8, Kind: MsgSketch, DatasetID: "d", Sketch: &sketch.MisraGriesSketch{Col: "c", K: 7}, NoPartials: true},

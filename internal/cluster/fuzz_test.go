@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sketch"
 	"repro/internal/table"
@@ -170,6 +171,22 @@ func FuzzFrame(f *testing.F) {
 	for i, sk := range oversizedBucketSketches() {
 		f.Add(frameBytes(f, &Envelope{ReqID: uint64(11 + i), Kind: MsgSketch, DatasetID: "d", Sketch: sk}))
 	}
+	// Op tag 3, the retired projection, over a filter's body: a sealed
+	// map request the decoder must reject as an unknown op.
+	retiredOp := frameBytes(f, &Envelope{ReqID: 12, Kind: MsgMap, DatasetID: "d", NewID: "d2", Op: engine.FilterOp{Predicate: "a"}})
+	_, rest, err := wire.ConsumeUvarint(retiredOp[8:])
+	for i := 0; i < 2 && err == nil; i++ { // the dataset and derived IDs
+		_, rest, err = wire.ConsumeString(rest)
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	rest[0] = 3
+	reseal(retiredOp)
+	if _, err := recvBytes(retiredOp); err == nil || !strings.Contains(err.Error(), "unknown op tag 3") {
+		f.Fatalf("op tag 3: err = %v, want unknown op tag 3", err)
+	}
+	f.Add(retiredOp)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc := newFrameConn(struct {
 			io.Reader

@@ -113,10 +113,9 @@ func TestHVC2RoundTripBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := src.Project("rt", []string{"s", "i"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, i := src.Schema().ColumnIndex("s"), src.Schema().ColumnIndex("i")
+	want := table.New("rt", table.NewSchema(src.Schema().Columns[s], src.Schema().Columns[i]),
+		[]table.Column{src.ColumnAt(s), src.ColumnAt(i)}, src.Members())
 	assertSameRows(t, want, sub)
 }
 

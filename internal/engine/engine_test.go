@@ -361,14 +361,6 @@ func TestMapFilterAndDerive(t *testing.T) {
 	if diff := r2.Max - 2*w.Max; diff < -1e-9 || diff > 1e-9 {
 		t.Errorf("derived max = %g, want %g", r2.Max, 2*w.Max)
 	}
-	// Project.
-	proj, err := ds.Map(ProjectOp{Cols: []string{"g"}}, "mf-p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proj.Sketch(context.Background(), &sketch.RangeSketch{Col: "x"}, nil); err == nil {
-		t.Error("projected-away column should not resolve")
-	}
 	// Range filter (zoom).
 	zoom, err := ds.Map(FilterRangeOp{Col: "x", Min: 10, Max: 20}, "mf-z")
 	if err != nil {

@@ -81,16 +81,17 @@ func (d *LocalDataSet) parallelism() int {
 }
 
 // Sketch implements IDataSet. Each partition is one scan unit: one
-// Acquire, one accumulator, one Add, and its summary enters a
-// sketch.TreeFold at its partition index — so the set of accumulators,
-// what each one folds, and the shape and operand order of every merge
-// are functions of (partition list, sketch) alone. Threads only decide
-// *when* a partition folds: each worker claims the next partition off a
-// shared cursor, so load balancing is dynamic and invisible in the
-// result — including for merge-order-sensitive sketches such as
-// Misra–Gries. (A worker's next accumulator may be the sketch.Successor
-// of its last one; that contract allows skipping work, never changing
-// the merged result.)
+// Acquire, one summary, and that summary enters a sketch.TreeFold at its
+// partition index — so what each summary covers, and the shape and
+// operand order of every merge, are functions of (partition list,
+// sketch) alone. Threads only decide *when* a partition folds: each
+// worker claims the next partition off a shared cursor, so load
+// balancing is dynamic and invisible in the result — including for
+// merge-order-sensitive sketches such as Misra–Gries. A partition's
+// summary is the sketch's Summarize, except for a
+// sketch.AccumulatorSketch (next-K): a worker folds each of its
+// partitions into the Next of the accumulator it retired before, a
+// contract that allows skipping work, never changing the merged result.
 //
 // Partial results are emitted at most once per aggregation window: the
 // emitting worker merges the tree's finished nodes and invokes
@@ -190,17 +191,36 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 		mergeSp.End()
 		return err
 	}
+	// summarize scans one partition on a worker whose last accumulator
+	// was prev and returns the partition's summary and the worker's
+	// accumulator (nil unless sk is an AccumulatorSketch).
+	chain, chained := sk.(sketch.AccumulatorSketch)
+	summarize := func(t *table.Table, prev sketch.Accumulator) (sketch.Result, sketch.Accumulator, error) {
+		if !chained {
+			r, err := sk.Summarize(t)
+			return r, nil, err
+		}
+		var acc sketch.Accumulator
+		if prev != nil {
+			acc = prev.Next()
+		} else {
+			acc = chain.NewAccumulator()
+		}
+		if err := acc.Add(t); err != nil {
+			return nil, nil, err
+		}
+		return acc.Result(), acc, nil
+	}
 	// fold scans partition p on a worker whose last accumulator was prev,
-	// retires its summary and returns its accumulator. The partition is
-	// pinned only while it folds, so the resident working set is bounded
-	// by the worker pool, not the dataset.
+	// retires its summary and returns the worker's accumulator. The
+	// partition is pinned only while it folds, so the resident working
+	// set is bounded by the worker pool, not the dataset.
 	fold := func(p int, prev sketch.Accumulator) (sketch.Accumulator, error) {
 		t, release, err := d.src.Acquire(p, cols)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		acc := sketch.AccumulatorAfter(sk, prev)
 		// Sampled spans: on a traced query, one partition in
 		// chunkSampleEvery records its fold so the trace shows
 		// per-partition cost without span-budget blowup. tr is nil on
@@ -210,7 +230,7 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 		if traced {
 			sp = tr.StartSpan("scan.chunk")
 		}
-		err = acc.Add(t.WithCancel(cancelProbe))
+		res, acc, err := summarize(t.WithCancel(cancelProbe), prev)
 		if traced {
 			sp.EndNote("partition=" + strconv.Itoa(p))
 		}
@@ -222,7 +242,7 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 			// retire or emit from it.
 			return nil, err
 		}
-		return acc, retire(p, acc.Result())
+		return acc, retire(p, res)
 	}
 
 	var (

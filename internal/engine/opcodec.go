@@ -7,12 +7,11 @@ import (
 // Binary wire codec for the shipped map operations (the request-side
 // MsgMap payload). Ops are tiny value structs, so the codec is a plain
 // switch; an op type absent here does not cross the wire. Tags are wire
-// format: append, never renumber. Decoded ops are returned in value
-// form whichever form was sent.
+// format: append, never renumber or reuse (tag 3 is retired). Ops travel
+// in value form.
 const (
 	opTagFilter      = 1
 	opTagDerive      = 2
-	opTagProject     = 3
 	opTagFilterRange = 4
 )
 
@@ -20,14 +19,6 @@ const (
 // unchanged) means op has no codec and cannot cross the wire.
 func AppendOpWire(b []byte, op MapOp) ([]byte, bool) {
 	switch o := op.(type) {
-	case *FilterOp:
-		return AppendOpWire(b, *o)
-	case *DeriveOp:
-		return AppendOpWire(b, *o)
-	case *ProjectOp:
-		return AppendOpWire(b, *o)
-	case *FilterRangeOp:
-		return AppendOpWire(b, *o)
 	case FilterOp:
 		b = append(b, opTagFilter)
 		return wire.AppendString(b, o.Predicate), true
@@ -35,9 +26,6 @@ func AppendOpWire(b []byte, op MapOp) ([]byte, bool) {
 		b = append(b, opTagDerive)
 		b = wire.AppendString(b, o.Col)
 		return wire.AppendString(b, o.Expr), true
-	case ProjectOp:
-		b = append(b, opTagProject)
-		return wire.AppendStrings(b, o.Cols), true
 	case FilterRangeOp:
 		b = append(b, opTagFilterRange)
 		b = wire.AppendString(b, o.Col)
@@ -67,12 +55,6 @@ func DecodeOpWire(b []byte) (MapOp, []byte, error) {
 			return nil, b, err
 		}
 		if op.Expr, rest, err = wire.ConsumeString(rest); err != nil {
-			return nil, b, err
-		}
-		return op, rest, nil
-	case opTagProject:
-		var op ProjectOp
-		if op.Cols, rest, err = wire.ConsumeStrings(rest); err != nil {
 			return nil, b, err
 		}
 		return op, rest, nil

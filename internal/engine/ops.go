@@ -58,16 +58,6 @@ func (op DeriveOp) Apply(t *table.Table, newPartID string) (*table.Table, error)
 	return t.WithColumn(newPartID, op.Col, col)
 }
 
-// ProjectOp restricts the schema to the named columns.
-type ProjectOp struct {
-	Cols []string
-}
-
-// Apply implements MapOp.
-func (op ProjectOp) Apply(t *table.Table, newPartID string) (*table.Table, error) {
-	return t.Project(newPartID, op.Cols)
-}
-
 // FilterRangeOp keeps rows whose numeric column lies in [Min, Max] —
 // the zoom-into-chart operation (§5.6), expressed directly rather than
 // through the expression language so bucket boundaries transfer exactly.

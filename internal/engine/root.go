@@ -31,10 +31,6 @@ type Op struct {
 	Source string
 	// Map is the derivation (map only).
 	Map MapOp
-	// Seed records the randomization seed of the operation, if any, so
-	// replay is deterministic (paper §5.8: "the log includes the seed
-	// used for randomization").
-	Seed uint64
 }
 
 // Loader resolves a load source spec into a dataset; the storage layer

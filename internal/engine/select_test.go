@@ -91,11 +91,11 @@ func TestFilterOpsMatchRowFilter(t *testing.T) {
 }
 
 // TestNextKParallelismInvariant runs the table view's sketch through
-// the production leaf pool — dynamic partition assignment, successor
-// bounds carried from partition to partition — at several worker
-// counts: the pruned accumulator must return exactly the reference
-// Summarize+Merge answer whichever partitions each worker happens to
-// fold.
+// the production leaf pool — dynamic partition assignment, bounds
+// carried from partition to partition through Accumulator.Next — at
+// several worker counts: the chained scan must return exactly the
+// Summarize+Merge answer of cold scans whichever partitions each worker
+// happens to fold.
 func TestNextKParallelismInvariant(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		parts, info := table.GenPartitions(fmt.Sprintf("nkp%d", seed), seed, 500, 32)

@@ -185,6 +185,9 @@ func (a *countingAcc) Add(t *table.Table) error {
 
 func (a *countingAcc) Result() sketch.Result { return a.n }
 
+// Next counts as a new accumulator.
+func (a *countingAcc) Next() sketch.Accumulator { return a.sk.NewAccumulator() }
+
 // TestOneAccumulatorPerPartition pins the scan geometry: the partition
 // the source lists is the only scan unit, whatever its size and the
 // pool width. Each gets exactly one accumulator and one Add of the

@@ -65,17 +65,15 @@ func (s *memSource) Acquire(i int, cols []string) (*table.Table, func(), error) 
 	}
 	t := s.parts[i]
 	if cols != nil {
-		keep := make([]string, 0, len(cols))
+		var descs []table.ColumnDesc
+		var keep []table.Column
 		for _, c := range cols {
-			if t.Schema().ColumnIndex(c) >= 0 {
-				keep = append(keep, c)
+			if j := t.Schema().ColumnIndex(c); j >= 0 {
+				descs = append(descs, t.Schema().Columns[j])
+				keep = append(keep, t.ColumnAt(j))
 			}
 		}
-		var err error
-		t, err = t.Project(t.ID(), keep)
-		if err != nil {
-			return nil, nil, err
-		}
+		t = table.New(t.ID(), table.NewSchema(descs...), keep, t.Members())
 	}
 	var once sync.Once
 	return t, func() {

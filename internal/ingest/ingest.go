@@ -382,52 +382,9 @@ func (d *Dataset) Load() ([]*table.Table, error) {
 	return out, nil
 }
 
-// schemaMatches checks an appended batch against the dataset schema.
-func (d *Dataset) schemaMatches(s *table.Schema) error {
-	if !schemasEqual(d.schema, s) {
-		return fmt.Errorf("ingest: batch schema does not match dataset %s", d.name)
-	}
-	return nil
-}
-
-func schemasEqual(a, b *table.Schema) bool {
-	if a.NumColumns() != b.NumColumns() {
-		return false
-	}
-	for i := range a.Columns {
-		if a.Columns[i] != b.Columns[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Append buffers the member rows of one batch into the open segment,
-// sealing automatically when the segment reaches the configured
-// threshold. Buffered rows are volatile until sealed.
-func (d *Dataset) Append(ctx context.Context, t *table.Table) error {
-	if err := d.schemaMatches(t.Schema()); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.usableLocked(); err != nil {
-		return err
-	}
-	added := 0
-	t.Members().Iterate(func(i int) bool {
-		d.seg.AppendRow(t.GetRow(i))
-		added++
-		return true
-	})
-	d.segRows += added
-	d.m.Appends.Inc()
-	d.m.AppendedRows.Add(int64(added))
-	d.m.OpenSegmentRows.Add(int64(added))
-	return d.maybeAutoSealLocked(ctx)
-}
-
-// AppendRows buffers explicit rows (the HTTP ingestion path).
+// AppendRows buffers rows into the open segment, sealing automatically
+// when the segment reaches the configured threshold. Buffered rows are
+// volatile until sealed.
 func (d *Dataset) AppendRows(ctx context.Context, rows []table.Row) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

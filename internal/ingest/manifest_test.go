@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/table"
@@ -59,7 +60,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if v.validLen != int64(len(data)) {
 		t.Fatalf("validLen = %d, want %d", v.validLen, len(data))
 	}
-	if !schemasEqual(v.schema, testSchema) {
+	if !slices.Equal(v.schema.Columns, testSchema.Columns) {
 		t.Fatalf("schema round trip mismatch: %+v", v.schema)
 	}
 	if !reflect.DeepEqual(v.seals, seals) {

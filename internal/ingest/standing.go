@@ -6,16 +6,17 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sketch"
+	"repro/internal/table"
 )
 
 // StandingQuery is a registered sketch whose running result tracks the
 // dataset's sealed prefix incrementally. Registration folds the already
 // sealed partitions from sk.Zero() in seal order; each later seal
-// summarizes only the new partition and re-merges it (sketch.Extend) —
-// never rescanning covered data. Because the fold visits the same
-// file-loaded partitions in the same order as a from-scratch
-// Summarize+MergeAll, the running result is bit-identical to
-// recomputing over the same sealed prefix.
+// summarizes only the new partition and merges it into the running
+// result (extend) — never rescanning covered data. Because the fold
+// visits the same file-loaded partitions in the same order as a
+// from-scratch Summarize+MergeAll, the running result is bit-identical
+// to recomputing over the same sealed prefix.
 type StandingQuery struct {
 	id string
 	sk sketch.Sketch
@@ -73,7 +74,7 @@ func (d *Dataset) Register(sk sketch.Sketch) (*StandingQuery, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: standing query catch-up at %s: %w", rec.Name, err)
 		}
-		if q.running, err = sketch.Extend(sk, q.running, t); err != nil {
+		if q.running, err = q.extend(t); err != nil {
 			return nil, fmt.Errorf("ingest: standing query catch-up at %s: %w", rec.Name, err)
 		}
 		q.upTo = rec.Seq
@@ -82,6 +83,17 @@ func (d *Dataset) Register(sk sketch.Sketch) (*StandingQuery, error) {
 	d.standing = append(d.standing, q)
 	d.m.StandingRegistered.Inc()
 	return q, nil
+}
+
+// extend folds one more sealed partition into the running result. Merge
+// does not mutate its arguments, so a reader still holding the previous
+// running result keeps a valid one.
+func (q *StandingQuery) extend(t *table.Table) (sketch.Result, error) {
+	s, err := q.sk.Summarize(t)
+	if err != nil {
+		return nil, err
+	}
+	return q.sk.Merge(q.running, s)
 }
 
 // Standing lists the registered standing queries.
@@ -128,7 +140,7 @@ func (d *Dataset) updateStandingLocked(ctx context.Context, rec sealRecord) {
 			q.err = fmt.Errorf("ingest: standing update at %s: %w", rec.Name, err)
 			continue
 		}
-		next, merr := sketch.Extend(q.sk, q.running, t)
+		next, merr := q.extend(t)
 		if merr != nil {
 			q.err = fmt.Errorf("ingest: standing update at %s: %w", rec.Name, merr)
 			continue

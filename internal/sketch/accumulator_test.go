@@ -38,16 +38,14 @@ func chunkViews(tbl *table.Table, n int) []*table.Table {
 	return out
 }
 
-// accumulate folds the chunks through the sketch's accumulator.
+// accumulate folds the chunks' summaries with MergeAll.
 func accumulate(t *testing.T, sk Sketch, chunks []*table.Table) Result {
 	t.Helper()
-	acc := AccumulatorOf(sk)
-	for _, c := range chunks {
-		if err := acc.Add(c); err != nil {
-			t.Fatalf("%s: Add(%s): %v", sk.Name(), c.ID(), err)
-		}
+	r, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
+	if err != nil {
+		t.Fatalf("%s: %v", sk.Name(), err)
 	}
-	return acc.Result()
+	return r
 }
 
 // TestMergeTreeMatchesSequentialFold proves the engine's pairwise merge
@@ -165,11 +163,11 @@ func TestMisraGriesMergeTreeGuarantee(t *testing.T) {
 	}
 }
 
-// TestMGAccumulatorContinuesStream: the engine gives an accumulator one
-// Add of a whole partition, and for Misra–Gries that Add is Summarize,
-// bit for bit, on every column path and membership shape — the tallied
-// small dictionaries (s, sm), the streamed large one (sl), the typed
-// numeric keys (im, dm) and the computed-column fallback (cs).
+// TestMGAccumulatorContinuesStream: the fold of one partition's summary
+// is that summary — Merge from Zero keeps Summarize's counters bit for
+// bit — on every column path and membership shape: the tallied small
+// dictionaries (s, sm), the streamed large one (sl), the typed numeric
+// keys (im, dm) and the computed-column fallback (cs).
 func TestMGAccumulatorContinuesStream(t *testing.T) {
 	for _, tc := range eqTables(20000) {
 		for _, col := range []string{"s", "sm", "sl", "im", "dm", "cs"} {
@@ -179,13 +177,13 @@ func TestMGAccumulatorContinuesStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := accumulate(t, sk, []*table.Table{tc.t}); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: one Add differs from Summarize\n got %+v\nwant %+v", tc.name, col, got, want)
+				t.Errorf("%s/%s: the fold of one summary differs from Summarize\n got %+v\nwant %+v", tc.name, col, got, want)
 			}
 		}
 	}
 }
 
-// TestMGAccumulatorFlushAcrossColumns feeds one accumulator chunks of
+// TestMGAccumulatorFlushAcrossColumns folds the summaries of chunks of
 // partitions with different dictionaries plus a computed (non-dict)
 // column and re-checks the Misra–Gries guarantee over the combined data.
 func TestMGAccumulatorFlushAcrossColumns(t *testing.T) {
@@ -214,15 +212,11 @@ func TestMGAccumulatorFlushAcrossColumns(t *testing.T) {
 	}
 
 	sk := &MisraGriesSketch{Col: "s", K: k}
-	acc := AccumulatorOf(sk)
+	var chunks []*table.Table
 	for _, tbl := range []*table.Table{a, comp, b} {
-		for _, c := range chunkViews(tbl, 3) {
-			if err := acc.Add(c); err != nil {
-				t.Fatal(err)
-			}
-		}
+		chunks = append(chunks, chunkViews(tbl, 3)...)
 	}
-	hh := acc.Result().(*HeavyHitters)
+	hh := accumulate(t, sk, chunks).(*HeavyHitters)
 	if hh.ScannedRows != n {
 		t.Fatalf("ScannedRows = %d, want %d", hh.ScannedRows, n)
 	}

@@ -1,7 +1,4 @@
 package sketch
 
 // Exported to the external property tests.
-var (
-	ChunkViews = chunkViews
-	Accumulate = accumulate
-)
+var ChunkViews = chunkViews

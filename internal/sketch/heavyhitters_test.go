@@ -333,8 +333,8 @@ func TestMisraGriesTallyOrderFree(t *testing.T) {
 				t.Fatalf("trial %d (n=%d k=%d): %s summary differs from Merge(exact counts, Zero)\n got %+v\nwant %+v", trial, n, k, v.ID(), got, want)
 			}
 
-			// An accumulator given one window of rows, cut anywhere,
-			// returns that window's summary.
+			// The fold of one window of rows, cut anywhere, is that
+			// window's summary.
 			max := v.Members().Max()
 			lo := rng.IntN(max + 1)
 			hi := lo + rng.IntN(max-lo+1)
@@ -344,7 +344,7 @@ func TestMisraGriesTallyOrderFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := accumulate(t, sk, []*table.Table{chunk}); !reflect.DeepEqual(got, first) {
-				t.Fatalf("trial %d: %s accumulator over [%d, %d) differs from its summary\n got %+v\nwant %+v", trial, v.ID(), lo, hi, got, first)
+				t.Fatalf("trial %d: %s fold over [%d, %d) differs from its summary\n got %+v\nwant %+v", trial, v.ID(), lo, hi, got, first)
 			}
 		}
 	}
@@ -438,7 +438,7 @@ func TestMisraGriesHugeKAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := accumulate(t, sk, chunkViews(tbl, 3)); !reflect.DeepEqual(got, res) {
-			t.Errorf("%s: accumulator %+v differs from Summarize %+v", col, got, res)
+			t.Errorf("%s: fold of 3 chunks %+v differs from Summarize %+v", col, got, res)
 		}
 		hh := res.(*HeavyHitters)
 		if hh.ScannedRows != int64(len(strs)) || len(hh.Counters) == 0 || len(hh.Counters) > len(strs) {

@@ -1,10 +1,12 @@
 package sketch_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sketch"
 	"repro/internal/table"
 	"repro/internal/testkit"
@@ -45,30 +47,34 @@ func merge(t *testing.T, sk sketch.Sketch, a, b sketch.Result) sketch.Result {
 	return r
 }
 
-// TestAccumulatorMatchesSummarizeMerge pins the fold contract for every
-// instance — the Summarize+Merge adapter, next-K's pruned scan and
-// MultiSketch alike: one Add of a partition is its Summarize, and Adds
-// of a partition's chunks are the left fold of the chunks' summaries
-// with Merge, bit for bit.
+// TestAccumulatorMatchesSummarizeMerge pins the engine's fold for every
+// instance: over a partition's chunks, the engine at one and at three
+// workers returns the merge tree of the chunks' summaries, bit for bit —
+// both where it calls Summarize and where (next-K) a worker folds each
+// chunk into the Next of its last accumulator.
 func TestAccumulatorMatchesSummarizeMerge(t *testing.T) {
+	ctx := context.Background()
 	forInstances(func(sk sketch.Sketch, parts []*table.Table) {
 		for _, p := range parts {
-			want := summarize(t, sk, p)
-			if got := sketch.Accumulate(t, sk, []*table.Table{p}); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s on %s: one Add differs from Summarize\n got %+v\nwant %+v", sk.Name(), p.ID(), got, want)
-			}
 			chunks := sketch.ChunkViews(p, 5)
-			want = sk.Zero() // the fold of no chunks
+			sums := make([]sketch.Result, len(chunks))
 			for i, c := range chunks {
-				r := summarize(t, sk, c)
-				if i > 0 {
-					r = merge(t, sk, want, r)
-				}
-				want = r
+				sums[i] = summarize(t, sk, c)
 			}
-			if got := sketch.Accumulate(t, sk, chunks); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s on %s: Adds of %d chunks differ from the left fold of their summaries\n got %+v\nwant %+v",
-					sk.Name(), p.ID(), len(chunks), got, want)
+			want, err := sketch.MergeTree(sk, sums...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 3} {
+				cfg := engine.Config{Parallelism: par, AggregationWindow: -1}
+				got, err := engine.NewLocal(p.ID(), chunks, cfg).Sketch(ctx, sk, nil)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", sk.Name(), p.ID(), err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s on %s, %d workers: the engine over %d chunks differs from the merge tree of their summaries\n got %+v\nwant %+v",
+						sk.Name(), p.ID(), par, len(chunks), got, want)
+				}
 			}
 		}
 	})

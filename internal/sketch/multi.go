@@ -10,10 +10,10 @@ import (
 
 // MultiSketch is the scan-batching composite: it wraps N member
 // sketches so one leaf pass over a table feeds all N. The engine sees a
-// single sketch whose accumulator folds every partition into every
-// member's own accumulator, whose declared columns are the union of the
-// members' columns (acquired once per partition), and whose summaries
-// are member-wise vectors demultiplexed by the serving layer.
+// single sketch whose Summarize runs every member's Summarize over the
+// same partition, whose declared columns are the union of the members'
+// columns (acquired once per partition), and whose summaries are
+// member-wise vectors demultiplexed by the serving layer.
 //
 // Bit-identity contract: the engine's scan geometry (one task per
 // partition, under the partition's ID, and the merge-tree shape) does
@@ -84,7 +84,8 @@ func (s *MultiSketch) Zero() Result {
 }
 
 // Summarize implements Sketch: each member summarizes the same
-// partition.
+// partition, so the batched leaf scan pays one column acquire per
+// partition for N answers.
 func (s *MultiSketch) Summarize(t *table.Table) (Result, error) {
 	members := make([]Result, len(s.Sketches))
 	for i, m := range s.Sketches {
@@ -138,49 +139,6 @@ func (s *MultiSketch) Columns() []string {
 		union = []string{}
 	}
 	return union
-}
-
-// NewAccumulator implements AccumulatorSketch: one sub-state per member
-// (AccumulatorOf), all fed from the same partition table — the batched
-// leaf scan pays one column acquire and one memory pass per partition
-// for N answers.
-func (s *MultiSketch) NewAccumulator() Accumulator {
-	members := make([]Accumulator, len(s.Sketches))
-	for i, m := range s.Sketches {
-		members[i] = AccumulatorOf(m)
-	}
-	return &multiAccumulator{ms: s, members: members}
-}
-
-type multiAccumulator struct {
-	ms      *MultiSketch
-	members []Accumulator // index-aligned with ms.Sketches
-}
-
-// Next implements Successor member-wise.
-func (a *multiAccumulator) Next() Accumulator {
-	members := make([]Accumulator, len(a.members))
-	for i, m := range a.members {
-		members[i] = AccumulatorAfter(a.ms.Sketches[i], m)
-	}
-	return &multiAccumulator{ms: a.ms, members: members}
-}
-
-func (a *multiAccumulator) Add(t *table.Table) error {
-	for i, m := range a.members {
-		if err := m.Add(t); err != nil {
-			return fmt.Errorf("member %d (%s): %w", i, a.ms.Sketches[i].Name(), err)
-		}
-	}
-	return nil
-}
-
-func (a *multiAccumulator) Result() Result {
-	members := make([]Result, len(a.members))
-	for i, m := range a.members {
-		members[i] = m.Result()
-	}
-	return &MultiResult{Members: members}
 }
 
 // --- wire codec ----------------------------------------------------------

@@ -98,65 +98,14 @@ func rowColumns(what string, schema *table.Schema, order table.RecordOrder, extr
 	return cols, nil
 }
 
-// nextKWindow is the bounded ordered set both scan forms fold rows
-// into: the exact, boxed insert.
-type nextKWindow struct {
-	sk     *NextKSketch
-	out    *NextKList
-	keyCmp func(a, b table.Row) int
-	cmp    func(a, b table.Row) int
-}
-
-func (s *NextKSketch) newWindow() nextKWindow {
-	return nextKWindow{sk: s, out: s.Zero().(*NextKList), keyCmp: s.Order.RowComparator(), cmp: s.rowCmp()}
-}
-
-// offer folds one materialized member row (already counted in Total)
-// into the window. r may be a scratch row: the window keeps a copy.
-func (w *nextKWindow) offer(r table.Row) {
-	s, out := w.sk, w.out
-	if len(s.From) > 0 && w.keyCmp(r[:len(s.Order)], s.From) <= 0 {
-		out.Before++
-		return
-	}
-	// Find insertion point in the bounded sorted list.
-	i := sort.Search(len(out.Rows), func(i int) bool { return w.cmp(out.Rows[i], r) >= 0 })
-	if i < len(out.Rows) && w.cmp(out.Rows[i], r) == 0 {
-		out.Counts[i]++
-		return
-	}
-	if i >= s.K {
-		return // beyond the window
-	}
-	out.Rows = append(out.Rows, nil)
-	copy(out.Rows[i+1:], out.Rows[i:])
-	out.Rows[i] = r.Clone()
-	out.Counts = append(out.Counts, 0)
-	copy(out.Counts[i+1:], out.Counts[i:])
-	out.Counts[i] = 1
-	if len(out.Rows) > s.K {
-		out.Rows = out.Rows[:s.K]
-		out.Counts = out.Counts[:s.K]
-	}
-}
-
-// Summarize implements Sketch: the reference scan, one boxed row at a
-// time. The engine runs the accumulator below; the two agree exactly.
+// Summarize implements Sketch: the pruned scan below, from a cold
+// start.
 func (s *NextKSketch) Summarize(t *table.Table) (Result, error) {
-	if err := checkCursor(s.Order, s.From); err != nil {
+	a := s.NewAccumulator()
+	if err := a.Add(t); err != nil {
 		return nil, err
 	}
-	cols, err := rowColumns("nextk", t.Schema(), s.Order, s.Extra)
-	if err != nil {
-		return nil, err
-	}
-	w := s.newWindow()
-	t.Members().Iterate(func(row int) bool {
-		w.out.Total++
-		w.offer(t.GetRowCols(row, cols))
-		return true
-	})
-	return w.out, nil
+	return a.Result(), nil
 }
 
 // nextKAccumulator is the pruned scan. Almost every row of a large
@@ -169,13 +118,16 @@ func (s *NextKSketch) Summarize(t *table.Table) (Result, error) {
 // level by level (keySelect), with no row boxed. So only the survivors —
 // rows while the window is filling, rows at or before its K-th row, and
 // rows a level could not compare in bulk — are boxed and take the exact
-// insert. The K-th row is read once per batch; one that tightens
+// insert (offer). The K-th row is read once per batch; one that tightens
 // mid-batch only means a few extra survivors, so the result is exactly
-// Summarize+Merge's. Like that insert, this relies on the order being
-// total on the data: NaN, which Value.Compare orders equal to
-// everything, must not sit in a tie beside a number.
+// what inserting every row would give. Like that insert, this relies on
+// the order being total on the data: NaN, which Value.Compare orders
+// equal to everything, must not sit in a tie beside a number.
 type nextKAccumulator struct {
-	nextKWindow
+	sk     *NextKSketch
+	out    *NextKList
+	keyCmp func(a, b table.Row) int
+	cmp    func(a, b table.Row) int
 	*nextKScratch
 	// bound is the K-th row of an earlier partition of the scan (see Next); it
 	// prunes like this window's own K-th row would.
@@ -200,15 +152,49 @@ func (s *NextKSketch) NewAccumulator() Accumulator {
 		asc[i] = i >= len(s.Order) || s.Order[i].Ascending
 	}
 	words := func() []uint64 { return make([]uint64, kernelBatch/64) }
-	return &nextKAccumulator{
-		nextKWindow: s.newWindow(),
-		slice:       coldSlice,
-		nextKScratch: &nextKScratch{
-			asc:  asc,
-			row:  make(table.Row, len(asc)),
-			cand: words(), le: words(), open: words(), sel: words(), eq: words(), miss: words(),
-			pos: make([]int32, 0, kernelBatch), phys: make([]int32, 0, kernelBatch),
-		},
+	a := s.accumulator(&nextKScratch{
+		asc:  asc,
+		row:  make(table.Row, len(asc)),
+		cand: words(), le: words(), open: words(), sel: words(), eq: words(), miss: words(),
+		pos: make([]int32, 0, kernelBatch), phys: make([]int32, 0, kernelBatch),
+	})
+	a.slice = coldSlice
+	return a
+}
+
+// accumulator returns an empty window over the chain's scratch.
+func (s *NextKSketch) accumulator(scratch *nextKScratch) *nextKAccumulator {
+	return &nextKAccumulator{sk: s, out: s.Zero().(*NextKList),
+		keyCmp: s.Order.RowComparator(), cmp: s.rowCmp(), nextKScratch: scratch}
+}
+
+// offer folds one materialized member row (already counted in Total)
+// into the window: the exact, boxed insert. r may be a scratch row: the
+// window keeps a copy.
+func (a *nextKAccumulator) offer(r table.Row) {
+	s, out := a.sk, a.out
+	if len(s.From) > 0 && a.keyCmp(r[:len(s.Order)], s.From) <= 0 {
+		out.Before++
+		return
+	}
+	// Find insertion point in the bounded sorted list.
+	i := sort.Search(len(out.Rows), func(i int) bool { return a.cmp(out.Rows[i], r) >= 0 })
+	if i < len(out.Rows) && a.cmp(out.Rows[i], r) == 0 {
+		out.Counts[i]++
+		return
+	}
+	if i >= s.K {
+		return // beyond the window
+	}
+	out.Rows = append(out.Rows, nil)
+	copy(out.Rows[i+1:], out.Rows[i:])
+	out.Rows[i] = r.Clone()
+	out.Counts = append(out.Counts, 0)
+	copy(out.Counts[i+1:], out.Counts[i:])
+	out.Counts[i] = 1
+	if len(out.Rows) > s.K {
+		out.Rows = out.Rows[:s.K]
+		out.Counts = out.Counts[:s.K]
 	}
 }
 
@@ -221,13 +207,13 @@ func (a *nextKAccumulator) kth() (table.Row, bool) {
 	return a.bound, a.bound != nil
 }
 
-// Next implements Successor. A fresh window admits K·ln(n/K) rows
+// Next implements Accumulator. A fresh window admits K·ln(n/K) rows
 // before its K-th row gets tight; the successor starts from this one's.
 // Rows it drops sort strictly after K distinct rows already handed to
 // the scan's merge, so they can neither reach the merged window nor tie
 // with a row in it.
 func (a *nextKAccumulator) Next() Accumulator {
-	n := &nextKAccumulator{nextKWindow: a.sk.newWindow(), nextKScratch: a.nextKScratch}
+	n := a.sk.accumulator(a.nextKScratch)
 	if n.bound, _ = a.kth(); n.bound == nil {
 		n.slice = coldSlice
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -68,6 +69,55 @@ func assertNextKEqual(t *testing.T, got, want *NextKList) {
 			t.Fatalf("count %d = %d, want %d", i, got.Counts[i], want.Counts[i])
 		}
 	}
+}
+
+// boxedNextK is the exact oracle of the pruned scan: every member row
+// boxed and inserted into the bounded window. Unlike referenceNextK's
+// sort it needs no total order, so it also holds on tieTable's NaN.
+func boxedNextK(t *testing.T, sk *NextKSketch, tbl *table.Table) *NextKList {
+	t.Helper()
+	cols, err := rowColumns("nextk", tbl.Schema(), sk.Order, sk.Extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyCmp, cmp := sk.Order.RowComparator(), sk.rowCmp()
+	out := sk.Zero().(*NextKList)
+	tbl.Members().Iterate(func(row int) bool {
+		out.Total++
+		r := tbl.GetRowCols(row, cols)
+		if len(sk.From) > 0 && keyCmp(r[:len(sk.Order)], sk.From) <= 0 {
+			out.Before++
+			return true
+		}
+		i := sort.Search(len(out.Rows), func(i int) bool { return cmp(out.Rows[i], r) >= 0 })
+		switch {
+		case i < len(out.Rows) && cmp(out.Rows[i], r) == 0:
+			out.Counts[i]++
+		case i < sk.K:
+			out.Rows = slices.Insert(out.Rows, i, r)
+			out.Counts = slices.Insert(out.Counts, i, 1)
+			if len(out.Rows) > sk.K {
+				out.Rows, out.Counts = out.Rows[:sk.K], out.Counts[:sk.K]
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// boxedFold is the boxed oracle over chunks: boxedNextK per chunk, then
+// the sequential Merge.
+func boxedFold(t *testing.T, sk *NextKSketch, chunks []*table.Table) Result {
+	t.Helper()
+	sums := make([]Result, len(chunks))
+	for i, c := range chunks {
+		sums[i] = boxedNextK(t, sk, c)
+	}
+	out, err := MergeAll(sk, sums...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestNextKAgainstReference(t *testing.T) {
@@ -247,9 +297,9 @@ func nextKCases(parts []*table.Table, info table.GenInfo) []*NextKSketch {
 
 // foldAccumulators deals chunks round-robin to p workers and combines
 // their results with the merge tree. With chain set a worker retires its
-// accumulator after every chunk and folds the next chunk into the
-// successor (AccumulatorAfter), as the engine's workers do between partitions.
-func foldAccumulators(t *testing.T, sk AccumulatorSketch, chunks []*table.Table, p int, chain bool) Result {
+// accumulator after every chunk and folds the next chunk into its Next,
+// as the engine's workers do between partitions.
+func foldAccumulators(t *testing.T, sk *NextKSketch, chunks []*table.Table, p int, chain bool) Result {
 	t.Helper()
 	accs := make([]Accumulator, p)
 	var results []Result
@@ -258,8 +308,11 @@ func foldAccumulators(t *testing.T, sk AccumulatorSketch, chunks []*table.Table,
 		if accs[w] != nil && chain {
 			results = append(results, accs[w].Result())
 		}
-		if accs[w] == nil || chain {
-			accs[w] = AccumulatorAfter(sk, accs[w])
+		switch {
+		case accs[w] == nil:
+			accs[w] = sk.NewAccumulator()
+		case chain:
+			accs[w] = accs[w].Next()
 		}
 		if err := accs[w].Add(c); err != nil {
 			t.Fatalf("%s: Add(%s): %v", sk.Name(), c.ID(), err)
@@ -279,8 +332,8 @@ func foldAccumulators(t *testing.T, sk AccumulatorSketch, chunks []*table.Table,
 
 // TestNextKAccumulatorMatchesReference is the pruned scan's
 // differential oracle: for every case × table × chunking × worker count
-// the accumulator result must DeepEqual Summarize per chunk plus the
-// sequential Merge.
+// the accumulator result must DeepEqual the boxed scan per chunk plus
+// the sequential Merge.
 func TestNextKAccumulatorMatchesReference(t *testing.T) {
 	type tcase struct {
 		name  string
@@ -302,15 +355,12 @@ func TestNextKAccumulatorMatchesReference(t *testing.T) {
 				for _, p := range tc.parts {
 					chunks = append(chunks, chunkViews(p, nChunks)...)
 				}
-				want, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := boxedFold(t, sk, chunks)
 				for p := 1; p <= 3; p++ {
 					for _, chain := range []bool{false, true} {
 						got := foldAccumulators(t, sk, chunks, p, chain)
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s/%s chunks=%d workers=%d chain=%v: accumulator differs from Summarize+Merge\n got %+v\nwant %+v",
+							t.Fatalf("%s/%s chunks=%d workers=%d chain=%v: accumulator differs from the boxed scan\n got %+v\nwant %+v",
 								tc.name, sk.Name(), nChunks, p, chain, got, want)
 						}
 					}
@@ -396,11 +446,11 @@ func nextKFromSpec(spec []byte, k uint8) *NextKSketch {
 	return sk
 }
 
-// FuzzNextKPrune holds the pruned scan to the reference on fuzzed
+// FuzzNextKPrune holds the pruned scan to the boxed scan on fuzzed
 // shapes: a GenPartitions table from seed, an order of 1-5 levels and
 // extra columns from spec, K, and a cursor that is the order key of
-// member row cursor-1 (none when cursor is 0). Successor-chained
-// accumulators at 1-3 workers must DeepEqual Summarize+Merge. The
+// member row cursor-1 (none when cursor is 0). Next-chained
+// accumulators at 1-3 workers must DeepEqual the boxed scan. The
 // checked-in corpus holds the tie shapes: a K-th key that is missing, a
 // dominant lead, a descending level after a tie, string tie-breaks whose
 // dictionaries differ by partition, a computed tie-break and cursors
@@ -434,10 +484,7 @@ func FuzzNextKPrune(f *testing.F) {
 		for _, p := range parts {
 			chunks = append(chunks, chunkViews(p, 2)...)
 		}
-		want, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := boxedFold(t, sk, chunks)
 		for p := 1; p <= 3; p++ {
 			if got := foldAccumulators(t, sk, chunks, p, true); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s workers=%d: accumulator differs\n got %+v\nwant %+v", sk.Name(), p, got, want)
@@ -486,10 +533,7 @@ func TestNextKAccumulatorDuplicateHeavy(t *testing.T) {
 		} {
 			sk := c.sk
 			chunks := chunkViews(c.t, 3)
-			want, err := MergeAll(sk, summarizeParts(t, sk, chunks)...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := boxedFold(t, sk, chunks)
 			for p := 1; p <= 3; p++ {
 				for _, chain := range []bool{false, true} {
 					if got := foldAccumulators(t, sk, chunks, p, chain); !equalNaN(got, want) {
@@ -538,7 +582,7 @@ func TestNextKAccumulatorPrunes(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The reference path allocates one Row per member row.
+	// The boxed scan allocates one Row per member row.
 	if allocs > 20000 {
 		t.Errorf("pruned scan made %.0f allocations over 200000 rows; pruning is not taking effect", allocs)
 	}
@@ -552,7 +596,7 @@ func TestNextKAccumulatorPrunes(t *testing.T) {
 		})
 	}
 	cold := addTo(sk.NewAccumulator)
-	warm := addTo(func() Accumulator { return AccumulatorAfter(sk, acc) })
+	warm := addTo(acc.Next)
 	if warm > cold/2 {
 		t.Errorf("successor made %.0f allocations, cold accumulator %.0f; the inherited bound is not pruning", warm, cold)
 	}
@@ -605,9 +649,6 @@ func TestCursorLengthRejected(t *testing.T) {
 		nk := &NextKSketch{Order: order, K: 5, From: from}
 		if _, err := nk.Summarize(tbl); !errors.Is(err, ErrCursorLength) {
 			t.Errorf("nextk Summarize with %d-value cursor: err = %v, want ErrCursorLength", len(from), err)
-		}
-		if err := nk.NewAccumulator().Add(tbl); !errors.Is(err, ErrCursorLength) {
-			t.Errorf("nextk Add with %d-value cursor: err = %v, want ErrCursorLength", len(from), err)
 		}
 		ft := &FindTextSketch{Col: "cat", Pattern: "a", Kind: MatchSubstring, Order: order, From: from}
 		if _, err := ft.Summarize(tbl); !errors.Is(err, ErrCursorLength) {

@@ -59,17 +59,14 @@
 //
 // # Accumulators
 //
-// The engine folds every partition through an Accumulator (AccumulatorOf):
-// one Add of the whole partition, then Result. Every sketch but two gets
-// the adapter, whose first Add is Summarize itself and whose later Adds
-// Merge — so a partition is summarized one way, by Summarize. Only
-// next-K and the MultiSketch composite implement AccumulatorSketch.
-// Next-K's accumulator is not the same work but a pruned scan: typed
+// The engine summarizes a partition by calling Summarize. The one
+// exception is next-K, the only AccumulatorSketch: its scan carries a
+// pruning bound from one partition to the next, so the engine folds each
+// partition into the Next of the accumulator the worker retired before
+// it. Its Summarize is the same pruned scan from a cold start: typed
 // compares of the whole sort key against the window's K-th row, level by
 // level and only over the rows still tied, reject almost every row
-// before it is boxed (nextk.go), and the K-th row carries over to the
-// worker's next partition (Successor). MultiSketch feeds one partition
-// to every member's accumulator and carries their successors.
+// before it is boxed (nextk.go).
 package sketch
 
 import "repro/internal/table"
@@ -100,11 +97,11 @@ type Sketch interface {
 	Merge(a, b Result) (Result, error)
 }
 
-// Accumulator is a fold state: Add folds tables into it in order. The
-// engine gives every partition its own accumulator and one Add; other
-// callers may Add many tables. The accumulated summary must be exactly
-// the left fold of Summarize results with Merge over the same tables,
-// and one Add must yield Summarize's summary.
+// Accumulator is a fold state whose scan carries state across the
+// partitions a worker folds one after another. Add folds tables into it
+// in order; the accumulated summary must be exactly the left fold of
+// Summarize results with Merge over the same tables, and one Add must
+// yield Summarize's summary.
 //
 // Accumulators are not safe for concurrent use.
 type Accumulator interface {
@@ -112,14 +109,20 @@ type Accumulator interface {
 	Add(t *table.Table) error
 	// Result returns the final accumulated summary. It may share the
 	// accumulator's internal state: the accumulator must not be used
-	// after Result is called.
+	// after Result is called, except to call Next.
 	Result() Result
+	// Next returns the accumulator for the partition a worker folds
+	// after this one. It starts from the empty summary and may use what
+	// the receiver learned (a pruning bound, say) only to skip work: the
+	// scan's merged result must not change by a bit, whichever
+	// partitions happen to follow one another.
+	Next() Accumulator
 }
 
-// AccumulatorSketch is an optional Sketch extension for sketches whose
-// fold is a different algorithm (next-K's pruned scan) or a composition
-// (MultiSketch). The engine uses it when present; Summarize and Merge
-// remain the reference semantics (and the wire path).
+// AccumulatorSketch is an optional Sketch extension for a sketch whose
+// scan state is worth more than one partition (next-K's pruning bound).
+// The engine chains its accumulators through Next; Summarize and Merge
+// remain the semantics (and the wire path).
 type AccumulatorSketch interface {
 	Sketch
 	// NewAccumulator returns a fresh accumulator equivalent to Zero.
@@ -195,80 +198,6 @@ func MergeAll(sk Sketch, results ...Result) (Result, error) {
 		}
 	}
 	return acc, nil
-}
-
-// Extend folds one more partition into a running summary: the
-// incremental form of MergeAll. Standing queries over a growing dataset
-// use it when a new partition is sealed — only the new partition is
-// summarized and re-merged into the running result, never the already
-// covered data (the mergeability payoff of §4). Because Merge must not
-// mutate its arguments, the previous running result stays valid for
-// readers that still hold it.
-func Extend(sk Sketch, running Result, t *table.Table) (Result, error) {
-	s, err := sk.Summarize(t)
-	if err != nil {
-		return nil, err
-	}
-	return sk.Merge(running, s)
-}
-
-// Successor is an optional Accumulator extension for scan state worth
-// more than one partition — a pruning bound, say. The engine gives a
-// worker's next partition the successor of the accumulator it just
-// retired. It starts from the empty summary and may use what the
-// receiver learned only to skip work: the scan's merged result must not
-// change by a bit, whichever partitions happen to follow one another.
-type Successor interface {
-	Next() Accumulator
-}
-
-// AccumulatorAfter returns the fold state for the partition a worker
-// folds after retiring prev (nil for its first): prev's successor if it
-// has one, else AccumulatorOf(sk).
-func AccumulatorAfter(sk Sketch, prev Accumulator) Accumulator {
-	if s, ok := prev.(Successor); ok {
-		return s.Next()
-	}
-	return AccumulatorOf(sk)
-}
-
-// AccumulatorOf returns sk's fold state: its native
-// accumulator when sk is an AccumulatorSketch, otherwise the
-// Summarize+Merge adapter.
-func AccumulatorOf(sk Sketch) Accumulator {
-	if as, ok := sk.(AccumulatorSketch); ok {
-		return as.NewAccumulator()
-	}
-	return &foldAccumulator{sk: sk}
-}
-
-// foldAccumulator is the Summarize+Merge reference fold behind the
-// Accumulator interface. The first Add keeps Summarize's result as is —
-// no Merge with Zero, which for a hist2d would allocate two more count
-// matrices per partition — and later Adds merge into it.
-type foldAccumulator struct {
-	sk Sketch
-	r  Result // nil until the first Add
-}
-
-func (a *foldAccumulator) Add(t *table.Table) error {
-	r, err := a.sk.Summarize(t)
-	if err == nil && a.r != nil {
-		r, err = a.sk.Merge(a.r, r)
-	}
-	if err != nil {
-		return err
-	}
-	a.r = r
-	return nil
-}
-
-// Result returns the fold, or Zero when nothing was added.
-func (a *foldAccumulator) Result() Result {
-	if a.r == nil {
-		return a.sk.Zero()
-	}
-	return a.r
 }
 
 // TreeFold combines n indexed results with a fixed pairwise merge tree:

@@ -127,7 +127,6 @@ type pooledLeaf struct {
 	file   int
 	id     string
 	lo, hi int
-	whole  bool // covers the entire file: full membership
 }
 
 // PooledSource implements engine.LeafSource over HVC2 files through a
@@ -177,7 +176,7 @@ func newPooledSource(pool *colstore.Pool, specs []PooledFileSpec, microRows int,
 		s.files = append(s.files, &pooledFile{File: f, owned: owned})
 		rows := f.Rows()
 		if rows <= microRows {
-			s.leaves = append(s.leaves, pooledLeaf{file: fi, id: spec.ID, lo: 0, hi: rows, whole: true})
+			s.leaves = append(s.leaves, pooledLeaf{file: fi, id: spec.ID, lo: 0, hi: rows})
 			continue
 		}
 		k := 0
@@ -251,14 +250,8 @@ func (s *PooledSource) Acquire(i int, cols []string) (*table.Table, func(), erro
 		releases = append(releases, rel)
 	}
 
-	var members table.Membership
-	if l.whole {
-		members = table.FullMembership(f.Rows())
-	} else {
-		members = table.NewRangeMembership(l.lo, l.hi, f.Rows())
-	}
 	var once sync.Once
-	return table.New(l.id, table.NewSchema(outDesc...), outCols, members),
+	return table.New(l.id, table.NewSchema(outDesc...), outCols, table.NewRangeMembership(l.lo, l.hi, f.Rows())),
 		func() { once.Do(release) }, nil
 }
 

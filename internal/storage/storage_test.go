@@ -174,10 +174,9 @@ func TestHVCColumnAccess(t *testing.T) {
 	if got.Schema().NumColumns() != 2 {
 		t.Fatalf("columns = %d", got.Schema().NumColumns())
 	}
-	proj, err := orig.Project("p", []string{"city", "id"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	city, id := orig.Schema().ColumnIndex("city"), orig.Schema().ColumnIndex("id")
+	proj := table.New("p", table.NewSchema(orig.Schema().Columns[city], orig.Schema().Columns[id]),
+		[]table.Column{orig.ColumnAt(city), orig.ColumnAt(id)}, orig.Members())
 	tablesEqual(t, proj, got)
 	if _, err := colstore.ReadHVC2File(path, "x", []string{"nope"}); err == nil {
 		t.Error("unknown column should fail")

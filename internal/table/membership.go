@@ -9,7 +9,8 @@ import (
 // Membership identifies which physical rows belong to a (possibly
 // filtered) table. Derived tables share column storage with their parents
 // and differ only in membership (paper §5.6). Implementations choose a
-// representation by density: full, dense bitmap, or sparse index list.
+// representation by density: a row range (full membership is [0, n)),
+// dense bitmap, or sparse index list.
 //
 // Beyond the row-at-a-time Iterate, memberships expose two batch forms
 // that sketch kernels scan with (the batch-iteration contract):
@@ -20,9 +21,9 @@ import (
 //   - FillBatch copies member row indexes into a caller-owned buffer,
 //     again in increasing Iterate order. The buffer is reused across
 //     calls; callers must consume (or copy) its contents before the
-//     next call. Each representation fills it with bulk code: full and
-//     range memberships write arithmetic sequences, bitmaps decode
-//     whole words, sparse lists copy slices.
+//     next call. Each representation fills it with bulk code: ranges
+//     (full memberships among them) write arithmetic sequences, bitmaps
+//     decode whole words, sparse lists copy slices.
 //
 // Both forms are deterministic: for a given membership value they yield
 // the same sequence on every call, which the engine relies on for
@@ -102,46 +103,8 @@ func (g *geomSkipper) next() int {
 	return int(skip)
 }
 
-// fullMembership contains rows [0, n).
-type fullMembership struct{ n int }
-
-// FullMembership returns the membership containing all rows of an
-// n-row table.
-func FullMembership(n int) Membership { return fullMembership{n: n} }
-
-func (m fullMembership) Size() int           { return m.n }
-func (m fullMembership) Max() int            { return m.n }
-func (m fullMembership) Contains(i int) bool { return i >= 0 && i < m.n }
-
-func (m fullMembership) Iterate(yield func(i int) bool) {
-	for i := 0; i < m.n; i++ {
-		if !yield(i) {
-			return
-		}
-	}
-}
-
-func (m fullMembership) IterateSpans(yield func(start, end int) bool) {
-	if m.n > 0 {
-		yield(0, m.n)
-	}
-}
-
-func (m fullMembership) FillBatch(buf []int32, from int) (int, int) {
-	return fillSequential(buf, from, 0, m.n)
-}
-
-func (m fullMembership) Sample(rate float64, seed uint64, yield func(i int) bool) {
-	g := newGeomSkipper(rate, seed)
-	for i := g.next(); i < m.n; i += g.next() + 1 {
-		if !yield(i) {
-			return
-		}
-	}
-}
-
 // fillSequential writes the arithmetic sequence [max(from,lo), hi) into
-// buf; shared by the full and range representations.
+// buf.
 func fillSequential(buf []int32, from, lo, hi int) (int, int) {
 	if from < lo {
 		from = lo

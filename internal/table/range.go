@@ -18,6 +18,10 @@ func NewRangeMembership(lo, hi, bound int) RangeMembership {
 	return RangeMembership{Lo: lo, Hi: hi, Bound: bound}
 }
 
+// FullMembership returns the membership containing all rows of an
+// n-row table: the range [0, n).
+func FullMembership(n int) Membership { return RangeMembership{Lo: 0, Hi: n, Bound: n} }
+
 // Size implements Membership.
 func (m RangeMembership) Size() int { return m.Hi - m.Lo }
 
@@ -62,7 +66,7 @@ func (m RangeMembership) Sample(rate float64, seed uint64, yield func(i int) boo
 // with the given ID, sharing all column storage. It requires t to have
 // full membership (a freshly loaded table).
 func SliceRows(t *Table, id string, lo, hi int) *Table {
-	if _, ok := t.Members().(fullMembership); !ok {
+	if m, ok := t.Members().(RangeMembership); !ok || m.Lo != 0 || m.Hi != m.Bound {
 		panic("table: SliceRows requires full membership")
 	}
 	return New(id, t.Schema(), t.cols, NewRangeMembership(lo, hi, t.Members().Max()))

@@ -63,20 +63,6 @@ func (s *Schema) Append(cd ColumnDesc) *Schema {
 	return NewSchema(cols...)
 }
 
-// Project returns a new schema containing only the named columns, in the
-// given order.
-func (s *Schema) Project(names []string) (*Schema, error) {
-	cols := make([]ColumnDesc, 0, len(names))
-	for _, n := range names {
-		cd, err := s.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, cd)
-	}
-	return NewSchema(cols...), nil
-}
-
 // Names returns the column names in schema order.
 func (s *Schema) Names() []string {
 	out := make([]string, len(s.Columns))

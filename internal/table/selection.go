@@ -350,7 +350,7 @@ type Selector interface {
 // selects, in the representation FilterMembership would choose: the
 // dense bitmap when at least 1/32 of the physical rows survive (counted
 // by popcount — a dense result is never staged as a row list), the
-// sparse list otherwise. Full, range and bitmap parents are evaluated
+// sparse list otherwise. Range (full) and bitmap parents are evaluated
 // a word-aligned span at a time, straight into the result's words, and
 // masked with the parent's; any other parent gathers its listed rows.
 func Select(parent Membership, sel Selector) Membership {
@@ -358,8 +358,6 @@ func Select(parent Membership, sel Selector) Membership {
 	var lo, hi int
 	var parentWords []uint64 // nil: every row of [lo, hi) is a member
 	switch m := parent.(type) {
-	case fullMembership:
-		hi = m.n
 	case RangeMembership:
 		lo, hi = m.Lo, m.Hi
 	case *BitmapMembership:

@@ -106,19 +106,6 @@ func (t *Table) WithColumn(newID, name string, col Column) (*Table, error) {
 	}, nil
 }
 
-// Project returns a new table restricted to the named columns.
-func (t *Table) Project(newID string, names []string) (*Table, error) {
-	schema, err := t.schema.Project(names)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		cols[i] = t.cols[t.schema.ColumnIndex(n)]
-	}
-	return &Table{id: newID, schema: schema, cols: cols, members: t.members}, nil
-}
-
 // GetRow materializes physical row i across all columns.
 func (t *Table) GetRow(i int) Row {
 	row := make(Row, len(t.cols))

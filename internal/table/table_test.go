@@ -118,19 +118,8 @@ func TestFilterSharesStorage(t *testing.T) {
 	})
 }
 
-func TestProjectAndWithColumn(t *testing.T) {
+func TestWithColumn(t *testing.T) {
 	tbl := buildTestTable(t)
-	proj, err := tbl.Project("p1", []string{"city", "id"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.Schema().Columns[0].Name != "city" || proj.Schema().Columns[1].Name != "id" {
-		t.Fatalf("projection order wrong: %v", proj.Schema())
-	}
-	if _, err := tbl.Project("p2", []string{"nope"}); err == nil {
-		t.Error("projecting a missing column should fail")
-	}
-
 	id := tbl.MustColumn("id")
 	doubled := NewComputedColumn(KindInt, id.Len(), func(i int) Value {
 		return IntValue(id.Int(i) * 2)

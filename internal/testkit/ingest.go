@@ -71,32 +71,29 @@ func ingestSketches(info table.GenInfo) map[string]sketch.Sketch {
 	}
 }
 
-// projectBatches strips the generator's computed column: an ingest
-// dataset stores physical columns only (GenSchema), and computed
-// columns are derived after load, not ingested.
-func projectBatches(batches []*table.Table) ([]*table.Table, error) {
-	names := make([]string, table.GenSchema.NumColumns())
-	for i, cd := range table.GenSchema.Columns {
-		names[i] = cd.Name
-	}
-	out := make([]*table.Table, len(batches))
+// physicalRows materializes each batch's member rows over its physical
+// columns (GenSchema), the rows /api/ingest hands to AppendRows: an
+// ingest dataset stores physical columns only, and computed columns are
+// derived after load, not ingested.
+func physicalRows(batches []*table.Table) [][]table.Row {
+	cols := make([]int, table.GenSchema.NumColumns())
+	out := make([][]table.Row, len(batches))
 	for i, b := range batches {
-		p, err := b.Project(b.ID()+"#phys", names)
-		if err != nil {
-			return nil, err
+		for c, cd := range table.GenSchema.Columns {
+			cols[c] = b.Schema().ColumnIndex(cd.Name)
 		}
-		out[i] = p
+		b.Members().Iterate(func(row int) bool {
+			out[i] = append(out[i], b.GetRowCols(row, cols))
+			return true
+		})
 	}
-	return out, nil
+	return out
 }
 
 func runIngestPrefixIdentity(seed uint64) error {
 	p := genParams(seed)
-	batches, info := table.GenPartitions(p.prefix, seed, p.rows, p.parts)
-	batches, err := projectBatches(batches)
-	if err != nil {
-		return err
-	}
+	parts, info := table.GenPartitions(p.prefix, seed, p.rows, p.parts)
+	batches := physicalRows(parts)
 	sks := ingestSketches(info)
 	cfg := engine.Config{Parallelism: 3, AggregationWindow: -1}
 
@@ -194,7 +191,7 @@ func runIngestPrefixIdentity(seed uint64) error {
 	// no-op, which must not advance the expected standing-query position.
 	sealed := 0
 	for i, batch := range batches {
-		if err := ds.Append(ctx, batch); err != nil {
+		if err := ds.AppendRows(ctx, batch); err != nil {
 			return fmt.Errorf("append %d: %w", i, err)
 		}
 		p, err := ds.Seal(ctx)
@@ -220,11 +217,8 @@ func runIngestCrashBattery(seed uint64) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	rows := 60 + int(rng.Uint64()%120)
 	parts := 3 + int(rng.Uint64()%3)
-	batches, info := table.GenPartitions(fmt.Sprintf("ic%d", seed), seed^1, rows, parts)
-	batches, err := projectBatches(batches)
-	if err != nil {
-		return err
-	}
+	gen, info := table.GenPartitions(fmt.Sprintf("ic%d", seed), seed^1, rows, parts)
+	batches := physicalRows(gen)
 	sk := ingestSketches(info)["hist-gd"]
 	dir := "root/" + datasetID
 
@@ -242,7 +236,7 @@ func runIngestCrashBattery(seed uint64) error {
 		sealBytes [][]byte
 	)
 	for i, batch := range batches {
-		if err := d.Append(ctx, batch); err != nil {
+		if err := d.AppendRows(ctx, batch); err != nil {
 			return fmt.Errorf("append %d: %w", i, err)
 		}
 		p, err := d.Seal(ctx)
@@ -362,11 +356,7 @@ func checkIngestRecovery(img *ingest.MemFS, dir string, k int, ackOps []int,
 	}
 	// And it keeps ingesting: one more append + seal.
 	extra, _ := table.GenPartitions("post", 7, 16, 1)
-	extra, err = projectBatches(extra)
-	if err != nil {
-		return err
-	}
-	if err := d.Append(ctx, extra[0]); err != nil {
+	if err := d.AppendRows(ctx, physicalRows(extra)[0]); err != nil {
 		return fmt.Errorf("append after recovery: %w", err)
 	}
 	p, err := d.Seal(ctx)

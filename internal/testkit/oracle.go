@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 
 	"repro/internal/sketch"
 	"repro/internal/table"
@@ -60,9 +61,11 @@ type contractFunc func(sk sketch.Sketch, parts []*table.Table, a, b sketch.Resul
 // error for a sketch type it does not know.
 func contract(sk sketch.Sketch) (check, peer contractFunc, err error) {
 	switch sk.(type) {
-	case *sketch.NextKSketch, *sketch.FindTextSketch, *sketch.RangeSketch,
+	case *sketch.FindTextSketch, *sketch.RangeSketch,
 		*sketch.DistinctCountSketch, *sketch.DistinctBottomKSketch, *sketch.MetaSketch:
 		return exact, exact, nil
+	case *sketch.NextKSketch:
+		return checkNextK, exact, nil
 	case *sketch.Histogram2DSketch:
 		return checkHist2D, exact, nil
 	case *sketch.TrellisSketch:
@@ -354,6 +357,65 @@ func checkSampleHH(sk sketch.Sketch, parts []*table.Table, ref, got sketch.Resul
 		}
 	}
 	return nil
+}
+
+// ---- next-K ---------------------------------------------------------------
+
+// checkNextK holds a next-K result to ground truth: every member row of
+// parts, materialized and sorted by brute force, sharing no code with
+// the pruned scan. The order is total on generated data (GenPartitions
+// emits no NaN), so the truth is one list. ref is unused: the reference
+// fold runs the same scan as the engine.
+func checkNextK(sk sketch.Sketch, parts []*table.Table, _, got sketch.Result) error {
+	s := sk.(*sketch.NextKSketch)
+	names := append(s.Order.Columns(), s.Extra...)
+	// cmp compares the first n columns: the order columns in their
+	// directions, then the extra columns ascending.
+	cmp := func(a, b table.Row, n int) int {
+		for i := 0; i < n; i++ {
+			c := a[i].Compare(b[i])
+			if i < len(s.Order) && !s.Order[i].Ascending {
+				c = -c
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	var rows []table.Row
+	for _, t := range parts {
+		cols := make([]table.Column, len(names))
+		for i, name := range names {
+			c, err := t.Column(name)
+			if err != nil {
+				return err
+			}
+			cols[i] = c
+		}
+		t.Members().Iterate(func(row int) bool {
+			r := make(table.Row, len(cols))
+			for i, c := range cols {
+				r[i] = c.Value(row)
+			}
+			rows = append(rows, r)
+			return true
+		})
+	}
+	slices.SortStableFunc(rows, func(a, b table.Row) int { return cmp(a, b, len(names)) })
+	want := &sketch.NextKList{Order: s.Order, K: s.K, Total: int64(len(rows))}
+	for _, r := range rows {
+		switch n := len(want.Rows); {
+		case len(s.From) > 0 && cmp(r, s.From, len(s.Order)) <= 0:
+			want.Before++
+		case n > 0 && cmp(want.Rows[n-1], r, len(names)) == 0:
+			want.Counts[n-1]++
+		case n < s.K:
+			want.Rows = append(want.Rows, r)
+			want.Counts = append(want.Counts, 1)
+		}
+	}
+	return exact(sk, parts, want, got)
 }
 
 // ---- Misra–Gries ----------------------------------------------------------
