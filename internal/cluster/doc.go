@@ -21,10 +21,11 @@
 //	magic (0x48 'H') | version (0x02) | kind | flags | uvarint reqID | body | crc32c
 //
 // The codec is stateless: frames are self-contained, and neither end of
-// a connection keeps per-request codec state. Frames are encoded by
-// hand-rolled per-type codecs (no reflection) with little-endian
-// fixed-width words for counter/float arrays and uvarints for lengths
-// (package wire). Any frame decodes in isolation, so byte-level frame
+// a connection keeps per-request codec state. Envelope fields are
+// encoded by hand here; a sketch or result body by package sketch's one
+// field codec, which walks the type's exported fields. Both use package
+// wire's primitives: little-endian fixed-width words for counter/float
+// arrays and uvarints for lengths. Any frame decodes in isolation, so byte-level frame
 // duplication — which corrupted the seed's stateful per-connection gob
 // stream ("duplicate type received") — is now a tolerated fault, and
 // the chaos harness injects it at the transport layer.
@@ -50,11 +51,13 @@
 //	MsgError     err string                              (flagErrMissing in flags)
 //
 // Kinds 5 and 11 are retired and decode as unknown kinds. Per-type
-// tags are registered in sketch (RegisterResultCodec /
-// RegisterSketchCodec; the tag tables in sketch/codec.go list every
-// tag, including those that storage and tests register) and engine (the
-// MapOp switch); tag spaces are independent, tag 0 is reserved, and
-// tags are append-only wire format. Sketch tags 2, 3 (the sampled and
+// tags are registered in sketch (RegisterSketch / RegisterResult, one
+// call naming a tag and a prototype; the tag tables in sketch/codec.go
+// list every tag, including those that storage and tests register) and
+// engine (the MapOp switch); tag spaces are independent, tag 0 is
+// reserved, and tags are append-only wire format. A sketch or result
+// body is the type's exported fields in declaration order, each by its
+// kind's rule (sketch/codec.go states the rules). Sketch tags 2, 3 (the sampled and
 // CDF histograms, now tag 1's Rate and Seed) and 15 are retired: a
 // request carrying one gets MsgError "unknown sketch tag N". A sketch
 // body is the sketch's whole configuration — a MultiSketch is its
@@ -85,11 +88,11 @@
 // does any decode error on the root's side.
 //
 // The registration contract for a new sketch: add the prototype to
-// sketch.wireSketches, implement WireSketch on the sketch and
-// WireResult on its summary, register both under fresh tags, and add a
-// case to testkit's oracle contract switch and a testkit instance — the
-// codec coverage test (sketch.TestWireCodecCoverage) and the oracle
-// coverage test each fail a sketch that skips its half.
+// sketch.wireSketches, register the sketch and its summary type under
+// fresh tags (registration panics on a field the codec cannot encode),
+// and add a case to testkit's oracle contract switch and a testkit
+// instance — the codec coverage test (sketch.TestWireCodecCoverage) and
+// the oracle coverage test each fail a sketch that skips its half.
 //
 // # Replica map
 //

@@ -165,6 +165,26 @@ func FuzzFrame(f *testing.F) {
 		&Envelope{ReqID: 10, Kind: MsgSketch, DatasetID: "d",
 			Sketch: &sketch.FindTextSketch{Col: "a", Pattern: "x", Order: table.Asc("a").Then("b", true), From: shortFrom}},
 	))
+	// Decode checks the seeds above do not reach: a cursor longer than
+	// its order, a result whose bucket count is past wire.MaxElems, a
+	// multi member slot marked absent, and a multi nested in a multi on
+	// either side of the wire. Each must be rejected as corrupt.
+	for i, frame := range [][]byte{
+		frameBytes(f, &Envelope{ReqID: 13, Kind: MsgSketch, DatasetID: "d",
+			Sketch: &sketch.NextKSketch{Order: table.Asc("a"), K: 5, From: table.Row{table.IntValue(1), table.IntValue(2)}}}),
+		frameBytes(f, &Envelope{ReqID: 14, Kind: MsgFinal, Done: 1, Total: 1,
+			Result: &sketch.Histogram{Buckets: sketch.BucketSpec{Kind: table.KindDouble, Max: 1, Count: wire.MaxElems + 1}}}),
+		falseMemberSlotFrame(f),
+		frameBytes(f, &Envelope{ReqID: 15, Kind: MsgSketch, DatasetID: "d",
+			Sketch: &sketch.MultiSketch{Sketches: []sketch.Sketch{&sketch.MultiSketch{Sketches: []sketch.Sketch{&sketch.RangeSketch{Col: "a"}}}}}}),
+		frameBytes(f, &Envelope{ReqID: 16, Kind: MsgFinal, Done: 1, Total: 1,
+			Result: &sketch.MultiResult{Members: []sketch.Result{&sketch.MultiResult{Members: []sketch.Result{&sketch.DataRange{}}}}}}),
+	} {
+		if _, err := recvBytes(frame); !errors.Is(err, wire.ErrCorrupt) {
+			f.Fatalf("decode-check seed %d: err = %v, want wire.ErrCorrupt", i, err)
+		}
+		f.Add(frame)
+	}
 	// Bucket geometry a worker's Zero could not allocate: a negative
 	// count, a count past wire.MaxElems, and 2-D and trellis grids of
 	// more than wire.MaxElems cells.
@@ -215,6 +235,21 @@ func retiredSketchTagFrame(f *testing.F, tag byte, sk sketch.Sketch) []byte {
 	if _, err := recvBytes(frame); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown sketch tag %d", tag)) {
 		f.Fatalf("retired sketch tag %d: err = %v, want an unknown-tag error", tag, err)
 	}
+	return frame
+}
+
+// falseMemberSlotFrame is a sealed request for a one-member MultiSketch
+// whose member slot bool is cleared.
+func falseMemberSlotFrame(f *testing.F) []byte {
+	multi := &sketch.MultiSketch{Sketches: []sketch.Sketch{&sketch.RangeSketch{Col: "a"}}}
+	body, _ := sketch.AppendSketchWire(nil, multi)
+	frame := frameBytes(f, &Envelope{ReqID: 17, Kind: MsgSketch, DatasetID: "d", Sketch: multi})
+	slot := bytes.Index(frame, body) + 2 // after the multi's tag and member count
+	if frame[slot] != 1 {
+		f.Fatalf("member slot byte = %d, want 1", frame[slot])
+	}
+	frame[slot] = 0
+	reseal(frame)
 	return frame
 }
 

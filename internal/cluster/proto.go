@@ -60,7 +60,7 @@ type Envelope struct {
 	Source    string        // MsgLoad
 	NewID     string        // MsgMap
 	Op        engine.MapOp  // MsgMap (engine.AppendOpWire)
-	Sketch    sketch.Sketch // MsgSketch (sketch.RegisterSketchCodec)
+	Sketch    sketch.Sketch // MsgSketch (sketch.RegisterSketch)
 	// NoPartials suppresses MsgPartial streaming for sketches whose
 	// caller only wants the final summary (preparation-phase sketches,
 	// scroll-bar quantiles): progressive updates exist for renderable

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -37,8 +36,6 @@ type Worker struct {
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	wrap     func(net.Conn) net.Conn
-	dupProb  float64
-	dupRNG   *rand.Rand
 	logf     func(format string, args ...any)
 }
 
@@ -69,29 +66,6 @@ func (w *Worker) SetConnWrapper(f func(net.Conn) net.Conn) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.wrap = f
-}
-
-// SetDuplicatePartials makes the worker re-send each streamed partial
-// result with the given probability (deterministic in seed) — the
-// duplicated-partial fault of the chaos harness, modeling a retrying
-// emission layer. The duplicate is a second full frame of the same
-// snapshot; the protocol tolerates it because partials are cumulative:
-// the root keeps a range's snapshot only while its Done does not move
-// backwards, so applying any partial any number of times is idempotent.
-// Byte-identical frame replay is the harsher, transport-level cousin —
-// FaultScript.DupFrameProb — which the stateless codec also absorbs.
-func (w *Worker) SetDuplicatePartials(prob float64, seed uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.dupProb = prob
-	w.dupRNG = rand.New(rand.NewPCG(seed, seed^0xa54ff53a5f1d36f1))
-}
-
-// dupPartial decides whether to re-send one partial.
-func (w *Worker) dupPartial() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.dupRNG != nil && w.dupRNG.Float64() < w.dupProb
 }
 
 // Crash simulates the worker process dying mid-work: every live
@@ -382,9 +356,6 @@ func (w *Worker) handle(ctx context.Context, fc *frameConn, env *Envelope, settl
 					return // the complete result: MsgFinal carries it
 				}
 				reply(&Envelope{Kind: MsgPartial, Result: p.Result, Done: p.Done, Total: p.Total})
-				if w.dupPartial() {
-					reply(&Envelope{Kind: MsgPartial, Result: p.Result, Done: p.Done, Total: p.Total})
-				}
 			}
 		}
 		sp := tr.StartSpan("worker.sketch")

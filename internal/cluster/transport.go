@@ -88,10 +88,9 @@ func dialRetry(tr Transport, addr string, budget time.Duration) (net.Conn, error
 //   - dup: the frame's raw bytes are delivered twice back to back
 //     (a retransmission artifact). Possible only because the binary
 //     frame codec is stateless — under the seed's stateful gob stream
-//     a byte-level replay was corruption ("duplicate type received"),
-//     which is why duplication originally had to retreat to the
-//     protocol layer (Worker.SetDuplicatePartials, still present as
-//     the retrying-emitter model);
+//     a byte-level replay was corruption ("duplicate type received").
+//     Frames are self-contained, so a partial re-sent by a retrying
+//     emitter is byte-identical to a replayed one;
 //
 //   - truncate: a strict prefix of the frame is delivered and the rest
 //     dropped, desynchronizing everything after it (a half-written

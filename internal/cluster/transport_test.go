@@ -146,13 +146,12 @@ func TestReadLoopNotWedgedBySlowPartialConsumer(t *testing.T) {
 }
 
 // TestFaultTransportEndToEnd runs a real worker query through a
-// delaying, stalling transport with duplicated partials and demands the
+// delaying, stalling, frame-duplicating transport and demands the
 // bit-identical fault-free result: non-destructive faults must be
 // invisible to the protocol.
 func TestFaultTransportEndToEnd(t *testing.T) {
 	cfg := engine.Config{AggregationWindow: time.Millisecond}
 	w := NewWorker(storage.NewLoader(cfg, 0))
-	w.SetDuplicatePartials(0.5, 3)
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +167,7 @@ func TestFaultTransportEndToEnd(t *testing.T) {
 		Seed:      11,
 		DelayProb: 0.2, MaxDelay: time.Millisecond,
 		StallProb: 0.2, Stall: time.Millisecond,
+		DupFrameProb: 0.5,
 	}}, []string{addr}, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -662,6 +663,45 @@ func TestRootLoaderFailure(t *testing.T) {
 	// Failed loads must not pollute the log.
 	if len(root.Log()) != 0 {
 		t.Errorf("failed load was logged: %v", root.Log())
+	}
+}
+
+// TestRootConcurrentLoadDefinesOnce: two concurrent loads of one name,
+// both past the early check while the loader blocks, define it once.
+// The loser gets "already defined" and the log holds one record.
+func TestRootConcurrentLoadDefinesOnce(t *testing.T) {
+	inner := &testLoader{}
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	root := NewRoot(func(id, source string) (IDataSet, error) {
+		started <- struct{}{}
+		<-release
+		return inner.load(id, source)
+	})
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := root.Load("x", "ok")
+			errs <- err
+		}()
+	}
+	<-started
+	<-started // both loads are inside the loader
+	close(release)
+	var failed int
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			if !strings.Contains(err.Error(), "already defined") {
+				t.Fatalf("losing load: err = %v, want already defined", err)
+			}
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Errorf("%d of 2 concurrent loads failed, want 1", failed)
+	}
+	if log := root.Log(); len(log) != 1 {
+		t.Errorf("log holds %d records, want 1: %v", len(log), log)
 	}
 }
 

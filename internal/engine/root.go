@@ -119,11 +119,7 @@ func (r *Root) Load(id, source string) (IDataSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.appendOp(Op{Kind: "load", ID: id, Source: source})
-	r.datasets[id] = ds
-	return ds, nil
+	return r.define(Op{Kind: "load", ID: id, Source: source}, ds)
 }
 
 // Apply derives a new dataset with a map operation and logs it.
@@ -143,10 +139,21 @@ func (r *Root) Apply(parentID, newID string, op MapOp) (IDataSet, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.define(Op{Kind: "map", ID: newID, Parent: parentID, Map: op}, ds)
+}
+
+// define logs op and records its dataset ds. Load and Apply check the ID
+// before they build ds, without the lock; define checks it again under
+// the lock, so of two concurrent definitions of one ID the second to
+// finish fails, and the log records the ID once.
+func (r *Root) define(op Op, ds IDataSet) (IDataSet, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.appendOp(Op{Kind: "map", ID: newID, Parent: parentID, Map: op})
-	r.datasets[newID] = ds
+	if _, dup := r.byID[op.ID]; dup {
+		return nil, fmt.Errorf("engine: dataset %q already defined", op.ID)
+	}
+	r.appendOp(op)
+	r.datasets[op.ID] = ds
 	return ds, nil
 }
 

@@ -3,6 +3,7 @@ package sketch
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -20,11 +21,11 @@ import (
 func TestWireCodecCoverage(t *testing.T) {
 	for _, sk := range WireSketches() {
 		if _, ok := AppendSketchWire(nil, sk); !ok {
-			t.Errorf("%T has no registered sketch codec (RegisterSketchCodec)", sk)
+			t.Errorf("%T has no sketch tag (RegisterSketch)", sk)
 		}
 		z := sk.Zero()
 		if _, ok := AppendResultWire(nil, z); !ok {
-			t.Errorf("%T result %T has no registered result codec (RegisterResultCodec)", sk, z)
+			t.Errorf("%T result %T has no result tag (RegisterResult)", sk, z)
 		}
 	}
 }
@@ -237,7 +238,7 @@ func TestCraftedAmplificationBounded(t *testing.T) {
 	// ~1M nil rows from ~1MB of body: decode memory may amplify (24-byte
 	// row headers from 1-byte elements, plus append growth churn) but
 	// must stay a bounded multiple of the frame.
-	body := appendOrder(nil, nil)
+	body := wire.AppendLen(nil, 0, true) // Order: nil
 	n := 1 << 20
 	body = wire.AppendLen(body, n, false)   // Rows: 2^20 declared
 	body = append(body, make([]byte, n)...) // 1 byte per "row" (each parses as nil or errors)
@@ -257,7 +258,7 @@ func TestCraftedAmplificationBounded(t *testing.T) {
 	}
 	// Beyond MaxElems the count is rejected whatever the body carries —
 	// the hard bound on adversarial decode memory.
-	huge := appendOrder(nil, nil)
+	huge := wire.AppendLen(nil, 0, true)
 	huge = wire.AppendLen(huge, wire.MaxElems+1, false)
 	huge = append(huge, make([]byte, wire.MaxElems+2)...)
 	crafted = append([]byte{byte(tagNextKList)}, huge...)
@@ -275,10 +276,57 @@ func TestCraftedLengthNoOOM(t *testing.T) {
 	b, _ := AppendResultWire(nil, h)
 	// Locate the Counts length (encoded right after the bucket spec) by
 	// re-encoding with a poisoned length: spec bytes are identical.
-	spec := appendBucketSpec(nil, h.Buckets)
+	spec, _ := appendField(nil, reflect.ValueOf(&h.Buckets).Elem())
 	crafted := append([]byte{b[0]}, spec...)
 	crafted = wire.AppendUvarint(crafted, 1<<40) // 2^40-1 counters, no body
 	if _, _, err := DecodeResultWire(crafted); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("crafted length: want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestWireLengthBounds pins the smallest element encodings that length
+// prefixes are checked against before a decoder allocates. A field rule
+// change that shrank one would let a crafted count buy more memory per
+// wire byte.
+func TestWireLengthBounds(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		elem reflect.Type
+		want int
+	}{
+		{"RecordOrder column", reflect.TypeFor[table.ColumnSortOrder](), 2},
+		{"Row value", reflect.TypeFor[table.Value](), 1},
+		{"Trellis plot", reflect.TypeFor[*Histogram2D](), 1},
+		{"NextKList row", reflect.TypeFor[table.Row](), 1},
+		{"SampleSet item", reflect.TypeFor[SampleItem](), 9},
+		{"multi member", reflect.TypeFor[Sketch](), 2},
+		{"schema column", reflect.TypeFor[table.ColumnDesc](), 2},
+	} {
+		if got := minWireSize(c.elem); got != c.want {
+			t.Errorf("%s: smallest encoding %d bytes, want %d", c.what, got, c.want)
+		}
+	}
+}
+
+// TestRegisterRefusesUnencodableTypes: a type whose fields the codec
+// cannot encode, or would drop, panics at registration, not on the wire.
+func TestRegisterRefusesUnencodableTypes(t *testing.T) {
+	type unexported struct {
+		Col string
+		k   int
+	}
+	type narrow struct{ F float32 }
+	type keyed struct{ M map[string]int }
+	type stringer struct{ S fmt.Stringer }
+	type empties struct{ E []struct{} }
+	for _, proto := range []any{&unexported{}, &narrow{}, &keyed{}, &stringer{}, &empties{}, unexported{}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T registered", proto)
+				}
+			}()
+			(&registry{what: "test", tags: map[reflect.Type]byte{}}).register(1, proto)
+		}()
 	}
 }

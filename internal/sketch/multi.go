@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/table"
-	"repro/internal/wire"
 )
 
 // MultiSketch is the scan-batching composite: it wraps N member
@@ -139,97 +138,4 @@ func (s *MultiSketch) Columns() []string {
 		union = []string{}
 	}
 	return union
-}
-
-// --- wire codec ----------------------------------------------------------
-//
-// Members nest inside the MultiSketch frame: each slot is a bool, always
-// true, followed by the member's registered tag+body. A false slot is
-// corrupt; AppendSketchWire and AppendResultWire refuse a multi with a
-// codec-less member before anything is written. Nested multis are
-// rejected at decode, which both mirrors the NewMultiSketch contract and
-// bounds decoder recursion on crafted frames.
-
-func (s *MultiSketch) AppendWire(b []byte) []byte {
-	b = wire.AppendLen(b, len(s.Sketches), s.Sketches == nil)
-	for _, m := range s.Sketches {
-		b, _ = AppendSketchWire(wire.AppendBool(b, true), m)
-	}
-	return b
-}
-
-func (s *MultiSketch) DecodeWire(b []byte) ([]byte, error) {
-	n, isNil, rest, err := wire.ConsumeLen(b, 2)
-	if err != nil {
-		return b, err
-	}
-	if isNil {
-		s.Sketches = nil
-		return rest, nil
-	}
-	members := make([]Sketch, 0, wire.PreallocLen(n))
-	for i := 0; i < n; i++ {
-		if rest, err = consumeMemberSlot(rest, i); err != nil {
-			return b, err
-		}
-		if len(rest) > 0 && rest[0] == tagMultiSketch {
-			return b, wire.Corruptf("nested MultiSketch")
-		}
-		var m Sketch
-		if m, rest, err = DecodeSketchWire(rest); err != nil {
-			return b, err
-		}
-		members = append(members, m)
-	}
-	s.Sketches = members
-	return rest, nil
-}
-
-func (r *MultiResult) AppendWire(b []byte) []byte {
-	b = wire.AppendLen(b, len(r.Members), r.Members == nil)
-	for _, m := range r.Members {
-		b, _ = AppendResultWire(wire.AppendBool(b, true), m)
-	}
-	return b
-}
-
-func (r *MultiResult) DecodeWire(b []byte) ([]byte, error) {
-	n, isNil, rest, err := wire.ConsumeLen(b, 2)
-	if err != nil {
-		return b, err
-	}
-	if isNil {
-		r.Members = nil
-		return rest, nil
-	}
-	members := make([]Result, 0, wire.PreallocLen(n))
-	for i := 0; i < n; i++ {
-		if rest, err = consumeMemberSlot(rest, i); err != nil {
-			return b, err
-		}
-		if len(rest) > 0 && rest[0] == tagMultiResult {
-			return b, wire.Corruptf("nested MultiResult")
-		}
-		var m Result
-		if m, rest, err = DecodeResultWire(rest); err != nil {
-			return b, err
-		}
-		members = append(members, m)
-	}
-	r.Members = members
-	return rest, nil
-}
-
-// consumeMemberSlot consumes member i's leading bool, which must be true.
-func consumeMemberSlot(b []byte, i int) ([]byte, error) {
-	present, rest, err := wire.ConsumeBool(b)
-	if err == nil && !present {
-		err = wire.Corruptf("member %d slot is not marked present", i)
-	}
-	return rest, err
-}
-
-func init() {
-	RegisterSketchCodec(tagMultiSketch, func() WireSketch { return &MultiSketch{} })
-	RegisterResultCodec(tagMultiResult, func() WireResult { return &MultiResult{} })
 }

@@ -654,10 +654,10 @@ func TestCursorLengthRejected(t *testing.T) {
 		if _, err := ft.Summarize(tbl); !errors.Is(err, ErrCursorLength) {
 			t.Errorf("find Summarize with %d-value cursor: err = %v, want ErrCursorLength", len(from), err)
 		}
-		for _, sk := range []WireSketch{nk, ft} {
-			fresh := reflect.New(reflect.TypeOf(sk).Elem()).Interface().(WireSketch)
-			if _, err := fresh.DecodeWire(sk.AppendWire(nil)); !errors.Is(err, wire.ErrCorrupt) {
-				t.Errorf("%T DecodeWire with %d-value cursor: err = %v, want wire.ErrCorrupt", sk, len(from), err)
+		for _, sk := range []Sketch{nk, ft} {
+			b, _ := AppendSketchWire(nil, sk)
+			if _, _, err := DecodeSketchWire(b); !errors.Is(err, wire.ErrCorrupt) {
+				t.Errorf("%T decode with %d-value cursor: err = %v, want wire.ErrCorrupt", sk, len(from), err)
 			}
 		}
 	}

@@ -23,7 +23,10 @@
 //
 // A sketch is its configuration: exported fields and nothing else, all
 // of them on the wire, so a worker runs exactly the sketch the root
-// built. Exact and sampled modes of a vizketch are one type whose Rate
+// built. That holds by construction: the wire codec (codec.go) encodes
+// a registered type by walking its exported fields in declaration
+// order, and registration refuses a type with any other field. A sketch
+// author writes no communication code (paper §5.5). Exact and sampled modes of a vizketch are one type whose Rate
 // picks the mode (sampleRate: a rate in (0, 1) samples, any other value
 // scans every row) — the histogram behind bars and CDF plots, the 2-D
 // histogram, the trellis.
@@ -72,8 +75,8 @@ package sketch
 import "repro/internal/table"
 
 // Result is a mergeable summary value. Concrete result types are plain
-// exported-field structs with a registered binary codec (see codec.go)
-// so they can cross the cluster RPC boundary. Results are immutable once
+// exported-field structs registered under a wire tag (see codec.go) so
+// they can cross the cluster RPC boundary. Results are immutable once
 // returned: Merge must not modify its arguments.
 type Result any
 

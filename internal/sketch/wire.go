@@ -6,7 +6,7 @@ package sketch
 // added here without a case in testkit's contract switch fails the
 // harness coverage test), and the binary codec coverage test
 // (codec_test.go) fails any entry whose sketch or result type lacks a
-// registered wire codec (codec.go).
+// wire tag (codec.go).
 var wireSketches = []Sketch{
 	&HistogramSketch{},
 	&Histogram2DSketch{},

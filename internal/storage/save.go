@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/sketch"
 	"repro/internal/table"
-	"repro/internal/wire"
 )
 
 // SaveResult is the summary of the save vizketch: how many rows and
@@ -17,7 +16,7 @@ import (
 // error indication, while the merge function combines error
 // indications" (§5.4).
 type SaveResult struct {
-	Rows   int64
+	Rows   int
 	Files  []string
 	Errors []string
 }
@@ -43,7 +42,7 @@ func (s *SaveSketch) Summarize(t *table.Table) (sketch.Result, error) {
 	if err := WriteCSV(path, t); err != nil {
 		return &SaveResult{Errors: []string{err.Error()}}, nil
 	}
-	return &SaveResult{Rows: int64(t.NumRows()), Files: []string{path}}, nil
+	return &SaveResult{Rows: t.NumRows(), Files: []string{path}}, nil
 }
 
 // Merge implements sketch.Sketch.
@@ -60,37 +59,7 @@ func (s *SaveSketch) Merge(a, b sketch.Result) (sketch.Result, error) {
 	}, nil
 }
 
-// AppendWire implements sketch.WireSketch.
-func (s *SaveSketch) AppendWire(b []byte) []byte { return wire.AppendString(b, s.Dir) }
-
-// DecodeWire implements sketch.WireSketch.
-func (s *SaveSketch) DecodeWire(b []byte) ([]byte, error) {
-	var err error
-	s.Dir, b, err = wire.ConsumeString(b)
-	return b, err
-}
-
-// AppendWire implements sketch.WireResult.
-func (r *SaveResult) AppendWire(b []byte) []byte {
-	b = wire.AppendVarint(b, r.Rows)
-	b = wire.AppendStrings(b, r.Files)
-	return wire.AppendStrings(b, r.Errors)
-}
-
-// DecodeWire implements sketch.WireResult.
-func (r *SaveResult) DecodeWire(b []byte) ([]byte, error) {
-	var err error
-	if r.Rows, b, err = wire.ConsumeVarint(b); err != nil {
-		return b, err
-	}
-	if r.Files, b, err = wire.ConsumeStrings(b); err != nil {
-		return b, err
-	}
-	r.Errors, b, err = wire.ConsumeStrings(b)
-	return b, err
-}
-
 func init() {
-	sketch.RegisterSketchCodec(sketch.TagSaveSketch, func() sketch.WireSketch { return &SaveSketch{} })
-	sketch.RegisterResultCodec(sketch.TagSaveResult, func() sketch.WireResult { return &SaveResult{} })
+	sketch.RegisterSketch(sketch.TagSaveSketch, &SaveSketch{})
+	sketch.RegisterResult(sketch.TagSaveResult, &SaveResult{})
 }

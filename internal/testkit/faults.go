@@ -66,8 +66,9 @@ func RunFaults(seed uint64) error {
 					Seed:      seed,
 					DelayProb: 0.25, MaxDelay: 2 * time.Millisecond,
 					StallProb: 0.25, Stall: 2 * time.Millisecond,
+					DupFrameProb: 0.5,
 				}},
-				func(w *cluster.Worker) { w.SetDuplicatePartials(0.5, seed) })
+				nil)
 		}},
 		{"server-side delay+stall", func() error {
 			return nonDestructive(seed, cfg, src, tables, probes, want, nil,

@@ -16,7 +16,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sketch"
 	"repro/internal/table"
-	"repro/internal/wire"
 )
 
 // The overload battery (RunOverload) is the serving-layer counterpart
@@ -55,18 +54,8 @@ func (s *overloadPanicSketch) Summarize(t *table.Table) (sketch.Result, error) {
 	panic(fmt.Sprintf("injected overload panic on %s", t.ID()))
 }
 
-func (s *overloadPanicSketch) AppendWire(b []byte) []byte {
-	return wire.AppendVarint(b, int64(s.Marker))
-}
-
-func (s *overloadPanicSketch) DecodeWire(b []byte) ([]byte, error) {
-	m, rest, err := wire.ConsumeVarint(b)
-	s.Marker = int(m)
-	return rest, err
-}
-
 func init() {
-	sketch.RegisterSketchCodec(sketch.TagTestSketch, func() sketch.WireSketch { return &overloadPanicSketch{} })
+	sketch.RegisterSketch(sketch.TagTestSketch, &overloadPanicSketch{})
 }
 
 // countingRunner counts executions reaching the engine — the dedup

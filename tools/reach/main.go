@@ -55,7 +55,6 @@ var scaffold = []string{
 	"cluster.NewFaultConn",
 	"cluster.(*faultConn).*",
 	"cluster.(*Worker).SetConnWrapper",
-	"cluster.(*Worker).SetDuplicatePartials",
 	"cluster.(*Worker).Crash",
 	"cluster.(*Worker).NumDatasets",
 }
