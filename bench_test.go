@@ -556,6 +556,28 @@ func BenchmarkKernelHist2D(b *testing.B) {
 			reportRows(b, leg.t.NumRows())
 		})
 	}
+	// The first pair as a query computes it: 8 partitions of 125,000
+	// rows (the end-to-end benchmark's file layout) through the engine,
+	// so B/op counts the per-partition matrices and the merge tree's
+	// nodes as well as the scan.
+	parts := make([]*table.Table, 8)
+	per := fl.NumRows() / len(parts)
+	for i := range parts {
+		parts[i] = fl.WithMembership(fmt.Sprintf("kfl-p%d", i), table.NewRangeMembership(i*per, (i+1)*per, fl.NumRows()))
+	}
+	ds := engine.NewLocal("kfl-parts", parts, engine.Config{AggregationWindow: -1})
+	b.Run("partitions/DepDelay-ArrDelay", func(b *testing.B) {
+		b.ReportAllocs()
+		sk := &sketch.Histogram2DSketch{XCol: "DepDelay", YCol: "ArrDelay",
+			X: flightsBuckets(b, fl, "DepDelay", 200), Y: flightsBuckets(b, fl, "ArrDelay", 66)}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ds.Sketch(context.Background(), sk, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportRows(b, fl.NumRows())
+	})
 }
 
 // unmaskedColumns returns a table of the named numeric columns of t with

@@ -106,6 +106,57 @@ func TestLocalPartialsMonotone(t *testing.T) {
 	}
 }
 
+// TestPartialsOutliveTheScan: a partial is a snapshot its consumer may
+// keep. The merge tree adds a heat map's nodes into each other in place,
+// so a partial must never be one of its live nodes: after the query,
+// every partial kept during it still equals the deep copy taken on its
+// delivery. Under -race, a snapshot read outside the scan lock is also a
+// data race with the workers' merges.
+func TestPartialsOutliveTheScan(t *testing.T) {
+	parts := genParts("keep", 16, 2000, 9)
+	heat := &sketch.Histogram2DSketch{XCol: "x", YCol: "g",
+		X: sketch.NumericBuckets(table.KindDouble, 0, 100, 40),
+		Y: sketch.StringBucketsFromDistinct([]string{"even", "odd"}, 2)}
+	batch, err := sketch.NewMultiSketch(heat, histSketch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sk := range []sketch.Sketch{heat, batch} {
+		ds := NewLocal("keep", parts, Config{Parallelism: 2, AggregationWindow: time.Nanosecond})
+		type kept struct{ partial, copy sketch.Result }
+		var (
+			mu       sync.Mutex
+			partials []kept
+		)
+		_, err := ds.Sketch(context.Background(), sk, func(p Partial) {
+			b, ok := sketch.AppendResultWire(nil, p.Result)
+			if !ok {
+				t.Errorf("%T: no codec", p.Result)
+				return
+			}
+			c, _, err := sketch.DecodeResultWire(b)
+			if err != nil {
+				t.Errorf("decode: %v", err)
+				return
+			}
+			mu.Lock()
+			partials = append(partials, kept{p.Result, c})
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(partials) < 2 {
+			t.Fatalf("%s: %d partials, want several", sk.Name(), len(partials))
+		}
+		for i, k := range partials {
+			if !reflect.DeepEqual(k.partial, k.copy) {
+				t.Errorf("%s: partial %d of %d changed after its delivery", sk.Name(), i+1, len(partials))
+			}
+		}
+	}
+}
+
 func TestLocalThrottleWindow(t *testing.T) {
 	parts := genParts("t", 64, 200, 3)
 	// Huge window: only the final emission passes.

@@ -94,9 +94,11 @@ func (d *LocalDataSet) parallelism() int {
 // contract that allows skipping work, never changing the merged result.
 //
 // Partial results are emitted at most once per aggregation window: the
-// emitting worker merges the tree's finished nodes and invokes
-// onPartial holding only the emission lock — a slow partial consumer
-// costs dropped partials, never a stalled scan. Which partitions a
+// emitting worker snapshots the tree's finished nodes under the scan
+// lock (sketch.TreeFold.Snapshot: the tree merges its nodes in place, so
+// a partial is a copy, never a live node) and invokes onPartial holding
+// only the emission lock — a slow partial consumer costs dropped
+// partials, never a stalled scan. Which partitions a
 // partial covers depends on timing; the completion partial is the
 // returned result. Done counts folded partitions. Cancellation stops
 // workers from starting further partitions, and a probe threaded into
@@ -139,23 +141,28 @@ func (d *LocalDataSet) Sketch(ctx context.Context, sk sketch.Sketch, onPartial P
 	// windows are superseded by the final Done==Total partial, never by
 	// silence.
 	var emitMu sync.Mutex
+	// cut returns a consistent (summary, progress) pair, or a nil summary
+	// once the scan failed or finished (the completion emit below
+	// delivers the one Done==Total partial). The tree merges its nodes in
+	// place, so the snapshot is built under mu and shares no storage with
+	// them. A closure, so a panicking Merge unwinds through the deferred
+	// unlock before the worker's recover reports it.
+	cut := func() (sketch.Result, int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr != nil || done == total {
+			return nil, 0, nil
+		}
+		snap, err := tree.Snapshot()
+		return snap, done, err
+	}
 	maybeEmit := func() {
 		if onPartial == nil || !th.allow() || !emitMu.TryLock() {
 			return
 		}
 		defer emitMu.Unlock()
-		// Cut a consistent (summaries, progress) pair; nothing to send
-		// once the scan failed or finished (the completion emit below
-		// delivers the one Done==Total partial).
-		mu.Lock()
-		if firstErr != nil || done == total {
-			mu.Unlock()
-			return
-		}
-		parts, dn := tree.Pending(), done
-		mu.Unlock()
-		snap, err := sketch.MergeTree(sk, parts...)
-		if err != nil {
+		snap, dn, err := cut()
+		if snap == nil || err != nil {
 			return // partial emission is best-effort
 		}
 		partialsEmitted.Inc()

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -285,6 +286,57 @@ func TestTreeFoldShapeIgnoresArrivalOrder(t *testing.T) {
 			}
 			if got := f.Result(); got != want {
 				t.Fatalf("n=%d: arrival order changed the tree: %q, want %q", n, got, want)
+			}
+		}
+	}
+}
+
+// TestTreeFoldInPlaceMatchesCopying checks the fold that owns its nodes
+// against the one that copies: for P = 0…17 inputs, arriving in the
+// orders the shape test draws, a NewTreeFold that merges an
+// InPlaceMerger's nodes in place encodes the same root as MergeTree,
+// which merges with Merge alone — for a sampled 2-D histogram, and for
+// a MultiSketch that batches one with sketches that merge by copy.
+func TestTreeFoldInPlaceMatchesCopying(t *testing.T) {
+	parts := splitTable(genTable("inplace", 17*300, 4), 17)
+	hist := &Histogram2DSketch{XCol: "x", YCol: "cat", Rate: 0.5, Seed: 3,
+		X: NumericBuckets(table.KindDouble, 0, 100, 9),
+		Y: StringBucketsFromDistinct([]string{"alpha", "beta", "delta", "epsilon", "gamma"}, 5)}
+	multi, err := NewMultiSketch(hist, &MisraGriesSketch{Col: "cat", K: 3},
+		&HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(r Result) []byte {
+		b, ok := AppendResultWire(nil, r)
+		if !ok {
+			t.Fatalf("%T: no codec", r)
+		}
+		return b
+	}
+	rng := rand.New(rand.NewPCG(5, 8))
+	for n := 0; n <= 17; n++ {
+		orders := make([][]int, 20)
+		for trial := range orders {
+			orders[trial] = rng.Perm(n)
+		}
+		for _, sk := range []Sketch{hist, multi} {
+			sums := summarizeParts(t, sk, parts[:n])
+			want, err := MergeTree(sk, sums...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, order := range orders {
+				f := NewTreeFold(sk, n)
+				for _, i := range order {
+					// The fold consumes its inputs: give it copies.
+					if err := f.Put(i, resultRoundTrip(t, sums[i])); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := f.Result(); !bytes.Equal(encode(got), encode(want)) {
+					t.Fatalf("%s, n=%d, order %v: in-place fold %+v, copying fold %+v", sk.Name(), n, order, got, want)
+				}
 			}
 		}
 	}

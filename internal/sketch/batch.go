@@ -1,6 +1,10 @@
 package sketch
 
-import "repro/internal/table"
+import (
+	"sync"
+
+	"repro/internal/table"
+)
 
 // This file holds the vectorized leaf-scan drivers shared by the hot
 // sketches. A scan is decomposed into batches of at most kernelBatch
@@ -25,6 +29,13 @@ import "repro/internal/table"
 // enough to amortize dispatch, small enough that a batch of bucket codes
 // (16 KiB) stays cache-resident.
 const kernelBatch = 4096
+
+// rowBuffers recycles the kernelBatch-row buffers that the scan drivers
+// gather row indexes into and the kernels write slots into, so a
+// partition scan allocates none of its 16 KiB batches.
+var rowBuffers = sync.Pool{New: func() any { return new([kernelBatch]int32) }}
+
+func getRowBuffer() *[kernelBatch]int32 { return rowBuffers.Get().(*[kernelBatch]int32) }
 
 // denseSpans reports whether m should be scanned via the span path.
 // Full memberships and row ranges always are; a bitmap or sparse
@@ -58,7 +69,9 @@ func scanBatches(m table.Membership, spanf func(start, end int), rowsf func(rows
 		})
 		return
 	}
-	buf := make([]int32, kernelBatch)
+	rb := getRowBuffer()
+	defer rowBuffers.Put(rb)
+	buf := rb[:]
 	for from := 0; ; {
 		n, next := m.FillBatch(buf, from)
 		if n == 0 {
@@ -73,7 +86,9 @@ func scanBatches(m table.Membership, spanf func(start, end int), rowsf func(rows
 // and passes each to rowsf. It visits exactly the rows Membership.Sample
 // visits, in order; the rows slice is reused between calls.
 func sampleBatches(m table.Membership, rate float64, seed uint64, rowsf func(rows []int32)) {
-	buf := make([]int32, 0, kernelBatch)
+	rb := getRowBuffer()
+	defer rowBuffers.Put(rb)
+	buf := rb[:0]
 	m.Sample(rate, seed, func(i int) bool {
 		buf = append(buf, int32(i))
 		if len(buf) == kernelBatch {
@@ -113,7 +128,9 @@ func histogramScan(m table.Membership, bi BatchIndexer, h *Histogram) {
 				n += int64(len(rows))
 			})
 	} else {
-		out := make([]int32, kernelBatch)
+		rb := getRowBuffer()
+		defer rowBuffers.Put(rb)
+		out := rb[:]
 		scanBatches(m,
 			func(a, b int) {
 				bi.IndexSpan(a, b, out[:b-a])
@@ -145,7 +162,9 @@ func histogramSampleScan(m table.Membership, bi BatchIndexer, h *Histogram, rate
 			n += int64(len(rows))
 		})
 	} else {
-		out := make([]int32, kernelBatch)
+		rb := getRowBuffer()
+		defer rowBuffers.Put(rb)
+		out := rb[:]
 		sampleBatches(m, rate, seed, func(rows []int32) {
 			bi.IndexRows(rows, out[:len(rows)])
 			bucketTally(tallies, out[:len(rows)])

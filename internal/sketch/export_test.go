@@ -2,3 +2,4 @@ package sketch
 
 // Exported to the external property tests.
 var ChunkViews = chunkViews
+var ResultRoundTrip = resultRoundTrip

@@ -77,9 +77,21 @@ func (s *Histogram2DSketch) Zero() Result {
 	}
 }
 
-// slotBuffers recycles the pair of slot buffers a 2-D scan indexes its
-// two axes into, so a partition allocates only its count matrix.
-var slotBuffers = sync.Pool{New: func() any { return new([2][kernelBatch]int32) }}
+// cellMatrices recycles the (Bx+2)·(By+2) slot matrices a 2-D scan
+// tallies into. A summary's Counts keeps its matrix as capacity, and
+// MergeInto returns the matrix of the summary it consumes, so a fold
+// allocates matrices for the summaries alive at once, not one per
+// partition. A matrix of another geometry is dropped, not resized.
+var cellMatrices sync.Pool
+
+// newCells returns a zeroed slot matrix of n cells.
+func newCells(n int) []int64 {
+	if p, ok := cellMatrices.Get().(*[]int64); ok && len(*p) == n {
+		clear(*p)
+		return *p
+	}
+	return make([]int64, n)
+}
 
 // Summarize implements Sketch. Both axes are mapped to tally slots
 // (BatchIndexer) over the same row batches, and every row adds one to
@@ -107,10 +119,11 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 	nx, ny := s.X.NumBuckets(), s.Y.NumBuckets()
 	w := ny + 2 // the Y slots of one X slot
 	stride := int32(w)
-	cells := make([]int64, (nx+2)*w)
-	bufs := slotBuffers.Get().(*[2][kernelBatch]int32)
-	defer slotBuffers.Put(bufs)
-	xb, yb := bufs[0][:], bufs[1][:]
+	cells := newCells((nx + 2) * w)
+	xbuf, ybuf := getRowBuffer(), getRowBuffer()
+	defer rowBuffers.Put(xbuf)
+	defer rowBuffers.Put(ybuf)
+	xb, yb := xbuf[:], ybuf[:]
 	var n int64
 	tally := func(k int) {
 		n += int64(k)
@@ -143,7 +156,7 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 	h := &Histogram2D{
 		X:           s.X,
 		Y:           s.Y,
-		Counts:      cells[: nx*ny : nx*ny],
+		Counts:      cells[:nx*ny],
 		YOther:      make([]int64, nx),
 		SampleRate:  rate,
 		SampledRows: n,
@@ -152,7 +165,9 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 		h.XMissing += c
 	}
 	// Row xi of Counts lands below the slot row it is read from, and
-	// after every row read before it, so one forward pass is safe.
+	// after every row read before it, so one forward pass is safe. The
+	// rest of the matrix stays Counts' capacity, for MergeInto to
+	// recycle.
 	for xi := range nx {
 		row := cells[(xi+2)*w : (xi+3)*w]
 		h.YOther[xi] = row[0] + row[1]
@@ -163,13 +178,9 @@ func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
 
 // Merge implements Sketch.
 func (s *Histogram2DSketch) Merge(a, b Result) (Result, error) {
-	ha, ok1 := a.(*Histogram2D)
-	hb, ok2 := b.(*Histogram2D)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("sketch: hist2d merge got %T and %T", a, b)
-	}
-	if len(ha.Counts) != len(hb.Counts) || len(ha.YOther) != len(hb.YOther) {
-		return nil, fmt.Errorf("sketch: hist2d merge geometry mismatch")
+	ha, hb, err := hist2dOperands(a, b)
+	if err != nil {
+		return nil, err
 	}
 	out := &Histogram2D{
 		X:           ha.X,
@@ -187,6 +198,39 @@ func (s *Histogram2DSketch) Merge(a, b Result) (Result, error) {
 		out.YOther[i] = ha.YOther[i] + hb.YOther[i]
 	}
 	return out, nil
+}
+
+// MergeInto implements InPlaceMerger: it adds src's counts into dst's
+// and recycles src's slot matrix. Integer addition gives the same sums
+// in place as into a fresh matrix, so the result equals Merge(dst, src).
+func (s *Histogram2DSketch) MergeInto(dst, src Result) (Result, error) {
+	hd, hs, err := hist2dOperands(dst, src)
+	if err != nil {
+		return nil, err
+	}
+	hd.XMissing += hs.XMissing
+	hd.SampledRows += hs.SampledRows
+	for i, c := range hs.Counts {
+		hd.Counts[i] += c
+	}
+	for i, c := range hs.YOther {
+		hd.YOther[i] += c
+	}
+	cells := hs.Counts[:cap(hs.Counts)]
+	cellMatrices.Put(&cells)
+	return hd, nil
+}
+
+func hist2dOperands(a, b Result) (*Histogram2D, *Histogram2D, error) {
+	ha, ok1 := a.(*Histogram2D)
+	hb, ok2 := b.(*Histogram2D)
+	if !ok1 || !ok2 {
+		return nil, nil, fmt.Errorf("sketch: hist2d merge got %T and %T", a, b)
+	}
+	if len(ha.Counts) != len(hb.Counts) || len(ha.YOther) != len(hb.YOther) {
+		return nil, nil, fmt.Errorf("sketch: hist2d merge geometry mismatch")
+	}
+	return ha, hb, nil
 }
 
 // NewStackedHistogramSketch builds the vizketch for a stacked histogram:

@@ -122,3 +122,54 @@ func TestZeroIsLeafIdentity(t *testing.T) {
 		}
 	})
 }
+
+// TestMergeIntoMatchesMerge pins the InPlaceMerger contract for every
+// harness instance that has one, over every ordered pair of partition
+// summaries: MergeInto(copy(a), copy(b)) equals Merge(a, b), Merge
+// leaves a and b unchanged, and Merge's result shares no storage with
+// them — merging into it in place leaves a and b unchanged too, which
+// is how TreeFold.Snapshot copies a node the fold still owns.
+func TestMergeIntoMatchesMerge(t *testing.T) {
+	tested := map[string]bool{}
+	forInstances(func(sk sketch.Sketch, parts []*table.Table) {
+		in, ok := sk.(sketch.InPlaceMerger)
+		if !ok {
+			return
+		}
+		tested[fmt.Sprintf("%T", sk)] = true
+		sums := make([]sketch.Result, len(parts))
+		for i, p := range parts {
+			sums[i] = summarize(t, sk, p)
+		}
+		for i, a := range sums {
+			for j, b := range sums {
+				if i == j {
+					continue
+				}
+				a0, b0 := sketch.ResultRoundTrip(t, a), sketch.ResultRoundTrip(t, b)
+				want := merge(t, sk, a, b)
+				if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
+					t.Fatalf("%s: Merge modified an operand (parts %d, %d)", sk.Name(), i, j)
+				}
+				got, err := in.MergeInto(sketch.ResultRoundTrip(t, a), sketch.ResultRoundTrip(t, b))
+				if err != nil {
+					t.Fatalf("%s: MergeInto: %v", sk.Name(), err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: MergeInto differs from Merge (parts %d, %d):\n  got  %+v\n  want %+v", sk.Name(), i, j, got, want)
+				}
+				if _, err := in.MergeInto(want, sketch.ResultRoundTrip(t, b)); err != nil {
+					t.Fatalf("%s: MergeInto: %v", sk.Name(), err)
+				}
+				if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
+					t.Fatalf("%s: Merge's result shares storage with an operand (parts %d, %d)", sk.Name(), i, j)
+				}
+			}
+		}
+	})
+	for _, typ := range []string{"*sketch.Histogram2DSketch", "*sketch.MultiSketch"} {
+		if !tested[typ] {
+			t.Errorf("no harness instance of %s implements InPlaceMerger", typ)
+		}
+	}
+}

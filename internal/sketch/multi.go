@@ -99,17 +99,9 @@ func (s *MultiSketch) Summarize(t *table.Table) (Result, error) {
 
 // Merge implements Sketch member-wise.
 func (s *MultiSketch) Merge(a, b Result) (Result, error) {
-	ma, ok := a.(*MultiResult)
-	if !ok {
-		return nil, fmt.Errorf("sketch: MultiSketch.Merge: %T is not *MultiResult", a)
-	}
-	mb, ok := b.(*MultiResult)
-	if !ok {
-		return nil, fmt.Errorf("sketch: MultiSketch.Merge: %T is not *MultiResult", b)
-	}
-	if len(ma.Members) != len(s.Sketches) || len(mb.Members) != len(s.Sketches) {
-		return nil, fmt.Errorf("sketch: MultiSketch.Merge: member counts %d/%d, want %d",
-			len(ma.Members), len(mb.Members), len(s.Sketches))
+	ma, mb, err := s.operands(a, b)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Result, len(s.Sketches))
 	for i, m := range s.Sketches {
@@ -120,6 +112,46 @@ func (s *MultiSketch) Merge(a, b Result) (Result, error) {
 		out[i] = r
 	}
 	return &MultiResult{Members: out}, nil
+}
+
+// MergeInto implements InPlaceMerger member-wise: a member that is an
+// InPlaceMerger merges in place, any other merges with Merge, and each
+// result replaces dst's member. A heat map batched with other charts
+// thus keeps its in-place fold.
+func (s *MultiSketch) MergeInto(dst, src Result) (Result, error) {
+	md, ms, err := s.operands(dst, src)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range s.Sketches {
+		var r Result
+		if in, ok := m.(InPlaceMerger); ok {
+			r, err = in.MergeInto(md.Members[i], ms.Members[i])
+		} else {
+			r, err = m.Merge(md.Members[i], ms.Members[i])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("member %d (%s): %w", i, m.Name(), err)
+		}
+		md.Members[i] = r
+	}
+	return md, nil
+}
+
+func (s *MultiSketch) operands(a, b Result) (*MultiResult, *MultiResult, error) {
+	ma, ok := a.(*MultiResult)
+	if !ok {
+		return nil, nil, fmt.Errorf("sketch: MultiSketch.Merge: %T is not *MultiResult", a)
+	}
+	mb, ok := b.(*MultiResult)
+	if !ok {
+		return nil, nil, fmt.Errorf("sketch: MultiSketch.Merge: %T is not *MultiResult", b)
+	}
+	if len(ma.Members) != len(s.Sketches) || len(mb.Members) != len(s.Sketches) {
+		return nil, nil, fmt.Errorf("sketch: MultiSketch.Merge: member counts %d/%d, want %d",
+			len(ma.Members), len(mb.Members), len(s.Sketches))
+	}
+	return ma, mb, nil
 }
 
 // Columns implements ColumnUser: the union of the members' declared

@@ -14,7 +14,13 @@
 // Misra–Gries and float folds — partial results can be propagated in
 // any order, which is what enables progressive visualization (paper
 // §5.3). Final results are additionally bit-reproducible because the
-// engine fixes the merge shape and operand order (see TreeFold).
+// engine fixes the merge shape and operand order (see TreeFold). Merge
+// returns a new summary and leaves its operands alone; a sketch whose
+// summary is a dense display-sized matrix (the 2-D histogram, and a
+// MultiSketch batching one) also merges in place (InPlaceMerger), which
+// only the engine's merge tree uses, on summaries no one else holds.
+// There its 2-D histogram matrices are recycled, so a heat map allocates
+// them for the summaries alive at once, not once per partition and merge.
 //
 // Randomized sketches take an explicit Seed and derive per-partition
 // seeds from the partition's table ID, so re-running a sketch on the
@@ -77,7 +83,8 @@ import "repro/internal/table"
 // Result is a mergeable summary value. Concrete result types are plain
 // exported-field structs registered under a wire tag (see codec.go) so
 // they can cross the cluster RPC boundary. Results are immutable once
-// returned: Merge must not modify its arguments.
+// returned: Merge must not modify its arguments. The one exception is a
+// result a TreeFold owns, which an InPlaceMerger may merge into.
 type Result any
 
 // Sketch is a mergeable summarization method. Implementations are plain
@@ -98,6 +105,21 @@ type Sketch interface {
 	// Merge combines two summaries. It must be associative, commutative,
 	// have Zero as identity, and must not mutate a or b.
 	Merge(a, b Result) (Result, error)
+}
+
+// InPlaceMerger is an optional Sketch extension for a sketch whose
+// summaries are dense and display-sized (the 2-D histogram), where
+// allocating a fresh summary per merge costs more than the merge. It
+// merges src into dst: the result may reuse dst's storage, src is
+// consumed (its storage may be recycled), and the caller uses neither
+// afterwards. The result must equal Merge(dst, src) bit for bit.
+//
+// Only TreeFold.Put calls it, on the inputs and interior nodes the fold
+// owns. An implementer's Merge must return storage of its own, never
+// an operand's: TreeFold.Snapshot relies on that to copy a node the fold
+// may still merge into.
+type InPlaceMerger interface {
+	MergeInto(dst, src Result) (Result, error)
 }
 
 // Accumulator is a fold state whose scan carries state across the
@@ -213,15 +235,30 @@ func MergeAll(sk Sketch, results ...Result) (Result, error) {
 // counters and float sums differ bit-for-bit between merge orders).
 //
 // A node merges as soon as both children are final, so the summaries
-// held at once are bounded by the subtrees in progress, not by n. Not
-// safe for concurrent use.
+// held at once are bounded by the subtrees in progress, not by n.
+//
+// A fold from NewTreeFold owns what it is given: Put hands the input
+// over, and for an InPlaceMerger sketch each merge adds the right
+// operand into the left one in place and may recycle the right one. A node
+// therefore changes whenever a Put completes its sibling, until Result
+// returns the root; read the tree only through Snapshot, under the lock
+// that serializes Put. MergeTree's fold owns nothing and merges with
+// Merge alone. Not safe for concurrent use.
 type TreeFold struct {
 	sk     Sketch
-	levels [][]Result // levels[l][j]: final but not yet merged upward, else nil
+	into   InPlaceMerger // nil: merge with Merge, leaving every node intact
+	levels [][]Result    // levels[l][j]: final but not yet merged upward, else nil
 }
 
-// NewTreeFold returns the merge tree for n inputs.
+// NewTreeFold returns the merge tree for n inputs; it owns each input
+// once Put receives it.
 func NewTreeFold(sk Sketch, n int) *TreeFold {
+	f := newTreeFold(sk, n)
+	f.into, _ = sk.(InPlaceMerger)
+	return f
+}
+
+func newTreeFold(sk Sketch, n int) *TreeFold {
 	f := &TreeFold{sk: sk}
 	for ; n > 1; n = (n + 1) / 2 {
 		f.levels = append(f.levels, make([]Result, n))
@@ -243,11 +280,15 @@ func (f *TreeFold) Put(i int, r Result) error {
 			if sib < i {
 				r, other = other, r
 			}
-			m, err := f.sk.Merge(r, other)
+			var err error
+			if f.into != nil {
+				r, err = f.into.MergeInto(r, other)
+			} else {
+				r, err = f.sk.Merge(r, other)
+			}
 			if err != nil {
 				return err
 			}
-			r = m
 		}
 		i /= 2
 	}
@@ -256,8 +297,8 @@ func (f *TreeFold) Put(i int, r Result) error {
 }
 
 // Pending returns the final-but-unmerged nodes, lowest level first;
-// together they cover exactly the inputs supplied so far. The engine
-// folds them into progressive partials.
+// together they cover exactly the inputs supplied so far. They are the
+// fold's live nodes: see Snapshot.
 func (f *TreeFold) Pending() []Result {
 	var out []Result
 	for _, row := range f.levels {
@@ -268,6 +309,19 @@ func (f *TreeFold) Pending() []Result {
 		}
 	}
 	return out
+}
+
+// Snapshot merges the pending nodes into a progressive partial: the
+// summary of the inputs supplied so far, sharing no storage a later Put
+// may modify. Several nodes merge through MergeTree, whose Merges
+// allocate their results; a lone node is copied by merging it with Zero.
+// Call it under the lock that serializes Put.
+func (f *TreeFold) Snapshot() (Result, error) {
+	parts := f.Pending()
+	if len(parts) == 1 {
+		return f.sk.Merge(f.sk.Zero(), parts[0])
+	}
+	return MergeTree(f.sk, parts...)
 }
 
 // Result returns the root once every input has been supplied (Zero for a
@@ -281,9 +335,9 @@ func (f *TreeFold) Result() Result {
 
 // MergeTree folds results through the TreeFold of len(results) inputs,
 // supplied in index order; for n inputs it needs ⌈log₂ n⌉ dependent
-// merges.
+// merges. It merges with Merge alone, so results stay intact.
 func MergeTree(sk Sketch, results ...Result) (Result, error) {
-	f := NewTreeFold(sk, len(results))
+	f := newTreeFold(sk, len(results))
 	for i, r := range results {
 		if err := f.Put(i, r); err != nil {
 			return nil, err
