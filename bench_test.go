@@ -360,6 +360,22 @@ func BenchmarkKernelHistExact(b *testing.B) {
 			reportRows(b, fl.NumRows())
 		})
 	}
+	// A chart's pass over a filtered view: the bitmap reaches the
+	// counters a word at a time.
+	for _, v := range flightsViews(b)[1:] {
+		for _, col := range []string{"DepDelay", "Distance"} {
+			b.Run("flights/"+col+"/"+v.name, func(b *testing.B) {
+				sk := &sketch.HistogramSketch{Col: col, Buckets: flightsBuckets(b, v.t, col, 50)}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := sk.Summarize(v.t); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportRows(b, v.t.NumRows())
+			})
+		}
+	}
 }
 
 // flightsBuckets is col's bucket geometry over the flights partition as
@@ -601,17 +617,95 @@ func unmaskedColumns(b *testing.B, t *table.Table, names ...string) *table.Table
 	return table.New(t.ID()+"-unmasked", table.NewSchema(descs...), cols, t.Members())
 }
 
-// BenchmarkKernelRange measures the min/max scan kernel.
+// BenchmarkKernelRange measures the min/max scan kernel: the round
+// double column, then a chart's first pass over flights columns (a
+// double with a missing mask, a double without, a dictionary) under full
+// membership and the two filtered views of flightsViews, whose bitmaps
+// the kernel reads a word at a time.
 func BenchmarkKernelRange(b *testing.B) {
 	const rows = 1000000
 	t := kernelTable("kr", rows, false)
 	sk := &sketch.RangeSketch{Col: "d"}
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.Summarize(t); err != nil {
-			b.Fatal(err)
+	b.Run("d", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sk.Summarize(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportRows(b, rows)
+	})
+	for _, v := range flightsViews(b) {
+		for _, col := range []string{"DepDelay", "Distance", "Origin"} {
+			sk := &sketch.RangeSketch{Col: col}
+			b.Run("flights/"+col+"/"+v.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := sk.Summarize(v.t); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportRows(b, v.t.NumRows())
+			})
 		}
 	}
-	reportRows(b, rows)
+}
+
+// flightsView is kernelFlights under one membership.
+type flightsView struct {
+	name string
+	t    *table.Table
+}
+
+// flightsViews is kernelFlights in full and under two filters of the
+// end-to-end benchmark's shape, each a bitmap membership: "Distance >
+// 610" keeps ≈85 % of the rows, "DepDelay > 12" ≈16 %.
+func flightsViews(b *testing.B) []flightsView {
+	b.Helper()
+	fl := kernelFlights()
+	views := []flightsView{{"full", fl}}
+	for _, c := range []struct{ name, src string }{{"dist610", "Distance > 610"}, {"delay12", "DepDelay > 12"}} {
+		t, err := engine.FilterOp{Predicate: c.src}.Apply(fl, "kfl-"+c.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		views = append(views, flightsView{c.name, t})
+	}
+	return views
+}
+
+// BenchmarkKernelCompare measures the typed selection primitive, "column
+// op constant" into bitmap words, over kernelFlights in 4096-row spans:
+// a double (DepDelay), an int (FlightNum) and dictionary codes (Origin),
+// each against <, > and ==.
+func BenchmarkKernelCompare(b *testing.B) {
+	fl := kernelFlights()
+	rows := fl.NumRows()
+	out := make([]uint64, table.SelectBatch/64)
+	for _, c := range []struct {
+		name, col string
+		c         table.Value
+	}{
+		{"float64", "DepDelay", table.DoubleValue(12)},
+		{"int64", "FlightNum", table.IntValue(4000)},
+		{"int32", "Origin", table.StringValue("ORD")},
+	} {
+		for _, op := range []struct {
+			name string
+			op   table.CmpOp
+		}{{"lt", table.CmpLT}, {"gt", table.CmpGT}, {"eq", table.CmpEQ}} {
+			cc, ok := table.NewConstCompare(fl.MustColumn(c.col), op.op, c.c)
+			if !ok {
+				b.Fatalf("%s: no typed compare", c.col)
+			}
+			b.Run(c.name+"/"+op.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for a := 0; a < rows; a += table.SelectBatch {
+						cc.SelectSpan(a, min(a+table.SelectBatch, rows), out)
+					}
+				}
+				reportRows(b, rows)
+			})
+		}
+	}
 }
 
 // BenchmarkKernelDistinct measures the HyperLogLog scan kernel over the

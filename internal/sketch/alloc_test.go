@@ -83,3 +83,28 @@ func TestHist2DFoldRecyclesMatrices(t *testing.T) {
 			len(parts), per, float64(per)/float64(matrix), matrix)
 	}
 }
+
+// TestValueBatchesArePooled pins the allocation of a sampled
+// heavy-hitters partition scan: its 160 KiB batch of table.Value comes
+// from a pool, so the scan allocates the summary, its map and the scan
+// drivers' closures, a few KB, not a batch per partition.
+func TestValueBatchesArePooled(t *testing.T) {
+	part := genTable("hh-pooled", 50000, 11)
+	sk := &SampleHeavyHittersSketch{Col: "cat", K: 4, Rate: 0.1, Seed: 3}
+	scan := func() {
+		if _, err := sk.Summarize(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan() // fill the pool
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 8<<10 {
+		t.Errorf("a sample-HH partition scan allocates %d B, want at most 8 KiB: its value batch is not pooled", per)
+	}
+}

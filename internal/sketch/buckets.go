@@ -147,7 +147,9 @@ func (s BucketSpec) Indexer(col table.Column) (func(row int) int, error) {
 // slice, so the inner loops run with no per-row closure or interface
 // call. Dictionary codes, and int columns whose bucket range spans few
 // integers, map to slots through a value→slot table;
-// doubles and wide int ranges do the bucket arithmetic per row. A span
+// doubles and wide int ranges do the bucket arithmetic per row, with
+// the spec's degenerate cases decided and its width computed once per
+// kernel (numericIndex). A span
 // is read unmasked: every row is indexed from the value stored under it,
 // then only the set bits of the missing mask in the span are visited
 // (eachMissing) and their slots rewritten. This relies
@@ -165,32 +167,45 @@ type BatchIndexer interface {
 }
 
 // numericIndex is the bucket arithmetic of IndexValue with the spec
-// fields hoisted into locals.
+// decided once per kernel: the width Max-Min is hoisted, and the two
+// degenerate specs are mapped onto the general form. A spec with no
+// buckets gets a NaN min, which no value passes; a spec with Max == Min
+// gets countF 1, so its one in-range value, whose quotient is 0/0 (or
+// Inf-Inf over 0) = NaN, falls to the last-bucket test and lands in
+// bucket 0. Every slot is therefore the divide's, computed from the
+// same operands, and FuzzSlotKernels holds each kernel to IndexValue.
+// The four fields fit in registers through a kernel loop.
 type numericIndex struct {
-	min, max, countF float64
-	count            int32
+	min, max, width, countF float64
 }
 
 func newNumericIndex(s BucketSpec) numericIndex {
-	return numericIndex{min: s.Min, max: s.Max, countF: float64(s.Count), count: int32(s.Count)}
+	p := numericIndex{min: s.Min, max: s.Max, width: s.Max - s.Min, countF: float64(s.Count)}
+	switch {
+	case s.Count <= 0:
+		p.min = math.NaN()
+	case s.Max == s.Min:
+		p.countF = 1
+	}
+	return p
 }
 
-// slot is IndexValue plus two, with the spec fields in registers. Both
-// comparisons are inverted so NaN fails them: the first rejects NaN rows
-// along with below-range values, the last sends a NaN quotient (infinite
-// bounds) to the last bucket. Either NaN would otherwise reach the int
-// conversion, whose result is platform-defined and lands outside the
-// tally array. Every float64 therefore maps into [1, count+2).
+// slot is IndexValue plus two. Both comparisons are inverted so NaN
+// fails them: the first rejects NaN rows along with below-range values,
+// the last sends a NaN quotient (infinite bounds, or Max == Min) to the
+// last bucket. Either NaN would otherwise reach the int conversion,
+// whose result is platform-defined and lands outside the tally array.
+// Every float64 therefore maps into [1, Count+2). The divide stays: a
+// reciprocal multiply needs a correction table or a divide fallback to
+// give the divide's slot at bucket edges, and both forms measured
+// slower (ROADMAP item 22).
 func (p numericIndex) slot(v float64) int32 {
-	if p.count <= 0 || !(v >= p.min) || v > p.max {
+	if !(v >= p.min) || v > p.max {
 		return 1
 	}
-	if p.max == p.min {
-		return 2
-	}
-	x := p.countF * (v - p.min) / (p.max - p.min)
+	x := p.countF * (v - p.min) / p.width
 	if !(x < p.countF) {
-		return p.count + 1
+		return int32(p.countF) + 1
 	}
 	return int32(x) + 2
 }
@@ -224,14 +239,15 @@ func eachMissing(miss *table.Bitset, start, end int, visit func(k int)) {
 	}
 }
 
-// intBatchIndexer buckets an IntColumn through its backing slice.
-type intBatchIndexer struct {
-	vals []int64
+// numBatchIndexer buckets an IntColumn (T int64) or a DoubleColumn (T
+// float64) through its backing slice, dividing per row.
+type numBatchIndexer[T int64 | float64] struct {
+	vals []T
 	miss *table.Bitset // nil when no rows are missing
 	p    numericIndex
 }
 
-func (x *intBatchIndexer) IndexSpan(start, end int, out []int32) {
+func (x *numBatchIndexer[T]) IndexSpan(start, end int, out []int32) {
 	vals, p := x.vals[start:end], x.p
 	out = out[:len(vals)]
 	for k, v := range vals {
@@ -240,50 +256,19 @@ func (x *intBatchIndexer) IndexSpan(start, end int, out []int32) {
 	eachMissing(x.miss, start, end, func(k int) { out[k] = 0 })
 }
 
-func (x *intBatchIndexer) IndexRows(rows []int32, out []int32) {
-	if x.miss == nil {
+func (x *numBatchIndexer[T]) IndexRows(rows []int32, out []int32) {
+	vals, miss, p := x.vals, x.miss, x.p
+	if miss == nil {
 		for k, r := range rows {
-			out[k] = x.p.slot(float64(x.vals[r]))
+			out[k] = p.slot(float64(vals[r]))
 		}
 		return
 	}
 	for k, r := range rows {
-		if x.miss.Get(int(r)) {
+		if miss.Get(int(r)) {
 			out[k] = 0
 		} else {
-			out[k] = x.p.slot(float64(x.vals[r]))
-		}
-	}
-}
-
-// doubleBatchIndexer buckets a DoubleColumn through its backing slice.
-type doubleBatchIndexer struct {
-	vals []float64
-	miss *table.Bitset
-	p    numericIndex
-}
-
-func (x *doubleBatchIndexer) IndexSpan(start, end int, out []int32) {
-	vals, p := x.vals[start:end], x.p
-	out = out[:len(vals)]
-	for k, v := range vals {
-		out[k] = p.slot(v)
-	}
-	eachMissing(x.miss, start, end, func(k int) { out[k] = 0 })
-}
-
-func (x *doubleBatchIndexer) IndexRows(rows []int32, out []int32) {
-	if x.miss == nil {
-		for k, r := range rows {
-			out[k] = x.p.slot(x.vals[r])
-		}
-		return
-	}
-	for k, r := range rows {
-		if x.miss.Get(int(r)) {
-			out[k] = 0
-		} else {
-			out[k] = x.p.slot(x.vals[r])
+			out[k] = p.slot(float64(vals[r]))
 		}
 	}
 }
@@ -407,15 +392,31 @@ func (x *intTableBatchIndexer) IndexRows(rows []int32, out []int32) {
 
 // bucketCounter is an optional BatchIndexer extension that fuses slot
 // indexing with histogram tallying, skipping the intermediate slot
-// buffer: kernels add one to tallies[slot] per row (see bucketTally).
-// A span is tallied unmasked and then patched: each missing row moves
-// its count from the slot of its stored value to slot 0.
+// buffer: kernels add one to tallies[slot] per row (see bucketTally),
+// in each of the scan drivers' three forms (see batch.go). A span is
+// tallied unmasked and then patched: each missing row moves its count
+// from the slot of its stored value to slot 0. A word batch
+// (scanWordBatches) adds each word's missing members to slot 0 by
+// popcount, then tallies its present members by a trailing-zeros walk,
+// or by the span loop when all 64 rows are present.
 type bucketCounter interface {
 	CountSpan(start, end int, tallies []int64)
+	CountWords(base int, words []uint64, tallies []int64)
 	CountRows(rows []int32, tallies []int64)
 }
 
-func (x *intBatchIndexer) CountSpan(start, end int, tallies []int64) {
+// presentWord returns the members of w at word index wi that miss does
+// not mark, after adding the rest to the missing tally.
+func presentWord(miss *table.Bitset, wi int, w uint64, tallies []int64) uint64 {
+	if miss == nil {
+		return w
+	}
+	mw := miss.Words[wi] & w
+	tallies[0] += int64(bits.OnesCount64(mw))
+	return w &^ mw
+}
+
+func (x *numBatchIndexer[T]) CountSpan(start, end int, tallies []int64) {
 	vals, p := x.vals[start:end], x.p
 	for _, v := range vals {
 		tallies[p.slot(float64(v))]++
@@ -426,45 +427,36 @@ func (x *intBatchIndexer) CountSpan(start, end int, tallies []int64) {
 	})
 }
 
-func (x *intBatchIndexer) CountRows(rows []int32, tallies []int64) {
-	if x.miss == nil {
-		for _, r := range rows {
-			tallies[x.p.slot(float64(x.vals[r]))]++
+func (x *numBatchIndexer[T]) CountWords(base int, words []uint64, tallies []int64) {
+	vals, miss, p := x.vals, x.miss, x.p
+	for k, w := range words {
+		row := base + k<<6
+		w = presentWord(miss, row>>6, w, tallies)
+		if w == ^uint64(0) {
+			for _, v := range vals[row : row+64] {
+				tallies[p.slot(float64(v))]++
+			}
+			continue
 		}
-		return
-	}
-	for _, r := range rows {
-		if x.miss.Get(int(r)) {
-			tallies[0]++
-		} else {
-			tallies[x.p.slot(float64(x.vals[r]))]++
+		for ; w != 0; w &= w - 1 {
+			tallies[p.slot(float64(vals[row+bits.TrailingZeros64(w)]))]++
 		}
 	}
 }
 
-func (x *doubleBatchIndexer) CountSpan(start, end int, tallies []int64) {
-	vals, p := x.vals[start:end], x.p
-	for _, v := range vals {
-		tallies[p.slot(v)]++
-	}
-	eachMissing(x.miss, start, end, func(k int) {
-		tallies[p.slot(vals[k])]--
-		tallies[0]++
-	})
-}
-
-func (x *doubleBatchIndexer) CountRows(rows []int32, tallies []int64) {
-	if x.miss == nil {
+func (x *numBatchIndexer[T]) CountRows(rows []int32, tallies []int64) {
+	vals, miss, p := x.vals, x.miss, x.p
+	if miss == nil {
 		for _, r := range rows {
-			tallies[x.p.slot(x.vals[r])]++
+			tallies[p.slot(float64(vals[r]))]++
 		}
 		return
 	}
 	for _, r := range rows {
-		if x.miss.Get(int(r)) {
+		if miss.Get(int(r)) {
 			tallies[0]++
 		} else {
-			tallies[x.p.slot(x.vals[r])]++
+			tallies[p.slot(float64(vals[r]))]++
 		}
 	}
 }
@@ -478,6 +470,23 @@ func (x *stringBatchIndexer) CountSpan(start, end int, tallies []int64) {
 		tallies[x.codeSlot[codes[k]]]--
 		tallies[0]++
 	})
+}
+
+func (x *stringBatchIndexer) CountWords(base int, words []uint64, tallies []int64) {
+	codes, codeSlot, miss := x.codes, x.codeSlot, x.miss
+	for k, w := range words {
+		row := base + k<<6
+		w = presentWord(miss, row>>6, w, tallies)
+		if w == ^uint64(0) {
+			for _, c := range codes[row : row+64] {
+				tallies[codeSlot[c]]++
+			}
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			tallies[codeSlot[codes[row+bits.TrailingZeros64(w)]]]++
+		}
+	}
 }
 
 func (x *stringBatchIndexer) CountRows(rows []int32, tallies []int64) {
@@ -514,6 +523,33 @@ func (x *intTableBatchIndexer) CountSpan(start, end int, tallies []int64) {
 		tallies[x.slot(vals[k])]--
 		tallies[0]++
 	})
+}
+
+// CountWords leaves the walk for a value outside the table, as the
+// other loops leave theirs, and counts a full word as a span.
+func (x *intTableBatchIndexer) CountWords(base int, words []uint64, tallies []int64) {
+	vals, tab, lo, miss := x.vals, x.tab, x.lo, x.miss
+	for k, w := range words {
+		row := base + k<<6
+		if w == ^uint64(0) {
+			x.CountSpan(row, row+64, tallies)
+			continue
+		}
+		w = presentWord(miss, row>>6, w, tallies)
+		for w != 0 {
+			for ; w != 0; w &= w - 1 {
+				i := uint64(vals[row+bits.TrailingZeros64(w)] - lo)
+				if i >= uint64(len(tab)) {
+					break
+				}
+				tallies[tab[i]]++
+			}
+			if w != 0 {
+				tallies[x.p.slotInt(vals[row+bits.TrailingZeros64(w)])]++
+				w &= w - 1
+			}
+		}
+	}
 }
 
 func (x *intTableBatchIndexer) CountRows(rows []int32, tallies []int64) {
@@ -640,9 +676,9 @@ func (s BucketSpec) BatchIndexer(col table.Column) (BatchIndexer, error) {
 			if lo, tab, ok := s.intSlotTable(p, len(c.Ints())); ok {
 				return &intTableBatchIndexer{vals: c.Ints(), miss: c.MissingMask(), tab: tab, lo: lo, p: p}, nil
 			}
-			return &intBatchIndexer{vals: c.Ints(), miss: c.MissingMask(), p: p}, nil
+			return &numBatchIndexer[int64]{vals: c.Ints(), miss: c.MissingMask(), p: p}, nil
 		case *table.DoubleColumn:
-			return &doubleBatchIndexer{vals: c.Doubles(), miss: c.MissingMask(), p: p}, nil
+			return &numBatchIndexer[float64]{vals: c.Doubles(), miss: c.MissingMask(), p: p}, nil
 		}
 	case s.Kind == table.KindString:
 		if sc, ok := col.(*table.StringColumn); ok {

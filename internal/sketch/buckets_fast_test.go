@@ -192,7 +192,7 @@ func FuzzIntSlotTable(f *testing.F) {
 		spec := BucketSpec{Kind: table.KindInt, Min: lo, Max: hi, Count: int(count)}
 		want := int32(spec.IndexValue(float64(v)) + 2)
 		p := newNumericIndex(spec)
-		var bi BatchIndexer = &intBatchIndexer{vals: []int64{v}, p: p}
+		var bi BatchIndexer = &numBatchIndexer[int64]{vals: []int64{v}, p: p}
 		if tabLo, tab, ok := spec.intSlotTable(p, intTableRowsPerValue*intTableMax); ok {
 			bi = &intTableBatchIndexer{vals: []int64{v}, tab: tab, lo: tabLo, p: p}
 		}
@@ -209,6 +209,83 @@ func FuzzIntSlotTable(f *testing.F) {
 				bi, spec, v, span[0], rows[0], spanT, rowsT, want)
 		}
 	})
+}
+
+// FuzzSlotKernels: for any float64 v, any int64 iv and any numeric
+// spec, the divide kernels (numBatchIndexer over doubles and over wide
+// int ranges) give v and iv the slot IndexValue+2 through every entry
+// point: IndexSpan, IndexRows, CountSpan, CountRows, and CountWords on
+// a lone member, a full word, and a full word with a missing row. The
+// seeds are specs with NaN, ±Inf and -0 bounds, Min == Max and Count
+// <= 0, each crossed with NaN, ±0, ±Inf, subnormals and the values one
+// ulp either side of every bucket edge.
+func FuzzSlotKernels(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	for _, s := range []struct {
+		lo, hi float64
+		count  int16
+	}{
+		{0, 10, 5}, {0.1, 0.7, 3}, {-3, 1e9, 50}, {negZero, 0, 3}, {0, negZero, 3},
+		{nan, 1, 2}, {0, nan, 2}, {nan, nan, 2}, {-inf, inf, 4}, {0, inf, 4},
+		{-inf, 0, 4}, {inf, inf, 1}, {-inf, -inf, 3}, {3, 3, 7}, {1, 2, 0},
+		{1, 2, -3}, {-1e308, 1e308, 50}, {5e-324, 1e-323, 2}, {7, 2, 3},
+	} {
+		vals := []float64{nan, 0, negZero, inf, -inf, 5e-324, -5e-324, s.lo, s.hi}
+		if s.count > 0 {
+			w := (s.hi - s.lo) / float64(s.count)
+			for j := 0; j <= int(s.count); j++ {
+				e := s.lo + float64(j)*w
+				vals = append(vals, math.Nextafter(e, -inf), e, math.Nextafter(e, inf))
+			}
+		}
+		for _, v := range vals {
+			iv := int64(0)
+			if math.Abs(v) < 1<<62 {
+				iv = int64(v)
+			}
+			f.Add(v, iv, s.lo, s.hi, s.count)
+		}
+	}
+	f.Fuzz(func(t *testing.T, v float64, iv int64, lo, hi float64, count int16) {
+		spec := BucketSpec{Kind: table.KindDouble, Min: lo, Max: hi, Count: int(count)}
+		p := newNumericIndex(spec)
+		checkSlotKernels(t, spec, v, int32(spec.IndexValue(v)+2), p)
+		checkSlotKernels(t, spec, iv, int32(spec.IndexValue(float64(iv))+2), p)
+	})
+}
+
+// checkSlotKernels fails t unless every entry point of the divide
+// kernel over value v gives slot want (see FuzzSlotKernels).
+func checkSlotKernels[T int64 | float64](t *testing.T, spec BucketSpec, v T, want int32, p numericIndex) {
+	t.Helper()
+	vals := make([]T, 64)
+	for i := range vals {
+		vals[i] = v
+	}
+	miss := table.NewBitset(len(vals))
+	miss.Set(5)
+	bi := &numBatchIndexer[T]{vals: vals, p: p}
+	masked := &numBatchIndexer[T]{vals: vals, miss: miss, p: p}
+	span, rows := []int32{-1}, []int32{-1}
+	bi.IndexSpan(0, 1, span)
+	bi.IndexRows([]int32{0}, rows)
+	n := max(spec.Count, 0) + 2
+	tally := func(count func(tallies []int64)) []int64 {
+		tallies := make([]int64, n)
+		count(tallies)
+		return tallies
+	}
+	spanT := tally(func(t []int64) { bi.CountSpan(0, 1, t) })
+	rowsT := tally(func(t []int64) { bi.CountRows([]int32{0}, t) })
+	wordT := tally(func(t []int64) { bi.CountWords(0, []uint64{1}, t) })
+	fullT := tally(func(t []int64) { bi.CountWords(0, []uint64{^uint64(0)}, t) })
+	maskT := tally(func(t []int64) { masked.CountWords(0, []uint64{^uint64(0)}, t) })
+	if span[0] != want || rows[0] != want || spanT[want] != 1 || rowsT[want] != 1 ||
+		wordT[want] != 1 || fullT[want] != 64 || maskT[want] != 63 || maskT[0] != 1 {
+		t.Fatalf("%T %s: v=%v: IndexSpan %d, IndexRows %d, CountSpan %v, CountRows %v, CountWords %v, full %v, masked %v; IndexValue+2 = %d",
+			v, spec, v, span[0], rows[0], spanT, rowsT, wordT, fullT, maskT, want)
+	}
 }
 
 // BenchmarkKernelIntDomain is where the slot-table gate is read off: an
@@ -237,7 +314,7 @@ func BenchmarkKernelIntDomain(b *testing.B) {
 				scan := func(useTable bool) time.Duration {
 					start := time.Now()
 					p := newNumericIndex(spec)
-					var bi BatchIndexer = &intBatchIndexer{vals: vals, p: p}
+					var bi BatchIndexer = &numBatchIndexer[int64]{vals: vals, p: p}
 					if useTable {
 						tab := make([]int32, span)
 						for i := range tab {

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/table"
 )
@@ -38,7 +39,7 @@ func (s *RangeSketch) CacheKey() string { return s.Name() }
 func (s *RangeSketch) Zero() Result { return &DataRange{} }
 
 // Summarize implements Sketch. Stored columns scan their backing slices
-// with typed min/max kernels; computed columns keep the row-at-a-time
+// with the typed extrema kernel; computed columns keep the row-at-a-time
 // reference path.
 func (s *RangeSketch) Summarize(t *table.Table) (Result, error) {
 	col, err := t.Column(s.Col)
@@ -48,13 +49,25 @@ func (s *RangeSketch) Summarize(t *table.Table) (Result, error) {
 	out := &DataRange{Kind: col.Kind()}
 	switch c := col.(type) {
 	case *table.IntColumn:
-		rangeScanInts(t.Members(), c, out)
+		// float64 conversion is monotone, so the int extrema convert to
+		// the reference path's.
+		e := rangeScan(t.Members(), c.Ints(), c.MissingMask())
+		if e.present > 0 {
+			out.Min, out.Max = float64(e.min), float64(e.max)
+		}
+		out.Present, out.Missing = e.present, e.missing
 		return out, nil
 	case *table.DoubleColumn:
-		rangeScanDoubles(t.Members(), c, out)
+		e := rangeScan(t.Members(), c.Doubles(), c.MissingMask())
+		out.Min, out.Max, out.Present, out.Missing = e.min, e.max, e.present, e.missing
 		return out, nil
 	case *table.StringColumn:
-		rangeScanStrings(t.Members(), c, out)
+		// The dictionary is sorted, so code order is lexicographic order.
+		e := rangeScan(t.Members(), c.Codes(), c.MissingMask())
+		if e.present > 0 {
+			out.MinS, out.MaxS = c.Dict()[e.min], c.Dict()[e.max]
+		}
+		out.Present, out.Missing = e.present, e.missing
 		return out, nil
 	}
 	if col.Kind().Numeric() {
@@ -93,158 +106,142 @@ func (s *RangeSketch) Summarize(t *table.Table) (Result, error) {
 	return out, nil
 }
 
-// rangeScanDoubles is the typed extrema kernel for double columns.
-func rangeScanDoubles(m table.Membership, c *table.DoubleColumn, out *DataRange) {
-	vals, miss := c.Doubles(), c.MissingMask()
-	min, max := out.Min, out.Max
-	present, missing := out.Present, out.Missing
-	take := func(v float64) {
-		if present == 0 || v < min {
-			min = v
-		}
-		if present == 0 || v > max {
-			max = v
-		}
-		present++
-	}
-	scanBatches(m,
-		func(a, b int) {
-			if miss == nil {
-				for _, v := range vals[a:b] {
-					take(v)
-				}
-				return
-			}
-			for k, v := range vals[a:b] {
-				if miss.Get(a + k) {
-					missing++
-				} else {
-					take(v)
-				}
-			}
-		},
-		func(rows []int32) {
-			if miss == nil {
-				for _, r := range rows {
-					take(vals[r])
-				}
-				return
-			}
-			for _, r := range rows {
-				if miss.Get(int(r)) {
-					missing++
-				} else {
-					take(vals[r])
-				}
-			}
-		})
-	out.Min, out.Max, out.Present, out.Missing = min, max, present, missing
+// extrema is the state of the range kernel over one column's backing
+// slice: int values, doubles or dictionary codes. It is the reference
+// path's rule, visited in row order: the first present row seeds min and
+// max, and a later row replaces one only on a strict < or >, so a NaN
+// first value stays and the first of equal values (-0 and +0) wins.
+// Each form loads the state into locals for its batch and stores it
+// back once; a missing mask is read a word at a time, its rows counted
+// by popcount. min <= max holds once seeded (or both are NaN), so a row
+// below min is never above max and the kernels test max only when min
+// holds.
+type extrema[T int64 | float64 | int32] struct {
+	min, max         T
+	present, missing int64
 }
 
-// rangeScanInts is the typed extrema kernel for int/date columns. int64
-// order is preserved by the float64 conversion (it is monotone), so
-// comparing raw values gives the same extrema as the reference path.
-func rangeScanInts(m table.Membership, c *table.IntColumn, out *DataRange) {
-	vals, miss := c.Ints(), c.MissingMask()
-	var min, max int64
-	present, missing := out.Present, out.Missing
-	take := func(v int64) {
-		if present == 0 || v < min {
-			min = v
-		}
-		if present == 0 || v > max {
-			max = v
-		}
-		present++
-	}
-	scanBatches(m,
+// rangeScan runs the extrema kernel over every member row of m. A span
+// of a masked column is folded as the words of its rows.
+func rangeScan[T int64 | float64 | int32](m table.Membership, vals []T, miss *table.Bitset) extrema[T] {
+	var e extrema[T]
+	scanWordBatches(m,
 		func(a, b int) {
 			if miss == nil {
-				for _, v := range vals[a:b] {
-					take(v)
-				}
+				e.span(vals[a:b])
 				return
 			}
-			for k, v := range vals[a:b] {
-				if miss.Get(a + k) {
-					missing++
-				} else {
-					take(v)
-				}
-			}
+			var buf [kernelBatch/64 + 1]uint64
+			base, words := spanWords(a, b, &buf)
+			e.words(vals, miss, base, words)
 		},
-		func(rows []int32) {
-			if miss == nil {
-				for _, r := range rows {
-					take(vals[r])
-				}
-				return
-			}
-			for _, r := range rows {
-				if miss.Get(int(r)) {
-					missing++
-				} else {
-					take(vals[r])
-				}
-			}
-		})
-	if present > out.Present {
-		out.Min, out.Max = float64(min), float64(max)
-	}
-	out.Present, out.Missing = present, missing
+		func(base int, words []uint64) { e.words(vals, miss, base, words) },
+		func(rows []int32) { e.rows(vals, miss, rows) })
+	return e
 }
 
-// rangeScanStrings is the extrema kernel for dictionary columns: the
-// dictionary is sorted, so code order equals lexicographic order.
-func rangeScanStrings(m table.Membership, c *table.StringColumn, out *DataRange) {
-	codes, miss := c.Codes(), c.MissingMask()
-	var min, max int32
-	present, missing := out.Present, out.Missing
-	take := func(v int32) {
-		if present == 0 || v < min {
-			min = v
+// spanWords returns rows [a, b), all of them members, as a word batch
+// starting at base = a rounded down to a multiple of 64.
+func spanWords(a, b int, buf *[kernelBatch/64 + 1]uint64) (base int, words []uint64) {
+	base = a &^ 63
+	words = buf[:(b-base+63)>>6]
+	for k := range words {
+		words[k] = ^uint64(0)
+	}
+	words[0] &= ^uint64(0) << uint(a-base)
+	if n := b - base; n&63 != 0 {
+		words[len(words)-1] &= 1<<uint(n&63) - 1
+	}
+	return base, words
+}
+
+// span folds the rows of vals, none of them missing, in one loop: 1.2-1.4×
+// the word loop on unmasked full-membership legs of BenchmarkKernelRange.
+func (e *extrema[T]) span(vals []T) {
+	lo, hi := e.min, e.max
+	if e.present == 0 {
+		lo, hi = vals[0], vals[0]
+	}
+	for _, v := range vals {
+		if v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
 		}
-		if present == 0 || v > max {
-			max = v
+	}
+	e.min, e.max = lo, hi
+	e.present += int64(len(vals))
+}
+
+// words folds the member rows of a word batch (see scanWordBatches). A
+// word's rows are read through a 64-element array, which needs no bounds
+// check; the column's last word, when partial, is copied into one.
+func (e *extrema[T]) words(vals []T, miss *table.Bitset, base int, words []uint64) {
+	lo, hi, present, missing := e.min, e.max, e.present, e.missing
+	var tail [64]T
+	for k, w := range words {
+		row := base + k<<6
+		if miss != nil {
+			mw := miss.Words[row>>6] & w
+			missing += int64(bits.OnesCount64(mw))
+			w &^= mw
+		}
+		if w == 0 {
+			continue
+		}
+		win := &tail
+		if len(vals)-row >= 64 {
+			win = (*[64]T)(vals[row : row+64])
+		} else {
+			copy(tail[:], vals[row:])
+		}
+		if present == 0 {
+			lo = win[bits.TrailingZeros64(w)&63]
+			hi = lo
+		}
+		present += int64(bits.OnesCount64(w))
+		if w == ^uint64(0) {
+			for _, v := range win {
+				if v < lo {
+					lo = v
+				} else if v > hi {
+					hi = v
+				}
+			}
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			v := win[bits.TrailingZeros64(w)&63]
+			if v < lo {
+				lo = v
+			} else if v > hi {
+				hi = v
+			}
+		}
+	}
+	e.min, e.max, e.present, e.missing = lo, hi, present, missing
+}
+
+// rows folds gathered rows.
+func (e *extrema[T]) rows(vals []T, miss *table.Bitset, rows []int32) {
+	lo, hi, present, missing := e.min, e.max, e.present, e.missing
+	for _, r := range rows {
+		if miss != nil && miss.Get(int(r)) {
+			missing++
+			continue
+		}
+		v := vals[r]
+		if present == 0 {
+			lo, hi = v, v
 		}
 		present++
+		if v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
 	}
-	scanBatches(m,
-		func(a, b int) {
-			if miss == nil {
-				for _, v := range codes[a:b] {
-					take(v)
-				}
-				return
-			}
-			for k, v := range codes[a:b] {
-				if miss.Get(a + k) {
-					missing++
-				} else {
-					take(v)
-				}
-			}
-		},
-		func(rows []int32) {
-			if miss == nil {
-				for _, r := range rows {
-					take(codes[r])
-				}
-				return
-			}
-			for _, r := range rows {
-				if miss.Get(int(r)) {
-					missing++
-				} else {
-					take(codes[r])
-				}
-			}
-		})
-	if present > out.Present {
-		dict := c.Dict()
-		out.MinS, out.MaxS = dict[min], dict[max]
-	}
-	out.Present, out.Missing = present, missing
+	e.min, e.max, e.present, e.missing = lo, hi, present, missing
 }
 
 // Merge implements Sketch.

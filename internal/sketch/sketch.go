@@ -41,8 +41,9 @@
 //
 // The hot sketches (histograms, CDF, hist2d, heavy hitters, range,
 // distinct) scan partitions through batch kernels rather than per-row
-// callbacks: membership spans and gathered row batches (see the
-// batch-iteration contract in package table) feed kind-specialized
+// callbacks: membership spans, bitmap member words and gathered row
+// batches (see the batch-iteration contract in package table, and
+// batch.go for which kernels take words) feed kind-specialized
 // inner loops — BucketSpec.BatchIndexer for bucket assignment, typed
 // extrema/hash loops, batch value materialization — that read column
 // storage directly. The bucket kernels map a row to a tally slot (0
@@ -53,7 +54,8 @@
 // (months, flight numbers, clock times), find the slot in a value→slot
 // table built per partition from the same bucket rule, so a row costs
 // one load; doubles and wide int ranges (dates in epoch milliseconds)
-// keep the per-row divide. The bucket kernels read a span of a masked
+// keep the per-row divide, with the spec's width and degenerate cases
+// decided once per kernel. The bucket kernels read a span of a masked
 // column unmasked and then visit only the set bits of its missing words
 // to patch those rows; that is sound because every stored cell indexes
 // safely, missing rows included (any float64 or int64 maps to a slot,

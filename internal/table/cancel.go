@@ -3,7 +3,7 @@ package table
 // This file is the leaf-scan cancellation seam. The engine checks its
 // context between partitions, but one partition can still be a long
 // scan. WithCancel threads a cancellation probe into the one substrate
-// every scan path shares — the membership — so span, gather,
+// every scan path shares — the membership — so span, word, gather,
 // row-at-a-time, and sampled scans all poll the probe about every
 // cancelPollRows rows and stop mid-scan when it fires.
 //
@@ -73,6 +73,21 @@ func (m cancelMembership) FillBatch(buf []int32, from int) (int, int) {
 		return 0, from
 	}
 	return m.Membership.FillBatch(buf, from)
+}
+
+// iterateWords is IterateWords over the wrapped membership: its words
+// are re-yielded in windows of cancelPollRows rows with a poll before
+// each.
+func (m cancelMembership) iterateWords(yield func(wi int, words []uint64) bool) bool {
+	const window = cancelPollRows / 64
+	return IterateWords(m.Membership, func(wi int, words []uint64) bool {
+		for k := 0; k < len(words); k += window {
+			if m.probe() || !yield(wi+k, words[k:min(k+window, len(words))]) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Sample implements Membership, polling every cancelPollRows sampled

@@ -65,8 +65,26 @@ func TestCancelMembershipEquivalence(t *testing.T) {
 			if wrapped.Size() != base.Size() || wrapped.Max() != base.Max() {
 				t.Error("Size/Max differ under cancel wrapper")
 			}
+			w0, ok0 := memberWords(base)
+			w1, ok1 := memberWords(wrapped)
+			if ok0 != (name == "bitmap") || ok1 != ok0 || !reflect.DeepEqual(w0, w1) {
+				t.Errorf("IterateWords differs under cancel wrapper (word form %v, wrapped %v)", ok0, ok1)
+			}
 		})
 	}
+}
+
+// memberWords gathers the member words IterateWords yields, checking
+// that each run starts where the last ended.
+func memberWords(m Membership) (words []uint64, ok bool) {
+	ok = IterateWords(m, func(wi int, run []uint64) bool {
+		if wi != len(words) {
+			panic("IterateWords skipped or repeated words")
+		}
+		words = append(words, run...)
+		return true
+	})
+	return words, ok
 }
 
 // TestCancelMembershipStopsMidScan pins the point of the wrapper: a
@@ -102,6 +120,21 @@ func TestCancelMembershipStopsMidScan(t *testing.T) {
 	fired = true
 	if got, _ := m.FillBatch(make([]int32, 64), 0); got != 0 {
 		t.Errorf("FillBatch returned %d rows with probe fired, want 0", got)
+	}
+
+	bits := NewBitset(n)
+	for i := 0; i < n; i += 2 {
+		bits.Set(i)
+	}
+	fired, seen = false, 0
+	bm := cancelMembership{Membership: NewBitmapMembership(bits), probe: func() bool { return fired }}
+	IterateWords(bm, func(wi int, words []uint64) bool {
+		seen += len(words) * 64
+		fired = true
+		return true
+	})
+	if seen > cancelPollRows {
+		t.Errorf("IterateWords yielded %d rows after probe fired (window %d)", seen, cancelPollRows)
 	}
 
 	fired, seen = false, 0

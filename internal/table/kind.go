@@ -12,7 +12,8 @@
 //
 // Scans are vectorized: in addition to row-at-a-time Iterate, every
 // Membership implements IterateSpans (maximal runs of consecutive member
-// rows) and FillBatch (bulk row-index decoding into a reused buffer), and
+// rows) and FillBatch (bulk row-index decoding into a reused buffer), a
+// bitmap membership also yields its member words (IterateWords), and
 // the stored column types expose their backing slices (IntColumn.Ints,
 // DoubleColumn.Doubles, StringColumn.Codes) plus MissingMask/HasMissing.
 // Sketch kernels combine the two to scan columns with no per-row

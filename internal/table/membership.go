@@ -27,7 +27,9 @@ import (
 //
 // Both forms are deterministic: for a given membership value they yield
 // the same sequence on every call, which the engine relies on for
-// replayable scans (paper §5.8).
+// replayable scans (paper §5.8). A bitmap membership has a third form,
+// its words (IterateWords), which kernels read a word at a time with no
+// row index decoded.
 //
 // Sample visits a uniform random subset of member rows where each row is
 // included independently with the given probability. Sampling is
@@ -209,6 +211,23 @@ func (m *BitmapMembership) FillBatch(buf []int32, from int) (int, int) {
 		}
 		w = words[wi]
 	}
+}
+
+// IterateWords visits the member bitmap of m as runs of words, in
+// increasing order, until yield returns false: bit j of words[k] marks
+// physical row (wi+k)*64+j. Bits at or past Max are never set. It
+// reports false, visiting nothing, when m is not a bitmap membership or
+// a cancellation wrapper of one (see cancelMembership.iterateWords):
+// ranges scan as spans and sparse lists as gathered rows.
+func IterateWords(m Membership, yield func(wi int, words []uint64) bool) bool {
+	switch m := m.(type) {
+	case *BitmapMembership:
+		yield(0, m.bits.Words)
+		return true
+	case cancelMembership:
+		return m.iterateWords(yield)
+	}
+	return false
 }
 
 // Sample implements Membership by walking the bitmap in increasing index

@@ -77,7 +77,11 @@ func (op CmpOp) Holds(cmp int) bool {
 // compareWords sets bit k of out when U(vals[k]) op c holds, for every k
 // in [0, len(vals)); out must hold (len(vals)+63)/64 words. It is the
 // one compare loop of the tree: three native forms (<, >, neither) and
-// their complements.
+// their complements. A full 64-row word is built by an 8-way unrolled
+// body, written inline per operator: eight compares packed by pack8, then
+// one variable shift per eight rows. The loop over a word's rows shifts
+// each bit by a variable amount, and a helper that ran the eight
+// compares did not inline. A tail word keeps the loop.
 func compareWords[T, U int64 | float64 | int32](vals []T, c U, op CmpOp, out []uint64) {
 	negate := false
 	switch op {
@@ -92,33 +96,39 @@ func compareWords[T, U int64 | float64 | int32](vals []T, c U, op CmpOp, out []u
 	for w := 0; w*64 < n; w++ {
 		chunk := vals[w*64 : min(w*64+64, n)]
 		var word uint64
-		switch op {
-		case CmpLT:
-			for j, v := range chunk {
-				var b uint64
-				if U(v) < c {
-					b = 1
-				}
-				word |= b << uint(j)
+		switch {
+		case len(chunk) == 64 && op == CmpLT:
+			for j := 0; j < 64; j += 8 {
+				v := chunk[j : j+8 : j+8]
+				word |= pack8(b2u(U(v[0]) < c), b2u(U(v[1]) < c), b2u(U(v[2]) < c), b2u(U(v[3]) < c),
+					b2u(U(v[4]) < c), b2u(U(v[5]) < c), b2u(U(v[6]) < c), b2u(U(v[7]) < c)) << uint(j)
 			}
-		case CmpGT:
+		case len(chunk) == 64 && op == CmpGT:
+			for j := 0; j < 64; j += 8 {
+				v := chunk[j : j+8 : j+8]
+				word |= pack8(b2u(U(v[0]) > c), b2u(U(v[1]) > c), b2u(U(v[2]) > c), b2u(U(v[3]) > c),
+					b2u(U(v[4]) > c), b2u(U(v[5]) > c), b2u(U(v[6]) > c), b2u(U(v[7]) > c)) << uint(j)
+			}
+		case len(chunk) == 64: // CmpEQ
+			for j := 0; j < 64; j += 8 {
+				v := chunk[j : j+8 : j+8]
+				ne := pack8(b2u(U(v[0]) < c)|b2u(U(v[0]) > c), b2u(U(v[1]) < c)|b2u(U(v[1]) > c),
+					b2u(U(v[2]) < c)|b2u(U(v[2]) > c), b2u(U(v[3]) < c)|b2u(U(v[3]) > c),
+					b2u(U(v[4]) < c)|b2u(U(v[4]) > c), b2u(U(v[5]) < c)|b2u(U(v[5]) > c),
+					b2u(U(v[6]) < c)|b2u(U(v[6]) > c), b2u(U(v[7]) < c)|b2u(U(v[7]) > c))
+				word |= (ne ^ 0xff) << uint(j)
+			}
+		case op == CmpLT:
 			for j, v := range chunk {
-				var b uint64
-				if U(v) > c {
-					b = 1
-				}
-				word |= b << uint(j)
+				word |= b2u(U(v) < c) << uint(j)
+			}
+		case op == CmpGT:
+			for j, v := range chunk {
+				word |= b2u(U(v) > c) << uint(j)
 			}
 		default: // CmpEQ: neither below nor above, as Value.Compare decides it
 			for j, v := range chunk {
-				var lt, gt uint64
-				if U(v) < c {
-					lt = 1
-				}
-				if U(v) > c {
-					gt = 1
-				}
-				word |= ((lt | gt) ^ 1) << uint(j)
+				word |= (b2u(U(v) < c) | b2u(U(v) > c) ^ 1) << uint(j)
 			}
 		}
 		if negate {
@@ -129,6 +139,24 @@ func compareWords[T, U int64 | float64 | int32](vals []T, c U, op CmpOp, out []u
 	if negate {
 		clearTail(out, n)
 	}
+}
+
+// pack8 packs eight 0/1 values into bits 0-7. It adds in a tree, which
+// compiles to address arithmetic (LEA) instead of a shift and an or per
+// bit; the shift-and-or form read 0.81-0.91× this one on the lt and gt
+// legs of BenchmarkKernelCompare.
+func pack8(b0, b1, b2, b3, b4, b5, b6, b7 uint64) uint64 {
+	lo := b0 + 2*b1 + 4*(b2+2*b3)
+	hi := b4 + 2*b5 + 4*(b6+2*b7)
+	return lo + 16*hi
+}
+
+// b2u is 1 for true and 0 for false; it compiles to a flag set.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // clearTail zeroes the bits of words at positions >= n.
