@@ -596,6 +596,31 @@ func BenchmarkKernelHist2D(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelTrellis measures the trellis, the heat map's 2-D scan
+// with a group axis: Carrier in 8 groups × DepDelay in 50 buckets ×
+// ArrDelay in 20 over kernelFlights, under full membership (spans) and
+// the "Distance > 610" bitmap of flightsViews (gathered rows).
+func BenchmarkKernelTrellis(b *testing.B) {
+	for _, v := range flightsViews(b) {
+		if v.name == "delay12" {
+			continue
+		}
+		b.Run("flights/Carrier-DepDelay-ArrDelay/"+v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sk := &sketch.TrellisSketch{GroupCol: "Carrier", XCol: "DepDelay", YCol: "ArrDelay",
+				Group: flightsBuckets(b, v.t, "Carrier", 8),
+				X:     flightsBuckets(b, v.t, "DepDelay", 50), Y: flightsBuckets(b, v.t, "ArrDelay", 20)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.Summarize(v.t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRows(b, v.t.NumRows())
+		})
+	}
+}
+
 // unmaskedColumns returns a table of the named numeric columns of t with
 // their missing masks dropped: the same stored cells, none of them
 // missing.

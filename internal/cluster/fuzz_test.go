@@ -167,8 +167,10 @@ func FuzzFrame(f *testing.F) {
 	))
 	// Decode checks the seeds above do not reach: a cursor longer than
 	// its order, a result whose bucket count is past wire.MaxElems, a
-	// multi member slot marked absent, and a multi nested in a multi on
-	// either side of the wire. Each must be rejected as corrupt.
+	// multi member slot marked absent, a multi nested in a multi on
+	// either side of the wire, and a string bucket spec whose count is
+	// not its number of bounds (its slots would index past the tallies).
+	// Each must be rejected as corrupt.
 	for i, frame := range [][]byte{
 		frameBytes(f, &Envelope{ReqID: 13, Kind: MsgSketch, DatasetID: "d",
 			Sketch: &sketch.NextKSketch{Order: table.Asc("a"), K: 5, From: table.Row{table.IntValue(1), table.IntValue(2)}}}),
@@ -179,6 +181,8 @@ func FuzzFrame(f *testing.F) {
 			Sketch: &sketch.MultiSketch{Sketches: []sketch.Sketch{&sketch.MultiSketch{Sketches: []sketch.Sketch{&sketch.RangeSketch{Col: "a"}}}}}}),
 		frameBytes(f, &Envelope{ReqID: 16, Kind: MsgFinal, Done: 1, Total: 1,
 			Result: &sketch.MultiResult{Members: []sketch.Result{&sketch.MultiResult{Members: []sketch.Result{&sketch.DataRange{}}}}}}),
+		frameBytes(f, &Envelope{ReqID: 17, Kind: MsgSketch, DatasetID: "d",
+			Sketch: &sketch.HistogramSketch{Col: "s", Buckets: sketch.BucketSpec{Kind: table.KindString, Bounds: []string{"a", "b", "c"}, Count: 1}}}),
 	} {
 		if _, err := recvBytes(frame); !errors.Is(err, wire.ErrCorrupt) {
 			f.Fatalf("decode-check seed %d: err = %v, want wire.ErrCorrupt", i, err)

@@ -7,9 +7,16 @@ import (
 )
 
 // This file holds the vectorized leaf-scan drivers shared by the hot
-// sketches. A scan is decomposed into batches of at most kernelBatch
-// rows; each batch reaches the kernel in one of three forms, per the
-// membership batch-iteration contract (see table.Membership):
+// sketches: one driver per scan shape — histogramScan for a 1-D tally,
+// gridScan (hist2d.go) for a 2-D grid with an optional group axis,
+// scanValues for sketches that consume table.Value — each taking the
+// sketch's (rate, seed). A rate below 1 is a branch inside the driver,
+// not a second driver: sampleBatches gathers the deterministic Sample
+// sequence into row batches, which keeps randomized sketches replayable
+// (paper §5.8). At rate 1 a scan is decomposed into batches of at most
+// kernelBatch rows, and each batch reaches the kernel in one of three
+// forms, per the membership batch-iteration contract (see
+// table.Membership):
 //
 //   - span: dense memberships — full membership and physical row
 //     ranges — yield contiguous spans (start, end). The kernel reads
@@ -21,14 +28,14 @@ import (
 //     trailing zeros, or reads the word's 64 rows as a span when all
 //     are present; no row index is stored.
 //   - rows: sparse memberships, wrappers, and bitmaps under kernels
-//     without a word form take the gather path: FillBatch bulk-decodes
-//     member rows into a reused buffer and the kernel gathers column
-//     values through it.
+//     without a word form take the gather path (gatherBatches):
+//     FillBatch bulk-decodes member rows into a reused buffer and the
+//     kernel gathers column values through it. Values (scanValues) are
+//     only ever built for gathered rows.
 //
-// Every form visits exactly the rows Iterate visits, in the same order,
-// so batch results are identical to the row-at-a-time reference path.
-// Sampled scans batch the deterministic Sample sequence as rows, which
-// keeps randomized sketches replayable (paper §5.8).
+// Every form visits exactly the rows Iterate (or Sample) visits, in the
+// same order, so batch results are identical to the row-at-a-time
+// reference scans the tests keep.
 
 // kernelBatch is the number of rows handed to a kernel per call: large
 // enough to amortize dispatch, small enough that a batch of bucket codes
@@ -95,6 +102,13 @@ func scanWordBatches(m table.Membership, spanf func(start, end int), wordsf func
 	}) {
 		return
 	}
+	gatherBatches(m, rowsf)
+}
+
+// gatherBatches bulk-decodes the member rows of m into batches, in
+// Iterate order, and passes each to rowsf; the rows slice is reused
+// between calls.
+func gatherBatches(m table.Membership, rowsf func(rows []int32)) {
 	rb := getRowBuffer()
 	defer rowBuffers.Put(rb)
 	buf := rb[:]
@@ -128,45 +142,27 @@ func sampleBatches(m table.Membership, rate float64, seed uint64, rowsf func(row
 	}
 }
 
-// bucketTally accumulates a batch of BatchIndexer slots into a tally
-// array laid out as [missing, outOfRange, bucket 0, bucket 1, ...], so
-// the inner loop is a branch-free gather-increment.
-func bucketTally(tallies []int64, slots []int32) {
-	for _, s := range slots {
-		tallies[s]++
-	}
-}
-
-// histogramScan runs the full (exact) scan of a histogram over members,
-// filling h from bi. Kernels that implement bucketCounter tally in one
-// fused pass, bitmap members a word at a time; others index into a slot
-// buffer first.
-func histogramScan(m table.Membership, bi BatchIndexer, h *Histogram) {
+// histogramScan tallies the scanned rows of m into h through bi: at a
+// rate below 1 the Sample(rate, seed) rows, gathered into batches; at
+// rate 1 every member row, spans and bitmap words tallied in place.
+func histogramScan(m table.Membership, bi BatchIndexer, h *Histogram, rate float64, seed uint64) {
 	tallies := make([]int64, len(h.Counts)+2)
-	if bc, ok := bi.(bucketCounter); ok {
-		scanWordBatches(m,
-			func(a, b int) { bc.CountSpan(a, b, tallies) },
-			func(base int, words []uint64) { bc.CountWords(base, words, tallies) },
-			func(rows []int32) { bc.CountRows(rows, tallies) })
+	// Each branch has its own rows literal: one shared with the sample
+	// branch escapes, and would cost the exact scan an allocation.
+	if rate < 1 {
+		sampleBatches(m, rate, seed, func(rows []int32) { bi.CountRows(rows, tallies) })
 	} else {
-		rb := getRowBuffer()
-		defer rowBuffers.Put(rb)
-		out := rb[:]
-		scanBatches(m,
-			func(a, b int) {
-				bi.IndexSpan(a, b, out[:b-a])
-				bucketTally(tallies, out[:b-a])
-			},
-			func(rows []int32) {
-				bi.IndexRows(rows, out[:len(rows)])
-				bucketTally(tallies, out[:len(rows)])
-			})
+		scanWordBatches(m,
+			func(a, b int) { bi.CountSpan(a, b, tallies) },
+			func(base int, words []uint64) { bi.CountWords(base, words, tallies) },
+			func(rows []int32) { bi.CountRows(rows, tallies) })
 	}
 	addTallies(h, tallies)
 }
 
-// addTallies adds a tally array laid out as bucketTally's to h. Every
-// scanned row is in exactly one tally, so their sum is the row count.
+// addTallies adds a tally array laid out as BatchIndexer's slots to h.
+// Every scanned row is in exactly one tally, so their sum is the row
+// count.
 func addTallies(h *Histogram, tallies []int64) {
 	for _, c := range tallies {
 		h.SampledRows += c
@@ -178,80 +174,36 @@ func addTallies(h *Histogram, tallies []int64) {
 	}
 }
 
-// histogramSampleScan runs the sampled scan of a histogram over members,
-// at a rate in (0, 1).
-func histogramSampleScan(m table.Membership, bi BatchIndexer, h *Histogram, rate float64, seed uint64) {
-	tallies := make([]int64, len(h.Counts)+2)
-	if bc, ok := bi.(bucketCounter); ok {
-		sampleBatches(m, rate, seed, func(rows []int32) { bc.CountRows(rows, tallies) })
-	} else {
-		rb := getRowBuffer()
-		defer rowBuffers.Put(rb)
-		out := rb[:]
-		sampleBatches(m, rate, seed, func(rows []int32) {
-			bi.IndexRows(rows, out[:len(rows)])
-			bucketTally(tallies, out[:len(rows)])
-		})
-	}
-	addTallies(h, tallies)
-}
-
-// valueBatcher materializes column values for batches of rows without
-// per-row interface dispatch, for sketches that consume table.Value
-// (heavy hitters). Dictionary columns build each distinct Value once.
-type valueBatcher struct {
-	span func(start, end int, out []table.Value)
-	rows func(rows []int32, out []table.Value)
-}
-
-// newValueBatcher returns the value-materialization kernel for col.
-func newValueBatcher(col table.Column) valueBatcher {
+// valueGather returns the value-materialization kernel for col, for
+// sketches that consume table.Value (heavy hitters): it fills out[k]
+// with the value of rows[k], reading stored columns' backing slices
+// with no per-row interface call. Dictionary columns build each
+// distinct Value once.
+func valueGather(col table.Column) func(rows []int32, out []table.Value) {
 	switch c := col.(type) {
 	case *table.IntColumn:
 		kind, vals, miss := c.Kind(), c.Ints(), c.MissingMask()
 		missingV := table.MissingValue(kind)
-		return valueBatcher{
-			span: func(start, end int, out []table.Value) {
-				for k, v := range vals[start:end] {
-					if miss != nil && miss.Get(start+k) {
-						out[k] = missingV
-					} else {
-						out[k] = table.Value{Kind: kind, I: v}
-					}
+		return func(rows []int32, out []table.Value) {
+			for k, r := range rows {
+				if miss != nil && miss.Get(int(r)) {
+					out[k] = missingV
+				} else {
+					out[k] = table.Value{Kind: kind, I: vals[r]}
 				}
-			},
-			rows: func(rows []int32, out []table.Value) {
-				for k, r := range rows {
-					if miss != nil && miss.Get(int(r)) {
-						out[k] = missingV
-					} else {
-						out[k] = table.Value{Kind: kind, I: vals[r]}
-					}
-				}
-			},
+			}
 		}
 	case *table.DoubleColumn:
 		vals, miss := c.Doubles(), c.MissingMask()
 		missingV := table.MissingValue(table.KindDouble)
-		return valueBatcher{
-			span: func(start, end int, out []table.Value) {
-				for k, v := range vals[start:end] {
-					if miss != nil && miss.Get(start+k) {
-						out[k] = missingV
-					} else {
-						out[k] = table.Value{Kind: table.KindDouble, D: v}
-					}
+		return func(rows []int32, out []table.Value) {
+			for k, r := range rows {
+				if miss != nil && miss.Get(int(r)) {
+					out[k] = missingV
+				} else {
+					out[k] = table.Value{Kind: table.KindDouble, D: vals[r]}
 				}
-			},
-			rows: func(rows []int32, out []table.Value) {
-				for k, r := range rows {
-					if miss != nil && miss.Get(int(r)) {
-						out[k] = missingV
-					} else {
-						out[k] = table.Value{Kind: table.KindDouble, D: vals[r]}
-					}
-				}
-			},
+			}
 		}
 	case *table.StringColumn:
 		codes, miss := c.Codes(), c.MissingMask()
@@ -260,46 +212,28 @@ func newValueBatcher(col table.Column) valueBatcher {
 			dictVals[i] = table.Value{Kind: table.KindString, S: s}
 		}
 		missingV := table.MissingValue(table.KindString)
-		return valueBatcher{
-			span: func(start, end int, out []table.Value) {
-				for k, code := range codes[start:end] {
-					if miss != nil && miss.Get(start+k) {
-						out[k] = missingV
-					} else {
-						out[k] = dictVals[code]
-					}
+		return func(rows []int32, out []table.Value) {
+			for k, r := range rows {
+				if miss != nil && miss.Get(int(r)) {
+					out[k] = missingV
+				} else {
+					out[k] = dictVals[codes[r]]
 				}
-			},
-			rows: func(rows []int32, out []table.Value) {
-				for k, r := range rows {
-					if miss != nil && miss.Get(int(r)) {
-						out[k] = missingV
-					} else {
-						out[k] = dictVals[codes[r]]
-					}
-				}
-			},
+			}
 		}
 	default:
-		return valueBatcher{
-			span: func(start, end int, out []table.Value) {
-				for k := 0; k < end-start; k++ {
-					out[k] = col.Value(start + k)
-				}
-			},
-			rows: func(rows []int32, out []table.Value) {
-				for k, r := range rows {
-					out[k] = col.Value(int(r))
-				}
-			},
+		return func(rows []int32, out []table.Value) {
+			for k, r := range rows {
+				out[k] = col.Value(int(r))
+			}
 		}
 	}
 }
 
-// valueBuffers recycles the kernelBatch-value batches of scanValues and
-// sampleValues (40 B a value, 160 KiB a batch), as rowBuffers does the
-// row batches. A batch is cleared before it goes back, so a pooled batch
-// pins no strings.
+// valueBuffers recycles the kernelBatch-value batches of scanValues
+// (40 B a value, 160 KiB a batch), as rowBuffers does the row batches.
+// A batch is cleared before it goes back, so a pooled batch pins no
+// strings.
 var valueBuffers = sync.Pool{New: func() any { return new([kernelBatch]table.Value) }}
 
 // withValueBuffer runs scan with a pooled value batch, then clears the
@@ -310,36 +244,23 @@ func withValueBuffer(scan func(out []table.Value) (used int)) {
 	valueBuffers.Put(buf)
 }
 
-// scanValues feeds the values of every member row to visit in batches,
-// preserving Iterate order (the visit slice is reused between calls).
-func scanValues(m table.Membership, col table.Column, visit func(vals []table.Value)) {
-	vb := newValueBatcher(col)
+// scanValues feeds the values of the scanned rows of m to visit in
+// batches: at a rate below 1 the Sample(rate, seed) rows, in Sample
+// order; at rate 1 every member row, gathered in Iterate order. The
+// visit slice is reused between calls.
+func scanValues(m table.Membership, col table.Column, rate float64, seed uint64, visit func(vals []table.Value)) {
+	gather := valueGather(col)
 	withValueBuffer(func(out []table.Value) (used int) {
-		scanBatches(m,
-			func(a, b int) {
-				vb.span(a, b, out[:b-a])
-				visit(out[:b-a])
-				used = max(used, b-a)
-			},
-			func(rows []int32) {
-				vb.rows(rows, out[:len(rows)])
-				visit(out[:len(rows)])
-				used = max(used, len(rows))
-			})
-		return used
-	})
-}
-
-// sampleValues feeds the values of the deterministic row sample to visit
-// in batches, preserving Sample order.
-func sampleValues(m table.Membership, col table.Column, rate float64, seed uint64, visit func(vals []table.Value)) {
-	vb := newValueBatcher(col)
-	withValueBuffer(func(out []table.Value) (used int) {
-		sampleBatches(m, rate, seed, func(rows []int32) {
-			vb.rows(rows, out[:len(rows)])
+		rowsf := func(rows []int32) {
+			gather(rows, out[:len(rows)])
 			visit(out[:len(rows)])
 			used = max(used, len(rows))
-		})
+		}
+		if rate < 1 {
+			sampleBatches(m, rate, seed, rowsf)
+		} else {
+			gatherBatches(m, rowsf)
+		}
 		return used
 	})
 }

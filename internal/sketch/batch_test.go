@@ -11,8 +11,8 @@ import (
 
 // The tests in this file prove the batch kernels equivalent to the
 // row-at-a-time reference path (Membership.Iterate/Sample plus
-// BucketSpec.Indexer and Column.Value), which remains in the tree as
-// the ComputedColumn fallback. Every sketch result must be bit-identical
+// rowIndexer and Column.Value), which lives here, in the tests, and
+// nowhere in production code. Every sketch result must be bit-identical
 // across all membership shapes, column kinds, and missing masks, and —
 // for sampled sketches — for the same seed.
 
@@ -166,13 +166,37 @@ func eqTables(rows int) []eqCase {
 	return cases
 }
 
-// refHistogram is the retained row-at-a-time reference scan.
-func refHistogram(t *table.Table, col string, spec BucketSpec, rate float64, seed uint64) *Histogram {
-	c := t.MustColumn(col)
-	idx, err := spec.Indexer(c)
-	if err != nil {
-		panic(err)
+// rowIndexer is the row-at-a-time reference bucketing of spec over
+// col: -2 for a missing row, else the spec's IndexValue (numeric specs)
+// or IndexString (string specs) of the row's value, -1 being out of
+// range. A BatchIndexer slot is this code plus two.
+func rowIndexer(spec BucketSpec, col table.Column) func(row int) int {
+	return func(row int) int {
+		switch {
+		case col.Missing(row):
+			return -2
+		case spec.Kind == table.KindString:
+			return spec.IndexString(col.Str(row))
+		default:
+			return spec.IndexValue(col.Double(row))
+		}
 	}
+}
+
+// refScan visits the rows a scan at rate visits: every member row in
+// Iterate order at rate 1, else the Sample(rate, seed) rows of t's
+// partition.
+func refScan(t *table.Table, rate float64, seed uint64, visit func(row int) bool) {
+	if rate >= 1 {
+		t.Members().Iterate(visit)
+	} else {
+		t.Members().Sample(rate, PartitionSeed(seed, t.ID()), visit)
+	}
+}
+
+// refHistogram is the row-at-a-time reference scan.
+func refHistogram(t *table.Table, col string, spec BucketSpec, rate float64, seed uint64) *Histogram {
+	idx := rowIndexer(spec, t.MustColumn(col))
 	h := &Histogram{Buckets: spec, Counts: make([]int64, spec.NumBuckets()), SampleRate: rate}
 	visit := func(row int) bool {
 		h.SampledRows++
@@ -186,11 +210,7 @@ func refHistogram(t *table.Table, col string, spec BucketSpec, rate float64, see
 		}
 		return true
 	}
-	if rate >= 1 {
-		t.Members().Iterate(visit)
-	} else {
-		t.Members().Sample(rate, PartitionSeed(seed, t.ID()), visit)
-	}
+	refScan(t, rate, seed, visit)
 	return h
 }
 
@@ -367,35 +387,52 @@ func TestBatchCDFEquivalence(t *testing.T) {
 
 // refHistogram2D is the row-at-a-time reference for the 2-D kernel.
 func refHistogram2D(t *table.Table, sk *Histogram2DSketch) *Histogram2D {
-	xIdx, err := sk.X.Indexer(t.MustColumn(sk.XCol))
-	if err != nil {
-		panic(err)
-	}
-	yIdx, err := sk.Y.Indexer(t.MustColumn(sk.YCol))
-	if err != nil {
-		panic(err)
-	}
 	h := sk.Zero().(*Histogram2D)
-	visit := func(row int) bool {
+	count := ref2DCount(t, sk.XCol, sk.YCol, sk.X, sk.Y)
+	refScan(t, h.SampleRate, sk.Seed, func(row int) bool {
+		count(h, row)
+		return true
+	})
+	return h
+}
+
+// ref2DCount returns the reference tally of one row into a 2-D
+// histogram over xcol × ycol bucketed by x and y.
+func ref2DCount(t *table.Table, xcol, ycol string, x, y BucketSpec) func(h *Histogram2D, row int) {
+	xIdx, yIdx := rowIndexer(x, t.MustColumn(xcol)), rowIndexer(y, t.MustColumn(ycol))
+	return func(h *Histogram2D, row int) {
 		h.SampledRows++
 		xb := xIdx(row)
 		if xb < 0 {
 			h.XMissing++
-			return true
+			return
 		}
 		if yb := yIdx(row); yb >= 0 {
 			h.Counts[xb*h.Y.Count+yb]++
 		} else {
 			h.YOther[xb]++
 		}
+	}
+}
+
+// refTrellis is the row-at-a-time reference for the trellis: every
+// visited row counts in the trellis, and then, unless its group is
+// missing or out of range, in its group's plot as refHistogram2D counts
+// it.
+func refTrellis(t *table.Table, sk *TrellisSketch) *Trellis {
+	tr := sk.Zero().(*Trellis)
+	gIdx := rowIndexer(sk.Group, t.MustColumn(sk.GroupCol))
+	count := ref2DCount(t, sk.XCol, sk.YCol, sk.X, sk.Y)
+	refScan(t, tr.SampleRate, sk.Seed, func(row int) bool {
+		tr.SampledRows++
+		if gb := gIdx(row); gb < 0 {
+			tr.GroupOther++
+		} else {
+			count(tr.Plots[gb], row)
+		}
 		return true
-	}
-	if h.SampleRate >= 1 {
-		t.Members().Iterate(visit)
-	} else {
-		t.Members().Sample(h.SampleRate, PartitionSeed(sk.Seed, t.ID()), visit)
-	}
-	return h
+	})
+	return tr
 }
 
 // TestBatchHist2DEquivalence runs the 2-D kernel over every ordered
@@ -449,6 +486,48 @@ func TestBatchHist2DEquivalence(t *testing.T) {
 	}
 	for _, tc := range eqTables(intTableRows) {
 		check(tc, wide)
+	}
+}
+
+// TestTrellisMatchesReference holds the trellis to refTrellis on every
+// membership shape, bare and under WithCancel, exact and sampled. The
+// group axes are a dictionary (with a missing mask and a bound below
+// every value, so rows fall outside every group), an exact-value
+// dictionary, a computed string column and a masked int slot-table
+// axis; the plots pair a double with a masked dictionary, a computed
+// int with a hostile double, and a string with itself.
+func TestTrellisMatchesReference(t *testing.T) {
+	groups := []eqAxis{
+		{"sm", stringSpec()}, {"s", exactStringSpec()}, {"cs", stringSpec()},
+		{"t12m", NumericBuckets(table.KindInt, 1, 12, 5)},
+	}
+	plots := [][2]eqAxis{
+		{{"d", doubleSpec()}, {"sm", stringSpec()}},
+		{{"ci", intSpec()}, {"dx", doubleSpec()}},
+		{{"s", exactStringSpec()}, {"s", stringSpec()}},
+	}
+	for _, tc := range eqTables(3000) {
+		views := map[string]*table.Table{tc.name: tc.t, tc.name + "/cancel": tc.t.WithCancel(func() bool { return false })}
+		for name, tbl := range views {
+			for _, rate := range []float64{1, 0.3} {
+				for _, g := range groups {
+					for _, p := range plots {
+						sk := &TrellisSketch{
+							GroupCol: g.col, XCol: p[0].col, YCol: p[1].col,
+							Group: g.spec, X: p[0].spec, Y: p[1].spec,
+							Rate: rate, Seed: 13,
+						}
+						got, err := sk.Summarize(tbl)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := refTrellis(tbl, sk); !reflect.DeepEqual(got, want) {
+							t.Errorf("%s %s: trellis differs from reference\n got %+v\nwant %+v", name, sk.Name(), got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -651,34 +730,28 @@ func TestBatchDistinctEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchIndexerMatchesIndexer pins the kernel to the scalar Indexer
-// row by row, axis by axis: every slot is the Indexer code plus two. On
-// every membership shape, IndexSpan runs over each member span and
-// IndexRows over the gathered member rows, and the fused CountSpan and
-// CountRows over the same batches must tally what the Indexer tallies.
-// The int slot-table axes run at a size where every span up to
-// intTableMax takes the table.
+// TestBatchIndexerMatchesIndexer pins the kernel to the reference
+// rowIndexer row by row, axis by axis: every slot is the rowIndexer
+// code plus two. On every membership shape, IndexSpan runs over each
+// member span and IndexRows over the gathered member rows, and CountSpan
+// and CountRows over the same batches, and CountWords over the member
+// words of a bitmap, must tally what the rowIndexer tallies. The int
+// slot-table axes run at a size where every span up to intTableMax
+// takes the table.
 func TestBatchIndexerMatchesIndexer(t *testing.T) {
 	check := func(tc eqCase, sc eqAxis) {
 		col := tc.t.MustColumn(sc.col)
-		idx, err := sc.spec.Indexer(col)
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := rowIndexer(sc.spec, col)
 		bi, err := sc.spec.BatchIndexer(col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bc, fused := bi.(bucketCounter)
 		name := fmt.Sprintf("%s/%s/%s", tc.name, sc.col, sc.spec)
 		m := tc.t.Members()
 		want := make([]int64, sc.spec.NumBuckets()+2)
 		out := make([]int32, kernelBatch)
-		var spanTally, rowsTally []int64
-		if fused {
-			spanTally = make([]int64, len(want))
-			rowsTally = make([]int64, len(want))
-		}
+		spanTally := make([]int64, len(want))
+		rowsTally := make([]int64, len(want))
 		m.IterateSpans(func(start, end int) bool {
 			for a := start; a < end; a += kernelBatch {
 				b := min(a+kernelBatch, end)
@@ -686,13 +759,11 @@ func TestBatchIndexerMatchesIndexer(t *testing.T) {
 				for k, got := range out[:b-a] {
 					w := idx(a+k) + 2
 					if got != int32(w) {
-						t.Fatalf("%s: IndexSpan row %d = %d, Indexer+2 = %d", name, a+k, got, w)
+						t.Fatalf("%s: IndexSpan row %d = %d, rowIndexer+2 = %d", name, a+k, got, w)
 					}
 					want[w]++
 				}
-				if fused {
-					bc.CountSpan(a, b, spanTally)
-				}
+				bi.CountSpan(a, b, spanTally)
 			}
 			return true
 		})
@@ -705,16 +776,21 @@ func TestBatchIndexerMatchesIndexer(t *testing.T) {
 			bi.IndexRows(rows[:n], out[:n])
 			for k, r := range rows[:n] {
 				if w := int32(idx(int(r)) + 2); out[k] != w {
-					t.Fatalf("%s: IndexRows row %d = %d, Indexer+2 = %d", name, r, out[k], w)
+					t.Fatalf("%s: IndexRows row %d = %d, rowIndexer+2 = %d", name, r, out[k], w)
 				}
 			}
-			if fused {
-				bc.CountRows(rows[:n], rowsTally)
-			}
+			bi.CountRows(rows[:n], rowsTally)
 			from = next
 		}
-		if fused && (!reflect.DeepEqual(spanTally, want) || !reflect.DeepEqual(rowsTally, want)) {
-			t.Fatalf("%s: CountSpan %v, CountRows %v, Indexer tallies %v", name, spanTally, rowsTally, want)
+		if !reflect.DeepEqual(spanTally, want) || !reflect.DeepEqual(rowsTally, want) {
+			t.Fatalf("%s: CountSpan %v, CountRows %v, rowIndexer tallies %v", name, spanTally, rowsTally, want)
+		}
+		wordsTally := make([]int64, len(want))
+		if table.IterateWords(m, func(wi int, words []uint64) bool {
+			bi.CountWords(wi<<6, words, wordsTally)
+			return true
+		}) && !reflect.DeepEqual(wordsTally, want) {
+			t.Fatalf("%s: CountWords %v, rowIndexer tallies %v", name, wordsTally, want)
 		}
 	}
 	for _, tc := range eqTables(2000) {

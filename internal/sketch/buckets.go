@@ -97,50 +97,15 @@ func (s BucketSpec) IndexString(v string) int {
 	return i
 }
 
-// Indexer returns a row-to-bucket function bound to a column, choosing
-// the numeric or string path once per partition rather than per row.
-// Missing rows map to -2; out-of-range rows to -1.
-func (s BucketSpec) Indexer(col table.Column) (func(row int) int, error) {
-	switch {
-	case s.Kind.Numeric():
-		if !col.Kind().Numeric() {
-			return nil, fmt.Errorf("sketch: numeric buckets over %v column", col.Kind())
-		}
-		return func(row int) int {
-			if col.Missing(row) {
-				return -2
-			}
-			return s.IndexValue(col.Double(row))
-		}, nil
-	case s.Kind == table.KindString:
-		sc, ok := col.(*table.StringColumn)
-		if !ok {
-			// Computed string columns take the generic path.
-			return func(row int) int {
-				if col.Missing(row) {
-					return -2
-				}
-				return s.IndexString(col.Str(row))
-			}, nil
-		}
-		// Dictionary fast path: precompute code -> slot.
-		codeSlot := s.codeSlotTable(sc)
-		return func(row int) int {
-			if sc.Missing(row) {
-				return -2
-			}
-			return int(codeSlot[sc.Code(row)]) - 2
-		}, nil
-	default:
-		return nil, fmt.Errorf("sketch: bucket spec kind %v unsupported", s.Kind)
-	}
-}
-
-// BatchIndexer maps many rows to tally slots at once. IndexSpan covers
-// a contiguous physical row range; IndexRows a gathered index list. A
-// slot is the Indexer code plus two: 0 for a missing row, 1 for an
-// out-of-range value, bucket+2 otherwise — the layout of a tally array
-// [missing, outOfRange, bucket 0, ...], so a slot is a tally index.
+// BatchIndexer is the one bucket kernel interface: it maps many rows to
+// tally slots at once, or tallies them straight into a slot array. A
+// slot is 0 for a missing row, 1 for an out-of-range value and bucket+2
+// otherwise — the layout of a tally array [missing, outOfRange, bucket
+// 0, ...], so a slot is a tally index and a kernel adds one to
+// tallies[slot] per row with no branch. The Index methods fill a slot
+// buffer, for scans that combine axes (gridScan); the Count methods fuse
+// indexing with tallying, in each of the scan drivers' three forms (see
+// batch.go), for the 1-D histogram.
 //
 // Implementations are specialized per column representation and read
 // int64/float64 values or dictionary codes straight from the backing
@@ -150,13 +115,18 @@ func (s BucketSpec) Indexer(col table.Column) (func(row int) int, error) {
 // doubles and wide int ranges do the bucket arithmetic per row, with
 // the spec's degenerate cases decided and its width computed once per
 // kernel (numericIndex). A span
-// is read unmasked: every row is indexed from the value stored under it,
-// then only the set bits of the missing mask in the span are visited
-// (eachMissing) and their slots rewritten. This relies
+// is read unmasked: every row is indexed (or tallied) from the value
+// stored under it, then only the set bits of the missing mask in the
+// span are visited (eachMissing) and their slots rewritten (or their
+// counts moved to slot 0). This relies
 // on every stored cell being safe to index, missing rows included: any
 // float64 (NaN, ±Inf) or int64 maps to a slot in range, and every
-// dictionary code indexes the code→slot table (table.NewDictColumn).
-// ComputedColumn falls back to the row-at-a-time Indexer.
+// dictionary code indexes the code→slot table (table.NewDictColumn). A
+// word batch adds each word's missing members to slot 0 by popcount,
+// then tallies its present members by a trailing-zeros walk, or by the
+// span loop when all 64 rows are present. ComputedColumn, which has no
+// backing slice, is read row by row through the Column interface
+// (scalarBatchIndexer).
 type BatchIndexer interface {
 	// IndexSpan fills out[k] with the slot of row start+k for every
 	// k in [0, end-start). len(out) must be at least end-start.
@@ -164,6 +134,13 @@ type BatchIndexer interface {
 	// IndexRows fills out[k] with the slot of rows[k]. len(out) must
 	// be at least len(rows).
 	IndexRows(rows []int32, out []int32)
+	// CountSpan adds one to tallies[slot] for every row in [start, end).
+	CountSpan(start, end int, tallies []int64)
+	// CountWords does the same for the member rows of a word batch:
+	// row base+64k+j is a member when bit j of words[k] is set.
+	CountWords(base int, words []uint64, tallies []int64)
+	// CountRows does the same for every row of rows.
+	CountRows(rows []int32, tallies []int64)
 }
 
 // numericIndex is the bucket arithmetic of IndexValue with the spec
@@ -390,21 +367,6 @@ func (x *intTableBatchIndexer) IndexRows(rows []int32, out []int32) {
 	}
 }
 
-// bucketCounter is an optional BatchIndexer extension that fuses slot
-// indexing with histogram tallying, skipping the intermediate slot
-// buffer: kernels add one to tallies[slot] per row (see bucketTally),
-// in each of the scan drivers' three forms (see batch.go). A span is
-// tallied unmasked and then patched: each missing row moves its count
-// from the slot of its stored value to slot 0. A word batch
-// (scanWordBatches) adds each word's missing members to slot 0 by
-// popcount, then tallies its present members by a trailing-zeros walk,
-// or by the span loop when all 64 rows are present.
-type bucketCounter interface {
-	CountSpan(start, end int, tallies []int64)
-	CountWords(base int, words []uint64, tallies []int64)
-	CountRows(rows []int32, tallies []int64)
-}
-
 // presentWord returns the members of w at word index wi that miss does
 // not mark, after adding the rest to the missing tally.
 func presentWord(miss *table.Bitset, wi int, w uint64, tallies []int64) uint64 {
@@ -583,21 +545,55 @@ func (x *intTableBatchIndexer) CountRows(rows []int32, tallies []int64) {
 	}
 }
 
-// scalarBatchIndexer adapts the row-at-a-time Indexer for columns with
-// no backing storage (ComputedColumn).
+// scalarBatchIndexer buckets a column with no backing storage
+// (ComputedColumn) one row at a time through the Column interface: a
+// missing row is slot 0, any other row the spec's IndexString or
+// IndexValue plus two.
 type scalarBatchIndexer struct {
-	idx func(row int) int
+	col  table.Column
+	spec BucketSpec
+}
+
+func (x *scalarBatchIndexer) slot(row int) int32 {
+	switch {
+	case x.col.Missing(row):
+		return 0
+	case x.spec.Kind == table.KindString:
+		return int32(x.spec.IndexString(x.col.Str(row)) + 2)
+	default:
+		return int32(x.spec.IndexValue(x.col.Double(row)) + 2)
+	}
 }
 
 func (x *scalarBatchIndexer) IndexSpan(start, end int, out []int32) {
-	for k := 0; k < end-start; k++ {
-		out[k] = int32(x.idx(start+k) + 2)
+	for k := range end - start {
+		out[k] = x.slot(start + k)
 	}
 }
 
 func (x *scalarBatchIndexer) IndexRows(rows []int32, out []int32) {
 	for k, r := range rows {
-		out[k] = int32(x.idx(int(r)) + 2)
+		out[k] = x.slot(int(r))
+	}
+}
+
+func (x *scalarBatchIndexer) CountSpan(start, end int, tallies []int64) {
+	for row := start; row < end; row++ {
+		tallies[x.slot(row)]++
+	}
+}
+
+func (x *scalarBatchIndexer) CountWords(base int, words []uint64, tallies []int64) {
+	for k, w := range words {
+		for ; w != 0; w &= w - 1 {
+			tallies[x.slot(base+k<<6+bits.TrailingZeros64(w))]++
+		}
+	}
+}
+
+func (x *scalarBatchIndexer) CountRows(rows []int32, tallies []int64) {
+	for _, r := range rows {
+		tallies[x.slot(int(r))]++
 	}
 }
 
@@ -659,11 +655,13 @@ func (s BucketSpec) intSlotTable(p numericIndex, n int) (lo int64, tab []int32, 
 	return lo, tab, true
 }
 
-// BatchIndexer returns the batch slot kernel bound to a column. It
-// computes exactly what Indexer computes row by row, plus two,
-// amortizing dispatch over whole batches. Dictionary columns, and int
+// BatchIndexer returns the batch slot kernel bound to a column: the
+// slot of a row is 0 when it is missing, else IndexValue (numeric
+// specs) or IndexString (string specs) of its value plus two, with
+// dispatch amortized over whole batches. Dictionary columns, and int
 // columns whose bucket range spans few integers (intSlotTable), index
-// through a value→slot table; other numeric columns divide per row.
+// through a value→slot table; other numeric columns divide per row, and
+// columns with no backing slice go row by row (scalarBatchIndexer).
 func (s BucketSpec) BatchIndexer(col table.Column) (BatchIndexer, error) {
 	switch {
 	case s.Kind.Numeric():
@@ -687,11 +685,16 @@ func (s BucketSpec) BatchIndexer(col table.Column) (BatchIndexer, error) {
 	default:
 		return nil, fmt.Errorf("sketch: bucket spec kind %v unsupported", s.Kind)
 	}
-	idx, err := s.Indexer(col)
+	return &scalarBatchIndexer{col: col, spec: s}, nil
+}
+
+// batchIndexer returns the bucket kernel of spec over column col of t.
+func batchIndexer(t *table.Table, col string, spec BucketSpec) (BatchIndexer, error) {
+	c, err := t.Column(col)
 	if err != nil {
 		return nil, err
 	}
-	return &scalarBatchIndexer{idx: idx}, nil
+	return spec.BatchIndexer(c)
 }
 
 // LabelOf renders the label of bucket i for axes and legends.

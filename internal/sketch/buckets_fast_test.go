@@ -201,9 +201,8 @@ func FuzzIntSlotTable(f *testing.F) {
 		bi.IndexRows([]int32{0}, rows)
 		spanT := make([]int64, max(int(count), 0)+2)
 		rowsT := make([]int64, len(spanT))
-		bc := bi.(bucketCounter)
-		bc.CountSpan(0, 1, spanT)
-		bc.CountRows([]int32{0}, rowsT)
+		bi.CountSpan(0, 1, spanT)
+		bi.CountRows([]int32{0}, rowsT)
 		if span[0] != want || rows[0] != want || spanT[want] != 1 || rowsT[want] != 1 {
 			t.Fatalf("%T %s: v=%d: IndexSpan %d, IndexRows %d, CountSpan %v, CountRows %v; IndexValue+2 = %d",
 				bi, spec, v, span[0], rows[0], spanT, rowsT, want)
@@ -322,7 +321,7 @@ func BenchmarkKernelIntDomain(b *testing.B) {
 						}
 						bi = &intTableBatchIndexer{vals: vals, tab: tab, p: p}
 					}
-					histogramScan(m, bi, &Histogram{Counts: make([]int64, spec.Count)})
+					histogramScan(m, bi, &Histogram{Counts: make([]int64, spec.Count)}, 1, 0)
 					return time.Since(start)
 				}
 				var tableT, divideT time.Duration

@@ -501,6 +501,11 @@ func checkDecoded(p any) error {
 		if s.Count < 0 || s.Count > wire.MaxElems {
 			return wire.Corruptf("bucket count %d outside [0, %d]", s.Count, wire.MaxElems)
 		}
+		// A string bucket's slot comes from its bound (IndexString), so
+		// a count other than len(Bounds) indexes past the tallies.
+		if s.Kind == table.KindString && s.Count != len(s.Bounds) {
+			return wire.Corruptf("string bucket count %d with %d bounds", s.Count, len(s.Bounds))
+		}
 	case *Histogram2DSketch:
 		return checkCells(s.X, s.Y)
 	case *TrellisSketch:

@@ -284,6 +284,33 @@ func TestCraftedLengthNoOOM(t *testing.T) {
 	}
 }
 
+// TestStringBucketCountMatchesBounds: a string bucket's slots come
+// from its bounds, so a spec whose Count is not len(Bounds) would index
+// past the tallies Count sizes (a worker panic on an in-range row). The
+// decoder rejects it as corrupt, in a sketch and in a result, and the
+// specs StringBucketsFromBounds builds still decode.
+func TestStringBucketCountMatchesBounds(t *testing.T) {
+	for _, count := range []int{0, 1, 2, 4} {
+		spec := BucketSpec{Kind: table.KindString, Bounds: []string{"a", "b", "c"}, Count: count}
+		sk := &HistogramSketch{Col: "s", Buckets: spec}
+		b, _ := AppendSketchWire(nil, sk)
+		if _, _, err := DecodeSketchWire(b); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("histogram sketch over %s: decode err = %v, want wire.ErrCorrupt", spec, err)
+		}
+		b, _ = AppendResultWire(nil, &Histogram{Buckets: spec, Counts: make([]int64, count)})
+		if _, _, err := DecodeResultWire(b); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("histogram over %s: decode err = %v, want wire.ErrCorrupt", spec, err)
+		}
+	}
+	for _, bounds := range [][]string{nil, {"a"}, {"a", "b", "c"}} {
+		sk := &HistogramSketch{Col: "s", Buckets: StringBucketsFromBounds(bounds, false)}
+		b, _ := AppendSketchWire(nil, sk)
+		if _, _, err := DecodeSketchWire(b); err != nil {
+			t.Errorf("%s: decode err = %v", sk.Name(), err)
+		}
+	}
+}
+
 // TestWireLengthBounds pins the smallest element encodings that length
 // prefixes are checked against before a decoder allocates. A field rule
 // change that shrank one would let a crafted count buy more memory per

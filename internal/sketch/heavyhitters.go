@@ -121,7 +121,7 @@ func (s *MisraGriesSketch) Summarize(t *table.Table) (Result, error) {
 		return g.result(s.K), nil
 	}
 	out := &HeavyHitters{K: s.K, Counters: make(map[table.Value]int64, min(k, col.Len())+1)}
-	scanValues(t.Members(), col, func(vals []table.Value) {
+	scanValues(t.Members(), col, 1, 0, func(vals []table.Value) {
 		out.ScannedRows += int64(len(vals))
 		mgUpdateValues(out.Counters, k, vals)
 	})

@@ -93,87 +93,108 @@ func newCells(n int) []int64 {
 	return make([]int64, n)
 }
 
-// Summarize implements Sketch. Both axes are mapped to tally slots
-// (BatchIndexer) over the same row batches, and every row adds one to
-// cell (x slot, y slot) of a flat (Bx+2)·(By+2) matrix, with no branch
-// on missing or out-of-range values. The matrix is then compacted in
-// place into the result: slot rows 0 and 1 of X sum into XMissing, slot
-// columns 0 and 1 of Y into YOther, and the rest is Counts.
+// Summarize implements Sketch: gridScan tallies the rows into a flat
+// (Bx+2)·(By+2) slot matrix, which compact2D turns into the result in
+// place.
 func (s *Histogram2DSketch) Summarize(t *table.Table) (Result, error) {
-	xcol, err := t.Column(s.XCol)
+	xIdx, err := batchIndexer(t, s.XCol, s.X)
 	if err != nil {
 		return nil, err
 	}
-	ycol, err := t.Column(s.YCol)
+	yIdx, err := batchIndexer(t, s.YCol, s.Y)
 	if err != nil {
 		return nil, err
 	}
-	xIdx, err := s.X.BatchIndexer(xcol)
-	if err != nil {
-		return nil, err
-	}
-	yIdx, err := s.Y.BatchIndexer(ycol)
-	if err != nil {
-		return nil, err
-	}
-	nx, ny := s.X.NumBuckets(), s.Y.NumBuckets()
-	w := ny + 2 // the Y slots of one X slot
-	stride := int32(w)
-	cells := newCells((nx + 2) * w)
+	wx, wy := s.X.NumBuckets()+2, s.Y.NumBuckets()+2
+	cells := newCells(wx * wy)
+	rate := sampleRate(s.Rate)
+	h := &Histogram2D{X: s.X, Y: s.Y, SampleRate: rate}
+	h.SampledRows = gridScan(t.Members(), rate, PartitionSeed(s.Seed, t.ID()), nil, xIdx, yIdx, wx, wy, cells)
+	compact2D(h, cells)
+	return h, nil
+}
+
+// gridScan is the 2-D scan of the heat map and the trellis, and returns
+// the number of rows it scanned. Each axis maps its rows to tally slots
+// (BatchIndexer) over the same row batches — the Sample(rate, seed)
+// rows at a rate below 1, else every member row — and every row adds
+// one to cell (x slot, y slot) of a flat matrix of wy Y slots per X
+// slot, with no branch on missing or out-of-range values. A group axis
+// g offsets each row's x slot by its group slot × wx, so every group
+// slot tallies into a wx·wy block of its own; with a nil g, cells is
+// one block.
+func gridScan(m table.Membership, rate float64, seed uint64, g, x, y BatchIndexer, wx, wy int, cells []int64) (n int64) {
 	xbuf, ybuf := getRowBuffer(), getRowBuffer()
 	defer rowBuffers.Put(xbuf)
 	defer rowBuffers.Put(ybuf)
 	xb, yb := xbuf[:], ybuf[:]
-	var n int64
-	tally := func(k int) {
+	var gb []int32
+	if g != nil {
+		gbuf := getRowBuffer()
+		defer rowBuffers.Put(gbuf)
+		gb = gbuf[:]
+	}
+	block, stride := int32(wx), int32(wy)
+	// tally adds k rows to cells from their slots in the buffers, after
+	// indexing them there when they are gathered rows (rows not nil).
+	tally := func(k int, rows []int32) {
+		if rows != nil {
+			if g != nil {
+				g.IndexRows(rows, gb[:k])
+			}
+			x.IndexRows(rows, xb[:k])
+			y.IndexRows(rows, yb[:k])
+		}
 		n += int64(k)
 		xs := xb[:k]
+		if g != nil {
+			for i, gs := range gb[:len(xs)] {
+				xs[i] += gs * block
+			}
+		}
 		ys := yb[:len(xs)]
-		for i, x := range xs {
-			cells[x*stride+ys[i]]++
+		for i, xslot := range xs {
+			cells[xslot*stride+ys[i]]++
 		}
 	}
-	rate := sampleRate(s.Rate)
-	if rate >= 1 {
-		scanBatches(t.Members(),
-			func(a, b int) {
-				xIdx.IndexSpan(a, b, xb[:b-a])
-				yIdx.IndexSpan(a, b, yb[:b-a])
-				tally(b - a)
-			},
-			func(rows []int32) {
-				xIdx.IndexRows(rows, xb[:len(rows)])
-				yIdx.IndexRows(rows, yb[:len(rows)])
-				tally(len(rows))
-			})
-	} else {
-		sampleBatches(t.Members(), rate, PartitionSeed(s.Seed, t.ID()), func(rows []int32) {
-			xIdx.IndexRows(rows, xb[:len(rows)])
-			yIdx.IndexRows(rows, yb[:len(rows)])
-			tally(len(rows))
-		})
+	// Each branch has its own rows literal: one shared with the sample
+	// branch escapes, and would cost the exact scan an allocation.
+	if rate < 1 {
+		sampleBatches(m, rate, seed, func(rows []int32) { tally(len(rows), rows) })
+		return n
 	}
-	h := &Histogram2D{
-		X:           s.X,
-		Y:           s.Y,
-		Counts:      cells[:nx*ny],
-		YOther:      make([]int64, nx),
-		SampleRate:  rate,
-		SampledRows: n,
-	}
-	for _, c := range cells[:2*w] {
+	scanBatches(m,
+		func(a, b int) {
+			if g != nil {
+				g.IndexSpan(a, b, gb[:b-a])
+			}
+			x.IndexSpan(a, b, xb[:b-a])
+			y.IndexSpan(a, b, yb[:b-a])
+			tally(b-a, nil)
+		},
+		func(rows []int32) { tally(len(rows), rows) })
+	return n
+}
+
+// compact2D turns one block of gridScan's slot matrix into h's counts,
+// in place: slot rows 0 and 1 of X sum into XMissing, slot columns 0
+// and 1 of Y into YOther, and the rest is Counts. Row xi of Counts
+// lands below the slot row it is read from, and after every row read
+// before it, so one forward pass is safe. The rest of the block stays
+// Counts' capacity, for MergeInto to recycle.
+func compact2D(h *Histogram2D, block []int64) {
+	nx, ny := h.X.NumBuckets(), h.Y.NumBuckets()
+	w := ny + 2
+	for _, c := range block[:2*w] {
 		h.XMissing += c
 	}
-	// Row xi of Counts lands below the slot row it is read from, and
-	// after every row read before it, so one forward pass is safe. The
-	// rest of the matrix stays Counts' capacity, for MergeInto to
-	// recycle.
+	h.Counts = block[:nx*ny]
+	h.YOther = make([]int64, nx)
 	for xi := range nx {
-		row := cells[(xi+2)*w : (xi+3)*w]
+		row := block[(xi+2)*w : (xi+3)*w]
 		h.YOther[xi] = row[0] + row[1]
 		copy(h.Counts[xi*ny:(xi+1)*ny], row[2:])
 	}
-	return h, nil
 }
 
 // Merge implements Sketch.

@@ -106,26 +106,18 @@ func (s *HistogramSketch) Zero() Result {
 	return &Histogram{Buckets: s.Buckets, Counts: make([]int64, s.Buckets.NumBuckets()), SampleRate: sampleRate(s.Rate)}
 }
 
-// Summarize implements Sketch via the batch kernels: spans of the
-// membership, or the deterministic sample rows gathered into batches,
-// are bucket-indexed and tallied kernelBatch rows at a time — so a
-// sample is identical to sampling row at a time with the same (Seed,
-// partition) pair.
+// Summarize implements Sketch via the batch kernels (histogramScan):
+// spans, bitmap words or gathered rows of the membership, or the
+// deterministic sample rows gathered into batches, are tallied
+// kernelBatch rows at a time — so a sample is identical to sampling row
+// at a time with the same (Seed, partition) pair.
 func (s *HistogramSketch) Summarize(t *table.Table) (Result, error) {
-	col, err := t.Column(s.Col)
-	if err != nil {
-		return nil, err
-	}
-	bi, err := s.Buckets.BatchIndexer(col)
+	bi, err := batchIndexer(t, s.Col, s.Buckets)
 	if err != nil {
 		return nil, err
 	}
 	h := s.Zero().(*Histogram)
-	if h.SampleRate < 1 {
-		histogramSampleScan(t.Members(), bi, h, h.SampleRate, PartitionSeed(s.Seed, t.ID()))
-	} else {
-		histogramScan(t.Members(), bi, h)
-	}
+	histogramScan(t.Members(), bi, h, h.SampleRate, PartitionSeed(s.Seed, t.ID()))
 	return h, nil
 }
 

@@ -101,7 +101,10 @@ func (s *QuantileSketch) Summarize(t *table.Table) (Result, error) {
 		cols = append(cols, i)
 	}
 	k := s.k()
-	h := make(maxHashHeap, 0, k)
+	// SampleSize arrives off the wire on workers, so no allocation is
+	// sized by it alone: the heap never holds more than the partition's
+	// members.
+	h := make(maxHashHeap, 0, min(k, t.Members().Size()))
 	out := &SampleSet{K: k}
 	t.Members().Iterate(func(row int) bool {
 		out.Total++

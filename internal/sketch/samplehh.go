@@ -34,7 +34,7 @@ func (s *SampleHeavyHittersSketch) Summarize(t *table.Table) (Result, error) {
 		return nil, err
 	}
 	out := &HeavyHitters{K: s.K, Counters: map[table.Value]int64{}, Sampled: true}
-	sampleValues(t.Members(), col, sampleRate(s.Rate), PartitionSeed(s.Seed, t.ID()), func(vals []table.Value) {
+	scanValues(t.Members(), col, sampleRate(s.Rate), PartitionSeed(s.Seed, t.ID()), func(vals []table.Value) {
 		out.ScannedRows += int64(len(vals))
 		for _, v := range vals {
 			out.Counters[v]++

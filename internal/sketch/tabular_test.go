@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -247,5 +248,37 @@ func TestQuantileZeroClampsK(t *testing.T) {
 				t.Errorf("SampleSize %d: %s = %+v, want %+v", n, name, got, want)
 			}
 		}
+	}
+}
+
+// TestQuantileAllocationNotSizedBySampleSize: SampleSize is a wire
+// field, so a crafted request must not size a worker's allocation. One
+// Summarize with SampleSize 2²⁰ over a 100-row partition allocates for
+// its 100 rows, not 32 B × 2²⁰ of heap capacity, and its answer is the
+// one SampleSize 100 gives (every row sampled) with K left as sent.
+func TestQuantileAllocationNotSizedBySampleSize(t *testing.T) {
+	tbl := genTable("qalloc", 100, 3)
+	sk := &QuantileSketch{Order: table.Asc("x"), SampleSize: 1 << 20, Seed: 5}
+	if _, err := sk.Summarize(tbl); err != nil { // warm the column caches
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := sk.Summarize(tbl)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10 {
+		t.Errorf("SampleSize 2^20 over 100 rows: Summarize allocated %d B, want at most 256 KiB", grew)
+	}
+	small, err := (&QuantileSketch{Order: sk.Order, SampleSize: 100, Seed: 5}).Summarize(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := small.(*SampleSet)
+	want.K = 1 << 20
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SampleSize 2^20 over 100 rows: %+v, want %+v", got, want)
 	}
 }

@@ -9,7 +9,9 @@ import (
 // Trellis is the summary behind a trellis plot: an array of 2-D
 // histograms, one per group bucket of a third column W (paper App. B.1).
 // Because the rendering area is fixed, more groups mean smaller plots,
-// so the total summary size stays bounded by the display.
+// so the total summary size stays bounded by the display. Every plot is
+// what a Histogram2DSketch over the group's rows would give, at the
+// trellis's rate.
 type Trellis struct {
 	Group BucketSpec
 	// Plots has Group.Count entries, each a Histogram2D with the same
@@ -21,7 +23,10 @@ type Trellis struct {
 }
 
 // TrellisSketch computes all the plots of a trellis in a single pass
-// (paper App. B.1: "the vizketch computes all heat maps in parallel").
+// (paper App. B.1: "the vizketch computes all heat maps in parallel"):
+// it is a heat map with a group axis, run by the heat map's own batch
+// scan (gridScan). A Rate outside (0, 1) scans every member row
+// (sampleRate).
 type TrellisSketch struct {
 	GroupCol   string
 	XCol, YCol string
@@ -53,58 +58,43 @@ func (s *TrellisSketch) Zero() Result {
 	return &Trellis{Group: s.Group, Plots: plots, SampleRate: rate}
 }
 
-// Summarize implements Sketch.
+// Summarize implements Sketch with the heat map's scan (gridScan) plus
+// a group axis: every group slot tallies into a (Bx+2)·(By+2) block of
+// one slot matrix, the two blocks of missing and out-of-range groups
+// sum into GroupOther, and compact2D turns each group's block into its
+// plot. Each block is capped at its end, so no plot's Counts can reach
+// into the next plot's cells.
 func (s *TrellisSketch) Summarize(t *table.Table) (Result, error) {
-	gcol, err := t.Column(s.GroupCol)
+	gIdx, err := batchIndexer(t, s.GroupCol, s.Group)
 	if err != nil {
 		return nil, err
 	}
-	xcol, err := t.Column(s.XCol)
+	xIdx, err := batchIndexer(t, s.XCol, s.X)
 	if err != nil {
 		return nil, err
 	}
-	ycol, err := t.Column(s.YCol)
+	yIdx, err := batchIndexer(t, s.YCol, s.Y)
 	if err != nil {
 		return nil, err
 	}
-	gIdx, err := s.Group.Indexer(gcol)
-	if err != nil {
-		return nil, err
+	wx, wy := s.X.NumBuckets()+2, s.Y.NumBuckets()+2
+	block := wx * wy
+	cells := make([]int64, (s.Group.NumBuckets()+2)*block)
+	rate := sampleRate(s.Rate)
+	tr := &Trellis{Group: s.Group, Plots: make([]*Histogram2D, s.Group.NumBuckets()), SampleRate: rate}
+	tr.SampledRows = gridScan(t.Members(), rate, PartitionSeed(s.Seed, t.ID()), gIdx, xIdx, yIdx, wx, wy, cells)
+	for _, c := range cells[:2*block] {
+		tr.GroupOther += c
 	}
-	xIdx, err := s.X.Indexer(xcol)
-	if err != nil {
-		return nil, err
-	}
-	yIdx, err := s.Y.Indexer(ycol)
-	if err != nil {
-		return nil, err
-	}
-	tr := s.Zero().(*Trellis)
-	visit := func(row int) bool {
-		tr.SampledRows++
-		gb := gIdx(row)
-		if gb < 0 {
-			tr.GroupOther++
-			return true
+	for i := range tr.Plots {
+		lo, hi := (i+2)*block, (i+3)*block
+		p := &Histogram2D{X: s.X, Y: s.Y, SampleRate: rate}
+		compact2D(p, cells[lo:hi:hi])
+		p.SampledRows = p.XMissing
+		for xi := range p.YOther {
+			p.SampledRows += p.XTotal(xi)
 		}
-		p := tr.Plots[gb]
-		p.SampledRows++
-		xb := xIdx(row)
-		if xb < 0 {
-			p.XMissing++
-			return true
-		}
-		if yb := yIdx(row); yb >= 0 {
-			p.Counts[xb*p.Y.Count+yb]++
-		} else {
-			p.YOther[xb]++
-		}
-		return true
-	}
-	if tr.SampleRate >= 1 {
-		t.Members().Iterate(visit)
-	} else {
-		t.Members().Sample(tr.SampleRate, PartitionSeed(s.Seed, t.ID()), visit)
+		tr.Plots[i] = p
 	}
 	return tr, nil
 }
