@@ -360,6 +360,22 @@ func BenchmarkKernelHistExact(b *testing.B) {
 			reportRows(b, fl.NumRows())
 		})
 	}
+	// A derived column (DeriveOp) is stored when it is derived, so its
+	// chart pass is DepDelay's kernel; the derive is paid once, untimed.
+	b.Run("flights/derived", func(b *testing.B) {
+		d, err := engine.DeriveOp{Col: "DepDelay2", Expr: "DepDelay * 2"}.Apply(fl, "kfl-derived")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sk := &sketch.HistogramSketch{Col: "DepDelay2", Buckets: flightsBuckets(b, d, "DepDelay2", 50)}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sk.Summarize(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportRows(b, d.NumRows())
+	})
 	// A chart's pass over a filtered view: the bitmap reaches the
 	// counters a word at a time.
 	for _, v := range flightsViews(b)[1:] {

@@ -25,7 +25,7 @@ import (
 func main() {
 	rows := flag.Int("rows", 1000000, "total rows to generate")
 	parts := flag.Int("parts", 8, "number of files (shards)")
-	cols := flag.Int("cols", flights.CoreColumns, "schema width (padding columns beyond the core 20)")
+	cols := flag.Int("cols", flights.CoreColumns, "schema width: the core 20 columns, then int padding columns that the files store in full, 8 B a row each")
 	seed := flag.Uint64("seed", 1, "generator seed")
 	format := flag.String("format", "hvc2", "output format: csv, jsonl, or hvc2 (columnar, .hvc files)")
 	out := flag.String("out", "data", "output directory")

@@ -267,6 +267,10 @@ func oversizedBucketSketches() []sketch.Sketch {
 		&sketch.HistogramSketch{Col: "x", Buckets: spec(1 << 40)},
 		&sketch.Histogram2DSketch{XCol: "x", YCol: "y", X: spec(1 << 12), Y: spec(1 << 12)},
 		&sketch.TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(1 << 8), X: spec(1 << 8), Y: spec(1 << 8)},
+		// Under MaxElems by bucket counts, over it by the Count+2 slots
+		// per axis a scan allocates.
+		&sketch.Histogram2DSketch{XCol: "x", YCol: "y", X: spec(2047), Y: spec(2047)},
+		&sketch.TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(62), X: spec(256), Y: spec(256)},
 	}
 }
 
@@ -293,9 +297,9 @@ func TestOversizedBucketFrameRejected(t *testing.T) {
 			t.Errorf("%s: recv err = %v, want wire.ErrCorrupt", sk.Name(), err)
 		}
 	}
-	fits := sketch.BucketSpec{Kind: table.KindDouble, Max: 1, Count: 1 << 11}
+	fits := sketch.BucketSpec{Kind: table.KindDouble, Max: 1, Count: 1<<11 - 2}
 	if err := recvSketchFrame(t, &sketch.Histogram2DSketch{XCol: "x", YCol: "y", X: fits, Y: fits}); err != nil {
-		t.Errorf("a %d-cell grid: recv err = %v", wire.MaxElems, err)
+		t.Errorf("a %d-slot grid: recv err = %v", wire.MaxElems, err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"repro/internal/table"
@@ -191,9 +190,7 @@ func planColumn(t *table.Table, c, rows int) (*colPlan, error) {
 	case table.KindInt, table.KindDate, table.KindDouble:
 		p.payloadLen = 8 * int64(rows)
 	case table.KindString:
-		if err := planString(t, col, rows, p); err != nil {
-			return nil, err
-		}
+		planString(t, col.(*table.StringColumn), rows, p)
 		p.payloadLen = 4 * int64(rows)
 	default:
 		return nil, fmt.Errorf("colstore: hvc2 cannot encode kind %v", col.Kind())
@@ -202,75 +199,38 @@ func planColumn(t *table.Table, c, rows int) (*colPlan, error) {
 }
 
 // planString builds the member-row code vector and the dense sorted
-// output dictionary. Stored dictionary columns remap by code; other
-// KindString columns (computed) go through string values.
-func planString(t *table.Table, col table.Column, rows int, p *colPlan) error {
+// output dictionary: it gathers member codes, finds which dictionary
+// entries occur, and remaps to the dense subset; a subset of a sorted
+// dictionary is still sorted. Missing rows get canonical code 0 (their
+// stored code may index nothing: an all-missing column has an empty
+// dictionary).
+func planString(t *table.Table, sc *table.StringColumn, rows int, p *colPlan) {
 	var dict []string
 	codes := make([]int32, 0, rows)
-
-	if sc, ok := col.(*table.StringColumn); ok {
-		// Gather member codes, find which dictionary entries occur, and
-		// remap to the dense subset; a subset of a sorted dictionary is
-		// still sorted. Missing rows get canonical code 0 (their stored
-		// code may index nothing: an all-missing column has an empty
-		// dictionary).
-		used := make([]bool, sc.DictSize())
-		scCodes := sc.Codes()
-		t.Members().Iterate(func(row int) bool {
-			if col.Missing(row) {
-				codes = append(codes, -1)
-			} else {
-				code := scCodes[row]
-				used[code] = true
-				codes = append(codes, code)
-			}
-			return true
-		})
-		remap := make([]int32, sc.DictSize())
-		for i, u := range used {
-			if u {
-				remap[i] = int32(len(dict))
-				dict = append(dict, sc.Dict()[i])
-			}
-		}
-		for i, code := range codes {
-			if code < 0 {
-				codes[i] = 0
-			} else {
-				codes[i] = remap[code]
-			}
-		}
-	} else {
-		// Generic path: collect values, sort the dictionary, remap.
-		index := map[string]int32{}
-		var vals []string
-		t.Members().Iterate(func(row int) bool {
-			if col.Missing(row) {
-				codes = append(codes, -1)
-				return true
-			}
-			s := col.Str(row)
-			code, ok := index[s]
-			if !ok {
-				code = int32(len(vals))
-				index[s] = code
-				vals = append(vals, s)
-			}
+	used := make([]bool, sc.DictSize())
+	scCodes := sc.Codes()
+	t.Members().Iterate(func(row int) bool {
+		if sc.Missing(row) {
+			codes = append(codes, -1)
+		} else {
+			code := scCodes[row]
+			used[code] = true
 			codes = append(codes, code)
-			return true
-		})
-		dict = append([]string(nil), vals...)
-		sort.Strings(dict)
-		remap := make([]int32, len(vals))
-		for newCode, s := range dict {
-			remap[index[s]] = int32(newCode)
 		}
-		for i, code := range codes {
-			if code < 0 {
-				codes[i] = 0
-			} else {
-				codes[i] = remap[code]
-			}
+		return true
+	})
+	remap := make([]int32, sc.DictSize())
+	for i, u := range used {
+		if u {
+			remap[i] = int32(len(dict))
+			dict = append(dict, sc.Dict()[i])
+		}
+	}
+	for i, code := range codes {
+		if code < 0 {
+			codes[i] = 0
+		} else {
+			codes[i] = remap[code]
 		}
 	}
 
@@ -283,7 +243,6 @@ func planString(t *table.Table, col table.Column, rows int, p *colPlan) error {
 	p.dictBytes = db.Bytes()
 	p.dictCount = len(dict)
 	p.dictLen = int64(db.Len())
-	return nil
 }
 
 // encodeBlockV2 writes the block for column c (header, payload,

@@ -141,22 +141,24 @@ func TestHVC2FlattensFilteredViews(t *testing.T) {
 	}
 }
 
-func TestHVC2ComputedAndAllMissing(t *testing.T) {
+// TestHVC2AllMissing round-trips dictionary columns missing on some
+// rows and on every row, built from values and by the table builder.
+func TestHVC2AllMissing(t *testing.T) {
 	n := 50
-	comp := table.NewComputedColumn(table.KindString, n, func(i int) table.Value {
+	vals := make([]string, n)
+	some, all := table.NewBitset(n), table.NewBitset(n)
+	for i := range vals {
+		vals[i] = []string{"zz", "aa", "mm"}[i%3]
 		if i%5 == 0 {
-			return table.MissingValue(table.KindString)
+			some.Set(i)
 		}
-		return table.StringValue([]string{"zz", "aa", "mm"}[i%3])
-	})
-	allMissing := table.NewComputedColumn(table.KindString, n, func(i int) table.Value {
-		return table.MissingValue(table.KindString)
-	})
+		all.Set(i)
+	}
 	schema := table.NewSchema(
 		table.ColumnDesc{Name: "c", Kind: table.KindString},
 		table.ColumnDesc{Name: "m", Kind: table.KindString},
 	)
-	src := table.New("comp", schema, []table.Column{comp, allMissing}, table.FullMembership(n))
+	src := table.New("comp", schema, []table.Column{table.NewStringColumn(vals, some), table.NewStringColumn(vals, all)}, table.FullMembership(n))
 	var buf bytes.Buffer
 	if err := WriteHVC2To(&buf, src); err != nil {
 		t.Fatal(err)

@@ -131,6 +131,30 @@ func TestLocalPanicIsolated(t *testing.T) {
 	}
 }
 
+// panicMap panics on one partition.
+type panicMap struct{ target string }
+
+func (m panicMap) Apply(t *table.Table, id string) (*table.Table, error) {
+	if t.ID() == m.target {
+		panic("injected panic on " + t.ID())
+	}
+	return t, nil
+}
+
+// TestMapPanicIsolated: a transform that panics on one partition fails
+// its Map with *PanicError, and the dataset stays usable.
+func TestMapPanicIsolated(t *testing.T) {
+	ds := NewLocal("pm", genParts("pm", 4, 100, 15), Config{Parallelism: 2})
+	_, err := ds.Map(panicMap{target: "pm-p2"}, "pm2")
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if _, err := ds.Map(panicMap{}, "pm3"); err != nil {
+		t.Fatalf("Map after panic: %v", err)
+	}
+}
+
 // TestParallelPanicIsolated pins the same property one level up the
 // tree: a panic below an aggregation node fails only the query.
 func TestParallelPanicIsolated(t *testing.T) {

@@ -435,6 +435,42 @@ func TestMapFilterAndDerive(t *testing.T) {
 	}
 }
 
+// TestDeriveStoresColumn: DeriveOp evaluates its expression once per
+// member row and stores the column, so a derived string column is a
+// dictionary column like a loaded one, and Misra–Gries tallies it — the
+// summary is Merge(exact counts, Zero) — instead of streaming it.
+func TestDeriveStoresColumn(t *testing.T) {
+	parts, _ := table.GenPartitions("dsc", 5, 3000, 4)
+	for i, p := range parts {
+		d, err := DeriveOp{Col: "gs2", Expr: `concat(gs, "!")`}.Apply(p, DerivePartID("dsc-d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, ok := d.MustColumn("gs2").(*table.StringColumn)
+		if !ok {
+			t.Fatalf("%s: derived a %T, want a stored string column", p.ID(), d.MustColumn("gs2"))
+		}
+		sk := &sketch.MisraGriesSketch{Col: "gs2", K: 3}
+		got, err := sk.Summarize(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := &sketch.HeavyHitters{K: sk.K, Counters: map[table.Value]int64{}}
+		d.Members().Iterate(func(row int) bool {
+			exact.ScannedRows++
+			exact.Counters[col.Value(row)]++
+			return true
+		})
+		want, err := sk.Merge(exact, sk.Zero())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Misra-Gries over a derived string column %+v, want the tally %+v", p.ID(), got, want)
+		}
+	}
+}
+
 func TestSketchErrorPropagates(t *testing.T) {
 	parts := genParts("se", 8, 100, 8)
 	ds := NewLocal("se", parts, Config{AggregationWindow: -1})

@@ -346,7 +346,7 @@ func (d *LocalDataSet) Map(op MapOp, newID string) (IDataSet, error) {
 			p, release, err := d.src.Acquire(i, nil)
 			var t *table.Table
 			if err == nil {
-				t, err = op.Apply(p, DerivePartID(newID, i))
+				t, err = applyRecovered(op, p, DerivePartID(newID, i))
 				release()
 			}
 			mu.Lock()
@@ -363,6 +363,18 @@ func (d *LocalDataSet) Map(op MapOp, newID string) (IDataSet, error) {
 		return nil, firstErr
 	}
 	return NewLocal(newID, out, d.cfg), nil
+}
+
+// applyRecovered runs op on one partition. A panicking transform (a
+// filter or derive evaluates its expression here) fails this Map only,
+// as a panicking sketch fails its scan only.
+func applyRecovered(op MapOp, p *table.Table, id string) (t *table.Table, err error) {
+	defer func() {
+		if pe := CapturePanic(recover()); pe != nil {
+			err = pe
+		}
+	}()
+	return op.Apply(p, id)
 }
 
 func emit(f PartialFunc, p Partial) {

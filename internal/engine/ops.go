@@ -41,9 +41,11 @@ func (op FilterOp) Apply(t *table.Table, newPartID string) (*table.Table, error)
 	return t.WithMembership(newPartID, keep), nil
 }
 
-// DeriveOp appends a computed column (§5.6 "User-defined maps"). The
-// column is a lazy ComputedColumn: values are produced on access and
-// recomputed after eviction, never stored.
+// DeriveOp appends a derived column (§5.6 "User-defined maps"). Apply
+// evaluates the expression once per member row and stores the values
+// (expr.DeriveColumn), so every kernel reads the column as it reads a
+// loaded one; the derived dataset holds it until it is dropped, and
+// replaying the op recomputes it.
 type DeriveOp struct {
 	Col  string
 	Expr string

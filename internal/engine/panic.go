@@ -6,8 +6,8 @@ import (
 )
 
 // PanicError wraps a panic recovered at an execution boundary — a leaf
-// worker, a replicated-attempt goroutine, a cluster request handler, or
-// the serving scheduler — so one query's bug surfaces as that query's
+// worker, a partition's Map transform, a replicated-attempt goroutine, a
+// cluster request handler, or the serving scheduler — so one query's bug surfaces as that query's
 // error instead of taking down the process (or, on a worker, the whole
 // leaf pool).
 type PanicError struct {

@@ -163,7 +163,7 @@ func (r *Root) Filter(parentID, newID, predicate string) (IDataSet, error) {
 	return r.Apply(parentID, newID, FilterOp{Predicate: predicate})
 }
 
-// Derive appends a computed column defined by an expression.
+// Derive appends a stored column defined by an expression.
 func (r *Root) Derive(parentID, newID, col, expression string) (IDataSet, error) {
 	return r.Apply(parentID, newID, DeriveOp{Col: col, Expr: expression})
 }

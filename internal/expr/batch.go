@@ -123,31 +123,26 @@ var cmpOps = map[string]table.CmpOp{
 }
 
 // vectorizable reports whether c has a numeric vector form: number
-// literals, stored int/date/double columns, and numeric operators. Those
-// are exactly the subtrees whose row values always carry the bound
-// kind, which is what lets a typed vector stand in for them: builtin
-// calls (if, coalesce, min, max return an argument as it is) and
-// computed columns may yield values of another kind, so they are
-// evaluated only by the row closure of the operator that consumes them.
+// literals, int/date/double columns, and numeric operators. Those are
+// exactly the subtrees whose row values always carry the bound kind,
+// which is what lets a typed vector stand in for them: builtin calls
+// (if, coalesce, min, max return an argument as it is) may yield values
+// of another kind, so they are evaluated only by the row closure of the
+// operator that consumes them.
 func vectorizable(c *Compiled) bool {
 	if !c.Kind.Numeric() {
 		return false
 	}
 	switch c.node.(type) {
-	case *NumberNode, *UnaryNode, *BinaryNode:
+	case *NumberNode, *UnaryNode, *BinaryNode, *ColumnNode:
 		return true
-	case *ColumnNode:
-		switch c.col.(type) {
-		case *table.IntColumn, *table.DoubleColumn:
-			return true
-		}
 	}
 	return false
 }
 
 // compileCond compiles c as a truth value: logic and comparisons
 // natively, any other vectorizable subtree by its non-zero test, and
-// the rest (strings, calls, computed columns) by the row evaluator.
+// the rest (strings, calls) by the row evaluator.
 func compileCond(c *Compiled) condNode {
 	switch n := c.node.(type) {
 	case *UnaryNode:

@@ -8,9 +8,10 @@ import (
 )
 
 // Compiled is an expression bound to a table: a pure per-row function
-// plus its inferred result kind. It satisfies the contract of
-// table.NewComputedColumn, which is how derived columns are materialized
-// lazily and recomputed after cache eviction (paper §5.6).
+// plus its inferred result kind. DeriveColumn runs it once per member
+// row to store a derived column (paper §5.6); a call that returns one
+// of its arguments (if, coalesce, min, max) may yield a value of
+// another numeric kind, which the stored column converts to Kind.
 //
 // A Compiled is also the bound tree the batch compiler walks: every
 // subexpression keeps its AST node, its bound operands and the column a
@@ -127,6 +128,9 @@ func bindNode(node Node, t *table.Table) (*Compiled, error) {
 			kinds[i] = c.Kind
 		}
 		kind := spec.kind(kinds)
+		if kind == table.KindNone {
+			return nil, fmt.Errorf("expr: %s over mixed kinds %v", n.Func, kinds)
+		}
 		return &Compiled{Kind: kind, args: args, Fn: func(row int) table.Value {
 			vals := make([]table.Value, len(args))
 			for i, a := range args {
@@ -224,10 +228,6 @@ func bindBinary(op string, l, r *Compiled) (*Compiled, error) {
 			if kind == table.KindDouble {
 				return table.DoubleValue(math.Mod(a.Double(), b.Double()))
 			}
-			if b.I == 0 {
-				// A double divisor under an int-kinded call (if, coalesce).
-				return table.MissingValue(kind)
-			}
 			return table.IntValue(a.I % b.I)
 		}}, nil
 
@@ -288,12 +288,30 @@ func bindBinary(op string, l, r *Compiled) (*Compiled, error) {
 	}
 }
 
-// DeriveColumn binds src and wraps it as a computed column over the
-// table's physical rows.
+// DeriveColumn binds src and evaluates it once per member row of t,
+// storing the values, converted to the bound kind, in a column over t's
+// physical rows. Rows outside the membership are missing.
 func DeriveColumn(src string, t *table.Table) (table.Column, error) {
 	c, err := Bind(src, t)
 	if err != nil {
 		return nil, err
 	}
-	return table.NewComputedColumn(c.Kind, t.Members().Max(), c.Fn), nil
+	n := t.Members().Max()
+	b := table.NewColumnBuilder(c.Kind, n)
+	t.Members().Iterate(func(row int) bool {
+		for b.Len() < row {
+			b.AppendMissing()
+		}
+		v := c.Fn(row)
+		if c.Kind == table.KindDouble && !v.Missing {
+			// A promoted call may return an int argument: if(c, 1, 2.5).
+			v = table.DoubleValue(v.Double())
+		}
+		b.Append(v)
+		return true
+	})
+	for b.Len() < n {
+		b.AppendMissing()
+	}
+	return b.Freeze(), nil
 }

@@ -29,6 +29,25 @@ func numKind(args []table.Kind) table.Kind {
 	return table.KindInt
 }
 
+// branchKind types a call that returns one of its arguments as it is
+// (if, coalesce, min, max): arguments of one kind give that kind,
+// numeric arguments of different kinds promote as arithmetic does, and
+// any other mix is KindNone, which Bind rejects. So every value such a
+// call returns reads as its bound kind.
+func branchKind(args []table.Kind) table.Kind {
+	k := args[0]
+	for _, a := range args[1:] {
+		switch {
+		case a == k:
+		case a.Numeric() && k.Numeric():
+			k = numKind([]table.Kind{k, a})
+		default:
+			return table.KindNone
+		}
+	}
+	return k
+}
+
 func fixedKind(k table.Kind) func([]table.Kind) table.Kind {
 	return func([]table.Kind) table.Kind { return k }
 }
@@ -65,13 +84,13 @@ var builtins = map[string]builtinSpec{
 	"pow": {2, 2, false, fixedKind(table.KindDouble), func(a []table.Value) table.Value {
 		return table.DoubleValue(math.Pow(a[0].Double(), a[1].Double()))
 	}},
-	"min": {2, 2, false, numKind, func(a []table.Value) table.Value {
+	"min": {2, 2, false, branchKind, func(a []table.Value) table.Value {
 		if a[0].Compare(a[1]) <= 0 {
 			return a[0]
 		}
 		return a[1]
 	}},
-	"max": {2, 2, false, numKind, func(a []table.Value) table.Value {
+	"max": {2, 2, false, branchKind, func(a []table.Value) table.Value {
 		if a[0].Compare(a[1]) >= 0 {
 			return a[0]
 		}
@@ -159,7 +178,7 @@ var builtins = map[string]builtinSpec{
 	"isMissing": {1, 1, true, fixedKind(table.KindInt), func(a []table.Value) table.Value {
 		return boolValue(a[0].Missing)
 	}},
-	"coalesce": {2, 8, true, func(args []table.Kind) table.Kind { return args[0] }, func(a []table.Value) table.Value {
+	"coalesce": {2, 8, true, branchKind, func(a []table.Value) table.Value {
 		for _, v := range a {
 			if !v.Missing {
 				return v
@@ -167,7 +186,7 @@ var builtins = map[string]builtinSpec{
 		}
 		return a[len(a)-1]
 	}},
-	"if": {3, 3, true, func(args []table.Kind) table.Kind { return args[1] }, func(a []table.Value) table.Value {
+	"if": {3, 3, true, func(args []table.Kind) table.Kind { return branchKind(args[1:]) }, func(a []table.Value) table.Value {
 		if truthy(a[0]) {
 			return a[1]
 		}

@@ -268,6 +268,12 @@ func TestBindErrors(t *testing.T) {
 		"-s",         // negate string
 		"s + 1",      // string + number
 		"a && richc", // unknown column inside logic
+		// a call that returns an argument: a string among numbers
+		`if(a > 0, "x", 2.5)`,
+		`if(a > 0, 1, if(a > 0, "x", 2.5))`,
+		"coalesce(s, a)",
+		"min(a, s)",
+		`max("x", 1)`,
 	}
 	for _, src := range bad {
 		if _, err := Bind(src, tbl); err == nil {

@@ -63,11 +63,13 @@ func foldConst(n Node) Node {
 	switch v := c.Fn(0); {
 	case v.Missing:
 		return n
-	case v.Kind == table.KindInt:
+	case c.Kind == table.KindInt:
 		return &NumberNode{IsInt: true, I: v.I, F: float64(v.I), Text: strconv.FormatInt(v.I, 10)}
-	case v.Kind == table.KindDouble:
-		return &NumberNode{F: v.D, Text: strconv.FormatFloat(v.D, 'g', -1, 64)}
-	case v.Kind == table.KindString:
+	case c.Kind == table.KindDouble:
+		// The literal keeps the bound kind: if(1, 1, 2.5) folds to 1.0.
+		d := v.Double()
+		return &NumberNode{F: d, Text: strconv.FormatFloat(d, 'g', -1, 64)}
+	case c.Kind == table.KindString:
 		return &StringNode{S: v.S}
 	default:
 		return n

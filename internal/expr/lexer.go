@@ -28,8 +28,9 @@
 //     row evaluator itself, so it cannot change a result.
 //   - Bind (bind.go): AST + table → Compiled, a tree of per-row closures
 //     over boxed table.Values with names resolved and kinds checked. It
-//     is the semantics of the language: DeriveColumn wraps it as a lazy
-//     table.ComputedColumn, and every batch result is tested against it.
+//     is the semantics of the language: DeriveColumn runs it once per
+//     member row into a stored column, and every batch result is tested
+//     against it.
 //   - Batch-compile (batch.go, filters only): Compiled → vector nodes
 //     evaluated over batches of up to table.SelectBatch rows, producing
 //     selection bitmap words that table.Select turns into the derived
@@ -54,12 +55,12 @@
 //   - a filter keeps the rows where the predicate is true, dropping
 //     false and missing alike.
 //
-// A stored column compared with a literal compiles to the typed
-// primitive table.ConstCompare (string literals become a code threshold
-// in the column's sorted dictionary). Literals, stored int/date/double
-// columns, + - * / %, unary minus, the six comparisons, ! && || over
-// those have vector forms. Everything else — builtin calls, computed
-// (DeriveOp) columns, string-valued operators and string comparisons
+// A column compared with a literal compiles to the typed primitive
+// table.ConstCompare (string literals become a code threshold in the
+// column's sorted dictionary). Literals, int/date/double columns (a
+// derived column is stored like any other), + - * / %, unary minus,
+// the six comparisons, ! && || over those have vector forms. Everything
+// else — builtin calls, string-valued operators and string comparisons
 // other than column-against-literal — falls back to the Bind closures,
 // run once per batch row inside the vector node of the nearest
 // enclosing operator (see vectorizable in batch.go for why it is that

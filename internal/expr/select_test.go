@@ -15,8 +15,7 @@ import (
 // over: three table.GenPartitions draws, which between them cover every
 // membership representation (full, bitmap, sparse, clustered, empty),
 // missing masks on every column kind, small and large dictionaries, and
-// the computed column "gc" (no typed slice: the in-batch row fallback).
-// A derived string column exercises computed strings too.
+// the double column "gc". A derived string column "gx" joins them.
 var selectTables = sync.OnceValues(func() ([]*table.Table, table.GenInfo) {
 	var parts []*table.Table
 	var info table.GenInfo
@@ -65,8 +64,8 @@ func checkSelect(t *testing.T, src string) {
 }
 
 // exprGen draws expression sources from a small grammar over the
-// generated schema: gi int, gd double, gs string, gt date, gc computed
-// double, gx computed string.
+// generated schema: gi int, gd double, gs string, gt date, gc double,
+// gx derived string.
 type exprGen struct {
 	r    *rand.Rand
 	info table.GenInfo
@@ -147,7 +146,8 @@ var selectCorpus = []string{
 	// builtins in subtrees: row fallback inside vector parents
 	"abs(gi) > 2 && gd < 50", "year(gt) * 100 + month(gt) > 201707", "sqrt(gd) < 3 || gi == 0", "len(gs) == 6", `lower(gs) == "w00000"`,
 	`contains(gs, "9") && gi >= 0`, "coalesce(gi, 0) + 1 > gd", `if(gi > 0, gd, gc) > 10`, "toInt(gs) > 0", "log(gd) > 1",
-	// computed columns
+	`gi % if(gi > 0, 1, if(gi > 0, "x", 2.5)) > 0`, "gi % if(gi > 0, 1, 2.5) > 0", `min(gs, gx) == "w00000"`,
+	// derived columns
 	"gc > 10", "gc == gc", "gc * 2 < gd", `gx == "w00000!"`, `gx > gs`, "gc > 5 && gi < 3",
 	// constants and folding
 	"1", "0", `"x"`, `""`, "1 < 2", "1 / 0 > 0", `"a" + "b" == "ab"`, "gi > 2 + 3 * 4",
@@ -164,6 +164,9 @@ func FuzzExprSelect(f *testing.F) {
 		}
 		g := &exprGen{r: rand.New(rand.NewPCG(seed, 0x5e1ec7)), info: info}
 		checkSelect(t, g.cond(1+int(seed%3)))
+		// Derive then select: a filter over a derived column is the row
+		// evaluator's filter over its expression.
+		checkDerivedSelect(t, g.num(1+int(seed%3)), " "+g.pick("<", "<=", "==", "!=", ">=", ">")+" "+g.num(0))
 	})
 }
 

@@ -150,8 +150,8 @@ var (
 )
 
 // Gen generates n rows with the given id. totalCols pads the schema up
-// to the requested width (0 means CoreColumns). The first CoreColumns
-// columns are materialized; padding columns are computed on access.
+// to the requested width (0 means CoreColumns): the padding columns
+// all read one stored int column of the partition.
 func Gen(id string, n int, seed uint64, totalCols int) *table.Table {
 	if totalCols < CoreColumns {
 		totalCols = CoreColumns
@@ -230,14 +230,20 @@ func Gen(id string, n int, seed uint64, totalCols int) *table.Table {
 		b.AppendRow(row)
 	}
 	t := b.Freeze(id)
-	// Padding columns are computed, not stored: width without weight.
+	if totalCols == CoreColumns {
+		return t
+	}
+	// Padding is width without weight: every pad name shares one stored
+	// column, 8 B a row however wide the schema.
+	pad := make([]int64, n)
+	mult := seed*0x9e3779b97f4a7c15 + 1
+	for i := range pad {
+		pad[i] = int64((uint64(i) * mult) % 1000)
+	}
+	padCol := table.NewIntColumn(table.KindInt, pad, nil)
 	for c := CoreColumns; c < totalCols; c++ {
-		mult := uint64(c)*0x9e3779b97f4a7c15 + seed
-		col := table.NewComputedColumn(table.KindInt, n, func(i int) table.Value {
-			return table.IntValue(int64((uint64(i) * mult) % 1000))
-		})
 		var err error
-		t, err = t.WithColumn(id, fmt.Sprintf("Pad%03d", c-CoreColumns), col)
+		t, err = t.WithColumn(id, fmt.Sprintf("Pad%03d", c-CoreColumns), padCol)
 		if err != nil {
 			panic(err) // schema is generator-controlled
 		}

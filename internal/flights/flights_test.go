@@ -18,10 +18,10 @@ func TestGenBasics(t *testing.T) {
 	if got := tbl.Schema().NumColumns(); got != PaperColumns {
 		t.Fatalf("columns = %d, want %d", got, PaperColumns)
 	}
-	// Pad columns are computed and cheap.
+	// Every pad name reads one stored column: 8 B a row in all.
 	pad := tbl.MustColumn("Pad042")
-	if pad.Kind() != table.KindInt || pad.Missing(5) {
-		t.Error("pad column broken")
+	if _, ok := pad.(*table.IntColumn); !ok || pad.Missing(5) || pad != tbl.MustColumn("Pad000") {
+		t.Errorf("pad column %T is not one shared stored int column", pad)
 	}
 	// Carrier skew: WN (rank 1 in the Zipf) must dominate.
 	counts := map[string]int{}

@@ -167,11 +167,11 @@ func TestMisraGriesMergeTreeGuarantee(t *testing.T) {
 // TestMGAccumulatorContinuesStream: the fold of one partition's summary
 // is that summary — Merge from Zero keeps Summarize's counters bit for
 // bit — on every column path and membership shape: the tallied small
-// dictionaries (s, sm), the streamed large one (sl), the typed numeric
-// keys (im, dm) and the computed-column fallback (cs).
+// dictionaries (s, sm), the streamed large one (sl) and the typed
+// numeric keys (im, dm).
 func TestMGAccumulatorContinuesStream(t *testing.T) {
 	for _, tc := range eqTables(20000) {
-		for _, col := range []string{"s", "sm", "sl", "im", "dm", "cs"} {
+		for _, col := range []string{"s", "sm", "sl", "im", "dm"} {
 			sk := &MisraGriesSketch{Col: col, K: 10}
 			want, err := sk.Summarize(tc.t)
 			if err != nil {
@@ -185,19 +185,21 @@ func TestMGAccumulatorContinuesStream(t *testing.T) {
 }
 
 // TestMGAccumulatorFlushAcrossColumns folds the summaries of chunks of
-// partitions with different dictionaries plus a computed (non-dict)
-// column and re-checks the Misra–Gries guarantee over the combined data.
+// partitions with different dictionaries, one of them a short cycle of
+// four values, and re-checks the Misra–Gries guarantee over the combined
+// data.
 func TestMGAccumulatorFlushAcrossColumns(t *testing.T) {
 	const k = 10
 	a := genSkewedStrings("mgfa", 15000, 0.4, 0.2, 62)
 	b := genSkewedStrings("mgfb", 15000, 0.35, 0.25, 63)
-	// A third partition with a computed string column named "s".
-	vals := []string{"v0", "v0", "v1", "tail-zzz"}
+	// A third partition cycling through four values.
+	vals := make([]string, 4000)
+	for i := range vals {
+		vals[i] = []string{"v0", "v0", "v1", "tail-zzz"}[i%4]
+	}
 	comp := table.New("mgfc",
 		table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString}),
-		[]table.Column{table.NewComputedColumn(table.KindString, 4000, func(i int) table.Value {
-			return table.StringValue(vals[i%len(vals)])
-		})},
+		[]table.Column{table.NewStringColumn(vals, nil)},
 		table.FullMembership(4000))
 
 	truth := exactCounts(a, "s")

@@ -192,6 +192,19 @@ func TestBottomKExactSmallCardinality(t *testing.T) {
 	checkExactMergeability(t, sk, tbl, 5)
 }
 
+// TestBottomKRejectsNumericColumn: bottom-k samples a dictionary's
+// values, for string bucket bounds; a numeric column has a range and
+// gets an error, as do numeric buckets over a string column.
+func TestBottomKRejectsNumericColumn(t *testing.T) {
+	tbl := genTable("bkn", 100, 66)
+	if _, err := (&DistinctBottomKSketch{Col: "x", K: 10}).Summarize(tbl); err == nil {
+		t.Error("bottom-k over a double column: no error")
+	}
+	if _, err := StringBucketsFromBounds([]string{"a"}, false).BatchIndexer(tbl.MustColumn("x")); err == nil {
+		t.Error("string buckets over a double column: no error")
+	}
+}
+
 func TestBottomKLargeCardinality(t *testing.T) {
 	schema := table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString})
 	const n = 20000

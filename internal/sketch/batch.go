@@ -175,8 +175,8 @@ func addTallies(h *Histogram, tallies []int64) {
 }
 
 // valueGather returns the value-materialization kernel for col, for
-// sketches that consume table.Value (heavy hitters): it fills out[k]
-// with the value of rows[k], reading stored columns' backing slices
+// sketches that consume table.Value (sampled heavy hitters): it fills
+// out[k] with the value of rows[k], reading the column's backing slice
 // with no per-row interface call. Dictionary columns build each
 // distinct Value once.
 func valueGather(col table.Column) func(rows []int32, out []table.Value) {
@@ -205,26 +205,20 @@ func valueGather(col table.Column) func(rows []int32, out []table.Value) {
 				}
 			}
 		}
-	case *table.StringColumn:
-		codes, miss := c.Codes(), c.MissingMask()
-		dictVals := make([]table.Value, c.DictSize())
-		for i, s := range c.Dict() {
-			dictVals[i] = table.Value{Kind: table.KindString, S: s}
-		}
-		missingV := table.MissingValue(table.KindString)
-		return func(rows []int32, out []table.Value) {
-			for k, r := range rows {
-				if miss != nil && miss.Get(int(r)) {
-					out[k] = missingV
-				} else {
-					out[k] = dictVals[codes[r]]
-				}
-			}
-		}
-	default:
-		return func(rows []int32, out []table.Value) {
-			for k, r := range rows {
-				out[k] = col.Value(int(r))
+	}
+	c := col.(*table.StringColumn)
+	codes, miss := c.Codes(), c.MissingMask()
+	dictVals := make([]table.Value, c.DictSize())
+	for i, s := range c.Dict() {
+		dictVals[i] = table.Value{Kind: table.KindString, S: s}
+	}
+	missingV := table.MissingValue(table.KindString)
+	return func(rows []int32, out []table.Value) {
+		for k, r := range rows {
+			if miss != nil && miss.Get(int(r)) {
+				out[k] = missingV
+			} else {
+				out[k] = dictVals[codes[r]]
 			}
 		}
 	}

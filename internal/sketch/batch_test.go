@@ -22,8 +22,8 @@ type eqCase struct {
 	t    *table.Table
 }
 
-// eqTables builds the test matrix: every column kind (stored int,
-// double, string, computed int, computed string), with and without
+// eqTables builds the test matrix: every column kind (int, double,
+// string), with and without
 // missing values (incl. a non-nil all-clear mask), crossed with every
 // membership shape (full, range, bitmap, sparse, restricted views).
 // Column "sl" is a skewed string column whose dictionary outgrows
@@ -83,8 +83,6 @@ func eqTables(rows int) []eqCase {
 		{Name: "dm", Kind: table.KindDouble},
 		{Name: "sm", Kind: table.KindString},
 		{Name: "ie", Kind: table.KindInt},
-		{Name: "ci", Kind: table.KindInt},
-		{Name: "cs", Kind: table.KindString},
 		{Name: "sl", Kind: table.KindString},
 		{Name: "dx", Kind: table.KindDouble},
 		{Name: "ix", Kind: table.KindInt},
@@ -100,15 +98,6 @@ func eqTables(rows int) []eqCase {
 		table.NewDoubleColumn(doubles, miss),
 		table.NewStringColumn(strs, miss),
 		table.NewIntColumn(table.KindInt, ints, emptyMiss),
-		table.NewComputedColumn(table.KindInt, rows, func(i int) table.Value {
-			if i%13 == 0 {
-				return table.MissingValue(table.KindInt)
-			}
-			return table.IntValue(ints[i])
-		}),
-		table.NewComputedColumn(table.KindString, rows, func(i int) table.Value {
-			return table.StringValue(strs[i])
-		}),
 		table.NewStringColumn(large, miss),
 		table.NewDoubleColumn(hostileD, runs),
 		table.NewIntColumn(table.KindInt, hostileI, runs),
@@ -278,8 +267,7 @@ type eqAxis struct {
 	spec BucketSpec
 }
 
-// eqAxes lists every typed axis of eqTables — stored and computed,
-// masked and not, the hostile masked columns and the all-missing one —
+// eqAxes lists every typed axis of eqTables — masked and not, the hostile masked columns and the all-missing one —
 // each with the bucket geometry of its kind, plus an exact-value string
 // axis and a zero-bucket string axis (empty Bounds). The int slot-table
 // axes are separate (eqIntAxes).
@@ -287,7 +275,7 @@ func eqAxes() []eqAxis {
 	return []eqAxis{
 		{"i", intSpec()}, {"d", doubleSpec()}, {"s", stringSpec()},
 		{"im", intSpec()}, {"dm", doubleSpec()}, {"sm", stringSpec()},
-		{"ie", intSpec()}, {"ci", intSpec()}, {"cs", stringSpec()},
+		{"ie", intSpec()},
 		{"dx", doubleSpec()}, {"ix", intSpec()}, {"se", stringSpec()},
 		{"sm", exactStringSpec()},
 		{"s", StringBucketsFromBounds(nil, false)},
@@ -493,17 +481,17 @@ func TestBatchHist2DEquivalence(t *testing.T) {
 // membership shape, bare and under WithCancel, exact and sampled. The
 // group axes are a dictionary (with a missing mask and a bound below
 // every value, so rows fall outside every group), an exact-value
-// dictionary, a computed string column and a masked int slot-table
-// axis; the plots pair a double with a masked dictionary, a computed
-// int with a hostile double, and a string with itself.
+// dictionary and a masked int slot-table axis; the plots pair a double
+// with a masked dictionary, a masked int with a hostile double, and a
+// string with itself.
 func TestTrellisMatchesReference(t *testing.T) {
 	groups := []eqAxis{
-		{"sm", stringSpec()}, {"s", exactStringSpec()}, {"cs", stringSpec()},
+		{"sm", stringSpec()}, {"s", exactStringSpec()},
 		{"t12m", NumericBuckets(table.KindInt, 1, 12, 5)},
 	}
 	plots := [][2]eqAxis{
 		{{"d", doubleSpec()}, {"sm", stringSpec()}},
-		{{"ci", intSpec()}, {"dx", doubleSpec()}},
+		{{"im", intSpec()}, {"dx", doubleSpec()}},
 		{{"s", exactStringSpec()}, {"s", stringSpec()}},
 	}
 	for _, tc := range eqTables(3000) {
@@ -532,8 +520,8 @@ func TestTrellisMatchesReference(t *testing.T) {
 }
 
 // refMisraGries is the row-at-a-time reference Misra–Gries stream. It
-// is the reference for every column that streams: computed columns,
-// stored numeric columns and dictionaries above mgDenseDictMax.
+// is the reference for every column that streams: numeric columns and
+// dictionaries above mgDenseDictMax.
 func refMisraGries(t *table.Table, col string, k int) *HeavyHitters {
 	c := t.MustColumn(col)
 	if k < 1 {
@@ -601,7 +589,7 @@ func TestBatchMisraGriesEquivalence(t *testing.T) {
 					t.Errorf("%s/%s k=%d: tallied Misra-Gries differs from Merge(exact counts, Zero)\n got %+v\nwant %+v", tc.name, col, k, got, want)
 				}
 			}
-			for _, col := range []string{"cs", "im", "dm", "sl"} {
+			for _, col := range []string{"im", "dm", "sl"} {
 				got, err := (&MisraGriesSketch{Col: col, K: k}).Summarize(tc.t)
 				if err != nil {
 					t.Fatal(err)
@@ -678,7 +666,7 @@ func refDataRange(t *table.Table, col string) *DataRange {
 
 func TestBatchRangeEquivalence(t *testing.T) {
 	for _, tc := range eqTables(4000) {
-		for _, col := range []string{"i", "im", "ie", "d", "dm", "s", "sm", "ci", "cs"} {
+		for _, col := range []string{"i", "im", "ie", "d", "dm", "s", "sm"} {
 			sk := &RangeSketch{Col: col}
 			got, err := sk.Summarize(tc.t)
 			if err != nil {
@@ -716,7 +704,7 @@ func refDistinct(t *table.Table, col string, p uint8) *HLL {
 
 func TestBatchDistinctEquivalence(t *testing.T) {
 	for _, tc := range eqTables(4000) {
-		for _, col := range []string{"i", "im", "ie", "d", "dm", "s", "sm", "ci", "cs"} {
+		for _, col := range []string{"i", "im", "ie", "d", "dm", "s", "sm"} {
 			sk := &DistinctCountSketch{Col: col}
 			got, err := sk.Summarize(tc.t)
 			if err != nil {

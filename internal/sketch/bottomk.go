@@ -78,7 +78,7 @@ func (s *DistinctBottomKSketch) Zero() Result {
 	return &BottomKSet{K: s.K, AllValues: true}
 }
 
-// Summarize implements Sketch. For dictionary columns, the member rows
+// Summarize implements Sketch over a dictionary column: the member rows
 // are scanned once to find which codes actually occur (a filtered table
 // may hide some), then only occurring values are hashed.
 func (s *DistinctBottomKSketch) Summarize(t *table.Table) (Result, error) {
@@ -96,37 +96,24 @@ func (s *DistinctBottomKSketch) Summarize(t *table.Table) (Result, error) {
 		h uint64
 		v string
 	}
-	var candidates []hv
-	switch c := col.(type) {
-	case *table.StringColumn:
-		occurs := make([]bool, c.DictSize())
-		t.Members().Iterate(func(row int) bool {
-			if !c.Missing(row) {
-				occurs[c.Code(row)] = true
-				out.PresentRows++
-			}
-			return true
-		})
-		for code, ok := range occurs {
-			if ok {
-				v := c.Dict()[code]
-				candidates = append(candidates, hv{h: hashString(v), v: v})
-			}
-		}
-	default:
-		seen := make(map[string]bool)
-		t.Members().Iterate(func(row int) bool {
-			if col.Missing(row) {
-				return true
-			}
+	c, ok := col.(*table.StringColumn)
+	if !ok {
+		return nil, fmt.Errorf("sketch: bottom-k over %v column %q", col.Kind(), s.Col)
+	}
+	occurs := make([]bool, c.DictSize())
+	t.Members().Iterate(func(row int) bool {
+		if !c.Missing(row) {
+			occurs[c.Code(row)] = true
 			out.PresentRows++
-			v := col.Str(row)
-			if !seen[v] {
-				seen[v] = true
-				candidates = append(candidates, hv{h: hashString(v), v: v})
-			}
-			return true
-		})
+		}
+		return true
+	})
+	var candidates []hv
+	for code, ok := range occurs {
+		if ok {
+			v := c.Dict()[code]
+			candidates = append(candidates, hv{h: hashString(v), v: v})
+		}
 	}
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].h < candidates[j].h })
 	if len(candidates) > k {

@@ -124,9 +124,7 @@ func (s BucketSpec) IndexString(v string) int {
 // dictionary code indexes the code→slot table (table.NewDictColumn). A
 // word batch adds each word's missing members to slot 0 by popcount,
 // then tallies its present members by a trailing-zeros walk, or by the
-// span loop when all 64 rows are present. ComputedColumn, which has no
-// backing slice, is read row by row through the Column interface
-// (scalarBatchIndexer).
+// span loop when all 64 rows are present.
 type BatchIndexer interface {
 	// IndexSpan fills out[k] with the slot of row start+k for every
 	// k in [0, end-start). len(out) must be at least end-start.
@@ -545,58 +543,6 @@ func (x *intTableBatchIndexer) CountRows(rows []int32, tallies []int64) {
 	}
 }
 
-// scalarBatchIndexer buckets a column with no backing storage
-// (ComputedColumn) one row at a time through the Column interface: a
-// missing row is slot 0, any other row the spec's IndexString or
-// IndexValue plus two.
-type scalarBatchIndexer struct {
-	col  table.Column
-	spec BucketSpec
-}
-
-func (x *scalarBatchIndexer) slot(row int) int32 {
-	switch {
-	case x.col.Missing(row):
-		return 0
-	case x.spec.Kind == table.KindString:
-		return int32(x.spec.IndexString(x.col.Str(row)) + 2)
-	default:
-		return int32(x.spec.IndexValue(x.col.Double(row)) + 2)
-	}
-}
-
-func (x *scalarBatchIndexer) IndexSpan(start, end int, out []int32) {
-	for k := range end - start {
-		out[k] = x.slot(start + k)
-	}
-}
-
-func (x *scalarBatchIndexer) IndexRows(rows []int32, out []int32) {
-	for k, r := range rows {
-		out[k] = x.slot(int(r))
-	}
-}
-
-func (x *scalarBatchIndexer) CountSpan(start, end int, tallies []int64) {
-	for row := start; row < end; row++ {
-		tallies[x.slot(row)]++
-	}
-}
-
-func (x *scalarBatchIndexer) CountWords(base int, words []uint64, tallies []int64) {
-	for k, w := range words {
-		for ; w != 0; w &= w - 1 {
-			tallies[x.slot(base+k<<6+bits.TrailingZeros64(w))]++
-		}
-	}
-}
-
-func (x *scalarBatchIndexer) CountRows(rows []int32, tallies []int64) {
-	for _, r := range rows {
-		tallies[x.slot(int(r))]++
-	}
-}
-
 // codeSlotTable precomputes the code → slot mapping for a dictionary
 // column (one IndexString per distinct value), so a row costs one load;
 // intSlotTable does the same for the integers of a small int range.
@@ -660,32 +606,29 @@ func (s BucketSpec) intSlotTable(p numericIndex, n int) (lo int64, tab []int32, 
 // specs) or IndexString (string specs) of its value plus two, with
 // dispatch amortized over whole batches. Dictionary columns, and int
 // columns whose bucket range spans few integers (intSlotTable), index
-// through a value→slot table; other numeric columns divide per row, and
-// columns with no backing slice go row by row (scalarBatchIndexer).
+// through a value→slot table; other numeric columns divide per row.
+// Numeric specs bucket int, date and double columns, string specs
+// dictionary columns, and any other pairing is an error.
 func (s BucketSpec) BatchIndexer(col table.Column) (BatchIndexer, error) {
-	switch {
-	case s.Kind.Numeric():
-		if !col.Kind().Numeric() {
-			return nil, fmt.Errorf("sketch: numeric buckets over %v column", col.Kind())
-		}
-		p := newNumericIndex(s)
-		switch c := col.(type) {
-		case *table.IntColumn:
+	switch c := col.(type) {
+	case *table.IntColumn:
+		if s.Kind.Numeric() {
+			p := newNumericIndex(s)
 			if lo, tab, ok := s.intSlotTable(p, len(c.Ints())); ok {
 				return &intTableBatchIndexer{vals: c.Ints(), miss: c.MissingMask(), tab: tab, lo: lo, p: p}, nil
 			}
 			return &numBatchIndexer[int64]{vals: c.Ints(), miss: c.MissingMask(), p: p}, nil
-		case *table.DoubleColumn:
-			return &numBatchIndexer[float64]{vals: c.Doubles(), miss: c.MissingMask(), p: p}, nil
 		}
-	case s.Kind == table.KindString:
-		if sc, ok := col.(*table.StringColumn); ok {
-			return &stringBatchIndexer{codes: sc.Codes(), codeSlot: s.codeSlotTable(sc), miss: sc.MissingMask()}, nil
+	case *table.DoubleColumn:
+		if s.Kind.Numeric() {
+			return &numBatchIndexer[float64]{vals: c.Doubles(), miss: c.MissingMask(), p: newNumericIndex(s)}, nil
 		}
-	default:
-		return nil, fmt.Errorf("sketch: bucket spec kind %v unsupported", s.Kind)
+	case *table.StringColumn:
+		if s.Kind == table.KindString {
+			return &stringBatchIndexer{codes: c.Codes(), codeSlot: s.codeSlotTable(c), miss: c.MissingMask()}, nil
+		}
 	}
-	return &scalarBatchIndexer{col: col, spec: s}, nil
+	return nil, fmt.Errorf("sketch: %v buckets over %v column", s.Kind, col.Kind())
 }
 
 // batchIndexer returns the bucket kernel of spec over column col of t.

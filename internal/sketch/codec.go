@@ -518,13 +518,14 @@ func checkDecoded(p any) error {
 	return nil
 }
 
-// checkCells rejects decoded bucket geometry whose grid — the product of
-// the axes' bucket counts, each at least 1, which bounds what Zero
-// allocates — exceeds wire.MaxElems cells.
+// checkCells rejects decoded bucket geometry whose slot matrix — the
+// product of Count+2 over the axes, group axis included, which is what
+// gridScan allocates and bounds what Zero does — exceeds wire.MaxElems
+// cells.
 func checkCells(axes ...BucketSpec) error {
 	cells := 1
 	for _, a := range axes {
-		cells *= max(a.Count, 1) // each count ≤ MaxElems: no overflow
+		cells *= a.Count + 2 // each count ≤ MaxElems: no overflow
 		if cells > wire.MaxElems {
 			return wire.Corruptf("bucket grid of more than %d cells", wire.MaxElems)
 		}

@@ -311,6 +311,29 @@ func TestStringBucketCountMatchesBounds(t *testing.T) {
 	}
 }
 
+// TestCellBoundCountsScanSlots: a 2-D scan allocates Count+2 slots per
+// axis and the trellis one block per group slot, so the decode bound is
+// on that product. Each rejected geometry is under wire.MaxElems by
+// bucket counts alone; the accepted one fills the bound exactly.
+func TestCellBoundCountsScanSlots(t *testing.T) {
+	spec := func(n int) BucketSpec { return BucketSpec{Kind: table.KindDouble, Max: 1, Count: n} }
+	for _, sk := range []Sketch{
+		&Histogram2DSketch{XCol: "x", YCol: "y", X: spec(2047), Y: spec(2047)},
+		&TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(62), X: spec(256), Y: spec(256)},
+		&TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(0), X: spec(1447), Y: spec(1447)},
+	} {
+		b, _ := AppendSketchWire(nil, sk)
+		if _, _, err := DecodeSketchWire(b); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: decode err = %v, want wire.ErrCorrupt", sk.Name(), err)
+		}
+	}
+	fits := &TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(2), X: spec(1022), Y: spec(1022)}
+	b, _ := AppendSketchWire(nil, fits)
+	if _, _, err := DecodeSketchWire(b); err != nil {
+		t.Errorf("%s: decode err = %v", fits.Name(), err)
+	}
+}
+
 // TestWireLengthBounds pins the smallest element encodings that length
 // prefixes are checked against before a decoder allocates. A field rule
 // change that shrank one would let a crafted count buy more memory per

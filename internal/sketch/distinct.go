@@ -85,10 +85,9 @@ func (s *DistinctCountSketch) Zero() Result {
 	return &HLL{Precision: p, Registers: make([]byte, 1<<p)}
 }
 
-// Summarize implements Sketch. Stored columns hash their backing slices
+// Summarize implements Sketch. Numeric columns hash their backing slices
 // with typed batch kernels; string columns hash each distinct dictionary
-// value once and rows insert the precomputed hash. Computed columns keep
-// the row-at-a-time reference path.
+// value once and rows insert the precomputed hash.
 func (s *DistinctCountSketch) Summarize(t *table.Table) (Result, error) {
 	col, err := t.Column(s.Col)
 	if err != nil {
@@ -187,22 +186,6 @@ func (s *DistinctCountSketch) Summarize(t *table.Table) (Result, error) {
 					}
 				}
 			})
-	default:
-		kind := col.Kind()
-		t.Members().Iterate(func(row int) bool {
-			if col.Missing(row) {
-				return true
-			}
-			switch kind {
-			case table.KindInt, table.KindDate:
-				out.Add(hashValueBits(uint64(col.Int(row))))
-			case table.KindDouble:
-				out.Add(hashValueBits(math.Float64bits(col.Double(row))))
-			default:
-				out.Add(hashString(col.Str(row)))
-			}
-			return true
-		})
 	}
 	return out, nil
 }

@@ -94,13 +94,12 @@ func (s *MisraGriesSketch) Zero() Result {
 // counts, Zero) — a function of the multiset of member values, not their
 // order. Every other column streams the Misra–Gries update rule in
 // Iterate order, bit-identical to the row-at-a-time reference scan:
-// larger dictionaries keyed by code (mgCodes), stored int, date and
-// double columns keyed by value bits (mgTyped), computed columns by
-// table.Value. The decrement step pairs each decrement with a prior
-// increment, so the stream is amortized O(rows). Either way the summary
-// holds at most K counters, each a lower bound short by at most
-// rows/(K+1) — the invariant Merge needs — and no allocation is sized
-// by K alone: K arrives off the wire on workers.
+// larger dictionaries keyed by code (mgCodes), int, date and double
+// columns keyed by value bits (mgTyped). The decrement step pairs each
+// decrement with a prior increment, so the stream is amortized O(rows).
+// Either way the summary holds at most K counters, each a lower bound
+// short by at most rows/(K+1) — the invariant Merge needs — and no
+// allocation is sized by K alone: K arrives off the wire on workers.
 func (s *MisraGriesSketch) Summarize(t *table.Table) (Result, error) {
 	col, err := t.Column(s.Col)
 	if err != nil {
@@ -110,45 +109,14 @@ func (s *MisraGriesSketch) Summarize(t *table.Table) (Result, error) {
 	if k < 1 {
 		k = 1
 	}
-	switch c := col.(type) {
-	case *table.StringColumn:
+	if c, ok := col.(*table.StringColumn); ok {
 		g := newMGCodes(k, c.DictSize())
 		g.scan(t.Members(), c)
 		return g.result(s.K, c.Dict()), nil
-	case *table.IntColumn, *table.DoubleColumn:
-		g := newMGTyped(k, col)
-		g.scan(t.Members(), col)
-		return g.result(s.K), nil
 	}
-	out := &HeavyHitters{K: s.K, Counters: make(map[table.Value]int64, min(k, col.Len())+1)}
-	scanValues(t.Members(), col, 1, 0, func(vals []table.Value) {
-		out.ScannedRows += int64(len(vals))
-		mgUpdateValues(out.Counters, k, vals)
-	})
-	return out, nil
-}
-
-// mgUpdateValues streams a batch of values through the Misra–Gries
-// update rule into a value-keyed counter map.
-func mgUpdateValues(counters map[table.Value]int64, k int, vals []table.Value) {
-	for _, v := range vals {
-		if c, ok := counters[v]; ok {
-			counters[v] = c + 1
-			continue
-		}
-		if len(counters) < k {
-			counters[v] = 1
-			continue
-		}
-		// Decrement every counter; drop zeros.
-		for u, c := range counters {
-			if c <= 1 {
-				delete(counters, u)
-			} else {
-				counters[u] = c - 1
-			}
-		}
-	}
+	g := newMGTyped(k, col)
+	g.scan(t.Members(), col)
+	return g.result(s.K), nil
 }
 
 // mgDenseDictMax bounds the dictionary size for the dense code-keyed

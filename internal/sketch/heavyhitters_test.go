@@ -407,7 +407,7 @@ func TestMisraGriesHugeKAllocation(t *testing.T) {
 		table.ColumnDesc{Name: "s", Kind: table.KindString},
 		table.ColumnDesc{Name: "i", Kind: table.KindInt},
 		table.ColumnDesc{Name: "d", Kind: table.KindDouble},
-		table.ColumnDesc{Name: "c", Kind: table.KindInt},
+		table.ColumnDesc{Name: "c", Kind: table.KindDate},
 	)
 	strs := []string{"a", "b", "a", "c", "a", "b", "d", "a", "e", "a"}
 	ints := make([]int64, len(strs))
@@ -419,7 +419,7 @@ func TestMisraGriesHugeKAllocation(t *testing.T) {
 		table.NewStringColumn(strs, nil),
 		table.NewIntColumn(table.KindInt, ints, nil),
 		table.NewDoubleColumn(doubles, nil),
-		table.NewComputedColumn(table.KindInt, len(strs), func(i int) table.Value { return table.IntValue(int64(i % 2)) }),
+		table.NewIntColumn(table.KindDate, ints, nil),
 	}, table.FullMembership(len(strs)))
 
 	var before, after runtime.MemStats

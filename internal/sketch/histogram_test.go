@@ -364,31 +364,6 @@ func TestBucketLabels(t *testing.T) {
 	}
 }
 
-func TestIndexerComputedStringColumn(t *testing.T) {
-	// Computed string columns take the generic (non-dictionary) path.
-	n := 100
-	col := table.NewComputedColumn(table.KindString, n, func(i int) table.Value {
-		if i%10 == 0 {
-			return table.MissingValue(table.KindString)
-		}
-		return table.StringValue(string(rune('a' + i%5)))
-	})
-	schema := table.NewSchema(table.ColumnDesc{Name: "s", Kind: table.KindString})
-	tbl := table.New("cc", schema, []table.Column{col}, table.FullMembership(n))
-	spec := StringBucketsFromDistinct([]string{"a", "b", "c", "d", "e"}, 50)
-	res, err := (&HistogramSketch{Col: "s", Buckets: spec}).Summarize(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := res.(*Histogram)
-	if h.Missing != 10 {
-		t.Errorf("missing = %d, want 10", h.Missing)
-	}
-	if h.TotalCount() != 90 {
-		t.Errorf("total = %d, want 90", h.TotalCount())
-	}
-}
-
 func BenchmarkHistogramStreaming1M(b *testing.B) {
 	tbl := genTable("bench-h", 1000000, 42)
 	sk := &HistogramSketch{Col: "x", Buckets: NumericBuckets(table.KindDouble, 0, 100, 25)}

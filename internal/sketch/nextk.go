@@ -322,9 +322,9 @@ func (a *nextKAccumulator) prune(b keyBatch) {
 // to a.open those of them left undecided. Level 0 is one typed compare
 // over the whole batch; every later level compares only the rows still
 // tied with key, gathered, and the walk stops once none is. The first
-// level that cannot be compared in bulk (a computed column, a key of
-// another kind) leaves its tied rows in a.le and a.open, so a pruned row
-// is always one proven to sort after key.
+// level that cannot be compared in bulk (a key of another kind) leaves
+// its tied rows in a.le and a.open, so a pruned row is always one
+// proven to sort after key.
 func (a *nextKAccumulator) keySelect(b keyBatch, key table.Row) {
 	le, open := a.le[:wordsFor(b.n)], a.open[:wordsFor(b.n)]
 	clear(open)
@@ -381,7 +381,7 @@ func (a *nextKAccumulator) notAfter(lvl int) table.CmpOp {
 // selectLevel writes to out the rows of b whose value v on level lvl
 // satisfies "v op c" in sort-value order, where a missing value sorts
 // below every present one. It reports false when the column cannot be
-// compared in bulk (a computed column, or a c of another kind).
+// compared in bulk (a c of another kind).
 func (a *nextKAccumulator) selectLevel(lvl int, op table.CmpOp, c table.Value, b keyBatch, out []uint64) bool {
 	cc, ok := table.NewConstCompare(a.cols[lvl], op, c)
 	if !ok {

@@ -231,7 +231,7 @@ func TestNextKMissingValuesSortFirst(t *testing.T) {
 // nextKCases are the sketch shapes of the accumulator's test matrix
 // over a table.GenPartitions table: ascending and descending, one- and
 // five-column orders, every lead kind (int, double, date, string, and
-// the computed column the primitive cannot prune on), cursors that are
+// the double column gc), cursors that are
 // present in the data (so they tie), absent, mixed int/double, missing,
 // and a window larger than the table has distinct rows.
 func nextKCases(parts []*table.Table, info table.GenInfo) []*NextKSketch {
@@ -266,7 +266,7 @@ func nextKCases(parts []*table.Table, info table.GenInfo) []*NextKSketch {
 		// Ties: a lead whose K-th key is missing where gi is often
 		// missing, and a string tie-break whose dictionary differs
 		// from partition to partition; a descending level after an
-		// ascending tie; a computed column in tie-break position.
+		// ascending tie; a double column in tie-break position.
 		{Order: table.Asc("gi"), Extra: []string{"gs", "gt"}, K: 20},
 		{Order: table.Asc("gs").Then("gi", false), Extra: []string{"gd"}, K: 20},
 		{Order: table.Asc("gi").Then("gc", true), Extra: []string{"gs"}, K: 20},
@@ -374,8 +374,7 @@ func TestNextKAccumulatorMatchesReference(t *testing.T) {
 // values and is missing on 2% of rows; "lm" is missing on 60%; "dom" is
 // "m0" on 70% of rows and one of 200 strings on the rest (ingest_query's
 // "+msg" lead); "nan" is NaN on every row where l3 is 0 and one of five
-// values elsewhere, so NaN only ever ties NaN; "w" is nearly distinct
-// and "cw" is w as a computed column.
+// values elsewhere, so NaN only ever ties NaN; "w" is nearly distinct.
 func tieTable(id string, m table.Membership) *table.Table {
 	n := m.Max()
 	l3, w := make([]int64, n), make([]int64, n)
@@ -408,7 +407,6 @@ func tieTable(id string, m table.Membership) *table.Table {
 		table.ColumnDesc{Name: "dom", Kind: table.KindString},
 		table.ColumnDesc{Name: "nan", Kind: table.KindDouble},
 		table.ColumnDesc{Name: "w", Kind: table.KindInt},
-		table.ColumnDesc{Name: "cw", Kind: table.KindInt},
 	)
 	return table.New(id, schema, []table.Column{
 		table.NewIntColumn(table.KindInt, l3, l3miss),
@@ -416,7 +414,6 @@ func tieTable(id string, m table.Membership) *table.Table {
 		table.NewStringColumn(dom, nil),
 		table.NewDoubleColumn(nan, nil),
 		table.NewIntColumn(table.KindInt, w, nil),
-		table.NewComputedColumn(table.KindInt, n, func(i int) table.Value { return table.IntValue(w[i]) }),
 	}, m)
 }
 
@@ -453,7 +450,7 @@ func nextKFromSpec(spec []byte, k uint8) *NextKSketch {
 // accumulators at 1-3 workers must DeepEqual the boxed scan. The
 // checked-in corpus holds the tie shapes: a K-th key that is missing, a
 // dominant lead, a descending level after a tie, string tie-breaks whose
-// dictionaries differ by partition, a computed tie-break and cursors
+// dictionaries differ by partition, a double tie-break and cursors
 // inside a tie run.
 func FuzzNextKPrune(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, spec []byte, k uint8, cursor uint16) {
@@ -495,7 +492,7 @@ func FuzzNextKPrune(f *testing.F) {
 
 // TestNextKAccumulatorDuplicateHeavy covers leads with a handful of
 // distinct keys over every membership shape of eqTables, including the
-// stored-with-missing and computed variants of each column, and the
+// masked variants of each column, and the
 // tie shapes of tieTable over the same memberships.
 func TestNextKAccumulatorDuplicateHeavy(t *testing.T) {
 	for _, tc := range eqTables(5000) {
@@ -507,7 +504,7 @@ func TestNextKAccumulatorDuplicateHeavy(t *testing.T) {
 			{tc.t, &NextKSketch{Order: table.Asc("s"), K: 3}},
 			{tc.t, &NextKSketch{Order: table.Desc("sm"), Extra: []string{"im"}, K: 6}},
 			{tc.t, &NextKSketch{Order: table.Asc("sm").Then("dm", false), K: 30}},
-			{tc.t, &NextKSketch{Order: table.Asc("cs").Then("i", true), K: 30}},
+			{tc.t, &NextKSketch{Order: table.Asc("s").Then("i", true), K: 30}},
 			{tc.t, &NextKSketch{Order: table.Desc("im").Then("s", true), Extra: []string{"d"}, K: 40, From: table.Row{table.IntValue(500), table.StringValue("cat")}}},
 			{tc.t, &NextKSketch{Order: table.Asc("sm"), Extra: []string{"i"}, K: 40, From: table.Row{table.StringValue("bee")}}},
 			// The K-th key is missing.
@@ -523,13 +520,14 @@ func TestNextKAccumulatorDuplicateHeavy(t *testing.T) {
 			// A descending level after an ascending tie.
 			{ties, &NextKSketch{Order: table.Asc("dom").Then("w", false), K: 20}},
 			{ties, &NextKSketch{Order: table.Asc("l3").Then("dom", true).Then("w", false), K: 25}},
-			// A computed column in tie-break position: the rows still
-			// tied there take the exact insert.
-			{ties, &NextKSketch{Order: table.Asc("l3").Then("cw", true), Extra: []string{"dom"}, K: 20}},
-			{ties, &NextKSketch{Order: table.Desc("dom"), Extra: []string{"cw", "w"}, K: 20}},
+			// A cursor level of another kind than its column cannot be
+			// compared in bulk: on the lead every row, and on a
+			// tie-break the rows still tied there, take the exact insert.
+			{ties, &NextKSketch{Order: table.Asc("l3").Then("w", true), Extra: []string{"dom"}, K: 20, From: table.Row{table.IntValue(1), table.StringValue("x")}}},
+			{ties, &NextKSketch{Order: table.Desc("l3"), Extra: []string{"w"}, K: 20, From: table.Row{table.StringValue("x")}}},
 			// A cursor inside a tie run.
 			{ties, &NextKSketch{Order: table.Asc("dom").Then("w", true), K: 20, From: table.Row{table.StringValue("m0"), table.IntValue(50000)}}},
-			{ties, &NextKSketch{Order: table.Asc("l3").Then("cw", true), Extra: []string{"w"}, K: 20, From: table.Row{table.IntValue(1), table.IntValue(50000)}}},
+			{ties, &NextKSketch{Order: table.Asc("l3").Then("w", true), Extra: []string{"dom"}, K: 20, From: table.Row{table.IntValue(1), table.IntValue(50000)}}},
 		} {
 			sk := c.sk
 			chunks := chunkViews(c.t, 3)

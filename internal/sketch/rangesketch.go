@@ -38,9 +38,8 @@ func (s *RangeSketch) CacheKey() string { return s.Name() }
 // Zero implements Sketch.
 func (s *RangeSketch) Zero() Result { return &DataRange{} }
 
-// Summarize implements Sketch. Stored columns scan their backing slices
-// with the typed extrema kernel; computed columns keep the row-at-a-time
-// reference path.
+// Summarize implements Sketch with the typed extrema kernel over the
+// column's backing slice.
 func (s *RangeSketch) Summarize(t *table.Table) (Result, error) {
 	col, err := t.Column(s.Col)
 	if err != nil {
@@ -56,11 +55,9 @@ func (s *RangeSketch) Summarize(t *table.Table) (Result, error) {
 			out.Min, out.Max = float64(e.min), float64(e.max)
 		}
 		out.Present, out.Missing = e.present, e.missing
-		return out, nil
 	case *table.DoubleColumn:
 		e := rangeScan(t.Members(), c.Doubles(), c.MissingMask())
 		out.Min, out.Max, out.Present, out.Missing = e.min, e.max, e.present, e.missing
-		return out, nil
 	case *table.StringColumn:
 		// The dictionary is sorted, so code order is lexicographic order.
 		e := rangeScan(t.Members(), c.Codes(), c.MissingMask())
@@ -68,41 +65,7 @@ func (s *RangeSketch) Summarize(t *table.Table) (Result, error) {
 			out.MinS, out.MaxS = c.Dict()[e.min], c.Dict()[e.max]
 		}
 		out.Present, out.Missing = e.present, e.missing
-		return out, nil
 	}
-	if col.Kind().Numeric() {
-		t.Members().Iterate(func(row int) bool {
-			if col.Missing(row) {
-				out.Missing++
-				return true
-			}
-			v := col.Double(row)
-			if out.Present == 0 || v < out.Min {
-				out.Min = v
-			}
-			if out.Present == 0 || v > out.Max {
-				out.Max = v
-			}
-			out.Present++
-			return true
-		})
-		return out, nil
-	}
-	t.Members().Iterate(func(row int) bool {
-		if col.Missing(row) {
-			out.Missing++
-			return true
-		}
-		v := col.Str(row)
-		if out.Present == 0 || v < out.MinS {
-			out.MinS = v
-		}
-		if out.Present == 0 || v > out.MaxS {
-			out.MaxS = v
-		}
-		out.Present++
-		return true
-	})
 	return out, nil
 }
 

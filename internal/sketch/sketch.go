@@ -61,9 +61,10 @@
 // table built per partition from the same bucket rule, so a row costs
 // one load; doubles and wide int ranges (dates in epoch milliseconds)
 // keep the per-row divide, with the spec's width and degenerate cases
-// decided once per kernel. ComputedColumn has no backing slice and is
-// bucketed row by row through the Column interface (scalarBatchIndexer),
-// behind the same interface. The bucket kernels read a span of a masked
+// decided once per kernel. Every column has a backing slice (a derived
+// column is stored when it is derived), so each kernel has one path per
+// column kind and none goes through the Column interface per row. The
+// bucket kernels read a span of a masked
 // column unmasked and then visit only the set bits of its missing words
 // to patch those rows; that is sound because every stored cell indexes
 // safely, missing rows included (any float64 or int64 maps to a slot,

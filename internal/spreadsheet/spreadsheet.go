@@ -195,7 +195,8 @@ func (v *View) Zoom(ctx context.Context, col string, min, max float64) (*View, e
 	return v.sheet.view(ctx, id)
 }
 
-// DeriveColumn derives a view with an extra computed column.
+// DeriveColumn derives a view with an extra column, the expression
+// evaluated once per row and stored.
 func (v *View) DeriveColumn(ctx context.Context, name, expression string) (*View, error) {
 	id := v.sheet.nextID("derive")
 	if _, err := v.sheet.root.Derive(v.id, id, name, expression); err != nil {

@@ -119,38 +119,6 @@ func TestHVC1FileRejected(t *testing.T) {
 	}
 }
 
-// TestHVCComputedColumns verifies lazily computed columns (the pattern
-// the flights generator uses for padding) materialize correctly through
-// the writer.
-func TestHVCComputedColumns(t *testing.T) {
-	base := sampleTable(t, "padbase", 200)
-	computed := table.NewComputedColumn(table.KindInt, 200, func(i int) table.Value {
-		return table.IntValue(int64(i * 7 % 13))
-	})
-	orig, err := base.WithColumn("pad", "Pad001", computed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pad.hvc")
-	if err := colstore.WriteHVC2(path, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadHVC(path, "pad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema().NumColumns() != orig.Schema().NumColumns() {
-		t.Fatalf("columns = %d", got.Schema().NumColumns())
-	}
-	back := got.MustColumn("Pad001")
-	for i := 0; i < 200; i++ {
-		if computed.Int(i) != back.Int(i) {
-			t.Fatalf("pad value differs at %d", i)
-		}
-	}
-}
-
 // TestHVCAllMissingColumn round-trips a column that is missing in every
 // row (empty dictionary case).
 func TestHVCAllMissingColumn(t *testing.T) {

@@ -10,11 +10,12 @@ import "fmt"
 // panics — sketches select accessors by Kind up front, so a panic here
 // is always a programming error, not a data error.
 //
-// The concrete column types additionally expose their backing storage
-// (IntColumn.Ints, DoubleColumn.Doubles, StringColumn.Codes) together
-// with MissingMask/HasMissing, so that sketch kernels can run typed bulk
-// loops with no per-row interface dispatch. Returned slices and bitsets
-// are the live storage and must not be modified.
+// Every column is one of three stored types, and each exposes its
+// backing storage (IntColumn.Ints, DoubleColumn.Doubles,
+// StringColumn.Codes) together with MissingMask/HasMissing, so that
+// sketch kernels can run typed bulk loops with no per-row interface
+// dispatch. Returned slices and bitsets are the live storage and must
+// not be modified.
 type Column interface {
 	// Kind returns the column's value kind.
 	Kind() Kind
@@ -245,41 +246,3 @@ func (c *StringColumn) Dict() []string { return c.dict }
 
 // DictSize returns the number of distinct non-missing values.
 func (c *StringColumn) DictSize() int { return len(c.dict) }
-
-// ComputedColumn adapts a per-row function into a Column. It backs
-// user-defined map columns (paper §5.6): values are computed on access
-// and never stored, so dropping the table costs nothing and recomputation
-// is the recovery path.
-type ComputedColumn struct {
-	kind Kind
-	n    int
-	fn   func(i int) Value
-}
-
-// NewComputedColumn returns a column of n rows whose value at row i is
-// fn(i). fn must be pure and deterministic (fault-tolerance requires
-// recomputation to yield identical values).
-func NewComputedColumn(kind Kind, n int, fn func(i int) Value) *ComputedColumn {
-	return &ComputedColumn{kind: kind, n: n, fn: fn}
-}
-
-// Kind implements Column.
-func (c *ComputedColumn) Kind() Kind { return c.kind }
-
-// Len implements Column.
-func (c *ComputedColumn) Len() int { return c.n }
-
-// Missing implements Column.
-func (c *ComputedColumn) Missing(i int) bool { return c.fn(i).Missing }
-
-// Int implements Column.
-func (c *ComputedColumn) Int(i int) int64 { return c.fn(i).I }
-
-// Double implements Column.
-func (c *ComputedColumn) Double(i int) float64 { return c.fn(i).Double() }
-
-// Str implements Column.
-func (c *ComputedColumn) Str(i int) string { return c.fn(i).String() }
-
-// Value implements Column.
-func (c *ComputedColumn) Value(i int) Value { return c.fn(i) }

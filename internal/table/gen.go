@@ -39,9 +39,9 @@ type GenInfo struct {
 	MemberRows int64
 }
 
-// GenSchema is the schema of generated tables: one column per kind plus
-// a computed column, so sketches over every accessor path are reachable
-// from one table.
+// GenSchema is the schema of generated tables: one column per kind, so
+// sketches over every kernel are reachable from one table. GenPartitions
+// appends a fifth, "gc", a double column derived from "gi".
 var GenSchema = NewSchema(
 	ColumnDesc{Name: "gi", Kind: KindInt},
 	ColumnDesc{Name: "gd", Kind: KindDouble},
@@ -144,17 +144,13 @@ func GenPartitions(prefix string, seed uint64, rows, parts int) ([]*Table, GenIn
 			NewIntColumn(KindDate, gt, mt),
 		}, FullMembership(n))
 
-		// A computed column over the stored int column exercises the
-		// row-at-a-time fallback path of every kernel. The closure reads
-		// only immutable column storage, so recomputation is exact.
-		icol := t.cols[0]
-		imiss := mi
-		t, _ = t.WithColumn(id, "gc", NewComputedColumn(KindDouble, n, func(i int) Value {
-			if imiss.Get(i) {
-				return MissingValue(KindDouble)
-			}
-			return DoubleValue(float64(icol.(*IntColumn).Ints()[i]%97) * 0.5)
-		}))
+		// "gc" is (gi mod 97) / 2, missing where gi is: a double column
+		// appended to a frozen table, as a derive appends one.
+		gc := make([]float64, n)
+		for i, v := range gi {
+			gc[i] = float64(v%97) * 0.5
+		}
+		t, _ = t.WithColumn(id, "gc", NewDoubleColumn(gc, mi))
 
 		// Membership shape: full, dense filter (bitmap), sparse filter,
 		// or clustered ranges. Row decisions hash (seed, part, row) so

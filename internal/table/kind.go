@@ -4,7 +4,7 @@
 // multi-column sort orders.
 //
 // Tables are immutable once frozen; derived tables (filters, projections,
-// appended computed columns) share column storage with their parents. This
+// appended derived columns) share column storage with their parents. This
 // is the property that lets the engine treat all in-memory state as
 // disposable soft state (paper §5.6–5.7).
 //

@@ -229,8 +229,7 @@ type ConstCompare struct {
 // the column's sorted dictionary (an absent constant falls between two
 // codes). A missing constant sorts below every present value, so >, >=
 // and != select every present row and the rest none. ok is false when
-// the column has no typed slice (a computed column) or the kinds do not
-// compare (string against number).
+// the kinds do not compare (string against number).
 func NewConstCompare(col Column, op CmpOp, c Value) (cc ConstCompare, ok bool) {
 	cc.op = op
 	switch col := col.(type) {

@@ -4,7 +4,7 @@ import "fmt"
 
 // Table is an immutable view over columnar storage: a schema, one Column
 // per schema entry, and a Membership selecting visible rows. Filtering
-// and adding computed columns produce new Tables sharing the same column
+// and adding derived columns produce new Tables sharing the same column
 // storage, which keeps derived tables cheap and disposable (paper §5.6).
 type Table struct {
 	id      string

@@ -121,9 +121,11 @@ func TestFilterSharesStorage(t *testing.T) {
 func TestWithColumn(t *testing.T) {
 	tbl := buildTestTable(t)
 	id := tbl.MustColumn("id")
-	doubled := NewComputedColumn(KindInt, id.Len(), func(i int) Value {
-		return IntValue(id.Int(i) * 2)
-	})
+	vals := make([]int64, id.Len())
+	for i := range vals {
+		vals[i] = id.Int(i) * 2
+	}
+	doubled := NewIntColumn(KindInt, vals, nil)
 	t2, err := tbl.WithColumn("t2", "id2", doubled)
 	if err != nil {
 		t.Fatal(err)

@@ -73,8 +73,8 @@ func ingestSketches(info table.GenInfo) map[string]sketch.Sketch {
 
 // physicalRows materializes each batch's member rows over its physical
 // columns (GenSchema), the rows /api/ingest hands to AppendRows: an
-// ingest dataset stores physical columns only, and computed columns are
-// derived after load, not ingested.
+// ingest dataset stores the generated columns only, and derived columns
+// are derived after load, not ingested.
 func physicalRows(batches []*table.Table) [][]table.Row {
 	cols := make([]int, table.GenSchema.NumColumns())
 	out := make([][]table.Row, len(batches))

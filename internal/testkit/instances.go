@@ -8,7 +8,7 @@ import (
 // Instances builds the sketch set one oracle run drives: at least one
 // instance of every type in sketch.WireSketches() (the coverage test
 // enforces this), over every generated column — stored int, double,
-// string (dictionary), date, and the computed column — with both exact
+// string (dictionary), date, and the derived double gc — with both exact
 // and sampled modes where the sketch has them. Parameters derive from
 // the run seed and the generated value domains, so bucket geometry and
 // sampling rates vary across seeds without ever leaving the data's
@@ -53,8 +53,8 @@ func Instances(seed uint64, info table.GenInfo) []sketch.Sketch {
 		&sketch.FindTextSketch{Col: "gs", Pattern: info.DictValues[0], Kind: sketch.MatchExact, CaseSensitive: true, Order: table.Asc("gt"), From: table.Row{table.Value{Kind: table.KindDate, I: (info.DateLo + info.DateHi) / 2}}},
 		&sketch.QuantileSketch{Order: table.Asc("gd").Then("gs", true), Extra: []string{"gi"}, SampleSize: 48, Seed: seed ^ 5},
 
-		// Heavy hitters: dictionary-coded, typed int64-keyed (int,
-		// double, date), and the Value-keyed computed-column fallback.
+		// Heavy hitters: dictionary-coded and typed int64-keyed (int,
+		// double, date, and the derived double gc).
 		&sketch.MisraGriesSketch{Col: "gs", K: 8},
 		&sketch.MisraGriesSketch{Col: "gi", K: 6},
 		&sketch.MisraGriesSketch{Col: "gd", K: 5},
