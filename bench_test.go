@@ -1049,7 +1049,7 @@ func BenchmarkKernelHistCrossover(b *testing.B) {
 // BenchmarkFig11Case replays the case-study scripts (Figure 11 machine
 // time).
 func BenchmarkFig11Case(b *testing.B) {
-	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 	sheet := spreadsheet.New(root)
 	view, err := sheet.Load(context.Background(), "fl", "flights:rows=50000,parts=4,seed=7")
 	if err != nil {

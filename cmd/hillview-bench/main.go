@@ -136,7 +136,7 @@ func main() {
 		return nil
 	})
 	run("fig11", func() error {
-		root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+		root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 		sheet := spreadsheet.New(root)
 		view, err := sheet.Load(context.Background(), "flights-1x",
 			fmt.Sprintf("flights:rows=%d,parts=8,cols=%d,seed=%d", p.BaseRows, p.Cols, p.Seed))

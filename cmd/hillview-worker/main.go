@@ -43,13 +43,9 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, wait this long for in-flight requests before closing connections")
 	flag.Parse()
 
-	budgetBytes := storage.PoolBudgetFromEnv()
-	if *budget != "" {
-		b, err := storage.ParseByteSize(*budget)
-		if err != nil {
-			log.Fatalf("hillview-worker: %v", err)
-		}
-		budgetBytes = b
+	budgetBytes, err := storage.PoolBudget(*budget)
+	if err != nil {
+		log.Fatalf("hillview-worker: %v", err)
 	}
 	pool := colstore.NewPool(budgetBytes)
 	if *debugAddr != "" {
@@ -59,7 +55,7 @@ func main() {
 
 	flights.Register()
 	cfg := engine.Config{Parallelism: *parallelism, AggregationWindow: *window}
-	w := cluster.NewWorker(storage.NewPooledLoader(cfg, *micro, pool))
+	w := cluster.NewWorker(storage.NewLoader(cfg, *micro, pool))
 	w.SetLogf(log.Printf)
 	addr, err := w.Listen(*listen)
 	if err != nil {

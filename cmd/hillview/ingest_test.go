@@ -37,7 +37,7 @@ func testIngestServer(t *testing.T, segmentRows int) *server {
 		},
 	})
 	t.Cleanup(func() { st.Close() })
-	loader := st.WrapLoader(storage.NewLoader(cfg, 0), cfg)
+	loader := st.WrapLoader(storage.NewLoader(cfg, 0, nil), cfg)
 	root = engine.NewRoot(loader)
 	s := newServer(root, serve.Config{Deadline: -1}, 0)
 	s.attachEnv(nil, nil)
@@ -326,7 +326,7 @@ func TestShutdownSealsOpenSegments(t *testing.T) {
 	st := ingest.NewStore("root", ingest.StoreConfig{FS: fs, SegmentRows: -1})
 	var root *engine.Root
 	_ = root
-	loader := st.WrapLoader(storage.NewLoader(cfg, 0), cfg)
+	loader := st.WrapLoader(storage.NewLoader(cfg, 0, nil), cfg)
 	root = engine.NewRoot(loader)
 	s := newServer(root, serve.Config{Deadline: -1}, 0)
 	s.attachEnv(nil, nil)

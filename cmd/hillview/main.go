@@ -168,16 +168,12 @@ func main() {
 		root   *engine.Root
 	)
 	if *workers == "" {
-		budgetBytes := storage.PoolBudgetFromEnv()
-		if *budget != "" {
-			b, err := storage.ParseByteSize(*budget)
-			if err != nil {
-				log.Fatalf("hillview: %v", err)
-			}
-			budgetBytes = b
+		budgetBytes, err := storage.PoolBudget(*budget)
+		if err != nil {
+			log.Fatalf("hillview: %v", err)
 		}
 		pool = colstore.NewPool(budgetBytes)
-		loader = storage.NewPooledLoader(cfg, *micro, pool)
+		loader = storage.NewLoader(cfg, *micro, pool)
 		log.Printf("hillview: in-process engine (pool budget %d bytes)", budgetBytes)
 		if *ingestDir != "" {
 			// Sealing a partition advances the dataset's engine generation:

@@ -27,7 +27,7 @@ func testServerViews(t *testing.T, maxViews int) *server {
 	t.Helper()
 	flights.Register()
 	pool := colstore.NewPool(0)
-	loader := storage.NewPooledLoader(engine.Config{AggregationWindow: -1}, 0, pool)
+	loader := storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, pool)
 	s := newServer(engine.NewRoot(loader), serve.Config{Deadline: -1}, maxViews)
 	s.attachEnv(pool, nil)
 	return s
@@ -122,7 +122,7 @@ func TestStatusEndpoint(t *testing.T) {
 // binary codec's bandwidth claims.
 func TestStatusEndpointClusterWire(t *testing.T) {
 	flights.Register()
-	w := cluster.NewWorker(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+	w := cluster.NewWorker(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func clusterServer(t *testing.T, n, replication int) *server {
 	cfg := engine.Config{AggregationWindow: -1}
 	addrs := make([]string, n)
 	for i := range addrs {
-		w := cluster.NewWorker(storage.NewLoader(cfg, 0))
+		w := cluster.NewWorker(storage.NewLoader(cfg, 0, nil))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

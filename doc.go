@@ -80,10 +80,10 @@
 // through engine.LeafSource (lazy partitions, acquired once per scan,
 // restricted to the columns a sketch declares via sketch.ColumnUser).
 // HVC2 is the one columnar format and the pool the one raw-data cache,
-// organized by (source, column) as the paper's data cache is: where no
-// pool serves a file, colstore.ReadHVC2File copies its blocks onto the
-// heap, and a file in any other format (HVC1 included) is refused with
-// colstore.ErrNotHVC2.
+// organized by (source, column) as the paper's data cache is: the one
+// loader (storage.NewLoader) serves every .hvc file mapped through a
+// pool, its own unlimited one when given none, and a file in any other
+// format (HVC1 included) is refused with colstore.ErrNotHVC2.
 //
 // Datasets grow while users watch (internal/ingest): writers append
 // row batches into an open segment that seals into an immutable HVC2

@@ -31,7 +31,7 @@ func main() {
 	var addrs []string
 	var workers []*cluster.Worker
 	for i := 0; i < 3; i++ {
-		w := cluster.NewWorker(storage.NewLoader(cfg, 0))
+		w := cluster.NewWorker(storage.NewLoader(cfg, 0, nil))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)

@@ -26,7 +26,7 @@ func main() {
 	flag.Parse()
 	flights.Register()
 
-	root := engine.NewRoot(storage.NewLoader(engine.Config{}, 0))
+	root := engine.NewRoot(storage.NewLoader(engine.Config{}, 0, nil))
 	sheet := spreadsheet.New(root)
 	view, err := sheet.Load(context.Background(), "flights", fmt.Sprintf("flights:rows=%d,parts=16,seed=2026", *rows))
 	if err != nil {

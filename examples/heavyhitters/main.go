@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sheet := spreadsheet.New(engine.NewRoot(storage.NewLoader(engine.Config{}, 50000)))
+	sheet := spreadsheet.New(engine.NewRoot(storage.NewLoader(engine.Config{}, 50000, nil)))
 	view, err := sheet.Load(context.Background(), "log", "file:"+path)
 	if err != nil {
 		log.Fatal(err)

@@ -27,7 +27,7 @@ func main() {
 	}
 
 	// The stack: storage loader → engine root → spreadsheet session.
-	root := engine.NewRoot(storage.NewLoader(engine.Config{}, 0))
+	root := engine.NewRoot(storage.NewLoader(engine.Config{}, 0, nil))
 	sheet := spreadsheet.New(root)
 	view, err := sheet.Load(context.Background(), "data", "file:"+path)
 	if err != nil {

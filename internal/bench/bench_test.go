@@ -187,7 +187,7 @@ func TestRunFig9(t *testing.T) {
 }
 
 func TestRunFig11Smoke(t *testing.T) {
-	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 	sheet := spreadsheet.New(root)
 	view, err := sheet.Load(context.Background(), "fl", "flights:rows=30000,parts=4,seed=7")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -59,6 +60,7 @@ type HVEnv struct {
 	Sheet   *spreadsheet.Sheet
 	Cluster *cluster.Cluster
 	workers []*cluster.Worker
+	pools   []*colstore.Pool // one column pool per worker, as each server has
 	params  Params
 	mu      sync.Mutex
 	views   map[string]*spreadsheet.View
@@ -78,13 +80,15 @@ func StartHVConfig(p Params, cfg engine.Config) (*HVEnv, error) {
 	env := &HVEnv{params: p, views: make(map[string]*spreadsheet.View)}
 	addrs := make([]string, p.Workers)
 	for i := 0; i < p.Workers; i++ {
-		w := cluster.NewWorker(storage.NewLoader(cfg, 0))
+		pool := colstore.NewPool(0)
+		w := cluster.NewWorker(storage.NewLoader(cfg, 0, pool))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			env.Close()
 			return nil, err
 		}
 		env.workers = append(env.workers, w)
+		env.pools = append(env.pools, pool)
 		addrs[i] = addr
 	}
 	c, err := cluster.Connect(addrs, cfg)
@@ -139,13 +143,26 @@ func (e *HVEnv) LoadScale(scale int) (*spreadsheet.View, error) {
 // DropData evicts a scale's data from every worker (cold-start setup);
 // the next access replays the load, which reruns the loader.
 func (e *HVEnv) DropData(scale int) {
-	for _, w := range e.workers {
-		w.DropAll()
-	}
+	e.dropWorkers()
 	e.Sheet.Root().DropAll()
 	e.mu.Lock()
 	e.views = make(map[string]*spreadsheet.View)
 	e.mu.Unlock()
+}
+
+// dropWorkers drops every worker's datasets and evicts its column
+// pool, so the next operation pays for every column it touches. The
+// collection lets the files' weak column references (colstore.
+// WeakColumns) die with their last holder, so no column survives the
+// eviction as the identical object.
+func (e *HVEnv) dropWorkers() {
+	for _, w := range e.workers {
+		w.DropAll()
+	}
+	for _, p := range e.pools {
+		p.EvictAll()
+	}
+	runtime.GC()
 }
 
 // workerSeed reproduces the seed a worker derives from the
@@ -171,9 +188,13 @@ func GenScale(p Params, scale int) []*table.Table {
 }
 
 // WriteColdShards materializes a scale's data as HVC2 files, one
-// directory per worker, and returns the source template
-// "dir:<base>/shard-{worker}" for cold loading (Figure 6).
+// directory per worker under <dir>/<scale>x, and returns the source
+// template "dir:<dir>/<scale>x/shard-{worker}" for cold loading
+// (Figure 6). Each scale has its own files: a loader keeps the files
+// it has mapped, so a path rewritten with other data would be served
+// stale.
 func WriteColdShards(p Params, scale int, dir string) (string, error) {
+	dir = filepath.Join(dir, fmt.Sprintf("%dx", scale))
 	for w := 0; w < p.Workers; w++ {
 		shardDir := filepath.Join(dir, fmt.Sprintf("shard-%d", w))
 		if err := os.MkdirAll(shardDir, 0o755); err != nil {

@@ -27,7 +27,7 @@ func BenchmarkClusterHealth(b *testing.B) {
 			cfg := engine.Config{AggregationWindow: -1}
 			addrs := make([]string, 2)
 			for i := range addrs {
-				w := NewWorker(storage.NewLoader(cfg, 0))
+				w := NewWorker(storage.NewLoader(cfg, 0, nil))
 				addr, err := w.Listen("127.0.0.1:0")
 				if err != nil {
 					b.Fatal(err)

@@ -139,7 +139,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 // TCP.
 func BenchmarkWireSketchTCP(b *testing.B) {
 	b.Run("binary", func(b *testing.B) {
-		w := NewWorker(storage.NewLoader(engine.Config{AggregationWindow: 1}, 0))
+		w := NewWorker(storage.NewLoader(engine.Config{AggregationWindow: 1}, 0, nil))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)

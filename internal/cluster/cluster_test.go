@@ -28,7 +28,7 @@ func startWorkers(t *testing.T, n int) (*Cluster, []*Worker) {
 	addrs := make([]string, n)
 	workers := make([]*Worker, n)
 	for i := 0; i < n; i++ {
-		w := NewWorker(storage.NewLoader(cfg, 0))
+		w := NewWorker(storage.NewLoader(cfg, 0, nil))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -147,7 +147,7 @@ func (c *teeConn) Read(p []byte) (int, error) {
 func TestWorkerSendsCompleteResultOnce(t *testing.T) {
 	// Parallelism 1 folds one partition at a time, so the first window
 	// partial is cut after one of the three partitions.
-	w := NewWorker(storage.NewLoader(engine.Config{Parallelism: 1}, 0))
+	w := NewWorker(storage.NewLoader(engine.Config{Parallelism: 1}, 0, nil))
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ type codecLessSketch struct{ *sketch.HistogramSketch }
 // through a client dialed over tr.
 func startTCPWorker(t *testing.T, tr Transport) (*Client, string) {
 	t.Helper()
-	w := NewWorker(storage.NewLoader(engine.Config{}, 0))
+	w := NewWorker(storage.NewLoader(engine.Config{}, 0, nil))
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +439,7 @@ func checkUndecodableRequestFailsAlone(t *testing.T, tag byte) {
 // TestWireStatsCounting checks the per-connection counters move in both
 // directions and that codec time is accounted.
 func TestWireStatsCounting(t *testing.T) {
-	w := NewWorker(storage.NewLoader(engine.Config{}, 0))
+	w := NewWorker(storage.NewLoader(engine.Config{}, 0, nil))
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -88,8 +88,9 @@
 // does any decode error on the root's side.
 //
 // The registration contract for a new sketch: add the prototype to
-// sketch.wireSketches, register the sketch and its summary type under
-// fresh tags (registration panics on a field the codec cannot encode),
+// sketch.wireSketches under a fresh sketch tag, register its summary
+// type under a fresh result tag (registration panics on a field the
+// codec cannot encode),
 // and add a case to testkit's oracle contract switch and a testkit
 // instance — the codec coverage test (sketch.TestWireCodecCoverage) and
 // the oracle coverage test each fail a sketch that skips its half.

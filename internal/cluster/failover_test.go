@@ -22,7 +22,7 @@ func startWorkersOpts(t *testing.T, n int, tr Transport, opts Options) (*Cluster
 	addrs := make([]string, n)
 	workers := make([]*Worker, n)
 	for i := 0; i < n; i++ {
-		w := NewWorker(storage.NewLoader(cfg, 0))
+		w := NewWorker(storage.NewLoader(cfg, 0, nil))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +85,7 @@ func TestReplicatedClusterMatchesAndSurvivesCut(t *testing.T) {
 	addrs := make([]string, 4)
 	workers := make([]*Worker, 4)
 	for i := range workers {
-		w := NewWorker(storage.NewLoader(cfg, 0))
+		w := NewWorker(storage.NewLoader(cfg, 0, nil))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +225,7 @@ func TestDialRetrySucceedsAfterDelayedListen(t *testing.T) {
 	cfg := engine.Config{AggregationWindow: -1}
 	go func() {
 		time.Sleep(300 * time.Millisecond)
-		w := NewWorker(storage.NewLoader(cfg, 0))
+		w := NewWorker(storage.NewLoader(cfg, 0, nil))
 		if _, err := w.Listen(addr); err != nil {
 			t.Logf("delayed listen: %v", err)
 		}

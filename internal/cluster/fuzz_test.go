@@ -259,7 +259,8 @@ func falseMemberSlotFrame(f *testing.F) []byte {
 
 // oversizedBucketSketches are sketch requests whose bucket geometry
 // would make a worker's Zero panic (a negative count) or exhaust memory
-// (a count, or a grid of cells, past wire.MaxElems).
+// (a count, a grid of cells, or a trellis's cells and plots, past
+// wire.MaxElems).
 func oversizedBucketSketches() []sketch.Sketch {
 	spec := func(n int) sketch.BucketSpec { return sketch.BucketSpec{Kind: table.KindDouble, Max: 1, Count: n} }
 	return []sketch.Sketch{
@@ -271,6 +272,9 @@ func oversizedBucketSketches() []sketch.Sketch {
 		// per axis a scan allocates.
 		&sketch.Histogram2DSketch{XCol: "x", YCol: "y", X: spec(2047), Y: spec(2047)},
 		&sketch.TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(62), X: spec(256), Y: spec(256)},
+		// Under MaxElems by slots, over it by the one plot per group a
+		// trellis builds.
+		&sketch.TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(466031), X: spec(1), Y: spec(1)},
 	}
 }
 

@@ -151,7 +151,7 @@ func TestReadLoopNotWedgedBySlowPartialConsumer(t *testing.T) {
 // invisible to the protocol.
 func TestFaultTransportEndToEnd(t *testing.T) {
 	cfg := engine.Config{AggregationWindow: time.Millisecond}
-	w := NewWorker(storage.NewLoader(cfg, 0))
+	w := NewWorker(storage.NewLoader(cfg, 0, nil))
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

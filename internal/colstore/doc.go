@@ -38,6 +38,7 @@
 // Pool.Acquire takes a loader callback; the storage layer's loader is
 // File.Column, so every pooled column is a mapped HVC2 column. Wiring
 // into the engine happens in package storage (PooledSource implements
-// engine.LeafSource); where no pool exists, ReadHVC2File copies the
-// requested blocks onto the heap instead.
+// engine.LeafSource), and it is the one way a file's columns reach a
+// scan. ReadHVC2Bytes decodes an in-memory image onto the heap (ingest's
+// sealed partitions, the fuzz target).
 package colstore

@@ -64,22 +64,32 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrNotHVC2 reports that a file does not begin with an HVC2 header —
 // a leftover HVC1 file, or not a column file at all. Nothing reads
-// such a file; OpenFile and ReadHVC2File wrap it with the path.
+// such a file; OpenFile wraps it with the path.
 var ErrNotHVC2 = errors.New("colstore: not an HVC2 file")
 
 func pad64(n int64) int64 { return (n + blockAlign - 1) &^ (blockAlign - 1) }
 
-// WriteHVC2 stores the member rows of t at path in the HVC2 layout.
+// WriteHVC2 stores the member rows of t at path in the HVC2 layout. It
+// writes path+".tmp", which no loader lists, and renames it over path,
+// so a process that has the old file mapped keeps reading the old
+// bytes instead of faulting on a truncated mapping.
 func WriteHVC2(path string, t *table.Table) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := WriteHVC2To(f, t); err != nil {
-		return err
+	err = WriteHVC2To(f, t)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // colPlan is the precomputed geometry of one column block. String
@@ -571,9 +581,10 @@ func validateCodes(codes []int32, dictCount int32, missing *table.Bitset, name s
 }
 
 // ReadHVC2Bytes decodes an in-memory HVC2 image, validating every
-// requested column's CRC. cols nil selects every column. It backs both
-// the eager (heap) load path of the storage layer and the fuzz target;
-// malformed input of any shape must produce an error, never a panic.
+// requested column's CRC. cols nil selects every column. It backs
+// ingest's sealed partitions, the heap reference the pooled path is
+// tested against, and the fuzz target; malformed input of any shape
+// must produce an error, never a panic.
 func ReadHVC2Bytes(data []byte, id string, cols []string) (*table.Table, error) {
 	h, err := parseV2(data)
 	if err != nil {
@@ -597,56 +608,6 @@ func ReadHVC2Bytes(data []byte, id string, cols []string) (*table.Table, error) 
 		outDesc[k] = h.schema.Columns[ci]
 	}
 	return table.New(id, table.NewSchema(outDesc...), outCols, table.FullMembership(h.rows)), nil
-}
-
-// ReadHVC2File eagerly loads the requested columns (nil = all) of an
-// HVC2 file onto the heap. The file is mapped only transiently: just
-// the requested blocks are paged in (directory-guided, CRC-validated)
-// and deep-copied, so reading one column of a wide file costs one
-// block, not the whole file — the columnar access property the format
-// exists for.
-func ReadHVC2File(path, id string, cols []string) (*table.Table, error) {
-	f, err := OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	want, err := f.hdr.resolveColumns(cols)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	outCols := make([]table.Column, len(want))
-	outDesc := make([]table.ColumnDesc, len(want))
-	for k, ci := range want {
-		col, _, _, err := f.Column(ci)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		heap, err := heapColumn(col)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: %s column %q: %w", path, f.hdr.schema.Columns[ci].Name, err)
-		}
-		outCols[k] = heap
-		outDesc[k] = f.hdr.schema.Columns[ci]
-	}
-	return table.New(id, table.NewSchema(outDesc...), outCols, table.FullMembership(f.hdr.rows)), nil
-}
-
-// heapColumn deep-copies a (possibly mapped) column so it outlives the
-// mapping it was materialized from.
-func heapColumn(col table.Column) (table.Column, error) {
-	switch c := col.(type) {
-	case *table.IntColumn:
-		return table.NewIntColumn(c.Kind(), append([]int64(nil), c.Ints()...), c.MissingMask().Clone()), nil
-	case *table.DoubleColumn:
-		return table.NewDoubleColumn(append([]float64(nil), c.Doubles()...), c.MissingMask().Clone()), nil
-	case *table.StringColumn:
-		// The dictionary strings are heap-decoded already; only codes
-		// and the mask alias the mapping.
-		return table.NewDictColumn(c.Dict(), append([]int32(nil), c.Codes()...), c.MissingMask().Clone())
-	default:
-		return col, nil
-	}
 }
 
 // File is an open HVC2 file served by memory mapping. Columns

@@ -352,9 +352,6 @@ func TestHVC2NotV2(t *testing.T) {
 	if _, err := OpenFile(path); !errors.Is(err, ErrNotHVC2) || !strings.Contains(err.Error(), path) {
 		t.Fatalf("OpenFile of a v1 file: %v, want ErrNotHVC2 naming %s", err, path)
 	}
-	if _, err := ReadHVC2File(path, "v1", nil); !errors.Is(err, ErrNotHVC2) {
-		t.Fatalf("ReadHVC2File of a v1 file: %v, want ErrNotHVC2", err)
-	}
 	if _, err := ReadHVC2Bytes([]byte("HVC1xxxxxxxxxxxxxxxx"), "v1", nil); !errors.Is(err, ErrNotHVC2) {
 		t.Fatalf("ReadHVC2Bytes of v1 magic: %v, want ErrNotHVC2", err)
 	}

@@ -97,27 +97,32 @@ func TestGenPartitions(t *testing.T) {
 
 func TestFlightsSourceScheme(t *testing.T) {
 	Register()
-	parts, err := storage.LoadSource("flights:rows=5000,parts=2,cols=25,seed=9", "fs", 0)
+	cfg := engine.Config{AggregationWindow: -1}
+	ds, err := storage.NewLoader(cfg, 0, nil)("fs", "flights:rows=5000,parts=2,cols=25,seed=9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 2 {
-		t.Fatalf("parts = %d", len(parts))
+	if ds.NumLeaves() != 2 {
+		t.Fatalf("parts = %d", ds.NumLeaves())
 	}
-	if parts[0].Schema().NumColumns() != 25 {
-		t.Errorf("cols = %d", parts[0].Schema().NumColumns())
+	meta, err := ds.Sketch(context.Background(), &sketch.MetaSketch{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := meta.(*sketch.TableMeta).Schema.NumColumns(); n != 25 {
+		t.Errorf("cols = %d", n)
 	}
 	// Default parts from microRows.
-	parts, err = storage.LoadSource("flights:rows=1000,seed=1", "fs2", 300)
+	ds, err = storage.NewLoader(cfg, 300, nil)("fs2", "flights:rows=1000,seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 4 {
-		t.Errorf("auto parts = %d, want 4", len(parts))
+	if ds.NumLeaves() != 4 {
+		t.Errorf("auto parts = %d, want 4", ds.NumLeaves())
 	}
 	// Bad specs.
 	for _, bad := range []string{"flights:bogus", "flights:rows=x", "flights:zz=1"} {
-		if _, err := storage.LoadSource(bad, "x", 0); err == nil {
+		if _, err := storage.NewLoader(cfg, 0, nil)("x", bad); err == nil {
 			t.Errorf("source %q should fail", bad)
 		}
 	}
@@ -128,7 +133,7 @@ func TestFlightsSourceScheme(t *testing.T) {
 // simulated restart.
 func TestEndToEndFlightsQuery(t *testing.T) {
 	Register()
-	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 	if _, err := root.Load("fl", "flights:rows=20000,parts=4,seed=5"); err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ var registerFlights sync.Once
 func benchRoot(b *testing.B) *engine.Root {
 	b.Helper()
 	registerFlights.Do(flights.Register)
-	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 	if _, err := root.Load("fl", "flights:rows=50000,parts=4,seed=7"); err != nil {
 		b.Fatal(err)
 	}

@@ -45,8 +45,9 @@ import (
 // are pooled and reused), and applies checkDecoded.
 //
 // Registering a type: pick a tag from the tables below that no type has
-// used (a retired tag stays retired), and add one RegisterSketch or
-// RegisterResult call naming the tag and a prototype. Registration
+// used (a retired tag stays retired). A shipped sketch is one
+// wireSketches entry (wire.go) naming the tag and a prototype; a result
+// is one RegisterResult call. Registration
 // panics on a field the codec does not encode, an unexported one
 // included. TestWireCodecCoverage fails any sketch in WireSketches()
 // whose sketch type or result type has no tag.
@@ -102,20 +103,9 @@ const (
 )
 
 func init() {
-	RegisterSketch(tagHistogramSketch, &HistogramSketch{})
-	RegisterSketch(tagHistogram2DSketch, &Histogram2DSketch{})
-	RegisterSketch(tagTrellisSketch, &TrellisSketch{})
-	RegisterSketch(tagNextKSketch, &NextKSketch{})
-	RegisterSketch(tagFindTextSketch, &FindTextSketch{})
-	RegisterSketch(tagQuantileSketch, &QuantileSketch{})
-	RegisterSketch(tagMisraGriesSketch, &MisraGriesSketch{})
-	RegisterSketch(tagSampleHHSketch, &SampleHeavyHittersSketch{})
-	RegisterSketch(tagRangeSketch, &RangeSketch{})
-	RegisterSketch(tagMomentsSketch, &MomentsSketch{})
-	RegisterSketch(tagDistinctCountSketch, &DistinctCountSketch{})
-	RegisterSketch(tagDistinctBottomKSketch, &DistinctBottomKSketch{})
-	RegisterSketch(tagMetaSketch, &MetaSketch{})
-	RegisterSketch(tagMultiSketch, &MultiSketch{})
+	for _, w := range wireSketches {
+		RegisterSketch(w.tag, w.proto)
+	}
 
 	RegisterResult(tagHistogram, &Histogram{})
 	RegisterResult(tagHistogram2D, &Histogram2D{})
@@ -509,7 +499,7 @@ func checkDecoded(p any) error {
 	case *Histogram2DSketch:
 		return checkCells(s.X, s.Y)
 	case *TrellisSketch:
-		return checkCells(s.Group, s.X, s.Y)
+		return checkTrellis(s)
 	case *NextKSketch:
 		return wireCursor(s.Order, s.From)
 	case *FindTextSketch:
@@ -520,8 +510,8 @@ func checkDecoded(p any) error {
 
 // checkCells rejects decoded bucket geometry whose slot matrix — the
 // product of Count+2 over the axes, group axis included, which is what
-// gridScan allocates and bounds what Zero does — exceeds wire.MaxElems
-// cells.
+// gridScan allocates and bounds what a heat map's Zero does — exceeds
+// wire.MaxElems cells.
 func checkCells(axes ...BucketSpec) error {
 	cells := 1
 	for _, a := range axes {
@@ -529,6 +519,28 @@ func checkCells(axes ...BucketSpec) error {
 		if cells > wire.MaxElems {
 			return wire.Corruptf("bucket grid of more than %d cells", wire.MaxElems)
 		}
+	}
+	return nil
+}
+
+// plotWords is the size in 8-byte words of one trellis plot's
+// Histogram2D struct plus its pointer in Trellis.Plots.
+var plotWords = int(reflect.TypeFor[Histogram2D]().Size()/8) + 1
+
+// checkTrellis rejects a trellis whose scan allocation exceeds
+// wire.MaxElems words: the slot matrix checkCells bounds, plus the one
+// Histogram2D per group that Zero, Summarize and Merge build (its
+// struct, Counts and YOther).
+func checkTrellis(s *TrellisSketch) error {
+	if err := checkCells(s.Group, s.X, s.Y); err != nil {
+		return err
+	}
+	// Each product is below the slot matrix, or MaxElems·plotWords: no
+	// overflow.
+	g, x := s.Group.Count, s.X.Count
+	words := (g+2)*(x+2)*(s.Y.Count+2) + g*x*s.Y.Count + g*x + g*plotWords
+	if words > wire.MaxElems {
+		return wire.Corruptf("trellis of %d groups allocates more than %d words", g, wire.MaxElems)
 	}
 	return nil
 }

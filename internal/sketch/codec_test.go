@@ -314,23 +314,47 @@ func TestStringBucketCountMatchesBounds(t *testing.T) {
 // TestCellBoundCountsScanSlots: a 2-D scan allocates Count+2 slots per
 // axis and the trellis one block per group slot, so the decode bound is
 // on that product. Each rejected geometry is under wire.MaxElems by
-// bucket counts alone; the accepted one fills the bound exactly.
+// bucket counts alone. The accepted heat map fills the bound exactly;
+// the accepted trellis is the largest square plot at two groups once
+// its plots are counted too (TestTrellisPlotsCountInBound).
 func TestCellBoundCountsScanSlots(t *testing.T) {
 	spec := func(n int) BucketSpec { return BucketSpec{Kind: table.KindDouble, Max: 1, Count: n} }
 	for _, sk := range []Sketch{
 		&Histogram2DSketch{XCol: "x", YCol: "y", X: spec(2047), Y: spec(2047)},
 		&TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(62), X: spec(256), Y: spec(256)},
 		&TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(0), X: spec(1447), Y: spec(1447)},
+		&TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(2), X: spec(835), Y: spec(835)},
 	} {
 		b, _ := AppendSketchWire(nil, sk)
 		if _, _, err := DecodeSketchWire(b); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: decode err = %v, want wire.ErrCorrupt", sk.Name(), err)
 		}
 	}
-	fits := &TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(2), X: spec(1022), Y: spec(1022)}
-	b, _ := AppendSketchWire(nil, fits)
-	if _, _, err := DecodeSketchWire(b); err != nil {
-		t.Errorf("%s: decode err = %v", fits.Name(), err)
+	for _, fits := range []Sketch{
+		&Histogram2DSketch{XCol: "x", YCol: "y", X: spec(2046), Y: spec(2046)},
+		&TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(2), X: spec(834), Y: spec(834)},
+	} {
+		b, _ := AppendSketchWire(nil, fits)
+		if _, _, err := DecodeSketchWire(b); err != nil {
+			t.Errorf("%s: decode err = %v", fits.Name(), err)
+		}
+	}
+}
+
+// TestTrellisPlotsCountInBound: a trellis builds one Histogram2D per
+// group besides its slot matrix, so many groups of tiny plots must not
+// pass the bound on slots alone. 466,031 groups of 1×1 plots fill
+// 466,033·3·3 ≤ wire.MaxElems slots, but their plots would cost a
+// worker ≈135 MB per partition.
+func TestTrellisPlotsCountInBound(t *testing.T) {
+	spec := func(n int) BucketSpec { return BucketSpec{Kind: table.KindDouble, Max: 1, Count: n} }
+	sk := &TrellisSketch{GroupCol: "g", XCol: "x", YCol: "y", Group: spec(466031), X: spec(1), Y: spec(1)}
+	if err := checkCells(sk.Group, sk.X, sk.Y); err != nil {
+		t.Fatalf("the slot matrix alone should fit: %v", err)
+	}
+	b, _ := AppendSketchWire(nil, sk)
+	if _, _, err := DecodeSketchWire(b); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("%s: decode err = %v, want wire.ErrCorrupt", sk.Name(), err)
 	}
 }
 

@@ -22,7 +22,7 @@ func init() { flights.Register() }
 
 func testSheet(t *testing.T, rows int) (*Sheet, *View) {
 	t.Helper()
-	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 	s := New(root)
 	v, err := s.Load(context.Background(), "fl", "flights:rows="+itoa(rows)+",parts=4,seed=11")
 	if err != nil {
@@ -268,7 +268,7 @@ func TestHistogramTwoPhase(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
-			root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+			root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 			rec := &recordingRunner{root: root}
 			v, err := NewWithRunner(root, rec).Load(ctx, "fl", "flights:rows="+itoa(tc.rows)+",parts=4,seed=11")
 			if err != nil {
@@ -400,7 +400,7 @@ func TestHistogramExactOption(t *testing.T) {
 // and a repeat finds every one of them in the cache.
 func TestChartPreparesAxesTogether(t *testing.T) {
 	ctx := context.Background()
-	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0))
+	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
 	rec := &recordingRunner{root: root}
 	v, err := NewWithRunner(root, rec).Load(ctx, "fl", "flights:rows=20000,parts=4,seed=11")
 	if err != nil {
@@ -590,7 +590,7 @@ func TestSaveCSVOverTCPCluster(t *testing.T) {
 	cfg := engine.Config{AggregationWindow: -1}
 	addrs := make([]string, 2)
 	for i := range addrs {
-		w := cluster.NewWorker(storage.NewLoader(cfg, 0))
+		w := cluster.NewWorker(storage.NewLoader(cfg, 0, nil))
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -658,7 +658,7 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := v.Zoom(context.Background(), "Carrier", 0, 1); err == nil {
 		t.Error("zoom on string column should fail")
 	}
-	s := New(engine.NewRoot(storage.NewLoader(engine.Config{}, 0)))
+	s := New(engine.NewRoot(storage.NewLoader(engine.Config{}, 0, nil)))
 	if _, err := s.Load(context.Background(), "x", "nosuch:source"); err == nil {
 		t.Error("bad source should fail")
 	}

@@ -103,7 +103,7 @@ func FuzzHVC(f *testing.F) {
 
 // TestHVCZeroColumnRoundTrip pins writer/reader symmetry for the
 // degenerate zero-column table: HVC2 accepts it, as bytes and as a
-// file through ReadHVC.
+// file through the mapped read path.
 func TestHVCZeroColumnRoundTrip(t *testing.T) {
 	empty := table.NewBuilder(table.NewSchema(), 0).Freeze("empty")
 	got, err := colstore.ReadHVC2Bytes(hvc2Bytes(t, empty), "empty", nil)
@@ -117,7 +117,7 @@ func TestHVCZeroColumnRoundTrip(t *testing.T) {
 	if err := colstore.WriteHVC2(path, empty); err != nil {
 		t.Fatal(err)
 	}
-	got, err = ReadHVC(path, "empty")
+	got, err = readHVC(t, path, "empty")
 	if err != nil {
 		t.Fatalf("zero-column file: %v", err)
 	}

@@ -31,7 +31,7 @@ func TestHVCTruncatedFile(t *testing.T) {
 		if err := os.WriteFile(bad, blob[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadHVC(bad, "bad"); err == nil {
+		if _, err := readHVC(t, bad, "bad"); err == nil {
 			t.Errorf("truncation at %d bytes not detected", cut)
 		}
 	}
@@ -39,7 +39,7 @@ func TestHVCTruncatedFile(t *testing.T) {
 
 // TestHVCFooterDetectsCorruption verifies a flipped byte inside the last
 // column block — just before its CRC32-C trailer — is refused by the
-// eager read path rather than decoded as silently wrong data.
+// read path rather than decoded as silently wrong data.
 func TestHVCFooterDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	orig := sampleTable(t, "crc", 400)
@@ -51,7 +51,7 @@ func TestHVCFooterDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadHVC(path, "clean"); err != nil {
+	if _, err := readHVC(t, path, "clean"); err != nil {
 		t.Fatalf("clean file: %v", err)
 	}
 	bad := append([]byte(nil), blob...)
@@ -60,7 +60,7 @@ func TestHVCFooterDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadHVC(badPath, "bad"); err == nil {
+	if _, err := readHVC(t, badPath, "bad"); err == nil {
 		t.Error("corrupted block decoded without error despite its CRC")
 	}
 }
@@ -71,9 +71,8 @@ func TestHVCFooterDetectsCorruption(t *testing.T) {
 const legacyV1 = "testdata/legacy-v1.hvc"
 
 // TestHVC1FileRejected: a leftover HVC1 file is a typed error naming
-// the file on every load path — pooled or eager, one file or a
-// directory, all-HVC or mixed with CSV — never a panic and never a
-// silent fallback.
+// the file on every source form — one file or a directory, all-HVC or
+// mixed with CSV — never a panic and never a silent fallback.
 func TestHVC1FileRejected(t *testing.T) {
 	blob, err := os.ReadFile(legacyV1)
 	if err != nil {
@@ -95,26 +94,20 @@ func TestHVC1FileRejected(t *testing.T) {
 	if err := os.WriteFile(mixedPath, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := engine.Config{AggregationWindow: -1}
-	loaders := map[string]engine.Loader{
-		"pooled": NewPooledLoader(cfg, 0, colstore.NewPool(0)),
-		"eager":  NewLoader(cfg, 0),
-	}
-	for name, load := range loaders {
-		for _, tc := range []struct{ source, names string }{
-			{"file:" + path, path},
-			{"dir:" + hvcDir, path},
-			{path, path},
-			{"dir:" + mixedDir, mixedPath},
-		} {
-			_, err := load("ds", tc.source)
-			if !errors.Is(err, colstore.ErrNotHVC2) {
-				t.Errorf("%s loader, %s: err = %v, want ErrNotHVC2", name, tc.source, err)
-				continue
-			}
-			if !strings.Contains(err.Error(), tc.names) {
-				t.Errorf("%s loader, %s: error %q does not name %s", name, tc.source, err, tc.names)
-			}
+	load := NewLoader(engine.Config{AggregationWindow: -1}, 0, nil)
+	for _, tc := range []struct{ source, names string }{
+		{"file:" + path, path},
+		{"dir:" + hvcDir, path},
+		{path, path},
+		{"dir:" + mixedDir, mixedPath},
+	} {
+		_, err := load("ds", tc.source)
+		if !errors.Is(err, colstore.ErrNotHVC2) {
+			t.Errorf("%s: err = %v, want ErrNotHVC2", tc.source, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: error %q does not name %s", tc.source, err, tc.names)
 		}
 	}
 }
@@ -136,7 +129,7 @@ func TestHVCAllMissingColumn(t *testing.T) {
 	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadHVC(path, "allmiss")
+	got, err := readHVC(t, path, "allmiss")
 	if err != nil {
 		t.Fatal(err)
 	}

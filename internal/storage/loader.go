@@ -18,25 +18,34 @@ import (
 // is tuned for a single machine and is configurable everywhere.
 const DefaultMicroRows = 250000
 
-// SplitRows cuts a freshly loaded (full-membership) table into
-// micropartitions of at most microRows rows, sharing column storage.
-// Partition IDs derive from the table ID and are stable across reloads.
-func SplitRows(t *table.Table, microRows int) []*table.Table {
+// splitRows is the one micropartition rule, shared by SplitRows and
+// PooledSource: rows are cut in order into ranges of at most microRows
+// rows. A source that fits in one range keeps its ID; otherwise range
+// k is named id#k, so partition IDs are stable across reloads.
+func splitRows(id string, rows, microRows int, leaf func(id string, lo, hi int)) {
 	if microRows <= 0 {
 		microRows = DefaultMicroRows
 	}
-	n := t.NumRows()
-	if n <= microRows {
-		return []*table.Table{t}
+	if rows <= microRows {
+		leaf(id, 0, rows)
+		return
 	}
+	for k, lo := 0, 0; lo < rows; k, lo = k+1, lo+microRows {
+		leaf(fmt.Sprintf("%s#%d", id, k), lo, min(lo+microRows, rows))
+	}
+}
+
+// SplitRows cuts a freshly loaded (full-membership) table into
+// micropartitions of at most microRows rows, sharing column storage.
+func SplitRows(t *table.Table, microRows int) []*table.Table {
 	var parts []*table.Table
-	for lo := 0; lo < n; lo += microRows {
-		hi := lo + microRows
-		if hi > n {
-			hi = n
+	splitRows(t.ID(), t.NumRows(), microRows, func(id string, lo, hi int) {
+		if lo == 0 && hi == t.NumRows() {
+			parts = append(parts, t)
+			return
 		}
-		parts = append(parts, table.SliceRows(t, fmt.Sprintf("%s#%d", t.ID(), len(parts)), lo, hi))
-	}
+		parts = append(parts, table.SliceRows(t, id, lo, hi))
+	})
 	return parts
 }
 
@@ -58,130 +67,132 @@ func RegisterScheme(name string, loader SchemeLoader) {
 	schemes[name] = loader
 }
 
-// LoadFile reads a single data file, dispatching on extension
-// (.csv, .jsonl, .hvc).
+// LoadFile reads a row-format data file (.csv, .jsonl, .json) onto the
+// heap. An .hvc file is never copied: the loader serves it mapped,
+// through the column pool.
 func LoadFile(path, id string) (*table.Table, error) {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".csv":
 		return ReadCSV(path, id, nil)
 	case ".jsonl", ".json":
 		return ReadJSONL(path, id, nil)
-	case ".hvc":
-		return ReadHVC(path, id)
 	default:
 		return nil, fmt.Errorf("storage: unknown file format %q", path)
 	}
 }
 
-// ReadHVC loads a whole HVC2 file onto the heap as a table with the
-// given ID: the eager path for .hvc files no pool serves, and the heap
-// reference the pooled path is tested against. Any other content — a
-// leftover HVC1 file included — fails with an error that wraps
-// colstore.ErrNotHVC2 and names the path.
-func ReadHVC(path, id string) (*table.Table, error) {
-	return colstore.ReadHVC2File(path, id, nil)
+// NewLoader builds the engine.Loader that resolves source specs into
+// micropartitioned leaf sources (PooledSource):
+//
+//	file:<path>      one data file
+//	dir:<path>       every data file in the directory, by name
+//	<scheme>:<rest>  a registered custom scheme
+//	<path>           bare paths behave like file: or dir: by stat
+//
+// Every .hvc file is served mapped through pool, the paper's data
+// cache organized by (source, column): columns materialize on first
+// touch and stay resident only while the budget allows. CSV and JSON
+// lines files and registered schemes become resident partitions of the
+// same source. A nil pool means a private unlimited one. Mapped file
+// handles are shared across the loader's loads, so redo-log replays of
+// one source reuse one mapping.
+func NewLoader(cfg engine.Config, microRows int, pool *colstore.Pool) engine.Loader {
+	if pool == nil {
+		pool = colstore.NewPool(0)
+	}
+	handles := &fileCache{}
+	return func(id, source string) (engine.IDataSet, error) {
+		src, err := openSource(pool, handles, source, id, microRows)
+		if err != nil {
+			return nil, err
+		}
+		return engine.NewLocalSource(id, src, cfg), nil
+	}
 }
 
-// LoadSource resolves a source spec into micropartitions:
-//
-//	file:<path>   one data file, split into micropartitions
-//	dir:<path>    every data file in the directory, each split
-//	<scheme>:<rest>  a registered custom scheme
-//	<path>        bare paths behave like file: or dir: by stat
-func LoadSource(source, id string, microRows int) ([]*table.Table, error) {
-	if scheme, rest, ok := strings.Cut(source, ":"); ok {
-		switch scheme {
-		case "file":
-			return loadFileParts(rest, id, microRows)
-		case "dir":
-			return loadDirParts(rest, id, microRows)
-		default:
-			schemesMu.RLock()
-			loader := schemes[scheme]
-			schemesMu.RUnlock()
-			if loader != nil {
-				return loader(rest, id, microRows)
-			}
-			return nil, fmt.Errorf("storage: unknown source scheme %q", scheme)
+// openSource resolves source (see NewLoader) into one leaf source.
+func openSource(pool *colstore.Pool, cache *fileCache, source, id string, microRows int) (*PooledSource, error) {
+	form, path, ok := strings.Cut(source, ":")
+	if !ok {
+		info, err := os.Stat(source)
+		if err != nil {
+			return nil, err
+		}
+		form, path = "file", source
+		if info.IsDir() {
+			form = "dir"
 		}
 	}
-	info, err := os.Stat(source)
-	if err != nil {
-		return nil, err
+	s := &PooledSource{pool: pool}
+	var specs []PooledFileSpec
+	switch form {
+	case "file":
+		specs = []PooledFileSpec{{Path: path, ID: id}}
+	case "dir":
+		var err error
+		if specs, err = dirFiles(path, id); err != nil {
+			return nil, err
+		}
+	default:
+		schemesMu.RLock()
+		loader := schemes[form]
+		schemesMu.RUnlock()
+		if loader == nil {
+			return nil, fmt.Errorf("storage: unknown source scheme %q", form)
+		}
+		parts, err := loader(path, id, microRows)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range parts {
+			s.addResident(p)
+		}
+		return s, nil
 	}
-	if info.IsDir() {
-		return loadDirParts(source, id, microRows)
+	for _, spec := range specs {
+		var err error
+		if strings.ToLower(filepath.Ext(spec.Path)) == ".hvc" {
+			err = s.addFile(spec, microRows, cache)
+		} else {
+			var t *table.Table
+			if t, err = LoadFile(spec.Path, spec.ID); err == nil {
+				for _, p := range SplitRows(t, microRows) {
+					s.addResident(p)
+				}
+			}
+		}
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
-	return loadFileParts(source, id, microRows)
+	return s, nil
 }
 
-func loadFileParts(path, id string, microRows int) ([]*table.Table, error) {
-	t, err := LoadFile(path, id)
-	if err != nil {
-		return nil, err
-	}
-	return SplitRows(t, microRows), nil
-}
-
-func loadDirParts(dir, id string, microRows int) ([]*table.Table, error) {
+// dirFiles lists the data files of a directory in name order, each
+// under the ID id/<name>.
+func dirFiles(dir, id string) ([]PooledFileSpec, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []string
+	var names []string
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		switch strings.ToLower(filepath.Ext(e.Name())) {
 		case ".csv", ".jsonl", ".json", ".hvc":
-			files = append(files, e.Name())
+			names = append(names, e.Name())
 		}
 	}
-	if len(files) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("storage: no data files in %q", dir)
 	}
-	sort.Strings(files)
-	var parts []*table.Table
-	for _, name := range files {
-		t, err := LoadFile(filepath.Join(dir, name), id+"/"+name)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, SplitRows(t, microRows)...)
+	sort.Strings(names)
+	specs := make([]PooledFileSpec, len(names))
+	for i, name := range names {
+		specs[i] = PooledFileSpec{Path: filepath.Join(dir, name), ID: id + "/" + name}
 	}
-	return parts, nil
-}
-
-// NewLoader adapts LoadSource into an engine.Loader with the given
-// engine configuration and micropartition size. Every source loads
-// eagerly onto the heap.
-func NewLoader(cfg engine.Config, microRows int) engine.Loader {
-	return NewPooledLoader(cfg, microRows, nil)
-}
-
-// NewPooledLoader builds an engine.Loader that serves all-HVC sources
-// through pool as lazy, budgeted leaf sources (PooledSource), sharing
-// mapped file handles across loads so redo-log replays of one source
-// reuse one mapping. Every other source — CSV, JSONL, registered
-// schemes, mixed directories — loads eagerly, as does everything when
-// pool is nil.
-func NewPooledLoader(cfg engine.Config, microRows int, pool *colstore.Pool) engine.Loader {
-	handles := &fileCache{}
-	return func(id, source string) (engine.IDataSet, error) {
-		if pool != nil {
-			if specs, ok := hvcSourceSpecs(source, id); ok {
-				src, err := newPooledSource(pool, specs, microRows, handles)
-				if err != nil {
-					return nil, err
-				}
-				return engine.NewLocalSource(id, src, cfg), nil
-			}
-		}
-		parts, err := LoadSource(source, id, microRows)
-		if err != nil {
-			return nil, err
-		}
-		return engine.NewLocal(id, parts, cfg), nil
-	}
+	return specs, nil
 }

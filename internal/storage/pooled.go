@@ -5,8 +5,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,13 +15,13 @@ import (
 )
 
 // This file wires the column store's budgeted buffer pool into the
-// engine: PooledSource serves the micropartitions of a set of HVC2
-// files as an engine.LeafSource, so column data is materialized only
-// while a scan task reads it (zero-copy from the mapping) and evicted
-// under the pool budget between touches. Partition IDs and split
-// geometry mirror the eager loader exactly (LoadSource + SplitRows),
-// which makes the pooled and heap-loaded paths bit-identical — the
-// property the testkit differential harness asserts.
+// engine: PooledSource serves the micropartitions of a source as an
+// engine.LeafSource, so the column data of its HVC2 files is
+// materialized only while a scan task reads it (zero-copy from the
+// mapping) and evicted under the pool budget between touches. Files
+// split by SplitRows' rule, so a file's partitions carry the IDs and
+// rows its heap image would split into — the property the testkit
+// differential harness asserts bit-for-bit.
 
 // PoolBudgetEnv is the environment variable the default pool budget
 // comes from; CI sets it small to force eviction churn.
@@ -42,6 +40,15 @@ func PoolBudgetFromEnv() int64 {
 		return 0
 	}
 	return v
+}
+
+// PoolBudget resolves a binary's column pool budget: the -pool-budget
+// flag value when it is set, else PoolBudgetFromEnv.
+func PoolBudget(flagValue string) (int64, error) {
+	if flagValue == "" {
+		return PoolBudgetFromEnv(), nil
+	}
+	return ParseByteSize(flagValue)
 }
 
 // ParseByteSize parses "4096", "64K", "256M"/"256Mi"/"256MiB", "2G"
@@ -90,8 +97,10 @@ type PooledFileSpec struct {
 // reloading a source — in particular redo-log replay after soft-state
 // loss, which re-invokes the loader with the same spec — reuses the
 // existing mapping instead of accruing a new one per load. Handles
-// live as long as the loader (sources are immutable snapshots, so a
-// cached mapping never goes stale).
+// live as long as the loader: sources are immutable snapshots, so a
+// path rewritten while the loader lives is still served from the file
+// it first mapped (WriteHVC2 replaces by rename, which keeps that
+// mapping readable); a fresh loader reads the new file.
 type fileCache struct {
 	mu    sync.Mutex
 	files map[string]*colstore.File
@@ -122,17 +131,19 @@ type pooledFile struct {
 	owned bool
 }
 
-// pooledLeaf is one micropartition: a row range of a backing file.
+// pooledLeaf is one micropartition: a row range (its LeafMeta) of a
+// mapped file, or a resident partition (CSV, JSON lines, a registered
+// scheme).
 type pooledLeaf struct {
-	file   int
-	id     string
-	lo, hi int
+	file     *pooledFile
+	resident *table.Table
 }
 
-// PooledSource implements engine.LeafSource over HVC2 files through a
-// colstore.Pool. All column data is soft state: acquired lazily,
-// pinned per scan task, evicted under the pool budget, and reloaded
-// bit-identically from the immutable files.
+// PooledSource implements engine.LeafSource over the micropartitions
+// of one source. The partitions of HVC2 files are soft state: their
+// columns are acquired lazily through a colstore.Pool, pinned per scan
+// task, evicted under the pool budget, and reloaded bit-identically
+// from the immutable files. Resident partitions are served as they are.
 type PooledSource struct {
 	pool   *colstore.Pool
 	files  []*pooledFile
@@ -144,57 +155,50 @@ type PooledSource struct {
 }
 
 // NewPooledSource opens the given HVC2 files and plans micropartitions
-// of at most microRows rows, mirroring SplitRows. A file in any other
+// of at most microRows rows by SplitRows' rule. A file in any other
 // format fails with an error wrapping colstore.ErrNotHVC2. The source
-// owns its mapped handles; Close them when done. Loaders built by
-// NewPooledLoader share handles across loads through a fileCache
-// instead (see newPooledSource).
+// owns its mapped handles; Close them when done. A NewLoader loader
+// shares handles across its loads instead.
 func NewPooledSource(pool *colstore.Pool, specs []PooledFileSpec, microRows int) (*PooledSource, error) {
-	return newPooledSource(pool, specs, microRows, nil)
-}
-
-func newPooledSource(pool *colstore.Pool, specs []PooledFileSpec, microRows int, cache *fileCache) (*PooledSource, error) {
-	if microRows <= 0 {
-		microRows = DefaultMicroRows
-	}
-	open := func(path string) (*colstore.File, bool, error) {
-		if cache != nil {
-			f, err := cache.open(path)
-			return f, false, err
-		}
-		f, err := colstore.OpenFile(path)
-		return f, true, err
-	}
 	s := &PooledSource{pool: pool}
 	for _, spec := range specs {
-		f, owned, err := open(spec.Path)
-		if err != nil {
+		if err := s.addFile(spec, microRows, nil); err != nil {
 			s.Close()
 			return nil, err
 		}
-		fi := len(s.files)
-		s.files = append(s.files, &pooledFile{File: f, owned: owned})
-		rows := f.Rows()
-		if rows <= microRows {
-			s.leaves = append(s.leaves, pooledLeaf{file: fi, id: spec.ID, lo: 0, hi: rows})
-			continue
-		}
-		k := 0
-		for lo := 0; lo < rows; lo += microRows {
-			hi := lo + microRows
-			if hi > rows {
-				hi = rows
-			}
-			id := fmt.Sprintf("%s#%d", spec.ID, k)
-			s.leaves = append(s.leaves, pooledLeaf{file: fi, id: id, lo: lo, hi: hi})
-			k++
-		}
-	}
-	s.metas = make([]engine.LeafMeta, len(s.leaves))
-	for i, l := range s.leaves {
-		s.metas[i] = engine.LeafMeta{ID: l.id, Lo: l.lo, Hi: l.hi, Bound: s.files[l.file].Rows()}
 	}
 	return s, nil
+}
+
+// addFile maps one HVC2 file, through cache when it is not nil, and
+// appends its micropartitions.
+func (s *PooledSource) addFile(spec PooledFileSpec, microRows int, cache *fileCache) error {
+	var (
+		f   *colstore.File
+		err error
+	)
+	if cache != nil {
+		f, err = cache.open(spec.Path)
+	} else {
+		f, err = colstore.OpenFile(spec.Path)
+	}
+	if err != nil {
+		return err
+	}
+	pf := &pooledFile{File: f, owned: cache == nil}
+	s.files = append(s.files, pf)
+	splitRows(spec.ID, f.Rows(), microRows, func(id string, lo, hi int) {
+		s.leaves = append(s.leaves, pooledLeaf{file: pf})
+		s.metas = append(s.metas, engine.LeafMeta{ID: id, Lo: lo, Hi: hi, Bound: f.Rows()})
+	})
+	return nil
+}
+
+// addResident appends a partition already on the heap.
+func (s *PooledSource) addResident(t *table.Table) {
+	max := t.Members().Max()
+	s.leaves = append(s.leaves, pooledLeaf{resident: t})
+	s.metas = append(s.metas, engine.LeafMeta{ID: t.ID(), Hi: max, Bound: max})
 }
 
 // Leaves implements engine.LeafSource.
@@ -207,7 +211,10 @@ func (s *PooledSource) Leaves() []engine.LeafMeta { return s.metas }
 // micropartitions are being scanned.
 func (s *PooledSource) Acquire(i int, cols []string) (*table.Table, func(), error) {
 	l := s.leaves[i]
-	f := s.files[l.file]
+	if l.resident != nil {
+		return l.resident, func() {}, nil
+	}
+	f := l.file
 	schema := f.Schema()
 
 	want := make([]int, 0, schema.NumColumns())
@@ -251,7 +258,8 @@ func (s *PooledSource) Acquire(i int, cols []string) (*table.Table, func(), erro
 	}
 
 	var once sync.Once
-	return table.New(l.id, table.NewSchema(outDesc...), outCols, table.NewRangeMembership(l.lo, l.hi, f.Rows())),
+	m := s.metas[i]
+	return table.New(m.ID, table.NewSchema(outDesc...), outCols, table.NewRangeMembership(m.Lo, m.Hi, m.Bound)),
 		func() { once.Do(release) }, nil
 }
 
@@ -272,64 +280,4 @@ func (s *PooledSource) Close() error {
 		}
 	})
 	return s.closeErr
-}
-
-// hvcSourceSpecs resolves a source spec into pooled file specs when —
-// and only when — every data file it names is an .hvc file. IDs and
-// scheme semantics mirror the eager loader (LoadFile/loadDirParts)
-// exactly: a source the eager loader would reject — file: naming a
-// directory, dir: naming a file — is declined here too, so configuring
-// a pool never changes which source strings load or what their
-// partitions are called.
-func hvcSourceSpecs(source, id string) ([]PooledFileSpec, bool) {
-	path := source
-	wantDir := ""
-	if scheme, rest, ok := strings.Cut(source, ":"); ok {
-		switch scheme {
-		case "file":
-			path, wantDir = rest, "no"
-		case "dir":
-			path, wantDir = rest, "yes"
-		default:
-			return nil, false // registered schemes stay eager
-		}
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, false
-	}
-	if (wantDir == "yes" && !info.IsDir()) || (wantDir == "no" && info.IsDir()) {
-		return nil, false // let the eager loader produce its error
-	}
-	if !info.IsDir() {
-		if strings.ToLower(filepath.Ext(path)) != ".hvc" {
-			return nil, false
-		}
-		return []PooledFileSpec{{Path: path, ID: id}}, true
-	}
-	entries, err := os.ReadDir(path)
-	if err != nil {
-		return nil, false
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch strings.ToLower(filepath.Ext(e.Name())) {
-		case ".hvc":
-			names = append(names, e.Name())
-		case ".csv", ".jsonl", ".json":
-			return nil, false // mixed directory: eager loader handles it
-		}
-	}
-	if len(names) == 0 {
-		return nil, false
-	}
-	sort.Strings(names)
-	specs := make([]PooledFileSpec, len(names))
-	for i, name := range names {
-		specs[i] = PooledFileSpec{Path: filepath.Join(path, name), ID: id + "/" + name}
-	}
-	return specs, true
 }

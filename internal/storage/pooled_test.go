@@ -32,10 +32,11 @@ func writeShards(t *testing.T, n, rows int, write func(string, *table.Table) err
 }
 
 // TestPooledLoaderMatchesEagerLoader pins the acceptance criterion at
-// the storage level: the pooled (lazy, mapped, budgeted) loader and
-// the eager heap loader produce bit-identical sketch results over the
-// same files — same partition IDs, same split geometry, same values —
-// with the budget far below the data size.
+// the storage level: the loader (lazy, mapped, budgeted) and an eager
+// dataset over the same files decoded onto the heap and split by
+// SplitRows produce bit-identical sketch results — same partition IDs,
+// same split geometry, same values — with the budget far below the
+// data size.
 func TestPooledLoaderMatchesEagerLoader(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -49,17 +50,16 @@ func TestPooledLoaderMatchesEagerLoader(t *testing.T) {
 			micro := 300 // force file splitting: 2000 rows -> 7 micropartitions
 
 			pool := colstore.NewPool(4096) // tiny: constant eviction churn
-			pooledLoad := NewPooledLoader(cfg, micro, pool)
-			eagerLoad := NewLoader(cfg, micro)
-
-			pooled, err := pooledLoad("ds", "dir:"+dir)
+			pooled, err := NewLoader(cfg, micro, pool)("ds", "dir:"+dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager, err := eagerLoad("ds", "dir:"+dir)
-			if err != nil {
-				t.Fatal(err)
+			var heapParts []*table.Table
+			for i := 0; i < 3; i++ {
+				name := fmt.Sprintf("part-%02d.hvc", i)
+				heapParts = append(heapParts, SplitRows(readHeap(t, filepath.Join(dir, name), "ds/"+name), micro)...)
 			}
+			eager := engine.NewLocal("ds", heapParts, cfg)
 			if pooled.NumLeaves() != eager.NumLeaves() {
 				t.Fatalf("leaves: pooled %d, eager %d", pooled.NumLeaves(), eager.NumLeaves())
 			}
@@ -98,12 +98,155 @@ func TestPooledLoaderMatchesEagerLoader(t *testing.T) {
 	}
 }
 
+// TestLoaderSourceForms holds every source form to the eager
+// reference: each file decoded onto the heap (.hvc by ReadHVC2Bytes,
+// CSV by ReadCSV) under its ID, then split by SplitRows. The loader's
+// partitions must match it in ID, row range and values, and every .hvc
+// column must have come through the pool — one miss per file and
+// column, split partitions sharing their file's columns.
+func TestLoaderSourceForms(t *testing.T) {
+	dir := writeShards(t, 2, 500, colstore.WriteHVC2)
+	mixed := t.TempDir()
+	if err := WriteCSV(filepath.Join(mixed, "a.csv"), sampleTable(t, "a", 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := colstore.WriteHVC2(filepath.Join(mixed, "b.hvc"), sampleTable(t, "b", 400)); err != nil {
+		t.Fatal(err)
+	}
+	// A temporary file, as WriteHVC2 leaves while it writes, is no data
+	// file.
+	if err := os.WriteFile(filepath.Join(mixed, "c.hvc.tmp"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shard0, shard1 := filepath.Join(dir, "part-00.hvc"), filepath.Join(dir, "part-01.hvc")
+	type file struct{ path, id string }
+	for _, tc := range []struct {
+		name, source string
+		micro        int
+		files        []file
+	}{
+		{"file", "file:" + shard0, 0, []file{{shard0, "ds"}}},
+		{"bare file", shard0, 0, []file{{shard0, "ds"}}},
+		{"dir", "dir:" + dir, 0, []file{{shard0, "ds/part-00.hvc"}, {shard1, "ds/part-01.hvc"}}},
+		{"bare dir", dir, 0, []file{{shard0, "ds/part-00.hvc"}, {shard1, "ds/part-01.hvc"}}},
+		{"micro", "dir:" + dir, 150, []file{{shard0, "ds/part-00.hvc"}, {shard1, "ds/part-01.hvc"}}},
+		{"mixed", "dir:" + mixed, 0, []file{{filepath.Join(mixed, "a.csv"), "ds/a.csv"}, {filepath.Join(mixed, "b.hvc"), "ds/b.hvc"}}},
+		{"mixed micro", "dir:" + mixed, 120, []file{{filepath.Join(mixed, "a.csv"), "ds/a.csv"}, {filepath.Join(mixed, "b.hvc"), "ds/b.hvc"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []*table.Table
+			hvcFiles := 0
+			for _, f := range tc.files {
+				var whole *table.Table
+				if filepath.Ext(f.path) == ".hvc" {
+					whole = readHeap(t, f.path, f.id)
+					hvcFiles++
+				} else {
+					var err error
+					if whole, err = ReadCSV(f.path, f.id, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want = append(want, SplitRows(whole, tc.micro)...)
+			}
+
+			pool := colstore.NewPool(0)
+			src, err := openSource(pool, &fileCache{}, tc.source, "ds", tc.micro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(src.Leaves()) != len(want) {
+				t.Fatalf("%d partitions, want %d", len(src.Leaves()), len(want))
+			}
+			for i, w := range want {
+				got, release, err := src.Acquire(i, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.ID() != w.ID() || src.Leaves()[i].ID != w.ID() {
+					t.Errorf("partition %d: ID %q (leaf %q), want %q", i, got.ID(), src.Leaves()[i].ID, w.ID())
+				}
+				if !reflect.DeepEqual(got.Members(), w.Members()) {
+					t.Errorf("partition %d: rows %v, want %v", i, got.Members(), w.Members())
+				}
+				tablesEqual(t, w, got)
+				release()
+			}
+			cols := sampleTable(t, "x", 0).Schema().NumColumns()
+			if s := pool.Stats(); s.Misses != int64(hvcFiles*cols) || s.Pinned != 0 {
+				t.Errorf("pool %v: want %d misses (%d .hvc files × %d columns) and no pins", s, hvcFiles*cols, hvcFiles, cols)
+			}
+			ds, err := NewLoader(engine.Config{AggregationWindow: -1}, tc.micro, nil)("ds", tc.source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds.NumLeaves() != len(want) {
+				t.Errorf("loader: %d partitions, want %d", ds.NumLeaves(), len(want))
+			}
+		})
+	}
+}
+
+// TestRewriteKeepsMappedBytes: WriteHVC2 replaces a file by rename, so
+// a source that has the old file mapped keeps serving its old values
+// (a truncated mapping would fault), and a fresh loader reads the new
+// file.
+func TestRewriteKeepsMappedBytes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "part.hvc")
+	old, next := sampleTable(t, "old", 400), sampleTable(t, "new", 100)
+	if err := colstore.WriteHVC2(path, old); err != nil {
+		t.Fatal(err)
+	}
+	pool := colstore.NewPool(0)
+	cfg := engine.Config{AggregationWindow: -1}
+	loader := NewLoader(cfg, 0, pool)
+	ds, err := loader("ds", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := &sketch.RangeSketch{Col: "id"}
+	before, err := ds.Sketch(context.Background(), rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := colstore.WriteHVC2(path, next); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+	pool.EvictAll() // the rescan maps the columns in again
+	after, err := ds.Sketch(context.Background(), &sketch.MomentsSketch{Col: "id"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.(*sketch.Moments).Count; n != 400 {
+		t.Errorf("open source after rewrite: %d rows, want the old 400", n)
+	}
+	again, err := ds.Sketch(context.Background(), rng, nil)
+	if err != nil || !reflect.DeepEqual(before, again) {
+		t.Errorf("open source after rewrite: %+v, %v; want %+v", again, err, before)
+	}
+	fresh, err := NewLoader(cfg, 0, nil)("ds", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.Sketch(context.Background(), &sketch.MomentsSketch{Col: "id"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.(*sketch.Moments).Count; n != 100 {
+		t.Errorf("fresh loader: %d rows, want the new 100", n)
+	}
+}
+
 // TestPooledSourceColumnLaziness checks a sketch over one column
 // materializes only that column.
 func TestPooledSourceColumnLaziness(t *testing.T) {
 	dir := writeShards(t, 2, 500, colstore.WriteHVC2)
 	pool := colstore.NewPool(0)
-	loader := NewPooledLoader(engine.Config{AggregationWindow: -1}, 0, pool)
+	loader := NewLoader(engine.Config{AggregationWindow: -1}, 0, pool)
 	ds, err := loader("ds", "dir:"+dir)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +269,7 @@ func TestPooledSourceColumnLaziness(t *testing.T) {
 func TestPooledSourceMissingFile(t *testing.T) {
 	dir := writeShards(t, 1, 300, colstore.WriteHVC2)
 	path := filepath.Join(dir, "part-00.hvc")
-	want, err := ReadHVC(path, "p")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readHeap(t, path, "p")
 	pool := colstore.NewPool(0)
 	src, err := NewPooledSource(pool, []PooledFileSpec{{Path: path, ID: "p"}}, 0)
 	if err != nil {
@@ -147,6 +287,22 @@ func TestPooledSourceMissingFile(t *testing.T) {
 	release()
 	if _, err := NewPooledSource(pool, []PooledFileSpec{{Path: path, ID: "p"}}, 0); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("opening a vanished file: %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestPoolBudget: the flag value wins over the environment, and an
+// empty flag falls back to it.
+func TestPoolBudget(t *testing.T) {
+	t.Setenv(PoolBudgetEnv, "64K")
+	for _, tc := range []struct {
+		flag string
+		want int64
+		err  bool
+	}{{"", 64 << 10, false}, {"2M", 2 << 20, false}, {"0", 0, false}, {"x", 0, true}} {
+		got, err := PoolBudget(tc.flag)
+		if (err != nil) != tc.err || got != tc.want {
+			t.Errorf("PoolBudget(%q) = %d, %v; want %d, err=%v", tc.flag, got, err, tc.want, tc.err)
+		}
 	}
 }
 

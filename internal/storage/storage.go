@@ -5,13 +5,13 @@
 //
 // An .hvc file is an HVC2 file, the mmap-native layout owned by package
 // colstore; there is no other version. Column bytes reach a scan one
-// way: NewPooledLoader serves all-.hvc sources as lazy, budgeted leaf
-// sources behind a colstore.Pool (PooledSource) — the paper's data
-// cache organized by (source, column) — so column data maps in on
-// first touch, stays resident only while the budget allows, and a
-// worker's dataset size is bounded by its disks, not its RAM. Where no
-// pool serves a file (NewLoader, .hvc files in a directory mixed with
-// CSV or JSON) ReadHVC copies it onto the heap.
+// way: NewLoader, the one loader, resolves a source into a lazy,
+// budgeted leaf source behind a colstore.Pool (PooledSource) — the
+// paper's data cache organized by (source, column) — so every .hvc
+// file's column data maps in on first touch, stays resident only while
+// the budget allows, and a worker's dataset size is bounded by its
+// disks, not its RAM. CSV and JSON lines files and registered schemes
+// become resident partitions of the same source.
 //
 // The layer honors the two storage contracts of the paper: data is
 // horizontally partitioned into roughly equal shards readable in

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,6 +56,59 @@ func tablesEqual(t *testing.T, a, b *table.Table) {
 			t.Fatalf("row %d differs: %v vs %v", i, ra[i], rb[i])
 		}
 	}
+}
+
+// readHVC reads an .hvc file the way a scan does: mapped through a
+// pool as one partition, every column acquired and CRC-checked.
+func readHVC(t *testing.T, path, id string) (*table.Table, error) {
+	t.Helper()
+	src, err := NewPooledSource(colstore.NewPool(0), []PooledFileSpec{{Path: path, ID: id}}, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { src.Close() })
+	got, release, err := src.Acquire(0, nil)
+	if err != nil {
+		return nil, err
+	}
+	release()
+	return got, nil
+}
+
+// readHeap is the eager reference: an .hvc file's bytes decoded onto
+// the heap by the same decoder.
+func readHeap(t *testing.T, path, id string) *table.Table {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := colstore.ReadHVC2Bytes(data, id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// loadParts opens source as the loader does and acquires every
+// partition whole.
+func loadParts(t *testing.T, source, id string, microRows int) ([]*table.Table, error) {
+	t.Helper()
+	src, err := openSource(colstore.NewPool(0), nil, source, id, microRows)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { src.Close() })
+	parts := make([]*table.Table, len(src.Leaves()))
+	for i := range parts {
+		p, release, err := src.Acquire(i, nil)
+		if err != nil {
+			return nil, err
+		}
+		release()
+		parts[i] = p
+	}
+	return parts, nil
 }
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -150,7 +204,7 @@ func TestHVCRoundTrip(t *testing.T) {
 	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadHVC(path, "hvc")
+	got, err := readHVC(t, path, "hvc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +221,11 @@ func TestHVCColumnAccess(t *testing.T) {
 	if err := colstore.WriteHVC2(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := colstore.ReadHVC2File(path, "hvcc", []string{"city", "id"})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := colstore.ReadHVC2Bytes(data, "hvcc", []string{"city", "id"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +236,7 @@ func TestHVCColumnAccess(t *testing.T) {
 	proj := table.New("p", table.NewSchema(orig.Schema().Columns[city], orig.Schema().Columns[id]),
 		[]table.Column{orig.ColumnAt(city), orig.ColumnAt(id)}, orig.Members())
 	tablesEqual(t, proj, got)
-	if _, err := colstore.ReadHVC2File(path, "x", []string{"nope"}); err == nil {
+	if _, err := colstore.ReadHVC2Bytes(data, "x", []string{"nope"}); err == nil {
 		t.Error("unknown column should fail")
 	}
 }
@@ -192,7 +250,7 @@ func TestHVCFilteredViewFlattens(t *testing.T) {
 	if err := colstore.WriteHVC2(path, filtered); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadHVC(path, "f")
+	got, err := readHVC(t, path, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +272,7 @@ func TestHVCBadMagic(t *testing.T) {
 	if err := os.WriteFile(path, []byte("JUNKJUNKJUNK"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadHVC(path, "junk"); !errors.Is(err, colstore.ErrNotHVC2) {
+	if _, err := readHVC(t, path, "junk"); !errors.Is(err, colstore.ErrNotHVC2) {
 		t.Errorf("bad magic: %v, want ErrNotHVC2", err)
 	}
 }
@@ -267,7 +325,7 @@ func TestLoadSourceDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := LoadSource("dir:"+dir, "d", 50)
+	parts, err := loadParts(t, "dir:"+dir, "d", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,17 +340,17 @@ func TestLoadSourceDir(t *testing.T) {
 		t.Errorf("expected micropartitioning, got %d parts", len(parts))
 	}
 	// file: prefix and bare paths.
-	parts, err = LoadSource("file:"+filepath.Join(dir, "a.csv"), "f", 0)
+	parts, err = loadParts(t, "file:"+filepath.Join(dir, "a.csv"), "f", 0)
 	if err != nil || len(parts) != 1 {
 		t.Fatalf("file source: %v, %d parts", err, len(parts))
 	}
-	if _, err := LoadSource(filepath.Join(dir, "a.csv"), "f2", 0); err != nil {
+	if _, err := loadParts(t, filepath.Join(dir, "a.csv"), "f2", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSource("nosuchscheme:xx", "x", 0); err == nil {
+	if _, err := loadParts(t, "nosuchscheme:xx", "x", 0); err == nil {
 		t.Error("unknown scheme should fail")
 	}
-	if _, err := LoadSource("dir:"+t.TempDir(), "x", 0); err == nil {
+	if _, err := loadParts(t, "dir:"+t.TempDir(), "x", 0); err == nil {
 		t.Error("empty dir should fail")
 	}
 }

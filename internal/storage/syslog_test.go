@@ -77,7 +77,7 @@ func TestSyslogSourceScheme(t *testing.T) {
 	if err := writeFile(path, sampleSyslog); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := LoadSource("syslog:"+path, "log", 0)
+	parts, err := loadParts(t, "syslog:"+path, "log", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,13 +118,3 @@ func (b *Bitset) NextSet(i int) int {
 	}
 	return -1
 }
-
-// Clone returns a deep copy.
-func (b *Bitset) Clone() *Bitset {
-	if b == nil {
-		return nil
-	}
-	w := make([]uint64, len(b.Words))
-	copy(w, b.Words)
-	return &Bitset{Words: w, N: b.N}
-}

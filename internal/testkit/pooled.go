@@ -18,8 +18,8 @@ import (
 // run's generated partitions are written out as HVC2 files and served
 // back through two additional topologies over the same files —
 //
-//	heap:   every file fully decoded onto the heap (the pre-colstore
-//	        load path), eager LocalDataSet;
+//	heap:   every file's bytes decoded onto the heap by the same
+//	        decoder (colstore.ReadHVC2Bytes), eager LocalDataSet;
 //	pooled: files memory-mapped behind a colstore.Pool whose budget is
 //	        ~25% of the on-disk data size, lazy LocalDataSet
 //	        (engine.NewLocalSource), so the run constantly evicts and
@@ -88,7 +88,11 @@ func RunPooled(seed uint64) error {
 
 	heapParts := make([]*table.Table, len(specs))
 	for i, spec := range specs {
-		t, err := storage.ReadHVC(spec.Path, spec.ID)
+		data, err := os.ReadFile(spec.Path)
+		if err != nil {
+			return err
+		}
+		t, err := colstore.ReadHVC2Bytes(data, spec.ID, nil)
 		if err != nil {
 			return fmt.Errorf("heap load %s: %w", spec.Path, err)
 		}

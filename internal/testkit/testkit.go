@@ -98,7 +98,7 @@ func startClusterOpts(n int, cfg engine.Config, trFor func(addrs []string) clust
 	h := &clusterHandle{}
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		w := cluster.NewWorker(storage.NewLoader(cfg, 0))
+		w := cluster.NewWorker(storage.NewLoader(cfg, 0, nil))
 		if prep != nil {
 			prep(w)
 		}
