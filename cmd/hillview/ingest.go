@@ -19,6 +19,12 @@
 // observes the new sealed prefix immediately while cached results for
 // the old prefix stay valid for readers still holding them. Standing
 // queries re-merge only the newly sealed partition.
+//
+// A sealed partition is served like any loaded .hvc file: mapped, its
+// columns read through the server's column pool (so -pool-budget bounds
+// them too) and only when a sketch touches them. The query after a seal
+// maps the one new file; older seals keep their mappings and their
+// column objects.
 package main
 
 import (

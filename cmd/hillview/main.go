@@ -142,7 +142,7 @@ func main() {
 	httpAddr := flag.String("http", ":8080", "HTTP listen address")
 	workers := flag.String("workers", "", "comma-separated worker addresses (empty = in-process engine)")
 	micro := flag.Int("micro", storage.DefaultMicroRows, "micropartition size for in-process mode")
-	budget := flag.String("pool-budget", "", "column pool byte budget for in-process mode, e.g. 256M (default $HILLVIEW_POOL_BUDGET; 0 = unlimited)")
+	budget := flag.String("pool-budget", "", "column pool byte budget for in-process mode, loaded files and sealed ingest partitions alike, e.g. 256M (default $HILLVIEW_POOL_BUDGET; 0 = unlimited)")
 	replication := flag.Int("replication", 1, "replicas per partition group (workers are split into len(workers)/R groups)")
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "worker ping interval; 0 disables the health monitor")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing queries (0 = 2×GOMAXPROCS)")
@@ -183,6 +183,7 @@ func main() {
 			st = ingest.NewStore(*ingestDir, ingest.StoreConfig{
 				SegmentRows: *segmentRows,
 				Metrics:     im,
+				Pool:        pool,
 				OnSeal: func(name string, _ ingest.Partition) {
 					if root != nil {
 						root.Advance(name)

@@ -93,7 +93,9 @@
 // replays the manifest, truncates at the first torn record, verifies
 // every referenced partition, and removes orphans, so a crash at any
 // instant yields a consistent sealed prefix of what was acknowledged.
-// Each append bumps a dataset generation counter that qualifies the
+// A sealed partition is served like any .hvc file: kept open, its
+// columns mapped through the server's pool, so a seal costs the next
+// query one new file, not a re-read of the dataset. Each append bumps a dataset generation counter that qualifies the
 // engine's computation cache and the scheduler's dedup/batch keys —
 // stale entries are invalidated exactly, unaffected datasets keep
 // their cache. Standing queries exploit sketch mergeability: a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,30 +240,45 @@ func TestClusterWorkerRestartRecovery(t *testing.T) {
 	}
 }
 
+// cancelWaitSketch folds the partition named Free at once and holds
+// every other partition until its scan's cancellation probe fires, so a
+// query over more than one partition can only end by being cancelled:
+// the test below does not bet on leaf work outlasting a wire round trip.
+// It crosses the wire under the test-only sketch tag.
+type cancelWaitSketch struct{ Free string }
+
+func (s *cancelWaitSketch) Name() string        { return "cancel-wait" }
+func (s *cancelWaitSketch) Zero() sketch.Result { return &sketch.Moments{} }
+
+// Merge implements sketch.Sketch: every summary is Zero's.
+func (s *cancelWaitSketch) Merge(a, b sketch.Result) (sketch.Result, error) { return a, nil }
+
+// Summarize polls the membership: the engine's cancellation wrapper
+// yields no rows from FillBatch once the query's context is done.
+func (s *cancelWaitSketch) Summarize(t *table.Table) (sketch.Result, error) {
+	buf := make([]int32, 1)
+	for t.ID() != s.Free {
+		if n, _ := t.Members().FillBatch(buf, 0); n == 0 {
+			break
+		}
+		runtime.Gosched()
+	}
+	return s.Zero(), nil
+}
+
+func init() { sketch.RegisterSketch(sketch.TagTestSketch, &cancelWaitSketch{}) }
+
 func TestClusterCancellation(t *testing.T) {
 	c, _ := startWorkers(t, 1)
 	cl := c.Clients()[0]
-	// Enough partitions that cancellation lands mid-query.
-	if _, err := cl.Load(context.Background(), "big", "flights:rows=400000,parts=64,seed=2"); err != nil {
-		t.Fatal(err)
-	}
-	// Scan a derived (computed, expression-evaluated) column: tens of
-	// milliseconds of leaf work, so the cancel below — which must
-	// round-trip the wire after the first partial arrives — always
-	// lands while most partitions are still queued. Partial emission no
-	// longer blocks the scan, so a raw-column scan could outrun it.
-	if _, err := cl.MapOp(context.Background(), "big", "big2", engine.DeriveOp{Col: "d2", Expr: "Distance * 2"}); err != nil {
+	if _, err := cl.Load(context.Background(), "parts", "flights:rows=4000,parts=4,seed=2"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var saw int32
-	// Cancel from inside the partial callback while the worker is still
-	// mid-query. A watcher goroutine polling with time.Sleep is racy on
-	// coarse-timer machines, where the whole query can finish before a
-	// sleep returns.
-	_, err := cl.Sketch(ctx, "big2", &sketch.HistogramSketch{Col: "d2", Buckets: sketch.NumericBuckets(table.KindDouble, 0, 6000, 10)},
+	// Cancel from inside the partial callback: the first partial reports
+	// the free partition, and every other one waits for the cancel.
+	_, err := cl.Sketch(ctx, "parts", &cancelWaitSketch{Free: "parts-p0"},
 		func(p engine.Partial) {
-			atomic.StoreInt32(&saw, int32(p.Done))
 			if p.Done >= 1 && p.Done < p.Total {
 				cancel()
 			}

@@ -36,9 +36,12 @@
 // on mapped data with no per-scan allocation for fixed-width kinds.
 //
 // Pool.Acquire takes a loader callback; the storage layer's loader is
-// File.Column, so every pooled column is a mapped HVC2 column. Wiring
-// into the engine happens in package storage (PooledSource implements
-// engine.LeafSource), and it is the one way a file's columns reach a
-// scan. ReadHVC2Bytes decodes an in-memory image onto the heap (ingest's
-// sealed partitions, the fuzz target).
+// File.Column, so every pooled column is an HVC2 column aliasing its
+// file's bytes: a mapping (OpenFile), or an immutable in-memory image
+// (NewImageFile, which ingest's in-memory filesystems serve sealed
+// partitions with). Wiring into the engine happens in package storage
+// (PooledSource implements engine.LeafSource), and it is the one way a
+// file's columns reach a scan — loaded files and ingest's sealed
+// partitions alike. ReadHVC2Bytes decodes an image onto the heap; only
+// tests call it (the independent reference decoder, the fuzz target).
 package colstore

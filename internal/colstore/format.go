@@ -426,29 +426,6 @@ func parseV2(data []byte) (*v2Header, error) {
 	return &v2Header{schema: table.NewSchema(cols...), rows: int(numRows), dir: dir}, nil
 }
 
-// resolveColumns maps requested column names to schema indexes; nil
-// selects every column, an unknown name is an error. (The pooled
-// source deliberately uses a lenient variant instead — it skips
-// unknown names so a sketch over a missing column fails with its
-// ordinary error; see storage.PooledSource.Acquire.)
-func (h *v2Header) resolveColumns(cols []string) ([]int, error) {
-	want := make([]int, 0, h.schema.NumColumns())
-	if cols == nil {
-		for i := 0; i < h.schema.NumColumns(); i++ {
-			want = append(want, i)
-		}
-		return want, nil
-	}
-	for _, name := range cols {
-		i := h.schema.ColumnIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("colstore: no column %q", name)
-		}
-		want = append(want, i)
-	}
-	return want, nil
-}
-
 // checkCRC validates the CRC32-C trailer of column ci's block.
 func (h *v2Header) checkCRC(data []byte, ci int) error {
 	d := h.dir[ci]
@@ -580,19 +557,30 @@ func validateCodes(codes []int32, dictCount int32, missing *table.Bitset, name s
 	return nil
 }
 
-// ReadHVC2Bytes decodes an in-memory HVC2 image, validating every
-// requested column's CRC. cols nil selects every column. It backs
-// ingest's sealed partitions, the heap reference the pooled path is
-// tested against, and the fuzz target; malformed input of any shape
-// must produce an error, never a panic.
+// ReadHVC2Bytes decodes an in-memory HVC2 image onto the heap,
+// validating every requested column's CRC. cols nil selects every
+// column. No production path calls it: it is the independent decoder
+// the tests compare the mapped path against (testkit's heap references
+// for the pooled and ingest batteries) and the fuzz target's entry;
+// malformed input of any shape must produce an error, never a panic.
 func ReadHVC2Bytes(data []byte, id string, cols []string) (*table.Table, error) {
 	h, err := parseV2(data)
 	if err != nil {
 		return nil, err
 	}
-	want, err := h.resolveColumns(cols)
-	if err != nil {
-		return nil, err
+	// nil selects every column and an unknown name is an error (the
+	// pooled source skips unknown names instead, so a sketch over a
+	// missing column fails with its ordinary error).
+	want := make([]int, 0, h.schema.NumColumns())
+	for i := 0; cols == nil && i < h.schema.NumColumns(); i++ {
+		want = append(want, i)
+	}
+	for _, name := range cols {
+		i := h.schema.ColumnIndex(name)
+		if i < 0 {
+			return nil, fmt.Errorf("colstore: no column %q", name)
+		}
+		want = append(want, i)
 	}
 	outCols := make([]table.Column, len(want))
 	outDesc := make([]table.ColumnDesc, len(want))
@@ -613,10 +601,12 @@ func ReadHVC2Bytes(data []byte, id string, cols []string) (*table.Table, error) 
 // File is an open HVC2 file served by memory mapping. Columns
 // materialize on demand through Column; the mapping itself is created
 // at open (address space, not memory — pages fault in as columns are
-// touched) and released at Close. Files are safe for concurrent use.
+// touched) and released at Close. A File over an in-memory image
+// (NewImageFile) serves the same columns from the image. Files are safe
+// for concurrent use.
 type File struct {
 	path string
-	f    *os.File
+	f    *os.File // nil for an in-memory image
 	size int64
 	hdr  *v2Header
 
@@ -647,10 +637,27 @@ func OpenFile(path string) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("colstore: mmap %s: %w", path, err)
 	}
-	h, err := parseV2(m)
+	file, err := newFile(path, f, m)
 	if err != nil {
 		munmap(m)
 		f.Close()
+	}
+	return file, err
+}
+
+// NewImageFile serves an in-memory HVC2 image through the File API, as
+// if path were mapped: the same header checks at open, the same
+// per-column CRC on first touch, the same zero-copy columns aliasing
+// the image. The caller must never modify data afterwards. Evicting
+// such a column releases nothing: MADV_DONTNEED on heap memory would
+// zero it, and the image is the only copy.
+func NewImageFile(path string, data []byte) (*File, error) {
+	return newFile(path, nil, data)
+}
+
+func newFile(path string, f *os.File, data []byte) (*File, error) {
+	h, err := parseV2(data)
+	if err != nil {
 		if errors.Is(err, ErrNotHVC2) {
 			return nil, fmt.Errorf("%w: %s", ErrNotHVC2, path)
 		}
@@ -659,9 +666,9 @@ func OpenFile(path string) (*File, error) {
 	return &File{
 		path:      path,
 		f:         f,
-		size:      info.Size(),
+		size:      int64(len(data)),
 		hdr:       h,
-		mapped:    m,
+		mapped:    data,
 		validated: make([]bool, h.schema.NumColumns()),
 	}, nil
 }
@@ -693,7 +700,7 @@ func (f *File) Column(ci int) (col table.Column, size int64, evict func(), err e
 			return nil, 0, nil, fmt.Errorf("colstore: %s: file closed", f.path)
 		}
 		need := !f.validated[ci]
-		m := f.mapped
+		m, onDisk := f.mapped, f.f != nil
 		f.mu.Unlock()
 
 		if need {
@@ -710,9 +717,39 @@ func (f *File) Column(ci int) (col table.Column, size int64, evict func(), err e
 		if err != nil {
 			return nil, 0, nil, err
 		}
+		if !onDisk {
+			return col, size, nil, nil
+		}
 		d := f.hdr.dir[ci]
 		return col, size, func() { releasePages(m, d.off, d.off+d.len) }, nil
 	})
+}
+
+// Verify checks the CRC32-C of every column block and marks each one
+// validated, so no Column checks it again; the header and the directory
+// were checked at open. A block's section bounds, dictionary and codes
+// are still checked when its column first materializes. A mapped file's
+// pages are released afterwards: verifying a file does not keep it
+// resident.
+func (f *File) Verify() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.mapped == nil && f.size > 0 {
+		return fmt.Errorf("colstore: %s: file closed", f.path)
+	}
+	for ci, done := range f.validated {
+		if done {
+			continue
+		}
+		if err := f.hdr.checkCRC(f.mapped, ci); err != nil {
+			return fmt.Errorf("colstore: %s: %w", f.path, err)
+		}
+		f.validated[ci] = true
+	}
+	if f.f != nil {
+		releasePages(f.mapped, 0, f.size)
+	}
+	return nil
 }
 
 // Close unmaps and closes the file. Columns materialized from it must
@@ -721,10 +758,10 @@ func (f *File) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var err error
-	if f.mapped != nil {
+	if f.mapped != nil && f.f != nil {
 		err = munmap(f.mapped)
-		f.mapped = nil
 	}
+	f.mapped = nil
 	if f.f != nil {
 		if cerr := f.f.Close(); err == nil {
 			err = cerr

@@ -239,6 +239,18 @@ func (r *Root) Drop(id string) {
 	r.mu.Unlock()
 }
 
+// Undefine forgets a dataset's definition, so its ID can be defined
+// again: the instance and its cached results go, and replay no longer
+// finds its log record. Sheet.Load undefines a fresh dataset whose first
+// query failed.
+func (r *Root) Undefine(id string) {
+	r.mu.Lock()
+	delete(r.datasets, id)
+	delete(r.byID, id)
+	r.mu.Unlock()
+	r.cache.InvalidateDataset(id)
+}
+
 // DropAll discards every in-memory dataset, simulating a full restart
 // where only the redo log survives (paper §5.8).
 func (r *Root) DropAll() {

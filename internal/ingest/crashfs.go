@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+
+	"repro/internal/colstore"
 )
 
 // CrashFS is the instrumented FS behind the crash-point battery. It
@@ -159,6 +161,9 @@ func (c *CrashFS) OpenAppend(name string) (File, error) {
 
 // ReadFile implements FS.
 func (c *CrashFS) ReadFile(name string) ([]byte, error) { return c.mem.ReadFile(name) }
+
+// OpenHVC implements FS; a read, so nothing is recorded.
+func (c *CrashFS) OpenHVC(name string) (*colstore.File, error) { return c.mem.OpenHVC(name) }
 
 // Rename implements FS.
 func (c *CrashFS) Rename(oldName, newName string) error {

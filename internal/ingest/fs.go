@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/colstore"
 )
 
 // File is a writable file handle on an FS. Sync must not return until
@@ -32,6 +34,9 @@ type FS interface {
 	OpenAppend(name string) (File, error)
 	// ReadFile returns the file's full contents.
 	ReadFile(name string) ([]byte, error)
+	// OpenHVC opens a sealed HVC2 partition for reading. Its columns
+	// reach queries through the dataset's column pool, whatever the FS.
+	OpenHVC(name string) (*colstore.File, error)
 	// Rename atomically replaces newName with oldName's file.
 	Rename(oldName, newName string) error
 	// Remove deletes a file.
@@ -60,6 +65,9 @@ func (OSFS) OpenAppend(name string) (File, error) {
 
 // ReadFile implements FS.
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+// OpenHVC implements FS: the file is memory-mapped.
+func (OSFS) OpenHVC(name string) (*colstore.File, error) { return colstore.OpenFile(name) }
 
 // Rename implements FS.
 func (OSFS) Rename(oldName, newName string) error { return os.Rename(oldName, newName) }

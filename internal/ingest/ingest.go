@@ -21,7 +21,7 @@
 // torn manifest tail — all invisible to queries and removed by
 // recovery. A seal record can become durable only after steps 2 and 4,
 // so a referenced partition is always complete; recovery verifies this
-// invariant by re-reading every referenced file.
+// invariant on every referenced file.
 //
 // # Recovery
 //
@@ -31,19 +31,26 @@
 // the directory — temp files and unreferenced partitions — syncing the
 // directory before the dataset accepts new appends, so a later crash
 // cannot resurrect a removed file under a sequence number that has been
-// reissued.
+// reissued. Verifying a partition opens it (FS.OpenHVC: the header and
+// the column directory), checks its row count against the manifest and
+// every column block's CRC, and decodes nothing; a block's section
+// bounds, dictionary and codes are checked when its column is first
+// materialized, as for any .hvc file.
 //
 // # Queries and standing queries
 //
-// Load materializes the live partitions as immutable tables with
-// stable IDs ("<dataset>/part-NNNNNN"), which is what the engine
-// loader serves; stable IDs keep per-partition sampling seeds — and
-// therefore every sketch result — bit-identical across reloads.
-// Standing queries (standing.go) exploit summary mergeability: a
-// registered sketch folds each newly sealed partition's summary into
-// its running result instead of rescanning, in seal order, so the
-// running result is bit-identical to a from-scratch fold over the same
-// sealed prefix.
+// A sealed partition is an .hvc file like any other: the dataset keeps
+// one open handle per live seal, and queries read its columns through
+// the dataset's colstore.Pool — mapped on the OS filesystem, from an
+// immutable image on the in-memory ones — loading only the columns a
+// sketch touches. Each seal is one partition with a stable ID
+// ("<dataset>/part-NNNNNN"); stable IDs keep per-partition sampling
+// seeds — and therefore every sketch result — bit-identical across
+// reloads. Standing queries (standing.go) exploit summary mergeability:
+// a registered sketch folds each newly sealed partition's summary into
+// its running result instead of rescanning, in seal order, reading the
+// partition through the same handle and pool, so the running result is
+// bit-identical to a from-scratch fold over the same sealed prefix.
 package ingest
 
 import (
@@ -57,6 +64,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/table"
 )
 
@@ -92,6 +100,9 @@ type Config struct {
 	SegmentRows int
 	// Metrics, when set, receives ingestion telemetry.
 	Metrics *Metrics
+	// Pool serves the sealed partitions' columns (nil = a private
+	// unlimited pool).
+	Pool *colstore.Pool
 	// OnSeal, when set, runs after each durable seal (and after standing
 	// queries were re-merged) — the hook the serving layer uses to
 	// advance the dataset's engine generation.
@@ -121,10 +132,12 @@ type Dataset struct {
 	cfg    Config
 	schema *table.Schema
 	m      *Metrics
+	pool   *colstore.Pool
 
 	mu       sync.Mutex
 	manifest File // open append handle
 	seals    []sealRecord
+	files    []*colstore.File // files[i] serves seals[i]; nil until first opened
 	seg      *table.Builder
 	segRows  int
 	gen      uint64
@@ -204,27 +217,47 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	}
 	d := newDataset(dir, view.schema, cfg)
 	d.seals = view.seals
+	d.files = make([]*colstore.File, len(view.seals))
 	d.gen = uint64(len(view.seals))
-	// The sealing protocol guarantees a referenced partition was fully
-	// durable before its record could be; verify it (the file exists,
-	// parses, passes its CRCs, and has the recorded row count) so a
-	// violated invariant surfaces here, loudly, not as a torn scan.
-	for _, rec := range view.seals {
-		if _, err := d.loadPartition(rec); err != nil {
-			return nil, fmt.Errorf("ingest: manifest references unreadable partition %s: %w", rec.Name, err)
+	if err := d.recover(); err != nil {
+		for _, f := range d.files {
+			if f != nil {
+				f.Close()
+			}
 		}
-	}
-	if err := d.gc(view.seals); err != nil {
-		return nil, err
-	}
-	if err := d.openManifestHandle(); err != nil {
 		return nil, err
 	}
 	m.LivePartitions.Add(int64(len(view.seals)))
 	return d, nil
 }
 
+// recover verifies the live partitions and sweeps everything else. The
+// sealing protocol guarantees a referenced partition was fully durable
+// before its record could be; verify it (the file opens, its header and
+// directory parse, it has the recorded row count and every block passes
+// its CRC) so a violated invariant surfaces here, loudly, not as a torn
+// scan. The verified handles serve the first query.
+func (d *Dataset) recover() error {
+	for i, rec := range d.seals {
+		f, err := d.fileLocked(i)
+		if err == nil {
+			err = f.Verify()
+		}
+		if err != nil {
+			return fmt.Errorf("ingest: manifest references unreadable partition %s: %w", rec.Name, err)
+		}
+	}
+	if err := d.gc(d.seals); err != nil {
+		return err
+	}
+	return d.openManifestHandle()
+}
+
 func newDataset(dir string, schema *table.Schema, cfg Config) *Dataset {
+	pool := cfg.Pool
+	if pool == nil {
+		pool = colstore.NewPool(0)
+	}
 	return &Dataset{
 		dir:    dir,
 		name:   filepath.Base(dir),
@@ -232,6 +265,7 @@ func newDataset(dir string, schema *table.Schema, cfg Config) *Dataset {
 		cfg:    cfg,
 		schema: schema,
 		m:      cfg.metrics(),
+		pool:   pool,
 		seg:    table.NewBuilder(schema, 0),
 	}
 }
@@ -346,40 +380,56 @@ func (d *Dataset) partID(name string) string {
 	return d.name + "/" + strings.TrimSuffix(name, ".hvc")
 }
 
-// loadPartition reads one sealed partition back as an immutable table
-// with its stable ID, validating structure and CRCs.
-func (d *Dataset) loadPartition(rec sealRecord) (*table.Table, error) {
-	data, err := d.fs.ReadFile(filepath.Join(d.dir, rec.Name))
+// fileLocked returns the open handle of live seal i, opening it on
+// first use; it stays open for the dataset's life, so the replay after a
+// seal opens one new file and every source shares the column objects of
+// the others. Callers hold d.mu (or own d, as recovery does).
+//
+// The pool keys columns by path, and it may be shared with
+// storage.NewLoader. That is safe here: a live dataset never rewrites a
+// sealed file (a seal whose write fails reuses its name, but only a
+// committed seal is ever opened); sequence numbers are reissued only by
+// recovery, which runs in Open before anything is opened; so one path
+// always holds the same bytes.
+func (d *Dataset) fileLocked(i int) (*colstore.File, error) {
+	if f := d.files[i]; f != nil {
+		return f, nil
+	}
+	rec := d.seals[i]
+	f, err := d.fs.OpenHVC(filepath.Join(d.dir, rec.Name))
 	if err != nil {
 		return nil, err
 	}
-	t, err := colstore.ReadHVC2Bytes(data, d.partID(rec.Name), nil)
-	if err != nil {
-		return nil, err
+	if f.Rows() != rec.Rows {
+		f.Close()
+		return nil, fmt.Errorf("ingest: %s has %d rows, manifest says %d", rec.Name, f.Rows(), rec.Rows)
 	}
-	if t.NumRows() != rec.Rows {
-		return nil, fmt.Errorf("ingest: %s has %d rows, manifest says %d", rec.Name, t.NumRows(), rec.Rows)
-	}
-	return t, nil
+	d.files[i] = f
+	return f, nil
 }
 
-// Load materializes every live partition, in seal order. The returned
-// tables are immutable and bit-identical across calls (stable IDs,
-// stable bytes), which is the property the engine's determinism
-// contract needs from a leaf source.
-func (d *Dataset) Load() ([]*table.Table, error) {
-	d.mu.Lock()
-	seals := append([]sealRecord(nil), d.seals...)
-	d.mu.Unlock()
-	out := make([]*table.Table, len(seals))
-	for i, rec := range seals {
-		t, err := d.loadPartition(rec)
+// sourceLocked serves live seals [lo, hi) through the dataset's pool,
+// one whole-file partition per seal under its stable ID.
+func (d *Dataset) sourceLocked(lo, hi int) (*storage.PooledSource, error) {
+	files := make([]*colstore.File, 0, hi-lo)
+	ids := make([]string, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		f, err := d.fileLocked(i)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = t
+		files = append(files, f)
+		ids = append(ids, d.partID(d.seals[i].Name))
 	}
-	return out, nil
+	return storage.NewFileSource(d.pool, files, ids), nil
+}
+
+// source serves every live partition, in seal order: the leaf source a
+// query over the dataset scans.
+func (d *Dataset) source() (*storage.PooledSource, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.sourceLocked(0, len(d.seals))
 }
 
 // AppendRows buffers rows into the open segment, sealing automatically
@@ -462,6 +512,7 @@ func (d *Dataset) sealLocked(ctx context.Context) (*Partition, error) {
 		return nil, d.failed
 	}
 	d.seals = append(d.seals, rec)
+	d.files = append(d.files, nil)
 	d.gen++
 	d.m.Seals.Inc()
 	d.m.SealedRows.Add(int64(rec.Rows))
@@ -472,7 +523,7 @@ func (d *Dataset) sealLocked(ctx context.Context) (*Partition, error) {
 	d.segRows = 0
 
 	p := Partition{Seq: rec.Seq, Name: rec.Name, Rows: rec.Rows}
-	d.updateStandingLocked(ctx, rec)
+	d.updateStandingLocked(ctx, len(d.seals)-1)
 	sp.EndNote(fmt.Sprintf("%s rows=%d", name, rec.Rows))
 	if d.cfg.OnSeal != nil {
 		d.cfg.OnSeal(p)
@@ -503,7 +554,8 @@ func (d *Dataset) commitRecordLocked(rec sealRecord) error {
 
 // Close seals any buffered rows (graceful shutdown keeps them) and
 // releases the manifest handle. A dataset in the failed state closes
-// without sealing.
+// without sealing. The sealed files stay open: tables that queries
+// still hold alias their columns.
 func (d *Dataset) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -60,10 +60,7 @@ func TestAppendSealLoadRoundTrip(t *testing.T) {
 		t.Fatalf("generation = %d, want 2", got)
 	}
 
-	parts, err := d.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := sealed(t, d)
 	if len(parts) != 2 || parts[0].NumRows() != 10 || parts[1].NumRows() != 5 {
 		t.Fatalf("loaded %d parts, rows %v", len(parts), parts)
 	}
@@ -117,10 +114,7 @@ func TestReopenRecoversLiveSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := d.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := sealed(t, d)
 	// Buffered-but-unsealed rows are volatile by contract; Close seals
 	// them, so append some and close.
 	if err := d.AppendRows(ctx, testRows(100, 2)); err != nil {
@@ -140,10 +134,7 @@ func TestReopenRecoversLiveSet(t *testing.T) {
 	if got := len(re.Partitions()); got != 4 {
 		t.Fatalf("recovered partitions = %d, want 4 (3 + close-seal)", got)
 	}
-	after, err := re.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := sealed(t, re)
 	for i := range before {
 		if !reflect.DeepEqual(tableRows(before[i]), tableRows(after[i])) {
 			t.Fatalf("partition %d changed across reopen", i)
@@ -152,6 +143,26 @@ func TestReopenRecoversLiveSet(t *testing.T) {
 	if re.Generation() != 4 {
 		t.Fatalf("recovered generation = %d, want 4", re.Generation())
 	}
+}
+
+// sealed acquires every live partition of d the way a query does:
+// through the dataset's handles and pool, every column.
+func sealed(t *testing.T, d *Dataset) []*table.Table {
+	t.Helper()
+	src, err := d.source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*table.Table, len(src.Leaves()))
+	for i := range out {
+		p, release, err := src.Acquire(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		out[i] = p
+	}
+	return out
 }
 
 func tableRows(t *table.Table) []table.Row {
@@ -237,12 +248,8 @@ func TestStandingQueryMatchesReference(t *testing.T) {
 	}
 
 	reference := func() sketch.Result {
-		parts, err := d.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var rs []sketch.Result
-		for _, p := range parts {
+		for _, p := range sealed(t, d) {
 			r, err := sk.Summarize(p)
 			if err != nil {
 				t.Fatal(err)

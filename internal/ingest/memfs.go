@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/colstore"
 )
 
 // MemFS is a flat in-memory FS. It backs the crash harness: a
@@ -80,6 +82,16 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	}
 	return append([]byte(nil), data...), nil
+}
+
+// OpenHVC implements FS over a private copy of the file's bytes, so
+// the image under the columns never changes.
+func (m *MemFS) OpenHVC(name string) (*colstore.File, error) {
+	data, err := m.ReadFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return colstore.NewImageFile(name, data)
 }
 
 // Rename implements FS.

@@ -6,17 +6,17 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sketch"
-	"repro/internal/table"
 )
 
 // StandingQuery is a registered sketch whose running result tracks the
 // dataset's sealed prefix incrementally. Registration folds the already
 // sealed partitions from sk.Zero() in seal order; each later seal
 // summarizes only the new partition and merges it into the running
-// result (extend) — never rescanning covered data. Because the fold
-// visits the same file-loaded partitions in the same order as a
-// from-scratch Summarize+MergeAll, the running result is bit-identical
-// to recomputing over the same sealed prefix.
+// result (fold) — never rescanning covered data. Because the fold
+// visits the same partitions, read through the same handles and pool as
+// a query, in the same order as a from-scratch Summarize+MergeAll, the
+// running result is bit-identical to recomputing over the same sealed
+// prefix.
 type StandingQuery struct {
 	id string
 	sk sketch.Sketch
@@ -69,15 +69,10 @@ func (d *Dataset) Register(sk sketch.Sketch) (*StandingQuery, error) {
 		ds:      d,
 		running: sk.Zero(),
 	}
-	for _, rec := range d.seals {
-		t, err := d.loadPartition(rec)
-		if err != nil {
+	for i, rec := range d.seals {
+		if err := q.foldLocked(i); err != nil {
 			return nil, fmt.Errorf("ingest: standing query catch-up at %s: %w", rec.Name, err)
 		}
-		if q.running, err = q.extend(t); err != nil {
-			return nil, fmt.Errorf("ingest: standing query catch-up at %s: %w", rec.Name, err)
-		}
-		q.upTo = rec.Seq
 	}
 	d.nextSID++
 	d.standing = append(d.standing, q)
@@ -85,15 +80,30 @@ func (d *Dataset) Register(sk sketch.Sketch) (*StandingQuery, error) {
 	return q, nil
 }
 
-// extend folds one more sealed partition into the running result. Merge
-// does not mutate its arguments, so a reader still holding the previous
-// running result keeps a valid one.
-func (q *StandingQuery) extend(t *table.Table) (sketch.Result, error) {
+// foldLocked folds live seal i into the running result, reading only
+// the sketch's columns through the dataset's pool. Merge does not mutate
+// its arguments, so a reader still holding the previous running result
+// keeps a valid one. Callers hold q.ds.mu.
+func (q *StandingQuery) foldLocked(i int) error {
+	src, err := q.ds.sourceLocked(i, i+1)
+	if err != nil {
+		return err
+	}
+	t, release, err := src.Acquire(0, sketch.SketchColumns(q.sk))
+	if err != nil {
+		return err
+	}
+	defer release()
 	s, err := q.sk.Summarize(t)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return q.sk.Merge(q.running, s)
+	next, err := q.sk.Merge(q.running, s)
+	if err != nil {
+		return err
+	}
+	q.running, q.upTo = next, q.ds.seals[i].Seq
+	return nil
 }
 
 // Standing lists the registered standing queries.
@@ -119,34 +129,27 @@ func (d *Dataset) StandingByID(id string) (*StandingQuery, bool) {
 	return nil, false
 }
 
-// updateStandingLocked extends every registered query with the
-// just-sealed partition. It re-reads the partition file rather than
+// updateStandingLocked extends every registered query with live seal
+// i, the just-sealed partition. It reads the partition file rather than
 // using the in-memory frozen table so the summarized bytes are exactly
-// what the query path will load — the bit-identity contract. A load or
+// what the query path reads — the bit-identity contract. A read or
 // fold failure is sticky on the affected query only; the seal itself
 // already committed.
-func (d *Dataset) updateStandingLocked(ctx context.Context, rec sealRecord) {
+func (d *Dataset) updateStandingLocked(ctx context.Context, i int) {
 	if len(d.standing) == 0 {
 		return
 	}
+	rec := d.seals[i]
 	sp := obs.TraceFrom(ctx).StartSpan("ingest.standing_update")
-	t, err := d.loadPartition(rec)
 	updated := 0
 	for _, q := range d.standing {
 		if q.err != nil {
 			continue
 		}
-		if err != nil {
+		if err := q.foldLocked(i); err != nil {
 			q.err = fmt.Errorf("ingest: standing update at %s: %w", rec.Name, err)
 			continue
 		}
-		next, merr := q.extend(t)
-		if merr != nil {
-			q.err = fmt.Errorf("ingest: standing update at %s: %w", rec.Name, merr)
-			continue
-		}
-		q.running = next
-		q.upTo = rec.Seq
 		updated++
 	}
 	d.m.StandingUpdates.Add(int64(updated))

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/colstore"
 	"repro/internal/engine"
 	"repro/internal/table"
 )
@@ -34,6 +35,11 @@ type StoreConfig struct {
 	SegmentRows int
 	// Metrics, when set, is shared by every dataset of the store.
 	Metrics *Metrics
+	// Pool serves the columns of every sealed partition of the store;
+	// the server passes the pool its other sources use, so one
+	// -pool-budget bounds both (nil = a private unlimited pool per
+	// dataset).
+	Pool *colstore.Pool
 	// OnSeal, when set, runs after each durable seal of any dataset —
 	// the serving layer advances the dataset's engine generation here.
 	OnSeal func(dataset string, p Partition)
@@ -68,7 +74,7 @@ func (s *Store) fs() FS {
 }
 
 func (s *Store) datasetConfig(name string) Config {
-	c := Config{FS: s.cfg.FS, SegmentRows: s.cfg.SegmentRows, Metrics: s.cfg.Metrics}
+	c := Config{FS: s.cfg.FS, SegmentRows: s.cfg.SegmentRows, Metrics: s.cfg.Metrics, Pool: s.cfg.Pool}
 	if hook := s.cfg.OnSeal; hook != nil {
 		c.OnSeal = func(p Partition) { hook(name, p) }
 	}
@@ -198,10 +204,13 @@ func (s *Store) Close() error {
 }
 
 // WrapLoader returns an engine loader that serves "ingest:<name>"
-// sources from this store — each live sealed partition becomes one
-// engine partition, with its stable table ID — and delegates everything
-// else to inner. The loader re-reads the live set on every call, so
-// redo-log replay after an append observes the current sealed prefix.
+// sources from this store and delegates everything else to inner. A
+// dataset is one storage.PooledSource: each live sealed partition is
+// one whole-file leaf with its stable table ID, its columns read through
+// the store's pool from the handle the dataset keeps open. The loader
+// re-reads the live set on every call, so the redo-log replay after a
+// seal observes the current sealed prefix, opens only the new file, and
+// shares every older column object with the views made before it.
 func (s *Store) WrapLoader(inner engine.Loader, cfg engine.Config) engine.Loader {
 	return func(id, source string) (engine.IDataSet, error) {
 		name, ok := strings.CutPrefix(source, SourcePrefix)
@@ -215,10 +224,10 @@ func (s *Store) WrapLoader(inner engine.Loader, cfg engine.Config) engine.Loader
 		if err != nil {
 			return nil, err
 		}
-		parts, err := d.Load()
+		src, err := d.source()
 		if err != nil {
 			return nil, err
 		}
-		return engine.NewLocal(id, parts, cfg), nil
+		return engine.NewLocalSource(id, src, cfg), nil
 	}
 }

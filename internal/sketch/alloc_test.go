@@ -7,6 +7,7 @@ package sketch
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/table"
@@ -96,6 +97,9 @@ func TestValueBatchesArePooled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A GC empties a sync.Pool: hold it off from the fill to the end of
+	// the measured loop, so the pin measures the scan, not the collector.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	scan() // fill the pool
 	const runs = 20
 	var before, after runtime.MemStats

@@ -95,11 +95,18 @@ type View struct {
 }
 
 // Load opens a dataset from a storage source and returns its root view.
+// A load whose metadata query fails leaves the name undefined, so the
+// same load can be retried.
 func (s *Sheet) Load(ctx context.Context, name, source string) (*View, error) {
 	if _, err := s.root.Load(name, source); err != nil {
 		return nil, err
 	}
-	return s.view(ctx, name)
+	v, err := s.view(ctx, name)
+	if err != nil {
+		s.root.Undefine(name)
+		return nil, err
+	}
+	return v, nil
 }
 
 // view builds a View and fetches its metadata.

@@ -2,12 +2,14 @@ package spreadsheet
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -29,6 +31,40 @@ func testSheet(t *testing.T, rows int) (*Sheet, *View) {
 		t.Fatal(err)
 	}
 	return s, v
+}
+
+// failFirst fails the first vizketch it is asked to run and runs the
+// rest on root.
+type failFirst struct {
+	root   *engine.Root
+	failed atomic.Bool
+}
+
+func (f *failFirst) RunSketch(ctx context.Context, id string, sk sketch.Sketch, onPartial engine.PartialFunc) (sketch.Result, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("injected failure")
+	}
+	return f.root.RunSketch(ctx, id, sk, onPartial)
+}
+
+// TestFailedLoadFreesName: a load whose metadata query fails does not
+// spend its name — the same load, retried, succeeds instead of
+// answering "already defined".
+func TestFailedLoadFreesName(t *testing.T) {
+	ctx := context.Background()
+	root := engine.NewRoot(storage.NewLoader(engine.Config{AggregationWindow: -1}, 0, nil))
+	s := NewWithRunner(root, &failFirst{root: root})
+	const src = "flights:rows=1000,parts=2,seed=3"
+	if _, err := s.Load(ctx, "m", src); err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("first load: err = %v, want the injected failure", err)
+	}
+	v, err := s.Load(ctx, "m", src)
+	if err != nil {
+		t.Fatalf("retried load: %v", err)
+	}
+	if rows := v.cachedMeta().Rows; rows != 1000 {
+		t.Fatalf("retried load has %d rows, want 1000", rows)
+	}
 }
 
 func itoa(n int) string {

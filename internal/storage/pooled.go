@@ -170,6 +170,19 @@ func NewPooledSource(pool *colstore.Pool, specs []PooledFileSpec, microRows int)
 	return s, nil
 }
 
+// NewFileSource serves HVC2 files that are already open through pool,
+// each whole file as one partition under the ID at the same index of
+// ids. The caller keeps the handles: Close on the source leaves them
+// open, so one handle can back every source built over it.
+func NewFileSource(pool *colstore.Pool, files []*colstore.File, ids []string) *PooledSource {
+	s := &PooledSource{pool: pool}
+	for i, f := range files {
+		s.leaves = append(s.leaves, pooledLeaf{file: &pooledFile{File: f}})
+		s.metas = append(s.metas, engine.LeafMeta{ID: ids[i], Hi: f.Rows(), Bound: f.Rows()})
+	}
+	return s
+}
+
 // addFile maps one HVC2 file, through cache when it is not nil, and
 // appends its micropartitions.
 func (s *PooledSource) addFile(spec PooledFileSpec, microRows int, cache *fileCache) error {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 
+	"repro/internal/colstore"
 	"repro/internal/engine"
 	"repro/internal/ingest"
 	"repro/internal/serve"
@@ -29,9 +30,12 @@ import (
 // After every seal, each harness sketch runs through the stack and must
 // be bit-identical (reflect.DeepEqual) to the reference fold —
 // Summarize + sequential MergeAll — over the dataset's own sealed
-// prefix, re-loaded from disk. Standing queries registered up front and
-// mid-stream must match the same reference at every step: incremental
-// re-merge must be indistinguishable from recomputation.
+// prefix, decoded from its files onto the heap by an independent
+// decoder (colstore.ReadHVC2Bytes), while the stack reads the same
+// files through their open handles and the column pool. Standing
+// queries registered up front and mid-stream must match the same
+// reference at every step: incremental re-merge must be
+// indistinguishable from recomputation.
 //
 // # Crash battery
 //
@@ -135,7 +139,7 @@ func runIngestPrefixIdentity(seed uint64) error {
 	var midStream *ingest.StandingQuery
 
 	checkStep := func(step int) error {
-		loaded, err := ds.Load()
+		loaded, err := sealedPrefix(fs, "root/"+datasetID, ds)
 		if err != nil {
 			return err
 		}
@@ -281,6 +285,24 @@ func runIngestCrashBattery(seed uint64) error {
 	return nil
 }
 
+// sealedPrefix decodes the live partitions of d onto the heap straight
+// from their files in dir, under the IDs the dataset serves them with: the
+// from-scratch reference the mapped, pooled path is compared against.
+func sealedPrefix(fs ingest.FS, dir string, d *ingest.Dataset) ([]*table.Table, error) {
+	parts := d.Partitions()
+	out := make([]*table.Table, len(parts))
+	for i, p := range parts {
+		data, err := fs.ReadFile(filepath.Join(dir, p.Name))
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = colstore.ReadHVC2Bytes(data, d.Name()+"/"+strings.TrimSuffix(p.Name, ".hvc"), nil); err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
+		}
+	}
+	return out, nil
+}
+
 // checkIngestRecovery recovers one crash image and enforces the sealing
 // contract; with deep set it additionally queries the recovered dataset
 // through an engine root and compares against the reference fold.
@@ -292,14 +314,15 @@ func checkIngestRecovery(img *ingest.MemFS, dir string, k int, ackOps []int,
 			minLive++
 		}
 	}
-	d, err := ingest.Open(dir, ingest.Config{FS: img, SegmentRows: -1})
+	st := ingest.NewStore(filepath.Dir(dir), ingest.StoreConfig{FS: img, SegmentRows: -1})
+	defer st.Close()
+	d, err := st.Get(filepath.Base(dir))
 	if err != nil {
 		if minLive > 0 {
 			return fmt.Errorf("recovery failed with %d acknowledged seals: %w", minLive, err)
 		}
 		return nil // no seal acknowledged: "no dataset" is a legal outcome
 	}
-	defer d.Close()
 
 	parts := d.Partitions()
 	if len(parts) < minLive || len(parts) > len(sealBytes) {
@@ -333,9 +356,10 @@ func checkIngestRecovery(img *ingest.MemFS, dir string, k int, ackOps []int,
 		return nil
 	}
 
-	// The recovered dataset serves queries: engine scan over the live
-	// set must match the reference fold over the same loaded partitions.
-	loaded, err := d.Load()
+	// The recovered dataset serves queries: an engine scan over the live
+	// set, through the handles recovery verified, must match the
+	// reference fold over the same partitions decoded from the image.
+	loaded, err := sealedPrefix(img, dir, d)
 	if err != nil {
 		return err
 	}
@@ -344,7 +368,10 @@ func checkIngestRecovery(img *ingest.MemFS, dir string, k int, ackOps []int,
 		return err
 	}
 	cfg := engine.Config{Parallelism: 2, AggregationWindow: -1}
-	ds := engine.NewLocal(datasetID, loaded, cfg)
+	ds, err := st.WrapLoader(nil, cfg)(datasetID, ingest.SourcePrefix+d.Name())
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), runTimeout)
 	defer cancel()
 	got, err := ds.Sketch(ctx, sk, nil)
