@@ -191,6 +191,27 @@ func TestIngestEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestEmptyIngestDatasetIsBadRequest: before its first seal an ingest
+// dataset has no rows and no schema, so meta, load and chart requests
+// over it answer the same plain-text 400, never a 500.
+func TestEmptyIngestDatasetIsBadRequest(t *testing.T) {
+	s := testIngestServer(t, -1)
+	if rec, _ := post(t, s.handleIngest, "/api/ingest?op=create&name=ev&schema=ts:date,lat:double,msg:string", ""); rec.Code != http.StatusOK {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+	}
+	for _, url := range []string{
+		"/api/meta?view=ev",
+		"/api/load?name=ev2&source=" + ingest.SourcePrefix + "ev",
+		"/api/histogram?view=ev&col=lat",
+	} {
+		rec := httptest.NewRecorder()
+		s.mux().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		if body := rec.Body.String(); rec.Code != http.StatusBadRequest || !strings.Contains(body, "holds no rows yet") {
+			t.Errorf("%s: %d %q, want 400 holds no rows yet", url, rec.Code, body)
+		}
+	}
+}
+
 // TestIngestDisabledWithout404 pins the disabled mode: without
 // -ingest-dir the endpoints answer 400 naming the flag.
 func TestIngestDisabled(t *testing.T) {

@@ -664,7 +664,12 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.views.putLoaded(name, v)
-	writeJSON(w, map[string]any{"view": name, "rows": v.NumRows(), "columns": v.Schema().NumColumns()})
+	schema, err := v.NonEmptySchema()
+	if err != nil {
+		s.httpError(w, err)
+		return
+	}
+	writeJSON(w, map[string]any{"view": name, "rows": v.NumRows(), "columns": schema.NumColumns()})
 }
 
 func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
@@ -673,7 +678,12 @@ func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"rows": v.NumRows(), "schema": v.Schema().Columns})
+	schema, err := v.NonEmptySchema()
+	if err != nil {
+		s.httpError(w, err)
+		return
+	}
+	writeJSON(w, map[string]any{"rows": v.NumRows(), "schema": schema.Columns})
 }
 
 // parseOrder parses "+ColA,-ColB" sort specs.

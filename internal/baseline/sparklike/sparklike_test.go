@@ -27,7 +27,7 @@ func TestMapPartitionsHistogram(t *testing.T) {
 		counts := make([]int64, 20)
 		col := p.MustColumn("Distance")
 		p.Members().Iterate(func(row int) bool {
-			if b := spec.IndexValue(col.Double(row)); b >= 0 {
+			if b := spec.IndexValue(col.Value(row).Double()); b >= 0 {
 				counts[b]++
 			}
 			return true
@@ -63,7 +63,7 @@ func TestFilterAndCollect(t *testing.T) {
 	parts := flights.GenPartitions("slc", 5000, 2, 2, flights.CoreColumns)
 	rdd := eng.Parallelize(parts)
 	ua := rdd.Filter(func(p *table.Table, row int) bool {
-		return p.MustColumn("Carrier").Str(row) == "UA"
+		return p.MustColumn("Carrier").Value(row).String() == "UA"
 	})
 	rows, err := ua.Collect([]string{"Carrier", "Distance"})
 	if err != nil {

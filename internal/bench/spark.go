@@ -145,8 +145,8 @@ func (e *SparkEnv) histogramCDF(col string, bars, width int) error {
 
 func (e *SparkEnv) filteredHistogramCDF(filterCol, col string, bars, width int) error {
 	filtered := e.RDD.Filter(func(t *table.Table, row int) bool {
-		c := t.MustColumn(filterCol)
-		return !c.Missing(row) && c.Double(row) > 0
+		v := t.MustColumn(filterCol).Value(row)
+		return !v.Missing && v.Double() > 0
 	})
 	sub := &SparkEnv{Eng: e.Eng, RDD: filtered, Rows: e.Rows, seed: e.seed}
 	return sub.histogramCDF(col, bars, width)
@@ -218,8 +218,8 @@ func (e *SparkEnv) stringHistogram(col string, bars int) error {
 		c := t.MustColumn(col)
 		seen := map[string]bool{}
 		t.Members().Iterate(func(row int) bool {
-			if !c.Missing(row) {
-				seen[c.Str(row)] = true
+			if v := c.Value(row); !v.Missing {
+				seen[v.String()] = true
 			}
 			return true
 		})
@@ -297,8 +297,8 @@ func (e *SparkEnv) distinctCount(col string) error {
 		c := t.MustColumn(col)
 		seen := map[int64]bool{}
 		t.Members().Iterate(func(row int) bool {
-			if !c.Missing(row) {
-				seen[c.Int(row)] = true
+			if v := c.Value(row); !v.Missing {
+				seen[v.I] = true
 			}
 			return true
 		})
@@ -386,8 +386,8 @@ func uniqueStrings(e *SparkEnv, col string) []string {
 		c := t.MustColumn(col)
 		seen := map[string]bool{}
 		t.Members().Iterate(func(row int) bool {
-			if !c.Missing(row) {
-				seen[c.Str(row)] = true
+			if v := c.Value(row); !v.Missing {
+				seen[v.String()] = true
 			}
 			return true
 		})

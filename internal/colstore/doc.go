@@ -21,7 +21,10 @@
 //   - A budgeted buffer pool (pool.go): Pool tracks resident bytes per
 //     materialized column, loads columns lazily on first Acquire, pins
 //     them while a scan holds them, and evicts least-recently-used
-//     unpinned columns once a configurable budget is exceeded.
+//     unpinned columns once a configurable budget is exceeded. A
+//     column's key is its open File and column index (ColKey), never
+//     its path, so a path rewritten between two opens is two sets of
+//     columns, and loaders that share a pool never read each other's.
 //     Eviction of a mapped column releases its OS pages (madvise
 //     MADV_DONTNEED) but keeps the mapping itself valid, so a stale
 //     reference held by a derived table remains correct — the pages

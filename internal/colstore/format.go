@@ -179,31 +179,39 @@ func planColumn(t *table.Table, c, rows int) (*colPlan, error) {
 	col := t.ColumnAt(c)
 	p := &colPlan{kind: col.Kind()}
 
-	// Missing bitmap over output row positions.
-	missing := table.NewBitset(rows)
-	hasMissing := false
-	pos := 0
-	t.Members().Iterate(func(row int) bool {
-		if col.Missing(row) {
-			missing.Set(pos)
-			hasMissing = true
-		}
-		pos++
-		return true
-	})
-	if hasMissing {
-		p.missing = missing
-		p.missingLen = 8 * int64(len(missing.Words))
-	}
-
-	switch col.Kind() {
-	case table.KindInt, table.KindDate, table.KindDouble:
+	var miss *table.Bitset
+	switch c := col.(type) {
+	case *table.IntColumn:
+		miss = c.MissingMask()
 		p.payloadLen = 8 * int64(rows)
-	case table.KindString:
-		planString(t, col.(*table.StringColumn), rows, p)
+	case *table.DoubleColumn:
+		miss = c.MissingMask()
+		p.payloadLen = 8 * int64(rows)
+	case *table.StringColumn:
+		miss = c.MissingMask()
+		planString(t, c, rows, p)
 		p.payloadLen = 4 * int64(rows)
 	default:
 		return nil, fmt.Errorf("colstore: hvc2 cannot encode kind %v", col.Kind())
+	}
+
+	// Missing bitmap over output row positions.
+	if miss != nil {
+		missing := table.NewBitset(rows)
+		hasMissing := false
+		pos := 0
+		t.Members().Iterate(func(row int) bool {
+			if miss.Get(row) {
+				missing.Set(pos)
+				hasMissing = true
+			}
+			pos++
+			return true
+		})
+		if hasMissing {
+			p.missing = missing
+			p.missingLen = 8 * int64(len(missing.Words))
+		}
 	}
 	return p, nil
 }
@@ -218,9 +226,9 @@ func planString(t *table.Table, sc *table.StringColumn, rows int, p *colPlan) {
 	var dict []string
 	codes := make([]int32, 0, rows)
 	used := make([]bool, sc.DictSize())
-	scCodes := sc.Codes()
+	scCodes, miss := sc.Codes(), sc.MissingMask()
 	t.Members().Iterate(func(row int) bool {
-		if sc.Missing(row) {
+		if miss.Get(row) {
 			codes = append(codes, -1)
 		} else {
 			code := scCodes[row]
@@ -278,13 +286,12 @@ func encodeBlockV2(buf *bytes.Buffer, t *table.Table, c, rows int, p *colPlan) e
 	binary.LittleEndian.PutUint64(hdr[48:], uint64(p.dictCount))
 	buf.Write(hdr[:])
 
-	col := t.ColumnAt(c)
-	switch p.kind {
-	case table.KindInt, table.KindDate:
-		buf.Write(int64Bytes(gatherInts(t, col, rows)))
-	case table.KindDouble:
-		buf.Write(float64Bytes(gatherDoubles(t, col, rows)))
-	case table.KindString:
+	switch col := t.ColumnAt(c).(type) {
+	case *table.IntColumn:
+		buf.Write(int64Bytes(gatherCells(t, col.Ints(), col.MissingMask(), rows)))
+	case *table.DoubleColumn:
+		buf.Write(float64Bytes(gatherCells(t, col.Doubles(), col.MissingMask(), rows)))
+	case *table.StringColumn:
 		buf.Write(int32Bytes(p.codes))
 	}
 	pad := pad64(payloadEnd) - payloadEnd
@@ -301,35 +308,18 @@ func encodeBlockV2(buf *bytes.Buffer, t *table.Table, c, rows int, p *colPlan) e
 	return nil
 }
 
-// gatherInts flattens the member rows of an int/date column, storing
-// canonical zero for missing cells. Full-membership stored columns with
-// no missing values pass their backing slice through untouched.
-func gatherInts(t *table.Table, col table.Column, rows int) []int64 {
-	if ic, ok := col.(*table.IntColumn); ok && !ic.HasMissing() && t.NumRows() == ic.Len() {
-		return ic.Ints()
+// gatherCells flattens the member rows of a numeric column, storing
+// canonical zero for missing cells. A full-membership column with no
+// missing values passes its backing slice through untouched.
+func gatherCells[T int64 | float64](t *table.Table, vals []T, miss *table.Bitset, rows int) []T {
+	if miss == nil && t.NumRows() == len(vals) {
+		return vals
 	}
-	out := make([]int64, 0, rows)
+	out := make([]T, 0, rows)
 	t.Members().Iterate(func(row int) bool {
-		var v int64
-		if !col.Missing(row) {
-			v = col.Int(row)
-		}
-		out = append(out, v)
-		return true
-	})
-	return out
-}
-
-// gatherDoubles is gatherInts for float64 columns.
-func gatherDoubles(t *table.Table, col table.Column, rows int) []float64 {
-	if dc, ok := col.(*table.DoubleColumn); ok && !dc.HasMissing() && t.NumRows() == dc.Len() {
-		return dc.Doubles()
-	}
-	out := make([]float64, 0, rows)
-	t.Members().Iterate(func(row int) bool {
-		var v float64
-		if !col.Missing(row) {
-			v = col.Double(row)
+		var v T
+		if !miss.Get(row) {
+			v = vals[row]
 		}
 		out = append(out, v)
 		return true
@@ -672,9 +662,6 @@ func newFile(path string, f *os.File, data []byte) (*File, error) {
 		validated: make([]bool, h.schema.NumColumns()),
 	}, nil
 }
-
-// Path returns the file path.
-func (f *File) Path() string { return f.path }
 
 // Schema returns the file's column schema.
 func (f *File) Schema() *table.Schema { return f.hdr.schema }

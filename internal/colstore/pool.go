@@ -7,10 +7,12 @@ import (
 	"repro/internal/table"
 )
 
-// ColKey identifies one column of one source in the pool.
+// ColKey identifies one column of one open file in the pool. It names
+// the handle, not the path: a path rewritten between two opens is two
+// files, so no handle is ever served a column another one loaded.
 type ColKey struct {
-	Source string // file path or other stable source identifier
-	Column string
+	File   *File
+	Column int // index in the file's schema
 }
 
 // PoolStats is a snapshot of pool counters.

@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"reflect"
 	"strconv"
@@ -42,31 +41,31 @@ func TestPoolHitMissAndBudgetEviction(t *testing.T) {
 	// Budget fits exactly two 800-byte columns.
 	p := NewPool(1600)
 	var loads atomic.Int64
-	get := func(name string) func() {
-		col, release, err := p.Acquire(ColKey{"src", name}, intLoader(100, int64(len(name)), &loads))
+	get := func(ci int) func() {
+		col, release, err := p.Acquire(ColKey{Column: ci}, intLoader(100, int64(ci), &loads))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if col.Len() != 100 {
-			t.Fatalf("column %q: len %d", name, col.Len())
+			t.Fatalf("column %d: len %d", ci, col.Len())
 		}
 		return release
 	}
-	get("a")()
-	get("b")()
+	get(0)()
+	get(1)()
 	if s := p.Stats(); s.Misses != 2 || s.Hits != 0 || s.Resident != 1600 {
 		t.Fatalf("after two loads: %v", s)
 	}
-	get("a")() // hit
+	get(0)() // hit
 	if s := p.Stats(); s.Hits != 1 {
 		t.Fatalf("expected a hit: %v", s)
 	}
-	get("c")() // pushes resident to 2400 -> evicts LRU (b)
+	get(2)() // pushes resident to 2400 -> evicts LRU (b)
 	s := p.Stats()
 	if s.Resident > 1600 || s.Evictions == 0 {
 		t.Fatalf("budget not enforced: %v", s)
 	}
-	get("b")() // must reload
+	get(1)() // must reload
 	if got := loads.Load(); got != 4 {
 		t.Fatalf("loader ran %d times, want 4 (a,b,c + reload of b)", got)
 	}
@@ -75,12 +74,12 @@ func TestPoolHitMissAndBudgetEviction(t *testing.T) {
 func TestPoolPinPreventsEviction(t *testing.T) {
 	p := NewPool(800) // budget = one column
 	var loads atomic.Int64
-	colA, releaseA, err := p.Acquire(ColKey{"src", "a"}, intLoader(100, 1, &loads))
+	colA, releaseA, err := p.Acquire(ColKey{Column: 0}, intLoader(100, 1, &loads))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// While a is pinned, loading b overshoots the budget; a must stay.
-	_, releaseB, err := p.Acquire(ColKey{"src", "b"}, intLoader(100, 2, &loads))
+	_, releaseB, err := p.Acquire(ColKey{Column: 1}, intLoader(100, 2, &loads))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestPoolPinPreventsEviction(t *testing.T) {
 		t.Fatalf("want exactly the pinned column: %v", s)
 	}
 	// a resident and pinned: another acquire is a hit, not a reload.
-	_, r, err := p.Acquire(ColKey{"src", "a"}, intLoader(100, 1, &loads))
+	_, r, err := p.Acquire(ColKey{Column: 0}, intLoader(100, 1, &loads))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestPoolPinPreventsEviction(t *testing.T) {
 		// b was already evicted by the budget; fine.
 	}
 	// EvictAll must not drop the pinned a.
-	_, r2, err := p.Acquire(ColKey{"src", "a"}, intLoader(100, 1, &loads))
+	_, r2, err := p.Acquire(ColKey{Column: 0}, intLoader(100, 1, &loads))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestPoolPinPreventsEviction(t *testing.T) {
 func TestPoolEvictThenReloadBitIdentical(t *testing.T) {
 	p := NewPool(testBudget(1 << 20))
 	var loads atomic.Int64
-	key := ColKey{"src", "col"}
+	key := ColKey{}
 	first, r1, err := p.Acquire(key, intLoader(500, 42, &loads))
 	if err != nil {
 		t.Fatal(err)
@@ -155,11 +154,11 @@ func TestPoolLoaderErrorNotCached(t *testing.T) {
 		}
 		return table.NewIntColumn(table.KindInt, make([]int64, 4), nil), 32, nil, nil
 	}
-	if _, _, err := p.Acquire(ColKey{"s", "c"}, load); !errors.Is(err, boom) {
+	if _, _, err := p.Acquire(ColKey{}, load); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
 	}
 	fail = false
-	col, r, err := p.Acquire(ColKey{"s", "c"}, load)
+	col, r, err := p.Acquire(ColKey{}, load)
 	if err != nil || col == nil {
 		t.Fatalf("retry after loader error failed: %v", err)
 	}
@@ -188,10 +187,10 @@ func TestPoolConcurrentBudget(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				name := fmt.Sprintf("c%d", (w*7+i)%cols)
-				col, release, err := p.Acquire(ColKey{"src", name}, intLoader(64, int64(len(name)), &loads))
+				ci := (w*7 + i) % cols
+				col, release, err := p.Acquire(ColKey{Column: ci}, intLoader(64, int64(ci), &loads))
 				if err != nil {
-					t.Errorf("acquire %s: %v", name, err)
+					t.Errorf("acquire %d: %v", ci, err)
 					return
 				}
 				s := int64(0)
@@ -234,7 +233,7 @@ func TestPoolMappedFileChurn(t *testing.T) {
 		for ci := 0; ci < f.Schema().NumColumns(); ci++ {
 			name := f.Schema().Columns[ci].Name
 			ci := ci
-			col, release, err := p.Acquire(ColKey{f.Path(), name}, func() (table.Column, int64, func(), error) {
+			col, release, err := p.Acquire(ColKey{f, ci}, func() (table.Column, int64, func(), error) {
 				c, size, evict, err := f.Column(ci)
 				return c, size, evict, err
 			})
@@ -260,8 +259,8 @@ func TestPoolMappedFileChurn(t *testing.T) {
 
 // TestPoolMappedFileReopenBitIdentical evicts a real mapped file's
 // columns: their pages are unmapped, the budget frees, the file closes,
-// and the file reopened at the same path (same source key) reloads the
-// same values.
+// and the file reopened at the same path (a new handle, so a new key)
+// reloads the same values.
 func TestPoolMappedFileReopenBitIdentical(t *testing.T) {
 	path := writeTemp(t, testTable(t, 500))
 	f, err := OpenFile(path)
@@ -273,7 +272,7 @@ func TestPoolMappedFileReopenBitIdentical(t *testing.T) {
 		vals := map[string][]table.Value{}
 		for ci := 0; ci < f.Schema().NumColumns(); ci++ {
 			name := f.Schema().Columns[ci].Name
-			col, release, err := p.Acquire(ColKey{f.Path(), name}, func() (table.Column, int64, func(), error) {
+			col, release, err := p.Acquire(ColKey{f, ci}, func() (table.Column, int64, func(), error) {
 				return f.Column(ci)
 			})
 			if err != nil {

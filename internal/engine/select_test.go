@@ -75,10 +75,10 @@ func TestFilterOpsMatchRowFilter(t *testing.T) {
 				}
 				col := p.MustColumn(op.Col)
 				want := p.Filter("out", func(row int) bool {
-					if col.Missing(row) {
+					if col.Value(row).Missing {
 						return false
 					}
-					v := col.Double(row)
+					v := col.Value(row).Double()
 					return v >= op.Min && v <= op.Max
 				})
 				if !reflect.DeepEqual(got.Members(), want.Members()) {

@@ -23,7 +23,7 @@ import (
 func shardParts(t *testing.T) (sharded, whole []*table.Table) {
 	base := genParts("sh", 1, 12000, seedtest.Seed(t))[0]
 	dense := func(tb *table.Table) func(int) bool {
-		return func(row int) bool { return tb.MustColumn("x").Double(row) < 80 }
+		return func(row int) bool { return tb.MustColumn("x").Value(row).Double() < 80 }
 	}
 	sparse := func(row int) bool { return row%40 == 0 }
 	whole = []*table.Table{base, base.Filter("sh/d", dense(base)), base.Filter("sh/s", sparse)}

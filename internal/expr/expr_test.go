@@ -323,17 +323,17 @@ func TestPredicateAndDerive(t *testing.T) {
 	if col.Kind() != table.KindInt || col.Len() != 4 {
 		t.Fatalf("derived column kind/len = %v/%d", col.Kind(), col.Len())
 	}
-	if got := col.Int(0); got != 21 {
+	if got := col.Value(0).I; got != 21 {
 		t.Errorf("derived[0] = %d, want 21", got)
 	}
-	if !col.Missing(2) {
+	if !col.Value(2).Missing {
 		t.Error("derived[2] should be missing")
 	}
 	t2, err := tbl.WithColumn("t2", "a2", col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := t2.MustColumn("a2").Int(3); got != 201 {
+	if got := t2.MustColumn("a2").Value(3).I; got != 201 {
 		t.Errorf("via table = %d, want 201", got)
 	}
 }

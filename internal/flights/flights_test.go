@@ -20,14 +20,14 @@ func TestGenBasics(t *testing.T) {
 	}
 	// Every pad name reads one stored column: 8 B a row in all.
 	pad := tbl.MustColumn("Pad042")
-	if _, ok := pad.(*table.IntColumn); !ok || pad.Missing(5) || pad != tbl.MustColumn("Pad000") {
+	if _, ok := pad.(*table.IntColumn); !ok || pad.Value(5).Missing || pad != tbl.MustColumn("Pad000") {
 		t.Errorf("pad column %T is not one shared stored int column", pad)
 	}
 	// Carrier skew: WN (rank 1 in the Zipf) must dominate.
 	counts := map[string]int{}
 	carrier := tbl.MustColumn("Carrier")
 	tbl.Members().Iterate(func(i int) bool {
-		counts[carrier.Str(i)]++
+		counts[carrier.Value(i).String()]++
 		return true
 	})
 	if counts["WN"] <= counts["HA"] {
@@ -39,13 +39,13 @@ func TestGenBasics(t *testing.T) {
 	code := tbl.MustColumn("CancellationCode")
 	sawCancelled := false
 	tbl.Members().Iterate(func(i int) bool {
-		if cancelled.Int(i) == 1 {
+		if cancelled.Value(i).I == 1 {
 			sawCancelled = true
-			if !depTime.Missing(i) || code.Missing(i) {
+			if !depTime.Value(i).Missing || code.Value(i).Missing {
 				t.Errorf("row %d: cancelled flight with DepTime/no code", i)
 				return false
 			}
-		} else if !code.Missing(i) {
+		} else if !code.Value(i).Missing {
 			t.Errorf("row %d: non-cancelled flight with code", i)
 			return false
 		}

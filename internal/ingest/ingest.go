@@ -384,13 +384,6 @@ func (d *Dataset) partID(name string) string {
 // first use; it stays open for the dataset's life, so the replay after a
 // seal opens one new file and every source shares the column objects of
 // the others. Callers hold d.mu (or own d, as recovery does).
-//
-// The pool keys columns by path, and it may be shared with
-// storage.NewLoader. That is safe here: a live dataset never rewrites a
-// sealed file (a seal whose write fails reuses its name, but only a
-// committed seal is ever opened); sequence numbers are reissued only by
-// recovery, which runs in Open before anything is opened; so one path
-// always holds the same bytes.
 func (d *Dataset) fileLocked(i int) (*colstore.File, error) {
 	if f := d.files[i]; f != nil {
 		return f, nil

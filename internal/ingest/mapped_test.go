@@ -212,6 +212,9 @@ func BenchmarkIngestReplay(b *testing.B) {
 		before, after runtime.MemStats
 		allocated     uint64
 	)
+	// One P for the measured window, as testing.AllocsPerRun pins it: a
+	// sync.Pool's per-P slot is missed by a goroutine that changes P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ResetTimer()
 	for range b.N {
 		seal()

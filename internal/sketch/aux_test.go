@@ -161,7 +161,7 @@ func TestHyperLogLogStrings(t *testing.T) {
 	}
 	// Filter to rows holding only 5 values.
 	col := tbl.MustColumn("s").(*table.StringColumn)
-	f5 := tbl.Filter("hlls-5", func(i int) bool { return col.Str(i) < "f" })
+	f5 := tbl.Filter("hlls-5", func(i int) bool { return col.Value(i).String() < "f" })
 	res, err = (&DistinctCountSketch{Col: "s"}).Summarize(f5)
 	if err != nil {
 		t.Fatal(err)

@@ -7,13 +7,13 @@ import (
 )
 
 // This file holds the vectorized leaf-scan drivers shared by the hot
-// sketches: one driver per scan shape — histogramScan for a 1-D tally,
-// gridScan (hist2d.go) for a 2-D grid with an optional group axis,
-// scanValues for sketches that consume table.Value — each taking the
-// sketch's (rate, seed). A rate below 1 is a branch inside the driver,
-// not a second driver: sampleBatches gathers the deterministic Sample
-// sequence into row batches, which keeps randomized sketches replayable
-// (paper §5.8). At rate 1 a scan is decomposed into batches of at most
+// sketches: one driver per scan shape — histogramScan for a 1-D tally
+// and gridScan (hist2d.go) for a 2-D grid with an optional group axis —
+// each taking the sketch's (rate, seed). A rate below 1 is a branch
+// inside the driver, not a second driver: sampleBatches gathers the
+// deterministic Sample sequence into row batches, which keeps randomized
+// sketches replayable (paper §5.8); sampled heavy hitters call it, or
+// gatherBatches at rate 1, directly. At rate 1 a scan is decomposed into batches of at most
 // kernelBatch rows, and each batch reaches the kernel in one of three
 // forms, per the membership batch-iteration contract (see
 // table.Membership):
@@ -30,8 +30,7 @@ import (
 //   - rows: sparse memberships, wrappers, and bitmaps under kernels
 //     without a word form take the gather path (gatherBatches):
 //     FillBatch bulk-decodes member rows into a reused buffer and the
-//     kernel gathers column values through it. Values (scanValues) are
-//     only ever built for gathered rows.
+//     kernel gathers column values through it.
 //
 // Every form visits exactly the rows Iterate (or Sample) visits, in the
 // same order, so batch results are identical to the row-at-a-time
@@ -172,89 +171,4 @@ func addTallies(h *Histogram, tallies []int64) {
 	for i := range h.Counts {
 		h.Counts[i] += tallies[i+2]
 	}
-}
-
-// valueGather returns the value-materialization kernel for col, for
-// sketches that consume table.Value (sampled heavy hitters): it fills
-// out[k] with the value of rows[k], reading the column's backing slice
-// with no per-row interface call. Dictionary columns build each
-// distinct Value once.
-func valueGather(col table.Column) func(rows []int32, out []table.Value) {
-	switch c := col.(type) {
-	case *table.IntColumn:
-		kind, vals, miss := c.Kind(), c.Ints(), c.MissingMask()
-		missingV := table.MissingValue(kind)
-		return func(rows []int32, out []table.Value) {
-			for k, r := range rows {
-				if miss != nil && miss.Get(int(r)) {
-					out[k] = missingV
-				} else {
-					out[k] = table.Value{Kind: kind, I: vals[r]}
-				}
-			}
-		}
-	case *table.DoubleColumn:
-		vals, miss := c.Doubles(), c.MissingMask()
-		missingV := table.MissingValue(table.KindDouble)
-		return func(rows []int32, out []table.Value) {
-			for k, r := range rows {
-				if miss != nil && miss.Get(int(r)) {
-					out[k] = missingV
-				} else {
-					out[k] = table.Value{Kind: table.KindDouble, D: vals[r]}
-				}
-			}
-		}
-	}
-	c := col.(*table.StringColumn)
-	codes, miss := c.Codes(), c.MissingMask()
-	dictVals := make([]table.Value, c.DictSize())
-	for i, s := range c.Dict() {
-		dictVals[i] = table.Value{Kind: table.KindString, S: s}
-	}
-	missingV := table.MissingValue(table.KindString)
-	return func(rows []int32, out []table.Value) {
-		for k, r := range rows {
-			if miss != nil && miss.Get(int(r)) {
-				out[k] = missingV
-			} else {
-				out[k] = dictVals[codes[r]]
-			}
-		}
-	}
-}
-
-// valueBuffers recycles the kernelBatch-value batches of scanValues
-// (40 B a value, 160 KiB a batch), as rowBuffers does the row batches.
-// A batch is cleared before it goes back, so a pooled batch pins no
-// strings.
-var valueBuffers = sync.Pool{New: func() any { return new([kernelBatch]table.Value) }}
-
-// withValueBuffer runs scan with a pooled value batch, then clears the
-// longest prefix scan reports it used and puts the batch back.
-func withValueBuffer(scan func(out []table.Value) (used int)) {
-	buf := valueBuffers.Get().(*[kernelBatch]table.Value)
-	clear(buf[:scan(buf[:])])
-	valueBuffers.Put(buf)
-}
-
-// scanValues feeds the values of the scanned rows of m to visit in
-// batches: at a rate below 1 the Sample(rate, seed) rows, in Sample
-// order; at rate 1 every member row, gathered in Iterate order. The
-// visit slice is reused between calls.
-func scanValues(m table.Membership, col table.Column, rate float64, seed uint64, visit func(vals []table.Value)) {
-	gather := valueGather(col)
-	withValueBuffer(func(out []table.Value) (used int) {
-		rowsf := func(rows []int32) {
-			gather(rows, out[:len(rows)])
-			visit(out[:len(rows)])
-			used = max(used, len(rows))
-		}
-		if rate < 1 {
-			sampleBatches(m, rate, seed, rowsf)
-		} else {
-			gatherBatches(m, rowsf)
-		}
-		return used
-	})
 }

@@ -162,12 +162,12 @@ func eqTables(rows int) []eqCase {
 func rowIndexer(spec BucketSpec, col table.Column) func(row int) int {
 	return func(row int) int {
 		switch {
-		case col.Missing(row):
+		case col.Value(row).Missing:
 			return -2
 		case spec.Kind == table.KindString:
-			return spec.IndexString(col.Str(row))
+			return spec.IndexString(col.Value(row).String())
 		default:
-			return spec.IndexValue(col.Double(row))
+			return spec.IndexValue(col.Value(row).Double())
 		}
 	}
 }
@@ -602,23 +602,14 @@ func TestBatchMisraGriesEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchSampleHHEquivalence pins the typed sample-HH tallies to the
+// table.Value scan over every column and membership shape, sampled and
+// at rate 1.
 func TestBatchSampleHHEquivalence(t *testing.T) {
 	for _, tc := range eqTables(4000) {
-		for _, col := range []string{"sm", "im"} {
-			sk := &SampleHeavyHittersSketch{Col: col, K: 8, Rate: 0.3, Seed: 21}
-			got, err := sk.Summarize(tc.t)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := tc.t.MustColumn(col)
-			want := &HeavyHitters{K: 8, Counters: map[table.Value]int64{}, Sampled: true}
-			tc.t.Members().Sample(0.3, PartitionSeed(21, tc.t.ID()), func(row int) bool {
-				want.ScannedRows++
-				want.Counters[c.Value(row)]++
-				return true
-			})
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: batch sample-HH differs from reference", tc.name, col)
+		for _, col := range tc.t.Schema().Names() {
+			for _, rate := range []float64{0.3, 1} {
+				checkSampleHH(t, tc.name, tc.t, col, rate)
 			}
 		}
 	}
@@ -630,11 +621,11 @@ func refDataRange(t *table.Table, col string) *DataRange {
 	out := &DataRange{Kind: c.Kind()}
 	if c.Kind().Numeric() {
 		t.Members().Iterate(func(row int) bool {
-			if c.Missing(row) {
+			if c.Value(row).Missing {
 				out.Missing++
 				return true
 			}
-			v := c.Double(row)
+			v := c.Value(row).Double()
 			if out.Present == 0 || v < out.Min {
 				out.Min = v
 			}
@@ -647,11 +638,11 @@ func refDataRange(t *table.Table, col string) *DataRange {
 		return out
 	}
 	t.Members().Iterate(func(row int) bool {
-		if c.Missing(row) {
+		if c.Value(row).Missing {
 			out.Missing++
 			return true
 		}
-		v := c.Str(row)
+		v := c.Value(row).String()
 		if out.Present == 0 || v < out.MinS {
 			out.MinS = v
 		}
@@ -686,16 +677,16 @@ func refDistinct(t *table.Table, col string, p uint8) *HLL {
 	out := &HLL{Precision: p, Registers: make([]byte, 1<<p)}
 	kind := c.Kind()
 	t.Members().Iterate(func(row int) bool {
-		if c.Missing(row) {
+		if c.Value(row).Missing {
 			return true
 		}
 		switch kind {
 		case table.KindInt, table.KindDate:
-			out.Add(hashValueBits(uint64(c.Int(row))))
+			out.Add(hashValueBits(uint64(c.Value(row).I)))
 		case table.KindDouble:
-			out.Add(hashValueBits(math.Float64bits(c.Double(row))))
+			out.Add(hashValueBits(math.Float64bits(c.Value(row).Double())))
 		default:
-			out.Add(hashString(c.Str(row)))
+			out.Add(hashString(c.Value(row).String()))
 		}
 		return true
 	})

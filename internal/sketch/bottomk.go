@@ -101,9 +101,10 @@ func (s *DistinctBottomKSketch) Summarize(t *table.Table) (Result, error) {
 		return nil, fmt.Errorf("sketch: bottom-k over %v column %q", col.Kind(), s.Col)
 	}
 	occurs := make([]bool, c.DictSize())
+	codes, miss := c.Codes(), c.MissingMask()
 	t.Members().Iterate(func(row int) bool {
-		if !c.Missing(row) {
-			occurs[c.Code(row)] = true
+		if !miss.Get(row) {
+			occurs[codes[row]] = true
 			out.PresentRows++
 		}
 		return true

@@ -243,6 +243,9 @@ func TestCraftedAmplificationBounded(t *testing.T) {
 	body = wire.AppendLen(body, n, false)   // Rows: 2^20 declared
 	body = append(body, make([]byte, n)...) // 1 byte per "row" (each parses as nil or errors)
 	crafted := append([]byte{byte(tagNextKList)}, body...)
+	// One P for the measured window, as testing.AllocsPerRun pins it: a
+	// sync.Pool's per-P slot is missed by a goroutine that changes P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

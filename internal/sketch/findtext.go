@@ -113,6 +113,7 @@ func (s *FindTextSketch) Summarize(t *table.Table) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	matches := matchRows(col, match)
 	if err := checkCursor(s.Order, s.From); err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func (s *FindTextSketch) Summarize(t *table.Table) (Result, error) {
 
 	out := &FindResult{}
 	t.Members().Iterate(func(row int) bool {
-		if col.Missing(row) || !match(col.Str(row)) {
+		if !matches(row) {
 			return true
 		}
 		r := t.GetRowCols(row, cols)
@@ -141,6 +142,39 @@ func (s *FindTextSketch) Summarize(t *table.Table) (Result, error) {
 		return true
 	})
 	return out, nil
+}
+
+// matchRows returns the test "row is present and its display form
+// matches" over col's backing storage. A dictionary column runs match at
+// most once per distinct code it meets; a numeric row is formatted as
+// table.Value.String renders it.
+func matchRows(col table.Column, match func(string) bool) func(row int) bool {
+	switch c := col.(type) {
+	case *table.IntColumn:
+		kind, vals, miss := c.Kind(), c.Ints(), c.MissingMask()
+		return func(row int) bool {
+			return !miss.Get(row) && match(table.Value{Kind: kind, I: vals[row]}.String())
+		}
+	case *table.DoubleColumn:
+		vals, miss := c.Doubles(), c.MissingMask()
+		return func(row int) bool { return !miss.Get(row) && match(table.DoubleValue(vals[row]).String()) }
+	}
+	c := col.(*table.StringColumn)
+	codes, dict, miss := c.Codes(), c.Dict(), c.MissingMask()
+	seen := make([]int8, len(dict)) // 0 not yet matched, 1 matches, -1 does not
+	return func(row int) bool {
+		if miss.Get(row) {
+			return false
+		}
+		code := codes[row]
+		if seen[code] == 0 {
+			seen[code] = -1
+			if match(dict[code]) {
+				seen[code] = 1
+			}
+		}
+		return seen[code] > 0
+	}
 }
 
 // Merge implements Sketch.

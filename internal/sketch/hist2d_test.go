@@ -28,12 +28,12 @@ func TestHistogram2DExact(t *testing.T) {
 	wantYOther := make([]int64, x.Count)
 	var wantXMissing int64
 	tbl.Members().Iterate(func(i int) bool {
-		if xcol.Missing(i) {
+		if xcol.Value(i).Missing {
 			wantXMissing++
 			return true
 		}
-		xb := x.IndexValue(xcol.Double(i))
-		yb := y.IndexString(ycol.Str(i))
+		xb := x.IndexValue(xcol.Value(i).Double())
+		yb := y.IndexString(ycol.Value(i).String())
 		if yb >= 0 {
 			wantCounts[xb*y.Count+yb]++
 		} else {

@@ -81,10 +81,10 @@ func TestHistogramSketchExact(t *testing.T) {
 	wantCounts := make([]int64, 20)
 	var wantMissing int64
 	tbl.Members().Iterate(func(i int) bool {
-		if col.Missing(i) {
+		if col.Value(i).Missing {
 			wantMissing++
 		} else {
-			wantCounts[sk.Buckets.IndexValue(col.Double(i))]++
+			wantCounts[sk.Buckets.IndexValue(col.Value(i).Double())]++
 		}
 		return true
 	})

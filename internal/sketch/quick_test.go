@@ -111,7 +111,7 @@ func TestQuickMisraGriesNeverOvercounts(t *testing.T) {
 		truth := map[string]int64{}
 		col := tbl.MustColumn("s")
 		tbl.Members().Iterate(func(i int) bool {
-			truth[col.Str(i)]++
+			truth[col.Value(i).String()]++
 			return true
 		})
 		sk := &MisraGriesSketch{Col: "s", K: k}

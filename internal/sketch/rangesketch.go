@@ -316,13 +316,24 @@ func (s *MomentsSketch) Summarize(t *table.Table) (Result, error) {
 		return nil, fmt.Errorf("sketch: moments over %v column %q", col.Kind(), s.Col)
 	}
 	out := s.Zero().(*Moments)
-	k := len(out.Sums)
-	t.Members().Iterate(func(row int) bool {
-		if col.Missing(row) {
+	switch c := col.(type) {
+	case *table.IntColumn:
+		momentsScan(t.Members(), c.Ints(), c.MissingMask(), out)
+	case *table.DoubleColumn:
+		momentsScan(t.Members(), c.Doubles(), c.MissingMask(), out)
+	}
+	return out, nil
+}
+
+// momentsScan folds every member row of a numeric column into out, in
+// Iterate order.
+func momentsScan[T int64 | float64](m table.Membership, vals []T, miss *table.Bitset, out *Moments) {
+	m.Iterate(func(row int) bool {
+		if miss.Get(row) {
 			out.Missing++
 			return true
 		}
-		v := col.Double(row)
+		v := float64(vals[row])
 		if out.Count == 0 || v < out.Min {
 			out.Min = v
 		}
@@ -331,13 +342,12 @@ func (s *MomentsSketch) Summarize(t *table.Table) (Result, error) {
 		}
 		out.Count++
 		p := 1.0
-		for i := 0; i < k; i++ {
+		for i := range out.Sums {
 			p *= v
 			out.Sums[i] += p
 		}
 		return true
 	})
-	return out, nil
 }
 
 // Merge implements Sketch.

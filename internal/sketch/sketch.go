@@ -43,28 +43,32 @@
 // range, distinct) scan partitions through batch kernels rather than
 // per-row callbacks: membership spans, bitmap member words and gathered
 // row batches (see the batch-iteration contract in package table, and
-// batch.go for which kernels take words) feed kind-specialized
-// inner loops — BucketSpec.BatchIndexer for bucket assignment, typed
-// extrema/hash loops, batch value gathering — that read column
-// storage directly. There is one driver per scan shape, and sampling is
-// a branch inside it: histogramScan (1-D tallies), gridScan (the 2-D
-// grid of the heat map, and of the trellis with a group axis) and
-// scanValues (table.Value batches) each take the sketch's (rate, seed).
-// The bucket kernels map a row to a tally slot (0
-// missing, 1 out of range, bucket+2), so a histogram tallies
-// tallies[slot]++ and a 2-D histogram cells[x·(By+2)+y]++ with no
-// branch; a trellis offsets x by its group slot × (Bx+2), so each group
-// tallies into a block of its own. Dictionary columns, and int columns
-// whose bucket range spans
-// at most intTableMax integers and few enough for the partition
-// (months, flight numbers, clock times), find the slot in a value→slot
-// table built per partition from the same bucket rule, so a row costs
-// one load; doubles and wide int ranges (dates in epoch milliseconds)
-// keep the per-row divide, with the spec's width and degenerate cases
-// decided once per kernel. Every column has a backing slice (a derived
-// column is stored when it is derived), so each kernel has one path per
-// column kind and none goes through the Column interface per row. The
-// bucket kernels read a span of a masked
+// batch.go for which kernels take words) feed kind-specialized inner
+// loops — BucketSpec.BatchIndexer for bucket assignment, typed
+// extrema/hash loops, typed heavy-hitter tallies — that read column
+// storage directly. There are two bucket-scan drivers, one per shape,
+// and sampling is a branch inside each: histogramScan (1-D tallies) and
+// gridScan (the 2-D grid of the heat map, and of the trellis with a
+// group axis) take the sketch's (rate, seed). Both heavy-hitter
+// sketches tally cells by their stored representation — dictionary
+// codes, int64 or float64 — and build the table.Value keys of their
+// summary once per partition, from the tallies.
+//
+// The bucket kernels map a row to a tally slot (0 missing, 1 out of
+// range, bucket+2), so a histogram tallies tallies[slot]++ and a 2-D
+// histogram cells[x·(By+2)+y]++ with no branch; a trellis offsets x by
+// its group slot × (Bx+2), so each group tallies into a block of its
+// own. Dictionary columns, and int columns whose bucket range spans at
+// most intTableMax integers and few enough for the partition (months,
+// flight numbers, clock times), find the slot in a value→slot table
+// built per partition from the same bucket rule, so a row costs one
+// load; doubles and wide int ranges (dates in epoch milliseconds) keep
+// the per-row divide, with the spec's width and degenerate cases decided
+// once per kernel. Every column has a backing slice (a derived column is
+// stored when it is derived), and table.Column has no per-row typed
+// accessor, so each kernel type-switches once to one path per column
+// kind and reads the slice; only the rows a result keeps are boxed,
+// through Column.Value. The bucket kernels read a span of a masked
 // column unmasked and then visit only the set bits of its missing words
 // to patch those rows; that is sound because every stored cell indexes
 // safely, missing rows included (any float64 or int64 maps to a slot,
@@ -72,11 +76,11 @@
 // rows the row-at-a-time path visits, in the same order, so results
 // (including sampled sketches under a fixed seed) are bit-identical to
 // the reference scans, which live in the tests (rowIndexer,
-// refHistogram, refHistogram2D, refTrellis). The one kernel
-// that is not a transcription of its row-at-a-time rule is Misra–Gries
-// over a small dictionary, which tallies instead of streaming (see
-// MisraGriesSketch.Summarize). Benchmarks: BenchmarkKernel* in
-// bench_test.go; recorded in BENCH_kernels.json.
+// refHistogram, refHistogram2D, refTrellis, refSampleHH, refFindText).
+// The one kernel that is not a transcription of its row-at-a-time rule
+// is Misra–Gries over a small dictionary, which tallies instead of
+// streaming (see MisraGriesSketch.Summarize). Benchmarks:
+// BenchmarkKernel* in bench_test.go; recorded in BENCH_kernels.json.
 //
 // # Accumulators
 //

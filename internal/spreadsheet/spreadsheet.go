@@ -155,6 +155,19 @@ func (v *View) Schema() *table.Schema {
 	return m.Schema
 }
 
+// NonEmptySchema returns the view schema, or an error while the dataset
+// has no rows (an ingest dataset before its first seal has no schema to
+// report).
+func (v *View) NonEmptySchema() (*table.Schema, error) {
+	if s := v.Schema(); s != nil {
+		return s, nil
+	}
+	return nil, v.noRows()
+}
+
+// noRows is the error of a query over a dataset that has no rows yet.
+func (v *View) noRows() error { return fmt.Errorf("dataset %q holds no rows yet", v.id) }
+
 // NumRows returns the total row count.
 func (v *View) NumRows() int64 {
 	m, err := v.metaAt(context.Background())
@@ -171,7 +184,7 @@ func (v *View) kindOf(ctx context.Context, col string) (table.Kind, error) {
 		return table.KindNone, err
 	}
 	if m.Schema == nil {
-		return table.KindNone, fmt.Errorf("dataset %q holds no rows yet", v.id)
+		return table.KindNone, v.noRows()
 	}
 	cd, err := m.Schema.Column(col)
 	if err != nil {

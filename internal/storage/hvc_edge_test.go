@@ -134,7 +134,7 @@ func TestHVCAllMissingColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if !got.MustColumn("s").Missing(i) || !got.MustColumn("d").Missing(i) {
+		if !got.MustColumn("s").Value(i).Missing || !got.MustColumn("d").Value(i).Missing {
 			t.Fatal("missing mask lost")
 		}
 	}

@@ -258,15 +258,14 @@ func (s *PooledSource) Acquire(i int, cols []string) (*table.Table, func(), erro
 		}
 	}
 	for k, ci := range want {
-		cd := schema.Columns[ci]
 		load := func() (table.Column, int64, func(), error) { return f.Column(ci) }
-		col, rel, err := s.pool.Acquire(colstore.ColKey{Source: f.Path(), Column: cd.Name}, load)
+		col, rel, err := s.pool.Acquire(colstore.ColKey{File: f.File, Column: ci}, load)
 		if err != nil {
 			release()
 			return nil, nil, err
 		}
 		outCols[k] = col
-		outDesc[k] = cd
+		outDesc[k] = schema.Columns[ci]
 		releases = append(releases, rel)
 	}
 

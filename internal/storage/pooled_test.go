@@ -241,6 +241,71 @@ func TestRewriteKeepsMappedBytes(t *testing.T) {
 	}
 }
 
+// idTable is a one-column table of the ints lo, lo+1, ..., lo+n-1.
+func idTable(lo, n int) *table.Table {
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(lo + i)
+	}
+	schema := table.NewSchema(table.ColumnDesc{Name: "id", Kind: table.KindInt})
+	return table.New("ids", schema, []table.Column{table.NewIntColumn(table.KindInt, vals, nil)}, table.FullMembership(n))
+}
+
+// TestSharedPoolKeysByHandle: two loaders that share a pool each read
+// the file they opened. The first maps a 400-row file and scans it; the
+// path is then rewritten and a second loader on the same pool opens it.
+// The second must read the new bytes, not the columns the pool holds for
+// the first loader's handle, whether the new file is shorter or as long
+// with other values; the first still reads the old ones.
+func TestSharedPoolKeysByHandle(t *testing.T) {
+	ctx := context.Background()
+	rng := &sketch.RangeSketch{Col: "id"}
+	for _, tc := range []struct {
+		name     string
+		lo, rows int
+	}{
+		{"shorter", 0, 50},
+		{"same length", 1000, 400},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "part.hvc")
+			if err := colstore.WriteHVC2(path, idTable(0, 400)); err != nil {
+				t.Fatal(err)
+			}
+			pool := colstore.NewPool(0)
+			cfg := engine.Config{AggregationWindow: -1}
+			first, err := NewLoader(cfg, 0, pool)("ds", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := first.Sketch(ctx, rng, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := colstore.WriteHVC2(path, idTable(tc.lo, tc.rows)); err != nil {
+				t.Fatal(err)
+			}
+			second, err := NewLoader(cfg, 0, pool)("ds", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				name     string
+				ds       engine.IDataSet
+				lo, rows int
+			}{{"second loader", second, tc.lo, tc.rows}, {"first loader", first, 0, 400}} {
+				got, err := c.ds.Sketch(ctx, rng, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				want := &sketch.DataRange{Kind: table.KindInt, Min: float64(c.lo), Max: float64(c.lo + c.rows - 1), Present: int64(c.rows)}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %+v, want %+v", c.name, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestPooledSourceColumnLaziness checks a sketch over one column
 // materializes only that column.
 func TestPooledSourceColumnLaziness(t *testing.T) {

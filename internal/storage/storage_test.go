@@ -245,7 +245,7 @@ func TestHVCFilteredViewFlattens(t *testing.T) {
 	dir := t.TempDir()
 	orig := sampleTable(t, "hvf", 100)
 	id := orig.MustColumn("id")
-	filtered := orig.Filter("f", func(row int) bool { return id.Int(row)%2 == 0 })
+	filtered := orig.Filter("f", func(row int) bool { return id.Value(row).I%2 == 0 })
 	path := filepath.Join(dir, "f.hvc")
 	if err := colstore.WriteHVC2(path, filtered); err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestSplitRows(t *testing.T) {
 	idCol := parts[1].MustColumn("id")
 	first := -1
 	parts[1].Members().Iterate(func(i int) bool {
-		first = int(idCol.Int(i))
+		first = int(idCol.Value(i).I)
 		return false
 	})
 	if first != 300 {

@@ -153,8 +153,7 @@ func (b *stringBuilder) Freeze() Column {
 			b.codes[i] = remap[c]
 		}
 	}
-	missing := b.miss.freeze(len(b.codes))
-	return &StringColumn{dict: sorted, codes: b.codes, missing: missing, hasMissing: hasAnyMissing(missing)}
+	return &StringColumn{dict: sorted, codes: b.codes, missing: maskOrNil(b.miss.freeze(len(b.codes)))}
 }
 
 // Builder accumulates whole rows and freezes them into a Table.

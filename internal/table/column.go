@@ -4,17 +4,13 @@ import "fmt"
 
 // Column is an immutable typed vector with optional missing values.
 //
-// Accessors are partial: Int is valid for KindInt/KindDate columns,
-// Double for any numeric kind, Str for every kind (display form), and
-// Value for every kind. Calling an accessor on an unsupported kind
-// panics — sketches select accessors by Kind up front, so a panic here
-// is always a programming error, not a data error.
-//
-// Every column is one of three stored types, and each exposes its
-// backing storage (IntColumn.Ints, DoubleColumn.Doubles,
-// StringColumn.Codes) together with MissingMask/HasMissing, so that
-// sketch kernels can run typed bulk loops with no per-row interface
-// dispatch. Returned slices and bitsets are the live storage and must
+// Every column is one of three stored types, and a scan reads it through
+// its backing storage: IntColumn.Ints, DoubleColumn.Doubles or
+// StringColumn.Codes and Dict, together with MissingMask. The interface
+// itself has no per-row typed accessor, so a kernel type-switches once
+// and loops over a slice. Value materializes one row for the places
+// that keep rows: result rows, the row writers, the expression row
+// evaluator. Returned slices and bitsets are the live storage and must
 // not be modified.
 type Column interface {
 	// Kind returns the column's value kind.
@@ -22,30 +18,24 @@ type Column interface {
 	// Len returns the number of physical rows (membership sets restrict
 	// which of them are visible).
 	Len() int
-	// Missing reports whether row i holds a missing value.
-	Missing(i int) bool
-	// Int returns row i as int64 (KindInt, KindDate).
-	Int(i int) int64
-	// Double returns row i as float64 (any numeric kind).
-	Double(i int) float64
-	// Str returns the display form of row i.
-	Str(i int) string
 	// Value returns row i as a self-describing Value.
 	Value(i int) Value
 }
 
-// hasAnyMissing reports whether the mask marks at least one row missing;
-// columns cache it so hot accessors skip the nil-receiver Get call.
-func hasAnyMissing(missing *Bitset) bool {
-	return missing != nil && missing.Count() > 0
+// maskOrNil returns missing, or nil when it marks no row missing, so a
+// column with no missing rows has a nil MissingMask.
+func maskOrNil(missing *Bitset) *Bitset {
+	if missing == nil || missing.Count() == 0 {
+		return nil
+	}
+	return missing
 }
 
 // IntColumn stores int64 data; it backs both KindInt and KindDate.
 type IntColumn struct {
-	kind       Kind
-	vals       []int64
-	missing    *Bitset // nil when the column has no missing values
-	hasMissing bool
+	kind    Kind
+	vals    []int64
+	missing *Bitset // nil when the column has no missing values
 }
 
 // NewIntColumn wraps vals as a column of the given kind (KindInt or
@@ -54,7 +44,7 @@ func NewIntColumn(kind Kind, vals []int64, missing *Bitset) *IntColumn {
 	if kind != KindInt && kind != KindDate {
 		panic(fmt.Sprintf("table: NewIntColumn with kind %v", kind))
 	}
-	return &IntColumn{kind: kind, vals: vals, missing: missing, hasMissing: hasAnyMissing(missing)}
+	return &IntColumn{kind: kind, vals: vals, missing: maskOrNil(missing)}
 }
 
 // Kind implements Column.
@@ -63,21 +53,9 @@ func (c *IntColumn) Kind() Kind { return c.kind }
 // Len implements Column.
 func (c *IntColumn) Len() int { return len(c.vals) }
 
-// Missing implements Column.
-func (c *IntColumn) Missing(i int) bool { return c.hasMissing && c.missing.Get(i) }
-
-// Int implements Column.
-func (c *IntColumn) Int(i int) int64 { return c.vals[i] }
-
-// Double implements Column.
-func (c *IntColumn) Double(i int) float64 { return float64(c.vals[i]) }
-
-// Str implements Column.
-func (c *IntColumn) Str(i int) string { return c.Value(i).String() }
-
 // Value implements Column.
 func (c *IntColumn) Value(i int) Value {
-	if c.hasMissing && c.missing.Get(i) {
+	if c.missing.Get(i) {
 		return MissingValue(c.kind)
 	}
 	return Value{Kind: c.kind, I: c.vals[i]}
@@ -88,26 +66,17 @@ func (c *IntColumn) Value(i int) Value {
 func (c *IntColumn) Ints() []int64 { return c.vals }
 
 // MissingMask returns the missing bitset, nil when no row is missing.
-func (c *IntColumn) MissingMask() *Bitset {
-	if !c.hasMissing {
-		return nil
-	}
-	return c.missing
-}
-
-// HasMissing reports whether any row is missing.
-func (c *IntColumn) HasMissing() bool { return c.hasMissing }
+func (c *IntColumn) MissingMask() *Bitset { return c.missing }
 
 // DoubleColumn stores float64 data (KindDouble).
 type DoubleColumn struct {
-	vals       []float64
-	missing    *Bitset
-	hasMissing bool
+	vals    []float64
+	missing *Bitset // nil when the column has no missing values
 }
 
 // NewDoubleColumn wraps vals as a KindDouble column. missing may be nil.
 func NewDoubleColumn(vals []float64, missing *Bitset) *DoubleColumn {
-	return &DoubleColumn{vals: vals, missing: missing, hasMissing: hasAnyMissing(missing)}
+	return &DoubleColumn{vals: vals, missing: maskOrNil(missing)}
 }
 
 // Kind implements Column.
@@ -116,21 +85,9 @@ func (c *DoubleColumn) Kind() Kind { return KindDouble }
 // Len implements Column.
 func (c *DoubleColumn) Len() int { return len(c.vals) }
 
-// Missing implements Column.
-func (c *DoubleColumn) Missing(i int) bool { return c.hasMissing && c.missing.Get(i) }
-
-// Int implements Column; doubles do not support Int access.
-func (c *DoubleColumn) Int(i int) int64 { panic("table: Int on double column") }
-
-// Double implements Column.
-func (c *DoubleColumn) Double(i int) float64 { return c.vals[i] }
-
-// Str implements Column.
-func (c *DoubleColumn) Str(i int) string { return c.Value(i).String() }
-
 // Value implements Column.
 func (c *DoubleColumn) Value(i int) Value {
-	if c.hasMissing && c.missing.Get(i) {
+	if c.missing.Get(i) {
 		return MissingValue(KindDouble)
 	}
 	return Value{Kind: KindDouble, D: c.vals[i]}
@@ -141,24 +98,15 @@ func (c *DoubleColumn) Value(i int) Value {
 func (c *DoubleColumn) Doubles() []float64 { return c.vals }
 
 // MissingMask returns the missing bitset, nil when no row is missing.
-func (c *DoubleColumn) MissingMask() *Bitset {
-	if !c.hasMissing {
-		return nil
-	}
-	return c.missing
-}
-
-// HasMissing reports whether any row is missing.
-func (c *DoubleColumn) HasMissing() bool { return c.hasMissing }
+func (c *DoubleColumn) MissingMask() *Bitset { return c.missing }
 
 // StringColumn stores dictionary-encoded strings (paper §6: "String
 // columns use dictionary encoding for compression"). The dictionary is
 // sorted, so code order equals lexicographic order.
 type StringColumn struct {
-	dict       []string // sorted, unique
-	codes      []int32  // index into dict; value for missing rows is 0
-	missing    *Bitset
-	hasMissing bool
+	dict    []string // sorted, unique
+	codes   []int32  // index into dict; value for missing rows is 0
+	missing *Bitset  // nil when the column has no missing values
 }
 
 // NewDictColumn wraps an already dictionary-encoded string column: dict
@@ -178,7 +126,7 @@ func NewDictColumn(dict []string, codes []int32, missing *Bitset) (*StringColumn
 			return nil, fmt.Errorf("table: dictionary not sorted/unique at %d: %q >= %q", i, dict[i-1], dict[i])
 		}
 	}
-	return &StringColumn{dict: dict, codes: codes, missing: missing, hasMissing: hasAnyMissing(missing)}, nil
+	return &StringColumn{dict: dict, codes: codes, missing: maskOrNil(missing)}, nil
 }
 
 // NewStringColumn builds a string column from raw values. Prefer the
@@ -201,45 +149,20 @@ func (c *StringColumn) Kind() Kind { return KindString }
 // Len implements Column.
 func (c *StringColumn) Len() int { return len(c.codes) }
 
-// Missing implements Column.
-func (c *StringColumn) Missing(i int) bool { return c.hasMissing && c.missing.Get(i) }
-
-// Int implements Column; strings do not support Int access.
-func (c *StringColumn) Int(i int) int64 { panic("table: Int on string column") }
-
-// Double implements Column; strings do not support Double access.
-func (c *StringColumn) Double(i int) float64 { panic("table: Double on string column") }
-
-// Str implements Column.
-func (c *StringColumn) Str(i int) string {
-	if c.hasMissing && c.missing.Get(i) {
-		return ""
-	}
-	return c.dict[c.codes[i]]
-}
-
 // Value implements Column.
 func (c *StringColumn) Value(i int) Value {
-	if c.hasMissing && c.missing.Get(i) {
+	if c.missing.Get(i) {
 		return MissingValue(KindString)
 	}
 	return Value{Kind: KindString, S: c.dict[c.codes[i]]}
 }
-
-// Code returns the dictionary code of row i (valid for non-missing rows).
-func (c *StringColumn) Code(i int) int32 { return c.codes[i] }
 
 // Codes returns the backing code slice (missing rows hold code 0).
 // Callers must not modify it.
 func (c *StringColumn) Codes() []int32 { return c.codes }
 
 // MissingMask returns the missing bitset, nil when no row is missing.
-func (c *StringColumn) MissingMask() *Bitset {
-	if !c.hasMissing {
-		return nil
-	}
-	return c.missing
-}
+func (c *StringColumn) MissingMask() *Bitset { return c.missing }
 
 // Dict returns the sorted dictionary. Callers must not modify it.
 func (c *StringColumn) Dict() []string { return c.dict }

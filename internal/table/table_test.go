@@ -40,17 +40,17 @@ func TestBuilderFreeze(t *testing.T) {
 		t.Fatalf("NumColumns = %d, want 4", got)
 	}
 	price := tbl.MustColumn("price")
-	if !price.Missing(3) {
+	if !price.Value(3).Missing {
 		t.Error("price[3] should be missing")
 	}
-	if price.Missing(2) {
+	if price.Value(2).Missing {
 		t.Error("price[2] should be present")
 	}
-	if got := price.Double(2); got != 3.0 {
+	if got := price.Value(2).Double(); got != 3.0 {
 		t.Errorf("price[2] = %v, want 3.0", got)
 	}
 	id := tbl.MustColumn("id")
-	if got := id.Int(5); got != 5 {
+	if got := id.Value(5).I; got != 5 {
 		t.Errorf("id[5] = %d, want 5", got)
 	}
 }
@@ -69,11 +69,11 @@ func TestStringColumnDictionarySorted(t *testing.T) {
 		}
 	}
 	// Code order must equal string order.
-	if city.Code(0) <= city.Code(3) { // oslo vs kyiv
+	if city.Codes()[0] <= city.Codes()[3] { // oslo vs kyiv
 		t.Error("oslo should have a greater code than kyiv")
 	}
-	if city.Str(1) != "lima" {
-		t.Errorf("city[1] = %q, want lima", city.Str(1))
+	if city.Value(1).String() != "lima" {
+		t.Errorf("city[1] = %q, want lima", city.Value(1).String())
 	}
 }
 
@@ -101,7 +101,7 @@ func TestValueCompare(t *testing.T) {
 func TestFilterSharesStorage(t *testing.T) {
 	tbl := buildTestTable(t)
 	city := tbl.MustColumn("city")
-	filtered := tbl.Filter("f1", func(row int) bool { return city.Str(row) == "oslo" })
+	filtered := tbl.Filter("f1", func(row int) bool { return city.Value(row).String() == "oslo" })
 	if got := filtered.NumRows(); got != 3 {
 		t.Fatalf("filtered rows = %d, want 3", got)
 	}
@@ -111,7 +111,7 @@ func TestFilterSharesStorage(t *testing.T) {
 	}
 	// Rows visible through membership are the oslo ones.
 	filtered.Members().Iterate(func(i int) bool {
-		if city.Str(i) != "oslo" {
+		if city.Value(i).String() != "oslo" {
 			t.Errorf("row %d leaked through filter", i)
 		}
 		return true
@@ -123,14 +123,14 @@ func TestWithColumn(t *testing.T) {
 	id := tbl.MustColumn("id")
 	vals := make([]int64, id.Len())
 	for i := range vals {
-		vals[i] = id.Int(i) * 2
+		vals[i] = id.Value(i).I * 2
 	}
 	doubled := NewIntColumn(KindInt, vals, nil)
 	t2, err := tbl.WithColumn("t2", "id2", doubled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := t2.MustColumn("id2").Int(4); got != 8 {
+	if got := t2.MustColumn("id2").Value(4).I; got != 8 {
 		t.Errorf("id2[4] = %d, want 8", got)
 	}
 	if _, err := tbl.WithColumn("t3", "id", doubled); err == nil {
