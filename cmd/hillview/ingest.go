@@ -12,6 +12,24 @@
 //	GET  /api/standing?op=get&name=ev&id=sq-1
 //	GET  /api/standing?name=ev
 //
+// An append body is one JSON object with exactly one member, "rows":
+//
+//	body  = ws '{' ws "rows" ws ':' ws '[' ws [row (ws ',' ws row)*] ws ']' ws '}' ws
+//	row   = '[' ws cell (ws ',' ws cell)* ws ']'   one cell per schema column
+//	cell  = null | number | string                 null is a missing cell
+//
+// An int cell is a number with an integral value; a double cell any
+// number; a string cell a string; a date cell an RFC 3339 string or a
+// number of epoch milliseconds. Numbers follow the JSON grammar and
+// parse as strconv.ParseFloat(s, 64); strings decode as encoding/json
+// decodes them (escapes and surrogate pairs resolve, invalid UTF-8 and
+// lone surrogates become U+FFFD). ingest.ReadAppendBody reads the body
+// in one pass straight into typed columns, and answers 400 for a body
+// with no rows, a member other than "rows" (the name is matched
+// exactly), a second "rows", anything but whitespace after the object,
+// a number out of float64 range, or a row of the wrong width or with a
+// cell of the wrong kind. A rejected body appends nothing.
+//
 // Appended rows buffer in the dataset's open segment (lost on crash,
 // by contract) until a seal — explicit via op=seal, or automatic past
 // -segment-rows — makes them a durable immutable partition. Each seal
@@ -28,13 +46,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/ingest"
 	"repro/internal/sketch"
@@ -157,90 +174,34 @@ func (s *server) handleIngestCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"dataset": name, "schema": schema.Columns})
 }
 
-// parseIngestRow converts one JSON row (an array of values) to a
-// table.Row per the dataset schema. null means missing; dates accept
-// RFC 3339 strings or epoch-millisecond numbers.
-func parseIngestRow(schema *table.Schema, in []any) (table.Row, error) {
-	if len(in) != schema.NumColumns() {
-		return nil, fmt.Errorf("row has %d values, schema has %d columns", len(in), schema.NumColumns())
-	}
-	row := make(table.Row, len(in))
-	for i, raw := range in {
-		cd := schema.Columns[i]
-		if raw == nil {
-			row[i] = table.MissingValue(cd.Kind)
-			continue
-		}
-		switch cd.Kind {
-		case table.KindInt:
-			n, ok := raw.(float64)
-			if !ok || n != float64(int64(n)) {
-				return nil, fmt.Errorf("column %q wants an integer, got %v", cd.Name, raw)
-			}
-			row[i] = table.IntValue(int64(n))
-		case table.KindDouble:
-			n, ok := raw.(float64)
-			if !ok {
-				return nil, fmt.Errorf("column %q wants a number, got %v", cd.Name, raw)
-			}
-			row[i] = table.DoubleValue(n)
-		case table.KindString:
-			str, ok := raw.(string)
-			if !ok {
-				return nil, fmt.Errorf("column %q wants a string, got %v", cd.Name, raw)
-			}
-			row[i] = table.StringValue(str)
-		case table.KindDate:
-			switch v := raw.(type) {
-			case float64:
-				row[i] = table.DateValue(time.UnixMilli(int64(v)).UTC())
-			case string:
-				t, err := time.Parse(time.RFC3339, v)
-				if err != nil {
-					return nil, fmt.Errorf("column %q: %w", cd.Name, err)
-				}
-				row[i] = table.DateValue(t)
-			default:
-				return nil, fmt.Errorf("column %q wants an RFC 3339 string or epoch millis, got %v", cd.Name, raw)
-			}
-		default:
-			return nil, fmt.Errorf("column %q has unsupported kind %v", cd.Name, cd.Kind)
-		}
-	}
-	return row, nil
-}
+// appendPrealloc caps the body buffer sized from a declared
+// Content-Length before any byte arrives; a longer body grows past it.
+const appendPrealloc = 64 << 20
 
 func (s *server) handleIngestAppend(w http.ResponseWriter, r *http.Request) {
 	d := s.ingestDataset(w, r)
 	if d == nil {
 		return
 	}
-	var req struct {
-		Rows [][]any `json:"rows"`
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		body.Grow(int(min(n, appendPrealloc)) + bytes.MinRead)
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad append body: %v", err), http.StatusBadRequest)
+	if _, err := body.ReadFrom(r.Body); err != nil {
+		http.Error(w, fmt.Sprintf("reading append body: %v", err), http.StatusBadRequest)
 		return
 	}
-	if len(req.Rows) == 0 {
-		http.Error(w, "append body has no rows", http.StatusBadRequest)
+	batch, err := ingest.ReadAppendBody(d.Schema(), body.Bytes())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rows := make([]table.Row, len(req.Rows))
-	for i, in := range req.Rows {
-		row, err := parseIngestRow(d.Schema(), in)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("row %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		rows[i] = row
-	}
-	if err := d.AppendRows(r.Context(), rows); err != nil {
+	if err := d.Append(r.Context(), batch); err != nil {
 		s.httpError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{
-		"dataset": d.Name(), "appended": len(rows),
+		"dataset": d.Name(), "appended": batch.NumRows(),
 		"openRows": d.OpenRows(), "generation": d.Generation(),
 	})
 }

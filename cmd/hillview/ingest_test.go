@@ -20,7 +20,7 @@ import (
 // on an in-memory filesystem, wired exactly like main: store loader
 // wrapping the storage loader, seal hook advancing the engine
 // generation.
-func testIngestServer(t *testing.T, segmentRows int) *server {
+func testIngestServer(t testing.TB, segmentRows int) *server {
 	t.Helper()
 	flights.Register()
 	cfg := engine.Config{AggregationWindow: -1}
@@ -46,7 +46,7 @@ func testIngestServer(t *testing.T, segmentRows int) *server {
 }
 
 // post drives a handler with a POST carrying a JSON body.
-func post(t *testing.T, h http.HandlerFunc, url, body string) (*httptest.ResponseRecorder, map[string]any) {
+func post(t testing.TB, h http.HandlerFunc, url, body string) (*httptest.ResponseRecorder, map[string]any) {
 	t.Helper()
 	req := httptest.NewRequest("POST", url, strings.NewReader(body))
 	rec := httptest.NewRecorder()
@@ -176,12 +176,23 @@ func TestIngestEndpointErrors(t *testing.T) {
 		{"wrong width", `{"rows": [[1]]}`},
 		{"wrong type", `{"rows": [["x", 0]]}`},
 		{"fractional int", `{"rows": [[1.5, 0]]}`},
+		{"bad second row", `{"rows": [[1, 0], [1.5, 0]]}`},
 		{"bad date", `{"rows": [[1, "yesterday"]]}`},
+		{"out of range", `{"rows": [[1e400, 0]]}`},
+		// encoding/json accepts these four; the append body does not.
+		{"member spelled Rows", `{"Rows": [[1, 0]]}`},
+		{"unknown member", `{"rows": [[1, 0]], "extra": 1}`},
+		{"duplicate rows", `{"rows": [[1, 0]], "rows": [[2, 0]]}`},
+		{"data after the object", `{"rows": [[1, 0]]} {}`},
 	} {
 		rec, _ := post(t, s.handleIngest, "/api/ingest?op=append&name=ev", tc.body)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("append %s: %d, want 400 (%s)", tc.name, rec.Code, rec.Body.String())
 		}
+	}
+	// A rejected body appended nothing, not even its good rows.
+	if rec, body := get(t, s.handleIngest, "/api/ingest?op=status&name=ev"); rec.Code != http.StatusOK || body["openRows"].(float64) != 0 {
+		t.Fatalf("rejected bodies buffered rows: %d %v", rec.Code, body)
 	}
 	// Dates arrive as RFC 3339 strings or epoch millis.
 	rec, _ := post(t, s.handleIngest, "/api/ingest?op=append&name=ev",

@@ -40,7 +40,7 @@ func TestCrashAtEveryPoint(t *testing.T) {
 		sealBytes [][]byte
 	)
 	for i := 0; i < 3; i++ {
-		if err := d.AppendRows(ctx, testRows(i*8, 8)); err != nil {
+		if err := d.Append(ctx, testBatch(i*8, 8)); err != nil {
 			t.Fatal(err)
 		}
 		p, err := d.Seal(ctx)
@@ -142,7 +142,7 @@ func checkRecovery(img *MemFS, dir string, k int, ackOps []int, sealBytes [][]by
 
 	// The recovered dataset keeps working.
 	ctx := context.Background()
-	if err := d.AppendRows(ctx, testRows(100, 3)); err != nil {
+	if err := d.Append(ctx, testBatch(100, 3)); err != nil {
 		return fmt.Errorf("append after recovery: %w", err)
 	}
 	p, err := d.Seal(ctx)
@@ -165,7 +165,7 @@ func TestCrashKeepAllPreservesEverySeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AppendRows(ctx, testRows(0, 4)); err != nil {
+	if err := d.Append(ctx, testBatch(0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Seal(ctx); err != nil {

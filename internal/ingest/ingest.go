@@ -425,25 +425,29 @@ func (d *Dataset) source() (*storage.PooledSource, error) {
 	return d.sourceLocked(0, len(d.seals))
 }
 
-// AppendRows buffers rows into the open segment, sealing automatically
+// Append buffers the rows of batch, a table of the dataset's schema
+// whose every physical row is a member (a frozen table.Builder, as
+// ReadAppendBody returns), into the open segment, sealing automatically
 // when the segment reaches the configured threshold. Buffered rows are
 // volatile until sealed.
-func (d *Dataset) AppendRows(ctx context.Context, rows []table.Row) error {
+func (d *Dataset) Append(ctx context.Context, batch *table.Table) error {
+	if !batch.Schema().Equal(d.schema) {
+		return fmt.Errorf("ingest: batch schema %v != dataset schema %v", batch.Schema(), d.schema)
+	}
+	if n := batch.Members().Max(); batch.NumRows() != n {
+		return fmt.Errorf("ingest: batch has %d member rows of %d physical; append a compact table", batch.NumRows(), n)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.usableLocked(); err != nil {
 		return err
 	}
-	for _, row := range rows {
-		if len(row) != d.schema.NumColumns() {
-			return fmt.Errorf("ingest: row width %d != schema width %d", len(row), d.schema.NumColumns())
-		}
-		d.seg.AppendRow(row)
-	}
-	d.segRows += len(rows)
+	n := batch.NumRows()
+	d.seg.AppendTable(batch)
+	d.segRows += n
 	d.m.Appends.Inc()
-	d.m.AppendedRows.Add(int64(len(rows)))
-	d.m.OpenSegmentRows.Add(int64(len(rows)))
+	d.m.AppendedRows.Add(int64(n))
+	d.m.OpenSegmentRows.Add(int64(n))
 	return d.maybeAutoSealLocked(ctx)
 }
 
@@ -488,10 +492,11 @@ func (d *Dataset) sealLocked(ctx context.Context) (*Partition, error) {
 	if err := writeFileAtomic(d.fs, final+tmpSuffix, final, func(f File) error {
 		return colstore.WriteHVC2To(f, t)
 	}); err != nil {
-		// The rows stay buffered (Freeze consumed the builder, so rebuild
-		// it from the frozen table); any file left behind is unreferenced,
-		// hence invisible and swept by the next recovery.
-		d.seg = rebuildSegment(d.schema, t)
+		// The rows stay buffered (Freeze consumed the builder, so the
+		// frozen table is appended to a fresh one); any file left behind
+		// is unreferenced, hence invisible and swept by the next recovery.
+		d.seg = table.NewBuilder(d.schema, t.NumRows())
+		d.seg.AppendTable(t)
 		sp.EndNote("error")
 		return nil, fmt.Errorf("ingest: sealing %s: %w", name, err)
 	}
@@ -522,18 +527,6 @@ func (d *Dataset) sealLocked(ctx context.Context) (*Partition, error) {
 		d.cfg.OnSeal(p)
 	}
 	return &p, nil
-}
-
-// rebuildSegment reconstitutes an open-segment builder from a frozen
-// table: Freeze consumes the builder, so a seal that fails after Freeze
-// rebuilds the buffer to keep the rows appendable.
-func rebuildSegment(schema *table.Schema, t *table.Table) *table.Builder {
-	b := table.NewBuilder(schema, t.NumRows())
-	t.Members().Iterate(func(i int) bool {
-		b.AppendRow(t.GetRow(i))
-		return true
-	})
-	return b
 }
 
 // commitRecordLocked appends one framed record to the manifest and

@@ -1,10 +1,12 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -23,6 +25,15 @@ func testRows(lo, n int) []table.Row {
 	return rows
 }
 
+// testBatch is testRows as the typed batch Dataset.Append takes.
+func testBatch(lo, n int) *table.Table {
+	b := table.NewBuilder(testSchema, n)
+	for _, row := range testRows(lo, n) {
+		b.AppendRow(row)
+	}
+	return b.Freeze("batch")
+}
+
 func mustDataset(t *testing.T, fs FS, dir string, cfg Config) *Dataset {
 	t.Helper()
 	cfg.FS = fs
@@ -37,7 +48,7 @@ func TestAppendSealLoadRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	fs := NewMemFS()
 	d := mustDataset(t, fs, "root/ds", Config{SegmentRows: -1})
-	if err := d.AppendRows(ctx, testRows(0, 10)); err != nil {
+	if err := d.Append(ctx, testBatch(0, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.OpenRows(); got != 10 {
@@ -50,7 +61,7 @@ func TestAppendSealLoadRoundTrip(t *testing.T) {
 	if p == nil || p.Seq != 1 || p.Rows != 10 || p.Name != "part-000001.hvc" {
 		t.Fatalf("sealed partition = %+v", p)
 	}
-	if err := d.AppendRows(ctx, testRows(10, 5)); err != nil {
+	if err := d.Append(ctx, testBatch(10, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Seal(ctx); err != nil {
@@ -85,7 +96,7 @@ func TestAutoSealThreshold(t *testing.T) {
 	ctx := context.Background()
 	d := mustDataset(t, NewMemFS(), "root/ds", Config{SegmentRows: 8})
 	for i := 0; i < 5; i++ {
-		if err := d.AppendRows(ctx, testRows(i*3, 3)); err != nil {
+		if err := d.Append(ctx, testBatch(i*3, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +118,7 @@ func TestReopenRecoversLiveSet(t *testing.T) {
 	fs := NewMemFS()
 	d := mustDataset(t, fs, "root/ds", Config{SegmentRows: -1})
 	for i := 0; i < 3; i++ {
-		if err := d.AppendRows(ctx, testRows(i*4, 4)); err != nil {
+		if err := d.Append(ctx, testBatch(i*4, 4)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.Seal(ctx); err != nil {
@@ -117,13 +128,13 @@ func TestReopenRecoversLiveSet(t *testing.T) {
 	before := sealed(t, d)
 	// Buffered-but-unsealed rows are volatile by contract; Close seals
 	// them, so append some and close.
-	if err := d.AppendRows(ctx, testRows(100, 2)); err != nil {
+	if err := d.Append(ctx, testBatch(100, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AppendRows(ctx, testRows(0, 1)); err == nil {
+	if err := d.Append(ctx, testBatch(0, 1)); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
 
@@ -178,7 +189,7 @@ func TestRecoveryRemovesOrphans(t *testing.T) {
 	ctx := context.Background()
 	fs := NewMemFS()
 	d := mustDataset(t, fs, "root/ds", Config{SegmentRows: -1})
-	if err := d.AppendRows(ctx, testRows(0, 4)); err != nil {
+	if err := d.Append(ctx, testBatch(0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Seal(ctx); err != nil {
@@ -206,7 +217,7 @@ func TestRecoveryRemovesOrphans(t *testing.T) {
 		t.Fatalf("orphans removed = %d, want 2", got)
 	}
 	// The reissued sequence number must not collide with the swept file.
-	if err := re.AppendRows(ctx, testRows(50, 2)); err != nil {
+	if err := re.Append(ctx, testBatch(50, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if p, err := re.Seal(ctx); err != nil || p.Seq != 2 {
@@ -214,11 +225,93 @@ func TestRecoveryRemovesOrphans(t *testing.T) {
 	}
 }
 
+// failingCreateFS is a MemFS on which the next Create of a partition
+// temp file fails, once, while fail is set.
+type failingCreateFS struct {
+	*MemFS
+	fail bool
+}
+
+func (f *failingCreateFS) Create(name string) (File, error) {
+	if f.fail && strings.HasSuffix(name, ".hvc"+tmpSuffix) {
+		f.fail = false
+		return nil, errors.New("injected create failure")
+	}
+	return f.MemFS.Create(name)
+}
+
+// TestFailedSealKeepsItsRows: a seal that cannot create its temp file
+// returns the error and keeps every row buffered, and the next seal
+// writes the partition byte for byte as a seal with no failure does.
+// The batches hold missing cells in both columns and repeat strings, so
+// the frozen segment's re-append walks the missing masks and remaps a
+// dictionary.
+func TestFailedSealKeepsItsRows(t *testing.T) {
+	ctx := context.Background()
+	batch := func(rows ...table.Row) *table.Table {
+		b := table.NewBuilder(testSchema, len(rows))
+		for _, row := range rows {
+			b.AppendRow(row)
+		}
+		return b.Freeze("batch")
+	}
+	missI, missS := table.MissingValue(table.KindInt), table.MissingValue(table.KindString)
+	batches := []*table.Table{
+		batch(table.Row{table.IntValue(1), table.StringValue("zz")}, table.Row{missI, missS},
+			table.Row{table.IntValue(3), table.StringValue("aa")}),
+		batch(table.Row{table.IntValue(4), table.StringValue("mm")}, table.Row{missI, table.StringValue("zz")},
+			table.Row{table.IntValue(6), missS}),
+	}
+	sealOnce := func(fs FS, failFirst func()) []byte {
+		d := mustDataset(t, fs, "root/ds", Config{SegmentRows: -1})
+		for _, b := range batches {
+			if err := d.Append(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if failFirst != nil {
+			failFirst()
+			if _, err := d.Seal(ctx); err == nil {
+				t.Fatal("seal with a failing temp-file create succeeded")
+			}
+			if got := d.OpenRows(); got != 6 {
+				t.Fatalf("after the failed seal OpenRows = %d, want 6", got)
+			}
+			if got := len(d.Partitions()); got != 0 {
+				t.Fatalf("the failed seal left %d partitions", got)
+			}
+		}
+		p, err := d.Seal(ctx)
+		if err != nil || p == nil || p.Seq != 1 || p.Rows != 6 {
+			t.Fatalf("seal = (%+v, %v), want seq 1 of 6 rows", p, err)
+		}
+		data, err := fs.ReadFile("root/ds/" + p.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := sealOnce(NewMemFS(), nil)
+	ffs := &failingCreateFS{MemFS: NewMemFS()}
+	if got := sealOnce(ffs, func() { ffs.fail = true }); !bytes.Equal(got, want) {
+		t.Fatal("the seal after a failed one wrote a partition unlike an unfailed seal's")
+	}
+}
+
 func TestAppendValidation(t *testing.T) {
 	ctx := context.Background()
 	d := mustDataset(t, NewMemFS(), "root/ds", Config{})
-	if err := d.AppendRows(ctx, []table.Row{{table.IntValue(1)}}); err == nil {
-		t.Fatal("short row accepted")
+	narrow := table.NewBuilder(table.NewSchema(testSchema.Columns[0]), 1)
+	narrow.AppendRow(table.Row{table.IntValue(1)})
+	if err := d.Append(ctx, narrow.Freeze("narrow")); err == nil {
+		t.Fatal("batch of another schema accepted")
+	}
+	filtered := testBatch(0, 4).Filter("filtered", func(row int) bool { return row%2 == 0 })
+	if err := d.Append(ctx, filtered); err == nil {
+		t.Fatal("batch with non-member rows accepted")
+	}
+	if got := d.OpenRows(); got != 0 {
+		t.Fatalf("rejected batches buffered %d rows", got)
 	}
 }
 
@@ -233,7 +326,7 @@ func TestStandingQueryMatchesReference(t *testing.T) {
 	}
 	var mid *StandingQuery
 	for i := 0; i < 4; i++ {
-		if err := d.AppendRows(ctx, testRows(i*16, 16)); err != nil {
+		if err := d.Append(ctx, testBatch(i*16, 16)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.Seal(ctx); err != nil {
@@ -303,7 +396,7 @@ func TestStoreLifecycle(t *testing.T) {
 			t.Fatalf("invalid name %q accepted", bad)
 		}
 	}
-	if err := d.AppendRows(ctx, testRows(0, 6)); err != nil {
+	if err := d.Append(ctx, testBatch(0, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Seal(ctx); err != nil {
@@ -336,7 +429,7 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 
 	// Buffered rows seal on Close; a second store rediscovers the data.
-	if err := d.AppendRows(ctx, testRows(10, 3)); err != nil {
+	if err := d.Append(ctx, testBatch(10, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

@@ -66,7 +66,7 @@ func TestViewsShareSealColumns(t *testing.T) {
 	}
 	seal := func(lo int) {
 		t.Helper()
-		if err := d.AppendRows(ctx, testRows(lo, 20)); err != nil {
+		if err := d.Append(ctx, testBatch(lo, 20)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.Seal(ctx); err != nil {
@@ -135,7 +135,7 @@ func TestRecoveryRefusesBadPartition(t *testing.T) {
 				fs, dir := mkfs(t)
 				d := mustDataset(t, fs, dir, Config{SegmentRows: -1})
 				for _, n := range []int{10, 5} {
-					if err := d.AppendRows(ctx, testRows(0, n)); err != nil {
+					if err := d.Append(ctx, testBatch(0, n)); err != nil {
 						t.Fatal(err)
 					}
 					if _, err := d.Seal(ctx); err != nil {
@@ -185,7 +185,6 @@ func BenchmarkIngestReplay(b *testing.B) {
 	const seals, rows = 24, 100000
 	ctx := context.Background()
 	batch := flights.Gen("replay", rows, 1, flights.CoreColumns)
-	batchRows := batch.Rows()
 	st := NewStore(b.TempDir(), StoreConfig{SegmentRows: -1})
 	defer st.Close()
 	d, err := st.Create("fl", batch.Schema())
@@ -193,7 +192,7 @@ func BenchmarkIngestReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	seal := func() {
-		if err := d.AppendRows(ctx, batchRows); err != nil {
+		if err := d.Append(ctx, batch); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := d.Seal(ctx); err != nil {

@@ -33,7 +33,9 @@ func TestStoreOpenAllFreshRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AppendRows(context.Background(), []table.Row{{table.IntValue(1)}}); err != nil {
+	b := table.NewBuilder(schema, 1)
+	b.AppendRow(table.Row{table.IntValue(1)})
+	if err := d.Append(context.Background(), b.Freeze("batch")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Seal(context.Background()); err != nil {

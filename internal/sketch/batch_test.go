@@ -530,7 +530,7 @@ func refMisraGries(t *table.Table, col string, k int) *HeavyHitters {
 	out := &HeavyHitters{K: k, Counters: make(map[table.Value]int64, k+1)}
 	t.Members().Iterate(func(row int) bool {
 		out.ScannedRows++
-		v := c.Value(row)
+		v := plusZero(c.Value(row))
 		if cnt, ok := out.Counters[v]; ok {
 			out.Counters[v] = cnt + 1
 			return true
@@ -549,6 +549,15 @@ func refMisraGries(t *table.Table, col string, k int) *HeavyHitters {
 		return true
 	})
 	return out
+}
+
+// plusZero spells a zero double +0, as both heavy-hitter sketches key
+// it: a Value-keyed map keeps the sign of the last zero it counted.
+func plusZero(v table.Value) table.Value {
+	if v.Kind == table.KindDouble && v.D == 0 {
+		v.D = 0
+	}
+	return v
 }
 
 // refMisraGriesTally is the reference for dictionary columns of at most

@@ -34,7 +34,8 @@ func (s *SampleHeavyHittersSketch) Zero() Result {
 // float64-keyed map, and missing rows in one counter. The tallies become
 // table.Value-keyed Counters once, at the end. A float64 map key
 // compares as the Value key would: -0 and +0 are one key, and each NaN
-// is a key of its own.
+// is a key of its own. The map keeps the spelling of the last zero it
+// counted, so the zero key becomes +0, as MisraGriesSketch spells it.
 func (s *SampleHeavyHittersSketch) Summarize(t *table.Table) (Result, error) {
 	col, err := t.Column(s.Col)
 	if err != nil {
@@ -56,7 +57,12 @@ func (s *SampleHeavyHittersSketch) Summarize(t *table.Table) (Result, error) {
 		out.Counters = valueCounts(tallyCells(scan, c.Ints(), c.MissingMask(), &missing),
 			func(v int64) table.Value { return table.Value{Kind: kind, I: v} })
 	case *table.DoubleColumn:
-		out.Counters = valueCounts(tallyCells(scan, c.Doubles(), c.MissingMask(), &missing), table.DoubleValue)
+		out.Counters = valueCounts(tallyCells(scan, c.Doubles(), c.MissingMask(), &missing), func(v float64) table.Value {
+			if v == 0 {
+				v = 0 // -0 reads +0
+			}
+			return table.DoubleValue(v)
+		})
 	case *table.StringColumn:
 		codes, dict, miss := c.Codes(), c.Dict(), c.MissingMask()
 		value := func(code int32) table.Value { return table.StringValue(dict[code]) }

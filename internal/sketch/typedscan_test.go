@@ -76,16 +76,56 @@ func edgeCellViews(rows int) map[string]*table.Table {
 }
 
 // refSampleHH is the table.Value reference of the sampled heavy-hitters
-// scan: every scanned row's Value counted in a Value-keyed map.
+// scan: every scanned row's Value counted in a Value-keyed map, a zero
+// double spelled +0.
 func refSampleHH(tbl *table.Table, col string, k int, rate float64, seed uint64) *HeavyHitters {
 	c := tbl.MustColumn(col)
 	out := &HeavyHitters{K: k, Counters: map[table.Value]int64{}, Sampled: true}
 	refScan(tbl, rate, seed, func(row int) bool {
 		out.ScannedRows++
-		out.Counters[c.Value(row)]++
+		out.Counters[plusZero(c.Value(row))]++
 		return true
 	})
 	return out
+}
+
+// TestHeavyHittersSpellZeroAlike: over the cells 0, 1 and -0, Misra–
+// Gries and the sampled sketch at rate 1 count the same zero rows under
+// one key spelled +0, whichever zero a membership scans last.
+func TestHeavyHittersSpellZeroAlike(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cells := []float64{0, 1, negZero}
+	vals := make([]float64, 300)
+	for i := range vals {
+		vals[i] = cells[i%len(cells)]
+	}
+	tbl := table.New("zeros", table.NewSchema(table.ColumnDesc{Name: "d", Kind: table.KindDouble}),
+		[]table.Column{table.NewDoubleColumn(vals, nil)}, table.FullMembership(len(vals)))
+	for name, v := range map[string]*table.Table{
+		"full":   tbl,
+		"bitmap": tbl.Filter("zeros/b", func(row int) bool { return row%5 != 0 }),
+		"sparse": tbl.Filter("zeros/s", func(row int) bool { return row%67 == 1 }),
+	} {
+		zero := func(sk Sketch) (table.Value, int64) {
+			res, err := sk.Summarize(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for val, n := range res.(*HeavyHitters).Counters {
+				if val.D == 0 && !val.Missing {
+					return val, n
+				}
+			}
+			t.Fatalf("%s %s: no zero counter", name, sk.Name())
+			return table.Value{}, 0
+		}
+		mg, mgN := zero(&MisraGriesSketch{Col: "d", K: 8})
+		hh, hhN := zero(&SampleHeavyHittersSketch{Col: "d", K: 8, Rate: 1, Seed: 3})
+		if math.Signbit(mg.D) || math.Signbit(hh.D) || mgN != hhN {
+			t.Errorf("%s: zero counters misra-gries %v×%d, sampled %v×%d; want one +0 count",
+				name, mg.D, mgN, hh.D, hhN)
+		}
+	}
 }
 
 // hhEntry is one counter of a HeavyHitters summary with its double

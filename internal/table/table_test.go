@@ -1,6 +1,7 @@
 package table
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -52,6 +53,66 @@ func TestBuilderFreeze(t *testing.T) {
 	id := tbl.MustColumn("id")
 	if got := id.Value(5).I; got != 5 {
 		t.Errorf("id[5] = %d, want 5", got)
+	}
+}
+
+// TestBuilderAppendPaths: a table built cell by cell, or from frozen
+// batches through AppendTable, holds the rows a table built through
+// AppendRow holds, missing cells and dictionary included, and a failed
+// AppendTable precondition panics.
+func TestBuilderAppendPaths(t *testing.T) {
+	want := buildTestTable(t)
+	rows := want.Rows()
+	rows[0][2] = MissingValue(KindString) // a missing string too
+
+	byRow := NewBuilder(want.Schema(), 0)
+	cells := NewBuilder(want.Schema(), 0)
+	for _, row := range rows {
+		byRow.AppendRow(row)
+		for col, v := range row {
+			switch {
+			case v.Missing:
+				cells.AppendMissing(col)
+			case v.Kind == KindDouble:
+				cells.AppendDouble(col, v.D)
+			case v.Kind == KindString:
+				cells.AppendString(col, []byte(v.S))
+			default:
+				cells.AppendInt(col, v.I)
+			}
+		}
+	}
+	batches := NewBuilder(want.Schema(), 0)
+	for lo := 0; lo < len(rows); lo += 4 {
+		b := NewBuilder(want.Schema(), 0)
+		for _, row := range rows[lo:min(lo+4, len(rows))] {
+			b.AppendRow(row)
+		}
+		batches.AppendTable(b.Freeze("batch"))
+	}
+	ref := byRow.Freeze("ref").Rows()
+	for name, b := range map[string]*Builder{"cells": cells, "batches": batches} {
+		got := b.Freeze(name)
+		if !reflect.DeepEqual(got.Rows(), ref) {
+			t.Errorf("%s: rows %v, want %v", name, got.Rows(), ref)
+		}
+		if d, w := got.MustColumn("city").(*StringColumn).Dict(), want.MustColumn("city").(*StringColumn).Dict(); !reflect.DeepEqual(d, w) {
+			t.Errorf("%s: dictionary %v, want %v", name, d, w)
+		}
+	}
+
+	for name, tbl := range map[string]*Table{
+		"other schema":   New("x", NewSchema(ColumnDesc{Name: "id", Kind: KindInt}), []Column{NewIntColumn(KindInt, []int64{1}, nil)}, FullMembership(1)),
+		"non-member row": want.Filter("f", func(row int) bool { return row > 0 }),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendTable of a table with %s did not panic", name)
+				}
+			}()
+			NewBuilder(want.Schema(), 0).AppendTable(tbl)
+		}()
 	}
 }
 

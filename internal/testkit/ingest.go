@@ -75,21 +75,23 @@ func ingestSketches(info table.GenInfo) map[string]sketch.Sketch {
 	}
 }
 
-// physicalRows materializes each batch's member rows over its physical
-// columns (GenSchema), the rows /api/ingest hands to AppendRows: an
-// ingest dataset stores the generated columns only, and derived columns
-// are derived after load, not ingested.
-func physicalRows(batches []*table.Table) [][]table.Row {
+// physicalBatches compacts each batch's member rows over its physical
+// columns (GenSchema) into the typed batch /api/ingest hands to
+// Dataset.Append: an ingest dataset stores the generated columns only,
+// and derived columns are derived after load, not ingested.
+func physicalBatches(batches []*table.Table) []*table.Table {
 	cols := make([]int, table.GenSchema.NumColumns())
-	out := make([][]table.Row, len(batches))
+	out := make([]*table.Table, len(batches))
 	for i, b := range batches {
 		for c, cd := range table.GenSchema.Columns {
 			cols[c] = b.Schema().ColumnIndex(cd.Name)
 		}
+		bld := table.NewBuilder(table.GenSchema, b.NumRows())
 		b.Members().Iterate(func(row int) bool {
-			out[i] = append(out[i], b.GetRowCols(row, cols))
+			bld.AppendRow(b.GetRowCols(row, cols))
 			return true
 		})
+		out[i] = bld.Freeze(b.ID())
 	}
 	return out
 }
@@ -97,7 +99,7 @@ func physicalRows(batches []*table.Table) [][]table.Row {
 func runIngestPrefixIdentity(seed uint64) error {
 	p := genParams(seed)
 	parts, info := table.GenPartitions(p.prefix, seed, p.rows, p.parts)
-	batches := physicalRows(parts)
+	batches := physicalBatches(parts)
 	sks := ingestSketches(info)
 	cfg := engine.Config{Parallelism: 3, AggregationWindow: -1}
 
@@ -195,7 +197,7 @@ func runIngestPrefixIdentity(seed uint64) error {
 	// no-op, which must not advance the expected standing-query position.
 	sealed := 0
 	for i, batch := range batches {
-		if err := ds.AppendRows(ctx, batch); err != nil {
+		if err := ds.Append(ctx, batch); err != nil {
 			return fmt.Errorf("append %d: %w", i, err)
 		}
 		p, err := ds.Seal(ctx)
@@ -222,7 +224,7 @@ func runIngestCrashBattery(seed uint64) error {
 	rows := 60 + int(rng.Uint64()%120)
 	parts := 3 + int(rng.Uint64()%3)
 	gen, info := table.GenPartitions(fmt.Sprintf("ic%d", seed), seed^1, rows, parts)
-	batches := physicalRows(gen)
+	batches := physicalBatches(gen)
 	sk := ingestSketches(info)["hist-gd"]
 	dir := "root/" + datasetID
 
@@ -240,7 +242,7 @@ func runIngestCrashBattery(seed uint64) error {
 		sealBytes [][]byte
 	)
 	for i, batch := range batches {
-		if err := d.AppendRows(ctx, batch); err != nil {
+		if err := d.Append(ctx, batch); err != nil {
 			return fmt.Errorf("append %d: %w", i, err)
 		}
 		p, err := d.Seal(ctx)
@@ -383,7 +385,7 @@ func checkIngestRecovery(img *ingest.MemFS, dir string, k int, ackOps []int,
 	}
 	// And it keeps ingesting: one more append + seal.
 	extra, _ := table.GenPartitions("post", 7, 16, 1)
-	if err := d.AppendRows(ctx, physicalRows(extra)[0]); err != nil {
+	if err := d.Append(ctx, physicalBatches(extra)[0]); err != nil {
 		return fmt.Errorf("append after recovery: %w", err)
 	}
 	p, err := d.Seal(ctx)
