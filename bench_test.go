@@ -15,7 +15,7 @@ import (
 	"repro/internal/baseline/sparklike"
 	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/expr"
+	"repro/internal/expr/exprtest"
 	"repro/internal/flights"
 	"repro/internal/sketch"
 	"repro/internal/spreadsheet"
@@ -803,8 +803,8 @@ func BenchmarkKernelParallelAgg(b *testing.B) {
 
 // --- Selection kernels: row path vs typed path, interleaved -------------
 //
-// The two benchmarks below time the retained row-at-a-time reference
-// and the typed selection path alternately inside one process (the
+// The benchmarks below time a row-at-a-time reference and the typed
+// path alternately inside one process (the
 // ROADMAP's A/B rule: host speed drifts, so the two sides must share
 // the same minutes) and report both rates.
 
@@ -845,9 +845,8 @@ func interleave(b *testing.B, rows int, ref, typed func() error) {
 	b.ReportMetric(refT.Seconds()/typedT.Seconds(), "speedup")
 }
 
-// BenchmarkKernelFilter compares Table.Filter over the bound row
-// evaluator (what engine.FilterOp ran before) with FilterOp.Apply's
-// batch-compiled predicate.
+// BenchmarkKernelFilter compares Table.Filter over the reference row
+// evaluator (package exprtest) with FilterOp.Apply's vector nodes.
 func BenchmarkKernelFilter(b *testing.B) {
 	t := kernelFlights()
 	for _, tc := range []struct{ name, src string }{
@@ -855,13 +854,15 @@ func BenchmarkKernelFilter(b *testing.B) {
 		{"int-vs-double", "FlightNum > 4000.5"},
 		{"string-eq", `Carrier == "WN"`},
 		{"and", "DepDelay > 10 && Distance < 1000"},
+		{"abs", "abs(DepDelay) > 30"},
+		{"contains", `contains(Origin, "A")`},
+		{"lower-eq", `lower(Carrier) == "wn"`},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			c, err := expr.Bind(tc.src, t)
+			pred, err := exprtest.Predicate(tc.src, t)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pred := func(row int) bool { v := c.Fn(row); return !v.Missing && v.I != 0 }
 			op := engine.FilterOp{Predicate: tc.src}
 			var want, got int
 			interleave(b, t.NumRows(),
@@ -875,6 +876,35 @@ func BenchmarkKernelFilter(b *testing.B) {
 				})
 			if got != want {
 				b.Fatalf("typed filter kept %d rows, row filter %d", got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelDerive compares a derived column stored through the
+// reference row evaluator (package exprtest) with DeriveOp.Apply's
+// vector nodes, and requires the two columns to be equal.
+func BenchmarkKernelDerive(b *testing.B) {
+	t := kernelFlights()
+	for _, tc := range []struct{ name, src string }{
+		{"arith", "DepDelay * 2"},
+		{"lower", "lower(Carrier)"},
+		{"if", "if(DepDelay > 0, DepDelay, 0)"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			op := engine.DeriveOp{Col: "d", Expr: tc.src}
+			var want, got table.Column
+			interleave(b, t.NumRows(),
+				func() (err error) { want, err = exprtest.DeriveColumn(tc.src, t); return err },
+				func() error {
+					out, err := op.Apply(t, "typed")
+					if err == nil {
+						got = out.MustColumn("d")
+					}
+					return err
+				})
+			if !reflect.DeepEqual(got, want) {
+				b.Fatalf("typed derive stored a %T, row derive a %T with other values", got, want)
 			}
 		})
 	}

@@ -42,10 +42,10 @@ func (op FilterOp) Apply(t *table.Table, newPartID string) (*table.Table, error)
 }
 
 // DeriveOp appends a derived column (§5.6 "User-defined maps"). Apply
-// evaluates the expression once per member row and stores the values
-// (expr.DeriveColumn), so every kernel reads the column as it reads a
-// loaded one; the derived dataset holds it until it is dropped, and
-// replaying the op recomputes it.
+// evaluates the expression over the member rows a typed batch at a time
+// and stores the values (expr.DeriveColumn), so every kernel reads the
+// column as it reads a loaded one; the derived dataset holds it until
+// it is dropped, and replaying the op recomputes it.
 type DeriveOp struct {
 	Col  string
 	Expr string

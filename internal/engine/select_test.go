@@ -7,29 +7,20 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/expr"
+	"repro/internal/expr/exprtest"
 	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
 // rowPredicate is the row-at-a-time form of a filter expression: the
-// bound evaluator with missing treated as false.
+// reference evaluator with missing treated as false.
 func rowPredicate(t *testing.T, src string, tbl *table.Table) func(row int) bool {
 	t.Helper()
-	c, err := expr.Bind(src, tbl)
+	pred, err := exprtest.Predicate(src, tbl)
 	if err != nil {
-		t.Fatalf("Bind(%q): %v", src, err)
+		t.Fatalf("Predicate(%q): %v", src, err)
 	}
-	return func(row int) bool {
-		v := c.Fn(row)
-		if v.Missing {
-			return false
-		}
-		if v.Kind == table.KindString {
-			return v.S != ""
-		}
-		return v.Double() != 0
-	}
+	return pred
 }
 
 // TestFilterOpsMatchRowFilter pins the two selection map ops to the
@@ -64,7 +55,7 @@ func TestFilterOpsMatchRowFilter(t *testing.T) {
 				{Col: "gi", Min: midI + 0.5, Max: math.Inf(1)},
 				{Col: "gd", Min: midD, Max: info.DoubleHi},
 				{Col: "gt", Min: float64(info.DateLo), Max: float64(info.DateLo+info.DateHi) / 2},
-				{Col: "gc", Min: 10, Max: 30}, // computed: the in-batch row fallback
+				{Col: "gc", Min: 10, Max: 30}, // a derived double column
 				{Col: "gd", Min: midD, Max: midD - 1},
 				{Col: "gd", Min: math.NaN(), Max: midD},
 				{Col: "gd", Min: midD, Max: math.NaN()},

@@ -7,65 +7,34 @@ import (
 	"repro/internal/table"
 )
 
-// This file is the batch compiler: it walks a bound tree (Compiled) and
-// builds vector nodes that evaluate a predicate over a whole batch of
-// rows — a physical span or a gathered row list, at most
-// table.SelectBatch rows — instead of one boxed Value at a time. The
-// package comment describes the pipeline and the missing-value rules.
-//
-// There are two node forms. A numNode yields a typed vector (int64 for
-// int/date kinds, float64 for doubles) plus missing words; a condNode
-// yields a three-valued truth vector as two disjoint word sets, T (true)
-// and M (missing), false being neither. Every node owns its output
-// buffers, allocated once at compile time, so evaluating a batch
-// allocates nothing. A compiled predicate is used by one goroutine.
+// This file compiles a bound tree (Compiled) to vector nodes, the
+// package's one evaluator (see the package comment). Every node owns
+// its output buffers, allocated once at compile time for the compiler's
+// batch size, so evaluating a batch allocates nothing but the strings a
+// string function builds. A compiled tree is used by one goroutine.
 
 // batch identifies the rows under evaluation: the physical span
 // [start, end) when rows is nil, else the gathered rows. n is the row
-// count. live, when set, marks the span positions whose result the
-// caller keeps; vector loops ignore it, row fallbacks skip the rest.
+// count.
 type batch struct {
 	start, end int
 	rows       []int32
 	n          int
-	live       []uint64
-}
-
-// forLive calls f with each batch position that matters and its
-// physical row.
-func (b *batch) forLive(f func(k, row int)) {
-	switch {
-	case b.rows != nil:
-		for k, r := range b.rows {
-			f(k, int(r))
-		}
-	case b.live == nil:
-		for k := 0; k < b.n; k++ {
-			f(k, b.start+k)
-		}
-	default:
-		for w, word := range b.live[:b.words()] {
-			for ; word != 0; word &= word - 1 {
-				if k := w<<6 + bits.TrailingZeros64(word); k < b.n {
-					f(k, b.start+k)
-				}
-			}
-		}
-	}
 }
 
 func (b *batch) words() int { return (b.n + 63) >> 6 }
 
-// vector is a numeric batch value: ints for int/date kinds, floats for
-// doubles (exactly one is set), and the missing words (nil when no row
-// is missing). Payloads under a missing bit are unspecified.
+// vector is a batch value: ints for int/date kinds, floats for doubles,
+// strs for strings (exactly one is set), and the missing words (nil
+// when no row is missing). Payloads under a missing bit are unspecified.
 type vector struct {
 	ints   []int64
 	floats []float64
+	strs   []string
 	miss   []uint64
 }
 
-type numNode interface {
+type valueNode interface {
 	// eval returns the batch's values; the slices stay valid until the
 	// node's next eval and may alias column storage.
 	eval(b *batch) vector
@@ -77,25 +46,58 @@ type condNode interface {
 	evalCond(b *batch, t, m []uint64)
 }
 
-func newWords() []uint64 { return make([]uint64, table.SelectBatch/64) }
+// elem is the payload type of a vector.
+type elem interface{ int64 | float64 | string }
 
-// selection is a predicate compiled to batch form. It implements
-// table.Selector: a row is selected when the predicate is true there,
-// so rows where it is false or missing are dropped.
-type selection struct {
-	root condNode
-	m    []uint64
+// field returns the payload field of v that holds T.
+func field[T elem](v *vector) *[]T {
+	var z T
+	switch any(z).(type) {
+	case int64:
+		return any(&v.ints).(*[]T)
+	case float64:
+		return any(&v.floats).(*[]T)
+	}
+	return any(&v.strs).(*[]T)
 }
 
+// payload allocates an n-row payload of kind k's type.
+func payload(k table.Kind, n int) vector {
+	switch k {
+	case table.KindDouble:
+		return vector{floats: make([]float64, n)}
+	case table.KindString:
+		return vector{strs: make([]string, n)}
+	}
+	return vector{ints: make([]int64, n)}
+}
+
+// compiler builds vector nodes whose buffers hold size rows:
+// table.SelectBatch for a scan, one for the constant folder.
+type compiler struct{ size int }
+
+var scan = compiler{size: table.SelectBatch}
+
+func (cp compiler) words() []uint64 { return make([]uint64, (cp.size+63)>>6) }
+
+// vector allocates an output vector of kind k.
+func (cp compiler) vector(k table.Kind) vector {
+	v := payload(k, cp.size)
+	v.miss = cp.words()
+	return v
+}
+
+// batches adapts a batch evaluator to table.Selector, which drives it
+// over a table's member rows: it writes the rows of the batch it keeps.
+type batches func(b *batch, out []uint64)
+
 // SelectSpan implements table.Selector.
-func (s *selection) SelectSpan(start, end int, live, out []uint64) {
-	s.root.evalCond(&batch{start: start, end: end, n: end - start, live: live}, out, s.m)
+func (f batches) SelectSpan(start, end int, out []uint64) {
+	f(&batch{start: start, end: end, n: end - start}, out)
 }
 
 // SelectRows implements table.Selector.
-func (s *selection) SelectRows(rows []int32, out []uint64) {
-	s.root.evalCond(&batch{rows: rows, n: len(rows)}, out, s.m)
-}
+func (f batches) SelectRows(rows []int32, out []uint64) { f(&batch{rows: rows, n: len(rows)}, out) }
 
 // Select parses, folds, binds and batch-compiles src as a row filter
 // over t and returns the membership of t's member rows it keeps, in the
@@ -114,7 +116,97 @@ func SelectNode(node Node, t *table.Table) (table.Membership, error) {
 	if err != nil {
 		return nil, err
 	}
-	return table.Select(t.Members(), &selection{root: compileCond(c), m: newWords()}), nil
+	// A row is kept where the predicate is true, so rows where it is
+	// false or missing are dropped.
+	root, m := scan.cond(c), scan.words()
+	return table.Select(t.Members(), batches(func(b *batch, out []uint64) { root.evalCond(b, out, m) })), nil
+}
+
+// fill evaluates a derived column's expression over a batch into vals,
+// which covers every physical row, and keeps the rows whose value is
+// present.
+func fill(root valueNode, vals vector) batches {
+	return func(b *batch, out []uint64) {
+		v := root.eval(b)
+		switch {
+		case vals.floats != nil:
+			scatter(vals.floats, b, v.floats)
+		case vals.strs != nil:
+			scatter(vals.strs, b, v.strs)
+		default:
+			scatter(vals.ints, b, v.ints)
+		}
+		words := out[:b.words()]
+		copyMissing(words, v.miss)
+		for w := range words {
+			words[w] = ^words[w]
+		}
+		if b.n&63 != 0 {
+			words[len(words)-1] &= 1<<(uint(b.n)&63) - 1
+		}
+	}
+}
+
+// scatter writes a batch's values to their physical rows of dst.
+func scatter[T elem](dst []T, b *batch, src []T) {
+	if b.rows == nil {
+		copy(dst[b.start:b.end], src)
+		return
+	}
+	for k, r := range b.rows {
+		dst[r] = src[k]
+	}
+}
+
+// DeriveColumn binds src and evaluates it over the member rows of t a
+// batch at a time, as table.Select drives a filter, storing the values
+// in a column of the bound kind over t's physical rows. Rows outside
+// the membership are missing.
+func DeriveColumn(src string, t *table.Table) (table.Column, error) {
+	c, err := Bind(src, t)
+	if err != nil {
+		return nil, err
+	}
+	n := t.Members().Max()
+	vals := payload(c.Kind, n)
+	present := table.Select(t.Members(), fill(scan.value(c), vals))
+	missing := table.NewBitset(n)
+	for w := range missing.Words {
+		missing.Words[w] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		missing.Words[len(missing.Words)-1] = 1<<(uint(n)&63) - 1
+	}
+	if !table.IterateWords(present, func(wi int, words []uint64) bool {
+		for k, w := range words {
+			missing.Words[wi+k] &^= w
+		}
+		return true
+	}) {
+		present.Iterate(func(i int) bool {
+			missing.Words[i>>6] &^= 1 << (uint(i) & 63)
+			return true
+		})
+	}
+	switch c.Kind {
+	case table.KindString:
+		return table.NewStringColumn(vals.strs, missing), nil
+	case table.KindDouble:
+		zeroMissing(vals.floats, missing)
+		return table.NewDoubleColumn(vals.floats, missing), nil
+	}
+	zeroMissing(vals.ints, missing)
+	return table.NewIntColumn(c.Kind, vals.ints, missing), nil
+}
+
+// zeroMissing zeroes the values of missing rows, as a column builder
+// stores them.
+func zeroMissing[T int64 | float64](vals []T, missing *table.Bitset) {
+	for w, word := range missing.Words {
+		for ; word != 0; word &= word - 1 {
+			vals[w<<6+bits.TrailingZeros64(word)] = 0
+		}
+	}
 }
 
 var cmpOps = map[string]table.CmpOp{
@@ -122,52 +214,30 @@ var cmpOps = map[string]table.CmpOp{
 	"!=": table.CmpNE, ">=": table.CmpGE, ">": table.CmpGT,
 }
 
-// vectorizable reports whether c has a numeric vector form: number
-// literals, int/date/double columns, and numeric operators. Those are
-// exactly the subtrees whose row values always carry the bound kind,
-// which is what lets a typed vector stand in for them: builtin calls
-// (if, coalesce, min, max return an argument as it is) may yield values
-// of another kind, so they are evaluated only by the row closure of the
-// operator that consumes them.
-func vectorizable(c *Compiled) bool {
-	if !c.Kind.Numeric() {
-		return false
-	}
-	switch c.node.(type) {
-	case *NumberNode, *UnaryNode, *BinaryNode, *ColumnNode:
-		return true
-	}
-	return false
-}
-
-// compileCond compiles c as a truth value: logic and comparisons
-// natively, any other vectorizable subtree by its non-zero test, and
-// the rest (strings, calls) by the row evaluator.
-func compileCond(c *Compiled) condNode {
-	switch n := c.node.(type) {
+// cond compiles c as a truth value: logic and comparisons natively, any
+// other value by its truthiness.
+func (cp compiler) cond(c *Compiled) condNode {
+	switch n := c.Node.(type) {
 	case *UnaryNode:
 		if n.Op == "!" {
-			return &notNode{x: compileCond(c.args[0])}
+			return &notNode{x: cp.cond(c.Args[0])}
 		}
 	case *BinaryNode:
 		if n.Op == "&&" || n.Op == "||" {
 			return &logicNode{or: n.Op == "||",
-				l: compileCond(c.args[0]), r: compileCond(c.args[1]),
-				t2: newWords(), m2: newWords()}
+				l: cp.cond(c.Args[0]), r: cp.cond(c.Args[1]),
+				t2: cp.words(), m2: cp.words()}
 		}
 		if op, ok := cmpOps[n.Op]; ok {
-			return compileCompare(op, c)
+			return cp.compare(op, c)
 		}
 	}
-	if vectorizable(c) {
-		return &truthyNode{x: compileNum(c)}
-	}
-	return &rowCond{fn: c.Fn}
+	return &truthyNode{x: cp.value(c), kind: c.Kind}
 }
 
 // literal returns the constant a folded literal operand denotes.
 func literal(c *Compiled) (table.Value, bool) {
-	switch n := c.node.(type) {
+	switch n := c.Node.(type) {
 	case *NumberNode:
 		return n.Value(), true
 	case *StringNode:
@@ -176,93 +246,174 @@ func literal(c *Compiled) (table.Value, bool) {
 	return table.Value{}, false
 }
 
-// compileCompare compiles "l op r". A stored column against a constant
-// is the table primitive; two vectorizable operands compare as vectors
-// (natively when both sides have one int kind, else as float64, which
-// is Value.Compare's rule); anything else is the row evaluator's.
-func compileCompare(op table.CmpOp, c *Compiled) condNode {
-	l, r := c.args[0], c.args[1]
-	if k, ok := literal(r); ok && l.col != nil {
-		if cc, ok := table.NewConstCompare(l.col, op, k); ok {
-			return &constCmp{cc: cc, miss: newWords()}
+// compare compiles "l op r". A stored column against a constant is the
+// table primitive; otherwise both sides compare as vectors of one kind:
+// their own when it is the same on both sides, else double, which is
+// Value.Compare's rule.
+func (cp compiler) compare(op table.CmpOp, c *Compiled) condNode {
+	l, r := c.Args[0], c.Args[1]
+	if k, ok := literal(r); ok && l.Col != nil {
+		if cc, ok := table.NewConstCompare(l.Col, op, k); ok {
+			return &constCmp{cc: cc, miss: cp.words()}
 		}
 	}
-	if k, ok := literal(l); ok && r.col != nil {
-		if cc, ok := table.NewConstCompare(r.col, op.Flip(), k); ok {
-			return &constCmp{cc: cc, miss: newWords()}
+	if k, ok := literal(l); ok && r.Col != nil {
+		if cc, ok := table.NewConstCompare(r.Col, op.Flip(), k); ok {
+			return &constCmp{cc: cc, miss: cp.words()}
 		}
 	}
-	if !vectorizable(l) || !vectorizable(r) {
-		return &rowCond{fn: c.Fn}
+	kind := l.Kind
+	if l.Kind != r.Kind {
+		kind = table.KindDouble
 	}
-	n := &cmpNode{op: op, l: compileNum(l), r: compileNum(r), miss: newWords()}
-	if l.Kind != r.Kind || l.Kind == table.KindDouble {
-		n.lf, n.rf = make([]float64, table.SelectBatch), make([]float64, table.SelectBatch)
-	}
-	return n
+	return &cmpNode{op: op, kind: kind, l: cp.as(l, kind), r: cp.as(r, kind), miss: cp.words()}
 }
 
-// compileNum compiles a vectorizable subtree to a vector node. An
-// arithmetic operator with an operand that is not vectorizable runs
-// its row evaluator inside the batch instead; its own results carry
-// the bound kind, so the operators above it stay vectors.
-func compileNum(c *Compiled) numNode {
-	isFloat := c.Kind == table.KindDouble
-	if !isTruthOp(c.node) {
-		for _, arg := range c.args {
-			if !vectorizable(arg) {
-				return &rowNum{fn: c.Fn, out: newVector(isFloat)}
-			}
-		}
-	}
-	switch n := c.node.(type) {
+// value compiles c to a vector node of its bound kind.
+func (cp compiler) value(c *Compiled) valueNode {
+	switch n := c.Node.(type) {
 	case *NumberNode:
-		return newConstNum(n.Value())
+		return cp.constant(n.Value())
+	case *StringNode:
+		return cp.constant(table.StringValue(n.S))
 	case *ColumnNode:
-		if col, ok := c.col.(*table.IntColumn); ok {
-			return &intCol{vals: col.Ints(), mask: col.MissingMask(), buf: make([]int64, table.SelectBatch), miss: newWords()}
-		}
-		col := c.col.(*table.DoubleColumn)
-		return &doubleCol{vals: col.Doubles(), mask: col.MissingMask(), buf: make([]float64, table.SelectBatch), miss: newWords()}
+		return cp.column(c.Col)
 	case *UnaryNode:
-		if n.Op == "-" {
-			return &arithNode{op: "neg", l: compileNum(c.args[0]), out: newVector(isFloat)}
+		switch {
+		case n.Op == "-" && c.Kind == table.KindDouble:
+			return lift1(c.Kind, func(x float64) float64 { return -x })(cp, c)
+		case n.Op == "-":
+			return lift1(c.Kind, func(x int64) int64 { return -x })(cp, c)
 		}
 	case *BinaryNode:
-		switch n.Op {
-		case "+", "-", "*", "/", "%":
-			a := &arithNode{op: n.Op, l: compileNum(c.args[0]), r: compileNum(c.args[1]), out: newVector(isFloat)}
-			if isFloat {
-				a.lf, a.rf = make([]float64, table.SelectBatch), make([]float64, table.SelectBatch)
-			}
-			return a
+		switch {
+		case n.Op == "+" && c.Kind == table.KindString:
+			return cp.concat(c.Args)
+		case n.Op == "+" || n.Op == "-" || n.Op == "*" || n.Op == "/" || n.Op == "%":
+			return &arithNode{op: n.Op, l: cp.as(c.Args[0], c.Kind), r: cp.as(c.Args[1], c.Kind), out: cp.vector(c.Kind)}
 		}
+	case *CallNode:
+		return builtins[n.Func].vec(cp, c)
 	}
 	// !, comparisons, && and ||: a truth value read as 0/1.
-	return newCondNum(compileCond(c))
+	return &condNum{x: cp.cond(c), t: cp.words(), out: cp.vector(table.KindInt)}
 }
 
-// isTruthOp reports whether n is an operator compileCond handles,
-// operands of any kind included.
-func isTruthOp(n Node) bool {
-	switch n := n.(type) {
-	case *UnaryNode:
-		return n.Op == "!"
-	case *BinaryNode:
-		_, cmp := cmpOps[n.Op]
-		return cmp || n.Op == "&&" || n.Op == "||"
+// sameForm reports whether values of kinds a and b share a vector
+// form: int and date are both int64.
+func sameForm(a, b table.Kind) bool {
+	isInt := func(k table.Kind) bool { return k == table.KindInt || k == table.KindDate }
+	return a == b || isInt(a) && isInt(b)
+}
+
+// as compiles c read as kind k: an int or date widens to a double, a
+// double truncates to an int, a number renders as Value.String does,
+// and a string reads as a number as Value.Double does (zero). A
+// literal converts once, here.
+func (cp compiler) as(c *Compiled, k table.Kind) valueNode {
+	if sameForm(c.Kind, k) {
+		return cp.value(c)
 	}
-	return false
+	if n, ok := c.Node.(*NumberNode); ok && k != table.KindString {
+		if k == table.KindDouble {
+			return cp.constant(table.DoubleValue(n.Value().Double()))
+		}
+		return cp.constant(table.IntValue(int64(n.F)))
+	}
+	return &castNode{x: cp.value(c), from: c.Kind, to: k, out: cp.vector(k)}
 }
 
-func newVector(isFloat bool) vector {
-	v := vector{miss: newWords()}
-	if isFloat {
-		v.floats = make([]float64, table.SelectBatch)
-	} else {
-		v.ints = make([]int64, table.SelectBatch)
+// constant is a literal: a vector filled once at compile time.
+func (cp compiler) constant(k table.Value) valueNode {
+	v := payload(k.Kind, cp.size)
+	for i := range v.ints {
+		v.ints[i] = k.I
+	}
+	for i := range v.floats {
+		v.floats[i] = k.D
+	}
+	for i := range v.strs {
+		v.strs[i] = k.S
+	}
+	return &constNode{v: v}
+}
+
+type constNode struct{ v vector }
+
+func (c *constNode) eval(b *batch) vector { return c.v.head(b.n) }
+
+// head returns v's first n rows.
+func (v vector) head(n int) vector {
+	switch {
+	case v.floats != nil:
+		v.floats = v.floats[:n]
+	case v.strs != nil:
+		v.strs = v.strs[:n]
+	default:
+		v.ints = v.ints[:n]
+	}
+	if v.miss != nil {
+		v.miss = v.miss[:(n+63)>>6]
 	}
 	return v
+}
+
+// column reads a stored column: spans of int and double columns alias
+// the backing slice, gathered batches copy through a buffer, and a
+// string column gathers dict[codes[row]].
+func (cp compiler) column(col table.Column) valueNode {
+	switch col := col.(type) {
+	case *table.IntColumn:
+		return &numCol[int64]{vals: col.Ints(), mask: col.MissingMask(), out: cp.vector(col.Kind())}
+	case *table.DoubleColumn:
+		return &numCol[float64]{vals: col.Doubles(), mask: col.MissingMask(), out: cp.vector(table.KindDouble)}
+	}
+	s := col.(*table.StringColumn)
+	return &stringCol{dict: s.Dict(), codes: s.Codes(), mask: s.MissingMask(), out: cp.vector(table.KindString)}
+}
+
+type numCol[T int64 | float64] struct {
+	vals []T
+	mask *table.Bitset
+	out  vector
+}
+
+func (c *numCol[T]) eval(b *batch) vector {
+	v := vector{miss: batchMissing(c.mask, b, c.out.miss)}
+	if b.rows == nil {
+		*field[T](&v) = c.vals[b.start:b.end]
+		return v
+	}
+	buf := (*field[T](&c.out))[:b.n]
+	for k, r := range b.rows {
+		buf[k] = c.vals[r]
+	}
+	*field[T](&v) = buf
+	return v
+}
+
+type stringCol struct {
+	dict  []string
+	codes []int32
+	mask  *table.Bitset
+	out   vector
+}
+
+func (c *stringCol) eval(b *batch) vector {
+	strs := c.out.strs[:b.n]
+	switch {
+	case len(c.dict) == 0: // every row is missing
+		clear(strs)
+	case b.rows == nil:
+		for k, code := range c.codes[b.start:b.end] {
+			strs[k] = c.dict[code]
+		}
+	default:
+		for k, r := range b.rows {
+			strs[k] = c.dict[c.codes[r]]
+		}
+	}
+	return vector{strs: strs, miss: batchMissing(c.mask, b, c.out.miss)}
 }
 
 // batchMissing extracts the batch's bits of a missing mask into buf,
@@ -295,6 +446,15 @@ func orMissing(dst, a, b []uint64) []uint64 {
 	return dst
 }
 
+// copyMissing overwrites dst with src (nil: no row missing).
+func copyMissing(dst, src []uint64) {
+	if src == nil {
+		clear(dst)
+	} else {
+		copy(dst, src)
+	}
+}
+
 // setMissing writes miss (nil: none) to m and clears those rows in t.
 func setMissing(t, m, miss []uint64, words int) {
 	if miss == nil {
@@ -307,132 +467,47 @@ func setMissing(t, m, miss []uint64, words int) {
 	}
 }
 
-// asFloats returns v as float64s, widening an int vector into buf.
-func (v vector) asFloats(buf []float64) []float64 {
-	if v.floats != nil {
-		return v.floats
-	}
-	buf = buf[:len(v.ints)]
-	for k, x := range v.ints {
-		buf[k] = float64(x)
-	}
-	return buf
+// castNode converts a vector to another kind's form (see compiler.as).
+type castNode struct {
+	x        valueNode
+	from, to table.Kind
+	out      vector
 }
 
-// intCol and doubleCol read a stored column: spans alias the backing
-// slice, gathered batches copy through buf.
-type intCol struct {
-	vals []int64
-	mask *table.Bitset
-	buf  []int64
-	miss []uint64
-}
-
-func (c *intCol) eval(b *batch) vector {
-	return vector{ints: gather(c.vals, b, c.buf), miss: batchMissing(c.mask, b, c.miss)}
-}
-
-type doubleCol struct {
-	vals []float64
-	mask *table.Bitset
-	buf  []float64
-	miss []uint64
-}
-
-func (c *doubleCol) eval(b *batch) vector {
-	return vector{floats: gather(c.vals, b, c.buf), miss: batchMissing(c.mask, b, c.miss)}
-}
-
-func gather[T int64 | float64](vals []T, b *batch, buf []T) []T {
-	if b.rows == nil {
-		return vals[b.start:b.end]
-	}
-	buf = buf[:b.n]
-	for k, r := range b.rows {
-		buf[k] = vals[r]
-	}
-	return buf
-}
-
-// constNum is a literal: a vector filled once at compile time.
-type constNum struct{ v vector }
-
-func newConstNum(k table.Value) *constNum {
-	v := newVector(k.Kind == table.KindDouble)
-	v.miss = nil
-	for i := range v.ints {
-		v.ints[i] = k.I
-	}
-	for i := range v.floats {
-		v.floats[i] = k.D
-	}
-	return &constNum{v: v}
-}
-
-func (c *constNum) eval(b *batch) vector {
-	if c.v.floats != nil {
-		return vector{floats: c.v.floats[:b.n]}
-	}
-	return vector{ints: c.v.ints[:b.n]}
-}
-
-// rowNum is the in-batch row fallback for numeric subtrees the compiler
-// has no vector form for: it calls the subtree's row evaluator once per
-// batch row and unboxes the results.
-type rowNum struct {
-	fn  func(row int) table.Value
-	out vector
-}
-
-func (r *rowNum) eval(b *batch) vector {
-	out := r.out
-	clear(out.miss[:b.words()])
-	b.forLive(func(k, row int) {
-		switch v := r.fn(row); {
-		case v.Missing:
-			out.miss[k>>6] |= 1 << (uint(k) & 63)
-		case out.floats != nil:
-			out.floats[k] = v.Double()
-		default:
-			out.ints[k] = v.I
+func (c *castNode) eval(b *batch) vector {
+	v := c.x.eval(b)
+	out := c.out.head(b.n)
+	out.miss = v.miss
+	switch {
+	case c.from == table.KindString:
+		clear(out.ints)
+		clear(out.floats)
+	case c.to == table.KindString && c.from == table.KindDouble:
+		for k, x := range v.floats {
+			out.strs[k] = table.DoubleValue(x).String()
 		}
-	})
-	if out.floats != nil {
-		out.floats = out.floats[:b.n]
-	} else {
-		out.ints = out.ints[:b.n]
+	case c.to == table.KindString:
+		for k, x := range v.ints {
+			out.strs[k] = table.Value{Kind: c.from, I: x}.String()
+		}
+	case c.to == table.KindDouble:
+		for k, x := range v.ints {
+			out.floats[k] = float64(x)
+		}
+	default:
+		for k, x := range v.floats {
+			out.ints[k] = int64(x)
+		}
 	}
-	out.miss = out.miss[:b.words()]
 	return out
 }
 
-// rowCond is the row fallback for truth values (string comparisons,
-// string truthiness, truth-valued builtins).
-type rowCond struct{ fn func(row int) table.Value }
-
-func (r *rowCond) evalCond(b *batch, t, m []uint64) {
-	clear(t[:b.words()])
-	clear(m[:b.words()])
-	b.forLive(func(k, row int) {
-		switch v := r.fn(row); {
-		case v.Missing:
-			m[k>>6] |= 1 << (uint(k) & 63)
-		case truthy(v):
-			t[k>>6] |= 1 << (uint(k) & 63)
-		}
-	})
-}
-
-// condNum views a truth value as the int 0/1 the row evaluator's
-// boolValue produces, for "(a < b) + 1" and "(a < b) == (c < d)".
+// condNum views a truth value as the int 0/1, for "(a < b) + 1" and
+// "(a < b) == (c < d)".
 type condNum struct {
 	x   condNode
 	t   []uint64
 	out vector
-}
-
-func newCondNum(x condNode) *condNum {
-	return &condNum{x: x, t: newWords(), out: newVector(false)}
 }
 
 func (c *condNum) eval(b *batch) vector {
@@ -444,38 +519,20 @@ func (c *condNum) eval(b *batch) vector {
 	return vector{ints: ints, miss: c.out.miss[:b.words()]}
 }
 
-// arithNode is + - * / % and unary negation ("neg", r unset). The
-// result is float64 when the bound kind is double — then both operands
-// are widened, as Value.Double does — and int64 otherwise. A zero
-// divisor makes / and % missing.
+// arithNode is + - * / % over operands already in the result's form: float64 when the bound kind is
+// double, int64 otherwise. A zero divisor makes / and % missing.
 type arithNode struct {
-	op     string
-	l, r   numNode
-	lf, rf []float64 // widening buffers of a float result
-	out    vector
+	op   string
+	l, r valueNode
+	out  vector
 }
 
 func (a *arithNode) eval(b *batch) vector {
-	lv := a.l.eval(b)
-	if a.op == "neg" {
-		if a.out.floats != nil {
-			out := a.out.floats[:b.n]
-			for k, x := range lv.floats {
-				out[k] = -x
-			}
-			return vector{floats: out, miss: lv.miss}
-		}
-		out := a.out.ints[:b.n]
-		for k, x := range lv.ints {
-			out[k] = -x
-		}
-		return vector{ints: out, miss: lv.miss}
-	}
-	rv := a.r.eval(b)
+	lv, rv := a.l.eval(b), a.r.eval(b)
 	miss := orMissing(a.out.miss, lv.miss, rv.miss)
 	if a.out.floats != nil {
 		out := a.out.floats[:b.n]
-		miss = arith(a.op, lv.asFloats(a.lf), rv.asFloats(a.rf), out, miss, a.out.miss, math.Mod)
+		miss = arith(a.op, lv.floats, rv.floats, out, miss, a.out.miss, math.Mod)
 		return vector{floats: out, miss: miss}
 	}
 	out := a.out.ints[:b.n]
@@ -487,6 +544,7 @@ func (a *arithNode) eval(b *batch) vector {
 // missing (materialising miss into missBuf if it was nil) and returns
 // the resulting missing words.
 func arith[T int64 | float64](op string, x, y, out []T, miss, missBuf []uint64, mod func(a, b T) T) []uint64 {
+	x, y = x[:len(out)], y[:len(out)]
 	switch op {
 	case "+":
 		for k := range out {
@@ -522,25 +580,32 @@ func arith[T int64 | float64](op string, x, y, out []T, miss, missBuf []uint64, 
 	return miss
 }
 
-// truthyNode is a numeric value used as a condition: true when present
-// and non-zero (NaN is non-zero, as in the row evaluator's truthy).
-type truthyNode struct{ x numNode }
+// truthyNode is a value used as a condition: true when present and
+// non-zero (NaN is non-zero) or non-empty.
+type truthyNode struct {
+	x    valueNode
+	kind table.Kind
+}
 
 func (n *truthyNode) evalCond(b *batch, t, m []uint64) {
 	v := n.x.eval(b)
-	if v.floats != nil {
+	switch n.kind {
+	case table.KindDouble:
 		nonZeroWords(v.floats, t)
-	} else {
+	case table.KindString:
+		nonZeroWords(v.strs, t)
+	default:
 		nonZeroWords(v.ints, t)
 	}
 	setMissing(t, m, v.miss, b.words())
 }
 
-func nonZeroWords[T int64 | float64](vals []T, out []uint64) {
+func nonZeroWords[T elem](vals []T, out []uint64) {
 	clear(out[:(len(vals)+63)>>6])
+	var zero T
 	for k, v := range vals {
 		var bit uint64
-		if v != 0 {
+		if v != zero {
 			bit = 1
 		}
 		out[k>>6] |= bit << (uint(k) & 63)
@@ -563,20 +628,22 @@ func (n *constCmp) evalCond(b *batch, t, m []uint64) {
 	setMissing(t, m, batchMissing(n.cc.Missing(), b, n.miss), b.words())
 }
 
-// cmpNode compares two vectors. lf/rf are set when the comparison is
-// made in float64.
+// cmpNode compares two vectors of one kind.
 type cmpNode struct {
-	op     table.CmpOp
-	l, r   numNode
-	lf, rf []float64
-	miss   []uint64
+	op   table.CmpOp
+	kind table.Kind
+	l, r valueNode
+	miss []uint64
 }
 
 func (n *cmpNode) evalCond(b *batch, t, m []uint64) {
 	lv, rv := n.l.eval(b), n.r.eval(b)
-	if n.lf != nil {
-		compareVectors(lv.asFloats(n.lf), rv.asFloats(n.rf), n.op, t)
-	} else {
+	switch n.kind {
+	case table.KindDouble:
+		compareVectors(lv.floats, rv.floats, n.op, t)
+	case table.KindString:
+		compareVectors(lv.strs, rv.strs, n.op, t)
+	default:
 		compareVectors(lv.ints, rv.ints, n.op, t)
 	}
 	setMissing(t, m, orMissing(n.miss, lv.miss, rv.miss), b.words())
@@ -585,7 +652,7 @@ func (n *cmpNode) evalCond(b *batch, t, m []uint64) {
 // compareVectors sets bit k of out when x[k] op y[k] under
 // Value.Compare's ordering (see table.CmpOp): below, above, or — for
 // NaN too — neither.
-func compareVectors[T int64 | float64](x, y []T, op table.CmpOp, out []uint64) {
+func compareVectors[T elem](x, y []T, op table.CmpOp, out []uint64) {
 	words := out[:(len(x)+63)>>6]
 	clear(words)
 	for k := range x {
@@ -629,9 +696,9 @@ func (n *notNode) evalCond(b *batch, t, m []uint64) {
 	}
 }
 
-// logicNode is "l && r" or "l || r" with the row evaluator's rules: a
-// deciding left operand (false for &&, true for ||) decides alone;
-// otherwise the result is missing if either side is, else r's truth.
+// logicNode is "l && r" or "l || r": a deciding left operand (false for
+// &&, true for ||) decides alone; otherwise the result is missing if
+// either side is, else r's truth.
 type logicNode struct {
 	or     bool
 	l, r   condNode

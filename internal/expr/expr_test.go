@@ -1,12 +1,12 @@
-package expr
+package expr_test
 
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/table"
 )
 
@@ -27,15 +27,14 @@ func exprTestTable(t *testing.T) *table.Table {
 	return b.Freeze("expr-test")
 }
 
-// evalAt binds src and evaluates at one row.
+// evalAt derives src over the test table and reads one row.
 func evalAt(t *testing.T, src string, row int) table.Value {
 	t.Helper()
-	tbl := exprTestTable(t)
-	c, err := Bind(src, tbl)
+	col, err := expr.DeriveColumn(src, exprTestTable(t))
 	if err != nil {
-		t.Fatalf("Bind(%q): %v", src, err)
+		t.Fatalf("DeriveColumn(%q): %v", src, err)
 	}
-	return c.Fn(row)
+	return col.Value(row)
 }
 
 func TestArithmetic(t *testing.T) {
@@ -252,7 +251,7 @@ func TestParseErrors(t *testing.T) {
 		"1.2.3 +",
 	}
 	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
+		if _, err := expr.Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
 	}
@@ -276,47 +275,31 @@ func TestBindErrors(t *testing.T) {
 		`max("x", 1)`,
 	}
 	for _, src := range bad {
-		if _, err := Bind(src, tbl); err == nil {
+		if _, err := expr.Bind(src, tbl); err == nil {
 			t.Errorf("Bind(%q) should fail", src)
 		}
 	}
 }
 
-// predicate is the row-at-a-time form of a filter — the bound
-// expression evaluated per row with missing treated as false. It is the
-// oracle the batch compiler is tested against.
-func predicate(t testing.TB, src string, tbl *table.Table) func(row int) bool {
-	t.Helper()
-	c, err := Bind(src, tbl)
-	if err != nil {
-		t.Fatalf("Bind(%q): %v", src, err)
-	}
-	return func(row int) bool { return truthy(c.Fn(row)) }
-}
-
 func TestPredicateAndDerive(t *testing.T) {
 	tbl := exprTestTable(t)
-	pred := predicate(t, "a > 0", tbl)
-	// Rows 0 and 3 have a > 0; row 2 has missing a (excluded).
-	want := map[int]bool{0: true, 1: false, 2: false, 3: true}
-	for row, w := range want {
-		if pred(row) != w {
-			t.Errorf("pred(%d) = %t, want %t", row, pred(row), w)
-		}
-	}
-	filtered := tbl.Filter("f", pred)
-	if filtered.NumRows() != 2 {
-		t.Errorf("filtered rows = %d, want 2", filtered.NumRows())
-	}
-	sel, err := Select("a > 0", tbl)
+	sel, err := expr.Select("a > 0", tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rows 0 and 3 have a > 0; row 2 has missing a (excluded).
+	want := map[int]bool{0: true, 1: false, 2: false, 3: true}
+	for row, w := range want {
+		if sel.Contains(row) != w {
+			t.Errorf("select(%d) = %t, want %t", row, sel.Contains(row), w)
+		}
+	}
+	filtered := tbl.Filter("f", func(row int) bool { return want[row] })
 	if !reflect.DeepEqual(sel, filtered.Members()) {
 		t.Errorf("Select = %#v, want %#v", sel, filtered.Members())
 	}
 
-	col, err := DeriveColumn("a * 2 + 1", tbl)
+	col, err := expr.DeriveColumn("a * 2 + 1", tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +330,11 @@ func TestASTString(t *testing.T) {
 		"-a % 3",
 	}
 	for _, src := range srcs {
-		n1, err := Parse(src)
+		n1, err := expr.Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
-		n2, err := Parse(n1.String())
+		n2, err := expr.Parse(n1.String())
 		if err != nil {
 			t.Fatalf("reparse of %q -> %q: %v", src, n1.String(), err)
 		}
@@ -364,29 +347,18 @@ func TestASTString(t *testing.T) {
 func TestTruthiness(t *testing.T) {
 	tbl := exprTestTable(t)
 	// Empty string is falsy; non-empty truthy.
-	pred := predicate(t, "s", tbl)
-	if !pred(0) || pred(2) || pred(3) {
-		t.Error("string truthiness wrong")
-	}
-	// Zero double is falsy.
-	pred2 := predicate(t, "b", tbl)
-	if pred2(1) || !pred2(2) {
-		t.Error("numeric truthiness wrong")
-	}
-}
-
-func TestLexerStrings(t *testing.T) {
-	toks, err := lex(`"a\"b" 'c\n' x_1 <= 1.5e-3`)
+	sel, err := expr.Select("s", tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].text != `a"b` || toks[1].text != "c\n" {
-		t.Errorf("escapes wrong: %q %q", toks[0].text, toks[1].text)
+	if !sel.Contains(0) || sel.Contains(2) || sel.Contains(3) {
+		t.Error("string truthiness wrong")
 	}
-	if toks[2].text != "x_1" || toks[3].text != "<=" || toks[4].text != "1.5e-3" {
-		t.Errorf("tokens wrong: %+v", toks)
+	// Zero double is falsy.
+	if sel, err = expr.Select("b", tbl); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains((&StringNode{S: "x"}).String(), "x") {
-		t.Error("StringNode.String broken")
+	if sel.Contains(1) || !sel.Contains(2) {
+		t.Error("numeric truthiness wrong")
 	}
 }

@@ -9,10 +9,11 @@ import (
 // Fold rewrites every column-free subexpression that evaluates to a
 // present number or string into the literal it denotes, so "lat > -8"
 // reaches the binder as a column compared to the constant -8 rather
-// than to the operation Unary(-, 8). Evaluation is the row evaluator's
-// own (expressions are pure, so evaluating early changes nothing);
-// subtrees that fail to bind, or evaluate to missing or to a date, are
-// left for the binder to report or evaluate per row.
+// than to the operation Unary(-, 8). Evaluation is the vector nodes'
+// own, run over a one-row batch (expressions are pure, so evaluating
+// early changes nothing); subtrees that fail to bind, or evaluate to
+// missing or to a date, are left for the binder to report or evaluate
+// per batch.
 func Fold(node Node) Node {
 	switch n := node.(type) {
 	case *UnaryNode:
@@ -60,17 +61,19 @@ func foldConst(n Node) Node {
 	if err != nil {
 		return n
 	}
-	switch v := c.Fn(0); {
-	case v.Missing:
+	one := compiler{size: 1}
+	switch v := one.value(c).eval(&batch{end: 1, n: 1}); {
+	case v.miss != nil && v.miss[0]&1 != 0:
 		return n
 	case c.Kind == table.KindInt:
-		return &NumberNode{IsInt: true, I: v.I, F: float64(v.I), Text: strconv.FormatInt(v.I, 10)}
+		i := v.ints[0]
+		return &NumberNode{IsInt: true, I: i, F: float64(i), Text: strconv.FormatInt(i, 10)}
 	case c.Kind == table.KindDouble:
 		// The literal keeps the bound kind: if(1, 1, 2.5) folds to 1.0.
-		d := v.Double()
+		d := v.floats[0]
 		return &NumberNode{F: d, Text: strconv.FormatFloat(d, 'g', -1, 64)}
 	case c.Kind == table.KindString:
-		return &StringNode{S: v.S}
+		return &StringNode{S: v.strs[0]}
 	default:
 		return n
 	}

@@ -3,8 +3,8 @@
 // new columns and to filter rows (paper §5.6 "User-defined maps"). It
 // substitutes for Hillview's server-side JavaScript (Nashorn) with a
 // deterministic, sandboxed evaluator: no loops, no state, no I/O — a
-// per-row function that the engine can recompute at any time, which is
-// exactly the property the soft-state memory design relies on.
+// function of the row that the engine can recompute at any time, which
+// is exactly the property the soft-state memory design relies on.
 //
 // Expressions are written over column names, e.g.
 //
@@ -13,58 +13,62 @@
 //	year(FlightDate) * 100 + month(FlightDate)
 //
 // Booleans are represented as int 0/1 (the Value type has no bool kind);
-// any non-zero number is truthy. Missing values propagate through
-// operators and functions, except isMissing and coalesce.
+// any non-zero number and any non-empty string is truthy. Missing values
+// propagate through operators and functions, except isMissing, coalesce
+// and the condition of if.
 //
 // # Pipeline
-//
-// An expression goes through four stages, each its own file:
 //
 //   - Parse (parser.go): source → AST. Purely syntactic, except that
 //     builtin names and arities are checked.
 //   - Fold (fold.go): column-free subtrees that evaluate to a present
 //     number or string become literals, so "lat > -8" is a column
 //     against the constant -8, not against Unary(-, 8). Folding runs the
-//     row evaluator itself, so it cannot change a result.
-//   - Bind (bind.go): AST + table → Compiled, a tree of per-row closures
-//     over boxed table.Values with names resolved and kinds checked. It
-//     is the semantics of the language: DeriveColumn runs it once per
-//     member row into a stored column, and every batch result is tested
-//     against it.
-//   - Batch-compile (batch.go, filters only): Compiled → vector nodes
-//     evaluated over batches of up to table.SelectBatch rows, producing
-//     selection bitmap words that table.Select turns into the derived
-//     Membership. Select and SelectNode run the whole pipeline.
+//     vector nodes over a one-row batch, so it cannot change a result.
+//   - Bind (bind.go): AST + table → Compiled, the tree with names
+//     resolved and every subexpression's kind inferred and checked.
+//   - Compile (batch.go, eval.go): Compiled → vector nodes, the one
+//     evaluator. They run over batches of up to table.SelectBatch rows,
+//     driven by table.Select: Select keeps the rows where a predicate is
+//     true, and DeriveColumn stores an expression's values in a column.
 //
 // # Vector nodes and missing values
 //
-// Numeric nodes carry an int64 vector (int and date kinds) or a float64
-// vector (doubles) plus missing words; conditions carry two disjoint
-// word sets, T (true) and M (missing) — false is neither. The rules are
-// the row evaluator's, three-valued but not SQL's:
+// A value node yields a vector of its bound kind — int64 for int and
+// date, float64 for double, string for string — plus missing words; a
+// condition yields two disjoint word sets, T (true) and M (missing),
+// false being neither. The rules are three-valued but not SQL's:
 //
-//   - arithmetic, negation and comparisons are missing where an operand
-//     is; / and % are also missing where the divisor is zero;
-//   - comparisons follow table.Value.Compare: one int kind on both sides
-//     compares as int64, anything else numeric as float64;
+//   - arithmetic, negation, comparisons and builtins are missing where
+//     an operand is; / and % are also missing where the divisor is zero;
+//   - comparisons follow table.Value.Compare: one kind on both sides
+//     compares in that kind, int and date with each other or with a
+//     double as float64;
 //   - !x is missing where x is;
 //   - a && b is false where a is false; elsewhere it is missing where
 //     either side is, else b. (So missing && false is missing.)
 //   - a || b is true where a is true; elsewhere missing where either
 //     side is, else b.
+//   - if(c, a, b) takes b where c is false or missing;
 //   - a filter keeps the rows where the predicate is true, dropping
 //     false and missing alike.
 //
+// Every node yields its bound kind, and an operand of another kind is
+// converted to the kind its consumer reads: an int or date widens to a
+// double, a double truncates to an int, a number renders as
+// table.Value.String does, and a string reads as the number zero. Three
+// edges follow from that rule:
+//
+//   - if, coalesce, min and max read every value argument as the bound
+//     kind, so an int past 2⁵³ under a double-kinded call rounds, and
+//     min and max of an int and a date compare as int64;
+//   - len of a number is the length of its rendering;
+//   - substr's start and length truncate a double toward zero.
+//
 // A column compared with a literal compiles to the typed primitive
 // table.ConstCompare (string literals become a code threshold in the
-// column's sorted dictionary). Literals, int/date/double columns (a
-// derived column is stored like any other), + - * / %, unary minus,
-// the six comparisons, ! && || over those have vector forms. Everything
-// else — builtin calls, string-valued operators and string comparisons
-// other than column-against-literal — falls back to the Bind closures,
-// run once per batch row inside the vector node of the nearest
-// enclosing operator (see vectorizable in batch.go for why it is that
-// operator and not the call itself), so one predicate can mix both.
+// column's sorted dictionary). A string column is otherwise read as
+// dict[codes[row]], and string functions run once per row.
 package expr
 
 import (

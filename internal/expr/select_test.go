@@ -1,4 +1,4 @@
-package expr
+package expr_test
 
 import (
 	"fmt"
@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/expr"
+	"repro/internal/expr/exprtest"
 	"repro/internal/table"
 )
 
@@ -25,7 +27,7 @@ var selectTables = sync.OnceValues(func() ([]*table.Table, table.GenInfo) {
 			info = in
 		}
 		for _, p := range ps {
-			col, err := DeriveColumn(`concat(gs, "!")`, p)
+			col, err := expr.DeriveColumn(`concat(gs, "!")`, p)
 			if err != nil {
 				panic(err)
 			}
@@ -40,22 +42,22 @@ var selectTables = sync.OnceValues(func() ([]*table.Table, table.GenInfo) {
 })
 
 // checkSelect requires the batch selection of src to be the membership
-// the row evaluator builds — same rows, same representation — on every
-// test partition. Sources that do not parse or bind are skipped (the
-// fuzzer mutates text freely); both forms must then fail alike.
+// the row evaluator (package exprtest) builds — same rows, same
+// representation — on every test partition. Sources that do not parse
+// or bind are skipped (the fuzzer mutates text freely); both forms must
+// then fail alike.
 func checkSelect(t *testing.T, src string) {
 	t.Helper()
 	parts, _ := selectTables()
 	for _, p := range parts {
-		c, err := Bind(src, p)
-		got, selErr := Select(src, p)
+		want, err := exprtest.Filter(src, p)
+		got, selErr := expr.Select(src, p)
 		if (err == nil) != (selErr == nil) {
-			t.Fatalf("%q on %s: Bind err %v, Select err %v", src, p.ID(), err, selErr)
+			t.Fatalf("%q on %s: oracle err %v, Select err %v", src, p.ID(), err, selErr)
 		}
 		if err != nil {
 			return
 		}
-		want := table.FilterMembership(p.Members(), func(row int) bool { return truthy(c.Fn(row)) })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q on %s (%T parent): batch selection %T of %d rows, row evaluator %T of %d rows",
 				src, p.ID(), p.Members(), got, got.Size(), want, want.Size())
@@ -89,24 +91,62 @@ func (g *exprGen) num(depth int) string {
 		return g.pick("gi", "gd", "gt", "gc", g.intLit(), g.doubleLit(),
 			fmt.Sprint(g.info.DateLo+g.r.Int64N(g.info.DateHi-g.info.DateLo)))
 	}
-	switch g.r.IntN(8) {
+	switch g.r.IntN(10) {
 	case 0:
 		return "-" + g.num(depth-1)
 	case 1:
 		return "(" + g.cond(depth-1) + ")"
 	case 2:
-		return g.pick("abs", "floor", "sqrt", "year", "toInt") + "(" + g.num(depth-1) + ")"
+		return g.pick("abs", "floor", "ceil", "round", "sqrt", "exp", "log", "year", "month", "day", "hour",
+			"minute", "weekday", "toInt", "toDouble", "toDate") + "(" + g.num(depth-1) + ")"
 	case 3:
-		return g.pick("len(gs)", "len(gx)", "toInt(gs)", "if(isMissing(gd), gi, gd)", "coalesce(gi, 3)", "min(gi, gd)")
+		return g.pick("len(gs)", "len(gx)", "toInt(gs)", "toDouble(gx)", "if(isMissing(gd), gi, gd)", "coalesce(gi, 3)", "min(gi, gd)")
+	case 4:
+		// Calls that return an argument, over mixed kinds, and calls
+		// over strings.
+		switch g.r.IntN(4) {
+		case 0:
+			return "if(" + g.cond(depth-1) + ", " + g.num(depth-1) + ", " + g.num(depth-1) + ")"
+		case 1:
+			return "coalesce(" + g.num(depth-1) + ", " + g.num(depth-1) + ", " + g.num(0) + ")"
+		case 2:
+			return g.pick("min", "max", "pow") + "(" + g.num(depth-1) + ", " + g.num(depth-1) + ")"
+		default:
+			return g.pick("len", "toInt", "toDouble") + "(" + g.str(depth-1) + ")"
+		}
 	default:
 		return "(" + g.num(depth-1) + " " + g.pick("+", "-", "*", "/", "%") + " " + g.num(depth-1) + ")"
 	}
 }
 
-func (g *exprGen) str() string {
-	dict := g.info.DictValues
-	return g.pick("gs", "gx", "lower(gs)", `""`, `"w"`, `"zzz"`,
-		fmt.Sprintf("%q", dict[g.r.IntN(len(dict))]), fmt.Sprintf("%q", dict[g.r.IntN(len(dict))]+"x"))
+func (g *exprGen) str(depth int) string {
+	if depth <= 0 || g.r.IntN(3) == 0 {
+		dict := g.info.DictValues
+		return g.pick("gs", "gx", "lower(gs)", `""`, `"w"`, `"zzz"`, `" W0 "`,
+			fmt.Sprintf("%q", dict[g.r.IntN(len(dict))]), fmt.Sprintf("%q", dict[g.r.IntN(len(dict))]+"x"))
+	}
+	switch g.r.IntN(7) {
+	case 0:
+		return g.pick("lower", "upper", "trim") + "(" + g.str(depth-1) + ")"
+	case 1:
+		return "substr(" + g.str(depth-1) + ", " + g.num(0) + ", " + g.pick("0", "2", "-1", "2.5", g.num(0)) + ")"
+	case 2:
+		return g.pick("concat(gs, gx)", "concat("+g.str(depth-1)+", "+g.str(depth-1)+", gs)", g.str(depth-1)+" + "+g.str(depth-1))
+	case 3:
+		return "toString(" + g.num(depth-1) + ")"
+	case 4:
+		return "if(" + g.cond(depth-1) + ", " + g.str(depth-1) + ", " + g.str(depth-1) + ")"
+	default:
+		return g.pick("min", "max", "coalesce") + "(" + g.str(depth-1) + ", " + g.str(depth-1) + ")"
+	}
+}
+
+// value draws a derived column's expression: a number or a string.
+func (g *exprGen) value(depth int) string {
+	if g.r.IntN(3) == 0 {
+		return g.str(depth)
+	}
+	return g.num(depth)
 }
 
 func (g *exprGen) cond(depth int) string {
@@ -120,9 +160,10 @@ func (g *exprGen) cond(depth int) string {
 	case 2:
 		return "!(" + g.cond(depth-1) + ")"
 	case 3:
-		return g.str() + " " + cmp + " " + g.str()
+		return g.str(depth-1) + " " + cmp + " " + g.str(depth-1)
 	case 4:
-		return g.pick("isMissing(gd)", "contains(gs, \"1\")", "startsWith(gx, \"w0\")", "gs", "gi", "gc")
+		return g.pick("isMissing(gd)", "contains(gs, \"1\")", "startsWith(gx, \"w0\")", "endsWith("+g.str(depth-1)+", \"1\")",
+			"contains("+g.str(depth-1)+", "+g.str(0)+")", "gs", "gi", "gc", g.str(depth-1))
 	default:
 		return g.num(depth-1) + " " + cmp + " " + g.num(depth-1)
 	}
@@ -143,10 +184,11 @@ var selectCorpus = []string{
 	// three-valued logic with missing on either side
 	"gi > 0 && gd > 0", "gi > 0 || gd > 0", "!(gi > 0)", "!(gi > 0 && gd > 0) || gt > 0", "!gi", "gi && gd", "gs || gi",
 	"gi > 1e300 && gd > 0", "gi < 1e300 || gd > 0", "isMissing(gi) || gd < 0", "!isMissing(gd) && !(gd > 0)",
-	// builtins in subtrees: row fallback inside vector parents
+	// builtins and string operators in subtrees
 	"abs(gi) > 2 && gd < 50", "year(gt) * 100 + month(gt) > 201707", "sqrt(gd) < 3 || gi == 0", "len(gs) == 6", `lower(gs) == "w00000"`,
 	`contains(gs, "9") && gi >= 0`, "coalesce(gi, 0) + 1 > gd", `if(gi > 0, gd, gc) > 10`, "toInt(gs) > 0", "log(gd) > 1",
 	`gi % if(gi > 0, 1, if(gi > 0, "x", 2.5)) > 0`, "gi % if(gi > 0, 1, 2.5) > 0", `min(gs, gx) == "w00000"`,
+	`gs + gx > "w00001"`, `substr(gs, 1, 3) == "000"`, `endsWith(gx, "!")`, `upper(gs) != gs`, `len(gi) > 2`, `toString(gd) < "5"`,
 	// derived columns
 	"gc > 10", "gc == gc", "gc * 2 < gd", `gx == "w00000!"`, `gx > gs`, "gc > 5 && gi < 3",
 	// constants and folding
@@ -201,27 +243,12 @@ func TestFold(t *testing.T) {
 		"toDate(5)":        "toDate(5)", // dates have no literal
 		"1 < 2 && x":       "(1 && x)",
 	} {
-		n, err := Parse(src)
+		n, err := expr.Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
-		if got := Fold(n).String(); got != want {
+		if got := expr.Fold(n).String(); got != want {
 			t.Errorf("Fold(%q) = %s, want %s", src, got, want)
-		}
-	}
-}
-
-// TestSelectUsesPrimitive checks that the shapes the benchmark sends
-// compile to the typed primitive rather than to a vector or row node.
-func TestSelectUsesPrimitive(t *testing.T) {
-	parts, _ := selectTables()
-	for _, src := range []string{"gd > -8", "gi <= 3", "-2.5 < gd", `gs == "w00000"`, "gt >= 1500000000000"} {
-		c, err := Bind(src, parts[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := compileCond(c).(*constCmp); !ok {
-			t.Errorf("%q compiled to %T, want the constant-compare primitive", src, compileCond(c))
 		}
 	}
 }

@@ -9,9 +9,9 @@ import "fmt"
 // StringColumn.Codes and Dict, together with MissingMask. The interface
 // itself has no per-row typed accessor, so a kernel type-switches once
 // and loops over a slice. Value materializes one row for the places
-// that keep rows: result rows, the row writers, the expression row
-// evaluator. Returned slices and bitsets are the live storage and must
-// not be modified.
+// that keep rows: result rows, the row writers, the expression
+// language's reference evaluator (a test oracle). Returned slices and
+// bitsets are the live storage and must not be modified.
 type Column interface {
 	// Kind returns the column's value kind.
 	Kind() Kind
@@ -129,8 +129,9 @@ func NewDictColumn(dict []string, codes []int32, missing *Bitset) (*StringColumn
 	return &StringColumn{dict: dict, codes: codes, missing: maskOrNil(missing)}, nil
 }
 
-// NewStringColumn builds a string column from raw values. Prefer the
-// Builder for bulk loading; this constructor is for tests and small data.
+// NewStringColumn builds a string column from raw values, the values of
+// missing rows ignored. A derived string column (expr.DeriveColumn) is
+// stored through it; prefer the Builder for loading rows.
 func NewStringColumn(vals []string, missing *Bitset) *StringColumn {
 	b := newStringBuilder(len(vals))
 	for i, v := range vals {

@@ -362,13 +362,11 @@ func fillWords(out []uint64, n int, v bool) {
 }
 
 // Selector decides which rows of a batch a derived table keeps. Select
-// drives it; package expr compiles predicates to one, with ConstCompare
-// at its leaves.
+// drives it; a ConstCompare is one, and package expr compiles
+// predicates, and fills derived columns, through one.
 type Selector interface {
 	// SelectSpan writes the selection of physical rows [start, end).
-	// live, when non-nil, holds the span's parent-membership bits: Select
-	// discards every other row, so an implementation may skip them.
-	SelectSpan(start, end int, live, out []uint64)
+	SelectSpan(start, end int, out []uint64)
 	// SelectRows writes the selection of the gathered rows.
 	SelectRows(rows []int32, out []uint64)
 }
@@ -399,16 +397,14 @@ func Select(parent Membership, sel Selector) Membership {
 	for a := lo &^ 63; a < hi; a += SelectBatch {
 		b := min(a+SelectBatch, hi)
 		words := out.Words[a>>6 : wordsFor(b)]
-		if parentWords == nil {
-			sel.SelectSpan(a, b, nil, words)
-			continue
+		var live []uint64
+		if parentWords != nil {
+			if live = parentWords[a>>6 : wordsFor(b)]; allZero(live) {
+				continue
+			}
 		}
-		live := parentWords[a>>6 : wordsFor(b)]
-		if allZero(live) {
-			continue
-		}
-		sel.SelectSpan(a, b, live, words)
-		for w := range words {
+		sel.SelectSpan(a, b, words)
+		for w := range live {
 			words[w] &= live[w]
 		}
 	}

@@ -101,14 +101,6 @@ func selMemberships(n int) map[string]Membership {
 	}
 }
 
-// cmpSelector adapts the primitive to Select, as package expr's
-// compiled predicates do at their leaves.
-type cmpSelector struct{ ConstCompare }
-
-func (s *cmpSelector) SelectSpan(start, end int, _, out []uint64) {
-	s.ConstCompare.SelectSpan(start, end, out)
-}
-
 var allCmpOps = []CmpOp{CmpLT, CmpLE, CmpEQ, CmpNE, CmpGE, CmpGT}
 
 // TestSelectMatchesFilterMembership is the primitive's differential
@@ -127,7 +119,7 @@ func TestSelectMatchesFilterMembership(t *testing.T) {
 						if !ok {
 							t.Fatalf("%s: NewConstCompare(%v %v) not ok", kind, op, c)
 						}
-						got := Select(m, &cmpSelector{cmp})
+						got := Select(m, &cmp)
 						want := FilterMembership(m, func(i int) bool {
 							v := cc.col.Value(i)
 							return !v.Missing && op.Holds(v.Compare(c))
@@ -162,7 +154,7 @@ func TestSelectRepresentationThreshold(t *testing.T) {
 			dense bool
 		}{{n / 32, true}, {n/32 - 1, false}, {0, false}, {n, true}} {
 			cmp, _ := NewConstCompare(col, CmpLT, IntValue(tc.keep))
-			got := Select(parent, &cmpSelector{cmp})
+			got := Select(parent, &cmp)
 			if _, isBitmap := got.(*BitmapMembership); isBitmap != tc.dense || got.Size() != int(tc.keep) {
 				t.Errorf("%T keep %d: got %T of %d rows, want dense=%v", parent, tc.keep, got, got.Size(), tc.dense)
 			}

@@ -45,6 +45,7 @@ import (
 // ledger name.
 var scaffold = []string{
 	"testkit/*",
+	"expr/exprtest/*",
 	"baseline/*",
 	"table/gen.go",
 	"ingest/crashfs.go",
